@@ -309,7 +309,8 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 	sums := make(map[string]*tensor.ContentSum, len(sessionIDs))
 	fail := make(chan error, len(sessionIDs))
 	for i, id := range sessionIDs {
-		sums[id] = tensor.NewContentSum()
+		got := tensor.NewContentSum() // not read back through sums: later iterations write the map
+		sums[id] = got
 		phase1.Add(1)
 		wg.Add(1)
 		go func(i int, id string) {
@@ -327,7 +328,6 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 				return
 			}
 			client.RefreshEvery = 500 * time.Microsecond
-			got := sums[id]
 			batches := 0
 			consume := func() (bool, error) {
 				b, ok, err := client.Next()

@@ -217,6 +217,68 @@ func TestEndToEndPipelinedSessionChecksums(t *testing.T) {
 	}
 }
 
+// elasticPhase1Batches is how much of the session the trainer consumes
+// while the pool grows: enough to have batches in flight across the
+// membership change, a small part of the 192 the tables hold, so that
+// the rest can fill four workers' buffers, pipelines and stream windows
+// during the pause.
+const elasticPhase1Batches = 16
+
+// driveElasticSession plays the trainer's three phases of the elastic
+// exactly-once tests — consume while the pool grows, pause until it has
+// drained a worker, consume the rest — with the test goroutine as the
+// Orchestrator's control loop: step advances the injectable clock one
+// ScaleInterval and runs one Step, as
+// dpp.TestFleetFairShareConvergenceVirtualClock does. The policy and its
+// thresholds are the real ones; evaluating them between the trainer's
+// batches, not on o.Run's wall-clock ticker beside it, is what keeps a
+// loaded host from spending phase 1's batches before the controller has
+// looked at a starved buffer.
+func driveElasticSession(t *testing.T, o *dpp.Orchestrator, consume func() bool) {
+	t.Helper()
+	step := func() {
+		t.Helper()
+		o.Clock.Advance(o.ScaleInterval)
+		if err := o.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// await steps once a wall millisecond until cond holds: workers are
+	// real goroutines whose heartbeats arrive in wall time, so waiting for
+	// what they report is a poll with a deadline.
+	await := func(what string, limit time.Duration, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(limit); !cond(); step() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, o.Status())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Phase 1: the first Step bootstraps the pool; from the next one on
+	// the policy sees a worker whose buffer is empty against a trainer
+	// consuming as fast as it can, reads it as starved, and grows the
+	// pool while batches are in flight.
+	step()
+	batches := 0
+	for step(); o.Status().Peak < 2 || batches < elasticPhase1Batches; step() {
+		if !consume() {
+			t.Fatalf("session ended during scale-up phase after %d batches: %+v", batches, o.Status())
+		}
+		batches++
+	}
+	// Phase 2: the trainer pauses. Buffers fill, the data planes go
+	// idle, and the Orchestrator drains workers back down; drained
+	// workers retire and deregister once phase 3 empties their buffers.
+	await("pool never drained back down", 20*time.Second, func() bool { return o.Status().Drained > 0 })
+	// Phase 3: consume the rest of the session.
+	for consume() {
+		step()
+	}
+	await("orchestrator did not finish", 120*time.Second, o.Finished)
+}
+
 // TestEndToEndElasticSessionChecksums drives a full session through the
 // closed scaling loop: the Orchestrator owns the worker pool, the
 // trainer-side client resolves membership from the master, and the test
@@ -306,8 +368,6 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond
 	o.CheckpointEvery = 10 * time.Millisecond
-	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(nil) }()
 
 	client, err := dpp.NewSessionClient(m, launcher.Dial, 0, 0)
 	if err != nil {
@@ -333,32 +393,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 		return true
 	}
 
-	// Phase 1: consume as fast as possible. Worker buffers stay empty,
-	// the scaler sees starvation, and the pool grows past one.
-	for o.Status().Peak < 2 && batches < 80 {
-		if !consume() {
-			t.Fatalf("session ended during scale-up phase after %d batches", batches)
-		}
-	}
-	// Phase 2: the trainer pauses. Buffers fill, the data planes go
-	// idle, and the Orchestrator drains workers back down; drained
-	// workers retire and deregister once phase 3 empties their buffers.
-	drainDeadline := time.Now().Add(20 * time.Second)
-	for o.Status().Drained == 0 && time.Now().Before(drainDeadline) {
-		time.Sleep(time.Millisecond)
-	}
-	// Phase 3: consume the rest of the session.
-	for consume() {
-	}
-
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("orchestrator did not finish")
-	}
+	driveElasticSession(t, o, consume)
 
 	st := o.Status()
 	if st.Peak < 2 {
@@ -405,7 +440,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 	const (
 		partitions  = 2
-		rowsPerPart = 768
+		rowsPerPart = 1536
 		batchSize   = 16
 	)
 	p, err := datagen.ProfileByName("RM1")
@@ -489,9 +524,6 @@ func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond
 	o.CheckpointEvery = 10 * time.Millisecond
-	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(nil) }()
-
 	remote, err := dpp.DialMaster(mln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +536,6 @@ func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 	client.RefreshEvery = 500 * time.Microsecond
 
 	got := tensor.NewContentSum()
-	batches := 0
 	consume := func() bool {
 		b, ok, err := client.Next()
 		if err != nil {
@@ -516,36 +547,12 @@ func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 		if b.Rows > batchSize {
 			t.Fatalf("batch of %d rows exceeds batch size %d", b.Rows, batchSize)
 		}
-		batches++
 		got.AddBatch(b)
 		b.Release()
 		return true
 	}
 
-	// Phase 1: consume as fast as possible until the pool scales up.
-	for o.Status().Peak < 2 && batches < 60 {
-		if !consume() {
-			t.Fatalf("session ended during scale-up phase after %d batches", batches)
-		}
-	}
-	// Phase 2: pause so buffers fill, data planes idle, and the loop
-	// drains workers; drained workers retire once phase 3 empties them.
-	drainDeadline := time.Now().Add(20 * time.Second)
-	for o.Status().Drained == 0 && time.Now().Before(drainDeadline) {
-		time.Sleep(time.Millisecond)
-	}
-	// Phase 3: consume the rest of the session over the streams.
-	for consume() {
-	}
-
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("orchestrator did not finish")
-	}
+	driveElasticSession(t, o, consume)
 
 	st := o.Status()
 	if st.Peak < 2 {

@@ -176,43 +176,6 @@ func TestStreamOrderSortedByPopularity(t *testing.T) {
 	}
 }
 
-func TestFeatureLogRoundTrip(t *testing.T) {
-	fl := &FeatureLog{
-		RequestID: 42,
-		Dense:     map[schema.FeatureID]float32{1: 0.5},
-		Sparse:    map[schema.FeatureID][]int64{2: {7, 8}},
-	}
-	data, err := EncodeFeatureLog(fl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFeatureLog(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RequestID != 42 || got.Dense[1] != 0.5 || len(got.Sparse[2]) != 2 {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if _, err := DecodeFeatureLog([]byte("garbage")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestEventLogRoundTrip(t *testing.T) {
-	ev := &EventLog{RequestID: 9, Engaged: true}
-	data, err := EncodeEventLog(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeEventLog(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RequestID != 9 || !got.Engaged {
-		t.Fatalf("round trip = %+v", got)
-	}
-}
-
 func TestServingSimulator(t *testing.T) {
 	bus := scribe.NewBus(logdevice.NewStore())
 	daemon := scribe.NewDaemon("host", bus)

@@ -1,14 +1,61 @@
 package datagen
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"dsi/internal/schema"
 	"dsi/internal/scribe"
 )
+
+// Log-record wire layout. Feature and event logs travel through Scribe
+// and LogDevice as flat little-endian records, written in one append
+// pass into an exactly sized buffer and decoded with every count checked
+// against the bytes that remain (the tensor/wire.go idiom), so bytes
+// read back off LogDevice can neither panic the ETL joiner nor make it
+// allocate more than a small multiple of the record's own length.
+//
+// Feature log (tag 'F'):
+//
+//	u8   tag = 'F'
+//	i64  RequestID
+//	i64  EventTime (Unix nanoseconds, 0 = unknown)
+//	u32  nDense
+//	u32  nSparse
+//	u32  nValues — sum of the sparse list lengths
+//	nDense times, ascending feature ID:
+//	  i32  feature ID
+//	  f32  value
+//	nSparse times, ascending feature ID:
+//	  i32  feature ID
+//	  u32  n
+//	  i64  × n values
+//
+// Event log (tag 'E'):
+//
+//	u8   tag = 'E'
+//	i64  RequestID
+//	u8   Engaged — 0 or 1
+//
+// Features are written in ascending ID order, so one record value always
+// encodes to the same bytes. A record decodes only if its length is
+// exactly what its counts imply, its IDs are strictly ascending within a
+// section (the encoder's order; it also rules out duplicate map keys)
+// and its list lengths sum to nValues.
+
+const (
+	tagFeatureLog = 'F'
+	tagEventLog   = 'E'
+
+	featureLogHeaderLen = 1 + 8 + 8 + 4 + 4 + 4
+	eventLogLen         = 1 + 8 + 1
+)
+
+var errLogTruncated = errors.New("record truncated")
 
 // FeatureLog is the serving-time record of the features a model was
 // evaluated with (§3.1): logged at serving time to avoid data leakage
@@ -20,8 +67,7 @@ type FeatureLog struct {
 	// EventTime is the serving-time wall clock in Unix nanoseconds. It is
 	// carried through the ETL join into partition metadata so the DPP
 	// master can account event-time→trainer freshness lag. Zero means
-	// unknown (old producers); gob omits zero fields, so payloads stay
-	// compatible in both directions.
+	// unknown.
 	EventTime int64
 }
 
@@ -32,40 +78,147 @@ type EventLog struct {
 	Engaged   bool
 }
 
-// EncodeFeatureLog gob-serializes a feature log.
+// EncodeFeatureLog serializes a feature log (layout above).
 func EncodeFeatureLog(f *FeatureLog) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("datagen: encode feature log: %w", err)
+	nValues := 0
+	for _, vals := range f.Sparse {
+		nValues += len(vals)
 	}
-	return buf.Bytes(), nil
+	if nValues > math.MaxUint32 {
+		return nil, fmt.Errorf("datagen: encode feature log: %d sparse values exceed the format's u32 count", nValues)
+	}
+	dst := make([]byte, 0, featureLogHeaderLen+8*len(f.Dense)+8*len(f.Sparse)+8*nValues)
+	dst = append(dst, tagFeatureLog)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.RequestID))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.EventTime))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Dense)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Sparse)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(nValues))
+
+	// The scratch array keeps a typical record's ID sort off the heap.
+	var scratch [128]schema.FeatureID
+	ids := scratch[:0]
+	for id := range f.Dense {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(f.Dense[id]))
+	}
+
+	ids = ids[:0]
+	for id := range f.Sparse {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		vals := f.Sparse[id]
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
+		for _, v := range vals {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+		}
+	}
+	return dst, nil
 }
 
-// DecodeFeatureLog parses a gob-serialized feature log.
+// DecodeFeatureLog parses a feature log record, rejecting anything that
+// is not exactly one well-formed record. All sparse lists share one
+// backing array, each capped to its own length.
 func DecodeFeatureLog(data []byte) (*FeatureLog, error) {
-	var f FeatureLog
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&f); err != nil {
+	fail := func(err error) (*FeatureLog, error) {
 		return nil, fmt.Errorf("datagen: decode feature log: %w", err)
 	}
-	return &f, nil
-}
-
-// EncodeEventLog gob-serializes an event log.
-func EncodeEventLog(e *EventLog) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("datagen: encode event log: %w", err)
+	if len(data) < featureLogHeaderLen {
+		return fail(errLogTruncated)
 	}
-	return buf.Bytes(), nil
+	if data[0] != tagFeatureLog {
+		return fail(fmt.Errorf("bad tag %#x", data[0]))
+	}
+	le := binary.LittleEndian
+	f := &FeatureLog{RequestID: int64(le.Uint64(data[1:])), EventTime: int64(le.Uint64(data[9:]))}
+	nDense, nSparse, nValues := uint64(le.Uint32(data[17:])), uint64(le.Uint32(data[21:])), uint64(le.Uint32(data[25:]))
+	// The counts fix the record's length exactly; checking it here bounds
+	// every allocation below by the bytes actually present.
+	if want := featureLogHeaderLen + 8*nDense + 8*nSparse + 8*nValues; uint64(len(data)) != want {
+		if uint64(len(data)) < want {
+			return fail(errLogTruncated)
+		}
+		return fail(fmt.Errorf("%d trailing bytes", uint64(len(data))-want))
+	}
+	pos := featureLogHeaderLen
+
+	f.Dense = make(map[schema.FeatureID]float32, nDense)
+	for i, prev := uint64(0), schema.FeatureID(0); i < nDense; i++ {
+		id := schema.FeatureID(le.Uint32(data[pos:]))
+		if i > 0 && id <= prev {
+			return fail(fmt.Errorf("dense feature %d out of order", id))
+		}
+		f.Dense[id] = math.Float32frombits(le.Uint32(data[pos+4:]))
+		prev = id
+		pos += 8
+	}
+
+	f.Sparse = make(map[schema.FeatureID][]int64, nSparse)
+	values := make([]int64, nValues)
+	used := 0
+	for i, prev := uint64(0), schema.FeatureID(0); i < nSparse; i++ {
+		id := schema.FeatureID(le.Uint32(data[pos:]))
+		claimed := le.Uint32(data[pos+4:])
+		pos += 8
+		if i > 0 && id <= prev {
+			return fail(fmt.Errorf("sparse feature %d out of order", id))
+		}
+		if uint64(claimed) > uint64(len(values)-used) {
+			return fail(fmt.Errorf("sparse feature %d claims %d values, %d remain", id, claimed, len(values)-used))
+		}
+		n := int(claimed)
+		list := values[used : used+n : used+n]
+		for k := range list {
+			list[k] = int64(le.Uint64(data[pos:]))
+			pos += 8
+		}
+		f.Sparse[id] = list
+		used += n
+		prev = id
+	}
+	if used != len(values) {
+		return fail(fmt.Errorf("sparse lists hold %d values, header says %d", used, len(values)))
+	}
+	return f, nil
 }
 
-// DecodeEventLog parses a gob-serialized event log.
+// EncodeEventLog serializes an event log (layout above).
+func EncodeEventLog(e *EventLog) ([]byte, error) {
+	dst := make([]byte, eventLogLen)
+	dst[0] = tagEventLog
+	binary.LittleEndian.PutUint64(dst[1:], uint64(e.RequestID))
+	if e.Engaged {
+		dst[9] = 1
+	}
+	return dst, nil
+}
+
+// DecodeEventLog parses an event log record, rejecting anything that is
+// not exactly one well-formed record.
 func DecodeEventLog(data []byte) (*EventLog, error) {
-	var e EventLog
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
+	fail := func(err error) (*EventLog, error) {
 		return nil, fmt.Errorf("datagen: decode event log: %w", err)
 	}
-	return &e, nil
+	if len(data) < eventLogLen {
+		return fail(errLogTruncated)
+	}
+	if data[0] != tagEventLog {
+		return fail(fmt.Errorf("bad tag %#x", data[0]))
+	}
+	if len(data) > eventLogLen {
+		return fail(fmt.Errorf("%d trailing bytes", len(data)-eventLogLen))
+	}
+	if data[9] > 1 {
+		return fail(fmt.Errorf("bad engaged byte %#x", data[9]))
+	}
+	return &EventLog{RequestID: int64(binary.LittleEndian.Uint64(data[1:])), Engaged: data[9] == 1}, nil
 }
 
 // FeatureCategory names the Scribe category carrying a model's feature

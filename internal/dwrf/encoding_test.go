@@ -1,6 +1,7 @@
 package dwrf
 
 import (
+	"math"
 	"testing"
 
 	"dsi/internal/schema"
@@ -161,6 +162,59 @@ func TestDictColumnRoundTrip(t *testing.T) {
 		// materialized regardless of wire encoding.
 		if got, want := b2.ScoreList[5], b1.ScoreList[5]; len(got.Values) != len(want.Values) {
 			t.Fatalf("stripe %d: score list %d values, want %d", i, len(got.Values), len(want.Values))
+		}
+	}
+}
+
+// TestScoreListDictSignedZeroAndNaN pins the scored dictionary's notion
+// of equality: pairs are distinct when their score bits are. Deduplicating
+// by float equality merged -0 into +0 (and -0 then indexed past its entry)
+// and kept every NaN apart.
+func TestScoreListDictSignedZeroAndNaN(t *testing.T) {
+	ts := schema.NewTableSchema("scores")
+	if err := ts.AddColumn(schema.Column{ID: 5, Kind: schema.ScoreList, Name: "sl"}); err != nil {
+		t.Fatal(err)
+	}
+	negZero := math.Float32frombits(1 << 31)
+	nan := float32(math.NaN())
+	scores := []float32{0, negZero, nan, nan}
+	rows := make([]*schema.Sample, 64)
+	for i := range rows {
+		rows[i] = schema.NewSample()
+		rows[i].ScoreListFeatures[5] = []schema.ScoredValue{
+			{Value: 7, Score: scores[i%4]},
+			{Value: 7, Score: scores[(i+1)%4]},
+		}
+	}
+	var enc stripeEncoder
+	if _, e := enc.encodeScoreList(rows, 5, false); e != EncDict {
+		t.Fatalf("selected %v, want the dictionary encoding", e)
+	}
+	if len(enc.sdict) != 3 {
+		t.Fatalf("dictionary has %d entries, want 3 (+0, -0, NaN)", len(enc.sdict))
+	}
+
+	c := newCluster(t)
+	writeFile(t, c, "scores", ts, rows, WriterOptions{Flatten: true, RowsPerStripe: 64})
+	r, err := OpenReader(c, "scores")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := r.ReadStripeBatch(0, nil, ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := b.ScoreList[5]
+	for i, row := range rows {
+		got, want := col.RowValues(i), row.ScoreListFeatures[5]
+		if len(got) != len(want) {
+			t.Fatalf("row %d: %d pairs, want %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k].Value != want[k].Value || math.Float32bits(got[k].Score) != math.Float32bits(want[k].Score) {
+				t.Fatalf("row %d pair %d: (%d, %#x), want (%d, %#x)", i, k,
+					got[k].Value, math.Float32bits(got[k].Score), want[k].Value, math.Float32bits(want[k].Score))
+			}
 		}
 	}
 }

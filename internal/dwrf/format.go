@@ -60,6 +60,7 @@ package dwrf
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"crypto/aes"
 	"crypto/cipher"
@@ -67,7 +68,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dsi/internal/schema"
@@ -245,20 +246,15 @@ func cryptStream(data []byte, fileOffset int64) error {
 	return cryptStreamTo(data, data, fileOffset)
 }
 
-// compress deflates data.
-func compress(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("dwrf: flate: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return nil, fmt.Errorf("dwrf: compress: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("dwrf: compress close: %w", err)
-	}
-	return buf.Bytes(), nil
+// appendWriter is an io.Writer that appends to a byte slice whose
+// capacity carries over between uses.
+type appendWriter struct {
+	buf []byte
+}
+
+func (a *appendWriter) Write(p []byte) (int, error) {
+	a.buf = append(a.buf, p...)
+	return len(p), nil
 }
 
 // flateDecoder pairs a reusable bytes.Reader with a flate decompressor
@@ -463,15 +459,62 @@ func (p *payloadReader) idx(w int) (uint32, error) {
 // keep their capacity between streams and stripes, so steady-state
 // encoding is allocation-free — the single-pass replacement for the v1
 // encoders' two map walks plus a fresh bytes.Buffer per stream.
+//
+// The encoder also owns the deflate state its payloads are compressed
+// with: a flate.Writer carries ~1 MB of hash tables and Huffman state,
+// so it is built once and Reset per stream, and its output accumulates
+// in out (see compress). Encoders outlive the writers that use them:
+// a flush borrows one per worker from stripeEncoders.
 type stripeEncoder struct {
 	pw    payloadWriter
-	rows  []uint32 // present-entry stripe-relative row indices
-	lens  []uint32 // per-entry list lengths (sparse/score-list)
+	fw    *flate.Writer
+	out   appendWriter // compressed streams, back to back
+	rows  []uint32     // present-entry stripe-relative row indices
+	lens  []uint32     // per-entry list lengths (sparse/score-list)
 	f32s  []float32
 	vals  []int64
 	svals []schema.ScoredValue
 	dict  []int64
 	sdict []schema.ScoredValue
+}
+
+// stripeEncoders holds idle encoders, as flateDecoders does for the read
+// path: writers live for one partition, deflate state should not.
+var stripeEncoders sync.Pool
+
+// getStripeEncoder takes an encoder from the pool, building its deflate
+// state if the pool is empty, with an empty output buffer. (The zero
+// value encodes payloads but cannot compress them.)
+func getStripeEncoder() (*stripeEncoder, error) {
+	if e, ok := stripeEncoders.Get().(*stripeEncoder); ok {
+		e.out.buf = e.out.buf[:0]
+		return e, nil
+	}
+	e := new(stripeEncoder)
+	fw, err := flate.NewWriter(&e.out, flate.BestSpeed)
+	if err != nil {
+		return nil, fmt.Errorf("dwrf: flate: %w", err)
+	}
+	e.fw = fw
+	return e, nil
+}
+
+// compress deflates payload onto the end of e.out and returns the bytes
+// it added. The output is byte-identical to a fresh BestSpeed
+// flate.Writer's: Reset restores exactly that state. The returned slice
+// stays intact when later streams grow e.out (append never writes into
+// bytes already returned); it is the next borrower's truncation of
+// e.out that recycles it.
+func (e *stripeEncoder) compress(payload []byte) ([]byte, error) {
+	e.fw.Reset(&e.out)
+	start := len(e.out.buf)
+	if _, err := e.fw.Write(payload); err != nil {
+		return nil, fmt.Errorf("dwrf: compress: %w", err)
+	}
+	if err := e.fw.Close(); err != nil {
+		return nil, fmt.Errorf("dwrf: compress close: %w", err)
+	}
+	return e.out.buf[start:len(e.out.buf):len(e.out.buf)], nil
 }
 
 // encodeDense encodes a dense feature column: present rows only. When
@@ -531,19 +574,14 @@ func (e *stripeEncoder) encodeDense(rows []*schema.Sample, id schema.FeatureID, 
 // buildDict fills e.dict with the sorted distinct values of e.vals.
 func (e *stripeEncoder) buildDict() {
 	e.dict = append(e.dict[:0], e.vals...)
-	sort.Slice(e.dict, func(i, j int) bool { return e.dict[i] < e.dict[j] })
-	out := e.dict[:0]
-	for i, v := range e.dict {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	e.dict = out
+	slices.Sort(e.dict)
+	e.dict = slices.Compact(e.dict)
 }
 
 // dictIdx returns v's index in the sorted dictionary.
 func dictIdx(dict []int64, v int64) uint32 {
-	return uint32(sort.Search(len(dict), func(i int) bool { return dict[i] >= v }))
+	i, _ := slices.BinarySearch(dict, v)
+	return uint32(i)
 }
 
 // encodeSparse encodes a sparse feature column, picking the smallest of
@@ -655,27 +693,22 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 // pairs of e.svals.
 func (e *stripeEncoder) buildScoredDict() {
 	e.sdict = append(e.sdict[:0], e.svals...)
-	sort.Slice(e.sdict, func(i, j int) bool { return scoredLess(e.sdict[i], e.sdict[j]) })
-	out := e.sdict[:0]
-	for i, v := range e.sdict {
-		if i == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	e.sdict = out
+	slices.SortFunc(e.sdict, scoredCmp)
+	e.sdict = slices.CompactFunc(e.sdict, func(a, b schema.ScoredValue) bool { return scoredCmp(a, b) == 0 })
 }
 
-// scoredLess orders scored values by (value, score bit pattern).
-func scoredLess(a, b schema.ScoredValue) bool {
-	if a.Value != b.Value {
-		return a.Value < b.Value
+// scoredCmp orders scored values by (value, score bit pattern).
+func scoredCmp(a, b schema.ScoredValue) int {
+	if c := cmp.Compare(a.Value, b.Value); c != 0 {
+		return c
 	}
-	return math.Float32bits(a.Score) < math.Float32bits(b.Score)
+	return cmp.Compare(math.Float32bits(a.Score), math.Float32bits(b.Score))
 }
 
 // scoredDictIdx returns v's index in the sorted scored dictionary.
 func scoredDictIdx(dict []schema.ScoredValue, v schema.ScoredValue) uint32 {
-	return uint32(sort.Search(len(dict), func(i int) bool { return !scoredLess(dict[i], v) }))
+	i, _ := slices.BinarySearchFunc(dict, v, scoredCmp)
+	return uint32(i)
 }
 
 // encodeScoreList encodes a score-list feature column, with a

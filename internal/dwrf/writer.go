@@ -2,10 +2,15 @@ package dwrf
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dsi/internal/schema"
@@ -72,9 +77,15 @@ type Writer struct {
 	footer  FileFooter
 	closed  bool
 	stats   WriteStats
-	// enc holds the stripe encoder's scratch buffers; one per writer so
-	// steady-state stream encoding is allocation-free.
-	enc stripeEncoder
+
+	// Stripe-flush scratch, all reused from stripe to stripe. rank is
+	// opts.StreamOrder inverted once; token is "path@" followed by the
+	// current append's offset.
+	rank    map[schema.FeatureID]int
+	present map[schema.FeatureID]struct{}
+	ids     []schema.FeatureID
+	jobs    []streamJob
+	token   []byte
 }
 
 // append routes one physical append through the cluster's idempotent
@@ -82,7 +93,8 @@ type Writer struct {
 // append of this file's life, so a retry after a torn ack resumes or
 // dedups instead of corrupting the layout with duplicate bytes.
 func (w *Writer) append(data []byte) error {
-	trace, err := w.cluster.AppendToken(w.path, fmt.Sprintf("%s@%d", w.path, w.offset), data)
+	w.token = strconv.AppendInt(w.token[:len(w.path)+1], w.offset, 10)
+	trace, err := w.cluster.AppendToken(w.path, string(w.token), data)
 	w.stats.Merge(WriteStats{
 		Retries:     trace.Retries,
 		DedupHits:   trace.Dedups,
@@ -113,6 +125,14 @@ func NewWriter(cluster *tectonic.Cluster, path string, ts *schema.TableSchema, o
 			Columns:   append([]schema.Column(nil), ts.Columns...),
 			Version:   Version,
 		},
+		present: make(map[schema.FeatureID]struct{}),
+		token:   append([]byte(path), '@'),
+	}
+	if opts.StreamOrder != nil {
+		w.rank = make(map[schema.FeatureID]int, len(opts.StreamOrder))
+		for i, id := range opts.StreamOrder {
+			w.rank[id] = i
+		}
 	}
 	header := append([]byte(Magic), 0, 0, 0, Version)
 	if err := w.append(header); err != nil {
@@ -136,42 +156,40 @@ func (w *Writer) WriteRow(s *schema.Sample) error {
 }
 
 // streamLayout returns the feature IDs present in the stripe in their
-// on-disk order.
+// on-disk order. The result aliases w.ids and is valid until the next
+// call.
 func (w *Writer) streamLayout(rows []*schema.Sample) []schema.FeatureID {
-	present := make(map[schema.FeatureID]bool)
+	clear(w.present)
 	for _, r := range rows {
 		for id := range r.DenseFeatures {
-			present[id] = true
+			w.present[id] = struct{}{}
 		}
 		for id := range r.SparseFeatures {
-			present[id] = true
+			w.present[id] = struct{}{}
 		}
 		for id := range r.ScoreListFeatures {
-			present[id] = true
+			w.present[id] = struct{}{}
 		}
 	}
-	ids := make([]schema.FeatureID, 0, len(present))
-	for id := range present {
+	ids := w.ids[:0]
+	for id := range w.present {
 		ids = append(ids, id)
 	}
+	w.ids = ids
 
-	if w.opts.StreamOrder != nil {
-		rank := make(map[schema.FeatureID]int, len(w.opts.StreamOrder))
-		for i, id := range w.opts.StreamOrder {
-			rank[id] = i
-		}
-		sort.Slice(ids, func(i, j int) bool {
-			ri, iok := rank[ids[i]]
-			rj, jok := rank[ids[j]]
+	if w.rank != nil {
+		slices.SortFunc(ids, func(a, b schema.FeatureID) int {
+			ra, aok := w.rank[a]
+			rb, bok := w.rank[b]
 			switch {
-			case iok && jok:
-				return ri < rj
-			case iok:
-				return true
-			case jok:
-				return false
+			case aok && bok:
+				return cmp.Compare(ra, rb)
+			case aok:
+				return -1
+			case bok:
+				return 1
 			default:
-				return ids[i] < ids[j]
+				return cmp.Compare(a, b)
 			}
 		})
 		return ids
@@ -180,8 +198,8 @@ func (w *Writer) streamLayout(rows []*schema.Sample) []schema.FeatureID {
 	// Hash-scrambled order: deterministic but uncorrelated with feature
 	// popularity, standing in for the random stream order of the paper's
 	// unoptimized data generation path.
-	sort.Slice(ids, func(i, j int) bool {
-		return scramble(ids[i]) < scramble(ids[j])
+	slices.SortFunc(ids, func(a, b schema.FeatureID) int {
+		return cmp.Compare(scramble(a), scramble(b))
 	})
 	return ids
 }
@@ -197,80 +215,148 @@ func scramble(id schema.FeatureID) uint32 {
 	return x
 }
 
-// appendStream compresses, encrypts and appends one stream, recording its
-// metadata.
-func (w *Writer) appendStream(meta *StripeMeta, kind streamKind, feature schema.FeatureID, enc StreamEncoding, payload []byte) error {
-	comp, err := compress(payload)
-	if err != nil {
-		return err
+// streamJob is one stream of the stripe being flushed. planStripe names
+// it (meta.Kind, meta.Feature); the flush worker that runs it fills in
+// the encoding, the raw length and comp, the compressed bytes (a slice
+// of that worker's encoder output); the ordered pass adds the offsets.
+type streamJob struct {
+	meta StreamMeta
+	comp []byte
+	err  error
+}
+
+// encodeJob encodes and compresses one stream on encoder e.
+func (w *Writer) encodeJob(e *stripeEncoder, rows []*schema.Sample, j *streamJob) {
+	var payload []byte
+	m := &j.meta
+	plain := w.opts.PlainEncodings
+	switch m.Kind {
+	case streamRowData:
+		payload = e.encodeRowData(rows)
+	case streamLabel:
+		payload = e.encodeLabels(rows)
+	case streamDense:
+		payload, m.Encoding = e.encodeDense(rows, m.Feature, plain)
+	case streamSparse:
+		payload, m.Encoding = e.encodeSparse(rows, m.Feature, plain)
+	case streamScoreList:
+		payload, m.Encoding = e.encodeScoreList(rows, m.Feature, plain)
 	}
-	// Fold the compressed (pre-encryption) bytes into the stripe's
-	// content hash: encryption IVs depend on file offsets, so hashing
-	// before the crypt pass keeps the digest a pure function of content.
-	meta.ContentHash = fnvMix(meta.ContentHash, comp)
-	if err := cryptStream(comp, w.offset); err != nil {
-		return err
+	m.RawLength = int64(len(payload))
+	j.comp, j.err = e.compress(payload)
+}
+
+// planStripe lists the stripe's streams in layout order into w.jobs.
+func (w *Writer) planStripe(rows []*schema.Sample) error {
+	w.jobs = w.jobs[:0]
+	if !w.opts.Flatten {
+		w.jobs = append(w.jobs, streamJob{meta: StreamMeta{Kind: streamRowData}})
+		return nil
 	}
-	if err := w.append(comp); err != nil {
-		return err
+	w.jobs = append(w.jobs, streamJob{meta: StreamMeta{Kind: streamLabel}})
+	for _, id := range w.streamLayout(rows) {
+		col, ok := w.schema.Column(id)
+		if !ok {
+			return fmt.Errorf("dwrf: sample has feature %d absent from schema %s", id, w.schema.Name)
+		}
+		var kind streamKind
+		switch col.Kind {
+		case schema.Dense:
+			kind = streamDense
+		case schema.Sparse:
+			kind = streamSparse
+		case schema.ScoreList:
+			kind = streamScoreList
+		default:
+			return fmt.Errorf("dwrf: unknown feature kind %v", col.Kind)
+		}
+		w.jobs = append(w.jobs, streamJob{meta: StreamMeta{Kind: kind, Feature: id}})
 	}
-	meta.Streams = append(meta.Streams, StreamMeta{
-		Kind:      kind,
-		Feature:   feature,
-		Offset:    w.offset,
-		Length:    int64(len(comp)),
-		RawLength: int64(len(payload)),
-		Encoding:  enc,
-	})
-	w.offset += int64(len(comp))
 	return nil
 }
 
 // flushStripe encodes and persists the pending rows as one stripe.
+//
+// Encoding and compression — nearly all of the cost — run on
+// min(GOMAXPROCS, streams) workers, each with a stripeEncoder of its own
+// out of the package's pool, pulling streams off a shared counter. A
+// stream's compressed bytes depend only on the rows, so which worker ran
+// it does not show in the file. Everything that depends on file position
+// then happens on the calling goroutine, strictly in layout order: fold
+// the content hash, encrypt (the IV is the file offset), append. The
+// encoders go back to the pool only after that pass: the compressed
+// bytes it appends live in their output buffers.
 func (w *Writer) flushStripe() error {
 	rows := w.pending
 	w.pending = nil
 	if len(rows) == 0 {
 		return nil
 	}
-	meta := StripeMeta{Offset: w.offset, Rows: len(rows)}
+	if err := w.planStripe(rows); err != nil {
+		return err
+	}
+	jobs := w.jobs
 
-	if !w.opts.Flatten {
-		if err := w.appendStream(&meta, streamRowData, 0, EncPlain, w.enc.encodeRowData(rows)); err != nil {
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
+	encs := make([]*stripeEncoder, 0, workers)
+	defer func() {
+		for _, e := range encs {
+			stripeEncoders.Put(e)
+		}
+	}()
+	for len(encs) < workers {
+		e, err := getStripeEncoder()
+		if err != nil {
 			return err
 		}
-	} else {
-		if err := w.appendStream(&meta, streamLabel, 0, EncPlain, w.enc.encodeLabels(rows)); err != nil {
+		encs = append(encs, e)
+	}
+	var next atomic.Int64
+	run := func(k int) {
+		e := encs[k]
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return
+			}
+			w.encodeJob(e, rows, &jobs[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(k)
+		}()
+	}
+	run(0)
+	wg.Wait()
+
+	meta := StripeMeta{Offset: w.offset, Rows: len(rows), Streams: make([]StreamMeta, 0, len(jobs))}
+	for i := range jobs {
+		j := &jobs[i]
+		if j.err != nil {
+			return j.err
+		}
+		// Fold the compressed (pre-encryption) bytes into the stripe's
+		// content hash: encryption IVs depend on file offsets, so hashing
+		// before the crypt pass keeps the digest a pure function of content.
+		meta.ContentHash = fnvMix(meta.ContentHash, j.comp)
+		if err := cryptStream(j.comp, w.offset); err != nil {
 			return err
 		}
-		for _, id := range w.streamLayout(rows) {
-			col, ok := w.schema.Column(id)
-			if !ok {
-				return fmt.Errorf("dwrf: sample has feature %d absent from schema %s", id, w.schema.Name)
-			}
-			var payload []byte
-			var enc StreamEncoding
-			var kind streamKind
-			switch col.Kind {
-			case schema.Dense:
-				payload, enc = w.enc.encodeDense(rows, id, w.opts.PlainEncodings)
-				kind = streamDense
-			case schema.Sparse:
-				payload, enc = w.enc.encodeSparse(rows, id, w.opts.PlainEncodings)
-				kind = streamSparse
-			case schema.ScoreList:
-				payload, enc = w.enc.encodeScoreList(rows, id, w.opts.PlainEncodings)
-				kind = streamScoreList
-			default:
-				return fmt.Errorf("dwrf: unknown feature kind %v", col.Kind)
-			}
-			if err := w.appendStream(&meta, kind, id, enc, payload); err != nil {
-				return err
-			}
+		if err := w.append(j.comp); err != nil {
+			return err
 		}
+		j.meta.Offset, j.meta.Length = w.offset, int64(len(j.comp))
+		meta.Streams = append(meta.Streams, j.meta)
+		w.offset += j.meta.Length
 	}
 	meta.Length = w.offset - meta.Offset
 	w.footer.Stripes = append(w.footer.Stripes, meta)
+	clear(rows) // drop the sample references, keep the capacity
+	w.pending = rows[:0]
 	return nil
 }
 
