@@ -399,17 +399,10 @@ func benchSession(b *testing.B, wh *warehouse.Warehouse, spec dpp.SessionSpec) {
 	b.ReportMetric(float64(batches)/b.Elapsed().Seconds(), "batches/sec")
 }
 
-// BenchmarkDPPWorkerSession is the sequential baseline: one split is
-// fetched, decoded, transformed, and delivered before the next begins.
-func BenchmarkDPPWorkerSession(b *testing.B) {
-	wh, _, _ := benchDataset(b, true)
-	benchSession(b, wh, benchSessionSpec(dpp.PipelineOptions{Sequential: true}))
-}
-
-// BenchmarkDPPPipelinedSession is the same workload through the
-// pipelined data plane (parallel stripe prefetch through the shared
-// reader cache, concurrent transform, bounded delivery). Compare with
-// BenchmarkDPPWorkerSession; BENCH_dpp.json records a reference run.
+// BenchmarkDPPPipelinedSession drives one full session through
+// Worker.Run (parallel stripe prefetch through the shared reader cache,
+// concurrent transform, bounded delivery). BENCH_dpp.json records a
+// reference run, beside the sequential loop that existed then.
 func BenchmarkDPPPipelinedSession(b *testing.B) {
 	wh, _, _ := benchDataset(b, true)
 	benchSession(b, wh, benchSessionSpec(dpp.PipelineOptions{Prefetchers: 2, TransformParallelism: 2}))

@@ -48,21 +48,24 @@ type endlessSource struct{ batch *tensor.Batch }
 
 func (s endlessSource) TryGetBatch() (*tensor.Batch, bool, bool) { return s.batch, true, false }
 
-// benchWireTransport measures one-batch delivery over a real loopback
-// TCP connection through the chosen data plane.
-func benchWireTransport(b *testing.B, mode string) {
-	b.Helper()
+// BenchmarkDPPWireFormat measures one-batch delivery of the standard
+// session shape end to end over a real loopback TCP connection through
+// the framed data plane (credit-windowed push of pooled flat-binary
+// frames, Batch.Release recycling the decoded tensors). The sub-benchmark
+// keeps its name from when a gob-unary plane ran beside it;
+// BENCH_wire.json records both from that time.
+func BenchmarkDPPWireFormat(b *testing.B) {
+	b.Run("framed-streaming", benchWireTransport)
+}
+
+func benchWireTransport(b *testing.B) {
 	batch := wireBenchBatch()
 	ln, stop, err := dpp.ServeBatchSource(endlessSource{batch: batch}, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer stop()
-	dial, err := dpp.DataPlaneDialer(mode)
-	if err != nil {
-		b.Fatal(err)
-	}
-	api, err := dial(dpp.WorkerEndpoint{ID: "bench", Endpoint: ln.Addr().String()})
+	api, err := dpp.DialWorkerFramed(ln.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,22 +97,9 @@ func benchWireTransport(b *testing.B, mode string) {
 	b.StopTimer()
 }
 
-// BenchmarkDPPWireFormat compares the two worker→trainer wire formats
-// end to end over loopback TCP for the standard session shape: unary
-// net/rpc with reflection-driven gob encoding (one round trip and a
-// fresh allocation storm per batch — the "datacenter tax" baseline)
-// against the framed streaming plane (credit-windowed push of pooled
-// flat-binary frames, Batch.Release recycling the decoded tensors).
-// BENCH_wire.json records a reference run.
-func BenchmarkDPPWireFormat(b *testing.B) {
-	b.Run("gob-unary", func(b *testing.B) { benchWireTransport(b, dpp.DataPlaneGob) })
-	b.Run("framed-streaming", func(b *testing.B) { benchWireTransport(b, dpp.DataPlaneFramed) })
-}
-
 // BenchmarkTensorWireCodec isolates the codec itself (no network): one
-// encode into a pooled frame plus one decode and release, versus what
-// gob-unary pays per batch in serialization alone — see
-// BenchmarkDPPWireFormat for the transport-inclusive comparison.
+// encode into a pooled frame plus one decode and release — see
+// BenchmarkDPPWireFormat for the transport-inclusive figure.
 func BenchmarkTensorWireCodec(b *testing.B) {
 	batch := wireBenchBatch()
 	b.SetBytes(batch.SizeBytes())

@@ -25,11 +25,7 @@ import (
 // the master discovering partitions as they seal, the session ending
 // only when the producer closes the stream. Prints the session's
 // event-time→trainer freshness accounting at the end.
-func runIngestDemo(model string, seed int64, requests, partitionRows int, dataplane string, writeFaultSeed int64) {
-	dial, err := dpp.DataPlaneDialer(dataplane)
-	if err != nil {
-		log.Fatal(err)
-	}
+func runIngestDemo(model string, seed int64, requests, partitionRows int, writeFaultSeed int64) {
 	p, err := datagen.ProfileByName(model)
 	if err != nil {
 		log.Fatal(err)
@@ -119,7 +115,6 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, datapl
 		SparseOut: []schema.FeatureID{schema.FeatureID(spec.DenseFeats + 1)},
 		BatchSize: 64,
 		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-		DataPlane: dataplane,
 	}
 	m, err := dpp.NewMaster(wh, session)
 	if err != nil {
@@ -162,7 +157,7 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, datapl
 		log.Fatal(err)
 	}
 	defer remote.Close()
-	client, err := dpp.NewSessionClient(remote, dial, 0, 0)
+	client, err := dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -70,8 +70,6 @@ func main() {
 	model := flag.String("model", "RM1", "workload profile: RM1, RM2, or RM3")
 	seed := flag.Int64("seed", 1, "dataset seed (must match across roles)")
 	id := flag.String("id", fmt.Sprintf("worker-%d", os.Getpid()), "worker ID")
-	dataplane := flag.String("dataplane", dpp.DataPlaneFramed,
-		"worker→trainer wire encoding: framed (streaming flat-binary, gob fallback per worker) | gob (unary net/rpc)")
 
 	// Elastic control plane knobs (master/demo roles).
 	minWorkers := flag.Int("min-workers", 1, "master/demo: lower bound of the auto-scaled pool")
@@ -95,7 +93,6 @@ func main() {
 	xformParallel := flag.Int("transform-parallelism", 0, "master/demo: concurrent transform-graph goroutines per worker (0 = default)")
 	bufferDepth := flag.Int("buffer", 0, "master/demo: delivered-tensor buffer capacity in batches (0 = default)")
 	bufferBytes := flag.Int64("buffer-bytes", 0, "master/demo: byte bound on the delivered-tensor buffer (0 = unbounded)")
-	sequential := flag.Bool("sequential", false, "master/demo: disable the pipelined data plane (serial baseline)")
 
 	// Cache sizing knobs (the fleet batch cache and the per-warehouse
 	// reader cache share this flag family).
@@ -120,34 +117,29 @@ func main() {
 		PrefetchDepth:        *prefetchDepth,
 		TransformParallelism: *xformParallel,
 		MaxBufferedBytes:     *bufferBytes,
-		Sequential:           *sequential,
 	}
 	sessionRetryBudget = *retryBudget
-
-	if _, err := dpp.DataPlaneDialer(*dataplane); err != nil {
-		log.Fatal(err)
-	}
 
 	switch *role {
 	case "master":
 		if *sessions > 1 {
-			runServiceMaster(*model, *seed, *addr, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *dataplane, *sessions)
+			runServiceMaster(*model, *seed, *addr, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *sessions)
 		} else {
-			runMaster(*model, *seed, *addr, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *dataplane)
+			runMaster(*model, *seed, *addr, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval)
 		}
 	case "worker":
 		runWorker(*model, *seed, *masterAddr, *addr, *id)
 	case "client":
-		runClient(*masterAddr, strings.Split(*workerList, ","), *dataplane, *sessionID)
+		runClient(*masterAddr, strings.Split(*workerList, ","), *sessionID)
 	case "submit":
-		runSubmit(*model, *seed, *masterAddr, *dataplane, *sessionID, *weight, pipeline, *bufferDepth)
+		runSubmit(*model, *seed, *masterAddr, *sessionID, *weight, pipeline, *bufferDepth)
 	case "ingest":
-		runIngestDemo(*model, *seed, *requests, *partRows, *dataplane, *writeFaultSeed)
+		runIngestDemo(*model, *seed, *requests, *partRows, *writeFaultSeed)
 	case "demo":
 		if *sessions > 1 {
-			runServiceDemo(*model, *seed, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *dataplane, *sessions)
+			runServiceDemo(*model, *seed, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *sessions)
 		} else {
-			runDemo(*model, *seed, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *dataplane)
+			runDemo(*model, *seed, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval)
 		}
 	default:
 		log.Fatalf("dppd: unknown role %q", *role)
@@ -155,9 +147,8 @@ func main() {
 }
 
 // tenantSpec assembles one session's spec from the shared workload.
-func tenantSpec(spec dpp.SessionSpec, pipeline dpp.PipelineOptions, bufferDepth int, dataplane string, weight float64) dpp.SessionSpec {
+func tenantSpec(spec dpp.SessionSpec, pipeline dpp.PipelineOptions, bufferDepth int, weight float64) dpp.SessionSpec {
 	spec.Pipeline = pipeline
-	spec.DataPlane = dataplane
 	spec.Weight = weight
 	if bufferDepth > 0 {
 		spec.BufferDepth = bufferDepth
@@ -168,12 +159,12 @@ func tenantSpec(spec dpp.SessionSpec, pipeline dpp.PipelineOptions, bufferDepth 
 // runServiceMaster hosts the multi-tenant Service: n pre-created
 // sessions (s1..sN, equal weight; submit adds more at arbitrary
 // weights) over one shared elastic fleet of session-aware workers.
-func runServiceMaster(model string, seed int64, addr string, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, dataplane string, n int) {
+func runServiceMaster(model string, seed int64, addr string, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, n int) {
 	wh, spec := buildWorkload(model, seed)
 	svc := dpp.NewService(wh)
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("s%d", i)
-		if err := svc.CreateSession(id, tenantSpec(spec, pipeline, bufferDepth, dataplane, 1)); err != nil {
+		if err := svc.CreateSession(id, tenantSpec(spec, pipeline, bufferDepth, 1)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -222,7 +213,7 @@ func runServiceMaster(model string, seed int64, addr string, pipeline dpp.Pipeli
 
 // runSubmit registers a new session at the service, consumes it like a
 // trainer, and closes it — the multi-tenant job-submission flow.
-func runSubmit(model string, seed int64, masterAddr, dataplane, sessionID string, weight float64, pipeline dpp.PipelineOptions, bufferDepth int) {
+func runSubmit(model string, seed int64, masterAddr, sessionID string, weight float64, pipeline dpp.PipelineOptions, bufferDepth int) {
 	if sessionID == "" {
 		sessionID = fmt.Sprintf("job-%d", os.Getpid())
 	}
@@ -232,11 +223,11 @@ func runSubmit(model string, seed int64, masterAddr, dataplane, sessionID string
 		log.Fatal(err)
 	}
 	defer rs.Close()
-	if err := rs.CreateSession(sessionID, tenantSpec(spec, pipeline, bufferDepth, dataplane, weight)); err != nil {
+	if err := rs.CreateSession(sessionID, tenantSpec(spec, pipeline, bufferDepth, weight)); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("dppd submit: session %s registered (weight %.1f)", sessionID, weight)
-	rows, batches, bytes := consumeSession(rs, sessionID, dataplane)
+	rows, batches, bytes := consumeSession(rs, sessionID)
 	if err := rs.CloseSession(sessionID); err != nil {
 		log.Printf("dppd submit: close: %v", err)
 	}
@@ -244,12 +235,8 @@ func runSubmit(model string, seed int64, masterAddr, dataplane, sessionID string
 }
 
 // consumeSession drains one session through a tenant client.
-func consumeSession(ctrl dpp.FleetControl, sessionID, dataplane string) (rows int64, batches, bytes int64) {
-	dial, err := dpp.SessionWorkerDialer(dataplane, sessionID)
-	if err != nil {
-		log.Fatal(err)
-	}
-	client, err := dpp.NewTenantClient(ctrl, sessionID, dial, 0, 0)
+func consumeSession(ctrl dpp.FleetControl, sessionID string) (rows int64, batches, bytes int64) {
+	client, err := dpp.NewTenantClient(ctrl, sessionID, dpp.SessionWorkerDialer(sessionID), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -271,7 +258,7 @@ func consumeSession(ctrl dpp.FleetControl, sessionID, dataplane string) (rows in
 // runServiceDemo hosts the whole multi-tenant flow in one process: the
 // service, its shared elastic fleet, and n concurrent tenants with
 // weights 1..n, all over real TCP loopback.
-func runServiceDemo(model string, seed int64, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, dataplane string, n int) {
+func runServiceDemo(model string, seed int64, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, n int) {
 	wh, spec := buildWorkload(model, seed)
 	svc := dpp.NewService(wh)
 	ln, stop, err := dpp.ServeService(svc, "127.0.0.1:0")
@@ -313,13 +300,13 @@ func runServiceDemo(model string, seed int64, pipeline dpp.PipelineOptions, buff
 	var wg sync.WaitGroup
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("s%d", i)
-		if err := rs.CreateSession(id, tenantSpec(spec, pipeline, bufferDepth, dataplane, float64(i))); err != nil {
+		if err := rs.CreateSession(id, tenantSpec(spec, pipeline, bufferDepth, float64(i))); err != nil {
 			log.Fatal(err)
 		}
 		wg.Add(1)
 		go func(id string, weight int) {
 			defer wg.Done()
-			rows, batches, _ := consumeSession(rs, id, dataplane)
+			rows, batches, _ := consumeSession(rs, id)
 			log.Printf("dppd demo: tenant %s (weight %d) trained on %d rows in %d batches", id, weight, rows, batches)
 		}(id, i)
 	}
@@ -376,10 +363,9 @@ func buildWorkload(model string, seed int64) (*warehouse.Warehouse, dpp.SessionS
 	return d, spec
 }
 
-func runMaster(model string, seed int64, addr string, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, dataplane string) {
+func runMaster(model string, seed int64, addr string, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration) {
 	wh, spec := buildWorkload(model, seed)
 	spec.Pipeline = pipeline
-	spec.DataPlane = dataplane
 	if bufferDepth > 0 {
 		spec.BufferDepth = bufferDepth
 	}
@@ -478,7 +464,7 @@ func runWorker(model string, seed int64, masterAddr, addr, id string) {
 	log.Printf("dppd worker %s: retired", id)
 }
 
-func runClient(masterAddr string, addrs []string, dataplane, sessionID string) {
+func runClient(masterAddr string, addrs []string, sessionID string) {
 	if sessionID != "" {
 		// Multi-tenant: join one session of a served Service.
 		rs, err := dpp.DialService(masterAddr)
@@ -486,16 +472,15 @@ func runClient(masterAddr string, addrs []string, dataplane, sessionID string) {
 			log.Fatal(err)
 		}
 		defer rs.Close()
-		log.Printf("dppd client: joining session %s via %s (%s data plane)", sessionID, masterAddr, dataplane)
-		rows, batches, bytes := consumeSession(rs, sessionID, dataplane)
+		log.Printf("dppd client: joining session %s via %s", sessionID, masterAddr)
+		rows, batches, bytes := consumeSession(rs, sessionID)
 		log.Printf("dppd client: consumed %d rows in %d batches (%d bytes)", rows, batches, bytes)
 		return
 	}
-	dial, err := dpp.DataPlaneDialer(dataplane)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var client *dpp.Client
+	var (
+		client *dpp.Client
+		err    error
+	)
 	static := false
 	for _, a := range addrs {
 		if strings.TrimSpace(a) != "" {
@@ -510,7 +495,7 @@ func runClient(masterAddr string, addrs []string, dataplane, sessionID string) {
 			if a == "" {
 				continue
 			}
-			rw, err := dial(dpp.WorkerEndpoint{ID: a, Endpoint: a})
+			rw, err := dpp.DialWorkerFramed(a)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -526,8 +511,8 @@ func runClient(masterAddr string, addrs []string, dataplane, sessionID string) {
 			log.Fatal(derr)
 		}
 		defer remote.Close()
-		log.Printf("dppd client: resolving workers via master %s (%s data plane)", masterAddr, dataplane)
-		client, err = dpp.NewSessionClient(remote, dial, 0, 0)
+		log.Printf("dppd client: resolving workers via master %s", masterAddr)
+		client, err = dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
 		if client != nil {
 			client.RefreshEvery = 50 * time.Millisecond
 		}
@@ -554,14 +539,9 @@ func runClient(masterAddr string, addrs []string, dataplane, sessionID string) {
 // runDemo hosts an elastic master, its orchestrated worker pool, and a
 // membership-resolving client in one process, all over real TCP
 // loopback connections.
-func runDemo(model string, seed int64, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, dataplane string) {
-	dial, err := dpp.DataPlaneDialer(dataplane)
-	if err != nil {
-		log.Fatal(err)
-	}
+func runDemo(model string, seed int64, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration) {
 	wh, spec := buildWorkload(model, seed)
 	spec.Pipeline = pipeline
-	spec.DataPlane = dataplane
 	if bufferDepth > 0 {
 		spec.BufferDepth = bufferDepth
 	}
@@ -604,7 +584,7 @@ func runDemo(model string, seed int64, pipeline dpp.PipelineOptions, bufferDepth
 		log.Fatal(err)
 	}
 	defer remote.Close()
-	client, err := dpp.NewSessionClient(remote, dial, 0, 0)
+	client, err := dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

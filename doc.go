@@ -15,10 +15,11 @@
 // (prefetchers, prefetch depth, transform parallelism, buffered-byte
 // bound) and surface as cmd/dppd flags; per-stage busy time (fetch /
 // decode / transform / deliver, the paper's Figure 9 breakdown) is
-// reported through WorkerStats and ResourceReport. The sequential
-// baseline survives behind Pipeline.Sequential, and
-// BenchmarkDPPWorkerSession vs BenchmarkDPPPipelinedSession measures
-// the delta (reference run: BENCH_dpp.json).
+// reported through WorkerStats and ResourceReport. The stages are the
+// only Worker.Run loop; Worker.ProcessOneSplit remains as the
+// synchronous single-split step experiments drive. BENCH_dpp.json
+// records BenchmarkDPPPipelinedSession against the sequential loop it
+// replaced.
 //
 // The transform stage itself runs compiled: transforms.Graph lowers its
 // topo-sorted op DAG into a slot-indexed transforms.Plan
@@ -28,9 +29,10 @@
 // column arena (dwrf.Arena). Stripes decode straight into arena batches
 // through streaming column decoders, and the worker releases each batch
 // (dwrf.Batch.Release) once tensors are materialized, so steady-state
-// preprocessing recycles the same buffers split after split. A golden
-// parity suite pins compiled plans to byte-identical outputs with the
-// legacy interpreter, which remains the fallback for unknown ops.
+// preprocessing recycles the same buffers split after split. The plan
+// is the worker's only executor (a graph that does not compile fails
+// NewWorker); the transforms.Graph.Run interpreter stays as the
+// reference a golden parity suite pins plans against, byte for byte.
 // BenchmarkTransformGraph and BenchmarkStripeToTensor measure the delta
 // (reference run: BENCH_transform.json — the transform stage drops from
 // 9365 to 5 allocations per batch).
@@ -39,16 +41,16 @@
 // plane: tensor.Batch has an explicit wire codec (AppendBinary /
 // DecodeBinary — length-prefixed little-endian frames with pooled
 // buffers and a Batch.Release lifecycle), and dpp workers push batch
-// frames over one credit-windowed TCP stream per client instead of
-// answering unary gob RPCs, eliminating the per-batch round trip and
-// the reflection-driven (de)serialization share of the paper's
-// "datacenter tax" (§6.2). Both encodings are served on every worker
-// listener (protocol-sniffed), clients fall back to gob unary for old
-// workers, cmd/dppd selects with -dataplane=framed|gob, and
-// CostParams.FramedTaxCyclesPerByte lets the resource model price the
-// cheaper encoding. BenchmarkDPPWireFormat measures the delta
-// (reference run: BENCH_wire.json — ~3.5x per-batch latency and ~99%
-// less garbage on the standard session shape).
+// frames over one credit-windowed TCP stream per client, with no
+// per-batch round trip and without the reflection-driven
+// (de)serialization share of the paper's "datacenter tax" (§6.2). It is
+// the only worker→trainer wire: one hello layout, one frame layout,
+// every frame tagged with its (split, seq) provenance, every length
+// off the socket bounded. CostParams.TxTaxCyclesPerByte prices tensor
+// TX bytes in the resource model (the experiments set it to the
+// paper's Thrift-era 1.7). BENCH_wire.json records the stream against
+// the gob-unary net/rpc plane it replaced (~3.5x per-batch latency and
+// ~99% less garbage on the standard session shape).
 //
 // The DPP control plane closes the paper's auto-scaling loop (§3.2.1):
 // a dpp.Orchestrator periodically evaluates worker heartbeats and

@@ -106,7 +106,6 @@ func buildChaosFixture(t *testing.T, table string, seed int64, rowsPerPart int) 
 			SparseOut: append(append([]schema.FeatureID(nil), sparse...), hashedOut),
 			BatchSize: 16,
 			Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-			DataPlane: dpp.DataPlaneFramed,
 		},
 		want: want,
 		rows: partitions * rowsPerPart,
@@ -293,12 +292,7 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			dial, err := dpp.SessionWorkerDialer(dpp.DataPlaneFramed, id)
-			if err != nil {
-				fail <- err
-				return
-			}
-			client, err := dpp.NewTenantClient(rs, id, dial, 0, i)
+			client, err := dpp.NewTenantClient(rs, id, dpp.SessionWorkerDialer(id), 0, i)
 			if err != nil {
 				fail <- fmt.Errorf("tenant %s: %w", id, err)
 				return

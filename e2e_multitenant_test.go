@@ -2,7 +2,6 @@ package dsi_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -24,11 +23,16 @@ type e2eFixture struct {
 	want      *tensor.ContentSum
 	rows      int
 	hashedOut schema.FeatureID
+	// publish is set for a tailing fixture: it seals the table's two
+	// partitions and closes its stream.
+	publish func()
 }
 
 // buildE2EFixture writes a two-partition RM1-profile table and digests
-// the ground truth, mirroring the elastic e2e tests above.
-func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, plane string) e2eFixture {
+// the ground truth, mirroring the elastic e2e tests above. With tail set
+// the table is an unbounded one that starts empty and the session tails
+// it: the same rows arrive when the caller runs the fixture's publish.
+func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, tail bool) e2eFixture {
 	t.Helper()
 	const partitions = 2
 	p, err := datagen.ProfileByName("RM1")
@@ -43,7 +47,11 @@ func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, pl
 		t.Fatal(err)
 	}
 	wh := warehouse.New(cluster)
-	tbl, err := wh.CreateTable(table, spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 64})
+	create := wh.CreateTable
+	if tail {
+		create = wh.CreateUnboundedTable
+	}
+	tbl, err := create(table, spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,33 +65,46 @@ func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, pl
 	)
 
 	want := tensor.NewContentSum()
-	for part := 0; part < partitions; part++ {
-		pw, err := tbl.NewPartition(fmt.Sprintf("2026-07-%02d", part+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rowsPerPart; i++ {
-			s := gen.Sample()
-			if err := pw.WriteRow(s); err != nil {
+	publish := func() {
+		t.Helper()
+		for part := 0; part < partitions; part++ {
+			pw, err := tbl.NewPartition(fmt.Sprintf("2026-07-%02d", part+1))
+			if err != nil {
 				t.Fatal(err)
 			}
-			want.Rows++
-			want.AddLabel(s.Label)
-			want.AddDense(denseA, s.DenseFeatures[denseA])
-			want.AddDense(denseB, s.DenseFeatures[denseB])
-			want.AddSparse(sparseA, s.SparseFeatures[sparseA])
-			want.AddSparse(sparseB, s.SparseFeatures[sparseB])
+			for i := 0; i < rowsPerPart; i++ {
+				s := gen.Sample()
+				if err := pw.WriteRow(s); err != nil {
+					t.Fatal(err)
+				}
+				want.Rows++
+				want.AddLabel(s.Label)
+				want.AddDense(denseA, s.DenseFeatures[denseA])
+				want.AddDense(denseB, s.DenseFeatures[denseB])
+				want.AddSparse(sparseA, s.SparseFeatures[sparseA])
+				want.AddSparse(sparseB, s.SparseFeatures[sparseB])
+			}
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := pw.Close(); err != nil {
-			t.Fatal(err)
+		if tail {
+			if err := tbl.CloseStream(); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if !tail {
+		publish()
+		publish = nil
 	}
 
 	return e2eFixture{
 		wh: wh,
 		session: dpp.SessionSpec{
-			Table:    table,
-			Features: []schema.FeatureID{denseA, denseB, sparseA, sparseB},
+			Table:     table,
+			Unbounded: tail,
+			Features:  []schema.FeatureID{denseA, denseB, sparseA, sparseB},
 			Ops: []transforms.Op{
 				&transforms.SigridHash{In: sparseA, Out: hashedOut, Salt: 3, MaxValue: hashMax},
 			},
@@ -91,11 +112,11 @@ func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, pl
 			SparseOut: []schema.FeatureID{sparseA, sparseB, hashedOut},
 			BatchSize: 16,
 			Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-			DataPlane: plane,
 		},
 		want:      want,
 		rows:      partitions * rowsPerPart,
 		hashedOut: hashedOut,
+		publish:   publish,
 	}
 }
 
@@ -128,130 +149,140 @@ func crashFirstLive(t *testing.T, launcher *dpp.RPCFleetLauncher, prefix string)
 }
 
 // TestEndToEndChecksumWorkerCrash proves exactly-once delivery across a
-// non-graceful worker death on both data planes: a fleet worker is
-// crash-killed mid-stream (no drain, no deregistration, data plane
-// severed), the master's reap loop requeues its unfinished leases, a
-// replacement re-runs them, and the trainer's (split, seq) dedup drops
-// the redelivered overlap — so row counts and content checksums still
-// match the generated data exactly.
+// non-graceful worker death: a fleet worker is crash-killed mid-stream
+// (no drain, no deregistration, data plane severed), the master's reap
+// loop requeues its unfinished leases, a replacement re-runs them, and
+// the trainer's (split, seq) dedup drops the redelivered overlap — so
+// row counts and content checksums still match the generated data
+// exactly.
 func TestEndToEndChecksumWorkerCrash(t *testing.T) {
-	for _, plane := range []string{dpp.DataPlaneFramed, dpp.DataPlaneGob} {
-		t.Run(plane, func(t *testing.T) {
-			fx := buildE2EFixture(t, "crash-"+plane, 29, 512, plane)
-			svc := dpp.NewService(fx.wh)
-			svc.FleetLeaseTimeout = 150 * time.Millisecond
-			const sessionID = "job"
-			if err := svc.CreateSession(sessionID, fx.session); err != nil {
-				t.Fatal(err)
-			}
-			m, err := svc.Master(sessionID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.LeaseTimeout = 100 * time.Millisecond
-
-			ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer stopService()
-
-			launcher := &dpp.RPCFleetLauncher{
-				ServiceAddr:    ln.Addr().String(),
-				WH:             fx.wh,
-				HeartbeatEvery: time.Millisecond,
-				Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
-			}
-			o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
-			o.ScaleInterval = time.Millisecond
-			o.ScaleUpCooldown = time.Millisecond
-			o.ScaleDownCooldown = 3 * time.Millisecond
-			stop := make(chan struct{})
-			runDone := make(chan error, 1)
-			go func() { runDone <- o.Run(stop) }()
-
-			rs, err := dpp.DialService(ln.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rs.Close()
-			dial, err := dpp.SessionWorkerDialer(plane, sessionID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			client, err := dpp.NewTenantClient(rs, sessionID, dial, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			client.RefreshEvery = 500 * time.Microsecond
-
-			got := tensor.NewContentSum()
-			batches := 0
-			consume := func() bool {
-				b, ok, err := client.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					return false
-				}
-				batches++
-				got.AddBatch(b)
-				b.Release()
-				return true
-			}
-
-			// Consume part of the session, then let worker buffers and
-			// stream windows fill so the crash strands real inventory.
-			for batches < 12 {
-				if !consume() {
-					t.Fatalf("session ended after only %d batches", batches)
-				}
-			}
-			time.Sleep(50 * time.Millisecond)
-			crashed := crashFirstLive(t, launcher, o.IDPrefix)
-			t.Logf("crashed fleet worker %s mid-stream", crashed)
-
-			// Consume the rest across the crash: fetch errors drop the
-			// dead connection, the reap requeues its splits, and the
-			// replacement re-delivers them.
-			for consume() {
-			}
-
-			close(stop)
-			select {
-			case err := <-runDone:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(60 * time.Second):
-				t.Fatal("fleet controller did not stop")
-			}
-
-			infos, err := rs.ListSessions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(infos) != 1 || !infos[0].Done {
-				t.Fatalf("session registry at end = %+v, want one Done session", infos)
-			}
-			assertExactDelivery(t, fx, got, plane+" trainer")
-		})
+	fx := buildE2EFixture(t, "crash-framed", 29, 512, false)
+	svc := dpp.NewService(fx.wh)
+	svc.FleetLeaseTimeout = 150 * time.Millisecond
+	const sessionID = "job"
+	if err := svc.CreateSession(sessionID, fx.session); err != nil {
+		t.Fatal(err)
 	}
+	m, err := svc.Master(sessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.LeaseTimeout = 100 * time.Millisecond
+
+	ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopService()
+
+	launcher := &dpp.RPCFleetLauncher{
+		ServiceAddr:    ln.Addr().String(),
+		WH:             fx.wh,
+		HeartbeatEvery: time.Millisecond,
+		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
+	}
+	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
+	o.ScaleInterval = time.Millisecond
+	o.ScaleUpCooldown = time.Millisecond
+	o.ScaleDownCooldown = 3 * time.Millisecond
+	stop := make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() { runDone <- o.Run(stop) }()
+
+	rs, err := dpp.DialService(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	client, err := dpp.NewTenantClient(rs, sessionID, dpp.SessionWorkerDialer(sessionID), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.RefreshEvery = 500 * time.Microsecond
+
+	got := tensor.NewContentSum()
+	batches := 0
+	consume := func() bool {
+		b, ok, err := client.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return false
+		}
+		batches++
+		got.AddBatch(b)
+		b.Release()
+		return true
+	}
+
+	// Consume part of the session, then let worker buffers and
+	// stream windows fill so the crash strands real inventory.
+	for batches < 12 {
+		if !consume() {
+			t.Fatalf("session ended after only %d batches", batches)
+		}
+	}
+	time.Sleep(50 * time.Millisecond)
+	crashed := crashFirstLive(t, launcher, o.IDPrefix)
+	t.Logf("crashed fleet worker %s mid-stream", crashed)
+
+	// Consume the rest across the crash: fetch errors drop the
+	// dead connection, the reap requeues its splits, and the
+	// replacement re-delivers them.
+	for consume() {
+	}
+
+	close(stop)
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("fleet controller did not stop")
+	}
+
+	infos, err := rs.ListSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || !infos[0].Done {
+		t.Fatalf("session registry at end = %+v, want one Done session", infos)
+	}
+	assertExactDelivery(t, fx, got, "trainer")
 }
 
+// mtPhase2Batches is how much of its 96-batch session every tenant
+// consumes before the coordinated pause: enough that the crash lands on
+// sessions with consumed, buffered and in-window batches all at once.
+const mtPhase2Batches = 8
+
 // TestEndToEndMultiTenantFleetChecksums is the acceptance scenario:
-// three concurrent sessions with weights 1/2/3 run over one shared
-// elastic fleet through real TCP framed streams; the fleet scales up
-// under demand and drains back during a coordinated trainer pause; one
-// fleet worker is crash-killed without drain mid-run; and every
-// session still receives exactly the generated rows, asserted by
-// per-tenant row counts and order-independent content checksums.
+// three concurrent sessions with weights 1/2/3 tail one table over one
+// shared elastic fleet through real TCP framed streams; the fleet
+// scales up while the tenants wait on partitions that are not sealed
+// yet, and drains its oversupply; the partitions land and the tenants
+// consume, pause, and resume; one fleet worker is crash-killed without
+// drain mid-run; and every session still receives exactly the generated
+// rows, asserted by per-tenant row counts and order-independent content
+// checksums.
+//
+// Nothing here races a clock. The test goroutine is the fleet
+// Orchestrator's control loop, as in driveElasticSession: it advances
+// the injectable clock one ScaleInterval and runs one Step per control
+// period, with the real policy and thresholds. And the starvation that
+// makes the policy grow the pool is a state, not a moment: tenants are
+// attached and no pipeline has a row to give them until the test seals
+// the partitions. (With the rows there from the start, this fixture's
+// workers outrun its trainers on a small host and buffers stay full, so
+// the pool would grow only if a Step happened to sample a pipeline in
+// the millisecond before its first split landed.)
 // (Fair-share convergence within one worker of quota is asserted
 // deterministically on the virtual clock in
 // dpp.TestFleetFairShareConvergenceVirtualClock.)
 func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
-	fx := buildE2EFixture(t, "mt", 31, 768, dpp.DataPlaneFramed)
+	fx := buildE2EFixture(t, "mt", 31, 768, true)
 	weights := map[string]float64{"s1": 1, "s2": 2, "s3": 3}
 	sessionIDs := []string{"s1", "s2", "s3"}
 
@@ -294,117 +325,112 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond
 	o.CheckpointEvery = 10 * time.Millisecond
-	stop := make(chan struct{})
-	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(stop) }()
+	defer o.StopAll()
 
-	// Three tenant trainers consume concurrently: a fast phase that
-	// starves the shared fleet (scale up), a coordinated pause (drain
-	// down + crash), then the remainder.
-	var (
-		phase1 sync.WaitGroup
-		resume = make(chan struct{})
-		wg     sync.WaitGroup
-	)
-	sums := make(map[string]*tensor.ContentSum, len(sessionIDs))
-	fail := make(chan error, len(sessionIDs))
+	// Three tenant trainers, polled in turn by this goroutine without
+	// blocking, so a tenant waiting on a reap or a relaunch never holds
+	// up the Step that would deliver it.
+	type tenant struct {
+		id      string
+		client  *dpp.Client
+		got     *tensor.ContentSum
+		batches int
+		done    bool
+	}
+	var tenants []*tenant
 	for i, id := range sessionIDs {
-		got := tensor.NewContentSum() // not read back through sums: later iterations write the map
-		sums[id] = got
-		phase1.Add(1)
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			dial, err := dpp.SessionWorkerDialer(dpp.DataPlaneFramed, id)
-			if err != nil {
-				phase1.Done()
-				fail <- err
-				return
-			}
-			client, err := dpp.NewTenantClient(rs, id, dial, 0, i)
-			if err != nil {
-				phase1.Done()
-				fail <- fmt.Errorf("tenant %s: %w", id, err)
-				return
-			}
-			client.RefreshEvery = 500 * time.Microsecond
-			batches := 0
-			consume := func() (bool, error) {
-				b, ok, err := client.Next()
-				if err != nil {
-					return false, fmt.Errorf("tenant %s: %w", id, err)
-				}
-				if !ok {
-					return false, nil
-				}
-				batches++
-				got.AddBatch(b)
-				b.Release()
-				return true, nil
-			}
-			// Phase 1: demand tensors at full speed until the shared
-			// pool visibly grows (or a batch budget runs out).
-			for o.Status().Peak < 3 && batches < 60 {
-				ok, err := consume()
-				if err != nil || !ok {
-					phase1.Done()
-					if err == nil {
-						err = fmt.Errorf("tenant %s ended during scale-up after %d batches", id, batches)
-					}
-					fail <- err
-					return
-				}
-			}
-			phase1.Done()
-			<-resume
-			// Phase 3: consume the rest across the drain and the crash.
-			for {
-				ok, err := consume()
-				if err != nil {
-					fail <- err
-					return
-				}
-				if !ok {
-					return
-				}
-			}
-		}(i, id)
-	}
-
-	phase1.Wait()
-	// Phase 2 (trainers paused): buffers fill fleet-wide, the
-	// controller drains oversupply, and one worker dies hard.
-	drainDeadline := time.Now().Add(20 * time.Second)
-	for o.Status().Drained == 0 && time.Now().Before(drainDeadline) {
-		time.Sleep(time.Millisecond)
-	}
-	crashed := crashFirstLive(t, launcher, o.IDPrefix)
-	t.Logf("crashed fleet worker %s with three tenants in flight", crashed)
-	close(resume)
-	wg.Wait()
-	select {
-	case err := <-fail:
-		t.Fatal(err)
-	default:
-	}
-
-	close(stop)
-	select {
-	case err := <-runDone:
+		client, err := dpp.NewTenantClient(rs, id, dpp.SessionWorkerDialer(id), 0, i)
 		if err != nil {
+			t.Fatalf("tenant %s: %v", id, err)
+		}
+		client.RefreshEvery = 500 * time.Microsecond
+		tenants = append(tenants, &tenant{id: id, client: client, got: tensor.NewContentSum()})
+	}
+	step := func() {
+		t.Helper()
+		o.Clock.Advance(o.ScaleInterval)
+		if err := o.Step(); err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("fleet controller did not stop")
+	}
+	// sweep asks each unfinished tenant for one batch without blocking.
+	sweep := func() (progress bool) {
+		t.Helper()
+		for _, tn := range tenants {
+			if tn.done {
+				continue
+			}
+			b, ok, done, err := tn.client.TryNext()
+			if err != nil {
+				t.Fatalf("tenant %s: %v", tn.id, err)
+			}
+			if ok {
+				tn.batches++
+				tn.got.AddBatch(b)
+				b.Release()
+				progress = true
+			}
+			tn.done = done
+		}
+		return progress
+	}
+	// The control period stays one ScaleInterval of wall time, which is
+	// what the workers' heartbeats are paced to; the tenants spend it
+	// either consuming at full speed or paused.
+	consume := func() {
+		for start := time.Now(); time.Since(start) < o.ScaleInterval; {
+			if !sweep() {
+				time.Sleep(o.ScaleInterval / 10)
+			}
+		}
+	}
+	pause := func() { time.Sleep(o.ScaleInterval) }
+	// until alternates one control period of body and a Step until cond
+	// holds.
+	until := func(what string, limit time.Duration, body func(), cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(limit); !cond(); step() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, o.Status())
+			}
+			body()
+		}
 	}
 
-	st := o.Status()
-	if st.Peak < 3 {
-		t.Fatalf("shared fleet never scaled up: %+v", st)
+	allTenants := func(cond func(*tenant) bool) bool {
+		for _, tn := range tenants {
+			if !cond(tn) {
+				return false
+			}
+		}
+		return true
 	}
-	if st.Drained == 0 {
-		t.Fatalf("shared fleet never drained back down: %+v", st)
+
+	// Phase 1: the first Step bootstraps the fleet; every pipeline it
+	// starts is empty with a tenant attached, which the policy reads as
+	// starvation for as long as it lasts, and the pool grows.
+	step()
+	until("shared fleet never scaled up", 30*time.Second, consume, func() bool { return o.Status().Peak >= 3 })
+	if !allTenants(func(tn *tenant) bool { return tn.batches == 0 && !tn.done }) {
+		t.Fatalf("a tenant was served or ended before any partition was sealed: %+v", o.Status())
 	}
+	// Phase 2: the partitions land and the stream closes; the tenants
+	// consume at full speed.
+	fx.publish()
+	until("tenants were not served", 30*time.Second, consume, func() bool {
+		return allTenants(func(tn *tenant) bool { return tn.batches >= mtPhase2Batches })
+	})
+	// Phase 3 (trainers paused): the controller drains oversupply —
+	// members it launched in phase 1 that hold no assignment, members
+	// whose buffers have filled — and one worker dies hard.
+	until("shared fleet never drained back down", 20*time.Second, pause, func() bool { return o.Status().Drained > 0 })
+	crashed := crashFirstLive(t, launcher, o.IDPrefix)
+	t.Logf("crashed fleet worker %s with three tenants in flight", crashed)
+	// Phase 4: consume the rest across the drain and the crash.
+	until("tenants did not finish", 120*time.Second, consume, func() bool {
+		return allTenants(func(tn *tenant) bool { return tn.done })
+	})
+
 	infos, err := rs.ListSessions()
 	if err != nil {
 		t.Fatal(err)
@@ -417,8 +443,8 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 			t.Fatalf("session %s not done at end: %+v", info.ID, info)
 		}
 	}
-	for _, id := range sessionIDs {
-		assertExactDelivery(t, fx, sums[id], "tenant "+id)
+	for _, tn := range tenants {
+		assertExactDelivery(t, fx, tn.got, "tenant "+tn.id)
 	}
 	// Tenants leave; the registry and the fleet's assignments empty out.
 	for _, id := range sessionIDs {

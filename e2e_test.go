@@ -429,10 +429,9 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 }
 
 // TestEndToEndElasticSessionChecksumsFramed is the elastic exactly-once
-// test over the framed streaming data plane: the master serves RPC over
-// real TCP loopback, the Orchestrator launches TCP workers
-// (RPCLauncher), and the trainer-side client streams length-prefixed
-// batch frames with credit flow control instead of unary gob fetches.
+// test over TCP: the master serves RPC over real loopback, the
+// Orchestrator launches TCP workers (RPCLauncher), and the trainer-side
+// client streams length-prefixed batch frames with credit flow control.
 // Scale-up, drain-down, worker deregistration, and the client's
 // window-rescue on connection removal must all preserve exactly-once
 // delivery — asserted by row counts and order-independent feature
@@ -501,7 +500,6 @@ func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 		SparseOut: []schema.FeatureID{sparseA, sparseB, hashedOut},
 		BatchSize: batchSize,
 		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-		DataPlane: dpp.DataPlaneFramed,
 	}
 	m, err := dpp.NewMaster(wh, session)
 	if err != nil {

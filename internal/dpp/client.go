@@ -40,9 +40,9 @@ func (l localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 func LocalWorkerAPI(w *Worker) WorkerAPI { return localWorker{w} }
 
 // WorkerDialer opens a data-plane connection to one resolved worker.
-// DialWorkerEndpointFramed (streaming) and DialWorkerEndpoint (gob
-// unary) are the TCP implementations; in-process launchers provide one
-// that looks the worker up by ID.
+// DialWorkerEndpointFramed and SessionWorkerDialer are the TCP
+// implementations; in-process launchers provide one that looks the
+// worker up by ID.
 type WorkerDialer func(ep WorkerEndpoint) (WorkerAPI, error)
 
 // drainable is implemented by transports that prefetch batches ahead of
@@ -432,8 +432,7 @@ type splitSeen struct {
 
 // admitLocked records a tagged batch's (Split, Seq) provenance in the
 // dedup ledger, reporting false when the client already consumed it.
-// Untagged batches (synthetic sources, pre-provenance workers) are
-// always admitted.
+// Untagged batches (synthetic sources) are always admitted.
 func (c *Client) admitLocked(b *tensor.Batch) bool {
 	if b.Split == 0 {
 		return true

@@ -7,31 +7,27 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
+	"os"
 	"sync"
 	"time"
 
 	"dsi/internal/tensor"
 )
 
-// This file is the framed streaming data plane: the worker→trainer hot
-// path that moves every training byte. The unary gob transport
-// (RemoteWorker.FetchBatch) pays the worst version of the paper's
-// "datacenter tax" (§6.2, §7.2): a full round trip per batch, a
-// reflection-driven gob encode on the worker, and a fresh allocation
-// storm on the trainer. The framed plane replaces all three:
+// This file is the worker→trainer data plane, the hot path that moves
+// every training byte and where the paper's "datacenter tax" (§6.2,
+// §7.2) is paid. It is one framed stream per (client, worker) pair:
 //
-//   - One TCP stream per worker. The client opens it with a hello
-//     carrying a credit window; the worker pushes length-prefixed
-//     flat-binary batch frames (tensor.AppendBinary) as the delivery
-//     stage produces them, so per-batch RTTs disappear while the
-//     worker's bounded buffer (BufferDepth / MaxBufferedBytes) keeps
-//     applying backpressure.
+//   - The client opens the stream with a hello naming the session and a
+//     credit window; the worker pushes length-prefixed flat-binary batch
+//     frames (tensor.AppendBinary) as the delivery stage produces them,
+//     so no batch costs a round trip while the worker's bounded buffer
+//     (BufferDepth / MaxBufferedBytes) keeps applying backpressure.
 //   - Credit-based flow control. The worker may have at most `window`
 //     un-acknowledged frames in flight; the client grants one credit per
 //     consumed batch. A stalled trainer therefore stops the stream after
 //     at most one window, and the stall propagates back through the
-//     worker's delivery buffer exactly as before.
+//     worker's delivery buffer.
 //   - Pooled frames at both ends. The worker encodes each batch once
 //     into a pooled buffer and writes it with a single syscall; the
 //     client decodes into pool-backed tensors that the trainer returns
@@ -40,81 +36,65 @@ import (
 // Wire protocol, after the client connects:
 //
 //	client hello : "DSI1" | u8 version | u32 credit window
-//	               version 2 adds: | u8 session length | session bytes
-//	server hello : "DSI1" | u8 version (the negotiated stream version)
+//	               | u8 session length | session bytes
+//	server hello : "DSI1" | u8 version
 //	server frame : u8 kind | u32 payload length | payload
-//	               kind 1 = batch; version 1 payload is one tensor
-//	               frame, version 2 prefixes it with u32 split | u32 seq
+//	               kind 1 = batch: u32 split | u32 seq | u32 seq count
 //	               (the batch's delivery provenance, see tensor.Batch)
+//	               | one tensor frame
 //	               kind 2 = done  (worker finished and drained; len 0)
 //	client grant : u32 credit delta (any time after the hello)
 //
-// Version 2 makes the stream session-aware (a fleet worker's single
-// listener demultiplexes per-session pipelines by the hello's session
-// ID) and tags every batch with its (split, seq) provenance so clients
-// can deduplicate redelivery after a worker crash. A version-1 hello is
-// still served — untagged frames, routed to the default session — so
-// old clients keep working against new workers; a version-2 hello to an
-// old worker is rejected at the handshake and the dialer falls back to
-// gob.
+// The session ID routes the stream to one pipeline behind a fleet
+// worker's single listener (empty = the default session of a
+// single-session worker), and the (split, seq) tags let clients
+// deduplicate redelivery after a worker crash. A worker that does not
+// host the named session hangs up before its hello, which the dialer
+// reports as an error; Client.Refresh retries on its next pass.
 //
-// Both transports share the worker's listener: the accept path sniffs
-// the first four bytes and routes "DSI1" to the framed server,
-// everything else to net/rpc. DialWorkerFramed likewise falls back to
-// the gob transport when the remote side does not answer the hello —
-// old workers keep serving new clients and vice versa.
+// Every length on the stream is untrusted: the server clamps the
+// hello's window to maxCreditWindow and credits a grant only against
+// frames it actually sent, and the client refuses a frame longer than
+// maxFrameLen before allocating for it.
 
 const (
 	// dataPlaneMagic opens both hellos of the framed protocol.
 	dataPlaneMagic = "DSI1"
-	// dataPlaneVersion is the newest protocol version spoken by this
-	// package; dataPlaneVersionLegacy streams are still served for old
-	// clients (untagged frames, default session).
-	dataPlaneVersion       = 2
-	dataPlaneVersionLegacy = 1
+	// dataPlaneVersion is the one protocol version this package speaks.
+	dataPlaneVersion = 2
 
 	frameKindBatch = 1
 	frameKindDone  = 2
 
-	// batchTagLen is the length of the version-2 batch frame's
-	// provenance prefix (u32 split | u32 seq | u32 seq count).
+	// frameHeaderLen is u8 kind | u32 payload length.
+	frameHeaderLen = 5
+	// batchTagLen is the length of a batch frame's provenance prefix
+	// (u32 split | u32 seq | u32 seq count).
 	batchTagLen = 12
+	// maxFrameLen bounds the payload length a client accepts from a
+	// frame header; a longer announcement is a corrupt or hostile stream.
+	maxFrameLen = 64 << 20
 
-	// maxSessionIDLen bounds the session ID carried in a version-2
-	// hello (length-prefixed with one byte).
+	// clientHelloFixedLen is the hello up to and including the session
+	// length byte.
+	clientHelloFixedLen = len(dataPlaneMagic) + 6
+	// maxSessionIDLen bounds the session ID carried in the hello
+	// (length-prefixed with one byte).
 	maxSessionIDLen = 255
 
-	// defaultCreditWindow is the per-stream in-flight batch budget.
+	// defaultCreditWindow is the per-stream in-flight batch budget a
+	// client asks for; maxCreditWindow is the most a worker serves, so
+	// one stream holds at most that many batches outside the worker's
+	// bounded buffer whatever its hello says.
 	defaultCreditWindow = 8
+	maxCreditWindow     = 64
 
-	// handshakeTimeout bounds the framed hello exchange; on expiry the
-	// dialer falls back to the gob transport.
+	// handshakeTimeout bounds each side's wait for the other's hello.
 	handshakeTimeout = 3 * time.Second
 )
 
-// DataPlaneFramed and DataPlaneGob name the two wire encodings of the
-// worker→trainer data plane (SessionSpec.DataPlane, cmd/dppd
-// -dataplane).
-const (
-	DataPlaneFramed = "framed"
-	DataPlaneGob    = "gob"
-)
-
-// DataPlaneDialer resolves a -dataplane mode to the matching
-// WorkerDialer: framed streaming (with automatic gob fallback per
-// worker) or plain gob unary. The empty mode resolves to gob, matching
-// SessionSpec.DataPlane's default so the wire encoding and the
-// modelled tax always agree when neither is set.
-func DataPlaneDialer(mode string) (WorkerDialer, error) {
-	switch mode {
-	case DataPlaneFramed:
-		return DialWorkerEndpointFramed, nil
-	case "", DataPlaneGob:
-		return DialWorkerEndpoint, nil
-	default:
-		return nil, fmt.Errorf("dpp: unknown data plane %q (want %s or %s)", mode, DataPlaneFramed, DataPlaneGob)
-	}
-}
+// DataPlaneFramed is the one legal non-empty SessionSpec.DataPlane.
+const DataPlaneFramed = "framed"
 
 // BatchSource is the buffer surface the data plane serves from: Worker
 // implements it, and benchmarks or tests can serve synthetic sources
@@ -123,6 +103,20 @@ type BatchSource interface {
 	// TryGetBatch pops one buffered batch without blocking. done=true
 	// means the source has finished and drained.
 	TryGetBatch() (b *tensor.Batch, ok bool, done bool)
+}
+
+// sourceResolver routes a hello's session ID to the batch source that
+// serves it: a fleet worker's per-session pipeline, or singleSource.
+type sourceResolver func(session string) (BatchSource, error)
+
+// singleSource serves src as the default (empty) session and no other.
+func singleSource(src BatchSource) sourceResolver {
+	return func(session string) (BatchSource, error) {
+		if session != "" {
+			return nil, fmt.Errorf("dpp: worker hosts no session %q", session)
+		}
+		return src, nil
+	}
 }
 
 // ungetter is the optional BatchSource extension the framed server uses
@@ -134,9 +128,9 @@ type ungetter interface {
 }
 
 // consumeAcker is the optional BatchSource extension through which the
-// data plane reports irrevocable consumption (a framed credit grant, a
-// gracefully rescued stream window, a gob-unary pop). Worker implements
-// it to drive the deferred split-completion ledger.
+// data plane reports irrevocable consumption (a credit grant, or a
+// gracefully rescued stream window). Worker implements it to drive the
+// deferred split-completion ledger.
 type consumeAcker interface {
 	ackConsumed(batches ...*tensor.Batch)
 }
@@ -151,8 +145,7 @@ func ackAll(src BatchSource, batches []*tensor.Batch) {
 // crashSignaler is the optional BatchSource extension fault-injection
 // uses: when the returned channel closes, every serving stream severs
 // its connection immediately — without the abnormal-break requeue, as a
-// killed process would — and the gob handler starts erroring. Worker
-// implements it via Crash.
+// killed process would. Worker implements it via Crash.
 type crashSignaler interface {
 	crashedCh() <-chan struct{}
 }
@@ -176,120 +169,90 @@ type outstandingTracker interface {
 	addStreamOutstanding(delta int)
 }
 
-// serveDataPlaneOn serves both wire encodings of a batch source's data
-// plane on ln: framed streams for clients that open with the protocol
-// magic, net/rpc gob for everyone else.
-func serveDataPlaneOn(svc *WorkerService, ln net.Listener) (func(), error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", svc); err != nil {
-		return nil, err
-	}
+// serveDataPlaneOn serves framed streams on ln until the returned stop
+// is called, resolving each stream's session through resolve.
+func serveDataPlaneOn(resolve sourceResolver, ln net.Listener) func() {
 	done := make(chan struct{})
 	go acceptLoop(ln, done, func(conn net.Conn) {
-		go sniffDataPlaneConn(srv, svc, conn)
+		go serveFramedStream(resolve, conn)
 	})
 	var once sync.Once
-	stop := func() {
+	return func() {
 		once.Do(func() {
 			close(done)
 			ln.Close()
 		})
 	}
-	return stop, nil
 }
 
-// ServeBatchSource exposes a batch source over both data planes on addr
-// (with zero worker stats) — the entry point transport benchmarks and
-// tests use to measure the wire path in isolation.
+// ServeBatchSource exposes a batch source on addr as the default
+// session of a framed data plane — the entry point transport benchmarks
+// and tests use to measure the wire path in isolation.
 func ServeBatchSource(src BatchSource, addr string) (net.Listener, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	stop, err := serveDataPlaneOn(&WorkerService{src: src}, ln)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	return ln, stop, nil
+	return ln, serveDataPlaneOn(singleSource(src), ln), nil
 }
 
-// sniffDataPlaneConn routes one accepted connection by its first bytes:
-// the framed protocol announces itself with dataPlaneMagic; anything
-// else is a gob net/rpc client.
-func sniffDataPlaneConn(srv *rpc.Server, svc *WorkerService, conn net.Conn) {
-	br := bufio.NewReader(conn)
-	magic, err := br.Peek(len(dataPlaneMagic))
-	if err != nil {
-		conn.Close()
-		return
-	}
-	if string(magic) == dataPlaneMagic {
-		br.Discard(len(dataPlaneMagic))
-		serveFramedStream(svc, conn, br)
-		return
-	}
-	srv.ServeConn(sniffedConn{Conn: conn, r: br})
+// appendClientHello appends the client hello for one session.
+func appendClientHello(dst []byte, window uint32, session string) []byte {
+	dst = append(dst, dataPlaneMagic...)
+	dst = append(dst, dataPlaneVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, window)
+	dst = append(dst, byte(len(session)))
+	return append(dst, session...)
 }
 
-// sniffedConn replays bytes buffered during protocol sniffing before
-// reading from the wrapped connection.
-type sniffedConn struct {
-	net.Conn
-	r *bufio.Reader
+// readClientHello parses the client hello, returning the credit window
+// the stream will be served at — the announced one clamped to
+// maxCreditWindow, or defaultCreditWindow when the client names none.
+func readClientHello(r io.Reader) (window int, session string, err error) {
+	var fixed [clientHelloFixedLen]byte
+	if _, err := io.ReadFull(r, fixed[:]); err != nil {
+		return 0, "", err
+	}
+	const m = len(dataPlaneMagic)
+	if string(fixed[:m]) != dataPlaneMagic || fixed[m] != dataPlaneVersion {
+		return 0, "", fmt.Errorf("dpp: framed stream: bad client hello %q", fixed[:m+1])
+	}
+	switch announced := binary.LittleEndian.Uint32(fixed[m+1 : m+5]); {
+	case announced == 0:
+		window = defaultCreditWindow
+	case announced > maxCreditWindow:
+		window = maxCreditWindow
+	default:
+		window = int(announced)
+	}
+	sbuf := make([]byte, fixed[m+5])
+	if _, err := io.ReadFull(r, sbuf); err != nil {
+		return 0, "", err
+	}
+	return window, string(sbuf), nil
 }
 
-func (c sniffedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// serveFramedStream runs the server half of one framed stream: finish
-// the hello (negotiating the stream version and resolving the session's
-// batch source), track the client's credit, and push batch frames until
-// the source drains or the connection breaks. The protocol magic has
-// already been consumed from br.
-func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
+// serveFramedStream runs the server half of one framed stream: read the
+// hello and resolve the session's batch source, track the client's
+// credit, and push batch frames until the source drains or the
+// connection breaks.
+func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	defer conn.Close()
 
+	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	version, err := br.ReadByte()
+	window, session, err := readClientHello(br)
 	if err != nil {
 		return
-	}
-	if version != dataPlaneVersion && version != dataPlaneVersionLegacy {
-		return
-	}
-	var wbuf [4]byte
-	if _, err := io.ReadFull(br, wbuf[:]); err != nil {
-		return
-	}
-	window := int64(binary.LittleEndian.Uint32(wbuf[:]))
-	if window <= 0 {
-		window = defaultCreditWindow
-	}
-	session := ""
-	if version >= 2 {
-		slen, err := br.ReadByte()
-		if err != nil {
-			return
-		}
-		if slen > 0 {
-			sbuf := make([]byte, slen)
-			if _, err := io.ReadFull(br, sbuf); err != nil {
-				return
-			}
-			session = string(sbuf)
-		}
 	}
 	conn.SetReadDeadline(time.Time{})
-	src, _, err := svc.source(session)
+	src, err := resolve(session)
 	if err != nil {
-		// Unknown session: refuse before the server hello so the dialer
+		// Unknown session: hang up before the server hello so the dialer
 		// reports a handshake failure instead of a hung stream.
 		return
 	}
-	var shello [len(dataPlaneMagic) + 1]byte
-	copy(shello[:], dataPlaneMagic)
-	shello[len(dataPlaneMagic)] = version
-	if _, err := conn.Write(shello[:]); err != nil {
+	if _, err := conn.Write(append([]byte(dataPlaneMagic), dataPlaneVersion)); err != nil {
 		return
 	}
 	crashCh := crashChOf(src)
@@ -334,13 +297,17 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 				}
 				return
 			}
-			delta := int64(binary.LittleEndian.Uint32(buf[:]))
+			delta := binary.LittleEndian.Uint32(buf[:])
 			creditMu.Lock()
-			credit += delta
-			granted := int(delta)
-			if granted > len(unacked) {
-				granted = len(unacked)
+			// A grant is worth only the frames it retires: a frame enters
+			// unacked before it is written, so an honest client can never
+			// grant more, and a hostile one cannot mint credit past the
+			// window.
+			granted := len(unacked)
+			if delta < uint32(granted) {
+				granted = int(delta)
 			}
+			credit += granted
 			retired := append([]*tensor.Batch(nil), unacked[:granted]...)
 			unacked = append(unacked[:0], unacked[granted:]...)
 			creditMu.Unlock()
@@ -365,7 +332,7 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 		return batches
 	}
 	// requeue returns the un-granted window to the source on an abnormal
-	// break. Sources without UngetBatches keep the old lossy behaviour.
+	// break. Sources without UngetBatches lose it.
 	requeue := func() {
 		batches := takeWindow()
 		if ug, ok := src.(ungetter); ok {
@@ -422,7 +389,7 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 				break
 			}
 			if done {
-				var hdr [5]byte
+				var hdr [frameHeaderLen]byte
 				hdr[0] = frameKindDone
 				conn.Write(hdr[:])
 				// The remaining window belongs to the client now.
@@ -448,17 +415,15 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 		unacked = append(unacked, b)
 		creditMu.Unlock()
 		track(1)
-		// One encode, one write: header, provenance tags (version 2),
-		// and payload share the pooled buffer, so a batch costs a
-		// single syscall and no garbage.
+		// One encode, one write: header, provenance tags, and payload
+		// share the pooled buffer, so a batch costs a single syscall and
+		// no garbage.
 		frame = append(frame[:0], frameKindBatch, 0, 0, 0, 0)
-		if version >= 2 {
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Split))
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Seq))
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(b.SeqCount))
-		}
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Split))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Seq))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.SeqCount))
 		frame = b.AppendBinary(frame)
-		binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
+		binary.LittleEndian.PutUint32(frame[1:frameHeaderLen], uint32(len(frame)-frameHeaderLen))
 		if _, err := conn.Write(frame); err != nil {
 			// A write failure is an abnormal break: requeue the whole
 			// un-granted window including this batch.
@@ -474,9 +439,6 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 type StreamWorker struct {
 	conn    net.Conn
 	batches chan *tensor.Batch
-	// version is the negotiated stream version (2 = session-aware,
-	// provenance-tagged frames; 1 = legacy untagged).
-	version byte
 
 	// wmu serializes credit-grant writes from consumer goroutines.
 	wmu sync.Mutex
@@ -491,89 +453,85 @@ type StreamWorker struct {
 }
 
 // DialWorkerFramed opens a framed stream to a worker's data-plane
-// address for the default session. When the remote side does not speak
-// the framed protocol (an old gob-only worker), it transparently falls
-// back to the unary gob transport, so mixed fleets keep working during
-// rollout.
+// address for the default session.
 func DialWorkerFramed(addr string) (WorkerAPI, error) {
 	return DialWorkerFramedSession(addr, "")
 }
 
 // DialWorkerFramedSession opens a framed stream to one session's
-// pipeline on a (fleet) worker's shared data-plane listener. An old
-// worker that rejects the session-aware hello is retried over the gob
-// transport, which carries the session ID per fetch.
+// pipeline on a (fleet) worker's shared data-plane listener. The error
+// names the step that failed — connect, the hello write, the wait for
+// the worker's hello, or a worker that hung up because it does not
+// (yet) host the session — with the address and session.
 func DialWorkerFramedSession(addr, session string) (WorkerAPI, error) {
 	if len(session) > maxSessionIDLen {
 		return nil, fmt.Errorf("dpp: session ID %q exceeds %d bytes", session, maxSessionIDLen)
 	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := net.DialTimeout("tcp", addr, rpcDialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("dpp: dial worker %s: %w", addr, err)
+		return nil, fmt.Errorf("dpp: dial worker %s (session %q): connect: %w", addr, session, err)
 	}
-	hello := make([]byte, 0, len(dataPlaneMagic)+6+len(session))
-	hello = append(hello, dataPlaneMagic...)
-	hello = append(hello, dataPlaneVersion)
-	hello = binary.LittleEndian.AppendUint32(hello, defaultCreditWindow)
-	hello = append(hello, byte(len(session)))
-	hello = append(hello, session...)
+	s, err := openStream(conn, session)
+	if err != nil {
+		return nil, fmt.Errorf("dpp: dial worker %s (session %q): %w", addr, session, err)
+	}
+	return s, nil
+}
+
+// openStream runs the client half of the hello exchange on conn and
+// starts the stream's read loop. It owns conn: a failed exchange closes
+// it.
+func openStream(conn net.Conn, session string) (_ *StreamWorker, err error) {
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
-		return DialWorkerSession(addr, session)
+	if _, err := conn.Write(appendClientHello(nil, defaultCreditWindow, session)); err != nil {
+		return nil, fmt.Errorf("write hello: %w", err)
 	}
 	var shello [len(dataPlaneMagic) + 1]byte
-	if _, err := io.ReadFull(conn, shello[:]); err != nil ||
-		string(shello[:len(dataPlaneMagic)]) != dataPlaneMagic ||
-		(shello[len(dataPlaneMagic)] != dataPlaneVersion &&
-			shello[len(dataPlaneMagic)] != dataPlaneVersionLegacy) {
-		// A gob-only worker reads our hello as a broken gob stream and
-		// hangs up; fall back to the transport it does speak.
-		conn.Close()
-		return DialWorkerSession(addr, session)
+	if _, err := io.ReadFull(conn, shello[:]); err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, fmt.Errorf("no server hello within %v: %w", handshakeTimeout, err)
+		}
+		return nil, fmt.Errorf("worker hung up before its hello (session not hosted there): %w", err)
+	}
+	if string(shello[:len(dataPlaneMagic)]) != dataPlaneMagic || shello[len(dataPlaneMagic)] != dataPlaneVersion {
+		return nil, fmt.Errorf("bad server hello %q (want %q version %d)", shello[:], dataPlaneMagic, dataPlaneVersion)
 	}
 	conn.SetDeadline(time.Time{})
 	s := &StreamWorker{
 		conn:       conn,
 		batches:    make(chan *tensor.Batch, defaultCreditWindow),
-		version:    shello[len(dataPlaneMagic)],
 		readerDone: make(chan struct{}),
 	}
 	go s.readLoop()
 	return s, nil
 }
 
-// DialWorkerEndpointFramed is the framed WorkerDialer for TCP-served
-// workers (with gob fallback per endpoint).
+// DialWorkerEndpointFramed is the WorkerDialer for TCP-served workers
+// of a single-session master.
 func DialWorkerEndpointFramed(ep WorkerEndpoint) (WorkerAPI, error) {
 	return DialWorkerFramed(ep.Endpoint)
 }
 
-// SessionWorkerDialer resolves a -dataplane mode to a WorkerDialer
-// bound to one session of a multi-tenant fleet: framed streams carry
-// the session in their hello, gob fetches carry it per call.
-func SessionWorkerDialer(mode, session string) (WorkerDialer, error) {
-	switch mode {
-	case DataPlaneFramed:
-		return func(ep WorkerEndpoint) (WorkerAPI, error) {
-			return DialWorkerFramedSession(ep.Endpoint, session)
-		}, nil
-	case "", DataPlaneGob:
-		return func(ep WorkerEndpoint) (WorkerAPI, error) {
-			return DialWorkerSession(ep.Endpoint, session)
-		}, nil
-	default:
-		return nil, fmt.Errorf("dpp: unknown data plane %q (want %s or %s)", mode, DataPlaneFramed, DataPlaneGob)
+// SessionWorkerDialer returns the WorkerDialer bound to one session of
+// a multi-tenant fleet: its streams carry the session in their hello.
+func SessionWorkerDialer(session string) WorkerDialer {
+	return func(ep WorkerEndpoint) (WorkerAPI, error) {
+		return DialWorkerFramedSession(ep.Endpoint, session)
 	}
 }
 
 // readLoop receives frames into the local window. The channel's
-// capacity equals the credit window and the server never exceeds
-// ungranted credit, so the send can never block.
+// capacity equals the credit window and a frame is granted only after
+// it is popped, so a full channel means the server overran its credit.
 func (s *StreamWorker) readLoop() {
 	defer close(s.readerDone)
 	r := bufio.NewReader(s.conn)
-	var hdr [5]byte
+	var hdr [frameHeaderLen]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// EOF before a done frame is an error unless we closed the
@@ -581,14 +539,14 @@ func (s *StreamWorker) readLoop() {
 			s.err = err
 			return
 		}
-		kind, n := hdr[0], binary.LittleEndian.Uint32(hdr[1:5])
+		kind, n := hdr[0], binary.LittleEndian.Uint32(hdr[1:])
 		switch kind {
 		case frameKindDone:
 			s.done = true
 			return
 		case frameKindBatch:
-			if s.version >= 2 && n < batchTagLen {
-				s.err = fmt.Errorf("dpp: framed stream: short batch frame (%d bytes)", n)
+			if n < batchTagLen || n > maxFrameLen {
+				s.err = fmt.Errorf("dpp: framed stream: batch frame of %d bytes (want %d..%d)", n, batchTagLen, maxFrameLen)
 				return
 			}
 			buf := tensor.GetFrameBuf()
@@ -601,22 +559,24 @@ func (s *StreamWorker) readLoop() {
 				s.err = err
 				return
 			}
-			payload := buf
-			var split, seq, seqCount int32
-			if s.version >= 2 {
-				split = int32(binary.LittleEndian.Uint32(payload[0:4]))
-				seq = int32(binary.LittleEndian.Uint32(payload[4:8]))
-				seqCount = int32(binary.LittleEndian.Uint32(payload[8:12]))
-				payload = payload[batchTagLen:]
+			b, _, err := tensor.DecodeBinary(buf[batchTagLen:])
+			if err == nil {
+				b.Split = int32(binary.LittleEndian.Uint32(buf[0:4]))
+				b.Seq = int32(binary.LittleEndian.Uint32(buf[4:8]))
+				b.SeqCount = int32(binary.LittleEndian.Uint32(buf[8:12]))
 			}
-			b, _, err := tensor.DecodeBinary(payload)
 			tensor.PutFrameBuf(buf)
 			if err != nil {
 				s.err = err
 				return
 			}
-			b.Split, b.Seq, b.SeqCount = split, seq, seqCount
-			s.batches <- b
+			select {
+			case s.batches <- b:
+			default:
+				b.Release()
+				s.err = fmt.Errorf("dpp: framed stream: server overran the %d-frame credit window", cap(s.batches))
+				return
+			}
 		default:
 			s.err = fmt.Errorf("dpp: framed stream: unknown frame kind %d", kind)
 			return
@@ -674,11 +634,10 @@ func (s *StreamWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 // connection (a drained worker leaving the membership, or a rebalance).
 // It half-closes the connection so the worker stops after its in-flight
 // credit, waits for the stream to quiesce, and returns the window's
-// contents — the batches a unary transport would never have prefetched
-// and therefore could not lose. A stream that ended with an abnormal
-// error (reset, truncated frame) returns nil instead: the worker
-// requeued the un-granted window on its side, so keeping the local copy
-// would deliver those batches twice.
+// contents. A stream that ended with an abnormal error (reset,
+// truncated frame) returns nil instead: the worker requeued the
+// un-granted window on its side, so keeping the local copy would
+// deliver those batches twice.
 func (s *StreamWorker) Drain() []*tensor.Batch {
 	if tc, ok := s.conn.(*net.TCPConn); ok {
 		tc.CloseWrite()

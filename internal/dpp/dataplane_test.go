@@ -1,9 +1,16 @@
 package dpp
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
 	"math/rand"
 	"net"
-	"net/rpc"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,7 +87,7 @@ func TestFramedStreamTransport(t *testing.T) {
 	}
 	sw, ok := api.(*StreamWorker)
 	if !ok {
-		t.Fatalf("dial returned %T, want *StreamWorker (fallback fired against a framed server)", api)
+		t.Fatalf("dial returned %T, want *StreamWorker", api)
 	}
 	defer sw.Close()
 
@@ -305,60 +312,10 @@ func TestFramedStreamRequeuesOnAbnormalDisconnect(t *testing.T) {
 	}
 }
 
-func TestFramedDialFallsBackToGob(t *testing.T) {
-	// A gob-only listener (the pre-framed worker): plain net/rpc with no
-	// protocol sniffing.
-	src := &countedSource{batch: dataplaneTestBatch(16, 4), remaining: 5}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", &WorkerService{src: src}); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-
-	api, err := DialWorkerFramed(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := api.(*RemoteWorker); !ok {
-		t.Fatalf("dial returned %T, want *RemoteWorker fallback", api)
-	}
-	defer api.(*RemoteWorker).Close()
-	rows := 0
-	for {
-		b, ok, done, err := api.FetchBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		if ok {
-			rows += b.Rows
-		}
-	}
-	if rows != 5*16 {
-		t.Fatalf("fallback transport delivered %d rows, want %d", rows, 5*16)
-	}
-}
-
 func TestRPCTransportEndToEndFramed(t *testing.T) {
 	// The full worker path over the framed plane: master over RPC,
 	// worker serving its real buffer, client streaming frames.
 	wh, spec := buildFixture(t, 64, 16)
-	spec.DataPlane = DataPlaneFramed
 	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -425,13 +382,352 @@ func TestRPCTransportEndToEndFramed(t *testing.T) {
 	if n := w.Undelivered(); n != 0 {
 		t.Fatalf("worker still reports %d undelivered batches after full consumption", n)
 	}
-	// The same listener still serves gob unary side by side.
-	rw, err := DialWorker(wln.Addr().String())
+	if done, err := remote.Done(); err != nil || !done {
+		t.Fatalf("remote Done = %v, %v", done, err)
+	}
+}
+
+// streamFromBytes opens the client half of a stream against a peer that
+// reads whatever the client sends and answers with exactly server, then
+// hangs up.
+func streamFromBytes(server []byte) (*StreamWorker, error) {
+	cli, srv := net.Pipe()
+	go func() {
+		defer srv.Close()
+		go io.Copy(io.Discard, srv) // the hello, then grants
+		srv.Write(server)
+	}()
+	return openStream(cli, "")
+}
+
+// streamResult polls a stream to its end: the batches it delivered and
+// how it ended (done frame, or the error FetchBatch surfaced).
+func streamResult(t *testing.T, s *StreamWorker) (batches int, done bool, err error) {
+	t.Helper()
+	for {
+		b, ok, done, err := s.FetchBatch()
+		switch {
+		case err != nil || done:
+			return batches, done, err
+		case ok:
+			batches++
+			b.Release()
+		default:
+			select {
+			case <-s.readerDone:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("stream neither ended nor delivered after %d batches", batches)
+			}
+		}
+	}
+}
+
+// serverHello is the worker's half of the hello exchange.
+var serverHello = append([]byte(dataPlaneMagic), dataPlaneVersion)
+
+func TestStreamRejectsOversizedFrameBeforeAllocating(t *testing.T) {
+	for _, n := range []uint32{maxFrameLen + 1, math.MaxUint32} {
+		frame := append(append([]byte(nil), serverHello...), frameKindBatch)
+		frame = binary.LittleEndian.AppendUint32(frame, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := streamFromBytes(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, done, err := streamResult(t, s)
+		s.Close()
+		runtime.ReadMemStats(&after)
+		if batches != 0 || done || err == nil || !strings.Contains(err.Error(), "batch frame of") {
+			t.Fatalf("frame announcing %d bytes: %d batches, done %v, err %v; want a frame-length error", n, batches, done, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("frame announcing %d bytes made the client allocate %d bytes", n, grew)
+		}
+	}
+}
+
+func TestFramedHelloServedAtWindowCap(t *testing.T) {
+	// A hello announcing a 4-billion-frame window, and later a grant for
+	// frames never sent, must not pull more than maxCreditWindow batches
+	// out of the worker's bounded buffer into the stream.
+	src := &countedSource{batch: dataplaneTestBatch(4, 6), remaining: 10 * maxCreditWindow}
+	ln, stop, err := ServeBatchSource(src, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rw.Close()
-	if _, ok, done, err := rw.FetchBatch(); err != nil || ok || !done {
-		t.Fatalf("gob fetch after drain = ok %v done %v err %v, want done", ok, done, err)
+	defer stop()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer conn.Close()
+	go io.Copy(io.Discard, conn) // read the frames, grant nothing
+	if _, err := conn.Write(appendClientHello(nil, math.MaxUint32, "")); err != nil {
+		t.Fatal(err)
+	}
+	settlesAt := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for src.Popped() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(50 * time.Millisecond) // room to overshoot
+		if got := src.Popped(); got != want {
+			t.Fatalf("server pushed %d batches, want exactly %d", got, want)
+		}
+	}
+	settlesAt(maxCreditWindow)
+	// A rogue grant is worth only the frames in flight: one more window.
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, math.MaxUint32)); err != nil {
+		t.Fatal(err)
+	}
+	settlesAt(2 * maxCreditWindow)
+}
+
+func TestDialWorkerFramedSaysWhichStepFailed(t *testing.T) {
+	// answering serves one connection with reply (nil: say nothing) and
+	// holds it open until the test ends.
+	answering := func(reply []byte) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { conn.Close() })
+			conn.Write(reply)
+		}()
+		return ln.Addr().String()
+	}
+	closed, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	ln, stop, err := ServeBatchSource(&countedSource{}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	cases := []struct {
+		name, addr, want string
+		slow             bool
+	}{
+		{name: "connect", addr: closed.Addr().String(), want: "connect:"},
+		{name: "session not hosted", addr: ln.Addr().String(), want: "hung up before its hello (session not hosted there)"},
+		{name: "wrong magic", addr: answering([]byte("HTTP/1.1 400")), want: `bad server hello "HTTP/"`},
+		{name: "wrong version", addr: answering(append([]byte(dataPlaneMagic), 1)), want: "bad server hello"},
+		{name: "hello timeout", addr: answering(nil), want: "no server hello within", slow: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && testing.Short() {
+				t.Skip("waits out the handshake timeout")
+			}
+			_, err := DialWorkerFramedSession(tc.addr, "tenant-7")
+			if err == nil {
+				t.Fatal("dial succeeded")
+			}
+			for _, want := range []string{tc.want, tc.addr, `"tenant-7"`} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("dial error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+
+	// A peer that is gone before the hello is written.
+	cli, srv := net.Pipe()
+	srv.Close()
+	if _, err := openStream(cli, ""); err == nil || !strings.Contains(err.Error(), "write hello") {
+		t.Fatalf("openStream on a dead peer = %v, want a hello write error", err)
+	}
+}
+
+// TestTenantClientRedialsSessionNotYetHosted holds a fleet worker in
+// the window where its pipeline is registered at the session's master
+// (so ListWorkers returns it) but not yet hosted on its data plane: the
+// tenant client's dial must fail, not fail the client, succeed on a
+// later refresh, and the session must still deliver exactly once.
+func TestTenantClientRedialsSessionNotYetHosted(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16)
+	golden := runWireSession(t, wh, spec, nil, "golden")
+
+	svc := NewService(wh)
+	if err := svc.CreateSession("s1", spec); err != nil {
+		t.Fatal(err)
+	}
+	listed, host := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fw, stop, err := ListenAndServeFleetWorker("fw1", "127.0.0.1:0", svc, wh, func(fw *FleetWorker) {
+		fw.HeartbeatEvery = 5 * time.Millisecond
+		// Tune runs after the pipeline registered with s1's master and
+		// before the fleet worker hosts it.
+		fw.Tune = func(*Worker) {
+			once.Do(func() { close(listed) })
+			<-host
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	svc.Rebalance()
+	stopFW, fwDone := make(chan struct{}), make(chan error, 1)
+	go func() { fwDone <- fw.Run(stopFW) }()
+	<-listed
+
+	var mu sync.Mutex
+	var dialErrs []error
+	dial := func(ep WorkerEndpoint) (WorkerAPI, error) {
+		api, err := SessionWorkerDialer("s1")(ep)
+		if err != nil {
+			mu.Lock()
+			dialErrs = append(dialErrs, err)
+			mu.Unlock()
+		}
+		return api, err
+	}
+	client, err := NewTenantClient(svc, "s1", dial, 0, 0)
+	if err != nil {
+		t.Fatalf("a refused dial failed the client: %v", err)
+	}
+	if len(dialErrs) != 1 || client.Connections() != 0 {
+		t.Fatalf("first refresh: %d dial errors, %d connections; want 1 and 0", len(dialErrs), client.Connections())
+	}
+	for _, want := range []string{"session not hosted", fw.Endpoint, `"s1"`} {
+		if !strings.Contains(dialErrs[0].Error(), want) {
+			t.Fatalf("dial error %q does not mention %q", dialErrs[0], want)
+		}
+	}
+	if _, ok, done, err := client.TryNext(); ok || done || err != nil {
+		t.Fatalf("TryNext with no reachable worker = ok %v done %v err %v; want a plain stall", ok, done, err)
+	}
+
+	close(host)
+	sum, rows := tensor.NewContentSum(), 0
+	for {
+		b, ok, err := client.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		rows += b.Rows
+		sum.AddBatch(b)
+		b.Release()
+	}
+	if rows != 128 || !sum.Equal(golden) {
+		t.Fatalf("after the redial the session delivered %d rows (want 128), content equal: %v", rows, sum.Equal(golden))
+	}
+	close(stopFW)
+	if err := <-fwDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordedExchange is everything a worker writes on one stream that
+// serves two batches to the end: hello, two batch frames, done.
+func recordedExchange(t testing.TB) []byte {
+	t.Helper()
+	cli, srv := net.Pipe()
+	go serveFramedStream(singleSource(&countedSource{batch: dataplaneTestBatch(4, 7), remaining: 2}), srv)
+	go cli.Write(appendClientHello(nil, defaultCreditWindow, ""))
+	out, err := io.ReadAll(cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// FuzzStreamFrames feeds arbitrary server bytes to the client half of a
+// stream: it must not panic, must not allocate past the frame cap, and
+// must end in a done frame or an error from FetchBatch.
+func FuzzStreamFrames(f *testing.F) {
+	valid := recordedExchange(f)
+	for i := 0; i <= len(valid); i++ {
+		f.Add(valid[:i]) // every truncation point, and the whole exchange
+	}
+	oversized := append(append([]byte(nil), serverHello...), frameKindBatch)
+	f.Add(binary.LittleEndian.AppendUint32(oversized, maxFrameLen+1))
+	f.Add(append(append([]byte(nil), serverHello...), 9, 0, 0, 0, 0)) // unknown frame kind
+	short := append(append([]byte(nil), serverHello...), frameKindBatch)
+	f.Add(binary.LittleEndian.AppendUint32(short, batchTagLen-1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := streamFromBytes(data)
+		if err != nil {
+			return // refused at the hello: a dial error
+		}
+		defer s.Close()
+		batches, done, err := streamResult(t, s)
+		if !done && err == nil {
+			t.Fatalf("stream ended after %d batches with neither a done frame nor an error", batches)
+		}
+		if bytes.Equal(data, valid) && (batches != 2 || !done) {
+			t.Fatalf("the recorded exchange delivered %d batches, done %v, err %v", batches, done, err)
+		}
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(maxFrameLen+8*len(data)+1<<20); grew > bound {
+			t.Fatalf("%d input bytes made the client allocate %d bytes (bound %d)", len(data), grew, bound)
+		}
+	})
+}
+
+// FuzzFramedHello feeds arbitrary client bytes to the server half of a
+// stream: it must not panic, must always hang up, and must resolve a
+// batch source only for a well-formed hello — and then the session that
+// hello names.
+func FuzzFramedHello(f *testing.F) {
+	valid := appendClientHello(nil, defaultCreditWindow, "s1")
+	for i := 0; i <= len(valid); i++ {
+		f.Add(valid[:i])
+	}
+	f.Add(appendClientHello(nil, 0, ""))
+	f.Add(appendClientHello(nil, math.MaxUint32, "s1"))                                      // window past the cap
+	f.Add(binary.LittleEndian.AppendUint32(appendClientHello(nil, 1, "s1"), math.MaxUint32)) // rogue grant
+	f.Add(append(append([]byte(nil), valid...), 1, 0, 0))                                    // torn grant
+	f.Add(append([]byte("DSI1\x01"), valid[5:]...))                                          // the retired v1 hello
+	f.Add(append([]byte("GET /"), valid[5:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var resolved []string
+		resolve := func(session string) (BatchSource, error) {
+			resolved = append(resolved, session)
+			return &countedSource{batch: dataplaneTestBatch(4, 8), remaining: 2}, nil
+		}
+		cli, srv := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			serveFramedStream(resolve, srv)
+		}()
+		go io.Copy(io.Discard, cli) // the server hello and frames
+		cli.Write(data)             // cut short when the server hangs up first
+		cli.Close()
+		select {
+		case <-served:
+		case <-time.After(10 * time.Second):
+			t.Fatal("server still serving a stream whose client hung up")
+		}
+		if _, err := srv.Write([]byte{0}); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("server returned without closing its connection (write: %v)", err)
+		}
+
+		var want []string
+		if n := clientHelloFixedLen; len(data) >= n && string(data[:len(dataPlaneMagic)]) == dataPlaneMagic &&
+			data[len(dataPlaneMagic)] == dataPlaneVersion && len(data) >= n+int(data[n-1]) {
+			want = []string{string(data[n : n+int(data[n-1])])}
+		}
+		if !slices.Equal(resolved, want) {
+			t.Fatalf("hello %q resolved sessions %q, want %q", data, resolved, want)
+		}
+	})
 }

@@ -91,6 +91,7 @@ func TestSessionSpecValidate(t *testing.T) {
 		{},
 		{Table: "t", BatchSize: 8},
 		{Table: "t", Features: []schema.FeatureID{1}},
+		{Table: "t", Features: []schema.FeatureID{1}, BatchSize: 8, DataPlane: "gob"},
 	}
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
@@ -777,69 +778,6 @@ func TestEndToEndAutoscaledSession(t *testing.T) {
 	wg.Wait()
 	if rows != 192 {
 		t.Fatalf("rows = %d, want 192", rows)
-	}
-}
-
-func TestRPCTransportEndToEnd(t *testing.T) {
-	wh, spec := buildFixture(t, 64, 16)
-	m, err := NewMaster(wh, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, stopMaster, err := ServeMaster(m, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopMaster()
-
-	remote, err := DialMaster(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	w, err := NewWorker("rpc-w1", remote, wh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wln, stopWorker, err := ServeWorker(w, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopWorker()
-
-	go func() {
-		if err := w.Run(nil); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	rw, err := DialWorker(wln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rw.Close()
-	client, err := NewClient([]WorkerAPI{rw}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := 0
-	for {
-		b, ok, err := client.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows += b.Rows
-	}
-	if rows != 128 {
-		t.Fatalf("RPC client saw %d rows, want 128", rows)
-	}
-	done, err := remote.Done()
-	if err != nil || !done {
-		t.Fatalf("remote Done = %v, %v", done, err)
 	}
 }
 

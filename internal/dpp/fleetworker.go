@@ -19,9 +19,9 @@ import (
 // master, and a revoked session drains through the ordinary drain
 // protocol — the session master stops leasing to it, the pipeline
 // delivers its in-flight splits, serves out its buffer, and
-// deregisters. The data plane demultiplexes per session: framed stream
-// hellos and gob fetches carry a session ID that routes to the matching
-// pipeline's buffer.
+// deregisters. The data plane demultiplexes per session: a stream's
+// hello carries a session ID that routes to the matching pipeline's
+// buffer.
 type FleetWorker struct {
 	ID string
 	// Endpoint is the shared data-plane address registered with the
@@ -133,17 +133,16 @@ func (fw *FleetWorker) Sessions() []string {
 	return out
 }
 
-// source implements the data plane's per-session routing
-// (WorkerService.resolve): a stream or fetch addressed to a session
-// lands on that session's pipeline buffer.
-func (fw *FleetWorker) source(sessionID string) (BatchSource, func() WorkerStats, error) {
+// source is the data plane's sourceResolver: a stream whose hello names
+// a session lands on that session's pipeline buffer.
+func (fw *FleetWorker) source(sessionID string) (BatchSource, error) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	p := fw.pipelines[sessionID]
 	if p == nil {
-		return nil, nil, fmt.Errorf("dpp: fleet worker %s hosts no session %q", fw.ID, sessionID)
+		return nil, fmt.Errorf("dpp: fleet worker %s hosts no session %q", fw.ID, sessionID)
 	}
-	return p.w, p.w.Stats, nil
+	return p.w, nil
 }
 
 // AggregateStats folds the live pipelines into one fleet-level
@@ -382,8 +381,8 @@ func (fw *FleetWorker) Run(stop <-chan struct{}) error {
 
 // ListenAndServeFleetWorker binds addr, registers a fleet worker
 // announcing the bound address as its shared data-plane endpoint, and
-// serves every hosted pipeline on it — framed streams and gob fetches
-// are routed to pipelines by the session ID they carry. tune adjusts
+// serves every hosted pipeline on it — streams are routed to
+// pipelines by the session ID in their hello. tune adjusts
 // the FleetWorker (heartbeat period, per-pipeline Tune) before serving
 // begins. The returned stop closes the listener.
 func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse.Warehouse, tune func(*FleetWorker)) (*FleetWorker, func(), error) {
@@ -399,12 +398,7 @@ func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse
 	if tune != nil {
 		tune(fw)
 	}
-	stop, err := serveDataPlaneOn(&WorkerService{resolve: fw.source}, ln)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	return fw, stop, nil
+	return fw, serveDataPlaneOn(fw.source, ln), nil
 }
 
 // InProcessFleetLauncher launches fleet workers as goroutines against

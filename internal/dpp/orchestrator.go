@@ -136,7 +136,7 @@ func (l *InProcessLauncher) Dial(ep WorkerEndpoint) (WorkerAPI, error) {
 // deployment of §3.2.1, hosted as goroutines so a single cmd/dppd
 // master process can elastically operate its worker fleet. Clients
 // resolve the workers' TCP endpoints via ListWorkers and dial them with
-// DialWorkerEndpoint.
+// DialWorkerEndpointFramed.
 type RPCLauncher struct {
 	// MasterAddr is the master's RPC address.
 	MasterAddr string

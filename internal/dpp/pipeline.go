@@ -10,9 +10,8 @@ import (
 	"dsi/internal/ware"
 )
 
-// This file implements the worker's pipelined data plane: the strictly
-// serial fetch → decode → transform → deliver loop of the baseline is
-// rebuilt as three overlapped stages joined by bounded channels, so the
+// This file implements Worker.Run's loop: fetch → decode → transform →
+// deliver as three overlapped stages joined by bounded channels, so the
 // NIC keeps fetching stripes while the CPU transforms earlier ones and
 // finished tensors drain to trainers concurrently (the paper's central
 // DPP requirement: online preprocessing must overlap extract, transform,
@@ -129,10 +128,9 @@ func (w *Worker) runPipelined(stop <-chan struct{}) error {
 		close(fetched)
 	}()
 
-	// Transform pool: run the preprocessing graph concurrently. The
-	// graph is compiled once and its ops are stateless, so sharing it
-	// across goroutines is safe; each split's batch is private to one
-	// goroutine at a time.
+	// Transform pool: run the compiled plan concurrently. The plan is
+	// immutable after compilation, so sharing it across goroutines is
+	// safe; each split's batch is private to one goroutine at a time.
 	var xformWG sync.WaitGroup
 	for i := 0; i < pl.TransformParallelism; i++ {
 		xformWG.Add(1)

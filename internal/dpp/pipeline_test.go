@@ -3,18 +3,50 @@ package dpp
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dsi/internal/schema"
+	"dsi/internal/tensor"
+	"dsi/internal/transforms"
+	"dsi/internal/warehouse"
 )
 
-// TestPipelinedWorkerMatchesSequential verifies the pipelined data plane
-// produces exactly the rows the sequential baseline does.
-func TestPipelinedWorkerMatchesSequential(t *testing.T) {
-	run := func(sequential bool) (rows int, batches int) {
-		wh, spec := buildFixture(t, 64, 16)
-		spec.Pipeline = PipelineOptions{Sequential: sequential, Prefetchers: 3, TransformParallelism: 3}
+// parityFixture is buildFixture with a graph wide enough to exercise
+// most compiled kernels (dense chains, truncation, hashing, a cross, an
+// n-gram, bucketize + map).
+func parityFixture(t *testing.T) (*warehouse.Warehouse, SessionSpec) {
+	wh, spec := buildFixture(t, 64, 16) // 8 splits, 128 rows
+	spec.Ops = transforms.StandardGraphTruncated(
+		[]schema.FeatureID{1, 2}, []schema.FeatureID{5, 6}, 3, 1000, 3).Ops()
+	spec.DenseOut = []schema.FeatureID{1000, 1001}
+	spec.SparseOut = []schema.FeatureID{1003, 1007, 1009, 1011}
+	spec.Pipeline = PipelineOptions{Prefetchers: 3, TransformParallelism: 3}
+	return wh, spec
+}
+
+// delivered is what one way of running a session handed to its sink.
+type delivered struct {
+	rows, batches int
+	sum           *tensor.ContentSum
+}
+
+func (d delivered) equal(o delivered) bool {
+	return d.rows == o.rows && d.batches == o.batches && d.sum.Equal(o.sum)
+}
+
+// TestRunMatchesSingleSplitLoopAndInterpreter holds Worker.Run's
+// pipeline to two references over the same session: the synchronous
+// ProcessOneSplit loop (same plan, no stages), and an oracle outside
+// Worker that runs the session's ops through the transforms.Graph.Run
+// interpreter over plain ReadSplitBatch reads. All three must deliver
+// the same rows, batch count and tensor content.
+func TestRunMatchesSingleSplitLoopAndInterpreter(t *testing.T) {
+	viaWorker := func(drive func(*Worker) error) delivered {
+		wh, spec := parityFixture(t)
 		m, err := NewMaster(wh, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -23,29 +55,93 @@ func TestPipelinedWorkerMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mu sync.Mutex
-		w.Sink = func(b *blob) {
-			mu.Lock()
-			rows += b.Rows
-			batches++
-			mu.Unlock()
+		got := delivered{sum: tensor.NewContentSum()}
+		w.Sink = func(b *blob) { // one goroutine at a time, see Worker.Sink
+			got.rows += b.Rows
+			got.batches++
+			got.sum.AddBatch(b)
 		}
-		if err := w.Run(nil); err != nil {
+		if err := drive(w); err != nil {
 			t.Fatal(err)
 		}
-		done, _ := m.Done()
-		if !done {
+		if done, _ := m.Done(); !done {
 			t.Fatal("session not done")
 		}
-		return rows, batches
+		return got
 	}
-	seqRows, seqBatches := run(true)
-	pipRows, pipBatches := run(false)
-	if seqRows != 128 || pipRows != 128 {
-		t.Fatalf("rows: sequential %d, pipelined %d, want 128", seqRows, pipRows)
+	run := viaWorker(func(w *Worker) error { return w.Run(nil) })
+	loop := viaWorker(func(w *Worker) error {
+		for {
+			if ok, err := w.ProcessOneSplit(); err != nil || !ok {
+				return err
+			}
+		}
+	})
+
+	wh, spec := parityFixture(t)
+	graph, err := spec.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if seqBatches != pipBatches {
-		t.Fatalf("batches: sequential %d, pipelined %d", seqBatches, pipBatches)
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterWorker("oracle", ""); err != nil {
+		t.Fatal(err)
+	}
+	interp := delivered{sum: tensor.NewContentSum()}
+	for {
+		split, _, ok, _, err := m.NextSplit("oracle")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		batch, _, err := wh.ReadSplitBatch(split, spec.Projection(), spec.Read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := graph.Run(batch); err != nil {
+			t.Fatal(err)
+		}
+		full, err := tensor.Materialize(batch, spec.DenseOut, spec.SparseOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interp.batches += (full.Rows + spec.BatchSize - 1) / spec.BatchSize
+		interp.rows += full.Rows
+		interp.sum.AddBatch(full)
+	}
+
+	if interp.rows != 128 || interp.batches != 8 {
+		t.Fatalf("oracle saw %d rows in %d batches, want 128 in 8", interp.rows, interp.batches)
+	}
+	if !run.equal(interp) {
+		t.Fatalf("Run delivered %d rows / %d batches, interpreter oracle %d / %d, content equal: %v",
+			run.rows, run.batches, interp.rows, interp.batches, run.sum.Equal(interp.sum))
+	}
+	if !loop.equal(interp) {
+		t.Fatalf("ProcessOneSplit loop delivered %d rows / %d batches, interpreter oracle %d / %d, content equal: %v",
+			loop.rows, loop.batches, interp.rows, interp.batches, loop.sum.Equal(interp.sum))
+	}
+}
+
+// TestNewWorkerFailsOnUncompilableGraph: with the plan as the only
+// executor, a graph the compiler rejects fails worker construction with
+// the compile error instead of running interpreted.
+func TestNewWorkerFailsOnUncompilableGraph(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16)
+	spec.Ops = []transforms.Op{&transforms.SigridHash{In: 5, Out: 100, Salt: 1, MaxValue: 0}}
+	spec.SparseOut = []schema.FeatureID{100}
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewWorker("w", m, wh)
+	if err == nil || !strings.Contains(err.Error(), "SigridHash needs positive MaxValue") {
+		t.Fatalf("NewWorker error = %v, want the plan compile error", err)
 	}
 }
 

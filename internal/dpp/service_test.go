@@ -515,7 +515,6 @@ func TestUngetBatchesOrdering(t *testing.T) {
 // membership regardless of the open stream.
 func TestReapRequeuesStaleWorkerMidStream(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16)
-	spec.DataPlane = DataPlaneFramed
 	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)

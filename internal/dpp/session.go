@@ -45,11 +45,11 @@
 //     apportionment, within one worker of each tenant's quota);
 //     assignments reach workers with their fleet heartbeats.
 //   - A FleetWorker runs one pipeline (a Worker) per assigned session
-//     behind one shared data-plane listener; framed hellos and gob
-//     fetches carry a session ID that routes to the right pipeline,
-//     with the empty session as the wire-compatible default for old
-//     clients. Revoking an assignment drains the pipeline through the
-//     ordinary drain protocol, so rebalancing never loses rows.
+//     behind one shared data-plane listener; a stream's hello carries
+//     the session ID that routes it to the right pipeline (empty = the
+//     default session of a single-session worker). Revoking an
+//     assignment drains the pipeline through the ordinary drain
+//     protocol, so rebalancing never loses rows.
 //   - The same Orchestrator control law runs fleet-wide
 //     (NewFleetOrchestrator): pool size follows tenant-aggregated
 //     starvation and oversupply, scale-down drains whole fleet
@@ -68,7 +68,7 @@
 // Delivery is exactly-once even across non-graceful worker death: a
 // split is acknowledged to its master only when every batch it
 // produced has been consumed by a client (framed credit grants,
-// gob/in-process pops), every batch carries (Split, Seq) provenance,
+// in-process pops), every batch carries (Split, Seq) provenance,
 // and clients deduplicate redelivery when a crashed worker's requeued
 // leases re-run. Worker.Crash and the launchers' Crash methods are the
 // fault-injection harness that pins this down in tests.
@@ -77,35 +77,26 @@
 // simulations and tests) and TCP (cmd/dppd), exercising the same
 // Master/Worker/Client/Orchestrator logic.
 //
-// Over TCP the worker→trainer data plane itself has two wire encodings,
-// served simultaneously on every worker's listener (the accept path
-// sniffs the first bytes of each connection):
-//
-//   - Framed streaming (DialWorkerFramed / DialWorkerEndpointFramed):
-//     the client opens one stream per worker with a hello carrying a
-//     credit window ("DSI1" | version | u32 window); the worker answers
-//     ("DSI1" | version) and pushes length-prefixed flat-binary batch
-//     frames (u8 kind | u32 length | tensor frame; kind 2 = done) as
-//     its delivery stage produces them, decrementing credit per frame.
-//     The client grants one u32 credit per consumed batch, so at most a
-//     window of batches is in flight and a stalled trainer propagates
-//     backpressure into the worker's bounded buffer. Frames are encoded
-//     once into pooled buffers and decode into pool-backed tensors the
-//     trainer returns with tensor.Batch.Release. When a stream is
-//     dropped mid-session (a drained worker deregistering, a rebalance)
-//     the client first half-closes and rescues the received window on a
-//     side goroutine, and when a stream breaks abnormally (reset,
-//     truncated frame) the worker requeues the un-granted window into
-//     its buffer while the client discards its partial copy — so
-//     exactly-once delivery survives membership churn and transient
-//     connection failures alike.
-//   - Gob unary (DialWorker / DialWorkerEndpoint): one net/rpc
-//     Worker.Fetch round trip per batch with reflection-driven gob
-//     encoding — the paper's "datacenter tax" baseline, kept both as
-//     the fallback DialWorkerFramed uses automatically when a worker
-//     does not answer the framed hello (old workers in mixed fleets)
-//     and as a measurable comparison point (cmd/dppd -dataplane=gob,
-//     BenchmarkDPPWireFormat).
+// Over TCP the worker→trainer data plane is one framed stream per
+// (client, worker) pair (DialWorkerFramed / DialWorkerFramedSession,
+// layout in dataplane.go): the client opens it with a hello carrying
+// the session ID and a credit window; the worker answers and pushes
+// length-prefixed flat-binary batch frames, each tagged with its
+// (split, seq) provenance, as its delivery stage produces them,
+// decrementing credit per frame. The client grants one credit per
+// consumed batch, so at most a window of batches is in flight and a
+// stalled trainer propagates backpressure into the worker's bounded
+// buffer. Frames are encoded once into pooled buffers and decode into
+// pool-backed tensors the trainer returns with tensor.Batch.Release.
+// When a stream is dropped mid-session (a drained worker deregistering,
+// a rebalance) the client first half-closes and rescues the received
+// window on a side goroutine, and when a stream breaks abnormally
+// (reset, truncated frame) the worker requeues the un-granted window
+// into its buffer while the client discards its partial copy — so
+// exactly-once delivery survives membership churn and transient
+// connection failures alike. A worker that does not host the hello's
+// session hangs up; the dial fails and Client.Refresh tries again on
+// its next pass.
 package dpp
 
 import (
@@ -150,7 +141,7 @@ type SessionSpec struct {
 	// BufferDepth is the per-worker tensor buffer capacity in batches.
 	BufferDepth int
 	// Pipeline sizes the worker's pipelined data plane; the zero value
-	// enables it with default parallelism.
+	// means default parallelism.
 	Pipeline PipelineOptions
 	// Weight is the session's share of the fleet under multi-tenant
 	// operation: the Service divides worker capacity among live
@@ -158,13 +149,10 @@ type SessionSpec struct {
 	// §3.2.1's per-job capacity assignment). Zero or negative defaults
 	// to 1; single-session deployments ignore it.
 	Weight float64
-	// DataPlane selects the worker→trainer wire encoding the session is
-	// modelled (and, via cmd/dppd, operated) on: DataPlaneFramed for the
-	// streaming flat-binary transport or DataPlaneGob for unary net/rpc
-	// gob. Empty defaults to gob — the Thrift-style encoding whose
-	// datacenter tax the paper measures — so the reproduction's modelled
-	// baselines are unchanged unless a session opts into the framed
-	// plane.
+	// DataPlane selects nothing: there is one data plane, and Validate
+	// accepts only "" and DataPlaneFramed. The field remains because the
+	// frozen benchmark (bench/env.go) sets it, and goes when the
+	// benchmark next changes.
 	DataPlane string
 	// Costs tunes the worker resource model; zero value means defaults.
 	Costs CostParams
@@ -175,10 +163,10 @@ type SessionSpec struct {
 }
 
 // PipelineOptions sizes the worker's pipelined data plane: extract,
-// transform, and load run as overlapped stages instead of a strictly
-// serial loop, so the NIC keeps fetching while the CPU transforms and
-// the CPU keeps transforming while tensors drain to trainers — the
-// overlap the paper's DPP workers need to avoid the Table 7 data stalls.
+// transform, and load run as overlapped stages, so the NIC keeps
+// fetching while the CPU transforms and the CPU keeps transforming
+// while tensors drain to trainers — the overlap the paper's DPP
+// workers need to avoid the Table 7 data stalls.
 // Every buffer between stages is bounded, keeping per-session memory
 // finite (§DPP: avoid OOM from unbounded buffering).
 type PipelineOptions struct {
@@ -197,17 +185,10 @@ type PipelineOptions struct {
 	// single batch larger than the bound is still admitted when the
 	// buffer is empty, so delivery always makes progress.
 	MaxBufferedBytes int64
-	// Sequential disables the pipeline, restoring the strictly serial
-	// fetch → decode → transform → deliver loop (the stall baseline the
-	// paper measures against).
-	Sequential bool
 }
 
 // withDefaults fills zero fields.
 func (o PipelineOptions) withDefaults() PipelineOptions {
-	if o.Sequential {
-		return o
-	}
 	if o.Prefetchers <= 0 {
 		o.Prefetchers = 2
 	}
@@ -225,7 +206,7 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 // session doesn't spin up idle stage goroutines on every worker.
 func (o PipelineOptions) planFor(splits int) PipelineOptions {
 	o = o.withDefaults()
-	if o.Sequential || splits <= 0 {
+	if splits <= 0 {
 		return o
 	}
 	if o.Prefetchers > splits {
@@ -252,9 +233,9 @@ func (s *SessionSpec) Validate() error {
 		return fmt.Errorf("dpp: session needs a feature projection")
 	}
 	switch s.DataPlane {
-	case "", DataPlaneFramed, DataPlaneGob:
+	case "", DataPlaneFramed:
 	default:
-		return fmt.Errorf("dpp: unknown data plane %q (want %s or %s)", s.DataPlane, DataPlaneFramed, DataPlaneGob)
+		return fmt.Errorf("dpp: unknown data plane %q (want %q or empty)", s.DataPlane, DataPlaneFramed)
 	}
 	if s.Unbounded && len(s.Partitions) > 0 {
 		return fmt.Errorf("dpp: an unbounded session tails the whole table; drop the Partitions filter")
@@ -302,17 +283,15 @@ type CostParams struct {
 	// LocalOptFactor divides all CPU costs when build/localized
 	// optimizations (LO) are enabled. Paper: +28% throughput.
 	LocalOptFactor float64
-	// TaxCyclesPerByte is the datacenter-tax CPU per network byte moved
-	// (TLS, Thrift) — the cost of the gob-unary data plane's
-	// reflection-driven (de)serialization, applied to all RX bytes and,
-	// under DataPlaneGob, to tensor TX bytes.
+	// TaxCyclesPerByte is the datacenter-tax CPU per storage RX byte
+	// (TLS plus Thrift-style deserialization).
 	TaxCyclesPerByte float64
-	// FramedTaxCyclesPerByte is the tax on tensor TX bytes under
-	// DataPlaneFramed: the flat-binary codec's single append pass
-	// replaces the reflective encode, leaving mostly the TLS share of
-	// the tax (§6.2 splits the tax roughly evenly between TLS and
-	// (de)serialization).
-	FramedTaxCyclesPerByte float64
+	// TxTaxCyclesPerByte is the tax per tensor TX byte. The default
+	// prices the framed stream: its flat-binary codec's single append
+	// pass leaves mostly the TLS share of the tax (§6.2 splits the tax
+	// roughly evenly between TLS and (de)serialization). A model of the
+	// paper's Thrift-era fleet sets it to TaxCyclesPerByte's 1.7.
+	TxTaxCyclesPerByte float64
 	// TLSMemAmplification multiplies memory traffic for NIC bytes
 	// (paper: TLS amplifies memory bandwidth 3x).
 	TLSMemAmplification float64
@@ -347,8 +326,8 @@ func (c CostParams) withDefaults() CostParams {
 	if c.TaxCyclesPerByte == 0 {
 		c.TaxCyclesPerByte = 1.7
 	}
-	if c.FramedTaxCyclesPerByte == 0 {
-		c.FramedTaxCyclesPerByte = 0.8
+	if c.TxTaxCyclesPerByte == 0 {
+		c.TxTaxCyclesPerByte = 0.8
 	}
 	if c.TLSMemAmplification == 0 {
 		c.TLSMemAmplification = 3.0

@@ -195,15 +195,13 @@ type Worker struct {
 	master MasterAPI
 	wh     *warehouse.Warehouse
 	spec   SessionSpec
-	graph  *transforms.Graph
-	// plan is the graph compiled into the slot-indexed execution form;
-	// nil when the graph contains ops the compiler does not know (the
-	// transform stage then falls back to the interpreter).
+	// plan is the session's op graph compiled into the slot-indexed
+	// execution form.
 	plan *transforms.Plan
 	// arena recycles decoded and transformed column buffers across the
 	// worker's splits: the fetch stage decodes stripes into arena
 	// batches, the transform plan draws output columns from it, and
-	// transformBatch releases each batch once tensors are materialized.
+	// materialize releases each batch once its tensors are built.
 	arena *dwrf.Arena
 	proj  *schema.Projection
 	// cache, when non-nil, is the node-wide content-addressed batch
@@ -212,9 +210,6 @@ type Worker struct {
 	// worker's session. Standalone workers leave it nil (uncached).
 	cache       *ware.Cache
 	cacheTenant string
-	// planFP fingerprints this session's preprocessing (compiled plan
-	// or interpreted graph); transformed-batch wares are keyed by it.
-	planFP string
 
 	mu       sync.Mutex
 	buffer   []*tensor.Batch
@@ -263,7 +258,7 @@ type Worker struct {
 
 	// Sink, when set, receives batches directly instead of the buffer
 	// (offline measurement mode). It is always invoked from a single
-	// goroutine at a time, pipelined or not.
+	// goroutine at a time.
 	Sink func(*tensor.Batch)
 
 	// Node is the hardware this worker is modelled on (default C-v1, the
@@ -279,7 +274,7 @@ type Worker struct {
 }
 
 // NewWorker registers with the master, pulls the session spec, and
-// compiles the transformation graph. The worker registers no data-plane
+// compiles the transformation plan. The worker registers no data-plane
 // endpoint; use NewWorkerWithEndpoint when clients resolve workers
 // through the master.
 func NewWorker(id string, master MasterAPI, wh *warehouse.Warehouse) (*Worker, error) {
@@ -288,7 +283,10 @@ func NewWorker(id string, master MasterAPI, wh *warehouse.Warehouse) (*Worker, e
 
 // NewWorkerWithEndpoint registers with the master, announcing the
 // data-plane address clients should fetch tensors from, pulls the
-// session spec, and compiles the transformation graph.
+// session spec, and compiles its op graph into the execution plan once
+// for the session. A graph that does not compile — an op configuration
+// Apply would reject per batch, or an op without a compiled kernel —
+// fails here.
 func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.Warehouse) (*Worker, error) {
 	spec, err := master.RegisterWorker(id, endpoint)
 	if err != nil {
@@ -299,18 +297,9 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 	if err != nil {
 		return nil, fmt.Errorf("dpp: worker %s graph: %w", id, err)
 	}
-	// Compile the preprocessing graph into the slot-indexed plan once
-	// per session. Compilation fails only for op configurations Apply
-	// would reject per batch (those keep failing identically through
-	// the interpreter) or for op implementations without a compiled
-	// kernel; either way the worker still runs, interpreted.
 	plan, err := graph.CompilePlan()
 	if err != nil {
-		plan = nil
-	}
-	planFP := graph.Fingerprint()
-	if plan != nil {
-		planFP = plan.Fingerprint()
+		return nil, fmt.Errorf("dpp: worker %s plan: %w", id, err)
 	}
 	return &Worker{
 		ID:          id,
@@ -318,11 +307,9 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		master:      master,
 		wh:          wh,
 		spec:        spec,
-		graph:       graph,
 		plan:        plan,
 		arena:       dwrf.NewArena(),
 		proj:        spec.Projection(),
-		planFP:      planFP,
 		splits:      make(map[int]*splitAcct),
 		notEmpty:    make(chan struct{}),
 		notFull:     make(chan struct{}),
@@ -347,9 +334,12 @@ type splitAcct struct {
 // Spec returns the session spec the worker pulled from the master.
 func (w *Worker) Spec() SessionSpec { return w.spec }
 
-// ProcessOneSplit fetches and fully processes one split. It returns
-// false when the master has no split to hand out (session done, nothing
-// pending, or this worker has been marked draining — see Draining).
+// ProcessOneSplit is the synchronous single-split step: it leases one
+// split and fetches, transforms and delivers it on the calling
+// goroutine, outside Run's pipeline (offline measurement and tests
+// drive it in a loop). It returns false when the master has no split to
+// hand out (session done, nothing pending, or this worker has been
+// marked draining — see Draining).
 func (w *Worker) ProcessOneSplit() (bool, error) {
 	split, splitID, ok, draining, err := w.master.NextSplit(w.ID)
 	if draining {
@@ -368,15 +358,14 @@ func (w *Worker) ProcessOneSplit() (bool, error) {
 }
 
 // processSplit runs the extract → transform → load stages for one split
-// serially (the baseline data plane) and accounts resources. The split
-// is acknowledged to the master by the consumption ledger (see
-// splitAcct), not here.
+// serially and accounts resources. The split is acknowledged to the
+// master by the consumption ledger (see splitAcct), not here.
 func (w *Worker) processSplit(split warehouse.Split, splitID int) error {
 	batch, readStats, err := w.fetchSplit(split, false)
 	if err != nil {
 		return err
 	}
-	tr, err := w.transformBatch(batch)
+	tr, err := w.transformPublish(batch, ware.WareID{})
 	if err != nil {
 		return err
 	}
@@ -440,8 +429,8 @@ func (w *Worker) finishSplit(splitID int, delivered bool) {
 }
 
 // ackConsumed records that a client irrevocably consumed a batch (an
-// in-process or gob-unary pop, a framed credit grant, or a gracefully
-// rescued stream window) and completes any split whose batches have now
+// in-process pop, a framed credit grant, or a gracefully rescued
+// stream window) and completes any split whose batches have now
 // all been consumed. Untagged batches and batches of unknown splits
 // (double acks after a requeue race) are ignored.
 func (w *Worker) ackConsumed(batches ...*tensor.Batch) {
@@ -493,10 +482,9 @@ func (w *Worker) pendingSplits() int {
 }
 
 // fetchSplit reads and decodes one split, crediting the fetch and
-// decode stage stopwatches. The pipelined data plane reads through the
-// warehouse reader cache (one footer decode per file); the sequential
-// baseline keeps the seed behaviour of opening the file per split, so
-// the paper's baseline measurements are unchanged.
+// decode stage stopwatches. Run's pipeline reads through the warehouse
+// reader cache (one footer decode per file); ProcessOneSplit opens the
+// file per split, which is part of Table 6's I/O accounting.
 func (w *Worker) fetchSplit(split warehouse.Split, cached bool) (*dwrf.Batch, dwrf.ReadStats, error) {
 	read := w.wh.ReadSplitBatchArena
 	if cached {
@@ -527,8 +515,8 @@ func (w *Worker) UseCache(c *ware.Cache, tenant string) {
 // session, any tenant — already decoded (stripe ware) or decoded and
 // transformed (xform ware) the same content under the same projection
 // and plan. Without a cache it degrades to the plain cached-reader
-// fetch. The sequential baseline never comes through here, so the
-// paper's uncached measurements are unchanged.
+// fetch. ProcessOneSplit never comes through here, so the paper's
+// uncached measurements are unchanged.
 func (w *Worker) fetchSplitThroughCache(split warehouse.Split) (fetchedSplit, error) {
 	if w.cache == nil {
 		batch, stats, err := w.fetchSplit(split, true)
@@ -540,7 +528,7 @@ func (w *Worker) fetchSplitThroughCache(split warehouse.Split) (fetchedSplit, er
 		return fetchedSplit{}, err
 	}
 	sid := ware.StripeID(r.StripeContentHash(split.Stripe), split.Path, split.Stripe, w.proj)
-	xid := ware.XformID(sid, w.planFP)
+	xid := ware.XformID(sid, w.plan.Fingerprint())
 
 	// Transformed hit: the exact batch this session's plan would
 	// produce already exists. Fetch, decode, and transform all skip;
@@ -603,69 +591,54 @@ type transformed struct {
 	txBytes int64
 }
 
-// transformBatch runs the preprocessing graph — through the compiled
-// slot-indexed plan when it compiled, the interpreter otherwise — and
-// materializes tensors, crediting the transform stage stopwatch. The
-// columnar batch is released once the tensors (which copy every value)
-// are built: for an exclusively owned batch that returns its columns to
-// the worker's arena immediately, for a shared one (cached, or a Derive
-// view over a cached stripe) it drops this consumer's reference.
-func (w *Worker) transformBatch(batch *dwrf.Batch) (transformed, error) {
-	return w.transformPublish(batch, ware.WareID{})
-}
-
-// transformPublish is transformBatch plus publication: when the fleet
-// cache is attached and xw names the transform output, the transformed
-// batch is offered to the cache before materialization — post-transform
-// nothing mutates it, so other pipelines (any session whose projection
-// and plan fingerprint match) may start reading it immediately. Whether
-// the cache accepts or refuses, this worker still holds exactly one
-// reference, consumed by the Release after materialization.
+// transformPublish runs the compiled plan over a decoded batch and
+// materializes tensors, crediting the transform stage stopwatch. When
+// the fleet cache is attached and xw names the transform output, the
+// transformed batch is offered to the cache before materialization —
+// post-transform nothing mutates it, so other pipelines (any session
+// whose projection and plan fingerprint match) may start reading it
+// immediately. Whether the cache accepts or refuses, this worker still
+// holds exactly one reference, consumed by materialize.
 func (w *Worker) transformPublish(batch *dwrf.Batch, xw ware.WareID) (transformed, error) {
 	start := time.Now()
 	defer func() { w.stageTransform.Add(time.Since(start)) }()
 
-	var xformStats transforms.Stats
-	var err error
-	if w.plan != nil {
-		xformStats, err = w.plan.Run(batch, w.arena)
-	} else {
-		xformStats, err = w.graph.Run(batch)
-	}
+	xformStats, err := w.plan.Run(batch, w.arena)
 	if err != nil {
 		return transformed{}, err
 	}
 	if w.cache != nil && !xw.IsZero() {
 		batch, _ = w.cache.Insert(xw, batch, w.cacheTenant)
 	}
-	full, err := tensor.Materialize(batch, w.spec.DenseOut, w.spec.SparseOut)
-	if err != nil {
-		return transformed{}, err
-	}
-	batch.Release()
-	batches := sliceBatches(full, w.spec.BatchSize)
-	var txBytes int64
-	for _, b := range batches {
-		txBytes += b.SizeBytes()
-	}
-	return transformed{batches: batches, xform: xformStats, rowsOut: int64(full.Rows), txBytes: txBytes}, nil
+	return w.materialize(batch, xformStats)
 }
 
 // transformFetched is the pipelined transform stage's entry point. A
-// split that hit the transformed-batch cache skips the plan entirely:
-// tensor materialization reads the shared batch (Materialize copies
-// every value and never writes the batch) and the only reference this
-// pipeline holds is released. Everything else transforms normally,
-// publishing under the split's xform ware when one was resolved.
+// split that hit the transformed-batch cache skips the plan entirely
+// and only materializes tensors from the shared batch; no plan ran, so
+// no transform cycles are accounted — that saving is the point — but
+// the rows still count as processed. Everything else transforms
+// normally, publishing under the split's xform ware when one was
+// resolved.
 func (w *Worker) transformFetched(f fetchedSplit) (transformed, error) {
 	if !f.preXformed {
 		return w.transformPublish(f.batch, f.xformWare)
 	}
 	start := time.Now()
 	defer func() { w.stageTransform.Add(time.Since(start)) }()
-	rows := f.batch.Rows
-	full, err := tensor.Materialize(f.batch, w.spec.DenseOut, w.spec.SparseOut)
-	f.batch.Release()
+	return w.materialize(f.batch, transforms.Stats{RowsIn: f.batch.Rows, RowsOut: f.batch.Rows})
+}
+
+// materialize is the tail of every transformed split: build tensors
+// from the columnar batch (Materialize copies every value and never
+// writes the batch, so a shared one is safe to read), drop this
+// pipeline's reference to the batch — an exclusively owned one returns
+// its columns to the worker's arena, a shared one (cached, or a Derive
+// view over a cached stripe) loses one reference — and slice the
+// tensors into BatchSize batches.
+func (w *Worker) materialize(batch *dwrf.Batch, xform transforms.Stats) (transformed, error) {
+	full, err := tensor.Materialize(batch, w.spec.DenseOut, w.spec.SparseOut)
+	batch.Release()
 	if err != nil {
 		return transformed{}, err
 	}
@@ -674,34 +647,19 @@ func (w *Worker) transformFetched(f fetchedSplit) (transformed, error) {
 	for _, b := range batches {
 		txBytes += b.SizeBytes()
 	}
-	// No plan ran, so no transform cycles are accounted — that saving
-	// is the point; the rows still count as processed.
-	return transformed{
-		batches: batches,
-		xform:   transforms.Stats{RowsIn: rows, RowsOut: full.Rows},
-		rowsOut: int64(full.Rows),
-		txBytes: txBytes,
-	}, nil
+	return transformed{batches: batches, xform: xform, rowsOut: int64(full.Rows), txBytes: txBytes}, nil
 }
 
 // accountSplit folds one split's read and transform statistics into the
 // worker's cumulative resource report.
 func (w *Worker) accountSplit(readStats dwrf.ReadStats, tr transformed) {
 	costs := w.spec.Costs
-	// The RX tax (storage fetch TLS + decode framing) is encoding-
-	// independent; the TX tax depends on the session's data plane: the
-	// framed codec's flat append pass replaces gob's reflective encode
-	// on every tensor byte sent to trainers.
-	txTax := costs.TaxCyclesPerByte
-	if w.spec.DataPlane == DataPlaneFramed {
-		txTax = costs.FramedTaxCyclesPerByte
-	}
 	w.mu.Lock()
 	r := &w.report
 	cpuDiv := costs.cpuDivisor()
 	r.ExtractCycles += float64(readStats.BytesDecoded) * costs.ExtractCyclesPerByte * costs.extractMultiplier() / cpuDiv
 	r.TransformCycles += tr.xform.TotalCycles() * costs.XformCycleScale / cpuDiv
-	r.TaxCycles += float64(readStats.BytesRead)*costs.TaxCyclesPerByte + float64(tr.txBytes)*txTax
+	r.TaxCycles += float64(readStats.BytesRead)*costs.TaxCyclesPerByte + float64(tr.txBytes)*costs.TxTaxCyclesPerByte
 	r.MemExtract += float64(readStats.BytesDecoded) * costs.ExtractMemBytesPerByte * costs.extractMultiplier()
 	r.MemTransform += tr.xform.MemBytes * costs.XformCycleScale
 	r.MemNetRX += float64(readStats.BytesRead) * costs.TLSMemAmplification
@@ -817,10 +775,9 @@ func (w *Worker) GetBatch() (*tensor.Batch, bool) {
 
 // TryGetBatch pops a buffered batch without blocking. done=true means
 // the worker has finished and drained. The pop is NOT a consumption
-// acknowledgement: transports that can still lose the batch (a framed
-// stream's in-flight window) ack later, while direct local consumers
-// (GetBatch, LocalWorkerAPI, the gob Fetch handler) ack immediately
-// after the pop. A crashed worker serves nothing and never reports
+// acknowledgement: the framed stream, which can still lose the batch
+// from its in-flight window, acks later, while direct local consumers
+// (GetBatch, LocalWorkerAPI) ack immediately after the pop. A crashed worker serves nothing and never reports
 // done — it is simply unreachable, like a dead process.
 func (w *Worker) TryGetBatch() (b *tensor.Batch, ok, done bool) {
 	w.mu.Lock()
@@ -913,8 +870,7 @@ func (w *Worker) setDraining() {
 
 // Crash is the fault-injection hook: it kills the worker as a process
 // death would, with no drain and no deregistration. The data plane goes
-// dark immediately (framed streams sever, gob fetches error, the buffer
-// stops serving), heartbeats stop as soon as Run unwinds, and nothing is
+// dark immediately (streams sever, the buffer stops serving), heartbeats stop as soon as Run unwinds, and nothing is
 // acknowledged or handed off — the master discovers the death through
 // ReapDead's heartbeat staleness, requeues the leases of every split the
 // crashed worker had not fully delivered, and the session re-runs them
@@ -974,10 +930,7 @@ const busyFracWindow = 200 * time.Microsecond
 // normalized by the number of stage goroutines.
 func (w *Worker) busyFrac() float64 {
 	busy := w.stageFetch.Busy() + w.stageDecode.Busy() + w.stageTransform.Busy()
-	parallel := 1.0
-	if !w.spec.Pipeline.Sequential {
-		parallel = float64(w.spec.Pipeline.Prefetchers + w.spec.Pipeline.TransformParallelism)
-	}
+	parallel := float64(w.spec.Pipeline.Prefetchers + w.spec.Pipeline.TransformParallelism)
 	now := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -999,7 +952,7 @@ func (w *Worker) busyFrac() float64 {
 // Stats assembles a utilization snapshot: saturation-relative modelled
 // utilizations plus buffer occupancy and the live busy fraction. It
 // does NOT consume the BusyFrac/MinBuffered measurement windows, so
-// external pollers (the Worker.Stats RPC, tests) can call it freely
+// external pollers (the fleet aggregate, tests) can call it freely
 // without corrupting the signals the auto-scaler keys on; only the
 // worker's own heartbeat paths sample-and-reset via heartbeatStats.
 func (w *Worker) Stats() WorkerStats { return w.stats(false) }
@@ -1072,19 +1025,16 @@ func (w *Worker) finish() {
 // master marks this worker draining (the auto-scaler shrinking the
 // pool), or stop is closed. In-flight splits are always delivered before
 // Run returns; buffered batches remain fetchable afterwards — follow
-// with Retire to serve them out and deregister. By default the data
-// plane runs pipelined (fetch, transform, and deliver overlap);
-// SessionSpec.Pipeline.Sequential restores the serial baseline loop. Heartbeats are sent after every split, plus a
-// background liveness tick so a worker stalled on a slow trainer is
-// neither reaped nor has its in-flight leases requeued.
+// with Retire to serve them out and deregister. Fetch, transform, and
+// deliver run as overlapped stages (pipeline.go). Heartbeats are sent
+// after every split, plus a background liveness tick so a worker
+// stalled on a slow trainer is neither reaped nor has its in-flight
+// leases requeued.
 func (w *Worker) Run(stop <-chan struct{}) error {
 	defer w.finish()
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	go w.heartbeatLoop(hbStop)
-	if w.spec.Pipeline.Sequential {
-		return w.runSequential(stop)
-	}
 	return w.runPipelined(stop)
 }
 
@@ -1149,42 +1099,6 @@ func isDisownedErr(err error) bool {
 	return strings.Contains(msg, "unregistered worker") ||
 		strings.Contains(msg, "unknown session") ||
 		strings.Contains(msg, "session closed")
-}
-
-// runSequential is the strictly serial data plane: one split is fetched,
-// decoded, transformed, and delivered before the next begins — the stall
-// pattern the pipeline removes.
-func (w *Worker) runSequential(stop <-chan struct{}) error {
-	for {
-		select {
-		case <-stop:
-			return nil
-		case <-w.crashCh:
-			return nil
-		default:
-		}
-		processed, err := w.ProcessOneSplit()
-		if err != nil {
-			return err
-		}
-		if err := w.master.Heartbeat(w.ID, w.heartbeatStats()); err != nil {
-			return err
-		}
-		if processed {
-			continue
-		}
-		if w.Draining() {
-			return nil
-		}
-		done, err := w.master.Done()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // Retire serves the worker's remaining buffered batches until consumers

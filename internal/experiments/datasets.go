@@ -220,6 +220,9 @@ func (d *BuiltDataset) BuildSession(jobSeed int64, read dwrf.ReadOptions, costs 
 	// per-thread resident set throttles memory-capacity-bound models.
 	costs.XformCycleScale = d.Profile.XformCyclesPerValue / 260
 	costs.ThreadResidentGB = d.Profile.WorkerResidentGBPerThread
+	// The paper's fleet sends tensors over Thrift: TX bytes pay the same
+	// tax as RX bytes, not the framed stream's lower default.
+	costs.TxTaxCyclesPerByte = 1.7
 	return dpp.SessionSpec{
 		Table:     d.Profile.Name,
 		Features:  proj.IDs(),
