@@ -409,31 +409,39 @@ func BenchmarkDPPPipelinedSession(b *testing.B) {
 }
 
 // benchOrchestratedSession drives a full session through the closed
-// control loop: the Orchestrator owns the pool between the given
-// bounds, a session client resolves membership from the master, and
-// every batch flows trainer-side. Reports batches/sec.
+// control loop: a one-session Service, the Orchestrator owning its fleet
+// between the given bounds, a tenant client resolving membership from
+// the session's master, and every batch flowing trainer-side. Each
+// iteration stands the whole service up and tears it down. Reports
+// batches/sec.
 func benchOrchestratedSession(b *testing.B, minWorkers, maxWorkers int) {
 	b.Helper()
 	wh, _, _ := benchDataset(b, true)
 	spec := benchSessionSpec(dpp.PipelineOptions{Prefetchers: 1, TransformParallelism: 1})
 	spec.BatchSize = 32 // more batches so the control loop has a session to steer
+	const sessionID = "bench"
 	var batches int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := dpp.NewMaster(wh, spec)
-		if err != nil {
+		svc := dpp.NewService(wh)
+		if err := svc.CreateSession(sessionID, spec); err != nil {
 			b.Fatal(err)
 		}
-		launcher := &dpp.InProcessLauncher{
-			Master: m,
-			WH:     wh,
-			Tune:   func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
+		launcher := &dpp.InProcessFleetLauncher{
+			Service:        svc,
+			WH:             wh,
+			HeartbeatEvery: time.Millisecond,
+			Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
+			// A lone session reads each stripe once; there is nothing for
+			// a batch cache to serve.
+			CacheBytes: -1,
 		}
-		o := dpp.NewOrchestrator(m, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
+		o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
 		o.ScaleInterval = 500 * time.Microsecond
+		stop := make(chan struct{})
 		runDone := make(chan error, 1)
-		go func() { runDone <- o.Run(nil) }()
-		client, err := dpp.NewSessionClient(m, launcher.Dial, 0, 0)
+		go func() { runDone <- o.Run(stop) }()
+		client, err := dpp.NewTenantClient(svc, sessionID, launcher.SessionDialer(sessionID), 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -449,6 +457,7 @@ func benchOrchestratedSession(b *testing.B, minWorkers, maxWorkers int) {
 			_ = bb
 			batches++
 		}
+		close(stop)
 		if err := <-runDone; err != nil {
 			b.Fatal(err)
 		}

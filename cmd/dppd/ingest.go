@@ -1,9 +1,7 @@
 package main
 
 import (
-	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"dsi/internal/datagen"
@@ -18,13 +16,14 @@ import (
 	"dsi/internal/warehouse"
 )
 
-// runIngest hosts the closed streaming loop in one process: a serving
-// simulator logs feature/event pairs into Scribe, a continuously running
-// ETL joins them and seals DWRF partitions into an unbounded table, and
-// an unbounded training session tails the table live over TCP loopback —
-// the master discovering partitions as they seal, the session ending
-// only when the producer closes the stream. Prints the session's
-// event-time→trainer freshness accounting at the end.
+// runIngestDemo hosts the closed streaming loop in one process: a
+// serving simulator logs feature/event pairs into Scribe, a continuously
+// running ETL joins them and seals DWRF partitions into an unbounded
+// table, and an unbounded training session — the one session of a
+// Service — tails the table live over TCP loopback, its master
+// discovering partitions as they seal, the session ending only when the
+// producer closes the stream. Prints the session's event-time→trainer
+// freshness accounting at the end.
 func runIngestDemo(model string, seed int64, requests, partitionRows int, writeFaultSeed int64) {
 	p, err := datagen.ProfileByName(model)
 	if err != nil {
@@ -116,73 +115,52 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, writeF
 		BatchSize: 64,
 		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
 	}
-	m, err := dpp.NewMaster(wh, session)
+	const sessionID = "ingest"
+	svc := dpp.NewService(wh)
+	if err := svc.CreateSession(sessionID, session); err != nil {
+		log.Fatal(err)
+	}
+	m, err := svc.Master(sessionID)
 	if err != nil {
 		log.Fatal(err)
 	}
 	baseline := len(m.DiscoveredPartitions())
-	mln, stopM, err := dpp.ServeMaster(m, "127.0.0.1:0")
+	ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopM()
-	log.Printf("dppd ingest: unbounded session on %s, %d partitions visible at start", mln.Addr(), baseline)
+	defer stopService()
+	log.Printf("dppd ingest: unbounded session on %s, %d partitions visible at start", ln.Addr(), baseline)
 
-	var workers sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		remote, err := dpp.DialMaster(mln.Addr().String())
-		if err != nil {
-			log.Fatal(err)
-		}
-		w, stopW, err := dpp.ListenAndServeWorker(fmt.Sprintf("ingest-w%d", i), "127.0.0.1:0", remote, wh, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		workers.Add(1)
-		go func(w *dpp.Worker, stopW func(), remote *dpp.RemoteMaster) {
-			defer workers.Done()
-			defer remote.Close()
-			defer stopW()
-			if err := w.Run(nil); err != nil {
-				log.Fatal(err)
-			}
-			if err := w.Retire(nil); err != nil {
-				log.Printf("dppd ingest: retire %s: %v", w.ID, err)
-			}
-		}(w, stopW, remote)
-	}
+	// A fixed fleet of two TCP workers tails the session.
+	o := newFleetLoop(svc, ln.Addr().String(), wh, 2, 2, 50*time.Millisecond, "dppd ingest")
+	stopRun := make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() { runDone <- o.Run(stopRun) }()
 
-	remote, err := dpp.DialMaster(mln.Addr().String())
+	rs, err := dpp.DialService(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer remote.Close()
-	client, err := dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
+	defer rs.Close()
+	client, err := dpp.NewTenantClient(rs, sessionID, dpp.SessionWorkerDialer(sessionID), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	client.RefreshEvery = 5 * time.Millisecond
 
-	var rows int64
 	start := time.Now()
-	for {
-		b, ok, err := client.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows += int64(b.Rows)
-		b.Release()
-	}
+	rows := consume(client)
 	if err := <-producerDone; err != nil {
 		log.Fatal(err)
 	}
 	if err := <-etlDone; err != nil {
 		log.Fatal(err)
 	}
-	workers.Wait()
+	close(stopRun)
+	if err := <-runDone; err != nil {
+		log.Fatal(err)
+	}
 
 	discovered := m.DiscoveredPartitions()
 	fs := m.Freshness()

@@ -1,37 +1,41 @@
 // Command dppd runs DPP components as networked processes over TCP,
-// demonstrating the disaggregated deployment of §3.2.1: a Master serving
-// splits, stateless Workers preprocessing them, and a Client (standing in
-// for a trainer) consuming tensors.
+// demonstrating the disaggregated deployment of §3.2.1: a Service
+// hosting one Master per training session, a shared fleet of stateless
+// session-aware workers preprocessing their splits, and Clients
+// (standing in for trainers) consuming tensors.
 //
-// The master role can run the closed scaling loop itself: with
-// -max-workers set it hosts an Orchestrator that elastically launches
-// and drains RPC-served workers to track trainer demand. Clients resolve
-// the live worker membership from the master (-master), so connections
-// rebalance as the pool resizes; a static -workers list remains
-// supported for manually operated fleets.
+// There is one deployment. The master role hosts the Service with
+// -sessions pre-created sessions s1..sN (one by default) and runs the
+// closed scaling loop itself: an Orchestrator elastically launches and
+// drains RPC-served fleet workers between -min-workers and -max-workers
+// to track trainer demand, dividing the fleet among sessions by
+// weighted fair share. The worker role is a manually started fleet
+// worker: it registers with the same service and is assigned sessions
+// alongside the launched ones (with -max-workers 0 the master launches
+// none, and such workers are the whole fleet). The client role joins
+// one session (-session, s1 by default), resolving the live worker
+// membership from the master so connections rebalance as the pool
+// resizes; a static -workers list remains supported for manually
+// operated fleets. The submit role registers a new session over RPC
+// (its -weight is its fleet share), consumes it like a trainer, and
+// closes it on completion.
 //
 // Because the module is self-contained and offline, every role
 // regenerates the same deterministic synthetic dataset locally (seeded by
 // -seed), standing in for shared access to the Tectonic cluster.
 //
-// With -sessions > 1 the master hosts the multi-tenant Service: one
-// shared elastic fleet of session-aware workers serves several
-// concurrent sessions, dividing capacity by weighted fair share. The
-// submit role registers a new session over RPC (its -weight is its
-// fleet share), consumes it like a trainer, and closes it on
-// completion; the client role joins an existing session with -session.
-//
 // Usage:
 //
 //	dppd -role master -addr :7070 -min-workers 1 -max-workers 8
-//	dppd -role worker -master localhost:7070 -addr :7071   # extra manual worker
-//	dppd -role client -master localhost:7070
+//	dppd -role worker -master localhost:7070 -addr :7071   # extra manual fleet worker
+//	dppd -role client -master localhost:7070               # joins session s1
+//	dppd -role master -max-workers 0                       # manual fleet only
 //	dppd -role client -workers localhost:7071,localhost:7072
-//	dppd -role demo            # all roles in one process, elastic pool
+//	dppd -role demo            # all roles in one process, elastic fleet
 //
-//	dppd -role master -sessions 2 -max-workers 8   # multi-tenant service
+//	dppd -role master -sessions 2 -max-workers 8   # two tenants, one fleet
 //	dppd -role submit -master localhost:7070 -session mine -weight 3
-//	dppd -role client -master localhost:7070 -session s1
+//	dppd -role client -master localhost:7070 -session s2
 //	dppd -role demo -sessions 3 -max-workers 5     # 3 tenants, one fleet
 //
 //	dppd -role ingest -requests 8192               # streaming Scribe->ETL->session loop
@@ -63,30 +67,30 @@ import (
 )
 
 func main() {
-	role := flag.String("role", "demo", "master | worker | client | demo | ingest")
+	role := flag.String("role", "demo", "master | worker | client | submit | demo | ingest")
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address (master/worker)")
 	masterAddr := flag.String("master", "127.0.0.1:7070", "master address (worker/client)")
-	workerList := flag.String("workers", "", "comma-separated worker addresses (client; overrides -master resolution)")
+	workerList := flag.String("workers", "", "comma-separated fleet worker addresses (client; overrides -master resolution)")
 	model := flag.String("model", "RM1", "workload profile: RM1, RM2, or RM3")
 	seed := flag.Int64("seed", 1, "dataset seed (must match across roles)")
 	id := flag.String("id", fmt.Sprintf("worker-%d", os.Getpid()), "worker ID")
 
 	// Elastic control plane knobs (master/demo roles).
 	minWorkers := flag.Int("min-workers", 1, "master/demo: lower bound of the auto-scaled pool")
-	maxWorkers := flag.Int("max-workers", 0, "master/demo: upper bound of the auto-scaled pool (0 = master does not launch workers)")
+	maxWorkers := flag.Int("max-workers", 4, "master/demo: upper bound of the auto-scaled pool (0 = the master launches no workers; the fleet is the -role worker processes that join)")
 	scaleInterval := flag.Duration("scale-interval", 250*time.Millisecond, "master/demo: auto-scaler control period")
 
 	// Streaming ingestion knobs (ingest role).
 	requests := flag.Int("requests", 4096, "ingest: serving requests to stream through Scribe->ETL before closing the stream")
 	partRows := flag.Int("partition-rows", 512, "ingest: ETL partition seal threshold in rows")
 
-	// Multi-tenant knobs.
-	sessions := flag.Int("sessions", 1, "master/demo: number of pre-created sessions (>1 hosts the multi-tenant service; demo tenants get weights 1..N)")
-	sessionID := flag.String("session", "", "client/submit: session to consume (submit default: job-<pid>)")
+	// Session knobs.
+	sessions := flag.Int("sessions", 1, "master/demo: number of pre-created sessions s1..sN (demo tenants get weights 1..N)")
+	sessionID := flag.String("session", "", "client/submit: session to consume (client default: s1; submit default: job-<pid>)")
 	weight := flag.Float64("weight", 1, "submit: the session's weighted fair share of the fleet")
 
-	// Pipeline knobs. Master and demo roles only: workers pull the
-	// session spec, pipeline sizing included, from the master at
+	// Pipeline knobs. Master, submit and demo roles only: workers pull
+	// each session's spec, pipeline sizing included, from its master at
 	// registration, so setting these on -role worker has no effect.
 	prefetchers := flag.Int("prefetchers", 0, "master/demo: split fetch+decode goroutines per worker (0 = default)")
 	prefetchDepth := flag.Int("prefetch-depth", 0, "master/demo: decoded splits buffered ahead of the transform stage (0 = default)")
@@ -97,7 +101,7 @@ func main() {
 	// Cache sizing knobs (the fleet batch cache and the per-warehouse
 	// reader cache share this flag family).
 	flag.Int64Var(&fleetCacheBytes, "cache-bytes", 0,
-		"master/demo: per-worker content-addressed batch cache budget in bytes (0 = default, negative = disable)")
+		"master/worker/demo/ingest: per-worker content-addressed batch cache budget in bytes (0 = default, negative = disable)")
 	flag.IntVar(&readerCacheLimit, "reader-cache", 0,
 		"max open DWRF readers cached per warehouse (0 = default)")
 
@@ -122,25 +126,23 @@ func main() {
 
 	switch *role {
 	case "master":
-		if *sessions > 1 {
-			runServiceMaster(*model, *seed, *addr, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *sessions)
-		} else {
-			runMaster(*model, *seed, *addr, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval)
-		}
+		runServiceMaster(*model, *seed, *addr, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *sessions)
 	case "worker":
 		runWorker(*model, *seed, *masterAddr, *addr, *id)
 	case "client":
+		if *sessionID == "" {
+			*sessionID = "s1"
+		}
 		runClient(*masterAddr, strings.Split(*workerList, ","), *sessionID)
 	case "submit":
 		runSubmit(*model, *seed, *masterAddr, *sessionID, *weight, pipeline, *bufferDepth)
 	case "ingest":
 		runIngestDemo(*model, *seed, *requests, *partRows, *writeFaultSeed)
 	case "demo":
-		if *sessions > 1 {
-			runServiceDemo(*model, *seed, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *sessions)
-		} else {
-			runDemo(*model, *seed, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval)
+		if *maxWorkers < 1 {
+			log.Fatal("dppd: the demo's fleet is the one it launches; -max-workers must be at least 1")
 		}
+		runServiceDemo(*model, *seed, pipeline, *bufferDepth, *minWorkers, *maxWorkers, *scaleInterval, *sessions)
 	default:
 		log.Fatalf("dppd: unknown role %q", *role)
 	}
@@ -156,9 +158,29 @@ func tenantSpec(spec dpp.SessionSpec, pipeline dpp.PipelineOptions, bufferDepth 
 	return spec
 }
 
-// runServiceMaster hosts the multi-tenant Service: n pre-created
-// sessions (s1..sN, equal weight; submit adds more at arbitrary
-// weights) over one shared elastic fleet of session-aware workers.
+// newFleetLoop assembles the elastic fleet of a Service served at
+// serviceAddr: TCP fleet workers launched over RPC, sized by the
+// auto-scaler between the bounds. who prefixes its log lines.
+func newFleetLoop(svc *dpp.Service, serviceAddr string, wh *warehouse.Warehouse, minWorkers, maxWorkers int, scaleInterval time.Duration, who string) *dpp.Orchestrator {
+	launcher := &dpp.RPCFleetLauncher{
+		ServiceAddr: serviceAddr,
+		WH:          wh,
+		CacheBytes:  fleetCacheBytes,
+		OnError: func(id string, err error) {
+			log.Printf("%s: worker %s failed: %v", who, id, err)
+		},
+	}
+	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
+	o.ScaleInterval = scaleInterval
+	o.OnError = func(err error) { log.Printf("%s: %v", who, err) }
+	return o
+}
+
+// runServiceMaster hosts the Service: n pre-created sessions (s1..sN,
+// equal weight; submit adds more at arbitrary weights) over one shared
+// elastic fleet of session-aware workers. Manually started -role worker
+// processes join the same fleet. A service outlives its sessions, so
+// the master runs until killed.
 func runServiceMaster(model string, seed int64, addr string, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, n int) {
 	wh, spec := buildWorkload(model, seed)
 	svc := dpp.NewService(wh)
@@ -173,23 +195,10 @@ func runServiceMaster(model string, seed int64, addr string, pipeline dpp.Pipeli
 		log.Fatal(err)
 	}
 	defer stop()
-	log.Printf("dppd service: %d sessions on %s", n, ln.Addr())
+	log.Printf("dppd master: %d sessions on %s", n, ln.Addr())
 
-	if maxWorkers <= 0 {
-		maxWorkers = 4
-	}
-	launcher := &dpp.RPCFleetLauncher{
-		ServiceAddr: ln.Addr().String(),
-		WH:          wh,
-		CacheBytes:  fleetCacheBytes,
-		OnError: func(id string, err error) {
-			log.Printf("dppd service: worker %s failed: %v", id, err)
-		},
-	}
-	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
-	o.ScaleInterval = scaleInterval
+	o := newFleetLoop(svc, ln.Addr().String(), wh, minWorkers, maxWorkers, scaleInterval, "dppd master")
 	o.CheckpointEvery = 10 * scaleInterval
-	o.OnError = func(err error) { log.Printf("dppd service: %v", err) }
 	go func() {
 		if err := o.Run(nil); err != nil {
 			log.Fatal(err)
@@ -204,10 +213,11 @@ func runServiceMaster(model string, seed int64, addr string, pipeline dpp.Pipeli
 		st := o.Status()
 		counts := svc.AssignmentCounts()
 		for _, info := range infos {
-			log.Printf("dppd service: session %s w=%.1f %d/%d splits, %d workers (target %d)",
+			log.Printf("dppd master: session %s w=%.1f %d/%d splits, %d workers (target %d)",
 				info.ID, info.Weight, info.Completed, info.Total, counts[info.ID], info.Target)
 		}
-		log.Printf("dppd service: fleet %d live (%d draining, peak %d)", st.Live, st.Draining, st.Peak)
+		log.Printf("dppd master: fleet %d launched live (%d draining, peak %d, %d checkpoints), assignments %v",
+			st.Live, st.Draining, st.Peak, st.Checkpoints, svc.FleetAssignments())
 	}
 }
 
@@ -241,23 +251,28 @@ func consumeSession(ctrl dpp.FleetControl, sessionID string) (rows int64, batche
 		log.Fatal(err)
 	}
 	client.RefreshEvery = 50 * time.Millisecond
+	return consume(client), client.BatchesFetched, client.BytesFetched
+}
+
+// consume trains on every batch the client delivers and returns the row
+// count.
+func consume(client *dpp.Client) (rows int64) {
 	for {
 		b, ok, err := client.Next()
 		if err != nil {
 			log.Fatal(err)
 		}
 		if !ok {
-			break
+			return rows
 		}
 		rows += int64(b.Rows)
 		b.Release()
 	}
-	return rows, client.BatchesFetched, client.BytesFetched
 }
 
-// runServiceDemo hosts the whole multi-tenant flow in one process: the
-// service, its shared elastic fleet, and n concurrent tenants with
-// weights 1..n, all over real TCP loopback.
+// runServiceDemo hosts the whole flow in one process: the service, its
+// shared elastic fleet, and n concurrent tenants with weights 1..n, all
+// over real TCP loopback.
 func runServiceDemo(model string, seed int64, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration, n int) {
 	wh, spec := buildWorkload(model, seed)
 	svc := dpp.NewService(wh)
@@ -266,49 +281,37 @@ func runServiceDemo(model string, seed int64, pipeline dpp.PipelineOptions, buff
 		log.Fatal(err)
 	}
 	defer stop()
-	if maxWorkers <= 0 {
-		maxWorkers = 4
+	if scaleInterval > 50*time.Millisecond {
+		scaleInterval = 50 * time.Millisecond // demo sessions are short
 	}
-	if minWorkers < 1 {
-		minWorkers = 1
-	}
-	launcher := &dpp.RPCFleetLauncher{
-		ServiceAddr: ln.Addr().String(),
-		WH:          wh,
-		CacheBytes:  fleetCacheBytes,
-		OnError: func(id string, err error) {
-			log.Printf("dppd demo: worker %s failed: %v", id, err)
-		},
-	}
-	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
-	o.ScaleInterval = scaleInterval
-	if o.ScaleInterval > 50*time.Millisecond {
-		o.ScaleInterval = 50 * time.Millisecond // demo sessions are short
-	}
-	o.CheckpointEvery = 2 * o.ScaleInterval
-	o.OnError = func(err error) { log.Printf("dppd demo: %v", err) }
-	stopRun := make(chan struct{})
-	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(stopRun) }()
-
 	rs, err := dpp.DialService(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rs.Close()
+	// The sessions exist before the fleet boots, so a launched worker is
+	// assigned its share at registration and starts pipelines on its
+	// first heartbeat.
+	for i := 1; i <= n; i++ {
+		if err := rs.CreateSession(fmt.Sprintf("s%d", i), tenantSpec(spec, pipeline, bufferDepth, float64(i))); err != nil {
+			log.Fatal(err)
+		}
+	}
+	o := newFleetLoop(svc, ln.Addr().String(), wh, minWorkers, maxWorkers, scaleInterval, "dppd demo")
+	o.CheckpointEvery = 2 * scaleInterval
+	stopRun := make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() { runDone <- o.Run(stopRun) }()
+
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 1; i <= n; i++ {
-		id := fmt.Sprintf("s%d", i)
-		if err := rs.CreateSession(id, tenantSpec(spec, pipeline, bufferDepth, float64(i))); err != nil {
-			log.Fatal(err)
-		}
 		wg.Add(1)
 		go func(id string, weight int) {
 			defer wg.Done()
 			rows, batches, _ := consumeSession(rs, id)
 			log.Printf("dppd demo: tenant %s (weight %d) trained on %d rows in %d batches", id, weight, rows, batches)
-		}(id, i)
+		}(fmt.Sprintf("s%d", i), i)
 	}
 	wg.Wait()
 	close(stopRun)
@@ -316,8 +319,8 @@ func runServiceDemo(model string, seed int64, pipeline dpp.PipelineOptions, buff
 		log.Fatal(err)
 	}
 	st := o.Status()
-	log.Printf("dppd demo: %d tenants shared one fleet over TCP in %v (peak %d workers, %d launched, %d drained)",
-		n, time.Since(start).Round(time.Millisecond), st.Peak, st.Launched, st.Drained)
+	log.Printf("dppd demo: %d tenants shared one fleet over TCP in %v (peak %d workers, %d launched, %d drained, %d checkpoints)",
+		n, time.Since(start).Round(time.Millisecond), st.Peak, st.Launched, st.Drained, st.Checkpoints)
 }
 
 // Cache sizing and failure-model settings, set from flags in main: the
@@ -363,110 +366,54 @@ func buildWorkload(model string, seed int64) (*warehouse.Warehouse, dpp.SessionS
 	return d, spec
 }
 
-func runMaster(model string, seed int64, addr string, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration) {
-	wh, spec := buildWorkload(model, seed)
-	spec.Pipeline = pipeline
-	if bufferDepth > 0 {
-		spec.BufferDepth = bufferDepth
-	}
-	m, err := dpp.NewMaster(wh, spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ln, stop, err := dpp.ServeMaster(m, addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stop()
-	log.Printf("dppd master: %d splits on %s", m.SplitCount(), ln.Addr())
-
-	if maxWorkers > 0 {
-		// Elastic mode: the master operates its own worker fleet over
-		// RPC, auto-scaling between the bounds. Manually started
-		// -role worker processes still join and are managed alongside.
-		launcher := &dpp.RPCLauncher{
-			MasterAddr: ln.Addr().String(),
-			WH:         wh,
-			OnError: func(id string, err error) {
-				log.Printf("dppd master: worker %s failed: %v", id, err)
-			},
-		}
-		o := dpp.NewOrchestrator(m, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
-		o.ScaleInterval = scaleInterval
-		o.CheckpointEvery = 10 * scaleInterval
-		o.OnError = func(err error) { log.Printf("dppd master: %v", err) }
-		runDone := make(chan error, 1)
-		go func() { runDone <- o.Run(nil) }()
-		for {
-			select {
-			case err := <-runDone:
-				if err != nil {
-					log.Fatal(err)
-				}
-				st := o.Status()
-				log.Printf("dppd master: session complete (peak %d workers, %d launched, %d drained, %d checkpoints)",
-					st.Peak, st.Launched, st.Drained, st.Checkpoints)
-				// Linger briefly so clients confirm completion over RPC
-				// instead of finding a closed connection.
-				time.Sleep(2 * time.Second)
-				return
-			case <-time.After(2 * time.Second):
-				completed, total := m.Progress()
-				st := o.Status()
-				log.Printf("dppd master: %d/%d splits complete, %d live workers (%d draining, peak %d)",
-					completed, total, st.Live, st.Draining, st.Peak)
-			}
-		}
-	}
-
-	// Static mode: external workers join; the master only tracks
-	// progress and reaps the dead.
-	for {
-		done, _ := m.Done()
-		completed, total := m.Progress()
-		log.Printf("dppd master: %d/%d splits complete, %d workers", completed, total, m.WorkerCount())
-		if done {
-			log.Print("dppd master: session complete")
-			return
-		}
-		m.ReapDead()
-		time.Sleep(2 * time.Second)
-	}
-}
-
+// runWorker is a manually started fleet worker: it registers with the
+// service at masterAddr, hosts a pipeline for every session the service
+// assigns it behind one data-plane listener, and exits when the service
+// drains it.
 func runWorker(model string, seed int64, masterAddr, addr, id string) {
 	wh, _ := buildWorkload(model, seed)
-	remote, err := dpp.DialMaster(masterAddr)
+	rs, err := dpp.DialService(masterAddr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer remote.Close()
-	w, stop, err := dpp.ListenAndServeWorker(id, addr, remote, wh, nil)
+	defer rs.Close()
+	fw, stop, err := dpp.ListenAndServeFleetWorker(id, addr, rs, wh, func(fw *dpp.FleetWorker) {
+		fw.CacheBytes = fleetCacheBytes
+		fw.OnError = func(session string, err error) {
+			log.Printf("dppd worker %s: session %s pipeline failed: %v", id, session, err)
+		}
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stop()
-	log.Printf("dppd worker %s: serving tensors on %s", id, w.Endpoint)
-	if err := w.Run(nil); err != nil {
+	log.Printf("dppd worker %s: serving tensors on %s", id, fw.Endpoint)
+	if err := fw.Run(nil); err != nil {
 		log.Fatal(err)
 	}
-	rep := w.Report()
-	stage := w.Stats().Stage
-	log.Printf("dppd worker %s: done, %d splits, %d rows, %d batches",
-		id, rep.SplitsDone, rep.RowsOut, rep.BatchesOut)
-	log.Printf("dppd worker %s: stage busy fetch %.3fs decode %.3fs transform %.3fs deliver %.3fs",
-		id, stage.FetchSeconds, stage.DecodeSeconds, stage.TransformSeconds, stage.DeliverSeconds)
-	// Serve until the buffer drains, then leave the session's membership
-	// so clients drop the connection cleanly.
-	if err := w.Retire(nil); err != nil {
-		log.Printf("dppd worker %s: retire: %v", id, err)
-	}
-	log.Printf("dppd worker %s: retired", id)
+	log.Printf("dppd worker %s: drained by the service, retired", id)
 }
 
+// runClient consumes one session like a trainer: over the worker
+// membership the service resolves for it, or over a static list of
+// fleet worker addresses.
 func runClient(masterAddr string, addrs []string, sessionID string) {
-	if sessionID != "" {
-		// Multi-tenant: join one session of a served Service.
+	var apis []dpp.WorkerAPI
+	for _, a := range addrs {
+		a = strings.TrimSpace(a)
+		if a == "" {
+			continue
+		}
+		rw, err := dpp.DialWorkerFramedSession(a, sessionID)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if closer, ok := rw.(interface{ Close() error }); ok {
+			defer closer.Close()
+		}
+		apis = append(apis, rw)
+	}
+	if len(apis) == 0 {
 		rs, err := dpp.DialService(masterAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -477,138 +424,11 @@ func runClient(masterAddr string, addrs []string, sessionID string) {
 		log.Printf("dppd client: consumed %d rows in %d batches (%d bytes)", rows, batches, bytes)
 		return
 	}
-	var (
-		client *dpp.Client
-		err    error
-	)
-	static := false
-	for _, a := range addrs {
-		if strings.TrimSpace(a) != "" {
-			static = true
-			break
-		}
-	}
-	if static {
-		var apis []dpp.WorkerAPI
-		for _, a := range addrs {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				continue
-			}
-			rw, err := dpp.DialWorkerFramed(a)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if closer, ok := rw.(interface{ Close() error }); ok {
-				defer closer.Close()
-			}
-			apis = append(apis, rw)
-		}
-		client, err = dpp.NewClient(apis, 0, 0)
-	} else {
-		remote, derr := dpp.DialMaster(masterAddr)
-		if derr != nil {
-			log.Fatal(derr)
-		}
-		defer remote.Close()
-		log.Printf("dppd client: resolving workers via master %s", masterAddr)
-		client, err = dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
-		if client != nil {
-			client.RefreshEvery = 50 * time.Millisecond
-		}
-	}
+	client, err := dpp.NewClient(apis, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var rows int64
-	for {
-		b, ok, err := client.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows += int64(b.Rows)
-		b.Release()
-	}
+	rows := consume(client)
 	log.Printf("dppd client: consumed %d rows in %d batches (%d bytes)",
 		rows, client.BatchesFetched, client.BytesFetched)
-}
-
-// runDemo hosts an elastic master, its orchestrated worker pool, and a
-// membership-resolving client in one process, all over real TCP
-// loopback connections.
-func runDemo(model string, seed int64, pipeline dpp.PipelineOptions, bufferDepth, minWorkers, maxWorkers int, scaleInterval time.Duration) {
-	wh, spec := buildWorkload(model, seed)
-	spec.Pipeline = pipeline
-	if bufferDepth > 0 {
-		spec.BufferDepth = bufferDepth
-	}
-	m, err := dpp.NewMaster(wh, spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mln, stopM, err := dpp.ServeMaster(m, "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopM()
-	log.Printf("dppd demo: master on %s with %d splits", mln.Addr(), m.SplitCount())
-
-	if maxWorkers <= 0 {
-		maxWorkers = 4
-	}
-	if minWorkers < 1 {
-		minWorkers = 1
-	}
-	launcher := &dpp.RPCLauncher{
-		MasterAddr: mln.Addr().String(),
-		WH:         wh,
-		OnError: func(id string, err error) {
-			log.Printf("dppd demo: worker %s failed: %v", id, err)
-		},
-	}
-	o := dpp.NewOrchestrator(m, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
-	o.ScaleInterval = scaleInterval
-	if o.ScaleInterval > 50*time.Millisecond {
-		o.ScaleInterval = 50 * time.Millisecond // demo sessions are short
-	}
-	o.CheckpointEvery = 2 * o.ScaleInterval
-	o.OnError = func(err error) { log.Printf("dppd demo: %v", err) }
-	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(nil) }()
-
-	remote, err := dpp.DialMaster(mln.Addr().String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer remote.Close()
-	client, err := dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	client.RefreshEvery = 5 * time.Millisecond
-
-	var rows int64
-	start := time.Now()
-	for {
-		b, ok, err := client.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows += int64(b.Rows)
-		b.Release()
-	}
-	if err := <-runDone; err != nil {
-		log.Fatal(err)
-	}
-	st := o.Status()
-	log.Printf("dppd demo: trained on %d rows in %d batches over TCP in %v",
-		rows, client.BatchesFetched, time.Since(start).Round(time.Millisecond))
-	log.Printf("dppd demo: elastic pool peaked at %d workers (%d launched, %d drained, %d checkpoints)",
-		st.Peak, st.Launched, st.Drained, st.Checkpoints)
 }

@@ -52,32 +52,34 @@
 // the gob-unary net/rpc plane it replaced (~3.5x per-batch latency and
 // ~99% less garbage on the standard session shape).
 //
-// The DPP control plane closes the paper's auto-scaling loop (§3.2.1):
-// a dpp.Orchestrator periodically evaluates worker heartbeats and
-// launches or drains workers through a WorkerLauncher (in-process
-// goroutines or RPC-served TCP workers), with cooldown hysteresis on a
-// virtual clock so tests drive the controller deterministically.
-// Workers register a data-plane endpoint, receive a graceful drain
-// signal, retire by serving out their buffers, and deregister; clients
-// resolve live membership from the master (dpp.NewSessionClient) and
-// rebalance connections as the pool resizes, so a session scales up and
-// back down mid-flight while delivering every row exactly once. The
-// "scaling" experiment reproduces the headline: under a mid-session
-// trainer-speed shift the auto-scaled pool achieves a lower data-stall
-// rate than a fixed minimal pool. BenchmarkDPPElasticSession compares
-// the closed loop against fixed pools at both bounds (reference run:
-// BENCH_scale.json).
-//
-// The control plane is multi-tenant, as the paper's DPP actually is: a
-// dpp.Service hosts a session registry (CreateSession / CloseSession /
-// ListSessions, in process or over RPC) above one shared elastic fleet
-// of session-aware workers. Each FleetWorker runs one pipeline per
+// The DPP control plane is one dpp.Service, multi-tenant as the paper's
+// DPP actually is: a session registry (CreateSession / RestoreSession /
+// CloseSession / ListSessions, in process or over RPC) with one Master
+// — the per-session split ledger — per session, above one shared
+// elastic fleet of session-aware workers; a single training job is a
+// Service with one session. It closes the paper's auto-scaling loop
+// (§3.2.1): a dpp.Orchestrator periodically evaluates the fleet's
+// heartbeats and launches or drains fleet workers through a
+// WorkerLauncher (in-process goroutines or RPC-served TCP workers),
+// with cooldown hysteresis on a virtual clock so tests drive the
+// controller deterministically. Each FleetWorker runs one pipeline per
 // assigned session behind a single data-plane listener that
-// demultiplexes streams by the session ID in their hello, and the same
-// Orchestrator control law runs fleet-wide: pool size tracks
-// tenant-aggregated starvation while a weighted fair-share rebalance
-// (SessionSpec.Weight, largest-remainder apportionment) keeps every
-// tenant's worker allocation within one worker of its quota.
+// demultiplexes streams by the session ID in their hello; pool size
+// tracks tenant-aggregated starvation while a weighted fair-share
+// rebalance (SessionSpec.Weight, largest-remainder apportionment) keeps
+// every tenant's worker allocation within one worker of its quota.
+// Pipelines register a data-plane endpoint with their session's
+// master, receive a graceful drain signal, retire by serving out their
+// buffers, and deregister; clients resolve live membership from the
+// session's master (dpp.NewTenantClient) and rebalance connections as
+// the pool resizes, so a session scales up and back down mid-flight
+// while delivering every row exactly once. Service.Checkpoint,
+// DecodeServiceCheckpoint and Service.RestoreSession are the failover
+// round trip. The "scaling" experiment reproduces the headline: under a
+// mid-session trainer-speed shift the auto-scaled pool achieves a lower
+// data-stall rate than a fixed minimal pool. BenchmarkDPPElasticSession
+// compares the closed loop against fixed pools at both bounds
+// (reference run: BENCH_scale.json).
 // Exactly-once delivery is hardened against non-graceful worker death:
 // splits complete at the master only when their batches are consumed
 // (not merely buffered), every batch carries (Split, Seq) provenance,

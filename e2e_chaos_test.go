@@ -247,7 +247,7 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 		HeartbeatEvery: time.Millisecond,
 		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
-	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
+	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond

@@ -29,9 +29,10 @@ type e2eFixture struct {
 }
 
 // buildE2EFixture writes a two-partition RM1-profile table and digests
-// the ground truth, mirroring the elastic e2e tests above. With tail set
-// the table is an unbounded one that starts empty and the session tails
-// it: the same rows arrive when the caller runs the fixture's publish.
+// the ground truth, for the elastic, crash and multi-tenant e2e tests.
+// With tail set the table is an unbounded one that starts empty and the
+// session tails it: the same rows arrive when the caller runs the
+// fixture's publish.
 func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, tail bool) e2eFixture {
 	t.Helper()
 	const partitions = 2
@@ -181,7 +182,7 @@ func TestEndToEndChecksumWorkerCrash(t *testing.T) {
 		HeartbeatEvery: time.Millisecond,
 		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
-	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
+	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond
@@ -320,7 +321,7 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 		HeartbeatEvery: time.Millisecond,
 		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
-	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 5))
+	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 5))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond

@@ -225,7 +225,7 @@ func TestEndToEndPipelinedSessionChecksums(t *testing.T) {
 const elasticPhase1Batches = 16
 
 // driveElasticSession plays the trainer's three phases of the elastic
-// exactly-once tests — consume while the pool grows, pause until it has
+// exactly-once test — consume while the pool grows, pause until it has
 // drained a worker, consume the rest — with the test goroutine as the
 // Orchestrator's control loop: step advances the injectable clock one
 // ScaleInterval and runs one Step, as
@@ -233,8 +233,10 @@ const elasticPhase1Batches = 16
 // thresholds are the real ones; evaluating them between the trainer's
 // batches, not on o.Run's wall-clock ticker beside it, is what keeps a
 // loaded host from spending phase 1's batches before the controller has
-// looked at a starved buffer.
-func driveElasticSession(t *testing.T, o *dpp.Orchestrator, consume func() bool) {
+// looked at a starved buffer. It returns once the session has ended and
+// every pipeline has left the session's membership on its own; the
+// fleet members stay up, as a service's do between sessions.
+func driveElasticSession(t *testing.T, o *dpp.Orchestrator, m *dpp.Master, consume func() bool) {
 	t.Helper()
 	step := func() {
 		t.Helper()
@@ -276,303 +278,128 @@ func driveElasticSession(t *testing.T, o *dpp.Orchestrator, consume func() bool)
 	for consume() {
 		step()
 	}
-	await("orchestrator did not finish", 120*time.Second, o.Finished)
+	if done, err := m.Done(); err != nil || !done {
+		t.Fatalf("trainer saw the end of a session whose master reports done=%v err=%v", done, err)
+	}
+	await("pipelines did not retire from the finished session", 120*time.Second, func() bool {
+		eps, err := m.ListWorkers()
+		return err == nil && len(eps) == 0
+	})
 }
 
 // TestEndToEndElasticSessionChecksums drives a full session through the
-// closed scaling loop: the Orchestrator owns the worker pool, the
-// trainer-side client resolves membership from the master, and the test
-// only modulates consumption speed. A fast-consuming trainer starves the
-// pool (the Orchestrator scales up), a pause oversupplies it (the
-// Orchestrator drains workers back down and they deregister), and the
-// trainer still receives every generated row exactly once — asserted by
-// row counts and order-independent feature checksums as in the pipelined
-// e2e test above.
+// closed scaling loop: a one-session Service, the Orchestrator owning
+// its fleet, a tenant client resolving membership from the session's
+// master, and the test only modulating consumption speed. A
+// fast-consuming trainer starves the pool (the Orchestrator scales up),
+// a pause oversupplies it (the Orchestrator drains workers back down and
+// they deregister), and the trainer still receives every generated row
+// exactly once — asserted by row counts and order-independent feature
+// checksums as in the pipelined e2e test above. It runs once with the
+// fleet in process and once over TCP: the service serves RPC on real
+// loopback, the launcher starts TCP fleet workers, and the client
+// streams length-prefixed batch frames with credit flow control, so
+// worker deregistration and the client's window-rescue on connection
+// removal must preserve exactly-once delivery too.
 func TestEndToEndElasticSessionChecksums(t *testing.T) {
-	const (
-		partitions  = 2
-		rowsPerPart = 1536
-		batchSize   = 16
-	)
-	p, err := datagen.ProfileByName("RM1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := p.Scale(0.01, partitions, rowsPerPart)
-	gen := datagen.NewGenerator(spec, 11)
-
-	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 4, Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wh := warehouse.New(cluster)
-	tbl, err := wh.CreateTable("e2e-elastic", spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	denseA, denseB := schema.FeatureID(1), schema.FeatureID(2)
-	sparseA := schema.FeatureID(spec.DenseFeats + 1)
-	sparseB := schema.FeatureID(spec.DenseFeats + 2)
-	const (
-		hashedOut = schema.FeatureID(1 << 20)
-		hashMax   = int64(1) << 16
-	)
-
-	want := tensor.NewContentSum()
-	for part := 0; part < partitions; part++ {
-		pw, err := tbl.NewPartition(fmt.Sprintf("2026-07-%02d", part+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rowsPerPart; i++ {
-			s := gen.Sample()
-			if err := pw.WriteRow(s); err != nil {
+	const sessionID = "job"
+	tune := func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond }
+	transports := []struct {
+		name  string
+		table string
+		seed  int64
+		// fleet returns the launcher plus the control plane and dialer
+		// the tenant reaches the session through.
+		fleet func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer)
+	}{
+		{"inprocess", "e2e-elastic", 11, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
+			launcher := &dpp.InProcessFleetLauncher{Service: svc, WH: fx.wh, HeartbeatEvery: time.Millisecond, Tune: tune}
+			return launcher, svc, launcher.SessionDialer(sessionID)
+		}},
+		{"framed", "e2e-framed", 13, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
+			ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
+			if err != nil {
 				t.Fatal(err)
 			}
-			want.Rows++
-			want.AddLabel(s.Label)
-			want.AddDense(denseA, s.DenseFeatures[denseA])
-			want.AddDense(denseB, s.DenseFeatures[denseB])
-			want.AddSparse(sparseA, s.SparseFeatures[sparseA])
-			want.AddSparse(sparseB, s.SparseFeatures[sparseB])
-		}
-		if err := pw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	session := dpp.SessionSpec{
-		Table:    "e2e-elastic",
-		Features: []schema.FeatureID{denseA, denseB, sparseA, sparseB},
-		Ops: []transforms.Op{
-			&transforms.SigridHash{In: sparseA, Out: hashedOut, Salt: 3, MaxValue: hashMax},
-		},
-		DenseOut:  []schema.FeatureID{denseA, denseB},
-		SparseOut: []schema.FeatureID{sparseA, sparseB, hashedOut},
-		BatchSize: batchSize,
-		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-	}
-	m, err := dpp.NewMaster(wh, session)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	launcher := &dpp.InProcessLauncher{
-		Master: m,
-		WH:     wh,
-		Tune:   func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
-	}
-	o := dpp.NewOrchestrator(m, launcher, dpp.NewAutoScaler(1, 4))
-	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
-	o.ScaleDownCooldown = 3 * time.Millisecond
-	o.CheckpointEvery = 10 * time.Millisecond
-
-	client, err := dpp.NewSessionClient(m, launcher.Dial, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.RefreshEvery = 500 * time.Microsecond
-
-	got := tensor.NewContentSum()
-	batches := 0
-	consume := func() bool {
-		b, ok, err := client.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return false
-		}
-		if b.Rows > batchSize {
-			t.Fatalf("batch of %d rows exceeds batch size %d", b.Rows, batchSize)
-		}
-		batches++
-		got.AddBatch(b)
-		return true
-	}
-
-	driveElasticSession(t, o, consume)
-
-	st := o.Status()
-	if st.Peak < 2 {
-		t.Fatalf("pool never scaled up: %+v", st)
-	}
-	if st.Drained == 0 {
-		t.Fatalf("pool never drained back down: %+v", st)
-	}
-	if st.Live != 0 {
-		t.Fatalf("workers still tracked after completion: %+v", st)
-	}
-	eps, err := m.ListWorkers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eps) != 0 {
-		t.Fatalf("drained workers leaked in master membership: %+v", eps)
-	}
-
-	if got.Rows != int64(partitions*rowsPerPart) {
-		t.Fatalf("trainer consumed %d rows, want %d", got.Rows, partitions*rowsPerPart)
-	}
-	// Drop the transformed output from the delivered digest: the
-	// ground-truth digest covers the raw passthrough features.
-	delete(got.Sparse, hashedOut)
-	delete(got.Counts, hashedOut)
-	if !got.Equal(want) {
-		t.Fatalf("content checksums diverge across elastic churn:\n got %+v\nwant %+v", got, want)
-	}
-	if batches == 0 {
-		t.Fatal("no batches delivered")
-	}
-}
-
-// TestEndToEndElasticSessionChecksumsFramed is the elastic exactly-once
-// test over TCP: the master serves RPC over real loopback, the
-// Orchestrator launches TCP workers (RPCLauncher), and the trainer-side
-// client streams length-prefixed batch frames with credit flow control.
-// Scale-up, drain-down, worker deregistration, and the client's
-// window-rescue on connection removal must all preserve exactly-once
-// delivery — asserted by row counts and order-independent feature
-// checksums.
-func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
-	const (
-		partitions  = 2
-		rowsPerPart = 1536
-		batchSize   = 16
-	)
-	p, err := datagen.ProfileByName("RM1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := p.Scale(0.01, partitions, rowsPerPart)
-	gen := datagen.NewGenerator(spec, 13)
-
-	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 4, Replication: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wh := warehouse.New(cluster)
-	tbl, err := wh.CreateTable("e2e-framed", spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	denseA, denseB := schema.FeatureID(1), schema.FeatureID(2)
-	sparseA := schema.FeatureID(spec.DenseFeats + 1)
-	sparseB := schema.FeatureID(spec.DenseFeats + 2)
-	const (
-		hashedOut = schema.FeatureID(1 << 20)
-		hashMax   = int64(1) << 16
-	)
-
-	want := tensor.NewContentSum()
-	for part := 0; part < partitions; part++ {
-		pw, err := tbl.NewPartition(fmt.Sprintf("2026-07-%02d", part+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rowsPerPart; i++ {
-			s := gen.Sample()
-			if err := pw.WriteRow(s); err != nil {
+			t.Cleanup(stopService)
+			launcher := &dpp.RPCFleetLauncher{
+				ServiceAddr:    ln.Addr().String(),
+				WH:             fx.wh,
+				HeartbeatEvery: time.Millisecond,
+				Tune:           tune,
+				OnError:        func(id string, err error) { t.Errorf("worker %s: %v", id, err) },
+			}
+			rs, err := dpp.DialService(ln.Addr().String())
+			if err != nil {
 				t.Fatal(err)
 			}
-			want.Rows++
-			want.AddLabel(s.Label)
-			want.AddDense(denseA, s.DenseFeatures[denseA])
-			want.AddDense(denseB, s.DenseFeatures[denseB])
-			want.AddSparse(sparseA, s.SparseFeatures[sparseA])
-			want.AddSparse(sparseB, s.SparseFeatures[sparseB])
-		}
-		if err := pw.Close(); err != nil {
-			t.Fatal(err)
-		}
+			t.Cleanup(func() { rs.Close() })
+			return launcher, rs, dpp.SessionWorkerDialer(sessionID)
+		}},
 	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			fx := buildE2EFixture(t, tr.table, tr.seed, 1536, false)
+			svc := dpp.NewService(fx.wh)
+			if err := svc.CreateSession(sessionID, fx.session); err != nil {
+				t.Fatal(err)
+			}
+			m, err := svc.Master(sessionID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launcher, ctrl, dial := tr.fleet(t, fx, svc)
+			o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 4))
+			o.ScaleInterval = time.Millisecond
+			o.ScaleUpCooldown = time.Millisecond
+			o.ScaleDownCooldown = 3 * time.Millisecond
+			o.CheckpointEvery = 10 * time.Millisecond
+			defer o.StopAll()
 
-	session := dpp.SessionSpec{
-		Table:    "e2e-framed",
-		Features: []schema.FeatureID{denseA, denseB, sparseA, sparseB},
-		Ops: []transforms.Op{
-			&transforms.SigridHash{In: sparseA, Out: hashedOut, Salt: 3, MaxValue: hashMax},
-		},
-		DenseOut:  []schema.FeatureID{denseA, denseB},
-		SparseOut: []schema.FeatureID{sparseA, sparseB, hashedOut},
-		BatchSize: batchSize,
-		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-	}
-	m, err := dpp.NewMaster(wh, session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mln, stopMaster, err := dpp.ServeMaster(m, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopMaster()
+			client, err := dpp.NewTenantClient(ctrl, sessionID, dial, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.RefreshEvery = 500 * time.Microsecond
 
-	launcher := &dpp.RPCLauncher{
-		MasterAddr: mln.Addr().String(),
-		WH:         wh,
-		Tune:       func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
-		OnError:    func(id string, err error) { t.Errorf("worker %s: %v", id, err) },
-	}
-	o := dpp.NewOrchestrator(m, launcher, dpp.NewAutoScaler(1, 4))
-	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
-	o.ScaleDownCooldown = 3 * time.Millisecond
-	o.CheckpointEvery = 10 * time.Millisecond
-	remote, err := dpp.DialMaster(mln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	client, err := dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.RefreshEvery = 500 * time.Microsecond
+			got := tensor.NewContentSum()
+			consume := func() bool {
+				b, ok, err := client.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return false
+				}
+				if b.Rows > fx.session.BatchSize {
+					t.Fatalf("batch of %d rows exceeds batch size %d", b.Rows, fx.session.BatchSize)
+				}
+				got.AddBatch(b)
+				b.Release() // recycles streamed tensors; a no-op in process
+				return true
+			}
 
-	got := tensor.NewContentSum()
-	consume := func() bool {
-		b, ok, err := client.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return false
-		}
-		if b.Rows > batchSize {
-			t.Fatalf("batch of %d rows exceeds batch size %d", b.Rows, batchSize)
-		}
-		got.AddBatch(b)
-		b.Release()
-		return true
-	}
+			driveElasticSession(t, o, m, consume)
 
-	driveElasticSession(t, o, consume)
-
-	st := o.Status()
-	if st.Peak < 2 {
-		t.Fatalf("pool never scaled up: %+v", st)
-	}
-	if st.Drained == 0 {
-		t.Fatalf("pool never drained back down: %+v", st)
-	}
-	eps, err := m.ListWorkers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eps) != 0 {
-		t.Fatalf("drained workers leaked in master membership: %+v", eps)
-	}
-
-	if got.Rows != int64(partitions*rowsPerPart) {
-		t.Fatalf("trainer consumed %d rows over framed streams, want %d", got.Rows, partitions*rowsPerPart)
-	}
-	delete(got.Sparse, hashedOut)
-	delete(got.Counts, hashedOut)
-	if !got.Equal(want) {
-		t.Fatalf("content checksums diverge across elastic churn on the framed plane:\n got %+v\nwant %+v", got, want)
+			st := o.Status()
+			if st.Peak < 2 {
+				t.Fatalf("pool never scaled up: %+v", st)
+			}
+			if st.Drained == 0 {
+				t.Fatalf("pool never drained back down: %+v", st)
+			}
+			// Shutting the service's fleet down leaves nothing behind.
+			o.StopAll()
+			if st := o.Status(); st.Live != 0 {
+				t.Fatalf("workers still tracked after StopAll: %+v", st)
+			}
+			if assigned := svc.FleetAssignments(); len(assigned) != 0 {
+				t.Fatalf("fleet members still registered after StopAll: %v", assigned)
+			}
+			if eps, err := m.ListWorkers(); err != nil || len(eps) != 0 {
+				t.Fatalf("workers leaked in the session's membership: %+v (%v)", eps, err)
+			}
+			assertExactDelivery(t, fx, got, "trainer")
+		})
 	}
 }

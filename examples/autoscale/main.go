@@ -1,9 +1,10 @@
-// Autoscale: demonstrates the DPP Master's closed scaling loop — the
-// Orchestrator bootstraps the worker pool, a fast-consuming trainer
-// starves it so the auto-scaler grows it, a mid-session trainer slowdown
-// oversupplies it so workers are drained, retired, and deregistered, and
-// the periodically-checkpointed reader state restores a replica master.
-// The session still delivers every row exactly once through all of it.
+// Autoscale: demonstrates the DPP service's closed scaling loop over a
+// one-session Service — the Orchestrator bootstraps the worker fleet, a
+// fast-consuming trainer starves it so the auto-scaler grows it, a
+// mid-session trainer slowdown oversupplies it so workers are drained,
+// retired, and deregistered, and the periodically-checkpointed reader
+// state restores the session into a replica service. The session still
+// delivers every row exactly once through all of it.
 package main
 
 import (
@@ -63,32 +64,39 @@ func main() {
 		BatchSize: 32,
 		Read:      dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true},
 	}
-	master, err := dpp.NewMaster(wh, session)
+	const sessionID = "job"
+	svc := dpp.NewService(wh)
+	if err := svc.CreateSession(sessionID, session); err != nil {
+		log.Fatal(err)
+	}
+	master, err := svc.Master(sessionID)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("session planned: %d splits over %d rows\n", master.SplitCount(), totalRows)
 
-	// The closed loop: the Orchestrator owns the pool end to end —
+	// The closed loop: the Orchestrator owns the fleet end to end —
 	// evaluate stats, launch and drain workers, reap the retired, take
 	// periodic reader-state checkpoints.
-	launcher := &dpp.InProcessLauncher{
-		Master: master,
-		WH:     wh,
-		Tune:   func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
+	launcher := &dpp.InProcessFleetLauncher{
+		Service:        svc,
+		WH:             wh,
+		HeartbeatEvery: time.Millisecond,
+		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
-	orch := dpp.NewOrchestrator(master, launcher, dpp.NewAutoScaler(1, 6))
+	orch := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 6))
 	orch.OnError = func(err error) { log.Print(err) }
 	orch.ScaleInterval = time.Millisecond
 	orch.ScaleUpCooldown = time.Millisecond
 	orch.ScaleDownCooldown = 3 * time.Millisecond
 	orch.CheckpointEvery = 5 * time.Millisecond
+	stop := make(chan struct{})
 	runDone := make(chan error, 1)
-	go func() { runDone <- orch.Run(nil) }()
+	go func() { runDone <- orch.Run(stop) }()
 
-	// The trainer resolves worker membership from the master, so its
-	// connections rebalance as the pool grows and shrinks.
-	client, err := dpp.NewSessionClient(master, launcher.Dial, 0, 0)
+	// The trainer resolves worker membership from the session's master,
+	// so its connections rebalance as the pool grows and shrinks.
+	client, err := dpp.NewTenantClient(svc, sessionID, launcher.SessionDialer(sessionID), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,6 +138,8 @@ func main() {
 	// Phase 3: consume the rest of the session at full speed.
 	for consume() {
 	}
+	// A service outlives its sessions: stopping the loop retires the fleet.
+	close(stop)
 	if err := <-runDone; err != nil {
 		log.Fatal(err)
 	}
@@ -138,21 +148,23 @@ func main() {
 	fmt.Printf("pool lifecycle: %d launched, peak %d, %d drained, %d checkpoints, 0 leaked (live=%d)\n",
 		st.Launched, st.Peak, st.Drained, st.Checkpoints, st.Live)
 
-	// Failover: the loop's latest checkpoint restores a replica master
-	// that agrees on progress (here: the finished session).
-	ckpt := orch.LastCheckpoint()
-	if ckpt == nil {
-		// Very short sessions can finish inside the first checkpoint
-		// period; take one directly.
-		if ckpt, err = master.Checkpoint(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	replica, err := dpp.RestoreMaster(wh, session, ckpt)
+	// Failover: the loop's latest checkpoint restores the session into a
+	// replica service that agrees on progress (here: the finished
+	// session). The loop checkpoints on its first Step, so there is
+	// always one.
+	states, err := dpp.DecodeServiceCheckpoint(orch.LastCheckpoint())
 	if err != nil {
 		log.Fatal(err)
 	}
-	done, total := replica.Progress()
+	replica := dpp.NewService(wh)
+	if err := replica.RestoreSession(sessionID, session, states[sessionID]); err != nil {
+		log.Fatal(err)
+	}
+	restored, err := replica.Master(sessionID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	done, total := restored.Progress()
 	fmt.Printf("failover: replica restored from checkpoint at %d/%d splits\n", done, total)
 
 	fmt.Printf("delivered %d of %d rows across elastic churn\n", rows, totalRows)

@@ -210,7 +210,7 @@ func TestMultiTenantFleetCacheCrossSessionReuse(t *testing.T) {
 		CacheBytes:     64 << 20,
 	}
 	// A single-node fleet so both sessions land on the same cache.
-	o := NewFleetOrchestrator(svc, launcher, NewAutoScaler(1, 1))
+	o := NewOrchestrator(svc, launcher, NewAutoScaler(1, 1))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})

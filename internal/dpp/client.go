@@ -40,9 +40,9 @@ func (l localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 func LocalWorkerAPI(w *Worker) WorkerAPI { return localWorker{w} }
 
 // WorkerDialer opens a data-plane connection to one resolved worker.
-// DialWorkerEndpointFramed and SessionWorkerDialer are the TCP
-// implementations; in-process launchers provide one that looks the
-// worker up by ID.
+// SessionWorkerDialer is the TCP implementation; the in-process fleet
+// launcher provides one that looks the worker up by ID
+// (InProcessFleetLauncher.SessionDialer).
 type WorkerDialer func(ep WorkerEndpoint) (WorkerAPI, error)
 
 // drainable is implemented by transports that prefetch batches ahead of

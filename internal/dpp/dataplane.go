@@ -46,9 +46,9 @@ import (
 //	client grant : u32 credit delta (any time after the hello)
 //
 // The session ID routes the stream to one pipeline behind a fleet
-// worker's single listener (empty = the default session of a
-// single-session worker), and the (split, seq) tags let clients
-// deduplicate redelivery after a worker crash. A worker that does not
+// worker's single listener (empty = the one buffer a ServeWorker /
+// ServeBatchSource listener serves), and the (split, seq) tags let
+// clients deduplicate redelivery after a worker crash. A worker that does not
 // host the named session hangs up before its hello, which the dialer
 // reports as an error; Client.Refresh retries on its next pass.
 //
@@ -109,7 +109,8 @@ type BatchSource interface {
 // serves it: a fleet worker's per-session pipeline, or singleSource.
 type sourceResolver func(session string) (BatchSource, error)
 
-// singleSource serves src as the default (empty) session and no other.
+// singleSource serves src to streams that name no session, and to no
+// other.
 func singleSource(src BatchSource) sourceResolver {
 	return func(session string) (BatchSource, error) {
 		if session != "" {
@@ -452,8 +453,8 @@ type StreamWorker struct {
 	closeOnce sync.Once
 }
 
-// DialWorkerFramed opens a framed stream to a worker's data-plane
-// address for the default session.
+// DialWorkerFramed opens a framed stream to the one buffer behind a
+// ServeWorker / ServeBatchSource listener (the hello names no session).
 func DialWorkerFramed(addr string) (WorkerAPI, error) {
 	return DialWorkerFramedSession(addr, "")
 }
@@ -509,12 +510,6 @@ func openStream(conn net.Conn, session string) (_ *StreamWorker, err error) {
 	}
 	go s.readLoop()
 	return s, nil
-}
-
-// DialWorkerEndpointFramed is the WorkerDialer for TCP-served workers
-// of a single-session master.
-func DialWorkerEndpointFramed(ep WorkerEndpoint) (WorkerAPI, error) {
-	return DialWorkerFramed(ep.Endpoint)
 }
 
 // SessionWorkerDialer returns the WorkerDialer bound to one session of

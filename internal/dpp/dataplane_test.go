@@ -313,24 +313,28 @@ func TestFramedStreamRequeuesOnAbnormalDisconnect(t *testing.T) {
 }
 
 func TestRPCTransportEndToEndFramed(t *testing.T) {
-	// The full worker path over the framed plane: master over RPC,
-	// worker serving its real buffer, client streaming frames.
+	// The full worker path over the framed plane: the session's master
+	// over RPC, worker serving its real buffer, client streaming frames.
 	wh, spec := buildFixture(t, 64, 16)
-	m, err := NewMaster(wh, spec)
+	svc := NewService(wh)
+	if err := svc.CreateSession("job", spec); err != nil {
+		t.Fatal(err)
+	}
+	ln, stopService, err := ServeService(svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, stopMaster, err := ServeMaster(m, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopMaster()
+	defer stopService()
 
-	remote, err := DialMaster(ln.Addr().String())
+	rs, err := DialService(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer remote.Close()
+	defer rs.Close()
+	remote, err := rs.SessionMaster("job")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	w, err := NewWorker("framed-w1", remote, wh)
 	if err != nil {

@@ -615,10 +615,6 @@ func (m *Master) WorkerCount() int {
 	return n
 }
 
-// PolicyStats implements the Orchestrator's ControlPlane surface: the
-// scaling policy evaluates the session's live worker stats.
-func (m *Master) PolicyStats() []WorkerStats { return m.WorkerStatsSnapshot() }
-
 // WorkerStatsByID returns the latest reported stats of every
 // registered worker (draining included), keyed by worker ID — the view
 // chaos tests and dashboards use to follow cumulative recovery counters
@@ -666,9 +662,9 @@ func (m *Master) Checkpoint() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreMaster builds a replacement Master (e.g. the replica taking
-// over, §3.2.1) from a checkpoint. Splits are re-enumerated from the
-// warehouse and completed ones skipped.
+// RestoreMaster builds a replacement Master (the replica taking over,
+// §3.2.1; Service.RestoreSession hosts it) from a checkpoint. Splits
+// are re-enumerated from the warehouse and completed ones skipped.
 func RestoreMaster(wh *warehouse.Warehouse, spec SessionSpec, checkpoint []byte) (*Master, error) {
 	m, err := NewMaster(wh, spec)
 	if err != nil {

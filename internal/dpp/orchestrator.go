@@ -6,40 +6,43 @@ import (
 	"time"
 
 	"dsi/internal/clock"
-	"dsi/internal/warehouse"
 )
 
 // This file closes the auto-scaling loop the paper attributes to the DPP
 // Master (§3.2.1: the Master "auto-scales the worker pool to eliminate
 // data stalls"). The AutoScaler stays a pure policy function; the
-// Orchestrator is the mechanism that runs it periodically — evaluate
-// worker stats, launch or drain workers through a WorkerLauncher, reap
-// workers that finished draining, requeue leases of dead workers, and
-// checkpoint reader state — with scale cooldowns so the controller does
-// not flap. Cooldowns are measured on an internal/clock virtual clock
-// that Run advances once per control interval, so tests drive the exact
-// same control law deterministically by calling Step and Advance.
+// Orchestrator is the mechanism that runs it periodically over a
+// Service's shared fleet — requeue leases of dead workers, reap fleet
+// members that finished draining, re-divide the fleet among sessions by
+// weighted fair share, checkpoint reader state, then evaluate the
+// tenant-aggregated fleet stats and launch or drain fleet members
+// through a WorkerLauncher — with scale cooldowns so the controller
+// does not flap. A single training job is a Service with one session.
+// Cooldowns are measured on an internal/clock virtual clock that Run
+// advances once per control interval, so tests drive the exact same
+// control law deterministically by calling Step and Advance.
 
-// WorkerHandle is one launched worker as the Orchestrator tracks it.
+// WorkerHandle is one launched fleet worker as the Orchestrator tracks
+// it.
 type WorkerHandle interface {
-	// ID is the worker ID registered with the master.
+	// ID is the worker ID registered with the service.
 	ID() string
-	// Stop asks the worker to shut down without waiting for its buffer
+	// Stop asks the worker to shut down without waiting for its buffers
 	// to be consumed (forced shutdown; idempotent). Undelivered leases
-	// are requeued at deregistration, so no rows are lost to the
-	// session — they are re-processed elsewhere.
+	// are requeued at deregistration, so no rows are lost to their
+	// sessions — they are re-processed elsewhere.
 	Stop()
-	// Drained reports whether the worker has fully retired: its Run loop
-	// exited, its buffer was served out (or abandoned after Stop), and
-	// it deregistered from the master.
-	Drained() bool
+	// Done is closed once the worker has fully retired: its Run loop
+	// exited, its pipelines served out their buffers (or abandoned them
+	// after Stop), and it deregistered from the service.
+	Done() <-chan struct{}
 }
 
-// WorkerLauncher creates workers on behalf of the Orchestrator. A
-// launched worker registers with the master, runs the session data
-// plane, and retires itself (serve remaining buffer, then deregister)
-// when the session completes, the master drains it, or its handle is
-// stopped.
+// WorkerLauncher creates fleet workers on behalf of the Orchestrator
+// (InProcessFleetLauncher, RPCFleetLauncher). A launched worker
+// registers with the service, runs a pipeline per assigned session, and
+// retires itself (pipelines finish, then deregister) when the service
+// drains it or its handle is stopped.
 type WorkerLauncher interface {
 	Launch(id string) (WorkerHandle, error)
 }
@@ -57,158 +60,13 @@ func (h *procHandle) ID() string { return h.id }
 
 func (h *procHandle) Stop() { h.stopOnce.Do(func() { close(h.stop) }) }
 
-func (h *procHandle) Drained() bool {
-	select {
-	case <-h.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// InProcessLauncher launches workers as goroutines against an in-process
-// (or remote) master, the transport simulations and tests use. Its Dial
-// method is the matching WorkerDialer for NewSessionClient.
-type InProcessLauncher struct {
-	Master MasterAPI
-	WH     *warehouse.Warehouse
-	// Tune, when set, adjusts each worker (heartbeat period, node model,
-	// sink) after construction, before Run starts.
-	Tune func(*Worker)
-	// OnError receives worker Run failures (default: ignored; the master
-	// reaps the worker and requeues its leases).
-	OnError func(id string, err error)
-
-	mu      sync.Mutex
-	workers map[string]*Worker
-}
-
-// Launch implements WorkerLauncher.
-func (l *InProcessLauncher) Launch(id string) (WorkerHandle, error) {
-	w, err := NewWorkerWithEndpoint(id, "inproc://"+id, l.Master, l.WH)
-	if err != nil {
-		return nil, err
-	}
-	if l.Tune != nil {
-		l.Tune(w)
-	}
-	l.mu.Lock()
-	if l.workers == nil {
-		l.workers = make(map[string]*Worker)
-	}
-	l.workers[id] = w
-	l.mu.Unlock()
-	h := &procHandle{id: id, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		if err := w.Run(h.stop); err != nil && l.OnError != nil {
-			l.OnError(id, err)
-		}
-		_ = w.Retire(h.stop)
-		// The worker has deregistered; drop it so a long churning
-		// session doesn't accumulate retired Worker state, and so Dial
-		// fails fast for it (clients skip unreachable workers).
-		l.mu.Lock()
-		delete(l.workers, id)
-		l.mu.Unlock()
-	}()
-	return h, nil
-}
-
-// Worker returns a launched worker by ID (nil when unknown).
-func (l *InProcessLauncher) Worker(id string) *Worker {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.workers[id]
-}
-
-// Dial is the WorkerDialer resolving this launcher's workers by ID.
-func (l *InProcessLauncher) Dial(ep WorkerEndpoint) (WorkerAPI, error) {
-	w := l.Worker(ep.ID)
-	if w == nil {
-		return nil, fmt.Errorf("dpp: unknown in-process worker %q", ep.ID)
-	}
-	return LocalWorkerAPI(w), nil
-}
-
-// RPCLauncher launches workers that reach the master over net/rpc and
-// serve their data plane on their own TCP listener — the disaggregated
-// deployment of §3.2.1, hosted as goroutines so a single cmd/dppd
-// master process can elastically operate its worker fleet. Clients
-// resolve the workers' TCP endpoints via ListWorkers and dial them with
-// DialWorkerEndpointFramed.
-type RPCLauncher struct {
-	// MasterAddr is the master's RPC address.
-	MasterAddr string
-	// WH is the worker-side warehouse handle (every dppd role
-	// regenerates the same deterministic dataset).
-	WH *warehouse.Warehouse
-	// ListenAddr is the bind address pattern for worker data planes
-	// (default "127.0.0.1:0").
-	ListenAddr string
-	// Tune and OnError mirror InProcessLauncher.
-	Tune    func(*Worker)
-	OnError func(id string, err error)
-}
-
-// Launch implements WorkerLauncher.
-func (l *RPCLauncher) Launch(id string) (WorkerHandle, error) {
-	remote, err := DialMaster(l.MasterAddr)
-	if err != nil {
-		return nil, err
-	}
-	addr := l.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	w, stopServe, err := ListenAndServeWorker(id, addr, remote, l.WH, l.Tune)
-	if err != nil {
-		remote.Close()
-		return nil, err
-	}
-	h := &procHandle{id: id, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		defer remote.Close()
-		defer stopServe()
-		if err := w.Run(h.stop); err != nil && l.OnError != nil {
-			l.OnError(id, err)
-		}
-		_ = w.Retire(h.stop)
-	}()
-	return h, nil
-}
+func (h *procHandle) Done() <-chan struct{} { return h.done }
 
 // managedWorker is the Orchestrator's view of one launched worker.
 type managedWorker struct {
 	handle   WorkerHandle
 	seq      int
 	draining bool
-}
-
-// ControlPlane is the surface the Orchestrator's loop steers: the
-// single-session Master implements it directly, and the multi-tenant
-// Service implements it fleet-wide (Done = every session done, Drain =
-// drain a fleet member, PolicyStats = tenant-aggregated utilization),
-// so one control law serves both deployments.
-type ControlPlane interface {
-	// ReapDead requeues the leases of silent workers.
-	ReapDead() int
-	// Done reports whether all work has completed.
-	Done() (bool, error)
-	// PolicyStats snapshots the utilization the scaling policy evaluates.
-	PolicyStats() []WorkerStats
-	// Drain marks one launched worker for graceful removal.
-	Drain(workerID string) error
-	// Checkpoint serializes reader state for replica takeover.
-	Checkpoint() ([]byte, error)
-}
-
-// rebalancer is the optional ControlPlane extension the fleet control
-// plane implements: every Step re-divides capacity among tenants by
-// weighted fair share.
-type rebalancer interface {
-	Rebalance()
 }
 
 // OrchestratorStatus is a snapshot of the control loop's state.
@@ -224,10 +82,10 @@ type OrchestratorStatus struct {
 	Checkpoints int
 }
 
-// Orchestrator runs the Master's closed scaling loop over a worker pool
+// Orchestrator runs the closed scaling loop of a Service over a fleet
 // it owns through a WorkerLauncher.
 type Orchestrator struct {
-	// IDPrefix names launched workers "<prefix>-<seq>" (default "dpp-w").
+	// IDPrefix names launched workers "<prefix>-<seq>" (default "dpp-fw").
 	IDPrefix string
 	// ScaleInterval is the control period of Run (default 250ms). Each
 	// Run tick advances Clock by ScaleInterval.
@@ -241,7 +99,7 @@ type Orchestrator struct {
 	ScaleDownCooldown time.Duration
 	// CheckpointEvery is the virtual-time period between reader-state
 	// checkpoints (0 disables). The latest checkpoint is retained for a
-	// replica master takeover (RestoreMaster).
+	// replica takeover (DecodeServiceCheckpoint + Service.RestoreSession).
 	CheckpointEvery time.Duration
 	// Clock is the virtual clock cooldowns are measured on. Run advances
 	// it; deterministic tests advance it directly between Steps.
@@ -256,13 +114,8 @@ type Orchestrator struct {
 	// launch hiccup must not abandon workers' buffered batches, whose
 	// splits are already acknowledged.
 	OnError func(err error)
-	// Persistent keeps Run alive after all current work completes: a
-	// multi-tenant service outlives any one session, so its fleet
-	// controller only exits when stopped. Single-session loops leave it
-	// false and Run returns at completion.
-	Persistent bool
 
-	plane    ControlPlane
+	svc      *Service
 	launcher WorkerLauncher
 	scaler   *AutoScaler
 
@@ -282,33 +135,18 @@ type Orchestrator struct {
 	checkpoints int
 }
 
-// NewOrchestrator assembles a control loop over master, launching
-// workers with launcher under scaler's policy. Interval and cooldown
-// defaults suit the cmd/dppd deployment; tests shrink them.
-func NewOrchestrator(master *Master, launcher WorkerLauncher, scaler *AutoScaler) *Orchestrator {
-	return newOrchestrator(master, launcher, scaler)
-}
-
-// NewFleetOrchestrator assembles the fleet-level control loop of a
-// multi-tenant Service: the same law as the single-session loop, but
-// the pool is sized from tenant-aggregated signals, scale-down drains
-// whole fleet members, and every Step re-runs the weighted fair-share
-// rebalance that divides the fleet among live sessions. The launcher
-// must launch fleet workers (InProcessFleetLauncher, RPCFleetLauncher).
-// The loop is Persistent by default — a service outlives its sessions.
-func NewFleetOrchestrator(svc *Service, launcher WorkerLauncher, scaler *AutoScaler) *Orchestrator {
-	o := newOrchestrator(svc, launcher, scaler)
-	o.IDPrefix = "dpp-fw"
-	o.Persistent = true
-	return o
-}
-
-func newOrchestrator(plane ControlPlane, launcher WorkerLauncher, scaler *AutoScaler) *Orchestrator {
+// NewOrchestrator assembles the control loop of a Service: the pool is
+// sized from tenant-aggregated signals, scale-down drains whole fleet
+// members, and every Step re-runs the weighted fair-share rebalance
+// that divides the fleet among live sessions. The launcher must launch
+// fleet workers (InProcessFleetLauncher, RPCFleetLauncher). Interval
+// and cooldown defaults suit the cmd/dppd deployment; tests shrink them.
+func NewOrchestrator(svc *Service, launcher WorkerLauncher, scaler *AutoScaler) *Orchestrator {
 	return &Orchestrator{
-		IDPrefix:      "dpp-w",
+		IDPrefix:      "dpp-fw",
 		ScaleInterval: 250 * time.Millisecond,
 		Clock:         clock.New(),
-		plane:         plane,
+		svc:           svc,
 		launcher:      launcher,
 		scaler:        scaler,
 		handles:       make(map[string]*managedWorker),
@@ -361,31 +199,25 @@ func (o *Orchestrator) LastCheckpoint() []byte {
 }
 
 // Step runs one control iteration: requeue dead workers' leases, drop
-// workers that finished retiring, take a due checkpoint, then evaluate
+// fleet members that finished retiring, re-divide the live fleet among
+// sessions by weighted fair share, take a due checkpoint, then evaluate
 // the scaling policy and launch or drain under the cooldowns. Transient
 // control failures (launch, checkpoint) go to OnError and are retried
-// next Step; the returned error is reserved for master failures. Step
-// is the deterministic unit Run ticks and tests call directly.
+// next Step; the returned error is reserved for a failed session (a
+// split out of its poison budget). A service outlives its sessions, so
+// Step keeps evaluating when every session is done: idle members drain
+// back to the minimum rather than sit at the last peak. Step is the
+// deterministic unit Run ticks and tests call directly.
 func (o *Orchestrator) Step() error {
-	o.plane.ReapDead()
+	o.svc.ReapDead()
 	o.reapRetired()
-	if rb, ok := o.plane.(rebalancer); ok {
-		// Fleet mode: re-divide the live fleet among tenants by
-		// weighted fair share before sizing the pool.
-		rb.Rebalance()
-	}
+	o.svc.Rebalance()
 	now := o.Clock.Now()
 	o.maybeCheckpoint(now)
-	if done, err := o.plane.Done(); err != nil {
+	if _, err := o.svc.Done(); err != nil {
 		return err
-	} else if done && !o.Persistent {
-		// Scaling a finished session is moot; remaining workers notice
-		// Done on their own and retire. A Persistent (fleet) loop keeps
-		// evaluating instead: its idle members must still drain back to
-		// the minimum between sessions rather than sit at the last peak.
-		return nil
 	}
-	stats := o.plane.PolicyStats()
+	stats := o.svc.PolicyStats()
 	delta := o.scaler.Evaluate(stats)
 	if o.OnEvaluate != nil {
 		o.OnEvaluate(stats, delta)
@@ -406,15 +238,16 @@ func (o *Orchestrator) notify(err error) {
 	}
 }
 
-// reapRetired forgets workers that deregistered after draining (or
-// after the session completed).
+// reapRetired forgets workers that deregistered after draining.
 func (o *Orchestrator) reapRetired() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for id, mw := range o.handles {
-		if mw.handle.Drained() {
+		select {
+		case <-mw.handle.Done():
 			mw.handle.Stop() // idempotent; releases any forced-stop waiters
 			delete(o.handles, id)
+		default:
 		}
 	}
 }
@@ -429,7 +262,7 @@ func (o *Orchestrator) maybeCheckpoint(now time.Duration) {
 	if !due {
 		return
 	}
-	ckpt, err := o.plane.Checkpoint()
+	ckpt, err := o.svc.Checkpoint()
 	if err != nil {
 		o.notify(fmt.Errorf("dpp: checkpoint: %w", err))
 		return
@@ -455,9 +288,11 @@ func (o *Orchestrator) coolingDown(now time.Duration) bool {
 }
 
 // scaleUp launches up to delta workers, clamped so tracked live workers
-// never exceed the policy's MaxWorkers. Launch failures go to OnError;
-// lastUp is only armed by a successful launch, so the next Step retries
-// without waiting out a cooldown.
+// never exceed the policy's MaxWorkers (a loop whose MaxWorkers is zero
+// launches nothing and only steers the workers that join on their
+// own). Launch failures go to OnError; lastUp is only armed by a
+// successful launch, so the next Step retries without waiting out a
+// cooldown.
 func (o *Orchestrator) scaleUp(now time.Duration, delta int) {
 	o.mu.Lock()
 	if o.coolingDown(now) {
@@ -468,7 +303,7 @@ func (o *Orchestrator) scaleUp(now time.Duration, delta int) {
 	// still occupy their nodes until they retire, so they count against
 	// MaxWorkers and a replacement launch waits for the retirement.
 	live := len(o.handles)
-	if max := o.scaler.MaxWorkers; max > 0 && live+delta > max {
+	if max := o.scaler.MaxWorkers; live+delta > max {
 		delta = max - live
 	}
 	if delta <= 0 {
@@ -526,26 +361,11 @@ func (o *Orchestrator) scaleDown(now time.Duration, delta int) {
 		}
 		// An unknown-worker error means the victim retired concurrently;
 		// reapRetired collects it next Step either way.
-		_ = o.plane.Drain(victim.handle.ID())
+		_ = o.svc.DrainFleetWorker(victim.handle.ID())
 		victim.draining = true
 		o.drained++
 		o.downEver, o.lastDown = true, now
 	}
-}
-
-// Finished reports whether the session has completed and every launched
-// worker has retired. A Persistent loop never finishes on its own.
-func (o *Orchestrator) Finished() bool {
-	if o.Persistent {
-		return false
-	}
-	done, err := o.plane.Done()
-	if err != nil || !done {
-		return false
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.handles) == 0
 }
 
 // StopAll force-stops every tracked worker and waits for them to retire.
@@ -562,19 +382,16 @@ func (o *Orchestrator) StopAll() {
 		h.Stop()
 	}
 	for _, h := range handles {
-		for !h.Drained() {
-			time.Sleep(time.Millisecond)
-		}
+		<-h.Done()
 	}
 	o.reapRetired()
 }
 
 // Run drives the control loop every ScaleInterval of wall time,
-// advancing the virtual clock in lockstep, until the session completes
-// and the pool has fully retired, the master fails, or stop is closed
-// (which force-stops the pool). Transient control errors go to OnError
-// and are retried. The first Step runs immediately, bootstrapping the
-// pool to the policy's minimum.
+// advancing the virtual clock in lockstep, until a session fails or
+// stop is closed (either force-stops the pool). Transient control
+// errors go to OnError and are retried. The first Step runs
+// immediately, bootstrapping the pool to the policy's minimum.
 func (o *Orchestrator) Run(stop <-chan struct{}) error {
 	ticker := time.NewTicker(o.ScaleInterval)
 	defer ticker.Stop()
@@ -582,9 +399,6 @@ func (o *Orchestrator) Run(stop <-chan struct{}) error {
 		if err := o.Step(); err != nil {
 			o.StopAll()
 			return err
-		}
-		if o.Finished() {
-			return nil
 		}
 		select {
 		case <-stop:

@@ -61,102 +61,42 @@ func TestAutoScalerMajorityStarvingBoundary(t *testing.T) {
 // Orchestrator control loop under a fake (virtual) clock.
 // ---------------------------------------------------------------------
 
-// fakeHandle is a launcher handle whose drain state the test controls.
+// fakeHandle is a launcher handle whose retirement the test controls.
 type fakeHandle struct {
-	id string
-
-	mu      sync.Mutex
-	stopped bool
-	drained bool
+	id   string
+	once sync.Once
+	done chan struct{}
 }
+
+func newFakeHandle(id string) *fakeHandle { return &fakeHandle{id: id, done: make(chan struct{})} }
 
 func (h *fakeHandle) ID() string { return h.id }
 
-func (h *fakeHandle) Stop() {
-	h.mu.Lock()
-	h.stopped = true
-	h.drained = true // a stopped fake retires immediately
-	h.mu.Unlock()
-}
+// Stop retires the fake immediately.
+func (h *fakeHandle) Stop() { h.once.Do(func() { close(h.done) }) }
 
-func (h *fakeHandle) Drained() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.drained
-}
+func (h *fakeHandle) Done() <-chan struct{} { return h.done }
 
-// fakeLauncher registers workers with the master but runs no data plane;
-// the test feeds heartbeats to shape the scaler's view.
-type fakeLauncher struct {
-	m *Master
+// fakeSessionID is the one session of the control-law fixtures.
+const fakeSessionID = "job"
 
-	mu      sync.Mutex
-	handles map[string]*fakeHandle
-	order   []string
-}
-
-func (l *fakeLauncher) Launch(id string) (WorkerHandle, error) {
-	if _, err := l.m.RegisterWorker(id, "fake://"+id); err != nil {
-		return nil, err
-	}
-	h := &fakeHandle{id: id}
-	l.mu.Lock()
-	if l.handles == nil {
-		l.handles = make(map[string]*fakeHandle)
-	}
-	l.handles[id] = h
-	l.order = append(l.order, id)
-	l.mu.Unlock()
-	return h, nil
-}
-
-// ids returns launch order.
-func (l *fakeLauncher) ids() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.order...)
-}
-
-// heartbeatAll reports the given stats for every launched worker still
-// registered.
-func (l *fakeLauncher) heartbeatAll(t *testing.T, stats WorkerStats) {
-	t.Helper()
-	for _, id := range l.ids() {
-		_ = l.m.Heartbeat(id, stats) // deregistered workers reject; fine
-	}
-}
-
-// retire marks a fake worker fully drained and deregisters it, as a real
-// worker's Retire does.
-func (l *fakeLauncher) retire(t *testing.T, id string) {
-	t.Helper()
-	l.mu.Lock()
-	h := l.handles[id]
-	l.mu.Unlock()
-	if h == nil {
-		t.Fatalf("retire of unknown worker %s", id)
-	}
-	h.mu.Lock()
-	h.drained = true
-	h.mu.Unlock()
-	if err := l.m.DeregisterWorker(id); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func newFakeClockOrchestrator(t *testing.T, min, max int) (*Orchestrator, *fakeLauncher, *Master) {
+// newFakeClockOrchestrator builds the control loop over a one-session
+// Service and a fakeFleetLauncher (service_test.go): fleet workers
+// register but run no pipelines, and the test feeds heartbeats to shape
+// the scaler's view.
+func newFakeClockOrchestrator(t *testing.T, min, max int) (*Orchestrator, *fakeFleetLauncher, *Service) {
 	t.Helper()
 	wh, spec := buildFixture(t, 64, 16)
-	m, err := NewMaster(wh, spec)
-	if err != nil {
+	svc := NewService(wh)
+	if err := svc.CreateSession(fakeSessionID, spec); err != nil {
 		t.Fatal(err)
 	}
-	l := &fakeLauncher{m: m}
-	o := NewOrchestrator(m, l, NewAutoScaler(min, max))
+	l := &fakeFleetLauncher{svc: svc}
+	o := NewOrchestrator(svc, l, NewAutoScaler(min, max))
 	o.ScaleInterval = time.Second
 	o.ScaleUpCooldown = time.Second
 	o.ScaleDownCooldown = 3 * time.Second
-	return o, l, m
+	return o, l, svc
 }
 
 func step(t *testing.T, o *Orchestrator) {
@@ -165,6 +105,13 @@ func step(t *testing.T, o *Orchestrator) {
 		t.Fatal(err)
 	}
 }
+
+// starving and oversupplied are the two heartbeat profiles the control
+// law reacts to.
+var (
+	starving     = WorkerStats{BufferedBatches: 0, BusyFrac: 0.9}
+	oversupplied = WorkerStats{BufferedBatches: 8, MinBuffered: 8, BusyFrac: 0.05}
+)
 
 func TestOrchestratorGrowsOnStarvation(t *testing.T) {
 	o, l, _ := newFakeClockOrchestrator(t, 1, 8)
@@ -177,7 +124,7 @@ func TestOrchestratorGrowsOnStarvation(t *testing.T) {
 
 	// The lone worker starves (empty buffer); after the cooldown the
 	// loop launches more.
-	l.heartbeatAll(t, WorkerStats{BufferedBatches: 0, BusyFrac: 0.9})
+	l.heartbeat(t, starving)
 	o.Clock.Advance(time.Second)
 	step(t, o)
 	if got := o.Status().Live; got != 2 {
@@ -185,7 +132,7 @@ func TestOrchestratorGrowsOnStarvation(t *testing.T) {
 	}
 
 	// Still starving: growth continues, one cooldown at a time.
-	l.heartbeatAll(t, WorkerStats{BufferedBatches: 0, BusyFrac: 0.9})
+	l.heartbeat(t, starving)
 	o.Clock.Advance(time.Second)
 	step(t, o)
 	if got := o.Status().Live; got != 4 {
@@ -196,7 +143,7 @@ func TestOrchestratorGrowsOnStarvation(t *testing.T) {
 func TestOrchestratorNoFlapWithinCooldown(t *testing.T) {
 	o, l, _ := newFakeClockOrchestrator(t, 1, 8)
 	step(t, o)
-	l.heartbeatAll(t, WorkerStats{BufferedBatches: 0, BusyFrac: 0.9})
+	l.heartbeat(t, starving)
 
 	// Starvation is visible but the bootstrap launch just happened: the
 	// loop must hold until the cooldown elapses, however many times it
@@ -220,7 +167,7 @@ func TestOrchestratorNoFlapWithinCooldown(t *testing.T) {
 
 	// Oversupply immediately after a scale-up must not drain until the
 	// down-cooldown elapses (no up→down flap).
-	l.heartbeatAll(t, WorkerStats{BufferedBatches: 8, MinBuffered: 8, BusyFrac: 0.05})
+	l.heartbeat(t, oversupplied)
 	step(t, o)
 	if got := o.Status().Draining; got != 0 {
 		t.Fatalf("draining right after scale-up = %d, want 0 (flapped)", got)
@@ -228,33 +175,29 @@ func TestOrchestratorNoFlapWithinCooldown(t *testing.T) {
 }
 
 func TestOrchestratorDrainsOnOversupply(t *testing.T) {
-	o, l, m := newFakeClockOrchestrator(t, 1, 8)
+	o, l, svc := newFakeClockOrchestrator(t, 1, 8)
 	step(t, o)
-	l.heartbeatAll(t, WorkerStats{BufferedBatches: 0, BusyFrac: 0.9})
+	l.heartbeat(t, starving)
 	o.Clock.Advance(time.Second)
 	step(t, o) // 2 live
 
 	// Both workers report full buffers and an idle data plane.
-	l.heartbeatAll(t, WorkerStats{BufferedBatches: 8, MinBuffered: 8, BusyFrac: 0.05})
+	l.heartbeat(t, oversupplied)
 	o.Clock.Advance(3 * time.Second)
 	step(t, o)
 	st := o.Status()
 	if st.Draining != 1 {
 		t.Fatalf("draining = %d, want 1 (down to MinWorkers)", st.Draining)
 	}
-	if got := m.WorkerCount(); got != 1 {
-		t.Fatalf("live master workers = %d, want 1", got)
+	if got := svc.FleetWorkerCount(); got != 1 {
+		t.Fatalf("live fleet members = %d, want 1", got)
 	}
-	// The most recently launched worker is the drain victim.
+	// The most recently launched worker is the drain victim, and its
+	// assignment went with it.
 	victim := l.ids()[len(l.ids())-1]
-	eps, err := m.ListWorkers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range eps {
-		if ep.ID == victim && !ep.Draining {
-			t.Fatalf("expected LIFO drain victim %s to be draining: %+v", victim, eps)
-		}
+	assigned := svc.FleetAssignments()
+	if got, draining := assigned[victim+"*"]; !draining || len(got) != 0 {
+		t.Fatalf("expected LIFO drain victim %s to be draining and unassigned: %v", victim, assigned)
 	}
 
 	// Once the drained worker retires, the loop forgets it.
@@ -268,7 +211,7 @@ func TestOrchestratorDrainsOnOversupply(t *testing.T) {
 
 // flakyLauncher fails a set number of launches before delegating.
 type flakyLauncher struct {
-	inner    *fakeLauncher
+	inner    *fakeFleetLauncher
 	mu       sync.Mutex
 	failures int
 }
@@ -291,13 +234,8 @@ func (l *flakyLauncher) Launch(id string) (WorkerHandle, error) {
 // the control loop (which would force-stop the pool and abandon
 // buffered batches whose splits were already acknowledged).
 func TestOrchestratorRetriesFailedLaunch(t *testing.T) {
-	wh, spec := buildFixture(t, 64, 16)
-	m, err := NewMaster(wh, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := &fakeLauncher{m: m}
-	o := NewOrchestrator(m, &flakyLauncher{inner: fl, failures: 1}, NewAutoScaler(1, 4))
+	_, fl, svc := newFakeClockOrchestrator(t, 1, 4)
+	o := NewOrchestrator(svc, &flakyLauncher{inner: fl, failures: 1}, NewAutoScaler(1, 4))
 	o.ScaleInterval = time.Second
 	var errs int
 	o.OnError = func(error) { errs++ }
@@ -362,10 +300,10 @@ func TestSessionClientSkipsUndialableWorker(t *testing.T) {
 }
 
 func TestOrchestratorNeverExceedsBounds(t *testing.T) {
-	o, l, m := newFakeClockOrchestrator(t, 1, 3)
+	o, l, svc := newFakeClockOrchestrator(t, 1, 3)
 	for i := 0; i < 12; i++ {
 		step(t, o)
-		l.heartbeatAll(t, WorkerStats{BufferedBatches: 0, BusyFrac: 0.9})
+		l.heartbeat(t, starving)
 		o.Clock.Advance(time.Second)
 		if got := o.Status().Live; got > 3 {
 			t.Fatalf("live = %d exceeds MaxWorkers 3", got)
@@ -374,8 +312,29 @@ func TestOrchestratorNeverExceedsBounds(t *testing.T) {
 	if got := o.Status().Live; got != 3 {
 		t.Fatalf("live = %d, want steady state at MaxWorkers 3", got)
 	}
-	if got := m.WorkerCount(); got != 3 {
-		t.Fatalf("master sees %d workers, want 3", got)
+	if got := svc.FleetWorkerCount(); got != 3 {
+		t.Fatalf("service sees %d fleet members, want 3", got)
+	}
+}
+
+// TestOrchestratorMaxZeroLaunchesNothing: MaxWorkers is a hard bound, so
+// a loop bounded at zero never launches, yet still hands a worker that
+// joined on its own its share of the sessions.
+func TestOrchestratorMaxZeroLaunchesNothing(t *testing.T) {
+	o, l, svc := newFakeClockOrchestrator(t, 1, 0)
+	if _, err := l.Launch("manual"); err != nil { // registers, as a -role worker does
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		l.heartbeat(t, starving)
+		step(t, o)
+		o.Clock.Advance(time.Second)
+	}
+	if st := o.Status(); st.Launched != 0 || st.Live != 0 {
+		t.Fatalf("loop bounded at zero workers launched some: %+v", st)
+	}
+	if got := svc.FleetAssignments()["manual"]; len(got) != 1 || got[0] != fakeSessionID {
+		t.Fatalf("manually joined worker holds %v, want [%s]", got, fakeSessionID)
 	}
 }
 
@@ -383,8 +342,9 @@ func TestOrchestratorPeriodicCheckpoint(t *testing.T) {
 	o, _, _ := newFakeClockOrchestrator(t, 1, 2)
 	o.CheckpointEvery = 2 * time.Second
 	step(t, o)
-	if o.LastCheckpoint() == nil {
-		t.Fatal("no checkpoint after first due step")
+	sessions, err := DecodeServiceCheckpoint(o.LastCheckpoint())
+	if err != nil || sessions[fakeSessionID] == nil {
+		t.Fatalf("checkpoint after first due step = %v, %v; want the session's reader state", sessions, err)
 	}
 	if got := o.Status().Checkpoints; got != 1 {
 		t.Fatalf("checkpoints = %d, want 1", got)
@@ -401,32 +361,73 @@ func TestOrchestratorPeriodicCheckpoint(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Closed loop over real workers: the orchestrator owns the pool, a
-// session client resolves membership from the master, every row arrives.
+// Closed loop over real fleet workers: the orchestrator owns the pool, a
+// tenant client resolves membership from the session's master, every
+// row arrives.
 // ---------------------------------------------------------------------
 
-func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
-	wh, spec := buildFixture(t, 96, 8) // 24 splits, 192 rows
-	m, err := NewMaster(wh, spec)
+// runFleetLoop starts o.Run beside the test and returns the function
+// that stops it and waits for the pool to retire.
+func runFleetLoop(t *testing.T, o *Orchestrator) (stopAndWait func()) {
+	t.Helper()
+	stop := make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() { runDone <- o.Run(stop) }()
+	return func() {
+		t.Helper()
+		close(stop)
+		select {
+		case err := <-runDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("orchestrator did not stop")
+		}
+	}
+}
+
+// assertPoolGone checks that nothing the loop launched is still tracked,
+// registered with the service, or a member of the session.
+func assertPoolGone(t *testing.T, o *Orchestrator, svc *Service) {
+	t.Helper()
+	if st := o.Status(); st.Live != 0 {
+		t.Fatalf("workers still tracked after stop: %+v", st)
+	}
+	if assigned := svc.FleetAssignments(); len(assigned) != 0 {
+		t.Fatalf("fleet members left registered: %v", assigned)
+	}
+	m, err := svc.Master(fakeSessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if eps, _ := m.ListWorkers(); len(eps) != 0 {
+		t.Fatalf("pipelines left registered with the session: %+v", eps)
+	}
+}
+
+func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
+	wh, spec := buildFixture(t, 96, 8) // 24 splits, 192 rows
+	svc := NewService(wh)
+	if err := svc.CreateSession(fakeSessionID, spec); err != nil {
+		t.Fatal(err)
+	}
 	var launcherErr sync.Map
-	l := &InProcessLauncher{
-		Master: m,
-		WH:     wh,
-		Tune:   func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
+	l := &InProcessFleetLauncher{
+		Service:        svc,
+		WH:             wh,
+		HeartbeatEvery: time.Millisecond,
+		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 		OnError: func(id string, err error) {
 			launcherErr.Store(id, err)
 		},
 	}
-	o := NewOrchestrator(m, l, NewAutoScaler(1, 4))
+	o := NewOrchestrator(svc, l, NewAutoScaler(1, 4))
 	o.ScaleInterval = time.Millisecond
 	o.CheckpointEvery = 5 * time.Millisecond
-	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(nil) }()
+	stopAndWait := runFleetLoop(t, o)
 
-	client, err := NewSessionClient(m, l.Dial, 0, 0)
+	client, err := NewTenantClient(svc, fakeSessionID, l.SessionDialer(fakeSessionID), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,14 +443,7 @@ func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
 		}
 		rows += b.Rows
 	}
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("orchestrator did not finish")
-	}
+	stopAndWait()
 	launcherErr.Range(func(id, err any) bool {
 		t.Errorf("worker %v failed: %v", id, err)
 		return true
@@ -457,21 +451,10 @@ func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
 	if rows != 192 {
 		t.Fatalf("client consumed %d rows, want 192", rows)
 	}
-	st := o.Status()
-	if st.Live != 0 {
-		t.Fatalf("workers still tracked after completion: %+v", st)
-	}
-	if st.Launched == 0 {
+	if o.Status().Launched == 0 {
 		t.Fatal("orchestrator launched no workers")
 	}
-	// No membership leak: every launched worker deregistered.
-	eps, err := m.ListWorkers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eps) != 0 {
-		t.Fatalf("workers still registered after session: %+v", eps)
-	}
+	assertPoolGone(t, o, svc)
 	if o.LastCheckpoint() == nil {
 		t.Fatal("orchestrator took no checkpoints")
 	}
@@ -481,39 +464,32 @@ func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
 // and verifies every worker retires and deregisters.
 func TestOrchestratorStopAbandonsPool(t *testing.T) {
 	wh, spec := buildFixture(t, 128, 8) // 32 splits
-	spec.BufferDepth = 2                // block workers on backpressure
-	m, err := NewMaster(wh, spec)
+	spec.BufferDepth = 2                // block pipelines on backpressure
+	svc := NewService(wh)
+	if err := svc.CreateSession(fakeSessionID, spec); err != nil {
+		t.Fatal(err)
+	}
+	l := &InProcessFleetLauncher{
+		Service:        svc,
+		WH:             wh,
+		HeartbeatEvery: time.Millisecond,
+		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
+	}
+	o := NewOrchestrator(svc, l, NewAutoScaler(2, 2))
+	o.ScaleInterval = time.Millisecond
+	stopAndWait := runFleetLoop(t, o)
+
+	m, err := svc.Master(fakeSessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := &InProcessLauncher{Master: m, WH: wh, Tune: func(w *Worker) { w.HeartbeatEvery = time.Millisecond }}
-	o := NewOrchestrator(m, l, NewAutoScaler(2, 2))
-	o.ScaleInterval = time.Millisecond
-	stop := make(chan struct{})
-	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(stop) }()
-
 	deadline := time.Now().Add(10 * time.Second)
-	for o.Status().Launched < 2 && time.Now().Before(deadline) {
+	for m.WorkerCount() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	close(stop)
-	select {
-	case err := <-runDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("orchestrator did not stop")
+	if got := m.WorkerCount(); got < 2 {
+		t.Fatalf("only %d pipelines joined the session before the stop", got)
 	}
-	if got := o.Status().Live; got != 0 {
-		t.Fatalf("live after stop = %d, want 0", got)
-	}
-	eps, err := m.ListWorkers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eps) != 0 {
-		t.Fatalf("workers left registered after forced stop: %+v", eps)
-	}
+	stopAndWait()
+	assertPoolGone(t, o, svc)
 }

@@ -18,11 +18,9 @@ import (
 // on a listener (the data plane itself is dataplane.go). The in-process
 // transport remains the default for simulations; cmd/dppd uses this one.
 
-// MasterService is the RPC wrapper around the control plane: every
-// method is session-scoped by its args' SessionID, with the empty ID
-// addressing the default session — so workers and clients from before
-// multi-tenancy (whose args carry no session field) keep working
-// against a Service hosting their session as the default.
+// MasterService is the RPC wrapper around the per-session control
+// plane: every method is scoped to one of the Service's sessions by its
+// args' SessionID.
 type MasterService struct {
 	svc *Service
 }
@@ -100,8 +98,7 @@ func (s *MasterService) NextSplit(args *NextSplitArgs, reply *NextSplitReply) er
 	return nil
 }
 
-// ListWorkersArgs scopes a membership resolution to one session (the
-// zero value — what old clients send — addresses the default session).
+// ListWorkersArgs scopes a membership resolution to one session.
 type ListWorkersArgs struct {
 	SessionID string
 }
@@ -337,17 +334,10 @@ func dialRPC(addr string) (*rpc.Client, error) {
 	return rpc.NewClient(conn), nil
 }
 
-// ServeMaster listens on addr and serves the master over net/rpc as a
-// single-session service (the master becomes the default session). It
-// returns the bound listener (use its Addr for clients) and a stop
-// function.
-func ServeMaster(master *Master, addr string) (net.Listener, func(), error) {
-	return ServeService(NewSingleSessionService(master), addr)
-}
-
-// ServeService listens on addr and serves the multi-tenant control
-// plane over net/rpc: the session-scoped Master surface plus the
-// Service registry and fleet surface.
+// ServeService listens on addr and serves the control plane over
+// net/rpc: the session-scoped Master surface plus the Service registry
+// and fleet surface. It returns the bound listener (use its Addr for
+// DialService) and a stop function.
 func ServeService(svc *Service, addr string) (net.Listener, func(), error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Master", &MasterService{svc: svc}); err != nil {
@@ -374,38 +364,12 @@ func ServeService(svc *Service, addr string) (net.Listener, func(), error) {
 	return ln, stop, nil
 }
 
-// RemoteMaster is a MasterAPI backed by an RPC connection, scoped to
-// one session of the served control plane (the empty session is the
-// default).
+// RemoteMaster is one session's MasterAPI over a RemoteService's RPC
+// connection (RemoteService.SessionMaster).
 type RemoteMaster struct {
 	client  *rpc.Client
 	session string
 }
-
-// DialMaster connects to the default session of a control plane served
-// by ServeMaster or ServeService.
-func DialMaster(addr string) (*RemoteMaster, error) {
-	return DialMasterSession(addr, "")
-}
-
-// DialMasterSession connects to one session's control plane.
-func DialMasterSession(addr, session string) (*RemoteMaster, error) {
-	client, err := dialRPC(addr)
-	if err != nil {
-		return nil, fmt.Errorf("dpp: dial master %s: %w", addr, err)
-	}
-	return &RemoteMaster{client: client, session: session}, nil
-}
-
-// Session derives a MasterAPI for another session over the same
-// connection (fleet workers hold one control connection and scope it
-// per pipeline).
-func (r *RemoteMaster) Session(session string) *RemoteMaster {
-	return &RemoteMaster{client: r.client, session: session}
-}
-
-// Close releases the connection (shared by Session derivations).
-func (r *RemoteMaster) Close() error { return r.client.Close() }
 
 // RegisterWorker implements MasterAPI.
 func (r *RemoteMaster) RegisterWorker(workerID, endpoint string) (SessionSpec, error) {
@@ -467,9 +431,9 @@ func (r *RemoteMaster) Done() (bool, error) {
 
 var _ MasterAPI = (*RemoteMaster)(nil)
 
-// RemoteService is the client side of a served multi-tenant control
-// plane: the session registry (ServiceAPI) plus the fleet surface
-// (FleetControl), all over one connection.
+// RemoteService is the client side of a served control plane: the
+// session registry (ServiceAPI) plus the fleet surface (FleetControl),
+// all over one connection.
 type RemoteService struct {
 	client *rpc.Client
 }
@@ -536,33 +500,10 @@ var (
 )
 
 // ServeWorker exposes a worker's buffer on addr over the framed data
-// plane (dataplane.go), as the default session.
+// plane (dataplane.go) to streams that name no session
+// (DialWorkerFramed) — a fixed pool over an in-process Master.
 func ServeWorker(worker *Worker, addr string) (net.Listener, func(), error) {
 	return ServeBatchSource(worker, addr)
-}
-
-// ListenAndServeWorker binds addr, registers a new worker announcing
-// the bound address as its data-plane endpoint, and serves its buffer
-// on it — the canonical way a TCP worker joins a session (used by
-// cmd/dppd's worker role and the RPCLauncher): binding first lets the
-// worker register its real address with the master before serving.
-// tune, when non-nil, adjusts the worker after construction but before
-// the data plane starts serving (so no stream can observe a half-tuned
-// worker). The returned stop closes the listener.
-func ListenAndServeWorker(id, addr string, master MasterAPI, wh *warehouse.Warehouse, tune func(*Worker)) (*Worker, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := NewWorkerWithEndpoint(id, advertiseAddr(ln.Addr()), master, wh)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	if tune != nil {
-		tune(w)
-	}
-	return w, serveDataPlaneOn(singleSource(w), ln), nil
 }
 
 // advertiseAddr converts a bound listener address into a dialable

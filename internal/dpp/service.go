@@ -15,16 +15,20 @@ import (
 // This file is the multi-tenant DPP control plane. The paper's DPP is a
 // disaggregated *service*: one shared preprocessing fleet multiplexed
 // across many simultaneous training jobs, with capacity assigned per
-// job as load shifts (§3.2.1). The single-session Master stays the
-// per-session split ledger; the Service layers a session registry and a
-// shared fleet-worker registry on top of it:
+// job as load shifts (§3.2.1). The Master stays the per-session split
+// ledger; the Service layers a session registry and a shared
+// fleet-worker registry on top of it, and a single training job is a
+// Service with one session:
 //
 //   - CreateSession/CloseSession/ListSessions manage tenants. Each
 //     session owns a Master (split leases, per-session worker
 //     membership, checkpoints) built from its SessionSpec; the spec's
-//     Weight is the tenant's share of the fleet.
-//   - Fleet workers register once with the Service (RegisterFleetWorker)
-//     and receive their assignment set — the sessions they should run
+//     Weight is the tenant's share of the fleet. RestoreSession is
+//     CreateSession from a checkpoint: a replica service re-hosts the
+//     sessions of a Checkpoint with their completed splits skipped.
+//   - Fleet workers register once with the Service (RegisterFleetWorker,
+//     which already assigns them their fair share of sessions) and
+//     receive their assignment set — the sessions they should run
 //     pipelines for — with every FleetHeartbeat. A FleetWorker hosts
 //     one per-session pipeline (a Worker) per assignment, all serving
 //     through one shared data-plane listener that demultiplexes by the
@@ -38,15 +42,9 @@ import (
 //     in-flight splits, serves out its buffer, and deregisters — so
 //     reassignment never loses rows.
 //
-// The Service implements the Orchestrator's control-plane surface, so
-// the same control loop that auto-scales a single session runs as the
-// fleet-level controller: pool size tracks tenant-aggregated
-// starvation/oversupply signals, and every Step re-runs the fair-share
-// rebalance.
-
-// DefaultSessionID is the session addressed by clients and workers that
-// carry no session ID — the wire-compatible single-tenant deployment.
-const DefaultSessionID = ""
+// The Orchestrator steers the Service directly: pool size tracks
+// tenant-aggregated starvation/oversupply signals (PolicyStats), and
+// every Step re-runs the fair-share rebalance.
 
 // SessionInfo is one tenant's registry entry as reported by
 // ListSessions.
@@ -150,27 +148,26 @@ func NewService(wh *warehouse.Warehouse) *Service {
 	}
 }
 
-// NewSingleSessionService hosts an existing master as the default
-// session — the wire-compatible single-tenant deployment ServeMaster
-// exposes. CreateSession still works when the service was built over a
-// warehouse; here it is rejected (no warehouse to plan sessions from).
-func NewSingleSessionService(m *Master) *Service {
-	s := NewService(nil)
-	s.sessions[DefaultSessionID] = &svcSession{
-		id:     DefaultSessionID,
-		weight: 1,
-		master: m,
-	}
-	return s
-}
-
 // CreateSession implements ServiceAPI: it plans a new tenant session
 // (enumerating its splits through a fresh Master) and registers it for
 // fair-share capacity at the spec's Weight.
 func (s *Service) CreateSession(id string, spec SessionSpec) error {
-	if s.wh == nil {
-		return fmt.Errorf("dpp: service has no warehouse; cannot create sessions")
-	}
+	return s.addSession(id, spec, func() (*Master, error) { return NewMaster(s.wh, spec) })
+}
+
+// RestoreSession registers a tenant session from one session's entry of
+// a decoded Checkpoint (DecodeServiceCheckpoint) — the replica taking
+// over (§3.2.1). Splits are re-enumerated from the warehouse and the
+// checkpoint's completed ones are not leased again; an unbounded
+// session restores its checkpoint as a prefix of whatever has sealed
+// since (RestoreMaster).
+func (s *Service) RestoreSession(id string, spec SessionSpec, checkpoint []byte) error {
+	return s.addSession(id, spec, func() (*Master, error) { return RestoreMaster(s.wh, spec, checkpoint) })
+}
+
+// addSession validates the ID and weight, plans the session's Master,
+// and enters it in the registry.
+func (s *Service) addSession(id string, spec SessionSpec, plan func() (*Master, error)) error {
 	if len(id) > maxSessionIDLen {
 		return fmt.Errorf("dpp: session ID %q exceeds %d bytes", id, maxSessionIDLen)
 	}
@@ -185,7 +182,7 @@ func (s *Service) CreateSession(id string, spec SessionSpec) error {
 	if weight == 0 {
 		weight = 1
 	}
-	m, err := NewMaster(s.wh, spec)
+	m, err := plan()
 	if err != nil {
 		return err
 	}
@@ -282,7 +279,10 @@ func (s *Service) Master(sessionID string) (*Master, error) {
 	return sess.master, nil
 }
 
-// RegisterFleetWorker implements FleetControl.
+// RegisterFleetWorker implements FleetControl. The new member is
+// assigned its fair share of sessions before the call returns, so the
+// immediate first heartbeat of FleetWorker.Run already carries work
+// instead of waiting out a control interval plus a heartbeat period.
 func (s *Service) RegisterFleetWorker(workerID, endpoint string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -295,6 +295,7 @@ func (s *Service) RegisterFleetWorker(workerID, endpoint string) error {
 	fm.endpoint = endpoint
 	fm.lastSeen = s.now()
 	fm.draining = false
+	s.rebalanceLocked()
 	return nil
 }
 
@@ -488,7 +489,8 @@ func fairShare(n int, weights []float64) []int {
 // rows), under-quota sessions gain the least-loaded workers. A session
 // whose quota rounds to zero still gets a secondary assignment on the
 // least-loaded worker, so no tenant starves outright while any capacity
-// exists. The fleet controller calls this every Step.
+// exists. The fleet controller calls this every Step, and a fleet
+// worker's registration runs it once for the new member.
 func (s *Service) Rebalance() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -610,6 +612,36 @@ func (s *Service) rebalanceLocked() {
 		}
 	}
 
+	// Spread: a worker that registers after every target was met — each
+	// registration rebalances, so the first member of a fleet takes every
+	// session's floor — would otherwise idle beside a member hosting
+	// several pipelines. Move one assignment at a time from the most-
+	// loaded member (its newest session, LIFO as above) to an idle one;
+	// the drain protocol hands the work over without losing rows.
+	for _, idle := range members {
+		if loadOf(idle) > 0 {
+			continue
+		}
+		var donor *fleetMember
+		for _, fm := range members {
+			if loadOf(fm) >= 2 && (donor == nil || loadOf(fm) > loadOf(donor)) {
+				donor = fm
+			}
+		}
+		if donor == nil {
+			break
+		}
+		var move *svcSession
+		for id := range donor.assigned {
+			if sess := activeSet[id]; move == nil || sess.seq > move.seq {
+				move = sess
+			}
+		}
+		_ = move.master.Drain(donor.id)
+		delete(donor.assigned, move.id)
+		idle.assigned[move.id] = true
+	}
+
 	// Enforce the assignment invariant against reality: a pipeline
 	// registered (non-draining) with a session master whose fleet
 	// member no longer holds the assignment is a ghost — its grant was
@@ -676,10 +708,9 @@ func (s *Service) ReapDead() int {
 	return reaped
 }
 
-// Done implements the Orchestrator's control-plane surface: the fleet
-// is done when the service hosts at least one session and every session
-// has completed. An empty registry reports false so a freshly started
-// service does not immediately finish its control loop.
+// Done reports whether the service hosts at least one session and every
+// session has completed; a session that failed (a split out of its
+// poison budget) surfaces as the error.
 func (s *Service) Done() (bool, error) {
 	s.mu.Lock()
 	masters := make([]*Master, 0, len(s.sessions))
@@ -699,7 +730,7 @@ func (s *Service) Done() (bool, error) {
 	return true, nil
 }
 
-// PolicyStats implements the Orchestrator's control-plane surface: one
+// PolicyStats is what the Orchestrator's scaling policy evaluates: one
 // snapshot per live fleet member, as reported by its fleet heartbeat.
 // A FleetWorker's aggregate takes the minimum buffer level across its
 // per-session pipelines, so one starving tenant makes its members read
@@ -725,17 +756,13 @@ func (s *Service) PolicyStats() []WorkerStats {
 // scale-down rule sees them as drainable oversupply.
 const idleBuffered = 1 << 20
 
-// Drain implements the Orchestrator's control-plane surface for the
-// fleet: draining a fleet "worker" drains the whole fleet member.
-func (s *Service) Drain(workerID string) error { return s.DrainFleetWorker(workerID) }
-
 // serviceCheckpoint is the serialized state of every session.
 type serviceCheckpoint struct {
 	Sessions map[string][]byte
 }
 
-// Checkpoint implements the Orchestrator's control-plane surface:
-// every session's reader state, keyed by session ID.
+// Checkpoint serializes every session's reader state, keyed by session
+// ID.
 func (s *Service) Checkpoint() ([]byte, error) {
 	s.mu.Lock()
 	sessions := make(map[string]*Master, len(s.sessions))
@@ -759,7 +786,7 @@ func (s *Service) Checkpoint() ([]byte, error) {
 }
 
 // DecodeServiceCheckpoint splits a service checkpoint back into
-// per-session reader states (for RestoreMaster on a replica).
+// per-session reader states (for RestoreSession on a replica).
 func DecodeServiceCheckpoint(data []byte) (map[string][]byte, error) {
 	var ckpt serviceCheckpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ckpt); err != nil {

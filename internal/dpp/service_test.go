@@ -126,36 +126,45 @@ type fakeFleetLauncher struct {
 
 	mu      sync.Mutex
 	handles map[string]*fakeHandle
+	order   []string
 }
 
 func (l *fakeFleetLauncher) Launch(id string) (WorkerHandle, error) {
 	if err := l.svc.RegisterFleetWorker(id, "fake://"+id); err != nil {
 		return nil, err
 	}
-	h := &fakeHandle{id: id}
+	h := newFakeHandle(id)
 	l.mu.Lock()
 	if l.handles == nil {
 		l.handles = make(map[string]*fakeHandle)
 	}
 	l.handles[id] = h
+	l.order = append(l.order, id)
 	l.mu.Unlock()
 	return h, nil
 }
 
-// heartbeatAll reports a healthy-idle snapshot for every launched fleet
-// worker still registered, as real FleetWorkers do every period.
+// ids returns launch order.
+func (l *fakeFleetLauncher) ids() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.order...)
+}
+
+// heartbeat reports stats for every launched fleet worker still
+// registered, as real FleetWorkers do every period.
+func (l *fakeFleetLauncher) heartbeat(t *testing.T, stats WorkerStats) {
+	t.Helper()
+	for _, id := range l.ids() {
+		// Deregistered workers reject the heartbeat; fine.
+		_, _ = l.svc.FleetHeartbeat(id, stats)
+	}
+}
+
+// heartbeatAll reports a healthy, busy snapshot the policy leaves alone.
 func (l *fakeFleetLauncher) heartbeatAll(t *testing.T) {
 	t.Helper()
-	l.mu.Lock()
-	ids := make([]string, 0, len(l.handles))
-	for id := range l.handles {
-		ids = append(ids, id)
-	}
-	l.mu.Unlock()
-	for _, id := range ids {
-		// Deregistered workers reject the heartbeat; fine.
-		_, _ = l.svc.FleetHeartbeat(id, WorkerStats{BufferedBatches: 4, MinBuffered: 4, BusyFrac: 0.9})
-	}
+	l.heartbeat(t, WorkerStats{BufferedBatches: 4, MinBuffered: 4, BusyFrac: 0.9})
 }
 
 // retire marks a fleet worker drained and deregisters it, as a real
@@ -168,9 +177,7 @@ func (l *fakeFleetLauncher) retire(t *testing.T, id string) {
 	if h == nil {
 		t.Fatalf("retire of unknown fleet worker %s", id)
 	}
-	h.mu.Lock()
-	h.drained = true
-	h.mu.Unlock()
+	h.Stop()
 	if err := l.svc.DeregisterFleetWorker(id); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +221,7 @@ func TestFleetFairShareConvergenceVirtualClock(t *testing.T) {
 	}
 
 	l := &fakeFleetLauncher{svc: svc}
-	o := NewFleetOrchestrator(svc, l, NewAutoScaler(6, 6))
+	o := NewOrchestrator(svc, l, NewAutoScaler(6, 6))
 	o.ScaleInterval = time.Second
 	o.ScaleUpCooldown = time.Second
 
@@ -282,6 +289,38 @@ func TestFleetFairShareConvergenceVirtualClock(t *testing.T) {
 	}
 }
 
+// TestFleetRegistrationSpreadsLoad: workers register one at a time and
+// each registration rebalances, so the first member takes every
+// session's floor assignment; the second must not be left idle beside
+// it (an idle member reads as oversupply and hides the loaded one's
+// starvation from the scaling policy).
+func TestFleetRegistrationSpreadsLoad(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16)
+	svc := NewService(wh)
+	for i, id := range []string{"a", "b", "c"} {
+		s := spec
+		s.Weight = float64(i + 1)
+		if err := svc.CreateSession(id, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := &fakeFleetLauncher{svc: svc}
+	for _, id := range []string{"w0", "w1"} {
+		if _, err := l.Launch(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assigned := svc.FleetAssignments()
+	if len(assigned["w0"]) == 0 || len(assigned["w1"]) == 0 {
+		t.Fatalf("a member was left idle: %v", assigned)
+	}
+	for id, n := range svc.AssignmentCounts() {
+		if n != 1 {
+			t.Fatalf("session %s holds %d assignments, want its floor of 1: %v", id, n, assigned)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Sessions racing registry churn against worker churn, under -race.
 // ---------------------------------------------------------------------
@@ -301,7 +340,7 @@ func TestServiceConcurrentSessionChurn(t *testing.T) {
 		HeartbeatEvery: time.Millisecond,
 		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
-	o := NewFleetOrchestrator(svc, launcher, NewAutoScaler(2, 4))
+	o := NewOrchestrator(svc, launcher, NewAutoScaler(2, 4))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond
@@ -388,7 +427,7 @@ func TestServiceCloseSessionMidRunAbandonsPipelines(t *testing.T) {
 		HeartbeatEvery: time.Millisecond,
 		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
-	o := NewFleetOrchestrator(svc, launcher, NewAutoScaler(1, 2))
+	o := NewOrchestrator(svc, launcher, NewAutoScaler(1, 2))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})

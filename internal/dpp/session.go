@@ -5,18 +5,11 @@
 //
 // DPP divides into a control plane and a data plane:
 //
-//   - The Master (control plane) breaks the preprocessing workload into
-//     self-contained splits, serves them to Workers, tracks progress,
-//     checkpoints reader state, restarts failed Workers, and resolves
-//     the session's live worker membership (ListWorkers) for clients.
-//   - The Orchestrator closes the auto-scaling loop around the Master:
-//     it periodically evaluates worker heartbeats with the AutoScaler
-//     policy and launches or drains workers through a WorkerLauncher
-//     (InProcessLauncher for goroutine workers, RPCLauncher for
-//     TCP-served ones), reaps retired workers, and takes periodic
-//     reader-state checkpoints. Scale actions respect up/down cooldowns
-//     measured on an internal/clock virtual clock, so tests drive the
-//     identical control law deterministically via Step and Advance.
+//   - The Master (control plane) is one session's split ledger: it
+//     breaks the preprocessing workload into self-contained splits,
+//     serves them to Workers, tracks progress, checkpoints reader
+//     state, requeues the leases of failed Workers, and resolves the
+//     session's live worker membership (ListWorkers) for clients.
 //   - Workers (data plane) are stateless: they register a data-plane
 //     endpoint, pull the transformation spec at startup, then run
 //     splits through a bounded multi-stage pipeline — a prefetcher pool
@@ -28,32 +21,40 @@
 //     deregisters, so shrinking the pool never loses rows.
 //   - Clients run on trainer nodes and fetch tensors from Workers with
 //     partitioned round-robin routing. A session client
-//     (NewSessionClient) resolves membership from the Master and
-//     rebalances its connections as the pool grows and shrinks
-//     mid-session; NewClient keeps the frozen-set behaviour for static
-//     fleets.
+//     (NewSessionClient, NewTenantClient) resolves membership from the
+//     session's Master and rebalances its connections as the pool
+//     grows and shrinks mid-session; NewClient keeps the frozen-set
+//     behaviour for a fixed pool of Workers over one Master.
 //
-// Above the single-session Master sits the multi-tenant Service — the
-// paper's actual deployment shape, one shared preprocessing fleet
-// multiplexed across many simultaneous training jobs:
+// Elastic operation has one control plane, the Service — the paper's
+// actual deployment shape, one shared preprocessing fleet multiplexed
+// across many simultaneous training jobs. A single job is a Service
+// with one session:
 //
 //   - The Service hosts a session registry (CreateSession /
-//     CloseSession / ListSessions) with one Master per session, and a
-//     fleet registry of session-aware FleetWorkers. Every control
+//     RestoreSession / CloseSession / ListSessions) with one Master
+//     per session, and a fleet registry of session-aware
+//     FleetWorkers. At every worker registration and every control
 //     Step it re-divides the live fleet among active sessions by
 //     weighted fair share (SessionSpec.Weight, largest-remainder
 //     apportionment, within one worker of each tenant's quota);
 //     assignments reach workers with their fleet heartbeats.
 //   - A FleetWorker runs one pipeline (a Worker) per assigned session
 //     behind one shared data-plane listener; a stream's hello carries
-//     the session ID that routes it to the right pipeline (empty = the
-//     default session of a single-session worker). Revoking an
+//     the session ID that routes it to the right pipeline. Revoking an
 //     assignment drains the pipeline through the ordinary drain
 //     protocol, so rebalancing never loses rows.
-//   - The same Orchestrator control law runs fleet-wide
-//     (NewFleetOrchestrator): pool size follows tenant-aggregated
-//     starvation and oversupply, scale-down drains whole fleet
-//     members, and checkpoints cover every session.
+//   - The Orchestrator closes the auto-scaling loop around the
+//     Service: it periodically evaluates the fleet heartbeats with the
+//     AutoScaler policy and launches or drains fleet members through a
+//     WorkerLauncher (InProcessFleetLauncher for goroutine workers,
+//     RPCFleetLauncher for TCP-served ones), reaps retired members,
+//     and takes periodic checkpoints covering every session
+//     (DecodeServiceCheckpoint + RestoreSession re-host them on a
+//     replica). Pool size follows tenant-aggregated starvation and
+//     oversupply; scale actions respect up/down cooldowns measured on
+//     an internal/clock virtual clock, so tests drive the identical
+//     control law deterministically via Step and Advance.
 //   - Each FleetWorker also owns a node-wide content-addressed cache
 //     (ware.Cache, sized by CacheBytes) shared by every pipeline it
 //     hosts: decoded stripe batches and transformed outputs are
@@ -146,8 +147,8 @@ type SessionSpec struct {
 	// Weight is the session's share of the fleet under multi-tenant
 	// operation: the Service divides worker capacity among live
 	// sessions in proportion to their weights (weighted fair share,
-	// §3.2.1's per-job capacity assignment). Zero or negative defaults
-	// to 1; single-session deployments ignore it.
+	// §3.2.1's per-job capacity assignment). Zero defaults to 1; a
+	// session alone in its Service gets the whole fleet whatever it is.
 	Weight float64
 	// DataPlane selects nothing: there is one data plane, and Validate
 	// accepts only "" and DataPlaneFramed. The field remains because the

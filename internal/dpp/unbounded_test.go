@@ -19,6 +19,14 @@ func buildUnboundedFixture(t testing.TB, rowsPerStripe int) (*warehouse.Warehous
 		t.Fatal(err)
 	}
 	wh := warehouse.New(cluster)
+	tbl, spec := addUnboundedTable(t, wh, rowsPerStripe)
+	return wh, tbl, spec
+}
+
+// addUnboundedTable adds the unbounded table "live" to wh and returns it
+// with a session spec tailing it.
+func addUnboundedTable(t testing.TB, wh *warehouse.Warehouse, rowsPerStripe int) (*warehouse.Table, SessionSpec) {
+	t.Helper()
 	ts := schema.NewTableSchema("live")
 	if err := ts.AddColumn(schema.Column{ID: 1, Kind: schema.Dense, Name: "d1"}); err != nil {
 		t.Fatal(err)
@@ -39,7 +47,7 @@ func buildUnboundedFixture(t testing.TB, rowsPerStripe int) (*warehouse.Warehous
 		BatchSize: 8,
 		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
 	}
-	return wh, tbl, spec
+	return tbl, spec
 }
 
 // sealPartitionAt writes rows rows into a new partition of tbl, stamping

@@ -846,13 +846,6 @@ func (w *Worker) Buffered() int {
 	return len(w.buffer)
 }
 
-// Finished reports whether Run has completed.
-func (w *Worker) Finished() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.finished
-}
-
 // Draining reports whether the master has marked this worker for
 // removal: it receives no further splits and Run exits once in-flight
 // work is delivered.

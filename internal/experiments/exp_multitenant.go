@@ -63,7 +63,7 @@ func runMultitenant() (Result, error) {
 		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	scaler := dpp.NewAutoScaler(mtMaxWorkers, mtMaxWorkers) // fixed-size shared fleet: isolate the sharing, not the sizing
-	o := dpp.NewFleetOrchestrator(svc, launcher, scaler)
+	o := dpp.NewOrchestrator(svc, launcher, scaler)
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})
@@ -240,7 +240,7 @@ func runMultitenantCacheRows() ([]Row, error) {
 	}
 	// One node: both tenants land on the same cache, isolating reuse
 	// from placement.
-	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 1))
+	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 1))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})

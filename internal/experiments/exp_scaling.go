@@ -20,7 +20,8 @@ func init() {
 
 // The §3.2.1 headline, reproduced end to end: the Master "auto-scales
 // the worker pool to eliminate data stalls". Both runs drive the same
-// session through the Orchestrator and an identical trainer schedule —
+// session — the one session of a Service — through the Orchestrator and
+// an identical trainer schedule —
 // warm up fast, slow down mid-session, then demand tensors at full
 // speed — differing only in the scaling bounds. The fixed run pins the
 // pool at the minimum; the elastic run may grow. When the trainer's
@@ -164,14 +165,19 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 	if err != nil {
 		return scalingOutcome{}, err
 	}
-	m, err := dpp.NewMaster(wh, spec)
-	if err != nil {
+	const sessionID = "elastic"
+	svc := dpp.NewService(wh)
+	if err := svc.CreateSession(sessionID, spec); err != nil {
 		return scalingOutcome{}, err
 	}
-	launcher := &dpp.InProcessLauncher{
-		Master: m,
-		WH:     wh,
-		Tune:   func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
+	launcher := &dpp.InProcessFleetLauncher{
+		Service:        svc,
+		WH:             wh,
+		HeartbeatEvery: time.Millisecond,
+		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
+		// One tenant reads every stripe once: a batch cache has nothing
+		// to serve and would only add its bookkeeping to the measurement.
+		CacheBytes: -1,
 	}
 	scaler := dpp.NewAutoScaler(minWorkers, maxWorkers)
 	// Starvation threshold proportional to the buffer: a quarter-full
@@ -184,13 +190,18 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 	// disabling the drain path keeps the warmup's scaled pool intact
 	// through the slowdown (the e2e test covers drain-back-down).
 	scaler.HighBuffer = 1 << 30
-	o := dpp.NewOrchestrator(m, launcher, scaler)
+	o := dpp.NewOrchestrator(svc, launcher, scaler)
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
+	stop := make(chan struct{})
 	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(nil) }()
+	go func() { runDone <- o.Run(stop) }()
+	defer func() {
+		close(stop)
+		<-runDone
+	}()
 
-	client, err := dpp.NewSessionClient(m, launcher.Dial, 0, 0)
+	client, err := dpp.NewTenantClient(svc, sessionID, launcher.SessionDialer(sessionID), 0, 0)
 	if err != nil {
 		return scalingOutcome{}, err
 	}
@@ -223,9 +234,6 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 		return scalingOutcome{}, err
 	}
 	phaseWall := time.Since(phaseStart)
-	if err := <-runDone; err != nil {
-		return scalingOutcome{}, err
-	}
 
 	steps := tr.StepsDone - stepsBefore
 	out := scalingOutcome{
