@@ -141,7 +141,7 @@ func BenchmarkDWRFReadBatchFlatmap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sp := range splits {
-			if _, _, err := wh.ReadSplitBatch(sp, proj, dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true}); err != nil {
+			if _, _, err := wh.ReadSplitBatchCached(sp, proj, dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -92,9 +92,9 @@ func main() {
 	// Pipeline knobs. Master, submit and demo roles only: workers pull
 	// each session's spec, pipeline sizing included, from its master at
 	// registration, so setting these on -role worker has no effect.
-	prefetchers := flag.Int("prefetchers", 0, "master/demo: split fetch+decode goroutines per worker (0 = default)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "master/demo: decoded splits buffered ahead of the transform stage (0 = default)")
-	xformParallel := flag.Int("transform-parallelism", 0, "master/demo: concurrent transform-graph goroutines per worker (0 = default)")
+	prefetchers := flag.Int("prefetchers", 0, "master/demo: split-evaluator goroutines per worker; the pool runs -prefetchers + -transform-parallelism of them (0 = default 2)")
+	prefetchDepth := flag.Int("prefetch-depth", 0, "master/demo: evaluated splits queued ahead of the deliver loop (0 = default)")
+	xformParallel := flag.Int("transform-parallelism", 0, "master/demo: split-evaluator goroutines per worker, added to -prefetchers (0 = default 2)")
 	bufferDepth := flag.Int("buffer", 0, "master/demo: delivered-tensor buffer capacity in batches (0 = default)")
 	bufferBytes := flag.Int64("buffer-bytes", 0, "master/demo: byte bound on the delivered-tensor buffer (0 = unbounded)")
 
@@ -103,7 +103,7 @@ func main() {
 	flag.Int64Var(&fleetCacheBytes, "cache-bytes", 0,
 		"master/worker/demo/ingest: per-worker content-addressed batch cache budget in bytes (0 = default, negative = disable)")
 	flag.IntVar(&readerCacheLimit, "reader-cache", 0,
-		"max open DWRF readers cached per warehouse (0 = default)")
+		"max open DWRF readers cached per warehouse (0 = default, negative = keep none open)")
 
 	// Failure-model knobs. The fault schedule installs on the local
 	// synthetic cluster, so it applies to roles that read storage

@@ -6,20 +6,25 @@
 // the disaggregated Data PreProcessing Service (DPP) feeding GPU
 // trainers.
 //
-// The DPP worker data plane is pipelined: a prefetcher pool fetches and
-// decodes upcoming DWRF stripes (through a per-warehouse reader cache
-// and pooled decode buffers), a configurable number of transform
-// goroutines run the preprocessing graph concurrently, and a delivery
-// stage with bounded buffering applies backpressure so per-session
-// memory stays finite. The knobs live in dpp.SessionSpec.Pipeline
-// (prefetchers, prefetch depth, transform parallelism, buffered-byte
-// bound) and surface as cmd/dppd flags; per-stage busy time (fetch /
-// decode / transform / deliver, the paper's Figure 9 breakdown) is
-// reported through WorkerStats and ResourceReport. The stages are the
-// only Worker.Run loop; Worker.ProcessOneSplit remains as the
-// synchronous single-split step experiments drive. BENCH_dpp.json
-// records BenchmarkDPPPipelinedSession against the sequential loop it
-// replaced.
+// The DPP worker does one thing per split — extract, transform, load —
+// and one function, Worker.evalSplit (internal/dpp/eval.go), is the
+// only place a split becomes tensors: it names the split's two
+// content-addressed wares (decoded stripe, transformed stripe) and
+// evaluates plan(decode(fetch)) with the node's ware cache as the memo
+// table at both levels, through a per-warehouse reader cache and pooled
+// decode buffers. Worker.Run is one pool of goroutines calling that
+// step ahead of a single deliver loop whose bounded buffer applies
+// backpressure, so per-session memory stays finite;
+// Worker.ProcessOneSplit is the same step and the same deliver call on
+// the caller's goroutine, the reference loop experiments and parity
+// tests drive. The knobs live in dpp.SessionSpec.Pipeline (the pool
+// size is Prefetchers + TransformParallelism; prefetch depth,
+// buffered-byte bound) and surface as cmd/dppd flags; busy time by
+// phase (fetch / decode / transform / deliver, the paper's Figure 9
+// breakdown) is reported through WorkerStats and ResourceReport.
+// BENCH_dpp.json is the historical record of the staged pipeline this
+// replaced (1.024x over a sequential loop, from the reader cache and
+// pooled buffers rather than from the stages).
 //
 // The transform stage itself runs compiled: transforms.Graph lowers its
 // topo-sorted op DAG into a slot-indexed transforms.Plan

@@ -98,8 +98,44 @@ func TestFleetCacheGoldenParity(t *testing.T) {
 
 	disabled := runWireSession(t, wh, spec, ware.NewCache(0), "off")
 
+	// The other driver of the step: a ProcessOneSplit loop honours an
+	// attached cache exactly as Run does.
+	loopCache := ware.NewCache(64 << 20)
+	loopSession := func(tenant string) *tensor.ContentSum {
+		m, err := NewMaster(wh, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(tenant, m, wh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.UseCache(loopCache, tenant)
+		sum := tensor.NewContentSum()
+		w.Sink = func(b *blob) { sum.AddBatch(b) }
+		for {
+			ok, err := w.ProcessOneSplit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+		if done, _ := m.Done(); !done {
+			t.Fatalf("%s: session not done", tenant)
+		}
+		return sum
+	}
+	loopCold := loopSession("loop-cold")
+	loopWarm := loopSession("loop-warm")
+	if ts := loopCache.TenantStats("loop-warm"); ts.XformHits != 8 || ts.Misses != 0 {
+		t.Fatalf("ProcessOneSplit warm tenant stats = %+v, want 8 xform hits and no misses", ts)
+	}
+
 	for name, sum := range map[string]*tensor.ContentSum{
 		"cold": cold, "warm": warm, "refetch": refetch, "disabled": disabled,
+		"loop-cold": loopCold, "loop-warm": loopWarm,
 	} {
 		if !golden.Equal(sum) {
 			t.Fatalf("%s content diverges from cold golden run", name)

@@ -207,14 +207,9 @@ func (c *Client) addLocked(id string, api WorkerAPI) bool {
 	return true
 }
 
-// RemoveWorker detaches a worker connection (closing it when the
+// removeLocked detaches a worker connection (closing it when the
 // transport supports Close) and reports whether it was connected.
-func (c *Client) RemoveWorker(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.removeLocked(id)
-}
-
+// Callers hold c.mu.
 func (c *Client) removeLocked(id string) bool {
 	for i, conn := range c.conns {
 		if conn.id != id {

@@ -31,16 +31,16 @@ type WorkerStats struct {
 	MinBuffered int
 	RowsPerSec  float64
 	// BusyFrac is the measured fraction of the last heartbeat window the
-	// worker's stage goroutines spent busy (fetching, decoding, or
+	// worker's evaluator goroutines spent busy (fetching, decoding, or
 	// transforming). Unlike the modelled utilizations above — which are
 	// saturation-relative, so the bottleneck domain always reads 1.0 —
 	// BusyFrac drops toward zero when the pipeline is blocked on
 	// backpressure from slow trainers, making it the oversupply signal
 	// the auto-scaler's drain decision keys on.
 	BusyFrac float64
-	// Stage is the cumulative per-stage busy-time breakdown of the
-	// worker's pipelined data plane (the Figure 9 measurement: where do
-	// worker cycles actually go?).
+	// Stage is the cumulative busy-time breakdown of the worker's data
+	// plane by phase (the Figure 9 measurement: where do worker cycles
+	// actually go?).
 	Stage StageBusy
 
 	// Fleet content-addressed cache counters (cumulative; zero for
@@ -68,9 +68,6 @@ type WorkerStats struct {
 	Quarantines      int64
 	SplitsReleased   int64
 }
-
-// CacheHits sums transform- and stripe-level hits.
-func (s WorkerStats) CacheHits() int64 { return s.CacheXformHits + s.CacheStripeHits }
 
 // StageBusy is the cumulative wall time each data-plane stage has spent
 // busy, in seconds. Fetch is time waiting on storage, Decode is

@@ -153,9 +153,6 @@ func NewOrchestrator(svc *Service, launcher WorkerLauncher, scaler *AutoScaler) 
 	}
 }
 
-// Scaler returns the policy the loop runs.
-func (o *Orchestrator) Scaler() *AutoScaler { return o.scaler }
-
 // upCooldown and downCooldown resolve defaults.
 func (o *Orchestrator) upCooldown() time.Duration {
 	if o.ScaleUpCooldown > 0 {

@@ -1,207 +1,128 @@
 package dpp
 
 import (
-	"fmt"
 	"sync"
 	"time"
-
-	"dsi/internal/dwrf"
-	"dsi/internal/tectonic"
-	"dsi/internal/ware"
 )
 
-// This file implements Worker.Run's loop: fetch → decode → transform →
-// deliver as three overlapped stages joined by bounded channels, so the
-// NIC keeps fetching stripes while the CPU transforms earlier ones and
-// finished tensors drain to trainers concurrently (the paper's central
-// DPP requirement: online preprocessing must overlap extract, transform,
-// and load to keep trainers fed).
+// This file implements Worker.Run's loop. A worker does one thing per
+// split — extract, transform, load — and eval.go is that one thing up to
+// tensors (evalNext: lease → evalSplit → release on a retryable storage
+// error). Run is a pool of goroutines calling that step and one deliver
+// loop consuming what they produce:
 //
-//	fetch pool (Prefetchers goroutines)
-//	    master.NextSplit → warehouse read (cached reader, pooled
-//	    buffers) → decoded columnar batch
-//	        │  bounded by PrefetchDepth
-//	transform pool (TransformParallelism goroutines)
-//	    preprocessing graph → tensor materialization → batch slicing
-//	        │  bounded by PrefetchDepth
-//	deliver stage (one goroutine: the Run caller)
+//	evaluator pool (Prefetchers + TransformParallelism goroutines)
+//	    master.NextSplit → evalSplit: cached reader → ware cache probe
+//	    → fetch + decode → plan → materialize → slice
+//	        │  one channel, bounded by PrefetchDepth
+//	deliver loop (one goroutine: the Run caller)
 //	    resource accounting → bounded output buffer (BufferDepth
-//	    batches / MaxBufferedBytes) → CompleteSplit → heartbeat
+//	    batches / MaxBufferedBytes) → heartbeat
 //
-// Every inter-stage channel is bounded, so a slow trainer stalls the
-// whole pipeline backwards instead of growing buffers without limit.
+// Nothing on the read path waits on the wall clock, so the pool buys
+// CPU parallelism only; evaluating ahead of delivery is what keeps
+// trainers fed while earlier tensors drain (the paper's central DPP
+// requirement). The channel and the buffer are both bounded, so a slow
+// trainer stalls the evaluators instead of growing memory without
+// limit. ProcessOneSplit is the same step and the same deliver call on
+// the caller's goroutine.
 
-// fetchedSplit is one decoded split flowing from fetch to transform.
-type fetchedSplit struct {
-	splitID int
-	batch   *dwrf.Batch
-	stats   dwrf.ReadStats
-	// preXformed marks batch as a cached transform output: the
-	// transform stage skips the plan and only materializes tensors
-	// from the shared batch.
-	preXformed bool
-	// xformWare, when set, names the ware the transform stage should
-	// publish its output under (fleet cache attached, no xform hit).
-	xformWare ware.WareID
-}
-
-// transformedSplit is one transformed split flowing to the deliver stage.
-type transformedSplit struct {
-	splitID int
-	stats   dwrf.ReadStats
-	tr      transformed
-}
-
-// pipelineAbort coordinates shutdown across stage goroutines: the first
-// failure (or an external stop) closes the abort channel, and every
-// stage unblocks and drains.
+// pipelineAbort coordinates shutdown across the pool: the first failure
+// (or an external stop) closes the abort channel, and every goroutine
+// unblocks and returns.
 type pipelineAbort struct {
 	ch   chan struct{}
 	once sync.Once
-
-	mu  sync.Mutex
-	err error
+	err  error // the first failure; read only after a fail call returned
 }
 
-func newPipelineAbort() *pipelineAbort {
-	return &pipelineAbort{ch: make(chan struct{})}
-}
-
-// fail records the first error and releases every stage. A nil err is an
-// orderly stop (external cancellation), not a failure.
+// fail records the first error and releases every goroutine. A nil err
+// is an orderly stop (external cancellation), not a failure.
 func (a *pipelineAbort) fail(err error) {
 	a.once.Do(func() {
-		a.mu.Lock()
 		a.err = err
-		a.mu.Unlock()
 		close(a.ch)
 	})
 }
 
-// firstErr returns the recorded error, if any.
-func (a *pipelineAbort) firstErr() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
-}
-
-// runPipelined drives the session through the overlapped data plane
-// until the master reports it done, stop is closed, or a stage fails.
-func (w *Worker) runPipelined(stop <-chan struct{}) error {
+// Run processes splits until the master reports the session done, the
+// master marks this worker draining (the auto-scaler shrinking the
+// pool), stop is closed, or a split fails. Splits already evaluated are
+// always delivered before an orderly Run returns; buffered batches
+// remain fetchable afterwards — follow with Retire to serve them out
+// and deregister. Heartbeats are sent after every split, plus a
+// background liveness tick so a worker stalled on a slow trainer is
+// neither reaped nor has its in-flight leases requeued.
+func (w *Worker) Run(stop <-chan struct{}) error {
+	defer w.finish()
 	pl := w.spec.Pipeline
-	abort := newPipelineAbort()
+	abort := &pipelineAbort{ch: make(chan struct{})}
 
-	// Translate the external stop signal — and the fault-injection
-	// crash — into an orderly abort of the stage goroutines.
-	stopDone := make(chan struct{})
-	defer close(stopDone)
+	// Until Run returns: liveness heartbeats, and the external stop
+	// signal — and the fault-injection crash — translated into an
+	// orderly abort of the pool.
+	returned := make(chan struct{})
+	defer close(returned)
+	go w.heartbeatLoop(returned)
 	go func() {
-		var stopCh <-chan struct{}
-		if stop != nil {
-			stopCh = stop
-		}
 		select {
-		case <-stopCh:
+		case <-stop:
 			abort.fail(nil)
 		case <-w.crashCh:
 			abort.fail(nil)
 		case <-abort.ch:
-		case <-stopDone:
+		case <-returned:
 		}
 	}()
 
-	fetched := make(chan fetchedSplit, pl.PrefetchDepth)
-	xformed := make(chan transformedSplit, pl.PrefetchDepth)
-
-	// Fetch pool: lease splits and decode them ahead of the transform
-	// stage.
-	var fetchWG sync.WaitGroup
-	for i := 0; i < pl.Prefetchers; i++ {
-		fetchWG.Add(1)
+	// The plan is immutable after compilation and each split's batch is
+	// private to the goroutine evaluating it, so the evaluators share
+	// nothing but the worker's arena, stopwatches and cache.
+	// PrefetchDepth bounds how many evaluated splits wait for delivery.
+	evals := make(chan evaluated, pl.PrefetchDepth)
+	var pool sync.WaitGroup
+	for i := 0; i < pl.Prefetchers+pl.TransformParallelism; i++ {
+		pool.Add(1)
 		go func() {
-			defer fetchWG.Done()
-			w.fetchLoop(fetched, abort)
+			defer pool.Done()
+			w.evalLoop(evals, abort)
 		}()
 	}
 	go func() {
-		fetchWG.Wait()
-		close(fetched)
+		pool.Wait()
+		close(evals)
 	}()
 
-	// Transform pool: run the compiled plan concurrently. The plan is
-	// immutable after compilation, so sharing it across goroutines is
-	// safe; each split's batch is private to one goroutine at a time.
-	var xformWG sync.WaitGroup
-	for i := 0; i < pl.TransformParallelism; i++ {
-		xformWG.Add(1)
-		go func() {
-			defer xformWG.Done()
-			for f := range fetched {
-				tr, err := w.transformFetched(f)
-				if err != nil {
-					abort.fail(err)
-					return
-				}
-				select {
-				case xformed <- transformedSplit{splitID: f.splitID, stats: f.stats, tr: tr}:
-				case <-abort.ch:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		xformWG.Wait()
-		close(xformed)
-	}()
-
-	// Deliver stage, on the caller's goroutine: account, buffer with
-	// backpressure, heartbeat. The split itself is acknowledged by the
-	// consumption ledger (finishSplit / ackConsumed) once clients have
-	// consumed every batch, not when the buffer accepts them — see
-	// splitAcct in worker.go.
-	for t := range xformed {
-		w.accountSplit(t.stats, t.tr)
-		tagBatches(t.splitID, t.tr.batches)
-		w.beginSplit(t.splitID)
-		err := w.deliverAll(t.tr.batches, abort.ch)
-		w.finishSplit(t.splitID, err == nil)
-		if err != nil {
+	for ev := range evals {
+		if w.deliverSplit(ev, abort.ch) != nil {
 			// Delivery is canceled only by an abort already in flight
-			// (external stop, crash, or a stage failure); fold into it.
-			abort.fail(nil)
+			// (external stop, crash, or a failed split).
 			break
 		}
-		if err := w.master.Heartbeat(w.ID, w.heartbeatStats()); err != nil {
+		// A transport failure is not disownment (heartbeatLoop has the
+		// rule and the reasons): membership and leases are intact at the
+		// master, so only a master that rejects this worker ends the run.
+		if err := w.master.Heartbeat(w.ID, w.heartbeatStats()); isDisownedErr(err) {
 			abort.fail(err)
 			break
 		}
 	}
 
-	// Unblock and drain any stage still running, then wait for all
-	// goroutines so the worker owns no concurrency after Run returns.
+	// Release any evaluator still running and wait for the pool (evals
+	// closes after the last one exits), so the worker owns no
+	// concurrency after Run returns. Evaluated splits left in the
+	// channel hold plain tensors — every refcounted batch was released
+	// inside evalSplit — so dropping them needs no cleanup.
 	abort.fail(nil) // no-op if a real error or stop already aborted
-	for range xformed {
+	for range evals {
 	}
-	fetchWG.Wait()
-	xformWG.Wait()
-	// On an aborted run decoded splits may still sit in the fetch queue
-	// with no transform stage left to consume them; drop this worker's
-	// ownership of each. Release is refcount-aware: an exclusively
-	// owned batch recycles its arena buffers immediately, while a batch
-	// simultaneously held by the fleet cache or by another session's
-	// Derive view merely loses this pipeline's reference. (The channel
-	// is closed once the fetch pool exits.)
-	for f := range fetched {
-		f.batch.Release()
-	}
-
-	return abort.firstErr()
+	return abort.err
 }
 
-// fetchLoop is one fetch-pool goroutine: it leases splits until the
-// session is done, decoding each through the cached-reader path.
-func (w *Worker) fetchLoop(out chan<- fetchedSplit, abort *pipelineAbort) {
+// evalLoop is one evaluator goroutine: it runs the step until the
+// session is done or this worker drains, sending each evaluated split
+// to the deliver loop.
+func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
 	// Idle polling backs off exponentially so a worker waiting on
 	// splits leased elsewhere doesn't hammer a remote master with RPCs
 	// during the session tail; the local splitDone signal still ends
@@ -214,70 +135,50 @@ func (w *Worker) fetchLoop(out chan<- fetchedSplit, abort *pipelineAbort) {
 			return
 		default:
 		}
-		split, splitID, ok, draining, err := w.master.NextSplit(w.ID)
+		ev, leased, err := w.evalNext()
 		if err != nil {
 			abort.fail(err)
 			return
 		}
-		if draining {
-			// Drain-complete for this fetcher: the master hands out no
-			// further leases; already-fetched splits still flow through
-			// transform and delivery before Run returns.
-			w.setDraining()
-			return
-		}
-		if !ok {
-			done, err := w.master.Done()
-			if err != nil {
-				abort.fail(err)
-				return
-			}
-			if done {
-				return
-			}
-			// The remaining splits are leased (to this worker's deliver
-			// stage or to other workers); wait for a completion signal
-			// before re-checking, with a backed-off timeout covering
-			// completions on other workers.
-			w.mu.Lock()
-			wait := w.splitDone
-			w.mu.Unlock()
-			select {
-			case <-abort.ch:
-				return
-			case <-wait:
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
+		if leased {
+			backoff = time.Millisecond
+			if ev.batches != nil { // nil: released back; lease again
+				select {
+				case out <- ev:
+				case <-abort.ch:
+					return
+				}
 			}
 			continue
 		}
-		backoff = time.Millisecond
-		f, err := w.fetchSplitThroughCache(split)
-		if err != nil {
-			// Degraded mode: a retryable storage failure (node down,
-			// transient I/O, unrecoverable-by-us corruption) releases
-			// the split back to the master for requeue — another worker,
-			// or this one after the fault window passes, will pick it up
-			// — instead of killing the whole session. The master's
-			// per-split poison budget bounds the requeueing; once it is
-			// exhausted (requeued=false) the failure is permanent.
-			if tectonic.IsRetryable(err) {
-				requeued, rerr := w.master.ReleaseSplit(w.ID, splitID, err.Error())
-				if rerr == nil && requeued {
-					w.noteSplitReleased()
-					continue
-				}
-			}
-			abort.fail(fmt.Errorf("dpp: worker %s split %d: %w", w.ID, splitID, err))
+		if w.Draining() {
+			// The master hands this worker no further leases; splits
+			// already evaluated are still delivered before Run returns.
 			return
 		}
-		f.splitID = splitID
+		done, err := w.master.Done()
+		if err != nil {
+			abort.fail(err)
+			return
+		}
+		if done {
+			return
+		}
+		// The remaining splits are leased (to this worker's deliver
+		// loop or to other workers); wait for a completion signal
+		// before re-checking, with a backed-off timeout covering
+		// completions on other workers.
+		w.mu.Lock()
+		wait := w.splitDone
+		w.mu.Unlock()
 		select {
-		case out <- f:
 		case <-abort.ch:
 			return
+		case <-wait:
+		case <-time.After(backoff):
+		}
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
 }

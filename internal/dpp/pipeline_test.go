@@ -1,6 +1,7 @@
 package dpp
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -42,7 +43,7 @@ func (d delivered) equal(o delivered) bool {
 // pipeline to two references over the same session: the synchronous
 // ProcessOneSplit loop (same plan, no stages), and an oracle outside
 // Worker that runs the session's ops through the transforms.Graph.Run
-// interpreter over plain ReadSplitBatch reads. All three must deliver
+// interpreter over ReadSplitBatchCached reads. All three must deliver
 // the same rows, batch count and tensor content.
 func TestRunMatchesSingleSplitLoopAndInterpreter(t *testing.T) {
 	viaWorker := func(drive func(*Worker) error) delivered {
@@ -99,7 +100,7 @@ func TestRunMatchesSingleSplitLoopAndInterpreter(t *testing.T) {
 		if !ok {
 			break
 		}
-		batch, _, err := wh.ReadSplitBatch(split, spec.Projection(), spec.Read)
+		batch, _, err := wh.ReadSplitBatchCached(split, spec.Projection(), spec.Read)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,6 +126,65 @@ func TestRunMatchesSingleSplitLoopAndInterpreter(t *testing.T) {
 	if !loop.equal(interp) {
 		t.Fatalf("ProcessOneSplit loop delivered %d rows / %d batches, interpreter oracle %d / %d, content equal: %v",
 			loop.rows, loop.batches, interp.rows, interp.batches, loop.sum.Equal(interp.sum))
+	}
+}
+
+// heartbeatFaultMaster answers its first fail Heartbeat calls with err
+// instead of forwarding them.
+type heartbeatFaultMaster struct {
+	MasterAPI
+	err  error
+	fail atomic.Int32
+}
+
+func (m *heartbeatFaultMaster) Heartbeat(workerID string, stats WorkerStats) error {
+	if m.fail.Add(-1) >= 0 {
+		return m.err
+	}
+	return m.MasterAPI.Heartbeat(workerID, stats)
+}
+
+// TestRunHeartbeatErrors holds the deliver loop's per-split heartbeat
+// to heartbeatLoop's rule: a transport failure is retried with the next
+// split (membership and leases are intact at the master), only a master
+// that disowns the worker ends the run.
+func TestRunHeartbeatErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		err      error
+		wantRows int // -1: Run must fail with err before finishing
+	}{
+		{"transport", errors.New("read tcp 127.0.0.1:7170: connection reset by peer"), 128},
+		{"disowned", errors.New(`dpp: unregistered worker "w"`), -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wh, spec := buildFixture(t, 64, 16) // 8 splits, 128 rows
+			m, err := NewMaster(wh, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fm := &heartbeatFaultMaster{MasterAPI: m, err: tc.err}
+			fm.fail.Store(2)
+			w, err := NewWorker("w", fm, wh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			w.Sink = func(b *blob) { rows += b.Rows }
+			err = w.Run(nil)
+			if tc.wantRows < 0 {
+				if !errors.Is(err, tc.err) {
+					t.Fatalf("Run = %v, want the disowning heartbeat error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Run = %v after two transient heartbeat errors, want nil", err)
+			}
+			if done, _ := m.Done(); !done || rows != tc.wantRows || fm.fail.Load() > 0 {
+				t.Fatalf("done %v, %d rows (want %d), %d injected failures left", done, rows, tc.wantRows, fm.fail.Load())
+			}
+		})
 	}
 }
 

@@ -11,14 +11,17 @@
 //     state, requeues the leases of failed Workers, and resolves the
 //     session's live worker membership (ListWorkers) for clients.
 //   - Workers (data plane) are stateless: they register a data-plane
-//     endpoint, pull the transformation spec at startup, then run
-//     splits through a bounded multi-stage pipeline — a prefetcher pool
-//     fetching and decoding stripes ahead of consumption, a concurrent
-//     transform stage, and a delivery stage whose bounded buffer
-//     applies backpressure — sized by SessionSpec.Pipeline and
-//     observable per stage via WorkerStats. A drained worker finishes
-//     its in-flight splits, serves out its buffer (Retire), and
-//     deregisters, so shrinking the pool never loses rows.
+//     endpoint, pull the transformation spec at startup, then do one
+//     thing per leased split — extract, transform, load. evalSplit
+//     (eval.go) is the only place a split becomes tensors, memoised at
+//     the decoded and the transformed level in the node's ware cache;
+//     Run is one pool of goroutines calling it ahead of a single
+//     deliver loop whose bounded buffer applies backpressure — sized by
+//     SessionSpec.Pipeline and observable by phase via WorkerStats —
+//     and ProcessOneSplit is the same step on the caller's goroutine. A
+//     drained worker finishes its in-flight splits, serves out its
+//     buffer (Retire), and deregisters, so shrinking the pool never
+//     loses rows.
 //   - Clients run on trainer nodes and fetch tensors from Workers with
 //     partitioned round-robin routing. A session client
 //     (NewSessionClient, NewTenantClient) resolves membership from the
@@ -141,8 +144,10 @@ type SessionSpec struct {
 	Read dwrf.ReadOptions
 	// BufferDepth is the per-worker tensor buffer capacity in batches.
 	BufferDepth int
-	// Pipeline sizes the worker's pipelined data plane; the zero value
-	// means default parallelism.
+	// Pipeline sizes the worker's evaluator pool; the zero value means
+	// default parallelism. Its Prefetchers and TransformParallelism are
+	// one number (their sum) and collapse into one field with the next
+	// benchmark change, like DataPlane below.
 	Pipeline PipelineOptions
 	// Weight is the session's share of the fleet under multi-tenant
 	// operation: the Service divides worker capacity among live
@@ -163,23 +168,27 @@ type SessionSpec struct {
 	RetryBudget int
 }
 
-// PipelineOptions sizes the worker's pipelined data plane: extract,
-// transform, and load run as overlapped stages, so the NIC keeps
-// fetching while the CPU transforms and the CPU keeps transforming
-// while tensors drain to trainers — the overlap the paper's DPP
-// workers need to avoid the Table 7 data stalls.
-// Every buffer between stages is bounded, keeping per-session memory
-// finite (§DPP: avoid OOM from unbounded buffering).
+// PipelineOptions sizes a worker's evaluator pool (pipeline.go): a
+// number of goroutines each turning one leased split at a time into
+// tensors, ahead of a single deliver loop, so tensors keep draining to
+// trainers while later splits are extracted and transformed — the
+// overlap the paper's DPP workers need to avoid the Table 7 data
+// stalls. The hand-off and the output buffer are bounded, keeping
+// per-session memory finite (§DPP: avoid OOM from unbounded buffering).
+//
+// Prefetchers and TransformParallelism are summed: the pool runs
+// Prefetchers + TransformParallelism identical evaluators, and neither
+// count means anything on its own. They stay two fields because the
+// frozen benchmark (bench/env.go) sets both, and become one with the
+// next benchmark change.
 type PipelineOptions struct {
-	// Prefetchers is the number of goroutines leasing splits and
-	// fetching+decoding stripes ahead of the transform stage. Default 2.
+	// Prefetchers is the first addend of the evaluator count. Default 2.
 	Prefetchers int
-	// PrefetchDepth is the maximum number of decoded splits buffered
-	// between the fetch and transform stages. Default
-	// max(2, Prefetchers).
+	// PrefetchDepth is the maximum number of evaluated splits waiting
+	// for the deliver loop. Default Prefetchers.
 	PrefetchDepth int
-	// TransformParallelism is the number of goroutines running the
-	// transformation graph concurrently. Default 2.
+	// TransformParallelism is the second addend of the evaluator count.
+	// Default 2.
 	TransformParallelism int
 	// MaxBufferedBytes bounds the delivered-tensor buffer by bytes on
 	// top of BufferDepth's batch-count bound (0 = count bound only). A
@@ -202,22 +211,23 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 	return o
 }
 
-// planFor clamps the stage parallelism to the session's actual split
-// count; the Master applies this during session planning so a tiny
-// session doesn't spin up idle stage goroutines on every worker.
+// planFor clamps the evaluator count — the sum — and the hand-off depth
+// to the session's actual split count; the Master applies this during
+// session planning so a tiny session doesn't spin up idle evaluators on
+// every worker. Each addend keeps at least 1 (zero means "default"), so
+// the floor of the sum is 2.
 func (o PipelineOptions) planFor(splits int) PipelineOptions {
 	o = o.withDefaults()
 	if splits <= 0 {
 		return o
 	}
-	if o.Prefetchers > splits {
-		o.Prefetchers = splits
+	if excess := o.Prefetchers + o.TransformParallelism - max(splits, 2); excess > 0 {
+		cut := min(excess, o.TransformParallelism-1)
+		o.TransformParallelism -= cut
+		o.Prefetchers -= excess - cut
 	}
 	if o.PrefetchDepth > splits {
 		o.PrefetchDepth = splits
-	}
-	if o.TransformParallelism > splits {
-		o.TransformParallelism = splits
 	}
 	return o
 }

@@ -50,8 +50,8 @@ type ResourceReport struct {
 	SplitsDone   int64
 	ResidentPeak int64 // peak buffered tensor bytes
 
-	// Per-stage busy wall time of the data plane (fetch vs decode vs
-	// transform vs deliver), cumulative across all stage goroutines —
+	// Busy wall time of the data plane by phase (fetch vs decode vs
+	// transform vs deliver), cumulative across all evaluator goroutines —
 	// the repository-side analogue of Figure 9's cycle breakdown.
 	// DeliverBusy includes time blocked on the bounded output buffer
 	// (backpressure from slow trainers).
@@ -67,10 +67,10 @@ type ResourceReport struct {
 	// ThreadResidentBytes is resident memory pinned per thread.
 	ThreadResidentBytes int64
 
-	// Fleet content-addressed cache counters, per split fetched through
-	// the pipelined path (all zero for standalone workers, which run
-	// uncached). A transform hit skips fetch, decode, AND the plan; a
-	// stripe hit skips fetch and decode but still transforms.
+	// Fleet content-addressed cache counters, per split evaluated (all
+	// zero for workers with no cache attached). A transform hit skips
+	// fetch, decode, AND the plan; a stripe hit skips fetch and decode
+	// but still transforms.
 	CacheXformHits  int64
 	CacheStripeHits int64
 	CacheMisses     int64
@@ -122,13 +122,6 @@ func (r ResourceReport) BusySeconds(node hw.NodeSpec, ghz float64) (cpu, mem, ni
 	nicRx = float64(r.NICRxBytes*8) / (node.NICGbps * 1e9)
 	nicTx = float64(r.NICTxBytes*8) / (node.NICGbps * 1e9)
 	return cpu, mem, nicRx, nicTx
-}
-
-// MemCapacityShare reports the fraction of node memory pinned by the
-// thread pool's resident sets.
-func (r ResourceReport) MemCapacityShare(node hw.NodeSpec) float64 {
-	threads := r.effectiveCores(node)
-	return float64(r.ThreadResidentBytes) * threads / (node.MemoryGB * 1e9)
 }
 
 // Bottleneck names the dominant resource on the given node. A CPU
@@ -199,9 +192,9 @@ type Worker struct {
 	// execution form.
 	plan *transforms.Plan
 	// arena recycles decoded and transformed column buffers across the
-	// worker's splits: the fetch stage decodes stripes into arena
-	// batches, the transform plan draws output columns from it, and
-	// materialize releases each batch once its tensors are built.
+	// worker's splits: evalSplit decodes stripes into arena batches,
+	// the transform plan draws output columns from it, and each batch
+	// is released once its tensors are built.
 	arena *dwrf.Arena
 	proj  *schema.Projection
 	// cache, when non-nil, is the node-wide content-addressed batch
@@ -334,46 +327,41 @@ type splitAcct struct {
 // Spec returns the session spec the worker pulled from the master.
 func (w *Worker) Spec() SessionSpec { return w.spec }
 
-// ProcessOneSplit is the synchronous single-split step: it leases one
-// split and fetches, transforms and delivers it on the calling
-// goroutine, outside Run's pipeline (offline measurement and tests
-// drive it in a loop). It returns false when the master has no split to
-// hand out (session done, nothing pending, or this worker has been
-// marked draining — see Draining).
+// ProcessOneSplit runs the worker's step once on the calling goroutine:
+// lease one split, evaluate it (evalNext — the same step, fleet cache
+// included, that Run's evaluator pool calls) and deliver it. Offline
+// measurement and tests drive it in a loop as the reference for Run. It
+// returns false when the master has no split to hand out (session done,
+// nothing pending, or this worker has been marked draining — see
+// Draining); a split released back after a retryable storage failure
+// still returns true, and the next call leases again.
 func (w *Worker) ProcessOneSplit() (bool, error) {
-	split, splitID, ok, draining, err := w.master.NextSplit(w.ID)
-	if draining {
-		w.setDraining()
+	ev, leased, err := w.evalNext()
+	if err == nil && ev.batches != nil {
+		err = w.deliverSplit(ev, nil)
 	}
-	if err != nil {
-		return false, err
-	}
-	if !ok {
-		return false, nil
-	}
-	if err := w.processSplit(split, splitID); err != nil {
-		return false, fmt.Errorf("dpp: worker %s split %d: %w", w.ID, splitID, err)
-	}
-	return true, nil
+	return leased && err == nil, err
 }
 
-// processSplit runs the extract → transform → load stages for one split
-// serially and accounts resources. The split is acknowledged to the
-// master by the consumption ledger (see splitAcct), not here.
-func (w *Worker) processSplit(split warehouse.Split, splitID int) error {
-	batch, readStats, err := w.fetchSplit(split, false)
-	if err != nil {
-		return err
+// deliverSplit is the load half of the step: fold the evaluation into
+// the resource report, tag its batches and hand them in order to the
+// sink or the bounded buffer, crediting the deliver stopwatch (time
+// blocked on backpressure included) until cancel closes. The split is
+// acknowledged to the master by the consumption ledger (finishSplit /
+// ackConsumed) once clients have consumed every batch, not when the
+// buffer accepts them — see splitAcct.
+func (w *Worker) deliverSplit(ev evaluated, cancel <-chan struct{}) error {
+	w.accountSplit(ev)
+	tagBatches(ev.splitID, ev.batches)
+	start := time.Now()
+	var err error
+	for _, b := range ev.batches {
+		if err = w.deliver(b, cancel); err != nil {
+			break
+		}
 	}
-	tr, err := w.transformPublish(batch, ware.WareID{})
-	if err != nil {
-		return err
-	}
-	w.accountSplit(readStats, tr)
-	tagBatches(splitID, tr.batches)
-	w.beginSplit(splitID)
-	err = w.deliverAll(tr.batches, nil)
-	w.finishSplit(splitID, err == nil)
+	w.stageDeliver.Add(time.Since(start))
+	w.finishSplit(ev.splitID, err == nil)
 	return err
 }
 
@@ -387,13 +375,6 @@ func tagBatches(splitID int, batches []*tensor.Batch) {
 		b.Seq = int32(i) + 1
 		b.SeqCount = int32(len(batches))
 	}
-}
-
-// beginSplit opens the delivery ledger for one split.
-func (w *Worker) beginSplit(splitID int) {
-	w.mu.Lock()
-	w.splits[splitID] = &splitAcct{producing: true}
-	w.mu.Unlock()
 }
 
 // finishSplit closes a split's production ledger. delivered=true means
@@ -481,224 +462,59 @@ func (w *Worker) pendingSplits() int {
 	return len(w.splits) + w.completing
 }
 
-// fetchSplit reads and decodes one split, crediting the fetch and
-// decode stage stopwatches. Run's pipeline reads through the warehouse
-// reader cache (one footer decode per file); ProcessOneSplit opens the
-// file per split, which is part of Table 6's I/O accounting.
-func (w *Worker) fetchSplit(split warehouse.Split, cached bool) (*dwrf.Batch, dwrf.ReadStats, error) {
-	read := w.wh.ReadSplitBatchArena
-	if cached {
-		read = w.wh.ReadSplitBatchCachedArena
-	}
-	start := time.Now()
-	batch, readStats, err := read(split, w.proj, w.spec.Read, w.arena)
-	wall := time.Since(start)
-	// The read's own instrumentation splits storage wait from decode
-	// work; everything else (footer cache hits, planning) counts as
-	// fetch.
-	w.stageDecode.Add(readStats.DecodeWall)
-	w.stageFetch.Add(wall - readStats.DecodeWall)
-	return batch, readStats, err
-}
-
 // UseCache attaches the node-wide content-addressed cache, attributing
-// its activity to tenant (the session ID). Call before Run; the
-// FleetWorker does so for every pipeline it starts.
+// its activity to tenant (the session ID). Call before Run or
+// ProcessOneSplit; the FleetWorker does so for every pipeline it starts.
 func (w *Worker) UseCache(c *ware.Cache, tenant string) {
 	w.cache = c
 	w.cacheTenant = tenant
 }
 
-// fetchSplitThroughCache is the pipelined fetch stage's read path: it
-// resolves the split's content-addressed identities and serves the
-// batch from the fleet cache when any pipeline on this node — any
-// session, any tenant — already decoded (stripe ware) or decoded and
-// transformed (xform ware) the same content under the same projection
-// and plan. Without a cache it degrades to the plain cached-reader
-// fetch. ProcessOneSplit never comes through here, so the paper's
-// uncached measurements are unchanged.
-func (w *Worker) fetchSplitThroughCache(split warehouse.Split) (fetchedSplit, error) {
-	if w.cache == nil {
-		batch, stats, err := w.fetchSplit(split, true)
-		return fetchedSplit{batch: batch, stats: stats}, err
-	}
-	start := time.Now()
-	r, err := w.wh.CachedReader(split.Path)
-	if err != nil {
-		return fetchedSplit{}, err
-	}
-	sid := ware.StripeID(r.StripeContentHash(split.Stripe), split.Path, split.Stripe, w.proj)
-	xid := ware.XformID(sid, w.plan.Fingerprint())
-
-	// Transformed hit: the exact batch this session's plan would
-	// produce already exists. Fetch, decode, and transform all skip;
-	// the transform stage only materializes tensors (read-only) from
-	// the shared batch.
-	if b := w.cache.Get(xid, w.cacheTenant); b != nil {
-		w.stageFetch.Add(time.Since(start))
-		w.noteCacheHit(true, b.MemBytes())
-		return fetchedSplit{batch: b, preXformed: true}, nil
-	}
-	// Stripe hit: decode skips; the transform stage runs the plan over
-	// a private Derive view (fresh maps over shared columns), then
-	// offers the result under the xform ware.
-	if b := w.cache.Get(sid, w.cacheTenant); b != nil {
-		view := b.Derive(w.arena)
-		w.stageFetch.Add(time.Since(start))
-		w.noteCacheHit(false, b.MemBytes())
-		return fetchedSplit{batch: view, xformWare: xid}, nil
-	}
-	// Miss: decode for real and publish the stripe batch. On
-	// acceptance the worker transforms a Derive view so the cached
-	// columns stay pristine; on refusal (duplicate, over-floor) the
-	// batch stays exclusively owned and flows through unchanged.
-	batch, stats, err := w.fetchSplit(split, true)
-	if err != nil {
-		return fetchedSplit{}, err
-	}
-	w.noteCacheMiss()
-	b, shared := w.cache.Insert(sid, batch, w.cacheTenant)
-	if shared {
-		b = b.Derive(w.arena)
-	}
-	return fetchedSplit{batch: b, stats: stats, xformWare: xid}, nil
-}
-
-// noteCacheHit folds one per-split cache hit into the resource report.
-func (w *Worker) noteCacheHit(xform bool, bytes int64) {
-	w.mu.Lock()
-	if xform {
-		w.report.CacheXformHits++
-	} else {
-		w.report.CacheStripeHits++
-	}
-	w.report.CacheBytesSaved += bytes
-	w.mu.Unlock()
-}
-
-// noteCacheMiss folds one per-split cache miss into the resource report.
-func (w *Worker) noteCacheMiss() {
-	w.mu.Lock()
-	w.report.CacheMisses++
-	w.mu.Unlock()
-}
-
-// transformed bundles one split's transform-stage output.
-type transformed struct {
-	batches []*tensor.Batch
-	xform   transforms.Stats
-	rowsOut int64
-	txBytes int64
-}
-
-// transformPublish runs the compiled plan over a decoded batch and
-// materializes tensors, crediting the transform stage stopwatch. When
-// the fleet cache is attached and xw names the transform output, the
-// transformed batch is offered to the cache before materialization —
-// post-transform nothing mutates it, so other pipelines (any session
-// whose projection and plan fingerprint match) may start reading it
-// immediately. Whether the cache accepts or refuses, this worker still
-// holds exactly one reference, consumed by materialize.
-func (w *Worker) transformPublish(batch *dwrf.Batch, xw ware.WareID) (transformed, error) {
-	start := time.Now()
-	defer func() { w.stageTransform.Add(time.Since(start)) }()
-
-	xformStats, err := w.plan.Run(batch, w.arena)
-	if err != nil {
-		return transformed{}, err
-	}
-	if w.cache != nil && !xw.IsZero() {
-		batch, _ = w.cache.Insert(xw, batch, w.cacheTenant)
-	}
-	return w.materialize(batch, xformStats)
-}
-
-// transformFetched is the pipelined transform stage's entry point. A
-// split that hit the transformed-batch cache skips the plan entirely
-// and only materializes tensors from the shared batch; no plan ran, so
-// no transform cycles are accounted — that saving is the point — but
-// the rows still count as processed. Everything else transforms
-// normally, publishing under the split's xform ware when one was
-// resolved.
-func (w *Worker) transformFetched(f fetchedSplit) (transformed, error) {
-	if !f.preXformed {
-		return w.transformPublish(f.batch, f.xformWare)
-	}
-	start := time.Now()
-	defer func() { w.stageTransform.Add(time.Since(start)) }()
-	return w.materialize(f.batch, transforms.Stats{RowsIn: f.batch.Rows, RowsOut: f.batch.Rows})
-}
-
-// materialize is the tail of every transformed split: build tensors
-// from the columnar batch (Materialize copies every value and never
-// writes the batch, so a shared one is safe to read), drop this
-// pipeline's reference to the batch — an exclusively owned one returns
-// its columns to the worker's arena, a shared one (cached, or a Derive
-// view over a cached stripe) loses one reference — and slice the
-// tensors into BatchSize batches.
-func (w *Worker) materialize(batch *dwrf.Batch, xform transforms.Stats) (transformed, error) {
-	full, err := tensor.Materialize(batch, w.spec.DenseOut, w.spec.SparseOut)
-	batch.Release()
-	if err != nil {
-		return transformed{}, err
-	}
-	batches := sliceBatches(full, w.spec.BatchSize)
-	var txBytes int64
-	for _, b := range batches {
+// accountSplit folds one evaluated split — read, transform and cache
+// outcome — into the worker's cumulative resource report and opens the
+// split's delivery ledger.
+func (w *Worker) accountSplit(ev evaluated) {
+	costs := w.spec.Costs
+	read := ev.read
+	var rowsOut, txBytes int64
+	for _, b := range ev.batches {
+		rowsOut += int64(b.Rows)
 		txBytes += b.SizeBytes()
 	}
-	return transformed{batches: batches, xform: xform, rowsOut: int64(full.Rows), txBytes: txBytes}, nil
-}
-
-// accountSplit folds one split's read and transform statistics into the
-// worker's cumulative resource report.
-func (w *Worker) accountSplit(readStats dwrf.ReadStats, tr transformed) {
-	costs := w.spec.Costs
 	w.mu.Lock()
+	w.splits[ev.splitID] = &splitAcct{producing: true}
 	r := &w.report
 	cpuDiv := costs.cpuDivisor()
-	r.ExtractCycles += float64(readStats.BytesDecoded) * costs.ExtractCyclesPerByte * costs.extractMultiplier() / cpuDiv
-	r.TransformCycles += tr.xform.TotalCycles() * costs.XformCycleScale / cpuDiv
-	r.TaxCycles += float64(readStats.BytesRead)*costs.TaxCyclesPerByte + float64(tr.txBytes)*costs.TxTaxCyclesPerByte
-	r.MemExtract += float64(readStats.BytesDecoded) * costs.ExtractMemBytesPerByte * costs.extractMultiplier()
-	r.MemTransform += tr.xform.MemBytes * costs.XformCycleScale
-	r.MemNetRX += float64(readStats.BytesRead) * costs.TLSMemAmplification
-	r.MemNetTX += float64(tr.txBytes) * costs.TLSMemAmplification / 2
-	r.NICRxBytes += readStats.BytesRead
-	r.NICTxBytes += tr.txBytes
-	r.StorageWantedBytes += readStats.BytesWanted
-	r.DecodedBytes += readStats.BytesDecoded
-	r.RowsIn += int64(tr.xform.RowsIn)
-	r.RowsOut += tr.rowsOut
-	r.BatchesOut += int64(len(tr.batches))
-	r.StorageRetries += readStats.Retries
-	r.StorageFailovers += readStats.Failovers
-	r.HedgedReads += readStats.HedgedReads
-	r.HedgeWins += readStats.HedgeWins
-	r.CorruptStripes += readStats.CorruptStripes
-	r.Quarantines += readStats.Quarantines
-	w.mu.Unlock()
-}
-
-// noteSplitReleased folds one degraded-mode split release into the
-// resource report.
-func (w *Worker) noteSplitReleased() {
-	w.mu.Lock()
-	w.report.SplitsReleased++
-	w.mu.Unlock()
-}
-
-// deliverAll delivers a split's batches in order, crediting the deliver
-// stage stopwatch (including time blocked on backpressure).
-func (w *Worker) deliverAll(batches []*tensor.Batch, cancel <-chan struct{}) error {
-	start := time.Now()
-	defer func() { w.stageDeliver.Add(time.Since(start)) }()
-	for _, b := range batches {
-		if err := w.deliver(b, cancel); err != nil {
-			return err
-		}
+	r.ExtractCycles += float64(read.BytesDecoded) * costs.ExtractCyclesPerByte * costs.extractMultiplier() / cpuDiv
+	r.TransformCycles += ev.xform.TotalCycles() * costs.XformCycleScale / cpuDiv
+	r.TaxCycles += float64(read.BytesRead)*costs.TaxCyclesPerByte + float64(txBytes)*costs.TxTaxCyclesPerByte
+	r.MemExtract += float64(read.BytesDecoded) * costs.ExtractMemBytesPerByte * costs.extractMultiplier()
+	r.MemTransform += ev.xform.MemBytes * costs.XformCycleScale
+	r.MemNetRX += float64(read.BytesRead) * costs.TLSMemAmplification
+	r.MemNetTX += float64(txBytes) * costs.TLSMemAmplification / 2
+	r.NICRxBytes += read.BytesRead
+	r.NICTxBytes += txBytes
+	r.StorageWantedBytes += read.BytesWanted
+	r.DecodedBytes += read.BytesDecoded
+	r.RowsIn += int64(ev.xform.RowsIn)
+	r.RowsOut += rowsOut
+	r.BatchesOut += int64(len(ev.batches))
+	r.StorageRetries += read.Retries
+	r.StorageFailovers += read.Failovers
+	r.HedgedReads += read.HedgedReads
+	r.HedgeWins += read.HedgeWins
+	r.CorruptStripes += read.CorruptStripes
+	r.Quarantines += read.Quarantines
+	switch {
+	case ev.hit == ware.PackXform:
+		r.CacheXformHits++
+	case ev.hit == ware.PackStripe:
+		r.CacheStripeHits++
+	case w.cache != nil:
+		r.CacheMisses++
 	}
-	return nil
+	r.CacheBytesSaved += ev.saved
+	w.mu.Unlock()
 }
 
 // errCanceled aborts delivery when the session is stopped mid-flight.
@@ -918,9 +734,9 @@ func (w *Worker) Report() ResourceReport {
 const busyFracWindow = 200 * time.Microsecond
 
 // busyFrac measures the live busy fraction of the data plane since the
-// previous sample: productive stage time (fetch, decode, transform —
+// previous sample: evaluator busy time (fetch, decode, transform —
 // not delivery, which counts backpressure blocking) over wall time,
-// normalized by the number of stage goroutines.
+// normalized by the number of evaluator goroutines.
 func (w *Worker) busyFrac() float64 {
 	busy := w.stageFetch.Busy() + w.stageDecode.Busy() + w.stageTransform.Busy()
 	parallel := float64(w.spec.Pipeline.Prefetchers + w.spec.Pipeline.TransformParallelism)
@@ -1014,23 +830,6 @@ func (w *Worker) finish() {
 	w.mu.Unlock()
 }
 
-// Run processes splits until the master reports the session done, the
-// master marks this worker draining (the auto-scaler shrinking the
-// pool), or stop is closed. In-flight splits are always delivered before
-// Run returns; buffered batches remain fetchable afterwards — follow
-// with Retire to serve them out and deregister. Fetch, transform, and
-// deliver run as overlapped stages (pipeline.go). Heartbeats are sent
-// after every split, plus a background liveness tick so a worker
-// stalled on a slow trainer is neither reaped nor has its in-flight
-// leases requeued.
-func (w *Worker) Run(stop <-chan struct{}) error {
-	defer w.finish()
-	hbStop := make(chan struct{})
-	defer close(hbStop)
-	go w.heartbeatLoop(hbStop)
-	return w.runPipelined(stop)
-}
-
 // heartbeatEvery is the effective background heartbeat period.
 func (w *Worker) heartbeatEvery() time.Duration {
 	if w.HeartbeatEvery > 0 {
@@ -1046,7 +845,7 @@ func (w *Worker) heartbeatEvery() time.Duration {
 // it no longer knows this worker — mean it was disowned (reaped after
 // a transient heartbeat lapse): its leases are requeued and it has
 // left the membership, so no client will ever be routed here to
-// relieve backpressure. Serving on could wedge the delivery stage
+// relieve backpressure. Serving on could wedge the deliver loop
 // forever on a full buffer; instead the worker abandons its work
 // through the crash path — the requeued leases re-run elsewhere and
 // client-side dedup keeps delivery exactly-once, exactly as after a

@@ -252,9 +252,9 @@ func (b *Batch) Derive(arena *Arena) *Batch {
 // (BatchFromSamples, struct literals, gob), safe to call twice, and the
 // batch must not be used afterwards. For a shared batch it decrements
 // the count and frees only when the last owner releases — which makes
-// the pipeline abort path's unconditional Release correct even when a
-// queued batch is simultaneously held by the fleet cache or by another
-// session's view.
+// the worker's unconditional Release after materializing correct even
+// when the batch is simultaneously held by the fleet cache or by
+// another session's view.
 func (b *Batch) Release() {
 	if b == nil {
 		return

@@ -237,8 +237,14 @@ func (d *BuiltDataset) BuildSession(jobSeed int64, read dwrf.ReadOptions, costs 
 
 // runWorkerSession drives one worker synchronously through the whole
 // session and returns its resource report plus read statistics gathered
-// from the storage cluster.
+// from the storage cluster. The one worker stands for a fleet whose
+// members each lease a split cold, so the warehouse keeps no reader
+// resident while it runs: the worker opens the file (a footer read)
+// ahead of every split's stripe read, which is the I/O pattern the
+// storage-side figures (Table 12) are measured under.
 func runWorkerSession(d *BuiltDataset, spec dpp.SessionSpec) (dpp.ResourceReport, error) {
+	d.WH.SetReaderCacheLimit(-1)
+	defer d.WH.SetReaderCacheLimit(0)
 	d.Cluster.ResetIOAccounting()
 	m, err := dpp.NewMaster(d.WH, spec)
 	if err != nil {

@@ -246,7 +246,7 @@ func runTable11() (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	batch, _, err := d.WH.ReadSplitBatch(splits[0], spec.Projection(), spec.Read)
+	batch, _, err := d.WH.ReadSplitBatchCached(splits[0], spec.Projection(), spec.Read)
 	if err != nil {
 		return res, err
 	}

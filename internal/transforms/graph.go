@@ -203,18 +203,6 @@ func (g *Graph) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// OutputFeatures lists the features the graph produces, in execution
-// order (requires Compile).
-func (g *Graph) OutputFeatures() []schema.FeatureID {
-	var out []schema.FeatureID
-	for _, op := range g.sorted {
-		if op.Class() != RowOp {
-			out = append(out, op.Output())
-		}
-	}
-	return out
-}
-
 // StandardGraph assembles a representative per-model transform DAG over
 // the projected raw features: dense features get normalization chains,
 // sparse features get SigridHash(+FirstX), and derivedCount synthetic

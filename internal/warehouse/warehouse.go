@@ -37,10 +37,13 @@ type Warehouse struct {
 	readerLimit int
 }
 
-// readerEntry is one cached open reader.
+// readerEntry is one cached reader. open runs the file open once,
+// whoever asks first; later and concurrent askers share its outcome.
 type readerEntry struct {
 	path string
+	open sync.Once
 	r    *dwrf.Reader
+	err  error
 }
 
 // DefaultReaderCacheLimit bounds the shared reader cache when no
@@ -60,18 +63,20 @@ func New(cluster *tectonic.Cluster) *Warehouse {
 	}
 }
 
-// SetReaderCacheLimit bounds the shared reader cache to n open readers
-// (n <= 0 restores the default), evicting least-recently-used entries
-// immediately if the cache is already over the new bound. It shares its
-// sizing story with the fleet batch cache: cmd/dppd exposes both knobs
-// side by side.
+// SetReaderCacheLimit bounds the shared reader cache to n open readers,
+// evicting least-recently-used entries immediately if the cache is
+// already over the new bound. It shares its sizing story, and its
+// convention, with the fleet batch cache (cmd/dppd exposes both knobs
+// side by side): 0 restores the default, and a negative n keeps no
+// reader resident, so every CachedReader call opens its file — what a
+// fleet of cold workers, each leasing one split of it, does to storage.
 func (w *Warehouse) SetReaderCacheLimit(n int) {
-	if n <= 0 {
+	if n == 0 {
 		n = DefaultReaderCacheLimit
 	}
 	w.readerMu.Lock()
 	defer w.readerMu.Unlock()
-	w.readerLimit = n
+	w.readerLimit = max(n, 0)
 	w.evictReadersLocked()
 }
 
@@ -515,27 +520,61 @@ func (w *Warehouse) ReadSplit(sp Split, proj *schema.Projection, opts dwrf.ReadO
 	return r.ReadStripe(sp.Stripe, proj, opts)
 }
 
-// ReadSplitBatch reads one split into the columnar batch representation.
-// For unflattened files (the paper's regular-map baseline) it decodes the
-// whole row payload and converts to columns — the extra copy the flatmap
-// optimization removes.
-func (w *Warehouse) ReadSplitBatch(sp Split, proj *schema.Projection, opts dwrf.ReadOptions) (*dwrf.Batch, dwrf.ReadStats, error) {
-	return w.ReadSplitBatchArena(sp, proj, opts, nil)
+// CachedReader returns a shared reader for path, opening (and footer-
+// decoding) it at most once per warehouse while resident: callers that
+// race for a file nobody has opened yet wait for one open instead of
+// each fetching the footer and all but one throwing theirs away — and
+// with it the open's recovery accounting, which the reader folds into
+// its first stripe read. Readers are immutable after open, so the
+// cached instance is safe for concurrent use; partitions are immutable
+// once published, so the cache never goes stale. Residency is
+// LRU-bounded (SetReaderCacheLimit): the map no longer grows with every
+// partition a long-lived service ever touched. A failed open is not
+// cached; the next caller tries again.
+func (w *Warehouse) CachedReader(path string) (*dwrf.Reader, error) {
+	w.readerMu.Lock()
+	el, ok := w.readers[path]
+	if ok {
+		w.readerLRU.MoveToFront(el)
+	} else {
+		el = w.readerLRU.PushFront(&readerEntry{path: path})
+		w.readers[path] = el
+		w.evictReadersLocked()
+	}
+	w.readerMu.Unlock()
+	e := el.Value.(*readerEntry)
+	e.open.Do(func() { e.r, e.err = dwrf.OpenReader(w.cluster, path) })
+	if e.err != nil {
+		w.readerMu.Lock()
+		if w.readers[path] == el {
+			w.readerLRU.Remove(el)
+			delete(w.readers, path)
+		}
+		w.readerMu.Unlock()
+	}
+	return e.r, e.err
 }
 
-// ReadSplitBatchArena is ReadSplitBatch decoding into arena-recycled
-// columns (nil arena degrades to plain allocation); release the batch
-// when done with it.
-func (w *Warehouse) ReadSplitBatchArena(sp Split, proj *schema.Projection, opts dwrf.ReadOptions, arena *dwrf.Arena) (*dwrf.Batch, dwrf.ReadStats, error) {
-	r, err := dwrf.OpenReader(w.cluster, sp.Path)
+// ReadSplitBatchCached reads one split into the columnar batch
+// representation through the shared reader cache: the file footer is
+// fetched and decoded once per file rather than once per split. For
+// unflattened files (the paper's regular-map baseline) it decodes the
+// whole row payload and converts to columns — the extra copy the flatmap
+// optimization removes.
+func (w *Warehouse) ReadSplitBatchCached(sp Split, proj *schema.Projection, opts dwrf.ReadOptions) (*dwrf.Batch, dwrf.ReadStats, error) {
+	return w.ReadSplitBatchCachedArena(sp, proj, opts, nil)
+}
+
+// ReadSplitBatchCachedArena is ReadSplitBatchCached decoding into
+// arena-recycled columns (nil arena degrades to plain allocation);
+// release the batch when done with it. The DPP worker threads its
+// per-worker arena through here so stripe decode reuses the previous
+// stripe's buffers.
+func (w *Warehouse) ReadSplitBatchCachedArena(sp Split, proj *schema.Projection, opts dwrf.ReadOptions, arena *dwrf.Arena) (*dwrf.Batch, dwrf.ReadStats, error) {
+	r, err := w.CachedReader(sp.Path)
 	if err != nil {
 		return nil, dwrf.ReadStats{}, err
 	}
-	return readSplitBatch(r, sp, proj, opts, arena)
-}
-
-// readSplitBatch decodes one stripe of an already open reader.
-func readSplitBatch(r *dwrf.Reader, sp Split, proj *schema.Projection, opts dwrf.ReadOptions, arena *dwrf.Arena) (*dwrf.Batch, dwrf.ReadStats, error) {
 	if !r.Flattened() {
 		rows, stats, err := r.ReadStripe(sp.Stripe, proj, opts)
 		if err != nil {
@@ -544,62 +583,6 @@ func readSplitBatch(r *dwrf.Reader, sp Split, proj *schema.Projection, opts dwrf
 		return dwrf.BatchFromSamples(rows), stats, nil
 	}
 	return r.ReadStripeBatchArena(sp.Stripe, proj, opts, arena)
-}
-
-// CachedReader returns a shared reader for path, opening (and footer-
-// decoding) it at most once per warehouse while resident. Readers are
-// immutable after open, so the cached instance is safe for concurrent
-// use; partitions are immutable once published, so the cache never goes
-// stale. Residency is LRU-bounded (SetReaderCacheLimit): the map no
-// longer grows with every partition a long-lived service ever touched.
-func (w *Warehouse) CachedReader(path string) (*dwrf.Reader, error) {
-	w.readerMu.Lock()
-	if el, ok := w.readers[path]; ok {
-		w.readerLRU.MoveToFront(el)
-		r := el.Value.(*readerEntry).r
-		w.readerMu.Unlock()
-		return r, nil
-	}
-	w.readerMu.Unlock()
-	r, err := dwrf.OpenReader(w.cluster, path)
-	if err != nil {
-		return nil, err
-	}
-	w.readerMu.Lock()
-	if el, ok := w.readers[path]; ok {
-		r = el.Value.(*readerEntry).r // lost an open race; keep the first instance
-		w.readerLRU.MoveToFront(el)
-	} else {
-		w.readers[path] = w.readerLRU.PushFront(&readerEntry{path: path, r: r})
-		w.evictReadersLocked()
-	}
-	w.readerMu.Unlock()
-	return r, nil
-}
-
-// CachedReaders reports how many readers are currently resident.
-func (w *Warehouse) CachedReaders() int {
-	w.readerMu.Lock()
-	defer w.readerMu.Unlock()
-	return w.readerLRU.Len()
-}
-
-// ReadSplitBatchCached is ReadSplitBatch through the shared reader cache:
-// the file footer is fetched and decoded once per file rather than once
-// per split. The DPP worker's pipelined fetch stage uses this path.
-func (w *Warehouse) ReadSplitBatchCached(sp Split, proj *schema.Projection, opts dwrf.ReadOptions) (*dwrf.Batch, dwrf.ReadStats, error) {
-	return w.ReadSplitBatchCachedArena(sp, proj, opts, nil)
-}
-
-// ReadSplitBatchCachedArena is ReadSplitBatchCached decoding into
-// arena-recycled columns; the DPP worker threads its per-worker arena
-// through here so stripe decode reuses the previous stripe's buffers.
-func (w *Warehouse) ReadSplitBatchCachedArena(sp Split, proj *schema.Projection, opts dwrf.ReadOptions, arena *dwrf.Arena) (*dwrf.Batch, dwrf.ReadStats, error) {
-	r, err := w.CachedReader(sp.Path)
-	if err != nil {
-		return nil, dwrf.ReadStats{}, err
-	}
-	return readSplitBatch(r, sp, proj, opts, arena)
 }
 
 // ScanPartition re-reads one partition end to end through the stripe-

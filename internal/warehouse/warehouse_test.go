@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dsi/internal/dwrf"
@@ -199,7 +200,7 @@ func TestReadSplitRoundTrip(t *testing.T) {
 		t.Fatalf("read %d rows, want 32", total)
 	}
 	// Batch path over the same split.
-	b, _, err := w.ReadSplitBatch(splits[0], proj, dwrf.ReadOptions{Flatmap: true})
+	b, _, err := w.ReadSplitBatchCached(splits[0], proj, dwrf.ReadOptions{Flatmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +340,59 @@ func TestCachedReaderSharedAcrossSplits(t *testing.T) {
 	}
 	if rows != 64 {
 		t.Fatalf("cached split reads returned %d rows, want 64", rows)
+	}
+}
+
+// TestCachedReaderOpensOnce pins the two ends of reader residency by
+// the storage reads they cost: callers racing for an unopened file share
+// one open, and a warehouse told to keep nothing resident opens the file
+// on every call.
+func TestCachedReaderOpensOnce(t *testing.T) {
+	wh := newWarehouse(t)
+	tbl, err := wh.CreateTable("rm", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPartition(t, tbl, "p1", 64, 9)
+	splits, err := tbl.Splits(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := splits[0].Path
+	ops := &wh.Cluster().ReadOps
+
+	wh.SetReaderCacheLimit(-1)
+	before := ops.Value()
+	if _, err := wh.CachedReader(path); err != nil {
+		t.Fatal(err)
+	}
+	oneOpen := ops.Value() - before
+	if _, err := wh.CachedReader(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := ops.Value() - before; oneOpen == 0 || got != 2*oneOpen {
+		t.Fatalf("two calls with nothing resident cost %d reads, want 2 x %d", got, oneOpen)
+	}
+
+	wh.SetReaderCacheLimit(0)
+	before = ops.Value()
+	readers := make([]*dwrf.Reader, 8)
+	var wg sync.WaitGroup
+	for i := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			readers[i], _ = wh.CachedReader(path)
+		}()
+	}
+	wg.Wait()
+	if got := ops.Value() - before; got != oneOpen {
+		t.Fatalf("%d racing callers cost %d reads, want one open's %d", len(readers), got, oneOpen)
+	}
+	for _, r := range readers {
+		if r == nil || r != readers[0] {
+			t.Fatal("racing callers did not share one reader")
+		}
 	}
 }
 
