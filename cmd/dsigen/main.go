@@ -28,7 +28,7 @@ func main() {
 	partitions := flag.Int("partitions", 2, "daily partitions to generate")
 	scale := flag.Float64("scale", 0.01, "feature-count scale")
 	seed := flag.Int64("seed", 1, "generator seed")
-	validate := flag.Bool("validate", true, "re-read every partition through the prefetching reader after writing (a second full read pass; disable for fast bulk generation)")
+	validate := flag.Bool("validate", true, "re-read every partition split by split after writing (a second full read pass; disable for fast bulk generation)")
 	flag.Parse()
 
 	p, err := datagen.ProfileByName(*model)
@@ -84,15 +84,27 @@ func main() {
 	if !*validate {
 		return
 	}
-	// Validate what was written: stream every partition back through the
-	// prefetching reader and confirm the row counts survive a round trip.
-	fmt.Println("\nvalidation scan (prefetched stripe stream):")
+	// Validate what was written: read every partition back split by split,
+	// the way a DPP worker does, and confirm the row counts survive a
+	// round trip.
+	fmt.Println("\nvalidation scan:")
+	opts := dwrf.ReadOptions{Flatmap: true, CoalesceBytes: dwrf.DefaultCoalesceBytes}
+	arena := dwrf.NewArena()
 	for _, part := range tbl.Partitions() {
-		rows, rs, err := tbl.ScanPartition(part.Key, nil,
-			dwrf.ReadOptions{Flatmap: true, CoalesceBytes: dwrf.DefaultCoalesceBytes},
-			dwrf.PrefetchOptions{})
+		splits, err := tbl.PartitionSplits(part.Key)
 		if err != nil {
 			log.Fatal(err)
+		}
+		rows := 0
+		var rs dwrf.ReadStats
+		for _, sp := range splits {
+			b, stats, err := wh.ReadSplitBatchCachedArena(sp, nil, opts, arena)
+			if err != nil {
+				log.Fatal(err)
+			}
+			rows += b.Rows
+			b.Release()
+			rs.Merge(stats)
 		}
 		if rows != part.Rows {
 			log.Fatalf("dsigen: partition %s scan returned %d rows, wrote %d", part.Key, rows, part.Rows)

@@ -123,13 +123,17 @@
 // rotation and refetching from the rest; a split that exhausts its
 // retry budget is released back to the master and requeued under a
 // per-split poison budget (SessionSpec.RetryBudget), so one bad replica
-// degrades throughput instead of failing the session. Recovery counters
-// ride dwrf.ReadStats through ResourceReport and WorkerStats into fleet
-// heartbeats. The paper's experiments run with faults disabled — with
-// no schedule installed the whole plane is a single branch
-// (BENCH_faults.json pins the overhead under 1%) — and
-// TestEndToEndChecksumStorageChaos pins exact per-tenant checksums
-// under a seeded storm; cmd/dppd installs one with -fault-seed.
+// degrades throughput instead of failing the session. The recovery
+// counters are declared once (dwrf.Recovery, embedded in dwrf.ReadStats,
+// ResourceReport and WorkerStats) and ride heartbeats to the session
+// master, whose Recovery total outlives the workers that reported them.
+// There is one read path and the schedule is an input to it: the paper's
+// experiments run with none installed, where every chunk is served by
+// its primary and nothing is ranked, filtered or hedged (`bash
+// bench/run.sh` reports the recovery work as tectonic.read_retries, zero
+// on a healthy cluster), and TestEndToEndChecksumStorageChaos pins exact
+// per-tenant checksums under a seeded storm; cmd/dppd installs one with
+// -fault-seed.
 //
 // The ingestion write path heals the same way: write-shaped fault
 // windows (failed, torn, and slow appends; failing seals) draw from the
@@ -144,11 +148,14 @@
 // failed partition byte-identically from its base checkpoint under a
 // bounded retry budget — aborting the orphan file, restoring the
 // joiner, and poisoning the pipeline with a typed error past the
-// budget. Write recovery counters ride dwrf.WriteStats into
-// Pipeline.WriterStats; TestEndToEndStreamingIngestChaos pins exact
-// per-tenant checksums through a combined write+read storm
-// (BENCH_writefaults.json pins the no-faults overhead under 1%), and
-// `dppd -role ingest -write-fault-seed` demos the storm over TCP.
+// budget. Write recovery counters are the cluster's own WriteTrace,
+// summed per writer (dwrf.WriteStats is that type) and surfaced by
+// Pipeline.WriterStats; the one append path keeps no ledger and draws no
+// verdict while nothing is scheduled or condemned (`bash bench/run.sh
+// --workload ingest_write` reports etl.write_retries, zero on a healthy
+// cluster). TestEndToEndStreamingIngestChaos pins exact per-tenant
+// checksums through a combined write+read storm, and `dppd -role ingest
+// -write-fault-seed` demos the storm over TCP.
 //
 // The implementation lives under internal/; see README.md for the
 // architecture overview, DESIGN.md for the system inventory and

@@ -255,35 +255,6 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()
 
-	// Workers deregister as sessions drain, dropping out of the masters'
-	// live snapshots — so fold heartbeat snapshots into a per-worker
-	// last-seen map while the run is live, and sum at the end. The
-	// counters are cumulative per worker, so last-seen is the total.
-	statsMu := sync.Mutex{}
-	lastSeen := make(map[string]dpp.WorkerStats)
-	statsDone := make(chan struct{})
-	var statsWG sync.WaitGroup
-	statsWG.Add(1)
-	go func() {
-		defer statsWG.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-statsDone:
-				return
-			case <-tick.C:
-				for id, m := range masters {
-					for wid, st := range m.WorkerStatsByID() {
-						statsMu.Lock()
-						lastSeen[id+"/"+wid] = st
-						statsMu.Unlock()
-					}
-				}
-			}
-		}
-	}()
-
 	sums := make(map[string]*tensor.ContentSum, len(sessionIDs))
 	fail := make(chan error, len(sessionIDs))
 	var wg sync.WaitGroup
@@ -329,8 +300,6 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("fleet controller did not stop")
 	}
-	close(statsDone)
-	statsWG.Wait()
 
 	// Exact delivery: every tenant got precisely the generated data, bit
 	// rot and brownouts notwithstanding.
@@ -349,19 +318,14 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 
 	// The recovery machinery visibly did the work, and its accounting
 	// made it through ReadStats -> ResourceReport -> WorkerStats ->
-	// heartbeats.
+	// heartbeats. Every pipeline has deregistered by now; each session
+	// master kept what its workers last reported.
 	var agg dpp.WorkerStats
-	statsMu.Lock()
-	for _, st := range lastSeen {
-		agg.StorageRetries += st.StorageRetries
-		agg.StorageFailovers += st.StorageFailovers
-		agg.HedgedReads += st.HedgedReads
-		agg.HedgeWins += st.HedgeWins
-		agg.CorruptStripes += st.CorruptStripes
-		agg.Quarantines += st.Quarantines
-		agg.SplitsReleased += st.SplitsReleased
+	for _, m := range masters {
+		rec, released := m.Recovery()
+		agg.Recovery.Add(rec)
+		agg.SplitsReleased += released
 	}
-	statsMu.Unlock()
 	t.Logf("aggregate recovery stats: %+v", agg)
 	if agg.StorageRetries == 0 {
 		t.Fatal("no storage retries surfaced in WorkerStats under a flaky cluster")

@@ -247,6 +247,65 @@ func TestMasterReapDeadReassigns(t *testing.T) {
 	}
 }
 
+// TestMasterRecoveryOutlivesWorkers: the session's recovery total keeps
+// what a worker last reported after the worker leaves the membership by
+// any door — deregistration, replacement under the same ID, or the
+// reaper — so a reader after the run sees all of it.
+func TestMasterRecoveryOutlivesWorkers(t *testing.T) {
+	wh, spec := buildFixture(t, 32, 16)
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	m.now = func() time.Time { return now }
+	m.LeaseTimeout = 10 * time.Second
+	report := func(id string, rec dwrf.Recovery, released int64) {
+		t.Helper()
+		if err := m.Heartbeat(id, WorkerStats{Recovery: rec, SplitsReleased: released}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, want dwrf.Recovery, wantReleased int64) {
+		t.Helper()
+		if got, released := m.Recovery(); got != want || released != wantReleased {
+			t.Fatalf("%s: Recovery() = %+v, %d released; want %+v, %d", step, got, released, want, wantReleased)
+		}
+	}
+	for _, id := range []string{"w1", "w2", "w3"} {
+		if _, err := m.RegisterWorker(id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report("w1", dwrf.Recovery{StorageRetries: 3, HedgedReads: 1}, 1)
+	report("w2", dwrf.Recovery{StorageRetries: 1}, 0)
+	report("w2", dwrf.Recovery{StorageRetries: 2, Quarantines: 1}, 0) // cumulative: replaces, not adds
+	report("w3", dwrf.Recovery{CorruptStripes: 1}, 2)
+	want := dwrf.Recovery{StorageRetries: 5, HedgedReads: 1, Quarantines: 1, CorruptStripes: 1}
+	check("live", want, 3)
+
+	if err := m.DeregisterWorker("w1"); err != nil {
+		t.Fatal(err)
+	}
+	check("after deregister", want, 3)
+
+	// A replacement under the same ID counts from zero.
+	if _, err := m.RegisterWorker("w2", ""); err != nil {
+		t.Fatal(err)
+	}
+	check("after re-register", want, 3)
+	report("w2", dwrf.Recovery{StorageRetries: 4}, 1)
+	want.StorageRetries += 4
+	check("replacement reported", want, 4)
+
+	now = now.Add(11 * time.Second)
+	m.ReapDead()
+	if n := m.WorkerCount(); n != 0 {
+		t.Fatalf("%d workers survived the reaper", n)
+	}
+	check("after reap", want, 4)
+}
+
 func TestMasterDrain(t *testing.T) {
 	wh, spec := buildFixture(t, 32, 16)
 	m, err := NewMaster(wh, spec)

@@ -174,6 +174,11 @@ func (w *Worker) evalNext() (ev evaluated, leased bool, err error) {
 		ev.splitID = splitID
 		return ev, true, nil
 	}
+	// The read that failed still retried, failed over and quarantined its
+	// way there: that work is reported whether or not the split comes back.
+	w.mu.Lock()
+	w.report.Recovery.Add(ev.read.Recovery)
+	w.mu.Unlock()
 	if tectonic.IsRetryable(err) {
 		requeued, rerr := w.master.ReleaseSplit(w.ID, splitID, err.Error())
 		if rerr == nil && requeued {

@@ -195,12 +195,7 @@ func (fw *FleetWorker) AggregateStats() WorkerStats {
 		agg.Stage.DecodeSeconds += st.Stage.DecodeSeconds
 		agg.Stage.TransformSeconds += st.Stage.TransformSeconds
 		agg.Stage.DeliverSeconds += st.Stage.DeliverSeconds
-		agg.StorageRetries += st.StorageRetries
-		agg.StorageFailovers += st.StorageFailovers
-		agg.HedgedReads += st.HedgedReads
-		agg.HedgeWins += st.HedgeWins
-		agg.CorruptStripes += st.CorruptStripes
-		agg.Quarantines += st.Quarantines
+		agg.Recovery.Add(st.Recovery)
 		agg.SplitsReleased += st.SplitsReleased
 	}
 	agg.BusyFrac /= float64(len(workers))

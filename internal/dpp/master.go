@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"dsi/internal/dwrf"
 	"dsi/internal/warehouse"
 )
 
@@ -56,17 +57,10 @@ type WorkerStats struct {
 	// index. Gob-optional: absent from older senders.
 	CacheWares []string
 
-	// Storage self-healing counters (cumulative; gob-optional, zero
-	// from older senders): replica retries/failovers, hedged reads
-	// fired/won, corrupt stripe fetches, replicas quarantined, and
-	// splits released back for requeue under degraded mode.
-	StorageRetries   int64
-	StorageFailovers int64
-	HedgedReads      int64
-	HedgeWins        int64
-	CorruptStripes   int64
-	Quarantines      int64
-	SplitsReleased   int64
+	// Storage self-healing counters (cumulative), and splits released
+	// back for requeue under degraded mode.
+	dwrf.Recovery
+	SplitsReleased int64
 }
 
 // StageBusy is the cumulative wall time each data-plane stage has spent
@@ -148,6 +142,12 @@ type Master struct {
 	completed []bool
 	nComplete int
 	workers   map[string]*workerInfo
+	// departed and departedReleased total the recovery accounting last
+	// reported by workers no longer in the membership — deregistered,
+	// reaped, or replaced by a registration under the same ID — so the
+	// session's Recovery outlives the workers that did the work.
+	departed         dwrf.Recovery
+	departedReleased int64
 	// seenParts / discovered / lastGen drive incremental split
 	// discovery on unbounded sessions; freshness accumulates per-split
 	// event-time→completion lag samples.
@@ -336,8 +336,19 @@ func (m *Master) RegisterWorker(workerID, endpoint string) (SessionSpec, error) 
 	if m.closed {
 		return SessionSpec{}, m.errClosed()
 	}
+	m.forgetLocked(workerID) // a replacement under the same ID reports from zero
 	m.workers[workerID] = &workerInfo{endpoint: endpoint, lastSeen: m.now()}
 	return m.spec, nil
+}
+
+// forgetLocked drops a worker from the membership, keeping the recovery
+// accounting of its last heartbeat in the session total.
+func (m *Master) forgetLocked(workerID string) {
+	if w, ok := m.workers[workerID]; ok {
+		m.departed.Add(w.stats.Recovery)
+		m.departedReleased += w.stats.SplitsReleased
+		delete(m.workers, workerID)
+	}
 }
 
 // DeregisterWorker implements MasterAPI. Any splits still leased to the
@@ -349,7 +360,7 @@ func (m *Master) DeregisterWorker(workerID string) error {
 	if _, ok := m.workers[workerID]; !ok {
 		return fmt.Errorf("dpp: unregistered worker %q", workerID)
 	}
-	delete(m.workers, workerID)
+	m.forgetLocked(workerID)
 	for splitID, l := range m.inflight {
 		if l.worker == workerID {
 			delete(m.inflight, splitID)
@@ -581,7 +592,7 @@ func (m *Master) ReapDead() int {
 		}
 	}
 	for id := range dead {
-		delete(m.workers, id)
+		m.forgetLocked(id)
 	}
 	return reassigned
 }
@@ -612,18 +623,19 @@ func (m *Master) WorkerCount() int {
 	return n
 }
 
-// WorkerStatsByID returns the latest reported stats of every
-// registered worker (draining included), keyed by worker ID — the view
-// chaos tests and dashboards use to follow cumulative recovery counters
-// across worker churn.
-func (m *Master) WorkerStatsByID() map[string]WorkerStats {
+// Recovery reports the session's cumulative storage self-healing work
+// and the splits released back for requeue, as heartbeats reported them:
+// every registered worker's latest counters plus the last-reported
+// counters of every worker that has since left the membership.
+func (m *Master) Recovery() (rec dwrf.Recovery, splitsReleased int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]WorkerStats, len(m.workers))
-	for id, w := range m.workers {
-		out[id] = w.stats
+	rec, splitsReleased = m.departed, m.departedReleased
+	for _, w := range m.workers {
+		rec.Add(w.stats.Recovery)
+		splitsReleased += w.stats.SplitsReleased
 	}
-	return out
+	return rec, splitsReleased
 }
 
 // WorkerStatsSnapshot returns the latest stats of live workers.

@@ -3,6 +3,8 @@ package dpp
 import (
 	"strings"
 	"testing"
+
+	"dsi/internal/tectonic/faults"
 )
 
 // TestReleaseSplitRequeues exercises the degraded-mode control plane: a
@@ -142,5 +144,48 @@ func TestReleaseSplitPoisonBudget(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "poisoned") || !strings.Contains(err.Error(), "persistent storage fault") {
 		t.Fatalf("poison error lost its cause: %v", err)
+	}
+}
+
+// TestWorkerReleasesSplitOnStorageOutage is degraded mode at the worker:
+// every replica goes Down under a worker whose readers are already
+// resident, so the failure lands in the stripe fetch. The step hands the
+// split back instead of failing, and the retries the fetch spent before
+// giving up still reach the resource report.
+func TestWorkerReleasesSplitOnStorageOutage(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16)
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker("w1", m, wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Sink = func(*blob) { t.Fatal("a batch was delivered from a cluster that is down") }
+	for _, sp := range m.splits {
+		if _, err := wh.CachedReader(sp.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outage := faults.NewSchedule(1)
+	for n := 0; n < 4; n++ {
+		outage.Down(n, 0, 0)
+	}
+	wh.Cluster().SetFaultSchedule(outage)
+
+	ok, err := w.ProcessOneSplit()
+	if err != nil || !ok {
+		t.Fatalf("ProcessOneSplit under outage: ok=%v err=%v, want the split released", ok, err)
+	}
+	rep := w.Report()
+	if rep.SplitsReleased != 1 || rep.SplitsDone != 0 {
+		t.Fatalf("SplitsReleased=%d SplitsDone=%d, want 1 and 0", rep.SplitsReleased, rep.SplitsDone)
+	}
+	if rep.StorageRetries == 0 {
+		t.Fatalf("the failed read's retries never reached the report: %+v", rep.Recovery)
+	}
+	if rel := m.SplitReleases(); len(rel) != 1 {
+		t.Fatalf("master saw releases %v, want exactly one split released once", rel)
 	}
 }

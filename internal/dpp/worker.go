@@ -79,18 +79,11 @@ type ResourceReport struct {
 	CacheBytesSaved int64
 
 	// Storage self-healing counters, folded out of each split's
-	// dwrf.ReadStats: replica retries and failovers, hedged reads fired
-	// and won, stripe fetches that failed content verification, and
-	// replicas quarantined because of them. SplitsReleased counts
+	// dwrf.ReadStats — delivered or released. SplitsReleased counts
 	// splits this worker handed back to the master for requeue after a
 	// retryable storage failure (degraded mode).
-	StorageRetries   int64
-	StorageFailovers int64
-	HedgedReads      int64
-	HedgeWins        int64
-	CorruptStripes   int64
-	Quarantines      int64
-	SplitsReleased   int64
+	dwrf.Recovery
+	SplitsReleased int64
 }
 
 // effectiveCores reports the usable core count on the node given the
@@ -499,12 +492,7 @@ func (w *Worker) accountSplit(ev evaluated) {
 	r.RowsIn += int64(ev.xform.RowsIn)
 	r.RowsOut += rowsOut
 	r.BatchesOut += int64(len(ev.batches))
-	r.StorageRetries += read.Retries
-	r.StorageFailovers += read.Failovers
-	r.HedgedReads += read.HedgedReads
-	r.HedgeWins += read.HedgeWins
-	r.CorruptStripes += read.CorruptStripes
-	r.Quarantines += read.Quarantines
+	r.Recovery.Add(read.Recovery)
 	switch {
 	case ev.hit == ware.PackXform:
 		r.CacheXformHits++
@@ -809,13 +797,8 @@ func (w *Worker) stats(sample bool) WorkerStats {
 		CacheMisses:     rep.CacheMisses,
 		CacheBytesSaved: rep.CacheBytesSaved,
 
-		StorageRetries:   rep.StorageRetries,
-		StorageFailovers: rep.StorageFailovers,
-		HedgedReads:      rep.HedgedReads,
-		HedgeWins:        rep.HedgeWins,
-		CorruptStripes:   rep.CorruptStripes,
-		Quarantines:      rep.Quarantines,
-		SplitsReleased:   rep.SplitsReleased,
+		Recovery:       rep.Recovery,
+		SplitsReleased: rep.SplitsReleased,
 	}
 }
 
@@ -942,6 +925,9 @@ drain:
 		case <-time.After(time.Millisecond):
 		}
 	}
+	// The master keeps a departed worker's last-reported counters in the
+	// session total (Master.Recovery), so the last report is the final one.
+	_ = w.master.Heartbeat(w.ID, w.heartbeatStats())
 	return w.master.DeregisterWorker(w.ID)
 }
 

@@ -394,7 +394,7 @@ func TestBatchDecodeMatchesRowDecode(t *testing.T) {
 				t.Fatalf("stripe %d row %d differs from written row", stripe, i)
 			}
 		}
-		batch, _, err := r.ReadStripeBatch(stripe, proj, ReadOptions{Flatmap: true})
+		batch, _, err := r.ReadStripeBatchArena(stripe, proj, ReadOptions{Flatmap: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +436,7 @@ func TestBatchDecodeRequiresFlattened(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.ReadStripeBatch(0, nil, ReadOptions{}); err == nil {
+	if _, _, err := r.ReadStripeBatchArena(0, nil, ReadOptions{}, nil); err == nil {
 		t.Fatal("batch decode of unflattened file accepted")
 	}
 }
@@ -647,7 +647,7 @@ func TestArenaDecodeReleaseRoundTrip(t *testing.T) {
 	proj := schema.NewProjection(1, 2, 5, 6, 9)
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < r.Stripes(); i++ {
-			plain, _, err := r.ReadStripeBatch(i, proj, ReadOptions{})
+			plain, _, err := r.ReadStripeBatchArena(i, proj, ReadOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

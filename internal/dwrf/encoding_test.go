@@ -126,11 +126,11 @@ func TestDictColumnRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < r2.Stripes(); i++ {
-		b2, _, err := r2.ReadStripeBatch(i, nil, ReadOptions{})
+		b2, _, err := r2.ReadStripeBatchArena(i, nil, ReadOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b1, _, err := r1.ReadStripeBatch(i, nil, ReadOptions{})
+		b1, _, err := r1.ReadStripeBatchArena(i, nil, ReadOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestScoreListDictSignedZeroAndNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := r.ReadStripeBatch(0, nil, ReadOptions{})
+	b, _, err := r.ReadStripeBatchArena(0, nil, ReadOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

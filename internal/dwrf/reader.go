@@ -45,21 +45,47 @@ type ReadStats struct {
 	FetchWall  time.Duration
 	DecodeWall time.Duration
 
-	// Recovery accounting from the self-healing read path: storage-level
-	// retries/failovers/hedges (from tectonic's ReadTrace), plus
-	// stripe-level corruption handling — attempts that failed content
-	// verification and replicas newly quarantined because of them. These
-	// ride ResourceReport/WorkerStats into fleet heartbeats.
-	Retries        int64
-	Failovers      int64
-	HedgedReads    int64
-	HedgeWins      int64
-	CorruptStripes int64
-	Quarantines    int64
+	// Recovery is the self-healing work behind the read; it rides
+	// ResourceReport and WorkerStats into fleet heartbeats.
+	Recovery
+}
+
+// Recovery counts the self-healing work of the storage read path:
+// replica retries and failovers and hedged reads fired and won (from
+// tectonic's ReadTrace), plus corruption handling — stripe fetches that
+// failed content verification and replicas newly quarantined because a
+// footer or stripe they served did. It is the one declaration of these
+// counters; dwrf.ReadStats, dpp.ResourceReport and dpp.WorkerStats embed
+// it.
+type Recovery struct {
+	StorageRetries   int64
+	StorageFailovers int64
+	HedgedReads      int64
+	HedgeWins        int64
+	CorruptStripes   int64
+	Quarantines      int64
+}
+
+// Add accumulates o into r.
+func (r *Recovery) Add(o Recovery) {
+	r.StorageRetries += o.StorageRetries
+	r.StorageFailovers += o.StorageFailovers
+	r.HedgedReads += o.HedgedReads
+	r.HedgeWins += o.HedgeWins
+	r.CorruptStripes += o.CorruptStripes
+	r.Quarantines += o.Quarantines
+}
+
+// trace folds the recovery work of one cluster read into r.
+func (r *Recovery) trace(tr tectonic.ReadTrace) {
+	r.StorageRetries += tr.Retries
+	r.StorageFailovers += tr.Failovers
+	r.HedgedReads += tr.Hedges
+	r.HedgeWins += tr.HedgeWins
 }
 
 // Merge accumulates other into s; callers aggregating per-stripe stats
-// across a scan (e.g. warehouse partition scans) use it.
+// across a scan use it.
 func (s *ReadStats) Merge(other ReadStats) { s.add(other) }
 
 // add merges other into s.
@@ -75,12 +101,7 @@ func (s *ReadStats) add(other ReadStats) {
 	s.StreamsDecoded += other.StreamsDecoded
 	s.FetchWall += other.FetchWall
 	s.DecodeWall += other.DecodeWall
-	s.Retries += other.Retries
-	s.Failovers += other.Failovers
-	s.HedgedReads += other.HedgedReads
-	s.HedgeWins += other.HedgeWins
-	s.CorruptStripes += other.CorruptStripes
-	s.Quarantines += other.Quarantines
+	s.Recovery.Add(other.Recovery)
 }
 
 // Batch is the in-memory flatmap representation (FM): per-feature
@@ -231,92 +252,103 @@ type Reader struct {
 	openStats ReadStats
 }
 
-// OpenReader fetches and parses the file footer. The footer carries no
-// checksum of its own, so structural failures — clobbered magic, a
-// footer length that lies, gob that no longer decodes — are treated as
-// replica corruption: the serving replicas are quarantined and the
-// footer is refetched from others, exactly like a stripe whose content
-// hash disagrees. Only when every replica returns an unparsable footer
-// (or the file is equally malformed on all of them) does Open fail.
-func OpenReader(cluster *tectonic.Cluster, path string) (*Reader, error) {
-	size, err := cluster.Size(path)
-	if err != nil {
-		return nil, err
-	}
-	attempts := cluster.Replication() + 1
-	var open ReadStats
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		r, served, s, err := openReaderAttempt(cluster, path, size)
-		open.add(s)
-		if err == nil {
-			r.openStats = open
-			return r, nil
-		}
-		lastErr = err
+// heal is the read path's one recovery loop, shared by the footer fetch
+// and the stripe fetch: it runs attempt — one fetch-and-verify pass that
+// reports its stats and which replica served each chunk it judged — up
+// to replication+1 times. On tectonic.ErrCorrupt it quarantines what was
+// served and refetches while that condemned a fresh replica; when every
+// replica that can serve the bytes is already quarantined the data is
+// unrecoverable, not transient, and the loop gives up. Any other
+// retryable error simply tries again. Every attempt's stats, and the
+// quarantines, accumulate into stats.
+func heal(cluster *tectonic.Cluster, path string, stats *ReadStats, attempt func() (ReadStats, []tectonic.ReplicaServe, error)) error {
+	var err error
+	for i := 0; i <= cluster.Replication(); i++ {
+		var s ReadStats
+		var served []tectonic.ReplicaServe
+		s, served, err = attempt()
+		stats.add(s)
 		switch {
+		case err == nil:
+			return nil
 		case errors.Is(err, tectonic.ErrCorrupt):
 			fresh := false
 			for _, sv := range served {
 				if cluster.Quarantine(path, sv.Chunk, sv.Node) {
 					fresh = true
-					open.Quarantines++
+					stats.Quarantines++
 				}
 			}
-			if fresh {
-				continue
+			if !fresh {
+				return fmt.Errorf("dwrf: %s: every replica that served it is quarantined, none left to refetch from: %w", path, err)
 			}
-			lastErr = fmt.Errorf("dwrf: %s: footer unreadable from every replica: %w", path, err)
-		case tectonic.IsRetryable(err):
-			continue
+		case !tectonic.IsRetryable(err):
+			return err
 		}
-		break
 	}
-	return nil, lastErr
+	return err
 }
 
-// openReaderAttempt is one footer fetch-and-parse pass, returning the
-// replica provenance of the bytes it judged and the recovery work the
-// underlying reads performed.
-func openReaderAttempt(cluster *tectonic.Cluster, path string, size int64) (*Reader, []tectonic.ReplicaServe, ReadStats, error) {
-	var stats ReadStats
-	account := func(tr tectonic.ReadTrace) {
-		stats.Retries += tr.Retries
-		stats.Failovers += tr.Failovers
-		stats.HedgedReads += tr.Hedges
-		stats.HedgeWins += tr.HedgeWins
+// OpenReader fetches and parses the file footer. The footer carries no
+// checksum of its own, so structural failures — clobbered magic, a
+// footer length that lies, gob that no longer decodes — are treated as
+// replica corruption: the serving replicas are quarantined and the
+// footer is refetched from others, exactly like a stripe whose content
+// hash disagrees (heal). Only when every replica returns an unparsable
+// footer (or the file is equally malformed on all of them) does Open
+// fail.
+func OpenReader(cluster *tectonic.Cluster, path string) (*Reader, error) {
+	size, err := cluster.Size(path)
+	if err != nil {
+		return nil, err
 	}
+	r := &Reader{cluster: cluster, path: path}
+	err = heal(cluster, path, &r.openStats, func() (stats ReadStats, served []tectonic.ReplicaServe, err error) {
+		r.footer, served, stats.Recovery, err = fetchFooter(cluster, path, size)
+		return stats, served, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// fetchFooter is one footer fetch-and-parse pass, returning the replica
+// provenance of the bytes it judged and the recovery work the underlying
+// reads performed.
+func fetchFooter(cluster *tectonic.Cluster, path string, size int64) (FileFooter, []tectonic.ReplicaServe, Recovery, error) {
+	var footer FileFooter
+	var rec Recovery
 	tailLen := int64(8 + len(Magic))
 	if size < tailLen {
-		return nil, nil, stats, fmt.Errorf("dwrf: %s too short (%d bytes)", path, size)
+		return footer, nil, rec, fmt.Errorf("dwrf: %s too short (%d bytes)", path, size)
 	}
 	tail, _, tr, err := cluster.ReadAtTraced(path, size-tailLen, tailLen)
-	account(tr)
+	rec.trace(tr)
 	served := tr.Served
 	if err != nil {
-		return nil, served, stats, err
+		return footer, served, rec, err
 	}
 	if string(tail[8:]) != Magic {
-		return nil, served, stats, fmt.Errorf("dwrf: %s missing trailing magic: %w", path, tectonic.ErrCorrupt)
+		return footer, served, rec, fmt.Errorf("dwrf: %s missing trailing magic: %w", path, tectonic.ErrCorrupt)
 	}
 	footerLen := int64(binary.LittleEndian.Uint64(tail[:8]))
 	if footerLen <= 0 || footerLen > size-tailLen {
-		return nil, served, stats, fmt.Errorf("dwrf: %s has invalid footer length %d: %w", path, footerLen, tectonic.ErrCorrupt)
+		return footer, served, rec, fmt.Errorf("dwrf: %s has invalid footer length %d: %w", path, footerLen, tectonic.ErrCorrupt)
 	}
 	footerBytes, _, ftr, err := cluster.ReadAtTraced(path, size-tailLen-footerLen, footerLen)
-	account(ftr)
+	rec.trace(ftr)
 	served = append(served, ftr.Served...)
 	if err != nil {
-		return nil, served, stats, err
+		return footer, served, rec, err
 	}
-	var footer FileFooter
 	if err := gob.NewDecoder(bytes.NewReader(footerBytes)).Decode(&footer); err != nil {
-		return nil, served, stats, fmt.Errorf("dwrf: decode footer of %s: %v: %w", path, err, tectonic.ErrCorrupt)
+		return footer, served, rec, fmt.Errorf("dwrf: decode footer of %s: %v: %w", path, err, tectonic.ErrCorrupt)
 	}
 	if footer.Version > Version {
-		return nil, served, stats, fmt.Errorf("dwrf: %s written by format v%d, reader supports up to v%d", path, footer.Version, Version)
+		return footer, served, rec, fmt.Errorf("dwrf: %s written by format v%d, reader supports up to v%d", path, footer.Version, Version)
 	}
-	return &Reader{cluster: cluster, path: path, footer: footer}, served, stats, nil
+	return footer, served, rec, nil
 }
 
 // Version reports the format version the file was written with (v1
@@ -534,46 +566,25 @@ func getEncBuf(n int64) *[]byte {
 // each attempt fetches via the cluster's traced reads (which already
 // fail over across replicas), verifies StripeMeta.ContentHash when the
 // fetch covers every stream of the stripe, and on corruption — a hash
-// mismatch, or a stream that no longer decompresses — quarantines the
-// replicas that served the bytes and refetches from others. The stripe
-// fails permanently only when no fresh replica remains, i.e. every
-// replica disagrees with the recorded hash.
+// mismatch, or a stream that no longer decompresses — heal quarantines
+// the replicas that served the bytes and refetches from others. The
+// stripe fails permanently only when no fresh replica remains, i.e.
+// every replica disagrees with the recorded hash.
 func (r *Reader) fetchStripe(meta *StripeMeta, proj *schema.Projection, opts ReadOptions) (map[int64][]byte, []StreamMeta, ReadStats, error) {
 	var stats ReadStats
 	// The footer fetch's recovery work reports through the first stripe
 	// read so it reaches ResourceReport/WorkerStats like any other read.
 	r.openOnce.Do(func() { stats.add(r.openStats) })
-	attempts := r.cluster.Replication() + 1
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		payloads, selected, s, served, err := r.fetchStripeAttempt(meta, proj, opts)
-		stats.add(s)
-		if err == nil {
-			return payloads, selected, stats, nil
+	var payloads map[int64][]byte
+	var selected []StreamMeta
+	err := heal(r.cluster, r.path, &stats, func() (s ReadStats, served []tectonic.ReplicaServe, err error) {
+		payloads, selected, s, served, err = r.fetchStripeAttempt(meta, proj, opts)
+		if errors.Is(err, tectonic.ErrCorrupt) {
+			s.CorruptStripes++
 		}
-		lastErr = err
-		switch {
-		case errors.Is(err, tectonic.ErrCorrupt):
-			stats.CorruptStripes++
-			fresh := false
-			for _, sv := range served {
-				if r.cluster.Quarantine(r.path, sv.Chunk, sv.Node) {
-					fresh = true
-					stats.Quarantines++
-				}
-			}
-			if fresh {
-				continue
-			}
-			// Every replica that can serve this stripe is already
-			// quarantined: the data is unrecoverable, not transient.
-			lastErr = fmt.Errorf("dwrf: %s stripe@%d: every replica disagrees with the recorded content hash: %w", r.path, meta.Offset, err)
-		case tectonic.IsRetryable(err):
-			continue
-		}
-		break
-	}
-	return nil, nil, stats, lastErr
+		return s, served, err
+	})
+	return payloads, selected, stats, err
 }
 
 // fetchStripeAttempt is one fetch pass: execute the I/O plan, decrypt
@@ -599,10 +610,7 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, proj *schema.Projection, o
 		fetchStart := time.Now()
 		raw, _, t, tr, err := r.cluster.ReadAtBorrowTraced(r.path, p.offset, p.length)
 		stats.FetchWall += time.Since(fetchStart)
-		stats.Retries += tr.Retries
-		stats.Failovers += tr.Failovers
-		stats.HedgedReads += tr.Hedges
-		stats.HedgeWins += tr.HedgeWins
+		stats.trace(tr)
 		served = append(served, tr.Served...)
 		if err != nil {
 			releasePayloads(payloads)
@@ -650,7 +658,7 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, proj *schema.Projection, o
 }
 
 // ReadStripe decodes stripe i under the projection into row-map samples.
-// For flattened files it is a row-oriented view over ReadStripeBatch:
+// For flattened files it is a row-oriented view over ReadStripeBatchArena:
 // the stripe decodes once into the columnar batch and the samples are
 // copied out of it (a sparse or score-list row that decoded to an empty
 // list is indistinguishable from an absent one in the columnar form and
@@ -662,7 +670,7 @@ func (r *Reader) ReadStripe(i int, proj *schema.Projection, opts ReadOptions) ([
 		return nil, ReadStats{}, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.footer.Stripes))
 	}
 	if r.footer.Flattened {
-		b, stats, err := r.ReadStripeBatch(i, proj, opts)
+		b, stats, err := r.ReadStripeBatchArena(i, proj, opts, nil)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -728,16 +736,11 @@ func samplesFromBatch(b *Batch) []*schema.Sample {
 	return rows
 }
 
-// ReadStripeBatch decodes stripe i under the projection into the columnar
-// Batch representation (the FM optimization). Only flattened files
-// support batch decoding.
-func (r *Reader) ReadStripeBatch(i int, proj *schema.Projection, opts ReadOptions) (*Batch, ReadStats, error) {
-	return r.ReadStripeBatchArena(i, proj, opts, nil)
-}
-
-// ReadStripeBatchArena is ReadStripeBatch decoding into arena-recycled
-// columns: the returned batch owns them and hands them back on Release.
-// A nil arena degrades to plain allocation. The arena is a call-site
+// ReadStripeBatchArena decodes stripe i under the projection into the
+// columnar Batch representation (the FM optimization), into
+// arena-recycled columns: the returned batch owns them and hands them
+// back on Release. A nil arena degrades to plain allocation. Only
+// flattened files support batch decoding. The arena is a call-site
 // argument rather than a ReadOptions field because ReadOptions travels
 // inside gob-encoded session specs; an arena is strictly node-local.
 func (r *Reader) ReadStripeBatchArena(i int, proj *schema.Projection, opts ReadOptions, arena *Arena) (*Batch, ReadStats, error) {

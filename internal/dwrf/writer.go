@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
@@ -47,23 +46,9 @@ func (o *WriterOptions) fill() {
 }
 
 // WriteStats aggregates the write-side recovery work a writer's appends
-// performed: retried attempts, token-ledger dedups of torn acks, torn
-// repairs that resumed a partial payload, and the virtual backoff paid
-// between attempts. All zero on a fault-free cluster.
-type WriteStats struct {
-	Retries     int64
-	DedupHits   int64
-	TornRepairs int64
-	Backoff     time.Duration
-}
-
-// Merge folds another stats snapshot into s.
-func (s *WriteStats) Merge(o WriteStats) {
-	s.Retries += o.Retries
-	s.DedupHits += o.DedupHits
-	s.TornRepairs += o.TornRepairs
-	s.Backoff += o.Backoff
-}
+// performed — the cluster's own accounting of each tokened append,
+// summed. Beyond Attempts, all zero on a fault-free cluster.
+type WriteStats = tectonic.WriteTrace
 
 // Writer encodes samples into a DWRF file inside a Tectonic cluster.
 type Writer struct {
@@ -95,12 +80,7 @@ type Writer struct {
 func (w *Writer) append(data []byte) error {
 	w.token = strconv.AppendInt(w.token[:len(w.path)+1], w.offset, 10)
 	trace, err := w.cluster.AppendToken(w.path, string(w.token), data)
-	w.stats.Merge(WriteStats{
-		Retries:     trace.Retries,
-		DedupHits:   trace.Dedups,
-		TornRepairs: trace.TornRepairs,
-		Backoff:     trace.Backoff,
-	})
+	w.stats.Merge(trace)
 	return err
 }
 

@@ -99,7 +99,8 @@ func TestFaultFlakyRetriesThenSucceeds(t *testing.T) {
 		if !bytes.Equal(got, data[off:off+n]) {
 			t.Fatalf("read [%d,%d) returned wrong bytes", off, off+n)
 		}
-		trace.merge(tr)
+		trace.Retries += tr.Retries
+		trace.Backoff += tr.Backoff
 	}
 	if trace.Retries == 0 {
 		t.Fatal("no retries recorded under a fully flaky cluster")
@@ -212,6 +213,20 @@ func TestFaultFreeReadsStayClean(t *testing.T) {
 	}
 	if fc := c.FaultCounters(); fc != (FaultCounters{}) {
 		t.Fatalf("fault-free counters nonzero: %+v", fc)
+	}
+
+	// There is one read path, and with nothing scheduled it must cost
+	// what the inlined primary-replica fast path it replaced cost: the
+	// chunk's stream name (two allocations) and the trace's Served entry,
+	// measured at the last commit that had the fast path.
+	const fastPathAllocs = 3
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, borrowed, _, _, err := c.ReadAtBorrowTraced("f", 128, 4096); err != nil || !borrowed {
+			t.Fatalf("single-chunk read: borrowed=%v err=%v", borrowed, err)
+		}
+	})
+	if allocs > fastPathAllocs {
+		t.Fatalf("fault-free single-chunk borrowed read allocates %v times, the fast path it replaced %d", allocs, fastPathAllocs)
 	}
 }
 

@@ -79,6 +79,16 @@ func (p *RetryPolicy) fill(replication int) {
 	}
 }
 
+// backoff is the capped exponential step paid before retry number
+// attempt (1 is the first retry), before jitter.
+func (p RetryPolicy) backoff(attempt int) time.Duration {
+	step := p.BaseBackoff << (attempt - 1)
+	if step > p.MaxBackoff || step <= 0 {
+		step = p.MaxBackoff
+	}
+	return step
+}
+
 // ReplicaServe records which node served one chunk-level I/O — the
 // provenance a checksum-verifying reader needs to quarantine the right
 // replica when the bytes turn out bad.
@@ -98,15 +108,6 @@ type ReadTrace struct {
 	HedgeWins int64
 	Backoff   time.Duration
 	Served    []ReplicaServe
-}
-
-func (t *ReadTrace) merge(o ReadTrace) {
-	t.Retries += o.Retries
-	t.Failovers += o.Failovers
-	t.Hedges += o.Hedges
-	t.HedgeWins += o.HedgeWins
-	t.Backoff += o.Backoff
-	t.Served = append(t.Served, o.Served...)
 }
 
 // FaultCounters is a snapshot of the cluster's cumulative recovery
@@ -136,9 +137,9 @@ type replicaKey struct {
 }
 
 // SetFaultSchedule installs (or, with nil, removes) the fault schedule
-// consulted by every subsequent read. With no schedule and no
-// quarantined replicas the read path takes the exact fault-free fast
-// path: primary replica, no ranking, no hedging.
+// consulted by every subsequent read, append and seal. With no schedule
+// and no quarantined replica every chunk is served by its primary:
+// nothing is ranked, filtered or hedged.
 func (c *Cluster) SetFaultSchedule(s *faults.Schedule) {
 	c.fmu.Lock()
 	c.schedule = s
@@ -205,12 +206,15 @@ func (c *Cluster) FaultCounters() FaultCounters {
 	return c.counters
 }
 
-// faultsActive reports whether the slow path (ranking, schedule checks,
-// hedging) must run.
-func (c *Cluster) faultsActive() bool {
+// faultPlane is the one locked snapshot a read or append takes of the
+// failure plane: the installed schedule, and whether the recovery
+// machinery (replica ranking, the clean-replica filter, hedging, the
+// latency EWMA; health-ranked placement and the token ledger) has
+// anything to act on — a schedule, or a replica Quarantine condemned.
+func (c *Cluster) faultPlane() (sched *faults.Schedule, active bool) {
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
-	return c.schedule != nil || len(c.quarantined) > 0
+	return c.schedule, c.schedule != nil || len(c.condemned) > 0
 }
 
 func (c *Cluster) hedgeThreshold() time.Duration {
@@ -271,26 +275,22 @@ func (c *Cluster) rankReplicas(path string, chunk int64, replicas []int, now tim
 }
 
 // serveChunk reads [within, within+n) of one chunk from one node,
-// applying the node's fault state: corrupting nodes return a copy with
-// a deterministic bit flipped, slow nodes pay a multiplied service
-// latency. Returns the bytes, whether they alias the chunk buffer, and
-// the absolute virtual completion time.
-func (c *Cluster) serveChunk(nodeID int, stream, path string, chunkIdx, within, n int64, st faults.State, win faults.Window, sched *faults.Schedule, borrow bool) ([]byte, bool, time.Duration) {
+// applying the node's fault state: corrupting nodes return a private
+// copy with a deterministic bit flipped, slow nodes pay a multiplied
+// service latency. Every other serve lends out a capacity-clamped view
+// of the chunk buffer (lent=true), which stays valid outside the node
+// lock because chunks are append-only: new bytes land beyond the length
+// observed here, and a growth reallocation leaves the old array intact.
+// Returns the bytes, whether they alias the chunk buffer, and the
+// absolute virtual completion time.
+func (c *Cluster) serveChunk(nodeID int, stream, path string, chunkIdx, within, n int64, st faults.State, win faults.Window, sched *faults.Schedule) ([]byte, bool, time.Duration) {
 	node := c.nodes[nodeID]
-	key := chunkKey{path: path, index: chunkIdx}
 	node.mu.Lock()
-	buf := node.chunks[key]
-	var data []byte
-	borrowed := false
-	if borrow && st != faults.Corrupting {
-		data = buf[within : within+n : within+n]
-		borrowed = true
-	} else {
-		data = append(make([]byte, 0, n), buf[within:within+n]...)
-	}
+	data := node.chunks[chunkKey{path: path, index: chunkIdx}][within : within+n : within+n]
 	node.mu.Unlock()
 
 	if st == faults.Corrupting {
+		data = append(make([]byte, 0, n), data...)
 		pos, mask := sched.CorruptBit(nodeID, stream, within, n)
 		data[pos] ^= mask
 		c.fmu.Lock()
@@ -305,36 +305,41 @@ func (c *Cluster) serveChunk(nodeID int, stream, path string, chunkIdx, within, 
 	c.IOSizes.Observe(float64(n))
 	c.ReadOps.Inc()
 	c.ReadBytes.Add(n)
-	return data, borrowed, done
+	return data, st != faults.Corrupting, done
 }
 
-// readChunkFaulty is the recovering chunk read: replicas in
-// health-ranked order, capped exponential backoff with seeded jitter
-// between attempts, and a hedged second read when the chosen replica's
-// latency exceeds the adaptive threshold. Backoff and hedge delay are
-// virtual time, folded into the returned completion time.
-func (c *Cluster) readChunkFaulty(path string, replicas []int, chunkIdx, within, n int64, borrow bool) ([]byte, bool, time.Duration, ReadTrace, error) {
-	sched := c.FaultSchedule()
+// readChunk is the cluster's one chunk read, recovering by construction:
+// replicas are tried in order with capped exponential backoff and seeded
+// jitter between attempts, and the recovery work lands in trace. With
+// nothing scheduled or quarantined (active=false) the order is the
+// placement order, so the primary serves on the first attempt; otherwise
+// replicas are health-ranked, quarantined ones leave the rotation, and a
+// hedged second read fires when the chosen replica's latency exceeds the
+// adaptive threshold. Backoff and hedge delay are virtual time, folded
+// into the returned completion time.
+func (c *Cluster) readChunk(path string, replicas []int, chunkIdx, within, n int64, sched *faults.Schedule, active bool, trace *ReadTrace) ([]byte, bool, time.Duration, error) {
 	now := c.opts.Clock.Now()
-	order := c.rankReplicas(path, chunkIdx, replicas, now, sched)
-	// Quarantined replicas leave the rotation entirely while any clean
-	// replica remains: a checksum-condemned node must not get to
-	// "succeed" with its rotted bytes just because a clean replica threw
-	// a transient error on one attempt. Only when every replica is
-	// quarantined do the condemned ones come back as a last resort.
-	clean := order[:0:0]
-	for _, n := range order {
-		if !c.Quarantined(path, chunkIdx, n) {
-			clean = append(clean, n)
+	order := replicas
+	if active {
+		order = c.rankReplicas(path, chunkIdx, replicas, now, sched)
+		// Quarantined replicas leave the rotation entirely while any clean
+		// replica remains: a checksum-condemned node must not get to
+		// "succeed" with its rotted bytes just because a clean replica threw
+		// a transient error on one attempt. Only when every replica is
+		// quarantined do the condemned ones come back as a last resort.
+		clean := order[:0:0]
+		for _, n := range order {
+			if !c.Quarantined(path, chunkIdx, n) {
+				clean = append(clean, n)
+			}
 		}
-	}
-	if len(clean) > 0 {
-		order = clean
+		if len(clean) > 0 {
+			order = clean
+		}
 	}
 	pol := c.opts.Retry
 	stream := fmt.Sprintf("%s#%d", path, chunkIdx)
 
-	var trace ReadTrace
 	var backoff time.Duration
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -344,10 +349,7 @@ func (c *Cluster) readChunkFaulty(path string, replicas []int, chunkIdx, within,
 			c.fmu.Lock()
 			c.counters.Retries++
 			c.fmu.Unlock()
-			step := pol.BaseBackoff << (attempt - 1)
-			if step > pol.MaxBackoff || step <= 0 {
-				step = pol.MaxBackoff
-			}
+			step := pol.backoff(attempt)
 			backoff += step + sched.Jitter(step/2, nodeID, stream, within, attempt)
 		}
 		st, win := sched.NodeState(nodeID, now)
@@ -365,43 +367,44 @@ func (c *Cluster) readChunkFaulty(path string, replicas []int, chunkIdx, within,
 			c.counters.Failovers++
 			c.fmu.Unlock()
 		}
-		data, borrowed, done := c.serveChunk(nodeID, stream, path, chunkIdx, within, n, st, win, sched, borrow)
+		data, lent, done := c.serveChunk(nodeID, stream, path, chunkIdx, within, n, st, win, sched)
 		served := nodeID
 
-		// Hedge: if the chosen replica is predicted to straggle past the
-		// adaptive threshold, fire a second read at the next-ranked
-		// healthy replica after the threshold delay; first completion
-		// wins, the loser's device time stays accounted.
-		lat := done - now
-		if thr := c.hedgeThreshold(); !pol.DisableHedge && sched != nil && lat > thr {
-			if alt, ok := altReplica(order, nodeID, now, sched); ok {
-				trace.Hedges++
-				altSt, altWin := sched.NodeState(alt, now)
-				data2, borrowed2, done2 := c.serveChunk(alt, stream, path, chunkIdx, within, n, altSt, altWin, sched, borrow)
-				hedgeDone := done2 + thr
-				won := hedgeDone < done
-				c.fmu.Lock()
-				c.counters.Hedges++
-				if won {
-					c.counters.HedgeWins++
-				}
-				c.fmu.Unlock()
-				if won {
-					trace.HedgeWins++
-					data, borrowed, done, served = data2, borrowed2, hedgeDone, alt
+		if active {
+			// Hedge: if the chosen replica is predicted to straggle past
+			// the adaptive threshold, fire a second read at the next-ranked
+			// healthy replica after the threshold delay; first completion
+			// wins, the loser's device time stays accounted.
+			lat := done - now
+			if thr := c.hedgeThreshold(); !pol.DisableHedge && sched != nil && lat > thr {
+				if alt, ok := altReplica(order, nodeID, now, sched); ok {
+					trace.Hedges++
+					altSt, altWin := sched.NodeState(alt, now)
+					data2, lent2, done2 := c.serveChunk(alt, stream, path, chunkIdx, within, n, altSt, altWin, sched)
+					hedgeDone := done2 + thr
+					won := hedgeDone < done
+					c.fmu.Lock()
+					c.counters.Hedges++
+					if won {
+						c.counters.HedgeWins++
+					}
+					c.fmu.Unlock()
+					if won {
+						trace.HedgeWins++
+						data, lent, done, served = data2, lent2, hedgeDone, alt
+					}
 				}
 			}
+			c.observeLatency(done - now)
 		}
 
-		c.observeLatency(done - now)
-		trace.Backoff = backoff
+		trace.Backoff += backoff
 		trace.Served = append(trace.Served, ReplicaServe{Chunk: chunkIdx, Node: served})
-		return data, borrowed, done + backoff, trace, nil
+		return data, lent, done + backoff, nil
 	}
-	trace.Backoff = backoff
-	err := fmt.Errorf("%w: %s chunk %d gave up after %d attempts: %w",
+	trace.Backoff += backoff
+	return nil, false, 0, fmt.Errorf("%w: %s chunk %d gave up after %d attempts: %w",
 		ErrAllReplicas, path, chunkIdx, pol.MaxAttempts, lastErr)
-	return nil, false, 0, trace, err
 }
 
 // altReplica picks the hedge target: the first ranked replica other
@@ -418,80 +421,18 @@ func altReplica(order []int, primary int, now time.Duration, sched *faults.Sched
 	return 0, false
 }
 
-// ReadAtTraced is ReadAt returning, additionally, the recovery trace:
-// which replica served each chunk, and how much retrying, failover, and
-// hedging the read needed.
-func (c *Cluster) ReadAtTraced(path string, offset, length int64) ([]byte, time.Duration, ReadTrace, error) {
+// readRange is the cluster's one range read: it walks the chunks under
+// [offset, offset+length), serves each through readChunk against one
+// snapshot of the fault plane, and assembles the bytes into a fresh
+// buffer — unless borrow is set and the range lies within a single
+// chunk, when the served view itself is returned (borrowed=true if it
+// aliases the chunk buffer; a corrupting node only ever hands out a
+// private copy). Device time and I/O accounting do not depend on borrow.
+func (c *Cluster) readRange(path string, offset, length int64, borrow bool) ([]byte, bool, time.Duration, ReadTrace, error) {
 	var trace ReadTrace
 	if offset < 0 || length < 0 {
-		return nil, 0, trace, fmt.Errorf("%w: negative read parameters [%d,%d) of %s", ErrOutOfRange, offset, offset+length, path)
+		return nil, false, 0, trace, fmt.Errorf("%w: negative read parameters [%d,%d) of %s", ErrOutOfRange, offset, offset+length, path)
 	}
-	f, err := c.lookup(path)
-	if err != nil {
-		return nil, 0, trace, err
-	}
-	f.mu.Lock()
-	size := f.size
-	replicas := f.replicas
-	f.mu.Unlock()
-
-	if offset+length > size {
-		return nil, 0, trace, fmt.Errorf("%w: read [%d,%d) beyond size %d of %s", ErrOutOfRange, offset, offset+length, size, path)
-	}
-
-	faulty := c.faultsActive()
-	out := make([]byte, 0, length)
-	var done time.Duration
-	cs := c.opts.ChunkSize
-	for length > 0 {
-		chunkIdx := offset / cs
-		within := offset % cs
-		n := cs - within
-		if length < n {
-			n = length
-		}
-		if faulty {
-			data, _, t, tr, err := c.readChunkFaulty(path, replicas[chunkIdx], chunkIdx, within, n, false)
-			trace.merge(tr)
-			if err != nil {
-				return nil, 0, trace, err
-			}
-			out = append(out, data...)
-			if t > done {
-				done = t
-			}
-		} else {
-			nodeID := replicas[chunkIdx][0]
-			node := c.nodes[nodeID]
-			key := chunkKey{path: path, index: chunkIdx}
-			node.mu.Lock()
-			buf := node.chunks[key]
-			out = append(out, buf[within:within+n]...)
-			node.mu.Unlock()
-
-			stream := fmt.Sprintf("%s#%d", path, chunkIdx)
-			if t := node.Disk.Read(stream, within, n); t > done {
-				done = t
-			}
-			c.IOSizes.Observe(float64(n))
-			c.ReadOps.Inc()
-			c.ReadBytes.Add(n)
-			trace.Served = append(trace.Served, ReplicaServe{Chunk: chunkIdx, Node: nodeID})
-		}
-		offset += n
-		length -= n
-	}
-	return out, done, trace, nil
-}
-
-// ReadAtBorrowTraced is ReadAtBorrow with the recovery trace.
-func (c *Cluster) ReadAtBorrowTraced(path string, offset, length int64) ([]byte, bool, time.Duration, ReadTrace, error) {
-	cs := c.opts.ChunkSize
-	if length <= 0 || offset < 0 || offset/cs != (offset+length-1)/cs {
-		out, t, trace, err := c.ReadAtTraced(path, offset, length)
-		return out, false, t, trace, err
-	}
-	var trace ReadTrace
 	f, err := c.lookup(path)
 	if err != nil {
 		return nil, false, 0, trace, err
@@ -505,26 +446,48 @@ func (c *Cluster) ReadAtBorrowTraced(path string, offset, length int64) ([]byte,
 		return nil, false, 0, trace, fmt.Errorf("%w: read [%d,%d) beyond size %d of %s", ErrOutOfRange, offset, offset+length, size, path)
 	}
 
-	chunkIdx := offset / cs
-	within := offset % cs
-	if c.faultsActive() {
-		out, borrowed, t, tr, err := c.readChunkFaulty(path, replicas[chunkIdx], chunkIdx, within, length, true)
-		trace.merge(tr)
-		return out, borrowed, t, trace, err
+	sched, active := c.faultPlane()
+	cs := c.opts.ChunkSize
+	borrow = borrow && length > 0 && offset/cs == (offset+length-1)/cs
+	var out []byte
+	if !borrow {
+		out = make([]byte, 0, length)
 	}
-	nodeID := replicas[chunkIdx][0]
-	node := c.nodes[nodeID]
-	key := chunkKey{path: path, index: chunkIdx}
-	node.mu.Lock()
-	buf := node.chunks[key]
-	out := buf[within : within+length : within+length]
-	node.mu.Unlock()
+	var done time.Duration
+	for length > 0 {
+		chunkIdx := offset / cs
+		within := offset % cs
+		n := min(cs-within, length)
+		data, lent, t, err := c.readChunk(path, replicas[chunkIdx], chunkIdx, within, n, sched, active, &trace)
+		if err != nil {
+			return nil, false, 0, trace, err
+		}
+		if borrow {
+			return data, lent, t, trace, nil
+		}
+		out = append(out, data...)
+		done = max(done, t)
+		offset += n
+		length -= n
+	}
+	return out, false, done, trace, nil
+}
 
-	stream := fmt.Sprintf("%s#%d", path, chunkIdx)
-	done := node.Disk.Read(stream, within, length)
-	c.IOSizes.Observe(float64(length))
-	c.ReadOps.Inc()
-	c.ReadBytes.Add(length)
-	trace.Served = append(trace.Served, ReplicaServe{Chunk: chunkIdx, Node: nodeID})
-	return out, true, done, trace, nil
+// ReadAtTraced is ReadAt returning, additionally, the recovery trace:
+// which replica served each chunk, and how much retrying, failover, and
+// hedging the read needed.
+func (c *Cluster) ReadAtTraced(path string, offset, length int64) ([]byte, time.Duration, ReadTrace, error) {
+	out, _, t, trace, err := c.readRange(path, offset, length, false)
+	return out, t, trace, err
+}
+
+// ReadAtBorrowTraced is ReadAtTraced returning, when the range lies
+// within a single memory-resident chunk, a slice that ALIASES the
+// chunk's buffer instead of a copy (borrowed=true). The caller must
+// treat a borrowed slice as read-only and not hold it across a Delete of
+// the file. Ranges spanning chunk boundaries are copied
+// (borrowed=false). Device-time and I/O accounting are identical to
+// ReadAt, so storage metrics don't depend on which call served the read.
+func (c *Cluster) ReadAtBorrowTraced(path string, offset, length int64) ([]byte, bool, time.Duration, ReadTrace, error) {
+	return c.readRange(path, offset, length, true)
 }

@@ -50,9 +50,8 @@ type Options struct {
 	// clock.
 	Clock *clock.Clock
 	// Faults is an optional seeded schedule of node fault windows; nil
-	// means every node is healthy forever (and reads take the exact
-	// legacy fast path). Can also be installed later with
-	// SetFaultSchedule.
+	// means every node is healthy forever. Can also be installed later
+	// with SetFaultSchedule.
 	Faults *faults.Schedule
 	// Retry governs replica failover, backoff, and hedged reads when
 	// faults are active; zero fields take defaults (see RetryPolicy).
@@ -210,58 +209,17 @@ func (c *Cluster) lookup(path string) (*fileMeta, error) {
 }
 
 // Append appends data to the file, writing through to all chunk
-// replicas. When a fault schedule is active the write is evaluated
-// against it (a single attempt, no token); callers that need retries
-// with torn-ack deduplication use AppendToken.
+// replicas: a single attempt evaluated against the fault plane, with no
+// token. Callers that need retries with torn-ack deduplication use
+// AppendToken.
 func (c *Cluster) Append(path string, data []byte) error {
 	f, err := c.lookup(path)
 	if err != nil {
 		return err
 	}
-	if c.writeFaultsActive() {
-		var trace WriteTrace
-		return c.appendAttempt(f, path, "", data, c.FaultSchedule(), 0, &trace)
-	}
-	return c.appendLegacy(f, path, data)
-}
-
-// appendLegacy is the fault-free append fast path: primary placement,
-// no schedule checks, no token ledger.
-func (c *Cluster) appendLegacy(f *fileMeta, path string, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.sealed {
-		return fmt.Errorf("%w: %s", ErrClosed, path)
-	}
-	cs := c.opts.ChunkSize
-	for len(data) > 0 {
-		chunkIdx := f.size / cs
-		within := f.size % cs
-		n := cs - within
-		if int64(len(data)) < n {
-			n = int64(len(data))
-		}
-		if chunkIdx == int64(len(f.replicas)) {
-			f.replicas = append(f.replicas, c.placement(path, chunkIdx))
-		}
-		for _, nodeID := range f.replicas[chunkIdx] {
-			node := c.nodes[nodeID]
-			key := chunkKey{path: path, index: chunkIdx}
-			node.mu.Lock()
-			buf := node.chunks[key]
-			if int64(len(buf)) != within {
-				// Replicas advance in lockstep under f.mu; divergence is a bug.
-				node.mu.Unlock()
-				panic(fmt.Sprintf("tectonic: replica divergence at %s chunk %d: len %d want %d",
-					path, chunkIdx, len(buf), within))
-			}
-			node.chunks[key] = append(buf, data[:n]...)
-			node.mu.Unlock()
-		}
-		f.size += n
-		data = data[n:]
-	}
-	return nil
+	sched, active := c.faultPlane()
+	var trace WriteTrace
+	return c.appendAttempt(f, path, "", data, sched, active, 0, &trace)
 }
 
 // Seal marks the file immutable. Reads are allowed before sealing (the
@@ -356,30 +314,15 @@ func (c *Cluster) Delete(path string) error {
 }
 
 // ReadAt reads length bytes at offset from the file, routing each
-// chunk-level I/O to the healthiest replica (the primary when the
-// cluster is fault-free) and accounting device time. It returns the
+// chunk-level I/O to the healthiest replica (the primary when nothing is
+// scheduled or quarantined) and accounting device time. It returns the
 // bytes and the simulated completion time of the slowest I/O involved.
-// When a fault schedule is active, failed attempts fail over across
-// replicas with capped jittered backoff and stragglers are hedged; see
-// ReadAtTraced for the recovery accounting.
+// Failed attempts fail over across replicas with capped jittered backoff
+// and stragglers are hedged; see ReadAtTraced for the recovery
+// accounting.
 func (c *Cluster) ReadAt(path string, offset, length int64) ([]byte, time.Duration, error) {
-	out, t, _, err := c.ReadAtTraced(path, offset, length)
+	out, _, t, _, err := c.readRange(path, offset, length, false)
 	return out, t, err
-}
-
-// ReadAtBorrow is ReadAt returning, when the range lies within a single
-// memory-resident chunk, a slice that ALIASES the chunk's buffer instead
-// of a copy (borrowed=true). The caller must treat a borrowed slice as
-// read-only and not hold it across a Delete of the file. Borrowing is
-// safe against concurrent appends because chunks are append-only: new
-// bytes land beyond the length observed at read time, and a growth
-// reallocation leaves the old array intact. Ranges spanning chunk
-// boundaries fall back to the copying path (borrowed=false). Device-time
-// and I/O accounting are identical to ReadAt, so storage metrics don't
-// depend on which path served the read.
-func (c *Cluster) ReadAtBorrow(path string, offset, length int64) ([]byte, bool, time.Duration, error) {
-	out, borrowed, t, _, err := c.ReadAtBorrowTraced(path, offset, length)
-	return out, borrowed, t, err
 }
 
 // ReadAll reads the whole file.

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"dsi/internal/hw"
+	"dsi/internal/tectonic/faults"
 )
 
 func newTestCluster(t *testing.T, chunkSize int64) *Cluster {
@@ -286,13 +288,20 @@ func TestAppendReadRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: random in-bounds ReadAt matches the written data.
+// Property: a random in-bounds read returns the written data whatever
+// the fault plane holds — nothing, an idle schedule, or the primary of
+// every chunk quarantined — and whichever call serves it, copying or
+// borrowing. In the two fault-free modes the read is the primary's
+// alone: no recovery work in the trace, none in the cluster's counters.
 func TestReadAtRandomAccessProperty(t *testing.T) {
 	f := func(data []byte, off16, len16 uint16) bool {
 		if len(data) == 0 {
 			return true
 		}
-		c, err := NewCluster(Options{Nodes: 4, Replication: 2, ChunkSize: 32})
+		// The clock never advances, so 32-byte chunk reads queue behind
+		// each other on the primaries' devices; the hedge floor keeps an
+		// idle schedule from reading that queueing as a straggler.
+		c, err := NewCluster(Options{Nodes: 4, Replication: 2, ChunkSize: 32, Retry: RetryPolicy{HedgeMin: time.Hour}})
 		if err != nil {
 			return false
 		}
@@ -304,11 +313,50 @@ func TestReadAtRandomAccessProperty(t *testing.T) {
 		}
 		off := int64(off16) % int64(len(data))
 		length := int64(len16) % (int64(len(data)) - off + 1)
-		got, _, err := c.ReadAt("f", off, length)
-		if err != nil {
-			return false
+		fm, _ := c.lookup("f")
+		for _, mode := range []string{"no schedule", "idle schedule", "primary quarantined"} {
+			faultFree := mode != "primary quarantined"
+			switch mode {
+			case "idle schedule":
+				c.SetFaultSchedule(faults.NewSchedule(1))
+			case "primary quarantined":
+				c.SetFaultSchedule(nil)
+				for i, reps := range fm.replicas {
+					c.Quarantine("f", int64(i), reps[0])
+				}
+			}
+			for _, borrow := range []bool{false, true} {
+				var got []byte
+				var trace ReadTrace
+				if borrow {
+					got, _, _, trace, err = c.ReadAtBorrowTraced("f", off, length)
+				} else {
+					got, _, trace, err = c.ReadAtTraced("f", off, length)
+				}
+				if err != nil || !bytes.Equal(got, data[off:off+length]) {
+					t.Errorf("%s, borrow=%v: read [%d,%d) = %x, %v", mode, borrow, off, off+length, got, err)
+					return false
+				}
+				for _, sv := range trace.Served {
+					if primary := fm.replicas[sv.Chunk][0]; (sv.Node == primary) != faultFree {
+						t.Errorf("%s, borrow=%v: chunk %d served by node %d, primary is %d", mode, borrow, sv.Chunk, sv.Node, primary)
+						return false
+					}
+				}
+				if !faultFree {
+					continue
+				}
+				if trace.Retries != 0 || trace.Failovers != 0 || trace.Hedges != 0 || trace.Backoff != 0 {
+					t.Errorf("%s, borrow=%v: fault-free read paid recovery work: %+v", mode, borrow, trace)
+					return false
+				}
+				if fc := c.FaultCounters(); fc != (FaultCounters{}) {
+					t.Errorf("%s, borrow=%v: fault-free counters nonzero: %+v", mode, borrow, fc)
+					return false
+				}
+			}
 		}
-		return bytes.Equal(got, data[off:off+length])
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -326,7 +374,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 	}
 
 	// Fully inside one chunk: the read is served zero-copy.
-	got, borrowed, _, err := c.ReadAtBorrow("f", 17, 10)
+	got, borrowed, _, _, err := c.ReadAtBorrowTraced("f", 17, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +394,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 	}
 
 	// Spanning a chunk boundary falls back to the copying path.
-	got, borrowed, _, err = c.ReadAtBorrow("f", 10, 20)
+	got, borrowed, _, _, err = c.ReadAtBorrowTraced("f", 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +407,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 
 	// Both paths account identically.
 	ops, rb := c.ReadOps.Value(), c.ReadBytes.Value()
-	if _, _, _, err := c.ReadAtBorrow("f", 17, 10); err != nil {
+	if _, _, _, _, err := c.ReadAtBorrowTraced("f", 17, 10); err != nil {
 		t.Fatal(err)
 	}
 	if c.ReadOps.Value() != ops+1 || c.ReadBytes.Value() != rb+10 {

@@ -37,16 +37,6 @@ type tokenState struct {
 	total   int64
 }
 
-// writeFaultsActive reports whether appends must take the fault-aware
-// slow path. With a nil schedule and no condemned nodes this is the
-// write path's single extra branch — appends then run the exact legacy
-// code, matching the read side's fast-path discipline.
-func (c *Cluster) writeFaultsActive() bool {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.schedule != nil || len(c.condemned) > 0
-}
-
 // AppendToken appends data to the file idempotently under the given
 // write token, retrying with capped jittered backoff (virtual time —
 // nothing sleeps) while the error taxonomy says the failure is worth
@@ -54,19 +44,16 @@ func (c *Cluster) writeFaultsActive() bool {
 // whose previous attempt actually landed deduplicates against the
 // ledger instead of double-appending, and a partially landed payload is
 // resumed from the first missing byte. Tokens must be unique per logical
-// append (e.g. "path@offset") and are only tracked while write faults
-// are active; a fault-free cluster takes the legacy fast path.
+// append (e.g. "path@offset") and are only tracked while the fault plane
+// is active: with nothing scheduled or condemned no attempt can tear, so
+// the first one is final and no ledger is kept.
 func (c *Cluster) AppendToken(path, token string, data []byte) (WriteTrace, error) {
 	var trace WriteTrace
 	f, err := c.lookup(path)
 	if err != nil {
 		return trace, err
 	}
-	if !c.writeFaultsActive() {
-		trace.Attempts = 1
-		return trace, c.appendLegacy(f, path, data)
-	}
-	sched := c.FaultSchedule()
+	sched, active := c.faultPlane()
 	pol := c.opts.Retry
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -75,14 +62,11 @@ func (c *Cluster) AppendToken(path, token string, data []byte) (WriteTrace, erro
 			c.fmu.Lock()
 			c.counters.AppendRetries++
 			c.fmu.Unlock()
-			step := pol.BaseBackoff << (attempt - 1)
-			if step > pol.MaxBackoff || step <= 0 {
-				step = pol.MaxBackoff
-			}
+			step := pol.backoff(attempt)
 			trace.Backoff += step + sched.Jitter(step/2, 0, path, int64(len(data)), attempt)
 		}
 		trace.Attempts++
-		err := c.appendAttempt(f, path, token, data, sched, attempt, &trace)
+		err := c.appendAttempt(f, path, token, data, sched, active, attempt, &trace)
 		if err == nil {
 			return trace, nil
 		}
@@ -95,14 +79,17 @@ func (c *Cluster) AppendToken(path, token string, data []byte) (WriteTrace, erro
 		ErrAllReplicas, path, pol.MaxAttempts, lastErr)
 }
 
-// appendAttempt drives one fault-evaluated append attempt. Each chunk
-// fragment's fate is decided across ALL its replicas before any replica
-// is touched, preserving the lockstep invariant: a fragment lands on
-// every replica or on none. A WriteFailing or Down verdict fails the
-// fragment cleanly; a WriteTorn verdict lands the fragment everywhere
-// and then loses the ack (ErrTornAck) — the case only a token recovers
-// from without duplicating.
-func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sched *faults.Schedule, attempt int, trace *WriteTrace) error {
+// appendAttempt is the only code that appends to a chunk: one append
+// attempt evaluated against the fault plane. While the plane is active a
+// token gets a ledger entry and new chunks are placed by health; with
+// nothing scheduled or condemned no attempt can tear, so no ledger is
+// kept and placement is the rendezvous prefix. Each chunk fragment's fate
+// is decided across ALL its replicas before any replica is touched,
+// preserving the lockstep invariant: a fragment lands on every replica or
+// on none. A WriteFailing or Down verdict fails the fragment cleanly; a
+// WriteTorn verdict lands the fragment everywhere and then loses the ack
+// (ErrTornAck) — the case only a token recovers from without duplicating.
+func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sched *faults.Schedule, active bool, attempt int, trace *WriteTrace) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.sealed {
@@ -110,7 +97,7 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 	}
 	total := int64(len(data))
 	var ts *tokenState
-	if token != "" {
+	if active && token != "" {
 		if f.tokens == nil {
 			f.tokens = make(map[string]*tokenState)
 		}
@@ -144,28 +131,30 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 	for len(data) > 0 {
 		chunkIdx := f.size / cs
 		within := f.size % cs
-		n := cs - within
-		if int64(len(data)) < n {
-			n = int64(len(data))
-		}
+		n := min(cs-within, int64(len(data)))
 		if chunkIdx == int64(len(f.replicas)) {
-			f.replicas = append(f.replicas, c.placementHealthy(path, chunkIdx, now, sched))
+			if active {
+				f.replicas = append(f.replicas, c.placementHealthy(path, chunkIdx, now, sched))
+			} else {
+				f.replicas = append(f.replicas, c.placement(path, chunkIdx))
+			}
 		}
-		stream := fmt.Sprintf("%s#%d", path, chunkIdx)
 		torn := false
 		for _, nodeID := range f.replicas[chunkIdx] {
 			st, win := sched.WriteState(nodeID, now)
 			switch st {
 			case faults.Down:
 				return fmt.Errorf("%w: node %d writing %s chunk %d", ErrNodeDown, nodeID, path, chunkIdx)
-			case faults.WriteFailing:
-				if sched.Fires(win.ErrProb, nodeID, stream, within, attempt) {
+			case faults.WriteFailing, faults.WriteTorn:
+				// The draw is keyed by the fragment's stream name, which
+				// only a window that draws pays to format.
+				if !sched.Fires(win.ErrProb, nodeID, fmt.Sprintf("%s#%d", path, chunkIdx), within, attempt) {
+					break
+				}
+				if st == faults.WriteFailing {
 					return fmt.Errorf("%w: node %d writing %s chunk %d (attempt %d)", ErrNodeIO, nodeID, path, chunkIdx, attempt)
 				}
-			case faults.WriteTorn:
-				if sched.Fires(win.ErrProb, nodeID, stream, within, attempt) {
-					torn = true
-				}
+				torn = true
 			case faults.WriteSlow:
 				c.fmu.Lock()
 				c.counters.SlowWriteServes++
@@ -178,6 +167,7 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 			node.mu.Lock()
 			buf := node.chunks[key]
 			if int64(len(buf)) != within {
+				// Replicas advance in lockstep under f.mu; divergence is a bug.
 				node.mu.Unlock()
 				panic(fmt.Sprintf("tectonic: replica divergence at %s chunk %d: len %d want %d",
 					path, chunkIdx, len(buf), within))

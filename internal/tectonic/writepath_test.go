@@ -289,6 +289,21 @@ func TestWriteFaultFastPathSkipsLedger(t *testing.T) {
 	if trace.Attempts != 1 || trace.Retries != 0 {
 		t.Fatalf("fault-free append took the slow path: %+v", trace)
 	}
+	// There is one append path, and with nothing scheduled it must cost
+	// what the legacy append it replaced cost: nothing beyond growing the
+	// replicas' chunk buffers (20 small appends into one chunk amortise
+	// to under one allocation each), measured at the last commit that
+	// had the legacy path. No ledger entry, no stream name.
+	const legacyAllocs = 0
+	data := payload(100)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.AppendToken("w", "w@0", data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > legacyAllocs {
+		t.Fatalf("fault-free AppendToken allocates %v times, the legacy path it replaced %d", allocs, legacyAllocs)
+	}
 	f, _ := c.lookup("w")
 	f.mu.Lock()
 	defer f.mu.Unlock()

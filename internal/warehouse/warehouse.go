@@ -584,45 +584,3 @@ func (w *Warehouse) ReadSplitBatchCachedArena(sp Split, proj *schema.Projection,
 	}
 	return r.ReadStripeBatchArena(sp.Stripe, proj, opts, arena)
 }
-
-// ScanPartition re-reads one partition end to end through the stripe-
-// prefetching reader (dwrf.Reader.StreamBatches): upcoming stripes are
-// fetched and decoded ahead of the consumer by a bounded goroutine
-// pool. ETL output validation and storage-tuning sweeps use it instead
-// of hand-rolling a stripe loop. It returns the rows scanned and the
-// aggregate read statistics, whose FetchWall/DecodeWall split shows
-// where the scan's wall time went. Requires the flattened layout.
-func (t *Table) ScanPartition(key string, proj *schema.Projection, opts dwrf.ReadOptions, pf dwrf.PrefetchOptions) (int, dwrf.ReadStats, error) {
-	p, err := t.Partition(key)
-	if err != nil {
-		return 0, dwrf.ReadStats{}, err
-	}
-	r, err := t.wh.CachedReader(p.Path)
-	if err != nil {
-		return 0, dwrf.ReadStats{}, err
-	}
-	if pf.Arena == nil {
-		// The scan consumes batches internally, so it can always recycle
-		// their columns stripe over stripe.
-		pf.Arena = dwrf.NewArena()
-	}
-	stream, err := r.StreamBatches(nil, proj, opts, pf)
-	if err != nil {
-		return 0, dwrf.ReadStats{}, err
-	}
-	defer stream.Close()
-	rows := 0
-	var agg dwrf.ReadStats
-	for {
-		b, stats, ok, err := stream.Next()
-		if err != nil {
-			return rows, agg, err
-		}
-		if !ok {
-			return rows, agg, nil
-		}
-		rows += b.Rows
-		b.Release()
-		agg.Merge(stats)
-	}
-}

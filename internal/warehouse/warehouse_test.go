@@ -282,32 +282,6 @@ func TestWriteOptionsAffectNewPartitionsOnly(t *testing.T) {
 	}
 }
 
-func TestScanPartitionStreamsAllRows(t *testing.T) {
-	wh := newWarehouse(t)
-	tbl, err := wh.CreateTable("rm", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillPartition(t, tbl, "p1", 96, 5)
-
-	rows, stats, err := tbl.ScanPartition("p1", schema.NewProjection(1, 5), dwrf.ReadOptions{Flatmap: true}, dwrf.PrefetchOptions{Depth: 3, Parallelism: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != 96 {
-		t.Fatalf("scanned %d rows, want 96", rows)
-	}
-	if stats.IOs == 0 || stats.BytesDecoded == 0 {
-		t.Fatalf("scan stats empty: %+v", stats)
-	}
-	if stats.DecodeWall <= 0 {
-		t.Fatalf("scan wall-time split not populated: %+v", stats)
-	}
-	if _, _, err := tbl.ScanPartition("nope", nil, dwrf.ReadOptions{}, dwrf.PrefetchOptions{}); err == nil {
-		t.Fatal("unknown partition accepted")
-	}
-}
-
 func TestCachedReaderSharedAcrossSplits(t *testing.T) {
 	wh := newWarehouse(t)
 	tbl, err := wh.CreateTable("rm", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
