@@ -105,8 +105,9 @@
 // exactly-once: an uncommitted intent is adopted only if its partition
 // became visible. A DPP session opens the table live
 // (SessionSpec.Unbounded) — the master discovers splits as the ETL
-// seals partitions, polling the generation when workers idle, and the
-// session ends only when the producer closes its Scribe categories.
+// seals partitions, idle workers wait on Table.Changed() (closed on
+// every seal) instead of polling the generation, and the session ends
+// only when the producer closes its Scribe categories.
 // Completed splits record event-time→trainer freshness lag
 // (Master.Freshness); the "ingest" experiment and BENCH_ingest.json
 // show the lag bounded and flat, and `dppd -role ingest` demos the

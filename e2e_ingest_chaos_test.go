@@ -147,13 +147,7 @@ func TestEndToEndStreamingIngestChaos(t *testing.T) {
 	if err := daemon.DrainFlush(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for len(tbl.Partitions()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("ETL sealed no partition before deadline")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitPartitions(t, tbl, 1, 30*time.Second)
 
 	session := dpp.SessionSpec{
 		Table:     "ingest",

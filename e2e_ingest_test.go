@@ -28,6 +28,24 @@ import (
 // finalizes, the sessions drain and terminate cleanly, and each tenant
 // must have received every produced row exactly once (order-independent
 // content checksums against a same-seed replay of the generator).
+// awaitPartitions blocks until tbl holds at least n sealed partitions,
+// waking on the table's own announcement of each seal.
+func awaitPartitions(t *testing.T, tbl *warehouse.Table, n int, within time.Duration) {
+	t.Helper()
+	deadline := time.After(within)
+	for {
+		changed := tbl.Changed()
+		if len(tbl.Partitions()) >= n {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline:
+			t.Fatalf("ETL sealed %d of %d partitions within %v", len(tbl.Partitions()), n, within)
+		}
+	}
+}
+
 func TestEndToEndStreamingIngestChecksums(t *testing.T) {
 	const (
 		model         = "rm-live"
@@ -106,13 +124,7 @@ func TestEndToEndStreamingIngestChecksums(t *testing.T) {
 	if err := sim.ServeRequests(firstChunk); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for len(tbl.Partitions()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("ETL sealed no partition before deadline")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitPartitions(t, tbl, 1, 30*time.Second)
 
 	session := dpp.SessionSpec{
 		Table:     "ingest",

@@ -126,6 +126,15 @@ type Client struct {
 	orphans  []*tensor.Batch
 	detached int
 
+	// wake is the one-slot channel Next waits on between sweeps. Every
+	// connection that can announce (arrivalAnnouncer: the framed stream)
+	// pings it when a frame lands or the stream ends, and reapDetached
+	// pings it when a rescue lands; pings sent while a sweep is running
+	// stay in the slot, so no arrival is missed. mute counts connections
+	// that cannot announce and must be swept on a timer instead.
+	wake chan struct{}
+	mute int
+
 	// BatchesFetched counts delivered batches.
 	BatchesFetched int64
 	// BytesFetched counts delivered tensor bytes.
@@ -142,10 +151,10 @@ func NewClient(workers []WorkerAPI, maxConnections, clientIndex int) (*Client, e
 	if maxConnections <= 0 || maxConnections > len(workers) {
 		maxConnections = len(workers)
 	}
-	c := &Client{maxConn: maxConnections, clientIndex: clientIndex}
+	c := &Client{maxConn: maxConnections, clientIndex: clientIndex, wake: make(chan struct{}, 1)}
 	for i := 0; i < maxConnections; i++ {
 		idx := (clientIndex*maxConnections + i) % len(workers)
-		c.conns = append(c.conns, workerConn{id: fmt.Sprintf("static-%d", idx), api: workers[idx]})
+		c.addLocked(fmt.Sprintf("static-%d", idx), workers[idx])
 	}
 	return c, nil
 }
@@ -175,7 +184,7 @@ func NewSessionClient(master MasterAPI, dial WorkerDialer, maxConnections, clien
 	if master == nil || dial == nil {
 		return nil, fmt.Errorf("dpp: session client needs a master and a dialer")
 	}
-	c := &Client{master: master, dial: dial, maxConn: maxConnections, clientIndex: clientIndex}
+	c := &Client{master: master, dial: dial, maxConn: maxConnections, clientIndex: clientIndex, wake: make(chan struct{}, 1)}
 	if err := c.Refresh(); err != nil {
 		return nil, err
 	}
@@ -204,6 +213,13 @@ func (c *Client) addLocked(id string, api WorkerAPI) bool {
 		}
 	}
 	c.conns = append(c.conns, workerConn{id: id, api: api})
+	if a, ok := api.(arrivalAnnouncer); ok {
+		a.announceTo(c.wake)
+	} else {
+		c.mute++
+	}
+	// Whatever the connection already holds arrived unannounced.
+	ping(c.wake)
 	return true
 }
 
@@ -248,6 +264,7 @@ func (c *Client) reapDetached(api WorkerAPI, d drainable) {
 	c.orphans = append(c.orphans, batches...)
 	c.detached--
 	c.mu.Unlock()
+	ping(c.wake)
 }
 
 // Refresh re-resolves worker membership from the master and rebalances
@@ -458,13 +475,23 @@ func (c *Client) admitLocked(b *tensor.Batch) bool {
 	return true
 }
 
+// stallSweep is how often Next re-sweeps connections that cannot
+// announce an arrival (LocalWorkerAPI, test fakes).
+const stallSweep = 500 * time.Microsecond
+
 // Next returns the next tensor batch. It returns ok=false only when the
 // session has no more data for this client: for a frozen worker set,
 // when every connected worker has finished and drained; for a
 // master-resolved client, when additionally the master reports the
-// session complete and membership has emptied. The stall backoff sleeps
-// without holding the client lock, so TryNext and stats readers on
-// other trainer goroutines are never blocked behind it.
+// session complete and membership has emptied. Between sweeps it waits,
+// off the client lock, for an arrival: a frame landing in a stream's
+// window, a stream ending, or a rescued window landing in the orphan
+// queue. A timer joins the wait only where no event can: a
+// master-resolved client wakes every RefreshEvery to re-resolve
+// membership (control-plane cadence, not a hand-off), and a connection
+// that cannot announce is swept every stallSweep. Next has one waiter —
+// the session's one logical consumer, the same assumption the dedup
+// ledger makes; TryNext stays callable from any goroutine.
 func (c *Client) Next() (*tensor.Batch, bool, error) {
 	for {
 		b, ok, done, err := c.TryNext()
@@ -477,9 +504,19 @@ func (c *Client) Next() (*tensor.Batch, bool, error) {
 		if done {
 			return nil, false, nil
 		}
-		// Workers exist but are all momentarily empty; yield briefly
-		// rather than spinning.
-		time.Sleep(500 * time.Microsecond)
+		var timed <-chan time.Time // nil: wait for an arrival alone
+		c.mu.Lock()
+		switch {
+		case c.mute > 0:
+			timed = time.After(stallSweep)
+		case c.master != nil:
+			timed = time.After(c.refreshEvery())
+		}
+		c.mu.Unlock()
+		select {
+		case <-c.wake:
+		case <-timed:
+		}
 	}
 }
 

@@ -128,6 +128,17 @@ type ungetter interface {
 	UngetBatches(batches []*tensor.Batch)
 }
 
+// batchAnnouncer is the optional BatchSource extension that lets the
+// framed server wait for a batch instead of polling for one: the channel
+// BatchReady returns is closed the next time TryGetBatch may answer
+// differently (a batch arrived, or the source finished). The server
+// takes it before each TryGetBatch and waits on it only after an empty
+// pop, so a batch that lands in between is never missed. Worker
+// implements it; a source that only implements TryGetBatch is polled.
+type batchAnnouncer interface {
+	BatchReady() <-chan struct{}
+}
+
 // consumeAcker is the optional BatchSource extension through which the
 // data plane reports irrevocable consumption (a credit grant, or a
 // gracefully rescued stream window). Worker implements it to drive the
@@ -257,6 +268,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		return
 	}
 	crashCh := crashChOf(src)
+	announcer, _ := src.(batchAnnouncer)
 
 	// Credit reader: accumulate grants until the client goes away, and
 	// retire granted batches from the un-granted window. A half-closed
@@ -379,11 +391,14 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 				return
 			}
 		}
-		// Wait for a batch. The source only exposes a non-blocking pop,
-		// so an empty-but-live buffer is polled at a period well under
-		// any batch production time.
+		// Wait for a batch: take the source's announcement, try a pop,
+		// and wait on the announcement only if the pop came back empty.
 		var b *tensor.Batch
 		for b == nil {
+			var ready <-chan struct{}
+			if announcer != nil {
+				ready = announcer.BatchReady()
+			}
 			bb, ok, done := src.TryGetBatch()
 			if ok {
 				b = bb
@@ -397,6 +412,13 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 				ackAll(src, takeWindow())
 				return
 			}
+			var tick <-chan time.Time
+			if announcer == nil {
+				// The source only exposes a non-blocking pop, so an
+				// empty-but-live buffer is polled at a period well under
+				// any batch production time.
+				tick = time.After(200 * time.Microsecond)
+			}
 			select {
 			case <-crashCh:
 				takeWindow()
@@ -404,7 +426,8 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 			case <-connGone:
 				connGoneExit()
 				return
-			case <-time.After(200 * time.Microsecond):
+			case <-ready:
+			case <-tick:
 			}
 		}
 		// Enter the batch into the un-granted window BEFORE writing its
@@ -450,7 +473,47 @@ type StreamWorker struct {
 	err        error
 	done       bool
 
+	// arrivals is the one-slot channel a Client registered (announceTo):
+	// the read loop pings it after every frame lands in the window and
+	// when it exits, which is what Client.Next waits on between sweeps.
+	amu      sync.Mutex
+	arrivals chan<- struct{}
+
 	closeOnce sync.Once
+}
+
+// arrivalAnnouncer is the optional WorkerAPI extension of transports
+// that can tell a Client when FetchBatch may answer differently (the
+// framed stream). A connection without it is swept on a timer.
+type arrivalAnnouncer interface {
+	// announceTo registers the one-slot channel to ping.
+	announceTo(ch chan<- struct{})
+}
+
+// ping leaves a wake-up in a one-slot channel unless one is already
+// waiting there: the receiver re-reads all state when it wakes, so one
+// pending ping stands for any number of events.
+func ping(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// announceTo implements arrivalAnnouncer.
+func (s *StreamWorker) announceTo(ch chan<- struct{}) {
+	s.amu.Lock()
+	s.arrivals = ch
+	s.amu.Unlock()
+}
+
+// announce pings the registered client, if any (a nil channel takes no
+// ping).
+func (s *StreamWorker) announce() {
+	s.amu.Lock()
+	ch := s.arrivals
+	s.amu.Unlock()
+	ping(ch)
 }
 
 // DialWorkerFramed opens a framed stream to the one buffer behind a
@@ -524,6 +587,7 @@ func SessionWorkerDialer(session string) WorkerDialer {
 // capacity equals the credit window and a frame is granted only after
 // it is popped, so a full channel means the server overran its credit.
 func (s *StreamWorker) readLoop() {
+	defer s.announce() // after readerDone closes: the end is an arrival too
 	defer close(s.readerDone)
 	r := bufio.NewReader(s.conn)
 	var hdr [frameHeaderLen]byte
@@ -567,6 +631,7 @@ func (s *StreamWorker) readLoop() {
 			}
 			select {
 			case s.batches <- b:
+				s.announce()
 			default:
 				b.Release()
 				s.err = fmt.Errorf("dpp: framed stream: server overran the %d-frame credit window", cap(s.batches))

@@ -2,6 +2,7 @@ package dpp
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -283,6 +284,12 @@ func (fw *FleetWorker) startPipeline(sessionID string) {
 	fw.mu.Unlock()
 	go func() {
 		defer close(p.done)
+		// A remote session master owns a long-poll goroutine from the
+		// first time Run idles on it (RemoteMaster.WorkChanged); it ends
+		// with the pipeline.
+		if c, ok := sm.(io.Closer); ok {
+			defer c.Close()
+		}
 		if err := w.Run(p.stop); err != nil && fw.OnError != nil {
 			fw.OnError(sessionID, err)
 		}

@@ -123,6 +123,17 @@ type MasterAPI interface {
 	ListWorkers() ([]WorkerEndpoint, error)
 	// Done reports whether every split has completed.
 	Done() (bool, error)
+	// WorkChanged returns the wake-ups an idle worker waits on instead of
+	// re-asking on a timer. session is closed the next time an answer a
+	// worker was given may have changed without the worker's own doing:
+	// the last discovered split completed, a lease went back to the queue
+	// (ReleaseSplit, DeregisterWorker, ReapDead), a split was poisoned, a
+	// worker was marked draining, or the session closed. table is closed
+	// when the tailed table publishes a partition or its stream ends (nil
+	// for bounded sessions: a nil channel never fires). Take both before
+	// NextSplit and Done, wait only after those answered "nothing", then
+	// take fresh ones.
+	WorkChanged() (session, table <-chan struct{})
 }
 
 // Master is the DPP control plane for one training session.
@@ -130,9 +141,10 @@ type Master struct {
 	spec   SessionSpec
 	splits []warehouse.Split
 
-	// table is set for unbounded sessions: the master polls it for
-	// newly sealed partitions (discovery-on-poll; no background
-	// goroutine) and for the producer's stream-close.
+	// table is set for unbounded sessions: the master reads it for newly
+	// sealed partitions and for the producer's stream-close whenever a
+	// worker asks (no background goroutine), and hands idle workers its
+	// Changed channel to wait on in between (WorkChanged).
 	table warehouse.TableReader
 
 	mu        sync.Mutex
@@ -159,6 +171,12 @@ type Master struct {
 	// session failure once a split exhausts its retry budget.
 	poison  map[int]int
 	failErr error
+	// changed is WorkChanged's session channel: closed by notifyLocked
+	// and allocated only while someone waits. wakes counts the closes;
+	// with the table generation it is the token a remote long-poll
+	// carries (workToken).
+	changed chan struct{}
+	wakes   int64
 
 	// now is injectable for deterministic tests.
 	now func() time.Time
@@ -256,9 +274,9 @@ func NewMaster(wh *warehouse.Warehouse, spec SessionSpec) (*Master, error) {
 }
 
 // refreshLocked discovers splits of partitions sealed since the last
-// poll. It reads the table generation BEFORE enumerating partitions, so
+// call. It reads the table generation BEFORE enumerating partitions, so
 // a partition sealed mid-enumeration is re-examined (and deduplicated by
-// key) on the next poll rather than lost. Callers hold m.mu.
+// key) on the next call rather than lost. Callers hold m.mu.
 func (m *Master) refreshLocked() error {
 	if m.table == nil {
 		return nil
@@ -315,12 +333,52 @@ func (m *Master) DiscoveredPartitions() []string {
 // kept direct in-process pointers to a Master after its Service
 // registry entry was removed (CloseSession) therefore learn about the
 // closure exactly like RPC workers of an unknown session do — their
-// fetch loops abort and their heartbeat loops treat the rejection as
-// disownment and abandon the now-unconsumable buffered work.
+// idle evaluators wake, ask, and abort on the rejection, and their
+// heartbeat loops treat it as disownment and abandon the
+// now-unconsumable buffered work.
 func (m *Master) Close() {
 	m.mu.Lock()
 	m.closed = true
+	m.notifyLocked()
 	m.mu.Unlock()
+}
+
+// WorkChanged implements MasterAPI.
+func (m *Master) WorkChanged() (session, table <-chan struct{}) {
+	if m.table != nil {
+		table = m.table.Changed()
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.changed == nil {
+		m.changed = make(chan struct{})
+	}
+	return m.changed, table
+}
+
+// notifyLocked closes WorkChanged's session channel. Callers hold m.mu
+// and have just changed the state the channel announces, so a worker
+// that took the channel before asking cannot miss the change.
+func (m *Master) notifyLocked() {
+	m.wakes++
+	if m.changed != nil {
+		close(m.changed)
+		m.changed = nil
+	}
+}
+
+// workToken names the state WorkChanged's channels announce: it moves
+// exactly when one of them closes. A remote long-poll carries the token
+// it last saw, so a change that lands between two polls answers the next
+// one at once (MasterService.AwaitWork).
+func (m *Master) workToken() int64 {
+	var gen int64
+	if m.table != nil {
+		gen = m.table.Generation()
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.wakes + gen
 }
 
 // errClosed is the worker-facing rejection of a closed session;
@@ -361,11 +419,16 @@ func (m *Master) DeregisterWorker(workerID string) error {
 		return fmt.Errorf("dpp: unregistered worker %q", workerID)
 	}
 	m.forgetLocked(workerID)
+	requeued := false
 	for splitID, l := range m.inflight {
 		if l.worker == workerID {
 			delete(m.inflight, splitID)
 			m.pending = append(m.pending, splitID)
+			requeued = true
 		}
+	}
+	if requeued {
+		m.notifyLocked()
 	}
 	return nil
 }
@@ -383,10 +446,10 @@ func (m *Master) NextSplit(workerID string) (warehouse.Split, int, bool, bool, e
 	}
 	w.lastSeen = m.now()
 	if len(m.pending) == 0 {
-		// Unbounded sessions poll the table for freshly sealed
-		// partitions exactly when a worker runs out of work — workers'
-		// fetch loops re-poll on a short backoff, so no notification
-		// plumbing is needed.
+		// Unbounded sessions read the table for freshly sealed
+		// partitions exactly when a worker runs out of work; a worker
+		// told "nothing" waits on the table's Changed channel
+		// (WorkChanged) and asks again when a partition is published.
 		if err := m.refreshLocked(); err != nil {
 			return warehouse.Split{}, 0, false, false, err
 		}
@@ -432,6 +495,9 @@ func (m *Master) CompleteSplit(workerID string, splitID int) error {
 				MaxEventTime: sp.MaxEventTime,
 				CompletedAt:  m.now().UnixNano(),
 			})
+		}
+		if m.nComplete == len(m.splits) {
+			m.notifyLocked() // Done may have turned true
 		}
 	}
 	return nil
@@ -493,9 +559,11 @@ func (m *Master) ReleaseSplit(workerID string, splitID int, reason string) (bool
 	m.poison[splitID]++
 	if m.poison[splitID] >= budget {
 		m.failErr = fmt.Errorf("dpp: split %d poisoned after %d releases (last: %s)", splitID, m.poison[splitID], reason)
+		m.notifyLocked() // Done now fails for every worker
 		return false, nil
 	}
 	m.pending = append(m.pending, splitID)
+	m.notifyLocked()
 	return true, nil
 }
 
@@ -594,6 +662,9 @@ func (m *Master) ReapDead() int {
 	for id := range dead {
 		m.forgetLocked(id)
 	}
+	if reassigned > 0 {
+		m.notifyLocked()
+	}
 	return reassigned
 }
 
@@ -607,6 +678,7 @@ func (m *Master) Drain(workerID string) error {
 		return fmt.Errorf("dpp: unregistered worker %q", workerID)
 	}
 	w.draining = true
+	m.notifyLocked() // its idle evaluators learn it from NextSplit
 	return nil
 }
 

@@ -1,9 +1,6 @@
 package dpp
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // This file implements Worker.Run's loop. A worker does one thing per
 // split — extract, transform, load — and eval.go is that one thing up to
@@ -19,13 +16,29 @@ import (
 //	    resource accounting → bounded output buffer (BufferDepth
 //	    batches / MaxBufferedBytes) → heartbeat
 //
-// Nothing on the read path waits on the wall clock, so the pool buys
-// CPU parallelism only; evaluating ahead of delivery is what keeps
-// trainers fed while earlier tensors drain (the paper's central DPP
-// requirement). The channel and the buffer are both bounded, so a slow
-// trainer stalls the evaluators instead of growing memory without
-// limit. ProcessOneSplit is the same step and the same deliver call on
-// the caller's goroutine.
+// Nothing on the read path waits on the wall clock: every hand-off from
+// a sealed partition to a trainer tensor happens on an event, announced
+// by a channel that is closed (or pinged) under the lock guarding the
+// state it announces. Three wake-ups carry a tensor the rest of the way:
+//
+//   - master/table → idle evaluator (evalLoop): MasterAPI.WorkChanged,
+//     closed when a lease returns to the queue, the last split completes,
+//     the worker is drained or the session fails, and when the tailed
+//     table publishes a partition or closes its stream;
+//   - buffer → stream server (dataplane.go): Worker.BatchReady, closed by
+//     deliver, UngetBatches and finish;
+//   - stream → client (client.go): the read loop pings the channel
+//     Client.Next waits on as each frame lands and when the stream ends.
+//
+// One rule everywhere: take the channel before you ask, wait on it only
+// after the answer was "nothing" — an event between the answer and the
+// wait then finds the channel already closed. The only timers left on
+// the worker are heartbeats. So the pool buys CPU parallelism only;
+// evaluating ahead of delivery is what keeps trainers fed while earlier
+// tensors drain (the paper's central DPP requirement). The channel and
+// the buffer are both bounded, so a slow trainer stalls the evaluators
+// instead of growing memory without limit. ProcessOneSplit is the same
+// step and the same deliver call on the caller's goroutine.
 
 // pipelineAbort coordinates shutdown across the pool: the first failure
 // (or an external stop) closes the abort channel, and every goroutine
@@ -121,27 +134,27 @@ func (w *Worker) Run(stop <-chan struct{}) error {
 
 // evalLoop is one evaluator goroutine: it runs the step until the
 // session is done or this worker drains, sending each evaluated split
-// to the deliver loop.
+// to the deliver loop. Told there is nothing to lease, it waits for an
+// event that can change that answer — never for a timer.
 func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
-	// Idle polling backs off exponentially so a worker waiting on
-	// splits leased elsewhere doesn't hammer a remote master with RPCs
-	// during the session tail; the local splitDone signal still ends
-	// the wait immediately when this worker completes a split.
-	const maxBackoff = 50 * time.Millisecond
-	backoff := time.Millisecond
 	for {
 		select {
 		case <-abort.ch:
 			return
 		default:
 		}
+		// Take the wake-ups before asking, so nothing that happens between
+		// the master's answer and the wait below is missed.
+		session, table := w.master.WorkChanged()
+		w.mu.Lock()
+		completed := w.splitDone
+		w.mu.Unlock()
 		ev, leased, err := w.evalNext()
 		if err != nil {
 			abort.fail(err)
 			return
 		}
 		if leased {
-			backoff = time.Millisecond
 			if ev.batches != nil { // nil: released back; lease again
 				select {
 				case out <- ev:
@@ -164,21 +177,16 @@ func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
 		if done {
 			return
 		}
-		// The remaining splits are leased (to this worker's deliver
-		// loop or to other workers); wait for a completion signal
-		// before re-checking, with a backed-off timeout covering
-		// completions on other workers.
-		w.mu.Lock()
-		wait := w.splitDone
-		w.mu.Unlock()
+		// The remaining splits are leased (to this worker's deliver loop
+		// or to other workers) or not sealed yet. Ask again when this
+		// worker acknowledges a split, when the master's answer may have
+		// changed, or when the table publishes.
 		select {
 		case <-abort.ch:
 			return
-		case <-wait:
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
+		case <-completed:
+		case <-session:
+		case <-table:
 		}
 	}
 }

@@ -194,6 +194,46 @@ func (s *MasterService) Done(args *DoneArgs, reply *bool) error {
 	return nil
 }
 
+// awaitWorkCap bounds how long one AwaitWork long-poll is held at the
+// server, so a handler never outlives its session's last event by more
+// than this and a silently dead peer costs one parked goroutine for a
+// second, not forever.
+const awaitWorkCap = time.Second
+
+// AwaitWorkArgs is one long-poll for WorkChanged over RPC: the session,
+// and the work token the caller last saw (-1: none yet).
+type AwaitWorkArgs struct {
+	SessionID string
+	Seen      int64
+}
+
+// AwaitWork is the remote half of MasterAPI.WorkChanged. It answers at
+// once when the master has moved past the token the caller last saw —
+// which is what makes a change that lands between two polls impossible
+// to miss — and otherwise when either WorkChanged channel closes or
+// awaitWorkCap passes, replying with the token now current.
+func (s *MasterService) AwaitWork(args *AwaitWorkArgs, token *int64) error {
+	m, err := s.master(args.SessionID)
+	if err != nil {
+		return err
+	}
+	// Channels before the token: a change after this line closes one of
+	// them, a change before it shows in the token.
+	session, table := m.WorkChanged()
+	if *token = m.workToken(); *token != args.Seen {
+		return nil
+	}
+	held := time.NewTimer(awaitWorkCap)
+	defer held.Stop()
+	select {
+	case <-session:
+	case <-table:
+	case <-held.C:
+	}
+	*token = m.workToken()
+	return nil
+}
+
 // ServiceRPC is the RPC wrapper around the multi-tenant registry and
 // fleet surface of a Service.
 type ServiceRPC struct {
@@ -310,9 +350,7 @@ func acceptLoop(ln net.Listener, done <-chan struct{}, handle func(net.Conn)) {
 				return
 			case <-time.After(backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))):
 			}
-			if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
+			backoff = min(2*backoff, acceptBackoffMax)
 			continue
 		}
 		backoff = acceptBackoffMin
@@ -365,10 +403,17 @@ func ServeService(svc *Service, addr string) (net.Listener, func(), error) {
 }
 
 // RemoteMaster is one session's MasterAPI over a RemoteService's RPC
-// connection (RemoteService.SessionMaster).
+// connection (RemoteService.SessionMaster). A RemoteMaster whose
+// WorkChanged was called owns one long-poll goroutine; Close ends it.
 type RemoteMaster struct {
 	client  *rpc.Client
 	session string
+
+	mu      sync.Mutex
+	changed chan struct{} // WorkChanged's channel; closed and replaced by awaitLoop
+	stop    chan struct{} // non-nil once awaitLoop runs; closed by Close
+	closed  bool
+	polling sync.WaitGroup
 }
 
 // RegisterWorker implements MasterAPI.
@@ -427,6 +472,91 @@ func (r *RemoteMaster) Done() (bool, error) {
 	var done bool
 	err := r.client.Call("Master.Done", &DoneArgs{SessionID: r.session}, &done)
 	return done, err
+}
+
+// WorkChanged implements MasterAPI. Both of the master's wake-ups
+// arrive through one shared long-poll (MasterService.AwaitWork), so the
+// session channel stands for either and table is nil. The first call
+// starts the long-poll; its first reply only learns the master's token
+// and therefore wakes the waiters once for nothing.
+func (r *RemoteMaster) WorkChanged() (session, table <-chan struct{}) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.changed == nil {
+		r.changed = make(chan struct{})
+	}
+	if r.stop == nil && !r.closed {
+		r.stop = make(chan struct{})
+		r.polling.Add(1)
+		go r.awaitLoop(r.stop)
+	}
+	return r.changed, nil
+}
+
+// wake closes the channel waiters hold, if any took one.
+func (r *RemoteMaster) wake() {
+	r.mu.Lock()
+	if r.changed != nil {
+		close(r.changed)
+		r.changed = nil
+	}
+	r.mu.Unlock()
+}
+
+// awaitLoop keeps one AwaitWork long-poll outstanding and wakes the
+// waiters each time it answers with a token that moved. An error wakes
+// them too — whatever broke the poll breaks their NextSplit, which is
+// where a worker's error handling lives — but only after a pause, so a
+// dead or disowning master is asked again at acceptLoop's capped rate
+// rather than hot-looped. The loop ends with Close, or with the
+// connection (net/rpc does not reconnect).
+func (r *RemoteMaster) awaitLoop(stop <-chan struct{}) {
+	defer r.polling.Done()
+	defer r.wake() // never leave a waiter on a channel nothing will close
+	seen := int64(-1)
+	for {
+		var token int64
+		call := r.client.Go("Master.AwaitWork", &AwaitWorkArgs{SessionID: r.session, Seen: seen}, &token, nil)
+		select {
+		case <-stop:
+			return
+		case <-call.Done:
+		}
+		switch {
+		case call.Error == nil && token == seen:
+			continue // the server's cap passed with nothing to announce
+		case call.Error == nil:
+			seen = token
+		case errors.Is(call.Error, rpc.ErrShutdown):
+			return
+		default:
+			seen = -1
+			pause := time.NewTimer(acceptBackoffMax)
+			select {
+			case <-stop:
+				pause.Stop()
+				return
+			case <-pause.C:
+			}
+		}
+		r.wake()
+	}
+}
+
+// Close ends the long-poll goroutine, if WorkChanged ever started one,
+// and returns once it has exited. The RPC connection is the
+// RemoteService's and stays open.
+func (r *RemoteMaster) Close() error {
+	r.mu.Lock()
+	if !r.closed {
+		r.closed = true
+		if r.stop != nil {
+			close(r.stop)
+		}
+	}
+	r.mu.Unlock()
+	r.polling.Wait()
+	return nil
 }
 
 var _ MasterAPI = (*RemoteMaster)(nil)

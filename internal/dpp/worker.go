@@ -225,6 +225,10 @@ type Worker struct {
 	notEmpty   chan struct{} // closed-and-replaced signal for consumers
 	notFull    chan struct{} // closed-and-replaced signal for producers
 	splitDone  chan struct{} // closed-and-replaced after each CompleteSplit
+	// settled is closed when the ledger Retire waits out moves toward
+	// empty (a buffer pop, a stream window retired, a CompleteSplit ack
+	// landed); allocated only while Retire waits.
+	settled chan struct{}
 
 	// BusyFrac window: the last Stats() sample point, so each heartbeat
 	// reports the live busy fraction since the previous one.
@@ -442,17 +446,19 @@ func (w *Worker) completeSplit(splitID int) {
 	w.mu.Lock()
 	w.completing--
 	w.report.SplitsDone++
-	close(w.splitDone) // wake fetchers waiting to re-check Done
+	close(w.splitDone) // wake evaluators waiting to re-check Done
 	w.splitDone = make(chan struct{})
+	w.settleLocked()
 	w.mu.Unlock()
 }
 
-// pendingSplits reports splits whose consumption ledger is still open,
-// plus completion acks in flight to the master.
-func (w *Worker) pendingSplits() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.splits) + w.completing
+// settleLocked wakes Retire. Callers hold w.mu and have just lowered
+// one of the counts it waits out.
+func (w *Worker) settleLocked() {
+	if w.settled != nil {
+		close(w.settled)
+		w.settled = nil
+	}
 }
 
 // UseCache attaches the node-wide content-addressed cache, attributing
@@ -540,6 +546,10 @@ func (w *Worker) deliver(b *tensor.Batch, cancel <-chan struct{}) error {
 			w.mu.Unlock()
 			return nil
 		}
+		// notFull is read under the same lock hold that found the buffer
+		// full, and TryGetBatch and finish close it under that lock, so a
+		// pop between the check and the wait has already closed this
+		// channel: the signal cannot be missed and needs no fallback poll.
 		wait := w.notFull
 		w.mu.Unlock()
 		select {
@@ -548,17 +558,20 @@ func (w *Worker) deliver(b *tensor.Batch, cancel <-chan struct{}) error {
 			return errCanceled
 		case <-w.crashCh:
 			return errCanceled
-		case <-time.After(2 * time.Millisecond):
-			// Fallback poll so a missed signal can never wedge delivery.
 		}
 	}
 }
 
 // GetBatch pops one buffered batch for direct local consumption (the
 // pop counts as consumed for the split ledger). ok=false means the
-// worker has finished and the buffer is drained.
+// worker has finished and the buffer is drained, or has crashed.
 func (w *Worker) GetBatch() (*tensor.Batch, bool) {
 	for {
+		// The channel is taken before the pop is tried and is closed
+		// under the lock that guards the buffer, so a batch delivered
+		// between an empty pop and the wait has already closed it: the
+		// signal cannot be missed and needs no fallback poll.
+		ready := w.BatchReady()
 		b, ok, done := w.TryGetBatch()
 		if ok {
 			w.ackConsumed(b)
@@ -567,14 +580,23 @@ func (w *Worker) GetBatch() (*tensor.Batch, bool) {
 		if done {
 			return nil, false
 		}
-		w.mu.Lock()
-		wait := w.notEmpty
-		w.mu.Unlock()
 		select {
-		case <-wait:
-		case <-time.After(2 * time.Millisecond):
+		case <-ready:
+		case <-w.crashCh:
+			return nil, false
 		}
 	}
+}
+
+// BatchReady implements the data plane's batchAnnouncer: the returned
+// channel is closed the next time TryGetBatch may answer differently —
+// a batch entered the buffer (deliver, UngetBatches) or the worker
+// finished. Take it before TryGetBatch, wait on it only after an empty
+// pop.
+func (w *Worker) BatchReady() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.notEmpty
 }
 
 // TryGetBatch pops a buffered batch without blocking. done=true means
@@ -598,6 +620,7 @@ func (w *Worker) TryGetBatch() (b *tensor.Batch, ok, done bool) {
 		}
 		close(w.notFull)
 		w.notFull = make(chan struct{})
+		w.settleLocked()
 		return b, true, false
 	}
 	return nil, false, w.finished
@@ -632,6 +655,9 @@ func (w *Worker) UngetBatches(batches []*tensor.Batch) {
 func (w *Worker) addStreamOutstanding(delta int) {
 	w.mu.Lock()
 	w.outstanding += delta
+	if delta < 0 {
+		w.settleLocked()
+	}
 	w.mu.Unlock()
 }
 
@@ -900,15 +926,27 @@ func (w *Worker) Retire(abandon <-chan struct{}) error {
 	defer hb.Stop()
 	hbFails := 0
 drain:
-	// Undelivered (not merely Buffered): batches pushed into a framed
-	// stream's un-granted window still belong to this worker — if the
-	// stream broke abnormally after deregistration they would be
-	// requeued into a worker no client can resolve, losing rows. The
-	// pendingSplits term additionally holds deregistration until every
-	// consumed split's CompleteSplit ack has landed at the master, so
-	// DeregisterWorker does not requeue a lease whose rows were already
-	// delivered in full.
-	for w.Undelivered() > 0 || w.pendingSplits() > 0 {
+	for {
+		// Undelivered (not merely Buffered): batches pushed into a framed
+		// stream's un-granted window still belong to this worker — if the
+		// stream broke abnormally after deregistration they would be
+		// requeued into a worker no client can resolve, losing rows. The
+		// open split ledgers and the completion acks in flight
+		// additionally hold deregistration until every consumed split's
+		// CompleteSplit has landed at the master, so DeregisterWorker does
+		// not requeue a lease whose rows were already delivered in full.
+		// The counts and the wake-up are read under one lock hold, so
+		// whatever lowers them next closes this channel.
+		w.mu.Lock()
+		left := len(w.buffer) + w.outstanding + len(w.splits) + w.completing
+		if left > 0 && w.settled == nil {
+			w.settled = make(chan struct{})
+		}
+		settled := w.settled
+		w.mu.Unlock()
+		if left == 0 {
+			break
+		}
 		select {
 		case <-abandon:
 			break drain
@@ -922,7 +960,7 @@ drain:
 			} else {
 				hbFails = 0
 			}
-		case <-time.After(time.Millisecond):
+		case <-settled:
 		}
 	}
 	// The master keeps a departed worker's last-reported counters in the

@@ -68,6 +68,9 @@ type Joiner struct {
 	earlyEvents map[int64]*earlyEvent
 	eventOrder  []orderEntry // FIFO of early events for window eviction
 
+	// Steps counts Step calls, empty ones included: a joiner with no input
+	// is waiting (InputChanged), not stepping, so an idle one stands still.
+	Steps metrics.Counter
 	// Joined counts samples emitted with an observed event.
 	Joined metrics.Counter
 	// Expired counts samples emitted because the window elapsed.
@@ -136,6 +139,7 @@ func (j *Joiner) emit(feat *datagen.FeatureLog, engaged bool) error {
 // Step consumes up to batch records from each stream and advances the
 // join. It reports how many records were consumed in total.
 func (j *Joiner) Step(batch int) (int, error) {
+	j.Steps.Inc()
 	consumed := 0
 
 	feats, err := j.bus.Tail(datagen.FeatureCategory(j.Model), j.featCursor, batch)
@@ -295,6 +299,18 @@ func (j *Joiner) TrimConsumed() error {
 		}
 	}
 	return nil
+}
+
+// InputChanged returns one channel per category, closed on that
+// category's next append or close (scribe.Bus.Changed). Take them before
+// a Step and wait on them only after the Step consumed nothing, so a
+// record appended in between is never missed. ok=false means at least
+// one category does not exist yet — nothing was ever published to it —
+// and its channel is nil: there is no stream to wait on.
+func (j *Joiner) InputChanged() (feat, event <-chan struct{}, ok bool) {
+	feat, ferr := j.bus.Changed(datagen.FeatureCategory(j.Model))
+	event, eerr := j.bus.Changed(datagen.EventCategory(j.Model))
+	return feat, event, ferr == nil && eerr == nil
 }
 
 // EndOfStream reports whether the producer closed both of the model's

@@ -53,10 +53,6 @@ type Pipeline struct {
 	BatchSize int
 	// KeyPrefix names partitions "<prefix><index>". Default "part-".
 	KeyPrefix string
-	// IdleWait is how long the pipeline sleeps when both streams are
-	// drained but still open. Default 200µs.
-	IdleWait time.Duration
-
 	// WriteRetryBudget is how many times one partition may be aborted and
 	// re-produced from its base checkpoint after a retryable write
 	// failure before the pipeline gives up on it as poisoned. Default 2.
@@ -91,9 +87,6 @@ func (p *Pipeline) defaults() {
 	}
 	if p.KeyPrefix == "" {
 		p.KeyPrefix = "part-"
-	}
-	if p.IdleWait <= 0 {
-		p.IdleWait = 200 * time.Microsecond
 	}
 }
 
@@ -285,8 +278,15 @@ const (
 	fillAborted
 )
 
+// categoryWait is how often an idle pipeline looks again for a category
+// nothing has been published to yet: a stream that does not exist has no
+// Changed channel to wait on.
+const categoryWait = time.Millisecond
+
 // fillPartition steps the joiner until the open partition reaches the
-// seal threshold, the producer closes the stream, or stop fires.
+// seal threshold, the producer closes the stream, or stop fires. With
+// both categories drained but open it waits for the next append or
+// close, not for a timer.
 func (p *Pipeline) fillPartition(sink *partitionSink, stop <-chan struct{}) (fillResult, error) {
 	for sink.rows < p.PartitionRows {
 		select {
@@ -304,6 +304,9 @@ func (p *Pipeline) fillPartition(sink *partitionSink, stop <-chan struct{}) (fil
 		if batch < 1 {
 			batch = 1
 		}
+		// Taken before the Step, so an append the Step just missed has
+		// already closed its channel by the time the wait below looks.
+		feat, event, ok := p.Joiner.InputChanged()
 		n, err := p.Joiner.Step(batch)
 		if err != nil {
 			return 0, err
@@ -319,10 +322,16 @@ func (p *Pipeline) fillPartition(sink *partitionSink, stop <-chan struct{}) (fil
 			}
 			return fillEndOfStream, nil
 		}
+		var retry <-chan time.Time
+		if !ok {
+			retry = time.After(categoryWait)
+		}
 		select {
 		case <-stop:
 			return fillAborted, nil
-		case <-time.After(p.IdleWait):
+		case <-feat:
+		case <-event:
+		case <-retry:
 		}
 	}
 	return fillSealed, nil

@@ -346,12 +346,13 @@ func TestStreamingPipelineCrashRestartResume(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() { done <- p1.Run(stop) }()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(tbl.Partitions()) < 2 {
-		if time.Now().After(deadline) {
+	deadline := time.After(10 * time.Second)
+	for sealed := tbl.Changed(); len(tbl.Partitions()) < 2; sealed = tbl.Changed() {
+		select {
+		case <-sealed:
+		case <-deadline:
 			t.Fatal("pipeline sealed no partitions before deadline")
 		}
-		time.Sleep(time.Millisecond)
 	}
 	close(stop) // crash: the open partition is abandoned unsealed
 	if err := <-done; err != nil {
@@ -442,5 +443,65 @@ func TestStreamingPipelineRecoversBetweenSealAndCommit(t *testing.T) {
 	checkExactlyOnce(t, readAllIDs(t, wh, tbl), 40)
 	if fmt.Sprintf("%d", len(tbl.Partitions())) == "1" {
 		t.Fatal("resumed run produced no continuation partition")
+	}
+}
+
+// An idle pipeline waits for its input, it does not poll it: between two
+// appends it makes no Step at all, and it also starts before either
+// category exists. (On the 200 µs idle timer this replaced it stepped
+// ~45 times in the window.) The test counts calls; the only thing it
+// reads a clock for is how long to watch nothing happen.
+func TestStreamingPipelineIdleMakesNoStep(t *testing.T) {
+	store := logdevice.NewStore()
+	bus := scribe.NewBus(store)
+	_, tbl := streamTestTable(t, true)
+	cs, err := NewCursorStore(store, "etl/m/cursors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Pipeline{Joiner: NewJoiner("m", bus, nil), Table: tbl, Cursors: cs, PartitionRows: 32}
+	done := make(chan error, 1)
+	go func() { done <- p.Run(nil) }()
+
+	joined := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for p.Joiner.Joined.Value() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("pipeline joined %d of %d records before deadline", p.Joiner.Joined.Value(), n)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	// The categories come into being with the first append, after the
+	// pipeline started waiting for them.
+	publishRange(t, bus, "m", 1, 1)
+	joined(1)
+
+	const window = 50 * time.Millisecond
+	before := p.Joiner.Steps.Value()
+	time.Sleep(window)
+	// At most the one empty Step that follows the Step that joined.
+	if n := p.Joiner.Steps.Value() - before; n > 1 {
+		t.Fatalf("idle pipeline made %d Steps in %v with nothing appended, want at most 1", n, window)
+	}
+
+	// The next append wakes it.
+	publishRange(t, bus, "m", 2, 2)
+	joined(2)
+
+	if err := bus.CloseCategory(datagen.FeatureCategory("m")); err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.CloseCategory(datagen.EventCategory("m")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("closing both categories did not end the idle pipeline")
 	}
 }

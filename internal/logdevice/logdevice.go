@@ -56,6 +56,12 @@ type stream struct {
 	sealBytes int64
 	sealed    bool          // no further appends; end-of-log for tailers
 	changed   chan struct{} // closed and replaced on append/seal
+	// unacked holds the tokens of appends that landed but lost their
+	// acknowledgement: the producer will retry exactly these, so Trim
+	// keeps their ledger entries until the retry has been answered — a
+	// tailer that consumes and trims a torn record before its producer
+	// retries must not turn the retry into a second append.
+	unacked map[string]struct{}
 	// tokens is the idempotent-append ledger, populated only while write
 	// faults are active: write token -> the LSN it landed at. Entries
 	// are dropped when their LSN is trimmed.
@@ -145,7 +151,8 @@ func (s *Store) Append(name string, payload []byte) (LSN, error) {
 // or land and then lose their acknowledgement (WriteTorn → ErrTornAck);
 // a retry with the same token returns the landed record's LSN instead
 // of appending twice. Tokens must be unique per logical record; the
-// ledger entry is dropped when the record is trimmed. With no schedule
+// ledger entry is dropped when the record is trimmed, or, for a record
+// whose ack was lost, when its retry has been answered. With no schedule
 // installed this is exactly the legacy append — one branch, no ledger.
 func (s *Store) AppendToken(name, token string, payload []byte) (LSN, bool, error) {
 	st, err := s.lookup(name)
@@ -162,6 +169,12 @@ func (s *Store) AppendToken(name, token string, payload []byte) (LSN, bool, erro
 	if sched != nil {
 		if token != "" {
 			if lsn, ok := st.tokens[token]; ok {
+				// The retry is answered; an entry kept past its record's
+				// trim only for this leaves with it.
+				delete(st.unacked, token)
+				if lsn <= st.trimPoint {
+					delete(st.tokens, token)
+				}
 				s.fmu.Lock()
 				s.wstats.DedupHits++
 				s.fmu.Unlock()
@@ -207,6 +220,12 @@ func (s *Store) AppendToken(name, token string, payload []byte) (LSN, bool, erro
 		// The record IS durable (tailers will see it); only the ack is
 		// lost. A tokened retry dedups; a tokenless caller would
 		// double-append.
+		if token != "" {
+			if st.unacked == nil {
+				st.unacked = make(map[string]struct{})
+			}
+			st.unacked[token] = struct{}{}
+		}
 		s.fmu.Lock()
 		s.wstats.TornAcks++
 		s.fmu.Unlock()
@@ -332,11 +351,12 @@ func (s *Store) Trim(name string, upTo LSN) error {
 		st.memBytes -= int64(len(r.Payload))
 	}
 	st.memtable = st.memtable[idx:]
-	// Trimmed records can no longer be retried, so their write tokens
-	// leave the ledger with them — the ledger stays bounded by the
-	// stream's retained span.
+	// An acknowledged record is never retried, so its write token leaves
+	// the ledger with it; a record whose ack was lost keeps its token
+	// until the retry arrives (unacked). The ledger stays bounded by the
+	// stream's retained span plus the retries still owed.
 	for tok, lsn := range st.tokens {
-		if lsn <= upTo {
+		if _, owed := st.unacked[tok]; lsn <= upTo && !owed {
 			delete(st.tokens, tok)
 		}
 	}

@@ -101,6 +101,40 @@ func TestWriteFaultTokensTrimmedWithRecords(t *testing.T) {
 	}
 }
 
+// A tailer may consume and trim a record whose ack was lost before the
+// producer retries it (the live ETL does, now that it wakes on the
+// append): the retry must still dedup, not append a second copy, and
+// the ledger entry kept for it leaves once it is answered.
+func TestWriteFaultTornTokenSurvivesTrim(t *testing.T) {
+	s := NewStore()
+	if err := s.CreateStream("log"); err != nil {
+		t.Fatal(err)
+	}
+	s.SetWriteFaults(faults.NewSchedule(2).TornWrites(0, 0, 0, 1), nil)
+	if _, _, err := s.AppendToken("log", "t1", []byte("hello")); !errors.Is(err, faults.ErrTornAck) {
+		t.Fatalf("append under p=1 torn acks: %v, want ErrTornAck", err)
+	}
+	if err := s.Trim("log", 1); err != nil {
+		t.Fatal(err)
+	}
+	lsn, dup, err := s.AppendToken("log", "t1", []byte("hello"))
+	if err != nil || !dup || lsn != 1 {
+		t.Fatalf("retry after trim: lsn=%d dup=%v err=%v, want 1/true/nil", lsn, dup, err)
+	}
+	if tail, err := s.Tail("log"); err != nil || tail != 2 {
+		t.Fatalf("tail = %d, %v after the retry, want 2: the retry appended a second copy", tail, err)
+	}
+	st, err := s.lookup("log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.tokens) != 0 || len(st.unacked) != 0 {
+		t.Fatalf("ledger kept %d tokens, %d unacked after the answered retry, want none", len(st.tokens), len(st.unacked))
+	}
+}
+
 func TestWriteFaultNoScheduleKeepsNoLedger(t *testing.T) {
 	s := NewStore()
 	if err := s.CreateStream("log"); err != nil {

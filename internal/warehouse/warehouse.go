@@ -113,6 +113,19 @@ type Table struct {
 	unbounded  bool
 	closed     bool  // producer ended the stream (unbounded tables only)
 	generation int64 // bumped on every partition publish and stream close
+	// changed is closed on the next generation bump; allocated only
+	// while someone waits (see Changed).
+	changed chan struct{}
+}
+
+// bumpLocked advances the generation and wakes every Changed waiter.
+// Callers hold t.mu.
+func (t *Table) bumpLocked() {
+	t.generation++
+	if t.changed != nil {
+		close(t.changed)
+		t.changed = nil
+	}
 }
 
 // Partition is one date-keyed slice of a table, stored as a single DWRF
@@ -144,9 +157,9 @@ func (w *Warehouse) CreateTable(name string, ts *schema.TableSchema, opts dwrf.W
 
 // CreateUnboundedTable registers an append-only streaming table: a
 // producer (the ETL pipeline) keeps sealing new partitions into it until
-// it calls CloseStream. Consumers that saw StreamOpen() == true may poll
-// Generation for newly visible partitions instead of treating the
-// current set as final.
+// it calls CloseStream. Consumers that saw StreamOpen() == true wait on
+// Changed for newly visible partitions instead of treating the current
+// set as final.
 func (w *Warehouse) CreateUnboundedTable(name string, ts *schema.TableSchema, opts dwrf.WriterOptions) (*Table, error) {
 	t, err := w.CreateTable(name, ts, opts)
 	if err != nil {
@@ -269,7 +282,7 @@ func (pw *PartitionWriter) Close() error {
 	}
 	pw.table.mu.Lock()
 	pw.table.partitions[pw.key] = p
-	pw.table.generation++
+	pw.table.bumpLocked()
 	pw.table.mu.Unlock()
 	return nil
 }
@@ -319,18 +332,32 @@ func (t *Table) CloseStream() error {
 	}
 	if !t.closed {
 		t.closed = true
-		t.generation++
+		t.bumpLocked()
 	}
 	return nil
 }
 
 // Generation reports a counter bumped on every partition publish and on
-// stream close. Pollers compare generations to detect new work without
+// stream close. Readers compare generations to detect new work without
 // re-enumerating splits.
 func (t *Table) Generation() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.generation
+}
+
+// Changed returns a channel that is closed the next time Generation
+// moves (a partition is published or the stream closes). Take it before
+// reading the table and wait on it only if the read found nothing new,
+// so a publish between the read and the wait is never missed; after it
+// fires, re-read and take a fresh one.
+func (t *Table) Changed() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.changed == nil {
+		t.changed = make(chan struct{})
+	}
+	return t.changed
 }
 
 // Partitions returns the table's partitions sorted by key.
@@ -488,12 +515,13 @@ func (t *Table) PartitionSplits(key string) ([]Split, error) {
 // TableReader is the consumer-side half of the table interface: the view
 // a DPP master needs to enumerate and tail a table. Static and unbounded
 // tables both satisfy it; only unbounded tables ever report
-// StreamOpen() == true or a changing Generation.
+// StreamOpen() == true, a changing Generation or a Changed() that fires.
 type TableReader interface {
 	Partitions() []*Partition
 	Splits(keys []string) ([]Split, error)
 	PartitionSplits(key string) ([]Split, error)
 	Generation() int64
+	Changed() <-chan struct{}
 	StreamOpen() bool
 }
 
