@@ -427,7 +427,7 @@ func benchOrchestratedSession(b *testing.B, minWorkers, maxWorkers int) {
 		if err := svc.CreateSession(sessionID, spec); err != nil {
 			b.Fatal(err)
 		}
-		launcher := &dpp.InProcessFleetLauncher{
+		launcher := &dpp.FleetLauncher{
 			Service:        svc,
 			WH:             wh,
 			HeartbeatEvery: time.Millisecond,

@@ -162,7 +162,7 @@ func tenantSpec(spec dpp.SessionSpec, pipeline dpp.PipelineOptions, bufferDepth 
 // serviceAddr: TCP fleet workers launched over RPC, sized by the
 // auto-scaler between the bounds. who prefixes its log lines.
 func newFleetLoop(svc *dpp.Service, serviceAddr string, wh *warehouse.Warehouse, minWorkers, maxWorkers int, scaleInterval time.Duration, who string) *dpp.Orchestrator {
-	launcher := &dpp.RPCFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		ServiceAddr: serviceAddr,
 		WH:          wh,
 		CacheBytes:  fleetCacheBytes,

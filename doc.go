@@ -21,7 +21,12 @@
 // size is Prefetchers + TransformParallelism; prefetch depth,
 // buffered-byte bound) and surface as cmd/dppd flags; busy time by
 // phase (fetch / decode / transform / deliver, the paper's Figure 9
-// breakdown) is reported through WorkerStats and ResourceReport.
+// breakdown) is reported through Worker.Report (ResourceReport), as
+// are the modelled CPU / memory / NIC utilizations — views computed
+// over it by whoever asks. A heartbeat (WorkerStats) carries only what
+// the control plane reads: the windowed minimum buffer level and the
+// evaluators' busy fraction for the scaler, the recovery counters for
+// Master.Recovery, a node's resident wares for Service.WareIndex.
 // BENCH_dpp.json is the historical record of the staged pipeline this
 // replaced (1.024x over a sequential loop, from the reader cache and
 // pooled buffers rather than from the stages).
@@ -65,7 +70,8 @@
 // Service with one session. It closes the paper's auto-scaling loop
 // (§3.2.1): a dpp.Orchestrator periodically evaluates the fleet's
 // heartbeats and launches or drains fleet workers through a
-// WorkerLauncher (in-process goroutines or RPC-served TCP workers),
+// WorkerLauncher (dpp.FleetLauncher: in-process goroutines, or
+// RPC-served TCP workers once it is given the service's address),
 // with cooldown hysteresis on a virtual clock so tests drive the
 // controller deterministically. Each FleetWorker runs one pipeline per
 // assigned session behind a single data-plane listener that
@@ -125,9 +131,9 @@
 // retry budget is released back to the master and requeued under a
 // per-split poison budget (SessionSpec.RetryBudget), so one bad replica
 // degrades throughput instead of failing the session. The recovery
-// counters are declared once (dwrf.Recovery, embedded in dwrf.ReadStats,
-// ResourceReport and WorkerStats) and ride heartbeats to the session
-// master, whose Recovery total outlives the workers that reported them.
+// counters are declared once (dwrf.Recovery) and ride dwrf.ReadStats →
+// ResourceReport → WorkerStats, the heartbeat, to the session master,
+// whose Recovery total outlives the workers that reported them.
 // There is one read path and the schedule is an input to it: the paper's
 // experiments run with none installed, where every chunk is served by
 // its primary and nothing is ranked, filtered or hedged (`bash

@@ -241,7 +241,7 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 	// The storm starts before the first split is leased.
 	fx.wh.Cluster().SetFaultSchedule(chaosSchedule(t, fx.wh.Cluster(), "chaos"))
 
-	launcher := &dpp.RPCFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		ServiceAddr:    ln.Addr().String(),
 		WH:             fx.wh,
 		HeartbeatEvery: time.Millisecond,

@@ -137,7 +137,7 @@ func assertExactDelivery(t *testing.T, fx e2eFixture, got *tensor.ContentSum, la
 
 // crashFirstLive crash-kills the lowest-numbered launched fleet worker
 // still tracked by the launcher and returns its ID.
-func crashFirstLive(t *testing.T, launcher *dpp.RPCFleetLauncher, prefix string) string {
+func crashFirstLive(t *testing.T, launcher *dpp.FleetLauncher, prefix string) string {
 	t.Helper()
 	for i := 0; i < 32; i++ {
 		id := fmt.Sprintf("%s-%d", prefix, i)
@@ -176,7 +176,7 @@ func TestEndToEndChecksumWorkerCrash(t *testing.T) {
 	}
 	defer stopService()
 
-	launcher := &dpp.RPCFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		ServiceAddr:    ln.Addr().String(),
 		WH:             fx.wh,
 		HeartbeatEvery: time.Millisecond,
@@ -315,7 +315,7 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 		m.LeaseTimeout = 100 * time.Millisecond
 	}
 
-	launcher := &dpp.RPCFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		ServiceAddr:    ln.Addr().String(),
 		WH:             fx.wh,
 		HeartbeatEvery: time.Millisecond,

@@ -176,13 +176,13 @@ func TestEndToEndPipelinedSessionChecksums(t *testing.T) {
 	// have done some.
 	busyWorkers := 0
 	for _, w := range workers {
-		stage := w.Stats().Stage
-		if w.Report().SplitsDone == 0 {
+		rep := w.Report()
+		if rep.SplitsDone == 0 {
 			continue
 		}
 		busyWorkers++
-		if stage.Total() <= 0 {
-			t.Fatalf("worker %s processed splits but reported no stage busy time: %+v", w.ID, stage)
+		if rep.FetchBusy+rep.DecodeBusy+rep.TransformBusy+rep.DeliverBusy <= 0 {
+			t.Fatalf("worker %s processed splits but reported no stage busy time: %+v", w.ID, rep)
 		}
 	}
 	if busyWorkers == 0 {
@@ -313,7 +313,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 		fleet func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer)
 	}{
 		{"inprocess", "e2e-elastic", 11, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
-			launcher := &dpp.InProcessFleetLauncher{Service: svc, WH: fx.wh, HeartbeatEvery: time.Millisecond, Tune: tune}
+			launcher := &dpp.FleetLauncher{Service: svc, WH: fx.wh, HeartbeatEvery: time.Millisecond, Tune: tune}
 			return launcher, svc, launcher.SessionDialer(sessionID)
 		}},
 		{"framed", "e2e-framed", 13, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
@@ -322,7 +322,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(stopService)
-			launcher := &dpp.RPCFleetLauncher{
+			launcher := &dpp.FleetLauncher{
 				ServiceAddr:    ln.Addr().String(),
 				WH:             fx.wh,
 				HeartbeatEvery: time.Millisecond,
@@ -334,7 +334,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { rs.Close() })
-			return launcher, rs, dpp.SessionWorkerDialer(sessionID)
+			return launcher, rs, launcher.SessionDialer(sessionID)
 		}},
 	}
 	for _, tr := range transports {

@@ -78,7 +78,7 @@ func main() {
 	// The closed loop: the Orchestrator owns the fleet end to end —
 	// evaluate stats, launch and drain workers, reap the retired, take
 	// periodic reader-state checkpoints.
-	launcher := &dpp.InProcessFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,

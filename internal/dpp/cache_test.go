@@ -9,6 +9,7 @@ import (
 
 	"dsi/internal/dwrf"
 	"dsi/internal/tensor"
+	"dsi/internal/transforms"
 	"dsi/internal/ware"
 	"dsi/internal/warehouse"
 )
@@ -72,7 +73,9 @@ func runWireSession(t *testing.T, wh *warehouse.Warehouse, spec SessionSpec, cac
 // served from the fleet cache (stripe hits, transform hits, and
 // eviction-then-refetch cycles) must deliver byte-identical tensor
 // content to a cold decode+transform over the wire, with the cache
-// enabled and disabled.
+// enabled and disabled. It also pins the tally nothing else keeps: each
+// of a tenant's 8 splits scores exactly one of miss, stripe hit or
+// transform hit in ware.Cache.TenantStats.
 func TestFleetCacheGoldenParity(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16) // 8 splits, 128 rows
 	golden := runWireSession(t, wh, spec, nil, "baseline")
@@ -82,10 +85,24 @@ func TestFleetCacheGoldenParity(t *testing.T) {
 	if st := cache.Stats(); st.Inserts == 0 || st.Hits() != 0 {
 		t.Fatalf("cold run stats = %+v", st)
 	}
+	if ts := cache.TenantStats("cold"); ts.Misses != 8 || ts.Hits() != 0 {
+		t.Fatalf("cold tenant stats = %+v, want 8 misses and no hits", ts)
+	}
 	warm := runWireSession(t, wh, spec, cache, "warm")
 	ts := cache.TenantStats("warm")
 	if ts.XformHits != 8 || ts.Misses != 0 || ts.HitRate() != 1 {
 		t.Fatalf("warm tenant stats = %+v", ts)
+	}
+	// Same projection, another op list: a new plan fingerprint misses
+	// every transformed ware and finds every decoded stripe.
+	replanned := spec
+	replanned.Ops = []transforms.Op{
+		&transforms.SigridHash{In: 5, Out: 100, Salt: 2, MaxValue: 1 << 16},
+		&transforms.Logit{In: 1, Out: 101},
+	}
+	runWireSession(t, wh, replanned, cache, "replanned")
+	if ts := cache.TenantStats("replanned"); ts.StripeHits != 8 || ts.XformHits != 0 || ts.Misses != 0 {
+		t.Fatalf("replanned tenant stats = %+v, want 8 stripe hits", ts)
 	}
 
 	// Evict everything; the next session re-decodes and
@@ -238,7 +255,7 @@ func TestFleetCacheAbortWhileShared(t *testing.T) {
 func TestMultiTenantFleetCacheCrossSessionReuse(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16) // 8 splits, 128 rows
 	svc := NewService(wh)
-	launcher := &InProcessFleetLauncher{
+	launcher := &FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
@@ -302,10 +319,9 @@ func TestMultiTenantFleetCacheCrossSessionReuse(t *testing.T) {
 		t.Fatal("ware index empty with a warm fleet cache")
 	}
 	for w, nodes := range idx {
-		if hs := svc.WareHolders(w); len(hs) != len(nodes) {
-			t.Fatalf("WareHolders(%q) = %v, index says %v", w, hs, nodes)
+		if len(nodes) != 1 || nodes[0] != o.IDPrefix+"-0" {
+			t.Fatalf("WareIndex[%q] = %v, want the fleet's one node", w, nodes)
 		}
-		break
 	}
 
 	close(stop)

@@ -40,9 +40,8 @@ func (l localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 func LocalWorkerAPI(w *Worker) WorkerAPI { return localWorker{w} }
 
 // WorkerDialer opens a data-plane connection to one resolved worker.
-// SessionWorkerDialer is the TCP implementation; the in-process fleet
-// launcher provides one that looks the worker up by ID
-// (InProcessFleetLauncher.SessionDialer).
+// SessionWorkerDialer is the TCP implementation; an in-process
+// FleetLauncher's SessionDialer looks the worker up by ID.
 type WorkerDialer func(ep WorkerEndpoint) (WorkerAPI, error)
 
 // drainable is implemented by transports that prefetch batches ahead of

@@ -701,9 +701,9 @@ func TestWorkerStatelessRestart(t *testing.T) {
 func TestAutoScalerScalesUpOnStarvation(t *testing.T) {
 	a := NewAutoScaler(1, 50)
 	stats := []WorkerStats{
-		{BufferedBatches: 0, CPUUtil: 0.95},
-		{BufferedBatches: 1, CPUUtil: 0.9},
-		{BufferedBatches: 0, CPUUtil: 0.99},
+		{MinBuffered: 0, BusyFrac: 0.95},
+		{MinBuffered: 1, BusyFrac: 0.9},
+		{MinBuffered: 0, BusyFrac: 0.99},
 	}
 	delta := a.Evaluate(stats)
 	if delta <= 0 {
@@ -714,13 +714,10 @@ func TestAutoScalerScalesUpOnStarvation(t *testing.T) {
 func TestAutoScalerScalesDownWhenIdle(t *testing.T) {
 	a := NewAutoScaler(1, 50)
 	// Full buffers plus a low measured busy fraction mark a worker
-	// drainable. The modelled utilizations are saturation-relative (the
-	// bottleneck domain always reads 1.0), so they must not veto the
-	// drain: these stats pin CPUUtil at 1.0 exactly as a real
-	// backpressured worker reports it.
+	// drainable.
 	stats := []WorkerStats{
-		{BufferedBatches: 8, MinBuffered: 8, CPUUtil: 1.0, MemBWUtil: 0.6, NICUtil: 0.1, BusyFrac: 0.05},
-		{BufferedBatches: 7, MinBuffered: 7, CPUUtil: 1.0, MemBWUtil: 0.5, NICUtil: 0.1, BusyFrac: 0.1},
+		{MinBuffered: 8, BusyFrac: 0.05},
+		{MinBuffered: 7, BusyFrac: 0.1},
 	}
 	delta := a.Evaluate(stats)
 	if delta >= 0 {
@@ -733,8 +730,8 @@ func TestAutoScalerScalesDownWhenIdle(t *testing.T) {
 	// A busy worker with full buffers (fast producer, keeping up) is not
 	// drainable.
 	busy := []WorkerStats{
-		{BufferedBatches: 8, MinBuffered: 8, BusyFrac: 0.9},
-		{BufferedBatches: 7, MinBuffered: 7, BusyFrac: 0.8},
+		{MinBuffered: 8, BusyFrac: 0.9},
+		{MinBuffered: 7, BusyFrac: 0.8},
 	}
 	if delta := a.Evaluate(busy); delta != 0 {
 		t.Fatalf("Evaluate(busy) = %d, want 0", delta)
@@ -744,8 +741,8 @@ func TestAutoScalerScalesDownWhenIdle(t *testing.T) {
 func TestAutoScalerSteadyState(t *testing.T) {
 	a := NewAutoScaler(1, 50)
 	stats := []WorkerStats{
-		{BufferedBatches: 3, MinBuffered: 3, CPUUtil: 0.8},
-		{BufferedBatches: 4, MinBuffered: 4, CPUUtil: 0.85},
+		{MinBuffered: 3, BusyFrac: 0.8},
+		{MinBuffered: 4, BusyFrac: 0.85},
 	}
 	if delta := a.Evaluate(stats); delta != 0 {
 		t.Fatalf("Evaluate = %d, want 0", delta)
@@ -762,7 +759,7 @@ func TestAutoScalerEmptyPool(t *testing.T) {
 func TestAutoScalerRespectsMax(t *testing.T) {
 	a := NewAutoScaler(1, 3)
 	stats := []WorkerStats{
-		{BufferedBatches: 0}, {BufferedBatches: 0}, {BufferedBatches: 0},
+		{MinBuffered: 0}, {MinBuffered: 0}, {MinBuffered: 0},
 	}
 	if delta := a.Evaluate(stats); delta != 0 {
 		t.Fatalf("Evaluate at max = %d, want 0", delta)
@@ -863,7 +860,7 @@ func TestCostKnobsChangeThroughput(t *testing.T) {
 				break
 			}
 		}
-		return w.Report().CPUBoundThroughput(w.Node, w.ClockGHz)
+		return w.Report().CPUBoundThroughput(w.Node, 2.5)
 	}
 	base := run(CostParams{})
 	fm := run(CostParams{Flatmap: true})

@@ -36,26 +36,16 @@ type evaluated struct {
 	// counts on a transformed hit, where no plan ran.
 	read  dwrf.ReadStats
 	xform transforms.Stats
-	// hit is the pack of the ware served from the cache (ware.PackXform
-	// skips fetch, decode and the plan; ware.PackStripe skips fetch and
-	// decode), empty when the split was computed in full. saved is that
-	// ware's column bytes.
-	hit   string
-	saved int64
 }
 
 // lookup is the memo probe: the cached batch for id with one reference
-// retained for the caller, the hit recorded in ev; nil on a miss and
-// for a worker without a cache.
-func (w *Worker) lookup(id ware.WareID, ev *evaluated) *dwrf.Batch {
+// retained for the caller; nil on a miss and for a worker without a
+// cache. The cache scores the outcome against this worker's tenant.
+func (w *Worker) lookup(id ware.WareID) *dwrf.Batch {
 	if w.cache == nil {
 		return nil
 	}
-	b := w.cache.Get(id, w.cacheTenant)
-	if b != nil {
-		ev.hit, ev.saved = id.Pack, b.MemBytes()
-	}
-	return b
+	return w.cache.Get(id, w.cacheTenant)
 }
 
 // publish is the memo store: it offers b under id and reports whether
@@ -76,7 +66,7 @@ func (w *Worker) publish(id ware.WareID, b *dwrf.Batch) (*dwrf.Batch, bool) {
 // out as a private Derive view — fresh maps over the shared columns —
 // and stays pristine; a refused one is still exclusively the caller's.
 func (w *Worker) stripeWare(split warehouse.Split, sid ware.WareID, ev *evaluated) (*dwrf.Batch, error) {
-	batch := w.lookup(sid, ev)
+	batch := w.lookup(sid)
 	if batch == nil {
 		var err error
 		if batch, ev.read, err = w.wh.ReadSplitBatchCachedArena(split, w.proj, w.spec.Read, w.arena); err != nil {
@@ -108,7 +98,7 @@ func (w *Worker) evalSplit(split warehouse.Split) (ev evaluated, err error) {
 		sid = ware.StripeID(r.StripeContentHash(split.Stripe), split.Path, split.Stripe, w.proj)
 		xid = ware.XformID(sid, w.plan.Fingerprint())
 	}
-	batch := w.lookup(xid, &ev)
+	batch := w.lookup(xid)
 	xformHit := batch != nil
 	if !xformHit {
 		batch, err = w.stripeWare(split, sid, &ev)

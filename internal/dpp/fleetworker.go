@@ -55,6 +55,10 @@ type FleetWorker struct {
 	cacheOnce sync.Once
 	cache     *ware.Cache
 
+	// stopServe closes the data-plane listener ListenAndServeFleetWorker
+	// bound (nil for a worker dialed by identity); a crash closes it too.
+	stopServe func()
+
 	mu        sync.Mutex
 	pipelines map[string]*fleetPipeline
 	crashed   bool
@@ -146,11 +150,14 @@ func (fw *FleetWorker) source(sessionID string) (BatchSource, error) {
 	return p.w, nil
 }
 
-// AggregateStats folds the live pipelines into one fleet-level
-// utilization snapshot (summed buffers, worst-case minimum, mean busy
-// fraction). A worker with no assignments reports an idle, drainable
-// profile. The snapshot is non-consuming: the per-session heartbeat
-// windows belong to the pipelines' own session-master heartbeats.
+// AggregateStats is the fleet heartbeat: the live pipelines folded into
+// what the service reads of a member — the worst-case minimum buffer
+// and the mean busy fraction (PolicyStats → AutoScaler.Evaluate), and
+// the node cache's resident wares (WareIndex). A worker with no
+// assignments reports an idle, drainable profile. The snapshot is
+// non-consuming: the per-session heartbeat windows belong to the
+// pipelines' own session-master heartbeats, which also carry the
+// recovery counters (they are per session, Master.Recovery).
 func (fw *FleetWorker) AggregateStats() WorkerStats {
 	fw.mu.Lock()
 	workers := make([]*Worker, 0, len(fw.pipelines))
@@ -158,48 +165,20 @@ func (fw *FleetWorker) AggregateStats() WorkerStats {
 		workers = append(workers, p.w)
 	}
 	fw.mu.Unlock()
-	// Node-wide cache counters come from the cache itself (pipelines
-	// retire with their sessions; the cache outlives them all) and ride
-	// the fleet heartbeat into the service's cross-node ware index.
-	var cacheStats WorkerStats
+	agg := WorkerStats{MinBuffered: idleBuffered}
 	if c := fw.Cache(); c != nil {
-		cs := c.Stats()
-		cacheStats = WorkerStats{
-			CacheXformHits:  cs.XformHits,
-			CacheStripeHits: cs.StripeHits,
-			CacheMisses:     cs.Misses,
-			CacheBytesSaved: cs.BytesSaved,
-			CacheWares:      c.Wares(wareListCap),
-		}
+		agg.CacheWares = c.Wares(wareListCap)
 	}
-	if len(workers) == 0 {
-		idle := cacheStats
-		idle.BufferedBatches = idleBuffered
-		idle.MinBuffered = idleBuffered
-		return idle
-	}
-	agg := cacheStats
-	agg.MinBuffered = idleBuffered
 	for _, w := range workers {
 		st := w.Stats()
-		agg.BufferedBatches += st.BufferedBatches
 		if st.MinBuffered < agg.MinBuffered {
 			agg.MinBuffered = st.MinBuffered
 		}
 		agg.BusyFrac += st.BusyFrac
-		agg.CPUUtil = maxf(agg.CPUUtil, st.CPUUtil)
-		agg.MemBWUtil = maxf(agg.MemBWUtil, st.MemBWUtil)
-		agg.NICUtil = maxf(agg.NICUtil, st.NICUtil)
-		agg.MemCapacityUtil += st.MemCapacityUtil
-		agg.RowsPerSec += st.RowsPerSec
-		agg.Stage.FetchSeconds += st.Stage.FetchSeconds
-		agg.Stage.DecodeSeconds += st.Stage.DecodeSeconds
-		agg.Stage.TransformSeconds += st.Stage.TransformSeconds
-		agg.Stage.DeliverSeconds += st.Stage.DeliverSeconds
-		agg.Recovery.Add(st.Recovery)
-		agg.SplitsReleased += st.SplitsReleased
 	}
-	agg.BusyFrac /= float64(len(workers))
+	if len(workers) > 0 {
+		agg.BusyFrac /= float64(len(workers))
+	}
 	return agg
 }
 
@@ -212,10 +191,11 @@ func (fw *FleetWorker) heartbeatEvery() time.Duration {
 }
 
 // Crash is the fleet-level fault-injection hook: every hosted pipeline
-// crashes (data plane severs, heartbeats stop, nothing deregisters) and
-// the fleet worker goes silent, exactly as a killed node would. The
-// service and the session masters discover the death through heartbeat
-// staleness and requeue every lease the node held.
+// crashes (data plane severs, heartbeats stop, nothing deregisters), a
+// bound data-plane listener closes, and the fleet worker goes silent,
+// exactly as a killed node would. The service and the session masters
+// discover the death through heartbeat staleness and requeue every
+// lease the node held.
 func (fw *FleetWorker) Crash() {
 	fw.mu.Lock()
 	if fw.crashed {
@@ -231,6 +211,9 @@ func (fw *FleetWorker) Crash() {
 	fw.mu.Unlock()
 	for _, w := range workers {
 		w.Crash()
+	}
+	if fw.stopServe != nil {
+		fw.stopServe()
 	}
 }
 
@@ -400,16 +383,26 @@ func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse
 	if tune != nil {
 		tune(fw)
 	}
-	return fw, serveDataPlaneOn(fw.source, ln), nil
+	fw.stopServe = serveDataPlaneOn(fw.source, ln)
+	return fw, fw.stopServe, nil
 }
 
-// InProcessFleetLauncher launches fleet workers as goroutines against
-// an in-process Service — the transport fleet simulations and
-// deterministic tests use. SessionDialer provides the matching
-// per-session WorkerDialer.
-type InProcessFleetLauncher struct {
+// FleetLauncher launches fleet workers as goroutines of the calling
+// process, so one process — a test, a simulation, a dppd master — can
+// operate a whole fleet. One thing selects the transport: with
+// ServiceAddr set, each worker dials the service over net/rpc and
+// serves its shared data plane on its own loopback TCP listener (the
+// disaggregated deployment); with it empty, each worker calls Service
+// directly and clients reach its pipelines by identity. SessionDialer
+// returns the matching client-side dialer either way.
+type FleetLauncher struct {
+	// ServiceAddr is the service's RPC address (ServeService).
+	ServiceAddr string
+	// Service is the in-process control plane, used when ServiceAddr is
+	// empty.
 	Service FleetControl
-	WH      *warehouse.Warehouse
+	// WH is the worker-side warehouse handle.
+	WH *warehouse.Warehouse
 	// HeartbeatEvery and Tune configure each launched fleet worker and
 	// its per-session pipelines.
 	HeartbeatEvery time.Duration
@@ -425,16 +418,37 @@ type InProcessFleetLauncher struct {
 }
 
 // Launch implements WorkerLauncher.
-func (l *InProcessFleetLauncher) Launch(id string) (WorkerHandle, error) {
-	fw, err := NewFleetWorker(id, "inproc://"+id, l.Service, l.WH)
-	if err != nil {
-		return nil, err
+func (l *FleetLauncher) Launch(id string) (WorkerHandle, error) {
+	tune := func(fw *FleetWorker) {
+		fw.HeartbeatEvery = l.HeartbeatEvery
+		fw.Tune = l.Tune
+		fw.CacheBytes = l.CacheBytes
+		if l.OnError != nil {
+			fw.OnError = func(session string, err error) { l.OnError(id+"/"+session, err) }
+		}
 	}
-	fw.HeartbeatEvery = l.HeartbeatEvery
-	fw.Tune = l.Tune
-	fw.CacheBytes = l.CacheBytes
-	if l.OnError != nil {
-		fw.OnError = func(session string, err error) { l.OnError(id+"/"+session, err) }
+	var fw *FleetWorker
+	release := func() {} // what a TCP worker holds open: listener, control connection
+	if l.ServiceAddr == "" {
+		var err error
+		if fw, err = NewFleetWorker(id, "inproc://"+id, l.Service, l.WH); err != nil {
+			return nil, err
+		}
+		tune(fw)
+	} else {
+		remote, err := DialService(l.ServiceAddr)
+		if err != nil {
+			return nil, err
+		}
+		var stopServe func()
+		if fw, stopServe, err = ListenAndServeFleetWorker(id, "127.0.0.1:0", remote, l.WH, tune); err != nil {
+			remote.Close()
+			return nil, err
+		}
+		release = func() {
+			stopServe()
+			remote.Close()
+		}
 	}
 	l.mu.Lock()
 	if l.workers == nil {
@@ -446,6 +460,7 @@ func (l *InProcessFleetLauncher) Launch(id string) (WorkerHandle, error) {
 	h := &procHandle{id: id, stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(h.done)
+		defer release()
 		if err := fw.Run(h.stop); err != nil && l.OnError != nil {
 			l.OnError(id, err)
 		}
@@ -458,8 +473,9 @@ func (l *InProcessFleetLauncher) Launch(id string) (WorkerHandle, error) {
 	return h, nil
 }
 
-// Worker returns a launched fleet worker by ID (nil when unknown).
-func (l *InProcessFleetLauncher) Worker(id string) *FleetWorker {
+// Worker returns a launched fleet worker by ID (nil when unknown or
+// already retired; a crashed one stays).
+func (l *FleetLauncher) Worker(id string) *FleetWorker {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.workers[id]
@@ -469,15 +485,17 @@ func (l *InProcessFleetLauncher) Worker(id string) *FleetWorker {
 // including retired ones. Experiments and tests read the per-node
 // caches through it after the fleet has drained (a retired worker's
 // cache and its counters stay intact).
-func (l *InProcessFleetLauncher) Launched() []*FleetWorker {
+func (l *FleetLauncher) Launched() []*FleetWorker {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]*FleetWorker(nil), l.launched...)
 }
 
-// Crash crash-kills one launched fleet worker (fault injection),
-// reporting whether it was found.
-func (l *InProcessFleetLauncher) Crash(id string) bool {
+// Crash crash-kills one launched fleet worker (FleetWorker.Crash: no
+// drain, no deregistration, a TCP listener closed mid-stream — the
+// closest in-process stand-in for kill -9 on a worker node), reporting
+// whether it was found.
+func (l *FleetLauncher) Crash(id string) bool {
 	fw := l.Worker(id)
 	if fw == nil {
 		return false
@@ -486,9 +504,13 @@ func (l *InProcessFleetLauncher) Crash(id string) bool {
 	return true
 }
 
-// SessionDialer returns the WorkerDialer resolving one session's
-// pipelines on this launcher's fleet workers by identity.
-func (l *InProcessFleetLauncher) SessionDialer(sessionID string) WorkerDialer {
+// SessionDialer returns the WorkerDialer reaching one session's
+// pipelines on this launcher's fleet workers: framed TCP streams to
+// their listeners, or by identity in process.
+func (l *FleetLauncher) SessionDialer(sessionID string) WorkerDialer {
+	if l.ServiceAddr != "" {
+		return SessionWorkerDialer(sessionID)
+	}
 	return func(ep WorkerEndpoint) (WorkerAPI, error) {
 		fw := l.Worker(ep.ID)
 		if fw == nil {
@@ -503,107 +525,4 @@ func (l *InProcessFleetLauncher) SessionDialer(sessionID string) WorkerDialer {
 		}
 		return LocalWorkerAPI(w), nil
 	}
-}
-
-// rpcFleetEntry tracks one RPC-launched fleet worker for fault
-// injection.
-type rpcFleetEntry struct {
-	fw        *FleetWorker
-	stopServe func()
-}
-
-// RPCFleetLauncher launches fleet workers that reach the service over
-// net/rpc and serve their shared data plane on their own TCP listener —
-// the disaggregated multi-tenant deployment, hosted as goroutines so a
-// single dppd process can operate the fleet.
-type RPCFleetLauncher struct {
-	// ServiceAddr is the service's RPC address.
-	ServiceAddr string
-	// WH is the worker-side warehouse handle.
-	WH *warehouse.Warehouse
-	// ListenAddr is the bind address pattern for worker data planes
-	// (default "127.0.0.1:0").
-	ListenAddr string
-	// HeartbeatEvery, Tune, OnError mirror InProcessFleetLauncher.
-	HeartbeatEvery time.Duration
-	Tune           func(*Worker)
-	OnError        func(id string, err error)
-	// CacheBytes sizes each worker's shared batch cache (see
-	// FleetWorker.CacheBytes: 0 = default, negative = disabled).
-	CacheBytes int64
-
-	mu      sync.Mutex
-	workers map[string]*rpcFleetEntry
-}
-
-// Launch implements WorkerLauncher.
-func (l *RPCFleetLauncher) Launch(id string) (WorkerHandle, error) {
-	remote, err := DialService(l.ServiceAddr)
-	if err != nil {
-		return nil, err
-	}
-	addr := l.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	fw, stopServe, err := ListenAndServeFleetWorker(id, addr, remote, l.WH, func(fw *FleetWorker) {
-		fw.HeartbeatEvery = l.HeartbeatEvery
-		fw.Tune = l.Tune
-		fw.CacheBytes = l.CacheBytes
-		if l.OnError != nil {
-			fw.OnError = func(session string, err error) { l.OnError(id+"/"+session, err) }
-		}
-	})
-	if err != nil {
-		remote.Close()
-		return nil, err
-	}
-	l.mu.Lock()
-	if l.workers == nil {
-		l.workers = make(map[string]*rpcFleetEntry)
-	}
-	l.workers[id] = &rpcFleetEntry{fw: fw, stopServe: stopServe}
-	l.mu.Unlock()
-	h := &procHandle{id: id, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		defer remote.Close()
-		defer stopServe()
-		if err := fw.Run(h.stop); err != nil && l.OnError != nil {
-			l.OnError(id, err)
-		}
-		if !fw.Crashed() {
-			l.mu.Lock()
-			delete(l.workers, id)
-			l.mu.Unlock()
-		}
-	}()
-	return h, nil
-}
-
-// Worker returns a launched fleet worker by ID (nil when unknown or
-// already retired).
-func (l *RPCFleetLauncher) Worker(id string) *FleetWorker {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if e := l.workers[id]; e != nil {
-		return e.fw
-	}
-	return nil
-}
-
-// Crash crash-kills one launched fleet worker: its pipelines die and
-// its data-plane listener closes mid-stream, with no drain and no
-// deregistration — the closest in-process stand-in for kill -9 on a
-// worker node. Reports whether the worker was found.
-func (l *RPCFleetLauncher) Crash(id string) bool {
-	l.mu.Lock()
-	e := l.workers[id]
-	l.mu.Unlock()
-	if e == nil {
-		return false
-	}
-	e.fw.Crash()
-	e.stopServe()
-	return true
 }

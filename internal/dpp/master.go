@@ -3,6 +3,7 @@ package dpp
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,73 +13,40 @@ import (
 	"dsi/internal/warehouse"
 )
 
-// WorkerStats is the utilization snapshot each Worker reports with its
-// heartbeat; the Master's auto-scaling controller consumes these
-// (§3.2.1: "CPU, memory, and network statistics and the number of
-// buffered tensors").
+// WorkerStats is what a Worker says with every heartbeat: the fields
+// the control plane reads, each naming its reader below, and nothing
+// else. The paper's Master scales "to eliminate data stalls" from what
+// workers report (§3.2.1); here the scaler keys on whether a buffer
+// ran dry and whether the evaluators sat idle. The modelled CPU,
+// memory-bandwidth and NIC utilizations are not shipped: they are views
+// over Worker.Report() (ResourceReport.Utilizations and friends), for
+// whoever wants them.
 type WorkerStats struct {
-	CPUUtil         float64
-	MemBWUtil       float64
-	MemCapacityUtil float64
-	NICUtil         float64
-	BufferedBatches int
 	// MinBuffered is the lowest buffered-batch level observed since the
-	// previous heartbeat. The instantaneous BufferedBatches is scheduling
-	// noise on a loaded host (a burst-scheduled worker can report a full
-	// buffer an instant after trainers drained it dry); the windowed
-	// minimum answers the question the scaler actually asks — did this
-	// worker's buffer ever run dry? — and is what the scale-up and
-	// scale-down rules key on.
+	// previous heartbeat. Read by AutoScaler.Evaluate: the instantaneous
+	// level is scheduling noise on a loaded host (a burst-scheduled
+	// worker can report a full buffer an instant after trainers drained
+	// it dry); the windowed minimum answers the question the scaler
+	// actually asks — did this worker's buffer ever run dry? — and is
+	// what the scale-up and scale-down rules key on.
 	MinBuffered int
-	RowsPerSec  float64
 	// BusyFrac is the measured fraction of the last heartbeat window the
 	// worker's evaluator goroutines spent busy (fetching, decoding, or
-	// transforming). Unlike the modelled utilizations above — which are
-	// saturation-relative, so the bottleneck domain always reads 1.0 —
-	// BusyFrac drops toward zero when the pipeline is blocked on
-	// backpressure from slow trainers, making it the oversupply signal
-	// the auto-scaler's drain decision keys on.
+	// transforming). Read by AutoScaler.Evaluate: it drops toward zero
+	// when the pipeline is blocked on backpressure from slow trainers,
+	// making it the oversupply signal the drain decision keys on.
 	BusyFrac float64
-	// Stage is the cumulative busy-time breakdown of the worker's data
-	// plane by phase (the Figure 9 measurement: where do worker cycles
-	// actually go?).
-	Stage StageBusy
-
-	// Fleet content-addressed cache counters (cumulative; zero for
-	// uncached workers). In a FleetWorker's aggregate these are the
-	// node-wide cache totals across every tenant it hosts.
-	CacheXformHits  int64
-	CacheStripeHits int64
-	CacheMisses     int64
-	CacheBytesSaved int64
 	// CacheWares lists the digests of wares resident in the node's
-	// cache (capped, most recent first); only fleet-worker aggregate
-	// heartbeats populate it, feeding the service's cross-node ware
-	// index. Gob-optional: absent from older senders.
+	// cache (capped, most recent first). Read by Service.WareIndex; only
+	// fleet heartbeats (FleetWorker.AggregateStats) populate it.
 	CacheWares []string
 
 	// Storage self-healing counters (cumulative), and splits released
-	// back for requeue under degraded mode.
+	// back for requeue under degraded mode. Read by Master.Recovery,
+	// which totals them over the session's workers, departed ones
+	// included.
 	dwrf.Recovery
 	SplitsReleased int64
-}
-
-// StageBusy is the cumulative wall time each data-plane stage has spent
-// busy, in seconds. Fetch is time waiting on storage, Decode is
-// decrypt+decompress+decode into columnar batches, Transform is the
-// preprocessing graph plus tensor materialization, and Deliver is
-// handing tensors to the buffer — including time blocked on the
-// bounded buffer, i.e. backpressure from slow trainers.
-type StageBusy struct {
-	FetchSeconds     float64
-	DecodeSeconds    float64
-	TransformSeconds float64
-	DeliverSeconds   float64
-}
-
-// Total sums the per-stage busy seconds.
-func (s StageBusy) Total() float64 {
-	return s.FetchSeconds + s.DecodeSeconds + s.TransformSeconds + s.DeliverSeconds
 }
 
 // WorkerEndpoint is one registered worker's identity and data-plane
@@ -381,10 +349,19 @@ func (m *Master) workToken() int64 {
 	return m.wakes + gen
 }
 
-// errClosed is the worker-facing rejection of a closed session;
-// isDisownedErr matches it.
-func (m *Master) errClosed() error {
-	return fmt.Errorf("dpp: session closed")
+// ErrDisowned is the control plane actively rejecting a worker: it was
+// reaped or deregistered, or its whole session closed or was never
+// known. Every such rejection wraps it, and isDisownedErr tells it from
+// a transport failure.
+var ErrDisowned = errors.New("dpp: worker disowned")
+
+// errClosed is the worker-facing rejection of a closed session.
+var errClosed = fmt.Errorf("%w: session closed", ErrDisowned)
+
+// errUnregistered is the rejection of a worker the session's membership
+// does not hold.
+func errUnregistered(workerID string) error {
+	return fmt.Errorf("%w: unregistered worker %q", ErrDisowned, workerID)
 }
 
 // RegisterWorker implements MasterAPI.
@@ -392,7 +369,7 @@ func (m *Master) RegisterWorker(workerID, endpoint string) (SessionSpec, error) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return SessionSpec{}, m.errClosed()
+		return SessionSpec{}, errClosed
 	}
 	m.forgetLocked(workerID) // a replacement under the same ID reports from zero
 	m.workers[workerID] = &workerInfo{endpoint: endpoint, lastSeen: m.now()}
@@ -416,7 +393,7 @@ func (m *Master) DeregisterWorker(workerID string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.workers[workerID]; !ok {
-		return fmt.Errorf("dpp: unregistered worker %q", workerID)
+		return errUnregistered(workerID)
 	}
 	m.forgetLocked(workerID)
 	requeued := false
@@ -438,11 +415,11 @@ func (m *Master) NextSplit(workerID string) (warehouse.Split, int, bool, bool, e
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return warehouse.Split{}, 0, false, false, m.errClosed()
+		return warehouse.Split{}, 0, false, false, errClosed
 	}
 	w, ok := m.workers[workerID]
 	if !ok {
-		return warehouse.Split{}, 0, false, false, fmt.Errorf("dpp: unregistered worker %q", workerID)
+		return warehouse.Split{}, 0, false, false, errUnregistered(workerID)
 	}
 	w.lastSeen = m.now()
 	if len(m.pending) == 0 {
@@ -513,11 +490,11 @@ func (m *Master) Heartbeat(workerID string, stats WorkerStats) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return m.errClosed()
+		return errClosed
 	}
 	w, ok := m.workers[workerID]
 	if !ok {
-		return fmt.Errorf("dpp: unregistered worker %q", workerID)
+		return errUnregistered(workerID)
 	}
 	now := m.now()
 	w.lastSeen = now
@@ -539,7 +516,7 @@ func (m *Master) ReleaseSplit(workerID string, splitID int, reason string) (bool
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return false, m.errClosed()
+		return false, errClosed
 	}
 	if splitID < 0 || splitID >= len(m.splits) {
 		return false, fmt.Errorf("dpp: release of unknown split %d", splitID)
@@ -675,7 +652,7 @@ func (m *Master) Drain(workerID string) error {
 	defer m.mu.Unlock()
 	w, ok := m.workers[workerID]
 	if !ok {
-		return fmt.Errorf("dpp: unregistered worker %q", workerID)
+		return errUnregistered(workerID)
 	}
 	w.draining = true
 	m.notifyLocked() // its idle evaluators learn it from NextSplit

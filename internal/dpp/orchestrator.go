@@ -39,16 +39,14 @@ type WorkerHandle interface {
 }
 
 // WorkerLauncher creates fleet workers on behalf of the Orchestrator
-// (InProcessFleetLauncher, RPCFleetLauncher). A launched worker
-// registers with the service, runs a pipeline per assigned session, and
-// retires itself (pipelines finish, then deregister) when the service
-// drains it or its handle is stopped.
+// (FleetLauncher). A launched worker registers with the service, runs a
+// pipeline per assigned session, and retires itself (pipelines finish,
+// then deregister) when the service drains it or its handle is stopped.
 type WorkerLauncher interface {
 	Launch(id string) (WorkerHandle, error)
 }
 
-// procHandle is the goroutine-backed handle shared by the in-process
-// and RPC launchers.
+// procHandle is FleetLauncher's goroutine-backed handle.
 type procHandle struct {
 	id       string
 	stopOnce sync.Once
@@ -104,10 +102,6 @@ type Orchestrator struct {
 	// Clock is the virtual clock cooldowns are measured on. Run advances
 	// it; deterministic tests advance it directly between Steps.
 	Clock *clock.Clock
-	// OnEvaluate, when set, observes every control decision: the stats
-	// snapshot the policy saw and the delta it returned (before
-	// cooldown/bound clamping). For logging and tests.
-	OnEvaluate func(stats []WorkerStats, delta int)
 	// OnError, when set, receives non-fatal control-loop errors (a
 	// failed worker launch, a failed checkpoint). The loop retries on
 	// its next tick rather than tearing down the session: a transient
@@ -139,8 +133,8 @@ type Orchestrator struct {
 // sized from tenant-aggregated signals, scale-down drains whole fleet
 // members, and every Step re-runs the weighted fair-share rebalance
 // that divides the fleet among live sessions. The launcher must launch
-// fleet workers (InProcessFleetLauncher, RPCFleetLauncher). Interval
-// and cooldown defaults suit the cmd/dppd deployment; tests shrink them.
+// fleet workers (FleetLauncher). Interval and cooldown defaults suit
+// the cmd/dppd deployment; tests shrink them.
 func NewOrchestrator(svc *Service, launcher WorkerLauncher, scaler *AutoScaler) *Orchestrator {
 	return &Orchestrator{
 		IDPrefix:      "dpp-fw",
@@ -214,11 +208,7 @@ func (o *Orchestrator) Step() error {
 	if _, err := o.svc.Done(); err != nil {
 		return err
 	}
-	stats := o.svc.PolicyStats()
-	delta := o.scaler.Evaluate(stats)
-	if o.OnEvaluate != nil {
-		o.OnEvaluate(stats, delta)
-	}
+	delta := o.scaler.Evaluate(o.svc.PolicyStats())
 	switch {
 	case delta > 0:
 		o.scaleUp(now, delta)

@@ -24,7 +24,7 @@ func TestAutoScalerEmptyPoolMinZero(t *testing.T) {
 func TestAutoScalerScaleUpClampedByMax(t *testing.T) {
 	a := NewAutoScaler(1, 4)
 	stats := []WorkerStats{
-		{BufferedBatches: 0}, {BufferedBatches: 0}, {BufferedBatches: 0},
+		{MinBuffered: 0}, {MinBuffered: 0}, {MinBuffered: 0},
 	}
 	// All three starving wants +3 (under StepUp 4) but the pool may only
 	// grow by one.
@@ -35,8 +35,8 @@ func TestAutoScalerScaleUpClampedByMax(t *testing.T) {
 
 func TestAutoScalerMajorityStarvingBoundary(t *testing.T) {
 	a := NewAutoScaler(1, 50)
-	healthy := WorkerStats{BufferedBatches: 4, MinBuffered: 4, BusyFrac: 0.9}
-	starving := WorkerStats{BufferedBatches: 0, BusyFrac: 0.9}
+	healthy := WorkerStats{MinBuffered: 4, BusyFrac: 0.9}
+	starving := WorkerStats{MinBuffered: 0, BusyFrac: 0.9}
 	// Exactly half starving is not a majority: no scale-up.
 	half := []WorkerStats{starving, starving, healthy, healthy}
 	if got := a.Evaluate(half); got != 0 {
@@ -109,8 +109,8 @@ func step(t *testing.T, o *Orchestrator) {
 // starving and oversupplied are the two heartbeat profiles the control
 // law reacts to.
 var (
-	starving     = WorkerStats{BufferedBatches: 0, BusyFrac: 0.9}
-	oversupplied = WorkerStats{BufferedBatches: 8, MinBuffered: 8, BusyFrac: 0.05}
+	starving     = WorkerStats{MinBuffered: 0, BusyFrac: 0.9}
+	oversupplied = WorkerStats{MinBuffered: 8, BusyFrac: 0.05}
 )
 
 func TestOrchestratorGrowsOnStarvation(t *testing.T) {
@@ -413,7 +413,7 @@ func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	var launcherErr sync.Map
-	l := &InProcessFleetLauncher{
+	l := &FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
@@ -469,7 +469,7 @@ func TestOrchestratorStopAbandonsPool(t *testing.T) {
 	if err := svc.CreateSession(fakeSessionID, spec); err != nil {
 		t.Fatal(err)
 	}
-	l := &InProcessFleetLauncher{
+	l := &FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,

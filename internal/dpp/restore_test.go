@@ -137,7 +137,7 @@ func TestServiceCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("duplicate session restored")
 	}
 
-	launcher := &InProcessFleetLauncher{
+	launcher := &FleetLauncher{
 		Service:        replica,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,

@@ -207,7 +207,7 @@ func (s *Service) CloseSession(id string) error {
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[id]
 	if !ok {
-		return fmt.Errorf("dpp: unknown session %q", id)
+		return fmt.Errorf("%w: unknown session %q", ErrDisowned, id)
 	}
 	delete(s.sessions, id)
 	for _, fm := range s.fleet {
@@ -254,7 +254,7 @@ func (s *Service) session(id string) (*svcSession, error) {
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[id]
 	if !ok {
-		return nil, fmt.Errorf("dpp: unknown session %q", id)
+		return nil, fmt.Errorf("%w: unknown session %q", ErrDisowned, id)
 	}
 	return sess, nil
 }
@@ -338,24 +338,6 @@ func (s *Service) WareIndex() map[string][]string {
 		sort.Strings(holders)
 	}
 	return idx
-}
-
-// WareHolders reports which fleet workers hold one ware digest, per
-// their last heartbeats (sorted; empty when nobody does).
-func (s *Service) WareHolders(ware string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var holders []string
-	for _, fm := range s.fleet {
-		for _, w := range fm.stats.CacheWares {
-			if w == ware {
-				holders = append(holders, fm.id)
-				break
-			}
-		}
-	}
-	sort.Strings(holders)
-	return holders
 }
 
 // DeregisterFleetWorker implements FleetControl.

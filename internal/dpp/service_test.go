@@ -3,9 +3,12 @@ package dpp
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"dsi/internal/dwrf"
 )
 
 // ---------------------------------------------------------------------
@@ -164,7 +167,7 @@ func (l *fakeFleetLauncher) heartbeat(t *testing.T, stats WorkerStats) {
 // heartbeatAll reports a healthy, busy snapshot the policy leaves alone.
 func (l *fakeFleetLauncher) heartbeatAll(t *testing.T) {
 	t.Helper()
-	l.heartbeat(t, WorkerStats{BufferedBatches: 4, MinBuffered: 4, BusyFrac: 0.9})
+	l.heartbeat(t, WorkerStats{MinBuffered: 4, BusyFrac: 0.9})
 }
 
 // retire marks a fleet worker drained and deregisters it, as a real
@@ -334,7 +337,7 @@ func TestServiceConcurrentSessionChurn(t *testing.T) {
 	wh, spec := buildFixture(t, 48, 16)
 	svc := NewService(wh)
 	svc.FleetLeaseTimeout = time.Second
-	launcher := &InProcessFleetLauncher{
+	launcher := &FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
@@ -421,7 +424,7 @@ func TestServiceCloseSessionMidRunAbandonsPipelines(t *testing.T) {
 	if err := svc.CreateSession("doomed", spec); err != nil {
 		t.Fatal(err)
 	}
-	launcher := &InProcessFleetLauncher{
+	launcher := &FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
@@ -494,6 +497,79 @@ func TestServiceCloseSessionMidRunAbandonsPipelines(t *testing.T) {
 	}
 	if err := svc.CloseSession("fresh"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeartbeatFieldsCrossRPC sends one WorkerStats with every field
+// set through a served control plane, as a pipeline's session heartbeat
+// and as a fleet heartbeat, and finds each field at its reader:
+// Master.Recovery, Service.PolicyStats (the scaler's input) and
+// Service.WareIndex. A heartbeat for a session closed since then comes
+// back over the same connection as disownment, not a transport error.
+func TestHeartbeatFieldsCrossRPC(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16)
+	svc := NewService(wh)
+	if err := svc.CreateSession("s", spec); err != nil {
+		t.Fatal(err)
+	}
+	ln, stop, err := ServeService(svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	rs, err := DialService(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sm, err := rs.SessionMaster("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sm.RegisterWorker("fw", "ep"); err != nil {
+		t.Fatal(err)
+	}
+	sent := WorkerStats{
+		MinBuffered: 3,
+		BusyFrac:    0.25,
+		CacheWares:  []string{"stripe:aa", "xform:bb"},
+		Recovery: dwrf.Recovery{
+			StorageRetries: 1, StorageFailovers: 2, HedgedReads: 3,
+			HedgeWins: 4, CorruptStripes: 5, Quarantines: 6,
+		},
+		SplitsReleased: 7,
+	}
+
+	if err := sm.Heartbeat("fw", sent); err != nil {
+		t.Fatal(err)
+	}
+	m, err := svc.Master("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, released := m.Recovery(); rec != sent.Recovery || released != sent.SplitsReleased {
+		t.Fatalf("Master.Recovery = %+v, %d; sent %+v, %d", rec, released, sent.Recovery, sent.SplitsReleased)
+	}
+
+	if err := rs.RegisterFleetWorker("fw", "ep"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.FleetHeartbeat("fw", sent); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.PolicyStats(); len(got) != 1 || !reflect.DeepEqual(got[0], sent) {
+		t.Fatalf("PolicyStats = %+v, sent %+v", got, sent)
+	}
+	want := map[string][]string{"stripe:aa": {"fw"}, "xform:bb": {"fw"}}
+	if idx := svc.WareIndex(); !reflect.DeepEqual(idx, want) {
+		t.Fatalf("WareIndex = %v, want %v", idx, want)
+	}
+
+	if err := svc.CloseSession("s"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.Heartbeat("fw", sent); !isDisownedErr(err) {
+		t.Fatalf("heartbeat for a closed session = %v, want disownment", err)
 	}
 }
 

@@ -17,7 +17,7 @@
 //     the decoded and the transformed level in the node's ware cache;
 //     Run is one pool of goroutines calling it ahead of a single
 //     deliver loop whose bounded buffer applies backpressure — sized by
-//     SessionSpec.Pipeline and observable by phase via WorkerStats —
+//     SessionSpec.Pipeline and observable by phase via Worker.Report —
 //     and ProcessOneSplit is the same step on the caller's goroutine. A
 //     drained worker finishes its in-flight splits, serves out its
 //     buffer (Retire), and deregisters, so shrinking the pool never
@@ -50,14 +50,20 @@
 //   - The Orchestrator closes the auto-scaling loop around the
 //     Service: it periodically evaluates the fleet heartbeats with the
 //     AutoScaler policy and launches or drains fleet members through a
-//     WorkerLauncher (InProcessFleetLauncher for goroutine workers,
-//     RPCFleetLauncher for TCP-served ones), reaps retired members,
-//     and takes periodic checkpoints covering every session
-//     (DecodeServiceCheckpoint + RestoreSession re-host them on a
-//     replica). Pool size follows tenant-aggregated starvation and
+//     WorkerLauncher (FleetLauncher: goroutine workers called in
+//     process, or TCP-served ones once it is given the service's
+//     address), reaps retired members, and takes periodic checkpoints
+//     covering every session (DecodeServiceCheckpoint + RestoreSession
+//     re-host them on a replica). Pool size follows tenant-aggregated starvation and
 //     oversupply; scale actions respect up/down cooldowns measured on
 //     an internal/clock virtual clock, so tests drive the identical
-//     control law deterministically via Step and Advance.
+//     control law deterministically via Step and Advance. A heartbeat
+//     (WorkerStats) carries exactly what the control plane reads: the
+//     windowed minimum buffer level and the evaluators' busy fraction
+//     for the scaler, the recovery counters for Master.Recovery, and a
+//     node's resident wares for the index below. Modelled CPU, memory
+//     and NIC utilizations are views over Worker.Report, computed by
+//     whoever wants them, not shipped.
 //   - Each FleetWorker also owns a node-wide content-addressed cache
 //     (ware.Cache, sized by CacheBytes) shared by every pipeline it
 //     hosts: decoded stripe batches and transformed outputs are
@@ -67,7 +73,9 @@
 //     Eviction is weight-aware (per-tenant byte floors mirroring fair
 //     share), entries are refcounted dwrf batches, and each node's
 //     resident wares ride its heartbeat into the service's
-//     observational cross-node index (WareIndex / WareHolders).
+//     observational cross-node index (WareIndex). The cache scores each
+//     split's outcome once, per tenant (ware.Cache.TenantStats); a
+//     session is one tenant, so no worker re-counts it.
 //
 // Delivery is exactly-once even across non-graceful worker death: a
 // split is acknowledged to its master only when every batch it

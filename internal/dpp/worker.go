@@ -3,6 +3,7 @@ package dpp
 import (
 	"errors"
 	"fmt"
+	"net/rpc"
 	"strings"
 	"sync"
 	"time"
@@ -66,17 +67,6 @@ type ResourceReport struct {
 	ThreadLimit int
 	// ThreadResidentBytes is resident memory pinned per thread.
 	ThreadResidentBytes int64
-
-	// Fleet content-addressed cache counters, per split evaluated (all
-	// zero for workers with no cache attached). A transform hit skips
-	// fetch, decode, AND the plan; a stripe hit skips fetch and decode
-	// but still transforms.
-	CacheXformHits  int64
-	CacheStripeHits int64
-	CacheMisses     int64
-	// CacheBytesSaved is decoded/transformed column bytes served from
-	// the cache instead of recomputed.
-	CacheBytesSaved int64
 
 	// Storage self-healing counters, folded out of each split's
 	// dwrf.ReadStats — delivered or released. SplitsReleased counts
@@ -254,8 +244,6 @@ type Worker struct {
 	// Node is the hardware this worker is modelled on (default C-v1, the
 	// paper's worker node).
 	Node hw.NodeSpec
-	// ClockGHz is the modelled core clock.
-	ClockGHz float64
 	// HeartbeatEvery is the background liveness heartbeat period
 	// (default 500ms). Orchestrated tests shrink it so the master's view
 	// of buffer occupancy and busy fraction stays fresh at millisecond
@@ -307,7 +295,6 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		crashCh:     make(chan struct{}),
 		lastStatsAt: time.Now(),
 		Node:        hw.CV1,
-		ClockGHz:    2.5,
 	}, nil
 }
 
@@ -469,9 +456,11 @@ func (w *Worker) UseCache(c *ware.Cache, tenant string) {
 	w.cacheTenant = tenant
 }
 
-// accountSplit folds one evaluated split — read, transform and cache
-// outcome — into the worker's cumulative resource report and opens the
-// split's delivery ledger.
+// accountSplit folds one evaluated split — read and transform — into
+// the worker's cumulative resource report and opens the split's
+// delivery ledger. The cache outcome is not re-counted here: the worker
+// is one cache tenant, and ware.Cache.TenantStats already holds that
+// tally.
 func (w *Worker) accountSplit(ev evaluated) {
 	costs := w.spec.Costs
 	read := ev.read
@@ -499,15 +488,6 @@ func (w *Worker) accountSplit(ev evaluated) {
 	r.RowsOut += rowsOut
 	r.BatchesOut += int64(len(ev.batches))
 	r.Recovery.Add(read.Recovery)
-	switch {
-	case ev.hit == ware.PackXform:
-		r.CacheXformHits++
-	case ev.hit == ware.PackStripe:
-		r.CacheStripeHits++
-	case w.cache != nil:
-		r.CacheMisses++
-	}
-	r.CacheBytesSaved += ev.saved
 	w.mu.Unlock()
 }
 
@@ -772,12 +752,11 @@ func (w *Worker) busyFrac() float64 {
 	return frac
 }
 
-// Stats assembles a utilization snapshot: saturation-relative modelled
-// utilizations plus buffer occupancy and the live busy fraction. It
-// does NOT consume the BusyFrac/MinBuffered measurement windows, so
-// external pollers (the fleet aggregate, tests) can call it freely
-// without corrupting the signals the auto-scaler keys on; only the
-// worker's own heartbeat paths sample-and-reset via heartbeatStats.
+// Stats is the heartbeat the worker would send now. It does NOT consume
+// the BusyFrac/MinBuffered measurement windows, so external pollers
+// (the fleet aggregate, tests) can call it freely without corrupting
+// the signals the auto-scaler keys on; only the worker's own heartbeat
+// paths sample-and-reset via heartbeatStats.
 func (w *Worker) Stats() WorkerStats { return w.stats(false) }
 
 // heartbeatStats is Stats plus a sample-and-restart of the BusyFrac and
@@ -786,46 +765,25 @@ func (w *Worker) Stats() WorkerStats { return w.stats(false) }
 func (w *Worker) heartbeatStats() WorkerStats { return w.stats(true) }
 
 func (w *Worker) stats(sample bool) WorkerStats {
-	rep := w.Report()
-	cpu, mem, nic := rep.Utilizations(w.Node, w.ClockGHz)
 	var busyFrac float64
 	if sample {
 		busyFrac = w.busyFrac()
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if !sample {
 		busyFrac = w.lastBusyFrac
 	}
-	buffered := len(w.buffer)
-	minBuffered := w.minBuffered
+	st := WorkerStats{
+		MinBuffered:    w.minBuffered,
+		BusyFrac:       busyFrac,
+		Recovery:       w.report.Recovery,
+		SplitsReleased: w.report.SplitsReleased,
+	}
 	if sample {
-		w.minBuffered = buffered // restart the window at the current level
+		w.minBuffered = len(w.buffer) // restart the window at the current level
 	}
-	resident := float64(w.bufBytes)
-	w.mu.Unlock()
-	return WorkerStats{
-		CPUUtil:         cpu,
-		MemBWUtil:       mem,
-		NICUtil:         nic,
-		MemCapacityUtil: resident / (w.Node.MemoryGB * 1e9),
-		BufferedBatches: buffered,
-		MinBuffered:     minBuffered,
-		RowsPerSec:      rep.SaturatedThroughput(w.Node, w.ClockGHz),
-		BusyFrac:        busyFrac,
-		Stage: StageBusy{
-			FetchSeconds:     w.stageFetch.Seconds(),
-			DecodeSeconds:    w.stageDecode.Seconds(),
-			TransformSeconds: w.stageTransform.Seconds(),
-			DeliverSeconds:   w.stageDeliver.Seconds(),
-		},
-		CacheXformHits:  rep.CacheXformHits,
-		CacheStripeHits: rep.CacheStripeHits,
-		CacheMisses:     rep.CacheMisses,
-		CacheBytesSaved: rep.CacheBytesSaved,
-
-		Recovery:       rep.Recovery,
-		SplitsReleased: rep.SplitsReleased,
-	}
+	return st
 }
 
 // finish marks the worker drained-when-empty and wakes all waiters.
@@ -888,18 +846,16 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
 }
 
 // isDisownedErr reports whether a control-plane error is the master
-// actively rejecting this worker (reaped, deregistered, or its whole
-// session closed), as opposed to a transport failure. The check is
-// textual because the error crosses net/rpc, which flattens error
-// values to strings.
+// actively rejecting this worker (ErrDisowned), as opposed to a
+// transport failure. In process that is the error value; over net/rpc,
+// which flattens a handler's error to its text, it is that text inside
+// an rpc.ServerError — the one place the check is textual.
 func isDisownedErr(err error) bool {
-	if err == nil {
-		return false
+	if errors.Is(err, ErrDisowned) {
+		return true
 	}
-	msg := err.Error()
-	return strings.Contains(msg, "unregistered worker") ||
-		strings.Contains(msg, "unknown session") ||
-		strings.Contains(msg, "session closed")
+	var remote rpc.ServerError
+	return errors.As(err, &remote) && strings.Contains(string(remote), ErrDisowned.Error())
 }
 
 // Retire serves the worker's remaining buffered batches until consumers

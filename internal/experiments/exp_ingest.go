@@ -76,12 +76,17 @@ func runIngest() (Result, error) {
 	if err := sim.ServeRequests(firstChunk); err != nil {
 		return res, err
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for len(tbl.Partitions()) == 0 {
-		if time.Now().After(deadline) {
+	deadline := time.After(30 * time.Second)
+	for {
+		changed := tbl.Changed() // taken before the read, so no seal is missed
+		if len(tbl.Partitions()) > 0 {
+			break
+		}
+		select {
+		case <-changed:
+		case <-deadline:
 			return res, fmt.Errorf("ingest: ETL sealed no partition before deadline")
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	session := dpp.SessionSpec{

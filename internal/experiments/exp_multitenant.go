@@ -56,7 +56,7 @@ func runMultitenant() (Result, error) {
 		}
 	}
 
-	launcher := &dpp.InProcessFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
@@ -231,7 +231,7 @@ func runMultitenantCacheRows() ([]Row, error) {
 		return nil, err
 	}
 	svc := dpp.NewService(wh)
-	launcher := &dpp.InProcessFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,

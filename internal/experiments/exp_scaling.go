@@ -170,7 +170,7 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 	if err := svc.CreateSession(sessionID, spec); err != nil {
 		return scalingOutcome{}, err
 	}
-	launcher := &dpp.InProcessFleetLauncher{
+	launcher := &dpp.FleetLauncher{
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,

@@ -1,18 +1,19 @@
 // Package hw models the hardware substrate of the DSI pipeline: compute
-// nodes (Table 10 of the paper), HDD and SSD storage devices, NICs, and
-// memory channels, each with a service-time cost model and a power rating.
+// nodes (Table 10 of the paper: cores, memory bandwidth and capacity,
+// NIC line rate, power) and HDD and SSD storage devices with a
+// service-time cost model.
 //
-// The models are deliberately simple — seek + transfer for disks, line-rate
-// serialization for NICs, bandwidth occupancy for memory — because the
-// paper's findings (seek-bound small reads, NIC-bound workers, shrinking
-// memory bandwidth per core) are first-order effects of exactly these
-// parameters.
+// The models are deliberately simple — seek + transfer for disks, and
+// for NICs and memory channels the node's rated line rate and peak
+// bandwidth, which dpp.ResourceReport divides accounted bytes by —
+// because the paper's findings (seek-bound small reads, NIC-bound
+// workers, shrinking memory bandwidth per core) are first-order effects
+// of exactly these parameters.
 package hw
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dsi/internal/clock"
@@ -210,154 +211,7 @@ func (d *Disk) ResetAccounting() {
 	d.tl.Reset()
 }
 
-// NIC models a network interface as a line-rate serializer.
-type NIC struct {
-	Gbps float64
-
-	tl   *clock.Timeline
-	sent atomic.Int64
-	recv atomic.Int64
-}
-
-// NewNIC returns a NIC of the given line rate accounting on clk.
-func NewNIC(gbps float64, clk *clock.Clock) *NIC {
-	return &NIC{Gbps: gbps, tl: clock.NewTimeline(clk)}
-}
-
-func (n *NIC) serialize(bytes int64) time.Duration {
-	secs := float64(bytes*8) / (n.Gbps * 1e9)
-	return n.tl.Occupy(time.Duration(secs * float64(time.Second)))
-}
-
-// Send accounts an egress payload and returns its simulated completion
-// time.
-func (n *NIC) Send(bytes int64) time.Duration {
-	n.sent.Add(bytes)
-	return n.serialize(bytes)
-}
-
-// Recv accounts an ingress payload and returns its simulated completion
-// time.
-func (n *NIC) Recv(bytes int64) time.Duration {
-	n.recv.Add(bytes)
-	return n.serialize(bytes)
-}
-
-// BytesSent reports cumulative egress bytes.
-func (n *NIC) BytesSent() int64 { return n.sent.Load() }
-
-// BytesRecv reports cumulative ingress bytes.
-func (n *NIC) BytesRecv() int64 { return n.recv.Load() }
-
-// Utilization reports wire-busy time over the window.
-func (n *NIC) Utilization(window time.Duration) float64 { return n.tl.Utilization(window) }
-
-// BusyTotal reports cumulative wire-busy time.
-func (n *NIC) BusyTotal() time.Duration { return n.tl.BusyTotal() }
-
-// ResetAccounting clears counters for a fresh measurement window.
-func (n *NIC) ResetAccounting() {
-	n.sent.Store(0)
-	n.recv.Store(0)
-	n.tl.Reset()
-}
-
 // SaturationThreshold is the memory-bandwidth utilization beyond which the
 // paper considers the channel saturated (§6.2: "memory bandwidth saturates
 // at ≈70% utilization").
 const SaturationThreshold = 0.70
-
-// Memory models a node's aggregate memory bandwidth as a shared channel
-// plus a capacity budget. Every byte moved by extraction, transformation,
-// or the network stack occupies the channel.
-type Memory struct {
-	PeakGBps   float64
-	CapacityGB float64
-
-	tl       *clock.Timeline
-	moved    atomic.Int64
-	resident atomic.Int64
-}
-
-// NewMemory returns a memory channel model accounting on clk.
-func NewMemory(peakGBps, capacityGB float64, clk *clock.Clock) *Memory {
-	return &Memory{PeakGBps: peakGBps, CapacityGB: capacityGB, tl: clock.NewTimeline(clk)}
-}
-
-// Move accounts bytes of memory traffic (reads+writes through the channel)
-// and returns the simulated completion time.
-func (m *Memory) Move(bytes int64) time.Duration {
-	if bytes < 0 {
-		panic("hw: negative memory traffic")
-	}
-	m.moved.Add(bytes)
-	secs := float64(bytes) / (m.PeakGBps * 1e9)
-	return m.tl.Occupy(time.Duration(secs * float64(time.Second)))
-}
-
-// Reserve adjusts resident capacity usage by delta bytes and reports
-// whether the node remains within capacity. Negative deltas release
-// memory.
-func (m *Memory) Reserve(delta int64) bool {
-	return float64(m.resident.Add(delta)) <= m.CapacityGB*1e9
-}
-
-// ResidentBytes reports currently reserved bytes.
-func (m *Memory) ResidentBytes() int64 { return m.resident.Load() }
-
-// ResidentFraction reports reserved bytes as a fraction of capacity.
-func (m *Memory) ResidentFraction() float64 {
-	return float64(m.resident.Load()) / (m.CapacityGB * 1e9)
-}
-
-// BytesMoved reports cumulative memory traffic.
-func (m *Memory) BytesMoved() int64 { return m.moved.Load() }
-
-// Utilization reports bandwidth occupancy over the window.
-func (m *Memory) Utilization(window time.Duration) float64 { return m.tl.Utilization(window) }
-
-// ResetAccounting clears traffic counters for a fresh measurement window.
-func (m *Memory) ResetAccounting() {
-	m.moved.Store(0)
-	m.tl.Reset()
-}
-
-// CPU models a pool of cores. Work is expressed in cycles; the pool
-// converts cycles to occupancy time at a fixed clock rate and tracks
-// utilization across all cores.
-type CPU struct {
-	Cores    int
-	ClockGHz float64
-
-	tl     *clock.Timeline
-	cycles atomic.Int64
-}
-
-// NewCPU returns a CPU pool accounting on clk.
-func NewCPU(cores int, ghz float64, clk *clock.Clock) *CPU {
-	return &CPU{Cores: cores, ClockGHz: ghz, tl: clock.NewTimeline(clk)}
-}
-
-// Spend accounts cycles of compute across the pool and returns the
-// simulated completion time. The pool is modelled as a single queue with
-// aggregate throughput cores×clock.
-func (c *CPU) Spend(cycles int64) time.Duration {
-	if cycles < 0 {
-		panic("hw: negative cycles")
-	}
-	c.cycles.Add(cycles)
-	secs := float64(cycles) / (c.ClockGHz * 1e9 * float64(c.Cores))
-	return c.tl.Occupy(time.Duration(secs * float64(time.Second)))
-}
-
-// CyclesSpent reports cumulative cycles accounted.
-func (c *CPU) CyclesSpent() int64 { return c.cycles.Load() }
-
-// Utilization reports pool occupancy over the window.
-func (c *CPU) Utilization(window time.Duration) float64 { return c.tl.Utilization(window) }
-
-// ResetAccounting clears counters for a fresh measurement window.
-func (c *CPU) ResetAccounting() {
-	c.cycles.Store(0)
-	c.tl.Reset()
-}

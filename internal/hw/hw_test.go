@@ -116,81 +116,6 @@ func TestDiskResetAccounting(t *testing.T) {
 	}
 }
 
-func TestNICSerialization(t *testing.T) {
-	clk := clock.New()
-	n := NewNIC(10, clk) // 10 Gbps
-	n.Send(1_250_000)    // 1.25 MB = 10 Mbit at 10 Gbps = 1 ms
-	want := time.Millisecond
-	if got := n.BusyTotal(); got < want-time.Microsecond || got > want+time.Microsecond {
-		t.Fatalf("BusyTotal = %v, want %v", got, want)
-	}
-}
-
-func TestNICCounters(t *testing.T) {
-	clk := clock.New()
-	n := NewNIC(100, clk)
-	n.Send(100)
-	n.Recv(250)
-	if n.BytesSent() != 100 || n.BytesRecv() != 250 {
-		t.Fatalf("counters = %d/%d, want 100/250", n.BytesSent(), n.BytesRecv())
-	}
-	n.ResetAccounting()
-	if n.BytesSent() != 0 || n.BytesRecv() != 0 || n.BusyTotal() != 0 {
-		t.Fatal("ResetAccounting did not clear NIC counters")
-	}
-}
-
-func TestMemoryMoveAndUtilization(t *testing.T) {
-	clk := clock.New()
-	m := NewMemory(100, 64, clk) // 100 GB/s
-	m.Move(50_000_000_000)       // 50 GB => 0.5 s busy
-	if got := m.Utilization(time.Second); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
-	}
-	if got := m.BytesMoved(); got != 50_000_000_000 {
-		t.Fatalf("BytesMoved = %d", got)
-	}
-}
-
-func TestMemoryCapacity(t *testing.T) {
-	clk := clock.New()
-	m := NewMemory(100, 1, clk) // 1 GB capacity
-	if !m.Reserve(500_000_000) {
-		t.Fatal("500 MB should fit in 1 GB")
-	}
-	if m.Reserve(600_000_000) {
-		t.Fatal("1.1 GB should exceed 1 GB capacity")
-	}
-	m.Reserve(-600_000_000)
-	if got := m.ResidentBytes(); got != 500_000_000 {
-		t.Fatalf("ResidentBytes = %d, want 5e8", got)
-	}
-	if got := m.ResidentFraction(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("ResidentFraction = %v, want 0.5", got)
-	}
-}
-
-func TestCPUSpend(t *testing.T) {
-	clk := clock.New()
-	c := NewCPU(10, 2.0, clk) // 20 Gcycles/s aggregate
-	c.Spend(20_000_000_000)   // 1 s of pool time
-	if got := c.Utilization(2 * time.Second); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
-	}
-	if got := c.CyclesSpent(); got != 20_000_000_000 {
-		t.Fatalf("CyclesSpent = %d", got)
-	}
-}
-
-func TestCPUNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on negative cycles")
-		}
-	}()
-	NewCPU(1, 1, clock.New()).Spend(-1)
-}
-
 // Property: disk service time is monotone in I/O size.
 func TestDiskServiceTimeMonotoneProperty(t *testing.T) {
 	f := func(a, b uint32) bool {

@@ -85,11 +85,6 @@ func (s *Stopwatch) Busy() time.Duration {
 	return time.Duration(s.ns.Load())
 }
 
-// Seconds reports the cumulative busy time in seconds.
-func (s *Stopwatch) Seconds() float64 {
-	return s.Busy().Seconds()
-}
-
 // Histogram collects float64 samples and answers exact order-statistic
 // queries. The zero value is ready to use. Histogram is safe for
 // concurrent observation.

@@ -31,12 +31,10 @@ type Cache struct {
 	lru      *list.List        // *entry; front = most recently used
 	tenants  map[string]*tenantState
 
-	hits      map[string]int64 // by pack
-	misses    int64
+	counters  Counters // node-wide: the sum over tenants
 	inserts   int64
 	evictions int64
 	rejected  int64
-	saved     int64 // bytes of decode/transform output served from cache
 }
 
 type entry struct {
@@ -49,38 +47,56 @@ type entry struct {
 }
 
 type tenantState struct {
-	weight     float64
-	bytes      int64
-	stripeHits int64
-	xformHits  int64
-	misses     int64
-	saved      int64
+	weight   float64
+	bytes    int64
+	counters Counters
 }
 
-// Stats is a point-in-time snapshot of cache-wide counters.
-type Stats struct {
-	Capacity   int64
-	Resident   int64
-	Entries    int
+// Counters is the per-split cache outcome tally, scored by Get and
+// Insert and nowhere else: every split an evaluator looks up ends as
+// exactly one of a transform hit (fetch, decode and the plan skipped),
+// a stripe hit (fetch and decode skipped) or a miss. The cache keeps
+// one per tenant and one node-wide; Stats and TenantStats embed it.
+type Counters struct {
 	StripeHits int64
 	XformHits  int64
 	Misses     int64
-	Inserts    int64
-	Evictions  int64
-	Rejected   int64
+	// BytesSaved is decoded/transformed column bytes served from the
+	// cache instead of recomputed.
 	BytesSaved int64
 }
 
 // Hits sums stripe and transform hits.
-func (s Stats) Hits() int64 { return s.StripeHits + s.XformHits }
+func (n Counters) Hits() int64 { return n.StripeHits + n.XformHits }
 
 // HitRate is Hits/(Hits+Misses), 0 when no lookups happened.
-func (s Stats) HitRate() float64 {
-	total := s.Hits() + s.Misses
+func (n Counters) HitRate() float64 {
+	total := n.Hits() + n.Misses
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Hits()) / float64(total)
+	return float64(n.Hits()) / float64(total)
+}
+
+// hit scores one ware of the given pack served from the cache.
+func (n *Counters) hit(pack string, bytes int64) {
+	if pack == PackXform {
+		n.XformHits++
+	} else {
+		n.StripeHits++
+	}
+	n.BytesSaved += bytes
+}
+
+// Stats is a point-in-time snapshot of cache-wide counters.
+type Stats struct {
+	Capacity int64
+	Resident int64
+	Entries  int
+	Counters
+	Inserts   int64
+	Evictions int64
+	Rejected  int64
 }
 
 // TenantStats is one tenant's view of the cache.
@@ -88,22 +104,7 @@ type TenantStats struct {
 	Weight     float64
 	Bytes      int64 // resident bytes charged to this tenant
 	FloorBytes int64 // fair-share floor eviction respects
-	StripeHits int64
-	XformHits  int64
-	Misses     int64
-	BytesSaved int64
-}
-
-// Hits sums stripe and transform hits.
-func (t TenantStats) Hits() int64 { return t.StripeHits + t.XformHits }
-
-// HitRate is Hits/(Hits+Misses), 0 when no lookups happened.
-func (t TenantStats) HitRate() float64 {
-	total := t.Hits() + t.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Hits()) / float64(total)
+	Counters
 }
 
 // NewCache returns a cache bounded to capacity bytes. A non-positive
@@ -116,7 +117,6 @@ func NewCache(capacity int64) *Cache {
 		entries:  make(map[string]*entry),
 		lru:      list.New(),
 		tenants:  make(map[string]*tenantState),
-		hits:     make(map[string]int64),
 	}
 }
 
@@ -175,16 +175,8 @@ func (c *Cache) Get(id WareID, tenant string) *dwrf.Batch {
 		return nil
 	}
 	c.lru.MoveToFront(e.elem)
-	c.hits[e.pack]++
-	c.saved += e.bytes
-	t := c.tenant(tenant)
-	switch e.pack {
-	case PackXform:
-		t.xformHits++
-	default:
-		t.stripeHits++
-	}
-	t.saved += e.bytes
+	c.counters.hit(e.pack, e.bytes)
+	c.tenant(tenant).counters.hit(e.pack, e.bytes)
 	e.batch.Retain()
 	return e.batch
 }
@@ -207,8 +199,8 @@ func (c *Cache) Insert(id WareID, b *dwrf.Batch, tenant string) (*dwrf.Batch, bo
 	defer c.mu.Unlock()
 	t := c.tenant(tenant)
 	if id.Pack == PackStripe {
-		t.misses++
-		c.misses++
+		t.counters.Misses++
+		c.counters.Misses++
 	}
 	key := id.String()
 	if c.entries[key] != nil || size <= 0 || size > c.capacity {
@@ -293,16 +285,13 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Capacity:   c.capacity,
-		Resident:   c.used,
-		Entries:    len(c.entries),
-		StripeHits: c.hits[PackStripe],
-		XformHits:  c.hits[PackXform],
-		Misses:     c.misses,
-		Inserts:    c.inserts,
-		Evictions:  c.evictions,
-		Rejected:   c.rejected,
-		BytesSaved: c.saved,
+		Capacity:  c.capacity,
+		Resident:  c.used,
+		Entries:   len(c.entries),
+		Counters:  c.counters,
+		Inserts:   c.inserts,
+		Evictions: c.evictions,
+		Rejected:  c.rejected,
 	}
 }
 
@@ -318,10 +307,7 @@ func (c *Cache) TenantStats(id string) TenantStats {
 		Weight:     t.weight,
 		Bytes:      t.bytes,
 		FloorBytes: c.floorLocked(t),
-		StripeHits: t.stripeHits,
-		XformHits:  t.xformHits,
-		Misses:     t.misses,
-		BytesSaved: t.saved,
+		Counters:   t.counters,
 	}
 }
 
