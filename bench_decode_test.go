@@ -5,13 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"dsi/internal/dpp"
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
-	"dsi/internal/tensor"
-	"dsi/internal/transforms"
-	"dsi/internal/warehouse"
 )
 
 // decodeBenchTable writes a 2048-row flattened table of 8 sparse + 2
@@ -79,109 +75,6 @@ func decodeBenchTable(b *testing.B, card int64, ascending, plain bool) (*dwrf.Re
 		b.Fatal(err)
 	}
 	return r, r.DataBytes(), cluster
-}
-
-// benchDatasetLowCard mirrors benchDataset's bench table but draws
-// sparse IDs from a 64-value space, the dictionary-encoding sweet spot.
-func benchDatasetLowCard(b *testing.B, plain bool) (*warehouse.Warehouse, []warehouse.Split) {
-	b.Helper()
-	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 4, Replication: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	wh := warehouse.New(cluster)
-	ts := schema.NewTableSchema("bench")
-	for i := 1; i <= 32; i++ {
-		kind := schema.Dense
-		if i > 16 {
-			kind = schema.Sparse
-		}
-		if err := ts.AddColumn(schema.Column{ID: schema.FeatureID(i), Kind: kind, Name: fmt.Sprintf("f%d", i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tbl, err := wh.CreateTable("bench", ts, dwrf.WriterOptions{Flatten: true, RowsPerStripe: 256, PlainEncodings: plain})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	pw, err := tbl.NewPartition("p0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for r := 0; r < 1024; r++ {
-		s := schema.NewSample()
-		for i := 1; i <= 16; i++ {
-			s.DenseFeatures[schema.FeatureID(i)] = rng.Float32()
-		}
-		for i := 17; i <= 32; i++ {
-			vals := make([]int64, 8)
-			for j := range vals {
-				vals[j] = rng.Int63n(64)
-			}
-			s.SparseFeatures[schema.FeatureID(i)] = vals
-		}
-		if err := pw.WriteRow(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := pw.Close(); err != nil {
-		b.Fatal(err)
-	}
-	splits, err := tbl.Splits(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return wh, splits
-}
-
-// BenchmarkStripeToTensorDictHeavy is BenchmarkStripeToTensor's
-// compiled-arena path over a low-cardinality table: the dict streams
-// decode into dictionary-indexed columns and the plan's dict-aware
-// kernels hash each distinct value once per stripe. The plain sub-bench
-// is the same data pinned to the v1 layout, isolating the win.
-func BenchmarkStripeToTensorDictHeavy(b *testing.B) {
-	run := func(b *testing.B, plain bool) {
-		wh, splits := benchDatasetLowCard(b, plain)
-		spec := dpp.SessionSpec{
-			Table:    "bench",
-			Features: []schema.FeatureID{1, 2, 17, 18},
-			Ops: []transforms.Op{
-				&transforms.SigridHash{In: 17, Out: 100, Salt: 1, MaxValue: 1 << 18},
-				&transforms.Logit{In: 1, Out: 101},
-			},
-			DenseOut:  []schema.FeatureID{101, 2},
-			SparseOut: []schema.FeatureID{100, 18},
-			BatchSize: 128,
-			Read:      dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true},
-		}
-		g := transforms.NewGraph().Add(spec.Ops...)
-		plan, err := g.CompilePlan()
-		if err != nil {
-			b.Fatal(err)
-		}
-		arena := dwrf.NewArena()
-		proj := spec.Projection()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, sp := range splits {
-				batch, _, err := wh.ReadSplitBatchCachedArena(sp, proj, spec.Read, arena)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := plan.Run(batch, arena); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tensor.Materialize(batch, spec.DenseOut, spec.SparseOut); err != nil {
-					b.Fatal(err)
-				}
-				batch.Release()
-			}
-		}
-	}
-	b.Run("v2-dict", func(b *testing.B) { run(b, false) })
-	b.Run("plain", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkStripeDecode sweeps the v2 stream encodings against the v1

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"dsi/internal/datagen"
-	"dsi/internal/dpp"
 	"dsi/internal/dwrf"
 	"dsi/internal/experiments"
 	"dsi/internal/schema"
@@ -58,6 +56,11 @@ func BenchmarkTable11Transforms(b *testing.B)      { benchExperiment(b, "table11
 func BenchmarkTable12Ablation(b *testing.B)        { benchExperiment(b, "table12") }
 func BenchmarkMemBWBottleneck(b *testing.B)        { benchExperiment(b, "membw") }
 func BenchmarkHardwareGaps(b *testing.B)           { benchExperiment(b, "gaps") }
+
+// BenchmarkIngestFreshness regenerates the streaming-ingestion
+// experiment: the full Scribe->ETL->DWRF->session loop with freshness
+// accounting.
+func BenchmarkIngestFreshness(b *testing.B) { benchExperiment(b, "ingest") }
 
 // ---------------------------------------------------------------------
 // Microbenchmarks of the hot paths underneath the experiments.
@@ -251,8 +254,7 @@ func arenaBatchFrom(arena *dwrf.Arena, template *dwrf.Batch) *dwrf.Batch {
 // BenchmarkTransformGraph runs the representative preprocessing DAG
 // through the legacy interpreter (fresh columns and map lookups per op
 // per batch) and through the compiled slot-indexed plan with a column
-// arena. BENCH_transform.json records a reference run; the headline is
-// allocs/op.
+// arena; the headline is allocs/op.
 func BenchmarkTransformGraph(b *testing.B) {
 	newGraph := func(b *testing.B) *transforms.Graph {
 		b.Helper()
@@ -291,56 +293,6 @@ func BenchmarkTransformGraph(b *testing.B) {
 	})
 }
 
-// BenchmarkStripeToTensor measures the worker's whole per-split hot
-// path — stripe decode → preprocessing graph → tensor materialization —
-// as the interpreter ran it (plain decode, interpreted graph, batches
-// left for the GC) and as the compiled path runs it (arena decode,
-// compiled plan, release after materialization).
-func BenchmarkStripeToTensor(b *testing.B) {
-	run := func(b *testing.B, compiled bool) {
-		wh, _, splits := benchDataset(b, true)
-		spec := benchSessionSpec(dpp.PipelineOptions{})
-		g := transforms.NewGraph().Add(spec.Ops...)
-		if err := g.Compile(); err != nil {
-			b.Fatal(err)
-		}
-		var plan *transforms.Plan
-		var arena *dwrf.Arena
-		if compiled {
-			var err error
-			if plan, err = g.CompilePlan(); err != nil {
-				b.Fatal(err)
-			}
-			arena = dwrf.NewArena()
-		}
-		proj := spec.Projection()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, sp := range splits {
-				batch, _, err := wh.ReadSplitBatchCachedArena(sp, proj, spec.Read, arena)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if compiled {
-					_, err = plan.Run(batch, arena)
-				} else {
-					_, err = g.Run(batch)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tensor.Materialize(batch, spec.DenseOut, spec.SparseOut); err != nil {
-					b.Fatal(err)
-				}
-				batch.Release()
-			}
-		}
-	}
-	b.Run("interpreter", func(b *testing.B) { run(b, false) })
-	b.Run("compiled-arena", func(b *testing.B) { run(b, true) })
-}
-
 func BenchmarkStandardGraphRM1Style(b *testing.B) {
 	g := transforms.StandardGraph([]schema.FeatureID{1}, []schema.FeatureID{2, 3}, 6, 1000)
 	if err := g.Compile(); err != nil {
@@ -354,133 +306,6 @@ func BenchmarkStandardGraphRM1Style(b *testing.B) {
 		}
 	}
 }
-
-// benchSessionSpec is the shared workload for the sequential-vs-
-// pipelined DPP worker benchmarks.
-func benchSessionSpec(pipeline dpp.PipelineOptions) dpp.SessionSpec {
-	return dpp.SessionSpec{
-		Table:    "bench",
-		Features: []schema.FeatureID{1, 2, 17, 18},
-		Ops: []transforms.Op{
-			&transforms.SigridHash{In: 17, Out: 100, Salt: 1, MaxValue: 1 << 18},
-			&transforms.Logit{In: 1, Out: 101},
-		},
-		DenseOut:  []schema.FeatureID{101, 2},
-		SparseOut: []schema.FeatureID{100, 18},
-		BatchSize: 128,
-		Read:      dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true},
-		Pipeline:  pipeline,
-	}
-}
-
-// benchSession drives one full session and reports batches/sec.
-func benchSession(b *testing.B, wh *warehouse.Warehouse, spec dpp.SessionSpec) {
-	b.Helper()
-	var batches int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := dpp.NewMaster(wh, spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := dpp.NewWorker("bench", m, wh)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.Sink = func(*tensor.Batch) { batches++ }
-		if err := w.Run(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if batches == 0 {
-		b.Fatal("no batches produced")
-	}
-	b.ReportMetric(float64(batches)/b.Elapsed().Seconds(), "batches/sec")
-}
-
-// BenchmarkDPPPipelinedSession drives one full session through
-// Worker.Run (parallel stripe prefetch through the shared reader cache,
-// concurrent transform, bounded delivery). BENCH_dpp.json records a
-// reference run, beside the sequential loop that existed then.
-func BenchmarkDPPPipelinedSession(b *testing.B) {
-	wh, _, _ := benchDataset(b, true)
-	benchSession(b, wh, benchSessionSpec(dpp.PipelineOptions{Prefetchers: 2, TransformParallelism: 2}))
-}
-
-// benchOrchestratedSession drives a full session through the closed
-// control loop: a one-session Service, the Orchestrator owning its fleet
-// between the given bounds, a tenant client resolving membership from
-// the session's master, and every batch flowing trainer-side. Each
-// iteration stands the whole service up and tears it down. Reports
-// batches/sec.
-func benchOrchestratedSession(b *testing.B, minWorkers, maxWorkers int) {
-	b.Helper()
-	wh, _, _ := benchDataset(b, true)
-	spec := benchSessionSpec(dpp.PipelineOptions{Prefetchers: 1, TransformParallelism: 1})
-	spec.BatchSize = 32 // more batches so the control loop has a session to steer
-	const sessionID = "bench"
-	var batches int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		svc := dpp.NewService(wh)
-		if err := svc.CreateSession(sessionID, spec); err != nil {
-			b.Fatal(err)
-		}
-		launcher := &dpp.FleetLauncher{
-			Service:        svc,
-			WH:             wh,
-			HeartbeatEvery: time.Millisecond,
-			Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
-			// A lone session reads each stripe once; there is nothing for
-			// a batch cache to serve.
-			CacheBytes: -1,
-		}
-		o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(minWorkers, maxWorkers))
-		o.ScaleInterval = 500 * time.Microsecond
-		stop := make(chan struct{})
-		runDone := make(chan error, 1)
-		go func() { runDone <- o.Run(stop) }()
-		client, err := dpp.NewTenantClient(svc, sessionID, launcher.SessionDialer(sessionID), 0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		client.RefreshEvery = 500 * time.Microsecond
-		for {
-			bb, ok, err := client.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			_ = bb
-			batches++
-		}
-		close(stop)
-		if err := <-runDone; err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if batches == 0 {
-		b.Fatal("no batches produced")
-	}
-	b.ReportMetric(float64(batches)/b.Elapsed().Seconds(), "batches/sec")
-}
-
-// BenchmarkDPPFixedPoolMinSession pins the orchestrated pool at one
-// worker — the static baseline the auto-scaler improves on.
-func BenchmarkDPPFixedPoolMinSession(b *testing.B) { benchOrchestratedSession(b, 1, 1) }
-
-// BenchmarkDPPFixedPoolMaxSession pins the pool at the maximum — the
-// over-provisioned static configuration.
-func BenchmarkDPPFixedPoolMaxSession(b *testing.B) { benchOrchestratedSession(b, 4, 4) }
-
-// BenchmarkDPPElasticSession lets the closed loop size the pool between
-// the same bounds. Compare with the two fixed-pool benchmarks;
-// BENCH_scale.json records a reference run.
-func BenchmarkDPPElasticSession(b *testing.B) { benchOrchestratedSession(b, 1, 4) }
 
 func BenchmarkTensorMaterialize(b *testing.B) {
 	batch := benchBatch(512)

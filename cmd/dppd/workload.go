@@ -85,7 +85,6 @@ func BuildWorkload(p datagen.Profile, seed int64) (*warehouse.Warehouse, dpp.Ses
 		SparseOut: sparseOut,
 		BatchSize: 64,
 		Read:      dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true},
-		Costs:     dpp.CostParams{Flatmap: true, LocalOpt: true},
 	}
 	return wh, session, nil
 }

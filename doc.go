@@ -19,17 +19,18 @@
 // the caller's goroutine, the reference loop experiments and parity
 // tests drive. The knobs live in dpp.SessionSpec.Pipeline (the pool
 // size is Prefetchers + TransformParallelism; prefetch depth,
-// buffered-byte bound) and surface as cmd/dppd flags; busy time by
-// phase (fetch / decode / transform / deliver, the paper's Figure 9
-// breakdown) is reported through Worker.Report (ResourceReport), as
-// are the modelled CPU / memory / NIC utilizations — views computed
-// over it by whoever asks. A heartbeat (WorkerStats) carries only what
-// the control plane reads: the windowed minimum buffer level and the
-// evaluators' busy fraction for the scaler, the recovery counters for
-// Master.Recovery, a node's resident wares for Service.WareIndex.
-// BENCH_dpp.json is the historical record of the staged pipeline this
-// replaced (1.024x over a sequential loop, from the reader cache and
-// pooled buffers rather than from the stages).
+// buffered-byte bound) and surface as cmd/dppd flags. Worker.Report
+// (ResourceReport) is what the worker measured and nothing else: bytes
+// fetched, wanted, decoded and sent, rows, batches, the transform
+// plan's op-catalogue tallies, and busy time by phase (fetch / decode /
+// transform / deliver, the paper's Figure 9 breakdown). The paper's
+// cost model — cycles per byte, the TLS memory tax, a node's bottleneck
+// — is applied to that report offline, beside the experiments that
+// print it (internal/experiments/costmodel.go), and never rides a
+// session. A heartbeat (WorkerStats) carries only what the control
+// plane reads: the windowed minimum buffer level and the evaluators'
+// busy fraction for the scaler, the recovery counters for
+// Master.Recovery.
 //
 // The transform stage itself runs compiled: transforms.Graph lowers its
 // topo-sorted op DAG into a slot-indexed transforms.Plan
@@ -43,9 +44,8 @@
 // is the worker's only executor (a graph that does not compile fails
 // NewWorker); the transforms.Graph.Run interpreter stays as the
 // reference a golden parity suite pins plans against, byte for byte.
-// BenchmarkTransformGraph and BenchmarkStripeToTensor measure the delta
-// (reference run: BENCH_transform.json — the transform stage drops from
-// 9365 to 5 allocations per batch).
+// BenchmarkTransformGraph measures the delta (the transform stage drops
+// from 9365 to 5 allocations per batch).
 //
 // The worker→trainer hot path is a zero-copy framed streaming data
 // plane: tensor.Batch has an explicit wire codec (AppendBinary /
@@ -56,11 +56,9 @@
 // (de)serialization share of the paper's "datacenter tax" (§6.2). It is
 // the only worker→trainer wire: one hello layout, one frame layout,
 // every frame tagged with its (split, seq) provenance, every length
-// off the socket bounded. CostParams.TxTaxCyclesPerByte prices tensor
-// TX bytes in the resource model (the experiments set it to the
-// paper's Thrift-era 1.7). BENCH_wire.json records the stream against
-// the gob-unary net/rpc plane it replaced (~3.5x per-batch latency and
-// ~99% less garbage on the standard session shape).
+// off the socket bounded. It replaced a gob-unary net/rpc plane at
+// ~3.5x lower per-batch latency and ~99% less garbage on the standard
+// session shape.
 //
 // The DPP control plane is one dpp.Service, multi-tenant as the paper's
 // DPP actually is: a session registry (CreateSession / RestoreSession /
@@ -88,9 +86,7 @@
 // DecodeServiceCheckpoint and Service.RestoreSession are the failover
 // round trip. The "scaling" experiment reproduces the headline: under a
 // mid-session trainer-speed shift the auto-scaled pool achieves a lower
-// data-stall rate than a fixed minimal pool. BenchmarkDPPElasticSession
-// compares the closed loop against fixed pools at both bounds
-// (reference run: BENCH_scale.json).
+// data-stall rate than a fixed minimal pool.
 // Exactly-once delivery is hardened against non-graceful worker death:
 // splits complete at the master only when their batches are consumed
 // (not merely buffered), every batch carries (Split, Seq) provenance,
@@ -115,9 +111,8 @@
 // every seal) instead of polling the generation, and the session ends
 // only when the producer closes its Scribe categories.
 // Completed splits record event-time→trainer freshness lag
-// (Master.Freshness); the "ingest" experiment and BENCH_ingest.json
-// show the lag bounded and flat, and `dppd -role ingest` demos the
-// whole loop over TCP.
+// (Master.Freshness); the "ingest" experiment shows the lag bounded and
+// flat, and `dppd -role ingest` demos the whole loop over TCP.
 //
 // The storage read path is self-healing under an injectable fault
 // plane: a seeded faults.Schedule marks nodes down, flaky, slow, or

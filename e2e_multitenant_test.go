@@ -225,7 +225,7 @@ func TestEndToEndChecksumWorkerCrash(t *testing.T) {
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
-	crashed := crashFirstLive(t, launcher, o.IDPrefix)
+	crashed := crashFirstLive(t, launcher, dpp.FleetIDPrefix)
 	t.Logf("crashed fleet worker %s mid-stream", crashed)
 
 	// Consume the rest across the crash: fetch errors drop the
@@ -425,7 +425,7 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 	// members it launched in phase 1 that hold no assignment, members
 	// whose buffers have filled — and one worker dies hard.
 	until("shared fleet never drained back down", 20*time.Second, pause, func() bool { return o.Status().Drained > 0 })
-	crashed := crashFirstLive(t, launcher, o.IDPrefix)
+	crashed := crashFirstLive(t, launcher, dpp.FleetIDPrefix)
 	t.Logf("crashed fleet worker %s with three tenants in flight", crashed)
 	// Phase 4: consume the rest across the drain and the crash.
 	until("tenants did not finish", 120*time.Second, consume, func() bool {

@@ -94,8 +94,8 @@ func main() {
 	}
 	rep := worker.Report()
 	fmt.Printf("trained on %d rows in %d batches\n", rows, batches)
-	fmt.Printf("worker: %d splits, %.0f CPU cycles, %d B from storage, %d B of tensors\n",
-		rep.SplitsDone, rep.TotalCPUCycles(), rep.NICRxBytes, rep.NICTxBytes)
+	fmt.Printf("worker: %d splits, %d B from storage, %d B decoded, %d B of tensors\n",
+		rep.SplitsDone, rep.NICRxBytes, rep.DecodedBytes, rep.NICTxBytes)
 }
 
 func must(err error) {

@@ -107,7 +107,6 @@ func main() {
 		SparseOut: sparseOut,
 		BatchSize: 64,
 		Read:      dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true},
-		Costs:     dpp.CostParams{Flatmap: true, LocalOpt: true},
 	}
 	master, err := dpp.NewMaster(wh, session)
 	if err != nil {
@@ -145,16 +144,16 @@ func main() {
 	var report dpp.ResourceReport
 	for _, w := range workers {
 		r := w.Report()
-		report.ExtractCycles += r.ExtractCycles
-		report.TransformCycles += r.TransformCycles
-		report.TaxCycles += r.TaxCycles
+		report.FetchBusy += r.FetchBusy
+		report.DecodeBusy += r.DecodeBusy
+		report.TransformBusy += r.TransformBusy
 		report.NICRxBytes += r.NICRxBytes
 		report.NICTxBytes += r.NICTxBytes
 		report.SplitsDone += r.SplitsDone
 	}
-	total := report.TotalCPUCycles()
-	fmt.Printf("DPP fleet: %d splits; CPU split xform %.0f%% / extract %.0f%% / tax %.0f%%; RX %d B, TX %d B\n",
+	busy := float64(report.FetchBusy + report.DecodeBusy + report.TransformBusy)
+	fmt.Printf("DPP fleet: %d splits; busy time fetch %.0f%% / decode %.0f%% / transform %.0f%%; RX %d B, TX %d B\n",
 		report.SplitsDone,
-		100*report.TransformCycles/total, 100*report.ExtractCycles/total, 100*report.TaxCycles/total,
+		100*float64(report.FetchBusy)/busy, 100*float64(report.DecodeBusy)/busy, 100*float64(report.TransformBusy)/busy,
 		report.NICRxBytes, report.NICTxBytes)
 }

@@ -67,7 +67,6 @@ type Timeline struct {
 	clock     *Clock
 	busyUntil time.Duration
 	busyTotal time.Duration
-	ops       int64
 }
 
 // NewTimeline returns a Timeline layered on clock.
@@ -91,14 +90,6 @@ func (t *Timeline) Occupy(service time.Duration) time.Duration {
 	}
 	t.busyUntil = start + service
 	t.busyTotal += service
-	t.ops++
-	return t.busyUntil
-}
-
-// BusyUntil reports the time at which all currently queued work completes.
-func (t *Timeline) BusyUntil() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.busyUntil
 }
 
@@ -107,13 +98,6 @@ func (t *Timeline) BusyTotal() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.busyTotal
-}
-
-// Ops reports the number of operations accounted on this device.
-func (t *Timeline) Ops() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ops
 }
 
 // Utilization reports busy time as a fraction of the elapsed window. The
@@ -129,11 +113,10 @@ func (t *Timeline) Utilization(window time.Duration) float64 {
 	return u
 }
 
-// Reset zeroes the accounting counters but keeps the busy horizon, so a
+// Reset zeroes the accounted busy time but keeps the busy horizon, so a
 // measurement window can be restarted mid-simulation.
 func (t *Timeline) Reset() {
 	t.mu.Lock()
 	t.busyTotal = 0
-	t.ops = 0
 	t.mu.Unlock()
 }

@@ -69,10 +69,6 @@ type FleetWorker struct {
 // content-addressed batch cache.
 const DefaultFleetCacheBytes = 256 << 20
 
-// wareListCap bounds how many resident ware digests a fleet heartbeat
-// ships to the service's cross-node index.
-const wareListCap = 512
-
 // Cache returns the node's shared batch cache, creating it on first
 // use; nil when CacheBytes is negative (caching disabled).
 func (fw *FleetWorker) Cache() *ware.Cache {
@@ -127,17 +123,6 @@ func (fw *FleetWorker) Pipeline(sessionID string) *Worker {
 	return nil
 }
 
-// Sessions lists the sessions with a live pipeline on this worker.
-func (fw *FleetWorker) Sessions() []string {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	out := make([]string, 0, len(fw.pipelines))
-	for id := range fw.pipelines {
-		out = append(out, id)
-	}
-	return out
-}
-
 // source is the data plane's sourceResolver: a stream whose hello names
 // a session lands on that session's pipeline buffer.
 func (fw *FleetWorker) source(sessionID string) (BatchSource, error) {
@@ -152,12 +137,11 @@ func (fw *FleetWorker) source(sessionID string) (BatchSource, error) {
 
 // AggregateStats is the fleet heartbeat: the live pipelines folded into
 // what the service reads of a member — the worst-case minimum buffer
-// and the mean busy fraction (PolicyStats → AutoScaler.Evaluate), and
-// the node cache's resident wares (WareIndex). A worker with no
-// assignments reports an idle, drainable profile. The snapshot is
-// non-consuming: the per-session heartbeat windows belong to the
-// pipelines' own session-master heartbeats, which also carry the
-// recovery counters (they are per session, Master.Recovery).
+// and the mean busy fraction (PolicyStats → AutoScaler.Evaluate). A
+// worker with no assignments reports an idle, drainable profile. The
+// snapshot is non-consuming: the per-session heartbeat windows belong
+// to the pipelines' own session-master heartbeats, which also carry
+// the recovery counters (they are per session, Master.Recovery).
 func (fw *FleetWorker) AggregateStats() WorkerStats {
 	fw.mu.Lock()
 	workers := make([]*Worker, 0, len(fw.pipelines))
@@ -166,9 +150,6 @@ func (fw *FleetWorker) AggregateStats() WorkerStats {
 	}
 	fw.mu.Unlock()
 	agg := WorkerStats{MinBuffered: idleBuffered}
-	if c := fw.Cache(); c != nil {
-		agg.CacheWares = c.Wares(wareListCap)
-	}
 	for _, w := range workers {
 		st := w.Stats()
 		if st.MinBuffered < agg.MinBuffered {
@@ -277,6 +258,11 @@ func (fw *FleetWorker) startPipeline(sessionID string) {
 			fw.OnError(sessionID, err)
 		}
 		_ = w.Retire(p.stop)
+		// Before the slot frees: a re-granted session's fresh pipeline
+		// registers the tenant again only after this one is gone.
+		if w.cache != nil {
+			w.cache.RetireTenant(sessionID)
+		}
 		fw.mu.Lock()
 		if fw.pipelines[sessionID] == p {
 			delete(fw.pipelines, sessionID)

@@ -17,10 +17,8 @@ import (
 // the control plane reads, each naming its reader below, and nothing
 // else. The paper's Master scales "to eliminate data stalls" from what
 // workers report (§3.2.1); here the scaler keys on whether a buffer
-// ran dry and whether the evaluators sat idle. The modelled CPU,
-// memory-bandwidth and NIC utilizations are not shipped: they are views
-// over Worker.Report() (ResourceReport.Utilizations and friends), for
-// whoever wants them.
+// ran dry and whether the evaluators sat idle. What the worker measured
+// beyond that is Worker.Report(), for whoever wants it.
 type WorkerStats struct {
 	// MinBuffered is the lowest buffered-batch level observed since the
 	// previous heartbeat. Read by AutoScaler.Evaluate: the instantaneous
@@ -36,10 +34,6 @@ type WorkerStats struct {
 	// when the pipeline is blocked on backpressure from slow trainers,
 	// making it the oversupply signal the drain decision keys on.
 	BusyFrac float64
-	// CacheWares lists the digests of wares resident in the node's
-	// cache (capped, most recent first). Read by Service.WareIndex; only
-	// fleet heartbeats (FleetWorker.AggregateStats) populate it.
-	CacheWares []string
 
 	// Storage self-healing counters (cumulative), and splits released
 	// back for requeue under degraded mode. Read by Master.Recovery,
@@ -153,13 +147,6 @@ type Master struct {
 	// worker before ReapDead reassigns it. Heartbeats renew leases, so
 	// the timeout measures liveness, not progress.
 	LeaseTimeout time.Duration
-	// MaxLeaseAge caps how long a split may stay leased regardless of
-	// heartbeats, so a live-but-wedged worker (e.g. a fetch hung on a
-	// bad storage node) cannot hold a split forever. Zero defaults to
-	// 10x LeaseTimeout; the requeued split may be processed twice if
-	// the wedged worker eventually recovers, which split idempotence
-	// makes safe.
-	MaxLeaseAge time.Duration
 	// MaxSplitRetries is the per-split poison budget: how many times a
 	// split may be released back (retryable storage failure) before the
 	// session fails rather than requeueing a split no worker can read.
@@ -272,9 +259,6 @@ func (m *Master) refreshLocked() error {
 	m.lastGen = gen
 	return nil
 }
-
-// Spec returns the session spec.
-func (m *Master) Spec() SessionSpec { return m.spec }
 
 // SplitCount reports the total number of splits discovered so far (the
 // final count, for bounded sessions).
@@ -608,20 +592,24 @@ func (m *Master) Progress() (completed, total int) {
 	return m.nComplete, len(m.splits)
 }
 
+// maxLeaseAgeFactor caps, in lease timeouts, how long a split may stay
+// leased regardless of heartbeats, so a live-but-wedged worker (e.g. a
+// fetch hung on a bad storage node) cannot hold a split forever. The
+// requeued split may be processed twice if the wedged worker eventually
+// recovers, which split idempotence makes safe.
+const maxLeaseAgeFactor = 10
+
 // ReapDead re-queues splits leased to workers that have not been seen
 // within the lease timeout, and forgets those workers; it also requeues
-// leases older than MaxLeaseAge even when the holder still heartbeats
-// (a wedged-but-live worker). Workers are stateless, so reassignment
-// needs no checkpoint restore (§3.2.1). It returns the number of splits
-// reassigned.
+// leases older than maxLeaseAgeFactor lease timeouts even when the
+// holder still heartbeats (a wedged-but-live worker). Workers are
+// stateless, so reassignment needs no checkpoint restore (§3.2.1). It
+// returns the number of splits reassigned.
 func (m *Master) ReapDead() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
-	maxAge := m.MaxLeaseAge
-	if maxAge == 0 {
-		maxAge = 10 * m.LeaseTimeout
-	}
+	maxAge := maxLeaseAgeFactor * m.LeaseTimeout
 	dead := make(map[string]bool)
 	for id, w := range m.workers {
 		if now.Sub(w.lastSeen) > m.LeaseTimeout {
@@ -774,14 +762,15 @@ type AutoScaler struct {
 	// above for a worker to count as oversupplied (scale down if also
 	// under-utilized).
 	HighBuffer int
-	// IdleUtil is the live busy fraction (WorkerStats.BusyFrac) below
-	// which an oversupplied worker is considered drainable. The modelled
-	// saturation-relative utilizations cannot serve here: the bottleneck
-	// domain always reads 1.0 however idle the worker actually is.
-	IdleUtil float64
-	// StepUp caps how many workers are added per evaluation.
-	StepUp int
 }
+
+const (
+	// scalerIdleUtil is the live busy fraction (WorkerStats.BusyFrac)
+	// below which an oversupplied worker is considered drainable.
+	scalerIdleUtil = 0.45
+	// scalerStepUp caps how many workers are added per evaluation.
+	scalerStepUp = 4
+)
 
 // NewAutoScaler returns a controller with the given pool bounds.
 func NewAutoScaler(minWorkers, maxWorkers int) *AutoScaler {
@@ -790,8 +779,6 @@ func NewAutoScaler(minWorkers, maxWorkers int) *AutoScaler {
 		MaxWorkers: maxWorkers,
 		LowBuffer:  1,
 		HighBuffer: 6,
-		IdleUtil:   0.45,
-		StepUp:     4,
 	}
 }
 
@@ -811,16 +798,13 @@ func (a *AutoScaler) Evaluate(stats []WorkerStats) int {
 		if s.MinBuffered <= a.LowBuffer {
 			starving++
 		}
-		if s.MinBuffered >= a.HighBuffer && s.BusyFrac < a.IdleUtil {
+		if s.MinBuffered >= a.HighBuffer && s.BusyFrac < scalerIdleUtil {
 			drainable++
 		}
 	}
 	switch {
 	case starving*2 > n: // majority near-empty buffers: data stall risk
-		add := starving
-		if add > a.StepUp {
-			add = a.StepUp
-		}
+		add := min(starving, scalerStepUp)
 		if n+add > a.MaxWorkers {
 			add = a.MaxWorkers - n
 		}
@@ -837,11 +821,4 @@ func (a *AutoScaler) Evaluate(stats []WorkerStats) int {
 	default:
 		return 0
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -80,11 +80,13 @@ type OrchestratorStatus struct {
 	Checkpoints int
 }
 
+// FleetIDPrefix names the workers an Orchestrator launches
+// "<prefix>-<seq>".
+const FleetIDPrefix = "dpp-fw"
+
 // Orchestrator runs the closed scaling loop of a Service over a fleet
 // it owns through a WorkerLauncher.
 type Orchestrator struct {
-	// IDPrefix names launched workers "<prefix>-<seq>" (default "dpp-fw").
-	IDPrefix string
 	// ScaleInterval is the control period of Run (default 250ms). Each
 	// Run tick advances Clock by ScaleInterval.
 	ScaleInterval time.Duration
@@ -137,7 +139,6 @@ type Orchestrator struct {
 // the cmd/dppd deployment; tests shrink them.
 func NewOrchestrator(svc *Service, launcher WorkerLauncher, scaler *AutoScaler) *Orchestrator {
 	return &Orchestrator{
-		IDPrefix:      "dpp-fw",
 		ScaleInterval: 250 * time.Millisecond,
 		Clock:         clock.New(),
 		svc:           svc,
@@ -303,7 +304,7 @@ func (o *Orchestrator) scaleUp(now time.Duration, delta int) {
 	}
 	slots := make([]slot, 0, delta)
 	for i := 0; i < delta; i++ {
-		slots = append(slots, slot{id: fmt.Sprintf("%s-%d", o.IDPrefix, o.seq), seq: o.seq})
+		slots = append(slots, slot{id: fmt.Sprintf("%s-%d", FleetIDPrefix, o.seq), seq: o.seq})
 		o.seq++
 	}
 	o.mu.Unlock()

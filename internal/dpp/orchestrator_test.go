@@ -26,7 +26,7 @@ func TestAutoScalerScaleUpClampedByMax(t *testing.T) {
 	stats := []WorkerStats{
 		{MinBuffered: 0}, {MinBuffered: 0}, {MinBuffered: 0},
 	}
-	// All three starving wants +3 (under StepUp 4) but the pool may only
+	// All three starving wants +3 (under scalerStepUp 4) but the pool may only
 	// grow by one.
 	if got := a.Evaluate(stats); got != 1 {
 		t.Fatalf("Evaluate = %d, want 1 (clamped by MaxWorkers)", got)
@@ -47,13 +47,13 @@ func TestAutoScalerMajorityStarvingBoundary(t *testing.T) {
 	if got := a.Evaluate(most); got != 3 {
 		t.Fatalf("Evaluate(majority starving) = %d, want 3", got)
 	}
-	// StepUp caps the per-evaluation growth however many starve.
+	// scalerStepUp caps the per-evaluation growth however many starve.
 	many := make([]WorkerStats, 9)
 	for i := range many {
 		many[i] = starving
 	}
-	if got := a.Evaluate(many); got != a.StepUp {
-		t.Fatalf("Evaluate(all starving) = %d, want StepUp %d", got, a.StepUp)
+	if got := a.Evaluate(many); got != scalerStepUp {
+		t.Fatalf("Evaluate(all starving) = %d, want scalerStepUp %d", got, scalerStepUp)
 	}
 }
 

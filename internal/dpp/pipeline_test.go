@@ -208,6 +208,20 @@ func TestNewWorkerFailsOnUncompilableGraph(t *testing.T) {
 	}
 }
 
+// getBatch pops the worker's next buffered batch as a direct local
+// consumer would (the pop counts as consumed for the split ledger),
+// waiting for one; ok=false once the worker has finished and drained.
+func getBatch(w *Worker) (*tensor.Batch, bool) {
+	for {
+		ready := w.BatchReady()
+		if b, ok, done := w.TryGetBatch(); ok || done {
+			w.ackConsumed(b)
+			return b, ok
+		}
+		<-ready
+	}
+}
+
 // TestPipelinedSessionConcurrentStats runs a parallel pipeline while
 // hammering Stats/Report/Buffered from other goroutines; run under
 // -race this is the pipeline's data-race check.
@@ -248,7 +262,7 @@ func TestPipelinedSessionConcurrentStats(t *testing.T) {
 
 	rows := 0
 	for {
-		b, ok := w.GetBatch()
+		b, ok := getBatch(w)
 		if !ok {
 			break
 		}
@@ -295,7 +309,7 @@ func TestPipelinedCancellationLeaksNoGoroutines(t *testing.T) {
 		// Take a couple of batches so the pipeline is demonstrably
 		// running, then cancel with the buffer full and stages blocked.
 		for i := 0; i < 2; i++ {
-			if _, ok := w.GetBatch(); !ok {
+			if _, ok := getBatch(w); !ok {
 				t.Fatal("worker finished before cancellation")
 			}
 		}
@@ -342,7 +356,7 @@ func TestPipelineBackpressureBoundsBufferedBytes(t *testing.T) {
 	var maxBatch int64
 	rows := 0
 	for {
-		b, ok := w.GetBatch()
+		b, ok := getBatch(w)
 		if !ok {
 			break
 		}
@@ -467,7 +481,7 @@ func TestHeartbeatRenewsInflightLeases(t *testing.T) {
 	if got := m.ReapDead(); got != 0 {
 		t.Fatalf("ReapDead requeued %d leases of a live, heartbeating worker", got)
 	}
-	// A live-but-wedged worker cannot hold a lease past MaxLeaseAge:
+	// A live-but-wedged worker cannot hold a lease past maxLeaseAgeFactor lease timeouts:
 	// keep heartbeating without completing anything until the absolute
 	// cap (10x timeout from grant) is exceeded.
 	for i := 0; i < 16; i++ {
@@ -477,7 +491,7 @@ func TestHeartbeatRenewsInflightLeases(t *testing.T) {
 		}
 	}
 	if got := m.ReapDead(); got != 3 {
-		t.Fatalf("ReapDead = %d for wedged worker past MaxLeaseAge, want 3", got)
+		t.Fatalf("ReapDead = %d for wedged worker past the lease age cap, want 3", got)
 	}
 	// Once heartbeats stop, remaining leases are reclaimed too.
 	if _, _, ok, _, err := m.NextSplit("w1"); err != nil || !ok {

@@ -15,11 +15,11 @@ import (
 // rebalance for it, so its first heartbeat — which FleetWorker.Run sends
 // immediately — carries the assignment without any control Step.
 func TestFleetWorkerAssignedAtRegistration(t *testing.T) {
-	o, l, svc := newFakeClockOrchestrator(t, 1, 4)
-	if _, err := l.Launch(o.IDPrefix + "-0"); err != nil {
+	_, l, svc := newFakeClockOrchestrator(t, 1, 4)
+	if _, err := l.Launch(FleetIDPrefix + "-0"); err != nil {
 		t.Fatal(err)
 	}
-	d, err := svc.FleetHeartbeat(o.IDPrefix+"-0", WorkerStats{})
+	d, err := svc.FleetHeartbeat(FleetIDPrefix+"-0", WorkerStats{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,28 +318,6 @@ func (s *Service) FleetHeartbeat(workerID string, stats WorkerStats) (FleetDirec
 	return d, nil
 }
 
-// WareIndex is the service's cross-node view of the fleet's content-
-// addressed caches, derived from each member's last heartbeat (fleet
-// workers ship their resident ware digests with AggregateStats): ware
-// digest → IDs of the workers whose cache holds it, sorted. Entries
-// vanish with their holders (eviction, drain, reap), so the index is
-// observational and eventually consistent — a scheduler hint for
-// placing sessions near warm data, never a correctness input.
-func (s *Service) WareIndex() map[string][]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := make(map[string][]string)
-	for _, fm := range s.fleet {
-		for _, w := range fm.stats.CacheWares {
-			idx[w] = append(idx[w], fm.id)
-		}
-	}
-	for _, holders := range idx {
-		sort.Strings(holders)
-	}
-	return idx
-}
-
 // DeregisterFleetWorker implements FleetControl.
 func (s *Service) DeregisterFleetWorker(workerID string) error {
 	s.mu.Lock()

@@ -3,7 +3,6 @@ package dpp
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -455,7 +454,7 @@ func TestServiceCloseSessionMidRunAbandonsPipelines(t *testing.T) {
 	for time.Now().Before(deadline) {
 		clear := true
 		for i := 0; i < 8; i++ {
-			if fw := launcher.Worker(fmt.Sprintf("%s-%d", o.IDPrefix, i)); fw != nil && fw.Pipeline("doomed") != nil {
+			if fw := launcher.Worker(fmt.Sprintf("%s-%d", FleetIDPrefix, i)); fw != nil && fw.Pipeline("doomed") != nil {
 				clear = false
 			}
 		}
@@ -503,8 +502,8 @@ func TestServiceCloseSessionMidRunAbandonsPipelines(t *testing.T) {
 // TestHeartbeatFieldsCrossRPC sends one WorkerStats with every field
 // set through a served control plane, as a pipeline's session heartbeat
 // and as a fleet heartbeat, and finds each field at its reader:
-// Master.Recovery, Service.PolicyStats (the scaler's input) and
-// Service.WareIndex. A heartbeat for a session closed since then comes
+// Master.Recovery and Service.PolicyStats (the scaler's input). A
+// heartbeat for a session closed since then comes
 // back over the same connection as disownment, not a transport error.
 func TestHeartbeatFieldsCrossRPC(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16)
@@ -532,7 +531,6 @@ func TestHeartbeatFieldsCrossRPC(t *testing.T) {
 	sent := WorkerStats{
 		MinBuffered: 3,
 		BusyFrac:    0.25,
-		CacheWares:  []string{"stripe:aa", "xform:bb"},
 		Recovery: dwrf.Recovery{
 			StorageRetries: 1, StorageFailovers: 2, HedgedReads: 3,
 			HedgeWins: 4, CorruptStripes: 5, Quarantines: 6,
@@ -557,12 +555,8 @@ func TestHeartbeatFieldsCrossRPC(t *testing.T) {
 	if _, err := rs.FleetHeartbeat("fw", sent); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.PolicyStats(); len(got) != 1 || !reflect.DeepEqual(got[0], sent) {
+	if got := svc.PolicyStats(); len(got) != 1 || got[0] != sent {
 		t.Fatalf("PolicyStats = %+v, sent %+v", got, sent)
-	}
-	want := map[string][]string{"stripe:aa": {"fw"}, "xform:bb": {"fw"}}
-	if idx := svc.WareIndex(); !reflect.DeepEqual(idx, want) {
-		t.Fatalf("WareIndex = %v, want %v", idx, want)
 	}
 
 	if err := svc.CloseSession("s"); err != nil {

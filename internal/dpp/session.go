@@ -60,10 +60,11 @@
 //     control law deterministically via Step and Advance. A heartbeat
 //     (WorkerStats) carries exactly what the control plane reads: the
 //     windowed minimum buffer level and the evaluators' busy fraction
-//     for the scaler, the recovery counters for Master.Recovery, and a
-//     node's resident wares for the index below. Modelled CPU, memory
-//     and NIC utilizations are views over Worker.Report, computed by
-//     whoever wants them, not shipped.
+//     for the scaler, and the recovery counters for Master.Recovery.
+//     Worker.Report is what a worker measured — bytes, rows, busy time;
+//     pricing it with the paper's cost model is an offline reading
+//     (internal/experiments), so no cost parameter rides a session and
+//     no modelled quantity is accumulated or shipped.
 //   - Each FleetWorker also owns a node-wide content-addressed cache
 //     (ware.Cache, sized by CacheBytes) shared by every pipeline it
 //     hosts: decoded stripe batches and transformed outputs are
@@ -71,11 +72,10 @@
 //     plus the transform plan fingerprint — so overlapping sessions of
 //     any tenant reuse each other's decode and transform work.
 //     Eviction is weight-aware (per-tenant byte floors mirroring fair
-//     share), entries are refcounted dwrf batches, and each node's
-//     resident wares ride its heartbeat into the service's
-//     observational cross-node index (WareIndex). The cache scores each
-//     split's outcome once, per tenant (ware.Cache.TenantStats); a
-//     session is one tenant, so no worker re-counts it.
+//     share) and entries are refcounted dwrf batches. The cache scores
+//     each split's outcome once, per tenant (ware.Cache.TenantStats); a
+//     session is one tenant from the moment its pipeline starts until
+//     it retires, so no worker re-counts it.
 //
 // Delivery is exactly-once even across non-graceful worker death: a
 // split is acknowledged to its master only when every batch it
@@ -123,7 +123,8 @@ import (
 // SessionSpec is the preprocessing workload description an ML engineer
 // submits (the paper's "PyTorchDataSet" session specification): dataset
 // table, partitions, required features, per-feature transformations, and
-// the tensor batch size.
+// the tensor batch size — what to compute and how to size the workers
+// computing it, not what computing it would cost on some fleet.
 type SessionSpec struct {
 	Table      string
 	Partitions []string
@@ -148,7 +149,7 @@ type SessionSpec struct {
 	SparseOut []schema.FeatureID
 	// BatchSize is rows per emitted tensor batch.
 	BatchSize int
-	// Read configures the storage read path (coalescing, flatmap).
+	// Read configures the storage read path (coalescing).
 	Read dwrf.ReadOptions
 	// BufferDepth is the per-worker tensor buffer capacity in batches.
 	BufferDepth int
@@ -168,8 +169,6 @@ type SessionSpec struct {
 	// frozen benchmark (bench/env.go) sets it, and goes when the
 	// benchmark next changes.
 	DataPlane string
-	// Costs tunes the worker resource model; zero value means defaults.
-	Costs CostParams
 	// RetryBudget is the per-split poison budget (Master.MaxSplitRetries):
 	// how many times a split may be released back after retryable storage
 	// failures before the session fails. Zero uses DefaultSplitRetries.
@@ -268,7 +267,6 @@ func (s SessionSpec) withDefaults() SessionSpec {
 		s.BufferDepth = 8
 	}
 	s.Pipeline = s.Pipeline.withDefaults()
-	s.Costs = s.Costs.withDefaults()
 	return s
 }
 
@@ -284,96 +282,6 @@ func (s *SessionSpec) BuildGraph() (*transforms.Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// CostParams models the per-byte and per-cycle costs of the worker data
-// plane that the paper measures: extraction (decode) cycles, the
-// "datacenter tax" of TLS + deserialization on every network byte
-// (§6.2), TLS memory-bandwidth amplification (§7.2: 3x), and the
-// row-map materialization penalty removed by the in-memory flatmap
-// (§7.5).
-type CostParams struct {
-	// ExtractCyclesPerByte is decode CPU per raw (decoded) byte.
-	ExtractCyclesPerByte float64
-	// RowMapPenalty multiplies extract cycles and memory traffic when
-	// decoding into row maps instead of the flatmap representation (FM
-	// off). Paper: FM improved worker throughput ~15%.
-	RowMapPenalty float64
-	// LocalOptFactor divides all CPU costs when build/localized
-	// optimizations (LO) are enabled. Paper: +28% throughput.
-	LocalOptFactor float64
-	// TaxCyclesPerByte is the datacenter-tax CPU per storage RX byte
-	// (TLS plus Thrift-style deserialization).
-	TaxCyclesPerByte float64
-	// TxTaxCyclesPerByte is the tax per tensor TX byte. The default
-	// prices the framed stream: its flat-binary codec's single append
-	// pass leaves mostly the TLS share of the tax (§6.2 splits the tax
-	// roughly evenly between TLS and (de)serialization). A model of the
-	// paper's Thrift-era fleet sets it to TaxCyclesPerByte's 1.7.
-	TxTaxCyclesPerByte float64
-	// TLSMemAmplification multiplies memory traffic for NIC bytes
-	// (paper: TLS amplifies memory bandwidth 3x).
-	TLSMemAmplification float64
-	// ExtractMemBytesPerByte is memory traffic per decoded byte
-	// (decompress + reconstruct copies).
-	ExtractMemBytesPerByte float64
-	// XformCycleScale scales transformation CPU and memory cost to the
-	// model's intensity (RM1's transforms are the most expensive, §6.3).
-	XformCycleScale float64
-	// ThreadResidentGB is the resident memory one preprocessing thread
-	// pins (buffers, dictionaries, intermediates). When large, the
-	// worker's thread pool is capped by memory capacity rather than
-	// core count — RM3's situation in §6.3 ("bound on memory capacity,
-	// forcing us to limit the worker thread pool size to avoid OOM").
-	ThreadResidentGB float64
-	// LocalOpt enables the LO optimizations.
-	LocalOpt bool
-	// Flatmap uses the in-memory flatmap batch representation (FM).
-	Flatmap bool
-}
-
-func (c CostParams) withDefaults() CostParams {
-	if c.ExtractCyclesPerByte == 0 {
-		c.ExtractCyclesPerByte = 13
-	}
-	if c.RowMapPenalty == 0 {
-		c.RowMapPenalty = 1.35
-	}
-	if c.LocalOptFactor == 0 {
-		c.LocalOptFactor = 1.28
-	}
-	if c.TaxCyclesPerByte == 0 {
-		c.TaxCyclesPerByte = 1.7
-	}
-	if c.TxTaxCyclesPerByte == 0 {
-		c.TxTaxCyclesPerByte = 0.8
-	}
-	if c.TLSMemAmplification == 0 {
-		c.TLSMemAmplification = 3.0
-	}
-	if c.ExtractMemBytesPerByte == 0 {
-		c.ExtractMemBytesPerByte = 36
-	}
-	if c.XformCycleScale == 0 {
-		c.XformCycleScale = 1
-	}
-	return c
-}
-
-// cpuDivisor is the factor CPU work is divided by under LO.
-func (c CostParams) cpuDivisor() float64 {
-	if c.LocalOpt {
-		return c.LocalOptFactor
-	}
-	return 1
-}
-
-// extractMultiplier is the row-map penalty when FM is off.
-func (c CostParams) extractMultiplier() float64 {
-	if c.Flatmap {
-		return 1
-	}
-	return c.RowMapPenalty
 }
 
 func init() {

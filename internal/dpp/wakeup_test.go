@@ -232,7 +232,7 @@ func TestIdleWorkerWaitsForMaster(t *testing.T) {
 	go func() { ran <- w.Run(nil) }()
 	rows := 0
 	for rows < 7*16 {
-		b, ok := w.GetBatch()
+		b, ok := getBatch(w)
 		if !ok {
 			t.Fatalf("worker finished after %d rows with a split still held elsewhere", rows)
 		}
@@ -264,7 +264,7 @@ func TestIdleWorkerWaitsForMaster(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after the last split completed")
 	}
-	if _, ok := w.GetBatch(); ok {
+	if _, ok := getBatch(w); ok {
 		t.Fatal("worker delivered a batch beyond its seven splits")
 	}
 	if done, total := m.Progress(); done != 8 || total != 8 {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dsi/internal/dwrf"
-	"dsi/internal/hw"
 	"dsi/internal/metrics"
 	"dsi/internal/schema"
 	"dsi/internal/tensor"
@@ -18,23 +17,14 @@ import (
 	"dsi/internal/warehouse"
 )
 
-// ResourceReport is the worker's cumulative resource accounting, split by
-// the categories the paper measures (Fig 9: transformation, extraction,
-// and miscellaneous CPU cycles; §6.3: memory traffic by source).
+// ResourceReport is what the worker measured: bytes moved, rows and
+// batches produced, stage busy time and storage recovery work, cumulative
+// over its splits. Every field is a count or a duration, so reports add
+// and subtract field by field. Pricing the counts — cycles per decoded
+// byte, the TLS memory tax, a node's bottleneck (§6.3, Table 9, Figure 9)
+// — is an offline reading done by whoever wants it
+// (internal/experiments), not by the data path.
 type ResourceReport struct {
-	// CPU cycles by phase.
-	ExtractCycles   float64
-	TransformCycles float64
-	TaxCycles       float64 // datacenter tax: TLS, deserialization, RPC framing
-
-	// Memory traffic (bytes) by source, mirroring the paper's LLC-miss
-	// attribution (50.4% transforms, 24.9% extraction, 16.4% net RX,
-	// 4.7% net TX for RM2 on C-v2).
-	MemTransform float64
-	MemExtract   float64
-	MemNetRX     float64
-	MemNetTX     float64
-
 	// Network bytes.
 	NICRxBytes int64 // compressed bytes fetched from storage
 	NICTxBytes int64 // tensor bytes to trainers
@@ -43,6 +33,14 @@ type ResourceReport struct {
 	StorageWantedBytes int64
 	// DecodedBytes is raw payload decoded after decompression.
 	DecodedBytes int64
+
+	// XformCycles and XformMemBytes are the transform plan's own tallies
+	// (transforms.Stats): each op's catalogue cost per value times the
+	// values it processed, unscaled. The catalogue's costs are whole
+	// numbers, so the totals are exact integers. A split answered from a
+	// cached transformed ware runs no plan and adds nothing.
+	XformCycles   int64
+	XformMemBytes int64
 
 	// Work counters.
 	RowsIn       int64
@@ -61,102 +59,12 @@ type ResourceReport struct {
 	TransformBusy time.Duration
 	DeliverBusy   time.Duration
 
-	// ThreadLimit caps how many cores the workload can actually use
-	// (0 = all). Memory-capacity-bound models (RM3, §6.3) run with a
-	// reduced thread pool to avoid OOM.
-	ThreadLimit int
-	// ThreadResidentBytes is resident memory pinned per thread.
-	ThreadResidentBytes int64
-
 	// Storage self-healing counters, folded out of each split's
 	// dwrf.ReadStats — delivered or released. SplitsReleased counts
 	// splits this worker handed back to the master for requeue after a
 	// retryable storage failure (degraded mode).
 	dwrf.Recovery
 	SplitsReleased int64
-}
-
-// effectiveCores reports the usable core count on the node given the
-// thread limit.
-func (r ResourceReport) effectiveCores(node hw.NodeSpec) float64 {
-	cores := node.PhysicalCores
-	if r.ThreadLimit > 0 && r.ThreadLimit < cores {
-		cores = r.ThreadLimit
-	}
-	return float64(cores)
-}
-
-// TotalCPUCycles sums all CPU phases.
-func (r ResourceReport) TotalCPUCycles() float64 {
-	return r.ExtractCycles + r.TransformCycles + r.TaxCycles
-}
-
-// TotalMemBytes sums all memory traffic.
-func (r ResourceReport) TotalMemBytes() float64 {
-	return r.MemTransform + r.MemExtract + r.MemNetRX + r.MemNetTX
-}
-
-// BusySeconds converts the accounted work into per-domain busy time on
-// the given node, assuming the given core clock. The bottleneck domain
-// is the one with the largest busy time.
-func (r ResourceReport) BusySeconds(node hw.NodeSpec, ghz float64) (cpu, mem, nicRx, nicTx float64) {
-	cpu = r.TotalCPUCycles() / (ghz * 1e9 * r.effectiveCores(node))
-	mem = r.TotalMemBytes() / (node.PeakMemBWGBps * 1e9)
-	nicRx = float64(r.NICRxBytes*8) / (node.NICGbps * 1e9)
-	nicTx = float64(r.NICTxBytes*8) / (node.NICGbps * 1e9)
-	return cpu, mem, nicRx, nicTx
-}
-
-// Bottleneck names the dominant resource on the given node. A CPU
-// bottleneck caused by a memory-capacity-limited thread pool is reported
-// as "memcap".
-func (r ResourceReport) Bottleneck(node hw.NodeSpec, ghz float64) string {
-	cpu, mem, nicRx, nicTx := r.BusySeconds(node, ghz)
-	best, name := cpu, "cpu"
-	if r.ThreadLimit > 0 && r.ThreadLimit < node.PhysicalCores {
-		name = "memcap"
-	}
-	if mem > best {
-		best, name = mem, "membw"
-	}
-	if nicRx+nicTx > best {
-		name = "nic"
-	}
-	return name
-}
-
-// SaturatedThroughput reports rows/sec when the node runs its bottleneck
-// resource at 100%.
-func (r ResourceReport) SaturatedThroughput(node hw.NodeSpec, ghz float64) float64 {
-	cpu, mem, nicRx, nicTx := r.BusySeconds(node, ghz)
-	busy := maxf(cpu, maxf(mem, nicRx+nicTx))
-	if busy == 0 {
-		return 0
-	}
-	return float64(r.RowsIn) / busy
-}
-
-// CPUBoundThroughput reports rows/sec when the node's CPU alone is the
-// limit. Table 12's "DPP throughput" column tracks this quantity: the
-// paper attributes the FF/FM/LO gains to reductions in CPU cycles spent
-// extracting and converting data.
-func (r ResourceReport) CPUBoundThroughput(node hw.NodeSpec, ghz float64) float64 {
-	cpu, _, _, _ := r.BusySeconds(node, ghz)
-	if cpu == 0 {
-		return 0
-	}
-	return float64(r.RowsIn) / cpu
-}
-
-// Utilizations reports each domain's utilization when the bottleneck is
-// saturated (the operating point the paper measures in Fig 9).
-func (r ResourceReport) Utilizations(node hw.NodeSpec, ghz float64) (cpu, mem, nic float64) {
-	c, m, rx, tx := r.BusySeconds(node, ghz)
-	busy := maxf(c, maxf(m, rx+tx))
-	if busy == 0 {
-		return 0, 0, 0
-	}
-	return c / busy, m / busy, (rx + tx) / busy
 }
 
 // Worker is a stateless DPP data-plane node: it pulls splits from the
@@ -241,9 +149,6 @@ type Worker struct {
 	// goroutine at a time.
 	Sink func(*tensor.Batch)
 
-	// Node is the hardware this worker is modelled on (default C-v1, the
-	// paper's worker node).
-	Node hw.NodeSpec
 	// HeartbeatEvery is the background liveness heartbeat period
 	// (default 500ms). Orchestrated tests shrink it so the master's view
 	// of buffer occupancy and busy fraction stays fresh at millisecond
@@ -294,7 +199,6 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		splitDone:   make(chan struct{}),
 		crashCh:     make(chan struct{}),
 		lastStatsAt: time.Now(),
-		Node:        hw.CV1,
 	}, nil
 }
 
@@ -307,9 +211,6 @@ type splitAcct struct {
 	consumed  int
 	producing bool
 }
-
-// Spec returns the session spec the worker pulled from the master.
-func (w *Worker) Spec() SessionSpec { return w.spec }
 
 // ProcessOneSplit runs the worker's step once on the calling goroutine:
 // lease one split, evaluate it (evalNext — the same step, fleet cache
@@ -462,28 +363,22 @@ func (w *Worker) UseCache(c *ware.Cache, tenant string) {
 // is one cache tenant, and ware.Cache.TenantStats already holds that
 // tally.
 func (w *Worker) accountSplit(ev evaluated) {
-	costs := w.spec.Costs
 	read := ev.read
 	var rowsOut, txBytes int64
 	for _, b := range ev.batches {
 		rowsOut += int64(b.Rows)
 		txBytes += b.SizeBytes()
 	}
+	xformCycles := int64(ev.xform.TotalCycles())
 	w.mu.Lock()
 	w.splits[ev.splitID] = &splitAcct{producing: true}
 	r := &w.report
-	cpuDiv := costs.cpuDivisor()
-	r.ExtractCycles += float64(read.BytesDecoded) * costs.ExtractCyclesPerByte * costs.extractMultiplier() / cpuDiv
-	r.TransformCycles += ev.xform.TotalCycles() * costs.XformCycleScale / cpuDiv
-	r.TaxCycles += float64(read.BytesRead)*costs.TaxCyclesPerByte + float64(txBytes)*costs.TxTaxCyclesPerByte
-	r.MemExtract += float64(read.BytesDecoded) * costs.ExtractMemBytesPerByte * costs.extractMultiplier()
-	r.MemTransform += ev.xform.MemBytes * costs.XformCycleScale
-	r.MemNetRX += float64(read.BytesRead) * costs.TLSMemAmplification
-	r.MemNetTX += float64(txBytes) * costs.TLSMemAmplification / 2
 	r.NICRxBytes += read.BytesRead
 	r.NICTxBytes += txBytes
 	r.StorageWantedBytes += read.BytesWanted
 	r.DecodedBytes += read.BytesDecoded
+	r.XformCycles += xformCycles
+	r.XformMemBytes += int64(ev.xform.MemBytes)
 	r.RowsIn += int64(ev.xform.RowsIn)
 	r.RowsOut += rowsOut
 	r.BatchesOut += int64(len(ev.batches))
@@ -542,32 +437,6 @@ func (w *Worker) deliver(b *tensor.Batch, cancel <-chan struct{}) error {
 	}
 }
 
-// GetBatch pops one buffered batch for direct local consumption (the
-// pop counts as consumed for the split ledger). ok=false means the
-// worker has finished and the buffer is drained, or has crashed.
-func (w *Worker) GetBatch() (*tensor.Batch, bool) {
-	for {
-		// The channel is taken before the pop is tried and is closed
-		// under the lock that guards the buffer, so a batch delivered
-		// between an empty pop and the wait has already closed it: the
-		// signal cannot be missed and needs no fallback poll.
-		ready := w.BatchReady()
-		b, ok, done := w.TryGetBatch()
-		if ok {
-			w.ackConsumed(b)
-			return b, true
-		}
-		if done {
-			return nil, false
-		}
-		select {
-		case <-ready:
-		case <-w.crashCh:
-			return nil, false
-		}
-	}
-}
-
 // BatchReady implements the data plane's batchAnnouncer: the returned
 // channel is closed the next time TryGetBatch may answer differently —
 // a batch entered the buffer (deliver, UngetBatches) or the worker
@@ -583,8 +452,9 @@ func (w *Worker) BatchReady() <-chan struct{} {
 // the worker has finished and drained. The pop is NOT a consumption
 // acknowledgement: the framed stream, which can still lose the batch
 // from its in-flight window, acks later, while direct local consumers
-// (GetBatch, LocalWorkerAPI) ack immediately after the pop. A crashed worker serves nothing and never reports
-// done — it is simply unreachable, like a dead process.
+// (LocalWorkerAPI) ack immediately after the pop. A crashed worker
+// serves nothing and never reports done — it is simply unreachable,
+// like a dead process.
 func (w *Worker) TryGetBatch() (b *tensor.Batch, ok, done bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -701,8 +571,7 @@ func (w *Worker) Crashed() bool {
 	return w.crashed
 }
 
-// Report snapshots the worker's cumulative resource accounting,
-// including the memory-capacity thread limit on the worker's node.
+// Report snapshots the worker's cumulative resource accounting.
 func (w *Worker) Report() ResourceReport {
 	w.mu.Lock()
 	rep := w.report
@@ -711,14 +580,6 @@ func (w *Worker) Report() ResourceReport {
 	rep.DecodeBusy = w.stageDecode.Busy()
 	rep.TransformBusy = w.stageTransform.Busy()
 	rep.DeliverBusy = w.stageDeliver.Busy()
-	if gb := w.spec.Costs.ThreadResidentGB; gb > 0 {
-		rep.ThreadResidentBytes = int64(gb * 1e9)
-		limit := int(w.Node.MemoryGB * 0.9 / gb)
-		if limit < 1 {
-			limit = 1
-		}
-		rep.ThreadLimit = limit
-	}
 	return rep
 }
 

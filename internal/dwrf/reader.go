@@ -21,8 +21,12 @@ type ReadOptions struct {
 	// in one I/O, trading over-read for fewer seeks. The paper uses
 	// 1.25 MiB. Zero disables coalescing (one I/O per stream).
 	CoalesceBytes int64
-	// Flatmap decodes into the columnar in-memory Batch (FM) instead of
-	// row maps, avoiding per-row map materialization.
+	// Flatmap selects nothing: flattened files always decode into the
+	// columnar in-memory Batch, and no reader consults this field. The
+	// paper's FM step (Table 12) is priced by the experiments' cost
+	// model (experiments.CostParams.Flatmap), not chosen here. The field
+	// remains because the frozen benchmark (bench/env.go, bench/ingest.go)
+	// sets it, and goes when the benchmark next changes.
 	Flatmap bool
 }
 
@@ -368,9 +372,6 @@ func (r *Reader) Stripes() int { return len(r.footer.Stripes) }
 
 // Flattened reports whether the file uses the feature-flattened layout.
 func (r *Reader) Flattened() bool { return r.footer.Flattened }
-
-// Columns returns the schema columns recorded in the footer.
-func (r *Reader) Columns() []schema.Column { return r.footer.Columns }
 
 // StripeRows reports the row count of stripe i.
 func (r *Reader) StripeRows(i int) int { return r.footer.Stripes[i].Rows }

@@ -51,8 +51,6 @@ type Pipeline struct {
 	PartitionRows int
 	// BatchSize is the per-Step record budget. Default 1024.
 	BatchSize int
-	// KeyPrefix names partitions "<prefix><index>". Default "part-".
-	KeyPrefix string
 	// WriteRetryBudget is how many times one partition may be aborted and
 	// re-produced from its base checkpoint after a retryable write
 	// failure before the pipeline gives up on it as poisoned. Default 2.
@@ -85,12 +83,12 @@ func (p *Pipeline) defaults() {
 	if p.BatchSize <= 0 {
 		p.BatchSize = 1024
 	}
-	if p.KeyPrefix == "" {
-		p.KeyPrefix = "part-"
-	}
 }
 
-func (p *Pipeline) key(index int) string { return fmt.Sprintf("%s%06d", p.KeyPrefix, index) }
+// keyPrefix names partitions "<prefix><index>".
+const keyPrefix = "part-"
+
+func (p *Pipeline) key(index int) string { return fmt.Sprintf("%s%06d", keyPrefix, index) }
 
 // recover restores the joiner from the cursor log. It returns the index
 // of the next partition to produce.
@@ -117,8 +115,8 @@ func (p *Pipeline) recover() (int, error) {
 		if err := p.Joiner.Restore(adopt.State); err != nil {
 			return 0, err
 		}
-		if _, err := fmt.Sscanf(adopt.Key, p.KeyPrefix+"%d", &index); err != nil {
-			return 0, fmt.Errorf("etl: cursor key %q does not match prefix %q", adopt.Key, p.KeyPrefix)
+		if _, err := fmt.Sscanf(adopt.Key, keyPrefix+"%d", &index); err != nil {
+			return 0, fmt.Errorf("etl: cursor key %q does not match prefix %q", adopt.Key, keyPrefix)
 		}
 		index++
 	}

@@ -41,36 +41,12 @@ type buildOpts struct {
 }
 
 // buildRowScale multiplies the row count of every dataset build.
-// Reduced-scale test runs (-short) shrink it through setBuildRowScale
-// so the full experiment registry still executes, just over less data.
+// Reduced-scale test runs (-short) shrink it so the full experiment
+// registry still executes, just over less data.
 var (
 	buildScaleMu  sync.Mutex
 	buildRowScale = 1.0
 )
-
-// setBuildRowScale scales the rows of subsequent dataset builds, clears
-// the dataset cache (cached datasets were built at the old scale), and
-// returns a restore function.
-func setBuildRowScale(scale float64) (restore func()) {
-	buildScaleMu.Lock()
-	prev := buildRowScale
-	buildRowScale = scale
-	buildScaleMu.Unlock()
-	clearDatasetCache()
-	return func() {
-		buildScaleMu.Lock()
-		buildRowScale = prev
-		buildScaleMu.Unlock()
-		clearDatasetCache()
-	}
-}
-
-// clearDatasetCache drops memoized datasets.
-func clearDatasetCache() {
-	datasetMu.Lock()
-	datasetCache = map[string]*BuiltDataset{}
-	datasetMu.Unlock()
-}
 
 func defaultBuild() buildOpts {
 	// Scale 0 defers to each profile's SimScale, which keeps even RM3's
@@ -166,8 +142,8 @@ func defaultDataset(p datagen.Profile) (*BuiltDataset, error) {
 // profile's model (Table 4): the projection selects the used raw
 // features, dense features get normalization chains, sparse features get
 // hashing, and derived features are generated at the profile's scaled
-// count. Transform cost scales with the profile's XformCyclesPerValue.
-func (d *BuiltDataset) BuildSession(jobSeed int64, read dwrf.ReadOptions, costs dpp.CostParams) dpp.SessionSpec {
+// count.
+func (d *BuiltDataset) BuildSession(jobSeed int64, read dwrf.ReadOptions) dpp.SessionSpec {
 	proj := d.Gen.Projection(jobSeed)
 	var dense, sparse []schema.FeatureID
 	for _, id := range proj.IDs() {
@@ -215,14 +191,6 @@ func (d *BuiltDataset) BuildSession(jobSeed int64, read dwrf.ReadOptions, costs 
 			sparseOut = append(sparseOut, op.Output())
 		}
 	}
-	// Transformation intensity scales with the model (§6.3: RM1's
-	// transforms cost the most CPU), normalized to RM2's baseline; the
-	// per-thread resident set throttles memory-capacity-bound models.
-	costs.XformCycleScale = d.Profile.XformCyclesPerValue / 260
-	costs.ThreadResidentGB = d.Profile.WorkerResidentGBPerThread
-	// The paper's fleet sends tensors over Thrift: TX bytes pay the same
-	// tax as RX bytes, not the framed stream's lower default.
-	costs.TxTaxCyclesPerByte = 1.7
 	return dpp.SessionSpec{
 		Table:     d.Profile.Name,
 		Features:  proj.IDs(),
@@ -231,38 +199,50 @@ func (d *BuiltDataset) BuildSession(jobSeed int64, read dwrf.ReadOptions, costs 
 		SparseOut: sparseOut,
 		BatchSize: 128,
 		Read:      read,
-		Costs:     costs,
 	}
 }
 
+// Costs completes a cost model for the dataset's profile: transformation
+// intensity scales with the model (§6.3: RM1's transforms cost the most
+// CPU), normalized to RM2's baseline; the per-thread resident set
+// throttles memory-capacity-bound models; and the paper's fleet sends
+// tensors over Thrift, so TX bytes pay the same tax as RX bytes, not the
+// framed stream's lower default.
+func (d *BuiltDataset) Costs(costs CostParams) CostParams {
+	costs.XformCycleScale = d.Profile.XformCyclesPerValue / 260
+	costs.ThreadResidentGB = d.Profile.WorkerResidentGBPerThread
+	costs.TxTaxCyclesPerByte = 1.7
+	return costs
+}
+
 // runWorkerSession drives one worker synchronously through the whole
-// session and returns its resource report plus read statistics gathered
-// from the storage cluster. The one worker stands for a fleet whose
-// members each lease a split cold, so the warehouse keeps no reader
-// resident while it runs: the worker opens the file (a footer read)
-// ahead of every split's stripe read, which is the I/O pattern the
-// storage-side figures (Table 12) are measured under.
-func runWorkerSession(d *BuiltDataset, spec dpp.SessionSpec) (dpp.ResourceReport, error) {
+// session and returns what it measured, priced by costs completed for
+// the dataset's profile. The one worker stands for a fleet whose members
+// each lease a split cold, so the warehouse keeps no reader resident
+// while it runs: the worker opens the file (a footer read) ahead of
+// every split's stripe read, which is the I/O pattern the storage-side
+// figures (Table 12) are measured under.
+func runWorkerSession(d *BuiltDataset, spec dpp.SessionSpec, costs CostParams) (Priced, error) {
 	d.WH.SetReaderCacheLimit(-1)
 	defer d.WH.SetReaderCacheLimit(0)
 	d.Cluster.ResetIOAccounting()
 	m, err := dpp.NewMaster(d.WH, spec)
 	if err != nil {
-		return dpp.ResourceReport{}, err
+		return Priced{}, err
 	}
 	w, err := dpp.NewWorker("bench-worker", m, d.WH)
 	if err != nil {
-		return dpp.ResourceReport{}, err
+		return Priced{}, err
 	}
 	w.Sink = func(*tensorBatch) {}
 	for {
 		ok, err := w.ProcessOneSplit()
 		if err != nil {
-			return dpp.ResourceReport{}, err
+			return Priced{}, err
 		}
 		if !ok {
 			break
 		}
 	}
-	return w.Report(), nil
+	return Price(w.Report(), d.Costs(costs)), nil
 }

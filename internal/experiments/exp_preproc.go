@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"dsi/internal/datagen"
-	"dsi/internal/dpp"
 	"dsi/internal/dwrf"
 	"dsi/internal/hw"
-	"dsi/internal/trainer"
 	"dsi/internal/transforms"
 )
 
@@ -23,20 +21,21 @@ func init() {
 }
 
 // defaultCosts is the production-tuned cost model (FM+LO on, as deployed).
-func defaultCosts() dpp.CostParams {
-	return dpp.CostParams{Flatmap: true, LocalOpt: true}
+func defaultCosts() CostParams {
+	return CostParams{Flatmap: true, LocalOpt: true}
 }
 
-// profileRead is the production read configuration: flatmap decode with
-// the coalesce window scaled to this simulation's stream sizes (see
-// table12Coalesce).
+// profileRead is the production read configuration: the coalesce window
+// scaled to this simulation's stream sizes (see table12Coalesce).
+// Flatmap is set as deployed but selects nothing (dwrf.ReadOptions); FM
+// is priced by CostParams.Flatmap.
 func profileRead() dwrf.ReadOptions {
 	return dwrf.ReadOptions{CoalesceBytes: table12Coalesce, Flatmap: true}
 }
 
 func runTable7() (Result, error) {
 	res := Result{ID: "table7", Title: Title("table7")}
-	cfg := trainer.HostPreprocessConfig{
+	cfg := HostPreprocessConfig{
 		Node:                   hw.V100Trainer,
 		GHz:                    2.5,
 		DemandGBps:             datagen.RM1.TrainerGBps,
@@ -74,9 +73,9 @@ func runTable8() (Result, error) {
 
 func runFig8() (Result, error) {
 	res := Result{ID: "fig8", Title: Title("fig8")}
-	costs := trainer.DefaultLoadCosts()
+	costs := DefaultLoadCosts()
 	for rate := 2.0; rate <= 20; rate += 3 {
-		cpu, mem, nic := trainer.LoadUtilization(hw.V100Trainer, 2.5, rate, costs)
+		cpu, mem, nic := LoadUtilization(hw.V100Trainer, 2.5, rate, costs)
 		res.Rows = append(res.Rows, Row{
 			Label:    fmt.Sprintf("load %4.1f GB/s", rate),
 			Paper:    "-",
@@ -84,7 +83,7 @@ func runFig8() (Result, error) {
 		})
 	}
 	for _, p := range datagen.Profiles() {
-		cpu, mem, _ := trainer.LoadUtilization(hw.V100Trainer, 2.5, p.TrainerGBps, costs)
+		cpu, mem, _ := LoadUtilization(hw.V100Trainer, 2.5, p.TrainerGBps, costs)
 		paper := "-"
 		if p.Name == "RM1" {
 			paper = "cpu 40% mem 55%"
@@ -101,20 +100,19 @@ func runFig8() (Result, error) {
 
 // workerRun memoizes the per-profile saturation run shared by table9,
 // fig9, and membw.
-var workerRuns = map[string]dpp.ResourceReport{}
+var workerRuns = map[string]Priced{}
 
-func workerRunFor(p datagen.Profile) (dpp.ResourceReport, error) {
+func workerRunFor(p datagen.Profile) (Priced, error) {
 	if rep, ok := workerRuns[p.Name]; ok {
 		return rep, nil
 	}
 	d, err := defaultDataset(p)
 	if err != nil {
-		return dpp.ResourceReport{}, err
+		return Priced{}, err
 	}
-	spec := d.BuildSession(1, profileRead(), defaultCosts())
-	rep, err := runWorkerSession(d, spec)
+	rep, err := runWorkerSession(d, d.BuildSession(1, profileRead()), defaultCosts())
 	if err != nil {
-		return dpp.ResourceReport{}, err
+		return Priced{}, err
 	}
 	workerRuns[p.Name] = rep
 	return rep, nil
@@ -237,7 +235,7 @@ func runTable11() (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	spec := d.BuildSession(1, profileRead(), defaultCosts())
+	spec := d.BuildSession(1, profileRead())
 	g, err := spec.BuildGraph()
 	if err != nil {
 		return res, err
@@ -280,7 +278,7 @@ func runTable12() (Result, error) {
 		name   string
 		build  buildOpts
 		read   dwrf.ReadOptions
-		costs  dpp.CostParams
+		costs  CostParams
 		paperD float64
 		paperS float64
 	}
@@ -298,11 +296,11 @@ func runTable12() (Result, error) {
 	fr := sized(true, true, 1024)
 	ls := sized(true, true, 4096)
 
-	on := dpp.CostParams{Flatmap: true, LocalOpt: true}
-	fmOnly := dpp.CostParams{Flatmap: true}
+	on := CostParams{Flatmap: true, LocalOpt: true}
+	fmOnly := CostParams{Flatmap: true}
 	cfgs := []config{
-		{name: "Baseline", build: base, read: dwrf.ReadOptions{}, costs: dpp.CostParams{}, paperD: 1.00, paperS: 1.00},
-		{name: "+FF", build: ff, read: dwrf.ReadOptions{}, costs: dpp.CostParams{}, paperD: 2.00, paperS: 0.03},
+		{name: "Baseline", build: base, read: dwrf.ReadOptions{}, costs: CostParams{}, paperD: 1.00, paperS: 1.00},
+		{name: "+FF", build: ff, read: dwrf.ReadOptions{}, costs: CostParams{}, paperD: 2.00, paperS: 0.03},
 		{name: "+FM", build: ff, read: dwrf.ReadOptions{Flatmap: true}, costs: fmOnly, paperD: 2.30, paperS: 0.03},
 		{name: "+LO", build: ff, read: dwrf.ReadOptions{Flatmap: true}, costs: on, paperD: 2.94, paperS: 0.03},
 		{name: "+CR", build: ff, read: dwrf.ReadOptions{Flatmap: true, CoalesceBytes: table12Coalesce}, costs: on, paperD: 2.94, paperS: 0.99},
@@ -316,8 +314,7 @@ func runTable12() (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		spec := d.BuildSession(1, cfg.read, cfg.costs)
-		rep, err := runWorkerSession(d, spec)
+		rep, err := runWorkerSession(d, d.BuildSession(1, cfg.read), cfg.costs)
 		if err != nil {
 			return res, err
 		}

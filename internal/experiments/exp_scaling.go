@@ -61,7 +61,7 @@ type scalingOutcome struct {
 // buildScalingFixture writes a small flattened two-partition table
 // (dense features 1-4, sparse 5-8) sized for the elastic session, and
 // reports the rows written. Reduced-scale runs (-short) shrink the row
-// count through setBuildRowScale like every other dataset build; the
+// count through buildRowScale like every other dataset build; the
 // stall-shape assertions only run at full scale.
 func buildScalingFixture() (*warehouse.Warehouse, dpp.SessionSpec, int64, error) {
 	rowsPerPart := scalingRowsPerPart

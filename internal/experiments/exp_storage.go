@@ -89,7 +89,7 @@ func runTable4() (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		spec := d.BuildSession(1, dwrf.ReadOptions{}, defaultCosts())
+		spec := d.BuildSession(1, dwrf.ReadOptions{})
 		var dense, sparse int
 		for _, id := range spec.Features {
 			if col, ok := d.Table.Schema.Column(id); ok {

@@ -9,6 +9,30 @@ import (
 	"dsi/internal/datagen"
 )
 
+// setBuildRowScale scales the rows of subsequent dataset builds, clears
+// the dataset cache (cached datasets were built at the old scale), and
+// returns a restore function.
+func setBuildRowScale(scale float64) (restore func()) {
+	buildScaleMu.Lock()
+	prev := buildRowScale
+	buildRowScale = scale
+	buildScaleMu.Unlock()
+	clearDatasetCache()
+	return func() {
+		buildScaleMu.Lock()
+		buildRowScale = prev
+		buildScaleMu.Unlock()
+		clearDatasetCache()
+	}
+}
+
+// clearDatasetCache drops memoized datasets.
+func clearDatasetCache() {
+	datasetMu.Lock()
+	datasetCache = map[string]*BuiltDataset{}
+	datasetMu.Unlock()
+}
+
 func TestAllExperimentsRegistered(t *testing.T) {
 	want := []string{
 		"ablations", "chaos", "encodings",

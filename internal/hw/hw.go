@@ -151,7 +151,6 @@ type Disk struct {
 	tl *clock.Timeline
 
 	mu         sync.Mutex
-	bytesRead  int64
 	lastOffset map[string]int64
 }
 
@@ -176,7 +175,6 @@ func (d *Disk) Read(stream string, offset, bytes int64) time.Duration {
 	last, seen := d.lastOffset[stream]
 	sequential := seen && last == offset
 	d.lastOffset[stream] = offset + bytes
-	d.bytesRead += bytes
 	d.mu.Unlock()
 
 	st := d.Spec.ServiceTime(bytes)
@@ -186,26 +184,13 @@ func (d *Disk) Read(stream string, offset, bytes int64) time.Duration {
 	return d.tl.Occupy(st)
 }
 
-// BytesRead reports cumulative bytes read.
-func (d *Disk) BytesRead() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.bytesRead
-}
-
-// Ops reports the number of I/Os issued.
-func (d *Disk) Ops() int64 { return d.tl.Ops() }
-
 // BusyTotal reports cumulative device-busy time.
 func (d *Disk) BusyTotal() time.Duration { return d.tl.BusyTotal() }
 
-// Utilization reports busy time over the window.
-func (d *Disk) Utilization(window time.Duration) float64 { return d.tl.Utilization(window) }
-
-// ResetAccounting clears byte/op counters for a fresh measurement window.
+// ResetAccounting clears busy time and sequential-read state for a fresh
+// measurement window.
 func (d *Disk) ResetAccounting() {
 	d.mu.Lock()
-	d.bytesRead = 0
 	d.lastOffset = make(map[string]int64)
 	d.mu.Unlock()
 	d.tl.Reset()

@@ -85,12 +85,6 @@ func TestDiskSequentialSkipsSeek(t *testing.T) {
 	if got := d.BusyTotal(); got < want-time.Microsecond || got > want+time.Microsecond {
 		t.Fatalf("BusyTotal = %v, want %v", got, want)
 	}
-	if got := d.BytesRead(); got != 3_600_000 {
-		t.Fatalf("BytesRead = %d, want 3600000", got)
-	}
-	if got := d.Ops(); got != 2 {
-		t.Fatalf("Ops = %d, want 2", got)
-	}
 }
 
 func TestDiskNonSequentialPaysSeek(t *testing.T) {
@@ -111,7 +105,7 @@ func TestDiskResetAccounting(t *testing.T) {
 	d := NewDisk(HDD, clk)
 	d.Read("s", 0, 1000)
 	d.ResetAccounting()
-	if d.BytesRead() != 0 || d.Ops() != 0 || d.BusyTotal() != 0 {
+	if d.BusyTotal() != 0 {
 		t.Fatal("ResetAccounting did not clear counters")
 	}
 }

@@ -73,13 +73,6 @@ func (s *Stopwatch) Add(d time.Duration) {
 	}
 }
 
-// Time runs f and accumulates its wall time.
-func (s *Stopwatch) Time(f func()) {
-	start := time.Now()
-	f()
-	s.Add(time.Since(start))
-}
-
 // Busy reports the cumulative busy time.
 func (s *Stopwatch) Busy() time.Duration {
 	return time.Duration(s.ns.Load())
@@ -109,13 +102,6 @@ func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.samples)
-}
-
-// Sum reports the sum of all recorded samples.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Mean reports the arithmetic mean, or 0 for an empty histogram.
@@ -179,12 +165,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	frac := pos - float64(lo)
 	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
 }
-
-// Min reports the smallest sample, or 0 for an empty histogram.
-func (h *Histogram) Min() float64 { return h.Quantile(0) }
-
-// Max reports the largest sample, or 0 for an empty histogram.
-func (h *Histogram) Max() float64 { return h.Quantile(1) }
 
 // Summary is a compact distribution snapshot used in experiment reports.
 type Summary struct {

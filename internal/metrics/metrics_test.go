@@ -75,9 +75,6 @@ func TestHistogramBasicStats(t *testing.T) {
 	if got := h.Mean(); got != 3 {
 		t.Fatalf("Mean = %v, want 3", got)
 	}
-	if got := h.Sum(); got != 15 {
-		t.Fatalf("Sum = %v, want 15", got)
-	}
 	want := math.Sqrt(2) // population stddev of 1..5
 	if got := h.Stddev(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Stddev = %v, want %v", got, want)
@@ -186,7 +183,7 @@ func TestHistogramMeanBoundsProperty(t *testing.T) {
 			return true
 		}
 		m := h.Mean()
-		return m >= h.Min()-1e-6 && m <= h.Max()+1e-6
+		return m >= h.Quantile(0)-1e-6 && m <= h.Quantile(1)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -284,10 +281,6 @@ func TestStopwatch(t *testing.T) {
 	s.Add(-time.Hour) // negative adds are ignored
 	if got := s.Busy(); got != 3*time.Millisecond {
 		t.Fatalf("Busy = %v, want 3ms", got)
-	}
-	s.Time(func() { time.Sleep(2 * time.Millisecond) })
-	if got := s.Busy(); got < 5*time.Millisecond {
-		t.Fatalf("Busy after Time = %v, want >= 5ms", got)
 	}
 }
 

@@ -103,17 +103,6 @@ func (b *Bus) Publish(m Message) (logdevice.LSN, error) {
 	return lsn, nil
 }
 
-// Categories lists categories seen so far.
-func (b *Bus) Categories() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.categories))
-	for c := range b.categories {
-		out = append(out, c)
-	}
-	return out
-}
-
 // CloseCategory marks a category as ended by its producer: further
 // Publishes fail, and consumers that drained to the tail can treat the
 // category as complete rather than idle. Closing is idempotent and
@@ -208,9 +197,8 @@ type Daemon struct {
 
 	// HighWatermark, when > 0, arms backpressure: once the buffer
 	// reaches it, every Log performs a synchronous flush until the
-	// buffer falls to LowWatermark (default HighWatermark/2).
+	// buffer falls to half of it.
 	HighWatermark int
-	LowWatermark  int
 	backpressured bool
 
 	// BreakerThreshold is the consecutive publish failures that trip a
@@ -344,14 +332,8 @@ func (d *Daemon) Log(category string, payload []byte) error {
 	if d.HighWatermark > 0 {
 		if n >= d.HighWatermark {
 			d.backpressured = true
-		} else {
-			low := d.LowWatermark
-			if low <= 0 {
-				low = d.HighWatermark / 2
-			}
-			if n <= low {
-				d.backpressured = false
-			}
+		} else if n <= d.HighWatermark/2 {
+			d.backpressured = false
 		}
 	}
 	shouldFlush := n >= d.FlushThreshold ||

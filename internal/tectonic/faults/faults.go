@@ -139,9 +139,6 @@ func NewSchedule(seed int64) *Schedule {
 	return &Schedule{seed: uint64(seed)}
 }
 
-// Seed returns the schedule's seed.
-func (s *Schedule) Seed() int64 { return int64(s.seed) }
-
 // Add appends a window and returns the schedule for chaining.
 func (s *Schedule) Add(w Window) *Schedule {
 	if w.State == Flaky && w.ErrProb <= 0 {

@@ -379,14 +379,3 @@ func (c *Cluster) ResetIOAccounting() {
 		n.Disk.ResetAccounting()
 	}
 }
-
-// EffectiveReadThroughput reports logical read bandwidth in bytes/sec of
-// simulated disk time: bytes served divided by aggregate device busy
-// time. This is the "storage throughput" metric of Table 12.
-func (c *Cluster) EffectiveReadThroughput() float64 {
-	busy := c.AggregateDiskBusy()
-	if busy == 0 {
-		return 0
-	}
-	return float64(c.ReadBytes.Value()) / busy.Seconds()
-}

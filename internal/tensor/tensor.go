@@ -30,9 +30,6 @@ type SparseTensor struct {
 	Indices []int64
 }
 
-// Row returns row i's indices.
-func (s *SparseTensor) Row(i int) []int64 { return s.Indices[s.Offsets[i]:s.Offsets[i+1]] }
-
 // Batch is a fully materialized training mini-batch.
 type Batch struct {
 	Rows int

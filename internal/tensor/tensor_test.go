@@ -22,6 +22,9 @@ func srcBatch() *dwrf.Batch {
 	}
 }
 
+// sparseRow returns row i's indices of a CSR tensor.
+func sparseRow(s *SparseTensor, i int) []int64 { return s.Indices[s.Offsets[i]:s.Offsets[i+1]] }
+
 func TestMaterialize(t *testing.T) {
 	b, err := Materialize(srcBatch(), []schema.FeatureID{2, 1}, []schema.FeatureID{10})
 	if err != nil {
@@ -40,11 +43,11 @@ func TestMaterialize(t *testing.T) {
 	if len(b.Sparse) != 1 || b.Sparse[0].Feature != 10 {
 		t.Fatalf("sparse = %+v", b.Sparse)
 	}
-	row0 := b.Sparse[0].Row(0)
+	row0 := sparseRow(b.Sparse[0], 0)
 	if len(row0) != 2 || row0[0] != 7 {
 		t.Fatalf("sparse row0 = %v", row0)
 	}
-	if len(b.Sparse[0].Row(1)) != 0 {
+	if len(sparseRow(b.Sparse[0], 1)) != 0 {
 		t.Fatal("sparse row1 should be empty")
 	}
 	if b.Labels[0] != 1 || b.Labels[1] != 0 {
@@ -61,7 +64,7 @@ func TestMaterializeMissingFeatures(t *testing.T) {
 		if b.Dense.At(r, 0) != 0 {
 			t.Fatal("missing dense should be zero")
 		}
-		if len(b.Sparse[0].Row(r)) != 0 {
+		if len(sparseRow(b.Sparse[0], r)) != 0 {
 			t.Fatal("missing sparse should be empty")
 		}
 	}
@@ -127,7 +130,7 @@ func TestConcat(t *testing.T) {
 		t.Fatalf("offsets = %v", sp.Offsets)
 	}
 	// Second copy's row 0 must match the first copy's row 0.
-	r0, r3 := sp.Row(0), sp.Row(3)
+	r0, r3 := sparseRow(sp, 0), sparseRow(sp, 3)
 	if len(r0) != len(r3) || r0[0] != r3[0] {
 		t.Fatalf("concat misaligned: %v vs %v", r0, r3)
 	}

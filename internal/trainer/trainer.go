@@ -1,114 +1,16 @@
-// Package trainer models the GPU training nodes the DSI pipeline feeds
-// (§6): per-model tensor ingestion demand (Table 8), the host-resource
-// cost of data loading (Figure 8), the pre-DPP baseline that preprocesses
-// on trainer CPUs and stalls the GPUs (Table 7), and a live trainer that
-// consumes batches from a DPP client while measuring data stalls.
+// Package trainer is the GPU training node the DSI pipeline feeds (§6):
+// a live trainer that consumes batches from a DPP client while measuring
+// data stalls. The paper's host-cost models of a trainer (Table 7,
+// Figure 8) are offline arithmetic and live with the experiments that
+// print them (internal/experiments/costmodel.go).
 package trainer
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
 	"dsi/internal/dpp"
-	"dsi/internal/hw"
 )
-
-// LoadCostParams models the per-byte host cost of loading preprocessed
-// tensors (no extraction or transformation): the network stack, memory
-// management, and the "datacenter tax" of TLS decryption and Thrift
-// deserialization (§6.2).
-type LoadCostParams struct {
-	// CyclesPerByte is host CPU per loaded tensor byte.
-	CyclesPerByte float64
-	// MemBytesPerByte is memory traffic per loaded byte (TLS + copies
-	// through the host to device memory).
-	MemBytesPerByte float64
-}
-
-// DefaultLoadCosts reproduces Figure 8's operating points: at RM1's
-// 16.5 GB/s a 2-socket trainer spends ≈40% of CPU cycles and ≈55% of
-// memory bandwidth just loading data.
-func DefaultLoadCosts() LoadCostParams {
-	return LoadCostParams{CyclesPerByte: 3.4, MemBytesPerByte: 8.5}
-}
-
-// LoadUtilization computes front-end host utilization at a given tensor
-// loading rate (the Figure 8 sweep). Utilizations are clamped to 1.
-func LoadUtilization(node hw.TrainerSpec, ghz float64, loadGBps float64, costs LoadCostParams) (cpuUtil, memUtil, nicUtil float64) {
-	cores := float64(node.CPUSockets * node.CoresPerSock)
-	cpuUtil = clamp01(loadGBps * 1e9 * costs.CyclesPerByte / (ghz * 1e9 * cores))
-	memUtil = clamp01(loadGBps * 1e9 * costs.MemBytesPerByte / (node.PeakMemBWGBps * 1e9))
-	nicUtil = clamp01(loadGBps * 8 / node.FrontendNICGbps)
-	return cpuUtil, memUtil, nicUtil
-}
-
-// MaxLoadableGBps reports the loading rate at which the first host
-// resource saturates; memory bandwidth is considered saturated at
-// hw.SaturationThreshold (§6.2).
-func MaxLoadableGBps(node hw.TrainerSpec, ghz float64, costs LoadCostParams) float64 {
-	cores := float64(node.CPUSockets * node.CoresPerSock)
-	cpuCap := ghz * 1e9 * cores / costs.CyclesPerByte / 1e9
-	memCap := node.PeakMemBWGBps * hw.SaturationThreshold / costs.MemBytesPerByte
-	nicCap := node.FrontendNICGbps / 8
-	return minf(cpuCap, minf(memCap, nicCap))
-}
-
-// HostPreprocessConfig describes the pre-DPP architecture (Table 7): the
-// trainer's own CPUs extract and transform raw data while the GPUs
-// train.
-type HostPreprocessConfig struct {
-	Node hw.TrainerSpec
-	GHz  float64
-	// DemandGBps is the GPUs' tensor ingestion demand (Table 8).
-	DemandGBps float64
-	// PreprocCyclesPerByte is host CPU per output tensor byte for
-	// extract+transform (far above loading-only costs).
-	PreprocCyclesPerByte float64
-	// PreprocMemBytesPerByte is memory traffic per output tensor byte.
-	PreprocMemBytesPerByte float64
-	// RawAmplification is raw-bytes-read per tensor byte produced
-	// (§6.3: extraction reads 1.18-3.64x more than it emits).
-	RawAmplification float64
-}
-
-// StallReport is the Table 7 measurement.
-type StallReport struct {
-	// GPUStallPct is the percentage of GPU time spent waiting for data.
-	GPUStallPct float64
-	// CPUUtilPct is host CPU utilization.
-	CPUUtilPct float64
-	// MemBWUtilPct is host memory bandwidth utilization.
-	MemBWUtilPct float64
-	// SupplyGBps is the achievable preprocessing throughput.
-	SupplyGBps float64
-	// NICUtilPct is frontend NIC utilization (raw ingest).
-	NICUtilPct float64
-}
-
-// Evaluate computes the steady-state stall behaviour: supply is the rate
-// at which host resources can produce tensors; the GPUs stall for
-// whatever fraction of demand is unmet.
-func (c HostPreprocessConfig) Evaluate() (StallReport, error) {
-	if c.DemandGBps <= 0 {
-		return StallReport{}, fmt.Errorf("trainer: demand must be positive")
-	}
-	cores := float64(c.Node.CPUSockets * c.Node.CoresPerSock)
-	cpuCapGBps := c.GHz * 1e9 * cores / c.PreprocCyclesPerByte / 1e9
-	memCapGBps := c.Node.PeakMemBWGBps * hw.SaturationThreshold / c.PreprocMemBytesPerByte
-	nicCapGBps := c.Node.FrontendNICGbps / 8 / c.RawAmplification
-
-	supply := minf(cpuCapGBps, minf(memCapGBps, nicCapGBps))
-	served := minf(supply, c.DemandGBps)
-	rep := StallReport{
-		GPUStallPct:  100 * (1 - served/c.DemandGBps),
-		CPUUtilPct:   100 * clamp01(served*c.PreprocCyclesPerByte*1e9/(c.GHz*1e9*cores)),
-		MemBWUtilPct: 100 * clamp01(served*c.PreprocMemBytesPerByte/c.Node.PeakMemBWGBps),
-		NICUtilPct:   100 * clamp01(served*c.RawAmplification*8/c.Node.FrontendNICGbps),
-		SupplyGBps:   supply,
-	}
-	return rep, nil
-}
 
 // Trainer consumes preprocessed batches from a DPP client, simulating a
 // GPU training loop and counting data stalls.
@@ -176,21 +78,4 @@ func (t *Trainer) stallFraction() float64 {
 		return 0
 	}
 	return float64(t.StallPolls) / float64(total)
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,118 +2,16 @@ package trainer
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
-	"dsi/internal/datagen"
 	"dsi/internal/dpp"
 	"dsi/internal/dwrf"
-	"dsi/internal/hw"
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
 	"dsi/internal/transforms"
 	"dsi/internal/warehouse"
 )
-
-func TestLoadUtilizationFig8OperatingPoint(t *testing.T) {
-	// Figure 8: at RM1's 16.5 GB/s on the 2-socket V100 node, loading
-	// costs ≈40% CPU and ≈55% memory bandwidth.
-	cpu, mem, nic := LoadUtilization(hw.V100Trainer, 2.5, datagen.RM1.TrainerGBps, DefaultLoadCosts())
-	if math.Abs(cpu-0.40) > 0.05 {
-		t.Fatalf("CPU util = %.2f, want ≈0.40", cpu)
-	}
-	if math.Abs(mem-0.55) > 0.06 {
-		t.Fatalf("mem util = %.2f, want ≈0.55", mem)
-	}
-	// RM1 approaches NIC saturation (16.5 GB/s of 25 GB/s wire).
-	if nic < 0.5 || nic > 1 {
-		t.Fatalf("nic util = %.2f", nic)
-	}
-}
-
-func TestLoadUtilizationMonotoneInRate(t *testing.T) {
-	var prevCPU, prevMem float64
-	for rate := 1.0; rate <= 20; rate += 1 {
-		cpu, mem, _ := LoadUtilization(hw.V100Trainer, 2.5, rate, DefaultLoadCosts())
-		if cpu < prevCPU || mem < prevMem {
-			t.Fatalf("utilization decreased at %v GB/s", rate)
-		}
-		prevCPU, prevMem = cpu, mem
-	}
-}
-
-func TestLoadUtilizationOrderingAcrossRMs(t *testing.T) {
-	// RM1 demands the most loading resources, RM2 the least (Table 8).
-	util := func(p datagen.Profile) float64 {
-		cpu, _, _ := LoadUtilization(hw.V100Trainer, 2.5, p.TrainerGBps, DefaultLoadCosts())
-		return cpu
-	}
-	if !(util(datagen.RM1) > util(datagen.RM3) && util(datagen.RM3) > util(datagen.RM2)) {
-		t.Fatal("per-model loading cost ordering should follow Table 8 demand")
-	}
-}
-
-func TestMaxLoadableGBps(t *testing.T) {
-	capGBps := MaxLoadableGBps(hw.V100Trainer, 2.5, DefaultLoadCosts())
-	if capGBps <= 0 {
-		t.Fatal("no capacity")
-	}
-	// All RMs' demands must be loadable on the V100 node with DPP
-	// offload (the paper provisions hosts exactly so the GPUs stay fed).
-	for _, p := range datagen.Profiles() {
-		if p.TrainerGBps > capGBps*1.05 {
-			t.Fatalf("%s demand %.1f exceeds loadable capacity %.1f", p.Name, p.TrainerGBps, capGBps)
-		}
-	}
-}
-
-func TestHostPreprocessingStallsTable7(t *testing.T) {
-	// Table 7: preprocessing RM1 on the trainer's own CPUs stalls the
-	// GPUs ~56% of the time at ~92% CPU and ~54% memory BW utilization.
-	cfg := HostPreprocessConfig{
-		Node:                   hw.V100Trainer,
-		GHz:                    2.5,
-		DemandGBps:             datagen.RM1.TrainerGBps,
-		PreprocCyclesPerByte:   17.8,
-		PreprocMemBytesPerByte: 19.0,
-		RawAmplification:       2.0,
-	}
-	rep, err := cfg.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rep.GPUStallPct-56) > 8 {
-		t.Fatalf("stall = %.1f%%, want ≈56%%", rep.GPUStallPct)
-	}
-	if math.Abs(rep.CPUUtilPct-92) > 10 {
-		t.Fatalf("CPU = %.1f%%, want ≈92%%", rep.CPUUtilPct)
-	}
-	if math.Abs(rep.MemBWUtilPct-54) > 10 {
-		t.Fatalf("memBW = %.1f%%, want ≈54%%", rep.MemBWUtilPct)
-	}
-}
-
-func TestHostPreprocessingNoStallWhenCheap(t *testing.T) {
-	cfg := HostPreprocessConfig{
-		Node: hw.V100Trainer, GHz: 2.5, DemandGBps: 1,
-		PreprocCyclesPerByte: 1, PreprocMemBytesPerByte: 1, RawAmplification: 1,
-	}
-	rep, err := cfg.Evaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GPUStallPct != 0 {
-		t.Fatalf("stall = %.1f%%, want 0", rep.GPUStallPct)
-	}
-}
-
-func TestHostPreprocessingRejectsZeroDemand(t *testing.T) {
-	cfg := HostPreprocessConfig{Node: hw.V100Trainer}
-	if _, err := cfg.Evaluate(); err == nil {
-		t.Fatal("zero demand accepted")
-	}
-}
 
 // buildSession creates a small live DPP session for trainer integration
 // tests.

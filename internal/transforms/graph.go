@@ -38,18 +38,6 @@ func (s Stats) ClassShare(c Class) float64 {
 	return s.CyclesByClass[c] / total
 }
 
-// merge accumulates other into s.
-func (s *Stats) merge(other Stats) {
-	for c, v := range other.ValuesByClass {
-		s.ValuesByClass[c] += v
-	}
-	for c, v := range other.CyclesByClass {
-		s.CyclesByClass[c] += v
-	}
-	s.MemBytes += other.MemBytes
-	s.OpsRun += other.OpsRun
-}
-
 func newStats() Stats {
 	return Stats{
 		ValuesByClass: make(map[Class]int64),

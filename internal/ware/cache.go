@@ -3,7 +3,6 @@ package ware
 import (
 	"container/list"
 	"math"
-	"sort"
 	"sync"
 
 	"dsi/internal/dwrf"
@@ -120,9 +119,6 @@ func NewCache(capacity int64) *Cache {
 	}
 }
 
-// Capacity reports the byte bound.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
 // RegisterTenant records a tenant's scheduling weight, which sets its
 // eviction floor. Non-finite or non-positive weights register as 1
 // (mirroring the service's CreateSession defaulting). Re-registering
@@ -134,6 +130,20 @@ func (c *Cache) RegisterTenant(id string, weight float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tenant(id).weight = weight
+}
+
+// RetireTenant drops a departed tenant's weight to zero: it stops
+// diluting the floors of the tenants still running, and what it left
+// resident loses its floor's protection and ages out under anyone's
+// inserts. Its counters stay readable (TenantStats); RegisterTenant
+// revives it. Without this a cache that outlives its sessions divides
+// capacity among every session the node ever hosted.
+func (c *Cache) RetireTenant(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.tenants[id]; t != nil {
+		t.weight = 0
+	}
 }
 
 // tenant returns the state for id, creating it with weight 1. Callers
@@ -311,31 +321,13 @@ func (c *Cache) TenantStats(id string) TenantStats {
 	}
 }
 
-// Wares lists resident ware keys, most recently used first, capped at
-// limit (<=0 means all). The fleet heartbeat ships this digest list to
-// the service's cross-node ware index.
-func (c *Cache) Wares(limit int) []string {
+// Wares lists resident ware keys, most recently used first.
+func (c *Cache) Wares() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.lru.Len()
-	if limit > 0 && n > limit {
-		n = limit
-	}
-	out := make([]string, 0, n)
-	for el := c.lru.Front(); el != nil && len(out) < n; el = el.Next() {
+	out := make([]string, 0, c.lru.Len())
+	for el := c.lru.Front(); el != nil; el = el.Next() {
 		out = append(out, el.Value.(*entry).key)
 	}
 	return out
-}
-
-// Tenants lists registered tenant IDs in sorted order.
-func (c *Cache) Tenants() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.tenants))
-	for id := range c.tenants {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -26,7 +26,7 @@ func TestWareIDStability(t *testing.T) {
 	if a != b {
 		t.Fatalf("content-hashed stripe IDs differ across paths: %v vs %v", a, b)
 	}
-	if a.Pack != PackStripe || a.IsZero() {
+	if a.Pack != PackStripe || a.Hash == "" {
 		t.Fatalf("bad stripe ID %v", a)
 	}
 	if c := StripeID(0xfeed, "p", 7, proj); c == a {
@@ -226,6 +226,61 @@ func TestCacheTenantFloorIsolation(t *testing.T) {
 }
 
 // TestCacheWeightedFloors checks floors track registered weights.
+// A retired tenant stops counting toward the floors and stops being
+// protected by one: a cache that outlives its sessions must not divide
+// capacity by every session the node ever hosted.
+func TestCacheRetiredTenantReleasesItsFloor(t *testing.T) {
+	arena := dwrf.NewArena()
+	const batchBytes = 144 // rows=16 testBatch
+	c := NewCache(4 * batchBytes)
+	c.RegisterTenant("a", 1)
+	c.RegisterTenant("b", 1)
+	insert := func(hash uint64, tenant string) {
+		t.Helper()
+		b, ok := c.Insert(StripeID(hash, "", 0, nil), testBatch(arena, 16), tenant)
+		if !ok {
+			t.Fatalf("%s insert %d refused", tenant, hash)
+		}
+		b.Release()
+	}
+	// Both tenants sit exactly at their floors, a's entries the coldest.
+	insert(1, "a")
+	if hit := c.Get(StripeID(1, "", 0, nil), "a"); hit != nil {
+		hit.Release()
+	}
+	insert(2, "a")
+	insert(3, "b")
+	insert(4, "b")
+	// While a is live its floor protects it: b's insert takes b's own LRU.
+	insert(5, "b")
+	if a := c.TenantStats("a"); a.Bytes != 2*batchBytes || a.FloorBytes != 2*batchBytes {
+		t.Fatalf("live tenant a = %+v, want 2 batches resident at a 2-batch floor", a)
+	}
+
+	c.RetireTenant("a")
+	if b := c.TenantStats("b"); b.FloorBytes != 4*batchBytes {
+		t.Fatalf("b's floor = %d after a retired, want the whole capacity %d", b.FloorBytes, 4*batchBytes)
+	}
+	insert(6, "b")
+	insert(7, "b")
+	a := c.TenantStats("a")
+	if a.Bytes != 0 || a.FloorBytes != 0 {
+		t.Fatalf("retired tenant a = %+v, want its entries evicted by b's inserts", a)
+	}
+	if a.StripeHits != 1 || a.Misses != 2 {
+		t.Fatalf("retired tenant's counters = %+v, want them kept (1 hit, 2 misses)", a.Counters)
+	}
+	if b := c.TenantStats("b"); b.Bytes != 4*batchBytes {
+		t.Fatalf("b holds %d bytes, want the whole cache %d", b.Bytes, 4*batchBytes)
+	}
+
+	// Hosting the session again restores its share.
+	c.RegisterTenant("a", 1)
+	if a := c.TenantStats("a"); a.FloorBytes != 2*batchBytes {
+		t.Fatalf("revived tenant's floor = %d, want %d", a.FloorBytes, 2*batchBytes)
+	}
+}
+
 func TestCacheWeightedFloors(t *testing.T) {
 	c := NewCache(900)
 	c.RegisterTenant("x", 1)

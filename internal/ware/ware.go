@@ -41,9 +41,6 @@ type WareID struct {
 // String renders the canonical "pack:hash" form.
 func (w WareID) String() string { return w.Pack + ":" + w.Hash }
 
-// IsZero reports whether the ID is unset.
-func (w WareID) IsZero() bool { return w.Pack == "" && w.Hash == "" }
-
 // StripeID names the batch decoded from one stripe under a projection.
 // contentHash is the stripe's DWRF content digest (Reader.
 // StripeContentHash), a pure function of the stored bytes — so two

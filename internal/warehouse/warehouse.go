@@ -182,18 +182,6 @@ func (w *Warehouse) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Tables lists table names, sorted.
-func (w *Warehouse) Tables() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]string, 0, len(w.tables))
-	for n := range w.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // partitionPath names the backing file of a partition.
 func partitionPath(table, key string) string {
 	return fmt.Sprintf("warehouse/%s/%s.dwrf", table, key)
