@@ -56,6 +56,9 @@ type Arena struct {
 	sparse  sync.Pool // *SparseColumn
 	score   sync.Pool // *ScoreListColumn
 	labels  sync.Pool // *[]float32
+	// boxes holds the emptied *[]float32 headers Labels takes out of
+	// labels, so putLabels re-boxes a slice without allocating.
+	boxes sync.Pool
 }
 
 // NewArena returns an empty arena.
@@ -142,7 +145,10 @@ func (a *Arena) Labels(n int) []float32 {
 	if sp == nil || cap(*sp) < n {
 		return make([]float32, n)
 	}
-	return (*sp)[:n]
+	s := (*sp)[:n]
+	*sp = nil
+	a.boxes.Put(sp)
+	return s
 }
 
 // PutDense recycles a dense column no longer referenced anywhere.
@@ -175,7 +181,12 @@ func (a *Arena) putLabels(s []float32) {
 	if a == nil || s == nil {
 		return
 	}
-	a.labels.Put(&s)
+	sp, _ := a.boxes.Get().(*[]float32)
+	if sp == nil {
+		sp = new([]float32)
+	}
+	*sp = s
+	a.labels.Put(sp)
 }
 
 // Arena reports the arena that owns the batch's columns, nil for

@@ -513,7 +513,7 @@ func TestPlanIOAdjacentStreamsMergeWithZeroGap(t *testing.T) {
 		{Offset: 10, Length: 10},
 		{Offset: 40, Length: 5},
 	}
-	plans := planIO(streams, 0)
+	plans := planIO(nil, streams, 0)
 	if len(plans) != 2 {
 		t.Fatalf("planIO = %d plans, want 2", len(plans))
 	}
@@ -528,7 +528,7 @@ func TestPlanIOCoalescesAcrossGaps(t *testing.T) {
 		{Offset: 30, Length: 10}, // gap 20
 		{Offset: 100, Length: 10},
 	}
-	plans := planIO(streams, 25)
+	plans := planIO(nil, streams, 25)
 	if len(plans) != 2 {
 		t.Fatalf("planIO = %d plans, want 2: %+v", len(plans), plans)
 	}
@@ -606,7 +606,7 @@ func TestPlanIOCoversProperty(t *testing.T) {
 			streams = append(streams, StreamMeta{Offset: off, Length: l})
 			off += l
 		}
-		plans := planIO(streams, int64(coalesce%512))
+		plans := planIO(nil, streams, int64(coalesce%512))
 		covered := 0
 		prevEnd := int64(-1)
 		for _, p := range plans {
@@ -614,7 +614,7 @@ func TestPlanIOCoversProperty(t *testing.T) {
 				return false // overlapping plans
 			}
 			prevEnd = p.offset + p.length
-			for _, s := range p.streams {
+			for _, s := range streams[p.lo:p.hi] {
 				if s.Offset < p.offset || s.Offset+s.Length > p.offset+p.length {
 					return false // stream not contained
 				}

@@ -47,10 +47,13 @@
 // whose Version is newer than their own rather than misparse unknown
 // encodings.
 //
-// The batch decode path is pooled end to end: stream staging buffers,
-// flate decompressor state, and decompressed payloads recycle through
-// capacity-classed pools, and the column decoders stream values directly
-// into Arena-recycled columns (ReadStripeBatchArena). Dictionary-encoded
+// The batch decode path is pooled end to end: stream staging buffers and
+// payloads recycle through capacity-classed pools, each stream inflates
+// in one call straight into a payload buffer of its recorded RawLength
+// (inflate.go, with its Huffman tables in a pooled inflater), the
+// per-stripe selection, I/O plan and payload list are a pooled
+// stripeRead, and the column decoders stream values directly into
+// Arena-recycled columns (ReadStripeBatchArena). Dictionary-encoded
 // sparse streams decode into dictionary-indexed columns (SparseColumn
 // with a non-empty Dict) so downstream kernels can process each distinct
 // value once. An arena-owned Batch hands every buffer back via Release
@@ -59,7 +62,6 @@
 package dwrf
 
 import (
-	"bytes"
 	"cmp"
 	"compress/flate"
 	"crypto/aes"
@@ -72,6 +74,7 @@ import (
 	"sync"
 
 	"dsi/internal/schema"
+	"dsi/internal/tectonic"
 )
 
 // Magic identifies DWRF files.
@@ -257,61 +260,25 @@ func (a *appendWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// flateDecoder pairs a reusable bytes.Reader with a flate decompressor
-// so a stream decode costs no reader-machinery allocations (the flate
-// reader's Huffman state was the dominant residual garbage of the
-// stripe decode path); both reset per stream.
-type flateDecoder struct {
-	br bytes.Reader
-	fr io.ReadCloser
-}
-
-var flateDecoders = sync.Pool{New: func() any { return new(flateDecoder) }}
-
-// decompress inflates data. rawLen is the decoded length promised by
-// the stream's metadata (StreamMeta.RawLength): when positive the
-// output buffer is drawn from the payload pool and sized once up
-// front, eliminating io.ReadAll's regrowth copies on every stream
-// decode; zero or negative falls back to incremental reading. Return
-// the buffer with putPayloadBuf once its decoded values are parsed
-// out. A stream that decodes shorter than promised is returned
-// truncated (payload decoders bounds-check), and one that decodes
-// longer keeps its tail so corrupt metadata degrades to the unsized
-// path rather than silently dropping bytes.
-func decompress(data []byte, rawLen int64) ([]byte, error) {
-	d := flateDecoders.Get().(*flateDecoder)
-	defer flateDecoders.Put(d)
-	d.br.Reset(data)
-	if d.fr == nil {
-		d.fr = flate.NewReader(&d.br)
-	} else if err := d.fr.(flate.Resetter).Reset(&d.br, nil); err != nil {
-		return nil, fmt.Errorf("dwrf: flate reset: %w", err)
+// decompress inflates one stream's decrypted bytes into a pooled payload
+// buffer of exactly rawLen bytes, the StreamMeta.RawLength the writer
+// recorded. A stream that is not valid DEFLATE, ends before its final
+// block, or inflates to any other length is corrupt bytes: the error
+// wraps tectonic.ErrCorrupt, so heal quarantines the replica that served
+// it and refetches. Return the buffer to payloadPool once its values
+// are parsed out.
+func decompress(data []byte, rawLen int64) (*[]byte, error) {
+	if rawLen < 0 || rawLen > maxInflateRatio*int64(len(data)) {
+		return nil, fmt.Errorf("dwrf: decompress: %w: %d bytes cannot inflate to %d", tectonic.ErrCorrupt, len(data), rawLen)
 	}
-	r := d.fr
-	if rawLen <= 0 {
-		out, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("dwrf: decompress: %w", err)
-		}
-		return out, nil
+	out := payloadPool.get(rawLen)
+	n, err := inflate(*out, data)
+	if err == nil && n != len(*out) {
+		err = fmt.Errorf("inflates to %d bytes, %d recorded", n, rawLen)
 	}
-	out := getPayloadBuf(rawLen)
-	n, err := io.ReadFull(r, out)
-	switch err {
-	case nil:
-	case io.EOF, io.ErrUnexpectedEOF:
-		return out[:n], nil
-	default:
-		putPayloadBuf(out)
-		return nil, fmt.Errorf("dwrf: decompress: %w", err)
-	}
-	tail, err := io.ReadAll(r)
 	if err != nil {
-		putPayloadBuf(out)
-		return nil, fmt.Errorf("dwrf: decompress: %w", err)
-	}
-	if len(tail) > 0 {
-		out = append(out, tail...)
+		payloadPool.put(out)
+		return nil, fmt.Errorf("dwrf: decompress: %w: %v", tectonic.ErrCorrupt, err)
 	}
 	return out, nil
 }
@@ -478,7 +445,7 @@ type stripeEncoder struct {
 	sdict []schema.ScoredValue
 }
 
-// stripeEncoders holds idle encoders, as flateDecoders does for the read
+// stripeEncoders holds idle encoders, as inflaters does for the read
 // path: writers live for one partition, deflate state should not.
 var stripeEncoders sync.Pool
 
@@ -954,6 +921,7 @@ func decodeSparsePlain(data []byte, rows int, col *SparseColumn) error {
 		return err
 	}
 	next := 0
+	col.Values = slices.Grow(col.Values, max(0, r.remaining()-8*int(count))/8)
 	for i := uint32(0); i < count; i++ {
 		_, n, err := sparseEntryHeader(&r, rows, &next, col.Offsets, len(col.Values))
 		if err != nil {
@@ -986,12 +954,15 @@ func decodeSparseDict(data []byte, rows int, col *SparseColumn) error {
 	if int64(dlen)*8 > int64(r.remaining()) {
 		return io.ErrUnexpectedEOF
 	}
-	col.Dict = col.Dict[:0]
+	col.Dict = slices.Grow(col.Dict[:0], int(dlen))
 	for i := uint32(0); i < dlen; i++ {
 		col.Dict = append(col.Dict, int64(binary.LittleEndian.Uint64(data[r.pos:])))
 		r.pos += 8
 	}
 	w := dictIdxWidth(int(dlen))
+	// What follows the dictionary is count 8-byte entry headers and the
+	// packed indices: size Values for those once instead of growing it.
+	col.Values = slices.Grow(col.Values, max(0, r.remaining()-8*int(count))/w)
 	next := 0
 	for i := uint32(0); i < count; i++ {
 		_, n, err := sparseEntryHeader(&r, rows, &next, col.Offsets, len(col.Values))

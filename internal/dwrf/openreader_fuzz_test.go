@@ -31,12 +31,12 @@ func fuzzFileSeeds(t testing.TB) [][]byte {
 	tailLen := 8 + len(Magic)
 	seeds := [][]byte{
 		valid,
-		{},            // empty file
-		[]byte("DW"),  // shorter than the tail
-		mutate(func(b []byte) []byte { return b[:len(b)-1] }),          // magic cut short
-		mutate(func(b []byte) []byte { return b[:len(b)-tailLen] }),    // tail gone
-		mutate(func(b []byte) []byte { return b[:len(b)-tailLen/2] }),  // tail split
-		mutate(func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }) /* magic clobbered */,
+		{},           // empty file
+		[]byte("DW"), // shorter than the tail
+		mutate(func(b []byte) []byte { return b[:len(b)-1] }),           // magic cut short
+		mutate(func(b []byte) []byte { return b[:len(b)-tailLen] }),     // tail gone
+		mutate(func(b []byte) []byte { return b[:len(b)-tailLen/2] }),   // tail split
+		mutate(func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }), /* magic clobbered */
 		mutate(func(b []byte) []byte { // footerLen = 0
 			binary.LittleEndian.PutUint64(b[len(b)-tailLen:], 0)
 			return b

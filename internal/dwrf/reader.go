@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -420,57 +421,52 @@ func (r *Reader) ProjectedBytes(proj *schema.Projection) int64 {
 	return total
 }
 
-// selectStreams picks the streams of a stripe needed for the projection.
-// The label stream (or the row-data stream for unflattened files) is
-// always selected.
-func (r *Reader) selectStreams(meta *StripeMeta, proj *schema.Projection) []StreamMeta {
-	var out []StreamMeta
+// selectStreams appends to dst the streams of a stripe needed for the
+// projection, in file (offset) order. The label stream (or the row-data
+// stream for unflattened files) is always selected.
+func selectStreams(dst []StreamMeta, meta *StripeMeta, proj *schema.Projection) []StreamMeta {
 	for _, s := range meta.Streams {
 		switch s.Kind {
 		case streamRowData, streamLabel:
-			out = append(out, s)
+			dst = append(dst, s)
 		default:
 			if proj == nil || proj.Contains(s.Feature) {
-				out = append(out, s)
+				dst = append(dst, s)
 			}
 		}
 	}
-	return out
+	// The writer lays streams out in footer order, so this sort finds
+	// nothing to do; it is here for footers that say otherwise.
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].Offset < dst[j-1].Offset; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
+		}
+	}
+	return dst
 }
 
-// ioPlan is one physical read covering one or more selected streams.
+// ioPlan is one physical read covering the selected streams [lo, hi).
 type ioPlan struct {
 	offset, length int64
-	streams        []StreamMeta
+	lo, hi         int
 }
 
-// planIO builds the physical read plan for the selected streams,
-// coalescing per opts. Streams are already in on-disk (offset) order
-// within a stripe except for the label stream which is first; sort
-// defensively anyway.
-func planIO(selected []StreamMeta, coalesce int64) []ioPlan {
-	if len(selected) == 0 {
-		return nil
-	}
-	ordered := append([]StreamMeta(nil), selected...)
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].Offset < ordered[j-1].Offset; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
+// planIO appends to dst the physical read plan for selected, which is in
+// offset order: runs of streams separated by at most coalesce unwanted
+// bytes share one read.
+func planIO(dst []ioPlan, selected []StreamMeta, coalesce int64) []ioPlan {
+	for i, s := range selected {
+		if n := len(dst); n > 0 {
+			cur := &dst[n-1]
+			if gap := s.Offset - (cur.offset + cur.length); gap >= 0 && gap <= coalesce {
+				cur.length = s.Offset + s.Length - cur.offset
+				cur.hi = i + 1
+				continue
+			}
 		}
+		dst = append(dst, ioPlan{offset: s.Offset, length: s.Length, lo: i, hi: i + 1})
 	}
-	var plans []ioPlan
-	cur := ioPlan{offset: ordered[0].Offset, length: ordered[0].Length, streams: []StreamMeta{ordered[0]}}
-	for _, s := range ordered[1:] {
-		gap := s.Offset - (cur.offset + cur.length)
-		if gap >= 0 && gap <= coalesce {
-			cur.length = s.Offset + s.Length - cur.offset
-			cur.streams = append(cur.streams, s)
-			continue
-		}
-		plans = append(plans, cur)
-		cur = ioPlan{offset: s.Offset, length: s.Length, streams: []StreamMeta{s}}
-	}
-	return append(plans, cur)
+	return dst
 }
 
 // bufClassCaps are the capacity classes of the byte-buffer pools. A
@@ -497,18 +493,24 @@ type bufPool struct {
 }
 
 // get returns a buffer of length n. The pooled buffer's capacity may
-// trail n within its class, in which case it is reallocated (and will
-// re-pool in the right class by its new capacity).
+// trail n within its class, in which case it is reallocated with its
+// capacity rounded up to a power of two (at most the class's), so the
+// class settles on buffers that fit all its requests.
 func (p *bufPool) get(n int64) *[]byte {
 	var bp *[]byte
-	if cls := bufClass(n); cls >= 0 {
+	cls := bufClass(n)
+	if cls >= 0 {
 		bp, _ = p.classes[cls].Get().(*[]byte)
 	}
 	if bp == nil {
 		bp = new([]byte)
 	}
 	if int64(cap(*bp)) < n {
-		*bp = make([]byte, n)
+		c := n
+		if cls >= 0 {
+			c = min(int64(1)<<bits.Len64(uint64(n-1)), bufClassCaps[cls])
+		}
+		*bp = make([]byte, n, c)
 	}
 	*bp = (*bp)[:n]
 	return bp
@@ -536,86 +538,99 @@ var encPool bufPool
 // into a batch (or row samples) its payload buffers go straight back.
 var payloadPool bufPool
 
-// getPayloadBuf returns a pooled buffer of length n.
-func getPayloadBuf(n int64) []byte {
-	return *payloadPool.get(n)
+// stripeRead is one stripe read's working set: the streams the
+// projection selects, in file order; the physical reads that cover them;
+// and each selected stream's inflated payload (payloads[i] is
+// selected[i]'s). It is pooled, so a stripe read builds none of it.
+type stripeRead struct {
+	selected []StreamMeta
+	plans    []ioPlan
+	payloads []*[]byte
 }
 
-// putPayloadBuf recycles one payload buffer.
-func putPayloadBuf(b []byte) {
-	if b == nil {
-		return
+var stripeReads = sync.Pool{New: func() any { return new(stripeRead) }}
+
+// releasePayloads recycles every payload fetched so far. Callers must
+// have finished parsing: column and row decoders copy values out, never
+// alias the payload bytes.
+func (sr *stripeRead) releasePayloads() {
+	for i, p := range sr.payloads {
+		payloadPool.put(p)
+		sr.payloads[i] = nil
 	}
-	payloadPool.put(&b)
+	sr.payloads = sr.payloads[:0]
 }
 
-// releasePayloads recycles every fetched stream payload of a stripe.
-// Callers must have finished parsing: column and row decoders copy
-// values out, never alias the payload bytes.
-func releasePayloads(payloads map[int64][]byte) {
-	for _, p := range payloads {
-		putPayloadBuf(p)
-	}
-}
-
-// getEncBuf returns a pooled buffer of length n.
-func getEncBuf(n int64) *[]byte {
-	return encPool.get(n)
+// release recycles the payloads and the working set itself.
+func (sr *stripeRead) release() {
+	sr.releasePayloads()
+	stripeReads.Put(sr)
 }
 
 // fetchStripe executes the I/O plan through the self-healing read path:
 // each attempt fetches via the cluster's traced reads (which already
 // fail over across replicas), verifies StripeMeta.ContentHash when the
 // fetch covers every stream of the stripe, and on corruption — a hash
-// mismatch, or a stream that no longer decompresses — heal quarantines
-// the replicas that served the bytes and refetches from others. The
-// stripe fails permanently only when no fresh replica remains, i.e.
-// every replica disagrees with the recorded hash.
-func (r *Reader) fetchStripe(meta *StripeMeta, proj *schema.Projection, opts ReadOptions) (map[int64][]byte, []StreamMeta, ReadStats, error) {
+// mismatch, or a stream that does not inflate to its recorded length —
+// heal quarantines the replicas that served the bytes and refetches from
+// others. The stripe fails permanently only when no fresh replica
+// remains, i.e. every replica serves the same bad bytes. On success the
+// caller owns the returned stripeRead and releases it once decoded.
+func (r *Reader) fetchStripe(meta *StripeMeta, proj *schema.Projection, opts ReadOptions) (*stripeRead, ReadStats, error) {
 	var stats ReadStats
 	// The footer fetch's recovery work reports through the first stripe
 	// read so it reaches ResourceReport/WorkerStats like any other read.
 	r.openOnce.Do(func() { stats.add(r.openStats) })
-	var payloads map[int64][]byte
-	var selected []StreamMeta
-	err := heal(r.cluster, r.path, &stats, func() (s ReadStats, served []tectonic.ReplicaServe, err error) {
-		payloads, selected, s, served, err = r.fetchStripeAttempt(meta, proj, opts)
+	sr := stripeReads.Get().(*stripeRead)
+	sr.selected = selectStreams(sr.selected[:0], meta, proj)
+	sr.plans = planIO(sr.plans[:0], sr.selected, opts.CoalesceBytes)
+	err := heal(r.cluster, r.path, &stats, func() (ReadStats, []tectonic.ReplicaServe, error) {
+		s, served, err := r.fetchStripeAttempt(meta, sr)
 		if errors.Is(err, tectonic.ErrCorrupt) {
 			s.CorruptStripes++
 		}
 		return s, served, err
 	})
-	return payloads, selected, stats, err
+	if err != nil {
+		sr.release()
+		return nil, stats, err
+	}
+	return sr, stats, nil
 }
 
-// fetchStripeAttempt is one fetch pass: execute the I/O plan, decrypt
-// and decompress each selected stream, and verify the stripe content
-// hash when the selection covers all streams (streams append in offset
-// order at write time, so fetch order reproduces the writer's digest
-// chaining). Storage reads go through the cluster's borrowed-slice path
-// when the range is memory-resident in one chunk, and the decrypt pass
-// writes straight from the (borrowed or copied) raw bytes into the
+// fetchStripeAttempt is one fetch pass over sr's plan: read, decrypt and
+// inflate each selected stream into sr.payloads, and verify the stripe
+// content hash when the selection covers all streams (streams append in
+// offset order at write time, so fetch order reproduces the writer's
+// digest chaining). Storage reads go through the cluster's borrowed-slice
+// path when the range is memory-resident in one chunk, and the decrypt
+// pass writes straight from the (borrowed or copied) raw bytes into the
 // staging buffer — no intermediate copy either way. Error paths release
 // every payload already fetched; the stripe's buffers never leak on a
 // partial fetch. The returned ReplicaServe list records which node
 // served each chunk, the provenance quarantine needs.
-func (r *Reader) fetchStripeAttempt(meta *StripeMeta, proj *schema.Projection, opts ReadOptions) (map[int64][]byte, []StreamMeta, ReadStats, []tectonic.ReplicaServe, error) {
-	selected := r.selectStreams(meta, proj)
-	plans := planIO(selected, opts.CoalesceBytes)
+func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats, []tectonic.ReplicaServe, error) {
 	var stats ReadStats
 	var served []tectonic.ReplicaServe
-	verifying := meta.ContentHash != 0 && len(selected) == len(meta.Streams)
+	verifying := meta.ContentHash != 0 && len(sr.selected) == len(meta.Streams)
 	var hash uint64
-	payloads := make(map[int64][]byte, len(selected))
-	for _, p := range plans {
+	fail := func(err error) (ReadStats, []tectonic.ReplicaServe, error) {
+		sr.releasePayloads()
+		return stats, served, err
+	}
+	for _, p := range sr.plans {
 		fetchStart := time.Now()
 		raw, _, t, tr, err := r.cluster.ReadAtBorrowTraced(r.path, p.offset, p.length)
 		stats.FetchWall += time.Since(fetchStart)
 		stats.trace(tr)
-		served = append(served, tr.Served...)
+		// Most stripes are one read: keep its trace's slice, not a copy.
+		if served == nil {
+			served = tr.Served
+		} else {
+			served = append(served, tr.Served...)
+		}
 		if err != nil {
-			releasePayloads(payloads)
-			return nil, nil, stats, served, fmt.Errorf("dwrf: %s stripe@%d: fetch [%d,%d): %w", r.path, meta.Offset, p.offset, p.offset+p.length, err)
+			return fail(fmt.Errorf("dwrf: %s stripe@%d: fetch [%d,%d): %w", r.path, meta.Offset, p.offset, p.offset+p.length, err))
 		}
 		stats.IOs++
 		stats.BytesRead += p.length
@@ -623,39 +638,36 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, proj *schema.Projection, o
 			stats.StorageTime = t
 		}
 		decodeStart := time.Now()
-		for _, s := range p.streams {
+		for _, s := range sr.selected[p.lo:p.hi] {
 			stats.BytesWanted += s.Length
-			encBuf := getEncBuf(s.Length)
+			encBuf := encPool.get(s.Length)
 			enc := *encBuf
 			if err := cryptStreamTo(enc, raw[s.Offset-p.offset:s.Offset-p.offset+s.Length], s.Offset); err != nil {
 				encPool.put(encBuf)
-				releasePayloads(payloads)
-				return nil, nil, stats, served, fmt.Errorf("dwrf: %s stripe@%d stream at %d: %w", r.path, meta.Offset, s.Offset, err)
+				return fail(fmt.Errorf("dwrf: %s stripe@%d stream at %d: %w", r.path, meta.Offset, s.Offset, err))
 			}
 			if verifying {
 				hash = fnvMix(hash, enc)
 			}
+			// A stream that does not inflate to its recorded length is
+			// corrupt bytes, not a format error: decompress classifies
+			// it so heal quarantines and retries another replica.
 			dec, err := decompress(enc, s.RawLength)
 			encPool.put(encBuf)
 			if err != nil {
-				releasePayloads(payloads)
-				// A stream that no longer inflates is corrupt bytes, not
-				// a format error: classify it so the caller quarantines
-				// and retries another replica.
-				return nil, nil, stats, served, fmt.Errorf("dwrf: %s stripe@%d stream at %d: %w: %v", r.path, meta.Offset, s.Offset, tectonic.ErrCorrupt, err)
+				return fail(fmt.Errorf("dwrf: %s stripe@%d stream at %d: %w", r.path, meta.Offset, s.Offset, err))
 			}
-			stats.BytesDecoded += int64(len(dec))
+			stats.BytesDecoded += int64(len(*dec))
 			stats.StreamsDecoded++
-			payloads[s.Offset] = dec
+			sr.payloads = append(sr.payloads, dec)
 		}
 		stats.DecodeWall += time.Since(decodeStart)
 	}
 	if verifying && hash != meta.ContentHash {
-		releasePayloads(payloads)
-		return nil, nil, stats, served, fmt.Errorf("dwrf: %s stripe@%d: content hash %x, footer records %x: %w", r.path, meta.Offset, hash, meta.ContentHash, tectonic.ErrCorrupt)
+		return fail(fmt.Errorf("dwrf: %s stripe@%d: content hash %x, footer records %x: %w", r.path, meta.Offset, hash, meta.ContentHash, tectonic.ErrCorrupt))
 	}
 	stats.BytesOverRead = stats.BytesRead - stats.BytesWanted
-	return payloads, selected, stats, served, nil
+	return stats, served, nil
 }
 
 // ReadStripe decodes stripe i under the projection into row-map samples.
@@ -680,16 +692,16 @@ func (r *Reader) ReadStripe(i int, proj *schema.Projection, opts ReadOptions) ([
 		return rows, stats, nil
 	}
 	meta := &r.footer.Stripes[i]
-	payloads, selected, stats, err := r.fetchStripe(meta, proj, opts)
+	sr, stats, err := r.fetchStripe(meta, proj, opts)
 	if err != nil {
 		return nil, stats, err
 	}
-	if selected[0].Encoding != EncPlain {
-		releasePayloads(payloads)
-		return nil, stats, fmt.Errorf("dwrf: %v encoding invalid for row-data stream", selected[0].Encoding)
+	if enc := sr.selected[0].Encoding; enc != EncPlain {
+		sr.release()
+		return nil, stats, fmt.Errorf("dwrf: %v encoding invalid for row-data stream", enc)
 	}
-	rows, err := decodeRowData(payloads[selected[0].Offset])
-	releasePayloads(payloads)
+	rows, err := decodeRowData(*sr.payloads[0])
+	sr.release()
 	if err != nil {
 		return nil, stats, err
 	}
@@ -752,13 +764,13 @@ func (r *Reader) ReadStripeBatchArena(i int, proj *schema.Projection, opts ReadO
 		return nil, ReadStats{}, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.footer.Stripes))
 	}
 	meta := &r.footer.Stripes[i]
-	payloads, selected, stats, err := r.fetchStripe(meta, proj, opts)
+	sr, stats, err := r.fetchStripe(meta, proj, opts)
 	if err != nil {
 		return nil, stats, err
 	}
 	decodeStart := time.Now()
-	b, err := decodeStripeBatch(meta, payloads, selected, arena)
-	releasePayloads(payloads)
+	b, err := decodeStripeBatch(meta, sr, arena)
+	sr.release()
 	stats.DecodeWall += time.Since(decodeStart)
 	if err != nil {
 		return nil, stats, err
@@ -766,15 +778,15 @@ func (r *Reader) ReadStripeBatchArena(i int, proj *schema.Projection, opts ReadO
 	return b, stats, nil
 }
 
-// decodeStripeBatch assembles the columnar batch from decoded stream
+// decodeStripeBatch assembles the columnar batch from a stripe read's
 // payloads, streaming each stream straight into its (arena-recycled)
 // column — no per-row slices, no entry buffering. On error the partial
 // batch is released back to the arena.
-func decodeStripeBatch(meta *StripeMeta, payloads map[int64][]byte, selected []StreamMeta, arena *Arena) (*Batch, error) {
+func decodeStripeBatch(meta *StripeMeta, sr *stripeRead, arena *Arena) (*Batch, error) {
 	b := arena.NewBatch(meta.Rows)
 	var err error
-	for _, s := range selected {
-		payload := payloads[s.Offset]
+	for i, s := range sr.selected {
+		payload := *sr.payloads[i]
 		switch s.Kind {
 		case streamLabel:
 			b.Labels, err = decodeLabels(payload, arena)
