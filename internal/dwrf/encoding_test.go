@@ -190,8 +190,8 @@ func TestScoreListDictSignedZeroAndNaN(t *testing.T) {
 	if _, e := enc.encodeScoreList(rows, 5, false); e != EncDict {
 		t.Fatalf("selected %v, want the dictionary encoding", e)
 	}
-	if len(enc.sdict) != 3 {
-		t.Fatalf("dictionary has %d entries, want 3 (+0, -0, NaN)", len(enc.sdict))
+	if len(enc.dict.keys) != 3 {
+		t.Fatalf("dictionary has %d entries, want 3 (+0, -0, NaN)", len(enc.dict.keys))
 	}
 
 	c := newCluster(t)

@@ -147,6 +147,30 @@ func TestStripeFlushPlainMatchesV1FixtureAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestStripeBytesUnchanged pins the bytes the writer stores. Six 256-row
+// RM1 stripes at each of four sparse cardinalities — 0 and 100000 stay on
+// the plain and delta encodings, 64 and 4096 take dictionaries — must
+// hash to what the writer stored when it compressed with compress/flate's
+// BestSpeed writer and built dictionaries by sorting every value.
+func TestStripeBytesUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		card   uint64
+		hashes [6]uint64
+	}{
+		{0, [6]uint64{0xff7114dee1f32feb, 0xd3e844e656354860, 0x6942919cdb82a12d, 0xc54d48614b087e, 0x8379977d88954a1e, 0x2d0442cc0bcd4671}},
+		{64, [6]uint64{0x1baf883d2249d881, 0x84c393f32cdabe9a, 0x1ce3d43e55a0587d, 0xeaa487e5fa5d208c, 0x48d7be50c78ad54d, 0x7a146161c063b632}},
+		{4096, [6]uint64{0x83f3bbec1c48df7, 0xdffd0ffb35c161e, 0xd01a6069e835e0, 0x930735746efca07b, 0x2dc095a312e7d7be, 0x6e8e9722c3ec08d4}},
+		{100000, [6]uint64{0xb0470d8e1499bf5a, 0x8d1081840a06ced2, 0xbad757294f2c15c6, 0xbb05ffaaee53b3c6, 0x90e44fba00b45a2, 0x365a3761d4969582}},
+	} {
+		r := writeRM1(t, c.card, len(c.hashes))
+		for i, want := range c.hashes {
+			if got := r.StripeContentHash(i); got != want {
+				t.Errorf("card %d stripe %d: ContentHash %x, want %x", c.card, i, got, want)
+			}
+		}
+	}
+}
+
 // TestStripeFlushAbsentFeatureFails: a sample carrying a feature the
 // schema does not know fails the flush, as it always has.
 func TestStripeFlushAbsentFeatureFails(t *testing.T) {
@@ -179,19 +203,33 @@ func TestStripeFlushAbsentFeatureFails(t *testing.T) {
 // and deflate state. From the second stripe on a flush may allocate what
 // it hands to others — the stripe's footer entry, the append tokens, and
 // whatever storage allocates to hold the appended bytes — and little
-// else. One flate.NewWriter costs about 1 MB, so a writer that went back
-// to building deflate state per stream (6 streams a stripe here) would
-// overshoot the allowance a hundredfold.
+// else. An encoder's deflate state is about 140 KB (a 128 KB match table),
+// so a writer that went back to building it per stream (6 streams a
+// stripe here) would overshoot the allowance tenfold.
 func TestStripeFlushSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of its Puts, so pooled encoders are rebuilt at random")
-	}
+	checkFlushSteadyStateAllocs(t, func() {})
+}
+
+// TestStripeFlushSteadyStateAllocsAcrossGC is the same guard with two
+// collections before every flush: idle encoders must survive them, or
+// each flush after a collection rebuilds its deflate state.
+func TestStripeFlushSteadyStateAllocsAcrossGC(t *testing.T) {
+	checkFlushSteadyStateAllocs(t, func() {
+		runtime.GC()
+		runtime.GC()
+	})
+}
+
+// checkFlushSteadyStateAllocs writes 17 stripes, calling beforeFlush
+// before each row that flushes one, and checks what stripes 2..17
+// allocated against the allowance.
+func checkFlushSteadyStateAllocs(t *testing.T, beforeFlush func()) {
 	const (
 		stripeRows    = 64
 		stripes       = 17
 		perStripe     = 64 << 10
 		replication   = 2
-		storageGrowth = 8 // append-doubling slack per replicated stored byte
+		storageGrowth = 4 // chunk-doubling slack per replicated stored byte
 	)
 	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 3, Replication: replication})
 	if err != nil {
@@ -209,6 +247,9 @@ func TestStripeFlushSteadyStateAllocs(t *testing.T) {
 			if i == stripeRows { // the first stripe is flushed: state is built
 				runtime.ReadMemStats(&before)
 				bytesBefore = cluster.LogicalBytes()
+			}
+			if i%stripeRows == stripeRows-1 {
+				beforeFlush()
 			}
 			if err := w.WriteRow(s); err != nil {
 				t.Fatal(err)

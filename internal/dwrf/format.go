@@ -47,6 +47,12 @@
 // whose Version is newer than their own rather than misparse unknown
 // encodings.
 //
+// The write path deflates each stream in one call with the package's own
+// encoder (deflate.go), which writes exactly the bytes compress/flate's
+// BestSpeed writer does, from state a stripe encoder keeps for its life:
+// stripe encoders wait between flushes on a free list, not a sync.Pool,
+// so a garbage collection costs no rebuilt state.
+//
 // The batch decode path is pooled end to end: stream staging buffers and
 // payloads recycle through capacity-classed pools, each stream inflates
 // in one call straight into a payload buffer of its recorded RawLength
@@ -63,13 +69,14 @@ package dwrf
 
 import (
 	"cmp"
-	"compress/flate"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -249,17 +256,6 @@ func cryptStream(data []byte, fileOffset int64) error {
 	return cryptStreamTo(data, data, fileOffset)
 }
 
-// appendWriter is an io.Writer that appends to a byte slice whose
-// capacity carries over between uses.
-type appendWriter struct {
-	buf []byte
-}
-
-func (a *appendWriter) Write(p []byte) (int, error) {
-	a.buf = append(a.buf, p...)
-	return len(p), nil
-}
-
 // decompress inflates one stream's decrypted bytes into a pooled payload
 // buffer of exactly rawLen bytes, the StreamMeta.RawLength the writer
 // recorded. A stream that is not valid DEFLATE, ends before its final
@@ -428,60 +424,66 @@ func (p *payloadReader) idx(w int) (uint32, error) {
 // encoders' two map walks plus a fresh bytes.Buffer per stream.
 //
 // The encoder also owns the deflate state its payloads are compressed
-// with: a flate.Writer carries ~1 MB of hash tables and Huffman state,
-// so it is built once and Reset per stream, and its output accumulates
-// in out (see compress). Encoders outlive the writers that use them:
-// a flush borrows one per worker from stripeEncoders.
+// with (deflate.go: a 128 KB match table, plus a token list and Huffman
+// codes sized to the largest stream it has encoded), and its output
+// accumulates in out (see compress). Encoders outlive the writers that
+// use them: a flush borrows one per worker from stripeEncoders.
 type stripeEncoder struct {
 	pw    payloadWriter
-	fw    *flate.Writer
-	out   appendWriter // compressed streams, back to back
-	rows  []uint32     // present-entry stripe-relative row indices
-	lens  []uint32     // per-entry list lengths (sparse/score-list)
+	fl    deflater
+	out   []byte   // compressed streams, back to back
+	rows  []uint32 // present-entry stripe-relative row indices
+	lens  []uint32 // per-entry list lengths (sparse/score-list)
 	f32s  []float32
 	vals  []int64
 	svals []schema.ScoredValue
-	dict  []int64
-	sdict []schema.ScoredValue
+	dict  dictBuilder
 }
 
-// stripeEncoders holds idle encoders, as inflaters does for the read
-// path: writers live for one partition, deflate state should not.
-var stripeEncoders sync.Pool
+// stripeEncoders holds idle encoders: writers live for one partition,
+// encoder state should not. It is a free list rather than a sync.Pool,
+// which the garbage collector empties, so that a flush after a
+// collection does not rebuild the state. It keeps at most two per P, as
+// many as two concurrent flushes borrow.
+var stripeEncoders struct {
+	sync.Mutex
+	free []*stripeEncoder
+}
 
-// getStripeEncoder takes an encoder from the pool, building its deflate
-// state if the pool is empty, with an empty output buffer. (The zero
-// value encodes payloads but cannot compress them.)
-func getStripeEncoder() (*stripeEncoder, error) {
-	if e, ok := stripeEncoders.Get().(*stripeEncoder); ok {
-		e.out.buf = e.out.buf[:0]
-		return e, nil
+// getStripeEncoder takes an idle encoder, or makes one, with an empty
+// output buffer.
+func getStripeEncoder() *stripeEncoder {
+	stripeEncoders.Lock()
+	defer stripeEncoders.Unlock()
+	n := len(stripeEncoders.free)
+	if n == 0 {
+		return new(stripeEncoder)
 	}
-	e := new(stripeEncoder)
-	fw, err := flate.NewWriter(&e.out, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("dwrf: flate: %w", err)
+	e := stripeEncoders.free[n-1]
+	stripeEncoders.free = stripeEncoders.free[:n-1]
+	e.out = e.out[:0]
+	return e
+}
+
+// putStripeEncoder returns e to the free list, or drops it if the list
+// is full.
+func putStripeEncoder(e *stripeEncoder) {
+	stripeEncoders.Lock()
+	defer stripeEncoders.Unlock()
+	if len(stripeEncoders.free) < 2*runtime.GOMAXPROCS(0) {
+		stripeEncoders.free = append(stripeEncoders.free, e)
 	}
-	e.fw = fw
-	return e, nil
 }
 
 // compress deflates payload onto the end of e.out and returns the bytes
-// it added. The output is byte-identical to a fresh BestSpeed
-// flate.Writer's: Reset restores exactly that state. The returned slice
-// stays intact when later streams grow e.out (append never writes into
-// bytes already returned); it is the next borrower's truncation of
-// e.out that recycles it.
-func (e *stripeEncoder) compress(payload []byte) ([]byte, error) {
-	e.fw.Reset(&e.out)
-	start := len(e.out.buf)
-	if _, err := e.fw.Write(payload); err != nil {
-		return nil, fmt.Errorf("dwrf: compress: %w", err)
-	}
-	if err := e.fw.Close(); err != nil {
-		return nil, fmt.Errorf("dwrf: compress close: %w", err)
-	}
-	return e.out.buf[start:len(e.out.buf):len(e.out.buf)], nil
+// it added: the bytes a fresh BestSpeed flate.Writer writes for it
+// (deflate.go). The returned slice stays intact when later streams grow
+// e.out (the encoder only appends); it is the next borrower's truncation
+// of e.out that recycles it.
+func (e *stripeEncoder) compress(payload []byte) []byte {
+	start := len(e.out)
+	e.out = e.fl.deflate(e.out, payload)
+	return e.out[start:len(e.out):len(e.out)]
 }
 
 // encodeDense encodes a dense feature column: present rows only. When
@@ -538,17 +540,130 @@ func (e *stripeEncoder) encodeDense(rows []*schema.Sample, id schema.FeatureID, 
 	return p.bytes(), EncRLE
 }
 
-// buildDict fills e.dict with the sorted distinct values of e.vals.
-func (e *stripeEncoder) buildDict() {
-	e.dict = append(e.dict[:0], e.vals...)
-	slices.Sort(e.dict)
-	e.dict = slices.Compact(e.dict)
+// dictEntry is one dictionary key — a sparse value, or a score-list
+// value with its score's bit pattern (s is 0 for sparse values) — and a
+// code. Dictionaries are sorted by value, then score bits.
+type dictEntry struct {
+	v    int64
+	s    uint32
+	code uint32
 }
 
-// dictIdx returns v's index in the sorted dictionary.
-func dictIdx(dict []int64, v int64) uint32 {
-	i, _ := slices.BinarySearch(dict, v)
-	return uint32(i)
+func dictEntryCmp(a, b dictEntry) int {
+	if c := cmp.Compare(a.v, b.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.s, b.s)
+}
+
+// dictBuilder builds a stream's sorted dictionary and each value's index
+// into it. An open-addressing table gives each distinct key a code in
+// first-seen order; only the d distinct keys are then sorted, and each
+// value's code is remapped through its key's rank. The dictionary and the
+// indices are those of sorting every value and binary-searching each one,
+// at a hash per value instead. A build stops as soon as more keys are
+// distinct than the caller's limit: past it a dictionary cannot win.
+type dictBuilder struct {
+	slots []dictEntry // the table: code+1 per key, 0 in an empty slot
+	shift uint        // 64 - log2(len(slots))
+	limit int
+	keys  []dictEntry // distinct keys with their codes in first-seen order, then the sorted dictionary
+	vals  []int64     // buildSparse's sort scratch
+	idx   []uint32    // per value: its key's code, then its dictionary index
+	rank  []uint32    // per code: the key's dictionary index
+}
+
+// buildSparse builds the dictionary of sparse values vals. It reports
+// false, leaving the builder unusable, once more than limit are distinct.
+func (b *dictBuilder) buildSparse(vals []int64, limit int) bool {
+	b.reset(len(vals), limit)
+	for _, v := range vals {
+		if !b.add(v, 0) {
+			return false
+		}
+	}
+	// Plain int64s sort several times faster than entries by a comparison
+	// function; each sorted value's code is then one more probe.
+	b.vals = b.vals[:0]
+	for _, k := range b.keys {
+		b.vals = append(b.vals, k.v)
+	}
+	slices.Sort(b.vals)
+	b.rank = slices.Grow(b.rank[:0], len(b.vals))[:len(b.vals)]
+	for r, v := range b.vals {
+		b.rank[b.probe(v, 0).code-1] = uint32(r)
+		b.keys[r] = dictEntry{v: v}
+	}
+	b.remap()
+	return true
+}
+
+// buildScored is buildSparse for score-list values, whose dictionary is
+// sorted by value and then score bits.
+func (b *dictBuilder) buildScored(vals []schema.ScoredValue, limit int) bool {
+	b.reset(len(vals), limit)
+	for _, v := range vals {
+		if !b.add(v.Value, math.Float32bits(v.Score)) {
+			return false
+		}
+	}
+	slices.SortFunc(b.keys, dictEntryCmp)
+	b.rank = slices.Grow(b.rank[:0], len(b.keys))[:len(b.keys)]
+	for r, k := range b.keys {
+		b.rank[k.code] = uint32(r)
+	}
+	b.remap()
+	return true
+}
+
+// reset empties the builder for n values, sizing the table to keep it at
+// most half full.
+func (b *dictBuilder) reset(n, limit int) {
+	size := 16
+	for size < 2*min(n, limit+1) {
+		size <<= 1
+	}
+	b.slots = slices.Grow(b.slots[:0], size)[:size]
+	clear(b.slots)
+	b.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	b.limit = limit
+	b.keys = b.keys[:0]
+	b.idx = b.idx[:0]
+}
+
+// probe returns the slot holding key (v, s), or the empty slot where it
+// would go.
+func (b *dictBuilder) probe(v int64, s uint32) *dictEntry {
+	h := (uint64(v) ^ uint64(s)<<29) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the top bits mix all of v
+	mask := len(b.slots) - 1
+	for i := int(h >> b.shift); ; i = (i + 1) & mask {
+		if slot := &b.slots[i]; slot.code == 0 || slot.v == v && slot.s == s {
+			return slot
+		}
+	}
+}
+
+// add appends the code of key (v, s) to b.idx, giving the key the next
+// code if it is new. It reports false instead if the key would be the
+// limit+1st.
+func (b *dictBuilder) add(v int64, s uint32) bool {
+	slot := b.probe(v, s)
+	if slot.code == 0 {
+		if len(b.keys) >= b.limit {
+			return false
+		}
+		*slot = dictEntry{v: v, s: s, code: uint32(len(b.keys)) + 1}
+		b.keys = append(b.keys, dictEntry{v: v, s: s, code: uint32(len(b.keys))})
+	}
+	b.idx = append(b.idx, slot.code-1)
+	return true
+}
+
+// remap turns each value's code into its dictionary index.
+func (b *dictBuilder) remap() {
+	for i, c := range b.idx {
+		b.idx[i] = b.rank[c]
+	}
 }
 
 // encodeSparse encodes a sparse feature column, picking the smallest of
@@ -590,11 +705,12 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 	enc := EncPlain
 	if !plainOnly {
 		bestSize := plainSize
-		e.buildDict()
-		d := len(e.dict)
-		w := dictIdxWidth(d)
-		if d <= maxDictCard {
-			if dictSize := 8 + 8*d + 8*entries + w*total; dictSize < bestSize {
+		// A dictionary of more than limit entries, each at least a byte
+		// per index, is no smaller than plain.
+		limit := min(maxDictCard, (plainSize-8-8*entries-total)/8)
+		if e.dict.buildSparse(e.vals, limit) {
+			d := len(e.dict.keys)
+			if dictSize := 8 + 8*d + 8*entries + dictIdxWidth(d)*total; dictSize < bestSize {
 				enc, bestSize = EncDict, dictSize
 			}
 		}
@@ -608,21 +724,11 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 	switch enc {
 	case EncDict:
 		p.u32(uint32(entries))
-		p.u32(uint32(len(e.dict)))
-		for _, v := range e.dict {
-			p.i64(v)
+		p.u32(uint32(len(e.dict.keys)))
+		for _, k := range e.dict.keys {
+			p.i64(k.v)
 		}
-		w := dictIdxWidth(len(e.dict))
-		pos := 0
-		for k, row := range e.rows {
-			n := int(e.lens[k])
-			p.u32(row)
-			p.u32(uint32(n))
-			for _, v := range e.vals[pos : pos+n] {
-				p.idx(dictIdx(e.dict, v), w)
-			}
-			pos += n
-		}
+		e.writeDictIndices()
 	case EncDelta:
 		p.u32(uint32(entries))
 		pos := 0
@@ -656,26 +762,22 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 	return p.bytes(), enc
 }
 
-// buildScoredDict fills e.sdict with the sorted distinct (value, score)
-// pairs of e.svals.
-func (e *stripeEncoder) buildScoredDict() {
-	e.sdict = append(e.sdict[:0], e.svals...)
-	slices.SortFunc(e.sdict, scoredCmp)
-	e.sdict = slices.CompactFunc(e.sdict, func(a, b schema.ScoredValue) bool { return scoredCmp(a, b) == 0 })
-}
-
-// scoredCmp orders scored values by (value, score bit pattern).
-func scoredCmp(a, b schema.ScoredValue) int {
-	if c := cmp.Compare(a.Value, b.Value); c != 0 {
-		return c
+// writeDictIndices writes the entries of a dictionary stream: per present
+// row its index, its list length, and the list's packed dictionary
+// indices.
+func (e *stripeEncoder) writeDictIndices() {
+	p := &e.pw
+	w := dictIdxWidth(len(e.dict.keys))
+	pos := 0
+	for k, row := range e.rows {
+		n := int(e.lens[k])
+		p.u32(row)
+		p.u32(uint32(n))
+		for _, i := range e.dict.idx[pos : pos+n] {
+			p.idx(i, w)
+		}
+		pos += n
 	}
-	return cmp.Compare(math.Float32bits(a.Score), math.Float32bits(b.Score))
-}
-
-// scoredDictIdx returns v's index in the sorted scored dictionary.
-func scoredDictIdx(dict []schema.ScoredValue, v schema.ScoredValue) uint32 {
-	i, _ := slices.BinarySearchFunc(dict, v, scoredCmp)
-	return uint32(i)
 }
 
 // encodeScoreList encodes a score-list feature column, with a
@@ -701,11 +803,11 @@ func (e *stripeEncoder) encodeScoreList(rows []*schema.Sample, id schema.Feature
 	p.reset()
 	enc := EncPlain
 	if !plainOnly {
-		e.buildScoredDict()
-		d := len(e.sdict)
-		w := dictIdxWidth(d)
-		if d <= maxDictCard {
-			if dictSize := 8 + 12*d + 8*entries + w*total; dictSize < plainSize {
+		// As in encodeSparse, with 12-byte entries.
+		limit := min(maxDictCard, (plainSize-8-8*entries-total)/12)
+		if e.dict.buildScored(e.svals, limit) {
+			d := len(e.dict.keys)
+			if dictSize := 8 + 12*d + 8*entries + dictIdxWidth(d)*total; dictSize < plainSize {
 				enc = EncDict
 			}
 		}
@@ -714,22 +816,12 @@ func (e *stripeEncoder) encodeScoreList(rows []*schema.Sample, id schema.Feature
 	switch enc {
 	case EncDict:
 		p.u32(uint32(entries))
-		p.u32(uint32(len(e.sdict)))
-		for _, v := range e.sdict {
-			p.i64(v.Value)
-			p.f32(v.Score)
+		p.u32(uint32(len(e.dict.keys)))
+		for _, k := range e.dict.keys {
+			p.i64(k.v)
+			p.u32(k.s)
 		}
-		w := dictIdxWidth(len(e.sdict))
-		pos := 0
-		for k, row := range e.rows {
-			n := int(e.lens[k])
-			p.u32(row)
-			p.u32(uint32(n))
-			for _, v := range e.svals[pos : pos+n] {
-				p.idx(scoredDictIdx(e.sdict, v), w)
-			}
-			pos += n
-		}
+		e.writeDictIndices()
 	default:
 		p.u32(uint32(entries))
 		pos := 0

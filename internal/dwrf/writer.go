@@ -202,7 +202,6 @@ func scramble(id schema.FeatureID) uint32 {
 type streamJob struct {
 	meta StreamMeta
 	comp []byte
-	err  error
 }
 
 // encodeJob encodes and compresses one stream on encoder e.
@@ -223,7 +222,7 @@ func (w *Writer) encodeJob(e *stripeEncoder, rows []*schema.Sample, j *streamJob
 		payload, m.Encoding = e.encodeScoreList(rows, m.Feature, plain)
 	}
 	m.RawLength = int64(len(payload))
-	j.comp, j.err = e.compress(payload)
+	j.comp = e.compress(payload)
 }
 
 // planStripe lists the stripe's streams in layout order into w.jobs.
@@ -259,12 +258,12 @@ func (w *Writer) planStripe(rows []*schema.Sample) error {
 //
 // Encoding and compression — nearly all of the cost — run on
 // min(GOMAXPROCS, streams) workers, each with a stripeEncoder of its own
-// out of the package's pool, pulling streams off a shared counter. A
+// off the package's free list, pulling streams off a shared counter. A
 // stream's compressed bytes depend only on the rows, so which worker ran
 // it does not show in the file. Everything that depends on file position
 // then happens on the calling goroutine, strictly in layout order: fold
 // the content hash, encrypt (the IV is the file offset), append. The
-// encoders go back to the pool only after that pass: the compressed
+// encoders go back to the free list only after that pass: the compressed
 // bytes it appends live in their output buffers.
 func (w *Writer) flushStripe() error {
 	rows := w.pending
@@ -278,19 +277,15 @@ func (w *Writer) flushStripe() error {
 	jobs := w.jobs
 
 	workers := min(runtime.GOMAXPROCS(0), len(jobs))
-	encs := make([]*stripeEncoder, 0, workers)
+	encs := make([]*stripeEncoder, workers)
+	for k := range encs {
+		encs[k] = getStripeEncoder()
+	}
 	defer func() {
 		for _, e := range encs {
-			stripeEncoders.Put(e)
+			putStripeEncoder(e)
 		}
 	}()
-	for len(encs) < workers {
-		e, err := getStripeEncoder()
-		if err != nil {
-			return err
-		}
-		encs = append(encs, e)
-	}
 	var next atomic.Int64
 	run := func(k int) {
 		e := encs[k]
@@ -316,9 +311,6 @@ func (w *Writer) flushStripe() error {
 	meta := StripeMeta{Offset: w.offset, Rows: len(rows), Streams: make([]StreamMeta, 0, len(jobs))}
 	for i := range jobs {
 		j := &jobs[i]
-		if j.err != nil {
-			return j.err
-		}
 		// Fold the compressed (pre-encryption) bytes into the stripe's
 		// content hash: encryption IVs depend on file offsets, so hashing
 		// before the crypt pass keeps the digest a pure function of content.

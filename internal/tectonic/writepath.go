@@ -172,7 +172,7 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 				panic(fmt.Sprintf("tectonic: replica divergence at %s chunk %d: len %d want %d",
 					path, chunkIdx, len(buf), within))
 			}
-			node.chunks[key] = append(buf, data[:n]...)
+			node.chunks[key] = appendChunk(buf, data[:n], cs)
 			node.mu.Unlock()
 		}
 		f.size += n
@@ -188,6 +188,22 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 		}
 	}
 	return nil
+}
+
+// appendChunk appends data to a chunk buffer of at most chunkSize bytes.
+// A buffer that must grow at least doubles, capped at chunkSize. Append
+// alone grows a large slice by a quarter, so a chunk filled in small
+// appends would be copied three times as often and allocate about five
+// times its final size instead of two. Spare capacity is safe because
+// serveChunk lends capacity-clamped views: no borrower sees the bytes
+// later appends write there.
+func appendChunk(buf, data []byte, chunkSize int64) []byte {
+	if need := len(buf) + len(data); need > cap(buf) {
+		grown := make([]byte, len(buf), min(max(2*cap(buf), need), int(chunkSize)))
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, data...)
 }
 
 // placementHealthy picks a new chunk's replicas with health-ranked

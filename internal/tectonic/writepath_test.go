@@ -3,6 +3,8 @@ package tectonic
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"dsi/internal/tectonic/faults"
@@ -329,5 +331,57 @@ func TestWriteFaultReadWindowsInvisibleToWrites(t *testing.T) {
 	}
 	if !bytes.Equal(readBack(t, c, "w"), data) {
 		t.Fatal("append under read storm stored wrong bytes")
+	}
+}
+
+// TestChunkGrowthDoubles: a chunk buffer that must grow at least doubles.
+// A chunk holding one stripe's S bytes takes the next stripe's 140 small
+// appends with one reallocation, 2·S per replica; append's own quarter
+// steps take three, about 5·S. Growth stops at ChunkSize.
+func TestChunkGrowthDoubles(t *testing.T) {
+	const (
+		streams     = 140
+		stream      = 2 << 10
+		stripe      = streams * stream
+		replication = 2
+	)
+	c := writeFixture(t, Options{Nodes: 3, Replication: replication, ChunkSize: 3 * stripe})
+	want := payload(stripe)
+	if _, err := c.AppendToken("w", "w@0", want); err != nil {
+		t.Fatal(err)
+	}
+	data := payload(stream)
+	tokens := make([]string, 3*streams)
+	for i := range tokens {
+		tokens[i] = fmt.Sprintf("w@%d", stripe+i*stream)
+		want = append(want, data...)
+	}
+	appendStripe := func(tokens []string) {
+		for _, tok := range tokens {
+			if _, err := c.AppendToken("w", tok, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	appendStripe(tokens[:streams])
+	runtime.ReadMemStats(&after)
+	if perReplica := (after.TotalAlloc - before.TotalAlloc) / replication; perReplica > 5*stripe/2 {
+		t.Fatalf("appending %d bytes in %d appends allocated %d bytes per replica, want at most 2.5x", stripe, streams, perReplica)
+	}
+
+	// Two more stripes fill the first chunk and start the second.
+	appendStripe(tokens[streams:])
+	for _, n := range c.nodes {
+		for key, buf := range n.chunks {
+			if int64(cap(buf)) > c.ChunkSize() {
+				t.Fatalf("chunk %d grew to %d bytes, past the %d-byte chunk size", key.index, cap(buf), c.ChunkSize())
+			}
+		}
+	}
+	if !bytes.Equal(readBack(t, c, "w"), want) {
+		t.Fatal("chunked appends stored wrong bytes")
 	}
 }
