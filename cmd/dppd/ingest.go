@@ -150,7 +150,7 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, writeF
 	client.RefreshEvery = 5 * time.Millisecond
 
 	start := time.Now()
-	rows := consume(client)
+	tr := consume(client)
 	if err := <-producerDone; err != nil {
 		log.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, writeF
 	discovered := m.DiscoveredPartitions()
 	fs := m.Freshness()
 	log.Printf("dppd ingest: trained on %d rows live in %v (%d batches)",
-		rows, time.Since(start).Round(time.Millisecond), client.BatchesFetched)
+		tr.RowsConsumed, time.Since(start).Round(time.Millisecond), tr.StepsDone)
 	log.Printf("dppd ingest: %d partitions sealed by ETL, %d discovered after session start",
 		len(discovered), len(discovered)-baseline)
 	log.Printf("dppd ingest: freshness over %d splits: mean %v, max %v (stalest event %v)",

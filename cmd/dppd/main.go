@@ -63,6 +63,7 @@ import (
 	"dsi/internal/datagen"
 	"dsi/internal/dpp"
 	"dsi/internal/tectonic/faults"
+	"dsi/internal/trainer"
 	"dsi/internal/warehouse"
 )
 
@@ -237,37 +238,30 @@ func runSubmit(model string, seed int64, masterAddr, sessionID string, weight fl
 		log.Fatal(err)
 	}
 	log.Printf("dppd submit: session %s registered (weight %.1f)", sessionID, weight)
-	rows, batches, bytes := consumeSession(rs, sessionID)
+	tr := consumeSession(rs, sessionID)
 	if err := rs.CloseSession(sessionID); err != nil {
 		log.Printf("dppd submit: close: %v", err)
 	}
-	log.Printf("dppd submit: session %s consumed %d rows in %d batches (%d bytes), closed", sessionID, rows, batches, bytes)
+	log.Printf("dppd submit: session %s consumed %d rows in %d batches (%d bytes), closed", sessionID, tr.RowsConsumed, tr.StepsDone, tr.BytesLoaded)
 }
 
 // consumeSession drains one session through a tenant client.
-func consumeSession(ctrl dpp.FleetControl, sessionID string) (rows int64, batches, bytes int64) {
+func consumeSession(ctrl dpp.FleetControl, sessionID string) *trainer.Trainer {
 	client, err := dpp.NewTenantClient(ctrl, sessionID, dpp.SessionWorkerDialer(sessionID), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	client.RefreshEvery = 50 * time.Millisecond
-	return consume(client), client.BatchesFetched, client.BytesFetched
+	return consume(client)
 }
 
-// consume trains on every batch the client delivers and returns the row
-// count.
-func consume(client *dpp.Client) (rows int64) {
-	for {
-		b, ok, err := client.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			return rows
-		}
-		rows += int64(b.Rows)
-		b.Release()
+// consume trains on every batch the client delivers.
+func consume(client *dpp.Client) *trainer.Trainer {
+	tr := trainer.NewTrainer(client)
+	if _, err := tr.Run(0); err != nil {
+		log.Fatal(err)
 	}
+	return tr
 }
 
 // runServiceDemo hosts the whole flow in one process: the service, its
@@ -309,8 +303,8 @@ func runServiceDemo(model string, seed int64, pipeline dpp.PipelineOptions, buff
 		wg.Add(1)
 		go func(id string, weight int) {
 			defer wg.Done()
-			rows, batches, _ := consumeSession(rs, id)
-			log.Printf("dppd demo: tenant %s (weight %d) trained on %d rows in %d batches", id, weight, rows, batches)
+			tr := consumeSession(rs, id)
+			log.Printf("dppd demo: tenant %s (weight %d) trained on %d rows in %d batches", id, weight, tr.RowsConsumed, tr.StepsDone)
 		}(fmt.Sprintf("s%d", i), i)
 	}
 	wg.Wait()
@@ -413,6 +407,7 @@ func runClient(masterAddr string, addrs []string, sessionID string) {
 		}
 		apis = append(apis, rw)
 	}
+	var tr *trainer.Trainer
 	if len(apis) == 0 {
 		rs, err := dpp.DialService(masterAddr)
 		if err != nil {
@@ -420,15 +415,13 @@ func runClient(masterAddr string, addrs []string, sessionID string) {
 		}
 		defer rs.Close()
 		log.Printf("dppd client: joining session %s via %s", sessionID, masterAddr)
-		rows, batches, bytes := consumeSession(rs, sessionID)
-		log.Printf("dppd client: consumed %d rows in %d batches (%d bytes)", rows, batches, bytes)
-		return
+		tr = consumeSession(rs, sessionID)
+	} else {
+		client, err := dpp.NewClient(apis, 0, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		tr = consume(client)
 	}
-	client, err := dpp.NewClient(apis, 0, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows := consume(client)
-	log.Printf("dppd client: consumed %d rows in %d batches (%d bytes)",
-		rows, client.BatchesFetched, client.BytesFetched)
+	log.Printf("dppd client: consumed %d rows in %d batches (%d bytes)", tr.RowsConsumed, tr.StepsDone, tr.BytesLoaded)
 }

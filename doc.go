@@ -160,8 +160,9 @@
 // -write-fault-seed` demos the storm over TCP.
 //
 // The implementation lives under internal/; see README.md for the
-// architecture overview, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// architecture overview and internal/experiments/testdata/golden/ for
+// the paper-vs-measured reference run, one file per experiment, that
+// tier-1 holds every experiment to.
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation via `go test -bench=.`.
 package dsi

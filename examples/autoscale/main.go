@@ -17,6 +17,7 @@ import (
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
+	"dsi/internal/trainer"
 	"dsi/internal/transforms"
 	"dsi/internal/warehouse"
 )
@@ -101,28 +102,12 @@ func main() {
 		log.Fatal(err)
 	}
 	client.RefreshEvery = 500 * time.Microsecond
+	tr := trainer.NewTrainer(client)
 
-	rows, batches := 0, 0
-	consume := func() bool {
-		b, ok, err := client.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			return false
-		}
-		rows += b.Rows
-		batches++
-		b.Release() // recycle streamed tensors (no-op for in-process batches)
-		return true
-	}
-
-	// Phase 1: a fast trainer starves worker buffers; the loop grows the
-	// pool.
-	for orch.Status().Peak < 2 && batches < 48 {
-		if !consume() {
-			break
-		}
+	// Phase 1: a fast trainer takes half the session's batches, starving
+	// worker buffers; the loop grows the pool.
+	if _, err := tr.Run(totalRows / session.BatchSize / 2); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("scale-up: pool grew to %d live workers under a fast trainer\n", orch.Status().Live)
 
@@ -136,7 +121,8 @@ func main() {
 	fmt.Printf("scale-down: %d worker(s) drained after the trainer slowed\n", st.Drained)
 
 	// Phase 3: consume the rest of the session at full speed.
-	for consume() {
+	if _, err := tr.Run(0); err != nil {
+		log.Fatal(err)
 	}
 	// A service outlives its sessions: stopping the loop retires the fleet.
 	close(stop)
@@ -167,9 +153,9 @@ func main() {
 	done, total := restored.Progress()
 	fmt.Printf("failover: replica restored from checkpoint at %d/%d splits\n", done, total)
 
-	fmt.Printf("delivered %d of %d rows across elastic churn\n", rows, totalRows)
-	if rows != totalRows {
-		log.Fatalf("row loss or duplication: got %d want %d", rows, totalRows)
+	fmt.Printf("delivered %d of %d rows across elastic churn\n", tr.RowsConsumed, totalRows)
+	if tr.RowsConsumed != int64(totalRows) {
+		log.Fatalf("row loss or duplication: got %d want %d", tr.RowsConsumed, totalRows)
 	}
 	fmt.Println("exactly-once delivery held")
 }

@@ -11,6 +11,7 @@ import (
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
+	"dsi/internal/trainer"
 	"dsi/internal/transforms"
 	"dsi/internal/warehouse"
 )
@@ -74,26 +75,17 @@ func main() {
 		}
 	}()
 
-	// 5. The trainer-side client consumes preprocessed tensors.
+	// 5. The trainer consumes preprocessed tensors through a client.
 	client, err := dpp.NewClient([]dpp.WorkerAPI{dpp.LocalWorkerAPI(worker)}, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	batches, rows := 0, 0
-	for {
-		b, ok, err := client.Next()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		batches++
-		rows += b.Rows
-		b.Release() // recycle streamed tensors (no-op for in-process batches)
+	tr := trainer.NewTrainer(client)
+	if _, err := tr.Run(0); err != nil {
+		log.Fatal(err)
 	}
 	rep := worker.Report()
-	fmt.Printf("trained on %d rows in %d batches\n", rows, batches)
+	fmt.Printf("trained on %d rows in %d batches\n", tr.RowsConsumed, tr.StepsDone)
 	fmt.Printf("worker: %d splits, %d B from storage, %d B decoded, %d B of tensors\n",
 		rep.SplitsDone, rep.NICRxBytes, rep.DecodedBytes, rep.NICTxBytes)
 }

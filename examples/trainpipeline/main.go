@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"dsi/internal/datagen"
 	"dsi/internal/dpp"
@@ -134,12 +135,16 @@ func main() {
 		log.Fatal(err)
 	}
 	tr := trainer.NewTrainer(client)
+	// A simulated GPU step: without one the trainer does nothing but
+	// wait, and every moment of a run is stall.
+	tr.StepTime = time.Millisecond
 	stall, err := tr.Run(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trainer: %d steps, %d rows, %.1f MB of tensors, stall fraction %.2f\n",
-		tr.StepsDone, tr.RowsConsumed, float64(tr.BytesLoaded)/1e6, stall)
+	fmt.Printf("trainer: %d steps, %d rows, %.1f MB of tensors, waited %v of %v for data (stall fraction %.2f)\n",
+		tr.StepsDone, tr.RowsConsumed, float64(tr.BytesLoaded)/1e6,
+		tr.StallTime.Round(time.Millisecond), tr.Elapsed.Round(time.Millisecond), stall)
 
 	var report dpp.ResourceReport
 	for _, w := range workers {

@@ -19,9 +19,10 @@ import (
 )
 
 // Profile captures one recommendation model's paper-reported
-// characteristics. Fields labelled "paper" are targets used by
-// EXPERIMENTS.md comparisons; the generator reproduces their shape at
-// simulation scale.
+// characteristics. Fields labelled "paper" are the targets the
+// experiments' paper column compares against (their reference run is
+// internal/experiments/testdata/golden/); the generator reproduces their
+// shape at simulation scale.
 type Profile struct {
 	Name string
 

@@ -10,22 +10,49 @@ import (
 )
 
 // WorkerAPI is the data-plane surface Clients depend on: a single RPC
-// that returns a batch of tensors from the Worker's buffer (§3.2.1).
+// that returns a batch of tensors from the Worker's buffer (§3.2.1),
+// and the announcement that tells a waiting Client to ask again.
 type WorkerAPI interface {
 	// FetchBatch pops one batch. ok=false with done=true means the
 	// worker has finished and drained; ok=false with done=false means
 	// temporarily empty.
 	FetchBatch() (b *tensor.Batch, ok bool, done bool, err error)
+	// announceTo registers the client's one-slot wake channel: the
+	// connection pings it whenever FetchBatch may answer differently (a
+	// batch arrived, the worker finished or crashed, the stream ended).
+	announceTo(ch chan<- struct{})
 }
 
-// localWorker adapts *Worker to WorkerAPI.
-type localWorker struct{ w *Worker }
+// localWorker adapts *Worker to WorkerAPI. wake is the client slot it
+// registered with the worker; Close unregisters it.
+type localWorker struct {
+	w    *Worker
+	wake chan<- struct{}
+}
+
+// announceTo implements WorkerAPI: the worker pings ch from
+// signalLocked.
+func (l *localWorker) announceTo(ch chan<- struct{}) {
+	l.wake = ch
+	l.w.mu.Lock()
+	l.w.wakes[l] = struct{}{}
+	l.w.mu.Unlock()
+}
+
+// Close implements io.Closer: a client dropping the connection stops
+// taking the worker's pings.
+func (l *localWorker) Close() error {
+	l.w.mu.Lock()
+	delete(l.w.wakes, l)
+	l.w.mu.Unlock()
+	return nil
+}
 
 // FetchBatch implements WorkerAPI. An in-process pop is irrevocable, so
 // it acks the batch's split ledger immediately. A crashed worker errors
 // like a dead TCP peer would, so fault-injection tests exercise the
 // same client recovery path in-process and over the wire.
-func (l localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
+func (l *localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 	if l.w.Crashed() {
 		return nil, false, false, fmt.Errorf("dpp: worker %s crashed", l.w.ID)
 	}
@@ -37,7 +64,7 @@ func (l localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 }
 
 // LocalWorkerAPI wraps an in-process worker as a WorkerAPI.
-func LocalWorkerAPI(w *Worker) WorkerAPI { return localWorker{w} }
+func LocalWorkerAPI(w *Worker) WorkerAPI { return &localWorker{w: w} }
 
 // WorkerDialer opens a data-plane connection to one resolved worker.
 // SessionWorkerDialer is the TCP implementation; an in-process
@@ -126,13 +153,12 @@ type Client struct {
 	detached int
 
 	// wake is the one-slot channel Next waits on between sweeps. Every
-	// connection that can announce (arrivalAnnouncer: the framed stream)
-	// pings it when a frame lands or the stream ends, and reapDetached
-	// pings it when a rescue lands; pings sent while a sweep is running
-	// stay in the slot, so no arrival is missed. mute counts connections
-	// that cannot announce and must be swept on a timer instead.
+	// connection pings it (WorkerAPI.announceTo): a framed stream when a
+	// frame lands or the stream ends, an in-process worker when a batch
+	// enters its buffer or it finishes or crashes. reapDetached pings it
+	// when a rescue lands. Pings sent while a sweep is running stay in
+	// the slot, so no arrival is missed.
 	wake chan struct{}
-	mute int
 
 	// BatchesFetched counts delivered batches.
 	BatchesFetched int64
@@ -212,11 +238,7 @@ func (c *Client) addLocked(id string, api WorkerAPI) bool {
 		}
 	}
 	c.conns = append(c.conns, workerConn{id: id, api: api})
-	if a, ok := api.(arrivalAnnouncer); ok {
-		a.announceTo(c.wake)
-	} else {
-		c.mute++
-	}
+	api.announceTo(c.wake)
 	// Whatever the connection already holds arrived unannounced.
 	ping(c.wake)
 	return true
@@ -474,23 +496,19 @@ func (c *Client) admitLocked(b *tensor.Batch) bool {
 	return true
 }
 
-// stallSweep is how often Next re-sweeps connections that cannot
-// announce an arrival (LocalWorkerAPI, test fakes).
-const stallSweep = 500 * time.Microsecond
-
 // Next returns the next tensor batch. It returns ok=false only when the
 // session has no more data for this client: for a frozen worker set,
 // when every connected worker has finished and drained; for a
 // master-resolved client, when additionally the master reports the
 // session complete and membership has emptied. Between sweeps it waits,
-// off the client lock, for an arrival: a frame landing in a stream's
-// window, a stream ending, or a rescued window landing in the orphan
-// queue. A timer joins the wait only where no event can: a
-// master-resolved client wakes every RefreshEvery to re-resolve
-// membership (control-plane cadence, not a hand-off), and a connection
-// that cannot announce is swept every stallSweep. Next has one waiter —
-// the session's one logical consumer, the same assumption the dedup
-// ledger makes; TryNext stays callable from any goroutine.
+// off the client lock, for an arrival: a batch reaching a stream's
+// window or an in-process worker's buffer, a worker finishing or
+// crashing, a stream ending, or a rescued window landing in the orphan
+// queue. The one timer is a master-resolved client's RefreshEvery, the
+// cadence at which it re-resolves membership (control plane, not a
+// hand-off). Next has one waiter — the session's one logical consumer,
+// the same assumption the dedup ledger makes; TryNext stays callable
+// from any goroutine.
 func (c *Client) Next() (*tensor.Batch, bool, error) {
 	for {
 		b, ok, done, err := c.TryNext()
@@ -503,18 +521,13 @@ func (c *Client) Next() (*tensor.Batch, bool, error) {
 		if done {
 			return nil, false, nil
 		}
-		var timed <-chan time.Time // nil: wait for an arrival alone
-		c.mu.Lock()
-		switch {
-		case c.mute > 0:
-			timed = time.After(stallSweep)
-		case c.master != nil:
-			timed = time.After(c.refreshEvery())
+		var refresh <-chan time.Time // nil: wait for an arrival alone
+		if c.master != nil {
+			refresh = time.After(c.refreshEvery())
 		}
-		c.mu.Unlock()
 		select {
 		case <-c.wake:
-		case <-timed:
+		case <-refresh:
 		}
 	}
 }

@@ -482,14 +482,6 @@ type StreamWorker struct {
 	closeOnce sync.Once
 }
 
-// arrivalAnnouncer is the optional WorkerAPI extension of transports
-// that can tell a Client when FetchBatch may answer differently (the
-// framed stream). A connection without it is swept on a timer.
-type arrivalAnnouncer interface {
-	// announceTo registers the one-slot channel to ping.
-	announceTo(ch chan<- struct{})
-}
-
 // ping leaves a wake-up in a one-slot channel unless one is already
 // waiting there: the receiver re-reads all state when it wakes, so one
 // pending ping stands for any number of events.
@@ -500,7 +492,7 @@ func ping(ch chan<- struct{}) {
 	}
 }
 
-// announceTo implements arrivalAnnouncer.
+// announceTo implements WorkerAPI.
 func (s *StreamWorker) announceTo(ch chan<- struct{}) {
 	s.amu.Lock()
 	s.arrivals = ch

@@ -1,6 +1,8 @@
 package dpp
 
 import (
+	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -560,105 +562,210 @@ func TestAwaitWorkToken(t *testing.T) {
 	}
 }
 
-// countedStream counts the sweeps a Client makes over one stream; the
-// embedded StreamWorker still announces its arrivals to the client.
-type countedStream struct {
-	*StreamWorker
+// countedConn counts the sweeps a Client makes over one connection; the
+// embedded WorkerAPI still announces its arrivals to the client.
+type countedConn struct {
+	WorkerAPI
 	fetches atomic.Int64
 }
 
-func (c *countedStream) FetchBatch() (*tensor.Batch, bool, bool, error) {
+func (c *countedConn) FetchBatch() (*tensor.Batch, bool, bool, error) {
 	c.fetches.Add(1)
-	return c.StreamWorker.FetchBatch()
+	return c.WorkerAPI.FetchBatch()
 }
 
-// TestClientNextWaitsForArrival: over streams that have nothing, Next
-// sweeps once and then touches no connection until a frame lands, a
-// stream ends, or a rescued window lands in the orphan queue. (The
-// parent re-swept every 500 µs.)
-func TestClientNextWaitsForArrival(t *testing.T) {
-	srcA, srcB := newAnnouncingSource(), newAnnouncingSource()
-	a := &countedStream{StreamWorker: serveAndDial(t, srcA)}
-	b := &countedStream{StreamWorker: serveAndDial(t, srcB)}
-	client, err := NewClient([]WorkerAPI{a, b}, 0, 0)
+// Close passes the client's removal through to the connection.
+func (c *countedConn) Close() error {
+	if closer, ok := c.WorkerAPI.(io.Closer); ok {
+		return closer.Close()
+	}
+	return nil
+}
+
+// arrivalEnd is the far end of one connection TestClientNextWaitsForArrival
+// drives: the client's side of it, and how to hand it a batch or end it.
+type arrivalEnd struct {
+	conn   *countedConn
+	push   func(*tensor.Batch)
+	finish func()
+}
+
+// streamEnd is a framed stream over an announcing source.
+func streamEnd(t *testing.T) arrivalEnd {
+	src := newAnnouncingSource()
+	return arrivalEnd{&countedConn{WorkerAPI: serveAndDial(t, src)}, src.push, src.finish}
+}
+
+// idleWorkers registers n in-process workers that never run: the test
+// fills their buffers (deliver) and finishes them itself.
+func idleWorkers(t *testing.T, n int) []*Worker {
+	t.Helper()
+	wh, spec := buildFixture(t, 64, 16)
+	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweeps := func() int64 { return a.fetches.Load() + b.fetches.Load() }
-
-	type result struct {
-		rows int
-		ok   bool
-		err  error
+	ws := make([]*Worker, n)
+	for i := range ws {
+		if ws[i], err = NewWorker(fmt.Sprintf("idle-%d", i), m, wh); err != nil {
+			t.Fatal(err)
+		}
 	}
-	next := func() <-chan result {
-		out := make(chan result, 1)
-		go func() {
-			b, ok, err := client.Next()
-			r := result{ok: ok, err: err}
-			if ok {
-				r.rows = b.Rows
-				b.Release()
+	return ws
+}
+
+// localEnd is an in-process connection (LocalWorkerAPI) to w.
+func localEnd(t *testing.T, w *Worker) arrivalEnd {
+	push := func(b *tensor.Batch) {
+		if err := w.deliver(b, nil); err != nil {
+			t.Error(err)
+		}
+	}
+	return arrivalEnd{&countedConn{WorkerAPI: LocalWorkerAPI(w)}, push, w.finish}
+}
+
+type nextResult struct {
+	rows int
+	ok   bool
+	err  error
+}
+
+// goNext runs one Client.Next on its own goroutine.
+func goNext(c *Client) <-chan nextResult {
+	out := make(chan nextResult, 1)
+	go func() {
+		b, ok, err := c.Next()
+		r := nextResult{ok: ok, err: err}
+		if ok {
+			r.rows = b.Rows
+			b.Release()
+		}
+		out <- r
+	}()
+	return out
+}
+
+// awaitNext fails the test unless the pending Next answers.
+func awaitNext(t *testing.T, what string, got <-chan nextResult) nextResult {
+	t.Helper()
+	select {
+	case r := <-got:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: Next never woke", what)
+		return nextResult{}
+	}
+}
+
+// expectNext fails the test unless the pending Next answers rows and ok.
+func expectNext(t *testing.T, what string, got <-chan nextResult, rows int, ok bool) {
+	t.Helper()
+	if r := awaitNext(t, what, got); r.err != nil || r.ok != ok || r.rows != rows {
+		t.Fatalf("%s: Next = %d rows, ok=%v, err=%v; want %d rows, ok=%v", what, r.rows, r.ok, r.err, rows, ok)
+	}
+}
+
+// expectIdle lets Next settle into its wait, then watches a second
+// window in which it must neither answer nor touch a connection.
+func expectIdle(t *testing.T, got <-chan nextResult, sweeps func() int64) {
+	t.Helper()
+	time.Sleep(idleWindow)
+	settled := sweeps()
+	time.Sleep(idleWindow)
+	if n := sweeps() - settled; n != 0 {
+		t.Fatalf("waiting Next made %d FetchBatch calls with nothing arriving", n)
+	}
+	select {
+	case r := <-got:
+		t.Fatalf("Next returned (%d rows, ok=%v, err=%v) with nothing arriving", r.rows, r.ok, r.err)
+	default:
+	}
+}
+
+// TestClientNextWaitsForArrival: over connections that have nothing,
+// Next sweeps once and then touches no connection until a batch
+// arrives, a connection ends, or a rescued window lands in the orphan
+// queue — over framed streams and over in-process workers alike. A Next
+// that re-swept on a timer fails the idle checks.
+func TestClientNextWaitsForArrival(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ends func(t *testing.T) (a, b arrivalEnd)
+	}{
+		{"stream", func(t *testing.T) (arrivalEnd, arrivalEnd) { return streamEnd(t), streamEnd(t) }},
+		{"local", func(t *testing.T) (arrivalEnd, arrivalEnd) {
+			ws := idleWorkers(t, 2)
+			return localEnd(t, ws[0]), localEnd(t, ws[1])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.ends(t)
+			client, err := NewClient([]WorkerAPI{a.conn, b.conn}, 0, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			out <- r
-		}()
-		return out
+			sweeps := func() int64 { return a.conn.fetches.Load() + b.conn.fetches.Load() }
+
+			got := goNext(client)
+			expectIdle(t, got, sweeps)
+			a.push(dataplaneTestBatch(8, 1))
+			expectNext(t, "a batch", got, 8, true)
+
+			// A connection's end wakes Next; the other is still live, so
+			// it sweeps and goes back to waiting.
+			got = goNext(client)
+			expectIdle(t, got, sweeps)
+			before := sweeps()
+			a.finish()
+			eventually(t, "a sweep after a connection ended", func() bool { return sweeps() > before })
+			expectIdle(t, got, sweeps)
+
+			// A rescued window landing in the orphan queue wakes it too.
+			srcC := newAnnouncingSource()
+			c := serveAndDial(t, srcC)
+			srcC.push(dataplaneTestBatch(4, 2))
+			eventually(t, "the frame to reach the spare stream's window", func() bool { return len(c.batches) == 1 })
+			client.mu.Lock()
+			client.detached++
+			client.mu.Unlock()
+			go client.reapDetached(c, c)
+			expectNext(t, "a landed orphan", got, 4, true)
+
+			got = goNext(client)
+			expectIdle(t, got, sweeps)
+			b.finish()
+			expectNext(t, "the last connection's end", got, 0, false)
+		})
 	}
-	expect := func(what string, got <-chan result, rows int, ok bool) {
-		t.Helper()
-		select {
-		case r := <-got:
-			if r.err != nil || r.ok != ok || r.rows != rows {
-				t.Fatalf("%s: Next = %d rows, ok=%v, err=%v; want %d rows, ok=%v", what, r.rows, r.ok, r.err, rows, ok)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: Next never woke", what)
+
+	// A crashed in-process worker wakes a frozen client's Next with the
+	// error, and dropping the connection takes its slot off the worker.
+	t.Run("local crash", func(t *testing.T) {
+		w := idleWorkers(t, 1)[0]
+		conn := &countedConn{WorkerAPI: LocalWorkerAPI(w)}
+		client, err := NewClient([]WorkerAPI{conn}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// idle lets Next settle into its wait, then watches a second window
-	// in which it must not touch a connection.
-	idle := func(got <-chan result) {
-		t.Helper()
-		time.Sleep(idleWindow)
-		settled := sweeps()
-		time.Sleep(idleWindow)
-		if n := sweeps() - settled; n != 0 {
-			t.Fatalf("waiting Next made %d FetchBatch calls with nothing arriving", n)
+		slots := func() int {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return len(w.wakes)
 		}
-		select {
-		case r := <-got:
-			t.Fatalf("Next returned (%d rows, ok=%v, err=%v) with nothing arriving", r.rows, r.ok, r.err)
-		default:
+		if n := slots(); n != 1 {
+			t.Fatalf("worker holds %d client slots, want 1", n)
 		}
-	}
-
-	got := next()
-	idle(got)
-	srcA.push(dataplaneTestBatch(8, 1))
-	expect("a frame", got, 8, true)
-
-	// A stream's end wakes Next; the other stream is still live, so it
-	// sweeps and goes back to waiting.
-	got = next()
-	idle(got)
-	before := sweeps()
-	srcA.finish()
-	eventually(t, "a sweep after a stream ended", func() bool { return sweeps() > before })
-	idle(got)
-
-	// A rescued window landing in the orphan queue wakes it too.
-	srcC := newAnnouncingSource()
-	c := serveAndDial(t, srcC)
-	srcC.push(dataplaneTestBatch(4, 2))
-	eventually(t, "the frame to reach the spare stream's window", func() bool { return len(c.batches) == 1 })
-	client.mu.Lock()
-	client.detached++
-	client.mu.Unlock()
-	go client.reapDetached(c, c)
-	expect("a landed orphan", got, 4, true)
-
-	got = next()
-	idle(got)
-	srcB.finish()
-	expect("the last stream's end", got, 0, false)
+		got := goNext(client)
+		expectIdle(t, got, conn.fetches.Load)
+		w.Crash()
+		if r := awaitNext(t, "a crash", got); r.err == nil {
+			t.Fatalf("Next over a crashed worker = %d rows, ok=%v; want an error", r.rows, r.ok)
+		}
+		client.mu.Lock()
+		client.removeLocked("static-0")
+		client.mu.Unlock()
+		if n := slots(); n != 0 {
+			t.Fatalf("worker holds %d client slots after the connection was removed, want 0", n)
+		}
+	})
 }

@@ -123,6 +123,10 @@ type Worker struct {
 	notEmpty   chan struct{} // closed-and-replaced signal for consumers
 	notFull    chan struct{} // closed-and-replaced signal for producers
 	splitDone  chan struct{} // closed-and-replaced after each CompleteSplit
+	// wakes are the in-process client connections (LocalWorkerAPI) that
+	// registered their client's wake slot; signalLocked pings each one
+	// alongside notEmpty.
+	wakes map[*localWorker]struct{}
 	// settled is closed when the ledger Retire waits out moves toward
 	// empty (a buffer pop, a stream window retired, a CompleteSplit ack
 	// landed); allocated only while Retire waits.
@@ -195,6 +199,7 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		proj:        spec.Projection(),
 		splits:      make(map[int]*splitAcct),
 		notEmpty:    make(chan struct{}),
+		wakes:       make(map[*localWorker]struct{}),
 		notFull:     make(chan struct{}),
 		splitDone:   make(chan struct{}),
 		crashCh:     make(chan struct{}),
@@ -416,8 +421,7 @@ func (w *Worker) deliver(b *tensor.Batch, cancel <-chan struct{}) error {
 					a.produced++
 				}
 			}
-			close(w.notEmpty)
-			w.notEmpty = make(chan struct{})
+			w.signalLocked()
 			w.mu.Unlock()
 			return nil
 		}
@@ -446,6 +450,17 @@ func (w *Worker) BatchReady() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.notEmpty
+}
+
+// signalLocked announces that TryGetBatch may answer differently: it
+// closes and replaces notEmpty for the stream server and pings every
+// registered in-process client. Callers hold w.mu.
+func (w *Worker) signalLocked() {
+	close(w.notEmpty)
+	w.notEmpty = make(chan struct{})
+	for l := range w.wakes {
+		ping(l.wake)
+	}
 }
 
 // TryGetBatch pops a buffered batch without blocking. done=true means
@@ -496,8 +511,7 @@ func (w *Worker) UngetBatches(batches []*tensor.Batch) {
 	if w.bufBytes > w.report.ResidentPeak {
 		w.report.ResidentPeak = w.bufBytes
 	}
-	close(w.notEmpty)
-	w.notEmpty = make(chan struct{})
+	w.signalLocked()
 	w.mu.Unlock()
 }
 
@@ -543,19 +557,21 @@ func (w *Worker) setDraining() {
 
 // Crash is the fault-injection hook: it kills the worker as a process
 // death would, with no drain and no deregistration. The data plane goes
-// dark immediately (streams sever, the buffer stops serving), heartbeats stop as soon as Run unwinds, and nothing is
-// acknowledged or handed off — the master discovers the death through
-// ReapDead's heartbeat staleness, requeues the leases of every split the
-// crashed worker had not fully delivered, and the session re-runs them
-// elsewhere. Idempotent. The worker also crashes itself when the master
-// disowns it (heartbeatLoop's consecutive-failure rule): a reaped
-// worker's buffered work is unreachable by any client, so abandoning it
-// is the only exit that cannot wedge.
+// dark immediately (streams sever, the buffer stops serving, in-process
+// clients wake to the error), heartbeats stop as soon as Run unwinds,
+// and nothing is acknowledged or handed off — the master discovers the
+// death through ReapDead's heartbeat staleness, requeues the leases of
+// every split the crashed worker had not fully delivered, and the
+// session re-runs them elsewhere. Idempotent. The worker also crashes
+// itself when the master disowns it (heartbeatLoop's consecutive-failure
+// rule): a reaped worker's buffered work is unreachable by any client,
+// so abandoning it is the only exit that cannot wedge.
 func (w *Worker) Crash() {
 	w.mu.Lock()
 	if !w.crashed {
 		w.crashed = true
 		close(w.crashCh)
+		w.signalLocked()
 	}
 	w.mu.Unlock()
 }
@@ -651,8 +667,7 @@ func (w *Worker) stats(sample bool) WorkerStats {
 func (w *Worker) finish() {
 	w.mu.Lock()
 	w.finished = true
-	close(w.notEmpty)
-	w.notEmpty = make(chan struct{})
+	w.signalLocked()
 	close(w.notFull)
 	w.notFull = make(chan struct{})
 	w.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"dsi/internal/schema"
 	"dsi/internal/scribe"
 	"dsi/internal/tectonic"
+	"dsi/internal/trainer"
 	"dsi/internal/warehouse"
 )
 
@@ -125,20 +126,12 @@ func runIngest() (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	var rowsDelivered int64
+	tr := trainer.NewTrainer(client)
 	consumers.Add(1)
 	go func() {
 		defer consumers.Done()
-		for {
-			b, ok, err := client.Next()
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !ok {
-				return
-			}
-			rowsDelivered += int64(b.Rows)
+		if _, err := tr.Run(0); err != nil {
+			errs <- err
 		}
 	}()
 
@@ -161,8 +154,8 @@ func runIngest() (Result, error) {
 	default:
 	}
 
-	if rowsDelivered != totalRequests {
-		return res, fmt.Errorf("ingest: delivered %d rows, want %d (exactly-once violated)", rowsDelivered, totalRequests)
+	if tr.RowsConsumed != totalRequests {
+		return res, fmt.Errorf("ingest: delivered %d rows, want %d (exactly-once violated)", tr.RowsConsumed, totalRequests)
 	}
 	samples := m.FreshnessSamples()
 	if len(samples) < 4 {
@@ -192,7 +185,7 @@ func runIngest() (Result, error) {
 			Note: fmt.Sprintf("ETL rolls at %d rows, seal==visible", partitionRows)},
 		Row{Label: "partitions discovered live", Paper: "-", Measured: fmt.Sprintf("%d", len(m.DiscoveredPartitions())-baseline),
 			Note: "sealed after session start, picked up by master polling"},
-		Row{Label: "rows delivered to trainer", Paper: "-", Measured: fmt.Sprintf("%d", rowsDelivered),
+		Row{Label: "rows delivered to trainer", Paper: "-", Measured: fmt.Sprintf("%d", tr.RowsConsumed),
 			Note: "exactly once across the live tail"},
 		Row{Label: "freshness lag, mean", Paper: "-", Measured: fmtMS(st.MeanFresh),
 			Note: "newest event in split -> trainer consumption ack"},

@@ -8,6 +8,7 @@ import (
 
 	"dsi/internal/dpp"
 	"dsi/internal/dwrf"
+	"dsi/internal/trainer"
 	"dsi/internal/ware"
 )
 
@@ -27,13 +28,6 @@ const (
 	mtSessions   = 3
 	mtMaxWorkers = 6
 )
-
-// mtOutcome is one tenant's consumption record.
-type mtOutcome struct {
-	rows    int64
-	batches int64
-	stall   time.Duration
-}
 
 func runMultitenant() (Result, error) {
 	res := Result{ID: "multitenant", Title: Title("multitenant")}
@@ -120,7 +114,7 @@ func runMultitenant() (Result, error) {
 		}
 	}()
 
-	outcomes := make([]mtOutcome, mtSessions)
+	trainers := make([]*trainer.Trainer, mtSessions)
 	var wg sync.WaitGroup
 	errCh := make(chan error, mtSessions)
 	for i, id := range sessionIDs {
@@ -133,23 +127,9 @@ func runMultitenant() (Result, error) {
 				return
 			}
 			client.RefreshEvery = 500 * time.Microsecond
-			var stall time.Duration
-			for {
-				fetch := time.Now()
-				b, ok, err := client.Next()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if !ok {
-					break
-				}
-				stall += time.Since(fetch)
-				outcomes[i].rows += int64(b.Rows)
-				outcomes[i].batches++
-			}
-			outcomes[i].stall = stall
-			errCh <- nil
+			trainers[i] = trainer.NewTrainer(client)
+			_, err = trainers[i].Run(0)
+			errCh <- err
 		}(i, id)
 	}
 	wg.Wait()
@@ -173,21 +153,22 @@ func runMultitenant() (Result, error) {
 	sampleMu.Unlock()
 
 	exact := true
-	for i := range outcomes {
-		if outcomes[i].rows != wantRows {
+	for _, tr := range trainers {
+		if tr.RowsConsumed != wantRows {
 			exact = false
 		}
 	}
 	st := o.Status()
 	for i, id := range sessionIDs {
+		tr := trainers[i]
 		stallPerBatch := time.Duration(0)
-		if outcomes[i].batches > 0 {
-			stallPerBatch = outcomes[i].stall / time.Duration(outcomes[i].batches)
+		if tr.StepsDone > 0 {
+			stallPerBatch = tr.StallTime / time.Duration(tr.StepsDone)
 		}
 		res.Rows = append(res.Rows, Row{
 			Label:    fmt.Sprintf("%s (weight %.0f) rows / stall per batch", id, weights[i]),
 			Paper:    "every session complete",
-			Measured: fmt.Sprintf("%d rows, %dµs", outcomes[i].rows, stallPerBatch.Microseconds()),
+			Measured: fmt.Sprintf("%d rows, %dµs", tr.RowsConsumed, stallPerBatch.Microseconds()),
 		})
 	}
 	res.Rows = append(res.Rows,
@@ -256,23 +237,14 @@ func runMultitenantCacheRows() ([]Row, error) {
 			return 0, err
 		}
 		client.RefreshEvery = 500 * time.Microsecond
-		start := time.Now()
-		var rows int64
-		for {
-			b, ok, err := client.Next()
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				break
-			}
-			rows += int64(b.Rows)
+		tr := trainer.NewTrainer(client)
+		if _, err := tr.Run(0); err != nil {
+			return 0, err
 		}
-		wall := time.Since(start)
-		if rows != wantRows {
-			return 0, fmt.Errorf("tenant %s consumed %d rows, want %d", id, rows, wantRows)
+		if tr.RowsConsumed != wantRows {
+			return 0, fmt.Errorf("tenant %s consumed %d rows, want %d", id, tr.RowsConsumed, wantRows)
 		}
-		return wall, svc.CloseSession(id)
+		return tr.Elapsed, svc.CloseSession(id)
 	}
 	coldWall, err := consume("overlap-cold")
 	if err != nil {

@@ -46,12 +46,9 @@ const (
 
 // scalingOutcome captures one orchestrated run.
 type scalingOutcome struct {
-	// stallPerBatch is the average wall time the trainer waited per
-	// delivered batch during the post-shift fast phase. Trainer compute
-	// in that phase is zero, so the phase's wall clock is data-stall
-	// time; dividing by delivered batches makes it a rate that is pure
-	// supply-and-inventory arithmetic, robust to scheduler and timer
-	// noise that corrupts poll counting on loaded hosts.
+	// stallPerBatch is the time the trainer spent waiting inside
+	// Client.Next per delivered batch during the post-shift fast phase
+	// (its StallTime delta over its steps).
 	stallPerBatch time.Duration
 	peak          int
 	rows          int64
@@ -207,11 +204,6 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 	}
 	client.RefreshEvery = 500 * time.Microsecond
 	tr := trainer.NewTrainer(client)
-	// Yield-based stall polling: timed sleeps stretch unpredictably on a
-	// loaded host and would park the trainer long enough to hide real
-	// supply shortfalls; bare yields make the stall count track actual
-	// empty fetches.
-	tr.StallPoll = 0
 
 	// Warmup: full-speed demand starves buffers; the elastic run scales
 	// up (the fixed run is already at its bound).
@@ -227,13 +219,11 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 	}
 	// Mid-session shift 2: demand spikes back to full speed; measure
 	// data-stall time from here to session end.
-	stepsBefore := tr.StepsDone
+	stepsBefore, stallBefore := tr.StepsDone, tr.StallTime
 	tr.StepTime = 0
-	phaseStart := time.Now()
 	if _, err := tr.Run(0); err != nil {
 		return scalingOutcome{}, err
 	}
-	phaseWall := time.Since(phaseStart)
 
 	steps := tr.StepsDone - stepsBefore
 	out := scalingOutcome{
@@ -242,7 +232,7 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 		batches: tr.StepsDone,
 	}
 	if steps > 0 {
-		out.stallPerBatch = phaseWall / time.Duration(steps)
+		out.stallPerBatch = (tr.StallTime - stallBefore) / time.Duration(steps)
 	}
 	if out.rows != wantRows {
 		return out, fmt.Errorf("experiments: elastic session delivered %d rows, want %d (exactly-once violated)", out.rows, wantRows)

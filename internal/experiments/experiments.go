@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation at simulation scale. Each experiment returns a Result of
-// paper-vs-measured rows; cmd/dsibench prints them and EXPERIMENTS.md
-// records a reference run.
+// paper-vs-measured rows; cmd/dsibench prints them and
+// testdata/golden/<id>.txt holds the reference run each must reproduce
+// (TestExperimentGolden).
 package experiments
 
 import (

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,10 +61,33 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
-func TestEveryExperimentRuns(t *testing.T) {
-	// The fleet-scale simulations behind the registry take ~20s at full
-	// scale; -short runs the whole registry at reduced dataset scale so
-	// coverage survives while the suite finishes in a few seconds.
+var update = flag.Bool("update", false, "rewrite testdata/golden/<id>.txt from this run")
+
+// wallClock names the experiments timed on the wall clock. Their
+// measured column moves from run to run, so their golden files pin the
+// row labels only.
+var wallClock = map[string]bool{"encodings": true, "ingest": true, "multitenant": true, "scaling": true}
+
+// golden renders what an experiment's golden file holds.
+func golden(res Result) string {
+	if !wallClock[res.ID] {
+		return res.String()
+	}
+	var b strings.Builder
+	for _, row := range res.Rows {
+		b.WriteString(row.Label + "\n")
+	}
+	return b.String()
+}
+
+// TestExperimentGolden runs every experiment and compares what it prints
+// with testdata/golden/<id>.txt byte for byte, so a change that moves a
+// paper number fails until the moved file is committed beside it
+// (`go test -run Golden -update ./internal/experiments` rewrites them).
+// The fleet-scale simulations behind the registry take ~20s at full
+// scale; -short runs the whole registry at reduced dataset scale and
+// only checks that each experiment runs.
+func TestExperimentGolden(t *testing.T) {
 	if testing.Short() {
 		restore := setBuildRowScale(0.08)
 		defer restore()
@@ -76,6 +102,27 @@ func TestEveryExperimentRuns(t *testing.T) {
 		}
 		if !strings.Contains(res.String(), "paper") {
 			t.Fatalf("%s: String() lacks header", id)
+		}
+		if testing.Short() {
+			continue
+		}
+		path := filepath.Join("testdata", "golden", id+".txt")
+		got := golden(res)
+		if *update {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v (-update writes it)", id, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s moved from %s:\n--- got\n%s--- want\n%s", id, path, got, want)
 		}
 	}
 }

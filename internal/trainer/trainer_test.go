@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dsi/internal/dpp"
 	"dsi/internal/dwrf"
@@ -103,34 +104,32 @@ func TestTrainerConsumesAllData(t *testing.T) {
 	}
 }
 
+// TestTrainerObservesStallsWithSlowSupply holds the one worker back for
+// hold before it runs: the trainer's first Next waits at least that long,
+// and the trainer must count the wait as stall time. Only lower bounds
+// are checked, so the test does not depend on how fast supply is after.
 func TestTrainerObservesStallsWithSlowSupply(t *testing.T) {
-	// One worker that hasn't started yet: the first polls must stall.
+	const hold = 20 * time.Millisecond
 	client, workers := buildSession(t, 1)
 	tr := NewTrainer(client)
-	// Poll a few times before the worker runs: all stalls.
-	for i := 0; i < 3; i++ {
-		_, ok, done, err := client.TryNext()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok || done {
-			t.Fatal("data appeared before worker ran")
-		}
-		tr.StallPolls++
-	}
 	go func() {
+		time.Sleep(hold)
 		if err := workers[0].Run(nil); err != nil {
 			t.Error(err)
 		}
 	}()
-	if _, err := tr.Run(0); err != nil {
+	stall, err := tr.Run(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.StallPolls < 3 {
-		t.Fatalf("StallPolls = %d, want >= 3", tr.StallPolls)
+	if tr.StallTime < hold {
+		t.Fatalf("StallTime = %v, want >= %v", tr.StallTime, hold)
+	}
+	if !(stall > 0 && stall <= 1) {
+		t.Fatalf("stall fraction = %v, want in (0, 1]", stall)
 	}
 	if tr.RowsConsumed != 128 {
-		t.Fatalf("consumed %d rows", tr.RowsConsumed)
+		t.Fatalf("consumed %d rows, want 128", tr.RowsConsumed)
 	}
 }
 
