@@ -70,9 +70,10 @@
 // heartbeats and launches or drains fleet workers through a
 // WorkerLauncher (dpp.FleetLauncher: in-process goroutines, or
 // RPC-served TCP workers once it is given the service's address),
-// with cooldown hysteresis on a virtual clock so tests drive the
-// controller deterministically. Each FleetWorker runs one pipeline per
-// assigned session behind a single data-plane listener that
+// holding every launch and drain for the two steps after a drain; it
+// counts steps, not time, so tests drive the controller
+// deterministically by calling Step. Each FleetWorker runs one pipeline
+// per assigned session behind a single data-plane listener that
 // demultiplexes streams by the session ID in their hello; pool size
 // tracks tenant-aggregated starvation while a weighted fair-share
 // rebalance (SessionSpec.Weight, largest-remainder apportionment) keeps

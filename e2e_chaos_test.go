@@ -245,12 +245,9 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 		ServiceAddr:    ln.Addr().String(),
 		WH:             fx.wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
-	o.ScaleDownCooldown = 3 * time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()

@@ -180,12 +180,9 @@ func TestEndToEndChecksumWorkerCrash(t *testing.T) {
 		ServiceAddr:    ln.Addr().String(),
 		WH:             fx.wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
-	o.ScaleDownCooldown = 3 * time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()
@@ -270,17 +267,17 @@ const mtPhase2Batches = 8
 // checksums.
 //
 // Nothing here races a clock. The test goroutine is the fleet
-// Orchestrator's control loop, as in driveElasticSession: it advances
-// the injectable clock one ScaleInterval and runs one Step per control
-// period, with the real policy and thresholds. And the starvation that
-// makes the policy grow the pool is a state, not a moment: tenants are
-// attached and no pipeline has a row to give them until the test seals
+// Orchestrator's control loop, as in driveElasticSession: it runs one
+// Step per control period, with the real policy and thresholds. And the
+// starvation that makes the policy grow the pool is a state, not a
+// moment: tenants are attached and no pipeline has a row to give them
+// until the test seals
 // the partitions. (With the rows there from the start, this fixture's
 // workers outrun its trainers on a small host and buffers stay full, so
 // the pool would grow only if a Step happened to sample a pipeline in
 // the millisecond before its first split landed.)
 // (Fair-share convergence within one worker of quota is asserted
-// deterministically on the virtual clock in
+// deterministically, one Step at a time, in
 // dpp.TestFleetFairShareConvergenceVirtualClock.)
 func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 	fx := buildE2EFixture(t, "mt", 31, 768, true)
@@ -319,12 +316,9 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 		ServiceAddr:    ln.Addr().String(),
 		WH:             fx.wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 5))
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
-	o.ScaleDownCooldown = 3 * time.Millisecond
 	o.CheckpointEvery = 10 * time.Millisecond
 	defer o.StopAll()
 
@@ -349,7 +343,6 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 	}
 	step := func() {
 		t.Helper()
-		o.Clock.Advance(o.ScaleInterval)
 		if err := o.Step(); err != nil {
 			t.Fatal(err)
 		}

@@ -227,8 +227,7 @@ const elasticPhase1Batches = 16
 // driveElasticSession plays the trainer's three phases of the elastic
 // exactly-once test — consume while the pool grows, pause until it has
 // drained a worker, consume the rest — with the test goroutine as the
-// Orchestrator's control loop: step advances the injectable clock one
-// ScaleInterval and runs one Step, as
+// Orchestrator's control loop: step runs one Step, as
 // dpp.TestFleetFairShareConvergenceVirtualClock does. The policy and its
 // thresholds are the real ones; evaluating them between the trainer's
 // batches, not on o.Run's wall-clock ticker beside it, is what keeps a
@@ -240,7 +239,6 @@ func driveElasticSession(t *testing.T, o *dpp.Orchestrator, m *dpp.Master, consu
 	t.Helper()
 	step := func() {
 		t.Helper()
-		o.Clock.Advance(o.ScaleInterval)
 		if err := o.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +301,6 @@ func driveElasticSession(t *testing.T, o *dpp.Orchestrator, m *dpp.Master, consu
 // removal must preserve exactly-once delivery too.
 func TestEndToEndElasticSessionChecksums(t *testing.T) {
 	const sessionID = "job"
-	tune := func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond }
 	transports := []struct {
 		name  string
 		table string
@@ -313,7 +310,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 		fleet func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer)
 	}{
 		{"inprocess", "e2e-elastic", 11, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
-			launcher := &dpp.FleetLauncher{Service: svc, WH: fx.wh, HeartbeatEvery: time.Millisecond, Tune: tune}
+			launcher := &dpp.FleetLauncher{Service: svc, WH: fx.wh, HeartbeatEvery: time.Millisecond}
 			return launcher, svc, launcher.SessionDialer(sessionID)
 		}},
 		{"framed", "e2e-framed", 13, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
@@ -326,7 +323,6 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 				ServiceAddr:    ln.Addr().String(),
 				WH:             fx.wh,
 				HeartbeatEvery: time.Millisecond,
-				Tune:           tune,
 				OnError:        func(id string, err error) { t.Errorf("worker %s: %v", id, err) },
 			}
 			rs, err := dpp.DialService(ln.Addr().String())
@@ -351,8 +347,6 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 			launcher, ctrl, dial := tr.fleet(t, fx, svc)
 			o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 4))
 			o.ScaleInterval = time.Millisecond
-			o.ScaleUpCooldown = time.Millisecond
-			o.ScaleDownCooldown = 3 * time.Millisecond
 			o.CheckpointEvery = 10 * time.Millisecond
 			defer o.StopAll()
 

@@ -83,13 +83,10 @@ func main() {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	orch := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 6))
 	orch.OnError = func(err error) { log.Print(err) }
 	orch.ScaleInterval = time.Millisecond
-	orch.ScaleUpCooldown = time.Millisecond
-	orch.ScaleDownCooldown = 3 * time.Millisecond
 	orch.CheckpointEvery = 5 * time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)

@@ -46,18 +46,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// AdvanceTo moves the clock forward to time t if t is later than now. It
-// reports whether the clock moved.
-func (c *Clock) AdvanceTo(t time.Duration) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t <= c.now {
-		return false
-	}
-	c.now = t
-	return true
-}
-
 // Timeline tracks a device's busy horizon on top of a shared clock. It
 // models a single serial resource (one disk arm, one NIC serializer): each
 // operation occupies the device for its service time, and operations queue
@@ -98,19 +86,6 @@ func (t *Timeline) BusyTotal() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.busyTotal
-}
-
-// Utilization reports busy time as a fraction of the elapsed window. The
-// window must be positive; utilization is clamped to [0, 1].
-func (t *Timeline) Utilization(window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	u := float64(t.BusyTotal()) / float64(window)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // Reset zeroes the accounted busy time but keeps the busy horizon, so a

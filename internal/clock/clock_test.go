@@ -31,19 +31,6 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	New().Advance(-time.Second)
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := New()
-	if !c.AdvanceTo(10 * time.Second) {
-		t.Fatal("AdvanceTo(10s) reported no movement")
-	}
-	if c.AdvanceTo(5 * time.Second) {
-		t.Fatal("AdvanceTo(5s) moved the clock backwards")
-	}
-	if got := c.Now(); got != 10*time.Second {
-		t.Fatalf("Now() = %v, want 10s", got)
-	}
-}
-
 func TestClockConcurrentAdvance(t *testing.T) {
 	c := New()
 	var wg sync.WaitGroup
@@ -93,21 +80,6 @@ func TestTimelineAccounting(t *testing.T) {
 	tl.Occupy(500 * time.Millisecond)
 	if got := tl.BusyTotal(); got != 2500*time.Millisecond {
 		t.Fatalf("BusyTotal = %v, want 2.5s", got)
-	}
-}
-
-func TestTimelineUtilization(t *testing.T) {
-	c := New()
-	tl := NewTimeline(c)
-	tl.Occupy(time.Second)
-	if got := tl.Utilization(2 * time.Second); got != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
-	}
-	if got := tl.Utilization(500 * time.Millisecond); got != 1 {
-		t.Fatalf("Utilization clamps to 1, got %v", got)
-	}
-	if got := tl.Utilization(0); got != 0 {
-		t.Fatalf("Utilization(0) = %v, want 0", got)
 	}
 }
 

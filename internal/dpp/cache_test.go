@@ -259,13 +259,11 @@ func TestMultiTenantFleetCacheCrossSessionReuse(t *testing.T) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 		CacheBytes:     64 << 20,
 	}
 	// A single-node fleet so both sessions land on the same cache.
 	o := NewOrchestrator(svc, launcher, NewAutoScaler(1, 1))
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()

@@ -567,16 +567,16 @@ func TestTenantClientRedialsSessionNotYetHosted(t *testing.T) {
 	if err := svc.CreateSession("s1", spec); err != nil {
 		t.Fatal(err)
 	}
+	// The hook runs after the pipeline registered with s1's master and
+	// before the fleet worker hosts it.
 	listed, host := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	fw, stop, err := ListenAndServeFleetWorker("fw1", "127.0.0.1:0", svc, wh, func(fw *FleetWorker) {
+	ctrl := hookedFleet{FleetControl: svc, registered: func() {
+		once.Do(func() { close(listed) })
+		<-host
+	}}
+	fw, stop, err := ListenAndServeFleetWorker("fw1", "127.0.0.1:0", ctrl, wh, func(fw *FleetWorker) {
 		fw.HeartbeatEvery = 5 * time.Millisecond
-		// Tune runs after the pipeline registered with s1's master and
-		// before the fleet worker hosts it.
-		fw.Tune = func(*Worker) {
-			once.Do(func() { close(listed) })
-			<-host
-		}
 	})
 	if err != nil {
 		t.Fatal(err)

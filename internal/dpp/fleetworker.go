@@ -29,12 +29,9 @@ type FleetWorker struct {
 	// service and with every session master the worker joins.
 	Endpoint string
 	// HeartbeatEvery is the fleet heartbeat (and assignment
-	// reconciliation) period; default 500ms. Per-session pipelines keep
-	// their own session-master heartbeats.
+	// reconciliation) period; default 500ms. Each hosted pipeline
+	// heartbeats its session master at the same period.
 	HeartbeatEvery time.Duration
-	// Tune, when set, adjusts each per-session pipeline worker after
-	// construction, before it runs.
-	Tune func(*Worker)
 	// OnError receives per-session pipeline failures (default ignored:
 	// the session master reaps the pipeline and requeues its leases).
 	OnError func(sessionID string, err error)
@@ -168,7 +165,7 @@ func (fw *FleetWorker) heartbeatEvery() time.Duration {
 	if fw.HeartbeatEvery > 0 {
 		return fw.HeartbeatEvery
 	}
-	return 500 * time.Millisecond
+	return defaultHeartbeatEvery
 }
 
 // Crash is the fleet-level fault-injection hook: every hosted pipeline
@@ -234,9 +231,7 @@ func (fw *FleetWorker) startPipeline(sessionID string) {
 		c.RegisterTenant(sessionID, w.spec.Weight)
 		w.UseCache(c, sessionID)
 	}
-	if fw.Tune != nil {
-		fw.Tune(w)
-	}
+	w.heartbeatEvery = fw.heartbeatEvery()
 	p := &fleetPipeline{w: w, stop: make(chan struct{}), done: make(chan struct{})}
 	fw.mu.Lock()
 	if fw.crashed || fw.pipelines[sessionID] != nil {
@@ -354,8 +349,8 @@ func (fw *FleetWorker) Run(stop <-chan struct{}) error {
 // announcing the bound address as its shared data-plane endpoint, and
 // serves every hosted pipeline on it — streams are routed to
 // pipelines by the session ID in their hello. tune adjusts
-// the FleetWorker (heartbeat period, per-pipeline Tune) before serving
-// begins. The returned stop closes the listener.
+// the FleetWorker (heartbeat period, cache size, error sink) before
+// serving begins. The returned stop closes the listener.
 func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse.Warehouse, tune func(*FleetWorker)) (*FleetWorker, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -389,10 +384,9 @@ type FleetLauncher struct {
 	Service FleetControl
 	// WH is the worker-side warehouse handle.
 	WH *warehouse.Warehouse
-	// HeartbeatEvery and Tune configure each launched fleet worker and
-	// its per-session pipelines.
+	// HeartbeatEvery is each launched fleet worker's heartbeat period
+	// (FleetWorker.HeartbeatEvery).
 	HeartbeatEvery time.Duration
-	Tune           func(*Worker)
 	OnError        func(id string, err error)
 	// CacheBytes sizes each worker's shared batch cache (see
 	// FleetWorker.CacheBytes: 0 = default, negative = disabled).
@@ -407,7 +401,6 @@ type FleetLauncher struct {
 func (l *FleetLauncher) Launch(id string) (WorkerHandle, error) {
 	tune := func(fw *FleetWorker) {
 		fw.HeartbeatEvery = l.HeartbeatEvery
-		fw.Tune = l.Tune
 		fw.CacheBytes = l.CacheBytes
 		if l.OnError != nil {
 			fw.OnError = func(session string, err error) { l.OnError(id+"/"+session, err) }

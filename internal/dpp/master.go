@@ -147,11 +147,6 @@ type Master struct {
 	// worker before ReapDead reassigns it. Heartbeats renew leases, so
 	// the timeout measures liveness, not progress.
 	LeaseTimeout time.Duration
-	// MaxSplitRetries is the per-split poison budget: how many times a
-	// split may be released back (retryable storage failure) before the
-	// session fails rather than requeueing a split no worker can read.
-	// Zero defaults to DefaultSplitRetries.
-	MaxSplitRetries int
 }
 
 // DefaultSplitRetries is the default per-split release budget. Sized so
@@ -188,15 +183,14 @@ func NewMaster(wh *warehouse.Warehouse, spec SessionSpec) (*Master, error) {
 		return nil, fmt.Errorf("dpp: unbounded session over static table %s (create it with CreateUnboundedTable)", spec.Table)
 	}
 	m := &Master{
-		spec:            spec,
-		inflight:        make(map[int]*lease),
-		workers:         make(map[string]*workerInfo),
-		poison:          make(map[int]int),
-		seenParts:       make(map[string]bool),
-		lastGen:         -1,
-		now:             time.Now,
-		LeaseTimeout:    30 * time.Second,
-		MaxSplitRetries: spec.RetryBudget,
+		spec:         spec,
+		inflight:     make(map[int]*lease),
+		workers:      make(map[string]*workerInfo),
+		poison:       make(map[int]int),
+		seenParts:    make(map[string]bool),
+		lastGen:      -1,
+		now:          time.Now,
+		LeaseTimeout: 30 * time.Second,
 	}
 	if spec.Unbounded {
 		// Split discovery is incremental: whatever is visible now seeds
@@ -513,7 +507,7 @@ func (m *Master) ReleaseSplit(workerID string, splitID int, reason string) (bool
 		return true, nil
 	}
 	delete(m.inflight, splitID)
-	budget := m.MaxSplitRetries
+	budget := m.spec.RetryBudget
 	if budget == 0 {
 		budget = DefaultSplitRetries
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"dsi/internal/clock"
 )
 
 // This file closes the auto-scaling loop the paper attributes to the DPP
@@ -16,11 +14,11 @@ import (
 // members that finished draining, re-divide the fleet among sessions by
 // weighted fair share, checkpoint reader state, then evaluate the
 // tenant-aggregated fleet stats and launch or drain fleet members
-// through a WorkerLauncher — with scale cooldowns so the controller
-// does not flap. A single training job is a Service with one session.
-// Cooldowns are measured on an internal/clock virtual clock that Run
-// advances once per control interval, so tests drive the exact same
-// control law deterministically by calling Step and Advance.
+// through a WorkerLauncher — with a hold after every drain so the
+// controller does not flap. A single training job is a Service with one
+// session. The loop reads no time: it counts Steps, and Run ticks one
+// Step per ScaleInterval, so tests drive the exact same control law
+// deterministically by calling Step.
 
 // WorkerHandle is one launched fleet worker as the Orchestrator tracks
 // it.
@@ -84,26 +82,24 @@ type OrchestratorStatus struct {
 // "<prefix>-<seq>".
 const FleetIDPrefix = "dpp-fw"
 
+// drainHold is how many Steps a drain blocks scaling for, counting the
+// drain's own: the two Steps after a drain neither launch nor drain —
+// the anti-flap hysteresis on top of the AutoScaler's buffer thresholds.
+// A launch holds nothing, so a drain may follow it on the next Step.
+const drainHold = 3
+
 // Orchestrator runs the closed scaling loop of a Service over a fleet
 // it owns through a WorkerLauncher.
 type Orchestrator struct {
-	// ScaleInterval is the control period of Run (default 250ms). Each
-	// Run tick advances Clock by ScaleInterval.
+	// ScaleInterval is the control period of Run (default 250ms): Run
+	// takes one Step per ScaleInterval.
 	ScaleInterval time.Duration
-	// ScaleUpCooldown and ScaleDownCooldown are the minimum virtual time
-	// between successive scaling actions in either direction (defaults:
-	// one and three ScaleIntervals). Any scaling action arms both, so a
-	// drain can never immediately chase a launch or vice versa — the
-	// anti-flap hysteresis on top of the AutoScaler's buffer thresholds.
-	ScaleUpCooldown   time.Duration
-	ScaleDownCooldown time.Duration
-	// CheckpointEvery is the virtual-time period between reader-state
-	// checkpoints (0 disables). The latest checkpoint is retained for a
-	// replica takeover (DecodeServiceCheckpoint + Service.RestoreSession).
+	// CheckpointEvery is the period between reader-state checkpoints (0
+	// disables), counted in Steps of ScaleInterval: a checkpoint is due
+	// once the Steps since the last one span CheckpointEvery. The latest
+	// checkpoint is retained for a replica takeover
+	// (DecodeServiceCheckpoint + Service.RestoreSession).
 	CheckpointEvery time.Duration
-	// Clock is the virtual clock cooldowns are measured on. Run advances
-	// it; deterministic tests advance it directly between Steps.
-	Clock *clock.Clock
 	// OnError, when set, receives non-fatal control-loop errors (a
 	// failed worker launch, a failed checkpoint). The loop retries on
 	// its next tick rather than tearing down the session: a transient
@@ -118,12 +114,9 @@ type Orchestrator struct {
 	mu          sync.Mutex
 	handles     map[string]*managedWorker
 	seq         int
-	lastUpEver  bool
-	lastUp      time.Duration
-	lastDown    time.Duration
-	downEver    bool
-	ckptEver    bool
-	lastCkpt    time.Duration
+	step        int // Steps taken
+	lastDrain   int // the Step of the latest drain (valid once drained > 0)
+	lastCkpt    int // the Step of the latest checkpoint (valid once checkpoints > 0)
 	checkpoint  []byte
 	launched    int
 	drained     int
@@ -135,32 +128,16 @@ type Orchestrator struct {
 // sized from tenant-aggregated signals, scale-down drains whole fleet
 // members, and every Step re-runs the weighted fair-share rebalance
 // that divides the fleet among live sessions. The launcher must launch
-// fleet workers (FleetLauncher). Interval and cooldown defaults suit
-// the cmd/dppd deployment; tests shrink them.
+// fleet workers (FleetLauncher). The interval default suits the
+// cmd/dppd deployment; tests shrink it.
 func NewOrchestrator(svc *Service, launcher WorkerLauncher, scaler *AutoScaler) *Orchestrator {
 	return &Orchestrator{
 		ScaleInterval: 250 * time.Millisecond,
-		Clock:         clock.New(),
 		svc:           svc,
 		launcher:      launcher,
 		scaler:        scaler,
 		handles:       make(map[string]*managedWorker),
 	}
-}
-
-// upCooldown and downCooldown resolve defaults.
-func (o *Orchestrator) upCooldown() time.Duration {
-	if o.ScaleUpCooldown > 0 {
-		return o.ScaleUpCooldown
-	}
-	return o.ScaleInterval
-}
-
-func (o *Orchestrator) downCooldown() time.Duration {
-	if o.ScaleDownCooldown > 0 {
-		return o.ScaleDownCooldown
-	}
-	return 3 * o.ScaleInterval
 }
 
 // Status snapshots the loop's state.
@@ -193,7 +170,7 @@ func (o *Orchestrator) LastCheckpoint() []byte {
 // Step runs one control iteration: requeue dead workers' leases, drop
 // fleet members that finished retiring, re-divide the live fleet among
 // sessions by weighted fair share, take a due checkpoint, then evaluate
-// the scaling policy and launch or drain under the cooldowns. Transient
+// the scaling policy and launch or drain unless a drain holds it. Transient
 // control failures (launch, checkpoint) go to OnError and are retried
 // next Step; the returned error is reserved for a failed session (a
 // split out of its poison budget). A service outlives its sessions, so
@@ -201,20 +178,22 @@ func (o *Orchestrator) LastCheckpoint() []byte {
 // back to the minimum rather than sit at the last peak. Step is the
 // deterministic unit Run ticks and tests call directly.
 func (o *Orchestrator) Step() error {
+	o.mu.Lock()
+	o.step++
+	o.mu.Unlock()
 	o.svc.ReapDead()
 	o.reapRetired()
 	o.svc.Rebalance()
-	now := o.Clock.Now()
-	o.maybeCheckpoint(now)
+	o.maybeCheckpoint()
 	if _, err := o.svc.Done(); err != nil {
 		return err
 	}
 	delta := o.scaler.Evaluate(o.svc.PolicyStats())
 	switch {
 	case delta > 0:
-		o.scaleUp(now, delta)
+		o.scaleUp(delta)
 	case delta < 0:
-		o.scaleDown(now, -delta)
+		o.scaleDown(-delta)
 	}
 	return nil
 }
@@ -243,9 +222,10 @@ func (o *Orchestrator) reapRetired() {
 // maybeCheckpoint serializes reader state when the checkpoint period has
 // elapsed. Failures are reported to OnError and retried next Step — the
 // previous checkpoint stays valid.
-func (o *Orchestrator) maybeCheckpoint(now time.Duration) {
+func (o *Orchestrator) maybeCheckpoint() {
 	o.mu.Lock()
-	due := o.CheckpointEvery > 0 && (!o.ckptEver || now-o.lastCkpt >= o.CheckpointEvery)
+	due := o.CheckpointEvery > 0 &&
+		(o.checkpoints == 0 || time.Duration(o.step-o.lastCkpt)*o.ScaleInterval >= o.CheckpointEvery)
 	o.mu.Unlock()
 	if !due {
 		return
@@ -257,33 +237,24 @@ func (o *Orchestrator) maybeCheckpoint(now time.Duration) {
 	}
 	o.mu.Lock()
 	o.checkpoint = ckpt
-	o.ckptEver = true
-	o.lastCkpt = now
+	o.lastCkpt = o.step
 	o.checkpoints++
 	o.mu.Unlock()
 }
 
-// coolingDown reports whether any recent scaling action still blocks the
-// next one.
-func (o *Orchestrator) coolingDown(now time.Duration) bool {
-	if o.lastUpEver && now-o.lastUp < o.upCooldown() {
-		return true
-	}
-	if o.downEver && now-o.lastDown < o.downCooldown() {
-		return true
-	}
-	return false
+// held reports whether a recent drain still blocks scaling (drainHold).
+// Callers hold o.mu.
+func (o *Orchestrator) held() bool {
+	return o.drained > 0 && o.step-o.lastDrain < drainHold
 }
 
 // scaleUp launches up to delta workers, clamped so tracked live workers
 // never exceed the policy's MaxWorkers (a loop whose MaxWorkers is zero
 // launches nothing and only steers the workers that join on their
-// own). Launch failures go to OnError; lastUp is only armed by a
-// successful launch, so the next Step retries without waiting out a
-// cooldown.
-func (o *Orchestrator) scaleUp(now time.Duration, delta int) {
+// own). Launch failures go to OnError and the next Step retries.
+func (o *Orchestrator) scaleUp(delta int) {
 	o.mu.Lock()
-	if o.coolingDown(now) {
+	if o.held() {
 		o.mu.Unlock()
 		return
 	}
@@ -321,17 +292,16 @@ func (o *Orchestrator) scaleUp(now time.Duration, delta int) {
 		if n := len(o.handles); n > o.peak {
 			o.peak = n
 		}
-		o.lastUpEver, o.lastUp = true, now
 		o.mu.Unlock()
 	}
 }
 
 // scaleDown marks the delta most recently launched live workers as
 // draining (LIFO keeps the longest-running, warmest workers serving).
-func (o *Orchestrator) scaleDown(now time.Duration, delta int) {
+func (o *Orchestrator) scaleDown(delta int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.coolingDown(now) {
+	if o.held() {
 		return
 	}
 	for i := 0; i < delta; i++ {
@@ -352,7 +322,7 @@ func (o *Orchestrator) scaleDown(now time.Duration, delta int) {
 		_ = o.svc.DrainFleetWorker(victim.handle.ID())
 		victim.draining = true
 		o.drained++
-		o.downEver, o.lastDown = true, now
+		o.lastDrain = o.step
 	}
 }
 
@@ -375,9 +345,8 @@ func (o *Orchestrator) StopAll() {
 	o.reapRetired()
 }
 
-// Run drives the control loop every ScaleInterval of wall time,
-// advancing the virtual clock in lockstep, until a session fails or
-// stop is closed (either force-stops the pool). Transient control
+// Run takes one Step every ScaleInterval of wall time until a session
+// fails or stop is closed (either force-stops the pool). Transient control
 // errors go to OnError and are retried. The first Step runs
 // immediately, bootstrapping the pool to the policy's minimum.
 func (o *Orchestrator) Run(stop <-chan struct{}) error {
@@ -393,7 +362,6 @@ func (o *Orchestrator) Run(stop <-chan struct{}) error {
 			o.StopAll()
 			return nil
 		case <-ticker.C:
-			o.Clock.Advance(o.ScaleInterval)
 		}
 	}
 }

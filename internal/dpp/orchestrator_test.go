@@ -2,6 +2,7 @@ package dpp
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func TestAutoScalerMajorityStarvingBoundary(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Orchestrator control loop under a fake (virtual) clock.
+// Orchestrator control loop, one Step at a time.
 // ---------------------------------------------------------------------
 
 // fakeHandle is a launcher handle whose retirement the test controls.
@@ -83,7 +84,7 @@ const fakeSessionID = "job"
 // newFakeClockOrchestrator builds the control loop over a one-session
 // Service and a fakeFleetLauncher (service_test.go): fleet workers
 // register but run no pipelines, and the test feeds heartbeats to shape
-// the scaler's view.
+// the scaler's view and calls Step in place of Run's ticker.
 func newFakeClockOrchestrator(t *testing.T, min, max int) (*Orchestrator, *fakeFleetLauncher, *Service) {
 	t.Helper()
 	wh, spec := buildFixture(t, 64, 16)
@@ -94,8 +95,6 @@ func newFakeClockOrchestrator(t *testing.T, min, max int) (*Orchestrator, *fakeF
 	l := &fakeFleetLauncher{svc: svc}
 	o := NewOrchestrator(svc, l, NewAutoScaler(min, max))
 	o.ScaleInterval = time.Second
-	o.ScaleUpCooldown = time.Second
-	o.ScaleDownCooldown = 3 * time.Second
 	return o, l, svc
 }
 
@@ -122,55 +121,53 @@ func TestOrchestratorGrowsOnStarvation(t *testing.T) {
 		t.Fatalf("live after bootstrap = %d, want 1", got)
 	}
 
-	// The lone worker starves (empty buffer); after the cooldown the
-	// loop launches more.
+	// The lone worker starves (empty buffer): a launch holds nothing, so
+	// the next Step launches more.
 	l.heartbeat(t, starving)
-	o.Clock.Advance(time.Second)
 	step(t, o)
 	if got := o.Status().Live; got != 2 {
 		t.Fatalf("live after starvation step = %d, want 2", got)
 	}
 
-	// Still starving: growth continues, one cooldown at a time.
+	// Still starving: growth continues, Step after Step.
 	l.heartbeat(t, starving)
-	o.Clock.Advance(time.Second)
 	step(t, o)
 	if got := o.Status().Live; got != 4 {
 		t.Fatalf("live after second starvation step = %d, want 4", got)
 	}
 }
 
+// TestOrchestratorNoFlapWithinCooldown states the step rule: the two
+// Steps after a drain neither launch nor drain, and a launch holds
+// nothing.
 func TestOrchestratorNoFlapWithinCooldown(t *testing.T) {
 	o, l, _ := newFakeClockOrchestrator(t, 1, 8)
 	step(t, o)
 	l.heartbeat(t, starving)
-
-	// Starvation is visible but the bootstrap launch just happened: the
-	// loop must hold until the cooldown elapses, however many times it
-	// is stepped.
-	for i := 0; i < 5; i++ {
-		step(t, o)
-	}
-	if got := o.Status().Live; got != 1 {
-		t.Fatalf("live within cooldown = %d, want 1 (flapped)", got)
-	}
-	o.Clock.Advance(time.Second - time.Millisecond)
-	step(t, o)
-	if got := o.Status().Live; got != 1 {
-		t.Fatalf("live just before cooldown expiry = %d, want 1", got)
-	}
-	o.Clock.Advance(time.Millisecond)
 	step(t, o)
 	if got := o.Status().Live; got != 2 {
-		t.Fatalf("live after cooldown expiry = %d, want 2", got)
+		t.Fatalf("live on the Step after the bootstrap launch = %d, want 2", got)
 	}
 
-	// Oversupply immediately after a scale-up must not drain until the
-	// down-cooldown elapses (no up→down flap).
+	// A drain may follow a launch on the very next Step.
 	l.heartbeat(t, oversupplied)
 	step(t, o)
-	if got := o.Status().Draining; got != 0 {
-		t.Fatalf("draining right after scale-up = %d, want 0 (flapped)", got)
+	if got := o.Status().Draining; got != 1 {
+		t.Fatalf("draining on the Step after a launch = %d, want 1", got)
+	}
+
+	// Starvation right after the drain holds for two Steps, however hard
+	// the pool starves; the third Step launches.
+	l.heartbeat(t, starving)
+	for i := 1; i < drainHold; i++ {
+		step(t, o)
+		if got := o.Status().Launched; got != 2 {
+			t.Fatalf("launched %d Steps after a drain = %d, want 2 (flapped)", i, got)
+		}
+	}
+	step(t, o)
+	if got := o.Status().Launched; got != 3 {
+		t.Fatalf("launched once the drain hold ended = %d, want 3", got)
 	}
 }
 
@@ -178,12 +175,10 @@ func TestOrchestratorDrainsOnOversupply(t *testing.T) {
 	o, l, svc := newFakeClockOrchestrator(t, 1, 8)
 	step(t, o)
 	l.heartbeat(t, starving)
-	o.Clock.Advance(time.Second)
 	step(t, o) // 2 live
 
 	// Both workers report full buffers and an idle data plane.
 	l.heartbeat(t, oversupplied)
-	o.Clock.Advance(3 * time.Second)
 	step(t, o)
 	st := o.Status()
 	if st.Draining != 1 {
@@ -247,8 +242,8 @@ func TestOrchestratorRetriesFailedLaunch(t *testing.T) {
 	if got := o.Status().Live; got != 0 {
 		t.Fatalf("live after failed launch = %d, want 0", got)
 	}
-	// The failure armed no cooldown: the very next step retries and
-	// succeeds without advancing the clock.
+	// The failure holds nothing: the very next step retries and
+	// succeeds.
 	step(t, o)
 	if got := o.Status().Live; got != 1 {
 		t.Fatalf("live after retry = %d, want 1", got)
@@ -304,7 +299,6 @@ func TestOrchestratorNeverExceedsBounds(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		step(t, o)
 		l.heartbeat(t, starving)
-		o.Clock.Advance(time.Second)
 		if got := o.Status().Live; got > 3 {
 			t.Fatalf("live = %d exceeds MaxWorkers 3", got)
 		}
@@ -328,7 +322,6 @@ func TestOrchestratorMaxZeroLaunchesNothing(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		l.heartbeat(t, starving)
 		step(t, o)
-		o.Clock.Advance(time.Second)
 	}
 	if st := o.Status(); st.Launched != 0 || st.Live != 0 {
 		t.Fatalf("loop bounded at zero workers launched some: %+v", st)
@@ -338,6 +331,8 @@ func TestOrchestratorMaxZeroLaunchesNothing(t *testing.T) {
 	}
 }
 
+// TestOrchestratorPeriodicCheckpoint: with CheckpointEvery two
+// ScaleIntervals, the first Step and then every second Step checkpoint.
 func TestOrchestratorPeriodicCheckpoint(t *testing.T) {
 	o, _, _ := newFakeClockOrchestrator(t, 1, 2)
 	o.CheckpointEvery = 2 * time.Second
@@ -349,14 +344,67 @@ func TestOrchestratorPeriodicCheckpoint(t *testing.T) {
 	if got := o.Status().Checkpoints; got != 1 {
 		t.Fatalf("checkpoints = %d, want 1", got)
 	}
-	step(t, o) // not due yet
+	step(t, o) // one interval since: not due yet
 	if got := o.Status().Checkpoints; got != 1 {
 		t.Fatalf("checkpoints within period = %d, want 1", got)
 	}
-	o.Clock.Advance(2 * time.Second)
 	step(t, o)
 	if got := o.Status().Checkpoints; got != 2 {
 		t.Fatalf("checkpoints after period = %d, want 2", got)
+	}
+}
+
+// TestOrchestratorControlLawScript pins the decisions Run makes, one Step
+// per script entry: S and O heartbeat every fleet worker as starving or
+// oversupplied, R retires every draining worker, - does neither. A drain
+// holds the next two steps (the drains at steps 3 and 9 hold steps 4–5
+// and 10–11; steps 6 and 12 launch); a launch may be drained on the very
+// next step (steps 2→3 and 13→14); with CheckpointEvery two intervals,
+// every second step checkpoints.
+func TestOrchestratorControlLawScript(t *testing.T) {
+	o, l, svc := newFakeClockOrchestrator(t, 1, 4)
+	o.CheckpointEvery = 2 * o.ScaleInterval
+	script := []struct {
+		entry                                          byte
+		live, draining, launched, drained, checkpoints int
+	}{
+		{'-', 1, 0, 1, 0, 1},
+		{'S', 2, 0, 2, 0, 1},
+		{'O', 2, 1, 2, 1, 2},
+		{'S', 2, 1, 2, 1, 2},
+		{'S', 2, 1, 2, 1, 3},
+		{'S', 3, 1, 3, 1, 3},
+		{'S', 4, 1, 4, 1, 4},
+		{'S', 4, 1, 4, 1, 4},
+		{'O', 4, 3, 4, 3, 5},
+		{'R', 1, 0, 4, 3, 5},
+		{'S', 1, 0, 4, 3, 6},
+		{'S', 2, 0, 5, 3, 6},
+		{'S', 4, 0, 7, 3, 7},
+		{'O', 4, 3, 7, 6, 7},
+		{'O', 4, 3, 7, 6, 8},
+		{'O', 4, 3, 7, 6, 8},
+		{'O', 4, 3, 7, 6, 9},
+	}
+	for i, s := range script {
+		switch s.entry {
+		case 'S':
+			l.heartbeat(t, starving)
+		case 'O':
+			l.heartbeat(t, oversupplied)
+		case 'R':
+			for id := range svc.FleetAssignments() {
+				if draining, ok := strings.CutSuffix(id, "*"); ok {
+					l.retire(t, draining)
+				}
+			}
+		}
+		step(t, o)
+		st := o.Status()
+		got := [5]int{st.Live, st.Draining, st.Launched, st.Drained, st.Checkpoints}
+		if want := [5]int{s.live, s.draining, s.launched, s.drained, s.checkpoints}; got != want {
+			t.Fatalf("step %d (%c): live, draining, launched, drained, checkpoints = %v, want %v", i+1, s.entry, got, want)
+		}
 	}
 }
 
@@ -417,7 +465,6 @@ func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 		OnError: func(id string, err error) {
 			launcherErr.Store(id, err)
 		},
@@ -473,7 +520,6 @@ func TestOrchestratorStopAbandonsPool(t *testing.T) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	o := NewOrchestrator(svc, l, NewAutoScaler(2, 2))
 	o.ScaleInterval = time.Millisecond

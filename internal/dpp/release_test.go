@@ -92,11 +92,11 @@ func TestReleaseSplitStaleLeaseBenign(t *testing.T) {
 // surfaces to every worker.
 func TestReleaseSplitPoisonBudget(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16)
+	spec.RetryBudget = 3
 	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.MaxSplitRetries = 3
 	if _, err := m.RegisterWorker("w1", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReleaseSplitPoisonBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRequeue := i < 2 // third release exhausts MaxSplitRetries=3
+		wantRequeue := i < 2 // third release exhausts RetryBudget=3
 		if requeued != wantRequeue {
 			t.Fatalf("release %d: requeued=%v, want %v", i+1, requeued, wantRequeue)
 		}

@@ -141,7 +141,6 @@ func TestServiceCheckpointRoundTrip(t *testing.T) {
 		Service:        replica,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 		OnError:        func(id string, err error) { t.Errorf("replica worker %s: %v", id, err) },
 	}
 	o := NewOrchestrator(replica, launcher, NewAutoScaler(2, 2))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,7 +118,7 @@ func TestServiceSessionRegistry(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Fleet-level fair share on the virtual clock: deterministic, no sleeps.
+// Fleet-level fair share, one Step at a time: deterministic, no sleeps.
 // ---------------------------------------------------------------------
 
 // fakeFleetLauncher registers fleet workers with the service but runs
@@ -206,7 +207,7 @@ func assertFairShare(t *testing.T, svc *Service, weights map[string]float64) {
 }
 
 // TestFleetFairShareConvergenceVirtualClock drives the fleet controller
-// deterministically: the virtual clock advances between Steps, fake
+// deterministically: the test calls Step in place of Run's ticker, fake
 // fleet workers provide capacity, and the weighted fair-share targets
 // must converge within one worker of every tenant's quota — then
 // re-converge when a tenant leaves and when capacity drains.
@@ -225,7 +226,6 @@ func TestFleetFairShareConvergenceVirtualClock(t *testing.T) {
 	l := &fakeFleetLauncher{svc: svc}
 	o := NewOrchestrator(svc, l, NewAutoScaler(6, 6))
 	o.ScaleInterval = time.Second
-	o.ScaleUpCooldown = time.Second
 
 	// Bootstrap: an empty pool grows to the minimum and the rebalance
 	// divides it 1/2/3.
@@ -236,7 +236,6 @@ func TestFleetFairShareConvergenceVirtualClock(t *testing.T) {
 	// Assignments are applied by the same Step that launched the
 	// workers on the next pass (launch happens after the rebalance).
 	l.heartbeatAll(t)
-	o.Clock.Advance(time.Second)
 	step(t, o)
 	assertFairShare(t, svc, weights)
 	counts := svc.AssignmentCounts()
@@ -249,7 +248,6 @@ func TestFleetFairShareConvergenceVirtualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.heartbeatAll(t)
-	o.Clock.Advance(time.Second)
 	step(t, o)
 	delete(weights, "c")
 	assertFairShare(t, svc, weights)
@@ -269,7 +267,6 @@ func TestFleetFairShareConvergenceVirtualClock(t *testing.T) {
 	l.retire(t, "dpp-fw-0")
 	l.retire(t, "dpp-fw-1")
 	l.heartbeatAll(t)
-	o.Clock.Advance(time.Second)
 	step(t, o)
 	if got := svc.FleetWorkerCount(); got != 4 {
 		t.Fatalf("fleet after drain = %d, want 4", got)
@@ -284,7 +281,6 @@ func TestFleetFairShareConvergenceVirtualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.heartbeatAll(t)
-	o.Clock.Advance(time.Second)
 	step(t, o)
 	if got := svc.AssignmentCounts()["tiny"]; got != 1 {
 		t.Fatalf("tiny tenant assignments = %d, want 1 (piggyback)", got)
@@ -323,6 +319,82 @@ func TestFleetRegistrationSpreadsLoad(t *testing.T) {
 	}
 }
 
+// hookedFleet is a FleetControl whose session masters call registered
+// after a pipeline's RegisterWorker returns and heartbeat on each of its
+// Heartbeats, so a test can hold or count a fleet worker's pipelines
+// from outside.
+type hookedFleet struct {
+	FleetControl
+	registered func()
+	heartbeat  func()
+}
+
+func (f hookedFleet) SessionMaster(sessionID string) (MasterAPI, error) {
+	m, err := f.FleetControl.SessionMaster(sessionID)
+	if err != nil {
+		return nil, err
+	}
+	return hookedMaster{MasterAPI: m, fleet: f}, nil
+}
+
+type hookedMaster struct {
+	MasterAPI
+	fleet hookedFleet
+}
+
+func (m hookedMaster) RegisterWorker(workerID, endpoint string) (SessionSpec, error) {
+	spec, err := m.MasterAPI.RegisterWorker(workerID, endpoint)
+	if m.fleet.registered != nil {
+		m.fleet.registered()
+	}
+	return spec, err
+}
+
+func (m hookedMaster) Heartbeat(workerID string, stats WorkerStats) error {
+	if m.fleet.heartbeat != nil {
+		m.fleet.heartbeat()
+	}
+	return m.MasterAPI.Heartbeat(workerID, stats)
+}
+
+// TestFleetPipelineHeartbeatsAtFleetPeriod: a fleet worker's pipelines
+// heartbeat their session masters at the fleet worker's own period. No
+// client consumes and the buffer holds one batch of a four-batch split,
+// so the deliver loop never finishes a split and every heartbeat counted
+// comes from the pipeline's ticker.
+func TestFleetPipelineHeartbeatsAtFleetPeriod(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16)
+	spec.BatchSize = 4
+	spec.BufferDepth = 1
+	svc := NewService(wh)
+	if err := svc.CreateSession(fakeSessionID, spec); err != nil {
+		t.Fatal(err)
+	}
+	var beats atomic.Int32
+	third := make(chan struct{})
+	ctrl := hookedFleet{FleetControl: svc, heartbeat: func() {
+		if beats.Add(1) == 3 {
+			close(third)
+		}
+	}}
+	fw, err := NewFleetWorker("fw1", "inproc://fw1", ctrl, wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.HeartbeatEvery = time.Millisecond
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() { done <- fw.Run(stop) }()
+	select {
+	case <-third:
+	case <-time.After(400 * time.Millisecond):
+		t.Errorf("the pipeline heartbeat its session master %d times in 400ms, want at least 3 at the fleet worker's 1ms period", beats.Load())
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Sessions racing registry churn against worker churn, under -race.
 // ---------------------------------------------------------------------
@@ -340,12 +412,9 @@ func TestServiceConcurrentSessionChurn(t *testing.T) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	o := NewOrchestrator(svc, launcher, NewAutoScaler(2, 4))
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
-	o.ScaleDownCooldown = 3 * time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()
@@ -427,11 +496,9 @@ func TestServiceCloseSessionMidRunAbandonsPipelines(t *testing.T) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	o := NewOrchestrator(svc, launcher, NewAutoScaler(1, 2))
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()

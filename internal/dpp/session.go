@@ -55,9 +55,10 @@
 //     address), reaps retired members, and takes periodic checkpoints
 //     covering every session (DecodeServiceCheckpoint + RestoreSession
 //     re-host them on a replica). Pool size follows tenant-aggregated starvation and
-//     oversupply; scale actions respect up/down cooldowns measured on
-//     an internal/clock virtual clock, so tests drive the identical
-//     control law deterministically via Step and Advance. A heartbeat
+//     oversupply; the loop counts Steps, not time (the two Steps after
+//     a drain neither launch nor drain), and Run takes one Step per
+//     ScaleInterval, so tests drive the identical control law
+//     deterministically by calling Step. A heartbeat
 //     (WorkerStats) carries exactly what the control plane reads: the
 //     windowed minimum buffer level and the evaluators' busy fraction
 //     for the scaler, and the recovery counters for Master.Recovery.
@@ -169,9 +170,10 @@ type SessionSpec struct {
 	// frozen benchmark (bench/env.go) sets it, and goes when the
 	// benchmark next changes.
 	DataPlane string
-	// RetryBudget is the per-split poison budget (Master.MaxSplitRetries):
-	// how many times a split may be released back after retryable storage
-	// failures before the session fails. Zero uses DefaultSplitRetries.
+	// RetryBudget is the per-split poison budget: how many times a split
+	// may be released back after retryable storage failures before the
+	// session fails rather than requeueing a split no worker can read.
+	// Zero uses DefaultSplitRetries.
 	RetryBudget int
 }
 

@@ -381,7 +381,7 @@ func TestWorkChanged(t *testing.T) {
 			}},
 		{name: "poisoning ReleaseSplit", wake: true,
 			prepare: func(t *testing.T, m *Master) int {
-				m.MaxSplitRetries = 1
+				m.spec.RetryBudget = 1
 				return lease(t, m, "w")
 			},
 			act: func(t *testing.T, m *Master, _ *warehouse.Table, id int) {

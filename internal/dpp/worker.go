@@ -153,12 +153,14 @@ type Worker struct {
 	// goroutine at a time.
 	Sink func(*tensor.Batch)
 
-	// HeartbeatEvery is the background liveness heartbeat period
-	// (default 500ms). Orchestrated tests shrink it so the master's view
-	// of buffer occupancy and busy fraction stays fresh at millisecond
-	// control-loop scales.
-	HeartbeatEvery time.Duration
+	// heartbeatEvery is the background liveness heartbeat period: a fleet
+	// worker's pipelines take its period, every other worker the default.
+	heartbeatEvery time.Duration
 }
+
+// defaultHeartbeatEvery is the worker and fleet heartbeat period unless a
+// FleetWorker sets its own.
+const defaultHeartbeatEvery = 500 * time.Millisecond
 
 // NewWorker registers with the master, pulls the session spec, and
 // compiles the transformation plan. The worker registers no data-plane
@@ -189,21 +191,22 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		return nil, fmt.Errorf("dpp: worker %s plan: %w", id, err)
 	}
 	return &Worker{
-		ID:          id,
-		Endpoint:    endpoint,
-		master:      master,
-		wh:          wh,
-		spec:        spec,
-		plan:        plan,
-		arena:       dwrf.NewArena(),
-		proj:        spec.Projection(),
-		splits:      make(map[int]*splitAcct),
-		notEmpty:    make(chan struct{}),
-		wakes:       make(map[*localWorker]struct{}),
-		notFull:     make(chan struct{}),
-		splitDone:   make(chan struct{}),
-		crashCh:     make(chan struct{}),
-		lastStatsAt: time.Now(),
+		ID:             id,
+		Endpoint:       endpoint,
+		master:         master,
+		wh:             wh,
+		spec:           spec,
+		plan:           plan,
+		arena:          dwrf.NewArena(),
+		proj:           spec.Projection(),
+		splits:         make(map[int]*splitAcct),
+		notEmpty:       make(chan struct{}),
+		wakes:          make(map[*localWorker]struct{}),
+		notFull:        make(chan struct{}),
+		splitDone:      make(chan struct{}),
+		crashCh:        make(chan struct{}),
+		lastStatsAt:    time.Now(),
+		heartbeatEvery: defaultHeartbeatEvery,
 	}, nil
 }
 
@@ -673,14 +676,6 @@ func (w *Worker) finish() {
 	w.mu.Unlock()
 }
 
-// heartbeatEvery is the effective background heartbeat period.
-func (w *Worker) heartbeatEvery() time.Duration {
-	if w.HeartbeatEvery > 0 {
-		return w.HeartbeatEvery
-	}
-	return 500 * time.Millisecond
-}
-
 // heartbeatLoop renews liveness — and, at the master, the worker's
 // in-flight leases — during stretches where no split completes, e.g.
 // delivery blocked on a stalled trainer for longer than the lease
@@ -697,7 +692,7 @@ func (w *Worker) heartbeatEvery() time.Duration {
 // intact at the master, so abandoning the fleet's buffered work over a
 // brief control-plane hiccup would turn it all into needless re-runs.
 func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
-	t := time.NewTicker(w.heartbeatEvery())
+	t := time.NewTicker(w.heartbeatEvery)
 	defer t.Stop()
 	rejections := 0
 	for {
@@ -754,7 +749,7 @@ func (w *Worker) Retire(abandon <-chan struct{}) error {
 		// leases.
 		return nil
 	}
-	hb := time.NewTicker(w.heartbeatEvery())
+	hb := time.NewTicker(w.heartbeatEvery)
 	defer hb.Stop()
 	hbFails := 0
 drain:

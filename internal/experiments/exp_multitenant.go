@@ -54,12 +54,10 @@ func runMultitenant() (Result, error) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
 	scaler := dpp.NewAutoScaler(mtMaxWorkers, mtMaxWorkers) // fixed-size shared fleet: isolate the sharing, not the sizing
 	o := dpp.NewOrchestrator(svc, launcher, scaler)
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()
@@ -216,14 +214,12 @@ func runMultitenantCacheRows() ([]Row, error) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 		CacheBytes:     256 << 20,
 	}
 	// One node: both tenants land on the same cache, isolating reuse
 	// from placement.
 	o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 1))
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()

@@ -171,7 +171,6 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 		Service:        svc,
 		WH:             wh,
 		HeartbeatEvery: time.Millisecond,
-		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 		// One tenant reads every stripe once: a batch cache has nothing
 		// to serve and would only add its bookkeeping to the measurement.
 		CacheBytes: -1,
@@ -189,7 +188,6 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 	scaler.HighBuffer = 1 << 30
 	o := dpp.NewOrchestrator(svc, launcher, scaler)
 	o.ScaleInterval = time.Millisecond
-	o.ScaleUpCooldown = time.Millisecond
 	stop := make(chan struct{})
 	runDone := make(chan error, 1)
 	go func() { runDone <- o.Run(stop) }()

@@ -279,26 +279,6 @@ func (s *Store) Changed(name string) (<-chan struct{}, error) {
 	return st.changed, nil
 }
 
-// Latest returns the most recent retained record, or ok=false when the
-// stream holds no records (empty or fully trimmed). Cursor stores use it
-// to locate their recovery point without scanning from the trim point.
-func (s *Store) Latest(name string) (Record, bool, error) {
-	st, err := s.lookup(name)
-	if err != nil {
-		return Record{}, false, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if n := len(st.memtable); n > 0 {
-		return st.memtable[n-1], true, nil
-	}
-	if n := len(st.segments); n > 0 {
-		recs := st.segments[n-1].records
-		return recs[len(recs)-1], true, nil
-	}
-	return Record{}, false, nil
-}
-
 // sealLocked moves the memtable into an immutable segment. Callers must
 // hold st.mu.
 func (st *stream) sealLocked() {

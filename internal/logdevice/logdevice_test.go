@@ -283,34 +283,6 @@ func TestChangedFiresOnAppendAndSeal(t *testing.T) {
 	}
 }
 
-func TestLatest(t *testing.T) {
-	s := NewStore()
-	s.MemtableFlushBytes = 4
-	if err := s.CreateStream("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Latest("a"); err != nil || ok {
-		t.Fatalf("Latest on empty = ok=%v, err=%v", ok, err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := s.Append("a", []byte{byte(i), 0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec, ok, err := s.Latest("a")
-	if err != nil || !ok || rec.LSN != 5 || rec.Payload[0] != 4 {
-		t.Fatalf("Latest = %+v, ok=%v, err=%v", rec, ok, err)
-	}
-	// Latest must also work when everything lives in sealed segments.
-	if _, err := s.Append("a", []byte{9, 0}); err != nil {
-		t.Fatal(err)
-	}
-	rec, ok, err = s.Latest("a")
-	if err != nil || !ok || rec.LSN != 6 {
-		t.Fatalf("Latest after flush = %+v, ok=%v, err=%v", rec, ok, err)
-	}
-}
-
 // Property: after n appends, ReadFrom(1) returns records 1..n in order
 // regardless of flush threshold.
 func TestReadOrderProperty(t *testing.T) {

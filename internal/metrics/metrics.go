@@ -1,5 +1,5 @@
 // Package metrics provides the lightweight measurement primitives used by
-// every experiment in the repository: counters, gauges, sample histograms
+// every experiment in the repository: counters, sample histograms
 // with percentile queries, and byte-popularity CDFs.
 //
 // The package intentionally stores raw samples rather than sketches: the
@@ -35,26 +35,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable float64 value safe for concurrent use.
-type Gauge struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Value reports the current gauge value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
 
 // Stopwatch accumulates busy time contributed by many goroutines. It is
 // the primitive behind the DPP worker's per-stage (fetch / decode /

@@ -45,18 +45,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
-		t.Fatalf("Value = %v, want 3.5", got)
-	}
-	g.Set(-1)
-	if got := g.Value(); got != -1 {
-		t.Fatalf("Value = %v, want -1", got)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	var h Histogram
 	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Stddev() != 0 {

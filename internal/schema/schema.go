@@ -78,21 +78,6 @@ func (s *Sample) FeatureCount() int {
 	return len(s.DenseFeatures) + len(s.SparseFeatures) + len(s.ScoreListFeatures)
 }
 
-// UncompressedBytes estimates the in-memory byte footprint of the sample:
-// 4 bytes per dense value, 8 per sparse ID, 12 per scored value, plus 4
-// bytes of feature-ID key overhead per entry and 4 for the label.
-func (s *Sample) UncompressedBytes() int64 {
-	var b int64 = 4 // label
-	b += int64(len(s.DenseFeatures)) * (4 + 4)
-	for _, vals := range s.SparseFeatures {
-		b += 4 + int64(len(vals))*8
-	}
-	for _, vals := range s.ScoreListFeatures {
-		b += 4 + int64(len(vals))*12
-	}
-	return b
-}
-
 // Column describes one feature column in a table schema.
 type Column struct {
 	ID   FeatureID
@@ -304,16 +289,4 @@ func (r *Registry) LoggedIDs() []FeatureID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// SchemaOfLogged builds a TableSchema containing all currently logged
-// features.
-func (r *Registry) SchemaOfLogged(name string) *TableSchema {
-	ts := NewTableSchema(name)
-	for _, id := range r.LoggedIDs() {
-		f := r.features[id]
-		// AddColumn cannot fail: registry IDs are unique.
-		_ = ts.AddColumn(f.Column)
-	}
-	return ts
 }

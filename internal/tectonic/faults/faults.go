@@ -15,11 +15,10 @@
 //   - Corrupting: reads return the stored bytes with a deterministically
 //     chosen bit flipped (silent corruption; only checksums catch it).
 //
-// Four more states are write-shaped and visible only through WriteState,
+// Three more states are write-shaped and visible only through WriteState,
 // mirroring the same design onto the append path: WriteFailing (appends
 // fail cleanly), WriteTorn (appends land but the ack is lost — the case
-// that forces idempotent write tokens), WriteSlow (write brownout), and
-// SealFlaky (metadata-plane seal failures, keyed to MetaNode). Read and
+// that forces idempotent write tokens), and SealFlaky (metadata-plane seal failures, keyed to MetaNode). Read and
 // write storms compose on one schedule without perturbing each other;
 // Down is the one state both views share.
 //
@@ -60,9 +59,6 @@ const (
 	// bytes are durable but the writer sees an error. Only tokened
 	// retries recover without duplicating.
 	WriteTorn
-	// WriteSlow serves appends but counts a brownout occurrence
-	// (slow-write accounting; appends carry no device-time model).
-	WriteSlow
 	// SealFlaky fails file seals with probability Window.ErrProb. Seal
 	// is a metadata operation, so SealFlaky windows are keyed to the
 	// MetaNode pseudo-node rather than a storage node.
@@ -90,8 +86,6 @@ func (s State) String() string {
 		return "write-failing"
 	case WriteTorn:
 		return "write-torn"
-	case WriteSlow:
-		return "write-slow"
 	case SealFlaky:
 		return "seal-flaky"
 	}
@@ -187,11 +181,6 @@ func (s *Schedule) FailWrites(node int, from, until time.Duration, p float64) *S
 // during [from, until): the bytes land, the ack is lost.
 func (s *Schedule) TornWrites(node int, from, until time.Duration, p float64) *Schedule {
 	return s.Add(Window{Node: node, State: WriteTorn, From: from, Until: until, ErrProb: p})
-}
-
-// SlowWrites puts node in a write brownout during [from, until).
-func (s *Schedule) SlowWrites(node int, from, until time.Duration) *Schedule {
-	return s.Add(Window{Node: node, State: WriteSlow, From: from, Until: until})
 }
 
 // FailSeals makes file seals fail with probability p during

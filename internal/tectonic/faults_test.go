@@ -236,7 +236,7 @@ func TestFaultWindowExpiry(t *testing.T) {
 	c, data, reps := faultFixture(t, Options{})
 	c.SetFaultSchedule(faults.NewSchedule(9).Down(reps[0], 0, time.Millisecond))
 
-	c.Clock().AdvanceTo(2 * time.Millisecond)
+	c.Clock().Advance(2 * time.Millisecond)
 	got, _, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
 	if err != nil {
 		t.Fatal(err)

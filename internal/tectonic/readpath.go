@@ -125,7 +125,6 @@ type FaultCounters struct {
 	AppendDedups    int64 // retries that found their token fully landed (torn ack)
 	TornAcks        int64 // appends that landed but lost their ack
 	TornRepairs     int64 // retries that resumed a partially landed token
-	SlowWriteServes int64 // fragment writes served by a browned-out node
 	SealRetries     int64 // failed seal attempts absorbed by internal retry
 	PlacementAvoids int64 // chunk placements steered away from unhealthy/condemned nodes
 }

@@ -155,10 +155,6 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 					return fmt.Errorf("%w: node %d writing %s chunk %d (attempt %d)", ErrNodeIO, nodeID, path, chunkIdx, attempt)
 				}
 				torn = true
-			case faults.WriteSlow:
-				c.fmu.Lock()
-				c.counters.SlowWriteServes++
-				c.fmu.Unlock()
 			}
 		}
 		for _, nodeID := range f.replicas[chunkIdx] {
@@ -236,8 +232,6 @@ func (c *Cluster) placementHealthy(path string, chunk int64, now time.Duration, 
 			score = 8
 		case faults.WriteFailing, faults.WriteTorn:
 			score = 2
-		case faults.WriteSlow:
-			score = 1
 		}
 		if score < 8 && condemned[n] {
 			score += 2

@@ -234,59 +234,3 @@ func (c *ContentSum) Equal(other *ContentSum) bool {
 	}
 	return eqU(c.Dense, other.Dense) && eqI(c.Sparse, other.Sparse) && eqI(c.Counts, other.Counts)
 }
-
-// Concat stacks batches row-wise. All batches must share the same feature
-// layout. Output sizes are summed up front so every slice is allocated
-// exactly once instead of growing through repeated append.
-func Concat(batches []*Batch) (*Batch, error) {
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("tensor: concat of zero batches")
-	}
-	first := batches[0]
-	totalRows := 0
-	indexTotals := make([]int, len(first.Sparse))
-	for _, b := range batches {
-		if b.Dense.Cols != first.Dense.Cols || len(b.Sparse) != len(first.Sparse) {
-			return nil, fmt.Errorf("tensor: concat layout mismatch: %d/%d cols, %d/%d sparse",
-				b.Dense.Cols, first.Dense.Cols, len(b.Sparse), len(first.Sparse))
-		}
-		totalRows += b.Rows
-		for i, s := range b.Sparse {
-			if s.Feature != first.Sparse[i].Feature {
-				return nil, fmt.Errorf("tensor: concat sparse feature mismatch %d vs %d", first.Sparse[i].Feature, s.Feature)
-			}
-			indexTotals[i] += len(s.Indices)
-		}
-	}
-
-	out := &Batch{
-		Rows: totalRows,
-		// Copied, not aliased: the inputs may be pool-backed decoded
-		// batches whose slices return to the codec pools on Release.
-		DenseFeatureIDs: append([]schema.FeatureID(nil), first.DenseFeatureIDs...),
-		Dense:           &Dense2D{Rows: totalRows, Cols: first.Dense.Cols, Data: make([]float32, 0, totalRows*first.Dense.Cols)},
-		Labels:          make([]float32, 0, totalRows),
-		Sparse:          make([]*SparseTensor, 0, len(first.Sparse)),
-	}
-	for i, s := range first.Sparse {
-		st := &SparseTensor{
-			Feature: s.Feature,
-			Offsets: make([]int32, 1, totalRows+1),
-			Indices: make([]int64, 0, indexTotals[i]),
-		}
-		out.Sparse = append(out.Sparse, st)
-	}
-	for _, b := range batches {
-		out.Labels = append(out.Labels, b.Labels...)
-		out.Dense.Data = append(out.Dense.Data, b.Dense.Data...)
-		for i, s := range b.Sparse {
-			dst := out.Sparse[i]
-			base := dst.Offsets[len(dst.Offsets)-1]
-			for _, off := range s.Offsets[1:] {
-				dst.Offsets = append(dst.Offsets, base+off)
-			}
-			dst.Indices = append(dst.Indices, s.Indices...)
-		}
-	}
-	return out, nil
-}

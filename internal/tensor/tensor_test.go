@@ -105,50 +105,3 @@ func TestSizeBytes(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, want 76", got)
 	}
 }
-
-func TestConcat(t *testing.T) {
-	a, err := Materialize(srcBatch(), []schema.FeatureID{1}, []schema.FeatureID{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Materialize(srcBatch(), []schema.FeatureID{1}, []schema.FeatureID{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := Concat([]*Batch{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.Rows != 6 || len(cat.Labels) != 6 {
-		t.Fatalf("concat rows = %d", cat.Rows)
-	}
-	if len(cat.Dense.Data) != 6 {
-		t.Fatalf("dense data = %d", len(cat.Dense.Data))
-	}
-	sp := cat.Sparse[0]
-	if len(sp.Offsets) != 7 {
-		t.Fatalf("offsets = %v", sp.Offsets)
-	}
-	// Second copy's row 0 must match the first copy's row 0.
-	r0, r3 := sparseRow(sp, 0), sparseRow(sp, 3)
-	if len(r0) != len(r3) || r0[0] != r3[0] {
-		t.Fatalf("concat misaligned: %v vs %v", r0, r3)
-	}
-}
-
-func TestConcatMismatch(t *testing.T) {
-	a, err := Materialize(srcBatch(), []schema.FeatureID{1}, []schema.FeatureID{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Materialize(srcBatch(), []schema.FeatureID{1, 2}, []schema.FeatureID{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Concat([]*Batch{a, b}); err == nil {
-		t.Fatal("layout mismatch accepted")
-	}
-	if _, err := Concat(nil); err == nil {
-		t.Fatal("empty concat accepted")
-	}
-}

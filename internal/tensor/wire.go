@@ -299,7 +299,7 @@ func DecodeBinary(data []byte) (*Batch, int, error) {
 }
 
 // Release returns a decoded batch's slices to the codec pools. It is a
-// no-op for batches not produced by DecodeBinary (Materialize, Concat,
+// no-op for batches not produced by DecodeBinary (Materialize,
 // literals), so consumers can call it unconditionally after loading a
 // batch; releasing twice is also safe. The batch must not be used after
 // Release.
