@@ -174,8 +174,8 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, writeF
 		ld := store.WriteFaultCounters()
 		fc := cluster.FaultCounters()
 		ws := pipeline.WriterStats()
-		log.Printf("dppd ingest: write recovery: scribe %d torn acks -> %d dedups (%d shed, %d breaker opens); warehouse %d append retries, %d dedups, %d torn repairs, %d seal retries, %d placements avoided; %d partitions re-produced, %v virtual backoff",
-			ld.TornAcks, ld.DedupHits, daemon.Shed.Value(), daemon.BreakerOpens.Value(),
+		log.Printf("dppd ingest: write recovery: scribe %d torn acks -> %d dedups; warehouse %d append retries, %d dedups, %d torn repairs, %d seal retries, %d placements avoided; %d partitions re-produced, %v virtual backoff",
+			ld.TornAcks, ld.DedupHits,
 			fc.AppendRetries, fc.AppendDedups, fc.TornRepairs, fc.SealRetries, fc.PlacementAvoids,
 			pipeline.PartitionsReproduced.Value(), ws.Backoff.Round(time.Millisecond))
 	}

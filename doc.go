@@ -139,15 +139,16 @@
 // -fault-seed.
 //
 // The ingestion write path heals the same way: write-shaped fault
-// windows (failed, torn, and slow appends; failing seals) draw from the
+// windows (failed and torn appends; failing seals) draw from the
 // same seeded schedule, and every append carries a write token —
 // tectonic keys a per-file ledger by path@offset, LogDevice a
 // per-stream ledger by Scribe message token — so retries after a torn
 // ack dedup against the record that already landed instead of
 // duplicating it. Placement rescores rendezvous order by write health
-// to route new chunks around down nodes, scribe.Daemon sheds overload
-// behind watermark backpressure and a per-category circuit breaker
-// (never hot-polling a down LogDevice), and etl.Pipeline re-produces a
+// to route new chunks around down nodes, scribe.Daemon requeues the
+// unsent tail of a failed flush ahead of everything logged since (so no
+// message overtakes another, in or across categories), and
+// etl.Pipeline re-produces a
 // failed partition byte-identically from its base checkpoint under a
 // bounded retry budget — aborting the orphan file, restoring the
 // joiner, and poisoning the pipeline with a typed error past the

@@ -162,16 +162,18 @@ func TestProjectionJitterControlsOverlap(t *testing.T) {
 	}
 }
 
+// With no jobs to count, TrafficOrder ranks streams by static popularity
+// alone, most popular first.
 func TestStreamOrderSortedByPopularity(t *testing.T) {
 	spec := RM1.Scale(0.005, 1, 10)
 	g := NewGenerator(spec, 1)
-	order := g.StreamOrder()
+	order := g.TrafficOrder(0)
 	if len(order) != spec.DenseFeats+spec.SparseFeats {
 		t.Fatalf("order length %d", len(order))
 	}
 	for i := 1; i < len(order); i++ {
 		if g.PopularityRank(order[i-1]) > g.PopularityRank(order[i]) {
-			t.Fatalf("StreamOrder not sorted at %d", i)
+			t.Fatalf("TrafficOrder(0) not sorted by popularity at %d", i)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"dsi/internal/schema"
 	"dsi/internal/scribe"
+	"dsi/internal/tectonic/faults"
 )
 
 // Log-record wire layout. Feature and event logs travel through Scribe
@@ -285,11 +286,11 @@ func (s *ServingSimulator) ServeRequests(n int) error {
 			return err
 		}
 	}
-	// A retryable flush failure (a LogDevice brown-out, an open circuit
-	// breaker) is absorbed: the messages stay buffered in the daemon and
-	// a later flush — or Close's drain — delivers them. Serving must not
+	// A retryable flush failure (a LogDevice brown-out, a torn ack) is
+	// absorbed: the messages stay buffered in the daemon, in order, and a
+	// later flush — or Close's drain — delivers them. Serving must not
 	// fail because logging hiccuped.
-	if err := s.daemon.Flush(); err != nil && !scribe.Retryable(err) {
+	if err := s.daemon.Flush(); err != nil && !faults.IsRetryable(err) {
 		return err
 	}
 	return nil

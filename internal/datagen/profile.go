@@ -434,18 +434,3 @@ func (g *Generator) TrafficOrder(nJobs int) []schema.FeatureID {
 	}
 	return out
 }
-
-// StreamOrder returns the feature IDs sorted most-popular-first, the
-// ranking the feature-reordering (FR) optimization writes streams in.
-func (g *Generator) StreamOrder() []schema.FeatureID {
-	items := make([]rankedFeature, 0, len(g.pop))
-	for id, rank := range g.pop {
-		items = append(items, rankedFeature{id: id, score: rank})
-	}
-	sortRanked(items)
-	out := make([]schema.FeatureID, len(items))
-	for i, it := range items {
-		out[i] = it.id
-	}
-	return out
-}

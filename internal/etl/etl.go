@@ -3,8 +3,8 @@
 // from Scribe, labels the joined records, and materializes them as
 // schematized samples in warehouse partitions.
 //
-// The join is windowed: a feature log waits up to a configurable number
-// of processed records for its matching event; if none arrives the sample
+// The join is windowed: a feature log waits up to a fixed number of
+// processed records for its matching event; if none arrives the sample
 // is emitted with a negative label (no observed engagement), so the
 // pipeline tolerates event loss. The window is symmetric: an event that
 // arrives before its feature log — Scribe guarantees order only within a
@@ -51,9 +51,9 @@ type TimedSink interface {
 // Joiner incrementally joins one model's feature and event streams.
 type Joiner struct {
 	Model string
-	// Window is how many feature records a pending join may age before
-	// being flushed unlabeled (negative).
-	Window int
+	// window is how many feature records a pending join may age before
+	// being flushed unlabeled (negative); NewJoiner sets 4096.
+	window int
 
 	bus *scribe.Bus
 
@@ -112,7 +112,7 @@ type orderEntry struct {
 func NewJoiner(model string, bus *scribe.Bus, sink Sink) *Joiner {
 	return &Joiner{
 		Model:       model,
-		Window:      4096,
+		window:      4096,
 		bus:         bus,
 		featCursor:  1,
 		eventCursor: 1,
@@ -223,7 +223,7 @@ func (j *Joiner) Step(batch int) (int, error) {
 
 // evictExpired flushes pending joins older than the window as negatives.
 func (j *Joiner) evictExpired() error {
-	cutoff := j.seq - int64(j.Window)
+	cutoff := j.seq - int64(j.window)
 	for len(j.order) > 0 {
 		slot := j.order[0]
 		entry, ok := j.pending[slot.id]

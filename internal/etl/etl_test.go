@@ -77,7 +77,7 @@ func TestJoinerWindowEviction(t *testing.T) {
 	bus := scribe.NewBus(logdevice.NewStore())
 	sink := &collectSink{}
 	j := NewJoiner("m", bus, sink)
-	j.Window = 2
+	j.window = 2
 
 	publishFeature(t, bus, "m", 1) // never gets an event
 	if _, err := j.Step(100); err != nil {
@@ -124,7 +124,7 @@ func TestJoinerOrphanEvents(t *testing.T) {
 	bus := scribe.NewBus(logdevice.NewStore())
 	sink := &collectSink{}
 	j := NewJoiner("m", bus, sink)
-	j.Window = 2
+	j.window = 2
 	publishEvent(t, bus, "m", 99, true)
 	if _, err := j.Step(100); err != nil {
 		t.Fatal(err)

@@ -49,12 +49,10 @@ type Pipeline struct {
 	// PartitionRows is the seal threshold: the open partition is sealed
 	// once it holds at least this many rows. Default 4096.
 	PartitionRows int
-	// BatchSize is the per-Step record budget. Default 1024.
-	BatchSize int
-	// WriteRetryBudget is how many times one partition may be aborted and
+	// writeRetryBudget is how many times one partition may be aborted and
 	// re-produced from its base checkpoint after a retryable write
 	// failure before the pipeline gives up on it as poisoned. Default 2.
-	WriteRetryBudget int
+	writeRetryBudget int
 
 	// PartitionsSealed counts partitions made visible.
 	PartitionsSealed metrics.Counter
@@ -74,16 +72,16 @@ type Pipeline struct {
 func (p *Pipeline) WriterStats() dwrf.WriteStats { return p.wstats }
 
 func (p *Pipeline) defaults() {
-	if p.WriteRetryBudget <= 0 {
-		p.WriteRetryBudget = 2
+	if p.writeRetryBudget <= 0 {
+		p.writeRetryBudget = 2
 	}
 	if p.PartitionRows <= 0 {
 		p.PartitionRows = 4096
 	}
-	if p.BatchSize <= 0 {
-		p.BatchSize = 1024
-	}
 }
+
+// stepBatch is the per-Step record budget.
+const stepBatch = 1024
 
 // keyPrefix names partitions "<prefix><index>".
 const keyPrefix = "part-"
@@ -195,7 +193,7 @@ func (p *Pipeline) producePartition(key string, stop <-chan struct{}) (fillResul
 		return 0, err
 	}
 	var lastErr error
-	for attempt := 0; attempt <= p.WriteRetryBudget; attempt++ {
+	for attempt := 0; attempt <= p.writeRetryBudget; attempt++ {
 		if attempt > 0 {
 			if err := p.Joiner.Restore(base); err != nil {
 				return 0, err
@@ -219,7 +217,7 @@ func (p *Pipeline) producePartition(key string, stop <-chan struct{}) (fillResul
 		lastErr = err
 	}
 	return 0, fmt.Errorf("etl: partition %s poisoned: still failing after %d re-produces: %w",
-		key, p.WriteRetryBudget, lastErr)
+		key, p.writeRetryBudget, lastErr)
 }
 
 // attemptPartition runs one fill → intent → seal → commit attempt. On a
@@ -295,13 +293,7 @@ func (p *Pipeline) fillPartition(sink *partitionSink, stop <-chan struct{}) (fil
 		// Bound the step by the rows left before the seal threshold so a
 		// deep backlog rolls into several partitions instead of one
 		// oversized partition per drain.
-		batch := p.BatchSize
-		if rem := p.PartitionRows - sink.rows; rem < batch {
-			batch = rem
-		}
-		if batch < 1 {
-			batch = 1
-		}
+		batch := min(stepBatch, p.PartitionRows-sink.rows)
 		// Taken before the Step, so an append the Step just missed has
 		// already closed its channel by the time the wait below looks.
 		feat, event, ok := p.Joiner.InputChanged()

@@ -186,11 +186,11 @@ func TestWriteFaultPipelineRetriesThroughWriteFlake(t *testing.T) {
 	for n := 0; n < 3; n++ {
 		sched.FailWrites(n, 0, 0, 0.2)
 	}
-	wh, tbl, _ := faultTestTable(t, tectonic.Options{
+	wh, tbl, cluster := faultTestTable(t, tectonic.Options{
 		Nodes: 3, Replication: 1, ChunkSize: 1 << 20,
-		Faults: sched,
-		Retry:  tectonic.RetryPolicy{MaxAttempts: 32},
+		Retry: tectonic.RetryPolicy{MaxAttempts: 32},
 	})
+	cluster.SetFaultSchedule(sched)
 	store := logdevice.NewStore()
 	bus := scribe.NewBus(store)
 	cs, err := NewCursorStore(store, "etl/m/cursors")
@@ -236,7 +236,7 @@ func TestWriteFaultPartitionReproducedAfterStorm(t *testing.T) {
 	}
 	p := &Pipeline{
 		Joiner: NewJoiner("m", bus, nil), Table: tbl, Cursors: cs,
-		PartitionRows: 32, WriteRetryBudget: 1 << 20,
+		PartitionRows: 32, writeRetryBudget: 1 << 20,
 	}
 
 	publishRange(t, bus, "m", 1, 100)

@@ -117,19 +117,6 @@ func (s *Scheduler) BinPack(demands []ModelDemand) (Placement, error) {
 	return p, nil
 }
 
-// PeakRegionalDemand reports, per region, the compute assigned by the
-// placement; datacenter architects must provision for the combo-window
-// peak (§4.2).
-func PeakRegionalDemand(p Placement) map[string]float64 {
-	out := make(map[string]float64)
-	for _, regions := range p {
-		for r, v := range regions {
-			out[r] += v
-		}
-	}
-	return out
-}
-
 // StorageProvision is the §7.1 storage-layer sizing calculation.
 type StorageProvision struct {
 	// DatasetPB is the logical dataset size to store.

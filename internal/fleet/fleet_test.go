@@ -84,7 +84,12 @@ func TestBinPackConservesDemand(t *testing.T) {
 		}
 	}
 	// Regional totals must respect capacity.
-	peak := PeakRegionalDemand(p)
+	peak := make(map[string]float64)
+	for _, byRegion := range p {
+		for r, v := range byRegion {
+			peak[r] += v
+		}
+	}
 	for _, r := range regions() {
 		if peak[r.Name] > r.ComputeCapacity+1e-9 {
 			t.Fatalf("region %s over capacity: %.2f > %.2f", r.Name, peak[r.Name], r.ComputeCapacity)
@@ -96,17 +101,6 @@ func TestBinPackOverCapacity(t *testing.T) {
 	s := &Scheduler{Regions: []Region{{Name: "R1", ComputeCapacity: 10}}}
 	if _, err := s.BinPack(demands()); err == nil {
 		t.Fatal("over-capacity demand accepted")
-	}
-}
-
-func TestPeakRegionalDemand(t *testing.T) {
-	p := Placement{
-		"A": {"R1": 10, "R2": 5},
-		"B": {"R1": 3},
-	}
-	peak := PeakRegionalDemand(p)
-	if peak["R1"] != 13 || peak["R2"] != 5 {
-		t.Fatalf("peak = %v", peak)
 	}
 }
 

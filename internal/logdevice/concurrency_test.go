@@ -147,7 +147,7 @@ func TestConcurrentReadAtTrimPoint(t *testing.T) {
 // consumed prefix.
 func TestConcurrentTrimChangedSealLoop(t *testing.T) {
 	s := NewStore()
-	s.MemtableFlushBytes = 64 // force frequent segment seals
+	s.memtableFlushBytes = 64 // force frequent segment seals
 	if err := s.CreateStream("log"); err != nil {
 		t.Fatal(err)
 	}

@@ -84,9 +84,9 @@ func (st *stream) notifyLocked() {
 type Store struct {
 	mu      sync.Mutex
 	streams map[string]*stream
-	// MemtableFlushBytes is the memtable size that triggers sealing into
+	// memtableFlushBytes is the memtable size that triggers sealing into
 	// a segment.
-	MemtableFlushBytes int64
+	memtableFlushBytes int64
 
 	// fmu guards the write-fault plane: the installed schedule, its
 	// virtual clock, and the recovery counters.
@@ -98,7 +98,7 @@ type Store struct {
 
 // NewStore returns an empty store with a 1 MiB memtable flush threshold.
 func NewStore() *Store {
-	return &Store{streams: make(map[string]*stream), MemtableFlushBytes: 1 << 20}
+	return &Store{streams: make(map[string]*stream), memtableFlushBytes: 1 << 20}
 }
 
 // CreateStream creates an empty stream. Creating an existing stream is an
@@ -121,18 +121,6 @@ func (s *Store) lookup(name string) (*stream, error) {
 		return nil, fmt.Errorf("%w: %s", ErrStreamNotFound, name)
 	}
 	return st, nil
-}
-
-// Streams lists stream names, sorted.
-func (s *Store) Streams() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.streams))
-	for n := range s.streams {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Append appends payload to the stream and returns its LSN. The payload
@@ -212,7 +200,7 @@ func (s *Store) AppendToken(name, token string, payload []byte) (LSN, bool, erro
 		}
 		st.tokens[token] = lsn
 	}
-	if st.memBytes >= s.MemtableFlushBytes {
+	if st.memBytes >= s.memtableFlushBytes {
 		st.sealLocked()
 	}
 	st.notifyLocked()

@@ -93,7 +93,7 @@ func TestPayloadIsCopied(t *testing.T) {
 
 func TestMemtableSealing(t *testing.T) {
 	s := NewStore()
-	s.MemtableFlushBytes = 10
+	s.memtableFlushBytes = 10
 	if err := s.CreateStream("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMemtableSealing(t *testing.T) {
 
 func TestTrim(t *testing.T) {
 	s := NewStore()
-	s.MemtableFlushBytes = 4
+	s.memtableFlushBytes = 4
 	if err := s.CreateStream("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestTrimIdempotentAndBackwardsNoop(t *testing.T) {
 
 func TestTrimMidSegment(t *testing.T) {
 	s := NewStore()
-	s.MemtableFlushBytes = 6
+	s.memtableFlushBytes = 6
 	if err := s.CreateStream("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -201,19 +201,6 @@ func TestTrimMidSegment(t *testing.T) {
 	}
 	if len(recs) != 4 || recs[0].LSN != 3 {
 		t.Fatalf("ReadFrom(3) = %+v", recs)
-	}
-}
-
-func TestStreams(t *testing.T) {
-	s := NewStore()
-	for _, n := range []string{"b", "a", "c"} {
-		if err := s.CreateStream(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Streams()
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Fatalf("Streams = %v", got)
 	}
 }
 
@@ -288,7 +275,7 @@ func TestChangedFiresOnAppendAndSeal(t *testing.T) {
 func TestReadOrderProperty(t *testing.T) {
 	f := func(payloads [][]byte, flushExp uint8) bool {
 		s := NewStore()
-		s.MemtableFlushBytes = int64(flushExp%64) + 1
+		s.memtableFlushBytes = int64(flushExp%64) + 1
 		if err := s.CreateStream("a"); err != nil {
 			return false
 		}
@@ -321,7 +308,7 @@ func TestReadOrderProperty(t *testing.T) {
 func TestStoredBytesProperty(t *testing.T) {
 	f := func(sizes []uint8, trimAt uint8) bool {
 		s := NewStore()
-		s.MemtableFlushBytes = 16
+		s.memtableFlushBytes = 16
 		if err := s.CreateStream("a"); err != nil {
 			return false
 		}

@@ -61,16 +61,3 @@ func (p Plan) Evaluate() (Breakdown, error) {
 		TrainerWatts: float64(p.Trainers) * p.TrainerNode.PowerWatts,
 	}, nil
 }
-
-// SavingsFromEfficiency reports the trainer capacity (in trainer nodes)
-// freed by reducing DSI power by the given factor at a fixed datacenter
-// power budget (§7.5: "small efficiency gains can translate to MWs of
-// additional trainer capacity").
-func SavingsFromEfficiency(b Breakdown, dsiPowerReduction float64, trainerNode hw.TrainerSpec) float64 {
-	if dsiPowerReduction <= 1 {
-		return 0
-	}
-	dsi := b.StorageWatts + b.PreprocWatts
-	freed := dsi * (1 - 1/dsiPowerReduction)
-	return freed / trainerNode.PowerWatts
-}

@@ -81,17 +81,3 @@ func TestFigure1DSICanExceedHalf(t *testing.T) {
 		t.Fatal("diversity across models lost")
 	}
 }
-
-func TestSavingsFromEfficiency(t *testing.T) {
-	b := Breakdown{StorageWatts: 100000, PreprocWatts: 160000, TrainerWatts: 200000}
-	// A 2.59x DSI power reduction (§7.5) frees (1 - 1/2.59) of DSI
-	// power for trainers.
-	nodes := SavingsFromEfficiency(b, 2.59, hw.ZionEX)
-	wantFreed := 260000 * (1 - 1/2.59)
-	if math.Abs(nodes-wantFreed/hw.ZionEX.PowerWatts) > 1e-9 {
-		t.Fatalf("savings = %v nodes", nodes)
-	}
-	if SavingsFromEfficiency(b, 1.0, hw.ZionEX) != 0 {
-		t.Fatal("no reduction should free nothing")
-	}
-}

@@ -277,16 +277,3 @@ func (r *Registry) CountByState(fromDay, toDay int) map[LifecycleState]int {
 	}
 	return out
 }
-
-// LoggedIDs returns the IDs of all features currently written to the
-// dataset, in ascending order.
-func (r *Registry) LoggedIDs() []FeatureID {
-	var ids []FeatureID
-	for id, f := range r.features {
-		if f.State.Logged() {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}

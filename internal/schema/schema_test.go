@@ -128,28 +128,6 @@ func TestRegistryCountByState(t *testing.T) {
 	}
 }
 
-func TestRegistryLoggedIDsAndSchema(t *testing.T) {
-	r := NewRegistry()
-	beta := r.Propose(Dense, "beta", 0)
-	exp := r.Propose(Sparse, "exp", 0)
-	act := r.Propose(Dense, "act", 0)
-	if err := r.Transition(exp, Experimental); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Transition(act, Active); err != nil {
-		t.Fatal(err)
-	}
-	ids := r.LoggedIDs()
-	if len(ids) != 2 {
-		t.Fatalf("LoggedIDs = %v, want 2 entries", ids)
-	}
-	for _, id := range ids {
-		if id == beta {
-			t.Fatal("beta feature should not be logged")
-		}
-	}
-}
-
 // Property: registry IDs are unique and dense.
 func TestRegistryUniqueIDsProperty(t *testing.T) {
 	f := func(n uint8) bool {

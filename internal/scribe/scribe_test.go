@@ -1,11 +1,16 @@
 package scribe
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dsi/internal/logdevice"
+	"dsi/internal/tectonic/faults"
 )
 
 func newBus() *Bus { return NewBus(logdevice.NewStore()) }
@@ -99,27 +104,25 @@ func TestTailLSN(t *testing.T) {
 func TestDaemonBuffersAndFlushes(t *testing.T) {
 	b := newBus()
 	d := NewDaemon("host1", b)
-	d.FlushThreshold = 3
-	if err := d.Log("c", []byte("1")); err != nil {
-		t.Fatal(err)
+	for i := 0; i < flushThreshold-1; i++ {
+		if err := d.Log("c", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := d.Log("c", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.PendingCount(); got != 2 {
-		t.Fatalf("PendingCount = %d, want 2", got)
+	if got := d.PendingCount(); got != flushThreshold-1 {
+		t.Fatalf("PendingCount = %d, want %d", got, flushThreshold-1)
 	}
 	if b.MessagesIn.Value() != 0 {
 		t.Fatal("messages published before threshold")
 	}
-	if err := d.Log("c", []byte("3")); err != nil { // triggers flush
+	if err := d.Log("c", []byte("x")); err != nil { // triggers flush
 		t.Fatal(err)
 	}
 	if got := d.PendingCount(); got != 0 {
 		t.Fatalf("PendingCount after flush = %d, want 0", got)
 	}
-	if b.MessagesIn.Value() != 3 {
-		t.Fatalf("MessagesIn = %d, want 3", b.MessagesIn.Value())
+	if b.MessagesIn.Value() != flushThreshold {
+		t.Fatalf("MessagesIn = %d, want %d", b.MessagesIn.Value(), flushThreshold)
 	}
 }
 
@@ -142,24 +145,6 @@ func TestDaemonExplicitFlushPreservesOrder(t *testing.T) {
 		if string(r.Payload) != fmt.Sprintf("%d", i) {
 			t.Fatalf("record %d = %q", i, r.Payload)
 		}
-	}
-}
-
-func TestDaemonDropsAtLimit(t *testing.T) {
-	b := newBus()
-	d := NewDaemon("host1", b)
-	d.FlushThreshold = 1000
-	d.BufferLimit = 2
-	for i := 0; i < 5; i++ {
-		if err := d.Log("c", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := d.Dropped.Value(); got != 3 {
-		t.Fatalf("Dropped = %d, want 3", got)
-	}
-	if got := d.PendingCount(); got != 2 {
-		t.Fatalf("PendingCount = %d, want 2", got)
 	}
 }
 
@@ -201,7 +186,7 @@ func TestFlushRequeuesUnsentTailOnError(t *testing.T) {
 		}
 		return nil
 	}
-	d := &Daemon{Host: "h", bus: p, FlushThreshold: 1000}
+	d := &Daemon{Host: "h", bus: p}
 	for i := 0; i < 5; i++ {
 		if err := d.Log("c", []byte(fmt.Sprintf("%d", i))); err != nil {
 			t.Fatal(err)
@@ -248,7 +233,7 @@ func TestConcurrentFlushesSerialized(t *testing.T) {
 		})
 		return nil
 	}
-	d := &Daemon{Host: "h", bus: p, FlushThreshold: 1000}
+	d := &Daemon{Host: "h", bus: p}
 	for i := 0; i < 3; i++ {
 		if err := d.Log("c", []byte(fmt.Sprintf("%d", i))); err != nil {
 			t.Fatal(err)
@@ -285,6 +270,112 @@ func TestConcurrentFlushesSerialized(t *testing.T) {
 		if payload != fmt.Sprintf("%d", i) {
 			t.Fatalf("interleaved flushes reordered category: %v", got)
 		}
+	}
+}
+
+// TestFlushKeepsLogOrderAcrossCategories: while one category's publishes
+// fail, repeated flushes publish nothing past the failed message — not
+// even another category's — so once it heals the bus has accepted every
+// message in the order it was logged. The exact ingest runs (the
+// writechaos experiment, the ingest chaos e2e test) depend on that order.
+func TestFlushKeepsLogOrderAcrossCategories(t *testing.T) {
+	failing := true
+	p := &hookedPublisher{}
+	p.onPublish = func(payload string) error {
+		if failing && strings.HasPrefix(payload, "b") {
+			return faults.ErrNodeIO
+		}
+		return nil
+	}
+	d := &Daemon{Host: "h", bus: p}
+	var want []string
+	for i := 0; i < 4; i++ {
+		for _, cat := range []string{"a", "b"} {
+			payload := fmt.Sprintf("%s%d", cat, i)
+			want = append(want, payload)
+			if err := d.Log(cat, []byte(payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := d.Flush(); err == nil {
+			t.Fatalf("flush %d succeeded while category b fails", i)
+		}
+	}
+	failing = false
+	if err := d.DrainFlush(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.got(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("published %v, want the log order %v", got, want)
+	}
+}
+
+// TestTornAckNoDuplicateThroughBus: a torn ack from LogDevice retried
+// through the daemon's requeue path must not duplicate the record —
+// the message token dedups on the second publish.
+func TestTornAckNoDuplicateThroughBus(t *testing.T) {
+	store := logdevice.NewStore()
+	store.SetWriteFaults(faults.NewSchedule(7).TornWrites(0, 0, 0, 1), nil)
+	bus := NewBus(store)
+	d := NewDaemon("web1", bus)
+
+	if err := d.Log("cat", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	err := d.Flush()
+	if !errors.Is(err, faults.ErrTornAck) {
+		t.Fatalf("flush under p=1 torn acks: %v, want ErrTornAck", err)
+	}
+	if d.PendingCount() != 1 {
+		t.Fatalf("torn message not requeued: pending=%d", d.PendingCount())
+	}
+	// Lift the storm; the retry dedups against the token ledger.
+	store.SetWriteFaults(faults.NewSchedule(7), nil)
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := store.ReadFrom(streamName("cat"), 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || string(recs[0].Payload) != "hello" {
+		t.Fatalf("stream holds %d records after torn-ack retry, want exactly 1", len(recs))
+	}
+	if got := bus.MessagesIn.Value(); got != 1 {
+		t.Fatalf("MessagesIn = %d, want 1", got)
+	}
+}
+
+// TestDrainFlushDeliversAfterStorm: DrainFlush keeps retrying a store
+// that is down until it heals and the buffer empties.
+func TestDrainFlushDeliversAfterStorm(t *testing.T) {
+	var healed atomic.Bool
+	p := &hookedPublisher{}
+	p.onPublish = func(string) error {
+		if !healed.Load() {
+			return faults.ErrNodeIO
+		}
+		return nil
+	}
+	d := &Daemon{Host: "web1", bus: p}
+	if err := d.Log("cat", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	// Heal the store shortly; DrainFlush should ride out the failures.
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		healed.Store(true)
+	}()
+	if err := d.DrainFlush(5 * time.Second); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if d.PendingCount() != 0 {
+		t.Fatalf("drain left %d pending", d.PendingCount())
+	}
+	if got := p.got(); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("published %v, want [a]", got)
 	}
 }
 

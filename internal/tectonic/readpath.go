@@ -38,53 +38,44 @@ var (
 // different worker. See faults.IsRetryable for the taxonomy.
 func IsRetryable(err error) bool { return faults.IsRetryable(err) }
 
-// RetryPolicy governs the self-healing read path: how many replica
-// attempts a chunk I/O gets, the capped exponential backoff (with
-// seeded jitter) between them, and when a hedged second read fires
-// against another replica. Backoff and hedge delays are virtual-clock
-// time folded into the read's completion time — nothing sleeps.
+// RetryPolicy governs the self-healing storage path: how many replica
+// attempts a chunk I/O gets, and whether a hedged second read may fire
+// against another replica. Between attempts each I/O pays a capped
+// exponential backoff with seeded jitter; backoff and hedge delays are
+// virtual-clock time folded into the I/O's completion time — nothing
+// sleeps.
 type RetryPolicy struct {
 	// MaxAttempts bounds chunk I/O attempts across replicas; defaults
 	// to 2 x Replication.
 	MaxAttempts int
-	// BaseBackoff is the first retry's backoff; doubles per attempt up
-	// to MaxBackoff, plus jitter in [0, step/2). Defaults 500µs / 16ms.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// HedgeMultiple fires a hedged read when a read's latency exceeds
-	// HedgeMultiple x the EWMA of recent read latencies (default 3).
-	HedgeMultiple float64
-	// HedgeMin floors the hedge threshold so cold-start EWMA noise
-	// can't hedge every read (default 2ms).
-	HedgeMin time.Duration
 	// DisableHedge turns hedged reads off.
 	DisableHedge bool
 }
+
+const (
+	// backoffBase is the first retry's backoff; it doubles per attempt
+	// up to backoffCap, plus jitter in [0, step/2).
+	backoffBase = 500 * time.Microsecond
+	backoffCap  = 16 * time.Millisecond
+	// A hedged read fires when a read's latency exceeds hedgeMultiple x
+	// the EWMA of recent read latencies, floored at hedgeMin so
+	// cold-start EWMA noise can't hedge every read.
+	hedgeMultiple = 3
+	hedgeMin      = 2 * time.Millisecond
+)
 
 func (p *RetryPolicy) fill(replication int) {
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = 2 * replication
 	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = 500 * time.Microsecond
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = 16 * time.Millisecond
-	}
-	if p.HedgeMultiple == 0 {
-		p.HedgeMultiple = 3
-	}
-	if p.HedgeMin == 0 {
-		p.HedgeMin = 2 * time.Millisecond
-	}
 }
 
 // backoff is the capped exponential step paid before retry number
 // attempt (1 is the first retry), before jitter.
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	step := p.BaseBackoff << (attempt - 1)
-	if step > p.MaxBackoff || step <= 0 {
-		step = p.MaxBackoff
+func (RetryPolicy) backoff(attempt int) time.Duration {
+	step := backoffBase << (attempt - 1)
+	if step > backoffCap || step <= 0 {
+		step = backoffCap
 	}
 	return step
 }
@@ -219,11 +210,7 @@ func (c *Cluster) faultPlane() (sched *faults.Schedule, active bool) {
 func (c *Cluster) hedgeThreshold() time.Duration {
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
-	thr := time.Duration(c.opts.Retry.HedgeMultiple * c.ewmaLatNs)
-	if thr < c.opts.Retry.HedgeMin {
-		thr = c.opts.Retry.HedgeMin
-	}
-	return thr
+	return max(time.Duration(hedgeMultiple*c.ewmaLatNs), hedgeMin)
 }
 
 func (c *Cluster) observeLatency(lat time.Duration) {
@@ -317,7 +304,7 @@ func (c *Cluster) serveChunk(nodeID int, stream, path string, chunkIdx, within, 
 // adaptive threshold. Backoff and hedge delay are virtual time, folded
 // into the returned completion time.
 func (c *Cluster) readChunk(path string, replicas []int, chunkIdx, within, n int64, sched *faults.Schedule, active bool, trace *ReadTrace) ([]byte, bool, time.Duration, error) {
-	now := c.opts.Clock.Now()
+	now := c.clock.Now()
 	order := replicas
 	if active {
 		order = c.rankReplicas(path, chunkIdx, replicas, now, sched)

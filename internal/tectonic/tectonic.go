@@ -46,15 +46,8 @@ type Options struct {
 	ChunkSize int64
 	// Disk is the device model for every node; defaults to hw.HDD.
 	Disk hw.DiskSpec
-	// Clock is the virtual clock for I/O accounting; defaults to a new
-	// clock.
-	Clock *clock.Clock
-	// Faults is an optional seeded schedule of node fault windows; nil
-	// means every node is healthy forever. Can also be installed later
-	// with SetFaultSchedule.
-	Faults *faults.Schedule
-	// Retry governs replica failover, backoff, and hedged reads when
-	// faults are active; zero fields take defaults (see RetryPolicy).
+	// Retry governs replica failover and hedged reads when faults are
+	// active; zero fields take defaults (see RetryPolicy).
 	Retry RetryPolicy
 }
 
@@ -70,9 +63,6 @@ func (o *Options) fill() {
 	}
 	if o.Disk.Name == "" {
 		o.Disk = hw.HDD
-	}
-	if o.Clock == nil {
-		o.Clock = clock.New()
 	}
 	o.Retry.fill(o.Replication)
 }
@@ -95,6 +85,7 @@ type chunkKey struct {
 // append-only files.
 type Cluster struct {
 	opts  Options
+	clock *clock.Clock
 	nodes []*StorageNode
 
 	mu    sync.Mutex
@@ -136,11 +127,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Nodes < opts.Replication {
 		return nil, fmt.Errorf("tectonic: %d nodes cannot hold %d replicas", opts.Nodes, opts.Replication)
 	}
-	c := &Cluster{opts: opts, files: make(map[string]*fileMeta), schedule: opts.Faults}
+	c := &Cluster{opts: opts, clock: clock.New(), files: make(map[string]*fileMeta)}
 	for i := 0; i < opts.Nodes; i++ {
 		c.nodes = append(c.nodes, &StorageNode{
 			ID:     i,
-			Disk:   hw.NewDisk(opts.Disk, opts.Clock),
+			Disk:   hw.NewDisk(opts.Disk, c.clock),
 			chunks: make(map[chunkKey][]byte),
 		})
 	}
@@ -148,7 +139,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 }
 
 // Clock returns the cluster's virtual clock.
-func (c *Cluster) Clock() *clock.Clock { return c.opts.Clock }
+func (c *Cluster) Clock() *clock.Clock { return c.clock }
 
 // ChunkSize returns the configured chunk size.
 func (c *Cluster) ChunkSize() int64 { return c.opts.ChunkSize }
@@ -233,7 +224,7 @@ func (c *Cluster) Seal(path string) error {
 		return err
 	}
 	if sched := c.FaultSchedule(); sched != nil {
-		now := c.opts.Clock.Now()
+		now := c.clock.Now()
 		pol := c.opts.Retry
 		sealed := false
 		for attempt := 0; attempt < pol.MaxAttempts; attempt++ {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"dsi/internal/hw"
 	"dsi/internal/tectonic/faults"
@@ -299,9 +298,9 @@ func TestReadAtRandomAccessProperty(t *testing.T) {
 			return true
 		}
 		// The clock never advances, so 32-byte chunk reads queue behind
-		// each other on the primaries' devices; the hedge floor keeps an
-		// idle schedule from reading that queueing as a straggler.
-		c, err := NewCluster(Options{Nodes: 4, Replication: 2, ChunkSize: 32, Retry: RetryPolicy{HedgeMin: time.Hour}})
+		// each other on the primaries' devices; hedging is off so an idle
+		// schedule cannot read that queueing as a straggler.
+		c, err := NewCluster(Options{Nodes: 4, Replication: 2, ChunkSize: 32, Retry: RetryPolicy{DisableHedge: true}})
 		if err != nil {
 			return false
 		}

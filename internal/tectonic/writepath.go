@@ -126,7 +126,7 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 		}
 		data = data[ts.applied:]
 	}
-	now := c.opts.Clock.Now()
+	now := c.clock.Now()
 	cs := c.opts.ChunkSize
 	for len(data) > 0 {
 		chunkIdx := f.size / cs

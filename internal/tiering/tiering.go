@@ -1,127 +1,15 @@
 // Package tiering implements the heterogeneous-storage proposal of §7.2:
 // an SSD tier in front of the HDD-based storage layer that holds the most
-// commonly-used feature streams, sized by a byte budget and admitted by
-// observed traffic density — the paper's "placing commonly-used features
-// on SSD-based caches" opportunity.
-//
-// The tier is a placement policy plus an accounting model: given per-key
-// stored sizes and observed traffic, it decides which keys live on SSD,
-// then reports the served-traffic split, the effective IOPS load left on
-// the HDD layer, and the power cost of the hybrid versus pure-HDD or
-// pure-SSD fleets.
+// commonly-used feature streams — the paper's "placing commonly-used
+// features on SSD-based caches" opportunity. FleetPlan sizes the storage
+// fleet and its power with and without that tier.
 package tiering
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"dsi/internal/hw"
 )
-
-// Tier assigns hot byte ranges (feature streams) to an SSD budget.
-type Tier struct {
-	// BudgetBytes is the SSD capacity available for caching.
-	BudgetBytes int64
-
-	mu      sync.Mutex
-	stored  map[string]int64
-	traffic map[string]int64
-	hot     map[string]bool
-
-	hits, misses int64
-	hitBytes     int64
-	missBytes    int64
-}
-
-// New returns an empty tier with the given SSD byte budget.
-func New(budgetBytes int64) *Tier {
-	return &Tier{
-		BudgetBytes: budgetBytes,
-		stored:      make(map[string]int64),
-		traffic:     make(map[string]int64),
-		hot:         make(map[string]bool),
-	}
-}
-
-// Observe records stored size and one access of bytes for a key. Call it
-// from the read path; Rebalance consumes the aggregate.
-func (t *Tier) Observe(key string, storedBytes, accessBytes int64) {
-	t.mu.Lock()
-	t.stored[key] = storedBytes
-	t.traffic[key] += accessBytes
-	hot := t.hot[key]
-	if hot {
-		t.hits++
-		t.hitBytes += accessBytes
-	} else {
-		t.misses++
-		t.missBytes += accessBytes
-	}
-	t.mu.Unlock()
-}
-
-// Rebalance recomputes the hot set: keys are ranked by traffic density
-// (served bytes per stored byte) and admitted greedily until the budget
-// is spent. It returns the number of keys now on SSD.
-func (t *Tier) Rebalance() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	type ranked struct {
-		key     string
-		density float64
-		size    int64
-	}
-	items := make([]ranked, 0, len(t.stored))
-	for k, size := range t.stored {
-		if size <= 0 {
-			continue
-		}
-		items = append(items, ranked{key: k, density: float64(t.traffic[k]) / float64(size), size: size})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].density != items[j].density {
-			return items[i].density > items[j].density
-		}
-		return items[i].key < items[j].key
-	})
-	t.hot = make(map[string]bool, len(items))
-	var used int64
-	for _, it := range items {
-		if used+it.size > t.BudgetBytes {
-			continue
-		}
-		used += it.size
-		t.hot[it.key] = true
-	}
-	return len(t.hot)
-}
-
-// IsHot reports whether key currently lives on the SSD tier.
-func (t *Tier) IsHot(key string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hot[key]
-}
-
-// HitRate reports the byte-weighted fraction of observed traffic served
-// from SSD since construction.
-func (t *Tier) HitRate() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := t.hitBytes + t.missBytes
-	if total == 0 {
-		return 0
-	}
-	return float64(t.hitBytes) / float64(total)
-}
-
-// ResetCounters clears hit/miss accounting (placement is kept).
-func (t *Tier) ResetCounters() {
-	t.mu.Lock()
-	t.hits, t.misses, t.hitBytes, t.missBytes = 0, 0, 0, 0
-	t.mu.Unlock()
-}
 
 // FleetPlan compares storage fleets for a given dataset and throughput
 // demand, with and without the SSD tier.
@@ -135,7 +23,7 @@ type FleetPlan struct {
 	HDDNodeWatts float64
 	SSDNodeWatts float64
 	// HotTrafficShare is the fraction of traffic the SSD tier absorbs
-	// (from Tier.HitRate or the Figure 7 CDF).
+	// (from the Figure 7 CDF).
 	HotTrafficShare float64
 	// HotBytesShare is the fraction of dataset bytes on SSD.
 	HotBytesShare float64
@@ -162,13 +50,6 @@ func (p FleetPlan) nodesFor(disk hw.DiskSpec, bytes int64, gbps float64) (nodes 
 func (p FleetPlan) PureHDD() Evaluation {
 	n := p.nodesFor(p.HDD, p.DatasetBytes, p.DemandGBps)
 	return Evaluation{HDDNodes: n, TotalWatts: n * p.HDDNodeWatts}
-}
-
-// PureSSD sizes an all-SSD fleet (capacity-driven, §7.2's unfavourable
-// storage-to-throughput direction).
-func (p FleetPlan) PureSSD() Evaluation {
-	n := p.nodesFor(p.SSD, p.DatasetBytes, p.DemandGBps)
-	return Evaluation{SSDNodes: n, TotalWatts: n * p.SSDNodeWatts}
 }
 
 // Tiered sizes the hybrid: SSDs hold the hot bytes and absorb the hot
