@@ -58,24 +58,9 @@ func BuildWorkload(p datagen.Profile, seed int64) (*warehouse.Warehouse, dpp.Ses
 		}
 	}
 	graph := transforms.StandardGraph(dense, sparse, 4, 1<<20)
-	var denseOut, sparseOut []schema.FeatureID
-	consumed := map[schema.FeatureID]bool{}
-	for _, op := range graph.Ops() {
-		for _, in := range op.Inputs() {
-			consumed[in] = true
-		}
-	}
-	for _, op := range graph.Ops() {
-		if consumed[op.Output()] {
-			continue
-		}
-		switch op.(type) {
-		case *transforms.Logit, *transforms.BoxCox, *transforms.Clamp, *transforms.GetLocalHour:
-			denseOut = append(denseOut, op.Output())
-		case *transforms.ComputeScore, *transforms.Sampling:
-		default:
-			sparseOut = append(sparseOut, op.Output())
-		}
+	denseOut, sparseOut, err := graph.TensorOutputs()
+	if err != nil {
+		return nil, dpp.SessionSpec{}, err
 	}
 	session := dpp.SessionSpec{
 		Table:     p.Name,

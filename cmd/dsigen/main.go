@@ -49,29 +49,34 @@ func main() {
 		log.Fatal(err)
 	}
 	wh := warehouse.New(cluster)
-	tbl, err := wh.CreateTable(p.Name, spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 256})
+	tbl, err := wh.CreateUnboundedTable(p.Name, spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 256})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cursors, err := etl.NewCursorStore(store, "etl/"+p.Name+"/cursors")
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	joiner := etl.NewJoiner(p.Name, bus, nil)
-	for day := 1; day <= *partitions; day++ {
-		if err := sim.ServeRequests(*requests); err != nil {
-			log.Fatal(err)
-		}
-		key := fmt.Sprintf("2026-06-%02d", day)
-		job := &etl.PartitionJob{Joiner: joiner, Table: tbl, Key: key}
-		rows, err := job.Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		part, err := tbl.Partition(key)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("partition %s: %d rows, %d compressed bytes (joined %d, expired %d, orphans %d)\n",
-			key, rows, part.Bytes, joiner.Joined.Value(), joiner.Expired.Value(), joiner.OrphanEvents.Value())
+	// Serve every request, then close both categories: the streaming ETL
+	// joins the backlog into partitions of about -requests rows each and
+	// ends at the close.
+	if err := sim.ServeRequests(*requests * *partitions); err != nil {
+		log.Fatal(err)
 	}
+	if err := sim.Close(bus); err != nil {
+		log.Fatal(err)
+	}
+	joiner := etl.NewJoiner(p.Name, bus, nil)
+	pipeline := &etl.Pipeline{Joiner: joiner, Table: tbl, Cursors: cursors, PartitionRows: *requests}
+	if err := pipeline.Run(nil); err != nil {
+		log.Fatal(err)
+	}
+	for _, part := range tbl.Partitions() {
+		fmt.Printf("partition %s: %d rows, %d compressed bytes\n", part.Key, part.Rows, part.Bytes)
+	}
+	fmt.Printf("join: %d with events, %d expired, %d orphan events\n",
+		joiner.Joined.Value(), joiner.Expired.Value(), joiner.OrphanEvents.Value())
 
 	fmt.Printf("\ntable %s: %d partitions, %d logical bytes, %d replicated bytes on %d storage nodes\n",
 		p.Name, len(tbl.Partitions()), tbl.TotalBytes(), cluster.TotalStoredBytes(), len(cluster.Nodes()))

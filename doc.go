@@ -39,8 +39,13 @@
 // single passes, and draws output columns from a per-worker pooled
 // column arena (dwrf.Arena). Stripes decode straight into arena batches
 // through streaming column decoders, and the worker releases each batch
-// (dwrf.Batch.Release) once tensors are materialized, so steady-state
-// preprocessing recycles the same buffers split after split. The plan
+// (dwrf.Batch.Release) once tensor.MaterializeBatches has copied each
+// row range straight into its BatchSize-row tensor batch (one pass, no
+// whole-split intermediate), so steady-state preprocessing recycles the
+// same buffers split after split. The plan also names what a session
+// delivers: Graph.TensorOutputs files every output no op consumes by the
+// slot kind the compiler assigned it, and every session builder takes
+// DenseOut/SparseOut from it. The plan
 // is the worker's only executor (a graph that does not compile fails
 // NewWorker); the transforms.Graph.Run interpreter stays as the
 // reference a golden parity suite pins plans against, byte for byte.
@@ -113,7 +118,10 @@
 // only when the producer closes its Scribe categories.
 // Completed splits record event-time→trainer freshness lag
 // (Master.Freshness); the "ingest" experiment shows the lag bounded and
-// flat, and `dppd -role ingest` demos the whole loop over TCP.
+// flat, and `dppd -role ingest` demos the whole loop over TCP. It is
+// the only ETL path: cmd/dsigen and examples/trainpipeline serve
+// their requests, close the categories and run the same etl.Pipeline to
+// end of stream.
 //
 // The storage read path is self-healing under an injectable fault
 // plane: a seeded faults.Schedule marks nodes down, flaky, slow, or

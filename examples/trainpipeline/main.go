@@ -1,6 +1,6 @@
 // Trainpipeline: the full offline-to-online path for a recommendation
 // model — serving-time feature/event logging through Scribe into
-// LogDevice, streaming ETL into dated warehouse partitions, then a
+// LogDevice, streaming ETL into sealed warehouse partitions, then a
 // distributed DPP session (3 workers) feeding a trainer that measures
 // data stalls, exactly the RM1-style workload the paper's intro
 // motivates.
@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	wh := warehouse.New(cluster)
-	tbl, err := wh.CreateTable(profile.Name, spec.BuildSchema(), dwrf.WriterOptions{
+	tbl, err := wh.CreateUnboundedTable(profile.Name, spec.BuildSchema(), dwrf.WriterOptions{
 		Flatten:       true,
 		RowsPerStripe: 128,
 		StreamOrder:   gen.TrafficOrder(8),
@@ -49,20 +49,29 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	joiner := etl.NewJoiner(profile.Name, bus, nil)
-	for day := 1; day <= spec.Partitions; day++ {
-		if err := serving.ServeRequests(spec.RowsPerPart); err != nil {
-			log.Fatal(err)
-		}
-		job := &etl.PartitionJob{Joiner: joiner, Table: tbl, Key: fmt.Sprintf("2026-06-%02d", day)}
-		rows, err := job.Run()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("ETL day %d: %d rows joined into a partition (%d with events, %d expired)\n",
-			day, rows, joiner.Joined.Value(), joiner.Expired.Value())
+	cursors, err := etl.NewCursorStore(store, "etl/"+profile.Name+"/cursors")
+	if err != nil {
+		log.Fatal(err)
 	}
+
+	// Serve every request, then close both categories: the streaming ETL
+	// joins the backlog into partitions of about RowsPerPart rows each and
+	// ends at the close.
+	if err := serving.ServeRequests(spec.RowsPerPart * spec.Partitions); err != nil {
+		log.Fatal(err)
+	}
+	if err := serving.Close(bus); err != nil {
+		log.Fatal(err)
+	}
+	joiner := etl.NewJoiner(profile.Name, bus, nil)
+	pipeline := &etl.Pipeline{Joiner: joiner, Table: tbl, Cursors: cursors, PartitionRows: spec.RowsPerPart}
+	if err := pipeline.Run(nil); err != nil {
+		log.Fatal(err)
+	}
+	for _, part := range tbl.Partitions() {
+		fmt.Printf("ETL partition %s: %d rows joined\n", part.Key, part.Rows)
+	}
+	fmt.Printf("ETL join: %d with events, %d expired\n", joiner.Joined.Value(), joiner.Expired.Value())
 	fmt.Printf("warehouse: %d partitions, %d compressed bytes\n\n",
 		len(tbl.Partitions()), tbl.TotalBytes())
 
@@ -79,25 +88,9 @@ func main() {
 		}
 	}
 	graph := transforms.StandardGraph(dense, sparse, 6, 1<<20)
-	var sparseOut []schema.FeatureID
-	consumed := map[schema.FeatureID]bool{}
-	for _, op := range graph.Ops() {
-		for _, in := range op.Inputs() {
-			consumed[in] = true
-		}
-	}
-	var denseOut []schema.FeatureID
-	for _, op := range graph.Ops() {
-		if consumed[op.Output()] {
-			continue
-		}
-		switch op.(type) {
-		case *transforms.Logit, *transforms.BoxCox, *transforms.Clamp, *transforms.GetLocalHour:
-			denseOut = append(denseOut, op.Output())
-		case *transforms.ComputeScore, *transforms.Sampling:
-		default:
-			sparseOut = append(sparseOut, op.Output())
-		}
+	denseOut, sparseOut, err := graph.TensorOutputs()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	session := dpp.SessionSpec{

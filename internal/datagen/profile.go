@@ -392,20 +392,13 @@ func (g *Generator) Projection(jobSeed int64) *schema.Projection {
 	sortRanked(dense)
 	sortRanked(sparse)
 	proj := schema.NewProjection()
-	for _, it := range dense[:mini(kDense, len(dense))] {
+	for _, it := range dense[:min(kDense, len(dense))] {
 		proj.Add(it.id)
 	}
-	for _, it := range sparse[:mini(kSparse, len(sparse))] {
+	for _, it := range sparse[:min(kSparse, len(sparse))] {
 		proj.Add(it.id)
 	}
 	return proj
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PopularityRank exposes the fixed per-feature popularity (for tests and

@@ -133,8 +133,8 @@ type Client struct {
 	// handed to the trainer. When a worker crashes after a client
 	// consumed part of a split, the master requeues the lease and
 	// another worker re-runs the whole split; the re-delivered overlap
-	// is dropped here (split slicing is deterministic, so equal tags
-	// name equal rows). Once a split has been consumed in full (every
+	// is dropped here (a split's batch row ranges are deterministic, so
+	// equal tags name equal rows). Once a split has been consumed in full (every
 	// seq up to the batch tags' SeqCount), its per-seq set collapses to
 	// a complete marker, so the ledger stays O(splits), not O(batches),
 	// over a long session. The ledger assumes one logical consumer per

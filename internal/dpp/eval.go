@@ -20,7 +20,7 @@ import (
 //
 //	xform ware  ← plan(stripe ware)
 //	stripe ware ← decode(fetch(split))
-//	tensors     ← slice(materialize(xform ware))
+//	tensors     ← materialize(xform ware), one BatchSize-row batch at a time
 //
 // with the node's ware.Cache as the memo table at both levels. A worker
 // without a cache is the same formula over a memo that always computes.
@@ -124,18 +124,15 @@ func (w *Worker) evalSplit(split warehouse.Split) (ev evaluated, err error) {
 		// may start reading it the moment the cache accepts it.
 		batch, _ = w.publish(xid, batch)
 	}
-	// Materialize copies every value and never writes the batch, so a
-	// shared one is safe to read. Release then drops this evaluation's
-	// reference: an exclusively owned batch returns its columns to the
-	// worker's arena, a shared one (cached, or a view over a cached
-	// stripe) loses one reference.
-	full, err := tensor.Materialize(batch, w.spec.DenseOut, w.spec.SparseOut)
+	// Materializing copies every value straight into its BatchSize-row
+	// tensor batch and never writes the columns, so a shared batch is
+	// safe to read. Release then drops this evaluation's reference: an
+	// exclusively owned batch returns its columns to the worker's arena,
+	// a shared one (cached, or a view over a cached stripe) loses one
+	// reference.
+	ev.batches, err = tensor.MaterializeBatches(batch, w.spec.DenseOut, w.spec.SparseOut, w.spec.BatchSize)
 	batch.Release()
-	if err != nil {
-		return ev, err
-	}
-	ev.batches = sliceBatches(full, w.spec.BatchSize)
-	return ev, nil
+	return ev, err
 }
 
 // evalNext is the step both drivers of a worker share — Run's pool

@@ -562,7 +562,7 @@ func (r *RemoteMaster) Close() error {
 var _ MasterAPI = (*RemoteMaster)(nil)
 
 // RemoteService is the client side of a served control plane: the
-// session registry (ServiceAPI) plus the fleet surface (FleetControl),
+// session registry (create, close, list) plus the fleet surface (FleetControl),
 // all over one connection.
 type RemoteService struct {
 	client *rpc.Client
@@ -580,17 +580,20 @@ func DialService(addr string) (*RemoteService, error) {
 // Close releases the connection (shared by SessionMaster derivations).
 func (r *RemoteService) Close() error { return r.client.Close() }
 
-// CreateSession implements ServiceAPI.
+// CreateSession registers a tenant session at the served Service
+// (Service.CreateSession).
 func (r *RemoteService) CreateSession(id string, spec SessionSpec) error {
 	return r.client.Call("Service.Create", &CreateSessionArgs{ID: id, Spec: spec}, &struct{}{})
 }
 
-// CloseSession implements ServiceAPI.
+// CloseSession removes a tenant session from the served Service
+// (Service.CloseSession).
 func (r *RemoteService) CloseSession(id string) error {
 	return r.client.Call("Service.Close", &CloseSessionArgs{ID: id}, &struct{}{})
 }
 
-// ListSessions implements ServiceAPI.
+// ListSessions reports the served Service's sessions
+// (Service.ListSessions).
 func (r *RemoteService) ListSessions() ([]SessionInfo, error) {
 	var reply ListSessionsReply
 	if err := r.client.Call("Service.List", &struct{}{}, &reply); err != nil {
@@ -624,10 +627,7 @@ func (r *RemoteService) SessionMaster(sessionID string) (MasterAPI, error) {
 	return &RemoteMaster{client: r.client, session: sessionID}, nil
 }
 
-var (
-	_ FleetControl = (*RemoteService)(nil)
-	_ ServiceAPI   = (*RemoteService)(nil)
-)
+var _ FleetControl = (*RemoteService)(nil)
 
 // ServeWorker exposes a worker's buffer on addr over the framed data
 // plane (dataplane.go) to streams that name no session

@@ -87,13 +87,6 @@ type FleetControl interface {
 	SessionMaster(sessionID string) (MasterAPI, error)
 }
 
-// ServiceAPI is the tenant-facing session registry surface.
-type ServiceAPI interface {
-	CreateSession(id string, spec SessionSpec) error
-	CloseSession(id string) error
-	ListSessions() ([]SessionInfo, error)
-}
-
 // svcSession is one registered tenant.
 type svcSession struct {
 	id     string
@@ -148,7 +141,7 @@ func NewService(wh *warehouse.Warehouse) *Service {
 	}
 }
 
-// CreateSession implements ServiceAPI: it plans a new tenant session
+// CreateSession plans a new tenant session
 // (enumerating its splits through a fresh Master) and registers it for
 // fair-share capacity at the spec's Weight.
 func (s *Service) CreateSession(id string, spec SessionSpec) error {
@@ -196,7 +189,7 @@ func (s *Service) addSession(id string, spec SessionSpec, plan func() (*Master, 
 	return nil
 }
 
-// CloseSession implements ServiceAPI: the tenant leaves the registry,
+// CloseSession removes a tenant: it leaves the registry,
 // its assignments are revoked, and its master closes. Pipelines still
 // running against the closed session — over RPC or holding a direct
 // in-process Master pointer — have their next control call rejected,
@@ -217,7 +210,8 @@ func (s *Service) CloseSession(id string) error {
 	return nil
 }
 
-// ListSessions implements ServiceAPI.
+// ListSessions reports every registered session's progress and
+// fair-share target, in registration order.
 func (s *Service) ListSessions() ([]SessionInfo, error) {
 	// Registry fields (weight, seq, the rebalance-written target) are
 	// read under s.mu; the master calls below take the masters' own
@@ -755,7 +749,4 @@ func DecodeServiceCheckpoint(data []byte) (map[string][]byte, error) {
 	return ckpt.Sessions, nil
 }
 
-var (
-	_ FleetControl = (*Service)(nil)
-	_ ServiceAPI   = (*Service)(nil)
-)
+var _ FleetControl = (*Service)(nil)

@@ -14,7 +14,9 @@
 //     endpoint, pull the transformation spec at startup, then do one
 //     thing per leased split — extract, transform, load. evalSplit
 //     (eval.go) is the only place a split becomes tensors, memoised at
-//     the decoded and the transformed level in the node's ware cache;
+//     the decoded and the transformed level in the node's ware cache,
+//     and it materializes the transformed split straight into its
+//     BatchSize-row batches (tensor.MaterializeBatches) in one pass;
 //     Run is one pool of goroutines calling it ahead of a single
 //     deliver loop whose bounded buffer applies backpressure — sized by
 //     SessionSpec.Pipeline and observable by phase via Worker.Report —

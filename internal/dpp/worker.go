@@ -259,9 +259,10 @@ func (w *Worker) deliverSplit(ev evaluated, cancel <-chan struct{}) error {
 }
 
 // tagBatches stamps one split's batches with their delivery provenance:
-// 1-based split ID and 1-based position. Slicing is deterministic, so a
-// re-run of the same split reproduces the same tags over the same rows
-// and clients can deduplicate redelivery.
+// 1-based split ID and 1-based position. The row ranges are
+// deterministic (tensor.MaterializeBatches), so a re-run of the same
+// split reproduces the same tags over the same rows and clients can
+// deduplicate redelivery.
 func tagBatches(splitID int, batches []*tensor.Batch) {
 	for i, b := range batches {
 		b.Split = int32(splitID) + 1
@@ -794,49 +795,4 @@ drain:
 	// session total (Master.Recovery), so the last report is the final one.
 	_ = w.master.Heartbeat(w.ID, w.heartbeatStats())
 	return w.master.DeregisterWorker(w.ID)
-}
-
-// sliceBatches splits a materialized batch into chunks of at most
-// batchSize rows.
-func sliceBatches(b *tensor.Batch, batchSize int) []*tensor.Batch {
-	if batchSize <= 0 || b.Rows <= batchSize {
-		return []*tensor.Batch{b}
-	}
-	var out []*tensor.Batch
-	for start := 0; start < b.Rows; start += batchSize {
-		end := start + batchSize
-		if end > b.Rows {
-			end = b.Rows
-		}
-		out = append(out, sliceBatch(b, start, end))
-	}
-	return out
-}
-
-// sliceBatch extracts rows [start, end) preserving the CSR layout.
-func sliceBatch(b *tensor.Batch, start, end int) *tensor.Batch {
-	rows := end - start
-	out := &tensor.Batch{
-		Rows:            rows,
-		DenseFeatureIDs: b.DenseFeatureIDs,
-		Labels:          append([]float32(nil), b.Labels[start:end]...),
-		Dense: &tensor.Dense2D{
-			Rows: rows,
-			Cols: b.Dense.Cols,
-			Data: append([]float32(nil), b.Dense.Data[start*b.Dense.Cols:end*b.Dense.Cols]...),
-		},
-	}
-	for _, s := range b.Sparse {
-		lo, hi := s.Offsets[start], s.Offsets[end]
-		ns := &tensor.SparseTensor{
-			Feature: s.Feature,
-			Offsets: make([]int32, rows+1),
-			Indices: append([]int64(nil), s.Indices[lo:hi]...),
-		}
-		for i := 0; i <= rows; i++ {
-			ns.Offsets[i] = s.Offsets[start+i] - lo
-		}
-		out.Sparse = append(out.Sparse, ns)
-	}
-	return out
 }

@@ -1,7 +1,11 @@
 // Package etl implements the offline data-generation path of §3.1.1: a
 // streaming engine that joins raw feature logs with outcome event logs
 // from Scribe, labels the joined records, and materializes them as
-// schematized samples in warehouse partitions.
+// schematized samples in warehouse partitions. Pipeline is the one way
+// to run it: it tails both categories, seals partitions of PartitionRows
+// rows through a write-ahead cursor log, and ends when the producer
+// closes the categories; a bounded backlog is simply a stream that is
+// already closed.
 //
 // The join is windowed: a feature log waits up to a fixed number of
 // processed records for its matching event; if none arrives the sample
@@ -25,26 +29,12 @@ import (
 	"dsi/internal/metrics"
 	"dsi/internal/schema"
 	"dsi/internal/scribe"
-	"dsi/internal/warehouse"
 )
 
-// Sink receives labeled samples from the joiner.
-type Sink interface {
-	Emit(*schema.Sample) error
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(*schema.Sample) error
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(s *schema.Sample) error { return f(s) }
-
-// TimedSink is an optional Sink extension. When the joiner's sink
-// implements it, each sample is delivered together with the source
+// Sink receives labeled samples from the joiner, each with its source
 // feature log's EventTime (Unix nanoseconds, zero if unknown), letting
 // partition writers record event-time bounds for freshness accounting.
-type TimedSink interface {
-	Sink
+type Sink interface {
 	EmitTimed(s *schema.Sample, eventTime int64) error
 }
 
@@ -130,10 +120,7 @@ func (j *Joiner) emit(feat *datagen.FeatureLog, engaged bool) error {
 	if engaged {
 		s.Label = 1
 	}
-	if ts, ok := j.sink.(TimedSink); ok {
-		return ts.EmitTimed(s, feat.EventTime)
-	}
-	return j.sink.Emit(s)
+	return j.sink.EmitTimed(s, feat.EventTime)
 }
 
 // Step consumes up to batch records from each stream and advances the
@@ -413,49 +400,4 @@ func (j *Joiner) Restore(data []byte) error {
 // empty stream rather than a failure.
 func isMissingCategory(err error) bool {
 	return errors.Is(err, logdevice.ErrStreamNotFound)
-}
-
-// PartitionJob runs the daily batch ETL of §3.1.1: drain both streams,
-// join, and write one dated warehouse partition.
-type PartitionJob struct {
-	Joiner *Joiner
-	Table  *warehouse.Table
-	Key    string
-}
-
-// Run drains the streams into a new partition and reports rows written.
-func (p *PartitionJob) Run() (int, error) {
-	pw, err := p.Table.NewPartition(p.Key)
-	if err != nil {
-		return 0, err
-	}
-	rows := 0
-	// Rebind the joiner's sink to this partition for the duration of the
-	// job only: leaving it bound to the closed PartitionWriter would make
-	// a later Step/Flush on the same joiner write into a sealed file.
-	prevSink := p.Joiner.sink
-	defer func() { p.Joiner.sink = prevSink }()
-	p.Joiner.sink = SinkFunc(func(s *schema.Sample) error {
-		rows++
-		return pw.WriteRow(s)
-	})
-	for {
-		n, err := p.Joiner.Step(1024)
-		if err != nil {
-			return rows, err
-		}
-		if n == 0 {
-			break
-		}
-	}
-	if err := p.Joiner.Flush(); err != nil {
-		return rows, err
-	}
-	if err := pw.Close(); err != nil {
-		return rows, err
-	}
-	if err := p.Joiner.TrimConsumed(); err != nil {
-		return rows, err
-	}
-	return rows, nil
 }

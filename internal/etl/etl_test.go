@@ -4,12 +4,9 @@ import (
 	"testing"
 
 	"dsi/internal/datagen"
-	"dsi/internal/dwrf"
 	"dsi/internal/logdevice"
 	"dsi/internal/schema"
 	"dsi/internal/scribe"
-	"dsi/internal/tectonic"
-	"dsi/internal/warehouse"
 )
 
 func publishFeature(t *testing.T, bus *scribe.Bus, model string, id int64) {
@@ -41,7 +38,7 @@ func publishEvent(t *testing.T, bus *scribe.Bus, model string, id int64, engaged
 
 type collectSink struct{ samples []*schema.Sample }
 
-func (c *collectSink) Emit(s *schema.Sample) error {
+func (c *collectSink) EmitTimed(s *schema.Sample, _ int64) error {
 	c.samples = append(c.samples, s)
 	return nil
 }
@@ -227,68 +224,5 @@ func TestTrimConsumedReleasesStorage(t *testing.T) {
 	}
 	if bytes != 0 {
 		t.Fatalf("feature stream retains %d bytes after trim", bytes)
-	}
-}
-
-func TestPartitionJobEndToEnd(t *testing.T) {
-	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 3, Replication: 1, ChunkSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wh := warehouse.New(cluster)
-	ts := schema.NewTableSchema("m")
-	if err := ts.AddColumn(schema.Column{ID: 1, Kind: schema.Dense, Name: "d"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.AddColumn(schema.Column{ID: 2, Kind: schema.Sparse, Name: "s"}); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := wh.CreateTable("m", ts, dwrf.WriterOptions{Flatten: true, RowsPerStripe: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bus := scribe.NewBus(logdevice.NewStore())
-	for id := int64(1); id <= 20; id++ {
-		publishFeature(t, bus, "m", id)
-		if id%2 == 0 {
-			publishEvent(t, bus, "m", id, id%4 == 0)
-		}
-	}
-
-	job := &PartitionJob{Joiner: NewJoiner("m", bus, nil), Table: tbl, Key: "2026-06-11"}
-	rows, err := job.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows != 20 {
-		t.Fatalf("wrote %d rows, want 20", rows)
-	}
-	p, err := tbl.Partition("2026-06-11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Rows != 20 {
-		t.Fatalf("partition rows = %d", p.Rows)
-	}
-	// Read back and check labels: ids divisible by 4 are engaged.
-	splits, err := tbl.Splits(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var positives int
-	for _, sp := range splits {
-		rows, _, err := wh.ReadSplit(sp, nil, dwrf.ReadOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Label == 1 {
-				positives++
-			}
-		}
-	}
-	if positives != 5 { // ids 4,8,12,16,20
-		t.Fatalf("positives = %d, want 5", positives)
 	}
 }

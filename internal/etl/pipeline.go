@@ -18,10 +18,6 @@ type partitionSink struct {
 	rows int
 }
 
-func (s *partitionSink) Emit(sample *schema.Sample) error {
-	return s.EmitTimed(sample, 0)
-}
-
 func (s *partitionSink) EmitTimed(sample *schema.Sample, eventTime int64) error {
 	if err := s.pw.WriteRow(sample); err != nil {
 		return err

@@ -103,7 +103,7 @@ func TestJoinerDuplicateFeatureDisplaced(t *testing.T) {
 	}
 }
 
-func streamTestTable(t *testing.T, unbounded bool) (*warehouse.Warehouse, *warehouse.Table) {
+func streamTestTable(t *testing.T) (*warehouse.Warehouse, *warehouse.Table) {
 	t.Helper()
 	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 3, Replication: 1, ChunkSize: 1 << 20})
 	if err != nil {
@@ -117,58 +117,11 @@ func streamTestTable(t *testing.T, unbounded bool) (*warehouse.Warehouse, *wareh
 	if err := ts.AddColumn(schema.Column{ID: 2, Kind: schema.Sparse, Name: "s"}); err != nil {
 		t.Fatal(err)
 	}
-	opts := dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16}
-	var tbl *warehouse.Table
-	if unbounded {
-		tbl, err = wh.CreateUnboundedTable("m", ts, opts)
-	} else {
-		tbl, err = wh.CreateTable("m", ts, opts)
-	}
+	tbl, err := wh.CreateUnboundedTable("m", ts, dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return wh, tbl
-}
-
-// Regression (seed bug): PartitionJob.Run left the joiner's sink bound
-// to the closed PartitionWriter, so later joins wrote into a sealed
-// file.
-func TestJoinerSinkRestoredAfterPartitionJob(t *testing.T) {
-	_, tbl := streamTestTable(t, false)
-	bus := scribe.NewBus(logdevice.NewStore())
-	sink := &collectSink{}
-	j := NewJoiner("m", bus, sink)
-
-	publishFeature(t, bus, "m", 1)
-	publishEvent(t, bus, "m", 1, true)
-	job := &PartitionJob{Joiner: j, Table: tbl, Key: "day1"}
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.samples) != 0 {
-		t.Fatalf("partition job leaked %d samples into the original sink", len(sink.samples))
-	}
-
-	// Joins after the job must flow to the original sink, not the sealed
-	// partition.
-	publishFeature(t, bus, "m", 2)
-	publishEvent(t, bus, "m", 2, false)
-	if _, err := j.Step(100); err != nil {
-		t.Fatalf("post-job Step failed (sink still bound to closed partition): %v", err)
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.samples) != 1 {
-		t.Fatalf("post-job sample count = %d, want 1", len(sink.samples))
-	}
-	p, err := tbl.Partition("day1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Rows != 1 {
-		t.Fatalf("sealed partition rows = %d, want 1 (post-job rows must not land there)", p.Rows)
-	}
 }
 
 func TestStreamingCursorStoreRecover(t *testing.T) {
@@ -294,7 +247,7 @@ func checkExactlyOnce(t *testing.T, got map[int64]float32, hi int64) {
 func TestStreamingPipelineSealsAndFinalizes(t *testing.T) {
 	store := logdevice.NewStore()
 	bus := scribe.NewBus(store)
-	wh, tbl := streamTestTable(t, true)
+	wh, tbl := streamTestTable(t)
 	cs, err := NewCursorStore(store, "etl/m/cursors")
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +288,7 @@ func TestStreamingPipelineSealsAndFinalizes(t *testing.T) {
 func TestStreamingPipelineCrashRestartResume(t *testing.T) {
 	store := logdevice.NewStore()
 	bus := scribe.NewBus(store)
-	wh, tbl := streamTestTable(t, true)
+	wh, tbl := streamTestTable(t)
 	cs, err := NewCursorStore(store, "etl/m/cursors")
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +342,7 @@ func TestStreamingPipelineCrashRestartResume(t *testing.T) {
 func TestStreamingPipelineRecoversBetweenSealAndCommit(t *testing.T) {
 	store := logdevice.NewStore()
 	bus := scribe.NewBus(store)
-	wh, tbl := streamTestTable(t, true)
+	wh, tbl := streamTestTable(t)
 	cs, err := NewCursorStore(store, "etl/m/cursors")
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +407,7 @@ func TestStreamingPipelineRecoversBetweenSealAndCommit(t *testing.T) {
 func TestStreamingPipelineIdleMakesNoStep(t *testing.T) {
 	store := logdevice.NewStore()
 	bus := scribe.NewBus(store)
-	_, tbl := streamTestTable(t, true)
+	_, tbl := streamTestTable(t)
 	cs, err := NewCursorStore(store, "etl/m/cursors")
 	if err != nil {
 		t.Fatal(err)

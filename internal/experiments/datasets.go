@@ -170,26 +170,10 @@ func (d *BuiltDataset) BuildSession(jobSeed int64, read dwrf.ReadOptions) dpp.Se
 	// Materialize only terminal outputs (not consumed by downstream
 	// ops): intermediates like the pre-hash Cartesian cross exist only
 	// inside the worker, so preprocessing shrinks the data (§6.3).
-	consumed := make(map[schema.FeatureID]bool)
-	for _, op := range graph.Ops() {
-		for _, in := range op.Inputs() {
-			consumed[in] = true
-		}
-	}
-	var denseOut, sparseOut []schema.FeatureID
-	for _, op := range graph.Ops() {
-		if consumed[op.Output()] {
-			continue
-		}
-		switch op.(type) {
-		case *transforms.Logit, *transforms.BoxCox, *transforms.Clamp, *transforms.GetLocalHour:
-			denseOut = append(denseOut, op.Output())
-		case *transforms.ComputeScore:
-			// score lists are not materialized into the CSR tensors
-		case *transforms.Sampling:
-		default:
-			sparseOut = append(sparseOut, op.Output())
-		}
+	denseOut, sparseOut, err := graph.TensorOutputs()
+	if err != nil {
+		// The standard graph's ops are all configured valid.
+		panic(err)
 	}
 	return dpp.SessionSpec{
 		Table:     d.Profile.Name,

@@ -32,22 +32,15 @@ func (r Result) String() string {
 	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
 	labelW, paperW, measW := len("metric"), len("paper"), len("measured")
 	for _, row := range r.Rows {
-		labelW = maxi(labelW, len(row.Label))
-		paperW = maxi(paperW, len(row.Paper))
-		measW = maxi(measW, len(row.Measured))
+		labelW = max(labelW, len(row.Label))
+		paperW = max(paperW, len(row.Paper))
+		measW = max(measW, len(row.Measured))
 	}
 	fmt.Fprintf(&b, "%-*s  %*s  %*s  %s\n", labelW, "metric", paperW, "paper", measW, "measured", "note")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-*s  %*s  %*s  %s\n", labelW, row.Label, paperW, row.Paper, measW, row.Measured, row.Note)
 	}
 	return b.String()
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Runner regenerates one experiment.

@@ -7,7 +7,7 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
@@ -43,13 +43,13 @@ type Batch struct {
 	// split it was materialized from and its 1-based position within
 	// that split's batch sequence. Split == 0 means untagged (synthetic
 	// or legacy batches). SeqCount is the total number of batches the
-	// split sliced into, letting consumers compact their dedup ledgers
-	// once a split has been seen in full. They are not part of the
-	// content codec (AppendBinary/DecodeBinary); the DPP data plane
+	// split materialized into, letting consumers compact their dedup
+	// ledgers once a split has been seen in full. They are not part of
+	// the content codec (AppendBinary/DecodeBinary); the DPP data plane
 	// transports them alongside the frame so trainers can deduplicate
 	// re-deliveries when a crashed worker's splits are reprocessed —
-	// split slicing is deterministic, so (Split, Seq) names the same
-	// rows on every run.
+	// MaterializeBatches cuts a split into the same row ranges every
+	// time, so (Split, Seq) names the same rows on every run.
 	Split    int32
 	Seq      int32
 	SeqCount int32
@@ -74,67 +74,111 @@ func (b *Batch) SizeBytes() int64 {
 	return total
 }
 
-// Materialize converts a preprocessed columnar batch into tensors,
-// selecting the given dense and sparse features. Missing dense values
-// materialize as zeros (the standard imputation); missing sparse rows as
-// empty lists.
+// Materialize converts a preprocessed columnar batch into one tensor
+// batch of all its rows: MaterializeBatches with no batch size.
 func Materialize(src *dwrf.Batch, denseIDs, sparseIDs []schema.FeatureID) (*Batch, error) {
-	dIDs := append([]schema.FeatureID(nil), denseIDs...)
-	sort.Slice(dIDs, func(i, j int) bool { return dIDs[i] < dIDs[j] })
-	sIDs := append([]schema.FeatureID(nil), sparseIDs...)
-	sort.Slice(sIDs, func(i, j int) bool { return sIDs[i] < sIDs[j] })
-
-	out := &Batch{
-		Rows:            src.Rows,
-		DenseFeatureIDs: dIDs,
-		Labels:          append([]float32(nil), src.Labels...),
+	out, err := MaterializeBatches(src, denseIDs, sparseIDs, 0)
+	if err != nil {
+		return nil, err
 	}
-	if len(out.Labels) < src.Rows {
-		// Batches decoded without a label stream still materialize with
-		// zero labels.
-		out.Labels = append(out.Labels, make([]float32, src.Rows-len(out.Labels))...)
-	}
+	return out[0], nil
+}
 
-	out.Dense = &Dense2D{Rows: src.Rows, Cols: len(dIDs), Data: make([]float32, src.Rows*len(dIDs))}
+// MaterializeBatches converts a preprocessed columnar batch into the
+// tensor batches a worker delivers, selecting the given dense and sparse
+// features: consecutive row ranges of batchSize rows (the last one
+// shorter), each copied straight from the columns. A batch of at most
+// batchSize rows — zero rows included — or a batchSize <= 0 yields
+// exactly one batch. Missing dense values materialize as zeros (the
+// standard imputation), missing sparse rows as empty lists, and rows
+// past a short label stream with zero labels.
+func MaterializeBatches(src *dwrf.Batch, denseIDs, sparseIDs []schema.FeatureID, batchSize int) ([]*Batch, error) {
+	dIDs := slices.Sorted(slices.Values(denseIDs))
+	sIDs := slices.Sorted(slices.Values(sparseIDs))
+	dense := make([]*dwrf.DenseColumn, len(dIDs))
 	for c, id := range dIDs {
 		col, ok := src.Dense[id]
-		if !ok {
-			continue
-		}
-		if len(col.Values) != src.Rows {
+		if ok && len(col.Values) != src.Rows {
 			return nil, fmt.Errorf("tensor: dense feature %d has %d values for %d rows", id, len(col.Values), src.Rows)
 		}
-		for r := 0; r < src.Rows; r++ {
-			if col.Present[r] {
-				out.Dense.Data[r*len(dIDs)+c] = col.Values[r]
-			}
+		dense[c] = col
+	}
+	sparse := make([]*dwrf.SparseColumn, len(sIDs))
+	for i, id := range sIDs {
+		col, ok := src.Sparse[id]
+		if ok && len(col.Offsets) != src.Rows+1 {
+			return nil, fmt.Errorf("tensor: sparse feature %d has %d offsets for %d rows", id, len(col.Offsets), src.Rows)
 		}
+		sparse[i] = col
 	}
 
-	for _, id := range sIDs {
-		st := &SparseTensor{Feature: id}
-		col, ok := src.Sparse[id]
-		if !ok {
-			st.Offsets = make([]int32, src.Rows+1)
-		} else {
-			if len(col.Offsets) != src.Rows+1 {
-				return nil, fmt.Errorf("tensor: sparse feature %d has %d offsets for %d rows", id, len(col.Offsets), src.Rows)
-			}
-			st.Offsets = append([]int32(nil), col.Offsets...)
-			if col.IsDict() {
-				// Dictionary-indexed column: expand to actual IDs here so
-				// the delivered tensor is representation-independent.
-				st.Indices = make([]int64, len(col.Values))
-				for i, idx := range col.Values {
-					st.Indices[i] = col.Dict[idx]
-				}
-			} else {
-				st.Indices = append([]int64(nil), col.Values...)
-			}
-		}
-		out.Sparse = append(out.Sparse, st)
+	if batchSize <= 0 || batchSize > src.Rows {
+		batchSize = src.Rows
+	}
+	n := 1
+	if src.Rows > 0 {
+		n = (src.Rows + batchSize - 1) / batchSize
+	}
+	out := make([]*Batch, n)
+	for i := range out {
+		lo := i * batchSize
+		out[i] = materializeRange(src, dIDs, dense, sIDs, sparse, lo, min(lo+batchSize, src.Rows))
 	}
 	return out, nil
+}
+
+// materializeRange copies rows [lo, hi) of the selected columns (nil
+// where the batch lacks the feature) into one tensor batch. Sparse
+// offsets are rebased to the range, and a dictionary-indexed column
+// expands to its values so the delivered tensor is
+// representation-independent.
+func materializeRange(src *dwrf.Batch, dIDs []schema.FeatureID, dense []*dwrf.DenseColumn,
+	sIDs []schema.FeatureID, sparse []*dwrf.SparseColumn, lo, hi int) *Batch {
+	rows, cols := hi-lo, len(dIDs)
+	out := &Batch{
+		Rows:            rows,
+		DenseFeatureIDs: dIDs,
+		Labels:          make([]float32, rows),
+		Dense:           &Dense2D{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)},
+		Sparse:          make([]*SparseTensor, len(sIDs)),
+	}
+	if lo < len(src.Labels) {
+		copy(out.Labels, src.Labels[lo:])
+	}
+	for c, col := range dense {
+		if col == nil {
+			continue
+		}
+		for r := lo; r < hi; r++ {
+			if col.Present[r] {
+				out.Dense.Data[(r-lo)*cols+c] = col.Values[r]
+			}
+		}
+	}
+	tensors := make([]SparseTensor, len(sIDs))
+	for i, col := range sparse {
+		st := &tensors[i]
+		st.Feature = sIDs[i]
+		st.Offsets = make([]int32, rows+1)
+		out.Sparse[i] = st
+		if col == nil {
+			continue
+		}
+		base := col.Offsets[lo]
+		for r := range st.Offsets {
+			st.Offsets[r] = col.Offsets[lo+r] - base
+		}
+		vals := col.Values[base:col.Offsets[hi]]
+		if !col.IsDict() {
+			st.Indices = append([]int64(nil), vals...)
+			continue
+		}
+		st.Indices = make([]int64, len(vals))
+		for j, idx := range vals {
+			st.Indices[j] = col.Dict[idx]
+		}
+	}
+	return out
 }
 
 // ContentSum is an order-independent digest of delivered tensor content,

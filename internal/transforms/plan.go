@@ -35,8 +35,8 @@ import (
 //
 // Plan.Run produces byte-identical columns and identical Stats to
 // Graph.Run (plan_test.go pins this for every op); ops the compiler
-// does not recognize make CompilePlan fail, and callers (the DPP
-// worker) fall back to the interpreter.
+// does not recognize make CompilePlan fail, and a graph that does not
+// compile fails the DPP worker that would run it.
 
 // Plan is a compiled Graph. Compile once per session with
 // Graph.CompilePlan; Run is safe for concurrent use (each call checks
@@ -293,9 +293,49 @@ func i64Values(s []int64, n int) []int64 {
 // execution order first if needed. It fails for op configurations the
 // interpreter would reject at Apply time (surfaceing them per session
 // instead of per batch) and for Op implementations outside this
-// package, which have no compiled kernel — callers fall back to
-// Graph.Run.
+// package, which have no compiled kernel; a DPP worker whose graph does
+// not compile fails.
 func (g *Graph) CompilePlan() (*Plan, error) {
+	c, err := g.lowerPlan()
+	if err != nil {
+		return nil, err
+	}
+	return c.p, nil
+}
+
+// TensorOutputs names the features a session delivers as tensors: the
+// dense and sparse outputs of the compiled plan that no op consumes, in
+// Ops() order. The kind of each is the slot kind the compiler assigned
+// it; score lists have no tensor kind and row ops produce no feature, so
+// neither appears. It fails where CompilePlan fails.
+func (g *Graph) TensorOutputs() (dense, sparse []schema.FeatureID, err error) {
+	c, err := g.lowerPlan()
+	if err != nil {
+		return nil, nil, err
+	}
+	consumed := make(map[schema.FeatureID]bool)
+	for _, op := range g.ops {
+		for _, in := range op.Inputs() {
+			consumed[in] = true
+		}
+	}
+	for _, op := range g.ops {
+		id := op.Output()
+		if consumed[id] {
+			continue
+		}
+		if _, ok := c.denseSlots[id]; ok {
+			dense = append(dense, id)
+		} else if _, ok := c.sparseSlots[id]; ok {
+			sparse = append(sparse, id)
+		}
+	}
+	return dense, sparse, nil
+}
+
+// lowerPlan compiles the execution order if needed and lowers every op,
+// returning the compiler with its feature→slot resolution intact.
+func (g *Graph) lowerPlan() (*planCompiler, error) {
 	if g.sorted == nil {
 		if err := g.Compile(); err != nil {
 			return nil, err
@@ -319,7 +359,7 @@ func (g *Graph) CompilePlan() (*Plan, error) {
 		}
 	}
 	p.fingerprint = g.Fingerprint()
-	return p, nil
+	return c, nil
 }
 
 // Fingerprint returns the plan's stable content digest: equal plans

@@ -1,6 +1,7 @@
 package transforms
 
 import (
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -491,4 +492,34 @@ func TestPlanConcurrentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBatchEqual(t, want, b)
+}
+
+// TestTensorOutputsFollowSlotKinds pins how a session's tensors are
+// named: terminal outputs only, filed by the slot kind the compiler
+// assigned (GetLocalHour dense, Onehot sparse), score lists and row ops
+// left out, in Ops() order even where that is not execution order.
+func TestTensorOutputsFollowSlotKinds(t *testing.T) {
+	g := NewGraph().Add(
+		&SigridHash{In: 104, Out: 105, Salt: 1, MaxValue: 1 << 10}, // consumes FirstX, added first
+		&Sampling{Rate: 1, Seed: 1},
+		&GetLocalHour{In: 1, Out: 100},
+		&Logit{In: 2, Out: 101},
+		&Clamp{In: 101, Out: 102, Lo: -1, Hi: 1},
+		&Onehot{In: 3, Out: 103, Buckets: 4, Min: 0, Max: 1},
+		&FirstX{In: 5, Out: 104, X: 2},
+		&ComputeScore{In: 5, Out: 106, ScaleA: 1},
+	)
+	dense, sparse, err := g.TensorOutputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []schema.FeatureID{100, 102}; !reflect.DeepEqual(dense, want) {
+		t.Fatalf("dense = %v, want %v", dense, want)
+	}
+	if want := []schema.FeatureID{105, 103}; !reflect.DeepEqual(sparse, want) {
+		t.Fatalf("sparse = %v, want %v", sparse, want)
+	}
+	if _, _, err := NewGraph().Add(&Onehot{In: 3, Out: 103}).TensorOutputs(); err == nil {
+		t.Fatal("a graph CompilePlan rejects named tensor outputs")
+	}
 }
