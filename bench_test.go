@@ -3,6 +3,7 @@ package dsi_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dsi/internal/datagen"
@@ -164,8 +165,9 @@ func BenchmarkDWRFReadRegularMapBaseline(b *testing.B) {
 	}
 }
 
-// benchBatch builds an in-memory batch for transform benches.
-func benchBatch(rows int) *dwrf.Batch {
+// benchBatch builds an in-memory batch for transform benches: one dense
+// feature and two sparse features of 16 IDs a row drawn from [0, ids).
+func benchBatch(rows int, ids int64) *dwrf.Batch {
 	rng := rand.New(rand.NewSource(7))
 	batch := &dwrf.Batch{
 		Rows:      rows,
@@ -184,7 +186,7 @@ func benchBatch(rows int) *dwrf.Batch {
 	for i := 0; i < rows; i++ {
 		sc.Offsets[i] = int32(len(sc.Values))
 		for j := 0; j < 16; j++ {
-			sc.Values = append(sc.Values, rng.Int63n(1<<20))
+			sc.Values = append(sc.Values, rng.Int63n(ids))
 		}
 	}
 	sc.Offsets[rows] = int32(len(sc.Values))
@@ -195,7 +197,7 @@ func benchBatch(rows int) *dwrf.Batch {
 
 func benchOp(b *testing.B, op transforms.Op) {
 	b.Helper()
-	batch := benchBatch(512)
+	batch := benchBatch(512, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := op.Apply(batch); err != nil {
@@ -246,69 +248,66 @@ func arenaBatchFrom(arena *dwrf.Arena, template *dwrf.Batch) *dwrf.Batch {
 		nc := arena.Sparse(template.Rows)
 		copy(nc.Offsets, c.Offsets)
 		nc.Values = append(nc.Values, c.Values...)
+		nc.Dict = append(nc.Dict, c.Dict...)
 		out.Sparse[id] = nc
 	}
 	return out
 }
 
-// BenchmarkTransformGraph runs the representative preprocessing DAG
-// through the legacy interpreter (fresh columns and map lookups per op
-// per batch) and through the compiled slot-indexed plan with a column
-// arena; the headline is allocs/op.
-func BenchmarkTransformGraph(b *testing.B) {
-	newGraph := func(b *testing.B) *transforms.Graph {
-		b.Helper()
-		g := transforms.StandardGraph([]schema.FeatureID{1}, []schema.FeatureID{2, 3}, 6, 1000)
-		if err := g.Compile(); err != nil {
-			b.Fatal(err)
+// dictEncoded rewrites b's sparse columns into the dictionary-indexed
+// form a dict-encoded DWRF stream decodes to: sorted distinct values in
+// Dict, per-occurrence indices in Values.
+func dictEncoded(b *dwrf.Batch) *dwrf.Batch {
+	for id, c := range b.Sparse {
+		dict := slices.Clone(c.Values)
+		slices.Sort(dict)
+		dict = slices.Compact(dict)
+		idx := make([]int64, len(c.Values))
+		for i, v := range c.Values {
+			j, _ := slices.BinarySearch(dict, v)
+			idx[i] = int64(j)
 		}
-		return g
+		b.Sparse[id] = &dwrf.SparseColumn{Offsets: c.Offsets, Values: idx, Dict: dict}
 	}
-	b.Run("interpreter", func(b *testing.B) {
-		g := newGraph(b)
-		batch := benchBatch(512)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.Run(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		g := newGraph(b)
-		plan, err := g.CompilePlan()
-		if err != nil {
-			b.Fatal(err)
-		}
-		arena := dwrf.NewArena()
-		batch := arenaBatchFrom(arena, benchBatch(512))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.Run(batch, arena); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	return b
 }
 
-func BenchmarkStandardGraphRM1Style(b *testing.B) {
-	g := transforms.StandardGraph([]schema.FeatureID{1}, []schema.FeatureID{2, 3}, 6, 1000)
-	if err := g.Compile(); err != nil {
-		b.Fatal(err)
-	}
-	batch := benchBatch(512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Run(batch); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkTransformGraph runs the representative preprocessing DAG
+// through the compiled slot-indexed plan with a column arena, as a
+// worker does. "compiled" hashes plain sparse inputs drawn from 2^20
+// IDs; "compiled-dict" takes dict-encoded inputs from a 4096-ID space,
+// the shape of train_cold's dict-encoded partitions, so SigridHash runs
+// once per distinct value and Cartesian and NGram run their dict-prefix
+// kernels.
+func BenchmarkTransformGraph(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		batch *dwrf.Batch
+	}{
+		{"compiled", benchBatch(512, 1<<20)},
+		{"compiled-dict", dictEncoded(benchBatch(512, 4096))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := transforms.StandardGraph([]schema.FeatureID{1}, []schema.FeatureID{2, 3}, 6, 1000)
+			plan, err := g.CompilePlan()
+			if err != nil {
+				b.Fatal(err)
+			}
+			arena := dwrf.NewArena()
+			batch := arenaBatchFrom(arena, c.batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.Run(batch, arena); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkTensorMaterialize(b *testing.B) {
-	batch := benchBatch(512)
+	batch := benchBatch(512, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tensor.Materialize(batch, []schema.FeatureID{1}, []schema.FeatureID{2, 3}); err != nil {

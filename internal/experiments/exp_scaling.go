@@ -126,16 +126,20 @@ func buildScalingFixture() (*warehouse.Warehouse, dpp.SessionSpec, int64, error)
 	// up and there is no stall to eliminate; the compiled-plan engine
 	// (transforms.Plan + the column arena) made the original graph
 	// exactly that cheap, so the crosses are wider and the n-gram
-	// chains deeper than they were under the interpreter.
+	// chains deeper than they were under the interpreter. The ID hash
+	// then went from eight dependent multiplies per mixed value to one,
+	// and the n-gram orders went up sixteen-fold, which puts the fixed
+	// pool's post-shift stall back near where it was (~0.5 ms a batch on
+	// a 2-vCPU host).
 	spec := dpp.SessionSpec{
 		Table:    "elastic",
 		Features: []schema.FeatureID{1, 2, 5, 6, 7, 8},
 		Ops: []transforms.Op{
 			&transforms.Cartesian{A: 5, B: 6, Out: 100, MaxOutput: 448},
 			&transforms.Cartesian{A: 7, B: 8, Out: 101, MaxOutput: 448},
-			&transforms.NGram{In: 100, Out: 102, N: 3},
-			&transforms.NGram{In: 101, Out: 103, N: 2},
-			&transforms.NGram{In: 102, Out: 108, N: 2},
+			&transforms.NGram{In: 100, Out: 102, N: 48},
+			&transforms.NGram{In: 101, Out: 103, N: 32},
+			&transforms.NGram{In: 102, Out: 108, N: 32},
 			&transforms.SigridHash{In: 102, Out: 104, Salt: 1, MaxValue: 1 << 16},
 			&transforms.SigridHash{In: 103, Out: 105, Salt: 2, MaxValue: 1 << 16},
 			&transforms.SigridHash{In: 5, Out: 106, Salt: 3, MaxValue: 1 << 16},

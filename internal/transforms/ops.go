@@ -25,6 +25,7 @@ package transforms
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
@@ -116,39 +117,59 @@ func buildSparse(rows int, perRow func(i int) []int64) *dwrf.SparseColumn {
 	return col
 }
 
-// FNV-1a 64-bit parameters (matching hash/fnv).
+// The ID hash folds one int64 per step with a single 64×64→128-bit
+// multiply, in the wyhash/mum style.
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	// hashSeed is the state every hash starts from.
+	hashSeed uint64 = 0xe7037ed1a0b428db
+	// hashMul is the odd multiplier of every fold.
+	hashMul uint64 = 0xa0761d6478bd642f
 )
 
-// mix64 folds one int64 (little-endian bytes) into a running FNV-1a
-// state. Exposed separately from hash64 so dictionary-aware kernels can
-// pre-mix a hash prefix once per DISTINCT value (Cartesian's left side,
-// NGram's window head) and finish per occurrence — the split keeps
-// those outputs bit-identical to hash64 over the full argument list.
+// mix64 folds one int64 into a running hash state: h^v times hashMul,
+// the 128-bit product's high and low words XORed together. Exposed
+// separately from hash64 so dictionary-aware kernels can pre-mix a hash
+// prefix once per DISTINCT value (Cartesian's left side, NGram's window
+// head) and finish per occurrence — the split keeps those outputs
+// bit-identical to hash64 over the full argument list.
 func mix64(h uint64, v int64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(v >> (8 * i)))
-		h *= fnvPrime64
-	}
-	return h
+	hi, lo := bits.Mul64(h^uint64(v), hashMul)
+	return hi ^ lo
 }
 
-// finish64 masks a final FNV-1a state into the non-negative int64 ID
+// finish64 masks a final hash state into the non-negative int64 ID
 // space.
 func finish64(h uint64) int64 { return int64(h & 0x7fffffffffffffff) }
 
-// hash64 hashes ints with FNV-1a over their little-endian bytes (used
-// by SigridHash/Cartesian/NGram). Inlined rather than hash/fnv because
-// the digest object escaped to the heap, making every hashed value an
-// allocation in the feature-generation hot loops.
+// hash64 hashes ints into the non-negative int64 ID space (Cartesian's
+// pairs, NGram's windows).
 func hash64(parts ...int64) int64 {
-	h := fnvOffset64
+	h := hashSeed
 	for _, p := range parts {
 		h = mix64(h, p)
 	}
 	return finish64(h)
+}
+
+// sigridBucket is SigridHash's per-value kernel, shared by Apply and the
+// compiled Plan: v and salt hashed, then the full 64-bit state reduced
+// into [0, m) by Lemire's multiply-shift — the high word of state×m —
+// instead of a division. It must not take the 63-bit finish64 value,
+// which would only reach [0, m/2). m must be positive.
+func sigridBucket(v, salt, m int64) int64 {
+	hi, _ := bits.Mul64(mix64(mix64(hashSeed, v), salt), uint64(m))
+	return int64(hi)
+}
+
+// positiveMod is PositiveModulus's per-value kernel, shared by Apply and
+// the compiled Plan: v mod m in [0, m) with one division, exact for
+// every int64 v and positive m.
+func positiveMod(v, m int64) int64 {
+	r := v % m
+	if r < 0 {
+		r += m
+	}
+	return r
 }
 
 // denseMapper is an elementwise dense→dense op: output presence mirrors

@@ -157,7 +157,7 @@ type planExec struct {
 	// recycle across runs; matDone is cleared each reset.
 	matVals [][]int64
 	matDone []bool
-	// prefix holds per-distinct-value pre-mixed FNV states for the
+	// prefix holds per-distinct-value pre-mixed hash states for the
 	// dictionary-aware Cartesian/NGram kernels; scoreTab the
 	// per-distinct scored values of ComputeScore. Rebuilt by each step
 	// that uses them, so sequential steps share one buffer.
@@ -190,12 +190,12 @@ func (e *planExec) sparseVals(slot int) []int64 {
 	return buf
 }
 
-// dictPrefixes fills e.prefix with the pre-mixed FNV state of every
+// dictPrefixes fills e.prefix with the pre-mixed hash state of every
 // dictionary entry (the shared first-argument contribution to hash64).
 func (e *planExec) dictPrefixes(dict []int64) []uint64 {
 	pref := resizeScratch(e.prefix, len(dict))
 	for d, v := range dict {
-		pref[d] = mix64(fnvOffset64, v)
+		pref[d] = mix64(hashSeed, v)
 	}
 	e.prefix = pref
 	return pref
@@ -512,13 +512,13 @@ func (c *planCompiler) lower(op Op) error {
 				// dictionary-indexed.
 				dst.Dict = i64Values(dst.Dict, len(src.Dict))
 				for d, v := range src.Dict {
-					dst.Dict[d] = hash64(v, o.Salt) % o.MaxValue
+					dst.Dict[d] = sigridBucket(v, o.Salt, o.MaxValue)
 				}
 				dst.Values = append(dst.Values, src.Values...)
 			} else {
 				dst.Values = i64Values(dst.Values, len(src.Values))
 				for i, v := range src.Values {
-					dst.Values[i] = hash64(v, o.Salt) % o.MaxValue
+					dst.Values[i] = sigridBucket(v, o.Salt, o.MaxValue)
 				}
 			}
 			e.sparse[out] = dst
@@ -566,13 +566,13 @@ func (c *planCompiler) lower(op Op) error {
 				// value once, keep the indices as-is.
 				dst.Dict = i64Values(dst.Dict, len(src.Dict))
 				for d, v := range src.Dict {
-					dst.Dict[d] = ((v % o.M) + o.M) % o.M
+					dst.Dict[d] = positiveMod(v, o.M)
 				}
 				dst.Values = append(dst.Values, src.Values...)
 			} else {
 				dst.Values = i64Values(dst.Values, len(src.Values))
 				for i, v := range src.Values {
-					dst.Values[i] = ((v % o.M) + o.M) % o.M
+					dst.Values[i] = positiveMod(v, o.M)
 				}
 			}
 			e.sparse[out] = dst

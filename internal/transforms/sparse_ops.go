@@ -43,7 +43,7 @@ outer:
 }
 
 // crossPrefixInto is crossInto for a dictionary-indexed left side: aIdx
-// holds dictionary indices and pref the pre-mixed FNV state of each
+// holds dictionary indices and pref the pre-mixed hash state of each
 // distinct left value, so the left half of every pair hash is computed
 // once per distinct value per stripe instead of once per pair. Output
 // is bit-identical to crossInto over the materialized values.
@@ -80,7 +80,7 @@ func ngramInto(dst []int64, vals []int64, n int) []int64 {
 }
 
 // ngramPrefixInto is ngramInto for a dictionary-indexed column: idxs
-// holds the row's dictionary indices, pref the pre-mixed FNV state of
+// holds the row's dictionary indices, pref the pre-mixed hash state of
 // each distinct value (the window head's contribution), and vals the
 // row's materialized values for the window tail. Bit-identical to
 // ngramInto over vals.
@@ -147,7 +147,7 @@ func (o *SigridHash) Apply(b *dwrf.Batch) (int64, error) {
 		Values:  make([]int64, len(in.Values)),
 	}
 	for i, v := range in.Values {
-		out.Values[i] = hash64(v, o.Salt) % o.MaxValue
+		out.Values[i] = sigridBucket(v, o.Salt, o.MaxValue)
 	}
 	b.Sparse[o.Out] = out
 	return int64(len(in.Values)), nil
@@ -194,7 +194,7 @@ func (o *FirstX) Apply(b *dwrf.Batch) (int64, error) {
 	return int64(len(in.Values)), nil
 }
 
-// PositiveModulus maps every categorical value to ((v % M) + M) % M.
+// PositiveModulus maps every categorical value v to v mod M, in [0, M).
 type PositiveModulus struct {
 	In, Out schema.FeatureID
 	M       int64
@@ -228,7 +228,7 @@ func (o *PositiveModulus) Apply(b *dwrf.Batch) (int64, error) {
 		Values:  make([]int64, len(in.Values)),
 	}
 	for i, v := range in.Values {
-		out.Values[i] = ((v % o.M) + o.M) % o.M
+		out.Values[i] = positiveMod(v, o.M)
 	}
 	b.Sparse[o.Out] = out
 	return int64(len(in.Values)), nil

@@ -187,6 +187,33 @@ func TestPositiveModulus(t *testing.T) {
 	if got := out.RowValues(3); got[0] != 0 {
 		t.Fatalf("(-7 mod 7) = %d, want 0", got[0])
 	}
+
+	// A modulus above MaxInt64/2: v%M + M must not wrap, on either path.
+	const v, m = math.MaxInt64 - 2, math.MaxInt64 - 1
+	wide := &PositiveModulus{In: 2, Out: 100, M: m}
+	plan, err := NewGraph().Add(wide).CompilePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(*dwrf.Batch) error{
+		"Apply": func(b *dwrf.Batch) error {
+			_, err := wide.Apply(b)
+			return err
+		},
+		"Plan": func(b *dwrf.Batch) error {
+			_, err := plan.Run(b, nil)
+			return err
+		},
+	} {
+		b := testBatch()
+		b.Sparse[2] = &dwrf.SparseColumn{Offsets: []int32{0, 1, 1, 1, 1}, Values: []int64{v}}
+		if err := run(b); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Sparse[100].Values[0]; got != v {
+			t.Fatalf("%s: (MaxInt64-2) mod (MaxInt64-1) = %d, want %d", name, got, int64(v))
+		}
+	}
 }
 
 func TestEnumerate(t *testing.T) {
@@ -515,11 +542,10 @@ func TestAllOpsHaveNamesAndCosts(t *testing.T) {
 	}
 }
 
-// Property: SigridHash output is always within [0, MaxValue) and
-// row-structure is preserved.
+// Property: SigridHash output is always within [0, MaxValue), for every
+// positive MaxValue up to MaxInt64, and row-structure is preserved.
 func TestSigridHashRangeProperty(t *testing.T) {
-	f := func(vals []int64, maxVal uint16) bool {
-		m := int64(maxVal) + 1
+	inRange := func(vals []int64, m int64) bool {
 		b := &dwrf.Batch{
 			Rows:      1,
 			Labels:    []float32{0},
@@ -543,8 +569,28 @@ func TestSigridHashRangeProperty(t *testing.T) {
 		}
 		return true
 	}
+	// MaxValue is the high bits of a random word shifted right by 0..62,
+	// so small and huge moduli both occur.
+	f := func(vals []int64, maxVal int64, shift uint8) bool {
+		return inRange(vals, max(1, int64(uint64(maxVal)>>1>>(shift%63))))
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	edges := []int64{0, 1, -1, math.MinInt64, math.MaxInt64}
+	for _, m := range []int64{1, 2, math.MaxInt64} {
+		if !inRange(edges, m) {
+			t.Fatalf("MaxValue %d: an output left [0, MaxValue)", m)
+		}
+	}
+	// The reduction sees the full 64-bit state, so at MaxValue = MaxInt64
+	// the upper half of the range is reached.
+	upper := false
+	for v := int64(0); v < 64; v++ {
+		upper = upper || sigridBucket(v, 7, math.MaxInt64) >= math.MaxInt64/2
+	}
+	if !upper {
+		t.Fatal("no output of IDs 0..63 in [MaxInt64/2, MaxInt64): the reduction sees a masked state")
 	}
 }
 
