@@ -28,9 +28,9 @@
 // — is applied to that report offline, beside the experiments that
 // print it (internal/experiments/costmodel.go), and never rides a
 // session. A heartbeat (WorkerStats) carries only what the control
-// plane reads: the windowed minimum buffer level and the evaluators'
-// busy fraction for the scaler, the recovery counters for
-// Master.Recovery.
+// plane reads: the fleet heartbeat the windowed minimum buffer level
+// and the evaluators' busy fraction for the scaler, a pipeline's
+// session heartbeat the recovery counters for Master.Recovery.
 //
 // The transform stage itself runs compiled: transforms.Graph lowers its
 // topo-sorted op DAG into a slot-indexed transforms.Plan
@@ -97,7 +97,10 @@
 // splits complete at the master only when their batches are consumed
 // (not merely buffered), every batch carries (Split, Seq) provenance,
 // and trainer clients deduplicate the redelivered overlap when a
-// crashed worker's requeued leases re-run — the crash fault-injection
+// crashed worker's requeued leases re-run. Liveness is decided once:
+// the service declares a fleet worker dead when its fleet heartbeat
+// falls silent (Service.ReapDead) and deregisters it at every session
+// master, which requeues its leases — the crash fault-injection
 // harness (Worker.Crash, the fleet launchers' Crash) and the EndToEnd
 // crash/multi-tenant checksum tests pin the guarantee on both data
 // planes. The "multitenant" experiment measures weighted fair sharing
@@ -136,8 +139,8 @@
 // per-split poison budget (SessionSpec.RetryBudget), so one bad replica
 // degrades throughput instead of failing the session. The recovery
 // counters are declared once (dwrf.Recovery) and ride dwrf.ReadStats →
-// ResourceReport → WorkerStats, the heartbeat, to the session master,
-// whose Recovery total outlives the workers that reported them.
+// ResourceReport → WorkerStats, the session heartbeat, to the session
+// master, whose Recovery total outlives the workers that reported them.
 // There is one read path and the schedule is an input to it: the paper's
 // experiments run with none installed, where every chunk is served by
 // its primary and nothing is ranked, filtered or hedged (`bash

@@ -151,8 +151,8 @@ func crashFirstLive(t *testing.T, launcher *dpp.FleetLauncher, prefix string) st
 
 // TestEndToEndChecksumWorkerCrash proves exactly-once delivery across a
 // non-graceful worker death: a fleet worker is crash-killed mid-stream
-// (no drain, no deregistration, data plane severed), the master's reap
-// loop requeues its unfinished leases, a replacement re-runs them, and
+// (no drain, no deregistration, data plane severed), the service's reap
+// requeues its unfinished leases, a replacement re-runs them, and
 // the trainer's (split, seq) dedup drops the redelivered overlap — so
 // row counts and content checksums still match the generated data
 // exactly.
@@ -164,11 +164,6 @@ func TestEndToEndChecksumWorkerCrash(t *testing.T) {
 	if err := svc.CreateSession(sessionID, fx.session); err != nil {
 		t.Fatal(err)
 	}
-	m, err := svc.Master(sessionID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LeaseTimeout = 100 * time.Millisecond
 
 	ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
 	if err != nil {
@@ -305,11 +300,6 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 		if err := rs.CreateSession(id, spec); err != nil {
 			t.Fatal(err)
 		}
-		m, err := svc.Master(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.LeaseTimeout = 100 * time.Millisecond
 	}
 
 	launcher := &dpp.FleetLauncher{

@@ -216,13 +216,6 @@ func NewSessionClient(master MasterAPI, dial WorkerDialer, maxConnections, clien
 	return c, nil
 }
 
-// Connections reports how many workers the client is attached to.
-func (c *Client) Connections() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.conns)
-}
-
 // AddWorker attaches a worker connection, reporting whether it was
 // added (false when the ID is already connected).
 func (c *Client) AddWorker(id string, api WorkerAPI) bool {
@@ -296,10 +289,10 @@ func (c *Client) reapDetached(api WorkerAPI, d drainable) {
 // pool resizes. Dialing happens outside the client lock (a slow or dead
 // endpoint must not block concurrent TryNext callers), and a failed
 // dial skips the worker until a later refresh: a dead worker is the
-// master's to reap and its leases' rows are requeued there, so the
-// client never turns one worker's death into session failure. Only a
-// failure to reach the master itself is returned. Frozen-membership
-// clients treat Refresh as a no-op.
+// service's to reap and its leases' rows are requeued at the master,
+// so the client never turns one worker's death into session failure.
+// Only a failure to reach the master itself is returned.
+// Frozen-membership clients treat Refresh as a no-op.
 func (c *Client) Refresh() error {
 	if c.master == nil {
 		return nil
@@ -396,8 +389,8 @@ func (c *Client) masterErr(allDone bool, err error) error {
 // and drained (vacuously true with no connections). For master-resolved
 // clients a fetch error drops the broken connection instead of failing
 // the sweep: a live worker is re-dialed on a later refresh, and a dead
-// one is reaped by the master, which requeues every lease whose
-// batches were not fully consumed — splits complete only on
+// one is reaped by the service and deregistered at the master, which
+// requeues every lease whose batches were not fully consumed — splits complete only on
 // consumption, so a crashed worker's undelivered rows re-run elsewhere
 // and admitLocked drops the redelivered overlap; one worker's failure
 // must not become session failure. Frozen worker sets have no recovery

@@ -382,8 +382,8 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 			case <-creditCh:
 			case <-crashCh:
 				// Fault injection: die like a killed process — sever
-				// the conn, requeue nothing, ack nothing. The master's
-				// ReapDead recovers the leases.
+				// the conn, requeue nothing, ack nothing. The service's
+				// reap (Service.ReapDead) recovers the leases.
 				takeWindow()
 				return
 			case <-connGone:

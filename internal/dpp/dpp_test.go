@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
@@ -200,66 +199,17 @@ func TestMasterCompleteValidation(t *testing.T) {
 	}
 }
 
-func TestMasterReapDeadReassigns(t *testing.T) {
-	wh, spec := buildFixture(t, 32, 16)
-	m, err := NewMaster(wh, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Unix(1000, 0)
-	m.now = func() time.Time { return now }
-	m.LeaseTimeout = 10 * time.Second
-
-	if _, err := m.RegisterWorker("w1", ""); err != nil {
-		t.Fatal(err)
-	}
-	_, id, ok, _, err := m.NextSplit("w1")
-	if err != nil || !ok {
-		t.Fatal("no split leased")
-	}
-	// Worker dies; time passes.
-	now = now.Add(11 * time.Second)
-	if got := m.ReapDead(); got != 1 {
-		t.Fatalf("ReapDead = %d, want 1", got)
-	}
-	// Split must be leasable again by a fresh worker.
-	if _, err := m.RegisterWorker("w2", ""); err != nil {
-		t.Fatal(err)
-	}
-	var found bool
-	for {
-		_, id2, ok, _, err := m.NextSplit("w2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if id2 == id {
-			found = true
-		}
-		if err := m.CompleteSplit("w2", id2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !found {
-		t.Fatalf("reaped split %d never reassigned", id)
-	}
-}
-
 // TestMasterRecoveryOutlivesWorkers: the session's recovery total keeps
 // what a worker last reported after the worker leaves the membership by
-// any door — deregistration, replacement under the same ID, or the
-// reaper — so a reader after the run sees all of it.
+// either door — deregistration or replacement under the same ID — so a
+// reader after the run sees all of it. (The service's reap deregisters;
+// TestFleetReapRequeuesAtEverySession checks the total survives it.)
 func TestMasterRecoveryOutlivesWorkers(t *testing.T) {
 	wh, spec := buildFixture(t, 32, 16)
 	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(1000, 0)
-	m.now = func() time.Time { return now }
-	m.LeaseTimeout = 10 * time.Second
 	report := func(id string, rec dwrf.Recovery, released int64) {
 		t.Helper()
 		if err := m.Heartbeat(id, WorkerStats{Recovery: rec, SplitsReleased: released}); err != nil {
@@ -297,13 +247,6 @@ func TestMasterRecoveryOutlivesWorkers(t *testing.T) {
 	report("w2", dwrf.Recovery{StorageRetries: 4}, 1)
 	want.StorageRetries += 4
 	check("replacement reported", want, 4)
-
-	now = now.Add(11 * time.Second)
-	m.ReapDead()
-	if n := m.WorkerCount(); n != 0 {
-		t.Fatalf("%d workers survived the reaper", n)
-	}
-	check("after reap", want, 4)
 }
 
 func TestMasterDrain(t *testing.T) {
@@ -338,8 +281,7 @@ func TestMasterDrain(t *testing.T) {
 
 // TestDeregisterShrinksMembership is the drained-worker leak regression:
 // before DeregisterWorker, a drained worker that finished stayed in the
-// master's worker map forever, heartbeating and polluting
-// WorkerStatsSnapshot with stale stats.
+// master's worker map forever, heartbeating stale stats.
 func TestDeregisterShrinksMembership(t *testing.T) {
 	wh, spec := buildFixture(t, 32, 16)
 	m, err := NewMaster(wh, spec)
@@ -376,9 +318,6 @@ func TestDeregisterShrinksMembership(t *testing.T) {
 	m.mu.Unlock()
 	if n != 2 {
 		t.Fatalf("worker map holds %d entries after deregister, want 2 (drained-worker leak)", n)
-	}
-	if got := len(m.WorkerStatsSnapshot()); got != 2 {
-		t.Fatalf("WorkerStatsSnapshot = %d entries, want 2", got)
 	}
 	if err := m.DeregisterWorker("w2"); err == nil {
 		t.Fatal("double deregister accepted")
@@ -654,28 +593,23 @@ func TestClientConnectionCap(t *testing.T) {
 
 func TestWorkerStatelessRestart(t *testing.T) {
 	// A worker dying mid-split must not lose data: the master reassigns
-	// the lease and a replacement worker reprocesses it.
+	// the lease and a replacement worker reprocesses it. The service
+	// declares the death (TestFleetReapRequeuesAtEverySession) by
+	// deregistering the worker, as here.
 	wh, spec := buildFixture(t, 64, 16)
 	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Unix(0, 0)
-	m.now = func() time.Time { return now }
-	m.LeaseTimeout = 5 * time.Second
-
-	w1, err := NewWorker("w1", m, wh)
-	if err != nil {
+	if _, err := NewWorker("w1", m, wh); err != nil {
 		t.Fatal(err)
 	}
-	_ = w1
 	// w1 leases a split and crashes (never completes).
 	if _, _, ok, _, err := m.NextSplit("w1"); err != nil || !ok {
 		t.Fatal("lease failed")
 	}
-	now = now.Add(6 * time.Second)
-	if m.ReapDead() != 1 {
-		t.Fatal("dead lease not reaped")
+	if err := m.DeregisterWorker("w1"); err != nil {
+		t.Fatal(err)
 	}
 
 	w2, err := NewWorker("w2", m, wh)
@@ -767,8 +701,8 @@ func TestAutoScalerRespectsMax(t *testing.T) {
 }
 
 func TestEndToEndAutoscaledSession(t *testing.T) {
-	// Master + autoscaler-driven worker pool + client, driven to
-	// completion.
+	// Master + autoscaler-driven worker pool + a session client that
+	// follows the pool's membership, driven to completion.
 	wh, spec := buildFixture(t, 96, 16)
 	m, err := NewMaster(wh, spec)
 	if err != nil {
@@ -778,7 +712,6 @@ func TestEndToEndAutoscaledSession(t *testing.T) {
 	var (
 		mu      sync.Mutex
 		workers []*Worker
-		apis    []WorkerAPI
 		wg      sync.WaitGroup
 		widx    int
 	)
@@ -793,23 +726,43 @@ func TestEndToEndAutoscaledSession(t *testing.T) {
 			}
 			widx++
 			workers = append(workers, w)
-			apis = append(apis, LocalWorkerAPI(w))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				if err := w.Run(nil); err != nil {
 					t.Error(err)
 				}
+				if err := w.Retire(nil); err != nil {
+					t.Error(err)
+				}
 			}()
 		}
 	}
-	launch(scaler.Evaluate(m.WorkerStatsSnapshot()))
+	// sample is the fleet heartbeat's view of the pool: each worker's
+	// scaler window, sampled and restarted.
+	sample := func() []WorkerStats {
+		mu.Lock()
+		defer mu.Unlock()
+		stats := make([]WorkerStats, len(workers))
+		for i, w := range workers {
+			stats[i] = w.sampleStats()
+		}
+		return stats
+	}
+	launch(scaler.Evaluate(sample()))
 
 	// Consume from a client while periodically evaluating the scaler.
-	time.Sleep(2 * time.Millisecond)
-	mu.Lock()
-	client, err := NewClient(apis, 0, 0)
-	mu.Unlock()
+	dial := func(ep WorkerEndpoint) (WorkerAPI, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, w := range workers {
+			if w.ID == ep.ID {
+				return LocalWorkerAPI(w), nil
+			}
+		}
+		return nil, fmt.Errorf("unknown worker %q", ep.ID)
+	}
+	client, err := NewSessionClient(m, dial, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -826,7 +779,7 @@ func TestEndToEndAutoscaledSession(t *testing.T) {
 		rows += b.Rows
 		iter++
 		if iter%4 == 0 {
-			if delta := scaler.Evaluate(m.WorkerStatsSnapshot()); delta > 0 {
+			if delta := scaler.Evaluate(sample()); delta > 0 {
 				launch(delta)
 			}
 		}

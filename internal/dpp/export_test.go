@@ -1,0 +1,38 @@
+package dpp
+
+// Observation hooks for this package's tests: reads of runtime state
+// that no runtime caller needs.
+
+// Buffered reports the number of buffered batches.
+func (w *Worker) Buffered() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.buffer)
+}
+
+// Undelivered reports batches the worker is still responsible for:
+// buffered plus sent into stream windows but not yet granted.
+func (w *Worker) Undelivered() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.buffer) + w.outstanding
+}
+
+// Connections reports how many workers the client is attached to.
+func (c *Client) Connections() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.conns)
+}
+
+// SplitReleases reports how many times each split has been released
+// back for requeue.
+func (m *Master) SplitReleases() map[int]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[int]int, len(m.poison))
+	for k, v := range m.poison {
+		out[k] = v
+	}
+	return out
+}

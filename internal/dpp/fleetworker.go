@@ -29,11 +29,14 @@ type FleetWorker struct {
 	// service and with every session master the worker joins.
 	Endpoint string
 	// HeartbeatEvery is the fleet heartbeat (and assignment
-	// reconciliation) period; default 500ms. Each hosted pipeline
-	// heartbeats its session master at the same period.
+	// reconciliation) period; default 500ms. The service declares the
+	// worker dead once its fleet heartbeat has been silent for
+	// Service.FleetLeaseTimeout. Each hosted pipeline heartbeats its
+	// session master at the same period.
 	HeartbeatEvery time.Duration
 	// OnError receives per-session pipeline failures (default ignored:
-	// the session master reaps the pipeline and requeues its leases).
+	// the pipeline retires and its session master requeues what it
+	// still leased).
 	OnError func(sessionID string, err error)
 
 	// CacheBytes sizes the node's shared content-addressed batch cache:
@@ -132,13 +135,13 @@ func (fw *FleetWorker) source(sessionID string) (BatchSource, error) {
 	return p.w, nil
 }
 
-// AggregateStats is the fleet heartbeat: the live pipelines folded into
-// what the service reads of a member — the worst-case minimum buffer
-// and the mean busy fraction (PolicyStats → AutoScaler.Evaluate). A
-// worker with no assignments reports an idle, drainable profile. The
-// snapshot is non-consuming: the per-session heartbeat windows belong
-// to the pipelines' own session-master heartbeats, which also carry
-// the recovery counters (they are per session, Master.Recovery).
+// AggregateStats is the fleet heartbeat: the live pipelines' scaler
+// windows, sampled and restarted, folded into what the service reads of
+// a member — the worst-case minimum buffer and the mean busy fraction
+// (PolicyStats → AutoScaler.Evaluate). A worker with no assignments
+// reports an idle, drainable profile. The recovery counters are per
+// session and ride the pipelines' own session heartbeats
+// (Master.Recovery).
 func (fw *FleetWorker) AggregateStats() WorkerStats {
 	fw.mu.Lock()
 	workers := make([]*Worker, 0, len(fw.pipelines))
@@ -148,7 +151,7 @@ func (fw *FleetWorker) AggregateStats() WorkerStats {
 	fw.mu.Unlock()
 	agg := WorkerStats{MinBuffered: idleBuffered}
 	for _, w := range workers {
-		st := w.Stats()
+		st := w.sampleStats()
 		if st.MinBuffered < agg.MinBuffered {
 			agg.MinBuffered = st.MinBuffered
 		}
@@ -171,9 +174,9 @@ func (fw *FleetWorker) heartbeatEvery() time.Duration {
 // Crash is the fleet-level fault-injection hook: every hosted pipeline
 // crashes (data plane severs, heartbeats stop, nothing deregisters), a
 // bound data-plane listener closes, and the fleet worker goes silent,
-// exactly as a killed node would. The service and the session masters
-// discover the death through heartbeat staleness and requeue every
-// lease the node held.
+// exactly as a killed node would. The service discovers the death
+// through fleet-heartbeat silence (Service.ReapDead) and deregisters
+// the node at every session master, which requeues every lease it held.
 func (fw *FleetWorker) Crash() {
 	fw.mu.Lock()
 	if fw.crashed {

@@ -13,20 +13,22 @@ import (
 	"dsi/internal/warehouse"
 )
 
-// WorkerStats is what a Worker says with every heartbeat: the fields
-// the control plane reads, each naming its reader below, and nothing
-// else. The paper's Master scales "to eliminate data stalls" from what
-// workers report (§3.2.1); here the scaler keys on whether a buffer
-// ran dry and whether the evaluators sat idle. What the worker measured
-// beyond that is Worker.Report(), for whoever wants it.
+// WorkerStats is what workers report to the control plane: the fields
+// it reads, each naming its reader below, and nothing else. The fleet
+// heartbeat carries the scaler's window (MinBuffered, BusyFrac), a
+// pipeline's session heartbeat its recovery counters. The paper's
+// Master scales "to eliminate data stalls" from what workers report
+// (§3.2.1); here the scaler keys on whether a buffer ran dry and
+// whether the evaluators sat idle. What the worker measured beyond that
+// is Worker.Report(), for whoever wants it.
 type WorkerStats struct {
 	// MinBuffered is the lowest buffered-batch level observed since the
-	// previous heartbeat. Read by AutoScaler.Evaluate: the instantaneous
-	// level is scheduling noise on a loaded host (a burst-scheduled
-	// worker can report a full buffer an instant after trainers drained
-	// it dry); the windowed minimum answers the question the scaler
-	// actually asks — did this worker's buffer ever run dry? — and is
-	// what the scale-up and scale-down rules key on.
+	// previous fleet heartbeat. Read by AutoScaler.Evaluate: the
+	// instantaneous level is scheduling noise on a loaded host (a
+	// burst-scheduled worker can report a full buffer an instant after
+	// trainers drained it dry); the windowed minimum answers the
+	// question the scaler actually asks — did this worker's buffer ever
+	// run dry? — and is what the scale-up and scale-down rules key on.
 	MinBuffered int
 	// BusyFrac is the measured fraction of the last heartbeat window the
 	// worker's evaluator goroutines spent busy (fetching, decoding, or
@@ -79,7 +81,11 @@ type MasterAPI interface {
 	// when it exhausts the retry budget, requeued=false is returned and
 	// the session is failed (Done reports the error to every worker).
 	ReleaseSplit(workerID string, splitID int, reason string) (requeued bool, err error)
-	// Heartbeat reports liveness and utilization.
+	// Heartbeat reports the worker's recovery counters (Master.Recovery
+	// keeps them) and tells it whether the session still holds it: a
+	// worker the master rejects with ErrDisowned three times running
+	// crashes itself. Liveness is not decided here — the Service reaps
+	// fleet members whose fleet heartbeat went silent.
 	Heartbeat(workerID string, stats WorkerStats) error
 	// ListWorkers resolves the session's current worker membership.
 	ListWorkers() ([]WorkerEndpoint, error)
@@ -89,8 +95,8 @@ type MasterAPI interface {
 	// re-asking on a timer. session is closed the next time an answer a
 	// worker was given may have changed without the worker's own doing:
 	// the last discovered split completed, a lease went back to the queue
-	// (ReleaseSplit, DeregisterWorker, ReapDead), a split was poisoned, a
-	// worker was marked draining, or the session closed. table is closed
+	// (ReleaseSplit, DeregisterWorker, Service.ReapDead), a split was
+	// poisoned, a worker was marked draining, or the session closed. table is closed
 	// when the tailed table publishes a partition or its stream ends (nil
 	// for bounded sessions: a nil channel never fires). Take both before
 	// NextSplit and Done, wait only after those answered "nothing", then
@@ -112,14 +118,15 @@ type Master struct {
 	mu        sync.Mutex
 	closed    bool
 	pending   []int
-	inflight  map[int]*lease
+	inflight  map[int]lease
 	completed []bool
 	nComplete int
 	workers   map[string]*workerInfo
 	// departed and departedReleased total the recovery accounting last
-	// reported by workers no longer in the membership — deregistered,
-	// reaped, or replaced by a registration under the same ID — so the
-	// session's Recovery outlives the workers that did the work.
+	// reported by workers no longer in the membership — deregistered
+	// (the service's reap included) or replaced by a registration under
+	// the same ID — so the session's Recovery outlives the workers that
+	// did the work.
 	departed         dwrf.Recovery
 	departedReleased int64
 	// seenParts / discovered / lastGen drive incremental split
@@ -142,11 +149,6 @@ type Master struct {
 
 	// now is injectable for deterministic tests.
 	now func() time.Time
-
-	// LeaseTimeout is how long a split may stay leased to a silent
-	// worker before ReapDead reassigns it. Heartbeats renew leases, so
-	// the timeout measures liveness, not progress.
-	LeaseTimeout time.Duration
 }
 
 // DefaultSplitRetries is the default per-split release budget. Sized so
@@ -157,15 +159,17 @@ const DefaultSplitRetries = 8
 
 type lease struct {
 	worker  string
-	since   time.Time // renewed by heartbeats
-	granted time.Time // fixed at lease time
+	granted time.Time
 }
 
+// workerInfo is one member of the session: its data-plane endpoint,
+// whether it is draining, and the recovery counters of its last
+// heartbeat (what Recovery reads).
 type workerInfo struct {
-	endpoint string
-	lastSeen time.Time
-	stats    WorkerStats
-	draining bool
+	endpoint       string
+	draining       bool
+	recovery       dwrf.Recovery
+	splitsReleased int64
 }
 
 // NewMaster plans the session: it enumerates splits over the requested
@@ -183,14 +187,13 @@ func NewMaster(wh *warehouse.Warehouse, spec SessionSpec) (*Master, error) {
 		return nil, fmt.Errorf("dpp: unbounded session over static table %s (create it with CreateUnboundedTable)", spec.Table)
 	}
 	m := &Master{
-		spec:         spec,
-		inflight:     make(map[int]*lease),
-		workers:      make(map[string]*workerInfo),
-		poison:       make(map[int]int),
-		seenParts:    make(map[string]bool),
-		lastGen:      -1,
-		now:          time.Now,
-		LeaseTimeout: 30 * time.Second,
+		spec:      spec,
+		inflight:  make(map[int]lease),
+		workers:   make(map[string]*workerInfo),
+		poison:    make(map[int]int),
+		seenParts: make(map[string]bool),
+		lastGen:   -1,
+		now:       time.Now,
 	}
 	if spec.Unbounded {
 		// Split discovery is incremental: whatever is visible now seeds
@@ -350,7 +353,7 @@ func (m *Master) RegisterWorker(workerID, endpoint string) (SessionSpec, error) 
 		return SessionSpec{}, errClosed
 	}
 	m.forgetLocked(workerID) // a replacement under the same ID reports from zero
-	m.workers[workerID] = &workerInfo{endpoint: endpoint, lastSeen: m.now()}
+	m.workers[workerID] = &workerInfo{endpoint: endpoint}
 	return m.spec, nil
 }
 
@@ -358,8 +361,8 @@ func (m *Master) RegisterWorker(workerID, endpoint string) (SessionSpec, error) 
 // accounting of its last heartbeat in the session total.
 func (m *Master) forgetLocked(workerID string) {
 	if w, ok := m.workers[workerID]; ok {
-		m.departed.Add(w.stats.Recovery)
-		m.departedReleased += w.stats.SplitsReleased
+		m.departed.Add(w.recovery)
+		m.departedReleased += w.splitsReleased
 		delete(m.workers, workerID)
 	}
 }
@@ -374,18 +377,26 @@ func (m *Master) DeregisterWorker(workerID string) error {
 		return errUnregistered(workerID)
 	}
 	m.forgetLocked(workerID)
-	requeued := false
+	m.requeueLocked(func(l lease) bool { return l.worker == workerID })
+	return nil
+}
+
+// requeueLocked returns every lease that matches to the pending queue,
+// wakes idle workers if any did, and reports how many. Callers hold
+// m.mu.
+func (m *Master) requeueLocked(match func(lease) bool) int {
+	n := 0
 	for splitID, l := range m.inflight {
-		if l.worker == workerID {
+		if match(l) {
 			delete(m.inflight, splitID)
 			m.pending = append(m.pending, splitID)
-			requeued = true
+			n++
 		}
 	}
-	if requeued {
+	if n > 0 {
 		m.notifyLocked()
 	}
-	return nil
+	return n
 }
 
 // NextSplit implements MasterAPI.
@@ -399,7 +410,6 @@ func (m *Master) NextSplit(workerID string) (warehouse.Split, int, bool, bool, e
 	if !ok {
 		return warehouse.Split{}, 0, false, false, errUnregistered(workerID)
 	}
-	w.lastSeen = m.now()
 	if len(m.pending) == 0 {
 		// Unbounded sessions read the table for freshly sealed
 		// partitions exactly when a worker runs out of work; a worker
@@ -414,8 +424,7 @@ func (m *Master) NextSplit(workerID string) (warehouse.Split, int, bool, bool, e
 	}
 	id := m.pending[0]
 	m.pending = m.pending[1:]
-	now := m.now()
-	m.inflight[id] = &lease{worker: workerID, since: now, granted: now}
+	m.inflight[id] = lease{worker: workerID, granted: m.now()}
 	return m.splits[id], id, true, false, nil
 }
 
@@ -458,12 +467,8 @@ func (m *Master) CompleteSplit(workerID string, splitID int) error {
 	return nil
 }
 
-// Heartbeat implements MasterAPI. A heartbeat also renews the worker's
-// in-flight leases: a pipelined worker holds several splits at once
-// (prefetched, transforming, or buffered behind a stalled trainer), and
-// without renewal a trainer stall longer than the lease timeout would
-// make ReapDead requeue splits that are still alive inside the worker —
-// delivering their rows twice.
+// Heartbeat implements MasterAPI: it keeps the worker's recovery
+// counters, the only fields of the report the session reads.
 func (m *Master) Heartbeat(workerID string, stats WorkerStats) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -474,14 +479,7 @@ func (m *Master) Heartbeat(workerID string, stats WorkerStats) error {
 	if !ok {
 		return errUnregistered(workerID)
 	}
-	now := m.now()
-	w.lastSeen = now
-	w.stats = stats
-	for _, l := range m.inflight {
-		if l.worker == workerID {
-			l.since = now
-		}
-	}
+	w.recovery, w.splitsReleased = stats.Recovery, stats.SplitsReleased
 	return nil
 }
 
@@ -520,18 +518,6 @@ func (m *Master) ReleaseSplit(workerID string, splitID int, reason string) (bool
 	m.pending = append(m.pending, splitID)
 	m.notifyLocked()
 	return true, nil
-}
-
-// SplitReleases reports how many times each split has been released
-// back for requeue (for tests and experiments).
-func (m *Master) SplitReleases() map[int]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[int]int, len(m.poison))
-	for k, v := range m.poison {
-		out[k] = v
-	}
-	return out
 }
 
 // Done implements MasterAPI. Once a split has exhausted its poison
@@ -586,45 +572,23 @@ func (m *Master) Progress() (completed, total int) {
 	return m.nComplete, len(m.splits)
 }
 
-// maxLeaseAgeFactor caps, in lease timeouts, how long a split may stay
-// leased regardless of heartbeats, so a live-but-wedged worker (e.g. a
-// fetch hung on a bad storage node) cannot hold a split forever. The
-// requeued split may be processed twice if the wedged worker eventually
-// recovers, which split idempotence makes safe.
-const maxLeaseAgeFactor = 10
+// maxLeaseAge caps how long a split may stay leased to a worker the
+// service still holds alive — ten of its default 30 s fleet lease
+// timeouts — so a live-but-wedged worker (e.g. a fetch hung on a bad
+// storage node) cannot hold a split forever. The requeued split may be
+// processed twice if the wedged worker eventually recovers, which split
+// idempotence makes safe.
+const maxLeaseAge = 10 * 30 * time.Second
 
-// ReapDead re-queues splits leased to workers that have not been seen
-// within the lease timeout, and forgets those workers; it also requeues
-// leases older than maxLeaseAgeFactor lease timeouts even when the
-// holder still heartbeats (a wedged-but-live worker). Workers are
-// stateless, so reassignment needs no checkpoint restore (§3.2.1). It
-// returns the number of splits reassigned.
-func (m *Master) ReapDead() int {
+// requeueWedged requeues every lease granted more than maxLeaseAge ago
+// and reports how many. Service.ReapDead calls it on every session
+// after it has deregistered the dead; workers are stateless, so
+// reassignment needs no checkpoint restore (§3.2.1).
+func (m *Master) requeueWedged() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
-	maxAge := maxLeaseAgeFactor * m.LeaseTimeout
-	dead := make(map[string]bool)
-	for id, w := range m.workers {
-		if now.Sub(w.lastSeen) > m.LeaseTimeout {
-			dead[id] = true
-		}
-	}
-	reassigned := 0
-	for splitID, l := range m.inflight {
-		if dead[l.worker] || now.Sub(l.since) > m.LeaseTimeout || now.Sub(l.granted) > maxAge {
-			delete(m.inflight, splitID)
-			m.pending = append(m.pending, splitID)
-			reassigned++
-		}
-	}
-	for id := range dead {
-		m.forgetLocked(id)
-	}
-	if reassigned > 0 {
-		m.notifyLocked()
-	}
-	return reassigned
+	return m.requeueLocked(func(l lease) bool { return now.Sub(l.granted) > maxLeaseAge })
 }
 
 // Drain marks a worker as draining: it receives no further splits but may
@@ -663,23 +627,10 @@ func (m *Master) Recovery() (rec dwrf.Recovery, splitsReleased int64) {
 	defer m.mu.Unlock()
 	rec, splitsReleased = m.departed, m.departedReleased
 	for _, w := range m.workers {
-		rec.Add(w.stats.Recovery)
-		splitsReleased += w.stats.SplitsReleased
+		rec.Add(w.recovery)
+		splitsReleased += w.splitsReleased
 	}
 	return rec, splitsReleased
-}
-
-// WorkerStatsSnapshot returns the latest stats of live workers.
-func (m *Master) WorkerStatsSnapshot() []WorkerStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]WorkerStats, 0, len(m.workers))
-	for _, w := range m.workers {
-		if !w.draining {
-			out = append(out, w.stats)
-		}
-	}
-	return out
 }
 
 // checkpointState is the serialized reader state.

@@ -255,7 +255,7 @@ func TestOrchestratorRetriesFailedLaunch(t *testing.T) {
 
 // TestSessionClientSkipsUndialableWorker: one worker's dial failing must
 // not fail Refresh (and with it the whole training client); the worker
-// is skipped until a later refresh or until the master reaps it.
+// is skipped until a later refresh or until it leaves the membership.
 func TestSessionClientSkipsUndialableWorker(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16)
 	m, err := NewMaster(wh, spec)

@@ -14,7 +14,9 @@ import "sync"
 //	        │  one channel, bounded by PrefetchDepth
 //	deliver loop (one goroutine: the Run caller)
 //	    resource accounting → bounded output buffer (BufferDepth
-//	    batches / MaxBufferedBytes) → heartbeat
+//	    batches / MaxBufferedBytes)
+//
+// Beside them, heartbeatLoop reports to the session master on a ticker.
 //
 // Nothing on the read path waits on the wall clock: every hand-off from
 // a sealed partition to a trainer tensor happens on an event, announced
@@ -32,8 +34,8 @@ import "sync"
 //
 // One rule everywhere: take the channel before you ask, wait on it only
 // after the answer was "nothing" — an event between the answer and the
-// wait then finds the channel already closed. The only timers left on
-// the worker are heartbeats. So the pool buys CPU parallelism only;
+// wait then finds the channel already closed. The only timer left on
+// the worker is the heartbeat. So the pool buys CPU parallelism only;
 // evaluating ahead of delivery is what keeps trainers fed while earlier
 // tensors drain (the paper's central DPP requirement). The channel and
 // the buffer are both bounded, so a slow trainer stalls the evaluators
@@ -63,15 +65,15 @@ func (a *pipelineAbort) fail(err error) {
 // pool), stop is closed, or a split fails. Splits already evaluated are
 // always delivered before an orderly Run returns; buffered batches
 // remain fetchable afterwards — follow with Retire to serve them out
-// and deregister. Heartbeats are sent after every split, plus a
-// background liveness tick so a worker stalled on a slow trainer is
-// neither reaped nor has its in-flight leases requeued.
+// and deregister. The session heartbeat runs on its own ticker
+// (heartbeatLoop) until Run returns; a worker the master disowns
+// crashes under its rule, which ends the run.
 func (w *Worker) Run(stop <-chan struct{}) error {
 	defer w.finish()
 	pl := w.spec.Pipeline
 	abort := &pipelineAbort{ch: make(chan struct{})}
 
-	// Until Run returns: liveness heartbeats, and the external stop
+	// Until Run returns: session heartbeats, and the external stop
 	// signal — and the fault-injection crash — translated into an
 	// orderly abort of the pool.
 	returned := make(chan struct{})
@@ -110,13 +112,6 @@ func (w *Worker) Run(stop <-chan struct{}) error {
 		if w.deliverSplit(ev, abort.ch) != nil {
 			// Delivery is canceled only by an abort already in flight
 			// (external stop, crash, or a failed split).
-			break
-		}
-		// A transport failure is not disownment (heartbeatLoop has the
-		// rule and the reasons): membership and leases are intact at the
-		// master, so only a master that rejects this worker ends the run.
-		if err := w.master.Heartbeat(w.ID, w.heartbeatStats()); isDisownedErr(err) {
-			abort.fail(err)
 			break
 		}
 	}

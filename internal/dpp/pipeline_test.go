@@ -145,47 +145,113 @@ func (m *heartbeatFaultMaster) Heartbeat(workerID string, stats WorkerStats) err
 	return m.MasterAPI.Heartbeat(workerID, stats)
 }
 
-// TestRunHeartbeatErrors holds the deliver loop's per-split heartbeat
-// to heartbeatLoop's rule: a transport failure is retried with the next
-// split (membership and leases are intact at the master), only a master
-// that disowns the worker ends the run.
+// TestRunHeartbeatErrors holds both heartbeating loops — Run's
+// heartbeatLoop and Retire's — to the one rule: transport failures never
+// count, however many, and maxRejections consecutive disownments crash
+// the worker. A worker that is not disowned finishes: Run delivers
+// every row and Retire deregisters after a clean drain.
 func TestRunHeartbeatErrors(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		err      error
-		wantRows int // -1: Run must fail with err before finishing
+	const wait = 10 * time.Second
+	for _, kind := range []struct {
+		name    string
+		err     error
+		disowns bool
 	}{
-		{"transport", errors.New("read tcp 127.0.0.1:7170: connection reset by peer"), 128},
-		{"disowned", errUnregistered("w"), -1},
+		{"transport", errors.New("read tcp 127.0.0.1:7170: connection reset by peer"), false},
+		{"disowned", errUnregistered("w"), true},
 		// net/rpc hands the caller the handler's error as its text.
-		{"disowned over rpc", rpc.ServerError(errUnregistered("w").Error()), -1},
+		{"disowned over rpc", rpc.ServerError(errUnregistered("w").Error()), true},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			wh, spec := buildFixture(t, 64, 16) // 8 splits, 128 rows
-			m, err := NewMaster(wh, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fm := &heartbeatFaultMaster{MasterAPI: m, err: tc.err}
-			fm.fail.Store(2)
-			w, err := NewWorker("w", fm, wh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := 0
-			w.Sink = func(b *blob) { rows += b.Rows }
-			err = w.Run(nil)
-			if tc.wantRows < 0 {
-				if !errors.Is(err, tc.err) {
-					t.Fatalf("Run = %v, want the disowning heartbeat error", err)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("Run = %v after two transient heartbeat errors, want nil", err)
-			}
-			if done, _ := m.Done(); !done || rows != tc.wantRows || fm.fail.Load() > 0 {
-				t.Fatalf("done %v, %d rows (want %d), %d injected failures left", done, rows, tc.wantRows, fm.fail.Load())
+		t.Run(kind.name, func(t *testing.T) {
+			for _, loop := range []string{"Run", "Retire"} {
+				t.Run(loop, func(t *testing.T) {
+					wh, spec := buildFixture(t, 64, 16) // 8 one-batch splits, 128 rows
+					spec.BufferDepth = 8                // every batch fits, so only consumption completes a split
+					m, err := NewMaster(wh, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fm := &heartbeatFaultMaster{MasterAPI: m, err: kind.err}
+					w, err := NewWorker("w", fm, wh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.heartbeatEvery = time.Millisecond
+					faults := int32(maxRejections + 2) // more than the rule forgives
+					if kind.disowns {
+						faults = maxRejections
+					}
+
+					// The loop under test runs with the buffer full of
+					// unconsumed batches, so it is still heartbeating when
+					// the faults arrive.
+					done := make(chan error, 1)
+					if loop == "Run" {
+						fm.fail.Store(faults)
+						go func() { done <- w.Run(nil) }()
+					} else {
+						for {
+							ok, err := w.ProcessOneSplit()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !ok {
+								break
+							}
+						}
+						fm.fail.Store(faults)
+						go func() { done <- w.Retire(nil) }()
+					}
+
+					if kind.disowns {
+						select {
+						case err := <-done:
+							if err != nil {
+								t.Fatalf("%s of a disowned worker = %v, want nil", loop, err)
+							}
+						case <-time.After(wait):
+							t.Fatalf("%s still running after %d disowning heartbeats", loop, faults)
+						}
+						if !w.Crashed() || fm.fail.Load() > 0 {
+							t.Fatalf("crashed %v with %d rejections left, want a crash on the last", w.Crashed(), fm.fail.Load())
+						}
+						if n := m.WorkerCount(); n != 1 {
+							t.Fatalf("%d workers registered, want the disowned one left for the service", n)
+						}
+						return
+					}
+
+					for deadline := time.Now().Add(wait); fm.fail.Load() >= 0; time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("%d injected transport errors never all sent", fm.fail.Load())
+						}
+					}
+					if w.Crashed() {
+						t.Fatal("transport errors crashed the worker")
+					}
+					rows := 0
+					for i := 0; i < 8; i++ {
+						b, ok := getBatch(w)
+						if !ok {
+							t.Fatalf("worker finished after %d batches", i)
+						}
+						rows += b.Rows
+					}
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatalf("%s = %v after transport errors, want nil", loop, err)
+						}
+					case <-time.After(wait):
+						t.Fatalf("%s did not return after the buffer drained", loop)
+					}
+					if done, _ := m.Done(); !done || rows != 128 {
+						t.Fatalf("session done %v with %d rows, want done with 128", done, rows)
+					}
+					if loop == "Retire" && m.WorkerCount() != 0 {
+						t.Fatal("Retire did not deregister after a clean drain")
+					}
+				})
 			}
 		})
 	}
@@ -223,8 +289,8 @@ func getBatch(w *Worker) (*tensor.Batch, bool) {
 }
 
 // TestPipelinedSessionConcurrentStats runs a parallel pipeline while
-// hammering Stats/Report/Buffered from other goroutines; run under
-// -race this is the pipeline's data-race check.
+// hammering sampleStats/Report/Buffered from other goroutines; run
+// under -race this is the pipeline's data-race check.
 func TestPipelinedSessionConcurrentStats(t *testing.T) {
 	wh, spec := buildFixture(t, 96, 8) // 24 splits
 	spec.Pipeline = PipelineOptions{Prefetchers: 4, TransformParallelism: 4, PrefetchDepth: 6}
@@ -250,7 +316,7 @@ func TestPipelinedSessionConcurrentStats(t *testing.T) {
 					return
 				default:
 				}
-				_ = w.Stats()
+				_ = w.sampleStats()
 				_ = w.Report()
 				_ = w.Buffered()
 			}
@@ -382,7 +448,8 @@ func TestPipelineBackpressureBoundsBufferedBytes(t *testing.T) {
 }
 
 // TestPipelinedWorkersShareSession runs several pipelined workers
-// against one master with concurrent autoscaler-style stat polling.
+// against one master while a poller samples them as the fleet
+// heartbeat does and reads the session's recovery total.
 func TestPipelinedWorkersShareSession(t *testing.T) {
 	wh, spec := buildFixture(t, 96, 8)
 	spec.Pipeline = PipelineOptions{Prefetchers: 2, TransformParallelism: 2}
@@ -418,7 +485,10 @@ func TestPipelinedWorkersShareSession(t *testing.T) {
 			case <-pollStop:
 				return
 			default:
-				_ = m.WorkerStatsSnapshot()
+				for _, w := range workers {
+					_ = w.sampleStats()
+				}
+				_, _ = m.Recovery()
 				polls.Add(1)
 			}
 		}
@@ -449,11 +519,11 @@ func TestPipelinedWorkersShareSession(t *testing.T) {
 	}
 }
 
-// TestHeartbeatRenewsInflightLeases covers the stalled-trainer case: a
-// pipelined worker holds several leases for longer than the lease
-// timeout while delivery is blocked, but as long as it heartbeats the
-// master must not requeue its splits (which would deliver rows twice).
-func TestHeartbeatRenewsInflightLeases(t *testing.T) {
+// TestWedgedLeasesRequeueAtTheCap: a worker the service still holds
+// alive — heartbeating, never completing — cannot keep a split past
+// maxLeaseAge. requeueWedged hands back the leases older than the cap
+// and keeps the younger ones.
+func TestWedgedLeasesRequeueAtTheCap(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16)
 	m, err := NewMaster(wh, spec)
 	if err != nil {
@@ -461,44 +531,34 @@ func TestHeartbeatRenewsInflightLeases(t *testing.T) {
 	}
 	now := time.Unix(0, 0)
 	m.now = func() time.Time { return now }
-	m.LeaseTimeout = 10 * time.Second
-
 	if _, err := m.RegisterWorker("w1", ""); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	lease := func() {
+		t.Helper()
 		if _, _, ok, _, err := m.NextSplit("w1"); err != nil || !ok {
 			t.Fatal("lease failed")
 		}
 	}
-	// Leases age past the timeout, but heartbeats keep arriving.
-	for i := 0; i < 4; i++ {
-		now = now.Add(6 * time.Second)
-		if err := m.Heartbeat("w1", WorkerStats{}); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 3; i++ {
+		lease()
 	}
-	if got := m.ReapDead(); got != 0 {
-		t.Fatalf("ReapDead requeued %d leases of a live, heartbeating worker", got)
+	now = now.Add(maxLeaseAge)
+	if err := m.Heartbeat("w1", WorkerStats{}); err != nil {
+		t.Fatal(err)
 	}
-	// A live-but-wedged worker cannot hold a lease past maxLeaseAgeFactor lease timeouts:
-	// keep heartbeating without completing anything until the absolute
-	// cap (10x timeout from grant) is exceeded.
-	for i := 0; i < 16; i++ {
-		now = now.Add(6 * time.Second)
-		if err := m.Heartbeat("w1", WorkerStats{}); err != nil {
-			t.Fatal(err)
-		}
+	if got := m.requeueWedged(); got != 0 {
+		t.Fatalf("requeueWedged = %d at the cap, want 0", got)
 	}
-	if got := m.ReapDead(); got != 3 {
-		t.Fatalf("ReapDead = %d for wedged worker past the lease age cap, want 3", got)
+	lease()
+	now = now.Add(time.Second)
+	if got := m.requeueWedged(); got != 3 {
+		t.Fatalf("requeueWedged = %d past the cap, want 3", got)
 	}
-	// Once heartbeats stop, remaining leases are reclaimed too.
-	if _, _, ok, _, err := m.NextSplit("w1"); err != nil || !ok {
-		t.Fatal("re-lease failed")
-	}
-	now = now.Add(11 * time.Second)
-	if got := m.ReapDead(); got != 1 {
-		t.Fatalf("ReapDead = %d after silence, want 1", got)
+	m.mu.Lock()
+	inflight, pending := len(m.inflight), len(m.pending)
+	m.mu.Unlock()
+	if inflight != 1 || pending != 7 {
+		t.Fatalf("%d leases in flight and %d pending, want the young lease kept and 7 pending", inflight, pending)
 	}
 }

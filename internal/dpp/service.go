@@ -113,10 +113,9 @@ type Service struct {
 	wh *warehouse.Warehouse
 
 	// FleetLeaseTimeout is how long a fleet worker may go without a
-	// fleet heartbeat before ReapDead forgets it (default 30s). The
-	// per-session masters reap their pipelines independently on the
-	// same signal, so a crashed fleet worker's split leases are
-	// requeued even if it never deregisters.
+	// fleet heartbeat before ReapDead declares it dead (default 30s):
+	// the one liveness rule, so a crashed fleet worker's split leases
+	// are requeued at every session even though it never deregisters.
 	FleetLeaseTimeout time.Duration
 
 	// now is injectable for deterministic tests.
@@ -619,26 +618,25 @@ func (s *Service) rebalanceLocked() {
 	}
 }
 
-// ReapDead requeues the leases of silent pipelines at every session's
-// master and forgets fleet workers whose fleet heartbeat went stale —
-// a crashed worker never deregisters, so staleness is how the service
-// discovers the death. It returns the number of split leases requeued
-// across all sessions.
-func (s *Service) ReapDead() int {
+// ReapDead is the one place a worker is declared dead. A crashed
+// worker never deregisters, so a fleet member whose fleet heartbeat
+// has been silent for FleetLeaseTimeout is forgotten and deregistered
+// at every session's master, which requeues its pipelines' leases
+// there and keeps their last-reported recovery counters. Every master
+// then requeues the leases held past maxLeaseAge (requeueWedged).
+func (s *Service) ReapDead() {
 	s.mu.Lock()
 	timeout := s.FleetLeaseTimeout
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
 	now := s.now()
-	var dead []*fleetMember
-	for _, fm := range s.fleet {
+	var dead []string
+	for id, fm := range s.fleet {
 		if now.Sub(fm.lastSeen) > timeout {
-			dead = append(dead, fm)
+			dead = append(dead, id)
+			delete(s.fleet, id)
 		}
-	}
-	for _, fm := range dead {
-		delete(s.fleet, fm.id)
 	}
 	masters := make([]*Master, 0, len(s.sessions))
 	for _, sess := range s.sessions {
@@ -646,20 +644,12 @@ func (s *Service) ReapDead() int {
 	}
 	s.mu.Unlock()
 
-	reaped := 0
 	for _, m := range masters {
-		reaped += m.ReapDead()
-	}
-	// A dead fleet worker's pipelines may still look live to a session
-	// master for a moment (their last heartbeats raced); deregistering
-	// them explicitly requeues their leases now rather than one session
-	// lease-timeout later.
-	for _, fm := range dead {
-		for _, m := range masters {
-			_ = m.DeregisterWorker(fm.id)
+		for _, id := range dead {
+			_ = m.DeregisterWorker(id)
 		}
+		m.requeueWedged()
 	}
-	return reaped
 }
 
 // Done reports whether the service hosts at least one session and every

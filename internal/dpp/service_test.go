@@ -360,8 +360,8 @@ func (m hookedMaster) Heartbeat(workerID string, stats WorkerStats) error {
 // TestFleetPipelineHeartbeatsAtFleetPeriod: a fleet worker's pipelines
 // heartbeat their session masters at the fleet worker's own period. No
 // client consumes and the buffer holds one batch of a four-batch split,
-// so the deliver loop never finishes a split and every heartbeat counted
-// comes from the pipeline's ticker.
+// so the pipeline sits in Run and every heartbeat counted comes from its
+// ticker.
 func TestFleetPipelineHeartbeatsAtFleetPeriod(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16)
 	spec.BatchSize = 4
@@ -681,40 +681,55 @@ func TestUngetBatchesOrdering(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// ReapDead requeues a stale worker's leases even mid-stream.
+// The fleet heartbeat alone declares a worker dead.
 // ---------------------------------------------------------------------
 
-// TestReapRequeuesStaleWorkerMidStream covers the reap loop against a
-// worker whose heartbeat goes stale while its data-plane connection is
-// still open and serving: liveness is the control-plane heartbeat, not
-// the data plane, so the leases requeue and the worker leaves the
-// membership regardless of the open stream.
-func TestReapRequeuesStaleWorkerMidStream(t *testing.T) {
-	wh, spec := buildFixture(t, 64, 16)
-	m, err := NewMaster(wh, spec)
-	if err != nil {
+// TestFleetReapRequeuesAtEverySession: a fleet member holding leases at
+// two sessions goes silent — while one of its pipelines still serves an
+// open framed stream, since liveness is the control plane and not the
+// data plane. Once the service's clock passes FleetLeaseTimeout, one
+// ReapDead requeues every lease at both masters, forgets the member at
+// both, and keeps what it last reported in each session's Recovery; a
+// fresh worker then re-leases the splits.
+func TestFleetReapRequeuesAtEverySession(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16) // 8 splits per session
+	svc := NewService(wh)
+	now := time.Unix(1000, 0)
+	svc.now = func() time.Time { return now }
+	sessions := []string{"s1", "s2"}
+	for _, id := range sessions {
+		if err := svc.CreateSession(id, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.RegisterFleetWorker("fw", ""); err != nil {
 		t.Fatal(err)
 	}
-	m.LeaseTimeout = 50 * time.Millisecond
-	base := time.Now()
-	now := base
-	var nowMu sync.Mutex
-	m.now = func() time.Time {
-		nowMu.Lock()
-		defer nowMu.Unlock()
-		return now
+	reported := WorkerStats{Recovery: dwrf.Recovery{StorageRetries: 2, HedgedReads: 1}, SplitsReleased: 1}
+	masters := make(map[string]*Master)
+	leased := make(map[string][]int)
+	var pipeline *Worker
+	for _, id := range sessions {
+		m, err := svc.Master(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		masters[id] = m
+		if pipeline, err = NewWorker("fw", m, wh); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			_, split, ok, _, err := m.NextSplit("fw")
+			if err != nil || !ok {
+				t.Fatalf("%s: lease failed: ok=%v err=%v", id, ok, err)
+			}
+			leased[id] = append(leased[id], split)
+		}
+		if err := m.Heartbeat("fw", reported); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	w, err := NewWorker("stale-w", m, wh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lease a split; the worker then goes silent (no heartbeats) while
-	// its data plane stays up.
-	if _, _, ok, _, err := m.NextSplit("stale-w"); err != nil || !ok {
-		t.Fatalf("lease failed: ok=%v err=%v", ok, err)
-	}
-	ln, stopServe, err := ServeWorker(w, "127.0.0.1:0")
+	ln, stopServe, err := ServeWorker(pipeline, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -728,30 +743,59 @@ func TestReapRequeuesStaleWorkerMidStream(t *testing.T) {
 		t.Fatalf("dial returned %T, want framed stream", api)
 	}
 	defer stream.Close()
-	// The stream is open and polling the buffer — the mid-stream state.
 	if _, ok, done, err := stream.FetchBatch(); ok || done || err != nil {
 		t.Fatalf("unexpected fetch result ok=%v done=%v err=%v", ok, done, err)
 	}
 
-	nowMu.Lock()
-	now = base.Add(100 * time.Millisecond) // past the lease timeout
-	nowMu.Unlock()
-	if got := m.ReapDead(); got != 1 {
-		t.Fatalf("ReapDead requeued %d leases, want 1", got)
+	inflight := func(m *Master) int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.inflight)
 	}
-	eps, err := m.ListWorkers()
-	if err != nil {
-		t.Fatal(err)
+	now = now.Add(svc.FleetLeaseTimeout) // silent for exactly the timeout: alive
+	svc.ReapDead()
+	for _, id := range sessions {
+		if n, members := inflight(masters[id]), masters[id].WorkerCount(); n != 2 || members != 1 {
+			t.Fatalf("%s before the timeout passed: %d leases, %d members; want 2 and 1", id, n, members)
+		}
 	}
-	if len(eps) != 0 {
-		t.Fatalf("stale worker still in membership: %+v", eps)
+	now = now.Add(time.Millisecond)
+	svc.ReapDead()
+	if n := svc.FleetWorkerCount(); n != 0 {
+		t.Fatalf("%d fleet members after the reap, want 0", n)
 	}
-	// The requeued split is leasable by a replacement immediately.
-	if _, err := m.RegisterWorker("fresh-w", ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, _, err := m.NextSplit("fresh-w"); err != nil || !ok {
-		t.Fatalf("requeued split not leasable: ok=%v err=%v", ok, err)
+	for _, id := range sessions {
+		m := masters[id]
+		eps, err := m.ListWorkers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := inflight(m); n != 0 || len(eps) != 0 {
+			t.Fatalf("%s after the reap: %d leases, members %+v; want none", id, n, eps)
+		}
+		if rec, released := m.Recovery(); rec != reported.Recovery || released != reported.SplitsReleased {
+			t.Fatalf("%s: Recovery = %+v, %d released; want the dead member's last report %+v, %d",
+				id, rec, released, reported.Recovery, reported.SplitsReleased)
+		}
+		if _, err := m.RegisterWorker("fresh", ""); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int]bool)
+		for {
+			_, split, ok, _, err := m.NextSplit("fresh")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got[split] = true
+		}
+		for _, split := range leased[id] {
+			if !got[split] {
+				t.Fatalf("%s: requeued split %d never re-leased (got %v)", id, split, got)
+			}
+		}
 	}
 }
 
@@ -761,7 +805,8 @@ func TestReapRequeuesStaleWorkerMidStream(t *testing.T) {
 
 // TestWorkerCrashGoesDark asserts the fault hook's contract: a crashed
 // worker serves nothing on any plane, never reports done, and never
-// deregisters — the master must discover the death by staleness.
+// deregisters — the service must discover the death by its fleet
+// heartbeat's silence.
 func TestWorkerCrashGoesDark(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16)
 	m, err := NewMaster(wh, spec)

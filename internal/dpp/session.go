@@ -8,8 +8,9 @@
 //   - The Master (control plane) is one session's split ledger: it
 //     breaks the preprocessing workload into self-contained splits,
 //     serves them to Workers, tracks progress, checkpoints reader
-//     state, requeues the leases of failed Workers, and resolves the
-//     session's live worker membership (ListWorkers) for clients.
+//     state, requeues the leases of Workers that leave (the Service
+//     declares the dead), and resolves the session's live worker
+//     membership (ListWorkers) for clients.
 //   - Workers (data plane) are stateless: they register a data-plane
 //     endpoint, pull the transformation spec at startup, then do one
 //     thing per leased split — extract, transform, load. evalSplit
@@ -60,10 +61,14 @@
 //     oversupply; the loop counts Steps, not time (the two Steps after
 //     a drain neither launch nor drain), and Run takes one Step per
 //     ScaleInterval, so tests drive the identical control law
-//     deterministically by calling Step. A heartbeat
+//     deterministically by calling Step. Each Step first reaps
+//     (Service.ReapDead): a fleet member whose fleet heartbeat has been
+//     silent for FleetLeaseTimeout is the one kind of dead worker, and
+//     it is deregistered at every session master. A heartbeat
 //     (WorkerStats) carries exactly what the control plane reads: the
-//     windowed minimum buffer level and the evaluators' busy fraction
-//     for the scaler, and the recovery counters for Master.Recovery.
+//     fleet heartbeat the windowed minimum buffer level and the
+//     evaluators' busy fraction for the scaler, a pipeline's session
+//     heartbeat the recovery counters for Master.Recovery.
 //     Worker.Report is what a worker measured — bytes, rows, busy time;
 //     pricing it with the paper's cost model is an offline reading
 //     (internal/experiments), so no cost parameter rides a session and

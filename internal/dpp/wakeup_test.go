@@ -328,6 +328,8 @@ var workViews = []workView{
 // TestWorkChanged is the table of what closes MasterAPI.WorkChanged's
 // channels and what does not, through both implementations.
 func TestWorkChanged(t *testing.T) {
+	// svc is the current subtest's service (the subtests run in turn).
+	var svc *Service
 	lease := func(t *testing.T, m *Master, worker string) int {
 		t.Helper()
 		_, id, ok, _, err := m.NextSplit(worker)
@@ -397,14 +399,20 @@ func TestWorkChanged(t *testing.T) {
 				}
 			}},
 		{name: "requeueing ReapDead", wake: true,
-			prepare: func(t *testing.T, m *Master) int { return lease(t, m, "w") },
+			prepare: func(t *testing.T, m *Master) int {
+				if err := svc.RegisterFleetWorker("w", ""); err != nil {
+					t.Fatal(err)
+				}
+				return lease(t, m, "w")
+			},
 			act: func(t *testing.T, m *Master, _ *warehouse.Table, _ int) {
-				late := time.Now().Add(2 * m.LeaseTimeout)
-				m.mu.Lock()
-				m.now = func() time.Time { return late }
-				m.mu.Unlock()
-				if n := m.ReapDead(); n != 1 {
-					t.Fatalf("ReapDead requeued %d splits, want 1", n)
+				late := time.Now().Add(2 * svc.FleetLeaseTimeout)
+				svc.mu.Lock()
+				svc.now = func() time.Time { return late }
+				svc.mu.Unlock()
+				svc.ReapDead()
+				if n := m.WorkerCount(); n != 0 {
+					t.Fatalf("%d workers survived the reap, want 0", n)
 				}
 			}},
 		{name: "Drain", wake: true,
@@ -443,7 +451,7 @@ func TestWorkChanged(t *testing.T) {
 				} else {
 					wh, spec = buildFixture(t, 64, 16)
 				}
-				svc := NewService(wh)
+				svc = NewService(wh)
 				if err := svc.CreateSession("job", spec); err != nil {
 					t.Fatal(err)
 				}

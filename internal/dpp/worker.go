@@ -109,10 +109,11 @@ type Worker struct {
 	// to the master (CompleteSplit) only once every batch it produced has
 	// been consumed by a client — not when it lands in the buffer — so a
 	// worker that crashes with buffered or in-window batches leaves its
-	// splits leased, ReapDead requeues them, and another worker re-runs
-	// them. Clients deduplicate the partially-consumed overlap by the
-	// batches' (Split, Seq) provenance tags, which together makes
-	// delivery exactly-once even across non-graceful worker death.
+	// splits leased, the service's reap requeues them, and another
+	// worker re-runs them. Clients deduplicate the partially-consumed
+	// overlap by the batches' (Split, Seq) provenance tags, which
+	// together makes delivery exactly-once even across non-graceful
+	// worker death.
 	splits map[int]*splitAcct
 	// completing counts CompleteSplit RPCs in flight off-lock, so Retire
 	// does not deregister (requeueing leases) a moment before their acks
@@ -132,14 +133,15 @@ type Worker struct {
 	// landed); allocated only while Retire waits.
 	settled chan struct{}
 
-	// BusyFrac window: the last Stats() sample point, so each heartbeat
-	// reports the live busy fraction since the previous one.
-	lastStatsAt  time.Time
-	lastBusy     time.Duration
-	lastBusyFrac float64
-	// minBuffered tracks the lowest buffer occupancy since the last
-	// Stats() call (WorkerStats.MinBuffered).
+	// The scaler's window, restarted by every sampleStats: its start
+	// and the evaluators' busy time then (WorkerStats.BusyFrac), and the
+	// lowest buffer occupancy since (WorkerStats.MinBuffered).
+	lastStatsAt time.Time
+	lastBusy    time.Duration
 	minBuffered int
+	// rejections counts consecutive ErrDisowned answers to the session
+	// heartbeat (see heartbeat).
+	rejections int
 
 	// Stage stopwatches accumulate busy time across all pipeline
 	// goroutines; Report folds them into the resource report.
@@ -153,8 +155,8 @@ type Worker struct {
 	// goroutine at a time.
 	Sink func(*tensor.Batch)
 
-	// heartbeatEvery is the background liveness heartbeat period: a fleet
-	// worker's pipelines take its period, every other worker the default.
+	// heartbeatEvery is the session heartbeat period: a fleet worker's
+	// pipelines take its period, every other worker the default.
 	heartbeatEvery time.Duration
 }
 
@@ -529,21 +531,6 @@ func (w *Worker) addStreamOutstanding(delta int) {
 	w.mu.Unlock()
 }
 
-// Undelivered reports batches the worker is still responsible for:
-// buffered plus sent into stream windows but not yet granted.
-func (w *Worker) Undelivered() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.buffer) + w.outstanding
-}
-
-// Buffered reports the number of buffered batches.
-func (w *Worker) Buffered() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.buffer)
-}
-
 // Draining reports whether the master has marked this worker for
 // removal: it receives no further splits and Run exits once in-flight
 // work is delivered.
@@ -562,14 +549,15 @@ func (w *Worker) setDraining() {
 // Crash is the fault-injection hook: it kills the worker as a process
 // death would, with no drain and no deregistration. The data plane goes
 // dark immediately (streams sever, the buffer stops serving, in-process
-// clients wake to the error), heartbeats stop as soon as Run unwinds,
-// and nothing is acknowledged or handed off — the master discovers the
-// death through ReapDead's heartbeat staleness, requeues the leases of
-// every split the crashed worker had not fully delivered, and the
+// clients wake to the error), heartbeats stop, and nothing is
+// acknowledged or handed off. The worker's leases stay in flight until
+// the service declares its fleet worker dead (Service.ReapDead, on
+// fleet-heartbeat silence) and deregisters it at the master, which
+// requeues every split the crashed worker had not fully delivered; the
 // session re-runs them elsewhere. Idempotent. The worker also crashes
-// itself when the master disowns it (heartbeatLoop's consecutive-failure
-// rule): a reaped worker's buffered work is unreachable by any client,
-// so abandoning it is the only exit that cannot wedge.
+// itself when the master disowns it (heartbeat's rule): a reaped
+// worker's buffered work is unreachable by any client, so abandoning it
+// is the only exit that cannot wedge.
 func (w *Worker) Crash() {
 	w.mu.Lock()
 	if !w.crashed {
@@ -603,68 +591,34 @@ func (w *Worker) Report() ResourceReport {
 	return rep
 }
 
-// busyFracWindow is the minimum wall window over which BusyFrac is
-// re-sampled; faster callers reuse the previous sample so concurrent
-// stat readers don't shred the measurement window into noise.
-const busyFracWindow = 200 * time.Microsecond
-
-// busyFrac measures the live busy fraction of the data plane since the
-// previous sample: evaluator busy time (fetch, decode, transform —
-// not delivery, which counts backpressure blocking) over wall time,
-// normalized by the number of evaluator goroutines.
-func (w *Worker) busyFrac() float64 {
+// sampleStats reports the scaler's window and restarts it: the lowest
+// buffer level since the previous sample, and the evaluators' busy
+// fraction over it — fetch, decode and transform time (not delivery,
+// which counts backpressure blocking) over wall time, normalized by the
+// number of evaluator goroutines. The fleet heartbeat
+// (FleetWorker.AggregateStats) is its one caller, so each fleet
+// heartbeat reports what happened since the last.
+func (w *Worker) sampleStats() WorkerStats {
 	busy := w.stageFetch.Busy() + w.stageDecode.Busy() + w.stageTransform.Busy()
 	parallel := float64(w.spec.Pipeline.Prefetchers + w.spec.Pipeline.TransformParallelism)
 	now := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	wall := now.Sub(w.lastStatsAt)
-	if wall < busyFracWindow {
-		return w.lastBusyFrac
+	st := WorkerStats{MinBuffered: w.minBuffered}
+	if wall := now.Sub(w.lastStatsAt); wall > 0 {
+		st.BusyFrac = min(max(float64(busy-w.lastBusy)/(float64(wall)*parallel), 0), 1)
 	}
-	frac := float64(busy-w.lastBusy) / (float64(wall) * parallel)
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	w.lastStatsAt, w.lastBusy, w.lastBusyFrac = now, busy, frac
-	return frac
+	w.lastStatsAt, w.lastBusy = now, busy
+	w.minBuffered = len(w.buffer)
+	return st
 }
 
-// Stats is the heartbeat the worker would send now. It does NOT consume
-// the BusyFrac/MinBuffered measurement windows, so external pollers
-// (the fleet aggregate, tests) can call it freely without corrupting
-// the signals the auto-scaler keys on; only the worker's own heartbeat
-// paths sample-and-reset via heartbeatStats.
-func (w *Worker) Stats() WorkerStats { return w.stats(false) }
-
-// heartbeatStats is Stats plus a sample-and-restart of the BusyFrac and
-// MinBuffered windows; each heartbeat therefore reports what happened
-// since the previous heartbeat.
-func (w *Worker) heartbeatStats() WorkerStats { return w.stats(true) }
-
-func (w *Worker) stats(sample bool) WorkerStats {
-	var busyFrac float64
-	if sample {
-		busyFrac = w.busyFrac()
-	}
+// recoveryStats is the session heartbeat's report: the cumulative
+// recovery counters Master.Recovery totals.
+func (w *Worker) recoveryStats() WorkerStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !sample {
-		busyFrac = w.lastBusyFrac
-	}
-	st := WorkerStats{
-		MinBuffered:    w.minBuffered,
-		BusyFrac:       busyFrac,
-		Recovery:       w.report.Recovery,
-		SplitsReleased: w.report.SplitsReleased,
-	}
-	if sample {
-		w.minBuffered = len(w.buffer) // restart the window at the current level
-	}
-	return st
+	return WorkerStats{Recovery: w.report.Recovery, SplitsReleased: w.report.SplitsReleased}
 }
 
 // finish marks the worker drained-when-empty and wakes all waiters.
@@ -677,25 +631,11 @@ func (w *Worker) finish() {
 	w.mu.Unlock()
 }
 
-// heartbeatLoop renews liveness — and, at the master, the worker's
-// in-flight leases — during stretches where no split completes, e.g.
-// delivery blocked on a stalled trainer for longer than the lease
-// timeout. Three consecutive *rejections* — the master answering that
-// it no longer knows this worker — mean it was disowned (reaped after
-// a transient heartbeat lapse): its leases are requeued and it has
-// left the membership, so no client will ever be routed here to
-// relieve backpressure. Serving on could wedge the deliver loop
-// forever on a full buffer; instead the worker abandons its work
-// through the crash path — the requeued leases re-run elsewhere and
-// client-side dedup keeps delivery exactly-once, exactly as after a
-// real death. Transport failures (a master restart, a network blip)
-// are NOT disownment and are simply retried: membership and leases are
-// intact at the master, so abandoning the fleet's buffered work over a
-// brief control-plane hiccup would turn it all into needless re-runs.
+// heartbeatLoop is Run's session heartbeat, one per heartbeatEvery,
+// until stop closes or the worker crashes.
 func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
 	t := time.NewTicker(w.heartbeatEvery)
 	defer t.Stop()
-	rejections := 0
 	for {
 		select {
 		case <-stop:
@@ -703,17 +643,43 @@ func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
 		case <-w.crashCh:
 			return
 		case <-t.C:
-			err := w.master.Heartbeat(w.ID, w.heartbeatStats())
-			switch {
-			case err == nil:
-				rejections = 0
-			case isDisownedErr(err):
-				if rejections++; rejections >= 3 {
-					w.Crash()
-					return
-				}
-			}
+			w.heartbeat()
 		}
+	}
+}
+
+// maxRejections is how many consecutive ErrDisowned answers crash the
+// worker.
+const maxRejections = 3
+
+// heartbeat sends the session master one heartbeat under the one rule
+// both heartbeating loops (heartbeatLoop, Retire) share. The master
+// answering maxRejections times running that it no longer holds this
+// worker means it was disowned — reaped, or its session closed: its
+// leases were requeued and it left the membership, so no client will
+// ever be routed here to relieve backpressure or drain the buffer.
+// Serving on could wedge forever; instead the worker abandons its work
+// through the crash path — the requeued leases re-run elsewhere and
+// client-side dedup keeps delivery exactly-once, exactly as after a
+// real death. Transport failures (a master restart, a network blip)
+// never count: membership and leases are intact at the master, so
+// abandoning buffered work over a control-plane hiccup would turn it
+// all into needless re-runs.
+func (w *Worker) heartbeat() {
+	err := w.master.Heartbeat(w.ID, w.recoveryStats())
+	if err != nil && !isDisownedErr(err) {
+		return
+	}
+	w.mu.Lock()
+	if err == nil {
+		w.rejections = 0
+	} else {
+		w.rejections++
+	}
+	disowned := w.rejections >= maxRejections
+	w.mu.Unlock()
+	if disowned {
+		w.Crash()
 	}
 }
 
@@ -731,18 +697,14 @@ func isDisownedErr(err error) bool {
 }
 
 // Retire serves the worker's remaining buffered batches until consumers
-// drain them — heartbeating so the master keeps listing the worker and
-// clients keep fetching from it — then removes the worker from the
-// master's membership. Closing abandon gives up on undelivered batches
-// (forced shutdown; their splits are requeued by DeregisterWorker if
-// still leased) but still deregisters. Several consecutive heartbeat
-// failures also abandon the buffer: a worker the master no longer
-// acknowledges (reaped, or the control connection gone for good) is
-// dropped from membership, so no client will ever be routed here to
-// drain it and waiting would wedge forever — its leases are requeued
-// master-side. A single transient heartbeat error is retried, not
-// treated as abandonment. Call after Run returns; the pair is the
-// worker half of the graceful drain protocol.
+// drain them, heartbeating its session master as Run does, then removes
+// the worker from the master's membership. Closing abandon gives up on
+// undelivered batches (forced shutdown; their splits are requeued by
+// DeregisterWorker if still leased) but still deregisters. A worker the
+// master disowns meanwhile crashes under heartbeat's rule and returns
+// without deregistering: no client will be routed here to drain it.
+// Call after Run returns; the pair is the worker half of the graceful
+// drain protocol.
 func (w *Worker) Retire(abandon <-chan struct{}) error {
 	if w.Crashed() {
 		// A crashed worker is a dead process: it neither serves its
@@ -752,7 +714,6 @@ func (w *Worker) Retire(abandon <-chan struct{}) error {
 	}
 	hb := time.NewTicker(w.heartbeatEvery)
 	defer hb.Stop()
-	hbFails := 0
 drain:
 	for {
 		// Undelivered (not merely Buffered): batches pushed into a framed
@@ -781,18 +742,12 @@ drain:
 		case <-w.crashCh:
 			return nil
 		case <-hb.C:
-			if err := w.master.Heartbeat(w.ID, w.heartbeatStats()); err != nil {
-				if hbFails++; hbFails >= 3 {
-					break drain
-				}
-			} else {
-				hbFails = 0
-			}
+			w.heartbeat()
 		case <-settled:
 		}
 	}
 	// The master keeps a departed worker's last-reported counters in the
 	// session total (Master.Recovery), so the last report is the final one.
-	_ = w.master.Heartbeat(w.ID, w.heartbeatStats())
+	w.heartbeat()
 	return w.master.DeregisterWorker(w.ID)
 }
