@@ -77,12 +77,14 @@ func decodeBenchTable(b *testing.B, card int64, ascending, plain bool) (*dwrf.Re
 	return r, r.DataBytes(), cluster
 }
 
-// BenchmarkStripeDecode sweeps the v2 stream encodings against the v1
-// plain layout over the shapes that trigger them: low-cardinality IDs
-// (dictionary), strictly ascending IDs (delta), and full-range IDs
-// (plain wins, v2 must not regress). file_bytes reports the encoded
-// data size so the compression side of the trade shows up next to the
-// decode time.
+// BenchmarkStripeDecode sweeps the stream encodings (the "v2" cases,
+// named for the format that introduced them; they write the current
+// format) against the v1 plain layout over the shapes that trigger them:
+// low-cardinality IDs (dictionary), strictly ascending IDs (delta, or a
+// dictionary where that is fewer raw bytes), and
+// full-range IDs (plain wins, the encodings must not regress).
+// file_bytes reports the encoded data size so the compression side of
+// the trade shows up next to the decode time.
 func BenchmarkStripeDecode(b *testing.B) {
 	shapes := []struct {
 		name      string

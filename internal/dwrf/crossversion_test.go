@@ -1,6 +1,7 @@
 package dwrf
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -9,12 +10,15 @@ import (
 	"dsi/internal/tectonic"
 )
 
-// This file pins cross-version compatibility: testdata/v1_fixture.bin is
+// This file pins cross-version compatibility. testdata/v1_fixture.bin is
 // a committed DWRF file produced by the format-v1 writer (plain stream
-// encodings only) over the deterministic row set below. The rows are
-// regenerated in-process so the fixture's decoded content can be checked
-// value-for-value, and re-encoded with the current writer so v1 and v2
-// copies of the same table are proven decode-identical.
+// encodings only) over the deterministic row set below;
+// testdata/v2_fixture.bin is the same rows written by the format-v2
+// writer, whose dictionary streams hold fixed-width keys and entry
+// headers. The rows are regenerated in-process so each fixture's decoded
+// content can be checked value-for-value, and re-encoded with the current
+// writer so every version's copy of the same table is proven
+// decode-identical.
 
 // fixtureSchema is the committed fixture's table schema: two dense
 // features, a low-cardinality sparse feature (dictionary-friendly), an
@@ -36,9 +40,9 @@ func fixtureSchema() *schema.TableSchema {
 }
 
 // fixtureRows regenerates the deterministic samples stored in the
-// committed fixture. Any change here invalidates the fixture — do not
-// edit without regenerating testdata/v1_fixture.bin with a v1-era
-// writer.
+// committed fixtures. Any change here invalidates them — do not edit
+// without regenerating testdata/v1_fixture.bin and v2_fixture.bin with
+// writers of those eras.
 func fixtureRows() []*schema.Sample {
 	rng := rand.New(rand.NewSource(42))
 	rows := make([]*schema.Sample, 300)
@@ -105,21 +109,21 @@ func fixtureWriterOpts() WriterOptions {
 	return WriterOptions{Flatten: true, RowsPerStripe: 128}
 }
 
-// openFixture loads the committed v1 file into a fresh cluster and
-// opens it. The fixture is a hard requirement: a missing file fails the
-// test rather than skipping, so CI cannot silently lose the
+// openFixture loads the committed file of format version v into a fresh
+// cluster and opens it. The fixture is a hard requirement: a missing file
+// fails the test rather than skipping, so CI cannot silently lose the
 // cross-version guarantee.
-func openFixture(t *testing.T) *Reader {
+func openFixture(t *testing.T, v int) *Reader {
 	t.Helper()
-	raw, err := os.ReadFile("testdata/v1_fixture.bin")
+	raw, err := os.ReadFile(fmt.Sprintf("testdata/v%d_fixture.bin", v))
 	if err != nil {
-		t.Fatalf("committed v1 fixture must be readable (regenerate with a v1-era writer if lost): %v", err)
+		t.Fatalf("committed v%d fixture must be readable (regenerate with a v%d-era writer if lost): %v", v, v, err)
 	}
 	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 3, Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const path = "v1_fixture.dwrf"
+	const path = "fixture.dwrf"
 	if err := cluster.Create(path); err != nil {
 		t.Fatal(err)
 	}
@@ -150,36 +154,59 @@ func requireFixtureRows(t *testing.T, r *Reader) {
 	}
 }
 
-// TestCrossVersionEncodingV1FixtureReads proves the v2 reader decodes a
-// committed format-v1 file value-for-value.
+// TestCrossVersionEncodingV1FixtureReads proves the current reader
+// decodes a committed format-v1 file value-for-value.
 func TestCrossVersionEncodingV1FixtureReads(t *testing.T) {
-	r := openFixture(t)
+	r := openFixture(t, 1)
 	if r.Version() != 1 {
 		t.Fatalf("fixture version = %d, want 1", r.Version())
 	}
 	requireFixtureRows(t, r)
 }
 
+// TestCrossVersionEncodingV2FixtureReads proves the current reader
+// decodes a committed format-v2 file value-for-value, through the v2
+// fixed-width dictionary layout its dictionary streams were written in.
+func TestCrossVersionEncodingV2FixtureReads(t *testing.T) {
+	r := openFixture(t, 2)
+	if r.Version() != 2 {
+		t.Fatalf("fixture version = %d, want 2", r.Version())
+	}
+	encs := map[StreamEncoding]bool{}
+	for _, st := range r.footer.Stripes {
+		for _, s := range st.Streams {
+			encs[s.Encoding] = true
+		}
+	}
+	for _, e := range []StreamEncoding{EncDict, EncDelta} {
+		if !encs[e] {
+			t.Fatalf("v2 fixture holds no %v stream", e)
+		}
+	}
+	requireFixtureRows(t, r)
+}
+
 // TestCrossVersionEncodingReencode proves the same table re-encoded by
-// the current writer — both with v2 encodings and pinned to plain —
+// the current writer — both with its encodings and pinned to plain —
 // decodes identically to the v1 fixture, that the plain re-encode
 // reproduces the v1 stripes bit-for-bit (equal ContentHashes, so cached
-// wares stay shared), and that the v2 encodings shrink the data.
+// wares stay shared), that the encodings shrink the data, and that the
+// compact dictionaries store less than the v2 fixture's fixed-width ones.
 func TestCrossVersionEncodingReencode(t *testing.T) {
-	v1 := openFixture(t)
+	v1 := openFixture(t, 1)
 
-	c2, p2, err := writeFixtureTable(fixtureWriterOpts())
+	c, p, err := writeFixtureTable(fixtureWriterOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := OpenReader(c2, p2)
+	cur, err := OpenReader(c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2.Version() != 2 {
-		t.Fatalf("re-encoded version = %d, want 2", v2.Version())
+	if cur.Version() != Version {
+		t.Fatalf("re-encoded version = %d, want %d", cur.Version(), Version)
 	}
-	requireFixtureRows(t, v2)
+	requireFixtureRows(t, cur)
 
 	plainOpts := fixtureWriterOpts()
 	plainOpts.PlainEncodings = true
@@ -193,8 +220,8 @@ func TestCrossVersionEncodingReencode(t *testing.T) {
 	}
 	requireFixtureRows(t, plain)
 
-	if v1.Stripes() != plain.Stripes() || v1.Stripes() != v2.Stripes() {
-		t.Fatalf("stripe counts differ: v1 %d, plain %d, v2 %d", v1.Stripes(), plain.Stripes(), v2.Stripes())
+	if v1.Stripes() != plain.Stripes() || v1.Stripes() != cur.Stripes() {
+		t.Fatalf("stripe counts differ: v1 %d, plain %d, current %d", v1.Stripes(), plain.Stripes(), cur.Stripes())
 	}
 	for i := 0; i < v1.Stripes(); i++ {
 		if v1.StripeContentHash(i) != plain.StripeContentHash(i) {
@@ -203,7 +230,10 @@ func TestCrossVersionEncodingReencode(t *testing.T) {
 		}
 	}
 
-	if got, want := v2.DataBytes(), v1.DataBytes(); got >= want {
-		t.Fatalf("v2 data bytes = %d, not smaller than v1's %d", got, want)
+	if got, want := cur.DataBytes(), v1.DataBytes(); got >= want {
+		t.Fatalf("current data bytes = %d, not smaller than v1's %d", got, want)
+	}
+	if got, want := cur.DataBytes(), openFixture(t, 2).DataBytes(); got >= want {
+		t.Fatalf("current data bytes = %d, not smaller than the v2 fixture's %d", got, want)
 	}
 }

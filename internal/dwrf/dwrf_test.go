@@ -398,6 +398,7 @@ func TestBatchDecodeMatchesRowDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		batch.MaterializeDicts() // compare values, not dictionary indices
 		if batch.Rows != len(rowDecoded) {
 			t.Fatalf("batch rows %d vs %d", batch.Rows, len(rowDecoded))
 		}
@@ -723,24 +724,24 @@ func TestStreamingDecodeRejectsBadRows(t *testing.T) {
 	arena := NewArena()
 	// Out of range.
 	col := arena.Sparse(4)
-	if err := decodeSparseInto(mk([2]uint32{9, 1}), EncPlain, 4, col); err == nil {
+	if err := decodeSparseInto(mk([2]uint32{9, 1}), EncPlain, Version, 4, col); err == nil {
 		t.Fatal("out-of-range row accepted")
 	}
 	// Out of order.
 	col = arena.Sparse(4)
-	if err := decodeSparseInto(mk([2]uint32{2, 1}, [2]uint32{1, 1}), EncPlain, 4, col); err == nil {
+	if err := decodeSparseInto(mk([2]uint32{2, 1}, [2]uint32{1, 1}), EncPlain, Version, 4, col); err == nil {
 		t.Fatal("out-of-order row accepted")
 	}
 	// Count larger than payload.
 	col = arena.Sparse(4)
-	if err := decodeSparseInto(mk([2]uint32{0, 0}), EncPlain, 4, col); err != nil {
+	if err := decodeSparseInto(mk([2]uint32{0, 0}), EncPlain, Version, 4, col); err != nil {
 		t.Fatalf("valid empty entry rejected: %v", err)
 	}
 	var p payloadWriter
 	p.u32(1)
 	p.u32(0)
 	p.u32(1 << 30) // claims 2^30 values with nothing behind them
-	if err := decodeSparseInto(p.bytes(), EncPlain, 4, arena.Sparse(4)); err == nil {
+	if err := decodeSparseInto(p.bytes(), EncPlain, Version, 4, arena.Sparse(4)); err == nil {
 		t.Fatal("oversized count accepted")
 	}
 	// Dense out of range.

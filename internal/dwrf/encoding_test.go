@@ -2,6 +2,7 @@ package dwrf
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dsi/internal/schema"
@@ -25,10 +26,15 @@ func encRows(n int) []*schema.Sample {
 			asc[j] = next
 		}
 		s.SparseFeatures[3] = asc
-		// A full-64-bit-spread value per row: dict would need one entry
-		// per occurrence and a zigzag varint of a full-range magnitude
-		// costs 9-10 bytes, so plain's fixed 8 wins.
-		s.SparseFeatures[4] = []int64{int64(uint64(i+1) * 0x9E3779B97F4A7C15)}
+		// Eight full-64-bit-spread values per row: dict would need one key
+		// per occurrence, about 8 bytes of sorted-key difference plus a
+		// 2-byte index, and a zigzag varint of a full-range magnitude costs
+		// 9-10 bytes, so plain's fixed 8 wins.
+		spread := make([]int64, 8)
+		for j := range spread {
+			spread[j] = int64(uint64(8*i+j+1) * 0x9E3779B97F4A7C15)
+		}
+		s.SparseFeatures[4] = spread
 		s.ScoreListFeatures[5] = []schema.ScoredValue{{Value: int64(i % 3), Score: float32(i % 2)}}
 		rows[i] = s
 	}
@@ -272,5 +278,161 @@ func TestBufPoolClasses(t *testing.T) {
 	p.put(&jumbo)
 	if got := p.get((16 << 20) + 1); cap(*got) < (16<<20)+1 {
 		t.Fatalf("jumbo get returned cap %d", cap(*got))
+	}
+}
+
+// TestCompactDictKeysRoundTripExtremes: delta-coded keys wrap as uint64
+// arithmetic does, so a dictionary spanning MinInt64 to MaxInt64 decodes
+// to the keys it was written with. Score-list keys repeat a value under
+// different scores, a zero difference their decoder must accept.
+func TestCompactDictKeysRoundTripExtremes(t *testing.T) {
+	ext := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1}
+	rows := make([]*schema.Sample, 64)
+	for i := range rows {
+		rows[i] = schema.NewSample()
+		if i%3 == 2 {
+			continue // absent rows, so entry gaps are not all zero
+		}
+		rows[i].SparseFeatures[1] = []int64{ext[i%len(ext)], ext[(i+3)%len(ext)]}
+		rows[i].ScoreListFeatures[2] = []schema.ScoredValue{
+			{Value: ext[i%len(ext)], Score: float32(i % 2)},
+			{Value: ext[i%len(ext)], Score: 0.5},
+		}
+	}
+	var enc stripeEncoder
+	payload, e := enc.encodeSparse(rows, 1, false)
+	if e != EncDict {
+		t.Fatalf("sparse selected %v, want the dictionary encoding", e)
+	}
+	sc := SparseColumn{Offsets: make([]int32, len(rows)+1)}
+	if err := decodeSparseInto(payload, e, Version, len(rows), &sc); err != nil {
+		t.Fatal(err)
+	}
+	vals := sc.MaterializedValues(nil)
+	for i, r := range rows {
+		if got, want := vals[sc.Offsets[i]:sc.Offsets[i+1]], r.SparseFeatures[1]; !slices.Equal(got, want) {
+			t.Fatalf("sparse row %d: %v, want %v", i, got, want)
+		}
+	}
+	payload, e = enc.encodeScoreList(rows, 2, false)
+	if e != EncDict {
+		t.Fatalf("score-list selected %v, want the dictionary encoding", e)
+	}
+	lc := ScoreListColumn{Offsets: make([]int32, len(rows)+1)}
+	if err := decodeScoreListInto(payload, e, Version, len(rows), &lc); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if got, want := lc.RowValues(i), r.ScoreListFeatures[2]; !slices.Equal(got, want) {
+			t.Fatalf("score-list row %d: %v, want %v", i, got, want)
+		}
+	}
+}
+
+// compactDictHostile is one hand-built compact dictionary payload that
+// the decoders must reject, for a stripe of fuzzRows rows.
+type compactDictHostile struct {
+	name    string
+	scored  bool
+	payload []byte
+}
+
+// compactDictHostiles builds, for sparse and score-list streams, the
+// compact dictionary payloads a decoder must refuse: a truncated varint,
+// a dictionary length the bytes left cannot hold, a zero sparse key
+// difference, a row gap past the stripe, and an index past the
+// dictionary. Each differs from a valid one-entry payload in one place.
+func compactDictHostiles() []compactDictHostile {
+	build := func(scored bool, dlen uint32, keys []uint64, gap uint64, idx byte) []byte {
+		var p payloadWriter
+		p.u32(1) // entries
+		p.u32(dlen)
+		for i, k := range keys {
+			if i == 0 {
+				p.varint(int64(k))
+			} else {
+				p.uvarint(k)
+			}
+			if scored {
+				p.f32(0.5)
+			}
+		}
+		p.uvarint(gap)
+		p.uvarint(1) // n
+		return append(p.bytes(), idx)
+	}
+	var out []compactDictHostile
+	for _, scored := range []bool{false, true} {
+		// A key varint whose every byte sets the continuation bit.
+		truncated := append(build(scored, 1, nil, 0, 0)[:8], 0x80, 0x80, 0x80, 0x80, 0x80)
+		out = append(out,
+			compactDictHostile{"truncated varint", scored, truncated},
+			compactDictHostile{"dictLen past the bytes left", scored, build(scored, 1<<20, []uint64{5}, 0, 0)},
+			compactDictHostile{"row gap past rows", scored, build(scored, 1, []uint64{5}, fuzzRows, 0)},
+			compactDictHostile{"index past the dictionary", scored, build(scored, 1, []uint64{5}, 0, 1)},
+		)
+	}
+	return append(out, compactDictHostile{"zero sparse key difference", false, build(false, 2, []uint64{5, 0}, 0, 1)})
+}
+
+// TestCompactDictRejectsHostileBytes: each hostile payload errors, and
+// the valid payload it was cut from decodes.
+func TestCompactDictRejectsHostileBytes(t *testing.T) {
+	decode := func(scored bool, payload []byte) error {
+		if scored {
+			lc := ScoreListColumn{Offsets: make([]int32, fuzzRows+1)}
+			return decodeScoreListInto(payload, EncDict, Version, fuzzRows, &lc)
+		}
+		sc := SparseColumn{Offsets: make([]int32, fuzzRows+1)}
+		return decodeSparseInto(payload, EncDict, Version, fuzzRows, &sc)
+	}
+	for _, h := range compactDictHostiles() {
+		if err := decode(h.scored, h.payload); err == nil {
+			t.Errorf("scored=%v %s: decoded without error", h.scored, h.name)
+		}
+	}
+	// The same payloads with every field in range decode; a score list
+	// may repeat a key value.
+	var p payloadWriter
+	p.u32(1)
+	p.u32(2)
+	p.varint(5)
+	p.uvarint(3)
+	p.uvarint(fuzzRows - 1)
+	p.uvarint(2)
+	valid := append(p.bytes(), 0, 1)
+	if err := decode(false, valid); err != nil {
+		t.Fatalf("valid sparse payload: %v", err)
+	}
+	p.reset()
+	p.u32(1)
+	p.u32(2)
+	p.varint(5)
+	p.f32(0.5)
+	p.uvarint(0)
+	p.f32(1)
+	p.uvarint(fuzzRows - 1)
+	p.uvarint(2)
+	if err := decode(true, append(p.bytes(), 0, 1)); err != nil {
+		t.Fatalf("valid score-list payload with a repeated value: %v", err)
+	}
+}
+
+// TestCompactDictRM1Bytes guards what format v3's compact dictionaries
+// save on the benchmark's data shape. Four 256-row RM1 stripes at sparse
+// cardinality 0 and 4096 stored 695.4 and 610.8 stream bytes per row
+// under format v2's fixed-width dictionaries; v3 must store at most 0.85
+// of that.
+func TestCompactDictRM1Bytes(t *testing.T) {
+	for _, c := range []struct {
+		card uint64
+		v2   float64
+	}{{0, 695.4}, {4096, 610.8}} {
+		r := writeRM1(t, c.card, 4)
+		perRow := float64(r.DataBytes()) / float64(r.Rows())
+		if limit := 0.85 * c.v2; perRow > limit {
+			t.Errorf("card %d: %.1f stored bytes per row, limit %.1f (0.85 of v2's %.1f)", c.card, perRow, limit, c.v2)
+		}
+		t.Logf("card %d: %.1f stored bytes per row (v2: %.1f)", c.card, perRow, c.v2)
 	}
 }

@@ -15,19 +15,25 @@
 // reordering (FR), and large stripes (LS); the reader can decode into
 // either row maps or the in-memory flatmap (FM) columnar batch.
 //
-// # Stream encodings (format v2)
+// # Stream encodings (format v3)
 //
-// Format v2 picks a wire encoding per stream per stripe, chosen at flush
-// time from the stripe's own value statistics (cardinality, presence
-// runs, ID ordering). The matrix:
+// Format v2 introduced a wire encoding per stream per stripe, chosen at
+// flush time from the stripe's own value statistics (cardinality,
+// presence runs, ID ordering); format v3 made the dictionary layout
+// compact. The matrix:
 //
 //	Encoding  Streams            Chosen when                       Wire layout
 //	--------  -----------------  --------------------------------  -------------------------------------------
 //	plain     all                fallback (always legal)           v1 layout, fixed-width little-endian
-//	dict      sparse,score-list  few distinct values; dictionary   u32 entries, u32 dictLen, sorted dictionary
-//	                             + packed indices smaller than     (i64 | i64+f32 per entry), then per row
-//	                             plain                             entry: u32 row, u32 n, n packed indices
-//	                                                               (1 byte if dictLen<=256 else 2 bytes)
+//	dict      sparse,score-list  few distinct values; dictionary   u32 entries, u32 dictLen, sorted dictionary:
+//	                             + packed indices smaller than     zigzag-varint first value, then per key the
+//	                             the other layouts                 uvarint of its difference from the previous
+//	                                                               (wrapping uint64; >= 1 for sparse keys,
+//	                                                               >= 0 for value-major score-list keys, each
+//	                                                               followed by its raw f32 score); then per
+//	                                                               row entry: uvarint rows skipped since the
+//	                                                               previous present row, uvarint n, n packed
+//	                                                               indices (1 byte if dictLen<=256 else 2)
 //	rle       dense              presence forms few runs; run      u32 count, u32 runs, runs x (u32 start,
 //	                             list + value tail smaller than    u32 len), then count x f32 value tail
 //	                             per-value (row,value) pairs
@@ -41,9 +47,13 @@
 //
 // Compatibility rules: v1 files carry no StreamMeta.Encoding field; gob
 // decodes the absent field as zero, which IS EncPlain, so every v1 file
-// reads under the v2 reader unchanged. A v2 writer with PlainEncodings
-// set emits streams byte-identical to v1 (same payloads, same
-// compression, same StripeMeta.ContentHash). Readers reject footers
+// reads under the current reader unchanged. v2 files wrote dictionary
+// streams fixed-width (i64 keys, i64+f32 score-list keys, u32 row, u32 n
+// entry headers); the reader picks that layout from the footer's Version,
+// so v2 files read unchanged too, but the writer no longer emits it. Only
+// the dictionary layout differs between v2 and v3. A writer with
+// PlainEncodings set emits streams byte-identical to v1 (same payloads,
+// same compression, same StripeMeta.ContentHash). Readers reject footers
 // whose Version is newer than their own rather than misparse unknown
 // encodings.
 //
@@ -88,9 +98,16 @@ import (
 const Magic = "DWRF"
 
 // Version is the format version written by this package. Version 2
-// added per-stream encodings (StreamMeta.Encoding); version 1 files —
-// plain encodings only — remain fully readable.
-const Version = 2
+// added per-stream encodings (StreamMeta.Encoding); version 3 made
+// dictionary streams compact (compactDictVersion). Version 1 files —
+// plain encodings only — and version 2 files remain fully readable.
+const Version = 3
+
+// compactDictVersion is the first format version whose dictionary
+// streams are compact: delta-coded keys and varint gap entry headers
+// (writeDict). A v2 file's dictionary streams hold fixed-width keys and
+// u32 row, u32 n entry headers, which the decoders still read.
+const compactDictVersion = 3
 
 // streamKind tags the payload type of a stream.
 type streamKind uint8
@@ -185,7 +202,7 @@ type StripeMeta struct {
 	// content-addressed caching (ware.WareID). Zero in files written
 	// before the field existed — gob tolerates the absence, and readers
 	// fall back to addressing by path+stripe. Note the digest is over
-	// ENCODED bytes: re-encoding a stripe (v1 plain vs v2 dictionary)
+	// ENCODED bytes: re-encoding a stripe (v1 plain, v2 or v3 dictionary)
 	// changes its hash even though the decoded values are identical, so
 	// differently-encoded copies of one table are distinct wares.
 	ContentHash uint64
@@ -375,6 +392,11 @@ func (p *payloadReader) f32() (float32, error) {
 }
 
 func (p *payloadReader) uvarint() (uint64, error) {
+	if p.pos < len(p.data) && p.data[p.pos] < 0x80 { // most gaps, lengths and key differences fit a byte
+		v := p.data[p.pos]
+		p.pos++
+		return uint64(v), nil
+	}
 	v, n := binary.Uvarint(p.data[p.pos:])
 	if n <= 0 {
 		if n == 0 {
@@ -396,6 +418,26 @@ func (p *payloadReader) varint() (int64, error) {
 	}
 	p.pos += n
 	return v, nil
+}
+
+// dictKey reads one compact dictionary key: the first as a zigzag
+// varint, each later one as prev plus a uvarint difference. The sum wraps
+// as uint64 arithmetic does, so MinInt64 to MaxInt64 is one difference,
+// but a key below prev is corrupt, and so is one equal to it when strict
+// (sparse keys ascend strictly; score-list keys are value-major).
+func (p *payloadReader) dictKey(first bool, prev int64, strict bool) (int64, error) {
+	if first {
+		return p.varint()
+	}
+	d, err := p.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	k := prev + int64(d)
+	if k < prev || strict && k == prev {
+		return 0, fmt.Errorf("dwrf: dictionary key %d plus %d does not ascend", prev, d)
+	}
+	return k, nil
 }
 
 // idx reads one packed dictionary index of width w bytes.
@@ -666,6 +708,25 @@ func (b *dictBuilder) remap() {
 	}
 }
 
+// keyBytes is the size writeDict gives the built dictionary's keys: the
+// first value as a zigzag varint, each later one as the uvarint of its
+// difference from the one before, and four bytes of score bits per key
+// when scored.
+func (b *dictBuilder) keyBytes(scored bool) int {
+	n := 0
+	for i, k := range b.keys {
+		if i == 0 {
+			n += varintLen(k.v)
+		} else {
+			n += uvarintLen(uint64(k.v - b.keys[i-1].v))
+		}
+	}
+	if scored {
+		n += 4 * len(b.keys)
+	}
+	return n
+}
+
 // encodeSparse encodes a sparse feature column, picking the smallest of
 // the plain, dictionary, and (for strictly ascending ID lists) delta
 // layouts from the stripe's own values.
@@ -705,30 +766,26 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 	enc := EncPlain
 	if !plainOnly {
 		bestSize := plainSize
-		// A dictionary of more than limit entries, each at least a byte
-		// per index, is no smaller than plain.
-		limit := min(maxDictCard, (plainSize-8-8*entries-total)/8)
-		if e.dict.buildSparse(e.vals, limit) {
-			d := len(e.dict.keys)
-			if dictSize := 8 + 8*d + 8*entries + dictIdxWidth(d)*total; dictSize < bestSize {
-				enc, bestSize = EncDict, dictSize
-			}
-		}
 		if ascending {
 			if deltaSize := 4 + 8*entries + deltaBody; deltaSize < bestSize {
-				enc = EncDelta
+				enc, bestSize = EncDelta, deltaSize
+			}
+		}
+		// A dictionary of more than limit keys, each at least a byte, with
+		// at least a byte per index, is no smaller than the best so far.
+		hdr := e.gapHeaderBytes()
+		limit := min(maxDictCard, bestSize-8-hdr-total)
+		if e.dict.buildSparse(e.vals, limit) {
+			d := len(e.dict.keys)
+			if dictSize := 8 + e.dict.keyBytes(false) + hdr + dictIdxWidth(d)*total; dictSize < bestSize {
+				enc = EncDict
 			}
 		}
 	}
 
 	switch enc {
 	case EncDict:
-		p.u32(uint32(entries))
-		p.u32(uint32(len(e.dict.keys)))
-		for _, k := range e.dict.keys {
-			p.i64(k.v)
-		}
-		e.writeDictIndices()
+		e.writeDict(false)
 	case EncDelta:
 		p.u32(uint32(entries))
 		pos := 0
@@ -762,21 +819,48 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 	return p.bytes(), enc
 }
 
-// writeDictIndices writes the entries of a dictionary stream: per present
-// row its index, its list length, and the list's packed dictionary
-// indices.
-func (e *stripeEncoder) writeDictIndices() {
+// gapHeaderBytes is the size of the gathered entries' dictionary entry
+// headers: per present row, the uvarint count of rows skipped since the
+// previous present row, then the uvarint list length.
+func (e *stripeEncoder) gapHeaderBytes() int {
+	n, next := 0, uint32(0)
+	for k, row := range e.rows {
+		n += uvarintLen(uint64(row-next)) + uvarintLen(uint64(e.lens[k]))
+		next = row + 1
+	}
+	return n
+}
+
+// writeDict writes a dictionary stream from the built dictionary: the
+// entry count and dictionary length, the sorted keys delta-coded (with
+// each score's raw bits when scored), then per present row its gap
+// header and the list's packed dictionary indices.
+func (e *stripeEncoder) writeDict(scored bool) {
 	p := &e.pw
-	w := dictIdxWidth(len(e.dict.keys))
-	pos := 0
+	keys := e.dict.keys
+	p.u32(uint32(len(e.rows)))
+	p.u32(uint32(len(keys)))
+	for i, k := range keys {
+		if i == 0 {
+			p.varint(k.v)
+		} else {
+			p.uvarint(uint64(k.v - keys[i-1].v)) // wraps, so MinInt64 to MaxInt64 round-trips
+		}
+		if scored {
+			p.u32(k.s)
+		}
+	}
+	w := dictIdxWidth(len(keys))
+	pos, next := 0, uint32(0)
 	for k, row := range e.rows {
 		n := int(e.lens[k])
-		p.u32(row)
-		p.u32(uint32(n))
+		p.uvarint(uint64(row - next))
+		p.uvarint(uint64(n))
 		for _, i := range e.dict.idx[pos : pos+n] {
 			p.idx(i, w)
 		}
 		pos += n
+		next = row + 1
 	}
 }
 
@@ -803,11 +887,12 @@ func (e *stripeEncoder) encodeScoreList(rows []*schema.Sample, id schema.Feature
 	p.reset()
 	enc := EncPlain
 	if !plainOnly {
-		// As in encodeSparse, with 12-byte entries.
-		limit := min(maxDictCard, (plainSize-8-8*entries-total)/12)
+		// As in encodeSparse, with keys of at least five bytes.
+		hdr := e.gapHeaderBytes()
+		limit := min(maxDictCard, (plainSize-8-hdr-total)/5)
 		if e.dict.buildScored(e.svals, limit) {
 			d := len(e.dict.keys)
-			if dictSize := 8 + 12*d + 8*entries + dictIdxWidth(d)*total; dictSize < plainSize {
+			if dictSize := 8 + e.dict.keyBytes(true) + hdr + dictIdxWidth(d)*total; dictSize < plainSize {
 				enc = EncDict
 			}
 		}
@@ -815,13 +900,7 @@ func (e *stripeEncoder) encodeScoreList(rows []*schema.Sample, id schema.Feature
 
 	switch enc {
 	case EncDict:
-		p.u32(uint32(entries))
-		p.u32(uint32(len(e.dict.keys)))
-		for _, k := range e.dict.keys {
-			p.i64(k.v)
-			p.u32(k.s)
-		}
-		e.writeDictIndices()
+		e.writeDict(true)
 	default:
 		p.u32(uint32(entries))
 		pos := 0
@@ -971,13 +1050,14 @@ func decodeDenseRLE(data []byte, rows int, col *DenseColumn) error {
 // order; an out-of-order or out-of-range row errors (the old buffered
 // decoder silently dropped everything after an out-of-order entry).
 // Dictionary streams decode into the dictionary-indexed representation
-// (col.Dict + index values); plain and delta streams materialize.
-func decodeSparseInto(data []byte, enc StreamEncoding, rows int, col *SparseColumn) error {
+// (col.Dict + index values); plain and delta streams materialize. version
+// is the file's format version, which picks the dictionary layout.
+func decodeSparseInto(data []byte, enc StreamEncoding, version, rows int, col *SparseColumn) error {
 	switch enc {
 	case EncPlain:
 		return decodeSparsePlain(data, rows, col)
 	case EncDict:
-		return decodeSparseDict(data, rows, col)
+		return decodeSparseDict(data, version >= compactDictVersion, rows, col)
 	case EncDelta:
 		return decodeSparseDelta(data, rows, col)
 	default:
@@ -985,25 +1065,47 @@ func decodeSparseInto(data []byte, enc StreamEncoding, rows int, col *SparseColu
 	}
 }
 
-// sparseEntryHeader reads and validates one (row, n) entry header,
-// filling offsets up to row. next is the next row index whose offset is
-// unwritten.
-func sparseEntryHeader(r *payloadReader, rows int, next *int, offsets []int32, filled int) (int, int, error) {
-	row, err := r.u32()
-	if err != nil {
-		return 0, 0, err
+// sparseEntryHeader reads and validates one entry header, filling offsets
+// up to its row; next is the next row index whose offset is unwritten. A
+// fixed header is u32 row, u32 n. A gap header (compact dictionaries) is
+// the uvarint count of rows skipped since the previous present row, then
+// uvarint n. The returned n is at most the bytes left, since every layout
+// spends at least a byte per value.
+func sparseEntryHeader(r *payloadReader, gaps bool, rows int, next *int, offsets []int32, filled int) (int, error) {
+	var row, n uint64
+	if gaps {
+		gap, err := r.uvarint()
+		if err != nil {
+			return 0, err
+		}
+		if gap >= uint64(rows-*next) {
+			return 0, fmt.Errorf("dwrf: sparse row gap %d past stripe of %d rows", gap, rows)
+		}
+		row = uint64(*next) + gap
+		if n, err = r.uvarint(); err != nil {
+			return 0, err
+		}
+	} else {
+		row32, err := r.u32()
+		if err != nil {
+			return 0, err
+		}
+		n32, err := r.u32()
+		if err != nil {
+			return 0, err
+		}
+		if int(row32) >= rows || int(row32) < *next {
+			return 0, fmt.Errorf("dwrf: sparse row %d out of order in stripe of %d rows", row32, rows)
+		}
+		row, n = uint64(row32), uint64(n32)
 	}
-	n, err := r.u32()
-	if err != nil {
-		return 0, 0, err
-	}
-	if int(row) >= rows || int(row) < *next {
-		return 0, 0, fmt.Errorf("dwrf: sparse row %d out of order in stripe of %d rows", row, rows)
+	if n > uint64(r.remaining()) {
+		return 0, io.ErrUnexpectedEOF
 	}
 	for ; *next <= int(row); *next++ {
 		offsets[*next] = int32(filled)
 	}
-	return int(row), int(n), nil
+	return int(n), nil
 }
 
 func decodeSparsePlain(data []byte, rows int, col *SparseColumn) error {
@@ -1015,11 +1117,11 @@ func decodeSparsePlain(data []byte, rows int, col *SparseColumn) error {
 	next := 0
 	col.Values = slices.Grow(col.Values, max(0, r.remaining()-8*int(count))/8)
 	for i := uint32(0); i < count; i++ {
-		_, n, err := sparseEntryHeader(&r, rows, &next, col.Offsets, len(col.Values))
+		n, err := sparseEntryHeader(&r, false, rows, &next, col.Offsets, len(col.Values))
 		if err != nil {
 			return err
 		}
-		if int64(n)*8 > int64(r.remaining()) {
+		if n*8 > r.remaining() {
 			return io.ErrUnexpectedEOF
 		}
 		for j := 0; j < n; j++ {
@@ -1033,35 +1135,58 @@ func decodeSparsePlain(data []byte, rows int, col *SparseColumn) error {
 	return nil
 }
 
-func decodeSparseDict(data []byte, rows int, col *SparseColumn) error {
+// dictHeader reads a dictionary stream's entry count and dictionary
+// length, refusing a length the bytes left cannot hold at keyMin bytes a
+// key, so no dictionary grows past what the payload can fill.
+func dictHeader(r *payloadReader, keyMin int) (count, dlen uint32, err error) {
+	if count, err = r.u32(); err != nil {
+		return 0, 0, err
+	}
+	if dlen, err = r.u32(); err != nil {
+		return 0, 0, err
+	}
+	if int64(dlen)*int64(keyMin) > int64(r.remaining()) {
+		return 0, 0, io.ErrUnexpectedEOF
+	}
+	return count, dlen, nil
+}
+
+// decodeSparseDict decodes a sparse dictionary stream, compact (format
+// v3: delta-coded keys, gap entry headers) or fixed-width (format v2).
+func decodeSparseDict(data []byte, compact bool, rows int, col *SparseColumn) error {
 	r := payloadReader{data: data}
-	count, err := r.u32()
+	keyMin, hdrMin := 8, 8
+	if compact {
+		keyMin, hdrMin = 1, 2
+	}
+	count, dlen, err := dictHeader(&r, keyMin)
 	if err != nil {
 		return err
-	}
-	dlen, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if int64(dlen)*8 > int64(r.remaining()) {
-		return io.ErrUnexpectedEOF
 	}
 	col.Dict = slices.Grow(col.Dict[:0], int(dlen))
+	var k int64
 	for i := uint32(0); i < dlen; i++ {
-		col.Dict = append(col.Dict, int64(binary.LittleEndian.Uint64(data[r.pos:])))
-		r.pos += 8
+		if compact {
+			if k, err = r.dictKey(i == 0, k, true); err != nil {
+				return err
+			}
+		} else {
+			k = int64(binary.LittleEndian.Uint64(data[r.pos:]))
+			r.pos += 8
+		}
+		col.Dict = append(col.Dict, k)
 	}
 	w := dictIdxWidth(int(dlen))
-	// What follows the dictionary is count 8-byte entry headers and the
-	// packed indices: size Values for those once instead of growing it.
-	col.Values = slices.Grow(col.Values, max(0, r.remaining()-8*int(count))/w)
+	// What follows the dictionary is count entry headers and the packed
+	// indices: size Values for those once instead of growing it.
+	col.Values = slices.Grow(col.Values, max(0, r.remaining()-hdrMin*int(count))/w)
 	next := 0
 	for i := uint32(0); i < count; i++ {
-		_, n, err := sparseEntryHeader(&r, rows, &next, col.Offsets, len(col.Values))
+		n, err := sparseEntryHeader(&r, compact, rows, &next, col.Offsets, len(col.Values))
 		if err != nil {
 			return err
 		}
-		if int64(n)*int64(w) > int64(r.remaining()) {
+		if n*w > r.remaining() {
 			return io.ErrUnexpectedEOF
 		}
 		for j := 0; j < n; j++ {
@@ -1086,12 +1211,9 @@ func decodeSparseDelta(data []byte, rows int, col *SparseColumn) error {
 	}
 	next := 0
 	for i := uint32(0); i < count; i++ {
-		_, n, err := sparseEntryHeader(&r, rows, &next, col.Offsets, len(col.Values))
+		n, err := sparseEntryHeader(&r, false, rows, &next, col.Offsets, len(col.Values))
 		if err != nil {
 			return err
-		}
-		if int64(n) > int64(r.remaining()) { // each varint is >= 1 byte
-			return io.ErrUnexpectedEOF
 		}
 		var prev int64
 		for j := 0; j < n; j++ {
@@ -1118,12 +1240,12 @@ func decodeSparseDelta(data []byte, rows int, col *SparseColumn) error {
 // Dictionary-encoded score lists are materialized at decode time (the
 // in-memory ScoreListColumn carries no dictionary); the wire-level
 // dictionary still buys the smaller file and a cheaper decode loop.
-func decodeScoreListInto(data []byte, enc StreamEncoding, rows int, col *ScoreListColumn) error {
+func decodeScoreListInto(data []byte, enc StreamEncoding, version, rows int, col *ScoreListColumn) error {
 	switch enc {
 	case EncPlain:
 		return decodeScoreListPlain(data, rows, col)
 	case EncDict:
-		return decodeScoreListDict(data, rows, col)
+		return decodeScoreListDict(data, version >= compactDictVersion, rows, col)
 	default:
 		return fmt.Errorf("dwrf: %v encoding invalid for score-list stream", enc)
 	}
@@ -1137,11 +1259,11 @@ func decodeScoreListPlain(data []byte, rows int, col *ScoreListColumn) error {
 	}
 	next := 0
 	for i := uint32(0); i < count; i++ {
-		_, n, err := sparseEntryHeader(&r, rows, &next, col.Offsets, len(col.Values))
+		n, err := sparseEntryHeader(&r, false, rows, &next, col.Offsets, len(col.Values))
 		if err != nil {
 			return err
 		}
-		if int64(n)*12 > int64(r.remaining()) {
+		if n*12 > r.remaining() {
 			return io.ErrUnexpectedEOF
 		}
 		for j := 0; j < n; j++ {
@@ -1161,37 +1283,47 @@ func decodeScoreListPlain(data []byte, rows int, col *ScoreListColumn) error {
 // live only for the duration of one stream decode).
 var scoredDicts = sync.Pool{New: func() any { return new([]schema.ScoredValue) }}
 
-func decodeScoreListDict(data []byte, rows int, col *ScoreListColumn) error {
+// decodeScoreListDict is decodeSparseDict for score-list streams, whose
+// keys carry raw score bits after each value and, being value-major, may
+// repeat a value.
+func decodeScoreListDict(data []byte, compact bool, rows int, col *ScoreListColumn) error {
 	r := payloadReader{data: data}
-	count, err := r.u32()
+	keyMin := 12
+	if compact {
+		keyMin = 5
+	}
+	count, dlen, err := dictHeader(&r, keyMin)
 	if err != nil {
 		return err
-	}
-	dlen, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if int64(dlen)*12 > int64(r.remaining()) {
-		return io.ErrUnexpectedEOF
 	}
 	dp := scoredDicts.Get().(*[]schema.ScoredValue)
 	defer scoredDicts.Put(dp)
-	dict := (*dp)[:0]
+	dict := slices.Grow((*dp)[:0], int(dlen))
+	var v int64
 	for i := uint32(0); i < dlen; i++ {
-		v := int64(binary.LittleEndian.Uint64(data[r.pos:]))
-		s := math.Float32frombits(binary.LittleEndian.Uint32(data[r.pos+8:]))
-		r.pos += 12
+		if compact {
+			v, err = r.dictKey(i == 0, v, false)
+		} else {
+			v, err = r.i64()
+		}
+		if err != nil {
+			return err
+		}
+		s, err := r.f32()
+		if err != nil {
+			return err
+		}
 		dict = append(dict, schema.ScoredValue{Value: v, Score: s})
 	}
 	*dp = dict
 	w := dictIdxWidth(int(dlen))
 	next := 0
 	for i := uint32(0); i < count; i++ {
-		_, n, err := sparseEntryHeader(&r, rows, &next, col.Offsets, len(col.Values))
+		n, err := sparseEntryHeader(&r, compact, rows, &next, col.Offsets, len(col.Values))
 		if err != nil {
 			return err
 		}
-		if int64(n)*int64(w) > int64(r.remaining()) {
+		if n*w > r.remaining() {
 			return io.ErrUnexpectedEOF
 		}
 		for j := 0; j < n; j++ {

@@ -2,6 +2,7 @@ package dwrf
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"dsi/internal/schema"
@@ -12,35 +13,49 @@ import (
 const fuzzRows = 8
 
 // fuzzSeedPayloads produces one valid payload per (kind, encoding)
-// pair by running the real stripe encoder over a small crafted stripe,
-// plus hand-built malformed vectors for the validation paths.
+// pair by running the real stripe encoder over a small crafted stripe
+// (its dictionary streams are format v3's compact ones), plus hand-built
+// malformed vectors for the validation paths: v2 fixed-width ones below
+// and the compact dictionary ones of compactDictHostiles.
 func fuzzSeedPayloads() [][]byte {
 	rows := make([]*schema.Sample, fuzzRows)
 	for i := range rows {
 		s := schema.NewSample()
 		s.Label = float32(i % 2)
-		if i%2 == 0 {
-			s.DenseFeatures[1] = float32(i)
+		if i < fuzzRows-2 {
+			s.DenseFeatures[1] = float32(i) // one presence run (RLE-friendly)
 		}
 		// Low cardinality (dict-friendly).
 		s.SparseFeatures[2] = []int64{int64(i % 3), 7, int64(i % 3)}
-		// Strictly ascending (delta-friendly).
-		s.SparseFeatures[3] = []int64{int64(10 * i), int64(10*i + 3), int64(10*i + 9)}
+		// Long, strictly ascending, distinct lists (delta-friendly: a
+		// dictionary would need a key and a 2-byte index per value).
+		asc := make([]int64, 40)
+		for j := range asc {
+			asc[j] = int64(1000*i + 3*j)
+		}
+		s.SparseFeatures[3] = asc
 		s.ScoreListFeatures[4] = []schema.ScoredValue{{Value: int64(i % 2), Score: 0.5}}
 		rows[i] = s
 	}
 	var enc stripeEncoder
 	var seeds [][]byte
-	add := func(p []byte, _ StreamEncoding) {
-		seeds = append(seeds, append([]byte(nil), p...))
+	// add(want) keeps a payload the encoder wrote with encoding want, so
+	// the corpus cannot silently lose a (kind, encoding) pair.
+	add := func(want StreamEncoding) func([]byte, StreamEncoding) {
+		return func(p []byte, got StreamEncoding) {
+			if got != want {
+				panic(fmt.Sprintf("fuzz seed encoded %v, want %v", got, want))
+			}
+			seeds = append(seeds, append([]byte(nil), p...))
+		}
 	}
-	add(enc.encodeDense(rows, 1, false))
-	add(enc.encodeDense(rows, 1, true))
-	add(enc.encodeSparse(rows, 2, false))
-	add(enc.encodeSparse(rows, 3, false))
-	add(enc.encodeSparse(rows, 2, true))
-	add(enc.encodeScoreList(rows, 4, false))
-	add(enc.encodeScoreList(rows, 4, true))
+	add(EncRLE)(enc.encodeDense(rows, 1, false))
+	add(EncPlain)(enc.encodeDense(rows, 1, true))
+	add(EncDict)(enc.encodeSparse(rows, 2, false))
+	add(EncDelta)(enc.encodeSparse(rows, 3, false))
+	add(EncPlain)(enc.encodeSparse(rows, 2, true))
+	add(EncDict)(enc.encodeScoreList(rows, 4, false))
+	add(EncPlain)(enc.encodeScoreList(rows, 4, true))
 	seeds = append(seeds, enc.encodeLabels(rows))
 
 	// Malformed: truncated header, out-of-order rows, row beyond stripe,
@@ -66,6 +81,9 @@ func fuzzSeedPayloads() [][]byte {
 			return append(b, 9)                           // idx 9 out of range
 		}(),
 	)
+	for _, h := range compactDictHostiles() {
+		seeds = append(seeds, h.payload)
+	}
 	return seeds
 }
 
@@ -80,14 +98,18 @@ func fuzzDecodeAll(t testing.TB, data []byte) {
 		// hands them to decodeStripeBatch.
 		dc := DenseColumn{Present: make([]bool, fuzzRows), Values: make([]float32, fuzzRows)}
 		_ = decodeDenseInto(data, enc, fuzzRows, &dc)
-		sc := SparseColumn{Offsets: make([]int32, fuzzRows+1)}
-		if err := decodeSparseInto(data, enc, fuzzRows, &sc); err == nil {
-			checkSparseShape(t, enc, &sc)
-		}
-		lc := ScoreListColumn{Offsets: make([]int32, fuzzRows+1)}
-		if err := decodeScoreListInto(data, enc, fuzzRows, &lc); err == nil {
-			if int(lc.Offsets[fuzzRows]) != len(lc.Values) {
-				t.Fatalf("scorelist %v: inconsistent offsets", enc)
+		// Each file version's dictionary layout: v2's fixed width, v3's
+		// compact one.
+		for _, version := range []int{2, Version} {
+			sc := SparseColumn{Offsets: make([]int32, fuzzRows+1)}
+			if err := decodeSparseInto(data, enc, version, fuzzRows, &sc); err == nil {
+				checkSparseShape(t, enc, &sc)
+			}
+			lc := ScoreListColumn{Offsets: make([]int32, fuzzRows+1)}
+			if err := decodeScoreListInto(data, enc, version, fuzzRows, &lc); err == nil {
+				if int(lc.Offsets[fuzzRows]) != len(lc.Values) {
+					t.Fatalf("scorelist %v: inconsistent offsets", enc)
+				}
 			}
 		}
 	}

@@ -769,7 +769,7 @@ func (r *Reader) ReadStripeBatchArena(i int, proj *schema.Projection, opts ReadO
 		return nil, stats, err
 	}
 	decodeStart := time.Now()
-	b, err := decodeStripeBatch(meta, sr, arena)
+	b, err := decodeStripeBatch(meta, r.Version(), sr, arena)
 	sr.release()
 	stats.DecodeWall += time.Since(decodeStart)
 	if err != nil {
@@ -780,9 +780,10 @@ func (r *Reader) ReadStripeBatchArena(i int, proj *schema.Projection, opts ReadO
 
 // decodeStripeBatch assembles the columnar batch from a stripe read's
 // payloads, streaming each stream straight into its (arena-recycled)
-// column — no per-row slices, no entry buffering. On error the partial
-// batch is released back to the arena.
-func decodeStripeBatch(meta *StripeMeta, sr *stripeRead, arena *Arena) (*Batch, error) {
+// column — no per-row slices, no entry buffering. version is the file's
+// format version. On error the partial batch is released back to the
+// arena.
+func decodeStripeBatch(meta *StripeMeta, version int, sr *stripeRead, arena *Arena) (*Batch, error) {
 	b := arena.NewBatch(meta.Rows)
 	var err error
 	for i, s := range sr.selected {
@@ -796,11 +797,11 @@ func decodeStripeBatch(meta *StripeMeta, sr *stripeRead, arena *Arena) (*Batch, 
 			b.Dense[s.Feature] = col
 		case streamSparse:
 			col := arena.Sparse(meta.Rows)
-			err = decodeSparseInto(payload, s.Encoding, meta.Rows, col)
+			err = decodeSparseInto(payload, s.Encoding, version, meta.Rows, col)
 			b.Sparse[s.Feature] = col
 		case streamScoreList:
 			col := arena.ScoreList(meta.Rows)
-			err = decodeScoreListInto(payload, s.Encoding, meta.Rows, col)
+			err = decodeScoreListInto(payload, s.Encoding, version, meta.Rows, col)
 			b.ScoreList[s.Feature] = col
 		}
 		if err != nil {

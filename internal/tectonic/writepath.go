@@ -186,16 +186,25 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 	return nil
 }
 
+// minChunkBuf is the smallest chunk buffer appendChunk allocates. A file
+// that starts with small appends (a DWRF header, then small streams)
+// grows from it along minChunkBuf·2^k, so what its write allocates is a
+// function of its length. Started from its first append's size, the
+// doublings would fall wherever that append and the next few happened to
+// put them, and a file a few bytes longer than a step would copy itself
+// once more: one dataset would write for 2x its size, the next for 4x.
+const minChunkBuf = 4 << 10
+
 // appendChunk appends data to a chunk buffer of at most chunkSize bytes.
-// A buffer that must grow at least doubles, capped at chunkSize. Append
-// alone grows a large slice by a quarter, so a chunk filled in small
-// appends would be copied three times as often and allocate about five
-// times its final size instead of two. Spare capacity is safe because
-// serveChunk lends capacity-clamped views: no borrower sees the bytes
-// later appends write there.
+// A buffer that must grow at least doubles, starting at minChunkBuf and
+// capped at chunkSize. Append alone grows a large slice by a quarter, so
+// a chunk filled in small appends would be copied three times as often
+// and allocate about five times its final size instead of two. Spare
+// capacity is safe because serveChunk lends capacity-clamped views: no
+// borrower sees the bytes later appends write there.
 func appendChunk(buf, data []byte, chunkSize int64) []byte {
 	if need := len(buf) + len(data); need > cap(buf) {
-		grown := make([]byte, len(buf), min(max(2*cap(buf), need), int(chunkSize)))
+		grown := make([]byte, len(buf), min(max(2*cap(buf), need, minChunkBuf), int(chunkSize)))
 		copy(grown, buf)
 		buf = grown
 	}

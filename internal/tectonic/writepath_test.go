@@ -385,3 +385,44 @@ func TestChunkGrowthDoubles(t *testing.T) {
 		t.Fatal("chunked appends stored wrong bytes")
 	}
 }
+
+// TestChunkGrowthFollowsLength: files of one length whose first small
+// appends differ grow through the same capacities, so writing them
+// allocates the same. Doubling from the first appends' sizes instead of
+// minChunkBuf, the first file's last doubling would fall short of its
+// length and the others' would not.
+func TestChunkGrowthFollowsLength(t *testing.T) {
+	const length = 305 << 10
+	c := writeFixture(t, Options{Nodes: 3, Replication: 2, ChunkSize: 1 << 20})
+	heads := [][]int{{8, 32, 254}, {8, 40, 261}, {8, 45, 270}}
+	caps := make([]int, len(heads))
+	for i, head := range heads {
+		path := fmt.Sprintf("f%d", i)
+		if err := c.Create(path); err != nil {
+			t.Fatal(err)
+		}
+		off := 0
+		add := func(n int) {
+			if _, err := c.AppendToken(path, fmt.Sprintf("%s@%d", path, off), payload(n)); err != nil {
+				t.Fatal(err)
+			}
+			off += n
+		}
+		for _, n := range head {
+			add(n)
+		}
+		for off < length {
+			add(min(250, length-off))
+		}
+		for _, n := range c.nodes {
+			if buf, ok := n.chunks[chunkKey{path: path}]; ok {
+				caps[i] = cap(buf)
+			}
+		}
+	}
+	for i, got := range caps {
+		if got != 512<<10 {
+			t.Errorf("file %d (first appends %v) of %d bytes grew to a %d-byte buffer, want %d", i, heads[i], length, got, 512<<10)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package transforms
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dsi/internal/dwrf"
@@ -536,6 +537,12 @@ func (c *planCompiler) lower(op Op) error {
 			// Truncation works the same in index space, so the loop is
 			// representation-agnostic; a dict input just carries its
 			// dictionary over (copied — arena columns must not alias).
+			// The kept lengths are summed first so Values grows once.
+			kept := 0
+			for i := 0; i < e.rows; i++ {
+				kept += min(int(src.Offsets[i+1]-src.Offsets[i]), o.X)
+			}
+			dst.Values = slices.Grow(dst.Values, kept)
 			for i := 0; i < e.rows; i++ {
 				dst.Offsets[i] = int32(len(dst.Values))
 				vals := src.RowValues(i)

@@ -475,13 +475,15 @@ func (t *Table) Splits(keys []string) ([]Split, error) {
 
 // PartitionSplits enumerates the splits of one visible partition. The
 // DPP master uses it to discover work incrementally as a streaming ETL
-// seals partitions, without re-enumerating the whole table.
+// seals partitions, without re-enumerating the whole table. The footer
+// comes through CachedReader, so a new master over a resident partition
+// decodes no footer again.
 func (t *Table) PartitionSplits(key string) ([]Split, error) {
 	p, err := t.Partition(key)
 	if err != nil {
 		return nil, err
 	}
-	r, err := dwrf.OpenReader(t.wh.cluster, p.Path)
+	r, err := t.wh.CachedReader(p.Path)
 	if err != nil {
 		return nil, err
 	}

@@ -367,6 +367,42 @@ func TestCachedReaderOpensOnce(t *testing.T) {
 	}
 }
 
+// TestPartitionSplitsReadsFooterOnce: enumerating a partition's splits
+// goes through the reader cache, so a second enumeration (a new master
+// over the same table) reads no footer from storage, and a warehouse
+// keeping nothing resident reads it on every enumeration.
+func TestPartitionSplitsReadsFooterOnce(t *testing.T) {
+	wh := newWarehouse(t)
+	tbl, err := wh.CreateTable("rm", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPartition(t, tbl, "p1", 64, 9)
+	ops := &wh.Cluster().ReadOps
+	enumerate := func() int64 {
+		t.Helper()
+		before := ops.Value()
+		splits, err := tbl.PartitionSplits("p1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(splits) != 4 {
+			t.Fatalf("%d splits, want 4", len(splits))
+		}
+		return ops.Value() - before
+	}
+	if first := enumerate(); first == 0 {
+		t.Fatal("first enumeration read no footer")
+	}
+	if again := enumerate(); again != 0 {
+		t.Fatalf("second enumeration cost %d reads, want 0", again)
+	}
+	wh.SetReaderCacheLimit(-1)
+	if a, b := enumerate(), enumerate(); a == 0 || b != a {
+		t.Fatalf("with nothing resident enumerations cost %d and %d reads, want one open each", a, b)
+	}
+}
+
 func TestUnboundedTableLifecycle(t *testing.T) {
 	wh := newWarehouse(t)
 	tbl, err := wh.CreateUnboundedTable("stream", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
