@@ -8,7 +8,6 @@ import (
 
 	"dsi/internal/datagen"
 	"dsi/internal/dwrf"
-	"dsi/internal/experiments"
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
 	"dsi/internal/tensor"
@@ -17,54 +16,8 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// One benchmark per table and figure of the paper's evaluation. Each
-// regenerates the experiment; run `go test -bench=Table -benchmem` (or
-// `-bench=Figure`) to reproduce the corresponding results, or
-// `cmd/dsibench` for formatted paper-vs-measured output.
-// ---------------------------------------------------------------------
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatalf("%s returned no rows", id)
-		}
-	}
-}
-
-func BenchmarkFigure1Power(b *testing.B)           { benchExperiment(b, "fig1") }
-func BenchmarkFigure2Growth(b *testing.B)          { benchExperiment(b, "fig2") }
-func BenchmarkTable2FeatureChurn(b *testing.B)     { benchExperiment(b, "table2") }
-func BenchmarkFigure4ComboJobs(b *testing.B)       { benchExperiment(b, "fig4") }
-func BenchmarkFigure5YearUtilization(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFigure6RegionalDemand(b *testing.B)  { benchExperiment(b, "fig6") }
-func BenchmarkTable3PartitionSizes(b *testing.B)   { benchExperiment(b, "table3") }
-func BenchmarkTable4ModelFeatures(b *testing.B)    { benchExperiment(b, "table4") }
-func BenchmarkTable5DatasetStats(b *testing.B)     { benchExperiment(b, "table5") }
-func BenchmarkTable6IOSizes(b *testing.B)          { benchExperiment(b, "table6") }
-func BenchmarkFigure7BytePopularity(b *testing.B)  { benchExperiment(b, "fig7") }
-func BenchmarkTable7DataStalls(b *testing.B)       { benchExperiment(b, "table7") }
-func BenchmarkTable8TrainerDemand(b *testing.B)    { benchExperiment(b, "table8") }
-func BenchmarkFigure8LoadingCost(b *testing.B)     { benchExperiment(b, "fig8") }
-func BenchmarkTable9WorkerThroughput(b *testing.B) { benchExperiment(b, "table9") }
-func BenchmarkFigure9WorkerBreakdown(b *testing.B) { benchExperiment(b, "fig9") }
-func BenchmarkTable10NodeGenerations(b *testing.B) { benchExperiment(b, "table10") }
-func BenchmarkTable11Transforms(b *testing.B)      { benchExperiment(b, "table11") }
-func BenchmarkTable12Ablation(b *testing.B)        { benchExperiment(b, "table12") }
-func BenchmarkMemBWBottleneck(b *testing.B)        { benchExperiment(b, "membw") }
-func BenchmarkHardwareGaps(b *testing.B)           { benchExperiment(b, "gaps") }
-
-// BenchmarkIngestFreshness regenerates the streaming-ingestion
-// experiment: the full Scribe->ETL->DWRF->session loop with freshness
-// accounting.
-func BenchmarkIngestFreshness(b *testing.B) { benchExperiment(b, "ingest") }
-
-// ---------------------------------------------------------------------
-// Microbenchmarks of the hot paths underneath the experiments.
+// Microbenchmarks of the hot paths underneath the experiments. The
+// experiments themselves run in TestExperimentGolden and cmd/dsibench.
 // ---------------------------------------------------------------------
 
 // benchDataset builds a small reusable dataset for the micro-benches.

@@ -175,7 +175,6 @@
 // The implementation lives under internal/; see README.md for the
 // architecture overview and internal/experiments/testdata/golden/ for
 // the paper-vs-measured reference run, one file per experiment, that
-// tier-1 holds every experiment to.
-// bench_test.go regenerates every table and figure of the paper's
-// evaluation via `go test -bench=.`.
+// tier-1 holds every experiment to; `go run ./cmd/dsibench` prints every
+// table and figure of the paper's evaluation.
 package dsi

@@ -120,7 +120,7 @@ func discoverReplicas(t *testing.T, c *tectonic.Cluster, path string) []int {
 	t.Helper()
 	reps := make([]int, 0, c.Replication())
 	for i := 0; i < c.Replication(); i++ {
-		_, _, trace, err := c.ReadAtTraced(path, 0, 1)
+		_, trace, err := c.ReadAtTraced(path, 0, 1)
 		if err != nil || len(trace.Served) == 0 {
 			t.Fatalf("probe of %s: served=%v err=%v", path, trace.Served, err)
 		}

@@ -15,10 +15,13 @@ import (
 // encodings only) over the deterministic row set below;
 // testdata/v2_fixture.bin is the same rows written by the format-v2
 // writer, whose dictionary streams hold fixed-width keys and entry
-// headers. The rows are regenerated in-process so each fixture's decoded
-// content can be checked value-for-value, and re-encoded with the current
-// writer so every version's copy of the same table is proven
-// decode-identical.
+// headers; testdata/v3_fixture.bin is the same rows written by the
+// format-v3 writer while it still built score-list dictionaries, so its
+// score-list column is a compact dictionary in every stripe, a layout only
+// the decoder now knows. The rows are regenerated in-process so each
+// fixture's decoded content can be checked value-for-value, and re-encoded
+// with the current writer so every version's copy of the same table is
+// proven decode-identical.
 
 // fixtureSchema is the committed fixture's table schema: two dense
 // features, a low-cardinality sparse feature (dictionary-friendly), an
@@ -41,8 +44,8 @@ func fixtureSchema() *schema.TableSchema {
 
 // fixtureRows regenerates the deterministic samples stored in the
 // committed fixtures. Any change here invalidates them — do not edit
-// without regenerating testdata/v1_fixture.bin and v2_fixture.bin with
-// writers of those eras.
+// without regenerating testdata/v1_fixture.bin, v2_fixture.bin and
+// v3_fixture.bin with writers of those eras.
 func fixtureRows() []*schema.Sample {
 	rng := rand.New(rand.NewSource(42))
 	rows := make([]*schema.Sample, 300)
@@ -164,26 +167,40 @@ func TestCrossVersionEncodingV1FixtureReads(t *testing.T) {
 	requireFixtureRows(t, r)
 }
 
-// TestCrossVersionEncodingV2FixtureReads proves the current reader
-// decodes a committed format-v2 file value-for-value, through the v2
-// fixed-width dictionary layout its dictionary streams were written in.
-func TestCrossVersionEncodingV2FixtureReads(t *testing.T) {
-	r := openFixture(t, 2)
-	if r.Version() != 2 {
-		t.Fatalf("fixture version = %d, want 2", r.Version())
+// TestCrossVersionEncodingDictFixtureReads proves the current reader
+// decodes the committed format-v2 and format-v3 files value-for-value,
+// through the dictionary layout of each version (v2's fixed-width, v3's
+// compact), score-list dictionaries included.
+func TestCrossVersionEncodingDictFixtureReads(t *testing.T) {
+	for _, c := range []struct {
+		version int
+		encs    []StreamEncoding // each must appear in some stripe
+	}{
+		{2, []StreamEncoding{EncDict, EncDelta}},
+		{3, []StreamEncoding{EncDict}},
+	} {
+		t.Run(fmt.Sprintf("v%d", c.version), func(t *testing.T) {
+			r := openFixture(t, c.version)
+			if r.Version() != c.version {
+				t.Fatalf("fixture version = %d, want %d", r.Version(), c.version)
+			}
+			encs := map[StreamEncoding]bool{}
+			for i, st := range r.footer.Stripes {
+				for _, s := range st.Streams {
+					encs[s.Encoding] = true
+					if s.Kind == streamScoreList && s.Encoding != EncDict {
+						t.Fatalf("stripe %d: score-list stream is %v, want a dictionary", i, s.Encoding)
+					}
+				}
+			}
+			for _, e := range c.encs {
+				if !encs[e] {
+					t.Fatalf("v%d fixture holds no %v stream", c.version, e)
+				}
+			}
+			requireFixtureRows(t, r)
+		})
 	}
-	encs := map[StreamEncoding]bool{}
-	for _, st := range r.footer.Stripes {
-		for _, s := range st.Streams {
-			encs[s.Encoding] = true
-		}
-	}
-	for _, e := range []StreamEncoding{EncDict, EncDelta} {
-		if !encs[e] {
-			t.Fatalf("v2 fixture holds no %v stream", e)
-		}
-	}
-	requireFixtureRows(t, r)
 }
 
 // TestCrossVersionEncodingReencode proves the same table re-encoded by

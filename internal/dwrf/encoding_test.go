@@ -12,7 +12,7 @@ import (
 // trigger each encoding: feature 1 dense on every row (RLE-friendly),
 // feature 2 low-cardinality sparse (dict), feature 3 strictly ascending
 // IDs (delta), feature 4 high-cardinality random (plain wins), feature
-// 5 low-cardinality score list (dict).
+// 5 low-cardinality score list (plain, as every score list).
 func encRows(n int) []*schema.Sample {
 	rows := make([]*schema.Sample, n)
 	next := int64(100)
@@ -61,8 +61,21 @@ func TestEncodingSelectionPerStream(t *testing.T) {
 	check("sparse ascending", e, EncDelta, p)
 	p, e = enc.encodeSparse(rows, 4, false)
 	check("sparse high-cardinality", e, EncPlain, p)
-	p, e = enc.encodeScoreList(rows, 5, false)
-	check("score-list low-cardinality", e, EncDict, p)
+
+	// The writer records each stream's encoding in the footer; score
+	// lists are plain even when their pairs are few.
+	c := newCluster(t)
+	writeFile(t, c, "sel", flushSchema(t), rows, WriterOptions{Flatten: true, RowsPerStripe: len(rows)})
+	r, err := OpenReader(c, "sel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[schema.FeatureID]StreamEncoding{1: EncRLE, 2: EncDict, 3: EncDelta, 4: EncPlain, 5: EncPlain}
+	for _, s := range r.footer.Stripes[0].Streams {
+		if s.Kind != streamLabel && s.Encoding != want[s.Feature] {
+			t.Fatalf("feature %d: footer records %v, want %v", s.Feature, s.Encoding, want[s.Feature])
+		}
+	}
 
 	// plainOnly must force EncPlain everywhere.
 	if _, e := enc.encodeDense(rows, 1, true); e != EncPlain {
@@ -70,9 +83,6 @@ func TestEncodingSelectionPerStream(t *testing.T) {
 	}
 	if _, e := enc.encodeSparse(rows, 2, true); e != EncPlain {
 		t.Fatalf("plainOnly sparse selected %v", e)
-	}
-	if _, e := enc.encodeScoreList(rows, 5, true); e != EncPlain {
-		t.Fatalf("plainOnly score-list selected %v", e)
 	}
 }
 
@@ -94,11 +104,6 @@ func TestEncodingNeverLargerThanPlain(t *testing.T) {
 	plain, _ := enc.encodeDense(rows, 1, true)
 	if len(sized) > len(plain) {
 		t.Fatalf("dense: selected payload %d > plain %d", len(sized), len(plain))
-	}
-	sized, _ = enc.encodeScoreList(rows, 5, false)
-	plain, _ = enc.encodeScoreList(rows, 5, true)
-	if len(sized) > len(plain) {
-		t.Fatalf("score-list: selected payload %d > plain %d", len(sized), len(plain))
 	}
 }
 
@@ -172,10 +177,8 @@ func TestDictColumnRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScoreListDictSignedZeroAndNaN pins the scored dictionary's notion
-// of equality: pairs are distinct when their score bits are. Deduplicating
-// by float equality merged -0 into +0 (and -0 then indexed past its entry)
-// and kept every NaN apart.
+// TestScoreListDictSignedZeroAndNaN: score lists round-trip their score
+// bits exactly, -0 and NaN included.
 func TestScoreListDictSignedZeroAndNaN(t *testing.T) {
 	ts := schema.NewTableSchema("scores")
 	if err := ts.AddColumn(schema.Column{ID: 5, Kind: schema.ScoreList, Name: "sl"}); err != nil {
@@ -192,14 +195,6 @@ func TestScoreListDictSignedZeroAndNaN(t *testing.T) {
 			{Value: 7, Score: scores[(i+1)%4]},
 		}
 	}
-	var enc stripeEncoder
-	if _, e := enc.encodeScoreList(rows, 5, false); e != EncDict {
-		t.Fatalf("selected %v, want the dictionary encoding", e)
-	}
-	if len(enc.dict.keys) != 3 {
-		t.Fatalf("dictionary has %d entries, want 3 (+0, -0, NaN)", len(enc.dict.keys))
-	}
-
 	c := newCluster(t)
 	writeFile(t, c, "scores", ts, rows, WriterOptions{Flatten: true, RowsPerStripe: 64})
 	r, err := OpenReader(c, "scores")
@@ -284,7 +279,8 @@ func TestBufPoolClasses(t *testing.T) {
 // TestCompactDictKeysRoundTripExtremes: delta-coded keys wrap as uint64
 // arithmetic does, so a dictionary spanning MinInt64 to MaxInt64 decodes
 // to the keys it was written with. Score-list keys repeat a value under
-// different scores, a zero difference their decoder must accept.
+// different scores, a zero difference their decoder must accept; no
+// writer emits them any more, so that payload is built by hand.
 func TestCompactDictKeysRoundTripExtremes(t *testing.T) {
 	ext := []int64{math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1}
 	rows := make([]*schema.Sample, 64)
@@ -294,10 +290,6 @@ func TestCompactDictKeysRoundTripExtremes(t *testing.T) {
 			continue // absent rows, so entry gaps are not all zero
 		}
 		rows[i].SparseFeatures[1] = []int64{ext[i%len(ext)], ext[(i+3)%len(ext)]}
-		rows[i].ScoreListFeatures[2] = []schema.ScoredValue{
-			{Value: ext[i%len(ext)], Score: float32(i % 2)},
-			{Value: ext[i%len(ext)], Score: 0.5},
-		}
 	}
 	var enc stripeEncoder
 	payload, e := enc.encodeSparse(rows, 1, false)
@@ -314,17 +306,48 @@ func TestCompactDictKeysRoundTripExtremes(t *testing.T) {
 			t.Fatalf("sparse row %d: %v, want %v", i, got, want)
 		}
 	}
-	payload, e = enc.encodeScoreList(rows, 2, false)
-	if e != EncDict {
-		t.Fatalf("score-list selected %v, want the dictionary encoding", e)
+
+	// A score-list dictionary of the extremes in value-major order, each
+	// value under scores 0 and 0.5: values MinInt64, MinInt64+1, -1, 0,
+	// 1, MaxInt64-1, MaxInt64, so key differences from 0 (a repeated
+	// value) to 2^63-2. Row r (of fuzzRows, every other one absent) holds
+	// keys r and r+7.
+	sorted := slices.Sorted(slices.Values(ext))
+	var dict []schema.ScoredValue
+	for _, v := range sorted {
+		dict = append(dict, schema.ScoredValue{Value: v, Score: 0}, schema.ScoredValue{Value: v, Score: 0.5})
 	}
-	lc := ScoreListColumn{Offsets: make([]int32, len(rows)+1)}
-	if err := decodeScoreListInto(payload, e, Version, len(rows), &lc); err != nil {
+	var p payloadWriter
+	p.u32(fuzzRows / 2) // entries
+	p.u32(uint32(len(dict)))
+	for i, k := range dict {
+		if i == 0 {
+			p.varint(k.Value)
+		} else {
+			p.uvarint(uint64(k.Value - dict[i-1].Value))
+		}
+		p.f32(k.Score)
+	}
+	want := make([][]schema.ScoredValue, fuzzRows)
+	for r := 0; r < fuzzRows; r += 2 {
+		a, b := r%len(dict), (r+7)%len(dict)
+		want[r] = []schema.ScoredValue{dict[a], dict[b]}
+		gap := 0
+		if r > 0 {
+			gap = 1
+		}
+		p.uvarint(uint64(gap))
+		p.uvarint(2)
+		p.idx(uint32(a), 1)
+		p.idx(uint32(b), 1)
+	}
+	lc := ScoreListColumn{Offsets: make([]int32, fuzzRows+1)}
+	if err := decodeScoreListInto(p.bytes(), EncDict, Version, fuzzRows, &lc); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range rows {
-		if got, want := lc.RowValues(i), r.ScoreListFeatures[2]; !slices.Equal(got, want) {
-			t.Fatalf("score-list row %d: %v, want %v", i, got, want)
+	for r := range want {
+		if got := lc.RowValues(r); !slices.Equal(got, want[r]) {
+			t.Fatalf("score-list row %d: %v, want %v", r, got, want[r])
 		}
 	}
 }

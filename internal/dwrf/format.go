@@ -24,16 +24,18 @@
 //
 //	Encoding  Streams            Chosen when                       Wire layout
 //	--------  -----------------  --------------------------------  -------------------------------------------
-//	plain     all                fallback (always legal)           v1 layout, fixed-width little-endian
-//	dict      sparse,score-list  few distinct values; dictionary   u32 entries, u32 dictLen, sorted dictionary:
+//	plain     all                fallback (always legal); every    v1 layout, fixed-width little-endian
+//	                             score-list stream
+//	dict      sparse             few distinct values; dictionary   u32 entries, u32 dictLen, sorted dictionary:
 //	                             + packed indices smaller than     zigzag-varint first value, then per key the
-//	                             the other layouts                 uvarint of its difference from the previous
-//	                                                               (wrapping uint64; >= 1 for sparse keys,
-//	                                                               >= 0 for value-major score-list keys, each
-//	                                                               followed by its raw f32 score); then per
-//	                                                               row entry: uvarint rows skipped since the
+//	                             the other layouts                 uvarint (>= 1) of its difference from the
+//	                                                               previous (wrapping uint64); then per row
+//	                                                               entry: uvarint rows skipped since the
 //	                                                               previous present row, uvarint n, n packed
 //	                                                               indices (1 byte if dictLen<=256 else 2)
+//	dict      score-list         never (decode only)               as sparse dict, each key followed by its raw
+//	                                                               f32 score; keys are value-major, so a
+//	                                                               difference may be 0
 //	rle       dense              presence forms few runs; run      u32 count, u32 runs, runs x (u32 start,
 //	                             list + value tail smaller than    u32 len), then count x f32 value tail
 //	                             per-value (row,value) pairs
@@ -43,7 +45,10 @@
 //
 // Size comparisons are exact (computed from the gathered column, not
 // estimated), so the writer never picks an encoding that is larger than
-// plain. Labels and row-data streams are always plain.
+// plain. Labels, row-data and score-list streams are always plain: no
+// table the pipeline writes has a score-list column, so a score-list
+// dictionary is read, from v2 and v3 files written before the writer
+// stopped emitting it, but never written.
 //
 // Compatibility rules: v1 files carry no StreamMeta.Encoding field; gob
 // decodes the absent field as zero, which IS EncPlain, so every v1 file
@@ -78,7 +83,6 @@
 package dwrf
 
 import (
-	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"encoding/binary"
@@ -129,7 +133,8 @@ const (
 	// EncPlain is the v1 fixed-width layout; legal for every stream kind.
 	EncPlain StreamEncoding = iota
 	// EncDict is a sorted distinct-value dictionary plus packed indices;
-	// sparse and score-list streams.
+	// sparse streams, and score-list streams of files written before
+	// score lists became plain-only.
 	EncDict
 	// EncRLE run-length encodes the present-row index list and stores
 	// values as a bulk tail; dense streams.
@@ -471,15 +476,15 @@ func (p *payloadReader) idx(w int) (uint32, error) {
 // accumulates in out (see compress). Encoders outlive the writers that
 // use them: a flush borrows one per worker from stripeEncoders.
 type stripeEncoder struct {
-	pw    payloadWriter
-	fl    deflater
-	out   []byte   // compressed streams, back to back
-	rows  []uint32 // present-entry stripe-relative row indices
-	lens  []uint32 // per-entry list lengths (sparse/score-list)
-	f32s  []float32
-	vals  []int64
-	svals []schema.ScoredValue
-	dict  dictBuilder
+	pw   payloadWriter
+	fl   deflater
+	out  []byte   // compressed streams, back to back
+	rows []uint32 // present-entry stripe-relative row indices
+	lens []uint32 // per-entry list lengths (sparse)
+	f32s []float32
+	vals []int64
+	ids  []schema.FeatureID // encodeRowData's sorted feature IDs
+	dict dictBuilder
 }
 
 // stripeEncoders holds idle encoders: writers live for one partition,
@@ -582,20 +587,11 @@ func (e *stripeEncoder) encodeDense(rows []*schema.Sample, id schema.FeatureID, 
 	return p.bytes(), EncRLE
 }
 
-// dictEntry is one dictionary key — a sparse value, or a score-list
-// value with its score's bit pattern (s is 0 for sparse values) — and a
-// code. Dictionaries are sorted by value, then score bits.
+// dictEntry is one dictBuilder table slot: a sparse value and its code
+// plus one (0 marks an empty slot).
 type dictEntry struct {
 	v    int64
-	s    uint32
 	code uint32
-}
-
-func dictEntryCmp(a, b dictEntry) int {
-	if c := cmp.Compare(a.v, b.v); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.s, b.s)
 }
 
 // dictBuilder builds a stream's sorted dictionary and each value's index
@@ -606,63 +602,19 @@ func dictEntryCmp(a, b dictEntry) int {
 // at a hash per value instead. A build stops as soon as more keys are
 // distinct than the caller's limit: past it a dictionary cannot win.
 type dictBuilder struct {
-	slots []dictEntry // the table: code+1 per key, 0 in an empty slot
+	slots []dictEntry // the table
 	shift uint        // 64 - log2(len(slots))
 	limit int
-	keys  []dictEntry // distinct keys with their codes in first-seen order, then the sorted dictionary
-	vals  []int64     // buildSparse's sort scratch
-	idx   []uint32    // per value: its key's code, then its dictionary index
-	rank  []uint32    // per code: the key's dictionary index
+	keys  []int64  // distinct keys in first-seen order (a key's code is its index), then the sorted dictionary
+	idx   []uint32 // per value: its key's code, then its dictionary index
+	rank  []uint32 // per code: the key's dictionary index
 }
 
-// buildSparse builds the dictionary of sparse values vals. It reports
-// false, leaving the builder unusable, once more than limit are distinct.
-func (b *dictBuilder) buildSparse(vals []int64, limit int) bool {
-	b.reset(len(vals), limit)
-	for _, v := range vals {
-		if !b.add(v, 0) {
-			return false
-		}
-	}
-	// Plain int64s sort several times faster than entries by a comparison
-	// function; each sorted value's code is then one more probe.
-	b.vals = b.vals[:0]
-	for _, k := range b.keys {
-		b.vals = append(b.vals, k.v)
-	}
-	slices.Sort(b.vals)
-	b.rank = slices.Grow(b.rank[:0], len(b.vals))[:len(b.vals)]
-	for r, v := range b.vals {
-		b.rank[b.probe(v, 0).code-1] = uint32(r)
-		b.keys[r] = dictEntry{v: v}
-	}
-	b.remap()
-	return true
-}
-
-// buildScored is buildSparse for score-list values, whose dictionary is
-// sorted by value and then score bits.
-func (b *dictBuilder) buildScored(vals []schema.ScoredValue, limit int) bool {
-	b.reset(len(vals), limit)
-	for _, v := range vals {
-		if !b.add(v.Value, math.Float32bits(v.Score)) {
-			return false
-		}
-	}
-	slices.SortFunc(b.keys, dictEntryCmp)
-	b.rank = slices.Grow(b.rank[:0], len(b.keys))[:len(b.keys)]
-	for r, k := range b.keys {
-		b.rank[k.code] = uint32(r)
-	}
-	b.remap()
-	return true
-}
-
-// reset empties the builder for n values, sizing the table to keep it at
-// most half full.
-func (b *dictBuilder) reset(n, limit int) {
-	size := 16
-	for size < 2*min(n, limit+1) {
+// build builds the dictionary of vals. It reports false, leaving the
+// builder unusable, once more than limit are distinct.
+func (b *dictBuilder) build(vals []int64, limit int) bool {
+	size := 16 // keeps the table at most half full
+	for size < 2*min(len(vals), limit+1) {
 		size <<= 1
 	}
 	b.slots = slices.Grow(b.slots[:0], size)[:size]
@@ -671,58 +623,61 @@ func (b *dictBuilder) reset(n, limit int) {
 	b.limit = limit
 	b.keys = b.keys[:0]
 	b.idx = b.idx[:0]
+	for _, v := range vals {
+		if !b.add(v) {
+			return false
+		}
+	}
+	// Each sorted key's code is one more probe.
+	slices.Sort(b.keys)
+	b.rank = slices.Grow(b.rank[:0], len(b.keys))[:len(b.keys)]
+	for r, v := range b.keys {
+		b.rank[b.probe(v).code-1] = uint32(r)
+	}
+	for i, c := range b.idx {
+		b.idx[i] = b.rank[c]
+	}
+	return true
 }
 
-// probe returns the slot holding key (v, s), or the empty slot where it
-// would go.
-func (b *dictBuilder) probe(v int64, s uint32) *dictEntry {
-	h := (uint64(v) ^ uint64(s)<<29) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the top bits mix all of v
+// probe returns the slot holding key v, or the empty slot where it would
+// go.
+func (b *dictBuilder) probe(v int64) *dictEntry {
+	h := uint64(v) * 0x9e3779b97f4a7c15 // Fibonacci hashing: the top bits mix all of v
 	mask := len(b.slots) - 1
 	for i := int(h >> b.shift); ; i = (i + 1) & mask {
-		if slot := &b.slots[i]; slot.code == 0 || slot.v == v && slot.s == s {
+		if slot := &b.slots[i]; slot.code == 0 || slot.v == v {
 			return slot
 		}
 	}
 }
 
-// add appends the code of key (v, s) to b.idx, giving the key the next
-// code if it is new. It reports false instead if the key would be the
-// limit+1st.
-func (b *dictBuilder) add(v int64, s uint32) bool {
-	slot := b.probe(v, s)
+// add appends the code of key v to b.idx, giving the key the next code if
+// it is new. It reports false instead if the key would be the limit+1st.
+func (b *dictBuilder) add(v int64) bool {
+	slot := b.probe(v)
 	if slot.code == 0 {
 		if len(b.keys) >= b.limit {
 			return false
 		}
-		*slot = dictEntry{v: v, s: s, code: uint32(len(b.keys)) + 1}
-		b.keys = append(b.keys, dictEntry{v: v, s: s, code: uint32(len(b.keys))})
+		b.keys = append(b.keys, v)
+		*slot = dictEntry{v: v, code: uint32(len(b.keys))}
 	}
 	b.idx = append(b.idx, slot.code-1)
 	return true
 }
 
-// remap turns each value's code into its dictionary index.
-func (b *dictBuilder) remap() {
-	for i, c := range b.idx {
-		b.idx[i] = b.rank[c]
-	}
-}
-
 // keyBytes is the size writeDict gives the built dictionary's keys: the
 // first value as a zigzag varint, each later one as the uvarint of its
-// difference from the one before, and four bytes of score bits per key
-// when scored.
-func (b *dictBuilder) keyBytes(scored bool) int {
+// difference from the one before.
+func (b *dictBuilder) keyBytes() int {
 	n := 0
 	for i, k := range b.keys {
 		if i == 0 {
-			n += varintLen(k.v)
+			n += varintLen(k)
 		} else {
-			n += uvarintLen(uint64(k.v - b.keys[i-1].v))
+			n += uvarintLen(uint64(k - b.keys[i-1]))
 		}
-	}
-	if scored {
-		n += 4 * len(b.keys)
 	}
 	return n
 }
@@ -775,9 +730,9 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 		// at least a byte per index, is no smaller than the best so far.
 		hdr := e.gapHeaderBytes()
 		limit := min(maxDictCard, bestSize-8-hdr-total)
-		if e.dict.buildSparse(e.vals, limit) {
+		if e.dict.build(e.vals, limit) {
 			d := len(e.dict.keys)
-			if dictSize := 8 + e.dict.keyBytes(false) + hdr + dictIdxWidth(d)*total; dictSize < bestSize {
+			if dictSize := 8 + e.dict.keyBytes() + hdr + dictIdxWidth(d)*total; dictSize < bestSize {
 				enc = EncDict
 			}
 		}
@@ -785,7 +740,7 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 
 	switch enc {
 	case EncDict:
-		e.writeDict(false)
+		e.writeDict()
 	case EncDelta:
 		p.u32(uint32(entries))
 		pos := 0
@@ -832,22 +787,18 @@ func (e *stripeEncoder) gapHeaderBytes() int {
 }
 
 // writeDict writes a dictionary stream from the built dictionary: the
-// entry count and dictionary length, the sorted keys delta-coded (with
-// each score's raw bits when scored), then per present row its gap
-// header and the list's packed dictionary indices.
-func (e *stripeEncoder) writeDict(scored bool) {
+// entry count and dictionary length, the sorted keys delta-coded, then per
+// present row its gap header and the list's packed dictionary indices.
+func (e *stripeEncoder) writeDict() {
 	p := &e.pw
 	keys := e.dict.keys
 	p.u32(uint32(len(e.rows)))
 	p.u32(uint32(len(keys)))
 	for i, k := range keys {
 		if i == 0 {
-			p.varint(k.v)
+			p.varint(k)
 		} else {
-			p.uvarint(uint64(k.v - keys[i-1].v)) // wraps, so MinInt64 to MaxInt64 round-trips
-		}
-		if scored {
-			p.u32(k.s)
+			p.uvarint(uint64(k - keys[i-1])) // wraps, so MinInt64 to MaxInt64 round-trips
 		}
 	}
 	w := dictIdxWidth(len(keys))
@@ -864,58 +815,29 @@ func (e *stripeEncoder) writeDict(scored bool) {
 	}
 }
 
-// encodeScoreList encodes a score-list feature column, with a
-// (value, score) pair dictionary when the distinct pairs are few.
-func (e *stripeEncoder) encodeScoreList(rows []*schema.Sample, id schema.FeatureID, plainOnly bool) ([]byte, StreamEncoding) {
-	e.rows = e.rows[:0]
-	e.lens = e.lens[:0]
-	e.svals = e.svals[:0]
+// encodeScoreList encodes a score-list feature column in the plain v1
+// layout: u32 entries, then per present row u32 row, u32 n and n
+// (i64 value, f32 score) pairs.
+func (e *stripeEncoder) encodeScoreList(rows []*schema.Sample, id schema.FeatureID) []byte {
+	p := &e.pw
+	p.reset()
+	p.u32(0) // entries, filled in below
+	entries := 0
 	for i, r := range rows {
 		vals, ok := r.ScoreListFeatures[id]
 		if !ok {
 			continue
 		}
-		e.rows = append(e.rows, uint32(i))
-		e.lens = append(e.lens, uint32(len(vals)))
-		e.svals = append(e.svals, vals...)
-	}
-	entries := len(e.rows)
-	total := len(e.svals)
-	plainSize := 4 + 8*entries + 12*total
-
-	p := &e.pw
-	p.reset()
-	enc := EncPlain
-	if !plainOnly {
-		// As in encodeSparse, with keys of at least five bytes.
-		hdr := e.gapHeaderBytes()
-		limit := min(maxDictCard, (plainSize-8-hdr-total)/5)
-		if e.dict.buildScored(e.svals, limit) {
-			d := len(e.dict.keys)
-			if dictSize := 8 + e.dict.keyBytes(true) + hdr + dictIdxWidth(d)*total; dictSize < plainSize {
-				enc = EncDict
-			}
+		entries++
+		p.u32(uint32(i))
+		p.u32(uint32(len(vals)))
+		for _, v := range vals {
+			p.i64(v.Value)
+			p.f32(v.Score)
 		}
 	}
-
-	switch enc {
-	case EncDict:
-		e.writeDict(true)
-	default:
-		p.u32(uint32(entries))
-		pos := 0
-		for k, row := range e.rows {
-			n := int(e.lens[k])
-			p.u32(row)
-			p.u32(uint32(n))
-			for _, v := range e.svals[pos : pos+n] {
-				p.i64(v.Value)
-				p.f32(v.Score)
-			}
-			pos += n
-		}
-	}
-	return p.bytes(), enc
+	binary.LittleEndian.PutUint32(p.buf, uint32(entries))
+	return p.bytes()
 }
 
 // encodeLabels encodes the per-row labels of a stripe (always plain).
@@ -930,28 +852,35 @@ func (e *stripeEncoder) encodeLabels(rows []*schema.Sample) []byte {
 }
 
 // encodeRowData encodes whole rows for the regular map layout: every
-// feature of every row, interleaved (always plain).
+// feature of every row, interleaved (always plain). Each row's features
+// go in ascending ID order, so the same rows always encode to the same
+// bytes.
 func (e *stripeEncoder) encodeRowData(rows []*schema.Sample) []byte {
 	p := &e.pw
 	p.reset()
 	p.u32(uint32(len(rows)))
 	for _, r := range rows {
 		p.f32(r.Label)
-		p.u32(uint32(len(r.DenseFeatures)))
-		for id, v := range r.DenseFeatures {
+		e.ids = sortedIDs(e.ids, r.DenseFeatures)
+		p.u32(uint32(len(e.ids)))
+		for _, id := range e.ids {
 			p.u32(uint32(id))
-			p.f32(v)
+			p.f32(r.DenseFeatures[id])
 		}
-		p.u32(uint32(len(r.SparseFeatures)))
-		for id, vals := range r.SparseFeatures {
+		e.ids = sortedIDs(e.ids, r.SparseFeatures)
+		p.u32(uint32(len(e.ids)))
+		for _, id := range e.ids {
+			vals := r.SparseFeatures[id]
 			p.u32(uint32(id))
 			p.u32(uint32(len(vals)))
 			for _, v := range vals {
 				p.i64(v)
 			}
 		}
-		p.u32(uint32(len(r.ScoreListFeatures)))
-		for id, vals := range r.ScoreListFeatures {
+		e.ids = sortedIDs(e.ids, r.ScoreListFeatures)
+		p.u32(uint32(len(e.ids)))
+		for _, id := range e.ids {
+			vals := r.ScoreListFeatures[id]
 			p.u32(uint32(id))
 			p.u32(uint32(len(vals)))
 			for _, v := range vals {
@@ -961,6 +890,16 @@ func (e *stripeEncoder) encodeRowData(rows []*schema.Sample) []byte {
 		}
 	}
 	return p.bytes()
+}
+
+// sortedIDs refills ids with m's feature IDs in ascending order.
+func sortedIDs[V any](ids []schema.FeatureID, m map[schema.FeatureID]V) []schema.FeatureID {
+	ids = ids[:0]
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // --- stream payload decoding -------------------------------------------
@@ -1236,10 +1175,10 @@ func decodeSparseDelta(data []byte, rows int, col *SparseColumn) error {
 	return nil
 }
 
-// decodeScoreListInto is decodeSparseInto for score-list streams.
-// Dictionary-encoded score lists are materialized at decode time (the
-// in-memory ScoreListColumn carries no dictionary); the wire-level
-// dictionary still buys the smaller file and a cheaper decode loop.
+// decodeScoreListInto is decodeSparseInto for score-list streams. The
+// writer stores score lists plain; dictionary streams, from v2 and v3
+// files written before it did, are materialized at decode time (the
+// in-memory ScoreListColumn carries no dictionary).
 func decodeScoreListInto(data []byte, enc StreamEncoding, version, rows int, col *ScoreListColumn) error {
 	switch enc {
 	case EncPlain:

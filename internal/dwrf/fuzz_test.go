@@ -3,6 +3,10 @@ package dwrf
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dsi/internal/schema"
@@ -16,7 +20,9 @@ const fuzzRows = 8
 // pair by running the real stripe encoder over a small crafted stripe
 // (its dictionary streams are format v3's compact ones), plus hand-built
 // malformed vectors for the validation paths: v2 fixed-width ones below
-// and the compact dictionary ones of compactDictHostiles.
+// and the compact dictionary ones of compactDictHostiles. The score-list
+// dictionary pair, which no writer emits any more, is the committed
+// corpus file scoreListDictSeed.
 func fuzzSeedPayloads() [][]byte {
 	rows := make([]*schema.Sample, fuzzRows)
 	for i := range rows {
@@ -39,23 +45,37 @@ func fuzzSeedPayloads() [][]byte {
 	}
 	var enc stripeEncoder
 	var seeds [][]byte
-	// add(want) keeps a payload the encoder wrote with encoding want, so
-	// the corpus cannot silently lose a (kind, encoding) pair.
+	// add(want) keeps a payload of encoding want, so the corpus cannot
+	// silently lose a (kind, encoding) pair.
 	add := func(want StreamEncoding) func([]byte, StreamEncoding) {
 		return func(p []byte, got StreamEncoding) {
 			if got != want {
-				panic(fmt.Sprintf("fuzz seed encoded %v, want %v", got, want))
+				panic(fmt.Sprintf("fuzz seed is %v, want %v", got, want))
 			}
 			seeds = append(seeds, append([]byte(nil), p...))
 		}
+	}
+	// scoreList reports enc as p's encoding only if p decodes under it to
+	// the rows' score lists.
+	scoreList := func(p []byte, enc StreamEncoding) ([]byte, StreamEncoding) {
+		lc := ScoreListColumn{Offsets: make([]int32, fuzzRows+1)}
+		if decodeScoreListInto(p, enc, Version, fuzzRows, &lc) != nil {
+			return p, encMax
+		}
+		for i, r := range rows {
+			if !slices.Equal(lc.RowValues(i), r.ScoreListFeatures[4]) {
+				return p, encMax
+			}
+		}
+		return p, enc
 	}
 	add(EncRLE)(enc.encodeDense(rows, 1, false))
 	add(EncPlain)(enc.encodeDense(rows, 1, true))
 	add(EncDict)(enc.encodeSparse(rows, 2, false))
 	add(EncDelta)(enc.encodeSparse(rows, 3, false))
 	add(EncPlain)(enc.encodeSparse(rows, 2, true))
-	add(EncDict)(enc.encodeScoreList(rows, 4, false))
-	add(EncPlain)(enc.encodeScoreList(rows, 4, true))
+	add(EncDict)(scoreList(readCorpusFile(scoreListDictSeed), EncDict))
+	add(EncPlain)(scoreList(enc.encodeScoreList(rows, 4), EncPlain))
 	seeds = append(seeds, enc.encodeLabels(rows))
 
 	// Malformed: truncated header, out-of-order rows, row beyond stripe,
@@ -85,6 +105,26 @@ func fuzzSeedPayloads() [][]byte {
 		seeds = append(seeds, h.payload)
 	}
 	return seeds
+}
+
+// scoreListDictSeed is the score-list stream the format-v3 writer wrote
+// for fuzzSeedPayloads' rows while it still built score-list
+// dictionaries: a compact dictionary of the pairs (0, 0.5) and (1, 0.5).
+const scoreListDictSeed = "testdata/fuzz/FuzzStripeStreamDecode/scorelist-dict-v3"
+
+// readCorpusFile returns the one []byte value of a committed fuzz corpus
+// file (the "go test fuzz v1" format), panicking if it holds anything
+// else.
+func readCorpusFile(path string) []byte {
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		lit := strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		var s string
+		if s, err = strconv.Unquote(strings.TrimSuffix(lit, ")")); err == nil {
+			return []byte(s)
+		}
+	}
+	panic(fmt.Sprintf("%s: not a one-[]byte fuzz corpus file: %v", path, err))
 }
 
 // fuzzDecodeAll throws the payload at every decoder under every

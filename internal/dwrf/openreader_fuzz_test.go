@@ -54,6 +54,11 @@ func fuzzFileSeeds(t testing.TB) [][]byte {
 			binary.LittleEndian.PutUint64(b[len(b)-tailLen:], n+1)
 			return b
 		}),
+		mutate(func(b []byte) []byte { // footerLen short by one: the footer's first byte skipped
+			n := binary.LittleEndian.Uint64(b[len(b)-tailLen:])
+			binary.LittleEndian.PutUint64(b[len(b)-tailLen:], n-1)
+			return b
+		}),
 	}
 	// Bit flips marching through the gob footer: offsets and lengths in
 	// the decoded StripeMeta must be range-checked, not trusted.

@@ -42,7 +42,6 @@ type ReadStats struct {
 	BytesWanted    int64 // bytes belonging to selected streams
 	BytesOverRead  int64 // fetched but not selected
 	BytesDecoded   int64 // raw payload bytes decoded (post-decompress)
-	StorageTime    time.Duration
 	StreamsDecoded int
 	// FetchWall and DecodeWall split the real (wall-clock) time of the
 	// read between waiting on storage and decrypt/decompress/decode work,
@@ -100,9 +99,6 @@ func (s *ReadStats) add(other ReadStats) {
 	s.BytesWanted += other.BytesWanted
 	s.BytesOverRead += other.BytesOverRead
 	s.BytesDecoded += other.BytesDecoded
-	if other.StorageTime > s.StorageTime {
-		s.StorageTime = other.StorageTime
-	}
 	s.StreamsDecoded += other.StreamsDecoded
 	s.FetchWall += other.FetchWall
 	s.DecodeWall += other.DecodeWall
@@ -328,7 +324,7 @@ func fetchFooter(cluster *tectonic.Cluster, path string, size int64) (FileFooter
 	if size < tailLen {
 		return footer, nil, rec, fmt.Errorf("dwrf: %s too short (%d bytes)", path, size)
 	}
-	tail, _, tr, err := cluster.ReadAtTraced(path, size-tailLen, tailLen)
+	tail, tr, err := cluster.ReadAtTraced(path, size-tailLen, tailLen)
 	rec.trace(tr)
 	served := tr.Served
 	if err != nil {
@@ -341,7 +337,7 @@ func fetchFooter(cluster *tectonic.Cluster, path string, size int64) (FileFooter
 	if footerLen <= 0 || footerLen > size-tailLen {
 		return footer, served, rec, fmt.Errorf("dwrf: %s has invalid footer length %d: %w", path, footerLen, tectonic.ErrCorrupt)
 	}
-	footerBytes, _, ftr, err := cluster.ReadAtTraced(path, size-tailLen-footerLen, footerLen)
+	footerBytes, ftr, err := cluster.ReadAtTraced(path, size-tailLen-footerLen, footerLen)
 	rec.trace(ftr)
 	served = append(served, ftr.Served...)
 	if err != nil {
@@ -620,7 +616,7 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats
 	}
 	for _, p := range sr.plans {
 		fetchStart := time.Now()
-		raw, _, t, tr, err := r.cluster.ReadAtBorrowTraced(r.path, p.offset, p.length)
+		raw, _, tr, err := r.cluster.ReadAtBorrowTraced(r.path, p.offset, p.length)
 		stats.FetchWall += time.Since(fetchStart)
 		stats.trace(tr)
 		// Most stripes are one read: keep its trace's slice, not a copy.
@@ -634,9 +630,6 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats
 		}
 		stats.IOs++
 		stats.BytesRead += p.length
-		if t > stats.StorageTime {
-			stats.StorageTime = t
-		}
 		decodeStart := time.Now()
 		for _, s := range sr.selected[p.lo:p.hi] {
 			stats.BytesWanted += s.Length

@@ -219,7 +219,7 @@ func (w *Writer) encodeJob(e *stripeEncoder, rows []*schema.Sample, j *streamJob
 	case streamSparse:
 		payload, m.Encoding = e.encodeSparse(rows, m.Feature, plain)
 	case streamScoreList:
-		payload, m.Encoding = e.encodeScoreList(rows, m.Feature, plain)
+		payload = e.encodeScoreList(rows, m.Feature)
 	}
 	m.RawLength = int64(len(payload))
 	j.comp = e.compress(payload)

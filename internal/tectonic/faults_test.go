@@ -51,7 +51,7 @@ func TestFaultDownFailsOver(t *testing.T) {
 	c, data, reps := faultFixture(t, Options{})
 	c.SetFaultSchedule(faults.NewSchedule(1).Down(reps[0], 0, 0))
 
-	got, _, trace, err := c.ReadAtTraced("f", 0, int64(len(data)))
+	got, trace, err := c.ReadAtTraced("f", 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFaultFlakyRetriesThenSucceeds(t *testing.T) {
 		if off+n > int64(len(data)) {
 			n = int64(len(data)) - off
 		}
-		got, _, tr, err := c.ReadAtTraced("f", off, n)
+		got, tr, err := c.ReadAtTraced("f", off, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestFaultSlowTriggersHedge(t *testing.T) {
 	}
 	c.SetFaultSchedule(sched)
 
-	got, _, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
+	got, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFaultAllDownExhaustsReplicas(t *testing.T) {
 	}
 	c.SetFaultSchedule(sched)
 
-	_, _, _, err := c.ReadAtTraced("f", 0, int64(len(data)))
+	_, _, err := c.ReadAtTraced("f", 0, int64(len(data)))
 	if err == nil {
 		t.Fatal("read succeeded with every node down")
 	}
@@ -179,7 +179,7 @@ func TestQuarantineDemotesReplica(t *testing.T) {
 		t.Fatal("replica not recorded as quarantined")
 	}
 
-	got, _, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
+	got, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestQuarantineDemotesReplica(t *testing.T) {
 
 func TestFaultFreeReadsStayClean(t *testing.T) {
 	c, data, reps := faultFixture(t, Options{})
-	got, _, trace, err := c.ReadAtTraced("f", 0, int64(len(data)))
+	got, trace, err := c.ReadAtTraced("f", 0, int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFaultFreeReadsStayClean(t *testing.T) {
 	// measured at the last commit that had the fast path.
 	const fastPathAllocs = 3
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, borrowed, _, _, err := c.ReadAtBorrowTraced("f", 128, 4096); err != nil || !borrowed {
+		if _, borrowed, _, err := c.ReadAtBorrowTraced("f", 128, 4096); err != nil || !borrowed {
 			t.Fatalf("single-chunk read: borrowed=%v err=%v", borrowed, err)
 		}
 	})
@@ -237,7 +237,7 @@ func TestFaultWindowExpiry(t *testing.T) {
 	c.SetFaultSchedule(faults.NewSchedule(9).Down(reps[0], 0, time.Millisecond))
 
 	c.Clock().Advance(2 * time.Millisecond)
-	got, _, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
+	got, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestBorrowNeverAliasesCorruptingNode(t *testing.T) {
 	}
 	c.SetFaultSchedule(sched)
 
-	got, borrowed, _, _, err := c.ReadAtBorrowTraced("f", 0, c.ChunkSize())
+	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 0, c.ChunkSize())
 	if err != nil {
 		t.Fatal(err)
 	}

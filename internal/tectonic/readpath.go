@@ -459,12 +459,12 @@ func (c *Cluster) readRange(path string, offset, length int64, borrow bool) ([]b
 	return out, false, done, trace, nil
 }
 
-// ReadAtTraced is ReadAt returning, additionally, the recovery trace:
-// which replica served each chunk, and how much retrying, failover, and
-// hedging the read needed.
-func (c *Cluster) ReadAtTraced(path string, offset, length int64) ([]byte, time.Duration, ReadTrace, error) {
-	out, _, t, trace, err := c.readRange(path, offset, length, false)
-	return out, t, trace, err
+// ReadAtTraced is ReadAt returning, instead of the completion time, the
+// recovery trace: which replica served each chunk, and how much
+// retrying, failover, and hedging the read needed.
+func (c *Cluster) ReadAtTraced(path string, offset, length int64) ([]byte, ReadTrace, error) {
+	out, _, _, trace, err := c.readRange(path, offset, length, false)
+	return out, trace, err
 }
 
 // ReadAtBorrowTraced is ReadAtTraced returning, when the range lies
@@ -474,6 +474,7 @@ func (c *Cluster) ReadAtTraced(path string, offset, length int64) ([]byte, time.
 // the file. Ranges spanning chunk boundaries are copied
 // (borrowed=false). Device-time and I/O accounting are identical to
 // ReadAt, so storage metrics don't depend on which call served the read.
-func (c *Cluster) ReadAtBorrowTraced(path string, offset, length int64) ([]byte, bool, time.Duration, ReadTrace, error) {
-	return c.readRange(path, offset, length, true)
+func (c *Cluster) ReadAtBorrowTraced(path string, offset, length int64) ([]byte, bool, ReadTrace, error) {
+	out, borrowed, _, trace, err := c.readRange(path, offset, length, true)
+	return out, borrowed, trace, err
 }

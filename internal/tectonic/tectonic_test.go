@@ -328,9 +328,9 @@ func TestReadAtRandomAccessProperty(t *testing.T) {
 				var got []byte
 				var trace ReadTrace
 				if borrow {
-					got, _, _, trace, err = c.ReadAtBorrowTraced("f", off, length)
+					got, _, trace, err = c.ReadAtBorrowTraced("f", off, length)
 				} else {
-					got, _, trace, err = c.ReadAtTraced("f", off, length)
+					got, trace, err = c.ReadAtTraced("f", off, length)
 				}
 				if err != nil || !bytes.Equal(got, data[off:off+length]) {
 					t.Errorf("%s, borrow=%v: read [%d,%d) = %x, %v", mode, borrow, off, off+length, got, err)
@@ -373,7 +373,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 	}
 
 	// Fully inside one chunk: the read is served zero-copy.
-	got, borrowed, _, _, err := c.ReadAtBorrowTraced("f", 17, 10)
+	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 17, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 	}
 
 	// Spanning a chunk boundary falls back to the copying path.
-	got, borrowed, _, _, err = c.ReadAtBorrowTraced("f", 10, 20)
+	got, borrowed, _, err = c.ReadAtBorrowTraced("f", 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 
 	// Both paths account identically.
 	ops, rb := c.ReadOps.Value(), c.ReadBytes.Value()
-	if _, _, _, _, err := c.ReadAtBorrowTraced("f", 17, 10); err != nil {
+	if _, _, _, err := c.ReadAtBorrowTraced("f", 17, 10); err != nil {
 		t.Fatal(err)
 	}
 	if c.ReadOps.Value() != ops+1 || c.ReadBytes.Value() != rb+10 {

@@ -502,10 +502,10 @@ func (t *Table) PartitionSplits(key string) ([]Split, error) {
 	return out, nil
 }
 
-// TableReader is the consumer-side half of the table interface: the view
-// a DPP master needs to enumerate and tail a table. Static and unbounded
-// tables both satisfy it; only unbounded tables ever report
-// StreamOpen() == true, a changing Generation or a Changed() that fires.
+// TableReader is the consumer-side view of a table: what a DPP master
+// needs to enumerate and tail it. Static and unbounded tables both
+// satisfy it; only unbounded tables ever report StreamOpen() == true, a
+// changing Generation or a Changed() that fires.
 type TableReader interface {
 	Partitions() []*Partition
 	Splits(keys []string) ([]Split, error)
@@ -515,19 +515,7 @@ type TableReader interface {
 	StreamOpen() bool
 }
 
-// TableAppender is the producer-side half: the view the ETL pipeline
-// writes through. Sealing a partition (PartitionWriter.Close) is the
-// only way rows become visible to TableReader users.
-type TableAppender interface {
-	NewPartition(key string) (*PartitionWriter, error)
-	Partition(key string) (*Partition, error)
-	CloseStream() error
-}
-
-var (
-	_ TableReader   = (*Table)(nil)
-	_ TableAppender = (*Table)(nil)
-)
+var _ TableReader = (*Table)(nil)
 
 // ReadSplit reads one split under a projection, returning row samples.
 func (w *Warehouse) ReadSplit(sp Split, proj *schema.Projection, opts dwrf.ReadOptions) ([]*schema.Sample, dwrf.ReadStats, error) {
