@@ -83,6 +83,10 @@
 // tracks tenant-aggregated starvation while a weighted fair-share
 // rebalance (SessionSpec.Weight, largest-remainder apportionment) keeps
 // every tenant's worker allocation within one worker of its quota.
+// Over RPC every Master and Service call crosses TCP as one
+// dpp.ControlCall, tagged with its op, and comes back as one
+// dpp.ControlReply, on the one net/rpc method that stands in for the
+// paper's Thrift service.
 // Pipelines register a data-plane endpoint with their session's
 // master, receive a graceful drain signal, retire by serving out their
 // buffers, and deregister; clients resolve live membership from the

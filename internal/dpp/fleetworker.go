@@ -374,11 +374,12 @@ func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse
 // FleetLauncher launches fleet workers as goroutines of the calling
 // process, so one process — a test, a simulation, a dppd master — can
 // operate a whole fleet. One thing selects the transport: with
-// ServiceAddr set, each worker dials the service over net/rpc and
-// serves its shared data plane on its own loopback TCP listener (the
-// disaggregated deployment); with it empty, each worker calls Service
-// directly and clients reach its pipelines by identity. SessionDialer
-// returns the matching client-side dialer either way.
+// ServiceAddr set, each worker dials the service (DialService: every
+// call one ControlCall over net/rpc) and serves its shared data plane
+// on its own loopback TCP listener (the disaggregated deployment); with
+// it empty, each worker calls Service directly and clients reach its
+// pipelines by identity. SessionDialer returns the matching client-side
+// dialer either way.
 type FleetLauncher struct {
 	// ServiceAddr is the service's RPC address (ServeService).
 	ServiceAddr string

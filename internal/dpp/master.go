@@ -319,7 +319,7 @@ func (m *Master) notifyLocked() {
 // workToken names the state WorkChanged's channels announce: it moves
 // exactly when one of them closes. A remote long-poll carries the token
 // it last saw, so a change that lands between two polls answers the next
-// one at once (MasterService.AwaitWork).
+// one at once (awaitWork, rpc.go).
 func (m *Master) workToken() int64 {
 	var gen int64
 	if m.table != nil {

@@ -17,181 +17,115 @@ import (
 // paper's Thrift RPC, plus the entry points that put a Worker's buffer
 // on a listener (the data plane itself is dataplane.go). The in-process
 // transport remains the default for simulations; cmd/dppd uses this one.
+//
+// Every control-plane call crosses the wire as one ControlCall and
+// comes back as one ControlReply, through the one method served as
+// controlMethod.
 
-// MasterService is the RPC wrapper around the per-session control
-// plane: every method is scoped to one of the Service's sessions by its
-// args' SessionID.
-type MasterService struct {
-	svc *Service
-}
+// ctlOp names one control-plane operation: the six Service ops, then
+// the nine session-scoped MasterAPI ops.
+type ctlOp uint8
 
-// master resolves one session's control plane.
-func (s *MasterService) master(sessionID string) (*Master, error) {
-	return s.svc.Master(sessionID)
-}
+const (
+	_ ctlOp = iota // the zero op is no operation
+	opCreateSession
+	opCloseSession
+	opListSessions
+	opRegisterFleet
+	opFleetHeartbeat
+	opDeregisterFleet
+	opRegister // the first op scoped to ControlCall.Session's master
+	opDeregister
+	opNextSplit
+	opListWorkers
+	opRelease
+	opComplete
+	opHeartbeat
+	opDone
+	opAwaitWork // the last op
+)
 
-// RegisterArgs identifies the calling worker, its data-plane address,
-// and the session it joins.
-type RegisterArgs struct {
-	WorkerID  string
-	Endpoint  string
-	SessionID string
-}
+// controlMethod is the one net/rpc method ServeService serves.
+const controlMethod = "Control.Call"
 
-// RegisterReply carries the session spec.
-type RegisterReply struct{ Spec SessionSpec }
-
-// Register handles worker registration.
-func (s *MasterService) Register(args *RegisterArgs, reply *RegisterReply) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
-	spec, err := m.RegisterWorker(args.WorkerID, args.Endpoint)
-	if err != nil {
-		return err
-	}
-	reply.Spec = spec
-	return nil
-}
-
-// DeregisterArgs identifies the departing worker.
-type DeregisterArgs struct {
-	WorkerID  string
-	SessionID string
-}
-
-// Deregister removes a drained worker from the session's membership.
-func (s *MasterService) Deregister(args *DeregisterArgs, reply *struct{}) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
-	return m.DeregisterWorker(args.WorkerID)
-}
-
-// NextSplitArgs identifies the calling worker.
-type NextSplitArgs struct {
-	WorkerID  string
-	SessionID string
-}
-
-// NextSplitReply carries one leased split, or the drain signal.
-type NextSplitReply struct {
-	Split    warehouse.Split
+// ControlCall is one control-plane request: Op, plus the arguments that
+// op reads. The rest stay zero, and gob sends no zero field.
+type ControlCall struct {
+	Op       ctlOp
+	Session  string // the session a master op is scoped to, or the one created or closed
+	Worker   string
+	Endpoint string
 	SplitID  int
-	OK       bool
-	Draining bool
+	Reason   string
+	Stats    WorkerStats
+	Spec     SessionSpec
+	Seen     int64 // AwaitWork: the work token the caller last saw (-1: none yet)
 }
 
-// NextSplit leases a split.
-func (s *MasterService) NextSplit(args *NextSplitArgs, reply *NextSplitReply) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
-	split, id, ok, draining, err := m.NextSplit(args.WorkerID)
-	if err != nil {
-		return err
-	}
-	reply.Split, reply.SplitID, reply.OK, reply.Draining = split, id, ok, draining
-	return nil
-}
-
-// ListWorkersArgs scopes a membership resolution to one session.
-type ListWorkersArgs struct {
-	SessionID string
-}
-
-// ListWorkersReply carries the session's resolved worker membership.
-type ListWorkersReply struct{ Workers []WorkerEndpoint }
-
-// ListWorkers resolves current worker membership for clients.
-func (s *MasterService) ListWorkers(args *ListWorkersArgs, reply *ListWorkersReply) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
-	workers, err := m.ListWorkers()
-	if err != nil {
-		return err
-	}
-	reply.Workers = workers
-	return nil
-}
-
-// ReleaseArgs returns a leased split after a retryable storage failure.
-type ReleaseArgs struct {
-	WorkerID  string
+// ControlReply is one control-plane answer: the fields its call's op
+// fills.
+type ControlReply struct {
+	Spec      SessionSpec
+	Sessions  []SessionInfo
+	Directive FleetDirective
+	Workers   []WorkerEndpoint
+	Split     warehouse.Split
 	SplitID   int
-	Reason    string
-	SessionID string
+	OK        bool
+	Draining  bool
+	Requeued  bool
+	Done      bool
+	Token     int64
 }
 
-// ReleaseReply reports whether the split was requeued (false: its
-// poison budget is exhausted and the session is failing).
-type ReleaseReply struct{ Requeued bool }
+// control answers every ControlCall against one Service.
+type control struct{ svc *Service }
 
-// Release requeues a split a worker could not read.
-func (s *MasterService) Release(args *ReleaseArgs, reply *ReleaseReply) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
+// Call runs one control-plane operation. A master op resolves its
+// session's Master first, so an unknown session fails every one alike.
+func (c *control) Call(call *ControlCall, reply *ControlReply) (err error) {
+	if call.Op == 0 || call.Op > opAwaitWork {
+		return fmt.Errorf("dpp: unknown control op %d", call.Op)
 	}
-	requeued, err := m.ReleaseSplit(args.WorkerID, args.SplitID, args.Reason)
-	reply.Requeued = requeued
+	var m *Master
+	if call.Op >= opRegister {
+		if m, err = c.svc.Master(call.Session); err != nil {
+			return err
+		}
+	}
+	switch call.Op {
+	case opCreateSession:
+		err = c.svc.CreateSession(call.Session, call.Spec)
+	case opCloseSession:
+		err = c.svc.CloseSession(call.Session)
+	case opListSessions:
+		reply.Sessions, err = c.svc.ListSessions()
+	case opRegisterFleet:
+		err = c.svc.RegisterFleetWorker(call.Worker, call.Endpoint)
+	case opFleetHeartbeat:
+		reply.Directive, err = c.svc.FleetHeartbeat(call.Worker, call.Stats)
+	case opDeregisterFleet:
+		err = c.svc.DeregisterFleetWorker(call.Worker)
+	case opRegister:
+		reply.Spec, err = m.RegisterWorker(call.Worker, call.Endpoint)
+	case opDeregister:
+		err = m.DeregisterWorker(call.Worker)
+	case opNextSplit:
+		reply.Split, reply.SplitID, reply.OK, reply.Draining, err = m.NextSplit(call.Worker)
+	case opListWorkers:
+		reply.Workers, err = m.ListWorkers()
+	case opRelease:
+		reply.Requeued, err = m.ReleaseSplit(call.Worker, call.SplitID, call.Reason)
+	case opComplete:
+		err = m.CompleteSplit(call.Worker, call.SplitID)
+	case opHeartbeat:
+		err = m.Heartbeat(call.Worker, call.Stats)
+	case opDone:
+		reply.Done, err = m.Done()
+	case opAwaitWork:
+		reply.Token = awaitWork(m, call.Seen)
+	}
 	return err
-}
-
-// CompleteArgs acknowledges a split.
-type CompleteArgs struct {
-	WorkerID  string
-	SplitID   int
-	SessionID string
-}
-
-// Complete acknowledges a finished split.
-func (s *MasterService) Complete(args *CompleteArgs, reply *struct{}) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
-	return m.CompleteSplit(args.WorkerID, args.SplitID)
-}
-
-// HeartbeatArgs carries a worker utilization snapshot.
-type HeartbeatArgs struct {
-	WorkerID  string
-	Stats     WorkerStats
-	SessionID string
-}
-
-// Heartbeat records worker liveness.
-func (s *MasterService) Heartbeat(args *HeartbeatArgs, reply *struct{}) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
-	return m.Heartbeat(args.WorkerID, args.Stats)
-}
-
-// DoneArgs scopes a completion check to one session.
-type DoneArgs struct {
-	SessionID string
-}
-
-// Done reports session completion.
-func (s *MasterService) Done(args *DoneArgs, reply *bool) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
-	done, err := m.Done()
-	if err != nil {
-		return err
-	}
-	*reply = done
-	return nil
 }
 
 // awaitWorkCap bounds how long one AwaitWork long-poll is held at the
@@ -200,28 +134,17 @@ func (s *MasterService) Done(args *DoneArgs, reply *bool) error {
 // second, not forever.
 const awaitWorkCap = time.Second
 
-// AwaitWorkArgs is one long-poll for WorkChanged over RPC: the session,
-// and the work token the caller last saw (-1: none yet).
-type AwaitWorkArgs struct {
-	SessionID string
-	Seen      int64
-}
-
-// AwaitWork is the remote half of MasterAPI.WorkChanged. It answers at
+// awaitWork is the remote half of MasterAPI.WorkChanged. It answers at
 // once when the master has moved past the token the caller last saw —
 // which is what makes a change that lands between two polls impossible
 // to miss — and otherwise when either WorkChanged channel closes or
-// awaitWorkCap passes, replying with the token now current.
-func (s *MasterService) AwaitWork(args *AwaitWorkArgs, token *int64) error {
-	m, err := s.master(args.SessionID)
-	if err != nil {
-		return err
-	}
+// awaitWorkCap passes, with the token now current.
+func awaitWork(m *Master, seen int64) int64 {
 	// Channels before the token: a change after this line closes one of
 	// them, a change before it shows in the token.
 	session, table := m.WorkChanged()
-	if *token = m.workToken(); *token != args.Seen {
-		return nil
+	if token := m.workToken(); token != seen {
+		return token
 	}
 	held := time.NewTimer(awaitWorkCap)
 	defer held.Stop()
@@ -230,92 +153,7 @@ func (s *MasterService) AwaitWork(args *AwaitWorkArgs, token *int64) error {
 	case <-table:
 	case <-held.C:
 	}
-	*token = m.workToken()
-	return nil
-}
-
-// ServiceRPC is the RPC wrapper around the multi-tenant registry and
-// fleet surface of a Service.
-type ServiceRPC struct {
-	svc *Service
-}
-
-// CreateSessionArgs registers a new tenant session.
-type CreateSessionArgs struct {
-	ID   string
-	Spec SessionSpec
-}
-
-// Create registers a new tenant session.
-func (s *ServiceRPC) Create(args *CreateSessionArgs, reply *struct{}) error {
-	return s.svc.CreateSession(args.ID, args.Spec)
-}
-
-// CloseSessionArgs removes a tenant session.
-type CloseSessionArgs struct {
-	ID string
-}
-
-// Close removes a tenant session from the registry.
-func (s *ServiceRPC) Close(args *CloseSessionArgs, reply *struct{}) error {
-	return s.svc.CloseSession(args.ID)
-}
-
-// ListSessionsReply carries the session registry.
-type ListSessionsReply struct {
-	Sessions []SessionInfo
-}
-
-// List reports the session registry.
-func (s *ServiceRPC) List(args *struct{}, reply *ListSessionsReply) error {
-	sessions, err := s.svc.ListSessions()
-	if err != nil {
-		return err
-	}
-	reply.Sessions = sessions
-	return nil
-}
-
-// FleetRegisterArgs announces a fleet worker.
-type FleetRegisterArgs struct {
-	WorkerID string
-	Endpoint string
-}
-
-// RegisterFleet handles fleet worker registration.
-func (s *ServiceRPC) RegisterFleet(args *FleetRegisterArgs, reply *struct{}) error {
-	return s.svc.RegisterFleetWorker(args.WorkerID, args.Endpoint)
-}
-
-// FleetHeartbeatArgs carries a fleet worker's aggregate snapshot.
-type FleetHeartbeatArgs struct {
-	WorkerID string
-	Stats    WorkerStats
-}
-
-// FleetHeartbeatReply carries the worker's assignment directive.
-type FleetHeartbeatReply struct {
-	Directive FleetDirective
-}
-
-// FleetHeartbeat records fleet liveness and returns assignments.
-func (s *ServiceRPC) FleetHeartbeat(args *FleetHeartbeatArgs, reply *FleetHeartbeatReply) error {
-	d, err := s.svc.FleetHeartbeat(args.WorkerID, args.Stats)
-	if err != nil {
-		return err
-	}
-	reply.Directive = d
-	return nil
-}
-
-// FleetDeregisterArgs identifies the departing fleet worker.
-type FleetDeregisterArgs struct {
-	WorkerID string
-}
-
-// DeregisterFleet removes a drained fleet worker.
-func (s *ServiceRPC) DeregisterFleet(args *FleetDeregisterArgs, reply *struct{}) error {
-	return s.svc.DeregisterFleetWorker(args.WorkerID)
+	return m.workToken()
 }
 
 // acceptBackoff bounds the retry delay after a transient Accept error.
@@ -375,28 +213,46 @@ func dialRPC(addr string) (*rpc.Client, error) {
 // ServeService listens on addr and serves the control plane over
 // net/rpc: the session-scoped Master surface plus the Service registry
 // and fleet surface. It returns the bound listener (use its Addr for
-// DialService) and a stop function.
+// DialService) and a stop function, which also closes every served
+// connection, so no client keeps a control plane that has stopped.
 func ServeService(svc *Service, addr string) (net.Listener, func(), error) {
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", &MasterService{svc: svc}); err != nil {
-		return nil, nil, err
-	}
-	if err := srv.RegisterName("Service", &ServiceRPC{svc: svc}); err != nil {
+	if err := srv.RegisterName("Control", &control{svc: svc}); err != nil {
 		return nil, nil, err
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
+	var mu sync.Mutex
+	conns := make(map[net.Conn]struct{}) // nil once stopped
 	done := make(chan struct{})
 	go acceptLoop(ln, done, func(conn net.Conn) {
-		go srv.ServeConn(conn)
+		mu.Lock()
+		defer mu.Unlock()
+		if conns == nil {
+			conn.Close()
+			return
+		}
+		conns[conn] = struct{}{}
+		go func() {
+			srv.ServeConn(conn)
+			mu.Lock()
+			delete(conns, conn)
+			mu.Unlock()
+		}()
 	})
 	var once sync.Once
 	stop := func() {
 		once.Do(func() {
 			close(done)
 			ln.Close()
+			mu.Lock()
+			defer mu.Unlock()
+			for conn := range conns {
+				conn.Close()
+			}
+			conns = nil
 		})
 	}
 	return ln, stop, nil
@@ -416,66 +272,63 @@ type RemoteMaster struct {
 	polling sync.WaitGroup
 }
 
+// call sends one control call over client and waits for its reply.
+func call(client *rpc.Client, c ControlCall) (ControlReply, error) {
+	var reply ControlReply
+	err := client.Call(controlMethod, &c, &reply)
+	return reply, err
+}
+
 // RegisterWorker implements MasterAPI.
 func (r *RemoteMaster) RegisterWorker(workerID, endpoint string) (SessionSpec, error) {
-	var reply RegisterReply
-	if err := r.client.Call("Master.Register", &RegisterArgs{WorkerID: workerID, Endpoint: endpoint, SessionID: r.session}, &reply); err != nil {
-		return SessionSpec{}, err
-	}
-	return reply.Spec, nil
+	reply, err := call(r.client, ControlCall{Op: opRegister, Session: r.session, Worker: workerID, Endpoint: endpoint})
+	return reply.Spec, err
 }
 
 // DeregisterWorker implements MasterAPI.
 func (r *RemoteMaster) DeregisterWorker(workerID string) error {
-	return r.client.Call("Master.Deregister", &DeregisterArgs{WorkerID: workerID, SessionID: r.session}, &struct{}{})
+	_, err := call(r.client, ControlCall{Op: opDeregister, Session: r.session, Worker: workerID})
+	return err
 }
 
 // NextSplit implements MasterAPI.
 func (r *RemoteMaster) NextSplit(workerID string) (warehouse.Split, int, bool, bool, error) {
-	var reply NextSplitReply
-	if err := r.client.Call("Master.NextSplit", &NextSplitArgs{WorkerID: workerID, SessionID: r.session}, &reply); err != nil {
-		return warehouse.Split{}, 0, false, false, err
-	}
-	return reply.Split, reply.SplitID, reply.OK, reply.Draining, nil
+	reply, err := call(r.client, ControlCall{Op: opNextSplit, Session: r.session, Worker: workerID})
+	return reply.Split, reply.SplitID, reply.OK, reply.Draining, err
 }
 
 // ListWorkers implements MasterAPI.
 func (r *RemoteMaster) ListWorkers() ([]WorkerEndpoint, error) {
-	var reply ListWorkersReply
-	if err := r.client.Call("Master.ListWorkers", &ListWorkersArgs{SessionID: r.session}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Workers, nil
+	reply, err := call(r.client, ControlCall{Op: opListWorkers, Session: r.session})
+	return reply.Workers, err
 }
 
 // CompleteSplit implements MasterAPI.
 func (r *RemoteMaster) CompleteSplit(workerID string, splitID int) error {
-	return r.client.Call("Master.Complete", &CompleteArgs{WorkerID: workerID, SplitID: splitID, SessionID: r.session}, &struct{}{})
+	_, err := call(r.client, ControlCall{Op: opComplete, Session: r.session, Worker: workerID, SplitID: splitID})
+	return err
 }
 
 // ReleaseSplit implements MasterAPI.
 func (r *RemoteMaster) ReleaseSplit(workerID string, splitID int, reason string) (bool, error) {
-	var reply ReleaseReply
-	if err := r.client.Call("Master.Release", &ReleaseArgs{WorkerID: workerID, SplitID: splitID, Reason: reason, SessionID: r.session}, &reply); err != nil {
-		return false, err
-	}
-	return reply.Requeued, nil
+	reply, err := call(r.client, ControlCall{Op: opRelease, Session: r.session, Worker: workerID, SplitID: splitID, Reason: reason})
+	return reply.Requeued, err
 }
 
 // Heartbeat implements MasterAPI.
 func (r *RemoteMaster) Heartbeat(workerID string, stats WorkerStats) error {
-	return r.client.Call("Master.Heartbeat", &HeartbeatArgs{WorkerID: workerID, Stats: stats, SessionID: r.session}, &struct{}{})
+	_, err := call(r.client, ControlCall{Op: opHeartbeat, Session: r.session, Worker: workerID, Stats: stats})
+	return err
 }
 
 // Done implements MasterAPI.
 func (r *RemoteMaster) Done() (bool, error) {
-	var done bool
-	err := r.client.Call("Master.Done", &DoneArgs{SessionID: r.session}, &done)
-	return done, err
+	reply, err := call(r.client, ControlCall{Op: opDone, Session: r.session})
+	return reply.Done, err
 }
 
 // WorkChanged implements MasterAPI. Both of the master's wake-ups
-// arrive through one shared long-poll (MasterService.AwaitWork), so the
+// arrive through one shared long-poll (awaitWork), so the
 // session channel stands for either and table is nil. The first call
 // starts the long-poll; its first reply only learns the master's token
 // and therefore wakes the waiters once for nothing.
@@ -515,19 +368,19 @@ func (r *RemoteMaster) awaitLoop(stop <-chan struct{}) {
 	defer r.wake() // never leave a waiter on a channel nothing will close
 	seen := int64(-1)
 	for {
-		var token int64
-		call := r.client.Go("Master.AwaitWork", &AwaitWorkArgs{SessionID: r.session, Seen: seen}, &token, nil)
+		var reply ControlReply
+		poll := r.client.Go(controlMethod, &ControlCall{Op: opAwaitWork, Session: r.session, Seen: seen}, &reply, nil)
 		select {
 		case <-stop:
 			return
-		case <-call.Done:
+		case <-poll.Done:
 		}
 		switch {
-		case call.Error == nil && token == seen:
+		case poll.Error == nil && reply.Token == seen:
 			continue // the server's cap passed with nothing to announce
-		case call.Error == nil:
-			seen = token
-		case errors.Is(call.Error, rpc.ErrShutdown):
+		case poll.Error == nil:
+			seen = reply.Token
+		case errors.Is(poll.Error, rpc.ErrShutdown):
 			return
 		default:
 			seen = -1
@@ -583,42 +436,40 @@ func (r *RemoteService) Close() error { return r.client.Close() }
 // CreateSession registers a tenant session at the served Service
 // (Service.CreateSession).
 func (r *RemoteService) CreateSession(id string, spec SessionSpec) error {
-	return r.client.Call("Service.Create", &CreateSessionArgs{ID: id, Spec: spec}, &struct{}{})
+	_, err := call(r.client, ControlCall{Op: opCreateSession, Session: id, Spec: spec})
+	return err
 }
 
 // CloseSession removes a tenant session from the served Service
 // (Service.CloseSession).
 func (r *RemoteService) CloseSession(id string) error {
-	return r.client.Call("Service.Close", &CloseSessionArgs{ID: id}, &struct{}{})
+	_, err := call(r.client, ControlCall{Op: opCloseSession, Session: id})
+	return err
 }
 
 // ListSessions reports the served Service's sessions
 // (Service.ListSessions).
 func (r *RemoteService) ListSessions() ([]SessionInfo, error) {
-	var reply ListSessionsReply
-	if err := r.client.Call("Service.List", &struct{}{}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Sessions, nil
+	reply, err := call(r.client, ControlCall{Op: opListSessions})
+	return reply.Sessions, err
 }
 
 // RegisterFleetWorker implements FleetControl.
 func (r *RemoteService) RegisterFleetWorker(workerID, endpoint string) error {
-	return r.client.Call("Service.RegisterFleet", &FleetRegisterArgs{WorkerID: workerID, Endpoint: endpoint}, &struct{}{})
+	_, err := call(r.client, ControlCall{Op: opRegisterFleet, Worker: workerID, Endpoint: endpoint})
+	return err
 }
 
 // FleetHeartbeat implements FleetControl.
 func (r *RemoteService) FleetHeartbeat(workerID string, stats WorkerStats) (FleetDirective, error) {
-	var reply FleetHeartbeatReply
-	if err := r.client.Call("Service.FleetHeartbeat", &FleetHeartbeatArgs{WorkerID: workerID, Stats: stats}, &reply); err != nil {
-		return FleetDirective{}, err
-	}
-	return reply.Directive, nil
+	reply, err := call(r.client, ControlCall{Op: opFleetHeartbeat, Worker: workerID, Stats: stats})
+	return reply.Directive, err
 }
 
 // DeregisterFleetWorker implements FleetControl.
 func (r *RemoteService) DeregisterFleetWorker(workerID string) error {
-	return r.client.Call("Service.DeregisterFleet", &FleetDeregisterArgs{WorkerID: workerID}, &struct{}{})
+	_, err := call(r.client, ControlCall{Op: opDeregisterFleet, Worker: workerID})
+	return err
 }
 
 // SessionMaster implements FleetControl: one session's control plane

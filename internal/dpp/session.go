@@ -97,6 +97,12 @@
 // simulations and tests) and TCP (cmd/dppd), exercising the same
 // Master/Worker/Client/Orchestrator logic.
 //
+// Over TCP the control plane is one net/rpc method, "Control.Call"
+// (ServeService): every Master and Service operation crosses as one
+// gob-encoded ControlCall, tagged with its op, and comes back as one
+// ControlReply. RemoteService and RemoteMaster are the client halves;
+// a RemoteMaster's WorkChanged is one long-poll of the AwaitWork op.
+//
 // Over TCP the worker→trainer data plane is one framed stream per
 // (client, worker) pair (DialWorkerFramed / DialWorkerFramedSession,
 // layout in dataplane.go): the client opens it with a hello carrying

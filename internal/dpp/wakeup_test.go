@@ -521,14 +521,10 @@ func TestAwaitWorkToken(t *testing.T) {
 	if _, err := m.RegisterWorker("w", ""); err != nil {
 		t.Fatal(err)
 	}
-	handler := &MasterService{svc: svc}
 	await := func(seen int64) (int64, time.Duration) {
 		t.Helper()
-		var token int64
 		start := time.Now()
-		if err := handler.AwaitWork(&AwaitWorkArgs{SessionID: "job", Seen: seen}, &token); err != nil {
-			t.Fatal(err)
-		}
+		token := awaitWork(m, seen)
 		return token, time.Since(start)
 	}
 
