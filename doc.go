@@ -39,10 +39,10 @@
 // single passes, and draws output columns from a per-worker pooled
 // column arena (dwrf.Arena). Stripes decode straight into arena batches
 // through streaming column decoders, and the worker releases each batch
-// (dwrf.Batch.Release) once tensor.MaterializeBatches has copied each
-// row range straight into its BatchSize-row tensor batch (one pass, no
-// whole-split intermediate), so steady-state preprocessing recycles the
-// same buffers split after split. The plan also names what a session
+// (dwrf.Batch.Release) once tensor.FrameWriter has written each row
+// range straight into its BatchSize-row wire frame (one pass, no
+// whole-split intermediate and no tensor batch), so steady-state
+// preprocessing recycles the same buffers split after split. The plan also names what a session
 // delivers: Graph.TensorOutputs files every output no op consumes by the
 // slot kind the compiler assigned it, and every session builder takes
 // DenseOut/SparseOut from it. The plan
@@ -53,17 +53,26 @@
 // from 9365 to 5 allocations per batch).
 //
 // The worker→trainer hot path is a zero-copy framed streaming data
-// plane: tensor.Batch has an explicit wire codec (AppendBinary /
-// DecodeBinary — length-prefixed little-endian frames with pooled
-// buffers and a Batch.Release lifecycle), and dpp workers push batch
-// frames over one credit-windowed TCP stream per client, with no
-// per-batch round trip and without the reflection-driven
-// (de)serialization share of the paper's "datacenter tax" (§6.2). It is
-// the only worker→trainer wire: one hello layout, one frame layout,
-// every frame tagged with its (split, seq) provenance, every length
-// off the socket bounded. It replaced a gob-unary net/rpc plane at
-// ~3.5x lower per-batch latency and ~99% less garbage on the standard
-// session shape.
+// plane, and on the worker the frame is the batch: tensor.FrameWriter
+// writes each BatchSize-row range of a transformed split once, straight
+// into a pooled stream frame that already carries the stream header and
+// the (split, seq) provenance, and that frame is what the worker
+// buffers, sends with one write, requeues after a broken stream and
+// recycles after a grant. The frame is TBF2 (tensor/wire.go): sparse
+// indices are stored in the bytes their batch's largest index needs —
+// at most 3 for the standard graph's 20-bit buckets, where the first
+// frame version spent 8 — so a row crosses the wire in ~309 bytes
+// instead of ~699. Trainers
+// decode each frame (tensor.DecodeBinary) into one pooled slab of i64
+// tensors returned with Batch.Release, and in-process consumers decode
+// the same bytes. Workers push frames over one credit-windowed TCP
+// stream per client, with no per-batch round trip and without the
+// reflection-driven (de)serialization share of the paper's "datacenter
+// tax" (§6.2). It is the only worker→trainer wire: one hello layout,
+// one frame layout (data plane version 3), every frame tagged with its
+// (split, seq) provenance, every length off the socket bounded. It
+// replaced a gob-unary net/rpc plane at ~3.5x lower per-batch latency
+// and ~99% less garbage on the standard session shape.
 //
 // The DPP control plane is one dpp.Service, multi-tenant as the paper's
 // DPP actually is: a session registry (CreateSession / RestoreSession /

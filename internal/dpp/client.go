@@ -49,18 +49,23 @@ func (l *localWorker) Close() error {
 }
 
 // FetchBatch implements WorkerAPI. An in-process pop is irrevocable, so
-// it acks the batch's split ledger immediately. A crashed worker errors
-// like a dead TCP peer would, so fault-injection tests exercise the
-// same client recovery path in-process and over the wire.
+// it acks the frame's split ledger immediately, then decodes the frame
+// as a stream client would: in process and over TCP a trainer receives
+// the same bytes. A crashed worker errors like a dead TCP peer would, so
+// fault-injection tests exercise the same client recovery path
+// in-process and over the wire.
 func (l *localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 	if l.w.Crashed() {
 		return nil, false, false, fmt.Errorf("dpp: worker %s crashed", l.w.ID)
 	}
-	b, ok, done := l.w.TryGetBatch()
-	if ok {
-		l.w.ackConsumed(b)
+	f, ok, done := l.w.tryGetFrame()
+	if !ok {
+		return nil, false, done, nil
 	}
-	return b, ok, done, nil
+	l.w.ackConsumed(f)
+	b, err := f.decode()
+	f.free()
+	return b, err == nil, false, err
 }
 
 // LocalWorkerAPI wraps an in-process worker as a WorkerAPI.

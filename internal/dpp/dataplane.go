@@ -20,18 +20,24 @@ import (
 //
 //   - The client opens the stream with a hello naming the session and a
 //     credit window; the worker pushes length-prefixed flat-binary batch
-//     frames (tensor.AppendBinary) as the delivery stage produces them,
-//     so no batch costs a round trip while the worker's bounded buffer
-//     (BufferDepth / MaxBufferedBytes) keeps applying backpressure.
+//     frames (TBF2, see tensor/wire.go) as the delivery stage produces
+//     them, so no batch costs a round trip while the worker's bounded
+//     buffer (BufferDepth / MaxBufferedBytes) keeps applying
+//     backpressure.
 //   - Credit-based flow control. The worker may have at most `window`
 //     un-acknowledged frames in flight; the client grants one credit per
 //     consumed batch. A stalled trainer therefore stops the stream after
 //     at most one window, and the stall propagates back through the
 //     worker's delivery buffer.
-//   - Pooled frames at both ends. The worker encodes each batch once
-//     into a pooled buffer and writes it with a single syscall; the
-//     client decodes into pool-backed tensors that the trainer returns
-//     with Batch.Release.
+//   - The frame is the batch. A worker's evaluator writes each batch
+//     once, straight from the transformed split into a pooled frame
+//     (tensor.FrameWriter) that already holds the stream header and the
+//     provenance tags below; the worker's buffer and the stream's
+//     un-granted window hold that frame, the server writes it with a
+//     single syscall and no further copy, and a grant or a crash
+//     returns it to the pool while an abnormal break requeues the same
+//     bytes. The client decodes into one pooled slab per batch that the
+//     trainer returns with Batch.Release.
 //
 // Wire protocol, after the client connects:
 //
@@ -41,7 +47,7 @@ import (
 //	server frame : u8 kind | u32 payload length | payload
 //	               kind 1 = batch: u32 split | u32 seq | u32 seq count
 //	               (the batch's delivery provenance, see tensor.Batch)
-//	               | one tensor frame
+//	               | one TBF2 tensor frame
 //	               kind 2 = done  (worker finished and drained; len 0)
 //	client grant : u32 credit delta (any time after the hello)
 //
@@ -60,8 +66,9 @@ import (
 const (
 	// dataPlaneMagic opens both hellos of the framed protocol.
 	dataPlaneMagic = "DSI1"
-	// dataPlaneVersion is the one protocol version this package speaks.
-	dataPlaneVersion = 2
+	// dataPlaneVersion is the one protocol version this package speaks:
+	// 3 carries TBF2 tensor frames (narrow sparse indices).
+	dataPlaneVersion = 3
 
 	frameKindBatch = 1
 	frameKindDone  = 2
@@ -96,23 +103,142 @@ const (
 // DataPlaneFramed is the one legal non-empty SessionSpec.DataPlane.
 const DataPlaneFramed = "framed"
 
-// BatchSource is the buffer surface the data plane serves from: Worker
-// implements it, and benchmarks or tests can serve synthetic sources
-// through ServeBatchSource.
+// frame is one batch as a worker holds and sends it: the whole stream
+// frame — kind, payload length, provenance tags and the TBF2 tensor
+// frame — in one pooled buffer, written once and written to the socket
+// as is. rows and size are the batch's row count and SizeBytes (the i64
+// tensor footprint the resource report prices), known from the writer
+// so no one decodes a frame to count it.
+type frame struct {
+	buf  []byte
+	rows int
+	size int64
+}
+
+// framePool recycles frames with their buffers. It stores *frame, so a
+// Get or a Put boxes nothing.
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// newFrame draws a pooled frame and writes its batch header and tags;
+// the caller appends the tensor frame and seals it.
+func newFrame(split, seq, seqCount int32) *frame {
+	f := framePool.Get().(*frame)
+	f.buf = append(f.buf[:0], frameKindBatch, 0, 0, 0, 0)
+	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(split))
+	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(seq))
+	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(seqCount))
+	return f
+}
+
+// seal sets the payload length once the tensor frame is appended.
+func (f *frame) seal(rows int, size int64) *frame {
+	binary.LittleEndian.PutUint32(f.buf[1:frameHeaderLen], uint32(len(f.buf)-frameHeaderLen))
+	f.rows, f.size = rows, size
+	return f
+}
+
+// encodeFrame writes a batch into a pooled frame under its own tags.
+func encodeFrame(b *tensor.Batch) *frame {
+	f := newFrame(b.Split, b.Seq, b.SeqCount)
+	f.buf = b.AppendBinary(f.buf)
+	return f.seal(b.Rows, b.SizeBytes())
+}
+
+// free returns the frame to the pool; the caller must hold no other
+// reference to it.
+func (f *frame) free() { framePool.Put(f) }
+
+// split is the frame's 1-based split tag (0 = untagged).
+func (f *frame) split() int32 {
+	return int32(binary.LittleEndian.Uint32(f.buf[frameHeaderLen:]))
+}
+
+// decode returns the batch the frame carries, tagged, in pooled tensors
+// — what a client decodes off the stream, so the in-process consumers
+// (LocalWorkerAPI, Worker.Sink) deliver the same bytes as TCP.
+func (f *frame) decode() (*tensor.Batch, error) {
+	return decodeBatchFrame(f.buf[frameHeaderLen:])
+}
+
+// decodeBatchFrame decodes a batch frame's payload: the provenance tags,
+// then one tensor frame filling the rest.
+func decodeBatchFrame(payload []byte) (*tensor.Batch, error) {
+	b, n, err := tensor.DecodeBinary(payload[batchTagLen:])
+	if err != nil {
+		return nil, err
+	}
+	if n != len(payload)-batchTagLen {
+		b.Release()
+		return nil, fmt.Errorf("dpp: framed stream: %d trailing bytes after the tensor frame", len(payload)-batchTagLen-n)
+	}
+	b.Split = int32(binary.LittleEndian.Uint32(payload[0:4]))
+	b.Seq = int32(binary.LittleEndian.Uint32(payload[4:8]))
+	b.SeqCount = int32(binary.LittleEndian.Uint32(payload[8:12]))
+	return b, nil
+}
+
+// frameSource is the buffer surface the data plane serves from: Worker
+// implements it, and ServeBatchSource adapts any BatchSource to it.
+type frameSource interface {
+	// tryGetFrame pops one buffered frame without blocking. done=true
+	// means the source has finished and drained.
+	tryGetFrame() (f *frame, ok bool, done bool)
+}
+
+// BatchSource is a buffer of tensor batches ServeBatchSource serves:
+// benchmarks and tests serve synthetic batches through it.
 type BatchSource interface {
 	// TryGetBatch pops one buffered batch without blocking. done=true
 	// means the source has finished and drained.
 	TryGetBatch() (b *tensor.Batch, ok bool, done bool)
 }
 
-// sourceResolver routes a hello's session ID to the batch source that
+// batchFrames adapts a BatchSource to the frame server: each popped
+// batch is encoded once into a pooled frame under its own tags. The
+// batch stays the source's.
+type batchFrames struct{ src BatchSource }
+
+func (s batchFrames) tryGetFrame() (*frame, bool, bool) {
+	b, ok, done := s.src.TryGetBatch()
+	if !ok {
+		return nil, false, done
+	}
+	return encodeFrame(b), true, false
+}
+
+// BatchReady forwards the source's announcement; a source that does
+// not announce answers nil and is polled.
+func (s batchFrames) BatchReady() <-chan struct{} {
+	if a, ok := s.src.(batchAnnouncer); ok {
+		return a.BatchReady()
+	}
+	return nil
+}
+
+// ungetFrames hands an abnormally broken stream's window back to a
+// source that takes batches back (UngetBatches), decoded.
+func (s batchFrames) ungetFrames(frames []*frame) {
+	ug, ok := s.src.(interface{ UngetBatches([]*tensor.Batch) })
+	var batches []*tensor.Batch
+	for _, f := range frames {
+		if b, err := f.decode(); err == nil {
+			batches = append(batches, b)
+		}
+		f.free()
+	}
+	if ok {
+		ug.UngetBatches(batches)
+	}
+}
+
+// sourceResolver routes a hello's session ID to the frame source that
 // serves it: a fleet worker's per-session pipeline, or singleSource.
-type sourceResolver func(session string) (BatchSource, error)
+type sourceResolver func(session string) (frameSource, error)
 
 // singleSource serves src to streams that name no session, and to no
 // other.
-func singleSource(src BatchSource) sourceResolver {
-	return func(session string) (BatchSource, error) {
+func singleSource(src frameSource) sourceResolver {
+	return func(session string) (frameSource, error) {
 		if session != "" {
 			return nil, fmt.Errorf("dpp: worker hosts no session %q", session)
 		}
@@ -120,41 +246,43 @@ func singleSource(src BatchSource) sourceResolver {
 	}
 }
 
-// ungetter is the optional BatchSource extension the framed server uses
+// ungetter is the optional frameSource extension the framed server uses
 // to return the un-granted window of an abnormally broken stream to the
 // buffer (Worker implements it), so a transient connection failure
-// requeues the in-flight batches instead of losing them.
+// requeues the in-flight frames — the same bytes under the same tags —
+// instead of losing them.
 type ungetter interface {
-	UngetBatches(batches []*tensor.Batch)
+	ungetFrames(frames []*frame)
 }
 
-// batchAnnouncer is the optional BatchSource extension that lets the
-// framed server wait for a batch instead of polling for one: the channel
-// BatchReady returns is closed the next time TryGetBatch may answer
-// differently (a batch arrived, or the source finished). The server
-// takes it before each TryGetBatch and waits on it only after an empty
-// pop, so a batch that lands in between is never missed. Worker
-// implements it; a source that only implements TryGetBatch is polled.
+// batchAnnouncer is the optional source extension that lets the framed
+// server wait for a frame instead of polling for one: the channel
+// BatchReady returns is closed the next time tryGetFrame may answer
+// differently (a frame arrived, or the source finished). The server
+// takes it before each tryGetFrame and waits on it only after an empty
+// pop, so a frame that lands in between is never missed. Worker
+// implements it; a source that answers nil, or has no BatchReady, is
+// polled.
 type batchAnnouncer interface {
 	BatchReady() <-chan struct{}
 }
 
-// consumeAcker is the optional BatchSource extension through which the
+// consumeAcker is the optional frameSource extension through which the
 // data plane reports irrevocable consumption (a credit grant, or a
 // gracefully rescued stream window). Worker implements it to drive the
 // deferred split-completion ledger.
 type consumeAcker interface {
-	ackConsumed(batches ...*tensor.Batch)
+	ackConsumed(frames ...*frame)
 }
 
 // ackAll reports consumption to sources that track it.
-func ackAll(src BatchSource, batches []*tensor.Batch) {
-	if ca, ok := src.(consumeAcker); ok && len(batches) > 0 {
-		ca.ackConsumed(batches...)
+func ackAll(src frameSource, frames []*frame) {
+	if ca, ok := src.(consumeAcker); ok && len(frames) > 0 {
+		ca.ackConsumed(frames...)
 	}
 }
 
-// crashSignaler is the optional BatchSource extension fault-injection
+// crashSignaler is the optional frameSource extension fault-injection
 // uses: when the returned channel closes, every serving stream severs
 // its connection immediately — without the abnormal-break requeue, as a
 // killed process would. Worker implements it via Crash.
@@ -164,15 +292,15 @@ type crashSignaler interface {
 
 // crashChOf returns the source's crash channel, or nil (which blocks
 // forever in a select) when the source is not crashable.
-func crashChOf(src BatchSource) <-chan struct{} {
+func crashChOf(src frameSource) <-chan struct{} {
 	if cs, ok := src.(crashSignaler); ok {
 		return cs.crashedCh()
 	}
 	return nil
 }
 
-// outstandingTracker is the optional BatchSource extension that counts
-// batches sent into stream windows but not yet granted (consumed) by a
+// outstandingTracker is the optional frameSource extension that counts
+// frames sent into stream windows but not yet granted (consumed) by a
 // client. Worker implements it so Retire does not deregister while a
 // stream still holds an un-granted window — the window's rows would
 // have nowhere to go if that stream then broke abnormally (requeued
@@ -199,8 +327,16 @@ func serveDataPlaneOn(resolve sourceResolver, ln net.Listener) func() {
 
 // ServeBatchSource exposes a batch source on addr as the default
 // session of a framed data plane — the entry point transport benchmarks
-// and tests use to measure the wire path in isolation.
+// and tests use to measure the wire path in isolation. Each popped
+// batch is encoded into one frame (AppendBinary) and served like a
+// worker's.
 func ServeBatchSource(src BatchSource, addr string) (net.Listener, func(), error) {
+	return serveFrames(batchFrames{src}, addr)
+}
+
+// serveFrames exposes a frame source on addr as the default session of
+// a framed data plane.
+func serveFrames(src frameSource, addr string) (net.Listener, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
@@ -271,21 +407,28 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	announcer, _ := src.(batchAnnouncer)
 
 	// Credit reader: accumulate grants until the client goes away, and
-	// retire granted batches from the un-granted window. A half-closed
+	// retire granted frames from the un-granted window. A half-closed
 	// connection (clean EOF — the client's polite "stop sending" before
 	// it collects the stream, see StreamWorker.Drain) ends the grant
 	// stream gracefully: the client keeps and consumes the window, so
 	// the server must NOT requeue it. Any other read error is an
 	// abnormal break: the client discards its partial window and the
-	// un-granted batches are requeued into the source, so a transient
+	// un-granted frames are requeued into the source, so a transient
 	// connection failure costs no rows. (The residual hazard is a grant
 	// lost in flight for a batch the trainer already consumed — that
 	// batch is requeued and delivered twice; the graceful paths are
 	// exact.)
+	//
+	// A frame leaves the window back to the source (an abnormal break's
+	// requeue) or for the pool (a grant, a crash, the end). Only this
+	// goroutine — the one that writes frames — returns frames to the
+	// pool, after its write of them has returned: a grant parks the
+	// frames it retires in spent until then.
 	var (
 		creditMu sync.Mutex
 		credit   = window
-		unacked  []*tensor.Batch
+		unacked  []*frame
+		spent    []*frame
 		abnormal bool
 	)
 	// track mirrors the un-granted window size into the source, so a
@@ -301,6 +444,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	go func() {
 		defer close(connGone)
 		var buf [4]byte
+		var retired []*frame
 		for {
 			if _, err := io.ReadFull(br, buf[:]); err != nil {
 				if !errors.Is(err, io.EOF) {
@@ -321,13 +465,16 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 				granted = int(delta)
 			}
 			credit += granted
-			retired := append([]*tensor.Batch(nil), unacked[:granted]...)
+			retired = append(retired[:0], unacked[:granted]...)
 			unacked = append(unacked[:0], unacked[granted:]...)
 			creditMu.Unlock()
 			track(-granted)
 			// A grant is the client's irrevocable consumption receipt;
 			// it drives the worker's deferred split completion.
 			ackAll(src, retired)
+			creditMu.Lock()
+			spent = append(spent, retired...)
+			creditMu.Unlock()
 			select {
 			case creditCh <- struct{}{}:
 			default:
@@ -336,20 +483,36 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	}()
 
 	// takeWindow empties the un-granted window and returns it.
-	takeWindow := func() []*tensor.Batch {
+	takeWindow := func() []*frame {
 		creditMu.Lock()
-		batches := append([]*tensor.Batch(nil), unacked...)
+		frames := append([]*frame(nil), unacked...)
 		unacked = unacked[:0]
 		creditMu.Unlock()
-		track(-len(batches))
-		return batches
+		track(-len(frames))
+		return frames
 	}
+	// recycle returns consumed frames to the pool.
+	recycle := func(frames []*frame) {
+		for _, f := range frames {
+			f.free()
+		}
+	}
+	// freeSpent recycles the frames grants retired since the last call.
+	var freed []*frame
+	freeSpent := func() {
+		creditMu.Lock()
+		freed = append(freed[:0], spent...)
+		spent = spent[:0]
+		creditMu.Unlock()
+		recycle(freed)
+	}
+	defer freeSpent()
 	// requeue returns the un-granted window to the source on an abnormal
-	// break. Sources without UngetBatches lose it.
+	// break. Sources without ungetFrames lose it.
 	requeue := func() {
-		batches := takeWindow()
+		frames := takeWindow()
 		if ug, ok := src.(ungetter); ok {
-			ug.UngetBatches(batches)
+			ug.ungetFrames(frames)
 		}
 	}
 	connGoneExit := func() {
@@ -361,15 +524,16 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 			return
 		}
 		// Graceful half-close: the client keeps and consumes (or
-		// rescues) the window, so the un-granted batches count as
+		// rescues) the window, so the un-granted frames count as
 		// consumed — the rescue path (StreamWorker.Drain) delivers them
 		// through the orphan queue.
-		ackAll(src, takeWindow())
+		frames := takeWindow()
+		ackAll(src, frames)
+		recycle(frames)
 	}
 
-	frame := tensor.GetFrameBuf()
-	defer func() { tensor.PutFrameBuf(frame) }()
 	for {
+		freeSpent()
 		// Wait for credit.
 		for {
 			creditMu.Lock()
@@ -384,24 +548,24 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 				// Fault injection: die like a killed process — sever
 				// the conn, requeue nothing, ack nothing. The service's
 				// reap (Service.ReapDead) recovers the leases.
-				takeWindow()
+				recycle(takeWindow())
 				return
 			case <-connGone:
 				connGoneExit()
 				return
 			}
 		}
-		// Wait for a batch: take the source's announcement, try a pop,
+		// Wait for a frame: take the source's announcement, try a pop,
 		// and wait on the announcement only if the pop came back empty.
-		var b *tensor.Batch
-		for b == nil {
+		var f *frame
+		for f == nil {
 			var ready <-chan struct{}
 			if announcer != nil {
 				ready = announcer.BatchReady()
 			}
-			bb, ok, done := src.TryGetBatch()
+			ff, ok, done := src.tryGetFrame()
 			if ok {
-				b = bb
+				f = ff
 				break
 			}
 			if done {
@@ -409,11 +573,13 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 				hdr[0] = frameKindDone
 				conn.Write(hdr[:])
 				// The remaining window belongs to the client now.
-				ackAll(src, takeWindow())
+				frames := takeWindow()
+				ackAll(src, frames)
+				recycle(frames)
 				return
 			}
 			var tick <-chan time.Time
-			if announcer == nil {
+			if ready == nil {
 				// The source only exposes a non-blocking pop, so an
 				// empty-but-live buffer is polled at a period well under
 				// any batch production time.
@@ -421,7 +587,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 			}
 			select {
 			case <-crashCh:
-				takeWindow()
+				recycle(takeWindow())
 				return
 			case <-connGone:
 				connGoneExit()
@@ -430,27 +596,21 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 			case <-tick:
 			}
 		}
-		// Enter the batch into the un-granted window BEFORE writing its
-		// frame: a grant that races the write must retire the true FIFO
-		// head, and a grant for this batch cannot arrive before the
-		// client has read the frame.
+		// Enter the frame into the un-granted window BEFORE writing it: a
+		// grant that races the write must retire the true FIFO head, and
+		// a grant for this frame cannot arrive before the client has
+		// read it.
 		creditMu.Lock()
 		credit--
-		unacked = append(unacked, b)
+		unacked = append(unacked, f)
 		creditMu.Unlock()
 		track(1)
-		// One encode, one write: header, provenance tags, and payload
-		// share the pooled buffer, so a batch costs a single syscall and
-		// no garbage.
-		frame = append(frame[:0], frameKindBatch, 0, 0, 0, 0)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Split))
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Seq))
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.SeqCount))
-		frame = b.AppendBinary(frame)
-		binary.LittleEndian.PutUint32(frame[1:frameHeaderLen], uint32(len(frame)-frameHeaderLen))
-		if _, err := conn.Write(frame); err != nil {
+		// One write: header, provenance tags and tensor frame were
+		// written into one buffer when the batch was, so a batch costs a
+		// single syscall and no copy.
+		if _, err := conn.Write(f.buf); err != nil {
 			// A write failure is an abnormal break: requeue the whole
-			// un-granted window including this batch.
+			// un-granted window including this frame.
 			requeue()
 			return
 		}
@@ -464,8 +624,10 @@ type StreamWorker struct {
 	conn    net.Conn
 	batches chan *tensor.Batch
 
-	// wmu serializes credit-grant writes from consumer goroutines.
-	wmu sync.Mutex
+	// wmu serializes credit-grant writes from consumer goroutines, and
+	// guards grantBuf, the grant each one writes.
+	wmu      sync.Mutex
+	grantBuf [4]byte
 
 	// readerDone closes when the read loop exits; err and done are set
 	// before it closes and read only after it, so they need no lock.
@@ -583,6 +745,9 @@ func (s *StreamWorker) readLoop() {
 	defer close(s.readerDone)
 	r := bufio.NewReader(s.conn)
 	var hdr [frameHeaderLen]byte
+	// buf holds one frame payload at a time: the decode copies it out,
+	// so the stream reuses it for every frame.
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// EOF before a done frame is an error unless we closed the
@@ -600,23 +765,15 @@ func (s *StreamWorker) readLoop() {
 				s.err = fmt.Errorf("dpp: framed stream: batch frame of %d bytes (want %d..%d)", n, batchTagLen, maxFrameLen)
 				return
 			}
-			buf := tensor.GetFrameBuf()
 			if cap(buf) < int(n) {
 				buf = make([]byte, n)
 			}
 			buf = buf[:n]
 			if _, err := io.ReadFull(r, buf); err != nil {
-				tensor.PutFrameBuf(buf)
 				s.err = err
 				return
 			}
-			b, _, err := tensor.DecodeBinary(buf[batchTagLen:])
-			if err == nil {
-				b.Split = int32(binary.LittleEndian.Uint32(buf[0:4]))
-				b.Seq = int32(binary.LittleEndian.Uint32(buf[4:8]))
-				b.SeqCount = int32(binary.LittleEndian.Uint32(buf[8:12]))
-			}
-			tensor.PutFrameBuf(buf)
+			b, err := decodeBatchFrame(buf)
 			if err != nil {
 				s.err = err
 				return
@@ -640,11 +797,10 @@ func (s *StreamWorker) readLoop() {
 // broken connection surfaces on the read side, which is where the
 // client's error handling already lives.
 func (s *StreamWorker) grant(n uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], n)
 	s.wmu.Lock()
+	binary.LittleEndian.PutUint32(s.grantBuf[:], n)
 	s.conn.SetWriteDeadline(time.Now().Add(handshakeTimeout))
-	s.conn.Write(buf[:])
+	s.conn.Write(s.grantBuf[:])
 	s.conn.SetWriteDeadline(time.Time{})
 	s.wmu.Unlock()
 }

@@ -637,12 +637,17 @@ func TestTenantClientRedialsSessionNotYetHosted(t *testing.T) {
 	}
 }
 
-// recordedExchange is everything a worker writes on one stream that
-// serves two batches to the end: hello, two batch frames, done.
+// recordedExchange is everything a version-3 worker writes on one
+// stream that serves two 6-row batches to the end: hello, a TBF2 frame
+// of 3-byte indices, one of 8-byte indices (a negative index needs all
+// eight), done.
 func recordedExchange(t testing.TB) []byte {
 	t.Helper()
+	wide := dataplaneTestBatch(6, 8)
+	wide.Sparse[0].Indices[0] = -1
+	src := &requeueSource{queue: []*tensor.Batch{dataplaneTestBatch(6, 7), wide}}
 	cli, srv := net.Pipe()
-	go serveFramedStream(singleSource(&countedSource{batch: dataplaneTestBatch(4, 7), remaining: 2}), srv)
+	go serveFramedStream(singleSource(batchFrames{src}), srv)
 	go cli.Write(appendClientHello(nil, defaultCreditWindow, ""))
 	out, err := io.ReadAll(cli)
 	if err != nil {
@@ -664,12 +669,18 @@ func FuzzStreamFrames(f *testing.F) {
 	f.Add(append(append([]byte(nil), serverHello...), 9, 0, 0, 0, 0)) // unknown frame kind
 	short := append(append([]byte(nil), serverHello...), frameKindBatch)
 	f.Add(binary.LittleEndian.AppendUint32(short, batchTagLen-1))
+	retired := append([]byte(nil), valid...)
+	retired[len(dataPlaneMagic)] = 2
+	f.Add(retired) // the retired v2 hello, before the same frames
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		s, err := streamFromBytes(data)
 		if err != nil {
 			return // refused at the hello: a dial error
+		}
+		if bytes.Equal(data, retired) {
+			t.Fatal("a client accepted the retired v2 hello")
 		}
 		defer s.Close()
 		batches, done, err := streamResult(t, s)
@@ -700,12 +711,13 @@ func FuzzFramedHello(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(appendClientHello(nil, 1, "s1"), math.MaxUint32)) // rogue grant
 	f.Add(append(append([]byte(nil), valid...), 1, 0, 0))                                    // torn grant
 	f.Add(append([]byte("DSI1\x01"), valid[5:]...))                                          // the retired v1 hello
+	f.Add(append([]byte("DSI1\x02"), valid[5:]...))                                          // the retired v2 hello
 	f.Add(append([]byte("GET /"), valid[5:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resolved []string
-		resolve := func(session string) (BatchSource, error) {
+		resolve := func(session string) (frameSource, error) {
 			resolved = append(resolved, session)
-			return &countedSource{batch: dataplaneTestBatch(4, 8), remaining: 2}, nil
+			return batchFrames{&countedSource{batch: dataplaneTestBatch(4, 8), remaining: 2}}, nil
 		}
 		cli, srv := net.Pipe()
 		served := make(chan struct{})

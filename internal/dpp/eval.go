@@ -2,6 +2,7 @@ package dpp
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dsi/internal/dwrf"
@@ -20,18 +21,19 @@ import (
 //
 //	xform ware  ← plan(stripe ware)
 //	stripe ware ← decode(fetch(split))
-//	tensors     ← materialize(xform ware), one BatchSize-row batch at a time
+//	frames      ← write(xform ware), one BatchSize-row batch at a time
 //
 // with the node's ware.Cache as the memo table at both levels. A worker
 // without a cache is the same formula over a memo that always computes.
 
-// evaluated is one split as tensors plus what producing them cost; the
-// deliver step folds it into the resource report.
+// evaluated is one split as ready-to-send stream frames plus what
+// producing them cost; the deliver step folds it into the resource
+// report.
 type evaluated struct {
 	splitID int
-	// batches is nil when the split was released back to the master
+	// frames is nil when the split was released back to the master
 	// instead (evalNext): leased, but nothing to deliver.
-	batches []*tensor.Batch
+	frames []*frame
 	// read is zero when a cached ware answered; xform carries only row
 	// counts on a transformed hit, where no plan ran.
 	read  dwrf.ReadStats
@@ -80,14 +82,14 @@ func (w *Worker) stripeWare(split warehouse.Split, sid ware.WareID, ev *evaluate
 	return batch.Derive(w.arena), nil
 }
 
-// evalSplit turns one split into tensor batches, reusing whatever any
-// pipeline on this node — any session, any tenant — already decoded
-// (stripe ware) or decoded and transformed (xform ware) from the same
-// content under the same projection and plan. Time up to holding the
-// plan's input is credited to the fetch and decode stopwatches (the
-// read's own instrumentation separates decode work from storage wait),
-// the rest to transform.
-func (w *Worker) evalSplit(split warehouse.Split) (ev evaluated, err error) {
+// evalSplit turns one split into its delivered batches as stream frames
+// tagged with splitID, reusing whatever any pipeline on this node — any
+// session, any tenant — already decoded (stripe ware) or decoded and
+// transformed (xform ware) from the same content under the same
+// projection and plan. Time up to holding the plan's input is credited
+// to the fetch and decode stopwatches (the read's own instrumentation
+// separates decode work from storage wait), the rest to transform.
+func (w *Worker) evalSplit(split warehouse.Split, splitID int) (ev evaluated, err error) {
 	start := time.Now()
 	var sid, xid ware.WareID
 	if w.cache != nil {
@@ -124,15 +126,41 @@ func (w *Worker) evalSplit(split warehouse.Split) (ev evaluated, err error) {
 		// may start reading it the moment the cache accepts it.
 		batch, _ = w.publish(xid, batch)
 	}
-	// Materializing copies every value straight into its BatchSize-row
-	// tensor batch and never writes the columns, so a shared batch is
-	// safe to read. Release then drops this evaluation's reference: an
-	// exclusively owned batch returns its columns to the worker's arena,
-	// a shared one (cached, or a view over a cached stripe) loses one
-	// reference.
-	ev.batches, err = tensor.MaterializeBatches(batch, w.spec.DenseOut, w.spec.SparseOut, w.spec.BatchSize)
+	// The frame writer copies every value straight into its
+	// BatchSize-row frame and never writes the columns, so a shared
+	// batch is safe to read. Release then drops this evaluation's
+	// reference: an exclusively owned batch returns its columns to the
+	// worker's arena, a shared one (cached, or a view over a cached
+	// stripe) loses one reference.
+	ev.frames, err = w.writeFrames(batch, splitID)
 	batch.Release()
 	return ev, err
+}
+
+// frameWriters recycles frame writers across splits and evaluators.
+var frameWriters = sync.Pool{New: func() any { return new(tensor.FrameWriter) }}
+
+// writeFrames cuts a transformed split into its BatchSize-row batches,
+// each written once into a pooled stream frame under its provenance
+// tags: 1-based split ID, 1-based position and the split's batch count.
+// The row ranges are deterministic, so a re-run of the same split
+// reproduces the same tags over the same rows and clients can
+// deduplicate redelivery.
+func (w *Worker) writeFrames(batch *dwrf.Batch, splitID int) ([]*frame, error) {
+	fw := frameWriters.Get().(*tensor.FrameWriter)
+	defer frameWriters.Put(fw)
+	if err := fw.Reset(batch, w.spec.DenseOut, w.spec.SparseOut, w.spec.BatchSize); err != nil {
+		return nil, err
+	}
+	frames := make([]*frame, fw.Len())
+	for i := range frames {
+		lo, hi := fw.Range(i)
+		f := newFrame(int32(splitID)+1, int32(i)+1, int32(len(frames)))
+		var size int64
+		f.buf, size = fw.AppendRange(f.buf, lo, hi)
+		frames[i] = f.seal(hi-lo, size)
+	}
+	return frames, nil
 }
 
 // evalNext is the step both drivers of a worker share — Run's pool
@@ -156,7 +184,7 @@ func (w *Worker) evalNext() (ev evaluated, leased bool, err error) {
 	if err != nil || !leased {
 		return ev, false, err
 	}
-	ev, err = w.evalSplit(split)
+	ev, err = w.evalSplit(split, splitID)
 	if err == nil {
 		ev.splitID = splitID
 		return ev, true, nil

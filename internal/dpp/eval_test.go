@@ -1,6 +1,7 @@
 package dpp
 
 import (
+	"runtime"
 	"testing"
 
 	"dsi/internal/datagen"
@@ -18,13 +19,15 @@ var raceEnabled bool
 
 // TestSplitMaterializesOnce pins the load step's allocations: one
 // 256-row RM1 split at BatchSize 128, answered from the fleet cache's
-// transformed ware, goes straight into its two tagged batches. Per
-// batch that is the header, labels, dense matrix, sparse tensors with
-// their pointer slice, and an offsets and an indices array per sparse
-// output; the split adds at most 32 more for the cache probe, its ware
-// IDs, the sorted feature lists and the column lookups (25 measured).
-// Building the whole split first and cutting it into batches costs
-// another batch's worth per split and fails the bound (104 measured).
+// transformed ware, is written straight into its two tagged stream
+// frames. A frame and its buffer come from the pool (the step returns
+// them, as a grant does), so a batch may cost at most 2 allocations; the
+// split adds at most 32 more for the cache probe, its ware IDs, the
+// frame writer's column selection and the frame list. No tensor batch is
+// built on the way: the split allocates fewer bytes than the smallest of
+// its batches would hold as tensors. Materializing each batch and then
+// encoding it cost 6 + 2 per sparse output allocations a batch (65 a
+// split) and its tensors' bytes.
 func TestSplitMaterializesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -83,22 +86,42 @@ func TestSplitMaterializesOnce(t *testing.T) {
 	if err != nil || len(splits) != 1 {
 		t.Fatalf("splits = %d, %v; want one", len(splits), err)
 	}
+	var minBatch int64
 	step := func() {
-		ev, err := w.evalSplit(splits[0])
+		ev, err := w.evalSplit(splits[0], 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ev.batches) != rows/batchSize {
-			t.Fatalf("%d batches, want %d", len(ev.batches), rows/batchSize)
+		if len(ev.frames) != rows/batchSize {
+			t.Fatalf("%d frames, want %d", len(ev.frames), rows/batchSize)
 		}
-		tagBatches(0, ev.batches)
+		for i, f := range ev.frames {
+			if f.split() != 1 || f.rows != batchSize {
+				t.Fatalf("frame %d: split tag %d, %d rows", i, f.split(), f.rows)
+			}
+			if minBatch == 0 || f.size < minBatch {
+				minBatch = f.size
+			}
+			f.free()
+		}
 	}
 	step() // the miss that publishes the transformed ware
-	perBatch := 6 + 2*len(sparseOut)
+	const perBatch = 2
 	bound := float64(rows/batchSize*perBatch + 32)
-	if got := testing.AllocsPerRun(20, step); got > bound {
+	got := testing.AllocsPerRun(20, step)
+	if got > bound {
 		t.Fatalf("%.0f allocations per split, want at most %.0f (%d sparse outputs)", got, bound, len(sparseOut))
-	} else {
-		t.Logf("%.0f allocations per split (bound %.0f, %d sparse outputs)", got, bound, len(sparseOut))
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for range runs {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	perSplit := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	if perSplit >= minBatch {
+		t.Fatalf("a split allocates %d bytes, as much as a %d-byte tensor batch", perSplit, minBatch)
+	}
+	t.Logf("%.0f allocations and %d bytes per split (bounds %.0f and %d; %d sparse outputs)", got, perSplit, bound, minBatch, len(sparseOut))
 }

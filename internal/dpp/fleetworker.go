@@ -125,7 +125,7 @@ func (fw *FleetWorker) Pipeline(sessionID string) *Worker {
 
 // source is the data plane's sourceResolver: a stream whose hello names
 // a session lands on that session's pipeline buffer.
-func (fw *FleetWorker) source(sessionID string) (BatchSource, error) {
+func (fw *FleetWorker) source(sessionID string) (frameSource, error) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	p := fw.pipelines[sessionID]

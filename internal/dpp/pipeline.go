@@ -10,11 +10,11 @@ import "sync"
 //
 //	evaluator pool (Prefetchers + TransformParallelism goroutines)
 //	    master.NextSplit → evalSplit: cached reader → ware cache probe
-//	    → fetch + decode → plan → materialize → slice
+//	    → fetch + decode → plan → frames (one per BatchSize rows)
 //	        │  one channel, bounded by PrefetchDepth
 //	deliver loop (one goroutine: the Run caller)
 //	    resource accounting → bounded output buffer (BufferDepth
-//	    batches / MaxBufferedBytes)
+//	    frames / MaxBufferedBytes of frame bytes)
 //
 // Beside them, heartbeatLoop reports to the session master on a ticker.
 //
@@ -28,7 +28,7 @@ import "sync"
 //     the worker is drained or the session fails, and when the tailed
 //     table publishes a partition or closes its stream;
 //   - buffer → stream server (dataplane.go): Worker.BatchReady, closed by
-//     deliver, UngetBatches and finish;
+//     deliver, ungetFrames and finish;
 //   - stream → client (client.go): the read loop pings the channel
 //     Client.Next waits on as each frame lands and when the stream ends.
 //
@@ -119,8 +119,9 @@ func (w *Worker) Run(stop <-chan struct{}) error {
 	// Release any evaluator still running and wait for the pool (evals
 	// closes after the last one exits), so the worker owns no
 	// concurrency after Run returns. Evaluated splits left in the
-	// channel hold plain tensors — every refcounted batch was released
-	// inside evalSplit — so dropping them needs no cleanup.
+	// channel hold plain frames — every refcounted batch was released
+	// inside evalSplit — so dropping them needs no cleanup (they are
+	// not returned to the pool; the collector takes them).
 	abort.fail(nil) // no-op if a real error or stop already aborted
 	for range evals {
 	}
@@ -150,7 +151,7 @@ func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
 			return
 		}
 		if leased {
-			if ev.batches != nil { // nil: released back; lease again
+			if ev.frames != nil { // nil: released back; lease again
 				select {
 				case out <- ev:
 				case <-abort.ch:

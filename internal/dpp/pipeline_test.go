@@ -278,10 +278,10 @@ func TestNewWorkerFailsOnUncompilableGraph(t *testing.T) {
 // consumer would (the pop counts as consumed for the split ledger),
 // waiting for one; ok=false once the worker has finished and drained.
 func getBatch(w *Worker) (*tensor.Batch, bool) {
+	api := LocalWorkerAPI(w)
 	for {
 		ready := w.BatchReady()
-		if b, ok, done := w.TryGetBatch(); ok || done {
-			w.ackConsumed(b)
+		if b, ok, done, err := api.FetchBatch(); ok || done || err != nil {
 			return b, ok
 		}
 		<-ready
@@ -401,8 +401,8 @@ func TestPipelinedCancellationLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestPipelineBackpressureBoundsBufferedBytes checks MaxBufferedBytes
-// actually bounds resident tensor memory (paper: bounded buffering
-// avoids OOM).
+// actually bounds the worker's resident frame bytes (paper: bounded
+// buffering avoids OOM).
 func TestPipelineBackpressureBoundsBufferedBytes(t *testing.T) {
 	wh, spec := buildFixture(t, 128, 8)
 	spec.BatchSize = 4
@@ -426,7 +426,8 @@ func TestPipelineBackpressureBoundsBufferedBytes(t *testing.T) {
 		if !ok {
 			break
 		}
-		if s := b.SizeBytes(); s > maxBatch {
+		// The buffer holds each batch as its whole stream frame.
+		if s := int64(frameHeaderLen + batchTagLen + b.EncodedSize()); s > maxBatch {
 			maxBatch = s
 		}
 		rows += b.Rows

@@ -484,7 +484,7 @@ var _ FleetControl = (*RemoteService)(nil)
 // plane (dataplane.go) to streams that name no session
 // (DialWorkerFramed) — a fixed pool over an in-process Master.
 func ServeWorker(worker *Worker, addr string) (net.Listener, func(), error) {
-	return ServeBatchSource(worker, addr)
+	return serveFrames(worker, addr)
 }
 
 // advertiseAddr converts a bound listener address into a dialable

@@ -635,7 +635,7 @@ func TestHeartbeatFieldsCrossRPC(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// UngetBatches ordering: a requeued window precedes fresh output.
+// Requeue ordering: a requeued window precedes fresh output.
 // ---------------------------------------------------------------------
 
 // TestUngetBatchesOrdering asserts the abnormal-disconnect requeue path
@@ -655,20 +655,24 @@ func TestUngetBatchesOrdering(t *testing.T) {
 	}
 	mk := func(seq int32) *blob { return &blob{Rows: 1, Labels: []float32{float32(seq)}, Split: 9, Seq: seq} }
 	// Fresh output already buffered.
-	if err := w.deliver(mk(3), nil); err != nil {
+	if err := w.deliver(encodeFrame(mk(3)), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.deliver(mk(4), nil); err != nil {
+	if err := w.deliver(encodeFrame(mk(4)), nil); err != nil {
 		t.Fatal(err)
 	}
 	// A broken stream's window returns: it must jump the queue,
 	// preserving its own order.
-	w.UngetBatches([]*blob{mk(1), mk(2)})
+	w.ungetFrames([]*frame{encodeFrame(mk(1)), encodeFrame(mk(2))})
 	var got []int32
 	for i := 0; i < 4; i++ {
-		b, ok, _ := w.TryGetBatch()
+		f, ok, _ := w.tryGetFrame()
 		if !ok {
 			t.Fatalf("buffer empty after %d pops", i)
+		}
+		b, err := f.decode()
+		if err != nil {
+			t.Fatal(err)
 		}
 		got = append(got, b.Seq)
 	}
@@ -837,7 +841,7 @@ func TestWorkerCrashGoesDark(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not unwind after crash")
 	}
-	if _, ok, done := w.TryGetBatch(); ok || done {
+	if _, ok, done := w.tryGetFrame(); ok || done {
 		t.Fatalf("crashed worker served a batch (ok=%v done=%v)", ok, done)
 	}
 	if _, _, _, err := LocalWorkerAPI(w).FetchBatch(); err == nil {

@@ -16,12 +16,14 @@
 //     thing per leased split — extract, transform, load. evalSplit
 //     (eval.go) is the only place a split becomes tensors, memoised at
 //     the decoded and the transformed level in the node's ware cache,
-//     and it materializes the transformed split straight into its
-//     BatchSize-row batches (tensor.MaterializeBatches) in one pass;
-//     Run is one pool of goroutines calling it ahead of a single
-//     deliver loop whose bounded buffer applies backpressure — sized by
-//     SessionSpec.Pipeline and observable by phase via Worker.Report —
-//     and ProcessOneSplit is the same step on the caller's goroutine. A
+//     and it writes the transformed split straight into its
+//     BatchSize-row batches as ready-to-send stream frames
+//     (tensor.FrameWriter) in one pass — no tensor batch is built on
+//     the worker; Run is one pool of goroutines calling it ahead of a
+//     single deliver loop whose bounded buffer of frames applies
+//     backpressure — sized by SessionSpec.Pipeline and observable by
+//     phase via Worker.Report — and ProcessOneSplit is the same step on
+//     the caller's goroutine. A
 //     drained worker finishes its in-flight splits, serves out its
 //     buffer (Retire), and deregisters, so shrinking the pool never
 //     loses rows.
@@ -112,8 +114,10 @@
 // decrementing credit per frame. The client grants one credit per
 // consumed batch, so at most a window of batches is in flight and a
 // stalled trainer propagates backpressure into the worker's bounded
-// buffer. Frames are encoded once into pooled buffers and decode into
-// pool-backed tensors the trainer returns with tensor.Batch.Release.
+// buffer. A worker writes each frame once, from the transformed split
+// into a pooled buffer, and sends that buffer as is; the client decodes
+// it into one pooled slab of tensors the trainer returns with
+// tensor.Batch.Release.
 // When a stream is dropped mid-session (a drained worker deregistering,
 // a rebalance) the client first half-closes and rescues the received
 // window on a side goroutine, and when a stream breaks abnormally
@@ -212,10 +216,12 @@ type PipelineOptions struct {
 	// TransformParallelism is the second addend of the evaluator count.
 	// Default 2.
 	TransformParallelism int
-	// MaxBufferedBytes bounds the delivered-tensor buffer by bytes on
-	// top of BufferDepth's batch-count bound (0 = count bound only). A
-	// single batch larger than the bound is still admitted when the
-	// buffer is empty, so delivery always makes progress.
+	// MaxBufferedBytes bounds the worker's buffer by the bytes of the
+	// stream frames it holds (header, tags and TBF2 tensor frame, as
+	// they go on the wire) on top of BufferDepth's batch-count bound (0
+	// = count bound only). A single frame larger than the bound is
+	// still admitted when the buffer is empty, so delivery always makes
+	// progress.
 	MaxBufferedBytes int64
 }
 

@@ -621,7 +621,7 @@ func idleWorkers(t *testing.T, n int) []*Worker {
 // localEnd is an in-process connection (LocalWorkerAPI) to w.
 func localEnd(t *testing.T, w *Worker) arrivalEnd {
 	push := func(b *tensor.Batch) {
-		if err := w.deliver(b, nil); err != nil {
+		if err := w.deliver(encodeFrame(b), nil); err != nil {
 			t.Error(err)
 		}
 	}

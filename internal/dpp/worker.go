@@ -27,7 +27,10 @@ import (
 type ResourceReport struct {
 	// Network bytes.
 	NICRxBytes int64 // compressed bytes fetched from storage
-	NICTxBytes int64 // tensor bytes to trainers
+	// NICTxBytes is the tensor bytes delivered to trainers, priced at
+	// tensor.Batch.SizeBytes — the modelled i64 tensor footprint, not
+	// the (narrower) TBF2 frame bytes the wire carries.
+	NICTxBytes int64
 	// StorageWantedBytes is the requested (selected-stream) subset of
 	// NICRxBytes; the difference is coalescing over-read.
 	StorageWantedBytes int64
@@ -47,7 +50,7 @@ type ResourceReport struct {
 	RowsOut      int64
 	BatchesOut   int64
 	SplitsDone   int64
-	ResidentPeak int64 // peak buffered tensor bytes
+	ResidentPeak int64 // peak buffered frame bytes (stream frames, headers included)
 
 	// Busy wall time of the data plane by phase (fetch vs decode vs
 	// transform vs deliver), cumulative across all evaluator goroutines —
@@ -68,8 +71,8 @@ type ResourceReport struct {
 }
 
 // Worker is a stateless DPP data-plane node: it pulls splits from the
-// Master, extracts and transforms rows, and buffers materialized tensor
-// batches for Clients.
+// Master, extracts and transforms rows, and buffers their batches for
+// Clients as ready-to-send stream frames.
 type Worker struct {
 	ID string
 	// Endpoint is the data-plane address registered with the master
@@ -95,10 +98,12 @@ type Worker struct {
 	cache       *ware.Cache
 	cacheTenant string
 
-	mu       sync.Mutex
-	buffer   []*tensor.Batch
+	mu sync.Mutex
+	// buffer holds delivered batches as their stream frames; bufBytes is
+	// the frames' total length.
+	buffer   []*frame
 	bufBytes int64
-	// outstanding counts batches sent into framed stream windows but not
+	// outstanding counts frames sent into framed stream windows but not
 	// yet granted by a client (see dataplane.go); Retire waits for it to
 	// reach zero so a worker never deregisters while rows are in flight.
 	outstanding int
@@ -151,8 +156,9 @@ type Worker struct {
 	stageDeliver   metrics.Stopwatch
 
 	// Sink, when set, receives batches directly instead of the buffer
-	// (offline measurement mode). It is always invoked from a single
-	// goroutine at a time.
+	// (offline measurement mode): each frame decoded, as a client would
+	// decode it off the stream, and the sink's to Release. It is always
+	// invoked from a single goroutine at a time.
 	Sink func(*tensor.Batch)
 
 	// heartbeatEvery is the session heartbeat period: a fleet worker's
@@ -232,45 +238,31 @@ type splitAcct struct {
 // still returns true, and the next call leases again.
 func (w *Worker) ProcessOneSplit() (bool, error) {
 	ev, leased, err := w.evalNext()
-	if err == nil && ev.batches != nil {
+	if err == nil && ev.frames != nil {
 		err = w.deliverSplit(ev, nil)
 	}
 	return leased && err == nil, err
 }
 
 // deliverSplit is the load half of the step: fold the evaluation into
-// the resource report, tag its batches and hand them in order to the
-// sink or the bounded buffer, crediting the deliver stopwatch (time
-// blocked on backpressure included) until cancel closes. The split is
-// acknowledged to the master by the consumption ledger (finishSplit /
-// ackConsumed) once clients have consumed every batch, not when the
-// buffer accepts them — see splitAcct.
+// the resource report and hand its frames in order to the sink or the
+// bounded buffer, crediting the deliver stopwatch (time blocked on
+// backpressure included) until cancel closes. The split is acknowledged
+// to the master by the consumption ledger (finishSplit / ackConsumed)
+// once clients have consumed every batch, not when the buffer accepts
+// them — see splitAcct.
 func (w *Worker) deliverSplit(ev evaluated, cancel <-chan struct{}) error {
 	w.accountSplit(ev)
-	tagBatches(ev.splitID, ev.batches)
 	start := time.Now()
 	var err error
-	for _, b := range ev.batches {
-		if err = w.deliver(b, cancel); err != nil {
+	for _, f := range ev.frames {
+		if err = w.deliver(f, cancel); err != nil {
 			break
 		}
 	}
 	w.stageDeliver.Add(time.Since(start))
 	w.finishSplit(ev.splitID, err == nil)
 	return err
-}
-
-// tagBatches stamps one split's batches with their delivery provenance:
-// 1-based split ID and 1-based position. The row ranges are
-// deterministic (tensor.MaterializeBatches), so a re-run of the same
-// split reproduces the same tags over the same rows and clients can
-// deduplicate redelivery.
-func tagBatches(splitID int, batches []*tensor.Batch) {
-	for i, b := range batches {
-		b.Split = int32(splitID) + 1
-		b.Seq = int32(i) + 1
-		b.SeqCount = int32(len(batches))
-	}
 }
 
 // finishSplit closes a split's production ledger. delivered=true means
@@ -308,16 +300,16 @@ func (w *Worker) finishSplit(splitID int, delivered bool) {
 // ackConsumed records that a client irrevocably consumed a batch (an
 // in-process pop, a framed credit grant, or a gracefully rescued
 // stream window) and completes any split whose batches have now
-// all been consumed. Untagged batches and batches of unknown splits
+// all been consumed. Untagged frames and frames of unknown splits
 // (double acks after a requeue race) are ignored.
-func (w *Worker) ackConsumed(batches ...*tensor.Batch) {
+func (w *Worker) ackConsumed(frames ...*frame) {
 	var complete []int
 	w.mu.Lock()
-	for _, b := range batches {
-		if b == nil || b.Split == 0 {
+	for _, f := range frames {
+		if f == nil || f.split() == 0 {
 			continue
 		}
-		splitID := int(b.Split) - 1
+		splitID := int(f.split()) - 1
 		a := w.splits[splitID]
 		if a == nil {
 			continue
@@ -376,9 +368,9 @@ func (w *Worker) UseCache(c *ware.Cache, tenant string) {
 func (w *Worker) accountSplit(ev evaluated) {
 	read := ev.read
 	var rowsOut, txBytes int64
-	for _, b := range ev.batches {
-		rowsOut += int64(b.Rows)
-		txBytes += b.SizeBytes()
+	for _, f := range ev.frames {
+		rowsOut += int64(f.rows)
+		txBytes += f.size
 	}
 	xformCycles := int64(ev.xform.TotalCycles())
 	w.mu.Lock()
@@ -392,7 +384,7 @@ func (w *Worker) accountSplit(ev evaluated) {
 	r.XformMemBytes += int64(ev.xform.MemBytes)
 	r.RowsIn += int64(ev.xform.RowsIn)
 	r.RowsOut += rowsOut
-	r.BatchesOut += int64(len(ev.batches))
+	r.BatchesOut += int64(len(ev.frames))
 	r.Recovery.Add(read.Recovery)
 	w.mu.Unlock()
 }
@@ -400,30 +392,36 @@ func (w *Worker) accountSplit(ev evaluated) {
 // errCanceled aborts delivery when the session is stopped mid-flight.
 var errCanceled = errors.New("dpp: delivery canceled")
 
-// deliver hands a batch to the sink or buffers it, blocking while the
-// buffer is at capacity (backpressure from slow trainers). The buffer
-// admits a batch when it is below BufferDepth batches and below the
-// pipeline's byte bound; an empty buffer always admits one batch so
-// delivery cannot deadlock on an oversized batch.
-func (w *Worker) deliver(b *tensor.Batch, cancel <-chan struct{}) error {
+// deliver hands a frame to the sink (decoded) or buffers it, blocking
+// while the buffer is at capacity (backpressure from slow trainers). The
+// buffer admits a frame when it is below BufferDepth frames and its
+// frame bytes stay within the pipeline's byte bound; an empty buffer
+// always admits one frame so delivery cannot deadlock on an oversized
+// batch.
+func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 	if w.Sink != nil {
+		b, err := f.decode()
+		f.free()
+		if err != nil {
+			return err
+		}
 		w.Sink(b)
 		return nil
 	}
-	size := b.SizeBytes()
+	size := int64(len(f.buf))
 	maxBytes := w.spec.Pipeline.MaxBufferedBytes
 	for {
 		w.mu.Lock()
 		fits := len(w.buffer) < w.spec.BufferDepth &&
 			(maxBytes <= 0 || w.bufBytes+size <= maxBytes)
 		if fits || len(w.buffer) == 0 {
-			w.buffer = append(w.buffer, b)
+			w.buffer = append(w.buffer, f)
 			w.bufBytes += size
 			if w.bufBytes > w.report.ResidentPeak {
 				w.report.ResidentPeak = w.bufBytes
 			}
-			if b.Split != 0 {
-				if a := w.splits[int(b.Split)-1]; a != nil {
+			if split := f.split(); split != 0 {
+				if a := w.splits[int(split)-1]; a != nil {
 					a.produced++
 				}
 			}
@@ -432,7 +430,7 @@ func (w *Worker) deliver(b *tensor.Batch, cancel <-chan struct{}) error {
 			return nil
 		}
 		// notFull is read under the same lock hold that found the buffer
-		// full, and TryGetBatch and finish close it under that lock, so a
+		// full, and tryGetFrame and finish close it under that lock, so a
 		// pop between the check and the wait has already closed this
 		// channel: the signal cannot be missed and needs no fallback poll.
 		wait := w.notFull
@@ -448,9 +446,9 @@ func (w *Worker) deliver(b *tensor.Batch, cancel <-chan struct{}) error {
 }
 
 // BatchReady implements the data plane's batchAnnouncer: the returned
-// channel is closed the next time TryGetBatch may answer differently —
-// a batch entered the buffer (deliver, UngetBatches) or the worker
-// finished. Take it before TryGetBatch, wait on it only after an empty
+// channel is closed the next time tryGetFrame may answer differently —
+// a frame entered the buffer (deliver, ungetFrames) or the worker
+// finished. Take it before tryGetFrame, wait on it only after an empty
 // pop.
 func (w *Worker) BatchReady() <-chan struct{} {
 	w.mu.Lock()
@@ -458,7 +456,7 @@ func (w *Worker) BatchReady() <-chan struct{} {
 	return w.notEmpty
 }
 
-// signalLocked announces that TryGetBatch may answer differently: it
+// signalLocked announces that tryGetFrame may answer differently: it
 // closes and replaces notEmpty for the stream server and pings every
 // registered in-process client. Callers hold w.mu.
 func (w *Worker) signalLocked() {
@@ -469,50 +467,52 @@ func (w *Worker) signalLocked() {
 	}
 }
 
-// TryGetBatch pops a buffered batch without blocking. done=true means
+// tryGetFrame pops a buffered frame without blocking. done=true means
 // the worker has finished and drained. The pop is NOT a consumption
-// acknowledgement: the framed stream, which can still lose the batch
+// acknowledgement: the framed stream, which can still lose the frame
 // from its in-flight window, acks later, while direct local consumers
 // (LocalWorkerAPI) ack immediately after the pop. A crashed worker
 // serves nothing and never reports done — it is simply unreachable,
 // like a dead process.
-func (w *Worker) TryGetBatch() (b *tensor.Batch, ok, done bool) {
+func (w *Worker) tryGetFrame() (f *frame, ok, done bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.crashed {
 		return nil, false, false
 	}
 	if len(w.buffer) > 0 {
-		b = w.buffer[0]
+		f = w.buffer[0]
+		w.buffer[0] = nil
 		w.buffer = w.buffer[1:]
-		w.bufBytes -= b.SizeBytes()
+		w.bufBytes -= int64(len(f.buf))
 		if len(w.buffer) < w.minBuffered {
 			w.minBuffered = len(w.buffer)
 		}
 		close(w.notFull)
 		w.notFull = make(chan struct{})
 		w.settleLocked()
-		return b, true, false
+		return f, true, false
 	}
 	return nil, false, w.finished
 }
 
-// UngetBatches returns batches to the FRONT of the buffer, preserving
+// ungetFrames returns frames to the FRONT of the buffer, preserving
 // their order — the framed data plane's recovery path when a stream
-// breaks abnormally with sent-but-unconsumed batches in flight (see
-// dataplane.go). The buffer's capacity bounds are deliberately ignored:
-// these batches were already admitted once, and dropping them would
-// lose rows whose splits the master has acknowledged.
-func (w *Worker) UngetBatches(batches []*tensor.Batch) {
-	if len(batches) == 0 {
+// breaks abnormally with sent-but-unconsumed frames in flight (see
+// dataplane.go): the same bytes go out again under the same tags. The
+// buffer's capacity bounds are deliberately ignored: these frames were
+// already admitted once, and dropping them would lose rows whose splits
+// the master has acknowledged.
+func (w *Worker) ungetFrames(frames []*frame) {
+	if len(frames) == 0 {
 		return
 	}
 	w.mu.Lock()
-	buf := make([]*tensor.Batch, 0, len(batches)+len(w.buffer))
-	buf = append(buf, batches...)
+	buf := make([]*frame, 0, len(frames)+len(w.buffer))
+	buf = append(buf, frames...)
 	w.buffer = append(buf, w.buffer...)
-	for _, b := range batches {
-		w.bufBytes += b.SizeBytes()
+	for _, f := range frames {
+		w.bufBytes += int64(len(f.buf))
 	}
 	if w.bufBytes > w.report.ResidentPeak {
 		w.report.ResidentPeak = w.bufBytes

@@ -45,7 +45,7 @@ func TestPricingIsLinearInTheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Sink = func(*tensorBatch) {}
+	w.Sink = (*tensorBatch).Release
 	var deltas []dpp.ResourceReport
 	var prev dpp.ResourceReport
 	for {

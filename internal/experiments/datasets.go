@@ -218,7 +218,7 @@ func runWorkerSession(d *BuiltDataset, spec dpp.SessionSpec, costs CostParams) (
 	if err != nil {
 		return Priced{}, err
 	}
-	w.Sink = func(*tensorBatch) {}
+	w.Sink = (*tensorBatch).Release
 	for {
 		ok, err := w.ProcessOneSplit()
 		if err != nil {

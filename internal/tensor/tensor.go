@@ -54,15 +54,17 @@ type Batch struct {
 	Seq      int32
 	SeqCount int32
 
-	// pooled marks a batch whose slices were drawn from the wire codec's
-	// pools (DecodeBinary); Release recycles them. Unexported, so gob and
-	// struct literals leave it false and Release stays a no-op for
+	// slab is the pooled allocation every slice of a decoded batch was
+	// drawn from (DecodeBinary); Release returns it whole. Unexported, so
+	// gob and struct literals leave it nil and Release stays a no-op for
 	// ordinary batches.
-	pooled bool
+	slab *slab
 }
 
-// SizeBytes reports the wire/memory footprint of the batch: 4 bytes per
-// dense cell and label, 8 per sparse index, 4 per offset.
+// SizeBytes reports the batch's tensor footprint as a trainer holds it:
+// 4 bytes per dense cell and label, 8 per sparse (i64) index, 4 per
+// offset. It is a model of the tensors, not of the wire: a TBF2 frame
+// stores each index in the bytes its batch needs (EncodedSize).
 func (b *Batch) SizeBytes() int64 {
 	var total int64 = int64(len(b.Labels)) * 4
 	if b.Dense != nil {

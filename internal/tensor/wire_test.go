@@ -3,7 +3,12 @@ package tensor
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dsi/internal/schema"
@@ -42,7 +47,8 @@ func wireTestBatch(rows, cols int, seed int64) *Batch {
 	return b
 }
 
-// batchesEqual compares two batches structurally.
+// batchesEqual compares two batches structurally, floats by their bits
+// (a NaN label survives the codec as the same NaN).
 func batchesEqual(a, b *Batch) bool {
 	if a.Rows != b.Rows || len(a.DenseFeatureIDs) != len(b.DenseFeatureIDs) ||
 		len(a.Labels) != len(b.Labels) || len(a.Sparse) != len(b.Sparse) {
@@ -54,7 +60,7 @@ func batchesEqual(a, b *Batch) bool {
 		}
 	}
 	for i := range a.Labels {
-		if a.Labels[i] != b.Labels[i] {
+		if math.Float32bits(a.Labels[i]) != math.Float32bits(b.Labels[i]) {
 			return false
 		}
 	}
@@ -66,7 +72,7 @@ func batchesEqual(a, b *Batch) bool {
 			return false
 		}
 		for i := range a.Dense.Data {
-			if a.Dense.Data[i] != b.Dense.Data[i] {
+			if math.Float32bits(a.Dense.Data[i]) != math.Float32bits(b.Dense.Data[i]) {
 				return false
 			}
 		}
@@ -188,7 +194,30 @@ func TestWireDecodeCorrupt(t *testing.T) {
 		"bad-has-dense": corrupt(func(c []byte) {
 			binary.LittleEndian.PutUint32(c[20:], 7)
 		}),
+		"retired-frame-magic": corrupt(func(c []byte) { c[3] = '1' }), // the retired first version
 	}
+	// The first sparse tensor's width byte follows its feature ID and
+	// nIndices; its indices are below 2^20, so 3 bytes wide.
+	wpos := frameHeaderLen + 4*(2+8+16) + 8
+	if base[wpos] != 3 {
+		t.Fatalf("width byte at %d is %d, want 3", wpos, base[wpos])
+	}
+	for w, name := range map[byte]string{0: "width-0", 9: "width-9", 4: "width-disagrees-with-length", 2: "width-too-narrow-for-length"} {
+		cases[name] = corrupt(func(c []byte) { c[wpos] = w })
+	}
+	// A well-formed frame whose first tensor stores its indices one byte
+	// wider than they need.
+	wide := wireTestBatch(8, 2, 6)
+	wide.Sparse = wide.Sparse[:1]
+	frame := wide.AppendBinary(nil)
+	head := append([]byte(nil), frame[:wpos]...)
+	head = append(head, 4)
+	head = append(head, frame[wpos+1:wpos+1+4*9]...)
+	for _, idx := range wide.Sparse[0].Indices {
+		head = binary.LittleEndian.AppendUint32(head, uint32(idx))
+	}
+	binary.LittleEndian.PutUint32(head[4:], uint32(len(head)))
+	cases["width-wider-than-needed"] = head
 	for name, data := range cases {
 		if _, _, err := DecodeBinary(data); err == nil {
 			t.Errorf("%s: decode succeeded", name)
@@ -219,7 +248,7 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add(wireTestBatch(16, 2, 1).AppendBinary(nil))
 	f.Add(wireTestBatch(1, 0, 2).AppendBinary(nil))
 	f.Add((&Batch{Rows: 2, Labels: []float32{1, 2}}).AppendBinary(nil))
-	f.Add([]byte("TBF1garbage"))
+	f.Add([]byte("TBF2garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, n, err := DecodeBinary(data)
@@ -231,6 +260,11 @@ func FuzzBatchDecode(f *testing.F) {
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		// One encoding per batch: an accepted frame is exactly as long as
+		// the batch's own encoding.
+		if b.EncodedSize() != n {
+			t.Fatalf("accepted a %d-byte frame whose batch encodes in %d", n, b.EncodedSize())
 		}
 		// A successful decode must be structurally sound: re-encoding it
 		// and decoding again must reproduce it without panicking, and
@@ -249,6 +283,57 @@ func FuzzBatchDecode(f *testing.F) {
 		b2.Release()
 		b.Release()
 	})
+}
+
+// TestFuzzBatchDecodeSeeds holds the committed seed corpus to what each
+// seed is for: the well-formed TBF2 frames decode, and each hostile one
+// fails at the check it was made for rather than at the magic.
+func TestFuzzBatchDecodeSeeds(t *testing.T) {
+	want := map[string]string{
+		"seed_full_batch":              "",
+		"seed_nan_label":               "",
+		"seed_labels_only":             "",
+		"seed_sparse_only":             "",
+		"seed_empty":                   "truncated",
+		"seed_bad_magic":               "bad frame magic",
+		"seed_corrupt_rows":            "labels for",
+		"seed_truncated":               "frame length",
+		"seed_width_zero":              "index width 0",
+		"seed_width_nine":              "index width 9",
+		"seed_width_wider_than_needed": "whose largest needs",
+		"seed_width_length_mismatch":   "sparse indices",
+	}
+	files, err := filepath.Glob("testdata/fuzz/FuzzBatchDecode/*")
+	if err != nil || len(files) != len(want) {
+		t.Fatalf("%d seed files (%v), want %d", len(files), err, len(want))
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Fatalf("%s: not a one-[]byte fuzz seed", file)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		name := filepath.Base(file)
+		wantErr, known := want[name]
+		if !known {
+			t.Fatalf("%s: a seed this test does not know", name)
+		}
+		b, _, err := DecodeBinary([]byte(data))
+		switch {
+		case wantErr == "" && err != nil:
+			t.Errorf("%s: %v, want a decode", name, err)
+		case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
+			t.Errorf("%s: error %v, want one naming %q", name, err, wantErr)
+		}
+		b.Release()
+	}
 }
 
 func TestWireFrameBufPool(t *testing.T) {
