@@ -130,8 +130,9 @@ func (w *Worker) evalSplit(split warehouse.Split, splitID int) (ev evaluated, er
 	// BatchSize-row frame and never writes the columns, so a shared
 	// batch is safe to read. Release then drops this evaluation's
 	// reference: an exclusively owned batch returns its columns to the
-	// worker's arena, a shared one (cached, or a view over a cached
-	// stripe) loses one reference.
+	// arena, a shared one (cached, or a view over a cached stripe) loses
+	// one reference and returns them when its last holder — an eviction,
+	// perhaps a later session's — lets go.
 	ev.frames, err = w.writeFrames(batch, splitID)
 	batch.Release()
 	return ev, err

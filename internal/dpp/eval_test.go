@@ -2,6 +2,7 @@ package dpp
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dsi/internal/datagen"
@@ -33,47 +34,11 @@ func TestSplitMaterializesOnce(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const rows, batchSize = 256, 128
-	spec := datagen.RM1.Scale(0.01, 1, rows)
-	gen := datagen.NewGenerator(spec, 1)
-	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 4, Replication: 2})
-	if err != nil {
-		t.Fatal(err)
+	wh, splits, spec := rm1Table(t, rows, 1, batchSize)
+	if len(splits) != 1 {
+		t.Fatalf("splits = %d; want one", len(splits))
 	}
-	wh := warehouse.New(cluster)
-	tbl, err := wh.CreateTable("rm1", spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw, err := tbl.NewPartition("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range rows {
-		if err := pw.WriteRow(gen.Sample()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	proj := gen.Projection(1)
-	var dense, sparse []schema.FeatureID
-	for _, id := range proj.IDs() {
-		if col, _ := tbl.Schema.Column(id); col.Kind == schema.Dense {
-			dense = append(dense, id)
-		} else {
-			sparse = append(sparse, id)
-		}
-	}
-	graph := transforms.StandardGraph(dense, sparse, 4, 1<<20)
-	denseOut, sparseOut, err := graph.TensorOutputs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMaster(wh, SessionSpec{
-		Table: "rm1", Features: proj.IDs(), Ops: graph.Ops(),
-		DenseOut: denseOut, SparseOut: sparseOut, BatchSize: batchSize,
-	})
+	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +47,6 @@ func TestSplitMaterializesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.UseCache(ware.NewCache(64<<20), "t")
-	splits, err := tbl.Splits(nil)
-	if err != nil || len(splits) != 1 {
-		t.Fatalf("splits = %d, %v; want one", len(splits), err)
-	}
 	var minBatch int64
 	step := func() {
 		ev, err := w.evalSplit(splits[0], 0)
@@ -110,7 +71,7 @@ func TestSplitMaterializesOnce(t *testing.T) {
 	bound := float64(rows/batchSize*perBatch + 32)
 	got := testing.AllocsPerRun(20, step)
 	if got > bound {
-		t.Fatalf("%.0f allocations per split, want at most %.0f (%d sparse outputs)", got, bound, len(sparseOut))
+		t.Fatalf("%.0f allocations per split, want at most %.0f (%d sparse outputs)", got, bound, len(spec.SparseOut))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -123,5 +84,180 @@ func TestSplitMaterializesOnce(t *testing.T) {
 	if perSplit >= minBatch {
 		t.Fatalf("a split allocates %d bytes, as much as a %d-byte tensor batch", perSplit, minBatch)
 	}
-	t.Logf("%.0f allocations and %d bytes per split (bounds %.0f and %d; %d sparse outputs)", got, perSplit, bound, minBatch, len(sparseOut))
+	t.Logf("%.0f allocations and %d bytes per split (bounds %.0f and %d; %d sparse outputs)", got, perSplit, bound, minBatch, len(spec.SparseOut))
+}
+
+// rm1Table writes stripes stripes of rows RM1 rows each (the generator's
+// 1 % scale) as one partition and returns its splits and a session spec
+// over generator projection 1 and the standard graph, tensor outputs
+// from the compiler.
+func rm1Table(t *testing.T, rows, stripes, batchSize int) (*warehouse.Warehouse, []warehouse.Split, SessionSpec) {
+	t.Helper()
+	gspec := datagen.RM1.Scale(0.01, 1, rows*stripes)
+	gen := datagen.NewGenerator(gspec, 1)
+	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 4, Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wh := warehouse.New(cluster)
+	tbl, err := wh.CreateTable("rm1", gspec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pw, err := tbl.NewPartition("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range rows * stripes {
+		if err := pw.WriteRow(gen.Sample()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	proj := gen.Projection(1)
+	var dense, sparse []schema.FeatureID
+	for _, id := range proj.IDs() {
+		if col, _ := tbl.Schema.Column(id); col.Kind == schema.Dense {
+			dense = append(dense, id)
+		} else {
+			sparse = append(sparse, id)
+		}
+	}
+	graph := transforms.StandardGraph(dense, sparse, 4, 1<<20)
+	denseOut, sparseOut, err := graph.TensorOutputs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, err := tbl.Splits(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wh, splits, SessionSpec{
+		Table: "rm1", Features: proj.IDs(), Ops: graph.Ops(),
+		DenseOut: denseOut, SparseOut: sparseOut, BatchSize: batchSize,
+	}
+}
+
+// TestNextSessionReusesEvictedColumns pins the node's column arena
+// outliving its sessions: the cache owns it, so the columns an eviction
+// frees — here, a finished session's — are the ones the next session
+// decodes and transforms into, and the plan's execution scratch carries
+// over too. Two sessions (two masters, two compiled plans) run back to
+// back over one cache that holds one split of a 4-split table, so every
+// split misses and evicts; the first session runs two passes, noting in
+// the second which columns its wares hold. Every column of the second
+// session's wares must be one of those, and its miss path must allocate
+// under half of what the first session's first pass did per split,
+// which a worker with an arena of its own would not. The bound is not
+// tighter because the arena's pools do not match a column to the
+// feature it held: a column drawn for a feature longer than its last
+// one grows, and on a table this small the columns take tens of passes
+// to reach their steady capacities. The collector is held off, so the
+// arena's pools are not emptied under the test by a collection it did
+// not cause.
+func TestNextSessionReusesEvictedColumns(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const rows, stripes, batchSize = 256, 4, 128
+	wh, splits, spec := rm1Table(t, rows, stripes, batchSize)
+	if len(splits) != stripes {
+		t.Fatalf("splits = %d; want %d", len(splits), stripes)
+	}
+	session := func(c *ware.Cache, id string) *Worker {
+		m, err := NewMaster(wh, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(id, m, wh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.UseCache(c, id)
+		return w
+	}
+	eval := func(w *Worker, i int) {
+		ev, err := w.evalSplit(splits[i], i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range ev.frames {
+			f.free()
+		}
+	}
+	// pass evaluates every split once and returns the bytes it allocated
+	// per split.
+	pass := func(w *Worker) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range splits {
+			eval(w, i)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / stripes
+	}
+	// resident adds to cols the columns of split i's wares in c.
+	resident := func(c *ware.Cache, w *Worker, i int, cols map[any]bool) {
+		r, err := wh.CachedReader(splits[i].Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sid := ware.StripeID(r.StripeContentHash(splits[i].Stripe), splits[i].Path, splits[i].Stripe, w.proj)
+		for _, id := range []ware.WareID{sid, ware.XformID(sid, w.plan.Fingerprint())} {
+			b := c.Get(id, "observer")
+			if b == nil {
+				t.Fatalf("split %d: ware %v is not resident", i, id)
+			}
+			for _, col := range b.Dense {
+				cols[col] = true
+			}
+			for _, col := range b.Sparse {
+				cols[col] = true
+			}
+			for _, col := range b.ScoreList {
+				cols[col] = true
+			}
+			b.Release()
+		}
+	}
+	// One split's stripe ware plus transformed ware, and half a stripe
+	// ware more, sizes the cache: a split's inserts evict the last one's.
+	probe := ware.NewCache(64 << 20)
+	eval(session(probe, "probe"), 0)
+	stripe, _, err := wh.ReadSplitBatchCachedArena(splits[0], spec.Projection(), spec.Read, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := stripe.MemBytes()
+	// One P, so no pooled column waits in another P's private slot where
+	// this goroutine cannot reach it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	cache := ware.NewCache(probe.Stats().Resident + decoded/2)
+	first := session(cache, "first")
+	firstPass := pass(first)
+	held := make(map[any]bool)
+	for i := range splits {
+		eval(first, i)
+		resident(cache, first, i, held)
+	}
+	second := session(cache, "second")
+	perSplit := pass(second)
+	if st := cache.TenantStats("second"); st.Misses != stripes || st.Hits() != 0 {
+		t.Fatalf("second session: %d misses, %d hits; want every split to miss", st.Misses, st.Hits())
+	}
+	if perSplit >= firstPass/2 {
+		t.Fatalf("the next session allocates %d bytes per missed split, want under %d (half the first session's first pass)", perSplit, firstPass/2)
+	}
+	cols := make(map[any]bool)
+	resident(cache, second, stripes-1, cols)
+	for col := range cols {
+		if !held[col] {
+			t.Fatalf("the second session's wares hold a column (%T) no ware of the first session held", col)
+		}
+	}
+	t.Logf("%d bytes per missed split in the next session, %d in the first session's first pass (a split decodes %d bytes)", perSplit, firstPass, decoded)
 }

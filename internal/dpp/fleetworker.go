@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"dsi/internal/dwrf"
 	"dsi/internal/ware"
 	"dsi/internal/warehouse"
 )
@@ -46,11 +45,6 @@ type FleetWorker struct {
 
 	ctrl FleetControl
 	wh   *warehouse.Warehouse
-	// arena is the node-wide column arena every hosted pipeline decodes
-	// and transforms through — required for sharing, since a cached
-	// batch's columns outlive the pipeline that decoded them and may be
-	// freed (last reference dropped) by a different session's pipeline.
-	arena *dwrf.Arena
 
 	cacheOnce sync.Once
 	cache     *ware.Cache
@@ -106,7 +100,6 @@ func NewFleetWorker(id, endpoint string, ctrl FleetControl, wh *warehouse.Wareho
 		Endpoint:  endpoint,
 		ctrl:      ctrl,
 		wh:        wh,
-		arena:     dwrf.NewArena(),
 		pipelines: make(map[string]*fleetPipeline),
 		crashCh:   make(chan struct{}),
 	}, nil
@@ -224,12 +217,11 @@ func (fw *FleetWorker) startPipeline(sessionID string) {
 		}
 		return
 	}
-	// All pipelines on the node share one arena and one content-
-	// addressed cache, so any session's decode or transform output can
-	// serve any other session — cross-tenant dedup. The session is the
-	// cache's tenant, weighted like the service's fair-share scheduler
-	// weights it.
-	w.arena = fw.arena
+	// All pipelines on the node share one content-addressed cache, and
+	// through it the node's one column arena, so any session's decode or
+	// transform output can serve any other session — cross-tenant dedup.
+	// The session is the cache's tenant, weighted like the service's
+	// fair-share scheduler weights it.
 	if c := fw.Cache(); c != nil {
 		c.RegisterTenant(sessionID, w.spec.Weight)
 		w.UseCache(c, sessionID)

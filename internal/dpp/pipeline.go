@@ -92,7 +92,7 @@ func (w *Worker) Run(stop <-chan struct{}) error {
 
 	// The plan is immutable after compilation and each split's batch is
 	// private to the goroutine evaluating it, so the evaluators share
-	// nothing but the worker's arena, stopwatches and cache.
+	// nothing but the column arena, the stopwatches and the cache.
 	// PrefetchDepth bounds how many evaluated splits wait for delivery.
 	evals := make(chan evaluated, pl.PrefetchDepth)
 	var pool sync.WaitGroup

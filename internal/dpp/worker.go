@@ -85,16 +85,19 @@ type Worker struct {
 	// plan is the session's op graph compiled into the slot-indexed
 	// execution form.
 	plan *transforms.Plan
-	// arena recycles decoded and transformed column buffers across the
-	// worker's splits: evalSplit decodes stripes into arena batches,
-	// the transform plan draws output columns from it, and each batch
-	// is released once its tensors are built.
+	// arena recycles decoded and transformed column buffers: evalSplit
+	// decodes stripes into arena batches, the transform plan draws output
+	// columns from it, and each batch is released once its frames are
+	// written. With a cache it is the cache's — the node's — arena
+	// (UseCache), so columns a cached ware held outlive this session and
+	// serve the next one; without a cache it is the worker's own.
 	arena *dwrf.Arena
 	proj  *schema.Projection
 	// cache, when non-nil, is the node-wide content-addressed batch
-	// cache shared by every pipeline the hosting FleetWorker runs;
-	// cacheTenant attributes its hits, misses, and residency to this
-	// worker's session. Standalone workers leave it nil (uncached).
+	// cache shared by every pipeline on the node (a FleetWorker's, or
+	// one a caller attaches to several workers); cacheTenant attributes
+	// its hits, misses, and residency to this worker's session. Workers
+	// without one leave it nil (uncached).
 	cache       *ware.Cache
 	cacheTenant string
 
@@ -126,9 +129,13 @@ type Worker struct {
 	completing int
 	crashCh    chan struct{}
 	report     ResourceReport
-	notEmpty   chan struct{} // closed-and-replaced signal for consumers
-	notFull    chan struct{} // closed-and-replaced signal for producers
-	splitDone  chan struct{} // closed-and-replaced after each CompleteSplit
+	// notEmpty and notFull are the consumers' and producers' wake-ups:
+	// made when a waiter takes one (BatchReady, a full deliver), closed
+	// and dropped by the next signal (wake), so a batch nobody waits for
+	// makes no channel.
+	notEmpty  chan struct{}
+	notFull   chan struct{}
+	splitDone chan struct{} // closed-and-replaced after each CompleteSplit
 	// wakes are the in-process client connections (LocalWorkerAPI) that
 	// registered their client's wake slot; signalLocked pings each one
 	// alongside notEmpty.
@@ -208,9 +215,7 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		arena:          dwrf.NewArena(),
 		proj:           spec.Projection(),
 		splits:         make(map[int]*splitAcct),
-		notEmpty:       make(chan struct{}),
 		wakes:          make(map[*localWorker]struct{}),
-		notFull:        make(chan struct{}),
 		splitDone:      make(chan struct{}),
 		crashCh:        make(chan struct{}),
 		lastStatsAt:    time.Now(),
@@ -345,19 +350,28 @@ func (w *Worker) completeSplit(splitID int) {
 
 // settleLocked wakes Retire. Callers hold w.mu and have just lowered
 // one of the counts it waits out.
-func (w *Worker) settleLocked() {
-	if w.settled != nil {
-		close(w.settled)
-		w.settled = nil
+func (w *Worker) settleLocked() { wake(&w.settled) }
+
+// wake closes a taken wake-up channel and drops it, so the next waiter
+// takes a fresh one; a channel nobody took is left unmade. Callers hold
+// the lock that guards *ch.
+func wake(ch *chan struct{}) {
+	if *ch != nil {
+		close(*ch)
+		*ch = nil
 	}
 }
 
 // UseCache attaches the node-wide content-addressed cache, attributing
-// its activity to tenant (the session ID). Call before Run or
-// ProcessOneSplit; the FleetWorker does so for every pipeline it starts.
+// its activity to tenant (the session ID), and adopts the cache's column
+// arena in place of the worker's own: every pipeline on the node then
+// decodes into columns that any of them — finished sessions included —
+// released or evicted. Call before Run or ProcessOneSplit; the
+// FleetWorker does so for every pipeline it starts.
 func (w *Worker) UseCache(c *ware.Cache, tenant string) {
 	w.cache = c
 	w.cacheTenant = tenant
+	w.arena = c.Arena()
 }
 
 // accountSplit folds one evaluated split — read and transform — into
@@ -429,10 +443,13 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 			w.mu.Unlock()
 			return nil
 		}
-		// notFull is read under the same lock hold that found the buffer
+		// notFull is taken under the same lock hold that found the buffer
 		// full, and tryGetFrame and finish close it under that lock, so a
 		// pop between the check and the wait has already closed this
 		// channel: the signal cannot be missed and needs no fallback poll.
+		if w.notFull == nil {
+			w.notFull = make(chan struct{})
+		}
 		wait := w.notFull
 		w.mu.Unlock()
 		select {
@@ -453,15 +470,17 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 func (w *Worker) BatchReady() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.notEmpty == nil {
+		w.notEmpty = make(chan struct{})
+	}
 	return w.notEmpty
 }
 
 // signalLocked announces that tryGetFrame may answer differently: it
-// closes and replaces notEmpty for the stream server and pings every
+// closes notEmpty, if the stream server took it, and pings every
 // registered in-process client. Callers hold w.mu.
 func (w *Worker) signalLocked() {
-	close(w.notEmpty)
-	w.notEmpty = make(chan struct{})
+	wake(&w.notEmpty)
 	for l := range w.wakes {
 		ping(l.wake)
 	}
@@ -488,8 +507,7 @@ func (w *Worker) tryGetFrame() (f *frame, ok, done bool) {
 		if len(w.buffer) < w.minBuffered {
 			w.minBuffered = len(w.buffer)
 		}
-		close(w.notFull)
-		w.notFull = make(chan struct{})
+		wake(&w.notFull)
 		w.settleLocked()
 		return f, true, false
 	}
@@ -626,8 +644,7 @@ func (w *Worker) finish() {
 	w.mu.Lock()
 	w.finished = true
 	w.signalLocked()
-	close(w.notFull)
-	w.notFull = make(chan struct{})
+	wake(&w.notFull)
 	w.mu.Unlock()
 }
 

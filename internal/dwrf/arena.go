@@ -1,6 +1,7 @@
 package dwrf
 
 import (
+	"maps"
 	"sync"
 
 	"dsi/internal/schema"
@@ -8,22 +9,29 @@ import (
 
 // Arena recycles the columnar buffers behind decoded and transformed
 // batches. The DPP worker's hot path — decode a stripe into a Batch,
-// run the transform plan (which adds derived columns), materialize
-// tensors, Release — allocated fresh Present/Values/Offsets slices for
-// every column of every batch; with an arena the same buffers cycle
-// through that loop, sized by the largest batch seen, so steady-state
-// preprocessing costs a handful of pool hits instead of a per-batch
-// allocation storm (the transform-stage analogue of the tensor wire
-// codec's pools).
+// run the transform plan (which adds derived columns), write its
+// frames, Release — would otherwise allocate fresh Present/Values/
+// Offsets slices for every column of every batch; with an arena the
+// same buffers cycle through that loop, keeping the capacity earlier
+// batches grew them to, so steady-state preprocessing costs a handful
+// of pool hits instead of a per-batch allocation storm. The pools do
+// not match a column to the feature it held: one drawn for a longer
+// feature than its last grows.
 //
 // Ownership rules (refcounted since the fleet cache):
 //
+//   - One arena per node, and the node's ware.Cache owns it
+//     (Cache.Arena): a cached batch's columns outlive the session that
+//     decoded them, and the last holder — often a later session's
+//     eviction — returns them to the batch's own arena, so the next
+//     session decodes into the columns the last one evicted. A worker
+//     with a cache decodes through the cache's arena; only a worker
+//     without one keeps a private arena.
 //   - A batch created by Arena.NewBatch (every batch decoded through a
 //     *Arena read path) starts EXCLUSIVELY owned: one owner, one
 //     Release, which hands every column back. The batch and its columns
 //     must not be used after the final Release — consumers that need
-//     data longer (tensor.Materialize, row-view samples) copy it out
-//     first.
+//     data longer (frames, row-view samples) copy it out first.
 //   - Share transitions a batch to SHARED (counted) ownership with one
 //     reference. Call it before the batch becomes visible to other
 //     goroutines (the fleet cache does so under its own lock, before
@@ -32,24 +40,27 @@ import (
 //     releases. Release on an exclusive batch keeps its historical
 //     semantics, so single-owner paths (the sequential baseline, tests,
 //     struct literals) are unchanged.
-//   - Derive builds a cheap mutable view over a shared batch: fresh
+//   - Derive builds a cheap mutable view over a shared batch: pooled
 //     maps aliasing the parent's columns, consuming one reference on
-//     it. Transforms may replace the view's map entries freely; on the
-//     view's final Release only columns the view itself added return to
-//     the arena — borrowed ones stay with the parent, which is released
-//     once. Mutating a shared column IN PLACE is never legal; row ops
-//     and plan kernels only read inputs and install freshly built
-//     outputs, which is why sharing is sound.
+//     it. Transforms may replace the view's map entries freely; a view
+//     column is borrowed exactly when the parent holds the same pointer
+//     under the same feature ID (labels: the same backing array), and
+//     on the view's final Release only the columns that are not
+//     borrowed return to the arena — borrowed ones stay with the
+//     parent, which is released once. Mutating a shared column IN PLACE
+//     is never legal; row ops and plan kernels only read inputs and
+//     install freshly built outputs, which is why sharing is sound.
 //   - Ops and plans must not retain column slices across batches: a
 //     released column's backing arrays are reused for the next batch.
 //   - Columns placed into an arena batch must not alias each other:
 //     the final Release returns each map entry once, so an aliased
 //     column would be pooled twice and handed to two future callers.
-//     (Derive views are exempt for borrowed columns, which are skipped.)
+//     (A Derive view's borrowed columns are exempt; they are skipped.)
 //
-// All methods are safe for concurrent use (the worker's prefetch and
-// transform pools share one arena) and tolerate a nil receiver, which
-// degrades to plain allocation so call sites need no branching.
+// All methods are safe for concurrent use (every pipeline on a node and
+// each one's evaluator pool share one arena) and tolerate a nil
+// receiver, which degrades to plain allocation so call sites need no
+// branching.
 type Arena struct {
 	batches sync.Pool // *Batch
 	dense   sync.Pool // *DenseColumn
@@ -219,41 +230,27 @@ func (b *Batch) Retain() {
 // from a parent. The transform plan checks it before recycling replaced
 // columns in place — a shared column may be visible to other consumers.
 func (b *Batch) Shared() bool {
-	return b != nil && (b.refs.Load() != 0 || b.borrowed != nil)
+	return b != nil && (b.refs.Load() != 0 || b.parent != nil)
 }
 
-// Derive returns a mutable view over a shared batch: fresh maps (drawn
-// from arena's batch pool) aliasing b's columns and labels, with b's
-// row count. The view CONSUMES one reference on b — the caller's, taken
-// via Retain or handed out by the cache — and releases it on the view's
-// own final Release. Transforms may replace the view's map entries;
-// borrowed columns are never returned to any arena by the view.
+// Derive returns a mutable view over a shared batch: maps drawn from
+// arena's batch pool aliasing b's columns and labels, with b's row
+// count. The view CONSUMES one reference on b — the caller's, taken via
+// Retain or handed out by the cache — and releases it on the view's own
+// final Release. Transforms may replace the view's map entries; a
+// column the parent still holds under the same ID is never returned to
+// any arena by the view. Once the arena's pools are warm a view
+// allocates nothing.
 func (b *Batch) Derive(arena *Arena) *Batch {
 	if b.refs.Load() == 0 {
 		panic("dwrf: Derive from an unshared batch")
 	}
 	d := arena.NewBatch(b.Rows)
-	br := &borrowSet{
-		dense:  make(map[*DenseColumn]bool, len(b.Dense)),
-		sparse: make(map[*SparseColumn]bool, len(b.Sparse)),
-		score:  make(map[*ScoreListColumn]bool, len(b.ScoreList)),
-		labels: b.Labels != nil,
-	}
-	for id, c := range b.Dense {
-		d.Dense[id] = c
-		br.dense[c] = true
-	}
-	for id, c := range b.Sparse {
-		d.Sparse[id] = c
-		br.sparse[c] = true
-	}
-	for id, c := range b.ScoreList {
-		d.ScoreList[id] = c
-		br.score[c] = true
-	}
+	maps.Copy(d.Dense, b.Dense)
+	maps.Copy(d.Sparse, b.Sparse)
+	maps.Copy(d.ScoreList, b.ScoreList)
 	d.Labels = b.Labels
 	d.parent = b
-	d.borrowed = br
 	return d
 }
 
@@ -263,8 +260,8 @@ func (b *Batch) Derive(arena *Arena) *Batch {
 // (BatchFromSamples, struct literals, gob), safe to call twice, and the
 // batch must not be used afterwards. For a shared batch it decrements
 // the count and frees only when the last owner releases — which makes
-// the worker's unconditional Release after materializing correct even
-// when the batch is simultaneously held by the fleet cache or by
+// the worker's unconditional Release after writing its frames correct
+// even when the batch is simultaneously held by the fleet cache or by
 // another session's view.
 func (b *Batch) Release() {
 	if b == nil {
@@ -280,34 +277,36 @@ func (b *Batch) Release() {
 	b.free()
 }
 
-// free returns the batch's own columns to its arena (skipping borrowed
-// ones), recycles the batch struct, and releases the parent of a Derive
-// view. Idempotent for already-freed and ordinary batches.
+// free returns the batch's own columns to its arena (skipping those a
+// Derive view borrows from its parent), recycles the batch struct, and
+// releases the parent of a view. The parent is read here, before the
+// view's reference on it goes, so its maps are still intact. Idempotent
+// for already-freed and ordinary batches.
 func (b *Batch) free() {
-	a, parent, br := b.arena, b.parent, b.borrowed
-	if a == nil && parent == nil {
+	a, p := b.arena, b.parent
+	if a == nil && p == nil {
 		return
 	}
-	b.arena, b.parent, b.borrowed = nil, nil, nil
-	for _, c := range b.Dense {
-		if br == nil || !br.dense[c] {
+	b.arena, b.parent = nil, nil
+	for id, c := range b.Dense {
+		if p == nil || p.Dense[id] != c {
 			a.PutDense(c)
 		}
 	}
 	clear(b.Dense)
-	for _, c := range b.Sparse {
-		if br == nil || !br.sparse[c] {
+	for id, c := range b.Sparse {
+		if p == nil || p.Sparse[id] != c {
 			a.PutSparse(c)
 		}
 	}
 	clear(b.Sparse)
-	for _, c := range b.ScoreList {
-		if br == nil || !br.score[c] {
+	for id, c := range b.ScoreList {
+		if p == nil || p.ScoreList[id] != c {
 			a.PutScoreList(c)
 		}
 	}
 	clear(b.ScoreList)
-	if br == nil || !br.labels {
+	if p == nil || !sameArray(p.Labels, b.Labels) {
 		a.putLabels(b.Labels)
 	}
 	b.Labels = nil
@@ -315,9 +314,17 @@ func (b *Batch) free() {
 	if a != nil {
 		a.batches.Put(b)
 	}
-	if parent != nil {
-		parent.Release()
+	if p != nil {
+		p.Release()
 	}
+}
+
+// sameArray reports whether two label slices start at the same element
+// of one backing array — a view's labels are borrowed exactly when they
+// are the parent's. Slices without capacity own no memory and never
+// match.
+func sameArray(x, y []float32) bool {
+	return cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0]
 }
 
 // resizeBools returns a zeroed bool slice of length n reusing s's

@@ -132,20 +132,10 @@ type Batch struct {
 	// frees only when the count hits zero. See Arena's ownership rules.
 	refs atomic.Int32
 	// parent, for a Derive view, is the shared batch whose columns this
-	// view borrows; freeing the view releases one reference on it.
+	// view borrows; freeing the view releases one reference on it. A
+	// view's column is borrowed when parent holds the same pointer under
+	// the same feature ID (see Arena).
 	parent *Batch
-	// borrowed marks the columns a Derive view aliases from its parent;
-	// they are skipped when the view's own columns return to the arena.
-	borrowed *borrowSet
-}
-
-// borrowSet records which of a derived batch's columns belong to its
-// parent (identity sets, since transforms may replace map entries).
-type borrowSet struct {
-	dense  map[*DenseColumn]bool
-	sparse map[*SparseColumn]bool
-	score  map[*ScoreListColumn]bool
-	labels bool
 }
 
 // DenseColumn is one dense feature across a batch's rows.

@@ -138,3 +138,32 @@ func TestBatchCacheReleaseNonArenaBatchSafe(t *testing.T) {
 	b2.Release()
 	b2.Release()
 }
+
+// TestDeriveAllocs pins a view as free: its maps come from the arena's
+// batch pool and which columns it borrows is read off the parent, so
+// deriving a view over a cached batch and releasing it allocates
+// nothing once the pool is warm.
+func TestDeriveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	a := NewArena()
+	parent := shareFixture(a, 64)
+	parent.Share()
+	cycle := func() {
+		parent.Retain()
+		view := parent.Derive(a)
+		if view.Dense[1] != parent.Dense[1] || view.Sparse[5] != parent.Sparse[5] {
+			t.Fatal("view does not alias parent columns")
+		}
+		view.Release()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("Derive + Release allocates %.0f times, want 0", got)
+	}
+	if parent.Dense[1] == nil || len(parent.Dense[1].Values) != 64 {
+		t.Fatal("parent columns damaged by view releases")
+	}
+	parent.Release()
+}

@@ -6,7 +6,7 @@ package schema
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FeatureID identifies a feature within a table. Production tables hold
@@ -159,7 +159,7 @@ func (p *Projection) IDs() []FeatureID {
 	for id := range p.ids {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

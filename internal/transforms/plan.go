@@ -2,6 +2,7 @@ package transforms
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -29,10 +30,14 @@ import (
 //     GetLocalHour — the denseMapper interface) fuse into a single
 //     pass over the rows that still materializes every intermediate
 //     column, keeping outputs byte-identical to the interpreter.
-//   - Output columns come from a dwrf.Arena, sized by the previous
-//     batch, so a worker's transform stage recycles the same buffers
-//     split after split (the transform-stage analogue of PR 3's wire
-//     pools).
+//   - Output columns come from a dwrf.Arena — the node's, which its
+//     ware.Cache owns — so a transform stage recycles buffers that any
+//     earlier batch on the node grew, whichever session decoded it and
+//     whichever evicted it.
+//   - The execution state a run needs (slot arrays, dictionary
+//     materializations, hash prefix tables) is plan-agnostic scratch on
+//     one process-wide free list, so a new session's plan starts from
+//     buffers an earlier session's runs grew.
 //
 // Plan.Run produces byte-identical columns and identical Stats to
 // Graph.Run (plan_test.go pins this for every op); ops the compiler
@@ -40,9 +45,10 @@ import (
 // compile fails the DPP worker that would run it.
 
 // Plan is a compiled Graph. Compile once per session with
-// Graph.CompilePlan; Run is safe for concurrent use (each call checks
-// out a pooled execution state), which is how the worker's transform
-// pool shares one Plan.
+// Graph.CompilePlan; a Plan is immutable once compiled, and Run is safe
+// for concurrent use (each call borrows an execution state from the
+// process-wide free list), which is how the worker's evaluator pool
+// shares one Plan.
 type Plan struct {
 	rowOps []Op
 	steps  []planStep
@@ -63,8 +69,6 @@ type Plan struct {
 	pubDense  []slotBind
 	pubSparse []slotBind
 	pubScore  []slotBind
-
-	execs sync.Pool // *planExec
 }
 
 // slotBind associates a feature ID with a slot index, for raw-input
@@ -133,8 +137,10 @@ type fusedStepMarker struct {
 }
 
 // planExec is the per-run execution state: flat slot arrays plus
-// reusable scratch. One is checked out of the plan's pool per Run, so
-// concurrent runs never share state.
+// reusable scratch. It belongs to no plan — reset sizes the slots for
+// the plan about to run, and every other buffer is capacity-only
+// scratch — so one borrowed from planExecs serves whichever plan runs
+// next. Each Run borrows its own, so concurrent runs never share state.
 type planExec struct {
 	rows   int
 	dense  []*dwrf.DenseColumn
@@ -154,8 +160,9 @@ type planExec struct {
 	// values of dictionary-indexed input columns: kernels that need raw
 	// values (IdListTransform, the Cartesian/NGram value sides) share
 	// one materialization per column per run, while dict-preserving
-	// kernels never pay it. The buffers are exec-owned scratch and
-	// recycle across runs; matDone is cleared each reset.
+	// kernels never pay it. matVals' buffers are capacity-only scratch
+	// that recycle across runs and plans; matDone is cleared each reset,
+	// so no run reads what another wrote.
 	matVals [][]int64
 	matDone []bool
 	// prefix holds per-distinct-value pre-mixed hash states for the
@@ -217,14 +224,43 @@ func (e *planExec) reset(p *Plan, rows int, arena *dwrf.Arena, stats *Stats) {
 	e.emptySparse.Offsets = resizeNeverWritten(e.emptySparse.Offsets, rows+1)
 }
 
-// finish drops column references so a pooled exec never pins batch
-// memory between runs.
+// finish drops column references so an idle exec never pins batch
+// memory between runs, and returns e to the free list.
 func (e *planExec) finish() {
 	clear(e.dense)
 	clear(e.sparse)
 	clear(e.score)
 	e.arena = nil
 	e.stats = nil
+	planExecs.Lock()
+	defer planExecs.Unlock()
+	if len(planExecs.free) < 2*runtime.GOMAXPROCS(0) {
+		planExecs.free = append(planExecs.free, e)
+	}
+}
+
+// planExecs holds the idle execution states of every plan in the
+// process: plans live for one session, their scratch should not. It is a
+// free list rather than a sync.Pool, which the garbage collector
+// empties, so that the first runs after a collection — or in a new
+// session — do not regrow the scratch. It keeps at most two per P, as
+// many as a node's concurrent runs borrow.
+var planExecs struct {
+	sync.Mutex
+	free []*planExec
+}
+
+// getPlanExec borrows an idle execution state, or makes one.
+func getPlanExec() *planExec {
+	planExecs.Lock()
+	defer planExecs.Unlock()
+	n := len(planExecs.free)
+	if n == 0 {
+		return new(planExec)
+	}
+	e := planExecs.free[n-1]
+	planExecs.free = planExecs.free[:n-1]
+	return e
 }
 
 // resizeSlots returns a zero-cleared slice of n entries (column
@@ -821,10 +857,7 @@ func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
 		stats.OpsRun++
 	}
 
-	e, _ := p.execs.Get().(*planExec)
-	if e == nil {
-		e = &planExec{}
-	}
+	e := getPlanExec()
 	e.reset(p, b.Rows, arena, &stats)
 
 	for _, rb := range p.rawDense {
@@ -845,7 +878,6 @@ func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
 	for i := range p.steps {
 		if err := p.steps[i].run(e); err != nil {
 			e.finish()
-			p.execs.Put(e)
 			return stats, fmt.Errorf("transforms: %s: %w", p.steps[i].op.Name(), err)
 		}
 	}
@@ -885,6 +917,5 @@ func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
 
 	stats.RowsOut = b.Rows
 	e.finish()
-	p.execs.Put(e)
 	return stats, nil
 }

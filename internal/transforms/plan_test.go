@@ -2,6 +2,8 @@ package transforms
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -10,6 +12,10 @@ import (
 	"dsi/internal/schema"
 	"dsi/internal/tensor"
 )
+
+// raceEnabled is set by race_test.go in -race builds, whose pools drop
+// a share of what is put in them.
+var raceEnabled bool
 
 // The golden parity suite: every op (and the §7.2 chained example) runs
 // through both the legacy interpreter (Graph.Run) and the compiled
@@ -428,6 +434,172 @@ func TestPlanArenaReuseAcrossBatches(t *testing.T) {
 		requireBatchEqual(t, interp, compiled)
 		compiled.Release()
 	}
+}
+
+// TestPlanExecAcrossPlans runs two different plans back to back on one
+// execution state: the free list hands the exec plan A grew — slots of
+// A's layout, A's dictionary materializations and hash prefixes — to
+// plan B, whose output must still equal the interpreter's.
+func TestPlanExecAcrossPlans(t *testing.T) {
+	a := StandardGraph([]schema.FeatureID{1}, []schema.FeatureID{2, 3}, 9, 1000)
+	b := NewGraph().Add(
+		&NGram{In: 3, Out: 500, N: 3},
+		&Cartesian{A: 3, B: 2, Out: 501, MaxOutput: 6},
+		&IdListTransform{A: 3, B: 2, Out: 502},
+		&SigridHash{In: 501, Out: 503, Salt: 3, MaxValue: 1 << 10},
+		&Onehot{In: 1, Out: 504, Buckets: 4, Min: -1, Max: 1},
+	)
+	planA, err := a.CompilePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	planB, err := b.CompilePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := parityBatch()
+	grow(big)
+	grow(big)
+	if _, err := planA.Run(dictify(big), dwrf.NewArena()); err != nil {
+		t.Fatal(err)
+	}
+	planExecs.Lock()
+	reused := planExecs.free[len(planExecs.free)-1]
+	planExecs.Unlock()
+
+	want := parityBatch()
+	wantStats, err := b.Run(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dictify(parityBatch())
+	gotStats, err := planB.Run(got, dwrf.NewArena())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBatchEqual(t, want, got)
+	requireStatsEqual(t, wantStats, gotStats)
+	planExecs.Lock()
+	defer planExecs.Unlock()
+	if top := planExecs.free[len(planExecs.free)-1]; top != reused {
+		t.Fatal("plan B did not run on the exec plan A returned")
+	}
+}
+
+// TestDeriveViewReleaseReturnsOnlyItsColumns runs ops over Derive views
+// of a shared batch and releases them: the arena gets back exactly the
+// columns each view built — every column, after Sampling rebuilt them
+// all; the one derived column, after a SigridHash that left the raw
+// columns borrowed — and never a column the parent holds, whose values
+// stay intact.
+func TestDeriveViewReleaseReturnsOnlyItsColumns(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   Op
+	}{
+		{"Sampling", &Sampling{Rate: 0.5, Seed: 9}},
+		{"SigridHash", &SigridHash{In: 2, Out: 600, Salt: 1, MaxValue: 64}},
+	} {
+		t.Run(c.name, func(t *testing.T) { deriveViewReleaseCase(t, c.op) })
+	}
+}
+
+func deriveViewReleaseCase(t *testing.T, op Op) {
+	arena := dwrf.NewArena()
+	src := parityBatch()
+	src.ScoreList[4] = &dwrf.ScoreListColumn{
+		Offsets: []int32{0, 1, 1, 2, 2, 3, 3, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6},
+		Values:  []schema.ScoredValue{{Value: 1, Score: 0.5}, {Value: 2}, {Value: 3}, {Value: 4}, {Value: 5}, {Value: 6}},
+	}
+	parent := arena.NewBatch(src.Rows)
+	tmp := copyBatch(src)
+	parent.Labels, parent.Dense, parent.Sparse, parent.ScoreList = tmp.Labels, tmp.Dense, tmp.Sparse, tmp.ScoreList
+	parent.Share()
+	parent.Retain() // the reference the view consumes
+	want := copyBatch(parent)
+	parentCols := make(map[any]bool)
+	for _, c := range parent.Dense {
+		parentCols[c] = true
+	}
+	for _, c := range parent.Sparse {
+		parentCols[c] = true
+	}
+	for _, c := range parent.ScoreList {
+		parentCols[c] = true
+	}
+
+	// Hold the collector off and run on one P, so the arena's pools keep
+	// what the view's release puts in them, within this goroutine's
+	// reach, until the test draws it back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	view := parent.Derive(arena)
+	if _, err := op.Apply(view); err != nil {
+		t.Fatal(err)
+	}
+	own := make(map[any]bool)
+	var nDense, nSparse, nScore int
+	for _, c := range view.Dense {
+		if !parentCols[c] {
+			own[c] = true
+			nDense++
+		}
+	}
+	for _, c := range view.Sparse {
+		if !parentCols[c] {
+			own[c] = true
+			nSparse++
+		}
+	}
+	for _, c := range view.ScoreList {
+		if !parentCols[c] {
+			own[c] = true
+			nScore++
+		}
+	}
+	if len(own) == 0 {
+		t.Fatal("the op built no column in the view")
+	}
+	viewLabels := view.Labels
+	view.Release()
+
+	// Draw back more columns than the view owned: every one must be a
+	// new column or one of the view's own, never one the parent holds.
+	var drawn []any
+	for range nDense + 2 {
+		drawn = append(drawn, arena.Dense(parent.Rows))
+	}
+	for range nSparse + 2 {
+		drawn = append(drawn, arena.Sparse(parent.Rows))
+	}
+	for range nScore + 2 {
+		drawn = append(drawn, arena.ScoreList(parent.Rows))
+	}
+	recycled := 0
+	for _, c := range drawn {
+		if parentCols[c] {
+			t.Fatalf("the view's release handed the arena a parent column (%T)", c)
+		}
+		if own[c] {
+			recycled++
+		}
+	}
+	// The race detector's pools drop puts at random, so only a plain
+	// build can count on getting every one back.
+	if !raceEnabled && recycled != len(own) {
+		t.Fatalf("%d of the view's %d columns came back from the arena", recycled, len(own))
+	}
+	l := arena.Labels(0)
+	switch {
+	case cap(l) > 0 && &l[:1][0] == &parent.Labels[:1][0]:
+		t.Fatal("the view's release handed the arena the parent's labels")
+	case raceEnabled || &viewLabels[:1][0] == &parent.Labels[:1][0]:
+		// Borrowed labels stay with the parent; nothing to get back.
+	case cap(l) == 0 || &l[:1][0] != &viewLabels[:1][0]:
+		t.Fatal("the view's labels did not come back from the arena")
+	}
+	requireBatchEqual(t, want, parent)
+	parent.Release()
 }
 
 func TestPlanCompileRejectsInvalidOps(t *testing.T) {

@@ -15,6 +15,11 @@ import (
 // evicted while consumers still read it — the columns return to the
 // arena only when the last holder releases.
 //
+// The cache owns the node's column arena (Arena): every pipeline that
+// uses the cache decodes and transforms through it, so the columns an
+// eviction frees — whichever session decoded them, live or finished —
+// are the ones the next decode on the node draws.
+//
 // Fairness mirrors the service's weighted fair-share scheduler: each
 // tenant gets a byte floor proportional to its weight, and eviction
 // never takes a victim below its owner's floor on behalf of *another*
@@ -23,6 +28,8 @@ import (
 // hot tenant's fair share. An insert with no legal victim is refused —
 // the batch simply stays exclusively owned by the inserting pipeline.
 type Cache struct {
+	arena *dwrf.Arena
+
 	mu       sync.Mutex
 	capacity int64
 	used     int64
@@ -106,18 +113,24 @@ type TenantStats struct {
 	Counters
 }
 
-// NewCache returns a cache bounded to capacity bytes. A non-positive
-// capacity yields a cache that refuses every insert (lookups still
-// work and count misses), which is how "disabled" composes with the
-// rest of the wiring without nil checks.
+// NewCache returns a cache bounded to capacity bytes, with a new arena
+// for the node's columns. A non-positive capacity yields a cache that
+// refuses every insert (lookups still work and count misses), which is
+// how "disabled" composes with the rest of the wiring without nil
+// checks.
 func NewCache(capacity int64) *Cache {
 	return &Cache{
+		arena:    dwrf.NewArena(),
 		capacity: capacity,
 		entries:  make(map[string]*entry),
 		lru:      list.New(),
 		tenants:  make(map[string]*tenantState),
 	}
 }
+
+// Arena returns the node's column arena, which every pipeline using the
+// cache decodes and transforms through.
+func (c *Cache) Arena() *dwrf.Arena { return c.arena }
 
 // RegisterTenant records a tenant's scheduling weight, which sets its
 // eviction floor. Non-finite or non-positive weights register as 1

@@ -2,6 +2,7 @@ package ware
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -58,6 +59,33 @@ func TestWareIDStability(t *testing.T) {
 	}
 	if s := x1.String(); s != PackXform+":"+x1.Hash {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// TestWareIDsPinned holds the IDs byte for byte. The digests are those
+// of the same bytes formatted by fmt.Fprintf, so IDs stay comparable
+// across versions of the program.
+func TestWareIDsPinned(t *testing.T) {
+	cases := []struct {
+		name         string
+		id           WareID
+		stripe, xfrm string
+	}{
+		{"content, multi-ID projection", StripeID(0xdeadbeef, "ignored", 7, schema.NewProjection(3, 1, 2)), "cd7975b491fc8dda", "ec5e92990ae2f346"},
+		{"content, zero-padded hex, nil projection", StripeID(0xabc, "x", 0, nil), "d593c77bf6fb3c40", "78373780a86d263b"},
+		{"content, extreme IDs", StripeID(math.MaxUint64, "", 0, schema.NewProjection(-5, 0, math.MaxInt32, math.MinInt32)), "79e9ad7c8fb6e74a", "1a06632be6d0bcfd"},
+		{"path fallback", StripeID(0, "tbl/part-000001", 12, schema.NewProjection(7)), "a0c253a908d52fbe", "e26c73c6b1624c21"},
+		{"path fallback, empty path, nil projection", StripeID(0, "", 0, nil), "da0474ac8ad168de", "28405602e0ecec78"},
+		{"path fallback, negative stripe, empty projection", StripeID(0, "p", -1, schema.NewProjection()), "d9e8613dbc6eaf60", "52f93418b808b556"},
+		{"content, 18-ID projection", StripeID(1, "", 0, schema.NewProjection(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 100, 101, 102, 103, 104, 105)), "ae8c36a4a0fe1d53", "328aeb1ec959d0f7"},
+	}
+	for _, c := range cases {
+		if c.id != (WareID{PackStripe, c.stripe}) {
+			t.Errorf("%s: StripeID = %v, want %s", c.name, c.id, c.stripe)
+		}
+		if x := XformID(c.id, "plan-fp"); x != (WareID{PackXform, c.xfrm}) {
+			t.Errorf("%s: XformID = %v, want %s", c.name, x, c.xfrm)
+		}
 	}
 }
 

@@ -12,8 +12,7 @@
 package ware
 
 import (
-	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"dsi/internal/schema"
 )
@@ -50,21 +49,32 @@ func (w WareID) String() string { return w.Pack + ":" + w.Hash }
 // The projection is part of the identity because it selects which
 // streams get decoded: proj.IDs() is sorted, keeping the digest stable
 // across equivalent projections.
+//
+// The digest is FNV-1a over "c<16 hex digits>|" (or "p<path>#<stripe>|")
+// and then "<id>," per projected feature, or "*" for no projection;
+// every piece is formatted into a stack buffer, so a probe allocates
+// only the sorted ID list and the hash string.
 func StripeID(contentHash uint64, path string, stripe int, proj *schema.Projection) WareID {
-	h := fnv.New64a()
+	var buf [24]byte
+	h := fnvOffset
 	if contentHash != 0 {
-		fmt.Fprintf(h, "c%016x|", contentHash)
+		b := appendHex16(append(buf[:0], 'c'), contentHash)
+		h = fnvAdd(h, append(b, '|'))
 	} else {
-		fmt.Fprintf(h, "p%s#%d|", path, stripe)
+		h = fnvAdd(h, append(buf[:0], 'p'))
+		h = fnvAdd(h, path)
+		b := strconv.AppendInt(append(buf[:0], '#'), int64(stripe), 10)
+		h = fnvAdd(h, append(b, '|'))
 	}
 	if proj == nil {
-		h.Write([]byte("*"))
+		h = fnvAdd(h, "*")
 	} else {
 		for _, id := range proj.IDs() {
-			fmt.Fprintf(h, "%d,", id)
+			b := strconv.AppendInt(buf[:0], int64(id), 10)
+			h = fnvAdd(h, append(b, ','))
 		}
 	}
-	return WareID{Pack: PackStripe, Hash: fmt.Sprintf("%016x", h.Sum64())}
+	return WareID{Pack: PackStripe, Hash: hexString(h)}
 }
 
 // XformID names the batch produced by running a transform plan over a
@@ -73,9 +83,38 @@ func StripeID(contentHash uint64, path string, stripe int, proj *schema.Projecti
 // configuration, so sessions only collide when they would genuinely
 // compute the same derived columns.
 func XformID(stripe WareID, planFingerprint string) WareID {
-	h := fnv.New64a()
-	h.Write([]byte(stripe.Hash))
-	h.Write([]byte{'|'})
-	h.Write([]byte(planFingerprint))
-	return WareID{Pack: PackXform, Hash: fmt.Sprintf("%016x", h.Sum64())}
+	h := fnvAdd(fnvOffset, stripe.Hash)
+	h = fnvAdd(h, "|")
+	h = fnvAdd(h, planFingerprint)
+	return WareID{Pack: PackXform, Hash: hexString(h)}
+}
+
+// 64-bit FNV-1a, as hash/fnv's New64a computes it.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime         = 1099511628211
+)
+
+// fnvAdd folds p into the FNV-1a state h.
+func fnvAdd[T string | []byte](h uint64, p T) uint64 {
+	for i := 0; i < len(p); i++ {
+		h ^= uint64(p[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// appendHex16 appends v as 16 lower-case hex digits, zero-padded.
+func appendHex16(b []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>uint(shift)&0xf])
+	}
+	return b
+}
+
+// hexString renders a digest as 16 zero-padded hex digits.
+func hexString(v uint64) string {
+	var buf [16]byte
+	return string(appendHex16(buf[:0], v))
 }
