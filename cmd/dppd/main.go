@@ -402,9 +402,7 @@ func runClient(masterAddr string, addrs []string, sessionID string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if closer, ok := rw.(interface{ Close() error }); ok {
-			defer closer.Close()
-		}
+		defer rw.Close()
 		apis = append(apis, rw)
 	}
 	var tr *trainer.Trainer

@@ -2,7 +2,6 @@ package dpp
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -21,6 +20,9 @@ type WorkerAPI interface {
 	// connection pings it whenever FetchBatch may answer differently (a
 	// batch arrived, the worker finished or crashed, the stream ended).
 	announceTo(ch chan<- struct{})
+	// Close drops the connection: an in-process one stops taking the
+	// worker's pings, a stream tears down its connection.
+	Close() error
 }
 
 // localWorker adapts *Worker to WorkerAPI. wake is the client slot it
@@ -39,7 +41,7 @@ func (l *localWorker) announceTo(ch chan<- struct{}) {
 	l.w.mu.Unlock()
 }
 
-// Close implements io.Closer: a client dropping the connection stops
+// Close implements WorkerAPI: a client dropping the connection stops
 // taking the worker's pings.
 func (l *localWorker) Close() error {
 	l.w.mu.Lock()
@@ -242,9 +244,8 @@ func (c *Client) addLocked(id string, api WorkerAPI) bool {
 	return true
 }
 
-// removeLocked detaches a worker connection (closing it when the
-// transport supports Close) and reports whether it was connected.
-// Callers hold c.mu.
+// removeLocked detaches a worker connection and closes it, and reports
+// whether it was connected. Callers hold c.mu.
 func (c *Client) removeLocked(id string) bool {
 	for i, conn := range c.conns {
 		if conn.id != id {
@@ -255,8 +256,8 @@ func (c *Client) removeLocked(id string) bool {
 			// drain so in-flight frames can still be collected.
 			c.detached++
 			go c.reapDetached(conn.api, d)
-		} else if closer, ok := conn.api.(io.Closer); ok {
-			closer.Close()
+		} else {
+			conn.api.Close()
 		}
 		c.conns = append(c.conns[:i], c.conns[i+1:]...)
 		if c.next > i {
@@ -276,9 +277,7 @@ func (c *Client) removeLocked(id string) bool {
 // client lock and lands the rescued window in the orphan queue.
 func (c *Client) reapDetached(api WorkerAPI, d drainable) {
 	batches := d.Drain()
-	if closer, ok := api.(io.Closer); ok {
-		closer.Close()
-	}
+	api.Close()
 	c.mu.Lock()
 	c.orphans = append(c.orphans, batches...)
 	c.detached--
@@ -348,8 +347,8 @@ func (c *Client) Refresh() error {
 				c.detached++
 				c.mu.Unlock()
 				go c.reapDetached(api, d)
-			} else if closer, ok := api.(io.Closer); ok {
-				closer.Close()
+			} else {
+				api.Close()
 			}
 		}
 	}

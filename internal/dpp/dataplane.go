@@ -177,16 +177,38 @@ func decodeBatchFrame(payload []byte) (*tensor.Batch, error) {
 	return b, nil
 }
 
-// frameSource is the buffer surface the data plane serves from: Worker
-// implements it, and ServeBatchSource adapts any BatchSource to it.
+// frameSource is the one contract the data plane serves a stream from:
+// Worker implements it, and batchFrames adapts any BatchSource to it.
 type frameSource interface {
 	// tryGetFrame pops one buffered frame without blocking. done=true
 	// means the source has finished and drained.
 	tryGetFrame() (f *frame, ok bool, done bool)
+	// BatchReady returns a channel closed the next time tryGetFrame may
+	// answer differently (a frame arrived, or the source finished). The
+	// server takes it before each pop and waits on it only after an
+	// empty one, so no arrival is missed. A nil channel is polled.
+	BatchReady() <-chan struct{}
+	// ungetFrames takes back an abnormally broken stream's un-granted
+	// window: the same bytes under the same tags go out again.
+	ungetFrames(frames []*frame)
+	// ackConsumed reports irrevocable consumption (a credit grant, a
+	// gracefully rescued window); it drives split completion.
+	ackConsumed(frames ...*frame)
+	// addStreamOutstanding moves the count of frames in stream windows
+	// not yet granted, so Retire never deregisters under a window that
+	// could still break and be requeued.
+	addStreamOutstanding(delta int)
+	// crashedCh closes when fault injection kills the source: streams
+	// then sever at once, requeueing and acking nothing. nil never
+	// closes.
+	crashedCh() <-chan struct{}
 }
 
-// BatchSource is a buffer of tensor batches ServeBatchSource serves:
-// benchmarks and tests serve synthetic batches through it.
+// BatchSource is a pop-only buffer of tensor batches that
+// ServeBatchSource serves: benchmarks and tests serve synthetic batches
+// through it. A source may also announce with a BatchReady method (see
+// frameSource); one that does not is polled. It cannot take batches
+// back, so a stream that breaks abnormally loses its window.
 type BatchSource interface {
 	// TryGetBatch pops one buffered batch without blocking. done=true
 	// means the source has finished and drained.
@@ -209,27 +231,24 @@ func (s batchFrames) tryGetFrame() (*frame, bool, bool) {
 // BatchReady forwards the source's announcement; a source that does
 // not announce answers nil and is polled.
 func (s batchFrames) BatchReady() <-chan struct{} {
-	if a, ok := s.src.(batchAnnouncer); ok {
+	if a, ok := s.src.(interface{ BatchReady() <-chan struct{} }); ok {
 		return a.BatchReady()
 	}
 	return nil
 }
 
-// ungetFrames hands an abnormally broken stream's window back to a
-// source that takes batches back (UngetBatches), decoded.
-func (s batchFrames) ungetFrames(frames []*frame) {
-	ug, ok := s.src.(interface{ UngetBatches([]*tensor.Batch) })
-	var batches []*tensor.Batch
+// ungetFrames frees a broken stream's window: a pop-only source cannot
+// take batches back.
+func (batchFrames) ungetFrames(frames []*frame) {
 	for _, f := range frames {
-		if b, err := f.decode(); err == nil {
-			batches = append(batches, b)
-		}
 		f.free()
 	}
-	if ok {
-		ug.UngetBatches(batches)
-	}
 }
+
+// A BatchSource keeps no consumption ledger and cannot crash.
+func (batchFrames) ackConsumed(...*frame)      {}
+func (batchFrames) addStreamOutstanding(int)   {}
+func (batchFrames) crashedCh() <-chan struct{} { return nil }
 
 // sourceResolver routes a hello's session ID to the frame source that
 // serves it: a fleet worker's per-session pipeline, or singleSource.
@@ -244,69 +263,6 @@ func singleSource(src frameSource) sourceResolver {
 		}
 		return src, nil
 	}
-}
-
-// ungetter is the optional frameSource extension the framed server uses
-// to return the un-granted window of an abnormally broken stream to the
-// buffer (Worker implements it), so a transient connection failure
-// requeues the in-flight frames — the same bytes under the same tags —
-// instead of losing them.
-type ungetter interface {
-	ungetFrames(frames []*frame)
-}
-
-// batchAnnouncer is the optional source extension that lets the framed
-// server wait for a frame instead of polling for one: the channel
-// BatchReady returns is closed the next time tryGetFrame may answer
-// differently (a frame arrived, or the source finished). The server
-// takes it before each tryGetFrame and waits on it only after an empty
-// pop, so a frame that lands in between is never missed. Worker
-// implements it; a source that answers nil, or has no BatchReady, is
-// polled.
-type batchAnnouncer interface {
-	BatchReady() <-chan struct{}
-}
-
-// consumeAcker is the optional frameSource extension through which the
-// data plane reports irrevocable consumption (a credit grant, or a
-// gracefully rescued stream window). Worker implements it to drive the
-// deferred split-completion ledger.
-type consumeAcker interface {
-	ackConsumed(frames ...*frame)
-}
-
-// ackAll reports consumption to sources that track it.
-func ackAll(src frameSource, frames []*frame) {
-	if ca, ok := src.(consumeAcker); ok && len(frames) > 0 {
-		ca.ackConsumed(frames...)
-	}
-}
-
-// crashSignaler is the optional frameSource extension fault-injection
-// uses: when the returned channel closes, every serving stream severs
-// its connection immediately — without the abnormal-break requeue, as a
-// killed process would. Worker implements it via Crash.
-type crashSignaler interface {
-	crashedCh() <-chan struct{}
-}
-
-// crashChOf returns the source's crash channel, or nil (which blocks
-// forever in a select) when the source is not crashable.
-func crashChOf(src frameSource) <-chan struct{} {
-	if cs, ok := src.(crashSignaler); ok {
-		return cs.crashedCh()
-	}
-	return nil
-}
-
-// outstandingTracker is the optional frameSource extension that counts
-// frames sent into stream windows but not yet granted (consumed) by a
-// client. Worker implements it so Retire does not deregister while a
-// stream still holds an un-granted window — the window's rows would
-// have nowhere to go if that stream then broke abnormally (requeued
-// into a deregistered worker no client can resolve).
-type outstandingTracker interface {
-	addStreamOutstanding(delta int)
 }
 
 // serveDataPlaneOn serves framed streams on ln until the returned stop
@@ -329,7 +285,7 @@ func serveDataPlaneOn(resolve sourceResolver, ln net.Listener) func() {
 // session of a framed data plane — the entry point transport benchmarks
 // and tests use to measure the wire path in isolation. Each popped
 // batch is encoded into one frame (AppendBinary) and served like a
-// worker's.
+// worker's, except that an abnormally broken stream's window is lost.
 func ServeBatchSource(src BatchSource, addr string) (net.Listener, func(), error) {
 	return serveFrames(batchFrames{src}, addr)
 }
@@ -403,8 +359,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	if _, err := conn.Write(append([]byte(dataPlaneMagic), dataPlaneVersion)); err != nil {
 		return
 	}
-	crashCh := crashChOf(src)
-	announcer, _ := src.(batchAnnouncer)
+	crashCh := src.crashedCh()
 
 	// Credit reader: accumulate grants until the client goes away, and
 	// retire granted frames from the un-granted window. A half-closed
@@ -431,13 +386,6 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		spent    []*frame
 		abnormal bool
 	)
-	// track mirrors the un-granted window size into the source, so a
-	// Worker's Retire can wait for in-flight stream windows to land.
-	track := func(delta int) {
-		if ot, ok := src.(outstandingTracker); ok && delta != 0 {
-			ot.addStreamOutstanding(delta)
-		}
-	}
 
 	creditCh := make(chan struct{}, 1)
 	connGone := make(chan struct{})
@@ -468,10 +416,10 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 			retired = append(retired[:0], unacked[:granted]...)
 			unacked = append(unacked[:0], unacked[granted:]...)
 			creditMu.Unlock()
-			track(-granted)
+			src.addStreamOutstanding(-granted)
 			// A grant is the client's irrevocable consumption receipt;
 			// it drives the worker's deferred split completion.
-			ackAll(src, retired)
+			src.ackConsumed(retired...)
 			creditMu.Lock()
 			spent = append(spent, retired...)
 			creditMu.Unlock()
@@ -488,7 +436,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		frames := append([]*frame(nil), unacked...)
 		unacked = unacked[:0]
 		creditMu.Unlock()
-		track(-len(frames))
+		src.addStreamOutstanding(-len(frames))
 		return frames
 	}
 	// recycle returns consumed frames to the pool.
@@ -508,13 +456,8 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	}
 	defer freeSpent()
 	// requeue returns the un-granted window to the source on an abnormal
-	// break. Sources without ungetFrames lose it.
-	requeue := func() {
-		frames := takeWindow()
-		if ug, ok := src.(ungetter); ok {
-			ug.ungetFrames(frames)
-		}
-	}
+	// break.
+	requeue := func() { src.ungetFrames(takeWindow()) }
 	connGoneExit := func() {
 		creditMu.Lock()
 		ab := abnormal
@@ -528,7 +471,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		// consumed — the rescue path (StreamWorker.Drain) delivers them
 		// through the orphan queue.
 		frames := takeWindow()
-		ackAll(src, frames)
+		src.ackConsumed(frames...)
 		recycle(frames)
 	}
 
@@ -559,10 +502,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		// and wait on the announcement only if the pop came back empty.
 		var f *frame
 		for f == nil {
-			var ready <-chan struct{}
-			if announcer != nil {
-				ready = announcer.BatchReady()
-			}
+			ready := src.BatchReady()
 			ff, ok, done := src.tryGetFrame()
 			if ok {
 				f = ff
@@ -574,15 +514,15 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 				conn.Write(hdr[:])
 				// The remaining window belongs to the client now.
 				frames := takeWindow()
-				ackAll(src, frames)
+				src.ackConsumed(frames...)
 				recycle(frames)
 				return
 			}
 			var tick <-chan time.Time
 			if ready == nil {
-				// The source only exposes a non-blocking pop, so an
-				// empty-but-live buffer is polled at a period well under
-				// any batch production time.
+				// A source that does not announce exposes only a
+				// non-blocking pop, so an empty-but-live buffer is polled
+				// at a period well under any batch production time.
 				tick = time.After(200 * time.Microsecond)
 			}
 			select {
@@ -604,7 +544,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		credit--
 		unacked = append(unacked, f)
 		creditMu.Unlock()
-		track(1)
+		src.addStreamOutstanding(1)
 		// One write: header, provenance tags and tensor frame were
 		// written into one buffer when the batch was, so a batch costs a
 		// single syscall and no copy.

@@ -197,51 +197,34 @@ func TestFramedStreamDrainRescuesWindow(t *testing.T) {
 	}
 }
 
-// requeueSource is a countedSource that also accepts batches back — the
-// Worker buffer's recovery surface for abnormally broken streams.
-type requeueSource struct {
-	mu       sync.Mutex
-	queue    []*tensor.Batch
-	popped   int
-	requeued int
-}
-
-func (s *requeueSource) TryGetBatch() (*tensor.Batch, bool, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return nil, false, true
-	}
-	b := s.queue[0]
-	s.queue = s.queue[1:]
-	s.popped++
-	return b, true, false
-}
-
-func (s *requeueSource) UngetBatches(batches []*tensor.Batch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queue = append(append([]*tensor.Batch(nil), batches...), s.queue...)
-	s.requeued += len(batches)
-}
-
-func (s *requeueSource) counts() (popped, requeued, queued int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.popped, s.requeued, len(s.queue)
-}
-
 func TestFramedStreamRequeuesOnAbnormalDisconnect(t *testing.T) {
 	// An abnormal client disconnect (reset, not the graceful half-close)
-	// must requeue the un-granted window into the source, so a second
-	// client still receives every batch exactly once.
+	// must requeue the un-granted window into the worker's buffer, so a
+	// second client still receives every batch exactly once.
 	const n = 30
-	batch := dataplaneTestBatch(16, 5)
-	src := &requeueSource{}
-	for i := 0; i < n; i++ {
-		src.queue = append(src.queue, batch)
+	wh, spec := buildFixture(t, 64, 16)
+	spec.BufferDepth = n
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ln, stop, err := ServeBatchSource(src, "127.0.0.1:0")
+	w, err := NewWorker("requeue-w", m, wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := dataplaneTestBatch(16, 5)
+	for i := 0; i < n; i++ {
+		if err := w.deliver(encodeFrame(batch), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.finish()
+	counts := func() (buffered, outstanding int) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.buffer), w.outstanding
+	}
+	ln, stop, err := ServeWorker(w, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,32 +237,20 @@ func TestFramedStreamRequeuesOnAbnormalDisconnect(t *testing.T) {
 	sw := api.(*StreamWorker)
 	// Let the server push a full credit window, consume nothing, then
 	// abort the connection with a reset.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if popped, _, _ := src.counts(); popped >= defaultCreditWindow {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("server never filled the credit window")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	eventually(t, "a full credit window in flight", func() bool {
+		buffered, outstanding := counts()
+		return buffered == n-defaultCreditWindow && outstanding == defaultCreditWindow
+	})
 	if tc, ok := sw.conn.(*net.TCPConn); ok {
 		tc.SetLinger(0) // close sends RST: the abnormal break
 	}
 	sw.Close()
 
-	// The server must return the whole un-granted window to the source.
-	for {
-		if _, requeued, _ := src.counts(); requeued >= defaultCreditWindow {
-			break
-		}
-		if time.Now().After(deadline) {
-			popped, requeued, queued := src.counts()
-			t.Fatalf("window not requeued: popped %d requeued %d queued %d", popped, requeued, queued)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The server must return the whole un-granted window to the buffer.
+	eventually(t, "the window requeued", func() bool {
+		buffered, outstanding := counts()
+		return buffered == n && outstanding == 0
+	})
 
 	// A fresh client consumes the session: exactly n batches, no loss,
 	// no duplicates.
@@ -287,8 +258,9 @@ func TestFramedStreamRequeuesOnAbnormalDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer api2.(*StreamWorker).Close()
+	defer api2.Close()
 	received := 0
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		b, ok, done, err := api2.FetchBatch()
 		if err != nil {
@@ -645,7 +617,7 @@ func recordedExchange(t testing.TB) []byte {
 	t.Helper()
 	wide := dataplaneTestBatch(6, 8)
 	wide.Sparse[0].Indices[0] = -1
-	src := &requeueSource{queue: []*tensor.Batch{dataplaneTestBatch(6, 7), wide}}
+	src := &pollSource{queue: []*tensor.Batch{dataplaneTestBatch(6, 7), wide}, finished: true}
 	cli, srv := net.Pipe()
 	go serveFramedStream(singleSource(batchFrames{src}), srv)
 	go cli.Write(appendClientHello(nil, defaultCreditWindow, ""))

@@ -97,7 +97,9 @@
 //
 // The package supports two transports: direct in-process calls (used by
 // simulations and tests) and TCP (cmd/dppd), exercising the same
-// Master/Worker/Client/Orchestrator logic.
+// Master/Worker/Client/Orchestrator logic. A Client sees either data
+// plane as one WorkerAPI — fetch, announce, close — and a stream server
+// serves one frameSource contract, which Worker implements.
 //
 // Over TCP the control plane is one net/rpc method, "Control.Call"
 // (ServeService): every Master and Service operation crosses as one
@@ -117,7 +119,8 @@
 // buffer. A worker writes each frame once, from the transformed split
 // into a pooled buffer, and sends that buffer as is; the client decodes
 // it into one pooled slab of tensors the trainer returns with
-// tensor.Batch.Release.
+// tensor.Batch.Release. ServeBatchSource serves a pop-only source the
+// same way, minus the requeue below: its broken windows are lost.
 // When a stream is dropped mid-session (a drained worker deregistering,
 // a rebalance) the client first half-closes and rescues the received
 // window on a side goroutine, and when a stream breaks abnormally

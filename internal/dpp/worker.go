@@ -308,6 +308,9 @@ func (w *Worker) finishSplit(splitID int, delivered bool) {
 // all been consumed. Untagged frames and frames of unknown splits
 // (double acks after a requeue race) are ignored.
 func (w *Worker) ackConsumed(frames ...*frame) {
+	if len(frames) == 0 {
+		return
+	}
 	var complete []int
 	w.mu.Lock()
 	for _, f := range frames {
@@ -462,11 +465,8 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 	}
 }
 
-// BatchReady implements the data plane's batchAnnouncer: the returned
-// channel is closed the next time tryGetFrame may answer differently —
-// a frame entered the buffer (deliver, ungetFrames) or the worker
-// finished. Take it before tryGetFrame, wait on it only after an empty
-// pop.
+// BatchReady implements frameSource: deliver, ungetFrames and finish
+// close the channel it returns.
 func (w *Worker) BatchReady() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -539,8 +539,12 @@ func (w *Worker) ungetFrames(frames []*frame) {
 	w.mu.Unlock()
 }
 
-// addStreamOutstanding implements the data plane's outstandingTracker.
+// addStreamOutstanding implements frameSource; Retire waits for the
+// count to reach zero.
 func (w *Worker) addStreamOutstanding(delta int) {
+	if delta == 0 {
+		return
+	}
 	w.mu.Lock()
 	w.outstanding += delta
 	if delta < 0 {
@@ -586,8 +590,7 @@ func (w *Worker) Crash() {
 	w.mu.Unlock()
 }
 
-// crashedCh implements the data plane's crashSignaler: serving streams
-// sever when it closes.
+// crashedCh implements frameSource: Crash closes it.
 func (w *Worker) crashedCh() <-chan struct{} { return w.crashCh }
 
 // Crashed reports whether the fault-injection hook fired.
