@@ -12,8 +12,8 @@ import (
 // Cycles and memory traffic come from each op's cost model applied to the
 // values it actually processed; feeding Figure 9's utilization breakdown.
 type Stats struct {
-	ValuesByClass map[Class]int64
-	CyclesByClass map[Class]float64
+	ValuesByClass [numClasses]int64
+	CyclesByClass [numClasses]float64
 	MemBytes      float64
 	OpsRun        int
 	RowsIn        int
@@ -36,13 +36,6 @@ func (s Stats) ClassShare(c Class) float64 {
 		return 0
 	}
 	return s.CyclesByClass[c] / total
-}
-
-func newStats() Stats {
-	return Stats{
-		ValuesByClass: make(map[Class]int64),
-		CyclesByClass: make(map[Class]float64),
-	}
 }
 
 // Graph is a DAG of transformation ops. A single derived feature may
@@ -145,8 +138,7 @@ func (g *Graph) Run(b *dwrf.Batch) (Stats, error) {
 			return Stats{}, err
 		}
 	}
-	stats := newStats()
-	stats.RowsIn = b.Rows
+	stats := Stats{RowsIn: b.Rows}
 	// The interpreter's reference ops operate on plain value slices;
 	// dictionary-indexed columns from the v2 reader are expanded up
 	// front. The compiled Plan path keeps dicts and exploits them.

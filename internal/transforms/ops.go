@@ -46,6 +46,9 @@ const (
 	FeatureGen
 	// RowOp operates on whole rows (Sampling).
 	RowOp
+
+	// numClasses sizes the per-class arrays in Stats.
+	numClasses = iota
 )
 
 // String implements fmt.Stringer.

@@ -842,8 +842,7 @@ func (c *planCompiler) lowerDenseMap(o denseMapper) error {
 //
 // Run is safe for concurrent use on distinct batches.
 func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
-	stats := newStats()
-	stats.RowsIn = b.Rows
+	stats := Stats{RowsIn: b.Rows}
 	for _, op := range p.rowOps {
 		values, err := op.Apply(b)
 		if err != nil {

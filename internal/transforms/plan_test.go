@@ -118,12 +118,12 @@ func requireStatsEqual(t *testing.T, want, got Stats) {
 	}
 	for cls, v := range want.ValuesByClass {
 		if got.ValuesByClass[cls] != v {
-			t.Fatalf("values[%s] = %d, want %d", cls, got.ValuesByClass[cls], v)
+			t.Fatalf("values[%s] = %d, want %d", Class(cls), got.ValuesByClass[cls], v)
 		}
 	}
 	for cls, v := range want.CyclesByClass {
 		if got.CyclesByClass[cls] != v {
-			t.Fatalf("cycles[%s] = %v, want %v", cls, got.CyclesByClass[cls], v)
+			t.Fatalf("cycles[%s] = %v, want %v", Class(cls), got.CyclesByClass[cls], v)
 		}
 	}
 }
