@@ -33,8 +33,8 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	entries  map[string]*entry // key: WareID.String()
-	lru      *list.List        // *entry; front = most recently used
+	entries  map[WareID]*entry
+	lru      *list.List // *entry; front = most recently used
 	tenants  map[string]*tenantState
 
 	counters  Counters // node-wide: the sum over tenants
@@ -44,8 +44,7 @@ type Cache struct {
 }
 
 type entry struct {
-	key    string
-	pack   string
+	id     WareID
 	batch  *dwrf.Batch
 	bytes  int64
 	tenant string // inserting tenant, charged for residency
@@ -122,7 +121,7 @@ func NewCache(capacity int64) *Cache {
 	return &Cache{
 		arena:    dwrf.NewArena(),
 		capacity: capacity,
-		entries:  make(map[string]*entry),
+		entries:  make(map[WareID]*entry),
 		lru:      list.New(),
 		tenants:  make(map[string]*tenantState),
 	}
@@ -193,13 +192,13 @@ func (c *Cache) floorLocked(t *tenantState) int64 {
 func (c *Cache) Get(id WareID, tenant string) *dwrf.Batch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.entries[id.String()]
+	e := c.entries[id]
 	if e == nil {
 		return nil
 	}
 	c.lru.MoveToFront(e.elem)
-	c.counters.hit(e.pack, e.bytes)
-	c.tenant(tenant).counters.hit(e.pack, e.bytes)
+	c.counters.hit(e.id.Pack, e.bytes)
+	c.tenant(tenant).counters.hit(e.id.Pack, e.bytes)
 	e.batch.Retain()
 	return e.batch
 }
@@ -225,8 +224,7 @@ func (c *Cache) Insert(id WareID, b *dwrf.Batch, tenant string) (*dwrf.Batch, bo
 		t.counters.Misses++
 		c.counters.Misses++
 	}
-	key := id.String()
-	if c.entries[key] != nil || size <= 0 || size > c.capacity {
+	if c.entries[id] != nil || size <= 0 || size > c.capacity {
 		c.rejected++
 		return b, false
 	}
@@ -236,9 +234,9 @@ func (c *Cache) Insert(id WareID, b *dwrf.Batch, tenant string) (*dwrf.Batch, bo
 	}
 	b.Share()  // cache's reference
 	b.Retain() // caller's reference
-	e := &entry{key: key, pack: id.Pack, batch: b, bytes: size, tenant: tenant}
+	e := &entry{id: id, batch: b, bytes: size, tenant: tenant}
 	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
+	c.entries[id] = e
 	c.used += size
 	t.bytes += size
 	c.inserts++
@@ -283,7 +281,7 @@ func (c *Cache) victimLocked(tenant string) *entry {
 // Callers hold c.mu.
 func (c *Cache) dropLocked(e *entry) {
 	c.lru.Remove(e.elem)
-	delete(c.entries, e.key)
+	delete(c.entries, e.id)
 	c.used -= e.bytes
 	if t := c.tenants[e.tenant]; t != nil {
 		t.bytes -= e.bytes
@@ -340,7 +338,7 @@ func (c *Cache) Wares() []string {
 	defer c.mu.Unlock()
 	out := make([]string, 0, c.lru.Len())
 	for el := c.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).key)
+		out = append(out, el.Value.(*entry).id.String())
 	}
 	return out
 }
