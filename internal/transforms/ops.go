@@ -47,7 +47,7 @@ const (
 	// RowOp operates on whole rows (Sampling).
 	RowOp
 
-	// numClasses sizes the per-class arrays in Stats.
+	// numClasses sizes the per-class arrays in Stats; it stays last.
 	numClasses = iota
 )
 
