@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"dsi/internal/freelist"
 	"dsi/internal/tensor"
 )
 
@@ -30,14 +31,14 @@ import (
 //     at most one window, and the stall propagates back through the
 //     worker's delivery buffer.
 //   - The frame is the batch. A worker's evaluator writes each batch
-//     once, straight from the transformed split into a pooled frame
+//     once, straight from the transformed split into a recycled frame
 //     (tensor.FrameWriter) that already holds the stream header and the
 //     provenance tags below; the worker's buffer and the stream's
 //     un-granted window hold that frame, the server writes it with a
 //     single syscall and no further copy, and a grant or a crash
-//     returns it to the pool while an abnormal break requeues the same
-//     bytes. The client decodes into one pooled slab per batch that the
-//     trainer returns with Batch.Release.
+//     returns it to the free list while an abnormal break requeues the
+//     same bytes. The client decodes into one recycled slab per batch
+//     that the trainer returns with Batch.Release.
 //
 // Wire protocol, after the client connects:
 //
@@ -105,7 +106,7 @@ const DataPlaneFramed = "framed"
 
 // frame is one batch as a worker holds and sends it: the whole stream
 // frame — kind, payload length, provenance tags and the TBF2 tensor
-// frame — in one pooled buffer, written once and written to the socket
+// frame — in one recycled buffer, written once and written to the socket
 // as is. rows and size are the batch's row count and SizeBytes (the i64
 // tensor footprint the resource report prices), known from the writer
 // so no one decodes a frame to count it.
@@ -115,14 +116,16 @@ type frame struct {
 	size int64
 }
 
-// framePool recycles frames with their buffers. It stores *frame, so a
-// Get or a Put boxes nothing.
-var framePool = sync.Pool{New: func() any { return new(frame) }}
+// freeFrames recycles frames with their buffers.
+var freeFrames freelist.List[*frame]
 
-// newFrame draws a pooled frame and writes its batch header and tags;
+// newFrame draws a recycled frame and writes its batch header and tags;
 // the caller appends the tensor frame and seals it.
 func newFrame(split, seq, seqCount int32) *frame {
-	f := framePool.Get().(*frame)
+	f, ok := freeFrames.Get()
+	if !ok {
+		f = new(frame)
+	}
 	f.buf = append(f.buf[:0], frameKindBatch, 0, 0, 0, 0)
 	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(split))
 	f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(seq))
@@ -137,23 +140,23 @@ func (f *frame) seal(rows int, size int64) *frame {
 	return f
 }
 
-// encodeFrame writes a batch into a pooled frame under its own tags.
+// encodeFrame writes a batch into a recycled frame under its own tags.
 func encodeFrame(b *tensor.Batch) *frame {
 	f := newFrame(b.Split, b.Seq, b.SeqCount)
 	f.buf = b.AppendBinary(f.buf)
 	return f.seal(b.Rows, b.SizeBytes())
 }
 
-// free returns the frame to the pool; the caller must hold no other
+// free returns the frame to the free list; the caller must hold no other
 // reference to it.
-func (f *frame) free() { framePool.Put(f) }
+func (f *frame) free() { freeFrames.Put(f) }
 
 // split is the frame's 1-based split tag (0 = untagged).
 func (f *frame) split() int32 {
 	return int32(binary.LittleEndian.Uint32(f.buf[frameHeaderLen:]))
 }
 
-// decode returns the batch the frame carries, tagged, in pooled tensors
+// decode returns the batch the frame carries, tagged, in recycled tensors
 // — what a client decodes off the stream, so the in-process consumers
 // (LocalWorkerAPI, Worker.Sink) deliver the same bytes as TCP.
 func (f *frame) decode() (*tensor.Batch, error) {
@@ -216,7 +219,7 @@ type BatchSource interface {
 }
 
 // batchFrames adapts a BatchSource to the frame server: each popped
-// batch is encoded once into a pooled frame under its own tags. The
+// batch is encoded once into a recycled frame under its own tags. The
 // batch stays the source's.
 type batchFrames struct{ src BatchSource }
 
@@ -375,9 +378,9 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	// exact.)
 	//
 	// A frame leaves the window back to the source (an abnormal break's
-	// requeue) or for the pool (a grant, a crash, the end). Only this
+	// requeue) or for the free list (a grant, a crash, the end). Only this
 	// goroutine — the one that writes frames — returns frames to the
-	// pool, after its write of them has returned: a grant parks the
+	// free list, after its write of them has returned: a grant parks the
 	// frames it retires in spent until then.
 	var (
 		creditMu sync.Mutex
@@ -439,7 +442,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		src.addStreamOutstanding(-len(frames))
 		return frames
 	}
-	// recycle returns consumed frames to the pool.
+	// recycle returns consumed frames to the free list.
 	recycle := func(frames []*frame) {
 		for _, f := range frames {
 			f.free()

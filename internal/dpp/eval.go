@@ -2,10 +2,10 @@ package dpp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dsi/internal/dwrf"
+	"dsi/internal/freelist"
 	"dsi/internal/tectonic"
 	"dsi/internal/tensor"
 	"dsi/internal/transforms"
@@ -139,16 +139,19 @@ func (w *Worker) evalSplit(split warehouse.Split, splitID int) (ev evaluated, er
 }
 
 // frameWriters recycles frame writers across splits and evaluators.
-var frameWriters = sync.Pool{New: func() any { return new(tensor.FrameWriter) }}
+var frameWriters freelist.List[*tensor.FrameWriter]
 
 // writeFrames cuts a transformed split into its BatchSize-row batches,
-// each written once into a pooled stream frame under its provenance
+// each written once into a recycled stream frame under its provenance
 // tags: 1-based split ID, 1-based position and the split's batch count.
 // The row ranges are deterministic, so a re-run of the same split
 // reproduces the same tags over the same rows and clients can
 // deduplicate redelivery.
 func (w *Worker) writeFrames(batch *dwrf.Batch, splitID int) ([]*frame, error) {
-	fw := frameWriters.Get().(*tensor.FrameWriter)
+	fw, ok := frameWriters.Get()
+	if !ok {
+		fw = new(tensor.FrameWriter)
+	}
 	defer frameWriters.Put(fw)
 	if err := fw.Reset(batch, w.spec.DenseOut, w.spec.SparseOut, w.spec.BatchSize); err != nil {
 		return nil, err

@@ -117,8 +117,8 @@
 // consumed batch, so at most a window of batches is in flight and a
 // stalled trainer propagates backpressure into the worker's bounded
 // buffer. A worker writes each frame once, from the transformed split
-// into a pooled buffer, and sends that buffer as is; the client decodes
-// it into one pooled slab of tensors the trainer returns with
+// into a recycled buffer, and sends that buffer as is; the client decodes
+// it into one recycled slab of tensors the trainer returns with
 // tensor.Batch.Release. ServeBatchSource serves a pop-only source the
 // same way, minus the requeue below: its broken windows are lost.
 // When a stream is dropped mid-session (a drained worker deregistering,

@@ -2,8 +2,8 @@ package dwrf
 
 import (
 	"maps"
-	"sync"
 
+	"dsi/internal/freelist"
 	"dsi/internal/schema"
 )
 
@@ -14,9 +14,10 @@ import (
 // Offsets slices for every column of every batch; with an arena the
 // same buffers cycle through that loop, keeping the capacity earlier
 // batches grew them to, so steady-state preprocessing costs a handful
-// of pool hits instead of a per-batch allocation storm. The pools do
-// not match a column to the feature it held: one drawn for a longer
-// feature than its last grows.
+// of free-list hits instead of a per-batch allocation storm. The lists
+// keep what they hold across garbage collections, but they do not match
+// a column to the feature it held: one drawn for a longer feature than
+// its last grows.
 //
 // Ownership rules (refcounted since the fleet cache):
 //
@@ -40,7 +41,7 @@ import (
 //     releases. Release on an exclusive batch keeps its historical
 //     semantics, so single-owner paths (the sequential baseline, tests,
 //     struct literals) are unchanged.
-//   - Derive builds a cheap mutable view over a shared batch: pooled
+//   - Derive builds a cheap mutable view over a shared batch: recycled
 //     maps aliasing the parent's columns, consuming one reference on
 //     it. Transforms may replace the view's map entries freely; a view
 //     column is borrowed exactly when the parent holds the same pointer
@@ -54,7 +55,7 @@ import (
 //     released column's backing arrays are reused for the next batch.
 //   - Columns placed into an arena batch must not alias each other:
 //     the final Release returns each map entry once, so an aliased
-//     column would be pooled twice and handed to two future callers.
+//     column would be recycled twice and handed to two future callers.
 //     (A Derive view's borrowed columns are exempt; they are skipped.)
 //
 // All methods are safe for concurrent use (every pipeline on a node and
@@ -62,14 +63,11 @@ import (
 // receiver, which degrades to plain allocation so call sites need no
 // branching.
 type Arena struct {
-	batches sync.Pool // *Batch
-	dense   sync.Pool // *DenseColumn
-	sparse  sync.Pool // *SparseColumn
-	score   sync.Pool // *ScoreListColumn
-	labels  sync.Pool // *[]float32
-	// boxes holds the emptied *[]float32 headers Labels takes out of
-	// labels, so putLabels re-boxes a slice without allocating.
-	boxes sync.Pool
+	batches freelist.List[*Batch]
+	dense   freelist.List[*DenseColumn]
+	sparse  freelist.List[*SparseColumn]
+	score   freelist.List[*ScoreListColumn]
+	labels  freelist.List[[]float32]
 }
 
 // NewArena returns an empty arena.
@@ -81,8 +79,8 @@ func (a *Arena) NewBatch(rows int) *Batch {
 	if a == nil {
 		return newBatch(rows)
 	}
-	b, _ := a.batches.Get().(*Batch)
-	if b == nil {
+	b, ok := a.batches.Get()
+	if !ok {
 		b = newBatch(rows)
 	}
 	b.Rows = rows
@@ -94,7 +92,7 @@ func (a *Arena) NewBatch(rows int) *Batch {
 func (a *Arena) Dense(rows int) *DenseColumn {
 	var c *DenseColumn
 	if a != nil {
-		c, _ = a.dense.Get().(*DenseColumn)
+		c, _ = a.dense.Get()
 	}
 	if c == nil {
 		c = &DenseColumn{}
@@ -110,7 +108,7 @@ func (a *Arena) Dense(rows int) *DenseColumn {
 func (a *Arena) Sparse(rows int) *SparseColumn {
 	var c *SparseColumn
 	if a != nil {
-		c, _ = a.sparse.Get().(*SparseColumn)
+		c, _ = a.sparse.Get()
 	}
 	if c == nil {
 		c = &SparseColumn{}
@@ -132,7 +130,7 @@ func (a *Arena) Sparse(rows int) *SparseColumn {
 func (a *Arena) ScoreList(rows int) *ScoreListColumn {
 	var c *ScoreListColumn
 	if a != nil {
-		c, _ = a.score.Get().(*ScoreListColumn)
+		c, _ = a.score.Get()
 	}
 	if c == nil {
 		c = &ScoreListColumn{}
@@ -152,14 +150,11 @@ func (a *Arena) Labels(n int) []float32 {
 	if a == nil {
 		return make([]float32, n)
 	}
-	sp, _ := a.labels.Get().(*[]float32)
-	if sp == nil || cap(*sp) < n {
+	s, _ := a.labels.Get()
+	if cap(s) < n {
 		return make([]float32, n)
 	}
-	s := (*sp)[:n]
-	*sp = nil
-	a.boxes.Put(sp)
-	return s
+	return s[:n]
 }
 
 // PutDense recycles a dense column no longer referenced anywhere.
@@ -192,12 +187,7 @@ func (a *Arena) putLabels(s []float32) {
 	if a == nil || s == nil {
 		return
 	}
-	sp, _ := a.boxes.Get().(*[]float32)
-	if sp == nil {
-		sp = new([]float32)
-	}
-	*sp = s
-	a.labels.Put(sp)
+	a.labels.Put(s)
 }
 
 // Arena reports the arena that owns the batch's columns, nil for
@@ -234,12 +224,12 @@ func (b *Batch) Shared() bool {
 }
 
 // Derive returns a mutable view over a shared batch: maps drawn from
-// arena's batch pool aliasing b's columns and labels, with b's row
+// arena's batch list aliasing b's columns and labels, with b's row
 // count. The view CONSUMES one reference on b — the caller's, taken via
 // Retain or handed out by the cache — and releases it on the view's own
 // final Release. Transforms may replace the view's map entries; a
 // column the parent still holds under the same ID is never returned to
-// any arena by the view. Once the arena's pools are warm a view
+// any arena by the view. Once the arena's lists are warm a view
 // allocates nothing.
 func (b *Batch) Derive(arena *Arena) *Batch {
 	if b.refs.Load() == 0 {

@@ -23,7 +23,7 @@ func rm1Payloads(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, bytes.Clone(*p))
+		out = append(out, bytes.Clone(p))
 		payloadPool.put(p)
 	}
 	return out

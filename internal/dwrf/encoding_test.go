@@ -263,16 +263,16 @@ func TestBufPoolClasses(t *testing.T) {
 		}
 	}
 	var p bufPool
-	bp := p.get(100)
-	if len(*bp) != 100 || cap(*bp) < 100 {
-		t.Fatalf("get(100): len %d cap %d", len(*bp), cap(*bp))
+	b := p.get(100)
+	if len(b) != 100 || cap(b) < 100 {
+		t.Fatalf("get(100): len %d cap %d", len(b), cap(b))
 	}
-	p.put(bp)
-	// A jumbo buffer must not re-pool.
+	p.put(b)
+	// A jumbo buffer must not be recycled.
 	jumbo := make([]byte, (16<<20)+1)
-	p.put(&jumbo)
-	if got := p.get((16 << 20) + 1); cap(*got) < (16<<20)+1 {
-		t.Fatalf("jumbo get returned cap %d", cap(*got))
+	p.put(jumbo)
+	if got := p.get((16 << 20) + 1); cap(got) < (16<<20)+1 {
+		t.Fatalf("jumbo get returned cap %d", cap(got))
 	}
 }
 

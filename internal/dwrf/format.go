@@ -65,15 +65,16 @@
 // The write path deflates each stream in one call with the package's own
 // encoder (deflate.go), which writes exactly the bytes compress/flate's
 // BestSpeed writer does, from state a stripe encoder keeps for its life:
-// stripe encoders wait between flushes on a free list, not a sync.Pool,
-// so a garbage collection costs no rebuilt state.
+// stripe encoders wait between flushes on a free list, so a garbage
+// collection costs no rebuilt state.
 //
-// The batch decode path is pooled end to end: stream staging buffers and
-// payloads recycle through capacity-classed pools, each stream inflates
-// in one call straight into a payload buffer of its recorded RawLength
-// (inflate.go, with its Huffman tables in a pooled inflater), the
-// per-stripe selection, I/O plan and payload list are a pooled
-// stripeRead, and the column decoders stream values directly into
+// The batch decode path recycles everything on free lists (package
+// freelist), which a garbage collection does not empty: stream staging
+// buffers and payloads recycle through capacity-classed lists, each
+// stream inflates in one call straight into a payload buffer of its
+// recorded RawLength (inflate.go, with its Huffman tables in a recycled
+// inflater), the per-stripe selection, I/O plan and payload list are a
+// recycled stripeRead, and the column decoders stream values directly into
 // Arena-recycled columns (ReadStripeBatchArena). Dictionary-encoded
 // sparse streams decode into dictionary-indexed columns (SparseColumn
 // with a non-empty Dict) so downstream kernels can process each distinct
@@ -90,10 +91,10 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 
+	"dsi/internal/freelist"
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
 )
@@ -278,20 +279,20 @@ func cryptStream(data []byte, fileOffset int64) error {
 	return cryptStreamTo(data, data, fileOffset)
 }
 
-// decompress inflates one stream's decrypted bytes into a pooled payload
+// decompress inflates one stream's decrypted bytes into a recycled payload
 // buffer of exactly rawLen bytes, the StreamMeta.RawLength the writer
 // recorded. A stream that is not valid DEFLATE, ends before its final
 // block, or inflates to any other length is corrupt bytes: the error
 // wraps tectonic.ErrCorrupt, so heal quarantines the replica that served
 // it and refetches. Return the buffer to payloadPool once its values
 // are parsed out.
-func decompress(data []byte, rawLen int64) (*[]byte, error) {
+func decompress(data []byte, rawLen int64) ([]byte, error) {
 	if rawLen < 0 || rawLen > maxInflateRatio*int64(len(data)) {
 		return nil, fmt.Errorf("dwrf: decompress: %w: %d bytes cannot inflate to %d", tectonic.ErrCorrupt, len(data), rawLen)
 	}
 	out := payloadPool.get(rawLen)
-	n, err := inflate(*out, data)
-	if err == nil && n != len(*out) {
+	n, err := inflate(out, data)
+	if err == nil && n != len(out) {
 		err = fmt.Errorf("inflates to %d bytes, %d recorded", n, rawLen)
 	}
 	if err != nil {
@@ -488,38 +489,19 @@ type stripeEncoder struct {
 }
 
 // stripeEncoders holds idle encoders: writers live for one partition,
-// encoder state should not. It is a free list rather than a sync.Pool,
-// which the garbage collector empties, so that a flush after a
-// collection does not rebuild the state. It keeps at most two per P, as
-// many as two concurrent flushes borrow.
-var stripeEncoders struct {
-	sync.Mutex
-	free []*stripeEncoder
-}
+// encoder state should not, and a flush after a collection finds the
+// state it left. It holds as many as concurrent flushes once borrowed.
+var stripeEncoders freelist.List[*stripeEncoder]
 
 // getStripeEncoder takes an idle encoder, or makes one, with an empty
-// output buffer.
+// output buffer. Return it with stripeEncoders.Put.
 func getStripeEncoder() *stripeEncoder {
-	stripeEncoders.Lock()
-	defer stripeEncoders.Unlock()
-	n := len(stripeEncoders.free)
-	if n == 0 {
+	e, ok := stripeEncoders.Get()
+	if !ok {
 		return new(stripeEncoder)
 	}
-	e := stripeEncoders.free[n-1]
-	stripeEncoders.free = stripeEncoders.free[:n-1]
 	e.out = e.out[:0]
 	return e
-}
-
-// putStripeEncoder returns e to the free list, or drops it if the list
-// is full.
-func putStripeEncoder(e *stripeEncoder) {
-	stripeEncoders.Lock()
-	defer stripeEncoders.Unlock()
-	if len(stripeEncoders.free) < 2*runtime.GOMAXPROCS(0) {
-		stripeEncoders.free = append(stripeEncoders.free, e)
-	}
 }
 
 // compress deflates payload onto the end of e.out and returns the bytes
@@ -1220,7 +1202,7 @@ func decodeScoreListPlain(data []byte, rows int, col *ScoreListColumn) error {
 
 // scoredDicts recycles the decode-side scored-pair dictionaries (they
 // live only for the duration of one stream decode).
-var scoredDicts = sync.Pool{New: func() any { return new([]schema.ScoredValue) }}
+var scoredDicts freelist.List[[]schema.ScoredValue]
 
 // decodeScoreListDict is decodeSparseDict for score-list streams, whose
 // keys carry raw score bits after each value and, being value-major, may
@@ -1235,9 +1217,9 @@ func decodeScoreListDict(data []byte, compact bool, rows int, col *ScoreListColu
 	if err != nil {
 		return err
 	}
-	dp := scoredDicts.Get().(*[]schema.ScoredValue)
-	defer scoredDicts.Put(dp)
-	dict := slices.Grow((*dp)[:0], int(dlen))
+	dict, _ := scoredDicts.Get()
+	dict = slices.Grow(dict[:0], int(dlen))
+	defer scoredDicts.Put(dict) // the appends below stay within its capacity
 	var v int64
 	for i := uint32(0); i < dlen; i++ {
 		if compact {
@@ -1254,7 +1236,6 @@ func decodeScoreListDict(data []byte, compact bool, rows int, col *ScoreListColu
 		}
 		dict = append(dict, schema.ScoredValue{Value: v, Score: s})
 	}
-	*dp = dict
 	w := dictIdxWidth(int(dlen))
 	next := 0
 	for i := uint32(0); i < count; i++ {

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
-	"sync"
+
+	"dsi/internal/freelist"
 )
 
 // This file is the read path's DEFLATE decoder (RFC 1951). A stream's
@@ -28,7 +29,7 @@ import (
 //	             and how many times it repeats before the extra bits
 //	             (bits 24..31)
 //
-// The tables live in a pooled inflater, so decoding a stream allocates
+// The tables live in a recycled inflater, so decoding a stream allocates
 // nothing.
 
 const (
@@ -149,7 +150,7 @@ type inflater struct {
 	sorted [maxLitSyms]uint16
 }
 
-var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+var inflaters freelist.List[*inflater]
 
 // codeOrder is the order code-length code lengths are stored in.
 var codeOrder = [19]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
@@ -290,7 +291,10 @@ func overran(src []byte, pos int, nb uint) bool {
 // callers that know the length compare n with it. Bytes after the final
 // block are ignored, as compress/flate ignores them.
 func inflate(dst, src []byte) (int, error) {
-	f := inflaters.Get().(*inflater)
+	f, ok := inflaters.Get()
+	if !ok {
+		f = new(inflater)
+	}
 	n, err := f.decode(dst, src)
 	inflaters.Put(f)
 	return n, err

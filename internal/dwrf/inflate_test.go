@@ -314,7 +314,7 @@ func inflateSeeds(t testing.TB) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads = append(payloads, *p...)
+		payloads = append(payloads, p...)
 		payloadPool.put(p)
 	}
 	payloads = payloads[:multiBlock]
@@ -382,7 +382,7 @@ func checkInflate(t testing.TB, src []byte) {
 	if err != nil {
 		t.Fatalf("decompress at the exact length %d: %v", raw, err)
 	}
-	if !bytes.Equal(*p, want) {
+	if !bytes.Equal(p, want) {
 		t.Fatal("decompress differs from flate")
 	}
 	payloadPool.put(p)

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dsi/internal/freelist"
 	"dsi/internal/schema"
 	"dsi/internal/tectonic"
 )
@@ -455,15 +456,15 @@ func planIO(dst []ioPlan, selected []StreamMeta, coalesce int64) []ioPlan {
 	return dst
 }
 
-// bufClassCaps are the capacity classes of the byte-buffer pools. A
-// buffer returns to the smallest class its capacity fits; buffers over
+// bufClassCaps are the capacity classes of the byte-buffer free lists.
+// A buffer returns to the smallest class its capacity fits; buffers over
 // the largest class are dropped for the GC, so one jumbo stream can
-// never pin an arbitrarily large buffer in a pool (the old single-pool
-// design kept whatever the biggest stream ever seen allocated).
+// never pin an arbitrarily large buffer in a list (a single unclassed
+// list would keep whatever the biggest stream ever seen allocated).
 var bufClassCaps = [...]int64{4 << 10, 64 << 10, 1 << 20, 16 << 20}
 
 // bufClass returns the index of the smallest class holding n bytes, or
-// -1 when n exceeds every class (unpooled).
+// -1 when n exceeds every class (not recycled).
 func bufClass(n int64) int {
 	for i, c := range bufClassCaps {
 		if n <= c {
@@ -473,45 +474,38 @@ func bufClass(n int64) int {
 	return -1
 }
 
-// bufPool is a set of capacity-classed *[]byte pools.
+// bufPool is a set of capacity-classed byte-buffer free lists.
 type bufPool struct {
-	classes [len(bufClassCaps)]sync.Pool
+	classes [len(bufClassCaps)]freelist.List[[]byte]
 }
 
-// get returns a buffer of length n. The pooled buffer's capacity may
-// trail n within its class, in which case it is reallocated with its
+// get returns a buffer of length n. The recycled buffer's capacity may
+// trail n within its class, in which case it is replaced by one with its
 // capacity rounded up to a power of two (at most the class's), so the
 // class settles on buffers that fit all its requests.
-func (p *bufPool) get(n int64) *[]byte {
-	var bp *[]byte
+func (p *bufPool) get(n int64) []byte {
+	var b []byte
 	cls := bufClass(n)
 	if cls >= 0 {
-		bp, _ = p.classes[cls].Get().(*[]byte)
+		b, _ = p.classes[cls].Get()
 	}
-	if bp == nil {
-		bp = new([]byte)
-	}
-	if int64(cap(*bp)) < n {
+	if int64(cap(b)) < n {
 		c := n
 		if cls >= 0 {
 			c = min(int64(1)<<bits.Len64(uint64(n-1)), bufClassCaps[cls])
 		}
-		*bp = make([]byte, n, c)
+		return make([]byte, n, c)
 	}
-	*bp = (*bp)[:n]
-	return bp
+	return b[:n]
 }
 
 // put recycles a buffer into the class its capacity fits.
-func (p *bufPool) put(bp *[]byte) {
-	if bp == nil {
-		return
+func (p *bufPool) put(b []byte) {
+	cls := bufClass(int64(cap(b)))
+	if cap(b) == 0 || cls < 0 {
+		return // empty, or jumbo: let the GC take it
 	}
-	cls := bufClass(int64(cap(*bp)))
-	if cls < 0 {
-		return // jumbo: let the GC take it
-	}
-	p.classes[cls].Put(bp)
+	p.classes[cls].Put(b)
 }
 
 // encPool recycles the staging buffers holding each stream's encrypted,
@@ -527,14 +521,14 @@ var payloadPool bufPool
 // stripeRead is one stripe read's working set: the streams the
 // projection selects, in file order; the physical reads that cover them;
 // and each selected stream's inflated payload (payloads[i] is
-// selected[i]'s). It is pooled, so a stripe read builds none of it.
+// selected[i]'s). It is recycled, so a stripe read builds none of it.
 type stripeRead struct {
 	selected []StreamMeta
 	plans    []ioPlan
-	payloads []*[]byte
+	payloads [][]byte
 }
 
-var stripeReads = sync.Pool{New: func() any { return new(stripeRead) }}
+var stripeReads freelist.List[*stripeRead]
 
 // releasePayloads recycles every payload fetched so far. Callers must
 // have finished parsing: column and row decoders copy values out, never
@@ -567,7 +561,10 @@ func (r *Reader) fetchStripe(meta *StripeMeta, proj *schema.Projection, opts Rea
 	// The footer fetch's recovery work reports through the first stripe
 	// read so it reaches ResourceReport/WorkerStats like any other read.
 	r.openOnce.Do(func() { stats.add(r.openStats) })
-	sr := stripeReads.Get().(*stripeRead)
+	sr, ok := stripeReads.Get()
+	if !ok {
+		sr = new(stripeRead)
+	}
 	sr.selected = selectStreams(sr.selected[:0], meta, proj)
 	sr.plans = planIO(sr.plans[:0], sr.selected, opts.CoalesceBytes)
 	err := heal(r.cluster, r.path, &stats, func() (ReadStats, []tectonic.ReplicaServe, error) {
@@ -623,10 +620,9 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats
 		decodeStart := time.Now()
 		for _, s := range sr.selected[p.lo:p.hi] {
 			stats.BytesWanted += s.Length
-			encBuf := encPool.get(s.Length)
-			enc := *encBuf
+			enc := encPool.get(s.Length)
 			if err := cryptStreamTo(enc, raw[s.Offset-p.offset:s.Offset-p.offset+s.Length], s.Offset); err != nil {
-				encPool.put(encBuf)
+				encPool.put(enc)
 				return fail(fmt.Errorf("dwrf: %s stripe@%d stream at %d: %w", r.path, meta.Offset, s.Offset, err))
 			}
 			if verifying {
@@ -636,11 +632,11 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats
 			// corrupt bytes, not a format error: decompress classifies
 			// it so heal quarantines and retries another replica.
 			dec, err := decompress(enc, s.RawLength)
-			encPool.put(encBuf)
+			encPool.put(enc)
 			if err != nil {
 				return fail(fmt.Errorf("dwrf: %s stripe@%d stream at %d: %w", r.path, meta.Offset, s.Offset, err))
 			}
-			stats.BytesDecoded += int64(len(*dec))
+			stats.BytesDecoded += int64(len(dec))
 			stats.StreamsDecoded++
 			sr.payloads = append(sr.payloads, dec)
 		}
@@ -683,7 +679,7 @@ func (r *Reader) ReadStripe(i int, proj *schema.Projection, opts ReadOptions) ([
 		sr.release()
 		return nil, stats, fmt.Errorf("dwrf: %v encoding invalid for row-data stream", enc)
 	}
-	rows, err := decodeRowData(*sr.payloads[0])
+	rows, err := decodeRowData(sr.payloads[0])
 	sr.release()
 	if err != nil {
 		return nil, stats, err
@@ -770,7 +766,7 @@ func decodeStripeBatch(meta *StripeMeta, version int, sr *stripeRead, arena *Are
 	b := arena.NewBatch(meta.Rows)
 	var err error
 	for i, s := range sr.selected {
-		payload := *sr.payloads[i]
+		payload := sr.payloads[i]
 		switch s.Kind {
 		case streamLabel:
 			b.Labels, err = decodeLabels(payload, arena)

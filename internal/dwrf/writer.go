@@ -283,7 +283,7 @@ func (w *Writer) flushStripe() error {
 	}
 	defer func() {
 		for _, e := range encs {
-			putStripeEncoder(e)
+			stripeEncoders.Put(e)
 		}
 	}()
 	var next atomic.Int64

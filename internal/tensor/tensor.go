@@ -54,7 +54,7 @@ type Batch struct {
 	Seq      int32
 	SeqCount int32
 
-	// slab is the pooled allocation every slice of a decoded batch was
+	// slab is the recycled allocation every slice of a decoded batch was
 	// drawn from (DecodeBinary); Release returns it whole. Unexported, so
 	// gob and struct literals leave it nil and Release stays a no-op for
 	// ordinary batches.

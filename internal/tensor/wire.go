@@ -6,8 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
+	"dsi/internal/freelist"
 	"dsi/internal/schema"
 )
 
@@ -16,10 +16,10 @@ import (
 // the worker→trainer data plane (the "datacenter tax" of §6.2 — the
 // paper attributes a large share of DPP worker cycles to (de)serializing
 // every training byte). Encoding is a single append pass into a caller
-// (or pool) provided buffer — AppendBinary from a Batch, FrameWriter
+// (or recycled) buffer — AppendBinary from a Batch, FrameWriter
 // straight from a transformed split; decoding validates every count
 // against the remaining bytes before allocating, draws every slice of
-// the batch from one pooled slab, and hands the slab back whole through
+// the batch from one recycled slab, and hands the slab back whole through
 // Batch.Release, so a steady-state trainer stream costs one small
 // allocation (the Batch header) per batch.
 //
@@ -96,7 +96,7 @@ func (b *Batch) EncodedSize() int {
 }
 
 // AppendBinary appends the batch as one self-delimiting frame and
-// returns the extended buffer. Encode into a pooled buffer (GetFrameBuf)
+// returns the extended buffer. Encode into a recycled buffer (GetFrameBuf)
 // to make the hot path allocation-free.
 func (b *Batch) AppendBinary(dst []byte) []byte {
 	size := b.EncodedSize()
@@ -216,7 +216,7 @@ func (r *frameReader) checkCount(count uint64, elem int, what string) error {
 
 // DecodeBinary decodes one frame from the front of data, returning the
 // batch and the number of bytes consumed. Every slice of the decoded
-// batch comes from one pooled slab; call Batch.Release when the
+// batch comes from one recycled slab; call Batch.Release when the
 // consumer is finished with the tensors to recycle it. DecodeBinary
 // never panics on arbitrary input: every count is validated against
 // the frame's bytes before the slab is sized, and the decoded batch is
@@ -359,15 +359,15 @@ func (b *Batch) Release() {
 	b.slab = nil
 	b.Rows = 0
 	b.DenseFeatureIDs, b.Labels, b.Dense, b.Sparse = nil, nil, nil, nil
-	slabPool.Put(s)
+	slabs.Put(s)
 }
 
-// --- the decode slab and the frame-buffer pool --------------------------
+// --- the decode slab and the frame-buffer free list ---------------------
 
 // slab holds every slice of one decoded batch: the dense feature IDs,
 // the labels followed by the dense matrix, all sparse offsets and all
-// indices back to back, the sparse tensors and their pointers. The pool
-// stores *slab, so a Get or a Put boxes nothing; the arrays only grow.
+// indices back to back, the sparse tensors and their pointers. Slabs
+// recycle on a free list, and their arrays only grow.
 type slab struct {
 	ids     []schema.FeatureID
 	f32     []float32
@@ -378,11 +378,14 @@ type slab struct {
 	dense   Dense2D
 }
 
-var slabPool = sync.Pool{New: func() any { return new(slab) }}
+var slabs freelist.List[*slab]
 
 // getSlab draws a slab with room for the given element counts.
 func getSlab(ids, f32, i32, i64, sparse int) *slab {
-	s := slabPool.Get().(*slab)
+	s, ok := slabs.Get()
+	if !ok {
+		s = new(slab)
+	}
 	s.ids = grow(s.ids, ids)
 	s.f32 = grow(s.f32, f32)
 	s.i32 = grow(s.i32, i32)
@@ -406,20 +409,19 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
+var frameBufs freelist.List[[]byte]
 
-// GetFrameBuf returns a pooled, zero-length byte buffer for frame
+// GetFrameBuf returns a recycled, zero-length byte buffer for frame
 // encoding; grow it with AppendBinary and return it with PutFrameBuf.
 func GetFrameBuf() []byte {
-	return (*framePool.Get().(*[]byte))[:0]
+	buf, _ := frameBufs.Get()
+	return buf[:0]
 }
 
-// PutFrameBuf recycles a frame buffer obtained from GetFrameBuf (or any
-// buffer the caller is done with).
+// PutFrameBuf recycles a frame buffer obtained from GetFrameBuf.
 func PutFrameBuf(buf []byte) {
 	if buf == nil {
 		return
 	}
-	buf = buf[:0]
-	framePool.Put(&buf)
+	frameBufs.Put(buf[:0])
 }

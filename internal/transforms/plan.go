@@ -2,11 +2,10 @@ package transforms
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"dsi/internal/dwrf"
+	"dsi/internal/freelist"
 	"dsi/internal/schema"
 )
 
@@ -139,7 +138,7 @@ type fusedStepMarker struct {
 // planExec is the per-run execution state: flat slot arrays plus
 // reusable scratch. It belongs to no plan — reset sizes the slots for
 // the plan about to run, and every other buffer is capacity-only
-// scratch — so one borrowed from planExecs serves whichever plan runs
+// scratch — so one taken from planExecs serves whichever plan runs
 // next. Each Run borrows its own, so concurrent runs never share state.
 type planExec struct {
 	rows   int
@@ -232,35 +231,21 @@ func (e *planExec) finish() {
 	clear(e.score)
 	e.arena = nil
 	e.stats = nil
-	planExecs.Lock()
-	defer planExecs.Unlock()
-	if len(planExecs.free) < 2*runtime.GOMAXPROCS(0) {
-		planExecs.free = append(planExecs.free, e)
-	}
+	planExecs.Put(e)
 }
 
 // planExecs holds the idle execution states of every plan in the
-// process: plans live for one session, their scratch should not. It is a
-// free list rather than a sync.Pool, which the garbage collector
-// empties, so that the first runs after a collection — or in a new
-// session — do not regrow the scratch. It keeps at most two per P, as
-// many as a node's concurrent runs borrow.
-var planExecs struct {
-	sync.Mutex
-	free []*planExec
-}
+// process: plans live for one session, their scratch should not, so the
+// first runs after a collection — or in a new session — do not regrow
+// it. It holds as many as a node's runs once borrowed at the same time.
+var planExecs freelist.List[*planExec]
 
-// getPlanExec borrows an idle execution state, or makes one.
+// getPlanExec takes an idle execution state, or makes one.
 func getPlanExec() *planExec {
-	planExecs.Lock()
-	defer planExecs.Unlock()
-	n := len(planExecs.free)
-	if n == 0 {
-		return new(planExec)
+	if e, ok := planExecs.Get(); ok {
+		return e
 	}
-	e := planExecs.free[n-1]
-	planExecs.free = planExecs.free[:n-1]
-	return e
+	return new(planExec)
 }
 
 // resizeSlots returns a zero-cleared slice of n entries (column

@@ -463,9 +463,8 @@ func TestPlanExecAcrossPlans(t *testing.T) {
 	if _, err := planA.Run(dictify(big), dwrf.NewArena()); err != nil {
 		t.Fatal(err)
 	}
-	planExecs.Lock()
-	reused := planExecs.free[len(planExecs.free)-1]
-	planExecs.Unlock()
+	reused, _ := planExecs.Get()
+	planExecs.Put(reused)
 
 	want := parityBatch()
 	wantStats, err := b.Run(want)
@@ -479,9 +478,9 @@ func TestPlanExecAcrossPlans(t *testing.T) {
 	}
 	requireBatchEqual(t, want, got)
 	requireStatsEqual(t, wantStats, gotStats)
-	planExecs.Lock()
-	defer planExecs.Unlock()
-	if top := planExecs.free[len(planExecs.free)-1]; top != reused {
+	top, _ := planExecs.Get()
+	planExecs.Put(top)
+	if top != reused {
 		t.Fatal("plan B did not run on the exec plan A returned")
 	}
 }

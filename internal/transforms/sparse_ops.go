@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
@@ -318,13 +317,6 @@ func (o *MapId) Apply(b *dwrf.Batch) (int64, error) {
 // IdListTransform intersects two categorical lists row-wise.
 type IdListTransform struct {
 	A, B, Out schema.FeatureID
-
-	// scratch recycles the sorted membership buffer across Apply calls
-	// (one buffer per row used to cost a map[int64]bool allocation). A
-	// sync.Pool rather than a bare slice because the worker's transform
-	// pool runs the same op instance concurrently on different batches;
-	// unexported, so gob-transported specs carry an empty pool.
-	scratch sync.Pool
 }
 
 // Name implements Op.
@@ -344,15 +336,12 @@ func (o *IdListTransform) Cost() CostModel {
 	return CostModel{CyclesPerValue: 70, MemBytesPerValue: 40, AccelSpeedup: 2}
 }
 
-// Apply implements Op.
+// Apply implements Op. Only the interpreter (Graph.Run) calls it; a
+// compiled plan intersects with its exec's scratch.
 func (o *IdListTransform) Apply(b *dwrf.Batch) (int64, error) {
 	a := sparseInput(b, o.A)
 	bb := sparseInput(b, o.B)
-	sp, _ := o.scratch.Get().(*[]int64)
-	if sp == nil {
-		sp = new([]int64)
-	}
-	scratch := *sp
+	var scratch []int64 // sorted membership buffer, shared by every row
 	var processed int64
 	out := buildSparse(b.Rows, func(i int) []int64 {
 		av, bv := a.RowValues(i), bb.RowValues(i)
@@ -364,8 +353,6 @@ func (o *IdListTransform) Apply(b *dwrf.Batch) (int64, error) {
 		inter, scratch = intersectInto(nil, av, bv, scratch)
 		return inter
 	})
-	*sp = scratch
-	o.scratch.Put(sp)
 	b.Sparse[o.Out] = out
 	return processed, nil
 }
