@@ -302,8 +302,9 @@ func (c *Cluster) serveChunk(nodeID int, stream, path string, chunkIdx, within, 
 // replicas are health-ranked, quarantined ones leave the rotation, and a
 // hedged second read fires when the chosen replica's latency exceeds the
 // adaptive threshold. Backoff and hedge delay are virtual time, folded
-// into the returned completion time.
-func (c *Cluster) readChunk(path string, replicas []int, chunkIdx, within, n int64, sched *faults.Schedule, active bool, trace *ReadTrace) ([]byte, bool, time.Duration, error) {
+// into the returned completion time. stream is the chunk's name, from
+// fileMeta.streams.
+func (c *Cluster) readChunk(path, stream string, replicas []int, chunkIdx, within, n int64, sched *faults.Schedule, active bool, trace *ReadTrace) ([]byte, bool, time.Duration, error) {
 	now := c.clock.Now()
 	order := replicas
 	if active {
@@ -324,7 +325,6 @@ func (c *Cluster) readChunk(path string, replicas []int, chunkIdx, within, n int
 		}
 	}
 	pol := c.opts.Retry
-	stream := fmt.Sprintf("%s#%d", path, chunkIdx)
 
 	var backoff time.Duration
 	var lastErr error
@@ -425,7 +425,7 @@ func (c *Cluster) readRange(path string, offset, length int64, borrow bool) ([]b
 	}
 	f.mu.Lock()
 	size := f.size
-	replicas := f.replicas
+	replicas, streams := f.replicas, f.streams
 	f.mu.Unlock()
 
 	if offset+length > size {
@@ -444,7 +444,7 @@ func (c *Cluster) readRange(path string, offset, length int64, borrow bool) ([]b
 		chunkIdx := offset / cs
 		within := offset % cs
 		n := min(cs-within, length)
-		data, lent, t, err := c.readChunk(path, replicas[chunkIdx], chunkIdx, within, n, sched, active, &trace)
+		data, lent, t, err := c.readChunk(path, streams[chunkIdx], replicas[chunkIdx], chunkIdx, within, n, sched, active, &trace)
 		if err != nil {
 			return nil, false, 0, trace, err
 		}

@@ -113,8 +113,11 @@ type fileMeta struct {
 	mu     sync.Mutex
 	size   int64
 	sealed bool
-	// replicas[i] lists the node IDs holding chunk i.
+	// replicas[i] lists the node IDs holding chunk i, and streams[i]
+	// names it, "path#i": the key of its fault draws and of its disks'
+	// sequential-read tracking, formatted once, when the chunk is placed.
 	replicas [][]int
+	streams  []string
 	// tokens is the per-file idempotent-append ledger, populated only
 	// while write faults are active: token -> how much of that token's
 	// payload has durably landed. Cleared when the file seals.

@@ -3,6 +3,7 @@ package tectonic
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"dsi/internal/tectonic/faults"
@@ -138,6 +139,7 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 			} else {
 				f.replicas = append(f.replicas, c.placement(path, chunkIdx))
 			}
+			f.streams = append(f.streams, path+"#"+strconv.FormatInt(chunkIdx, 10))
 		}
 		torn := false
 		for _, nodeID := range f.replicas[chunkIdx] {
@@ -146,9 +148,7 @@ func (c *Cluster) appendAttempt(f *fileMeta, path, token string, data []byte, sc
 			case faults.Down:
 				return fmt.Errorf("%w: node %d writing %s chunk %d", ErrNodeDown, nodeID, path, chunkIdx)
 			case faults.WriteFailing, faults.WriteTorn:
-				// The draw is keyed by the fragment's stream name, which
-				// only a window that draws pays to format.
-				if !sched.Fires(win.ErrProb, nodeID, fmt.Sprintf("%s#%d", path, chunkIdx), within, attempt) {
+				if !sched.Fires(win.ErrProb, nodeID, f.streams[chunkIdx], within, attempt) {
 					break
 				}
 				if st == faults.WriteFailing {
