@@ -2,7 +2,6 @@ package dpp
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"dsi/internal/datagen"
@@ -151,12 +150,10 @@ func rm1Table(t *testing.T, rows, stripes, batchSize int) (*warehouse.Warehouse,
 // session's wares must be one of those, and its miss path must allocate
 // under half of what the first session's first pass did per split,
 // which a worker with an arena of its own would not. The bound is not
-// tighter because the arena's pools do not match a column to the
+// tighter because the arena's lists do not match a column to the
 // feature it held: a column drawn for a feature longer than its last
 // one grows, and on a table this small the columns take tens of passes
-// to reach their steady capacities. The collector is held off, so the
-// arena's pools are not emptied under the test by a collection it did
-// not cause.
+// to reach their steady capacities.
 func TestNextSessionReusesEvictedColumns(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -231,10 +228,6 @@ func TestNextSessionReusesEvictedColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	decoded := stripe.MemBytes()
-	// One P, so no pooled column waits in another P's private slot where
-	// this goroutine cannot reach it.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	cache := ware.NewCache(probe.Stats().Resident + decoded/2)
 	first := session(cache, "first")

@@ -11,10 +11,6 @@ import (
 	"dsi/internal/schema"
 )
 
-// raceEnabled is set by race_test.go in -race builds, where allocation
-// counts are not the program's.
-var raceEnabled bool
-
 // frameWidths walks a well-formed frame and returns each sparse
 // tensor's stored index width.
 func frameWidths(t *testing.T, frame []byte) []int {
@@ -197,9 +193,6 @@ func elevenSparseFrame() []byte {
 // frame decodes and releases in at most 2 allocations — the Batch header
 // and nothing per tensor.
 func TestDecodeReleaseAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
 	frame := elevenSparseFrame()
 	step := func() {
 		b, _, err := DecodeBinary(frame)

@@ -2,8 +2,6 @@ package transforms
 
 import (
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -12,10 +10,6 @@ import (
 	"dsi/internal/schema"
 	"dsi/internal/tensor"
 )
-
-// raceEnabled is set by race_test.go in -race builds, whose pools drop
-// a share of what is put in them.
-var raceEnabled bool
 
 // The golden parity suite: every op (and the §7.2 chained example) runs
 // through both the legacy interpreter (Graph.Run) and the compiled
@@ -527,11 +521,6 @@ func deriveViewReleaseCase(t *testing.T, op Op) {
 		parentCols[c] = true
 	}
 
-	// Hold the collector off and run on one P, so the arena's pools keep
-	// what the view's release puts in them, within this goroutine's
-	// reach, until the test draws it back.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	view := parent.Derive(arena)
 	if _, err := op.Apply(view); err != nil {
 		t.Fatal(err)
@@ -583,16 +572,14 @@ func deriveViewReleaseCase(t *testing.T, op Op) {
 			recycled++
 		}
 	}
-	// The race detector's pools drop puts at random, so only a plain
-	// build can count on getting every one back.
-	if !raceEnabled && recycled != len(own) {
+	if recycled != len(own) {
 		t.Fatalf("%d of the view's %d columns came back from the arena", recycled, len(own))
 	}
 	l := arena.Labels(0)
 	switch {
 	case cap(l) > 0 && &l[:1][0] == &parent.Labels[:1][0]:
 		t.Fatal("the view's release handed the arena the parent's labels")
-	case raceEnabled || &viewLabels[:1][0] == &parent.Labels[:1][0]:
+	case &viewLabels[:1][0] == &parent.Labels[:1][0]:
 		// Borrowed labels stay with the parent; nothing to get back.
 	case cap(l) == 0 || &l[:1][0] != &viewLabels[:1][0]:
 		t.Fatal("the view's labels did not come back from the arena")
