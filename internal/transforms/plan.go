@@ -172,7 +172,7 @@ type planExec struct {
 	scoreTab []schema.ScoredValue
 
 	arena *dwrf.Arena
-	stats *Stats
+	stats Stats // the run's, returned by finish
 }
 
 // sparseVals returns a slot's materialized feature values: the column's
@@ -208,11 +208,10 @@ func (e *planExec) dictPrefixes(dict []int64) []uint64 {
 	return pref
 }
 
-// reset prepares the exec for a run over rows rows.
-func (e *planExec) reset(p *Plan, rows int, arena *dwrf.Arena, stats *Stats) {
+// reset prepares the exec's slots for a run's kernels over rows rows.
+func (e *planExec) reset(p *Plan, rows int, arena *dwrf.Arena) {
 	e.rows = rows
 	e.arena = arena
-	e.stats = stats
 	e.dense = resizeSlots(e.dense, p.nDense)
 	e.sparse = resizeSlots(e.sparse, p.nSparse)
 	e.score = resizeSlots(e.score, p.nScore)
@@ -224,14 +223,16 @@ func (e *planExec) reset(p *Plan, rows int, arena *dwrf.Arena, stats *Stats) {
 }
 
 // finish drops column references so an idle exec never pins batch
-// memory between runs, and returns e to the free list.
-func (e *planExec) finish() {
+// memory between runs, returns e to the free list, and returns the
+// run's stats.
+func (e *planExec) finish() Stats {
 	clear(e.dense)
 	clear(e.sparse)
 	clear(e.score)
 	e.arena = nil
-	e.stats = nil
+	stats := e.stats
 	planExecs.Put(e)
+	return stats
 }
 
 // planExecs holds the idle execution states of every plan in the
@@ -827,22 +828,16 @@ func (c *planCompiler) lowerDenseMap(o denseMapper) error {
 //
 // Run is safe for concurrent use on distinct batches.
 func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
-	stats := Stats{RowsIn: b.Rows}
+	e := getPlanExec()
+	e.stats = Stats{RowsIn: b.Rows}
 	for _, op := range p.rowOps {
 		values, err := op.Apply(b)
 		if err != nil {
-			return stats, fmt.Errorf("transforms: %s: %w", op.Name(), err)
+			return e.finish(), fmt.Errorf("transforms: %s: %w", op.Name(), err)
 		}
-		cost := op.Cost()
-		cls := op.Class()
-		stats.ValuesByClass[cls] += values
-		stats.CyclesByClass[cls] += float64(values) * cost.CyclesPerValue
-		stats.MemBytes += float64(values) * cost.MemBytesPerValue
-		stats.OpsRun++
+		e.account(op, values)
 	}
-
-	e := getPlanExec()
-	e.reset(p, b.Rows, arena, &stats)
+	e.reset(p, b.Rows, arena)
 
 	for _, rb := range p.rawDense {
 		if col, ok := b.Dense[rb.id]; ok {
@@ -861,8 +856,7 @@ func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
 
 	for i := range p.steps {
 		if err := p.steps[i].run(e); err != nil {
-			e.finish()
-			return stats, fmt.Errorf("transforms: %s: %w", p.steps[i].op.Name(), err)
+			return e.finish(), fmt.Errorf("transforms: %s: %w", p.steps[i].op.Name(), err)
 		}
 	}
 
@@ -899,7 +893,6 @@ func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
 		b.ScoreList[pb.id] = e.score[pb.slot]
 	}
 
-	stats.RowsOut = b.Rows
-	e.finish()
-	return stats, nil
+	e.stats.RowsOut = b.Rows
+	return e.finish(), nil
 }
