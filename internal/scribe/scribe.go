@@ -9,6 +9,7 @@ package scribe
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -36,8 +37,9 @@ type Message struct {
 type Bus struct {
 	store *logdevice.Store
 
-	mu         sync.Mutex
-	categories map[string]bool
+	mu sync.Mutex
+	// streams maps each category in use to its backing stream's name.
+	streams map[string]string
 
 	// MessagesIn counts messages accepted across all daemons.
 	MessagesIn metrics.Counter
@@ -47,21 +49,23 @@ type Bus struct {
 
 // NewBus returns a bus persisting into store.
 func NewBus(store *logdevice.Store) *Bus {
-	return &Bus{store: store, categories: make(map[string]bool)}
+	return &Bus{store: store, streams: make(map[string]string)}
 }
 
-// ensureCategory creates the backing stream on first use.
-func (b *Bus) ensureCategory(category string) error {
+// stream returns the name of the category's backing stream, creating
+// the stream on first use, so a name is built once per category.
+func (b *Bus) stream(category string) (string, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.categories[category] {
-		return nil
+	if name, ok := b.streams[category]; ok {
+		return name, nil
 	}
-	if err := b.store.CreateStream(streamName(category)); err != nil {
-		return err
+	name := streamName(category)
+	if err := b.store.CreateStream(name); err != nil {
+		return "", err
 	}
-	b.categories[category] = true
-	return nil
+	b.streams[category] = name
+	return name, nil
 }
 
 func streamName(category string) string { return "scribe/" + category }
@@ -74,10 +78,11 @@ func (b *Bus) Publish(m Message) (logdevice.LSN, error) {
 	if m.Category == "" {
 		return 0, fmt.Errorf("scribe: empty category")
 	}
-	if err := b.ensureCategory(m.Category); err != nil {
+	name, err := b.stream(m.Category)
+	if err != nil {
 		return 0, err
 	}
-	lsn, _, err := b.store.AppendToken(streamName(m.Category), m.Token, m.Payload)
+	lsn, _, err := b.store.AppendToken(name, m.Token, m.Payload)
 	if err != nil {
 		return 0, err
 	}
@@ -98,10 +103,11 @@ func (b *Bus) CloseCategory(category string) error {
 	if category == "" {
 		return fmt.Errorf("scribe: empty category")
 	}
-	if err := b.ensureCategory(category); err != nil {
+	name, err := b.stream(category)
+	if err != nil {
 		return err
 	}
-	return b.store.Seal(streamName(category))
+	return b.store.Seal(name)
 }
 
 // Closed reports whether the category has been closed by its producer.
@@ -161,6 +167,9 @@ type Daemon struct {
 	mu      sync.Mutex
 	pending []Message
 	seq     int64
+	// spare is the buffer the last flush published, cleared; the next
+	// flush hands it to Log as pending. Guarded by flushMu.
+	spare []Message
 
 	// Shed and Dropped count nothing: the daemon never refuses a message.
 	// They remain because the frozen benchmark (bench/ingest.go) reads
@@ -180,12 +189,14 @@ func NewDaemon(host string, bus *Bus) *Daemon {
 // buffered for a later flush — because Scribe favours the availability
 // of the producing service.
 func (d *Daemon) Log(category string, payload []byte) error {
+	var tok [64]byte
 	d.mu.Lock()
 	d.seq++
+	token := strconv.AppendInt(append(append(tok[:0], d.Host...), '/'), d.seq, 10)
 	d.pending = append(d.pending, Message{
 		Category: category,
 		Payload:  payload,
-		Token:    fmt.Sprintf("%s/%d", d.Host, d.seq),
+		Token:    string(token),
 	})
 	full := len(d.pending) >= flushThreshold
 	d.mu.Unlock()
@@ -208,18 +219,22 @@ func (d *Daemon) Flush() error {
 	defer d.flushMu.Unlock()
 	d.mu.Lock()
 	batch := d.pending
-	d.pending = nil
+	d.pending = d.spare
 	d.mu.Unlock()
 
+	var err error
 	for i, m := range batch {
-		if _, err := d.bus.Publish(m); err != nil {
+		if _, err = d.bus.Publish(m); err != nil {
 			d.mu.Lock()
 			d.pending = slices.Concat(batch[i:], d.pending)
 			d.mu.Unlock()
-			return fmt.Errorf("scribe: flush from %s: %w", d.Host, err)
+			err = fmt.Errorf("scribe: flush from %s: %w", d.Host, err)
+			break
 		}
 	}
-	return nil
+	clear(batch) // a spare pins no payload
+	d.spare = batch[:0]
+	return err
 }
 
 // DrainFlush flushes, pausing 500 µs between attempts, until the
