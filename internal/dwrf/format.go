@@ -74,8 +74,8 @@
 // stream inflates in one call straight into a payload buffer of its
 // recorded RawLength (inflate.go, with its Huffman tables in a recycled
 // inflater), the per-stripe selection, I/O plan and payload list are a
-// recycled stripeRead, and the column decoders stream values directly into
-// Arena-recycled columns (ReadStripeBatchArena). Dictionary-encoded
+// recycled stripeRead, and the column decoders stream values directly
+// into Arena-recycled columns (ReadStripeBatchArena). Dictionary-encoded
 // sparse streams decode into dictionary-indexed columns (SparseColumn
 // with a non-empty Dict) so downstream kernels can process each distinct
 // value once. An arena-owned Batch hands every buffer back via Release
@@ -490,7 +490,8 @@ type stripeEncoder struct {
 
 // stripeEncoders holds idle encoders: writers live for one partition,
 // encoder state should not, and a flush after a collection finds the
-// state it left. It holds as many as concurrent flushes once borrowed.
+// state it left. It holds at most as many encoders as concurrent flushes
+// once took.
 var stripeEncoders freelist.List[*stripeEncoder]
 
 // getStripeEncoder takes an idle encoder, or makes one, with an empty

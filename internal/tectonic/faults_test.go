@@ -217,9 +217,7 @@ func TestFaultFreeReadsStayClean(t *testing.T) {
 
 	// There is one read path, and with nothing scheduled it costs one
 	// allocation, the trace's Served entry: the chunk's stream name is
-	// formatted once, when the chunk is placed. (The inlined
-	// primary-replica fast path it replaced cost three, two of them
-	// formatting that name on every read.)
+	// formatted once, when the chunk is placed.
 	const fastPathAllocs = 1
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, borrowed, _, err := c.ReadAtBorrowTraced("f", 128, 4096); err != nil || !borrowed {
