@@ -494,17 +494,6 @@ type stripeEncoder struct {
 // once took.
 var stripeEncoders freelist.List[*stripeEncoder]
 
-// getStripeEncoder takes an idle encoder, or makes one, with an empty
-// output buffer. Return it with stripeEncoders.Put.
-func getStripeEncoder() *stripeEncoder {
-	e, ok := stripeEncoders.Get()
-	if !ok {
-		return new(stripeEncoder)
-	}
-	e.out = e.out[:0]
-	return e
-}
-
 // compress deflates payload onto the end of e.out and returns the bytes
 // it added: the bytes a fresh BestSpeed flate.Writer writes for it
 // (deflate.go). The returned slice stays intact when later streams grow

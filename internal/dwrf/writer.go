@@ -279,7 +279,12 @@ func (w *Writer) flushStripe() error {
 	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	encs := make([]*stripeEncoder, workers)
 	for k := range encs {
-		encs[k] = getStripeEncoder()
+		e, ok := stripeEncoders.Get()
+		if !ok {
+			e = new(stripeEncoder)
+		}
+		e.out = e.out[:0]
+		encs[k] = e
 	}
 	defer func() {
 		for _, e := range encs {

@@ -241,14 +241,6 @@ func (e *planExec) finish() Stats {
 // it. It holds as many as a node's runs once borrowed at the same time.
 var planExecs freelist.List[*planExec]
 
-// getPlanExec takes an idle execution state, or makes one.
-func getPlanExec() *planExec {
-	if e, ok := planExecs.Get(); ok {
-		return e
-	}
-	return new(planExec)
-}
-
 // resizeSlots returns a zero-cleared slice of n entries (column
 // pointers, done flags).
 func resizeSlots[T any](s []T, n int) []T {
@@ -828,7 +820,10 @@ func (c *planCompiler) lowerDenseMap(o denseMapper) error {
 //
 // Run is safe for concurrent use on distinct batches.
 func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
-	e := getPlanExec()
+	e, ok := planExecs.Get()
+	if !ok {
+		e = new(planExec)
+	}
 	e.stats = Stats{RowsIn: b.Rows}
 	for _, op := range p.rowOps {
 		values, err := op.Apply(b)
