@@ -4,17 +4,16 @@ import (
 	"fmt"
 
 	"dsi/internal/dpp"
-	"dsi/internal/hw"
 )
 
 // This file is the paper's cost model, applied offline to what the
 // system measured. A DPP worker counts bytes, rows and busy time
 // (dpp.ResourceReport); Price reads those counts as CPU cycles and
 // memory traffic, and the methods on Priced place them on a node
-// generation (§6.3, Table 9, Figure 9, Table 12). The trainer-side
-// models of Table 7 and Figure 8 sit below it. The model is linear in
-// the counters, so pricing a session's total equals summing its priced
-// splits.
+// generation of hardware.go (§6.3, Table 9, Figure 9, Table 12). The
+// trainer-side models of Table 7 and Figure 8 sit below it. The model
+// is linear in the counters, so pricing a session's total equals
+// summing its priced splits.
 
 // CostParams models the per-byte and per-cycle costs of the worker data
 // plane that the paper measures: extraction (decode) cycles, the
@@ -152,7 +151,7 @@ func Price(r dpp.ResourceReport, c CostParams) Priced {
 // Memory-capacity-bound models (RM3, §6.3) run with a thread pool sized
 // to what fits in 90% of the node's memory to avoid OOM; capped reports
 // that this limit, not the core count, is what binds.
-func (p Priced) usableCores(node hw.NodeSpec) (cores int, capped bool) {
+func (p Priced) usableCores(node nodeSpec) (cores int, capped bool) {
 	if p.ThreadResidentGB > 0 {
 		if limit := max(1, int(node.MemoryGB*0.9/p.ThreadResidentGB)); limit < node.PhysicalCores {
 			return limit, true
@@ -174,7 +173,7 @@ func (p Priced) TotalMemBytes() float64 {
 // BusySeconds converts the accounted work into per-domain busy time on
 // the given node, assuming the given core clock. The bottleneck domain
 // is the one with the largest busy time.
-func (p Priced) BusySeconds(node hw.NodeSpec, ghz float64) (cpu, mem, nicRx, nicTx float64) {
+func (p Priced) BusySeconds(node nodeSpec, ghz float64) (cpu, mem, nicRx, nicTx float64) {
 	cores, _ := p.usableCores(node)
 	cpu = p.TotalCPUCycles() / (ghz * 1e9 * float64(cores))
 	mem = p.TotalMemBytes() / (node.PeakMemBWGBps * 1e9)
@@ -186,7 +185,7 @@ func (p Priced) BusySeconds(node hw.NodeSpec, ghz float64) (cpu, mem, nicRx, nic
 // Bottleneck names the dominant resource on the given node. A CPU
 // bottleneck caused by a memory-capacity-limited thread pool is reported
 // as "memcap".
-func (p Priced) Bottleneck(node hw.NodeSpec, ghz float64) string {
+func (p Priced) Bottleneck(node nodeSpec, ghz float64) string {
 	cpu, mem, nicRx, nicTx := p.BusySeconds(node, ghz)
 	best, name := cpu, "cpu"
 	if _, capped := p.usableCores(node); capped {
@@ -203,7 +202,7 @@ func (p Priced) Bottleneck(node hw.NodeSpec, ghz float64) string {
 
 // SaturatedThroughput reports rows/sec when the node runs its bottleneck
 // resource at 100%.
-func (p Priced) SaturatedThroughput(node hw.NodeSpec, ghz float64) float64 {
+func (p Priced) SaturatedThroughput(node nodeSpec, ghz float64) float64 {
 	cpu, mem, nicRx, nicTx := p.BusySeconds(node, ghz)
 	busy := max(cpu, mem, nicRx+nicTx)
 	if busy == 0 {
@@ -216,7 +215,7 @@ func (p Priced) SaturatedThroughput(node hw.NodeSpec, ghz float64) float64 {
 // limit. Table 12's "DPP throughput" column tracks this quantity: the
 // paper attributes the FF/FM/LO gains to reductions in CPU cycles spent
 // extracting and converting data.
-func (p Priced) CPUBoundThroughput(node hw.NodeSpec, ghz float64) float64 {
+func (p Priced) CPUBoundThroughput(node nodeSpec, ghz float64) float64 {
 	cpu, _, _, _ := p.BusySeconds(node, ghz)
 	if cpu == 0 {
 		return 0
@@ -226,7 +225,7 @@ func (p Priced) CPUBoundThroughput(node hw.NodeSpec, ghz float64) float64 {
 
 // Utilizations reports each domain's utilization when the bottleneck is
 // saturated (the operating point the paper measures in Fig 9).
-func (p Priced) Utilizations(node hw.NodeSpec, ghz float64) (cpu, mem, nic float64) {
+func (p Priced) Utilizations(node nodeSpec, ghz float64) (cpu, mem, nic float64) {
 	c, m, rx, tx := p.BusySeconds(node, ghz)
 	busy := max(c, m, rx+tx)
 	if busy == 0 {
@@ -256,7 +255,7 @@ func DefaultLoadCosts() LoadCostParams {
 
 // LoadUtilization computes front-end host utilization at a given tensor
 // loading rate (the Figure 8 sweep). Utilizations are clamped to 1.
-func LoadUtilization(node hw.TrainerSpec, ghz float64, loadGBps float64, costs LoadCostParams) (cpuUtil, memUtil, nicUtil float64) {
+func LoadUtilization(node trainerSpec, ghz float64, loadGBps float64, costs LoadCostParams) (cpuUtil, memUtil, nicUtil float64) {
 	cores := float64(node.CPUSockets * node.CoresPerSock)
 	cpuUtil = clamp01(loadGBps * 1e9 * costs.CyclesPerByte / (ghz * 1e9 * cores))
 	memUtil = clamp01(loadGBps * 1e9 * costs.MemBytesPerByte / (node.PeakMemBWGBps * 1e9))
@@ -268,7 +267,7 @@ func LoadUtilization(node hw.TrainerSpec, ghz float64, loadGBps float64, costs L
 // trainer's own CPUs extract and transform raw data while the GPUs
 // train.
 type HostPreprocessConfig struct {
-	Node hw.TrainerSpec
+	Node trainerSpec
 	GHz  float64
 	// DemandGBps is the GPUs' tensor ingestion demand (Table 8).
 	DemandGBps float64
@@ -305,7 +304,7 @@ func (c HostPreprocessConfig) Evaluate() (StallReport, error) {
 	}
 	cores := float64(c.Node.CPUSockets * c.Node.CoresPerSock)
 	cpuCapGBps := c.GHz * 1e9 * cores / c.PreprocCyclesPerByte / 1e9
-	memCapGBps := c.Node.PeakMemBWGBps * hw.SaturationThreshold / c.PreprocMemBytesPerByte
+	memCapGBps := c.Node.PeakMemBWGBps * saturationThreshold / c.PreprocMemBytesPerByte
 	nicCapGBps := c.Node.FrontendNICGbps / 8 / c.RawAmplification
 
 	supply := min(cpuCapGBps, memCapGBps, nicCapGBps)

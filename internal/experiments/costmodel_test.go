@@ -7,7 +7,6 @@ import (
 	"dsi/internal/datagen"
 	"dsi/internal/dpp"
 	"dsi/internal/dwrf"
-	"dsi/internal/hw"
 )
 
 // priceFields lists the modelled quantities of a priced report.
@@ -95,7 +94,7 @@ func TestCostKnobsChangeThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	tput := func(costs CostParams) float64 {
-		return Price(measured.ResourceReport, d.Costs(costs)).CPUBoundThroughput(hw.CV1, 2.5)
+		return Price(measured.ResourceReport, d.Costs(costs)).CPUBoundThroughput(cv1, 2.5)
 	}
 	base := tput(CostParams{})
 	fm := tput(CostParams{Flatmap: true})
@@ -108,7 +107,7 @@ func TestCostKnobsChangeThroughput(t *testing.T) {
 func TestLoadUtilizationFig8OperatingPoint(t *testing.T) {
 	// Figure 8: at RM1's 16.5 GB/s on the 2-socket V100 node, loading
 	// costs ≈40% CPU and ≈55% memory bandwidth.
-	cpu, mem, nic := LoadUtilization(hw.V100Trainer, 2.5, datagen.RM1.TrainerGBps, DefaultLoadCosts())
+	cpu, mem, nic := LoadUtilization(v100Trainer, 2.5, datagen.RM1.TrainerGBps, DefaultLoadCosts())
 	if math.Abs(cpu-0.40) > 0.05 {
 		t.Fatalf("CPU util = %.2f, want ≈0.40", cpu)
 	}
@@ -124,7 +123,7 @@ func TestLoadUtilizationFig8OperatingPoint(t *testing.T) {
 func TestLoadUtilizationMonotoneInRate(t *testing.T) {
 	var prevCPU, prevMem float64
 	for rate := 1.0; rate <= 20; rate += 1 {
-		cpu, mem, _ := LoadUtilization(hw.V100Trainer, 2.5, rate, DefaultLoadCosts())
+		cpu, mem, _ := LoadUtilization(v100Trainer, 2.5, rate, DefaultLoadCosts())
 		if cpu < prevCPU || mem < prevMem {
 			t.Fatalf("utilization decreased at %v GB/s", rate)
 		}
@@ -135,7 +134,7 @@ func TestLoadUtilizationMonotoneInRate(t *testing.T) {
 func TestLoadUtilizationOrderingAcrossRMs(t *testing.T) {
 	// RM1 demands the most loading resources, RM2 the least (Table 8).
 	util := func(p datagen.Profile) float64 {
-		cpu, _, _ := LoadUtilization(hw.V100Trainer, 2.5, p.TrainerGBps, DefaultLoadCosts())
+		cpu, _, _ := LoadUtilization(v100Trainer, 2.5, p.TrainerGBps, DefaultLoadCosts())
 		return cpu
 	}
 	if !(util(datagen.RM1) > util(datagen.RM3) && util(datagen.RM3) > util(datagen.RM2)) {
@@ -147,7 +146,7 @@ func TestHostPreprocessingStallsTable7(t *testing.T) {
 	// Table 7: preprocessing RM1 on the trainer's own CPUs stalls the
 	// GPUs ~56% of the time at ~92% CPU and ~54% memory BW utilization.
 	cfg := HostPreprocessConfig{
-		Node:                   hw.V100Trainer,
+		Node:                   v100Trainer,
 		GHz:                    2.5,
 		DemandGBps:             datagen.RM1.TrainerGBps,
 		PreprocCyclesPerByte:   17.8,
@@ -171,7 +170,7 @@ func TestHostPreprocessingStallsTable7(t *testing.T) {
 
 func TestHostPreprocessingNoStallWhenCheap(t *testing.T) {
 	cfg := HostPreprocessConfig{
-		Node: hw.V100Trainer, GHz: 2.5, DemandGBps: 1,
+		Node: v100Trainer, GHz: 2.5, DemandGBps: 1,
 		PreprocCyclesPerByte: 1, PreprocMemBytesPerByte: 1, RawAmplification: 1,
 	}
 	rep, err := cfg.Evaluate()
@@ -184,7 +183,7 @@ func TestHostPreprocessingNoStallWhenCheap(t *testing.T) {
 }
 
 func TestHostPreprocessingRejectsZeroDemand(t *testing.T) {
-	cfg := HostPreprocessConfig{Node: hw.V100Trainer}
+	cfg := HostPreprocessConfig{Node: v100Trainer}
 	if _, err := cfg.Evaluate(); err == nil {
 		t.Fatal("zero demand accepted")
 	}

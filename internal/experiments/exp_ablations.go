@@ -6,7 +6,6 @@ import (
 	"dsi/internal/datagen"
 	"dsi/internal/dwrf"
 	"dsi/internal/hw"
-	"dsi/internal/tiering"
 )
 
 func init() {
@@ -88,15 +87,15 @@ func runAblations() (Result, error) {
 
 	// --- SSD tier sized by the Figure 7 hot set (§7.2). --------------
 	for _, p := range datagen.Profiles() {
-		plan := tiering.FleetPlan{
+		plan := tierPlan{
 			DatasetBytes: int64(p.AllPartitionsPB * 1e15), Replication: 3,
 			DemandGBps: 120 * p.TrainerGBps, AvgIOBytes: 1310720,
 			HDD: hw.HDD, SSD: hw.SSD, DisksPerNode: 36,
 			HDDNodeWatts: 500, SSDNodeWatts: 900,
 			HotTrafficShare: 0.80, HotBytesShare: p.HotShareFor80PctTraffic,
 		}
-		pure := plan.PureHDD()
-		tiered, err := plan.Tiered()
+		pure := plan.pureHDD()
+		tiered, err := plan.tiered()
 		if err != nil {
 			return res, err
 		}

@@ -5,10 +5,7 @@ import (
 	"sort"
 
 	"dsi/internal/datagen"
-	"dsi/internal/fleet"
 	"dsi/internal/hw"
-	"dsi/internal/power"
-	"dsi/internal/release"
 	"dsi/internal/schema"
 	"dsi/internal/transforms"
 )
@@ -38,16 +35,16 @@ func runFig1() (Result, error) {
 	// sizing and a per-model storage fleet from the Table 3 sizes.
 	storageNodes := map[string]float64{"RM1": 55, "RM2": 35, "RM3": 65}
 	for _, p := range datagen.Profiles() {
-		plan := power.Plan{
+		plan := powerPlan{
 			Model:             p.Name,
 			Trainers:          16,
-			TrainerNode:       hw.ZionEX,
+			TrainerNode:       zionEX,
 			WorkersPerTrainer: p.WorkersPerTrainer,
-			WorkerNode:        hw.CV1,
+			WorkerNode:        cv1,
 			StorageNodes:      storageNodes[p.Name],
 			StorageNodeWatts:  500,
 		}
-		b, err := plan.Evaluate()
+		b, err := plan.evaluate()
 		if err != nil {
 			return res, err
 		}
@@ -55,8 +52,8 @@ func runFig1() (Result, error) {
 			Label: p.Name + " power storage/preproc/train",
 			Paper: "diverse; DSI can exceed 50%",
 			Measured: fmt.Sprintf("%s/%s/%s (DSI %s)",
-				fmtPct(b.StorageWatts/b.Total()), fmtPct(b.PreprocWatts/b.Total()),
-				fmtPct(b.TrainerWatts/b.Total()), fmtPct(b.DSIShare())),
+				fmtPct(b.StorageWatts/b.total()), fmtPct(b.PreprocWatts/b.total()),
+				fmtPct(b.TrainerWatts/b.total()), fmtPct(b.dsiShare())),
 		})
 	}
 	return res, nil
@@ -64,7 +61,7 @@ func runFig1() (Result, error) {
 
 func runFig2() (Result, error) {
 	res := Result{ID: "fig2", Title: Title("fig2")}
-	trace := fleet.GrowthTrace(24)
+	trace := growthTrace(24)
 	for _, m := range []int{0, 6, 12, 18, 24} {
 		res.Rows = append(res.Rows, Row{
 			Label:    fmt.Sprintf("month %2d", m),
@@ -81,7 +78,7 @@ func runFig2() (Result, error) {
 
 func runTable2() (Result, error) {
 	res := Result{ID: "table2", Title: Title("table2")}
-	reg := release.SimulateChurn(release.DefaultChurn(), 42)
+	reg := simulateChurn(defaultChurn(), 42)
 	counts := reg.CountByState(0, 179)
 	total := counts[schema.Beta] + counts[schema.Experimental] + counts[schema.Active] + counts[schema.Deprecated]
 	rows := []struct {
@@ -107,11 +104,11 @@ func runTable2() (Result, error) {
 
 func runFig4() (Result, error) {
 	res := Result{ID: "fig4", Title: Title("fig4")}
-	jobs := release.GenerateIteration(release.DefaultIteration("RM1"), 42)
+	jobs := generateIteration(defaultIteration("RM1"), 42)
 	var durs []float64
-	status := map[release.JobStatus]int{}
+	status := map[jobStatus]int{}
 	for _, j := range jobs {
-		if j.Type != release.Combo {
+		if j.Type != comboJob {
 			continue
 		}
 		durs = append(durs, j.DurationDays)
@@ -125,8 +122,8 @@ func runFig4() (Result, error) {
 		Row{
 			Label: "status completed/killed/failed",
 			Paper: "many killed or failed",
-			Measured: fmt.Sprintf("%d/%d/%d", status[release.Completed],
-				status[release.Killed], status[release.Failed]),
+			Measured: fmt.Sprintf("%d/%d/%d", status[jobCompleted],
+				status[jobKilled], status[jobFailed]),
 		},
 	)
 	return res, nil
@@ -138,7 +135,7 @@ func runFig5() (Result, error) {
 	for i := range models {
 		models[i] = fmt.Sprintf("model-%d", i)
 	}
-	daily := release.SimulateYear(release.YearParams{Models: models, IterationGapDays: 40, Days: 365}, 42)
+	daily := simulateYear(yearParams{Models: models, IterationGapDays: 40, Days: 365}, 42)
 	var sum, peak float64
 	for _, v := range daily {
 		sum += v
@@ -167,22 +164,22 @@ func runFig5() (Result, error) {
 
 func runFig6() (Result, error) {
 	res := Result{ID: "fig6", Title: Title("fig6")}
-	regions := []fleet.Region{
+	regions := []region{
 		{Name: "R1", ComputeCapacity: 120}, {Name: "R2", ComputeCapacity: 100},
 		{Name: "R3", ComputeCapacity: 90}, {Name: "R4", ComputeCapacity: 70},
 		{Name: "R5", ComputeCapacity: 50},
 	}
 	// Ten models A-J with demand normalized to J, J smallest.
-	demands := make([]fleet.ModelDemand, 10)
+	demands := make([]modelDemand, 10)
 	for i := range demands {
-		demands[i] = fleet.ModelDemand{
+		demands[i] = modelDemand{
 			Model:     string(rune('A' + i)),
 			Demand:    float64(10-i) * 4,
 			DatasetPB: float64(10-i) * 2,
 		}
 	}
-	s := &fleet.Scheduler{Regions: regions}
-	balanced, err := s.BalanceAcrossRegions(demands)
+	s := &scheduler{Regions: regions}
+	balanced, err := s.balanceAcrossRegions(demands)
 	if err != nil {
 		return res, err
 	}
@@ -197,7 +194,7 @@ func runFig6() (Result, error) {
 			Measured: fmt.Sprint(parts),
 		})
 	}
-	packed, err := s.BinPack(demands)
+	packed, err := s.binPack(demands)
 	if err != nil {
 		return res, err
 	}
@@ -205,12 +202,12 @@ func runFig6() (Result, error) {
 		Row{
 			Label:    "dataset storage, balanced placement",
 			Paper:    "every region replicates every dataset",
-			Measured: fmt.Sprintf("%.0f PB", balanced.StoragePB(demands)),
+			Measured: fmt.Sprintf("%.0f PB", balanced.storagePB(demands)),
 		},
 		Row{
 			Label:    "dataset storage, bin-packed placement",
 			Paper:    "bin-packing reduces storage (§7.3)",
-			Measured: fmt.Sprintf("%.0f PB", packed.StoragePB(demands)),
+			Measured: fmt.Sprintf("%.0f PB", packed.storagePB(demands)),
 		},
 	)
 	return res, nil
@@ -221,12 +218,12 @@ func runTable10() (Result, error) {
 	paper := map[string][2]float64{
 		"C-v1": {4.2, 0.69}, "C-v2": {3.5, 0.96}, "C-v3": {2.3, 0.69}, "C-vSotA": {3.2, 1.56},
 	}
-	for _, n := range hw.Generations() {
+	for _, n := range generations() {
 		p := paper[n.Name]
 		res.Rows = append(res.Rows, Row{
 			Label:    n.Name,
 			Paper:    fmt.Sprintf("memBW/core %.1f, NIC/core %.2f", p[0], p[1]),
-			Measured: fmt.Sprintf("memBW/core %.1f, NIC/core %.2f", n.MemBWPerCore(), n.NICPerCore()),
+			Measured: fmt.Sprintf("memBW/core %.1f, NIC/core %.2f", n.memBWPerCore(), n.nicPerCore()),
 		})
 	}
 	return res, nil
@@ -234,7 +231,7 @@ func runTable10() (Result, error) {
 
 func runGaps() (Result, error) {
 	res := Result{ID: "gaps", Title: Title("gaps")}
-	prov := fleet.StorageProvision{
+	prov := storageProvision{
 		DatasetPB: 12, Replication: 3, RequiredReadGBps: 1500,
 		AvgIOBytes: 1310720, Disk: hw.HDD, DisksPerNode: 36,
 	}
@@ -242,17 +239,17 @@ func runGaps() (Result, error) {
 		Row{
 			Label:    "HDD throughput-to-storage gap",
 			Paper:    ">8x",
-			Measured: fmtX(prov.ThroughputToStorageGap()),
+			Measured: fmtX(prov.throughputToStorageGap()),
 		},
 		Row{
 			Label:    "SSD IOPS/W vs HDD",
 			Paper:    "326%",
-			Measured: fmtPct(hw.SSD.IOPSPerWatt() / hw.HDD.IOPSPerWatt()),
+			Measured: fmtPct(iopsPerWatt(hw.SSD) / iopsPerWatt(hw.HDD)),
 		},
 		Row{
 			Label:    "SSD capacity/W vs HDD",
 			Paper:    "9%",
-			Measured: fmtPct(hw.SSD.CapacityPerWatt() / hw.HDD.CapacityPerWatt()),
+			Measured: fmtPct(capacityPerWatt(hw.SSD) / capacityPerWatt(hw.HDD)),
 		},
 		Row{
 			Label:    "SigridHash GPU speedup",

@@ -5,7 +5,6 @@ import (
 
 	"dsi/internal/datagen"
 	"dsi/internal/dwrf"
-	"dsi/internal/hw"
 	"dsi/internal/transforms"
 )
 
@@ -36,7 +35,7 @@ func profileRead() dwrf.ReadOptions {
 func runTable7() (Result, error) {
 	res := Result{ID: "table7", Title: Title("table7")}
 	cfg := HostPreprocessConfig{
-		Node:                   hw.V100Trainer,
+		Node:                   v100Trainer,
 		GHz:                    2.5,
 		DemandGBps:             datagen.RM1.TrainerGBps,
 		PreprocCyclesPerByte:   17.8,
@@ -75,7 +74,7 @@ func runFig8() (Result, error) {
 	res := Result{ID: "fig8", Title: Title("fig8")}
 	costs := DefaultLoadCosts()
 	for rate := 2.0; rate <= 20; rate += 3 {
-		cpu, mem, nic := LoadUtilization(hw.V100Trainer, 2.5, rate, costs)
+		cpu, mem, nic := LoadUtilization(v100Trainer, 2.5, rate, costs)
 		res.Rows = append(res.Rows, Row{
 			Label:    fmt.Sprintf("load %4.1f GB/s", rate),
 			Paper:    "-",
@@ -83,7 +82,7 @@ func runFig8() (Result, error) {
 		})
 	}
 	for _, p := range datagen.Profiles() {
-		cpu, mem, _ := LoadUtilization(hw.V100Trainer, 2.5, p.TrainerGBps, costs)
+		cpu, mem, _ := LoadUtilization(v100Trainer, 2.5, p.TrainerGBps, costs)
 		paper := "-"
 		if p.Name == "RM1" {
 			paper = "cpu 40% mem 55%"
@@ -133,7 +132,7 @@ func runTable9() (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		qps := rep.SaturatedThroughput(hw.CV1, 2.5)
+		qps := rep.SaturatedThroughput(cv1, 2.5)
 		secs := float64(rep.RowsIn) / qps // saturated wall seconds
 		m := measured{
 			name:        p.Name,
@@ -194,7 +193,7 @@ func runFig9() (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		cpu, mem, nic := rep.Utilizations(hw.CV1, 2.5)
+		cpu, mem, nic := rep.Utilizations(cv1, 2.5)
 		total := rep.TotalCPUCycles()
 		res.Rows = append(res.Rows,
 			Row{
@@ -206,7 +205,7 @@ func runFig9() (Result, error) {
 				Label:    p.Name + " utilization cpu/membw/nic",
 				Paper:    "-",
 				Measured: fmt.Sprintf("%s/%s/%s", fmtPct(cpu), fmtPct(mem), fmtPct(nic)),
-				Note:     "bottleneck: " + rep.Bottleneck(hw.CV1, 2.5),
+				Note:     "bottleneck: " + rep.Bottleneck(cv1, 2.5),
 			},
 		)
 	}
@@ -318,7 +317,7 @@ func runTable12() (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		dppTput := rep.CPUBoundThroughput(hw.CV1, 2.5)
+		dppTput := rep.CPUBoundThroughput(cv1, 2.5)
 		busy := d.Cluster.AggregateDiskBusy().Seconds()
 		storageTput := float64(rep.StorageWantedBytes) / busy
 		if i == 0 {
@@ -346,7 +345,7 @@ func runMemBW() (Result, error) {
 		Row{
 			Label:    "RM2 bottleneck on C-v2",
 			Paper:    "membw",
-			Measured: rep.Bottleneck(hw.CV2, 2.5),
+			Measured: rep.Bottleneck(cv2, 2.5),
 			Note:     "NIC doubled (25G) while memBW/core shrank",
 		},
 		Row{
@@ -357,11 +356,11 @@ func runMemBW() (Result, error) {
 				fmtPct(rep.MemNetRX/total), fmtPct(rep.MemNetTX/total)),
 		},
 	)
-	for _, n := range hw.Generations() {
+	for _, n := range generations() {
 		res.Rows = append(res.Rows, Row{
 			Label:    "memBW/core on " + n.Name,
 			Paper:    "-",
-			Measured: fmt.Sprintf("%.1f GB/s/core, NIC %.2f Gbps/core", n.MemBWPerCore(), n.NICPerCore()),
+			Measured: fmt.Sprintf("%.1f GB/s/core, NIC %.2f Gbps/core", n.memBWPerCore(), n.nicPerCore()),
 		})
 	}
 	return res, nil

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"sync"
 
 	"dsi/internal/datagen"
 	"dsi/internal/dwrf"
-	"dsi/internal/metrics"
 	"dsi/internal/schema"
 )
 
@@ -243,20 +245,20 @@ func runFig7() (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		cdf := metrics.NewPopularityCDF()
+		cdf := newPopularityCDF()
 		for id, b := range stored {
-			cdf.SetStored(fmt.Sprint(id), float64(b))
+			cdf.setStored(fmt.Sprint(id), float64(b))
 		}
 		// One month ≈ 40 jobs with per-job feature jitter.
 		for job := 0; job < 40; job++ {
 			proj := d.Gen.Projection(int64(job))
 			for _, id := range proj.IDs() {
-				cdf.AddTraffic(fmt.Sprint(id), float64(stored[id]))
+				cdf.addTraffic(fmt.Sprint(id), float64(stored[id]))
 			}
 			// Labels are always read.
-			cdf.AddTraffic("0", float64(stored[0]))
+			cdf.addTraffic("0", float64(stored[0]))
 		}
-		got := cdf.StoredShareForTraffic(0.80)
+		got := cdf.storedShareForTraffic(0.80)
 		res.Rows = append(res.Rows, Row{
 			Label:    p.Name + " bytes for 80% of traffic",
 			Paper:    fmtPct(p.HotShareFor80PctTraffic),
@@ -265,4 +267,105 @@ func runFig7() (Result, error) {
 		})
 	}
 	return res, nil
+}
+
+// popularityCDF answers the Figure 7 question: what fraction of total
+// traffic is absorbed by the most popular x% of bytes? Keys identify byte
+// ranges (e.g. feature streams); weights are bytes stored per key; traffic
+// is bytes served per key.
+type popularityCDF struct {
+	mu      sync.Mutex
+	stored  map[string]float64
+	traffic map[string]float64
+}
+
+// newPopularityCDF returns an empty popularity tracker.
+func newPopularityCDF() *popularityCDF {
+	return &popularityCDF{
+		stored:  make(map[string]float64),
+		traffic: make(map[string]float64),
+	}
+}
+
+// setStored records the stored size of a key. Re-setting replaces the size.
+func (p *popularityCDF) setStored(key string, bytes float64) {
+	p.mu.Lock()
+	p.stored[key] = bytes
+	p.mu.Unlock()
+}
+
+// addTraffic accumulates served bytes for a key.
+func (p *popularityCDF) addTraffic(key string, bytes float64) {
+	p.mu.Lock()
+	p.traffic[key] += bytes
+	p.mu.Unlock()
+}
+
+// trafficShare reports the fraction of all traffic served by the hottest
+// keys that together account for storedFrac of all stored bytes. Keys are
+// ranked by traffic density (traffic per stored byte), matching how a cache
+// of a given capacity would be filled.
+func (p *popularityCDF) trafficShare(storedFrac float64) float64 {
+	if storedFrac < 0 || storedFrac > 1 {
+		panic(fmt.Sprintf("experiments: stored fraction %v out of range", storedFrac))
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+
+	type kv struct {
+		stored, traffic float64
+	}
+	var totalStored, totalTraffic float64
+	items := make([]kv, 0, len(p.stored))
+	for k, s := range p.stored {
+		t := p.traffic[k]
+		items = append(items, kv{stored: s, traffic: t})
+		totalStored += s
+		totalTraffic += t
+	}
+	if totalStored == 0 || totalTraffic == 0 {
+		return 0
+	}
+	sort.Slice(items, func(i, j int) bool {
+		di := items[i].traffic / math.Max(items[i].stored, 1)
+		dj := items[j].traffic / math.Max(items[j].stored, 1)
+		return di > dj
+	})
+	budget := storedFrac * totalStored
+	var used, served float64
+	for _, it := range items {
+		if used+it.stored > budget {
+			// Partial credit for the key straddling the budget edge,
+			// proportional to the fraction of its bytes that fit.
+			remain := budget - used
+			if remain > 0 {
+				served += it.traffic * (remain / it.stored)
+			}
+			break
+		}
+		used += it.stored
+		served += it.traffic
+	}
+	return served / totalTraffic
+}
+
+// storedShareForTraffic answers the inverse query: the minimum fraction of
+// stored bytes needed to absorb trafficFrac of all traffic. This is the
+// number the paper quotes ("to serve 80% of traffic we need the hottest
+// 39% of RM1's bytes").
+func (p *popularityCDF) storedShareForTraffic(trafficFrac float64) float64 {
+	if trafficFrac < 0 || trafficFrac > 1 {
+		panic(fmt.Sprintf("experiments: traffic fraction %v out of range", trafficFrac))
+	}
+	// Binary search over trafficShare, which is monotonic in storedFrac.
+	lo, hi := 0.0, 1.0
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if p.trafficShare(mid) >= trafficFrac {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
 }

@@ -1,9 +1,4 @@
-// Package fleet models the global training fleet of §4.2 and §7.3:
-// geo-distributed regions with fixed compute capacity, a global scheduler
-// that places training jobs (and therefore dataset replicas) across
-// regions, and the storage-provisioning math of §7.1 (capacity- vs
-// IOPS-driven node counts and the 8x throughput-to-storage gap).
-package fleet
+package experiments
 
 import (
 	"fmt"
@@ -13,26 +8,32 @@ import (
 	"dsi/internal/hw"
 )
 
-// Region is one geographic region with multiple datacenters.
-type Region struct {
+// The global training fleet of §4.2 and §7.3: geo-distributed regions
+// with fixed compute capacity, a global scheduler that places training
+// jobs (and therefore dataset replicas) across regions, and the
+// storage-provisioning math of §7.1 (capacity- vs IOPS-driven node
+// counts and the 8x throughput-to-storage gap).
+
+// region is one geographic region with multiple datacenters.
+type region struct {
 	Name string
 	// ComputeCapacity is trainer-node capacity in relative units.
 	ComputeCapacity float64
 }
 
-// ModelDemand is one model's total training compute demand.
-type ModelDemand struct {
+// modelDemand is one model's total training compute demand.
+type modelDemand struct {
 	Model  string
 	Demand float64
 	// DatasetPB is the model's dataset size (for storage accounting).
 	DatasetPB float64
 }
 
-// Placement maps model -> region -> assigned compute.
-type Placement map[string]map[string]float64
+// placement maps model -> region -> assigned compute.
+type placement map[string]map[string]float64
 
-// RegionsOf lists regions a model landed in.
-func (p Placement) RegionsOf(model string) []string {
+// regionsOf lists regions a model landed in.
+func (p placement) regionsOf(model string) []string {
 	var out []string
 	for r, v := range p[model] {
 		if v > 0 {
@@ -43,26 +44,26 @@ func (p Placement) RegionsOf(model string) []string {
 	return out
 }
 
-// StoragePB reports the total dataset storage the placement implies:
+// storagePB reports the total dataset storage the placement implies:
 // each region hosting any part of a model's training needs a full
 // replica of its dataset (§4.2).
-func (p Placement) StoragePB(demands []ModelDemand) float64 {
+func (p placement) storagePB(demands []modelDemand) float64 {
 	var total float64
 	for _, d := range demands {
-		total += d.DatasetPB * float64(len(p.RegionsOf(d.Model)))
+		total += d.DatasetPB * float64(len(p.regionsOf(d.Model)))
 	}
 	return total
 }
 
-// Scheduler places model demand onto regions.
-type Scheduler struct {
-	Regions []Region
+// scheduler places model demand onto regions.
+type scheduler struct {
+	Regions []region
 }
 
-// BalanceAcrossRegions is the paper's current policy: spread every
+// balanceAcrossRegions is the paper's current policy: spread every
 // model's demand across all regions proportionally to capacity,
 // requiring every region to hold a replica of every dataset.
-func (s *Scheduler) BalanceAcrossRegions(demands []ModelDemand) (Placement, error) {
+func (s *scheduler) balanceAcrossRegions(demands []modelDemand) (placement, error) {
 	var totalCap float64
 	for _, r := range s.Regions {
 		totalCap += r.ComputeCapacity
@@ -70,7 +71,7 @@ func (s *Scheduler) BalanceAcrossRegions(demands []ModelDemand) (Placement, erro
 	if totalCap == 0 {
 		return nil, fmt.Errorf("fleet: no capacity")
 	}
-	p := make(Placement)
+	p := make(placement)
 	for _, d := range demands {
 		p[d.Model] = make(map[string]float64)
 		for _, r := range s.Regions {
@@ -80,19 +81,19 @@ func (s *Scheduler) BalanceAcrossRegions(demands []ModelDemand) (Placement, erro
 	return p, nil
 }
 
-// BinPack is the §7.3 alternative: place each model in as few regions as
+// binPack is the §7.3 alternative: place each model in as few regions as
 // possible (largest models first, best-fit by remaining capacity),
 // reducing dataset replication at the cost of less balancing. Returns an
 // error if demand exceeds total capacity.
-func (s *Scheduler) BinPack(demands []ModelDemand) (Placement, error) {
+func (s *scheduler) binPack(demands []modelDemand) (placement, error) {
 	remaining := make(map[string]float64, len(s.Regions))
 	for _, r := range s.Regions {
 		remaining[r.Name] = r.ComputeCapacity
 	}
-	sorted := append([]ModelDemand(nil), demands...)
+	sorted := append([]modelDemand(nil), demands...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Demand > sorted[j].Demand })
 
-	p := make(Placement)
+	p := make(placement)
 	for _, d := range sorted {
 		p[d.Model] = make(map[string]float64)
 		need := d.Demand
@@ -117,8 +118,8 @@ func (s *Scheduler) BinPack(demands []ModelDemand) (Placement, error) {
 	return p, nil
 }
 
-// StorageProvision is the §7.1 storage-layer sizing calculation.
-type StorageProvision struct {
+// storageProvision is the §7.1 storage-layer sizing calculation.
+type storageProvision struct {
 	// DatasetPB is the logical dataset size to store.
 	DatasetPB float64
 	// Replication is the durability replication factor (3 in the
@@ -136,46 +137,46 @@ type StorageProvision struct {
 	DisksPerNode int
 }
 
-// NodesForCapacity reports the node count needed to hold the replicated
+// nodesForCapacity reports the node count needed to hold the replicated
 // dataset.
-func (s StorageProvision) NodesForCapacity() float64 {
+func (s storageProvision) nodesForCapacity() float64 {
 	perNodeTB := s.Disk.CapacityTB * float64(s.DisksPerNode)
 	return s.DatasetPB * 1000 * float64(s.Replication) / perNodeTB
 }
 
-// NodesForIOPS reports the node count needed to serve the read
+// nodesForIOPS reports the node count needed to serve the read
 // throughput at the configured I/O size.
-func (s StorageProvision) NodesForIOPS() float64 {
-	perDiskGBps := s.Disk.RandIOPS(s.AvgIOBytes) * float64(s.AvgIOBytes) / 1e9
+func (s storageProvision) nodesForIOPS() float64 {
+	perDiskGBps := randIOPS(s.Disk, s.AvgIOBytes) * float64(s.AvgIOBytes) / 1e9
 	perNodeGBps := perDiskGBps * float64(s.DisksPerNode)
 	return s.RequiredReadGBps / perNodeGBps
 }
 
-// ThroughputToStorageGap reports NodesForIOPS / NodesForCapacity — the
+// throughputToStorageGap reports nodesForIOPS / nodesForCapacity — the
 // over-provisioning factor the paper measures at >8x (§7.1).
-func (s StorageProvision) ThroughputToStorageGap() float64 {
-	c := s.NodesForCapacity()
+func (s storageProvision) throughputToStorageGap() float64 {
+	c := s.nodesForCapacity()
 	if c == 0 {
 		return 0
 	}
-	return s.NodesForIOPS() / c
+	return s.nodesForIOPS() / c
 }
 
-// GrowthPoint is one month of Figure 2's fleet trends.
-type GrowthPoint struct {
+// growthPoint is one month of Figure 2's fleet trends.
+type growthPoint struct {
 	Month          int
 	DatasetSize    float64 // normalized to month 0
 	IngestBandwidt float64 // normalized to month 0
 }
 
-// GrowthTrace reproduces Figure 2: dataset sizes grew over 2x and
+// growthTrace reproduces Figure 2: dataset sizes grew over 2x and
 // ingestion bandwidth over 4x in two years, compounding monthly.
-func GrowthTrace(months int) []GrowthPoint {
+func growthTrace(months int) []growthPoint {
 	sizeRate := math.Pow(2.05, 1.0/24)   // slightly above 2x per 24 months
 	bwRate := math.Pow(4.1, 1.0/24)      // slightly above 4x per 24 months
-	out := make([]GrowthPoint, months+1) // inclusive of month 0
+	out := make([]growthPoint, months+1) // inclusive of month 0
 	for m := 0; m <= months; m++ {
-		out[m] = GrowthPoint{
+		out[m] = growthPoint{
 			Month:          m,
 			DatasetSize:    math.Pow(sizeRate, float64(m)),
 			IngestBandwidt: math.Pow(bwRate, float64(m)),

@@ -1,4 +1,4 @@
-package fleet
+package experiments
 
 import (
 	"math"
@@ -7,8 +7,8 @@ import (
 	"dsi/internal/hw"
 )
 
-func regions() []Region {
-	return []Region{
+func testRegions() []region {
+	return []region{
 		{Name: "R1", ComputeCapacity: 100},
 		{Name: "R2", ComputeCapacity: 80},
 		{Name: "R3", ComputeCapacity: 60},
@@ -17,8 +17,8 @@ func regions() []Region {
 	}
 }
 
-func demands() []ModelDemand {
-	return []ModelDemand{
+func testDemands() []modelDemand {
+	return []modelDemand{
 		{Model: "A", Demand: 90, DatasetPB: 13},
 		{Model: "B", Demand: 60, DatasetPB: 29},
 		{Model: "C", Demand: 40, DatasetPB: 3},
@@ -27,13 +27,13 @@ func demands() []ModelDemand {
 }
 
 func TestBalanceSpreadsEverywhere(t *testing.T) {
-	s := &Scheduler{Regions: regions()}
-	p, err := s.BalanceAcrossRegions(demands())
+	s := &scheduler{Regions: testRegions()}
+	p, err := s.balanceAcrossRegions(testDemands())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range demands() {
-		if got := len(p.RegionsOf(d.Model)); got != 5 {
+	for _, d := range testDemands() {
+		if got := len(p.regionsOf(d.Model)); got != 5 {
 			t.Fatalf("model %s in %d regions, want 5", d.Model, got)
 		}
 	}
@@ -44,8 +44,8 @@ func TestBalanceSpreadsEverywhere(t *testing.T) {
 }
 
 func TestBalanceNoCapacity(t *testing.T) {
-	s := &Scheduler{Regions: []Region{{Name: "empty"}}}
-	if _, err := s.BalanceAcrossRegions(demands()); err == nil {
+	s := &scheduler{Regions: []region{{Name: "empty"}}}
+	if _, err := s.balanceAcrossRegions(testDemands()); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
 }
@@ -53,28 +53,28 @@ func TestBalanceNoCapacity(t *testing.T) {
 func TestBinPackReducesStorage(t *testing.T) {
 	// §7.3: bin-packing jobs into fewer regions cuts dataset
 	// replication versus balancing everywhere.
-	s := &Scheduler{Regions: regions()}
-	balanced, err := s.BalanceAcrossRegions(demands())
+	s := &scheduler{Regions: testRegions()}
+	balanced, err := s.balanceAcrossRegions(testDemands())
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := s.BinPack(demands())
+	packed, err := s.binPack(testDemands())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, sp := balanced.StoragePB(demands()), packed.StoragePB(demands())
+	sb, sp := balanced.storagePB(testDemands()), packed.storagePB(testDemands())
 	if sp >= sb {
 		t.Fatalf("bin-packed storage %.1f PB not below balanced %.1f PB", sp, sb)
 	}
 }
 
 func TestBinPackConservesDemand(t *testing.T) {
-	s := &Scheduler{Regions: regions()}
-	p, err := s.BinPack(demands())
+	s := &scheduler{Regions: testRegions()}
+	p, err := s.binPack(testDemands())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range demands() {
+	for _, d := range testDemands() {
 		var placed float64
 		for _, v := range p[d.Model] {
 			placed += v
@@ -90,7 +90,7 @@ func TestBinPackConservesDemand(t *testing.T) {
 			peak[r] += v
 		}
 	}
-	for _, r := range regions() {
+	for _, r := range testRegions() {
 		if peak[r.Name] > r.ComputeCapacity+1e-9 {
 			t.Fatalf("region %s over capacity: %.2f > %.2f", r.Name, peak[r.Name], r.ComputeCapacity)
 		}
@@ -98,8 +98,8 @@ func TestBinPackConservesDemand(t *testing.T) {
 }
 
 func TestBinPackOverCapacity(t *testing.T) {
-	s := &Scheduler{Regions: []Region{{Name: "R1", ComputeCapacity: 10}}}
-	if _, err := s.BinPack(demands()); err == nil {
+	s := &scheduler{Regions: []region{{Name: "R1", ComputeCapacity: 10}}}
+	if _, err := s.binPack(testDemands()); err == nil {
 		t.Fatal("over-capacity demand accepted")
 	}
 }
@@ -108,7 +108,7 @@ func TestStorageGapIsLarge(t *testing.T) {
 	// §7.1: even at the production operating point (coalesced ~1.25 MB
 	// I/Os), serving the fleet's read throughput from HDDs needs ~8x
 	// more nodes than storing the triplicated data.
-	prov := StorageProvision{
+	prov := storageProvision{
 		DatasetPB:        12,
 		Replication:      3,
 		RequiredReadGBps: 1500,
@@ -116,7 +116,7 @@ func TestStorageGapIsLarge(t *testing.T) {
 		Disk:             hw.HDD,
 		DisksPerNode:     36,
 	}
-	gap := prov.ThroughputToStorageGap()
+	gap := prov.throughputToStorageGap()
 	if gap < 6 || gap > 11 {
 		t.Fatalf("throughput-to-storage gap = %.1fx, want ≈8x", gap)
 	}
@@ -125,32 +125,32 @@ func TestStorageGapIsLarge(t *testing.T) {
 func TestCoalescingClosesStorageGap(t *testing.T) {
 	// With 1.25 MB coalesced I/Os the same demand needs far fewer
 	// IOPS-driven nodes.
-	small := StorageProvision{
+	small := storageProvision{
 		DatasetPB: 12, Replication: 3, RequiredReadGBps: 600,
 		AvgIOBytes: 23 << 10, Disk: hw.HDD, DisksPerNode: 36,
 	}
 	big := small
 	big.AvgIOBytes = 1310720
-	if big.ThroughputToStorageGap() > small.ThroughputToStorageGap()/5 {
+	if big.throughputToStorageGap() > small.throughputToStorageGap()/5 {
 		t.Fatalf("coalescing should cut the gap >5x: %.2f vs %.2f",
-			big.ThroughputToStorageGap(), small.ThroughputToStorageGap())
+			big.throughputToStorageGap(), small.throughputToStorageGap())
 	}
 }
 
 func TestSSDFlipsTheGap(t *testing.T) {
 	// On SSDs the same throughput is easy but capacity is expensive —
 	// the paper's argument for tiered/heterogeneous storage (§7.2).
-	prov := StorageProvision{
+	prov := storageProvision{
 		DatasetPB: 12, Replication: 3, RequiredReadGBps: 600,
 		AvgIOBytes: 23 << 10, Disk: hw.SSD, DisksPerNode: 36,
 	}
-	if gap := prov.ThroughputToStorageGap(); gap > 1 {
+	if gap := prov.throughputToStorageGap(); gap > 1 {
 		t.Fatalf("SSD gap = %.2f, want <1 (capacity-bound)", gap)
 	}
 }
 
 func TestGrowthTraceFig2(t *testing.T) {
-	trace := GrowthTrace(24)
+	trace := growthTrace(24)
 	if len(trace) != 25 {
 		t.Fatalf("trace length = %d", len(trace))
 	}

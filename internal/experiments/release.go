@@ -1,10 +1,4 @@
-// Package release models the collaborative model-release process of §4:
-// hundreds of engineers iterate on each production model through
-// exploratory jobs, periodic combo windows that amalgamate ideas into
-// tens-to-hundreds of concurrent large jobs, and a few release-candidate
-// jobs — producing the skewed job durations of Figure 4, the fleet-wide
-// utilization peaks of Figure 5, and the feature churn of Table 2.
-package release
+package experiments
 
 import (
 	"math"
@@ -13,66 +7,73 @@ import (
 	"dsi/internal/schema"
 )
 
-// JobType is the release-process phase a training job belongs to.
-type JobType int
+// The collaborative model-release process of §4: hundreds of engineers
+// iterate on each production model through exploratory jobs, periodic
+// combo windows that amalgamate ideas into tens-to-hundreds of
+// concurrent large jobs, and a few release-candidate jobs — producing
+// the skewed job durations of Figure 4, the fleet-wide utilization
+// peaks of Figure 5, and the feature churn of Table 2.
+
+// jobType is the release-process phase a training job belongs to.
+type jobType int
 
 const (
-	// Exploratory jobs test individual ideas on top of the production
+	// exploratoryJob tests individual ideas on top of the production
 	// model; small, numerous, <5% of the table.
-	Exploratory JobType = iota
-	// Combo jobs combine promising ideas in permutations; large,
+	exploratoryJob jobType = iota
+	// comboJob combines promising ideas in permutations; large,
 	// launched in bursts within a short window.
-	Combo
-	// ReleaseCandidate jobs train the best combos on fresh data.
-	ReleaseCandidate
+	comboJob
+	// releaseCandidateJob trains the best combos on fresh data.
+	releaseCandidateJob
 )
 
 // String implements fmt.Stringer.
-func (t JobType) String() string {
+func (t jobType) String() string {
 	switch t {
-	case Exploratory:
+	case exploratoryJob:
 		return "exploratory"
-	case Combo:
+	case comboJob:
 		return "combo"
-	case ReleaseCandidate:
+	case releaseCandidateJob:
 		return "release-candidate"
 	default:
 		return "unknown"
 	}
 }
 
-// JobStatus is a job's terminal state. Many combo jobs are killed early
+// jobStatus is a job's terminal state. Many combo jobs are killed early
 // because their accuracy is lackluster (§4.1).
-type JobStatus int
+type jobStatus int
 
 const (
-	// Completed jobs trained to their target.
-	Completed JobStatus = iota
-	// Killed jobs were cancelled by engineers for lackluster accuracy.
-	Killed
-	// Failed jobs hit infrastructure errors.
-	Failed
+	// jobCompleted: the job trained to its target.
+	jobCompleted jobStatus = iota
+	// jobKilled: the job was cancelled by engineers for lackluster accuracy.
+	jobKilled
+	// jobFailed: the job hit infrastructure errors.
+	jobFailed
 )
 
 // String implements fmt.Stringer.
-func (s JobStatus) String() string {
+func (s jobStatus) String() string {
 	switch s {
-	case Completed:
+	case jobCompleted:
 		return "completed"
-	case Killed:
+	case jobKilled:
 		return "killed"
-	case Failed:
+	case jobFailed:
 		return "failed"
 	default:
 		return "unknown"
 	}
 }
 
-// Job is one training job within a release iteration.
-type Job struct {
+// releaseJob is one training job within a release iteration.
+type releaseJob struct {
 	Model  string
-	Type   JobType
-	Status JobStatus
+	Type   jobType
+	Status jobStatus
 	// SubmitDay is the (fractional) day within the iteration the job
 	// was launched; engineers launch asynchronously to maximize ideas
 	// explored, creating temporal skew (§4.1).
@@ -86,11 +87,11 @@ type Job struct {
 	DataFraction float64
 }
 
-// EndDay reports when the job left the fleet.
-func (j Job) EndDay() float64 { return j.SubmitDay + j.DurationDays }
+// endDay reports when the job left the fleet.
+func (j releaseJob) endDay() float64 { return j.SubmitDay + j.DurationDays }
 
-// IterationParams tunes a release iteration generator.
-type IterationParams struct {
+// iterationParams tunes a release iteration generator.
+type iterationParams struct {
 	Model string
 	// ExploratoryJobs is the number of small per-engineer jobs.
 	ExploratoryJobs int
@@ -106,9 +107,9 @@ type IterationParams struct {
 	ComboCompute float64
 }
 
-// DefaultIteration mirrors the Figure 4 iteration.
-func DefaultIteration(model string) IterationParams {
-	return IterationParams{
+// defaultIteration mirrors the Figure 4 iteration.
+func defaultIteration(model string) iterationParams {
+	return iterationParams{
 		Model:             model,
 		ExploratoryJobs:   400,
 		ComboJobs:         82,
@@ -118,17 +119,17 @@ func DefaultIteration(model string) IterationParams {
 	}
 }
 
-// GenerateIteration produces the jobs of one release iteration. Combo
+// generateIteration produces the jobs of one release iteration. Combo
 // durations are lognormally skewed (many short killed jobs, a tail past
 // ten days) and submissions are spread across the window.
-func GenerateIteration(p IterationParams, seed int64) []Job {
+func generateIteration(p iterationParams, seed int64) []releaseJob {
 	rng := rand.New(rand.NewSource(seed))
-	jobs := make([]Job, 0, p.ExploratoryJobs+p.ComboJobs+p.ReleaseCandidates)
+	jobs := make([]releaseJob, 0, p.ExploratoryJobs+p.ComboJobs+p.ReleaseCandidates)
 
 	for i := 0; i < p.ExploratoryJobs; i++ {
-		jobs = append(jobs, Job{
+		jobs = append(jobs, releaseJob{
 			Model:        p.Model,
-			Type:         Exploratory,
+			Type:         exploratoryJob,
 			Status:       pickStatus(rng, 0.75, 0.20),
 			SubmitDay:    rng.Float64() * 21,
 			DurationDays: 0.2 + rng.ExpFloat64()*0.8,
@@ -142,9 +143,9 @@ func GenerateIteration(p IterationParams, seed int64) []Job {
 		if dur > 16 {
 			dur = 16
 		}
-		jobs = append(jobs, Job{
+		jobs = append(jobs, releaseJob{
 			Model:        p.Model,
-			Type:         Combo,
+			Type:         comboJob,
 			Status:       pickStatus(rng, 0.45, 0.40),
 			SubmitDay:    rng.Float64() * p.ComboWindowDays,
 			DurationDays: dur,
@@ -153,10 +154,10 @@ func GenerateIteration(p IterationParams, seed int64) []Job {
 		})
 	}
 	for i := 0; i < p.ReleaseCandidates; i++ {
-		jobs = append(jobs, Job{
+		jobs = append(jobs, releaseJob{
 			Model:        p.Model,
-			Type:         ReleaseCandidate,
-			Status:       Completed,
+			Type:         releaseCandidateJob,
+			Status:       jobCompleted,
 			SubmitDay:    p.ComboWindowDays + 3 + rng.Float64()*2,
 			DurationDays: 6 + rng.Float64()*6,
 			Compute:      p.ComboCompute * 1.5,
@@ -168,24 +169,24 @@ func GenerateIteration(p IterationParams, seed int64) []Job {
 
 // pickStatus draws a terminal status with the given completed and killed
 // probabilities (remainder fails).
-func pickStatus(rng *rand.Rand, pCompleted, pKilled float64) JobStatus {
+func pickStatus(rng *rand.Rand, pCompleted, pKilled float64) jobStatus {
 	r := rng.Float64()
 	switch {
 	case r < pCompleted:
-		return Completed
+		return jobCompleted
 	case r < pCompleted+pKilled:
-		return Killed
+		return jobKilled
 	default:
-		return Failed
+		return jobFailed
 	}
 }
 
-// DailyCompute integrates the jobs' compute into a per-day utilization
+// dailyCompute integrates the jobs' compute into a per-day utilization
 // series of the given length, starting at day 0.
-func DailyCompute(jobs []Job, days int) []float64 {
+func dailyCompute(jobs []releaseJob, days int) []float64 {
 	out := make([]float64, days)
 	for _, j := range jobs {
-		start, end := j.SubmitDay, j.EndDay()
+		start, end := j.SubmitDay, j.endDay()
 		for d := int(start); d < days && float64(d) < end; d++ {
 			// Overlap of [d, d+1) with [start, end).
 			lo := math.Max(float64(d), start)
@@ -198,8 +199,8 @@ func DailyCompute(jobs []Job, days int) []float64 {
 	return out
 }
 
-// YearParams configures the fleet-year simulation behind Figure 5.
-type YearParams struct {
+// yearParams configures the fleet-year simulation behind Figure 5.
+type yearParams struct {
 	Models []string
 	// IterationGapDays is the time between release iterations of one
 	// model.
@@ -208,18 +209,18 @@ type YearParams struct {
 	Days int
 }
 
-// SimulateYear runs staggered release iterations for every model and
+// simulateYear runs staggered release iterations for every model and
 // returns the fleet's daily total compute. Combo windows of different
 // models occasionally align, producing the distinct utilization peaks of
 // Figure 5.
-func SimulateYear(p YearParams, seed int64) []float64 {
+func simulateYear(p yearParams, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	total := make([]float64, p.Days)
 	for mi, model := range p.Models {
 		phase := rng.Float64() * p.IterationGapDays
 		for start := phase; start < float64(p.Days); start += p.IterationGapDays {
-			iter := GenerateIteration(DefaultIteration(model), seed+int64(mi*1000)+int64(start))
-			daily := DailyCompute(shiftJobs(iter, start), p.Days)
+			iter := generateIteration(defaultIteration(model), seed+int64(mi*1000)+int64(start))
+			daily := dailyCompute(shiftJobs(iter, start), p.Days)
 			for d := range total {
 				total[d] += daily[d]
 			}
@@ -228,8 +229,8 @@ func SimulateYear(p YearParams, seed int64) []float64 {
 	return total
 }
 
-func shiftJobs(jobs []Job, offset float64) []Job {
-	out := make([]Job, len(jobs))
+func shiftJobs(jobs []releaseJob, offset float64) []releaseJob {
+	out := make([]releaseJob, len(jobs))
 	for i, j := range jobs {
 		j.SubmitDay += offset
 		out[i] = j
@@ -237,8 +238,8 @@ func shiftJobs(jobs []Job, offset float64) []Job {
 	return out
 }
 
-// ChurnParams configures the Table 2 feature-lifecycle simulation.
-type ChurnParams struct {
+// churnParams configures the Table 2 feature-lifecycle simulation.
+type churnParams struct {
 	// ProposalsPerDay is the rate of new beta features.
 	ProposalsPerDay int
 	// Days is the horizon.
@@ -252,11 +253,11 @@ type ChurnParams struct {
 	IterationGapDays int
 }
 
-// DefaultChurn approximates RM1's Table 2 proportions: of 14614 features
+// defaultChurn approximates RM1's Table 2 proportions: of 14614 features
 // created in 6 months, 6 months later 69% remain beta, 6% experimental,
 // 11% active, 13% deprecated.
-func DefaultChurn() ChurnParams {
-	return ChurnParams{
+func defaultChurn() churnParams {
+	return churnParams{
 		ProposalsPerDay:  81, // ≈14.6k per 180 days
 		Days:             360,
 		PExperimental:    0.04,
@@ -266,11 +267,11 @@ func DefaultChurn() ChurnParams {
 	}
 }
 
-// SimulateChurn runs the feature lifecycle and returns the registry. On
+// simulateChurn runs the feature lifecycle and returns the registry. On
 // each iteration boundary, beta features may be promoted to
 // experimental; experimental features that belonged to the winning RC
 // become active; active features may be deprecated after review.
-func SimulateChurn(p ChurnParams, seed int64) *schema.Registry {
+func simulateChurn(p churnParams, seed int64) *schema.Registry {
 	rng := rand.New(rand.NewSource(seed))
 	reg := schema.NewRegistry()
 	var betas, experimentals, actives []schema.FeatureID

@@ -1,4 +1,4 @@
-package release
+package experiments
 
 import (
 	"sort"
@@ -8,13 +8,13 @@ import (
 )
 
 func TestGenerateIterationCounts(t *testing.T) {
-	p := DefaultIteration("rm1")
-	jobs := GenerateIteration(p, 1)
-	counts := map[JobType]int{}
+	p := defaultIteration("rm1")
+	jobs := generateIteration(p, 1)
+	counts := map[jobType]int{}
 	for _, j := range jobs {
 		counts[j.Type]++
 	}
-	if counts[Exploratory] != p.ExploratoryJobs || counts[Combo] != p.ComboJobs || counts[ReleaseCandidate] != p.ReleaseCandidates {
+	if counts[exploratoryJob] != p.ExploratoryJobs || counts[comboJob] != p.ComboJobs || counts[releaseCandidateJob] != p.ReleaseCandidates {
 		t.Fatalf("counts = %v", counts)
 	}
 }
@@ -22,10 +22,10 @@ func TestGenerateIterationCounts(t *testing.T) {
 func TestComboDurationsSkewed(t *testing.T) {
 	// Figure 4: combo durations are heavily skewed — the longest runs
 	// several times the median, with some beyond 10 days.
-	jobs := GenerateIteration(DefaultIteration("rm1"), 2)
+	jobs := generateIteration(defaultIteration("rm1"), 2)
 	var durs []float64
 	for _, j := range jobs {
-		if j.Type == Combo {
+		if j.Type == comboJob {
 			durs = append(durs, j.DurationDays)
 		}
 	}
@@ -42,14 +42,14 @@ func TestComboDurationsSkewed(t *testing.T) {
 
 func TestComboJobsOftenKilled(t *testing.T) {
 	// §4.1: many combo jobs fail or are killed for lackluster accuracy.
-	jobs := GenerateIteration(DefaultIteration("rm1"), 3)
+	jobs := generateIteration(defaultIteration("rm1"), 3)
 	var killed, total int
 	for _, j := range jobs {
-		if j.Type != Combo {
+		if j.Type != comboJob {
 			continue
 		}
 		total++
-		if j.Status != Completed {
+		if j.Status != jobCompleted {
 			killed++
 		}
 	}
@@ -59,12 +59,12 @@ func TestComboJobsOftenKilled(t *testing.T) {
 }
 
 func TestExploratoryJobsUseLittleData(t *testing.T) {
-	jobs := GenerateIteration(DefaultIteration("rm1"), 4)
+	jobs := generateIteration(defaultIteration("rm1"), 4)
 	for _, j := range jobs {
-		if j.Type == Exploratory && j.DataFraction >= 0.05 {
+		if j.Type == exploratoryJob && j.DataFraction >= 0.05 {
 			t.Fatalf("exploratory job reads %.2f of the table, want <5%%", j.DataFraction)
 		}
-		if j.Type == Combo && j.DataFraction < 0.5 {
+		if j.Type == comboJob && j.DataFraction < 0.5 {
 			t.Fatalf("combo job reads %.2f, want the majority", j.DataFraction)
 		}
 	}
@@ -72,10 +72,10 @@ func TestExploratoryJobsUseLittleData(t *testing.T) {
 
 func TestTemporalSkew(t *testing.T) {
 	// Engineers launch combo jobs asynchronously across the window.
-	jobs := GenerateIteration(DefaultIteration("rm1"), 5)
+	jobs := generateIteration(defaultIteration("rm1"), 5)
 	var submits []float64
 	for _, j := range jobs {
-		if j.Type == Combo {
+		if j.Type == comboJob {
 			submits = append(submits, j.SubmitDay)
 		}
 	}
@@ -86,19 +86,19 @@ func TestTemporalSkew(t *testing.T) {
 }
 
 func TestDailyComputeIntegration(t *testing.T) {
-	jobs := []Job{
+	jobs := []releaseJob{
 		{SubmitDay: 0.5, DurationDays: 1, Compute: 2}, // days 0 and 1, half each
 	}
-	daily := DailyCompute(jobs, 3)
+	daily := dailyCompute(jobs, 3)
 	if daily[0] != 1 || daily[1] != 1 || daily[2] != 0 {
 		t.Fatalf("daily = %v", daily)
 	}
 }
 
 func TestDailyComputeConservesWork(t *testing.T) {
-	jobs := GenerateIteration(DefaultIteration("rm1"), 6)
+	jobs := generateIteration(defaultIteration("rm1"), 6)
 	horizon := 80
-	daily := DailyCompute(jobs, horizon)
+	daily := dailyCompute(jobs, horizon)
 	var got, want float64
 	for _, v := range daily {
 		got += v
@@ -114,7 +114,7 @@ func TestDailyComputeConservesWork(t *testing.T) {
 func TestSimulateYearHasPeaks(t *testing.T) {
 	// Figure 5: distinct peaks when combo windows of many models align.
 	models := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	daily := SimulateYear(YearParams{Models: models, IterationGapDays: 45, Days: 365}, 7)
+	daily := simulateYear(yearParams{Models: models, IterationGapDays: 45, Days: 365}, 7)
 	if len(daily) != 365 {
 		t.Fatalf("len = %d", len(daily))
 	}
@@ -135,7 +135,7 @@ func TestSimulateChurnTable2Shape(t *testing.T) {
 	// Table 2: count features created in a 6-month window and their
 	// status 6 months later. Beta dominates, active and deprecated are
 	// each ~10-15%, experimental is smallest.
-	reg := SimulateChurn(DefaultChurn(), 8)
+	reg := simulateChurn(defaultChurn(), 8)
 	counts := reg.CountByState(0, 179)
 	total := counts[schema.Beta] + counts[schema.Experimental] + counts[schema.Active] + counts[schema.Deprecated]
 	if total < 12000 || total > 17000 {
@@ -157,8 +157,8 @@ func TestSimulateChurnTable2Shape(t *testing.T) {
 }
 
 func TestSimulateChurnDeterministic(t *testing.T) {
-	a := SimulateChurn(DefaultChurn(), 9)
-	b := SimulateChurn(DefaultChurn(), 9)
+	a := simulateChurn(defaultChurn(), 9)
+	b := simulateChurn(defaultChurn(), 9)
 	ca, cb := a.CountByState(0, 179), b.CountByState(0, 179)
 	for s, v := range ca {
 		if cb[s] != v {
@@ -168,10 +168,10 @@ func TestSimulateChurnDeterministic(t *testing.T) {
 }
 
 func TestJobTypeAndStatusStrings(t *testing.T) {
-	if Exploratory.String() != "exploratory" || Combo.String() != "combo" || ReleaseCandidate.String() != "release-candidate" {
-		t.Fatal("JobType strings")
+	if exploratoryJob.String() != "exploratory" || comboJob.String() != "combo" || releaseCandidateJob.String() != "release-candidate" {
+		t.Fatal("jobType strings")
 	}
-	if Completed.String() != "completed" || Killed.String() != "killed" || Failed.String() != "failed" {
-		t.Fatal("JobStatus strings")
+	if jobCompleted.String() != "completed" || jobKilled.String() != "killed" || jobFailed.String() != "failed" {
+		t.Fatal("jobStatus strings")
 	}
 }

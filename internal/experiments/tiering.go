@@ -1,9 +1,4 @@
-// Package tiering implements the heterogeneous-storage proposal of §7.2:
-// an SSD tier in front of the HDD-based storage layer that holds the most
-// commonly-used feature streams — the paper's "placing commonly-used
-// features on SSD-based caches" opportunity. FleetPlan sizes the storage
-// fleet and its power with and without that tier.
-package tiering
+package experiments
 
 import (
 	"fmt"
@@ -11,9 +6,15 @@ import (
 	"dsi/internal/hw"
 )
 
-// FleetPlan compares storage fleets for a given dataset and throughput
+// The heterogeneous-storage proposal of §7.2: an SSD tier in front of
+// the HDD-based storage layer that holds the most commonly-used feature
+// streams — the paper's "placing commonly-used features on SSD-based
+// caches" opportunity. A tierPlan sizes the storage fleet and its power
+// with and without that tier; the ablations experiment reads it.
+
+// tierPlan compares storage fleets for a given dataset and throughput
 // demand, with and without the SSD tier.
-type FleetPlan struct {
+type tierPlan struct {
 	DatasetBytes int64
 	Replication  int
 	DemandGBps   float64
@@ -29,15 +30,15 @@ type FleetPlan struct {
 	HotBytesShare float64
 }
 
-// Evaluation is the power outcome of one fleet layout.
-type Evaluation struct {
+// tierEvaluation is the power outcome of one fleet layout.
+type tierEvaluation struct {
 	HDDNodes, SSDNodes float64
 	TotalWatts         float64
 }
 
-func (p FleetPlan) nodesFor(disk hw.DiskSpec, bytes int64, gbps float64) (nodes float64) {
+func (p tierPlan) nodesFor(disk hw.DiskSpec, bytes int64, gbps float64) (nodes float64) {
 	capNodes := float64(bytes) * float64(p.Replication) / (disk.CapacityTB * 1e12 * float64(p.DisksPerNode))
-	perDiskGBps := disk.RandIOPS(p.AvgIOBytes) * float64(p.AvgIOBytes) / 1e9
+	perDiskGBps := randIOPS(disk, p.AvgIOBytes) * float64(p.AvgIOBytes) / 1e9
 	iopsNodes := gbps / (perDiskGBps * float64(p.DisksPerNode))
 	if iopsNodes > capNodes {
 		return iopsNodes
@@ -45,24 +46,24 @@ func (p FleetPlan) nodesFor(disk hw.DiskSpec, bytes int64, gbps float64) (nodes 
 	return capNodes
 }
 
-// PureHDD sizes an all-HDD fleet (the paper's status quo: IOPS-driven
+// pureHDD sizes an all-HDD fleet (the paper's status quo: IOPS-driven
 // over-provisioning).
-func (p FleetPlan) PureHDD() Evaluation {
+func (p tierPlan) pureHDD() tierEvaluation {
 	n := p.nodesFor(p.HDD, p.DatasetBytes, p.DemandGBps)
-	return Evaluation{HDDNodes: n, TotalWatts: n * p.HDDNodeWatts}
+	return tierEvaluation{HDDNodes: n, TotalWatts: n * p.HDDNodeWatts}
 }
 
-// Tiered sizes the hybrid: SSDs hold the hot bytes and absorb the hot
+// tiered sizes the hybrid: SSDs hold the hot bytes and absorb the hot
 // traffic; HDDs hold everything (durability copies) but serve only the
 // cold remainder.
-func (p FleetPlan) Tiered() (Evaluation, error) {
+func (p tierPlan) tiered() (tierEvaluation, error) {
 	if p.HotTrafficShare < 0 || p.HotTrafficShare > 1 || p.HotBytesShare < 0 || p.HotBytesShare > 1 {
-		return Evaluation{}, fmt.Errorf("tiering: shares out of range")
+		return tierEvaluation{}, fmt.Errorf("tiering: shares out of range")
 	}
 	ssdBytes := int64(float64(p.DatasetBytes) * p.HotBytesShare)
 	ssd := p.nodesFor(p.SSD, ssdBytes, p.DemandGBps*p.HotTrafficShare)
 	hdd := p.nodesFor(p.HDD, p.DatasetBytes, p.DemandGBps*(1-p.HotTrafficShare))
-	return Evaluation{
+	return tierEvaluation{
 		HDDNodes:   hdd,
 		SSDNodes:   ssd,
 		TotalWatts: hdd*p.HDDNodeWatts + ssd*p.SSDNodeWatts,

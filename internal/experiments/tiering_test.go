@@ -1,4 +1,4 @@
-package tiering
+package experiments
 
 import (
 	"testing"
@@ -6,8 +6,8 @@ import (
 	"dsi/internal/hw"
 )
 
-func fleetPlan() FleetPlan {
-	return FleetPlan{
+func rm1TierPlan() tierPlan {
+	return tierPlan{
 		DatasetBytes: 12e15, Replication: 3, DemandGBps: 1500,
 		AvgIOBytes: 1310720, HDD: hw.HDD, SSD: hw.SSD, DisksPerNode: 36,
 		HDDNodeWatts: 500, SSDNodeWatts: 900,
@@ -19,9 +19,9 @@ func TestTieredBeatsPureHDD(t *testing.T) {
 	// §7.2: an SSD tier holding RM1's hot 39% of bytes absorbs 80% of
 	// traffic, shrinking the IOPS-driven HDD over-provisioning enough to
 	// cut total storage power.
-	p := fleetPlan()
-	hddOnly := p.PureHDD()
-	tiered, err := p.Tiered()
+	p := rm1TierPlan()
+	hddOnly := p.pureHDD()
+	tiered, err := p.tiered()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +37,9 @@ func TestPureSSDIsCapacityBound(t *testing.T) {
 	// Storing the whole dataset on SSD — the tier holding every byte and
 	// serving all traffic — flips to the unfavourable
 	// storage-to-throughput direction (§7.2).
-	p := fleetPlan()
+	p := rm1TierPlan()
 	p.HotBytesShare, p.HotTrafficShare = 1, 1
-	ssdOnly, err := p.Tiered()
+	ssdOnly, err := p.tiered()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,9 @@ func TestPureSSDIsCapacityBound(t *testing.T) {
 }
 
 func TestTieredSharesValidation(t *testing.T) {
-	p := fleetPlan()
+	p := rm1TierPlan()
 	p.HotTrafficShare = 1.5
-	if _, err := p.Tiered(); err == nil {
+	if _, err := p.tiered(); err == nil {
 		t.Fatal("invalid share accepted")
 	}
 }

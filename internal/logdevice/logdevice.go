@@ -396,15 +396,3 @@ func (s *Store) StoredBytes(name string) (int64, error) {
 	defer st.mu.Unlock()
 	return st.memBytes + st.sealBytes, nil
 }
-
-// SegmentCount reports the number of sealed segments (for tests and
-// introspection).
-func (s *Store) SegmentCount(name string) (int, error) {
-	st, err := s.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.segments), nil
-}

@@ -102,12 +102,12 @@ func TestMemtableSealing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := s.SegmentCount("a")
+	st, err := s.lookup("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("SegmentCount = %d, want 3", n)
+	if n := len(st.segments); n != 3 {
+		t.Fatalf("sealed segments = %d, want 3", n)
 	}
 	// Reads must span segments + memtable seamlessly.
 	recs, err := s.ReadFrom("a", 1, 100)

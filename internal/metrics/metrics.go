@@ -1,6 +1,6 @@
-// Package metrics provides the lightweight measurement primitives used by
-// every experiment in the repository: counters, sample histograms
-// with percentile queries, and byte-popularity CDFs.
+// Package metrics provides the lightweight measurement primitives the
+// pipeline counts with: counters, stopwatches and sample histograms with
+// percentile queries.
 //
 // The package intentionally stores raw samples rather than sketches: the
 // experiments operate at simulation scale (thousands to millions of
@@ -172,105 +172,4 @@ func (h *Histogram) Summarize() Summary {
 		P75:    h.Quantile(0.75),
 		P95:    h.Quantile(0.95),
 	}
-}
-
-// PopularityCDF answers the Figure 7 question: what fraction of total
-// traffic is absorbed by the most popular x% of bytes? Keys identify byte
-// ranges (e.g. feature streams); weights are bytes stored per key; traffic
-// is bytes served per key.
-type PopularityCDF struct {
-	mu      sync.Mutex
-	stored  map[string]float64
-	traffic map[string]float64
-}
-
-// NewPopularityCDF returns an empty popularity tracker.
-func NewPopularityCDF() *PopularityCDF {
-	return &PopularityCDF{
-		stored:  make(map[string]float64),
-		traffic: make(map[string]float64),
-	}
-}
-
-// SetStored records the stored size of a key. Re-setting replaces the size.
-func (p *PopularityCDF) SetStored(key string, bytes float64) {
-	p.mu.Lock()
-	p.stored[key] = bytes
-	p.mu.Unlock()
-}
-
-// AddTraffic accumulates served bytes for a key.
-func (p *PopularityCDF) AddTraffic(key string, bytes float64) {
-	p.mu.Lock()
-	p.traffic[key] += bytes
-	p.mu.Unlock()
-}
-
-// TrafficShare reports the fraction of all traffic served by the hottest
-// keys that together account for storedFrac of all stored bytes. Keys are
-// ranked by traffic density (traffic per stored byte), matching how a cache
-// of a given capacity would be filled.
-func (p *PopularityCDF) TrafficShare(storedFrac float64) float64 {
-	if storedFrac < 0 || storedFrac > 1 {
-		panic(fmt.Sprintf("metrics: stored fraction %v out of range", storedFrac))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	type kv struct {
-		stored, traffic float64
-	}
-	var totalStored, totalTraffic float64
-	items := make([]kv, 0, len(p.stored))
-	for k, s := range p.stored {
-		t := p.traffic[k]
-		items = append(items, kv{stored: s, traffic: t})
-		totalStored += s
-		totalTraffic += t
-	}
-	if totalStored == 0 || totalTraffic == 0 {
-		return 0
-	}
-	sort.Slice(items, func(i, j int) bool {
-		di := items[i].traffic / math.Max(items[i].stored, 1)
-		dj := items[j].traffic / math.Max(items[j].stored, 1)
-		return di > dj
-	})
-	budget := storedFrac * totalStored
-	var used, served float64
-	for _, it := range items {
-		if used+it.stored > budget {
-			// Partial credit for the key straddling the budget edge,
-			// proportional to the fraction of its bytes that fit.
-			remain := budget - used
-			if remain > 0 {
-				served += it.traffic * (remain / it.stored)
-			}
-			break
-		}
-		used += it.stored
-		served += it.traffic
-	}
-	return served / totalTraffic
-}
-
-// StoredShareForTraffic answers the inverse query: the minimum fraction of
-// stored bytes needed to absorb trafficFrac of all traffic. This is the
-// number the paper quotes ("to serve 80% of traffic we need the hottest
-// 39% of RM1's bytes").
-func (p *PopularityCDF) StoredShareForTraffic(trafficFrac float64) float64 {
-	if trafficFrac < 0 || trafficFrac > 1 {
-		panic(fmt.Sprintf("metrics: traffic fraction %v out of range", trafficFrac))
-	}
-	// Binary search over TrafficShare, which is monotonic in storedFrac.
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if p.TrafficShare(mid) >= trafficFrac {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
 }

@@ -178,88 +178,6 @@ func TestHistogramMeanBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestPopularityCDFUniform(t *testing.T) {
-	p := NewPopularityCDF()
-	for _, k := range []string{"a", "b", "c", "d"} {
-		p.SetStored(k, 100)
-		p.AddTraffic(k, 10)
-	}
-	if got := p.TrafficShare(0.5); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("uniform TrafficShare(0.5) = %v, want 0.5", got)
-	}
-	if got := p.TrafficShare(1); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("TrafficShare(1) = %v, want 1", got)
-	}
-	if got := p.TrafficShare(0); got != 0 {
-		t.Fatalf("TrafficShare(0) = %v, want 0", got)
-	}
-}
-
-func TestPopularityCDFSkewed(t *testing.T) {
-	p := NewPopularityCDF()
-	p.SetStored("hot", 100)
-	p.AddTraffic("hot", 900)
-	p.SetStored("cold", 900)
-	p.AddTraffic("cold", 100)
-	// 10% of bytes (the hot key) absorbs 90% of traffic.
-	if got := p.TrafficShare(0.1); math.Abs(got-0.9) > 1e-9 {
-		t.Fatalf("TrafficShare(0.1) = %v, want 0.9", got)
-	}
-	// Inverse query: 90% of traffic needs ~10% of bytes.
-	if got := p.StoredShareForTraffic(0.9); math.Abs(got-0.1) > 0.01 {
-		t.Fatalf("StoredShareForTraffic(0.9) = %v, want ~0.1", got)
-	}
-}
-
-func TestPopularityCDFPartialKey(t *testing.T) {
-	p := NewPopularityCDF()
-	p.SetStored("only", 100)
-	p.AddTraffic("only", 50)
-	// Asking for 50% of stored bytes should credit 50% of the single key's
-	// traffic.
-	if got := p.TrafficShare(0.5); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("TrafficShare(0.5) = %v, want 0.5", got)
-	}
-}
-
-func TestPopularityCDFEmpty(t *testing.T) {
-	p := NewPopularityCDF()
-	if got := p.TrafficShare(0.5); got != 0 {
-		t.Fatalf("empty TrafficShare = %v, want 0", got)
-	}
-}
-
-// Property: TrafficShare is monotone non-decreasing in the stored fraction.
-func TestPopularityCDFMonotoneProperty(t *testing.T) {
-	f := func(stored, traffic []uint16) bool {
-		p := NewPopularityCDF()
-		n := len(stored)
-		if len(traffic) < n {
-			n = len(traffic)
-		}
-		if n == 0 {
-			return true
-		}
-		for i := 0; i < n; i++ {
-			key := string(rune('a' + i%26))
-			p.SetStored(key, float64(stored[i])+1)
-			p.AddTraffic(key, float64(traffic[i]))
-		}
-		prev := -1.0
-		for frac := 0.0; frac <= 1.0; frac += 0.05 {
-			v := p.TrafficShare(frac)
-			if v < prev-1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStopwatch(t *testing.T) {
 	var s Stopwatch
 	if s.Busy() != 0 {

@@ -86,7 +86,7 @@ func TestFaultFlakyRetriesThenSucceeds(t *testing.T) {
 	c.SetFaultSchedule(sched)
 
 	var trace ReadTrace
-	step := c.ChunkSize() / 4
+	step := c.opts.ChunkSize / 4
 	for off := int64(0); off < int64(len(data)); off += step {
 		n := step
 		if off+n > int64(len(data)) {
@@ -125,11 +125,11 @@ func TestFaultSlowTriggersHedge(t *testing.T) {
 	}
 	c.SetFaultSchedule(sched)
 
-	got, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
+	got, trace, err := c.ReadAtTraced("f", 0, c.opts.ChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data[:c.ChunkSize()]) {
+	if !bytes.Equal(got, data[:c.opts.ChunkSize]) {
 		t.Fatal("hedged read returned wrong bytes")
 	}
 	if trace.Hedges == 0 {
@@ -179,11 +179,11 @@ func TestQuarantineDemotesReplica(t *testing.T) {
 		t.Fatal("replica not recorded as quarantined")
 	}
 
-	got, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
+	got, trace, err := c.ReadAtTraced("f", 0, c.opts.ChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data[:c.ChunkSize()]) {
+	if !bytes.Equal(got, data[:c.opts.ChunkSize]) {
 		t.Fatal("read after quarantine returned wrong bytes")
 	}
 	for _, sv := range trace.Served {
@@ -236,11 +236,11 @@ func TestFaultWindowExpiry(t *testing.T) {
 	c.SetFaultSchedule(faults.NewSchedule(9).Down(reps[0], 0, time.Millisecond))
 
 	c.Clock().Advance(2 * time.Millisecond)
-	got, trace, err := c.ReadAtTraced("f", 0, c.ChunkSize())
+	got, trace, err := c.ReadAtTraced("f", 0, c.opts.ChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data[:c.ChunkSize()]) {
+	if !bytes.Equal(got, data[:c.opts.ChunkSize]) {
 		t.Fatal("post-window read returned wrong bytes")
 	}
 	if len(trace.Served) == 0 || trace.Served[0].Node != reps[0] {
@@ -259,14 +259,14 @@ func TestBorrowNeverAliasesCorruptingNode(t *testing.T) {
 	}
 	c.SetFaultSchedule(sched)
 
-	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 0, c.ChunkSize())
+	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 0, c.opts.ChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if borrowed {
 		t.Fatal("corrupting node lent out its chunk buffer")
 	}
-	if bytes.Equal(got, data[:c.ChunkSize()]) {
+	if bytes.Equal(got, data[:c.opts.ChunkSize]) {
 		t.Fatal("corrupting node served clean bytes")
 	}
 	// Exactly one bit differs.
@@ -283,11 +283,11 @@ func TestBorrowNeverAliasesCorruptingNode(t *testing.T) {
 
 	// The stored replica is unharmed: healthy reads return clean bytes.
 	c.SetFaultSchedule(nil)
-	clean, _, err := c.ReadAt("f", 0, c.ChunkSize())
+	clean, _, err := c.ReadAt("f", 0, c.opts.ChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(clean, data[:c.ChunkSize()]) {
+	if !bytes.Equal(clean, data[:c.opts.ChunkSize]) {
 		t.Fatal("stored chunk was mutated by the corrupting serve")
 	}
 }

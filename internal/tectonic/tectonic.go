@@ -144,9 +144,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 // Clock returns the cluster's virtual clock.
 func (c *Cluster) Clock() *clock.Clock { return c.clock }
 
-// ChunkSize returns the configured chunk size.
-func (c *Cluster) ChunkSize() int64 { return c.opts.ChunkSize }
-
 // Replication returns the configured replicas per chunk.
 func (c *Cluster) Replication() int { return c.opts.Replication }
 
@@ -283,7 +280,9 @@ func (c *Cluster) List(prefix string) []string {
 	return out
 }
 
-// Delete removes a file and reclaims its chunks on all replicas.
+// Delete removes a file and reclaims its chunks on all replicas. Each
+// replica's disk forgets the chunk's sequential-read state, so a file
+// re-created at the path starts cold.
 func (c *Cluster) Delete(path string) error {
 	c.mu.Lock()
 	f, ok := c.files[path]
@@ -302,6 +301,7 @@ func (c *Cluster) Delete(path string) error {
 			node.mu.Lock()
 			delete(node.chunks, chunkKey{path: path, index: int64(idx)})
 			node.mu.Unlock()
+			node.Disk.Forget(f.streams[idx])
 		}
 	}
 	return nil

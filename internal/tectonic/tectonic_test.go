@@ -143,6 +143,38 @@ func TestDeleteReclaims(t *testing.T) {
 	}
 }
 
+// A file re-created at a deleted path (warehouse orphan reclaim,
+// PartitionWriter.Abort) must not inherit the dead file's
+// sequential-read state: its first read pays a seek even when it starts
+// where the deleted file's last read ended.
+func TestDeleteForgetsSequentialReads(t *testing.T) {
+	c := newTestCluster(t, 1<<20)
+	write := func() {
+		t.Helper()
+		if err := c.Create("f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Append("f", make([]byte, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write()
+	if _, _, err := c.ReadAt("f", 0, 32<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete("f"); err != nil {
+		t.Fatal(err)
+	}
+	write()
+	before := c.AggregateDiskBusy()
+	if _, _, err := c.ReadAt("f", 32<<10, 32<<10); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.AggregateDiskBusy() - before; got < hw.HDD.SeekTime {
+		t.Fatalf("first read of the re-created file cost %v, want a seek (%v) or more", got, hw.HDD.SeekTime)
+	}
+}
+
 func TestList(t *testing.T) {
 	c := newTestCluster(t, 8)
 	for _, p := range []string{"tables/rm1/p0", "tables/rm1/p1", "tables/rm2/p0"} {

@@ -376,8 +376,8 @@ func TestChunkGrowthDoubles(t *testing.T) {
 	appendStripe(tokens[streams:])
 	for _, n := range c.nodes {
 		for key, buf := range n.chunks {
-			if int64(cap(buf)) > c.ChunkSize() {
-				t.Fatalf("chunk %d grew to %d bytes, past the %d-byte chunk size", key.index, cap(buf), c.ChunkSize())
+			if int64(cap(buf)) > c.opts.ChunkSize {
+				t.Fatalf("chunk %d grew to %d bytes, past the %d-byte chunk size", key.index, cap(buf), c.opts.ChunkSize)
 			}
 		}
 	}

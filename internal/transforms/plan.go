@@ -99,37 +99,9 @@ type fusedMember struct {
 	out int
 }
 
-// Ops reports how many non-row ops the plan executes and Steps how many
-// executable steps they lowered into; Steps < Ops means dense chains
-// fused.
-func (p *Plan) Ops() int {
-	n := 0
-	for _, s := range p.steps {
-		if g, ok := s.fused(); ok {
-			n += len(g.members)
-		} else {
-			n++
-		}
-	}
-	return n + len(p.rowOps)
-}
-
-// Steps reports the number of executable steps (fused chains count
-// once), plus row ops.
-func (p *Plan) Steps() int { return len(p.steps) + len(p.rowOps) }
-
-// fused reports the step's fusion group, if it is one.
-func (s *planStep) fused() (*fusedDense, bool) {
-	g, ok := s.op.(*fusedStepMarker)
-	if !ok {
-		return nil, false
-	}
-	return g.group, true
-}
-
 // fusedStepMarker lets a fused step carry its group for introspection
-// (Ops/Steps, tests) while keeping planStep uniform. It is never
-// executed as an Op.
+// (tests count a plan's fused ops through it) while keeping planStep
+// uniform. It is never executed as an Op.
 type fusedStepMarker struct {
 	Op
 	group *fusedDense

@@ -390,8 +390,16 @@ func TestPlanFusesDenseChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Logit+Clamp+BoxCox fuse into one step; GetLocalHour is its own.
-	if plan.Ops() != 4 || plan.Steps() != 2 {
-		t.Fatalf("ops=%d steps=%d, want 4 ops in 2 steps", plan.Ops(), plan.Steps())
+	ops, steps := len(plan.rowOps), len(plan.steps)+len(plan.rowOps)
+	for _, s := range plan.steps {
+		if m, ok := s.op.(*fusedStepMarker); ok {
+			ops += len(m.group.members)
+		} else {
+			ops++
+		}
+	}
+	if ops != 4 || steps != 2 {
+		t.Fatalf("ops=%d steps=%d, want 4 ops in 2 steps", ops, steps)
 	}
 }
 
