@@ -109,7 +109,7 @@ func BenchmarkStripeDecode(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for s := 0; s < r.Stripes(); s++ {
-						batch, _, err := r.ReadStripeBatchArena(s, nil, dwrf.ReadOptions{CoalesceBytes: 1 << 20}, arena)
+						batch, _, err := r.ReadStripe(s, nil, dwrf.ReadOptions{CoalesceBytes: 1 << 20}, arena)
 						if err != nil {
 							b.Fatal(err)
 						}

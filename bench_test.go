@@ -85,9 +85,11 @@ func BenchmarkDWRFReadProjected(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sp := range splits {
-			if _, _, err := wh.ReadSplit(sp, proj, dwrf.ReadOptions{CoalesceBytes: 128 << 10}); err != nil {
+			batch, _, err := wh.ReadSplit(sp, proj, dwrf.ReadOptions{CoalesceBytes: 128 << 10})
+			if err != nil {
 				b.Fatal(err)
 			}
+			batch.Release()
 		}
 	}
 }
@@ -98,9 +100,11 @@ func BenchmarkDWRFReadBatchFlatmap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sp := range splits {
-			if _, _, err := wh.ReadSplitBatchCached(sp, proj, dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true}); err != nil {
+			batch, _, err := wh.ReadSplitBatchCached(sp, proj, dwrf.ReadOptions{CoalesceBytes: 128 << 10, Flatmap: true})
+			if err != nil {
 				b.Fatal(err)
 			}
+			batch.Release()
 		}
 	}
 }
@@ -111,9 +115,11 @@ func BenchmarkDWRFReadRegularMapBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sp := range splits {
-			if _, _, err := wh.ReadSplit(sp, proj, dwrf.ReadOptions{}); err != nil {
+			batch, _, err := wh.ReadSplit(sp, proj, dwrf.ReadOptions{})
+			if err != nil {
 				b.Fatal(err)
 			}
+			batch.Release()
 		}
 	}
 }

@@ -35,7 +35,7 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, writeF
 	if writeFaultSeed != 0 {
 		// A quarter of the Scribe appends land but lose their ack; the
 		// daemon's tokened retries dedup them through the ledger.
-		store.SetWriteFaults(faults.NewSchedule(writeFaultSeed).TornWrites(0, 0, 0, 0.25), nil)
+		store.SetWriteFaults(faults.NewSchedule(writeFaultSeed).TornWrites(0, 0, 0, 0.25))
 	}
 	bus := scribe.NewBus(store)
 	daemon := scribe.NewDaemon("dppd-serving", bus)

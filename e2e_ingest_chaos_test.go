@@ -83,7 +83,7 @@ func TestEndToEndStreamingIngestChaos(t *testing.T) {
 	// but lose their acknowledgement, so Scribe's requeue must retry
 	// every one of them through the token ledger.
 	store := logdevice.NewStore()
-	store.SetWriteFaults(faults.NewSchedule(seed).TornWrites(0, 0, 0, 0.35), nil)
+	store.SetWriteFaults(faults.NewSchedule(seed).TornWrites(0, 0, 0, 0.35))
 	bus := scribe.NewBus(store)
 	daemon := scribe.NewDaemon("web-1", bus)
 	sim := datagen.NewServingSimulator(model, datagen.NewGenerator(spec, seed), daemon)

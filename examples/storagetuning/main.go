@@ -82,10 +82,11 @@ func evaluate(profile datagen.Profile, spec datagen.DatasetSpec, l layout) error
 	var wanted, read, over int64
 	var ios int
 	for _, sp := range splits {
-		_, stats, err := wh.ReadSplit(sp, proj, dwrf.ReadOptions{CoalesceBytes: l.coalesce})
+		b, stats, err := wh.ReadSplit(sp, proj, dwrf.ReadOptions{CoalesceBytes: l.coalesce})
 		if err != nil {
 			return err
 		}
+		b.Release()
 		wanted += stats.BytesWanted
 		read += stats.BytesRead
 		over += stats.BytesOverRead

@@ -32,7 +32,7 @@ import (
 //     *Arena read path) starts EXCLUSIVELY owned: one owner, one
 //     Release, which hands every column back. The batch and its columns
 //     must not be used after the final Release — consumers that need
-//     data longer (frames, row-view samples) copy it out first.
+//     data longer (frames) copy it out first.
 //   - Share transitions a batch to SHARED (counted) ownership with one
 //     reference. Call it before the batch becomes visible to other
 //     goroutines (the fleet cache does so under its own lock, before

@@ -6,8 +6,12 @@ import "dsi/internal/schema"
 // representation. This is the conversion step the paper's unoptimized
 // pipeline performs between the row-oriented extraction format and the
 // columnar tensor format — the copy the in-memory flatmap optimization
-// removes (§7.5).
-func BatchFromSamples(rows []*schema.Sample) *Batch {
+// removes (§7.5). A regular-map stripe read pays it (Reader.ReadStripe).
+func BatchFromSamples(rows []*schema.Sample) *Batch { return batchFromSamples(rows, nil) }
+
+// batchFromSamples is BatchFromSamples keeping only the features proj
+// selects (every feature when proj is nil).
+func batchFromSamples(rows []*schema.Sample, proj *schema.Projection) *Batch {
 	b := newBatch(len(rows))
 	b.Labels = make([]float32, len(rows))
 
@@ -24,6 +28,9 @@ func BatchFromSamples(rows []*schema.Sample) *Batch {
 		}
 	}
 	for id, kind := range present {
+		if proj != nil && !proj.Contains(id) {
+			continue
+		}
 		switch kind {
 		case schema.Dense:
 			col := &DenseColumn{Present: make([]bool, len(rows)), Values: make([]float32, len(rows))}

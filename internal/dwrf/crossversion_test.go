@@ -145,16 +145,7 @@ func openFixture(t *testing.T, v int) *Reader {
 
 func requireFixtureRows(t *testing.T, r *Reader) {
 	t.Helper()
-	want := fixtureRows()
-	got := readAllRows(t, r, nil, ReadOptions{})
-	if len(got) != len(want) {
-		t.Fatalf("read %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !sampleEqual(want[i], got[i]) {
-			t.Fatalf("row %d mismatch:\nwant %+v\ngot  %+v", i, want[i], got[i])
-		}
-	}
+	requireReadsRows(t, r, fixtureRows(), nil, ReadOptions{})
 }
 
 // TestCrossVersionEncodingV1FixtureReads proves the current reader

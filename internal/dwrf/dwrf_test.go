@@ -3,7 +3,6 @@ package dwrf
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -95,60 +94,72 @@ func writeFile(t testing.TB, c *tectonic.Cluster, path string, ts *schema.TableS
 	}
 }
 
-func readAllRows(t testing.TB, r *Reader, proj *schema.Projection, opts ReadOptions) []*schema.Sample {
+// readStats reads stripe i, releases its batch and returns the read's
+// stats.
+func readStats(t testing.TB, r *Reader, i int, proj *schema.Projection, opts ReadOptions) ReadStats {
 	t.Helper()
-	var out []*schema.Sample
+	b, stats, err := r.ReadStripe(i, proj, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	return stats
+}
+
+// projectRows deep-copies rows, keeping only the features proj selects
+// (every feature when proj is nil).
+func projectRows(rows []*schema.Sample, proj *schema.Projection) []*schema.Sample {
+	out := make([]*schema.Sample, len(rows))
+	for i, s := range rows {
+		c := schema.NewSample()
+		c.Label = s.Label
+		for id, v := range s.DenseFeatures {
+			if proj == nil || proj.Contains(id) {
+				c.DenseFeatures[id] = v
+			}
+		}
+		for id, vals := range s.SparseFeatures {
+			if proj == nil || proj.Contains(id) {
+				c.SparseFeatures[id] = append([]int64(nil), vals...)
+			}
+		}
+		for id, vals := range s.ScoreListFeatures {
+			if proj == nil || proj.Contains(id) {
+				c.ScoreListFeatures[id] = append([]schema.ScoredValue(nil), vals...)
+			}
+		}
+		out[i] = c
+	}
+	return out
+}
+
+// requireReadsRows reads every stripe of r under proj and requires
+// each, its dictionaries materialized, to equal BatchFromSamples of the
+// projected written rows it holds. It returns the reads' merged stats.
+func requireReadsRows(t testing.TB, r *Reader, rows []*schema.Sample, proj *schema.Projection, opts ReadOptions) ReadStats {
+	t.Helper()
+	want := projectRows(rows, proj)
+	var stats ReadStats
+	off := 0
 	for i := 0; i < r.Stripes(); i++ {
-		rows, _, err := r.ReadStripe(i, proj, opts)
+		b, st, err := r.ReadStripe(i, proj, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rows...)
-	}
-	return out
-}
-
-// copySample deep-copies a sample so tests can filter or mutate it
-// without touching the written fixture.
-func copySample(s *schema.Sample) *schema.Sample {
-	out := schema.NewSample()
-	out.Label = s.Label
-	for id, v := range s.DenseFeatures {
-		out.DenseFeatures[id] = v
-	}
-	for id, vals := range s.SparseFeatures {
-		out.SparseFeatures[id] = append([]int64(nil), vals...)
-	}
-	for id, vals := range s.ScoreListFeatures {
-		out.ScoreListFeatures[id] = append([]schema.ScoredValue(nil), vals...)
-	}
-	return out
-}
-
-func sampleEqual(a, b *schema.Sample) bool {
-	if a.Label != b.Label {
-		return false
-	}
-	if !reflect.DeepEqual(a.DenseFeatures, b.DenseFeatures) {
-		return false
-	}
-	if len(a.SparseFeatures) != len(b.SparseFeatures) {
-		return false
-	}
-	for id, av := range a.SparseFeatures {
-		if !reflect.DeepEqual(av, b.SparseFeatures[id]) {
-			return false
+		stats.add(st)
+		n := b.Rows
+		if off+n > len(want) {
+			t.Fatalf("stripe %d ends at row %d of %d written", i, off+n, len(want))
 		}
+		b.MaterializeDicts() // compare values, not dictionary indices
+		requireSameBatch(t, BatchFromSamples(want[off:off+n]), b)
+		b.Release()
+		off += n
 	}
-	if len(a.ScoreListFeatures) != len(b.ScoreListFeatures) {
-		return false
+	if off != len(want) {
+		t.Fatalf("read %d rows, wrote %d", off, len(want))
 	}
-	for id, av := range a.ScoreListFeatures {
-		if !reflect.DeepEqual(av, b.ScoreListFeatures[id]) {
-			return false
-		}
-	}
-	return true
+	return stats
 }
 
 func TestRoundTripFlattened(t *testing.T) {
@@ -166,15 +177,7 @@ func TestRoundTripFlattened(t *testing.T) {
 	if r.Stripes() != 4 { // 32+32+32+4
 		t.Fatalf("Stripes = %d, want 4", r.Stripes())
 	}
-	got := readAllRows(t, r, nil, ReadOptions{})
-	if len(got) != len(rows) {
-		t.Fatalf("read %d rows, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		if !sampleEqual(rows[i], got[i]) {
-			t.Fatalf("row %d mismatch:\nwant %+v\ngot  %+v", i, rows[i], got[i])
-		}
-	}
+	requireReadsRows(t, r, rows, nil, ReadOptions{})
 }
 
 func TestRoundTripUnflattened(t *testing.T) {
@@ -189,12 +192,7 @@ func TestRoundTripUnflattened(t *testing.T) {
 	if r.Flattened() {
 		t.Fatal("file should not be flattened")
 	}
-	got := readAllRows(t, r, nil, ReadOptions{})
-	for i := range rows {
-		if !sampleEqual(rows[i], got[i]) {
-			t.Fatalf("row %d mismatch", i)
-		}
-	}
+	requireReadsRows(t, r, rows, nil, ReadOptions{})
 }
 
 func TestProjectionFlattened(t *testing.T) {
@@ -207,18 +205,15 @@ func TestProjectionFlattened(t *testing.T) {
 		t.Fatal(err)
 	}
 	proj := schema.NewProjection(1, 6) // one dense, one sparse
-	got := readAllRows(t, r, proj, ReadOptions{})
-	for i, row := range got {
-		if len(row.DenseFeatures) != 1 || len(row.SparseFeatures) != 1 || len(row.ScoreListFeatures) != 0 {
-			t.Fatalf("row %d has unprojected features: %+v", i, row)
-		}
-		if row.DenseFeatures[1] != rows[i].DenseFeatures[1] {
-			t.Fatalf("row %d dense value mismatch", i)
-		}
-		if row.Label != rows[i].Label {
-			t.Fatalf("row %d label mismatch", i)
-		}
+	b, _, err := r.ReadStripe(0, proj, ReadOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(b.Dense) != 1 || len(b.Sparse) != 1 || len(b.ScoreList) != 0 {
+		t.Fatalf("batch has unprojected columns: %d dense, %d sparse, %d score-list", len(b.Dense), len(b.Sparse), len(b.ScoreList))
+	}
+	b.Release()
+	requireReadsRows(t, r, rows, proj, ReadOptions{})
 }
 
 func TestProjectionUnflattenedReadsEverything(t *testing.T) {
@@ -239,26 +234,15 @@ func TestProjectionUnflattenedReadsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, statsPlain, err := rPlain.ReadStripe(0, proj, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, statsFlat, err := rFlat.ReadStripe(0, proj, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	statsPlain := readStats(t, rPlain, 0, proj, ReadOptions{})
+	statsFlat := readStats(t, rFlat, 0, proj, ReadOptions{})
 	if statsFlat.BytesRead*2 > statsPlain.BytesRead {
 		t.Fatalf("flattened read %d bytes, plain %d: flattening should cut bytes by >2x",
 			statsFlat.BytesRead, statsPlain.BytesRead)
 	}
-	// Rows decoded under projection must still match.
-	gotPlain := readAllRows(t, rPlain, proj, ReadOptions{})
-	gotFlat := readAllRows(t, rFlat, proj, ReadOptions{})
-	for i := range gotPlain {
-		if !sampleEqual(gotPlain[i], gotFlat[i]) {
-			t.Fatalf("row %d differs between layouts", i)
-		}
-	}
+	// Both layouts decode the projected rows.
+	requireReadsRows(t, rPlain, rows, proj, ReadOptions{})
+	requireReadsRows(t, rFlat, rows, proj, ReadOptions{})
 }
 
 func TestCoalescingReducesIOsAndOverReads(t *testing.T) {
@@ -273,14 +257,8 @@ func TestCoalescingReducesIOsAndOverReads(t *testing.T) {
 	// Project a scattered subset of features.
 	proj := schema.NewProjection(1, 5, 9, 22, 30, 38)
 
-	_, noCoalesce, err := r.ReadStripe(0, proj, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, coalesced, err := r.ReadStripe(0, proj, ReadOptions{CoalesceBytes: DefaultCoalesceBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	noCoalesce := readStats(t, r, 0, proj, ReadOptions{})
+	coalesced := readStats(t, r, 0, proj, ReadOptions{CoalesceBytes: DefaultCoalesceBytes})
 	if noCoalesce.IOs <= coalesced.IOs {
 		t.Fatalf("coalescing should reduce IOs: %d -> %d", noCoalesce.IOs, coalesced.IOs)
 	}
@@ -315,26 +293,15 @@ func TestFeatureReorderingReducesOverRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, statsRand, err := rRand.ReadStripe(0, proj, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, statsOrd, err := rOrd.ReadStripe(0, proj, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	statsRand := readStats(t, rRand, 0, proj, opts)
+	statsOrd := readStats(t, rOrd, 0, proj, opts)
 	if statsOrd.BytesOverRead >= statsRand.BytesOverRead {
 		t.Fatalf("reordering should cut over-read: %d -> %d",
 			statsRand.BytesOverRead, statsOrd.BytesOverRead)
 	}
 	// Decoded data must be identical regardless of layout.
-	a := readAllRows(t, rRand, proj, opts)
-	b := readAllRows(t, rOrd, proj, opts)
-	for i := range a {
-		if !sampleEqual(a[i], b[i]) {
-			t.Fatalf("row %d differs between stream orders", i)
-		}
-	}
+	requireReadsRows(t, rRand, rows, proj, opts)
+	requireReadsRows(t, rOrd, rows, proj, opts)
 }
 
 func TestLargeStripesIncreaseIOSize(t *testing.T) {
@@ -353,10 +320,7 @@ func TestLargeStripesIncreaseIOSize(t *testing.T) {
 		var bytes int64
 		var ios int
 		for i := 0; i < r.Stripes(); i++ {
-			_, stats, err := r.ReadStripe(i, proj, ReadOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			stats := readStats(t, r, i, proj, ReadOptions{})
 			bytes += stats.BytesRead
 			ios += stats.IOs
 		}
@@ -368,77 +332,49 @@ func TestLargeStripesIncreaseIOSize(t *testing.T) {
 	}
 }
 
-func TestBatchDecodeMatchesRowDecode(t *testing.T) {
+// TestReadStripeOneBatchBothLayouts writes the same rows flattened and
+// regular-map and reads every stripe of both under a projection: each
+// pair of batches, dictionaries materialized, equals each other and
+// BatchFromSamples of the projected written rows. Feature 2 is written
+// only from row 48 on, so the first stripe has no column for it in
+// either layout.
+func TestReadStripeOneBatchBothLayouts(t *testing.T) {
 	ts := buildSchema(t, 4, 4)
 	rows := genRows(ts, 96, 0.6, 8)
+	for _, row := range rows[:48] {
+		delete(row.DenseFeatures, 2)
+	}
 	c := newCluster(t)
-	writeFile(t, c, "f", ts, rows, WriterOptions{Flatten: true, RowsPerStripe: 48})
-	r, err := OpenReader(c, "f")
+	writeFile(t, c, "flat", ts, rows, WriterOptions{Flatten: true, RowsPerStripe: 48})
+	writeFile(t, c, "map", ts, rows, WriterOptions{Flatten: false, RowsPerStripe: 48})
+	rFlat, err := OpenReader(c, "flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rMap, err := OpenReader(c, "map")
 	if err != nil {
 		t.Fatal(err)
 	}
 	proj := schema.NewProjection(1, 2, 5, 6, 9)
-	for stripe := 0; stripe < r.Stripes(); stripe++ {
-		rowDecoded, _, err := r.ReadStripe(stripe, proj, ReadOptions{})
+	want := projectRows(rows, proj)
+	for stripe := 0; stripe < rFlat.Stripes(); stripe++ {
+		flat, _, err := rFlat.ReadStripe(stripe, proj, ReadOptions{}, NewArena())
 		if err != nil {
 			t.Fatal(err)
 		}
-		// ReadStripe is a view over the batch decoder for flattened
-		// files, so anchor it against the originally written rows (the
-		// independent ground truth) before comparing the batch against
-		// it.
-		for i, row := range rowDecoded {
-			want := copySample(rows[stripe*48+i])
-			filterSample(want, proj)
-			if !sampleEqual(want, row) {
-				t.Fatalf("stripe %d row %d differs from written row", stripe, i)
-			}
-		}
-		batch, _, err := r.ReadStripeBatchArena(stripe, proj, ReadOptions{Flatmap: true}, nil)
+		regular, _, err := rMap.ReadStripe(stripe, proj, ReadOptions{}, NewArena())
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch.MaterializeDicts() // compare values, not dictionary indices
-		if batch.Rows != len(rowDecoded) {
-			t.Fatalf("batch rows %d vs %d", batch.Rows, len(rowDecoded))
+		if _, ok := flat.Dense[2]; ok != (stripe > 0) {
+			t.Fatalf("stripe %d: dense 2 column present = %v", stripe, ok)
 		}
-		for i, row := range rowDecoded {
-			if batch.Labels[i] != row.Label {
-				t.Fatalf("stripe %d row %d label mismatch", stripe, i)
-			}
-			for id, v := range row.DenseFeatures {
-				col := batch.Dense[id]
-				if col == nil || !col.Present[i] || col.Values[i] != v {
-					t.Fatalf("stripe %d row %d dense %d mismatch", stripe, i, id)
-				}
-			}
-			for id, vals := range row.SparseFeatures {
-				col := batch.Sparse[id]
-				if col == nil || !reflect.DeepEqual(col.RowValues(i), vals) {
-					t.Fatalf("stripe %d row %d sparse %d mismatch", stripe, i, id)
-				}
-			}
-			for id, vals := range row.ScoreListFeatures {
-				col := batch.ScoreList[id]
-				if col == nil || !reflect.DeepEqual(col.RowValues(i), vals) {
-					t.Fatalf("stripe %d row %d scorelist %d mismatch", stripe, i, id)
-				}
-			}
-		}
-	}
-}
-
-func TestBatchDecodeRequiresFlattened(t *testing.T) {
-	ts := buildSchema(t, 2, 2)
-	rows := genRows(ts, 8, 1.0, 9)
-	c := newCluster(t)
-	writeFile(t, c, "f", ts, rows, WriterOptions{Flatten: false})
-	r, err := OpenReader(c, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.ReadStripeBatchArena(0, nil, ReadOptions{}, nil); err == nil {
-		t.Fatal("batch decode of unflattened file accepted")
+		flat.MaterializeDicts()
+		regular.MaterializeDicts()
+		requireSameBatch(t, flat, regular)
+		requireSameBatch(t, BatchFromSamples(want[stripe*48:(stripe+1)*48]), flat)
+		flat.Release()
+		regular.Release()
 	}
 }
 
@@ -451,11 +387,34 @@ func TestStripeOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.ReadStripe(5, nil, ReadOptions{}); err == nil {
+	if _, _, err := r.ReadStripe(5, nil, ReadOptions{}, nil); err == nil {
 		t.Fatal("out-of-range stripe accepted")
 	}
-	if _, _, err := r.ReadStripe(-1, nil, ReadOptions{}); err == nil {
+	if _, _, err := r.ReadStripe(-1, nil, ReadOptions{}, nil); err == nil {
 		t.Fatal("negative stripe accepted")
+	}
+}
+
+// TestRegularMapStripeChecksFooter pins the checks a regular-map read
+// makes of a footer, which carries no checksum: a row count its row
+// data does not hold, or a stripe with no row-data stream, is an error,
+// never a batch of the wrong height or a panic.
+func TestRegularMapStripeChecksFooter(t *testing.T) {
+	ts := buildSchema(t, 2, 2)
+	c := newCluster(t)
+	writeFile(t, c, "f", ts, genRows(ts, 8, 1.0, 10), WriterOptions{Flatten: false})
+	for name, lie := range map[string]func(*StripeMeta){
+		"rows":      func(m *StripeMeta) { m.Rows++ },
+		"no stream": func(m *StripeMeta) { m.Streams, m.ContentHash = nil, 0 },
+	} {
+		r, err := OpenReader(c, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie(&r.footer.Stripes[0])
+		if _, _, err := r.ReadStripe(0, nil, ReadOptions{}, nil); err == nil {
+			t.Fatalf("%s: footer that disagrees with the row data accepted", name)
+		}
 	}
 }
 
@@ -565,22 +524,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var got []*schema.Sample
-		for i := 0; i < r.Stripes(); i++ {
-			rs, _, err := r.ReadStripe(i, nil, ReadOptions{})
-			if err != nil {
-				return false
-			}
-			got = append(got, rs...)
-		}
-		if len(got) != len(rows) {
-			return false
-		}
-		for i := range rows {
-			if !sampleEqual(rows[i], got[i]) {
-				return false
-			}
-		}
+		requireReadsRows(t, r, rows, nil, ReadOptions{})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -632,9 +576,7 @@ func TestPlanIOCoversProperty(t *testing.T) {
 // TestArenaDecodeReleaseRoundTrip cycles stripes through the arena
 // decode path — decode, compare against a plain decode, release —
 // several times, so recycled buffers that leak stale rows, offsets, or
-// labels across batches fail loudly. Together with
-// TestBatchDecodeMatchesRowDecode this keeps ReadStripe (the row view)
-// and ReadStripeBatch honest against each other.
+// labels across batches fail loudly.
 func TestArenaDecodeReleaseRoundTrip(t *testing.T) {
 	ts := buildSchema(t, 4, 4)
 	rows := genRows(ts, 96, 0.6, 11)
@@ -648,11 +590,11 @@ func TestArenaDecodeReleaseRoundTrip(t *testing.T) {
 	proj := schema.NewProjection(1, 2, 5, 6, 9)
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < r.Stripes(); i++ {
-			plain, _, err := r.ReadStripeBatchArena(i, proj, ReadOptions{}, nil)
+			plain, _, err := r.ReadStripe(i, proj, ReadOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pooled, _, err := r.ReadStripeBatchArena(i, proj, ReadOptions{}, arena)
+			pooled, _, err := r.ReadStripe(i, proj, ReadOptions{}, arena)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -664,7 +606,7 @@ func TestArenaDecodeReleaseRoundTrip(t *testing.T) {
 
 // requireSameBatch compares two decoded batches element-wise (nil and
 // empty slices compare equal).
-func requireSameBatch(t *testing.T, a, b *Batch) {
+func requireSameBatch(t testing.TB, a, b *Batch) {
 	t.Helper()
 	if a.Rows != b.Rows || !eqSlice(a.Labels, b.Labels) {
 		t.Fatalf("rows/labels differ: %d/%d", a.Rows, b.Rows)
@@ -754,12 +696,10 @@ func TestStreamingDecodeRejectsBadRows(t *testing.T) {
 	}
 }
 
-// TestReadStripeNormalizesEmptyLists pins an intentional semantics
-// change of the row-view refactor: a sample written with a PRESENT but
-// EMPTY sparse/score-list feature decodes through the columnar batch,
-// where empty and absent are indistinguishable, so the flattened
-// ReadStripe omits the feature from the sample entirely (the
-// unflattened row-data path is unaffected). Values, labels, and
+// TestReadStripeNormalizesEmptyLists pins what a present but empty
+// sparse list reads as: an empty row of its column, the same as an
+// absent one, in both layouts. The regular-map row data keeps the
+// difference, but the columnar batch cannot hold it. Values, labels and
 // non-empty lists round-trip exactly.
 func TestReadStripeNormalizesEmptyLists(t *testing.T) {
 	ts := buildSchema(t, 1, 1)
@@ -770,22 +710,27 @@ func TestReadStripeNormalizesEmptyLists(t *testing.T) {
 	s2 := schema.NewSample()
 	s2.SparseFeatures[2] = []int64{7, 8}
 	c := newCluster(t)
-	writeFile(t, c, "f", ts, []*schema.Sample{s, s2}, WriterOptions{Flatten: true, RowsPerStripe: 4})
-	r, err := OpenReader(c, "f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _, err := r.ReadStripe(0, nil, ReadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Label != 1 || rows[0].DenseFeatures[1] != 0.5 {
-		t.Fatalf("row 0 = %+v", rows[0])
-	}
-	if _, ok := rows[0].SparseFeatures[2]; ok {
-		t.Fatal("empty sparse list survived the columnar view; update the ReadStripe normalization docs")
-	}
-	if got := rows[1].SparseFeatures[2]; len(got) != 2 || got[0] != 7 {
-		t.Fatalf("non-empty list corrupted: %v", got)
+	for _, flatten := range []bool{true, false} {
+		path := fmt.Sprintf("f%v", flatten)
+		writeFile(t, c, path, ts, []*schema.Sample{s, s2}, WriterOptions{Flatten: flatten, RowsPerStripe: 4})
+		r, err := OpenReader(c, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := r.ReadStripe(0, nil, ReadOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Rows != 2 || b.Labels[0] != 1 || !b.Dense[1].Present[0] || b.Dense[1].Values[0] != 0.5 {
+			t.Fatalf("%s: row 0 = label %v, dense %+v", path, b.Labels, b.Dense[1])
+		}
+		col := b.Sparse[2]
+		if got := col.RowValues(0); len(got) != 0 {
+			t.Fatalf("%s: empty sparse list read as %v", path, got)
+		}
+		if got := col.MaterializedValues(nil)[col.Offsets[1]:col.Offsets[2]]; len(got) != 2 || got[0] != 7 || got[1] != 8 {
+			t.Fatalf("%s: non-empty list corrupted: %v", path, got)
+		}
+		b.Release()
 	}
 }

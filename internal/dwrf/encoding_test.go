@@ -137,11 +137,11 @@ func TestDictColumnRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < r2.Stripes(); i++ {
-		b2, _, err := r2.ReadStripeBatchArena(i, nil, ReadOptions{}, nil)
+		b2, _, err := r2.ReadStripe(i, nil, ReadOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b1, _, err := r1.ReadStripeBatchArena(i, nil, ReadOptions{}, nil)
+		b1, _, err := r1.ReadStripe(i, nil, ReadOptions{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestScoreListDictSignedZeroAndNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := r.ReadStripeBatchArena(0, nil, ReadOptions{}, nil)
+	b, _, err := r.ReadStripe(0, nil, ReadOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,10 @@
 //
 // On top of the flattened layout the reader and writer implement the
 // paper's co-designed optimizations: coalesced reads (CR), feature
-// reordering (FR), and large stripes (LS); the reader can decode into
-// either row maps or the in-memory flatmap (FM) columnar batch.
+// reordering (FR), and large stripes (LS). A stripe read has one result
+// for both layouts, the in-memory flatmap (FM) columnar batch: the
+// regular-map layout reaches it by converting its decoded rows, the copy
+// FM removes.
 //
 // # Stream encodings (format v3)
 //
@@ -75,7 +77,7 @@
 // recorded RawLength (inflate.go, with its Huffman tables in a recycled
 // inflater), the per-stripe selection, I/O plan and payload list are a
 // recycled stripeRead, and the column decoders stream values directly
-// into Arena-recycled columns (ReadStripeBatchArena). Dictionary-encoded
+// into Arena-recycled columns (Reader.ReadStripe). Dictionary-encoded
 // sparse streams decode into dictionary-indexed columns (SparseColumn
 // with a non-empty Dict) so downstream kernels can process each distinct
 // value once. An arena-owned Batch hands every buffer back via Release

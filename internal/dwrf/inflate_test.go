@@ -461,7 +461,7 @@ func TestStreamLengthMismatchReachesHeal(t *testing.T) {
 			corrupt(&stripe.Streams[k])
 			proj := schema.NewProjection(stripe.Streams[k].Feature)
 
-			_, stats, err := r.ReadStripeBatchArena(0, proj, ReadOptions{}, nil)
+			_, stats, err := r.ReadStripe(0, proj, ReadOptions{}, nil)
 			if !errors.Is(err, tectonic.ErrCorrupt) {
 				t.Fatalf("read: %v, want ErrCorrupt", err)
 			}
@@ -542,7 +542,7 @@ func TestStripeDecodeAllocs(t *testing.T) {
 		r := writeRM1(t, card, 4)
 		arena := NewArena()
 		read := func(i int) {
-			b, _, err := r.ReadStripeBatchArena(i, proj, opts, arena)
+			b, _, err := r.ReadStripe(i, proj, opts, arena)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -589,7 +589,7 @@ func TestStripeDecodeAllocsAcrossGC(t *testing.T) {
 				before()
 				var m0, m1 runtime.MemStats
 				runtime.ReadMemStats(&m0)
-				b, _, err := r.ReadStripeBatchArena(next%r.Stripes(), proj, opts, arena)
+				b, _, err := r.ReadStripe(next%r.Stripes(), proj, opts, arena)
 				if err != nil {
 					t.Fatal(err)
 				}

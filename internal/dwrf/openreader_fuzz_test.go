@@ -106,11 +106,13 @@ func fuzzOpenReader(t testing.TB, data []byte) {
 	if stripes > 8 {
 		stripes = 8
 	}
+	arena := NewArena()
 	for i := 0; i < stripes; i++ {
-		if rows, _, err := r.ReadStripe(i, nil, ReadOptions{}); err == nil {
-			if len(rows) != r.StripeRows(i) {
-				t.Fatalf("stripe %d decoded %d rows, footer claims %d", i, len(rows), r.StripeRows(i))
+		if b, _, err := r.ReadStripe(i, nil, ReadOptions{}, arena); err == nil {
+			if b.Rows != r.StripeRows(i) {
+				t.Fatalf("stripe %d decoded %d rows, footer claims %d", i, b.Rows, r.StripeRows(i))
 			}
+			b.Release()
 		}
 	}
 }

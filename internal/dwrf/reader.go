@@ -23,7 +23,7 @@ type ReadOptions struct {
 	// in one I/O, trading over-read for fewer seeks. The paper uses
 	// 1.25 MiB. Zero disables coalescing (one I/O per stream).
 	CoalesceBytes int64
-	// Flatmap selects nothing: flattened files always decode into the
+	// Flatmap selects nothing: every stripe read decodes into the
 	// columnar in-memory Batch, and no reader consults this field. The
 	// paper's FM step (Table 12) is priced by the experiments' cost
 	// model (experiments.CostParams.Flatmap), not chosen here. The field
@@ -514,8 +514,8 @@ func (p *bufPool) put(b []byte) {
 var encPool bufPool
 
 // payloadPool recycles decompressed stream payloads: the column
-// decoders parse every value out of them, so once a stripe is decoded
-// into a batch (or row samples) its payload buffers go straight back.
+// and row decoders parse every value out of them, so once a stripe is
+// decoded its payload buffers go straight back.
 var payloadPool bufPool
 
 // stripeRead is one stripe read's working set: the streams the
@@ -649,96 +649,19 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats
 	return stats, served, nil
 }
 
-// ReadStripe decodes stripe i under the projection into row-map samples.
-// For flattened files it is a row-oriented view over ReadStripeBatchArena:
-// the stripe decodes once into the columnar batch and the samples are
-// copied out of it (a sparse or score-list row that decoded to an empty
-// list is indistinguishable from an absent one in the columnar form and
-// is omitted from its sample). For unflattened files the whole stripe
-// is decoded and unselected features are dropped afterwards — the
-// paper's "over read" baseline.
-func (r *Reader) ReadStripe(i int, proj *schema.Projection, opts ReadOptions) ([]*schema.Sample, ReadStats, error) {
-	if i < 0 || i >= len(r.footer.Stripes) {
-		return nil, ReadStats{}, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.footer.Stripes))
-	}
-	if r.footer.Flattened {
-		b, stats, err := r.ReadStripeBatchArena(i, proj, opts, nil)
-		if err != nil {
-			return nil, stats, err
-		}
-		rows := samplesFromBatch(b)
-		b.Release()
-		return rows, stats, nil
-	}
-	meta := &r.footer.Stripes[i]
-	sr, stats, err := r.fetchStripe(meta, proj, opts)
-	if err != nil {
-		return nil, stats, err
-	}
-	if enc := sr.selected[0].Encoding; enc != EncPlain {
-		sr.release()
-		return nil, stats, fmt.Errorf("dwrf: %v encoding invalid for row-data stream", enc)
-	}
-	rows, err := decodeRowData(sr.payloads[0])
-	sr.release()
-	if err != nil {
-		return nil, stats, err
-	}
-	if proj != nil {
-		for _, row := range rows {
-			filterSample(row, proj)
-		}
-	}
-	return rows, stats, nil
-}
-
-// samplesFromBatch materializes row-map samples from a columnar batch,
-// copying every value out so the batch may be released afterwards.
-func samplesFromBatch(b *Batch) []*schema.Sample {
-	rows := make([]*schema.Sample, b.Rows)
-	for i := range rows {
-		rows[i] = schema.NewSample()
-		if i < len(b.Labels) {
-			rows[i].Label = b.Labels[i]
-		}
-	}
-	for id, col := range b.Dense {
-		for i := 0; i < b.Rows; i++ {
-			if col.Present[i] {
-				rows[i].DenseFeatures[id] = col.Values[i]
-			}
-		}
-	}
-	for id, col := range b.Sparse {
-		vals := col.MaterializedValues(nil)
-		for i := 0; i < b.Rows; i++ {
-			lo, hi := col.Offsets[i], col.Offsets[i+1]
-			if hi > lo {
-				rows[i].SparseFeatures[id] = append([]int64(nil), vals[lo:hi]...)
-			}
-		}
-	}
-	for id, col := range b.ScoreList {
-		for i := 0; i < b.Rows; i++ {
-			if vals := col.RowValues(i); len(vals) > 0 {
-				rows[i].ScoreListFeatures[id] = append([]schema.ScoredValue(nil), vals...)
-			}
-		}
-	}
-	return rows
-}
-
-// ReadStripeBatchArena decodes stripe i under the projection into the
-// columnar Batch representation (the FM optimization), into
-// arena-recycled columns: the returned batch owns them and hands them
-// back on Release. A nil arena degrades to plain allocation. Only
-// flattened files support batch decoding. The arena is a call-site
-// argument rather than a ReadOptions field because ReadOptions travels
-// inside gob-encoded session specs; an arena is strictly node-local.
-func (r *Reader) ReadStripeBatchArena(i int, proj *schema.Projection, opts ReadOptions, arena *Arena) (*Batch, ReadStats, error) {
-	if !r.footer.Flattened {
-		return nil, ReadStats{}, fmt.Errorf("dwrf: flatmap decode requires a flattened file")
-	}
+// ReadStripe decodes stripe i under the projection into the columnar
+// Batch — the in-memory flatmap (FM), the one form a read hands on —
+// for either layout. A flattened file fetches only the selected streams
+// and decodes each straight into an arena-recycled column; a regular-map
+// file fetches its whole row-data stream (the paper's "over read"),
+// decodes the rows and converts the projected features to columns, the
+// row-to-column copy the flatmap removes. The returned batch owns its
+// columns and hands them back on Release. A nil arena degrades to plain
+// allocation, and regular-map batches never use it. The arena is a
+// call-site argument rather than a ReadOptions field because
+// ReadOptions travels inside gob-encoded session specs; an arena is
+// strictly node-local.
+func (r *Reader) ReadStripe(i int, proj *schema.Projection, opts ReadOptions, arena *Arena) (*Batch, ReadStats, error) {
 	if i < 0 || i >= len(r.footer.Stripes) {
 		return nil, ReadStats{}, fmt.Errorf("dwrf: stripe %d out of range [0,%d)", i, len(r.footer.Stripes))
 	}
@@ -748,13 +671,37 @@ func (r *Reader) ReadStripeBatchArena(i int, proj *schema.Projection, opts ReadO
 		return nil, stats, err
 	}
 	decodeStart := time.Now()
-	b, err := decodeStripeBatch(meta, r.Version(), sr, arena)
+	var b *Batch
+	if r.footer.Flattened {
+		b, err = decodeStripeBatch(meta, r.Version(), sr, arena)
+	} else {
+		b, err = decodeRowStripe(meta, sr, proj)
+	}
 	sr.release()
 	stats.DecodeWall += time.Since(decodeStart)
 	if err != nil {
 		return nil, stats, err
 	}
 	return b, stats, nil
+}
+
+// decodeRowStripe converts a regular-map stripe's row-data stream into
+// the batch of the features proj selects (all when proj is nil).
+func decodeRowStripe(meta *StripeMeta, sr *stripeRead, proj *schema.Projection) (*Batch, error) {
+	if len(sr.selected) == 0 || sr.selected[0].Kind != streamRowData {
+		return nil, fmt.Errorf("dwrf: regular-map stripe has no row-data stream")
+	}
+	if enc := sr.selected[0].Encoding; enc != EncPlain {
+		return nil, fmt.Errorf("dwrf: %v encoding invalid for row-data stream", enc)
+	}
+	rows, err := decodeRowData(sr.payloads[0])
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) != meta.Rows {
+		return nil, fmt.Errorf("dwrf: row-data stream holds %d rows, footer records %d", len(rows), meta.Rows)
+	}
+	return batchFromSamples(rows, proj), nil
 }
 
 // decodeStripeBatch assembles the columnar batch from a stripe read's
@@ -789,24 +736,4 @@ func decodeStripeBatch(meta *StripeMeta, version int, sr *stripeRead, arena *Are
 		}
 	}
 	return b, nil
-}
-
-// filterSample drops features outside the projection (used for the
-// unflattened layout, where everything is decoded first).
-func filterSample(s *schema.Sample, proj *schema.Projection) {
-	for id := range s.DenseFeatures {
-		if !proj.Contains(id) {
-			delete(s.DenseFeatures, id)
-		}
-	}
-	for id := range s.SparseFeatures {
-		if !proj.Contains(id) {
-			delete(s.SparseFeatures, id)
-		}
-	}
-	for id := range s.ScoreListFeatures {
-		if !proj.Contains(id) {
-			delete(s.ScoreListFeatures, id)
-		}
-	}
 }

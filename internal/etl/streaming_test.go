@@ -209,17 +209,18 @@ func readAllIDs(t *testing.T, wh *warehouse.Warehouse, tbl *warehouse.Table) map
 		t.Fatal(err)
 	}
 	for _, sp := range splits {
-		rows, _, err := wh.ReadSplit(sp, nil, dwrf.ReadOptions{})
+		b, _, err := wh.ReadSplit(sp, nil, dwrf.ReadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rows {
-			id := int64(r.DenseFeatures[1])
+		for i := 0; i < b.Rows; i++ {
+			id := int64(b.Dense[1].Values[i])
 			if _, dup := got[id]; dup {
 				t.Fatalf("id %d emitted twice", id)
 			}
-			got[id] = r.Label
+			got[id] = b.Labels[i]
 		}
+		b.Release()
 	}
 	return got
 }

@@ -74,7 +74,7 @@ func TestCursorStoreRecoverTrimsBelowCommitted(t *testing.T) {
 // tokened retry resolves against LogDevice's ledger.
 func TestCursorStoreIntentRidesOutTornAcks(t *testing.T) {
 	store := logdevice.NewStore()
-	store.SetWriteFaults(faults.NewSchedule(11).TornWrites(0, 0, 0, 1), nil)
+	store.SetWriteFaults(faults.NewSchedule(11).TornWrites(0, 0, 0, 1))
 	cs, err := NewCursorStore(store, "cur")
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestWriteFaultPartitionReproducedAfterStorm(t *testing.T) {
 	bus := scribe.NewBus(busStore)
 	// The cursor log lives on its own LogDevice, down hard for writes.
 	curStore := logdevice.NewStore()
-	curStore.SetWriteFaults(faults.NewSchedule(31).Down(0, 0, 0), nil)
+	curStore.SetWriteFaults(faults.NewSchedule(31).Down(0, 0, 0))
 	cs, err := NewCursorStore(curStore, "etl/m/cursors")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestWriteFaultPartitionReproducedAfterStorm(t *testing.T) {
 		for p.PartitionsReproduced.Value() < 2 {
 			time.Sleep(100 * time.Microsecond)
 		}
-		curStore.SetWriteFaults(nil, nil)
+		curStore.SetWriteFaults(nil)
 	}()
 	if err := p.Run(nil); err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestWriteFaultPoisonedPartitionFailsPipeline(t *testing.T) {
 	busStore := logdevice.NewStore()
 	bus := scribe.NewBus(busStore)
 	curStore := logdevice.NewStore()
-	curStore.SetWriteFaults(faults.NewSchedule(41).Down(0, 0, 0), nil)
+	curStore.SetWriteFaults(faults.NewSchedule(41).Down(0, 0, 0))
 	cs, err := NewCursorStore(curStore, "etl/m/cursors")
 	if err != nil {
 		t.Fatal(err)

@@ -38,10 +38,11 @@ func runAblations() (Result, error) {
 		var wanted, read int64
 		var ios int
 		for _, sp := range splits {
-			_, stats, err := d.WH.ReadSplit(sp, proj, dwrf.ReadOptions{CoalesceBytes: window})
+			b, stats, err := d.WH.ReadSplit(sp, proj, dwrf.ReadOptions{CoalesceBytes: window})
 			if err != nil {
 				return res, err
 			}
+			b.Release()
 			wanted += stats.BytesWanted
 			read += stats.BytesRead
 			ios += stats.IOs
@@ -71,10 +72,11 @@ func runAblations() (Result, error) {
 		var read int64
 		var ios int
 		for _, sp := range sp2 {
-			_, stats, err := d2.WH.ReadSplit(sp, proj2, dwrf.ReadOptions{CoalesceBytes: 64 << 10})
+			b, stats, err := d2.WH.ReadSplit(sp, proj2, dwrf.ReadOptions{CoalesceBytes: 64 << 10})
 			if err != nil {
 				return res, err
 			}
+			b.Release()
 			read += stats.BytesRead
 			ios += stats.IOs
 		}

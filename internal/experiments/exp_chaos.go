@@ -49,7 +49,8 @@ func runChaos() (Result, error) {
 				failed++
 				continue
 			}
-			rows += len(got)
+			rows += got.Rows
+			got.Release()
 		}
 		return rows, failed, stats
 	}

@@ -73,7 +73,7 @@ func decodeAllStripes(r *dwrf.Reader) (time.Duration, error) {
 	for pass := 0; pass < 2; pass++ {
 		start := time.Now()
 		for s := 0; s < r.Stripes(); s++ {
-			batch, _, err := r.ReadStripeBatchArena(s, nil, opts, arena)
+			batch, _, err := r.ReadStripe(s, nil, opts, arena)
 			if err != nil {
 				return 0, err
 			}

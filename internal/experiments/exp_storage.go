@@ -202,9 +202,11 @@ func runTable6() (Result, error) {
 		return res, err
 	}
 	for _, sp := range splits {
-		if _, _, err := d.WH.ReadSplit(sp, proj, dwrf.ReadOptions{}); err != nil {
+		b, _, err := d.WH.ReadSplit(sp, proj, dwrf.ReadOptions{})
+		if err != nil {
 			return res, err
 		}
+		b.Release()
 	}
 	s := d.Cluster.IOSizes.Summarize()
 	rows := []struct {

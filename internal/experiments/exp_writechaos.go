@@ -43,7 +43,7 @@ func runWriteChaos() (Result, error) {
 	spec := p.Scale(0.01, 1, totalRequests)
 
 	store := logdevice.NewStore()
-	store.SetWriteFaults(faults.NewSchedule(seed).TornWrites(0, 0, 0, 0.35), nil)
+	store.SetWriteFaults(faults.NewSchedule(seed).TornWrites(0, 0, 0, 0.35))
 	bus := scribe.NewBus(store)
 	daemon := scribe.NewDaemon("web-1", bus)
 	sim := datagen.NewServingSimulator(model, datagen.NewGenerator(spec, seed), daemon)

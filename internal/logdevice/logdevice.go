@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"dsi/internal/tectonic/faults"
 )
@@ -88,11 +87,10 @@ type Store struct {
 	// a segment.
 	memtableFlushBytes int64
 
-	// fmu guards the write-fault plane: the installed schedule, its
-	// virtual clock, and the recovery counters.
+	// fmu guards the write-fault plane: the installed schedule and the
+	// recovery counters.
 	fmu    sync.Mutex
 	sched  *faults.Schedule
-	now    func() time.Duration
 	wstats WriteFaultCounters
 }
 
@@ -169,9 +167,8 @@ func (s *Store) AppendToken(name, token string, payload []byte) (LSN, bool, erro
 				return lsn, true, nil
 			}
 		}
-		now := s.faultNow()
 		st.failSalt++
-		switch nodeState, win := sched.WriteState(0, now); nodeState {
+		switch nodeState, win := sched.WriteState(0, 0); nodeState {
 		case faults.Down:
 			s.fmu.Lock()
 			s.wstats.Failures++

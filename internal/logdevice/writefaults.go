@@ -1,10 +1,6 @@
 package logdevice
 
-import (
-	"time"
-
-	"dsi/internal/tectonic/faults"
-)
+import "dsi/internal/tectonic/faults"
 
 // WriteFaultCounters is a snapshot of the store's cumulative write-fault
 // accounting.
@@ -21,18 +17,13 @@ type WriteFaultCounters struct {
 // SetWriteFaults installs (or, with nil, removes) a seeded schedule of
 // write-fault windows consulted by every subsequent append. LogDevice is
 // modelled as one logical sequencer, so windows target node 0 (plus
-// Down, which it shares with the read-shaped states). now supplies the
-// virtual time that window spans are evaluated against; nil pins it to
-// zero, the natural choice for always-active windows. With no schedule
-// installed appends take the exact legacy path and keep no token
-// ledger.
-func (s *Store) SetWriteFaults(sched *faults.Schedule, now func() time.Duration) {
-	if now == nil {
-		now = func() time.Duration { return 0 }
-	}
+// Down, which it shares with the read-shaped states). Window spans are
+// judged at time 0, so a window that starts at 0 is always active. With
+// no schedule installed appends take the exact legacy path and keep no
+// token ledger.
+func (s *Store) SetWriteFaults(sched *faults.Schedule) {
 	s.fmu.Lock()
 	s.sched = sched
-	s.now = now
 	s.fmu.Unlock()
 }
 
@@ -40,16 +31,6 @@ func (s *Store) faultSchedule() *faults.Schedule {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
 	return s.sched
-}
-
-func (s *Store) faultNow() time.Duration {
-	s.fmu.Lock()
-	now := s.now
-	s.fmu.Unlock()
-	if now == nil {
-		return 0
-	}
-	return now()
 }
 
 // WriteFaultCounters snapshots the cumulative write-fault accounting.

@@ -12,7 +12,7 @@ func TestWriteFaultAppendFailsCleanly(t *testing.T) {
 	if err := s.CreateStream("log"); err != nil {
 		t.Fatal(err)
 	}
-	s.SetWriteFaults(faults.NewSchedule(1).FailWrites(0, 0, 0, 1), nil)
+	s.SetWriteFaults(faults.NewSchedule(1).FailWrites(0, 0, 0, 1))
 	if _, _, err := s.AppendToken("log", "t1", []byte("x")); !errors.Is(err, faults.ErrNodeIO) {
 		t.Fatalf("append under p=1 write failure: %v, want ErrNodeIO", err)
 	}
@@ -30,7 +30,7 @@ func TestWriteFaultTornAckDedupsOnRetry(t *testing.T) {
 	if err := s.CreateStream("log"); err != nil {
 		t.Fatal(err)
 	}
-	s.SetWriteFaults(faults.NewSchedule(2).TornWrites(0, 0, 0, 1), nil)
+	s.SetWriteFaults(faults.NewSchedule(2).TornWrites(0, 0, 0, 1))
 
 	_, _, err := s.AppendToken("log", "t1", []byte("hello"))
 	if !errors.Is(err, faults.ErrTornAck) {
@@ -63,11 +63,11 @@ func TestWriteFaultDownFailsAppends(t *testing.T) {
 	if err := s.CreateStream("log"); err != nil {
 		t.Fatal(err)
 	}
-	s.SetWriteFaults(faults.NewSchedule(3).Down(0, 0, 0), nil)
+	s.SetWriteFaults(faults.NewSchedule(3).Down(0, 0, 0))
 	if _, err := s.Append("log", []byte("x")); !errors.Is(err, faults.ErrNodeDown) {
 		t.Fatalf("append to down store: %v, want ErrNodeDown", err)
 	}
-	s.SetWriteFaults(nil, nil)
+	s.SetWriteFaults(nil)
 	if _, err := s.Append("log", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWriteFaultTokensTrimmedWithRecords(t *testing.T) {
 	if err := s.CreateStream("log"); err != nil {
 		t.Fatal(err)
 	}
-	s.SetWriteFaults(faults.NewSchedule(4), nil) // idle schedule: ledger active, no faults
+	s.SetWriteFaults(faults.NewSchedule(4)) // idle schedule: ledger active, no faults
 	for i, tok := range []string{"a", "b", "c"} {
 		if _, _, err := s.AppendToken("log", tok, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestWriteFaultTornTokenSurvivesTrim(t *testing.T) {
 	if err := s.CreateStream("log"); err != nil {
 		t.Fatal(err)
 	}
-	s.SetWriteFaults(faults.NewSchedule(2).TornWrites(0, 0, 0, 1), nil)
+	s.SetWriteFaults(faults.NewSchedule(2).TornWrites(0, 0, 0, 1))
 	if _, _, err := s.AppendToken("log", "t1", []byte("hello")); !errors.Is(err, faults.ErrTornAck) {
 		t.Fatalf("append under p=1 torn acks: %v, want ErrTornAck", err)
 	}
@@ -160,7 +160,7 @@ func TestWriteFaultReadStatesInvisibleToAppends(t *testing.T) {
 	if err := s.CreateStream("log"); err != nil {
 		t.Fatal(err)
 	}
-	s.SetWriteFaults(faults.NewSchedule(5).Flaky(0, 0, 0, 1), nil)
+	s.SetWriteFaults(faults.NewSchedule(5).Flaky(0, 0, 0, 1))
 	if _, err := s.Append("log", []byte("x")); err != nil {
 		t.Fatal(err)
 	}

@@ -317,7 +317,7 @@ func TestFlushKeepsLogOrderAcrossCategories(t *testing.T) {
 // the message token dedups on the second publish.
 func TestTornAckNoDuplicateThroughBus(t *testing.T) {
 	store := logdevice.NewStore()
-	store.SetWriteFaults(faults.NewSchedule(7).TornWrites(0, 0, 0, 1), nil)
+	store.SetWriteFaults(faults.NewSchedule(7).TornWrites(0, 0, 0, 1))
 	bus := NewBus(store)
 	d := NewDaemon("web1", bus)
 
@@ -332,7 +332,7 @@ func TestTornAckNoDuplicateThroughBus(t *testing.T) {
 		t.Fatalf("torn message not requeued: pending=%d", d.PendingCount())
 	}
 	// Lift the storm; the retry dedups against the token ledger.
-	store.SetWriteFaults(faults.NewSchedule(7), nil)
+	store.SetWriteFaults(faults.NewSchedule(7))
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}

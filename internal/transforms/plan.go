@@ -99,14 +99,6 @@ type fusedMember struct {
 	out int
 }
 
-// fusedStepMarker lets a fused step carry its group for introspection
-// (tests count a plan's fused ops through it) while keeping planStep
-// uniform. It is never executed as an Op.
-type fusedStepMarker struct {
-	Op
-	group *fusedDense
-}
-
 // planExec is the per-run execution state: flat slot arrays plus
 // reusable scratch. It belongs to no plan — reset sizes the slots for
 // the plan about to run, and every other buffer is capacity-only
@@ -160,7 +152,7 @@ func (e *planExec) sparseVals(slot int) []int64 {
 	if e.matDone[slot] {
 		return e.matVals[slot]
 	}
-	buf := i64Values(e.matVals[slot], len(src.Values))
+	buf := resize(e.matVals[slot], len(src.Values))
 	for i, idx := range src.Values {
 		buf[i] = src.Dict[idx]
 	}
@@ -172,7 +164,7 @@ func (e *planExec) sparseVals(slot int) []int64 {
 // dictPrefixes fills e.prefix with the pre-mixed hash state of every
 // dictionary entry (the shared first-argument contribution to hash64).
 func (e *planExec) dictPrefixes(dict []int64) []uint64 {
-	pref := resizeScratch(e.prefix, len(dict))
+	pref := resize(e.prefix, len(dict))
 	for d, v := range dict {
 		pref[d] = mix64(hashSeed, v)
 	}
@@ -189,9 +181,9 @@ func (e *planExec) reset(p *Plan, rows int, arena *dwrf.Arena) {
 	e.score = resizeSlots(e.score, p.nScore)
 	e.matVals = resizeKeep(e.matVals, p.nSparse)
 	e.matDone = resizeSlots(e.matDone, p.nSparse)
-	e.emptyDense.Present = resizeNeverWritten(e.emptyDense.Present, rows)
-	e.emptyDense.Values = resizeNeverWritten(e.emptyDense.Values, rows)
-	e.emptySparse.Offsets = resizeNeverWritten(e.emptySparse.Offsets, rows+1)
+	e.emptyDense.Present = resize(e.emptyDense.Present, rows)
+	e.emptyDense.Values = resize(e.emptyDense.Values, rows)
+	e.emptySparse.Offsets = resize(e.emptySparse.Offsets, rows+1)
 }
 
 // finish drops column references so an idle exec never pins batch
@@ -236,18 +228,11 @@ func resizeKeep[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// resizeScratch resizes a fully-overwritten scratch slice without
-// clearing.
-func resizeScratch[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// resizeNeverWritten resizes a slice whose contents are only ever the
-// zero value, so no clearing is needed on reuse.
-func resizeNeverWritten[T any](s []T, n int) []T {
+// resize returns s with length n, reusing its capacity without
+// clearing: its callers either overwrite every entry before reading one
+// (scratch, recycled values) or only ever hold the zero value in it (the
+// shared all-absent inputs), so stale contents are never seen.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
@@ -265,16 +250,8 @@ func (e *planExec) account(op Op, values int64) {
 	e.stats.OpsRun++
 }
 
-// newSparse returns an arena-recycled output column; i64Values sizes a
-// values slice reusing the recycled capacity.
+// newSparse returns an arena-recycled output column.
 func (e *planExec) newSparse() *dwrf.SparseColumn { return e.arena.Sparse(e.rows) }
-
-func i64Values(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
 
 // CompilePlan lowers the graph into a compiled Plan, compiling the
 // execution order first if needed. It fails for op configurations the
@@ -497,13 +474,13 @@ func (c *planCompiler) lower(op Op) error {
 				// Hash each DISTINCT value once; the per-occurrence
 				// indices carry over unchanged, so the output stays
 				// dictionary-indexed.
-				dst.Dict = i64Values(dst.Dict, len(src.Dict))
+				dst.Dict = resize(dst.Dict, len(src.Dict))
 				for d, v := range src.Dict {
 					dst.Dict[d] = sigridBucket(v, o.Salt, o.MaxValue)
 				}
 				dst.Values = append(dst.Values, src.Values...)
 			} else {
-				dst.Values = i64Values(dst.Values, len(src.Values))
+				dst.Values = resize(dst.Values, len(src.Values))
 				for i, v := range src.Values {
 					dst.Values[i] = sigridBucket(v, o.Salt, o.MaxValue)
 				}
@@ -557,13 +534,13 @@ func (c *planCompiler) lower(op Op) error {
 			if src.IsDict() {
 				// Elementwise op on a dict column: transform each distinct
 				// value once, keep the indices as-is.
-				dst.Dict = i64Values(dst.Dict, len(src.Dict))
+				dst.Dict = resize(dst.Dict, len(src.Dict))
 				for d, v := range src.Dict {
 					dst.Dict[d] = positiveMod(v, o.M)
 				}
 				dst.Values = append(dst.Values, src.Values...)
 			} else {
-				dst.Values = i64Values(dst.Values, len(src.Values))
+				dst.Values = resize(dst.Values, len(src.Values))
 				for i, v := range src.Values {
 					dst.Values[i] = positiveMod(v, o.M)
 				}
@@ -596,7 +573,7 @@ func (c *planCompiler) lower(op Op) error {
 			dst := e.newSparse()
 			dst.Offsets = append(dst.Offsets[:0], src.Offsets...)
 			if src.IsDict() {
-				dst.Dict = i64Values(dst.Dict, len(src.Dict))
+				dst.Dict = resize(dst.Dict, len(src.Dict))
 				for d, v := range src.Dict {
 					if mapped, ok := o.Mapping[v]; ok {
 						dst.Dict[d] = mapped
@@ -606,7 +583,7 @@ func (c *planCompiler) lower(op Op) error {
 				}
 				dst.Values = append(dst.Values, src.Values...)
 			} else {
-				dst.Values = i64Values(dst.Values, len(src.Values))
+				dst.Values = resize(dst.Values, len(src.Values))
 				for i, v := range src.Values {
 					if mapped, ok := o.Mapping[v]; ok {
 						dst.Values[i] = mapped
@@ -717,7 +694,7 @@ func (c *planCompiler) lower(op Op) error {
 			if src.IsDict() {
 				// Score each distinct value once, then gather through the
 				// per-stripe table by index.
-				tab := resizeScratch(e.scoreTab, len(src.Dict))
+				tab := resize(e.scoreTab, len(src.Dict))
 				for d, v := range src.Dict {
 					tab[d] = o.scored(v)
 				}
@@ -777,7 +754,7 @@ func (c *planCompiler) lowerDenseMap(o denseMapper) error {
 		}
 		return nil
 	}
-	c.p.steps = append(c.p.steps, planStep{op: &fusedStepMarker{Op: o, group: g}, run: run})
+	c.p.steps = append(c.p.steps, planStep{op: o, run: run})
 	c.lastFused = g
 	return nil
 }

@@ -390,15 +390,12 @@ func TestPlanFusesDenseChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Logit+Clamp+BoxCox fuse into one step; GetLocalHour is its own.
-	ops, steps := len(plan.rowOps), len(plan.steps)+len(plan.rowOps)
-	for _, s := range plan.steps {
-		if m, ok := s.op.(*fusedStepMarker); ok {
-			ops += len(m.group.members)
-		} else {
-			ops++
-		}
+	// A run accounts every op it executes, fused or not, in OpsRun.
+	stats, err := plan.Run(parityBatch(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ops != 4 || steps != 2 {
+	if ops, steps := stats.OpsRun, len(plan.steps)+len(plan.rowOps); ops != 4 || steps != 2 {
 		t.Fatalf("ops=%d steps=%d, want 4 ops in 2 steps", ops, steps)
 	}
 }

@@ -517,13 +517,15 @@ type TableReader interface {
 
 var _ TableReader = (*Table)(nil)
 
-// ReadSplit reads one split under a projection, returning row samples.
-func (w *Warehouse) ReadSplit(sp Split, proj *schema.Projection, opts dwrf.ReadOptions) ([]*schema.Sample, dwrf.ReadStats, error) {
+// ReadSplit reads one split under a projection into a batch, opening
+// the split's file on every call: one footer fetch per leased split, as
+// Table 12's storage column counts it. Release the batch when done.
+func (w *Warehouse) ReadSplit(sp Split, proj *schema.Projection, opts dwrf.ReadOptions) (*dwrf.Batch, dwrf.ReadStats, error) {
 	r, err := dwrf.OpenReader(w.cluster, sp.Path)
 	if err != nil {
 		return nil, dwrf.ReadStats{}, err
 	}
-	return r.ReadStripe(sp.Stripe, proj, opts)
+	return r.ReadStripe(sp.Stripe, proj, opts, nil)
 }
 
 // CachedReader returns a shared reader for path, opening (and footer-
@@ -561,12 +563,9 @@ func (w *Warehouse) CachedReader(path string) (*dwrf.Reader, error) {
 	return e.r, e.err
 }
 
-// ReadSplitBatchCached reads one split into the columnar batch
-// representation through the shared reader cache: the file footer is
-// fetched and decoded once per file rather than once per split. For
-// unflattened files (the paper's regular-map baseline) it decodes the
-// whole row payload and converts to columns — the extra copy the flatmap
-// optimization removes.
+// ReadSplitBatchCached reads one split into a batch through the shared
+// reader cache: the file footer is fetched and decoded once per file
+// rather than once per split.
 func (w *Warehouse) ReadSplitBatchCached(sp Split, proj *schema.Projection, opts dwrf.ReadOptions) (*dwrf.Batch, dwrf.ReadStats, error) {
 	return w.ReadSplitBatchCachedArena(sp, proj, opts, nil)
 }
@@ -581,12 +580,5 @@ func (w *Warehouse) ReadSplitBatchCachedArena(sp Split, proj *schema.Projection,
 	if err != nil {
 		return nil, dwrf.ReadStats{}, err
 	}
-	if !r.Flattened() {
-		rows, stats, err := r.ReadStripe(sp.Stripe, proj, opts)
-		if err != nil {
-			return nil, stats, err
-		}
-		return dwrf.BatchFromSamples(rows), stats, nil
-	}
-	return r.ReadStripeBatchArena(sp.Stripe, proj, opts, arena)
+	return r.ReadStripe(sp.Stripe, proj, opts, arena)
 }

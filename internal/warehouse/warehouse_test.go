@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -165,44 +166,50 @@ func TestSplitsEnumerateStripes(t *testing.T) {
 	}
 }
 
+// TestReadSplitRoundTrip reads every split of a flattened and of a
+// regular-map table both through ReadSplit (one open per call) and
+// through the reader cache: the two batches must be equal and hold only
+// the projected columns.
 func TestReadSplitRoundTrip(t *testing.T) {
 	w := newWarehouse(t)
-	tbl, err := w.CreateTable("rm1", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillPartition(t, tbl, "p1", 32, 7)
-	splits, err := tbl.Splits(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	proj := schema.NewProjection(1, 5)
-	var total int
-	for _, sp := range splits {
-		rows, stats, err := w.ReadSplit(sp, proj, dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes})
+	opts := dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes}
+	for _, flatten := range []bool{true, false} {
+		tbl, err := w.CreateTable(fmt.Sprintf("rm1-%v", flatten), testSchema(t), dwrf.WriterOptions{Flatten: flatten, RowsPerStripe: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.BytesRead <= 0 {
-			t.Fatal("no bytes accounted")
+		fillPartition(t, tbl, "p1", 32, 7)
+		splits, err := tbl.Splits(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range rows {
-			if len(r.DenseFeatures) != 1 || len(r.SparseFeatures) != 1 {
-				t.Fatalf("projection leak: %+v", r)
+		var total int
+		for _, sp := range splits {
+			b, stats, err := w.ReadSplit(sp, proj, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if stats.BytesRead <= 0 {
+				t.Fatal("no bytes accounted")
+			}
+			if b.Rows != 16 || len(b.Dense) != 1 || len(b.Sparse) != 1 || len(b.ScoreList) != 0 {
+				t.Fatalf("flatten=%v: batch = rows %d dense %d sparse %d", flatten, b.Rows, len(b.Dense), len(b.Sparse))
+			}
+			cached, _, err := w.ReadSplitBatchCached(sp, proj, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(b, cached) {
+				t.Fatalf("flatten=%v stripe %d: ReadSplit and ReadSplitBatchCached disagree", flatten, sp.Stripe)
+			}
+			total += b.Rows
+			b.Release()
+			cached.Release()
 		}
-		total += len(rows)
-	}
-	if total != 32 {
-		t.Fatalf("read %d rows, want 32", total)
-	}
-	// Batch path over the same split.
-	b, _, err := w.ReadSplitBatchCached(splits[0], proj, dwrf.ReadOptions{Flatmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Rows != 16 || len(b.Dense) != 1 || len(b.Sparse) != 1 {
-		t.Fatalf("batch = rows %d dense %d sparse %d", b.Rows, len(b.Dense), len(b.Sparse))
+		if total != 32 {
+			t.Fatalf("flatten=%v: read %d rows, want 32", flatten, total)
+		}
 	}
 }
 
