@@ -62,17 +62,19 @@
 // indices are stored in the bytes their batch's largest index needs —
 // at most 3 for the standard graph's 20-bit buckets, where the first
 // frame version spent 8 — so a row crosses the wire in ~309 bytes
-// instead of ~699. Trainers
-// decode each frame (tensor.DecodeBinary) into one pooled slab of i64
-// tensors returned with Batch.Release, and in-process consumers decode
-// the same bytes. Workers push frames over one credit-windowed TCP
-// stream per client, with no per-batch round trip and without the
-// reflection-driven (de)serialization share of the paper's "datacenter
-// tax" (§6.2). It is the only worker→trainer wire: one hello layout,
-// one frame layout (data plane version 3), every frame tagged with its
-// (split, seq) provenance, every length off the socket bounded. It
-// replaced a gob-unary net/rpc plane at ~3.5x lower per-batch latency
-// and ~99% less garbage on the standard session shape.
+// instead of ~699. Trainers decode each frame (tensor.DecodeBinary)
+// into one pooled slab of i64 tensors returned with Batch.Release, and
+// the offline bypass (dpp.Worker.Sink) decodes the same bytes. Workers
+// push frames over one credit-windowed TCP stream per client — loopback
+// when trainer and fleet share a process — with no per-batch round trip
+// and without the reflection-driven (de)serialization share of the
+// paper's "datacenter tax" (§6.2). It is the only worker→trainer wire:
+// one hello layout, one frame layout (data plane version 3), every
+// frame tagged with its (split, seq) provenance and a tagged frame's
+// seq checked against its seq count, every length off the socket
+// bounded. It replaced a gob-unary net/rpc plane at ~3.5x lower
+// per-batch latency and ~99% less garbage on the standard session
+// shape.
 //
 // The DPP control plane is one dpp.Service, multi-tenant as the paper's
 // DPP actually is: a session registry (CreateSession / RestoreSession /
@@ -82,8 +84,9 @@
 // Service with one session. It closes the paper's auto-scaling loop
 // (§3.2.1): a dpp.Orchestrator periodically evaluates the fleet's
 // heartbeats and launches or drains fleet workers through a
-// WorkerLauncher (dpp.FleetLauncher: in-process goroutines, or
-// RPC-served TCP workers once it is given the service's address),
+// WorkerLauncher (dpp.FleetLauncher: goroutines, each serving its data
+// plane on a loopback listener, that call the service in process or
+// over RPC once given its address),
 // holding every launch and drain for the two steps after a drain; it
 // counts steps, not time, so tests drive the controller
 // deterministically by calling Step. Each FleetWorker runs one pipeline

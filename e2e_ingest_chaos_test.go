@@ -182,7 +182,7 @@ func TestEndToEndStreamingIngestChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			apis = append(apis, dpp.LocalWorkerAPI(w))
+			apis = append(apis, dialWorker(t, w))
 			consumers.Add(1)
 			go func(w *dpp.Worker) {
 				defer consumers.Done()

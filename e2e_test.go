@@ -17,6 +17,25 @@ import (
 	"dsi/internal/warehouse"
 )
 
+// dialWorker serves w's buffer on a loopback framed listener
+// (dpp.ServeWorker) and opens one stream to it (dpp.DialWorkerFramed):
+// a fixed pool's trainer reads its workers as dppd's and the
+// benchmark's do.
+func dialWorker(t *testing.T, w *dpp.Worker) dpp.WorkerAPI {
+	t.Helper()
+	ln, stop, err := dpp.ServeWorker(w, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	api, err := dpp.DialWorkerFramed(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { api.Close() })
+	return api
+}
+
 // TestEndToEndPipelinedSessionChecksums drives the full DSI flow —
 // datagen synthesizes samples, dwrf writes them through the warehouse,
 // a DPP master plans the session, pipelined workers extract/transform/
@@ -107,7 +126,7 @@ func TestEndToEndPipelinedSessionChecksums(t *testing.T) {
 			t.Fatal(err)
 		}
 		workers = append(workers, w)
-		apis = append(apis, dpp.LocalWorkerAPI(w))
+		apis = append(apis, dialWorker(t, w))
 	}
 	var wg sync.WaitGroup
 	for _, w := range workers {
@@ -204,7 +223,7 @@ func TestEndToEndPipelinedSessionChecksums(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	client2, err := dpp.NewClient([]dpp.WorkerAPI{dpp.LocalWorkerAPI(w2)}, 0, 0)
+	client2, err := dpp.NewClient([]dpp.WorkerAPI{dialWorker(t, w2)}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,27 +312,27 @@ func driveElasticSession(t *testing.T, o *dpp.Orchestrator, m *dpp.Master, consu
 // a pause oversupplies it (the Orchestrator drains workers back down and
 // they deregister), and the trainer still receives every generated row
 // exactly once — asserted by row counts and order-independent feature
-// checksums as in the pipelined e2e test above. It runs once with the
-// fleet in process and once over TCP: the service serves RPC on real
-// loopback, the launcher starts TCP fleet workers, and the client
-// streams length-prefixed batch frames with credit flow control, so
-// worker deregistration and the client's window-rescue on connection
-// removal must preserve exactly-once delivery too.
+// checksums as in the pipelined e2e test above. The client streams
+// length-prefixed batch frames with credit flow control from every
+// fleet worker's loopback listener, so worker deregistration and the
+// client's window-rescue on connection removal must preserve
+// exactly-once delivery too. It runs once with the fleet calling the
+// service in process and once with the service serving RPC on real
+// loopback.
 func TestEndToEndElasticSessionChecksums(t *testing.T) {
 	const sessionID = "job"
 	transports := []struct {
 		name  string
 		table string
 		seed  int64
-		// fleet returns the launcher plus the control plane and dialer
-		// the tenant reaches the session through.
-		fleet func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer)
+		// fleet returns the launcher plus the control plane the tenant
+		// reaches the session through.
+		fleet func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl)
 	}{
-		{"inprocess", "e2e-elastic", 11, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
-			launcher := &dpp.FleetLauncher{Service: svc, WH: fx.wh, HeartbeatEvery: time.Millisecond}
-			return launcher, svc, launcher.SessionDialer(sessionID)
+		{"inprocess", "e2e-elastic", 11, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl) {
+			return &dpp.FleetLauncher{Service: svc, WH: fx.wh, HeartbeatEvery: time.Millisecond}, svc
 		}},
-		{"framed", "e2e-framed", 13, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl, dpp.WorkerDialer) {
+		{"framed", "e2e-framed", 13, func(t *testing.T, fx e2eFixture, svc *dpp.Service) (dpp.WorkerLauncher, dpp.FleetControl) {
 			ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -330,7 +349,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { rs.Close() })
-			return launcher, rs, launcher.SessionDialer(sessionID)
+			return launcher, rs
 		}},
 	}
 	for _, tr := range transports {
@@ -344,13 +363,13 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			launcher, ctrl, dial := tr.fleet(t, fx, svc)
+			launcher, ctrl := tr.fleet(t, fx, svc)
 			o := dpp.NewOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 4))
 			o.ScaleInterval = time.Millisecond
 			o.CheckpointEvery = 10 * time.Millisecond
 			defer o.StopAll()
 
-			client, err := dpp.NewTenantClient(ctrl, sessionID, dial, 0, 0)
+			client, err := dpp.NewTenantClient(ctrl, sessionID, dpp.SessionWorkerDialer(sessionID), 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,7 +388,7 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 					t.Fatalf("batch of %d rows exceeds batch size %d", b.Rows, fx.session.BatchSize)
 				}
 				got.AddBatch(b)
-				b.Release() // recycles streamed tensors; a no-op in process
+				b.Release() // recycles the streamed tensors
 				return true
 			}
 

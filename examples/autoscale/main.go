@@ -94,7 +94,7 @@ func main() {
 
 	// The trainer resolves worker membership from the session's master,
 	// so its connections rebalance as the pool grows and shrinks.
-	client, err := dpp.NewTenantClient(svc, sessionID, launcher.SessionDialer(sessionID), 0, 0)
+	client, err := dpp.NewTenantClient(svc, sessionID, dpp.SessionWorkerDialer(sessionID), 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

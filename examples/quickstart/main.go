@@ -75,8 +75,18 @@ func main() {
 		}
 	}()
 
-	// 5. The trainer consumes preprocessed tensors through a client.
-	client, err := dpp.NewClient([]dpp.WorkerAPI{dpp.LocalWorkerAPI(worker)}, 0, 0)
+	// 5. The trainer consumes preprocessed tensors through a client,
+	// which reads the worker over a framed stream on loopback TCP.
+	ln, stop, err := dpp.ServeWorker(worker, "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stop()
+	stream, err := dpp.DialWorkerFramed(ln.Addr().String())
+	if err != nil {
+		log.Fatal(err)
+	}
+	client, err := dpp.NewClient([]dpp.WorkerAPI{stream}, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

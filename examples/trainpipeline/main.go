@@ -114,7 +114,18 @@ func main() {
 			log.Fatal(err)
 		}
 		workers = append(workers, w)
-		apis = append(apis, dpp.LocalWorkerAPI(w))
+		// The trainer reads each worker over a framed stream on
+		// loopback TCP.
+		ln, stop, err := dpp.ServeWorker(w, "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer stop()
+		stream, err := dpp.DialWorkerFramed(ln.Addr().String())
+		if err != nil {
+			log.Fatal(err)
+		}
+		apis = append(apis, stream)
 		go func(w *dpp.Worker) {
 			if err := w.Run(nil); err != nil {
 				log.Fatal(err)

@@ -273,7 +273,7 @@ func TestMultiTenantFleetCacheCrossSessionReuse(t *testing.T) {
 		if err := svc.CreateSession(id, s); err != nil {
 			t.Fatal(err)
 		}
-		client, err := NewTenantClient(svc, id, launcher.SessionDialer(id), 0, 0)
+		client, err := NewTenantClient(svc, id, SessionWorkerDialer(id), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,9 +8,10 @@ import (
 	"dsi/internal/tensor"
 )
 
-// WorkerAPI is the data-plane surface Clients depend on: a single RPC
-// that returns a batch of tensors from the Worker's buffer (§3.2.1),
-// and the announcement that tells a waiting Client to ask again.
+// WorkerAPI is the data-plane surface Clients depend on: the client
+// half of one framed stream to a worker (StreamWorker), which pops
+// batches the worker already pushed (§3.2.1) and announces when a
+// waiting Client should ask again.
 type WorkerAPI interface {
 	// FetchBatch pops one batch. ok=false with done=true means the
 	// worker has finished and drained; ok=false with done=false means
@@ -18,74 +19,20 @@ type WorkerAPI interface {
 	FetchBatch() (b *tensor.Batch, ok bool, done bool, err error)
 	// announceTo registers the client's one-slot wake channel: the
 	// connection pings it whenever FetchBatch may answer differently (a
-	// batch arrived, the worker finished or crashed, the stream ended).
+	// batch arrived, the stream ended).
 	announceTo(ch chan<- struct{})
-	// Close drops the connection: an in-process one stops taking the
-	// worker's pings, a stream tears down its connection.
+	// Drain rescues the batches the connection received but the client
+	// has not consumed, before the client drops it: streamed batches
+	// already left the worker's buffer, so they are never lost to a
+	// membership change.
+	Drain() []*tensor.Batch
+	// Close tears the connection down.
 	Close() error
 }
 
-// localWorker adapts *Worker to WorkerAPI. wake is the client slot it
-// registered with the worker; Close unregisters it.
-type localWorker struct {
-	w    *Worker
-	wake chan<- struct{}
-}
-
-// announceTo implements WorkerAPI: the worker pings ch from
-// signalLocked.
-func (l *localWorker) announceTo(ch chan<- struct{}) {
-	l.wake = ch
-	l.w.mu.Lock()
-	l.w.wakes[l] = struct{}{}
-	l.w.mu.Unlock()
-}
-
-// Close implements WorkerAPI: a client dropping the connection stops
-// taking the worker's pings.
-func (l *localWorker) Close() error {
-	l.w.mu.Lock()
-	delete(l.w.wakes, l)
-	l.w.mu.Unlock()
-	return nil
-}
-
-// FetchBatch implements WorkerAPI. An in-process pop is irrevocable, so
-// it acks the frame's split ledger immediately, then decodes the frame
-// as a stream client would: in process and over TCP a trainer receives
-// the same bytes. A crashed worker errors like a dead TCP peer would, so
-// fault-injection tests exercise the same client recovery path
-// in-process and over the wire.
-func (l *localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
-	if l.w.Crashed() {
-		return nil, false, false, fmt.Errorf("dpp: worker %s crashed", l.w.ID)
-	}
-	f, ok, done := l.w.tryGetFrame()
-	if !ok {
-		return nil, false, done, nil
-	}
-	l.w.ackConsumed(f)
-	b, err := f.decode()
-	f.free()
-	return b, err == nil, false, err
-}
-
-// LocalWorkerAPI wraps an in-process worker as a WorkerAPI.
-func LocalWorkerAPI(w *Worker) WorkerAPI { return &localWorker{w: w} }
-
 // WorkerDialer opens a data-plane connection to one resolved worker.
-// SessionWorkerDialer is the TCP implementation; an in-process
-// FleetLauncher's SessionDialer looks the worker up by ID.
+// SessionWorkerDialer opens a framed stream to the worker's endpoint.
 type WorkerDialer func(ep WorkerEndpoint) (WorkerAPI, error)
-
-// drainable is implemented by transports that prefetch batches ahead of
-// consumption (the framed stream): when the client drops such a
-// connection it first rescues the already-received window, so streamed
-// batches popped from a worker's buffer are never lost to a membership
-// change.
-type drainable interface {
-	Drain() []*tensor.Batch
-}
 
 // workerConn is one live client→worker connection.
 type workerConn struct {
@@ -100,7 +47,7 @@ type workerConn struct {
 // (§3.2.1).
 //
 // Two membership modes exist. NewClient freezes the worker set at
-// construction (the in-process simulation default). NewSessionClient
+// construction (a fixed pool). NewSessionClient
 // resolves membership from the master instead: the connection set is
 // periodically refreshed against ListWorkers, so workers launched by the
 // auto-scaler are picked up and drained workers are dropped mid-session
@@ -149,21 +96,19 @@ type Client struct {
 	// job.
 	seen map[int32]*splitSeen
 
-	// orphans holds batches rescued from dropped streaming connections
-	// (see drainable); they are served before any worker is swept so
+	// orphans holds batches rescued from dropped connections
+	// (WorkerAPI.Drain); they are served before any worker is swept so
 	// exactly-once delivery survives membership churn. detached counts
-	// rescues still in flight: dropping a streamed connection drains it
-	// on a side goroutine (Drain can wait out a network round trip, far
+	// rescues still in flight: dropping a connection drains it on a side
+	// goroutine (Drain can wait out a network round trip, far
 	// too long to hold the client lock), and the session is not declared
 	// done for this client until every rescue has landed.
 	orphans  []*tensor.Batch
 	detached int
 
 	// wake is the one-slot channel Next waits on between sweeps. Every
-	// connection pings it (WorkerAPI.announceTo): a framed stream when a
-	// frame lands or the stream ends, an in-process worker when a batch
-	// enters its buffer or it finishes or crashes. reapDetached pings it
-	// when a rescue lands. Pings sent while a sweep is running stay in
+	// connection pings it (WorkerAPI.announceTo) when a frame lands or
+	// the stream ends; reapDetached pings it when a rescue lands. Pings sent while a sweep is running stay in
 	// the slot, so no arrival is missed.
 	wake chan struct{}
 
@@ -194,8 +139,8 @@ func NewClient(workers []WorkerAPI, maxConnections, clientIndex int) (*Client, e
 // NewTenantClient builds a client for one session of a multi-tenant
 // service: the session's control plane comes from
 // ctrl.SessionMaster(sessionID) and dial must be bound to the same
-// session (SessionWorkerDialer, or a fleet launcher's SessionDialer) so
-// the data plane lands on that session's pipelines.
+// session (SessionWorkerDialer) so the data plane lands on that
+// session's pipelines.
 func NewTenantClient(ctrl FleetControl, sessionID string, dial WorkerDialer, maxConnections, clientIndex int) (*Client, error) {
 	if ctrl == nil {
 		return nil, fmt.Errorf("dpp: tenant client needs a service control plane")
@@ -251,14 +196,10 @@ func (c *Client) removeLocked(id string) bool {
 		if conn.id != id {
 			continue
 		}
-		if d, ok := conn.api.(drainable); ok {
-			// Rescue the prefetched window off the lock; close after the
-			// drain so in-flight frames can still be collected.
-			c.detached++
-			go c.reapDetached(conn.api, d)
-		} else {
-			conn.api.Close()
-		}
+		// Rescue the prefetched window off the lock; close after the
+		// drain so in-flight frames can still be collected.
+		c.detached++
+		go c.reapDetached(conn.api)
 		c.conns = append(c.conns[:i], c.conns[i+1:]...)
 		if c.next > i {
 			c.next--
@@ -273,10 +214,10 @@ func (c *Client) removeLocked(id string) bool {
 	return false
 }
 
-// reapDetached drains one dropped streaming connection outside the
-// client lock and lands the rescued window in the orphan queue.
-func (c *Client) reapDetached(api WorkerAPI, d drainable) {
-	batches := d.Drain()
+// reapDetached drains one dropped connection outside the client lock
+// and lands the rescued window in the orphan queue.
+func (c *Client) reapDetached(api WorkerAPI) {
+	batches := api.Drain()
 	api.Close()
 	c.mu.Lock()
 	c.orphans = append(c.orphans, batches...)
@@ -337,19 +278,15 @@ func (c *Client) Refresh() error {
 			continue
 		}
 		if !c.AddWorker(ep.ID, api) {
-			// A concurrent refresh won the race; release the spare. A
-			// streamed spare may already hold pushed batches (popped from
-			// the worker's buffer, disjoint from the winner's stream), so
-			// it is drained into the orphan queue like a removal, not
-			// merely closed.
-			if d, ok := api.(drainable); ok {
-				c.mu.Lock()
-				c.detached++
-				c.mu.Unlock()
-				go c.reapDetached(api, d)
-			} else {
-				api.Close()
-			}
+			// A concurrent refresh won the race; release the spare. It
+			// may already hold pushed batches (popped from the worker's
+			// buffer, disjoint from the winner's stream), so it is
+			// drained into the orphan queue like a removal, not merely
+			// closed.
+			c.mu.Lock()
+			c.detached++
+			c.mu.Unlock()
+			go c.reapDetached(api)
 		}
 	}
 	c.mu.Lock()
@@ -499,8 +436,7 @@ func (c *Client) admitLocked(b *tensor.Batch) bool {
 // master-resolved client, when additionally the master reports the
 // session complete and membership has emptied. Between sweeps it waits,
 // off the client lock, for an arrival: a batch reaching a stream's
-// window or an in-process worker's buffer, a worker finishing or
-// crashing, a stream ending, or a rescued window landing in the orphan
+// window, a stream ending, or a rescued window landing in the orphan
 // queue. The one timer is a master-resolved client's RefreshEvery, the
 // cadence at which it re-resolves membership (control plane, not a
 // hand-off). Next has one waiter — the session's one logical consumer,

@@ -157,15 +157,24 @@ func (f *frame) split() int32 {
 }
 
 // decode returns the batch the frame carries, tagged, in recycled tensors
-// — what a client decodes off the stream, so the in-process consumers
-// (LocalWorkerAPI, Worker.Sink) deliver the same bytes as TCP.
+// — what a client decodes off the stream, so the offline bypass
+// (Worker.Sink) receives the same bytes a trainer does.
 func (f *frame) decode() (*tensor.Batch, error) {
 	return decodeBatchFrame(f.buf[frameHeaderLen:])
 }
 
 // decodeBatchFrame decodes a batch frame's payload: the provenance tags,
-// then one tensor frame filling the rest.
+// then one tensor frame filling the rest. A tagged frame (split != 0)
+// must name a seq in [1, seq count]: the client's dedup ledger counts
+// every admitted seq toward the split's completion, so one out of range
+// would later drop the split's real batches as duplicates.
 func decodeBatchFrame(payload []byte) (*tensor.Batch, error) {
+	split := int32(binary.LittleEndian.Uint32(payload[0:4]))
+	seq := int32(binary.LittleEndian.Uint32(payload[4:8]))
+	seqCount := int32(binary.LittleEndian.Uint32(payload[8:12]))
+	if split != 0 && (seq < 1 || seq > seqCount) {
+		return nil, fmt.Errorf("dpp: framed stream: split %d batch seq %d outside [1, %d]", split, seq, seqCount)
+	}
 	b, n, err := tensor.DecodeBinary(payload[batchTagLen:])
 	if err != nil {
 		return nil, err
@@ -174,9 +183,7 @@ func decodeBatchFrame(payload []byte) (*tensor.Batch, error) {
 		b.Release()
 		return nil, fmt.Errorf("dpp: framed stream: %d trailing bytes after the tensor frame", len(payload)-batchTagLen-n)
 	}
-	b.Split = int32(binary.LittleEndian.Uint32(payload[0:4]))
-	b.Seq = int32(binary.LittleEndian.Uint32(payload[4:8]))
-	b.SeqCount = int32(binary.LittleEndian.Uint32(payload[8:12]))
+	b.Split, b.Seq, b.SeqCount = split, seq, seqCount
 	return b, nil
 }
 

@@ -423,6 +423,47 @@ func TestStreamRejectsOversizedFrameBeforeAllocating(t *testing.T) {
 	}
 }
 
+// taggedExchange is a server's half of a stream that sends one batch
+// frame under the given tags, then done.
+func taggedExchange(split, seq, seqCount int32) []byte {
+	b := dataplaneTestBatch(4, 9)
+	b.Split, b.Seq, b.SeqCount = split, seq, seqCount
+	f := encodeFrame(b)
+	out := append(append(append([]byte(nil), serverHello...), f.buf...), frameKindDone, 0, 0, 0, 0)
+	f.free()
+	return out
+}
+
+// TestStreamRejectsSeqOutsideSeqCount: a tagged frame whose seq lies
+// outside [1, seq count] is a stream error, not a batch — admitted, it
+// would count toward its split's completion marker and get the split's
+// real batches dropped as duplicates. Untagged frames carry no seq to
+// check.
+func TestStreamRejectsSeqOutsideSeqCount(t *testing.T) {
+	for _, tags := range [][3]int32{{1, 0, 2}, {1, 3, 2}, {1, 1, 0}, {1, -1, 2}, {-4, 0, 0}} {
+		s, err := streamFromBytes(taggedExchange(tags[0], tags[1], tags[2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, done, err := streamResult(t, s)
+		s.Close()
+		if batches != 0 || done || err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("split %d seq %d of %d: %d batches, done %v, err %v; want a seq error", tags[0], tags[1], tags[2], batches, done, err)
+		}
+	}
+	for _, tags := range [][3]int32{{1, 1, 1}, {7, 2, 2}, {0, 0, 0}, {0, 5, 0}} {
+		s, err := streamFromBytes(taggedExchange(tags[0], tags[1], tags[2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches, done, err := streamResult(t, s)
+		s.Close()
+		if batches != 1 || !done || err != nil {
+			t.Fatalf("split %d seq %d of %d: %d batches, done %v, err %v; want the batch, then done", tags[0], tags[1], tags[2], batches, done, err)
+		}
+	}
+}
+
 func TestFramedHelloServedAtWindowCap(t *testing.T) {
 	// A hello announcing a 4-billion-frame window, and later a grant for
 	// frames never sent, must not pull more than maxCreditWindow batches
@@ -644,6 +685,8 @@ func FuzzStreamFrames(f *testing.F) {
 	retired := append([]byte(nil), valid...)
 	retired[len(dataPlaneMagic)] = 2
 	f.Add(retired) // the retired v2 hello, before the same frames
+	badSeq := taggedExchange(1, 3, 2)
+	f.Add(badSeq) // a tagged frame whose seq passes its seq count
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -661,6 +704,9 @@ func FuzzStreamFrames(f *testing.F) {
 		}
 		if bytes.Equal(data, valid) && (batches != 2 || !done) {
 			t.Fatalf("the recorded exchange delivered %d batches, done %v, err %v", batches, done, err)
+		}
+		if bytes.Equal(data, badSeq) && (batches != 0 || err == nil) {
+			t.Fatalf("a seq past its seq count delivered %d batches, err %v; want a stream error", batches, err)
 		}
 		runtime.ReadMemStats(&after)
 		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(maxFrameLen+8*len(data)+1<<20); grew > bound {

@@ -528,7 +528,7 @@ func TestWorkerRunAndClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		workers = append(workers, w)
-		apis = append(apis, LocalWorkerAPI(w))
+		apis = append(apis, dialWorker(t, w))
 	}
 	var wg sync.WaitGroup
 	for _, w := range workers {
@@ -577,7 +577,7 @@ func TestClientConnectionCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		apis = append(apis, LocalWorkerAPI(w))
+		apis = append(apis, dialWorker(t, w))
 	}
 	c, err := NewClient(apis, 2, 1)
 	if err != nil {
@@ -647,8 +647,8 @@ func TestAutoScalerScalesUpOnStarvation(t *testing.T) {
 
 func TestAutoScalerScalesDownWhenIdle(t *testing.T) {
 	a := NewAutoScaler(1, 50)
-	// Full buffers plus a low measured busy fraction mark a worker
-	// drainable.
+	// Full buffers plus a low measured busy fraction mark a worker a
+	// drain candidate.
 	stats := []WorkerStats{
 		{MinBuffered: 8, BusyFrac: 0.05},
 		{MinBuffered: 7, BusyFrac: 0.1},
@@ -661,8 +661,8 @@ func TestAutoScalerScalesDownWhenIdle(t *testing.T) {
 	if len(stats)+delta < a.MinWorkers {
 		t.Fatalf("scaled below MinWorkers: %d", len(stats)+delta)
 	}
-	// A busy worker with full buffers (fast producer, keeping up) is not
-	// drainable.
+	// A busy worker with full buffers (fast producer, keeping up) is no
+	// drain candidate.
 	busy := []WorkerStats{
 		{MinBuffered: 8, BusyFrac: 0.9},
 		{MinBuffered: 7, BusyFrac: 0.8},
@@ -757,7 +757,7 @@ func TestEndToEndAutoscaledSession(t *testing.T) {
 		defer mu.Unlock()
 		for _, w := range workers {
 			if w.ID == ep.ID {
-				return LocalWorkerAPI(w), nil
+				return dialWorker(t, w), nil
 			}
 		}
 		return nil, fmt.Errorf("unknown worker %q", ep.ID)

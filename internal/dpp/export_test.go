@@ -18,6 +18,17 @@ func (w *Worker) Undelivered() int {
 	return len(w.buffer) + w.outstanding
 }
 
+// Pipeline returns the hosted pipeline worker for one session (nil when
+// the session is not assigned here).
+func (fw *FleetWorker) Pipeline(sessionID string) *Worker {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if p := fw.pipelines[sessionID]; p != nil {
+		return p.w
+	}
+	return nil
+}
+
 // Connections reports how many workers the client is attached to.
 func (c *Client) Connections() int {
 	c.mu.Lock()

@@ -50,7 +50,7 @@ type FleetWorker struct {
 	cache     *ware.Cache
 
 	// stopServe closes the data-plane listener ListenAndServeFleetWorker
-	// bound (nil for a worker dialed by identity); a crash closes it too.
+	// bound; a crash closes it too.
 	stopServe func()
 
 	mu        sync.Mutex
@@ -88,34 +88,6 @@ type fleetPipeline struct {
 
 func (p *fleetPipeline) forceStop() { p.once.Do(func() { close(p.stop) }) }
 
-// NewFleetWorker registers a fleet worker with the service control
-// plane. endpoint is the shared data-plane address clients will dial
-// (empty for in-process fleets dialed by identity).
-func NewFleetWorker(id, endpoint string, ctrl FleetControl, wh *warehouse.Warehouse) (*FleetWorker, error) {
-	if err := ctrl.RegisterFleetWorker(id, endpoint); err != nil {
-		return nil, fmt.Errorf("dpp: fleet worker %s register: %w", id, err)
-	}
-	return &FleetWorker{
-		ID:        id,
-		Endpoint:  endpoint,
-		ctrl:      ctrl,
-		wh:        wh,
-		pipelines: make(map[string]*fleetPipeline),
-		crashCh:   make(chan struct{}),
-	}, nil
-}
-
-// Pipeline returns the hosted pipeline worker for one session (nil when
-// the session is not assigned here) — the in-process data-plane lookup.
-func (fw *FleetWorker) Pipeline(sessionID string) *Worker {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	if p := fw.pipelines[sessionID]; p != nil {
-		return p.w
-	}
-	return nil
-}
-
 // source is the data plane's sourceResolver: a stream whose hello names
 // a session lands on that session's pipeline buffer.
 func (fw *FleetWorker) source(sessionID string) (frameSource, error) {
@@ -132,8 +104,8 @@ func (fw *FleetWorker) source(sessionID string) (frameSource, error) {
 // windows, sampled and restarted, folded into what the service reads of
 // a member — the worst-case minimum buffer and the mean busy fraction
 // (PolicyStats → AutoScaler.Evaluate). A worker with no assignments
-// reports an idle, drainable profile. The recovery counters are per
-// session and ride the pipelines' own session heartbeats
+// reports an idle profile, a drain candidate. The recovery counters are
+// per session and ride the pipelines' own session heartbeats
 // (Master.Recovery).
 func (fw *FleetWorker) AggregateStats() WorkerStats {
 	fw.mu.Lock()
@@ -165,8 +137,8 @@ func (fw *FleetWorker) heartbeatEvery() time.Duration {
 }
 
 // Crash is the fleet-level fault-injection hook: every hosted pipeline
-// crashes (data plane severs, heartbeats stop, nothing deregisters), a
-// bound data-plane listener closes, and the fleet worker goes silent,
+// crashes (data plane severs, heartbeats stop, nothing deregisters),
+// its data-plane listener closes, and the fleet worker goes silent,
 // exactly as a killed node would. The service discovers the death
 // through fleet-heartbeat silence (Service.ReapDead) and deregisters
 // the node at every session master, which requeues every lease it held.
@@ -186,9 +158,7 @@ func (fw *FleetWorker) Crash() {
 	for _, w := range workers {
 		w.Crash()
 	}
-	if fw.stopServe != nil {
-		fw.stopServe()
-	}
+	fw.stopServe()
 }
 
 // Crashed reports whether the fault-injection hook fired.
@@ -351,10 +321,18 @@ func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse
 	if err != nil {
 		return nil, nil, err
 	}
-	fw, err := NewFleetWorker(id, advertiseAddr(ln.Addr()), ctrl, wh)
-	if err != nil {
+	endpoint := advertiseAddr(ln.Addr())
+	if err := ctrl.RegisterFleetWorker(id, endpoint); err != nil {
 		ln.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("dpp: fleet worker %s register: %w", id, err)
+	}
+	fw := &FleetWorker{
+		ID:        id,
+		Endpoint:  endpoint,
+		ctrl:      ctrl,
+		wh:        wh,
+		pipelines: make(map[string]*fleetPipeline),
+		crashCh:   make(chan struct{}),
 	}
 	if tune != nil {
 		tune(fw)
@@ -365,13 +343,13 @@ func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse
 
 // FleetLauncher launches fleet workers as goroutines of the calling
 // process, so one process — a test, a simulation, a dppd master — can
-// operate a whole fleet. One thing selects the transport: with
-// ServiceAddr set, each worker dials the service (DialService: every
-// call one ControlCall over net/rpc) and serves its shared data plane
-// on its own loopback TCP listener (the disaggregated deployment); with
-// it empty, each worker calls Service directly and clients reach its
-// pipelines by identity. SessionDialer returns the matching client-side
-// dialer either way.
+// operate a whole fleet. Every worker serves its shared data plane on
+// its own loopback TCP listener, so clients reach it with
+// SessionWorkerDialer whatever the control plane. One thing selects the
+// control plane: with ServiceAddr set, each worker dials the service
+// (DialService: every call one ControlCall over net/rpc — the
+// disaggregated deployment); with it empty, each worker calls Service
+// directly.
 type FleetLauncher struct {
 	// ServiceAddr is the service's RPC address (ServeService).
 	ServiceAddr string
@@ -402,28 +380,23 @@ func (l *FleetLauncher) Launch(id string) (WorkerHandle, error) {
 			fw.OnError = func(session string, err error) { l.OnError(id+"/"+session, err) }
 		}
 	}
-	var fw *FleetWorker
-	release := func() {} // what a TCP worker holds open: listener, control connection
-	if l.ServiceAddr == "" {
-		var err error
-		if fw, err = NewFleetWorker(id, "inproc://"+id, l.Service, l.WH); err != nil {
-			return nil, err
-		}
-		tune(fw)
-	} else {
+	ctrl := l.Service
+	closeCtrl := func() {} // a dialed control connection
+	if l.ServiceAddr != "" {
 		remote, err := DialService(l.ServiceAddr)
 		if err != nil {
 			return nil, err
 		}
-		var stopServe func()
-		if fw, stopServe, err = ListenAndServeFleetWorker(id, "127.0.0.1:0", remote, l.WH, tune); err != nil {
-			remote.Close()
-			return nil, err
-		}
-		release = func() {
-			stopServe()
-			remote.Close()
-		}
+		ctrl, closeCtrl = remote, func() { remote.Close() }
+	}
+	fw, stopServe, err := ListenAndServeFleetWorker(id, "127.0.0.1:0", ctrl, l.WH, tune)
+	if err != nil {
+		closeCtrl()
+		return nil, err
+	}
+	release := func() {
+		stopServe()
+		closeCtrl()
 	}
 	l.mu.Lock()
 	if l.workers == nil {
@@ -467,7 +440,7 @@ func (l *FleetLauncher) Launched() []*FleetWorker {
 }
 
 // Crash crash-kills one launched fleet worker (FleetWorker.Crash: no
-// drain, no deregistration, a TCP listener closed mid-stream — the
+// drain, no deregistration, its listener closed mid-stream — the
 // closest in-process stand-in for kill -9 on a worker node), reporting
 // whether it was found.
 func (l *FleetLauncher) Crash(id string) bool {
@@ -477,27 +450,4 @@ func (l *FleetLauncher) Crash(id string) bool {
 	}
 	fw.Crash()
 	return true
-}
-
-// SessionDialer returns the WorkerDialer reaching one session's
-// pipelines on this launcher's fleet workers: framed TCP streams to
-// their listeners, or by identity in process.
-func (l *FleetLauncher) SessionDialer(sessionID string) WorkerDialer {
-	if l.ServiceAddr != "" {
-		return SessionWorkerDialer(sessionID)
-	}
-	return func(ep WorkerEndpoint) (WorkerAPI, error) {
-		fw := l.Worker(ep.ID)
-		if fw == nil {
-			return nil, fmt.Errorf("dpp: unknown in-process fleet worker %q", ep.ID)
-		}
-		if fw.Crashed() {
-			return nil, fmt.Errorf("dpp: fleet worker %q crashed", ep.ID)
-		}
-		w := fw.Pipeline(sessionID)
-		if w == nil {
-			return nil, fmt.Errorf("dpp: fleet worker %q hosts no session %q", ep.ID, sessionID)
-		}
-		return LocalWorkerAPI(w), nil
-	}
 }

@@ -711,7 +711,7 @@ type AutoScaler struct {
 
 const (
 	// scalerIdleUtil is the live busy fraction (WorkerStats.BusyFrac)
-	// below which an oversupplied worker is considered drainable.
+	// below which an oversupplied worker is a drain candidate.
 	scalerIdleUtil = 0.45
 	// scalerStepUp caps how many workers are added per evaluation.
 	scalerStepUp = 4
@@ -738,13 +738,13 @@ func (a *AutoScaler) Evaluate(stats []WorkerStats) int {
 		return 1
 	}
 	starving := 0
-	drainable := 0
+	idle := 0
 	for _, s := range stats {
 		if s.MinBuffered <= a.LowBuffer {
 			starving++
 		}
 		if s.MinBuffered >= a.HighBuffer && s.BusyFrac < scalerIdleUtil {
-			drainable++
+			idle++
 		}
 	}
 	switch {
@@ -757,8 +757,8 @@ func (a *AutoScaler) Evaluate(stats []WorkerStats) int {
 			add = 0
 		}
 		return add
-	case drainable > 0 && n > a.MinWorkers:
-		drop := drainable
+	case idle > 0 && n > a.MinWorkers:
+		drop := idle
 		if n-drop < a.MinWorkers {
 			drop = n - a.MinWorkers
 		}

@@ -273,7 +273,7 @@ func TestSessionClientSkipsUndialableWorker(t *testing.T) {
 		if ep.Endpoint != "ok" {
 			return nil, fmt.Errorf("connection refused")
 		}
-		return LocalWorkerAPI(w1), nil
+		return dialWorker(t, w1), nil
 	}
 	c, err := NewSessionClient(m, dial, 0, 0)
 	if err != nil {
@@ -474,7 +474,7 @@ func TestOrchestratedSessionDeliversAllRows(t *testing.T) {
 	o.CheckpointEvery = 5 * time.Millisecond
 	stopAndWait := runFleetLoop(t, o)
 
-	client, err := NewTenantClient(svc, fakeSessionID, l.SessionDialer(fakeSessionID), 0, 0)
+	client, err := NewTenantClient(svc, fakeSessionID, SessionWorkerDialer(fakeSessionID), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

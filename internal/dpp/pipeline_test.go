@@ -274,14 +274,27 @@ func TestNewWorkerFailsOnUncompilableGraph(t *testing.T) {
 	}
 }
 
-// getBatch pops the worker's next buffered batch as a direct local
-// consumer would (the pop counts as consumed for the split ledger),
-// waiting for one; ok=false once the worker has finished and drained.
+// popBatch pops the worker's next buffered frame without blocking and
+// decodes it, acking the pop at once as consumption for the split
+// ledger — a consumer that, unlike a stream's window, cannot lose what
+// it popped. done=true means the worker has finished and drained.
+func popBatch(w *Worker) (b *tensor.Batch, ok, done bool, err error) {
+	f, ok, done := w.tryGetFrame()
+	if !ok {
+		return nil, false, done, nil
+	}
+	w.ackConsumed(f)
+	b, err = f.decode()
+	f.free()
+	return b, err == nil, false, err
+}
+
+// getBatch is popBatch waiting for a batch; ok=false once the worker
+// has finished and drained.
 func getBatch(w *Worker) (*tensor.Batch, bool) {
-	api := LocalWorkerAPI(w)
 	for {
 		ready := w.BatchReady()
-		if b, ok, done, err := api.FetchBatch(); ok || done || err != nil {
+		if b, ok, done, err := popBatch(w); ok || done || err != nil {
 			return b, ok
 		}
 		<-ready
@@ -466,7 +479,7 @@ func TestPipelinedWorkersShareSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		workers = append(workers, w)
-		apis = append(apis, LocalWorkerAPI(w))
+		apis = append(apis, dialWorker(t, w))
 	}
 	var wg sync.WaitGroup
 	for _, w := range workers {

@@ -88,7 +88,7 @@ func TestServiceCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("session %s split %d: ok=%v err=%v", id, i, ok, err)
 			}
 			for {
-				b, ok, _, err := LocalWorkerAPI(w).FetchBatch()
+				b, ok, _, err := popBatch(w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +147,7 @@ func TestServiceCheckpointRoundTrip(t *testing.T) {
 	o.ScaleInterval = time.Millisecond
 	stopAndWait := runFleetLoop(t, o)
 	for id := range specs {
-		client, err := NewTenantClient(replica, id, launcher.SessionDialer(id), 0, 0)
+		client, err := NewTenantClient(replica, id, SessionWorkerDialer(id), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -679,8 +679,8 @@ func (s *Service) Done() (bool, error) {
 // A FleetWorker's aggregate takes the minimum buffer level across its
 // per-session pipelines, so one starving tenant makes its members read
 // as starving — the tenant-aggregated signal the pool-sizing policy
-// keys on. Members with no assignments report an idle, drainable
-// profile (FleetWorker.AggregateStats), and a member that registered
+// keys on. Members with no assignments report an idle profile, a drain
+// candidate (FleetWorker.AggregateStats), and a member that registered
 // but has not heartbeated yet reads as starving, which only hastens
 // bootstrap.
 func (s *Service) PolicyStats() []WorkerStats {
@@ -697,7 +697,7 @@ func (s *Service) PolicyStats() []WorkerStats {
 
 // idleBuffered is the synthetic buffer level reported for fleet workers
 // with no assignments: far above any HighBuffer threshold, so the
-// scale-down rule sees them as drainable oversupply.
+// scale-down rule sees them as oversupply to drain.
 const idleBuffered = 1 << 20
 
 // serviceCheckpoint is the serialized state of every session.

@@ -377,11 +377,13 @@ func TestFleetPipelineHeartbeatsAtFleetPeriod(t *testing.T) {
 			close(third)
 		}
 	}}
-	fw, err := NewFleetWorker("fw1", "inproc://fw1", ctrl, wh)
+	fw, stopServe, err := ListenAndServeFleetWorker("fw1", "127.0.0.1:0", ctrl, wh, func(fw *FleetWorker) {
+		fw.HeartbeatEvery = time.Millisecond
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw.HeartbeatEvery = time.Millisecond
+	defer stopServe()
 	stop, done := make(chan struct{}), make(chan error, 1)
 	go func() { done <- fw.Run(stop) }()
 	select {
@@ -434,7 +436,7 @@ func TestServiceConcurrentSessionChurn(t *testing.T) {
 					errs <- err
 					return
 				}
-				client, err := NewTenantClient(svc, id, launcher.SessionDialer(id), 0, tenant)
+				client, err := NewTenantClient(svc, id, SessionWorkerDialer(id), 0, tenant)
 				if err != nil {
 					errs <- err
 					return
@@ -533,7 +535,7 @@ func TestServiceCloseSessionMidRunAbandonsPipelines(t *testing.T) {
 	if err := svc.CreateSession("fresh", spec); err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewTenantClient(svc, "fresh", launcher.SessionDialer("fresh"), 0, 0)
+	client, err := NewTenantClient(svc, "fresh", SessionWorkerDialer("fresh"), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,7 +655,9 @@ func TestUngetBatchesOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(seq int32) *blob { return &blob{Rows: 1, Labels: []float32{float32(seq)}, Split: 9, Seq: seq} }
+	mk := func(seq int32) *blob {
+		return &blob{Rows: 1, Labels: []float32{float32(seq)}, Split: 9, Seq: seq, SeqCount: 4}
+	}
 	// Fresh output already buffered.
 	if err := w.deliver(encodeFrame(mk(3)), nil); err != nil {
 		t.Fatal(err)
@@ -844,8 +848,8 @@ func TestWorkerCrashGoesDark(t *testing.T) {
 	if _, ok, done := w.tryGetFrame(); ok || done {
 		t.Fatalf("crashed worker served a batch (ok=%v done=%v)", ok, done)
 	}
-	if _, _, _, err := LocalWorkerAPI(w).FetchBatch(); err == nil {
-		t.Fatal("crashed worker's local fetch did not error")
+	if batches, done, err := streamResult(t, dialWorker(t, w)); batches != 0 || done || err == nil {
+		t.Fatalf("a stream to the crashed worker delivered %d batches, done %v, err %v; want an error", batches, done, err)
 	}
 	if err := w.Retire(nil); err != nil {
 		t.Fatalf("crashed Retire = %v, want nil no-op", err)

@@ -55,11 +55,12 @@
 //   - The Orchestrator closes the auto-scaling loop around the
 //     Service: it periodically evaluates the fleet heartbeats with the
 //     AutoScaler policy and launches or drains fleet members through a
-//     WorkerLauncher (FleetLauncher: goroutine workers called in
-//     process, or TCP-served ones once it is given the service's
-//     address), reaps retired members, and takes periodic checkpoints
-//     covering every session (DecodeServiceCheckpoint + RestoreSession
-//     re-host them on a replica). Pool size follows tenant-aggregated starvation and
+//     WorkerLauncher (FleetLauncher: goroutine workers, each serving
+//     its data plane on a loopback listener, that call the Service in
+//     process or over RPC once given its address), reaps retired
+//     members, and takes periodic checkpoints covering every session
+//     (DecodeServiceCheckpoint + RestoreSession re-host them on a
+//     replica). Pool size follows tenant-aggregated starvation and
 //     oversupply; the loop counts Steps, not time (the two Steps after
 //     a drain neither launch nor drain), and Run takes one Step per
 //     ScaleInterval, so tests drive the identical control law
@@ -89,17 +90,19 @@
 //
 // Delivery is exactly-once even across non-graceful worker death: a
 // split is acknowledged to its master only when every batch it
-// produced has been consumed by a client (framed credit grants,
-// in-process pops), every batch carries (Split, Seq) provenance,
-// and clients deduplicate redelivery when a crashed worker's requeued
-// leases re-run. Worker.Crash and the launchers' Crash methods are the
+// produced has been consumed by a client (a framed credit grant, or a
+// gracefully rescued stream window), every batch carries (Split, Seq)
+// provenance, and clients deduplicate redelivery when a crashed
+// worker's requeued leases re-run. Worker.Crash and the launchers' Crash methods are the
 // fault-injection harness that pins this down in tests.
 //
-// The package supports two transports: direct in-process calls (used by
-// simulations and tests) and TCP (cmd/dppd), exercising the same
-// Master/Worker/Client/Orchestrator logic. A Client sees either data
-// plane as one WorkerAPI — fetch, announce, close — and a stream server
-// serves one frameSource contract, which Worker implements.
+// The control plane has two forms: the Service called in process (by
+// simulations and tests) and the same Service over TCP (cmd/dppd),
+// exercising the same Master/Worker/Orchestrator logic. The data plane
+// has one: every batch a trainer receives crosses a framed stream, over
+// loopback TCP in process as between hosts. A Client sees each stream
+// as one WorkerAPI — fetch, announce, drain, close — and a stream
+// server serves one frameSource contract, which Worker implements.
 //
 // Over TCP the control plane is one net/rpc method, "Control.Call"
 // (ServeService): every Master and Service operation crosses as one
@@ -107,7 +110,7 @@
 // ControlReply. RemoteService and RemoteMaster are the client halves;
 // a RemoteMaster's WorkChanged is one long-poll of the AwaitWork op.
 //
-// Over TCP the worker→trainer data plane is one framed stream per
+// The worker→trainer data plane is one framed stream per
 // (client, worker) pair (DialWorkerFramed / DialWorkerFramedSession,
 // layout in dataplane.go): the client opens it with a hello carrying
 // the session ID and a credit window; the worker answers and pushes

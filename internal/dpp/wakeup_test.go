@@ -1,8 +1,6 @@
 package dpp
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,6 +110,25 @@ func (s *announcingSource) BatchReady() <-chan struct{} {
 func serveAndDial(t *testing.T, src BatchSource) *StreamWorker {
 	t.Helper()
 	ln, stop, err := ServeBatchSource(src, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	api, err := DialWorkerFramed(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := api.(*StreamWorker)
+	t.Cleanup(func() { sw.Close() })
+	return sw
+}
+
+// dialWorker serves w's buffer on a loopback framed listener
+// (ServeWorker) and opens one stream to it (DialWorkerFramed) — the one
+// transport a client reads a worker through.
+func dialWorker(t testing.TB, w *Worker) *StreamWorker {
+	t.Helper()
+	ln, stop, err := ServeWorker(w, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,14 +595,6 @@ func (c *countedConn) FetchBatch() (*tensor.Batch, bool, bool, error) {
 	return c.WorkerAPI.FetchBatch()
 }
 
-// Close passes the client's removal through to the connection.
-func (c *countedConn) Close() error {
-	if closer, ok := c.WorkerAPI.(io.Closer); ok {
-		return closer.Close()
-	}
-	return nil
-}
-
 // arrivalEnd is the far end of one connection TestClientNextWaitsForArrival
 // drives: the client's side of it, and how to hand it a batch or end it.
 type arrivalEnd struct {
@@ -598,34 +607,6 @@ type arrivalEnd struct {
 func streamEnd(t *testing.T) arrivalEnd {
 	src := newAnnouncingSource()
 	return arrivalEnd{&countedConn{WorkerAPI: serveAndDial(t, src)}, src.push, src.finish}
-}
-
-// idleWorkers registers n in-process workers that never run: the test
-// fills their buffers (deliver) and finishes them itself.
-func idleWorkers(t *testing.T, n int) []*Worker {
-	t.Helper()
-	wh, spec := buildFixture(t, 64, 16)
-	m, err := NewMaster(wh, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := make([]*Worker, n)
-	for i := range ws {
-		if ws[i], err = NewWorker(fmt.Sprintf("idle-%d", i), m, wh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return ws
-}
-
-// localEnd is an in-process connection (LocalWorkerAPI) to w.
-func localEnd(t *testing.T, w *Worker) arrivalEnd {
-	push := func(b *tensor.Batch) {
-		if err := w.deliver(encodeFrame(b), nil); err != nil {
-			t.Error(err)
-		}
-	}
-	return arrivalEnd{&countedConn{WorkerAPI: LocalWorkerAPI(w)}, push, w.finish}
 }
 
 type nextResult struct {
@@ -686,90 +667,72 @@ func expectIdle(t *testing.T, got <-chan nextResult, sweeps func() int64) {
 	}
 }
 
-// TestClientNextWaitsForArrival: over connections that have nothing,
-// Next sweeps once and then touches no connection until a batch
-// arrives, a connection ends, or a rescued window lands in the orphan
-// queue — over framed streams and over in-process workers alike. A Next
+// TestClientNextWaitsForArrival: over streams that have nothing, Next
+// sweeps once and then touches no connection until a batch arrives, a
+// stream ends, or a rescued window lands in the orphan queue. A Next
 // that re-swept on a timer fails the idle checks.
 func TestClientNextWaitsForArrival(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ends func(t *testing.T) (a, b arrivalEnd)
-	}{
-		{"stream", func(t *testing.T) (arrivalEnd, arrivalEnd) { return streamEnd(t), streamEnd(t) }},
-		{"local", func(t *testing.T) (arrivalEnd, arrivalEnd) {
-			ws := idleWorkers(t, 2)
-			return localEnd(t, ws[0]), localEnd(t, ws[1])
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := tc.ends(t)
-			client, err := NewClient([]WorkerAPI{a.conn, b.conn}, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sweeps := func() int64 { return a.conn.fetches.Load() + b.conn.fetches.Load() }
-
-			got := goNext(client)
-			expectIdle(t, got, sweeps)
-			a.push(dataplaneTestBatch(8, 1))
-			expectNext(t, "a batch", got, 8, true)
-
-			// A connection's end wakes Next; the other is still live, so
-			// it sweeps and goes back to waiting.
-			got = goNext(client)
-			expectIdle(t, got, sweeps)
-			before := sweeps()
-			a.finish()
-			eventually(t, "a sweep after a connection ended", func() bool { return sweeps() > before })
-			expectIdle(t, got, sweeps)
-
-			// A rescued window landing in the orphan queue wakes it too.
-			srcC := newAnnouncingSource()
-			c := serveAndDial(t, srcC)
-			srcC.push(dataplaneTestBatch(4, 2))
-			eventually(t, "the frame to reach the spare stream's window", func() bool { return len(c.batches) == 1 })
-			client.mu.Lock()
-			client.detached++
-			client.mu.Unlock()
-			go client.reapDetached(c, c)
-			expectNext(t, "a landed orphan", got, 4, true)
-
-			got = goNext(client)
-			expectIdle(t, got, sweeps)
-			b.finish()
-			expectNext(t, "the last connection's end", got, 0, false)
-		})
-	}
-
-	// A crashed in-process worker wakes a frozen client's Next with the
-	// error, and dropping the connection takes its slot off the worker.
-	t.Run("local crash", func(t *testing.T) {
-		w := idleWorkers(t, 1)[0]
-		conn := &countedConn{WorkerAPI: LocalWorkerAPI(w)}
-		client, err := NewClient([]WorkerAPI{conn}, 0, 0)
+	t.Run("stream", func(t *testing.T) {
+		a, b := streamEnd(t), streamEnd(t)
+		client, err := NewClient([]WorkerAPI{a.conn, b.conn}, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots := func() int {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			return len(w.wakes)
+		sweeps := func() int64 { return a.conn.fetches.Load() + b.conn.fetches.Load() }
+
+		got := goNext(client)
+		expectIdle(t, got, sweeps)
+		a.push(dataplaneTestBatch(8, 1))
+		expectNext(t, "a batch", got, 8, true)
+
+		// A connection's end wakes Next; the other is still live, so
+		// it sweeps and goes back to waiting.
+		got = goNext(client)
+		expectIdle(t, got, sweeps)
+		before := sweeps()
+		a.finish()
+		eventually(t, "a sweep after a connection ended", func() bool { return sweeps() > before })
+		expectIdle(t, got, sweeps)
+
+		// A rescued window landing in the orphan queue wakes it too.
+		srcC := newAnnouncingSource()
+		c := serveAndDial(t, srcC)
+		srcC.push(dataplaneTestBatch(4, 2))
+		eventually(t, "the frame to reach the spare stream's window", func() bool { return len(c.batches) == 1 })
+		client.mu.Lock()
+		client.detached++
+		client.mu.Unlock()
+		go client.reapDetached(c)
+		expectNext(t, "a landed orphan", got, 4, true)
+
+		got = goNext(client)
+		expectIdle(t, got, sweeps)
+		b.finish()
+		expectNext(t, "the last connection's end", got, 0, false)
+	})
+
+	// A crashed worker severs its streams, which wakes a frozen client's
+	// Next with the error.
+	t.Run("crash", func(t *testing.T) {
+		wh, spec := buildFixture(t, 64, 16)
+		m, err := NewMaster(wh, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n := slots(); n != 1 {
-			t.Fatalf("worker holds %d client slots, want 1", n)
+		w, err := NewWorker("idle", m, wh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := &countedConn{WorkerAPI: dialWorker(t, w)}
+		client, err := NewClient([]WorkerAPI{conn}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		got := goNext(client)
 		expectIdle(t, got, conn.fetches.Load)
 		w.Crash()
 		if r := awaitNext(t, "a crash", got); r.err == nil {
 			t.Fatalf("Next over a crashed worker = %d rows, ok=%v; want an error", r.rows, r.ok)
-		}
-		client.mu.Lock()
-		client.removeLocked("static-0")
-		client.mu.Unlock()
-		if n := slots(); n != 0 {
-			t.Fatalf("worker holds %d client slots after the connection was removed, want 0", n)
 		}
 	})
 }

@@ -76,7 +76,8 @@ type ResourceReport struct {
 type Worker struct {
 	ID string
 	// Endpoint is the data-plane address registered with the master
-	// (empty for in-process workers dialed by identity).
+	// (empty for a worker whose clients dial its ServeWorker listener
+	// directly).
 	Endpoint string
 
 	master MasterAPI
@@ -136,10 +137,6 @@ type Worker struct {
 	notEmpty  chan struct{}
 	notFull   chan struct{}
 	splitDone chan struct{} // closed-and-replaced after each CompleteSplit
-	// wakes are the in-process client connections (LocalWorkerAPI) that
-	// registered their client's wake slot; signalLocked pings each one
-	// alongside notEmpty.
-	wakes map[*localWorker]struct{}
 	// settled is closed when the ledger Retire waits out moves toward
 	// empty (a buffer pop, a stream window retired, a CompleteSplit ack
 	// landed); allocated only while Retire waits.
@@ -215,7 +212,6 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		arena:          dwrf.NewArena(),
 		proj:           spec.Projection(),
 		splits:         make(map[int]*splitAcct),
-		wakes:          make(map[*localWorker]struct{}),
 		splitDone:      make(chan struct{}),
 		crashCh:        make(chan struct{}),
 		lastStatsAt:    time.Now(),
@@ -302,11 +298,11 @@ func (w *Worker) finishSplit(splitID int, delivered bool) {
 	}
 }
 
-// ackConsumed records that a client irrevocably consumed a batch (an
-// in-process pop, a framed credit grant, or a gracefully rescued
-// stream window) and completes any split whose batches have now
-// all been consumed. Untagged frames and frames of unknown splits
-// (double acks after a requeue race) are ignored.
+// ackConsumed records that a client irrevocably consumed a batch (a
+// framed credit grant, or a gracefully rescued stream window) and
+// completes any split whose batches have now all been consumed.
+// Untagged frames and frames of unknown splits (double acks after a
+// requeue race) are ignored.
 func (w *Worker) ackConsumed(frames ...*frame) {
 	if len(frames) == 0 {
 		return
@@ -442,7 +438,7 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 					a.produced++
 				}
 			}
-			w.signalLocked()
+			wake(&w.notEmpty)
 			w.mu.Unlock()
 			return nil
 		}
@@ -465,8 +461,8 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 	}
 }
 
-// BatchReady implements frameSource: deliver, ungetFrames and finish
-// close the channel it returns.
+// BatchReady implements frameSource: deliver, ungetFrames, finish and
+// Crash close the channel it returns.
 func (w *Worker) BatchReady() <-chan struct{} {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -476,23 +472,12 @@ func (w *Worker) BatchReady() <-chan struct{} {
 	return w.notEmpty
 }
 
-// signalLocked announces that tryGetFrame may answer differently: it
-// closes notEmpty, if the stream server took it, and pings every
-// registered in-process client. Callers hold w.mu.
-func (w *Worker) signalLocked() {
-	wake(&w.notEmpty)
-	for l := range w.wakes {
-		ping(l.wake)
-	}
-}
-
 // tryGetFrame pops a buffered frame without blocking. done=true means
 // the worker has finished and drained. The pop is NOT a consumption
 // acknowledgement: the framed stream, which can still lose the frame
-// from its in-flight window, acks later, while direct local consumers
-// (LocalWorkerAPI) ack immediately after the pop. A crashed worker
-// serves nothing and never reports done — it is simply unreachable,
-// like a dead process.
+// from its in-flight window, acks when the client grants credit. A
+// crashed worker serves nothing and never reports done — it is simply
+// unreachable, like a dead process.
 func (w *Worker) tryGetFrame() (f *frame, ok, done bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -535,7 +520,7 @@ func (w *Worker) ungetFrames(frames []*frame) {
 	if w.bufBytes > w.report.ResidentPeak {
 		w.report.ResidentPeak = w.bufBytes
 	}
-	w.signalLocked()
+	wake(&w.notEmpty)
 	w.mu.Unlock()
 }
 
@@ -570,22 +555,21 @@ func (w *Worker) setDraining() {
 
 // Crash is the fault-injection hook: it kills the worker as a process
 // death would, with no drain and no deregistration. The data plane goes
-// dark immediately (streams sever, the buffer stops serving, in-process
-// clients wake to the error), heartbeats stop, and nothing is
-// acknowledged or handed off. The worker's leases stay in flight until
-// the service declares its fleet worker dead (Service.ReapDead, on
-// fleet-heartbeat silence) and deregisters it at the master, which
-// requeues every split the crashed worker had not fully delivered; the
-// session re-runs them elsewhere. Idempotent. The worker also crashes
-// itself when the master disowns it (heartbeat's rule): a reaped
-// worker's buffered work is unreachable by any client, so abandoning it
-// is the only exit that cannot wedge.
+// dark immediately (streams sever, the buffer stops serving), heartbeats
+// stop, and nothing is acknowledged or handed off. The worker's leases
+// stay in flight until the service declares its fleet worker dead
+// (Service.ReapDead, on fleet-heartbeat silence) and deregisters it at
+// the master, which requeues every split the crashed worker had not
+// fully delivered; the session re-runs them elsewhere. Idempotent. The
+// worker also crashes itself when the master disowns it (heartbeat's
+// rule): a reaped worker's buffered work is unreachable by any client,
+// so abandoning it is the only exit that cannot wedge.
 func (w *Worker) Crash() {
 	w.mu.Lock()
 	if !w.crashed {
 		w.crashed = true
 		close(w.crashCh)
-		w.signalLocked()
+		wake(&w.notEmpty)
 	}
 	w.mu.Unlock()
 }
@@ -646,7 +630,7 @@ func (w *Worker) recoveryStats() WorkerStats {
 func (w *Worker) finish() {
 	w.mu.Lock()
 	w.finished = true
-	w.signalLocked()
+	wake(&w.notEmpty)
 	wake(&w.notFull)
 	w.mu.Unlock()
 }

@@ -3,6 +3,8 @@ package dwrf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -414,6 +416,36 @@ func TestRegularMapStripeChecksFooter(t *testing.T) {
 		lie(&r.footer.Stripes[0])
 		if _, _, err := r.ReadStripe(0, nil, ReadOptions{}, nil); err == nil {
 			t.Fatalf("%s: footer that disagrees with the row data accepted", name)
+		}
+	}
+}
+
+// TestFlattenedStripeChecksLabelCount: a flattened stripe's label
+// stream must hold one label per row the footer records. A footer that
+// claims more rows than the stream holds, or a stripe with no label
+// stream, is an error, never a batch with fewer labels than rows.
+func TestFlattenedStripeChecksLabelCount(t *testing.T) {
+	ts := buildSchema(t, 2, 2)
+	c := newCluster(t)
+	writeFile(t, c, "f", ts, genRows(ts, 16, 1.0, 10), WriterOptions{Flatten: true})
+	for name, lie := range map[string]func(*StripeMeta){
+		"rows": func(m *StripeMeta) { m.Rows = 20 },
+		"no label stream": func(m *StripeMeta) {
+			m.Streams = slices.DeleteFunc(m.Streams, func(s StreamMeta) bool { return s.Kind == streamLabel })
+			m.ContentHash = 0
+		},
+	} {
+		r, err := OpenReader(c, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie(&r.footer.Stripes[0])
+		b, _, err := r.ReadStripe(0, nil, ReadOptions{}, nil)
+		if err == nil {
+			t.Fatalf("%s: %d labels over %d rows accepted", name, len(b.Labels), b.Rows)
+		}
+		if !strings.Contains(err.Error(), "label stream holds") {
+			t.Fatalf("%s: err %v, want the label count error", name, err)
 		}
 	}
 }

@@ -112,6 +112,9 @@ func fuzzOpenReader(t testing.TB, data []byte) {
 			if b.Rows != r.StripeRows(i) {
 				t.Fatalf("stripe %d decoded %d rows, footer claims %d", i, b.Rows, r.StripeRows(i))
 			}
+			if len(b.Labels) != b.Rows {
+				t.Fatalf("stripe %d decoded %d labels over %d rows", i, len(b.Labels), b.Rows)
+			}
 			b.Release()
 		}
 	}

@@ -707,8 +707,9 @@ func decodeRowStripe(meta *StripeMeta, sr *stripeRead, proj *schema.Projection) 
 // decodeStripeBatch assembles the columnar batch from a stripe read's
 // payloads, streaming each stream straight into its (arena-recycled)
 // column — no per-row slices, no entry buffering. version is the file's
-// format version. On error the partial batch is released back to the
-// arena.
+// format version. Every read selects the label stream, and it must hold
+// one label per footer row, so a batch leaves here with len(Labels) ==
+// Rows. On error the partial batch is released back to the arena.
 func decodeStripeBatch(meta *StripeMeta, version int, sr *stripeRead, arena *Arena) (*Batch, error) {
 	b := arena.NewBatch(meta.Rows)
 	var err error
@@ -734,6 +735,10 @@ func decodeStripeBatch(meta *StripeMeta, version int, sr *stripeRead, arena *Are
 			b.Release()
 			return nil, fmt.Errorf("dwrf: decode feature %d: %w", s.Feature, err)
 		}
+	}
+	if len(b.Labels) != meta.Rows {
+		b.Release()
+		return nil, fmt.Errorf("dwrf: label stream holds %d labels, footer records %d rows", len(b.Labels), meta.Rows)
 	}
 	return b, nil
 }

@@ -113,7 +113,17 @@ func runIngest() (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		apis = append(apis, dpp.LocalWorkerAPI(w))
+		ln, stop, err := dpp.ServeWorker(w, "127.0.0.1:0")
+		if err != nil {
+			return res, err
+		}
+		defer stop()
+		stream, err := dpp.DialWorkerFramed(ln.Addr().String())
+		if err != nil {
+			return res, err
+		}
+		defer stream.Close()
+		apis = append(apis, stream)
 		consumers.Add(1)
 		go func(w *dpp.Worker) {
 			defer consumers.Done()

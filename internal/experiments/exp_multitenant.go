@@ -119,7 +119,7 @@ func runMultitenant() (Result, error) {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			client, err := dpp.NewTenantClient(svc, id, launcher.SessionDialer(id), 0, i)
+			client, err := dpp.NewTenantClient(svc, id, dpp.SessionWorkerDialer(id), 0, i)
 			if err != nil {
 				errCh <- err
 				return
@@ -228,7 +228,7 @@ func runMultitenantCacheRows() ([]Row, error) {
 		if err := svc.CreateSession(id, spec); err != nil {
 			return 0, err
 		}
-		client, err := dpp.NewTenantClient(svc, id, launcher.SessionDialer(id), 0, 0)
+		client, err := dpp.NewTenantClient(svc, id, dpp.SessionWorkerDialer(id), 0, 0)
 		if err != nil {
 			return 0, err
 		}

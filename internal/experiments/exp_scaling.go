@@ -200,7 +200,7 @@ func runElasticSession(minWorkers, maxWorkers int) (scalingOutcome, error) {
 		<-runDone
 	}()
 
-	client, err := dpp.NewTenantClient(svc, sessionID, launcher.SessionDialer(sessionID), 0, 0)
+	client, err := dpp.NewTenantClient(svc, sessionID, dpp.SessionWorkerDialer(sessionID), 0, 0)
 	if err != nil {
 		return scalingOutcome{}, err
 	}

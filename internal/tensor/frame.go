@@ -33,8 +33,8 @@ type FrameWriter struct {
 // sparseIDs, batchSize) does — consecutive ranges of batchSize rows, the
 // last one shorter, and exactly one range for a split of at most
 // batchSize rows (zero included) or a batchSize <= 0. It fails where
-// MaterializeBatches fails, on a column whose length disagrees with
-// src.Rows. The writer reuses its selection slices, so one kept across
+// MaterializeBatches fails, on a label slice or column whose length
+// disagrees with src.Rows. The writer reuses its selection slices, so one kept across
 // splits cuts each without allocating; the zero FrameWriter is ready
 // for Reset.
 func (fw *FrameWriter) Reset(src *dwrf.Batch, denseIDs, sparseIDs []schema.FeatureID, batchSize int) error {
@@ -46,6 +46,9 @@ func (fw *FrameWriter) Reset(src *dwrf.Batch, denseIDs, sparseIDs []schema.Featu
 	fw.dense = slices.Grow(fw.dense[:0], len(denseIDs))[:len(denseIDs)]
 	fw.sparse = slices.Grow(fw.sparse[:0], len(sparseIDs))[:len(sparseIDs)]
 	fw.widths = slices.Grow(fw.widths[:0], len(sparseIDs))[:len(sparseIDs)]
+	if len(src.Labels) != src.Rows {
+		return fmt.Errorf("tensor: %d labels for %d rows", len(src.Labels), src.Rows)
+	}
 	for c, id := range fw.dIDs {
 		col, ok := src.Dense[id]
 		if ok && len(col.Values) != src.Rows {
@@ -114,10 +117,7 @@ func (fw *FrameWriter) AppendRange(dst []byte, lo, hi int) ([]byte, int64) {
 	p := dst[start:]
 	le := binary.LittleEndian
 	p = putHeader(p, size, rows, fw.dIDs, rows, 1, len(fw.sIDs))
-	labels := src.Labels[min(lo, len(src.Labels)):min(hi, len(src.Labels))]
-	p = putFloats(p, labels)
-	clear(p[:4*(rows-len(labels))]) // rows past a short label stream
-	p = p[4*(rows-len(labels)):]
+	p = putFloats(p, src.Labels[lo:hi])
 	for r := lo; r < hi; r++ {
 		for _, col := range fw.dense {
 			var v float32

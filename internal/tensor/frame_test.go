@@ -69,36 +69,34 @@ func TestFrameWriterMatchesMaterialize(t *testing.T) {
 	sparse := []schema.FeatureID{12, 11, 10}
 	var fw FrameWriter // one writer reset for every split, as a worker's is
 	for _, rows := range []int{0, 1, batchSize - 1, batchSize, batchSize + 1, 2 * batchSize, 5*batchSize + 7} {
-		for _, labels := range []int{rows, rows / 2, 0} {
-			src := randomSplit(rng, rows, labels)
-			if err := fw.Reset(src, dense, sparse, batchSize); err != nil {
-				t.Fatal(err)
-			}
-			batches, err := MaterializeBatches(src, dense, sparse, batchSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fw.Len() != len(batches) {
-				t.Fatalf("rows=%d: frame writer cuts %d frames, MaterializeBatches %d batches", rows, fw.Len(), len(batches))
-			}
-			for i, b := range batches {
-				lo, hi := fw.Range(i)
-				got, size := fw.AppendRange(nil, lo, hi)
-				checkFrame(t, "batch", got, size, b)
-			}
-			whole, err := Materialize(src, dense, sparse)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for lo := 0; lo <= rows; lo++ {
-				for hi := lo; hi <= rows; hi++ {
-					// A prefix in dst must be kept and not written over.
-					got, size := fw.AppendRange([]byte("prefix"), lo, hi)
-					if string(got[:6]) != "prefix" {
-						t.Fatalf("rows [%d, %d): the prefix was overwritten", lo, hi)
-					}
-					checkFrame(t, "range", got[6:], size, rowSlice(whole, lo, hi))
+		src := randomSplit(rng, rows)
+		if err := fw.Reset(src, dense, sparse, batchSize); err != nil {
+			t.Fatal(err)
+		}
+		batches, err := MaterializeBatches(src, dense, sparse, batchSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fw.Len() != len(batches) {
+			t.Fatalf("rows=%d: frame writer cuts %d frames, MaterializeBatches %d batches", rows, fw.Len(), len(batches))
+		}
+		for i, b := range batches {
+			lo, hi := fw.Range(i)
+			got, size := fw.AppendRange(nil, lo, hi)
+			checkFrame(t, "batch", got, size, b)
+		}
+		whole, err := Materialize(src, dense, sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo <= rows; lo++ {
+			for hi := lo; hi <= rows; hi++ {
+				// A prefix in dst must be kept and not written over.
+				got, size := fw.AppendRange([]byte("prefix"), lo, hi)
+				if string(got[:6]) != "prefix" {
+					t.Fatalf("rows [%d, %d): the prefix was overwritten", lo, hi)
 				}
+				checkFrame(t, "range", got[6:], size, rowSlice(whole, lo, hi))
 			}
 		}
 	}

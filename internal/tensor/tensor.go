@@ -92,11 +92,14 @@ func Materialize(src *dwrf.Batch, denseIDs, sparseIDs []schema.FeatureID) (*Batc
 // shorter), each copied straight from the columns. A batch of at most
 // batchSize rows — zero rows included — or a batchSize <= 0 yields
 // exactly one batch. Missing dense values materialize as zeros (the
-// standard imputation), missing sparse rows as empty lists, and rows
-// past a short label stream with zero labels.
+// standard imputation) and missing sparse rows as empty lists; a label
+// slice or column whose length disagrees with src.Rows is an error.
 func MaterializeBatches(src *dwrf.Batch, denseIDs, sparseIDs []schema.FeatureID, batchSize int) ([]*Batch, error) {
 	dIDs := slices.Sorted(slices.Values(denseIDs))
 	sIDs := slices.Sorted(slices.Values(sparseIDs))
+	if len(src.Labels) != src.Rows {
+		return nil, fmt.Errorf("tensor: %d labels for %d rows", len(src.Labels), src.Rows)
+	}
 	dense := make([]*dwrf.DenseColumn, len(dIDs))
 	for c, id := range dIDs {
 		col, ok := src.Dense[id]
@@ -144,9 +147,7 @@ func materializeRange(src *dwrf.Batch, dIDs []schema.FeatureID, dense []*dwrf.De
 		Dense:           &Dense2D{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)},
 		Sparse:          make([]*SparseTensor, len(sIDs)),
 	}
-	if lo < len(src.Labels) {
-		copy(out.Labels, src.Labels[lo:])
-	}
+	copy(out.Labels, src.Labels[lo:hi])
 	for c, col := range dense {
 		if col == nil {
 			continue

@@ -85,15 +85,19 @@ func TestMaterializeShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestMaterializeMissingLabels: a batch with fewer labels than rows is
+// refused like a short column, by both materializers, never zero-filled.
 func TestMaterializeMissingLabels(t *testing.T) {
-	src := srcBatch()
-	src.Labels = nil
-	b, err := Materialize(src, []schema.FeatureID{1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Labels) != 3 {
-		t.Fatalf("labels = %v", b.Labels)
+	for _, labels := range [][]float32{nil, {1, 0}} {
+		src := srcBatch()
+		src.Labels = labels
+		if _, err := Materialize(src, []schema.FeatureID{1}, nil); err == nil {
+			t.Fatalf("%d labels over %d rows accepted", len(labels), src.Rows)
+		}
+		var fw FrameWriter
+		if err := fw.Reset(src, []schema.FeatureID{1}, nil, 0); err == nil {
+			t.Fatalf("frame writer accepted %d labels over %d rows", len(labels), src.Rows)
+		}
 	}
 }
 
@@ -110,12 +114,12 @@ func TestSizeBytes(t *testing.T) {
 
 // randomSplit builds a rows-row transformed batch over dense features 1-3
 // (1 always present, 2 with missing values, 3 absent) and sparse features
-// 10-12 (10 plain, 11 dictionary-indexed, 12 absent), with a label stream
-// of labels entries.
-func randomSplit(rng *rand.Rand, rows, labels int) *dwrf.Batch {
+// 10-12 (10 plain, 11 dictionary-indexed, 12 absent), with one label a
+// row.
+func randomSplit(rng *rand.Rand, rows int) *dwrf.Batch {
 	src := &dwrf.Batch{
 		Rows:   rows,
-		Labels: make([]float32, labels),
+		Labels: make([]float32, rows),
 		Dense:  map[schema.FeatureID]*dwrf.DenseColumn{},
 		Sparse: map[schema.FeatureID]*dwrf.SparseColumn{},
 	}
@@ -195,7 +199,7 @@ func sameBatch(a, b *Batch) bool {
 func checkWhole(t *testing.T, src *dwrf.Batch, b *Batch) {
 	t.Helper()
 	for r := range src.Rows {
-		if r < len(src.Labels) && b.Labels[r] != src.Labels[r] || r >= len(src.Labels) && b.Labels[r] != 0 {
+		if b.Labels[r] != src.Labels[r] {
 			t.Fatalf("row %d label %v", r, b.Labels[r])
 		}
 		for c, id := range b.DenseFeatureIDs {
@@ -224,33 +228,31 @@ func checkWhole(t *testing.T, src *dwrf.Batch, b *Batch) {
 // batches delivers exactly the rows, in order, that materializing the
 // whole split and cutting it into row ranges would — for row counts
 // below, equal to and not a multiple of the batch size and for zero
-// rows, over plain and dictionary-indexed sparse columns, missing dense
-// values and a short label stream.
+// rows, over plain and dictionary-indexed sparse columns and missing
+// dense values.
 func TestMaterializeBatchesMatchesSlicedWhole(t *testing.T) {
 	const batchSize = 16
 	rng := rand.New(rand.NewSource(1))
 	dense := []schema.FeatureID{3, 1, 2}
 	sparse := []schema.FeatureID{12, 11, 10}
 	for _, rows := range []int{0, 1, batchSize - 1, batchSize, batchSize + 1, 2 * batchSize, 5*batchSize + 7} {
-		for _, labels := range []int{rows, rows / 2, 0} {
-			src := randomSplit(rng, rows, labels)
-			whole, err := Materialize(src, dense, sparse)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkWhole(t, src, whole)
-			got, err := MaterializeBatches(src, dense, sparse, batchSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := max(1, (rows+batchSize-1)/batchSize); len(got) != want {
-				t.Fatalf("rows=%d: %d batches, want %d", rows, len(got), want)
-			}
-			for i, b := range got {
-				lo := i * batchSize
-				if want := rowSlice(whole, lo, min(lo+batchSize, rows)); !sameBatch(b, want) {
-					t.Fatalf("rows=%d labels=%d batch %d differs from rows [%d, %d) of the whole split", rows, labels, i, lo, want.Rows+lo)
-				}
+		src := randomSplit(rng, rows)
+		whole, err := Materialize(src, dense, sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWhole(t, src, whole)
+		got, err := MaterializeBatches(src, dense, sparse, batchSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := max(1, (rows+batchSize-1)/batchSize); len(got) != want {
+			t.Fatalf("rows=%d: %d batches, want %d", rows, len(got), want)
+		}
+		for i, b := range got {
+			lo := i * batchSize
+			if want := rowSlice(whole, lo, min(lo+batchSize, rows)); !sameBatch(b, want) {
+				t.Fatalf("rows=%d batch %d differs from rows [%d, %d) of the whole split", rows, i, lo, want.Rows+lo)
 			}
 		}
 	}

@@ -14,6 +14,23 @@ import (
 	"dsi/internal/warehouse"
 )
 
+// dialWorker serves w's buffer on a loopback framed listener
+// (dpp.ServeWorker) and opens one stream to it (dpp.DialWorkerFramed).
+func dialWorker(t *testing.T, w *dpp.Worker) dpp.WorkerAPI {
+	t.Helper()
+	ln, stop, err := dpp.ServeWorker(w, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	api, err := dpp.DialWorkerFramed(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { api.Close() })
+	return api
+}
+
 // buildSession creates a small live DPP session for trainer integration
 // tests.
 func buildSession(t *testing.T, workers int) (*dpp.Client, []*dpp.Worker) {
@@ -70,7 +87,7 @@ func buildSession(t *testing.T, workers int) (*dpp.Client, []*dpp.Worker) {
 			t.Fatal(err)
 		}
 		ws = append(ws, w)
-		apis = append(apis, dpp.LocalWorkerAPI(w))
+		apis = append(apis, dialWorker(t, w))
 	}
 	client, err := dpp.NewClient(apis, 0, 0)
 	if err != nil {

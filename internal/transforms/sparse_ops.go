@@ -592,9 +592,7 @@ func (o *Sampling) Apply(b *dwrf.Batch) (int64, error) {
 
 	newLabels := make([]float32, len(keep))
 	for ni, oi := range keep {
-		if oi < len(b.Labels) {
-			newLabels[ni] = b.Labels[oi]
-		}
+		newLabels[ni] = b.Labels[oi]
 	}
 	for id, col := range b.Dense {
 		nc := &dwrf.DenseColumn{Present: make([]bool, len(keep)), Values: make([]float32, len(keep))}
