@@ -28,9 +28,11 @@
 // — is applied to that report offline, beside the experiments that
 // print it (internal/experiments/costmodel.go), and never rides a
 // session. A heartbeat (WorkerStats) carries only what the control
-// plane reads: the fleet heartbeat the windowed minimum buffer level
-// and the evaluators' busy fraction for the scaler, a pipeline's
-// session heartbeat the recovery counters for Master.Recovery.
+// plane reads: the fleet heartbeat the windowed minimum of the batches
+// queued for trainers (in the worker's buffer or its stream windows,
+// whichever ran lower) and the evaluators' busy fraction for the
+// scaler, a pipeline's session heartbeat the recovery counters for
+// Master.Recovery.
 //
 // The transform stage itself runs compiled: transforms.Graph lowers its
 // topo-sorted op DAG into a slot-indexed transforms.Plan

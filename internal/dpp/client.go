@@ -393,8 +393,7 @@ func (c *Client) sweepLocked() (b *tensor.Batch, ok, allDone bool, err error) {
 // — once every seq up to the split's SeqCount has been consumed — a
 // compact complete marker (nil seqs).
 type splitSeen struct {
-	seqs  map[int32]struct{}
-	count int32
+	seqs map[int32]struct{}
 }
 
 // admitLocked records a tagged batch's (Split, Seq) provenance in the
@@ -421,10 +420,9 @@ func (c *Client) admitLocked(b *tensor.Batch) bool {
 		return false
 	}
 	sl.seqs[b.Seq] = struct{}{}
-	if b.SeqCount > 0 {
-		sl.count = b.SeqCount
-	}
-	if sl.count > 0 && int32(len(sl.seqs)) >= sl.count {
+	// The stream admits a tagged frame only with 1 <= Seq <= SeqCount
+	// (decodeBatchFrame), so SeqCount is at least 1 here.
+	if int32(len(sl.seqs)) >= b.SeqCount {
 		sl.seqs = nil // compact: the complete marker is all that's needed
 	}
 	return true

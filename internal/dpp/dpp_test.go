@@ -690,6 +690,47 @@ func TestAutoScalerEmptyPool(t *testing.T) {
 	}
 }
 
+// TestSampleStatsSeesStreamWindows: the scaler's buffer level is the
+// lower of the worker's buffer and its stream windows, so a trainer
+// that drains its window while the buffer stays full reads as starving;
+// a window nothing moved down does not count.
+func TestSampleStatsSeesStreamWindows(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 16)
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker("w", m, wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if ok, err := w.ProcessOneSplit(); !ok || err != nil {
+			t.Fatalf("ProcessOneSplit = %v, %v", ok, err)
+		}
+	}
+	full := w.Buffered()
+	if full == 0 {
+		t.Fatal("no batches buffered")
+	}
+	w.sampleStats() // restart the window at the full buffer
+	if got := w.sampleStats().MinBuffered; got != full {
+		t.Fatalf("no stream: MinBuffered = %d, want the buffer's %d", got, full)
+	}
+	w.addStreamOutstanding(3)
+	if got := w.sampleStats().MinBuffered; got != full {
+		t.Fatalf("a window only filled: MinBuffered = %d, want the buffer's %d", got, full)
+	}
+	w.addStreamOutstanding(-2)
+	w.addStreamOutstanding(-1)
+	if got := w.sampleStats().MinBuffered; got != 0 {
+		t.Fatalf("window granted dry under a full buffer: MinBuffered = %d, want 0", got)
+	}
+	if got := w.sampleStats().MinBuffered; got != full {
+		t.Fatalf("next window: MinBuffered = %d, want the buffer's %d", got, full)
+	}
+}
+
 func TestAutoScalerRespectsMax(t *testing.T) {
 	a := NewAutoScaler(1, 3)
 	stats := []WorkerStats{

@@ -279,7 +279,10 @@ func (fw *FleetWorker) pipelineCount() int {
 // plane disappears, stop closes (force-stop: pipelines abandon their
 // buffers), or Crash fires (nothing deregisters; the service reaps).
 func (fw *FleetWorker) Run(stop <-chan struct{}) error {
-	t := time.NewTicker(fw.heartbeatEvery())
+	// A timer re-armed after each heartbeat, not a ticker: a ticker
+	// that fell behind fires again at once, and that heartbeat's
+	// near-empty scaler window would overwrite the one before it.
+	t := time.NewTimer(fw.heartbeatEvery())
 	defer t.Stop()
 	hbFails := 0
 	for {
@@ -306,6 +309,7 @@ func (fw *FleetWorker) Run(stop <-chan struct{}) error {
 		case <-fw.crashCh:
 			return nil
 		case <-t.C:
+			t.Reset(fw.heartbeatEvery())
 		}
 	}
 }

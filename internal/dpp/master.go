@@ -23,12 +23,14 @@ import (
 // is Worker.Report(), for whoever wants it.
 type WorkerStats struct {
 	// MinBuffered is the lowest buffered-batch level observed since the
-	// previous fleet heartbeat. Read by AutoScaler.Evaluate: the
-	// instantaneous level is scheduling noise on a loaded host (a
-	// burst-scheduled worker can report a full buffer an instant after
-	// trainers drained it dry); the windowed minimum answers the
-	// question the scaler actually asks — did this worker's buffer ever
-	// run dry? — and is what the scale-up and scale-down rules key on.
+	// previous fleet heartbeat, in the worker's buffer or in its
+	// trainers' stream windows, whichever ran lower (Worker.sampleStats).
+	// Read by AutoScaler.Evaluate: the instantaneous level is scheduling
+	// noise on a loaded host (a burst-scheduled worker can report a full
+	// buffer an instant after trainers drained it dry); the windowed
+	// minimum answers the question the scaler actually asks — did this
+	// worker's supply ever run dry? — and is what the scale-up and
+	// scale-down rules key on.
 	MinBuffered int
 	// BusyFrac is the measured fraction of the last heartbeat window the
 	// worker's evaluator goroutines spent busy (fetching, decoding, or

@@ -1,6 +1,7 @@
 package dpp
 
 import (
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,17 +111,7 @@ func (s *announcingSource) BatchReady() <-chan struct{} {
 func serveAndDial(t *testing.T, src BatchSource) *StreamWorker {
 	t.Helper()
 	ln, stop, err := ServeBatchSource(src, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(stop)
-	api, err := DialWorkerFramed(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := api.(*StreamWorker)
-	t.Cleanup(func() { sw.Close() })
-	return sw
+	return dialServed(t, ln, stop, err)
 }
 
 // dialWorker serves w's buffer on a loopback framed listener
@@ -129,6 +120,13 @@ func serveAndDial(t *testing.T, src BatchSource) *StreamWorker {
 func dialWorker(t testing.TB, w *Worker) *StreamWorker {
 	t.Helper()
 	ln, stop, err := ServeWorker(w, "127.0.0.1:0")
+	return dialServed(t, ln, stop, err)
+}
+
+// dialServed opens one stream to the listener a serve call returned;
+// the test's cleanup closes both.
+func dialServed(t testing.TB, ln net.Listener, stop func(), err error) *StreamWorker {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dpp
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/rpc"
 	"strings"
 	"sync"
@@ -143,11 +144,14 @@ type Worker struct {
 	settled chan struct{}
 
 	// The scaler's window, restarted by every sampleStats: its start
-	// and the evaluators' busy time then (WorkerStats.BusyFrac), and the
-	// lowest buffer occupancy since (WorkerStats.MinBuffered).
+	// and the evaluators' busy time then (WorkerStats.BusyFrac), the
+	// lowest buffer occupancy since, and the lowest level a grant or a
+	// stream's end left the stream windows at (math.MaxInt while none
+	// moved down). The lower of the two is WorkerStats.MinBuffered.
 	lastStatsAt time.Time
 	lastBusy    time.Duration
 	minBuffered int
+	minWindow   int
 	// rejections counts consecutive ErrDisowned answers to the session
 	// heartbeat (see heartbeat).
 	rejections int
@@ -215,6 +219,7 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		splitDone:      make(chan struct{}),
 		crashCh:        make(chan struct{}),
 		lastStatsAt:    time.Now(),
+		minWindow:      math.MaxInt,
 		heartbeatEvery: defaultHeartbeatEvery,
 	}, nil
 }
@@ -525,7 +530,7 @@ func (w *Worker) ungetFrames(frames []*frame) {
 }
 
 // addStreamOutstanding implements frameSource; Retire waits for the
-// count to reach zero.
+// count to reach zero, and the scaler's window keeps its low point.
 func (w *Worker) addStreamOutstanding(delta int) {
 	if delta == 0 {
 		return
@@ -533,6 +538,7 @@ func (w *Worker) addStreamOutstanding(delta int) {
 	w.mu.Lock()
 	w.outstanding += delta
 	if delta < 0 {
+		w.minWindow = min(w.minWindow, w.outstanding)
 		w.settleLocked()
 	}
 	w.mu.Unlock()
@@ -597,10 +603,17 @@ func (w *Worker) Report() ResourceReport {
 }
 
 // sampleStats reports the scaler's window and restarts it: the lowest
-// buffer level since the previous sample, and the evaluators' busy
-// fraction over it — fetch, decode and transform time (not delivery,
-// which counts backpressure blocking) over wall time, normalized by the
-// number of evaluator goroutines. The fleet heartbeat
+// level of the batches queued for the trainers since the previous
+// sample, and the evaluators' busy fraction over it — fetch, decode and
+// transform time (not delivery, which counts backpressure blocking)
+// over wall time, normalized by the number of evaluator goroutines.
+// Batches queue in two places, and a trainer starves when either runs
+// dry: the buffer, when the evaluators fall behind, and the stream
+// windows, when the streams do — on a loaded host the stream goroutines
+// wait for a CPU the evaluators hold, and the trainer drains its window
+// while a full buffer waits to be sent. A window counts only once a
+// grant or a stream's end moves it down, so a worker no trainer reads
+// from reports its buffer alone. The fleet heartbeat
 // (FleetWorker.AggregateStats) is its one caller, so each fleet
 // heartbeat reports what happened since the last.
 func (w *Worker) sampleStats() WorkerStats {
@@ -609,12 +622,12 @@ func (w *Worker) sampleStats() WorkerStats {
 	now := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	st := WorkerStats{MinBuffered: w.minBuffered}
+	st := WorkerStats{MinBuffered: min(w.minBuffered, w.minWindow)}
 	if wall := now.Sub(w.lastStatsAt); wall > 0 {
 		st.BusyFrac = min(max(float64(busy-w.lastBusy)/(float64(wall)*parallel), 0), 1)
 	}
 	w.lastStatsAt, w.lastBusy = now, busy
-	w.minBuffered = len(w.buffer)
+	w.minBuffered, w.minWindow = len(w.buffer), math.MaxInt
 	return st
 }
 
