@@ -3,7 +3,6 @@ package dpp
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -190,12 +189,8 @@ func TestFleetCacheAbortWhileShared(t *testing.T) {
 	// Hold: retain every resident batch, as a concurrent session's
 	// in-flight reads would.
 	var held []*dwrf.Batch
-	for _, key := range cache.Wares() {
-		pack, hash, ok := strings.Cut(key, ":")
-		if !ok {
-			t.Fatalf("bad ware key %q", key)
-		}
-		if b := cache.Get(ware.WareID{Pack: pack, Hash: hash}, "holder"); b != nil {
+	for _, id := range cache.Wares() {
+		if b := cache.Get(id, "holder"); b != nil {
 			held = append(held, b)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"dsi/internal/freelist"
 	"dsi/internal/tensor"
 )
 
@@ -94,7 +95,7 @@ type Client struct {
 	// over a long session. The ledger assumes one logical consumer per
 	// session — the paper's model, where a session feeds one training
 	// job.
-	seen map[int32]*splitSeen
+	seen map[int32]splitSeen
 
 	// orphans holds batches rescued from dropped connections
 	// (WorkerAPI.Drain); they are served before any worker is swept so
@@ -389,44 +390,69 @@ func (c *Client) sweepLocked() (b *tensor.Batch, ok, allDone bool, err error) {
 	return nil, false, allDone && c.detached == 0, nil
 }
 
-// splitSeen is one split's dedup record: the seqs consumed so far, or
-// — once every seq up to the split's SeqCount has been consumed — a
-// compact complete marker (nil seqs).
+// splitSeen is one split's dedup record: bit Seq-1 is set once the
+// client consumed that seq — the first 64 seqs in lo, the rest in more,
+// drawn from seqWords — and n counts the bits set. Once every seq up to
+// the split's SeqCount has been consumed the record collapses to the
+// complete marker (done), and its words go back to seqWords.
 type splitSeen struct {
-	seqs map[int32]struct{}
+	lo   uint64
+	more []uint64
+	n    int32
+	done bool
 }
 
 // admitLocked records a tagged batch's (Split, Seq) provenance in the
 // dedup ledger, reporting false when the client already consumed it.
-// Untagged batches (synthetic sources) are always admitted.
+// Untagged batches (synthetic sources) are always admitted. Recording a
+// seq allocates nothing once the ledger's map has grown, and a split of
+// more than 64 batches reuses the words a completed one gave back.
 func (c *Client) admitLocked(b *tensor.Batch) bool {
 	if b.Split == 0 {
 		return true
 	}
-	sl := c.seen[b.Split]
-	if sl == nil {
-		sl = &splitSeen{seqs: make(map[int32]struct{})}
-		if c.seen == nil {
-			c.seen = make(map[int32]*splitSeen)
-		}
-		c.seen[b.Split] = sl
+	if c.seen == nil {
+		c.seen = make(map[int32]splitSeen)
 	}
-	if sl.seqs == nil {
+	sl := c.seen[b.Split]
+	if sl.done {
 		// Split already consumed in full; everything further is a
 		// re-delivery.
 		return false
 	}
-	if _, dup := sl.seqs[b.Seq]; dup {
-		return false
-	}
-	sl.seqs[b.Seq] = struct{}{}
 	// The stream admits a tagged frame only with 1 <= Seq <= SeqCount
 	// (decodeBatchFrame), so SeqCount is at least 1 here.
-	if int32(len(sl.seqs)) >= b.SeqCount {
-		sl.seqs = nil // compact: the complete marker is all that's needed
+	i := uint32(b.Seq - 1)
+	word := &sl.lo
+	if i >= 64 {
+		if sl.more == nil {
+			sl.more, _ = seqWords.Get()
+		}
+		k := int(i/64) - 1
+		for len(sl.more) <= k {
+			sl.more = append(sl.more, 0)
+		}
+		word = &sl.more[k]
 	}
+	bit := uint64(1) << (i % 64)
+	if *word&bit != 0 {
+		return false
+	}
+	*word |= bit
+	sl.n++
+	if sl.n >= b.SeqCount {
+		// Compact: the complete marker is all that's needed.
+		if sl.more != nil {
+			seqWords.Put(sl.more[:0])
+		}
+		sl = splitSeen{done: true}
+	}
+	c.seen[b.Split] = sl
 	return true
 }
+
+// seqWords recycles the seq words of splits longer than 64 batches.
+var seqWords freelist.List[[]uint64]
 
 // Next returns the next tensor batch. It returns ok=false only when the
 // session has no more data for this client: for a frozen worker set,

@@ -464,6 +464,71 @@ func TestStreamRejectsSeqOutsideSeqCount(t *testing.T) {
 	}
 }
 
+// TestDedupLedgerBits drives the client's dedup ledger over a split of
+// 130 batches, whose seqs take three words — the inline one and two
+// recycled ones — admitted in a scrambled order beside a small split. A
+// seq offered again before the split completes is refused; so is every
+// seq of a whole re-delivery after it completed, when the record is the
+// complete marker alone. A long split reuses the words the last one gave
+// back, and an untagged batch is always admitted.
+func TestDedupLedgerBits(t *testing.T) {
+	c := &Client{}
+	admit := func(split, seq, count int32) bool {
+		return c.admitLocked(&blob{Split: split, Seq: seq, SeqCount: count})
+	}
+	const n = 130
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	for i, p := range order {
+		if !admit(1, int32(p+1), n) {
+			t.Fatalf("seq %d refused on first delivery (%d admitted before it)", p+1, i)
+		}
+		if i < 3 && !admit(2, int32(3-i), 3) {
+			t.Fatalf("split 2 seq %d refused on first delivery", 3-i)
+		}
+		if i == n/2 {
+			// A crashed worker's re-run redelivers what was consumed so far.
+			for _, q := range order[:i+1] {
+				if admit(1, int32(q+1), n) {
+					t.Fatalf("seq %d admitted twice before its split completed", q+1)
+				}
+			}
+		}
+		if done := c.seen[1].done; done != (i == n-1) {
+			t.Fatalf("after %d of %d seqs the split reads done=%v", i+1, n, done)
+		}
+	}
+	if got := c.seen[1]; !got.done || got.lo != 0 || got.more != nil || got.n != 0 {
+		t.Fatalf("completed split's record = %+v, want the complete marker alone", got)
+	}
+	for _, split := range []int32{1, 2} {
+		count := int32(3)
+		if split == 1 {
+			count = n
+		}
+		for seq := int32(1); seq <= count; seq++ {
+			if admit(split, seq, count) {
+				t.Fatalf("split %d seq %d admitted again after its split completed", split, seq)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		clear(c.seen) // keeps the map's storage
+		for seq := int32(1); seq <= n; seq++ {
+			if !admit(3, seq, n) {
+				t.Fatalf("split 3 seq %d refused", seq)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("a 130-batch split allocates %.0f times, want its words reused", allocs)
+	}
+	if admit(3, n, n) {
+		t.Fatal("the last seq admitted twice")
+	}
+	if !admit(0, 0, 0) || !admit(0, 0, 0) {
+		t.Fatal("untagged batches must always be admitted")
+	}
+}
+
 func TestFramedHelloServedAtWindowCap(t *testing.T) {
 	// A hello announcing a 4-billion-frame window, and later a grant for
 	// frames never sent, must not pull more than maxCreditWindow batches

@@ -2,6 +2,7 @@ package dpp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dsi/internal/dwrf"
@@ -138,8 +139,13 @@ func (w *Worker) evalSplit(split warehouse.Split, splitID int) (ev evaluated, er
 	return ev, err
 }
 
-// frameWriters recycles frame writers across splits and evaluators.
-var frameWriters freelist.List[*tensor.FrameWriter]
+// frameWriters recycles frame writers across splits and evaluators, and
+// frameLists the lists of a split's frames, which deliverSplit gives
+// back once it has handed every frame on.
+var (
+	frameWriters freelist.List[*tensor.FrameWriter]
+	frameLists   freelist.List[[]*frame]
+)
 
 // writeFrames cuts a transformed split into its BatchSize-row batches,
 // each written once into a recycled stream frame under its provenance
@@ -156,7 +162,8 @@ func (w *Worker) writeFrames(batch *dwrf.Batch, splitID int) ([]*frame, error) {
 	if err := fw.Reset(batch, w.spec.DenseOut, w.spec.SparseOut, w.spec.BatchSize); err != nil {
 		return nil, err
 	}
-	frames := make([]*frame, fw.Len())
+	frames, _ := frameLists.Get()
+	frames = slices.Grow(frames[:0], fw.Len())[:fw.Len()]
 	for i := range frames {
 		lo, hi := fw.Range(i)
 		f := newFrame(int32(splitID)+1, int32(i)+1, int32(len(frames)))

@@ -22,8 +22,10 @@ var raceEnabled bool
 // transformed ware, is written straight into its two tagged stream
 // frames. A frame and its buffer come from the pool (the step returns
 // them, as a grant does), so a batch may cost at most 2 allocations; the
-// split adds at most 32 more for the cache probe, its ware IDs, the
-// frame writer's column selection and the frame list. No tensor batch is
+// split adds at most 4 more. The cache probe, its ware IDs and the frame
+// writer's column selection allocate nothing, and the frame list comes
+// from a free list that this test, unlike deliverSplit, does not refill,
+// so it is the one allocation a split shows. No tensor batch is
 // built on the way: the split allocates fewer bytes than the smallest of
 // its batches would hold as tensors. Materializing each batch and then
 // encoding it cost 6 + 2 per sparse output allocations a batch (65 a
@@ -67,7 +69,7 @@ func TestSplitMaterializesOnce(t *testing.T) {
 	}
 	step() // the miss that publishes the transformed ware
 	const perBatch = 2
-	bound := float64(rows/batchSize*perBatch + 32)
+	bound := float64(rows/batchSize*perBatch + 4)
 	got := testing.AllocsPerRun(20, step)
 	if got > bound {
 		t.Fatalf("%.0f allocations per split, want at most %.0f (%d sparse outputs)", got, bound, len(spec.SparseOut))
@@ -84,6 +86,91 @@ func TestSplitMaterializesOnce(t *testing.T) {
 		t.Fatalf("a split allocates %d bytes, as much as a %d-byte tensor batch", perSplit, minBatch)
 	}
 	t.Logf("%.0f allocations and %d bytes per split (bounds %.0f and %d; %d sparse outputs)", got, perSplit, bound, minBatch, len(spec.SparseOut))
+}
+
+// ackCounter is the session master with CompleteSplit counted and
+// answered locally: TestWarmSplitAllocs gives every pass a fresh split
+// ID, which the master never leased.
+type ackCounter struct {
+	*Master
+	acks int
+}
+
+func (a *ackCounter) CompleteSplit(string, int) error {
+	a.acks++
+	return nil
+}
+
+// TestWarmSplitAllocs pins what a warm split costs from the worker's
+// cache probe to the trainer's hands: one 256-row RM1 split at
+// BatchSize 128, answered from the cache's transformed ware, goes
+// through evalSplit, the deliver step into the buffer, the pop, the
+// client-side decode, the consumption ack that completes the split, and
+// the client's dedup ledger. Each pass is a split the ledger has not
+// seen, as a session's splits are. What may allocate is the decoded
+// batch header, one per batch — tensor.DecodeBinary's *Batch, kept
+// because with a recycled header a stale second Release would free the
+// next owner's slab — and the ledger's and the split table's amortised
+// map growth. The cache probe, ware IDs, frame list, split ledger
+// entry, buffer slot, completion list and wake-ups allocate nothing.
+func TestWarmSplitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const rows, batchSize = 256, 128
+	wh, splits, spec := rm1Table(t, rows, 1, batchSize)
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker("w", m, wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acks := &ackCounter{Master: m}
+	w.master = acks
+	w.UseCache(ware.NewCache(64<<20), "t")
+	c := &Client{}
+	splitID := 0
+	step := func() {
+		ev, err := w.evalSplit(splits[0], splitID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.splitID = splitID
+		splitID++
+		if err := w.deliverSplit(ev, nil); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, ok, _ := w.tryGetFrame()
+			if !ok {
+				break
+			}
+			b, err := f.decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.ackConsumed(f)
+			f.free()
+			if !c.admitLocked(b) {
+				t.Fatalf("split %d batch %d/%d refused by the ledger", b.Split, b.Seq, b.SeqCount)
+			}
+			b.Release()
+		}
+	}
+	step() // the miss that publishes the transformed ware
+	const runs = 200
+	got := testing.AllocsPerRun(runs, step)
+	if acks.acks != runs+2 || len(w.splits) != 0 {
+		t.Fatalf("%d splits acknowledged, %d still open; want %d and 0", acks.acks, len(w.splits), runs+2)
+	}
+	// AllocsPerRun's average is a whole number, so the map growth, under
+	// one allocation a split over the runs, does not show.
+	if batches := rows / batchSize; got > float64(batches) {
+		t.Fatalf("%.0f allocations per warm split, want at most %d, one per decoded batch", got, batches)
+	}
+	t.Logf("%.0f allocations per warm split", got)
 }
 
 // rm1Table writes stripes stripes of rows RM1 rows each (the generator's

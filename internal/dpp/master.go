@@ -221,8 +221,9 @@ func NewMaster(wh *warehouse.Warehouse, spec SessionSpec) (*Master, error) {
 	m.spec.Pipeline = m.spec.Pipeline.planFor(len(splits))
 	m.splits = splits
 	m.completed = make([]bool, len(splits))
-	for i := range splits {
-		m.pending = append(m.pending, i)
+	m.pending = make([]int, len(splits))
+	for i := range m.pending {
+		m.pending[i] = i
 	}
 	return m, nil
 }

@@ -140,10 +140,12 @@ func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
 		default:
 		}
 		// Take the wake-ups before asking, so nothing that happens between
-		// the master's answer and the wait below is missed.
+		// the master's answer and the wait below is missed. This worker's
+		// own acknowledgements are a count, whose channel is made only if
+		// the evaluator ends up waiting.
 		session, table := w.master.WorkChanged()
 		w.mu.Lock()
-		completed := w.splitDone
+		acked := w.report.SplitsDone
 		w.mu.Unlock()
 		ev, leased, err := w.evalNext()
 		if err != nil {
@@ -177,6 +179,10 @@ func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
 		// or to other workers) or not sealed yet. Ask again when this
 		// worker acknowledges a split, when the master's answer may have
 		// changed, or when the table publishes.
+		completed, moved := w.splitDoneSince(acked)
+		if moved {
+			continue
+		}
 		select {
 		case <-abort.ch:
 			return

@@ -124,7 +124,7 @@ type Worker struct {
 	// overlap by the batches' (Split, Seq) provenance tags, which
 	// together makes delivery exactly-once even across non-graceful
 	// worker death.
-	splits map[int]*splitAcct
+	splits map[int]splitAcct
 	// completing counts CompleteSplit RPCs in flight off-lock, so Retire
 	// does not deregister (requeueing leases) a moment before their acks
 	// land at the master.
@@ -135,9 +135,11 @@ type Worker struct {
 	// made when a waiter takes one (BatchReady, a full deliver), closed
 	// and dropped by the next signal (wake), so a batch nobody waits for
 	// makes no channel.
-	notEmpty  chan struct{}
-	notFull   chan struct{}
-	splitDone chan struct{} // closed-and-replaced after each CompleteSplit
+	notEmpty chan struct{}
+	notFull  chan struct{}
+	// splitDone is the idle evaluators' wake-up, closed by the next
+	// CompleteSplit (see splitDoneSince).
+	splitDone chan struct{}
 	// settled is closed when the ledger Retire waits out moves toward
 	// empty (a buffer pop, a stream window retired, a CompleteSplit ack
 	// landed); allocated only while Retire waits.
@@ -215,8 +217,8 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		plan:           plan,
 		arena:          dwrf.NewArena(),
 		proj:           spec.Projection(),
-		splits:         make(map[int]*splitAcct),
-		splitDone:      make(chan struct{}),
+		buffer:         make([]*frame, 0, spec.BufferDepth),
+		splits:         make(map[int]splitAcct),
 		crashCh:        make(chan struct{}),
 		lastStatsAt:    time.Now(),
 		minWindow:      math.MaxInt,
@@ -268,6 +270,8 @@ func (w *Worker) deliverSplit(ev evaluated, cancel <-chan struct{}) error {
 	}
 	w.stageDeliver.Add(time.Since(start))
 	w.finishSplit(ev.splitID, err == nil)
+	clear(ev.frames)
+	frameLists.Put(ev.frames[:0])
 	return err
 }
 
@@ -281,18 +285,18 @@ func (w *Worker) deliverSplit(ev evaluated, cancel <-chan struct{}) error {
 // while client-side (Split, Seq) dedup drops the overlap.
 func (w *Worker) finishSplit(splitID int, delivered bool) {
 	w.mu.Lock()
-	a := w.splits[splitID]
+	a, ok := w.splits[splitID]
 	complete := false
-	if a != nil {
-		if !delivered {
-			delete(w.splits, splitID)
-		} else {
-			a.producing = false
-			if a.consumed >= a.produced {
-				delete(w.splits, splitID)
-				complete = true
-			}
-		}
+	switch {
+	case !ok:
+	case !delivered:
+		delete(w.splits, splitID)
+	case a.consumed >= a.produced:
+		delete(w.splits, splitID)
+		complete = true
+	default:
+		a.producing = false
+		w.splits[splitID] = a
 	}
 	if complete {
 		w.completing++
@@ -312,21 +316,26 @@ func (w *Worker) ackConsumed(frames ...*frame) {
 	if len(frames) == 0 {
 		return
 	}
-	var complete []int
+	// A grant usually retires one frame and completes at most one split:
+	// the list lives on the stack unless it outgrows it.
+	var stack [4]int
+	complete := stack[:0]
 	w.mu.Lock()
 	for _, f := range frames {
 		if f == nil || f.split() == 0 {
 			continue
 		}
 		splitID := int(f.split()) - 1
-		a := w.splits[splitID]
-		if a == nil {
+		a, ok := w.splits[splitID]
+		if !ok {
 			continue
 		}
 		a.consumed++
 		if !a.producing && a.consumed >= a.produced {
 			delete(w.splits, splitID)
 			complete = append(complete, splitID)
+		} else {
+			w.splits[splitID] = a
 		}
 	}
 	w.completing += len(complete)
@@ -346,10 +355,27 @@ func (w *Worker) completeSplit(splitID int) {
 	w.mu.Lock()
 	w.completing--
 	w.report.SplitsDone++
-	close(w.splitDone) // wake evaluators waiting to re-check Done
-	w.splitDone = make(chan struct{})
+	wake(&w.splitDone) // wake evaluators waiting to re-check Done
 	w.settleLocked()
 	w.mu.Unlock()
+}
+
+// splitDoneSince returns the channel the next CompleteSplit closes, or
+// moved=true when the count of splits acknowledged to the master
+// (ResourceReport.SplitsDone) has moved past acked, so the wake-up the
+// caller would wait for already happened. The channel is made only for
+// a waiter, under the lock completeSplit closes it under: no
+// acknowledgement between the read of acked and the wait is missed.
+func (w *Worker) splitDoneSince(acked int64) (ch <-chan struct{}, moved bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.report.SplitsDone != acked {
+		return nil, true
+	}
+	if w.splitDone == nil {
+		w.splitDone = make(chan struct{})
+	}
+	return w.splitDone, false
 }
 
 // settleLocked wakes Retire. Callers hold w.mu and have just lowered
@@ -392,7 +418,7 @@ func (w *Worker) accountSplit(ev evaluated) {
 	}
 	xformCycles := int64(ev.xform.TotalCycles())
 	w.mu.Lock()
-	w.splits[ev.splitID] = &splitAcct{producing: true}
+	w.splits[ev.splitID] = splitAcct{producing: true}
 	r := &w.report
 	r.NICRxBytes += read.BytesRead
 	r.NICTxBytes += txBytes
@@ -439,8 +465,9 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 				w.report.ResidentPeak = w.bufBytes
 			}
 			if split := f.split(); split != 0 {
-				if a := w.splits[int(split)-1]; a != nil {
+				if a, ok := w.splits[int(split)-1]; ok {
 					a.produced++
+					w.splits[int(split)-1] = a
 				}
 			}
 			wake(&w.notEmpty)
@@ -490,9 +517,13 @@ func (w *Worker) tryGetFrame() (f *frame, ok, done bool) {
 		return nil, false, false
 	}
 	if len(w.buffer) > 0 {
+		// Shift the queue down rather than reslicing past its head, so
+		// deliver's append keeps reusing the same array: the buffer holds
+		// at most BufferDepth frames, a few pointers to move.
 		f = w.buffer[0]
-		w.buffer[0] = nil
-		w.buffer = w.buffer[1:]
+		n := copy(w.buffer, w.buffer[1:])
+		w.buffer[n] = nil
+		w.buffer = w.buffer[:n]
 		w.bufBytes -= int64(len(f.buf))
 		if len(w.buffer) < w.minBuffered {
 			w.minBuffered = len(w.buffer)

@@ -258,27 +258,33 @@ var (
 	encBlockOnce sync.Once
 )
 
+// counterBlock is one AES-CTR initial counter block.
+type counterBlock [aes.BlockSize]byte
+
 // cryptStreamTo applies AES-CTR from src into dst (dst and src may be
 // the same slice for in-place operation), with the IV derived from the
 // stream's absolute file offset so every stream is independently
 // decryptable. Writing into a separate dst lets the reader decrypt
 // straight out of a borrowed storage slice without a staging copy.
-func cryptStreamTo(dst, src []byte, fileOffset int64) error {
+//
+// iv is the caller's counter-block scratch, a field of a recycled
+// working set (stripeRead, Writer): cipher.NewCTR takes the IV through
+// an interface call, so a local array would escape to the heap on every
+// stream. The CTR state NewCTR returns is the one allocation left per
+// stream: crypto/cipher gives no way to reset one, and a keystream
+// built from encBlock.Encrypt ran at 0.65 GB/s against NewCTR's 5.8 GB/s
+// on 4 KB streams (one core of a 2-vCPU Xeon host).
+func cryptStreamTo(dst, src []byte, fileOffset int64, iv *counterBlock) error {
 	encBlockOnce.Do(func() {
 		encBlock, encBlockErr = aes.NewCipher(encryptionKey)
 	})
 	if encBlockErr != nil {
 		return fmt.Errorf("dwrf: cipher: %w", encBlockErr)
 	}
-	var iv [aes.BlockSize]byte
+	*iv = counterBlock{}
 	binary.LittleEndian.PutUint64(iv[:], uint64(fileOffset))
 	cipher.NewCTR(encBlock, iv[:]).XORKeyStream(dst, src)
 	return nil
-}
-
-// cryptStream applies AES-CTR in place.
-func cryptStream(data []byte, fileOffset int64) error {
-	return cryptStreamTo(data, data, fileOffset)
 }
 
 // decompress inflates one stream's decrypted bytes into a recycled payload

@@ -96,7 +96,8 @@ func rm1Streams(t testing.TB) []rm1Stream {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cryptStream(data, s.Offset); err != nil {
+			var iv counterBlock
+			if err := cryptStreamTo(data, data, s.Offset, &iv); err != nil {
 				t.Fatal(err)
 			}
 			out = append(out, rm1Stream{data: data, raw: s.RawLength})
@@ -530,11 +531,11 @@ func BenchmarkInflateRM1Streams(b *testing.B) {
 
 // TestStripeDecodeAllocs pins the decode path's allocations: from the
 // second stripe on, decoding one 256-row RM1 stripe under the benchmark's
-// projection (19 streams) may allocate twice per selected stream —
-// cipher.NewCTR's two, which crypto/cipher gives no way to reuse — plus
-// one per stripe for the storage read, its trace's Served entry. Inflate
-// state, payloads, the stream selection, the I/O plan and the columns
-// all come from free lists.
+// projection (19 streams) may allocate once per selected stream — the
+// CTR state cipher.NewCTR returns, which crypto/cipher gives no way to
+// reuse (TestCryptStreamAllocs). The IV, the storage read's provenance,
+// inflate state, payloads, the stream selection, the I/O plan and the
+// columns all live in recycled working sets.
 func TestStripeDecodeAllocs(t *testing.T) {
 	proj := rm1Projection()
 	opts := ReadOptions{CoalesceBytes: 128 << 10}
@@ -560,10 +561,55 @@ func TestStripeDecodeAllocs(t *testing.T) {
 			read(1 + next%(r.Stripes()-1))
 			next++
 		})
-		if allowed := float64(2*streams + 1); got > allowed {
+		if allowed := float64(streams); got > allowed {
 			t.Fatalf("card %d: a %d-stream stripe decode makes %.1f allocations, allowance %.0f", card, streams, got, allowed)
 		}
 		t.Logf("card %d: %.1f allocations per %d-stream stripe decode", card, got, streams)
+	}
+}
+
+// TestCryptStreamAllocs pins the encrypt/decrypt pass at exactly one
+// allocation per stream, the CTR state crypto/cipher allocates, on both
+// paths: the reader's pass into a staging buffer with its stripeRead's
+// counter block, and the writer's in-place pass with its own.
+func TestCryptStreamAllocs(t *testing.T) {
+	src := bytes.Repeat([]byte("dwrf stream bytes "), 180) // ~3 KB
+	dst := make([]byte, len(src))
+	sr := new(stripeRead)
+	w := new(Writer)
+	off := int64(4096)
+	paths := []struct {
+		name string
+		pass func() error
+	}{
+		{"read", func() error { return cryptStreamTo(dst, src, off, &sr.iv) }},
+		{"write", func() error { return cryptStreamTo(dst, dst, off, &w.iv) }},
+	}
+	for _, p := range paths {
+		if err := p.pass(); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			off += int64(len(src))
+			if err := p.pass(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("%s path: %.1f allocations per stream, want exactly 1", p.name, got)
+		}
+	}
+	// The pass is its own inverse at one offset, whichever counter block
+	// it ran through.
+	enc := make([]byte, len(src))
+	if err := cryptStreamTo(enc, src, 77, &sr.iv); err != nil {
+		t.Fatal(err)
+	}
+	if err := cryptStreamTo(enc, enc, 77, &w.iv); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, src) {
+		t.Fatal("decrypting with the writer's counter block does not undo the reader's pass")
 	}
 }
 

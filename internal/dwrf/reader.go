@@ -526,6 +526,10 @@ type stripeRead struct {
 	selected []StreamMeta
 	plans    []ioPlan
 	payloads [][]byte
+	// served is the current attempt's provenance, which replica served
+	// each chunk; heal reads it before the next attempt overwrites it.
+	served []tectonic.ReplicaServe
+	iv     counterBlock // the decrypt pass's counter block
 }
 
 var stripeReads freelist.List[*stripeRead]
@@ -594,24 +598,19 @@ func (r *Reader) fetchStripe(meta *StripeMeta, proj *schema.Projection, opts Rea
 // served each chunk, the provenance quarantine needs.
 func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats, []tectonic.ReplicaServe, error) {
 	var stats ReadStats
-	var served []tectonic.ReplicaServe
+	sr.served = sr.served[:0]
 	verifying := meta.ContentHash != 0 && len(sr.selected) == len(meta.Streams)
 	var hash uint64
 	fail := func(err error) (ReadStats, []tectonic.ReplicaServe, error) {
 		sr.releasePayloads()
-		return stats, served, err
+		return stats, sr.served, err
 	}
 	for _, p := range sr.plans {
 		fetchStart := time.Now()
-		raw, _, tr, err := r.cluster.ReadAtBorrowTraced(r.path, p.offset, p.length)
+		raw, _, tr, err := r.cluster.ReadAtBorrowTraced(r.path, p.offset, p.length, sr.served)
 		stats.FetchWall += time.Since(fetchStart)
 		stats.trace(tr)
-		// Most stripes are one read: keep its trace's slice, not a copy.
-		if served == nil {
-			served = tr.Served
-		} else {
-			served = append(served, tr.Served...)
-		}
+		sr.served = tr.Served
 		if err != nil {
 			return fail(fmt.Errorf("dwrf: %s stripe@%d: fetch [%d,%d): %w", r.path, meta.Offset, p.offset, p.offset+p.length, err))
 		}
@@ -621,7 +620,7 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats
 		for _, s := range sr.selected[p.lo:p.hi] {
 			stats.BytesWanted += s.Length
 			enc := encPool.get(s.Length)
-			if err := cryptStreamTo(enc, raw[s.Offset-p.offset:s.Offset-p.offset+s.Length], s.Offset); err != nil {
+			if err := cryptStreamTo(enc, raw[s.Offset-p.offset:s.Offset-p.offset+s.Length], s.Offset, &sr.iv); err != nil {
 				encPool.put(enc)
 				return fail(fmt.Errorf("dwrf: %s stripe@%d stream at %d: %w", r.path, meta.Offset, s.Offset, err))
 			}
@@ -646,7 +645,7 @@ func (r *Reader) fetchStripeAttempt(meta *StripeMeta, sr *stripeRead) (ReadStats
 		return fail(fmt.Errorf("dwrf: %s stripe@%d: content hash %x, footer records %x: %w", r.path, meta.Offset, hash, meta.ContentHash, tectonic.ErrCorrupt))
 	}
 	stats.BytesOverRead = stats.BytesRead - stats.BytesWanted
-	return stats, served, nil
+	return stats, sr.served, nil
 }
 
 // ReadStripe decodes stripe i under the projection into the columnar

@@ -65,12 +65,13 @@ type Writer struct {
 
 	// Stripe-flush scratch, all reused from stripe to stripe. rank is
 	// opts.StreamOrder inverted once; token is "path@" followed by the
-	// current append's offset.
+	// current append's offset; iv is the encrypt pass's counter block.
 	rank    map[schema.FeatureID]int
 	present map[schema.FeatureID]struct{}
 	ids     []schema.FeatureID
 	jobs    []streamJob
 	token   []byte
+	iv      counterBlock
 }
 
 // append routes one physical append through the cluster's idempotent
@@ -320,7 +321,7 @@ func (w *Writer) flushStripe() error {
 		// content hash: encryption IVs depend on file offsets, so hashing
 		// before the crypt pass keeps the digest a pure function of content.
 		meta.ContentHash = fnvMix(meta.ContentHash, j.comp)
-		if err := cryptStream(j.comp, w.offset); err != nil {
+		if err := cryptStreamTo(j.comp, j.comp, w.offset, &w.iv); err != nil {
 			return err
 		}
 		if err := w.append(j.comp); err != nil {

@@ -133,19 +133,29 @@ func (t *TableSchema) IDsOfKind(kind FeatureKind) []FeatureID {
 // filter, §5.1). The zero value selects nothing.
 type Projection struct {
 	ids map[FeatureID]bool
+	// sorted holds the same IDs in ascending order, kept up to date by
+	// Add, so IDs costs nothing per call.
+	sorted []FeatureID
 }
 
 // NewProjection returns a projection selecting the given feature IDs.
 func NewProjection(ids ...FeatureID) *Projection {
 	p := &Projection{ids: make(map[FeatureID]bool, len(ids))}
 	for _, id := range ids {
-		p.ids[id] = true
+		p.Add(id)
 	}
 	return p
 }
 
 // Add includes id in the projection.
-func (p *Projection) Add(id FeatureID) { p.ids[id] = true }
+func (p *Projection) Add(id FeatureID) {
+	if p.ids[id] {
+		return
+	}
+	p.ids[id] = true
+	i, _ := slices.BinarySearch(p.sorted, id)
+	p.sorted = slices.Insert(p.sorted, i, id)
+}
 
 // Contains reports whether id is selected.
 func (p *Projection) Contains(id FeatureID) bool { return p.ids[id] }
@@ -153,14 +163,11 @@ func (p *Projection) Contains(id FeatureID) bool { return p.ids[id] }
 // Len reports the number of selected features.
 func (p *Projection) Len() int { return len(p.ids) }
 
-// IDs returns the selected feature IDs in ascending order.
+// IDs returns the selected feature IDs in ascending order. The slice is
+// the projection's own, shared by every caller: read it, never write
+// it. Its capacity ends at its length, so an append copies it.
 func (p *Projection) IDs() []FeatureID {
-	ids := make([]FeatureID, 0, len(p.ids))
-	for id := range p.ids {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
+	return slices.Clip(p.sorted)
 }
 
 // LifecycleState tracks a feature through the release process (§4.3).

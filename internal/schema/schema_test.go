@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,30 @@ func TestProjection(t *testing.T) {
 	}
 	if len(ids) != 4 {
 		t.Fatalf("len(IDs) = %d, want 4", len(ids))
+	}
+}
+
+// TestProjectionIDsShared pins IDs as the projection's own sorted list:
+// a call allocates nothing, a duplicate Add changes nothing, and an
+// append to the returned slice copies it instead of writing into it.
+func TestProjectionIDsShared(t *testing.T) {
+	p := NewProjection(9, 3, 3, 7)
+	p.Add(7)
+	p.Add(1)
+	want := []FeatureID{1, 3, 7, 9}
+	if got := p.IDs(); !slices.Equal(got, want) || p.Len() != len(want) {
+		t.Fatalf("IDs = %v (Len %d), want %v", got, p.Len(), want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = p.IDs() }); n != 0 {
+		t.Fatalf("IDs allocates %.1f times per call", n)
+	}
+	grown := append(p.IDs(), 100)
+	grown[0] = -1
+	if got := p.IDs(); !slices.Equal(got, want) {
+		t.Fatalf("append to IDs() wrote into the projection: %v", got)
+	}
+	if got := NewProjection().IDs(); len(got) != 0 {
+		t.Fatalf("empty projection IDs = %v", got)
 	}
 }
 

@@ -220,7 +220,7 @@ func TestFaultFreeReadsStayClean(t *testing.T) {
 	// formatted once, when the chunk is placed.
 	const fastPathAllocs = 1
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, borrowed, _, err := c.ReadAtBorrowTraced("f", 128, 4096); err != nil || !borrowed {
+		if _, borrowed, _, err := c.ReadAtBorrowTraced("f", 128, 4096, nil); err != nil || !borrowed {
 			t.Fatalf("single-chunk read: borrowed=%v err=%v", borrowed, err)
 		}
 	})
@@ -259,7 +259,7 @@ func TestBorrowNeverAliasesCorruptingNode(t *testing.T) {
 	}
 	c.SetFaultSchedule(sched)
 
-	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 0, c.opts.ChunkSize)
+	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 0, c.opts.ChunkSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -414,8 +414,9 @@ func altReplica(order []int, primary int, now time.Duration, sched *faults.Sched
 // chunk, when the served view itself is returned (borrowed=true if it
 // aliases the chunk buffer; a corrupting node only ever hands out a
 // private copy). Device time and I/O accounting do not depend on borrow.
-func (c *Cluster) readRange(path string, offset, length int64, borrow bool) ([]byte, bool, time.Duration, ReadTrace, error) {
-	var trace ReadTrace
+// The trace's Served entries append to served, the caller's scratch.
+func (c *Cluster) readRange(path string, offset, length int64, borrow bool, served []ReplicaServe) ([]byte, bool, time.Duration, ReadTrace, error) {
+	trace := ReadTrace{Served: served}
 	if offset < 0 || length < 0 {
 		return nil, false, 0, trace, fmt.Errorf("%w: negative read parameters [%d,%d) of %s", ErrOutOfRange, offset, offset+length, path)
 	}
@@ -463,7 +464,7 @@ func (c *Cluster) readRange(path string, offset, length int64, borrow bool) ([]b
 // recovery trace: which replica served each chunk, and how much
 // retrying, failover, and hedging the read needed.
 func (c *Cluster) ReadAtTraced(path string, offset, length int64) ([]byte, ReadTrace, error) {
-	out, _, _, trace, err := c.readRange(path, offset, length, false)
+	out, _, _, trace, err := c.readRange(path, offset, length, false, nil)
 	return out, trace, err
 }
 
@@ -474,7 +475,9 @@ func (c *Cluster) ReadAtTraced(path string, offset, length int64) ([]byte, ReadT
 // the file. Ranges spanning chunk boundaries are copied
 // (borrowed=false). Device-time and I/O accounting are identical to
 // ReadAt, so storage metrics don't depend on which call served the read.
-func (c *Cluster) ReadAtBorrowTraced(path string, offset, length int64) ([]byte, bool, ReadTrace, error) {
-	out, borrowed, _, trace, err := c.readRange(path, offset, length, true)
+// The trace's Served entries are appended to served, so a caller that
+// keeps its provenance in a recycled slice allocates none.
+func (c *Cluster) ReadAtBorrowTraced(path string, offset, length int64, served []ReplicaServe) ([]byte, bool, ReadTrace, error) {
+	out, borrowed, _, trace, err := c.readRange(path, offset, length, true, served)
 	return out, borrowed, trace, err
 }

@@ -315,7 +315,7 @@ func (c *Cluster) Delete(path string) error {
 // and stragglers are hedged; see ReadAtTraced for the recovery
 // accounting.
 func (c *Cluster) ReadAt(path string, offset, length int64) ([]byte, time.Duration, error) {
-	out, _, t, _, err := c.readRange(path, offset, length, false)
+	out, _, t, _, err := c.readRange(path, offset, length, false, nil)
 	return out, t, err
 }
 

@@ -360,7 +360,7 @@ func TestReadAtRandomAccessProperty(t *testing.T) {
 				var got []byte
 				var trace ReadTrace
 				if borrow {
-					got, _, trace, err = c.ReadAtBorrowTraced("f", off, length)
+					got, _, trace, err = c.ReadAtBorrowTraced("f", off, length, nil)
 				} else {
 					got, trace, err = c.ReadAtTraced("f", off, length)
 				}
@@ -405,7 +405,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 	}
 
 	// Fully inside one chunk: the read is served zero-copy.
-	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 17, 10)
+	got, borrowed, _, err := c.ReadAtBorrowTraced("f", 17, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 	}
 
 	// Spanning a chunk boundary falls back to the copying path.
-	got, borrowed, _, err = c.ReadAtBorrowTraced("f", 10, 20)
+	got, borrowed, _, err = c.ReadAtBorrowTraced("f", 10, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +438,7 @@ func TestReadAtBorrowSingleChunk(t *testing.T) {
 
 	// Both paths account identically.
 	ops, rb := c.ReadOps.Value(), c.ReadBytes.Value()
-	if _, _, _, err := c.ReadAtBorrowTraced("f", 17, 10); err != nil {
+	if _, _, _, err := c.ReadAtBorrowTraced("f", 17, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.ReadOps.Value() != ops+1 || c.ReadBytes.Value() != rb+10 {

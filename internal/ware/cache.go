@@ -1,11 +1,11 @@
 package ware
 
 import (
-	"container/list"
 	"math"
 	"sync"
 
 	"dsi/internal/dwrf"
+	"dsi/internal/freelist"
 )
 
 // Cache is a byte-bounded, tenant-fair, content-addressed store of
@@ -34,8 +34,10 @@ type Cache struct {
 	capacity int64
 	used     int64
 	entries  map[WareID]*entry
-	lru      *list.List // *entry; front = most recently used
-	tenants  map[string]*tenantState
+	// lru is the sentinel of the entries' intrusive recency ring:
+	// lru.next is the most recently used entry, lru.prev the least.
+	lru     entry
+	tenants map[string]*tenantState
 
 	counters  Counters // node-wide: the sum over tenants
 	inserts   int64
@@ -44,11 +46,28 @@ type Cache struct {
 }
 
 type entry struct {
-	id     WareID
-	batch  *dwrf.Batch
-	bytes  int64
-	tenant string // inserting tenant, charged for residency
-	elem   *list.Element
+	id         WareID
+	batch      *dwrf.Batch
+	bytes      int64
+	tenant     string // inserting tenant, charged for residency
+	prev, next *entry // recency ring neighbours (Cache.lru)
+}
+
+// freeEntries recycles dropped entries across every cache, so an insert
+// in a full cache reuses the entry its eviction dropped.
+var freeEntries freelist.List[*entry]
+
+// unlink removes e from the recency ring.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// pushFrontLocked links e in as the most recently used entry. Callers
+// hold c.mu.
+func (c *Cache) pushFrontLocked(e *entry) {
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 type tenantState struct {
@@ -118,13 +137,14 @@ type TenantStats struct {
 // how "disabled" composes with the rest of the wiring without nil
 // checks.
 func NewCache(capacity int64) *Cache {
-	return &Cache{
+	c := &Cache{
 		arena:    dwrf.NewArena(),
 		capacity: capacity,
 		entries:  make(map[WareID]*entry),
-		lru:      list.New(),
 		tenants:  make(map[string]*tenantState),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // Arena returns the node's column arena, which every pipeline using the
@@ -196,7 +216,8 @@ func (c *Cache) Get(id WareID, tenant string) *dwrf.Batch {
 	if e == nil {
 		return nil
 	}
-	c.lru.MoveToFront(e.elem)
+	e.unlink()
+	c.pushFrontLocked(e)
 	c.counters.hit(e.id.Pack, e.bytes)
 	c.tenant(tenant).counters.hit(e.id.Pack, e.bytes)
 	e.batch.Retain()
@@ -234,8 +255,12 @@ func (c *Cache) Insert(id WareID, b *dwrf.Batch, tenant string) (*dwrf.Batch, bo
 	}
 	b.Share()  // cache's reference
 	b.Retain() // caller's reference
-	e := &entry{id: id, batch: b, bytes: size, tenant: tenant}
-	e.elem = c.lru.PushFront(e)
+	e, ok := freeEntries.Get()
+	if !ok {
+		e = new(entry)
+	}
+	e.id, e.batch, e.bytes, e.tenant = id, b, size, tenant
+	c.pushFrontLocked(e)
 	c.entries[id] = e
 	c.used += size
 	t.bytes += size
@@ -263,8 +288,7 @@ func (c *Cache) evictForLocked(need int64, tenant string) bool {
 // victimLocked scans the LRU from the cold end for the first entry
 // eviction may legally take on behalf of tenant. Callers hold c.mu.
 func (c *Cache) victimLocked(tenant string) *entry {
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
+	for e := c.lru.prev; e != &c.lru; e = e.prev {
 		if e.tenant == tenant {
 			return e
 		}
@@ -278,26 +302,26 @@ func (c *Cache) victimLocked(tenant string) *entry {
 
 // dropLocked removes an entry and releases the cache's reference on
 // its batch; outstanding consumer references keep the columns alive.
-// Callers hold c.mu.
+// The entry itself goes back to freeEntries. Callers hold c.mu.
 func (c *Cache) dropLocked(e *entry) {
-	c.lru.Remove(e.elem)
+	e.unlink()
 	delete(c.entries, e.id)
 	c.used -= e.bytes
 	if t := c.tenants[e.tenant]; t != nil {
 		t.bytes -= e.bytes
 	}
 	e.batch.Release()
+	*e = entry{}
+	freeEntries.Put(e)
 }
 
 // Flush evicts every entry (tests and eviction-refetch cycles).
 func (c *Cache) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.lru.Back(); el != nil; {
-		prev := el.Prev()
-		c.dropLocked(el.Value.(*entry))
+	for c.lru.prev != &c.lru {
+		c.dropLocked(c.lru.prev)
 		c.evictions++
-		el = prev
 	}
 }
 
@@ -332,13 +356,13 @@ func (c *Cache) TenantStats(id string) TenantStats {
 	}
 }
 
-// Wares lists resident ware keys, most recently used first.
-func (c *Cache) Wares() []string {
+// Wares lists resident ware IDs, most recently used first.
+func (c *Cache) Wares() []WareID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).id.String())
+	out := make([]WareID, 0, len(c.entries))
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		out = append(out, e.id)
 	}
 	return out
 }

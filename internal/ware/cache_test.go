@@ -27,7 +27,7 @@ func TestWareIDStability(t *testing.T) {
 	if a != b {
 		t.Fatalf("content-hashed stripe IDs differ across paths: %v vs %v", a, b)
 	}
-	if a.Pack != PackStripe || a.Hash == "" {
+	if a.Pack != PackStripe || a.Hash == 0 {
 		t.Fatalf("bad stripe ID %v", a)
 	}
 	if c := StripeID(0xfeed, "p", 7, proj); c == a {
@@ -57,14 +57,14 @@ func TestWareIDStability(t *testing.T) {
 	if x1.Pack != PackXform {
 		t.Fatalf("xform pack = %q", x1.Pack)
 	}
-	if s := x1.String(); s != PackXform+":"+x1.Hash {
+	if s := x1.String(); s != fmt.Sprintf("%s:%016x", PackXform, x1.Hash) {
 		t.Fatalf("String = %q", s)
 	}
 }
 
-// TestWareIDsPinned holds the IDs byte for byte. The digests are those
-// of the same bytes formatted by fmt.Fprintf, so IDs stay comparable
-// across versions of the program.
+// TestWareIDsPinned holds the IDs' renderings byte for byte. The digests
+// are those of the same bytes formatted by fmt.Fprintf, so IDs stay
+// comparable across versions of the program.
 func TestWareIDsPinned(t *testing.T) {
 	cases := []struct {
 		name         string
@@ -80,11 +80,11 @@ func TestWareIDsPinned(t *testing.T) {
 		{"content, 18-ID projection", StripeID(1, "", 0, schema.NewProjection(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 100, 101, 102, 103, 104, 105)), "ae8c36a4a0fe1d53", "328aeb1ec959d0f7"},
 	}
 	for _, c := range cases {
-		if c.id != (WareID{PackStripe, c.stripe}) {
-			t.Errorf("%s: StripeID = %v, want %s", c.name, c.id, c.stripe)
+		if got, want := c.id.String(), PackStripe+":"+c.stripe; got != want {
+			t.Errorf("%s: StripeID = %s, want %s", c.name, got, want)
 		}
-		if x := XformID(c.id, "plan-fp"); x != (WareID{PackXform, c.xfrm}) {
-			t.Errorf("%s: XformID = %v, want %s", c.name, x, c.xfrm)
+		if got, want := XformID(c.id, "plan-fp").String(), PackXform+":"+c.xfrm; got != want {
+			t.Errorf("%s: XformID = %s, want %s", c.name, got, want)
 		}
 	}
 }

@@ -28,17 +28,22 @@ const (
 	PackXform = "xform"
 )
 
-// WareID is a content-addressed artifact name: a pack type plus a hex
+// WareID is a content-addressed artifact name: a pack type plus a
 // digest of everything that determines the artifact's bytes. Two
 // pipelines that would compute identical batches derive identical
-// WareIDs, regardless of table name, session, or tenant.
+// WareIDs, regardless of table name, session, or tenant. The digest is a
+// number, so naming a ware allocates nothing; "pack:hash", with the hash
+// as 16 hex digits, is only its rendering.
 type WareID struct {
 	Pack string
-	Hash string
+	Hash uint64
 }
 
 // String renders the canonical "pack:hash" form.
-func (w WareID) String() string { return w.Pack + ":" + w.Hash }
+func (w WareID) String() string {
+	var buf [16]byte
+	return w.Pack + ":" + string(appendHex16(buf[:0], w.Hash))
+}
 
 // StripeID names the batch decoded from one stripe under a projection.
 // contentHash is the stripe's DWRF content digest (Reader.
@@ -52,8 +57,8 @@ func (w WareID) String() string { return w.Pack + ":" + w.Hash }
 //
 // The digest is FNV-1a over "c<16 hex digits>|" (or "p<path>#<stripe>|")
 // and then "<id>," per projected feature, or "*" for no projection;
-// every piece is formatted into a stack buffer, so a probe allocates
-// only the sorted ID list and the hash string.
+// every piece is formatted into a stack buffer and the projection keeps
+// its sorted ID list, so a probe allocates nothing.
 func StripeID(contentHash uint64, path string, stripe int, proj *schema.Projection) WareID {
 	var buf [24]byte
 	h := fnvOffset
@@ -74,19 +79,22 @@ func StripeID(contentHash uint64, path string, stripe int, proj *schema.Projecti
 			h = fnvAdd(h, append(b, ','))
 		}
 	}
-	return WareID{Pack: PackStripe, Hash: hexString(h)}
+	return WareID{Pack: PackStripe, Hash: h}
 }
 
 // XformID names the batch produced by running a transform plan over a
 // stripe ware. planFingerprint is transforms.Plan.Fingerprint (or
 // Graph.Fingerprint for interpreted sessions): it digests the full op
 // configuration, so sessions only collide when they would genuinely
-// compute the same derived columns.
+// compute the same derived columns. The digest folds the stripe ware's
+// rendered hash, its 16 hex digits, so it names the same bytes it did
+// when a WareID held its hash as a string.
 func XformID(stripe WareID, planFingerprint string) WareID {
-	h := fnvAdd(fnvOffset, stripe.Hash)
+	var buf [16]byte
+	h := fnvAdd(fnvOffset, appendHex16(buf[:0], stripe.Hash))
 	h = fnvAdd(h, "|")
 	h = fnvAdd(h, planFingerprint)
-	return WareID{Pack: PackXform, Hash: hexString(h)}
+	return WareID{Pack: PackXform, Hash: h}
 }
 
 // 64-bit FNV-1a, as hash/fnv's New64a computes it.
@@ -111,10 +119,4 @@ func appendHex16(b []byte, v uint64) []byte {
 		b = append(b, digits[v>>uint(shift)&0xf])
 	}
 	return b
-}
-
-// hexString renders a digest as 16 zero-padded hex digits.
-func hexString(v uint64) string {
-	var buf [16]byte
-	return string(appendHex16(buf[:0], v))
 }
