@@ -256,7 +256,8 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 	fail := make(chan error, len(sessionIDs))
 	var wg sync.WaitGroup
 	for i, id := range sessionIDs {
-		sums[id] = tensor.NewContentSum()
+		got := tensor.NewContentSum()
+		sums[id] = got
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
@@ -266,7 +267,6 @@ func TestEndToEndChecksumStorageChaos(t *testing.T) {
 				return
 			}
 			client.RefreshEvery = 500 * time.Microsecond
-			got := sums[id]
 			for {
 				b, ok, err := client.Next()
 				if err != nil {

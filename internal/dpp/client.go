@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"dsi/internal/freelist"
 	"dsi/internal/tensor"
 )
 
@@ -391,10 +390,11 @@ func (c *Client) sweepLocked() (b *tensor.Batch, ok, allDone bool, err error) {
 }
 
 // splitSeen is one split's dedup record: bit Seq-1 is set once the
-// client consumed that seq — the first 64 seqs in lo, the rest in more,
-// drawn from seqWords — and n counts the bits set. Once every seq up to
-// the split's SeqCount has been consumed the record collapses to the
-// complete marker (done), and its words go back to seqWords.
+// client consumed that seq — the first 64 seqs in lo, the rest in more —
+// and n counts the bits set. Once every seq up to the split's SeqCount
+// has been consumed the record collapses to the complete marker (done),
+// and its words are dropped. The stream caps SeqCount at
+// maxSplitBatches, so more never outgrows maxSplitBatches/64 words.
 type splitSeen struct {
 	lo   uint64
 	more []uint64
@@ -404,9 +404,9 @@ type splitSeen struct {
 
 // admitLocked records a tagged batch's (Split, Seq) provenance in the
 // dedup ledger, reporting false when the client already consumed it.
-// Untagged batches (synthetic sources) are always admitted. Recording a
-// seq allocates nothing once the ledger's map has grown, and a split of
-// more than 64 batches reuses the words a completed one gave back.
+// Untagged batches (synthetic sources) are always admitted. A split of
+// at most 64 batches records its seqs without allocating once the
+// ledger's map has grown.
 func (c *Client) admitLocked(b *tensor.Batch) bool {
 	if b.Split == 0 {
 		return true
@@ -420,14 +420,11 @@ func (c *Client) admitLocked(b *tensor.Batch) bool {
 		// re-delivery.
 		return false
 	}
-	// The stream admits a tagged frame only with 1 <= Seq <= SeqCount
-	// (decodeBatchFrame), so SeqCount is at least 1 here.
+	// The stream admits a tagged frame only with 1 <= Seq <= SeqCount <=
+	// maxSplitBatches (decodeBatchFrame), so SeqCount is at least 1 here.
 	i := uint32(b.Seq - 1)
 	word := &sl.lo
 	if i >= 64 {
-		if sl.more == nil {
-			sl.more, _ = seqWords.Get()
-		}
 		k := int(i/64) - 1
 		for len(sl.more) <= k {
 			sl.more = append(sl.more, 0)
@@ -442,17 +439,11 @@ func (c *Client) admitLocked(b *tensor.Batch) bool {
 	sl.n++
 	if sl.n >= b.SeqCount {
 		// Compact: the complete marker is all that's needed.
-		if sl.more != nil {
-			seqWords.Put(sl.more[:0])
-		}
 		sl = splitSeen{done: true}
 	}
 	c.seen[b.Split] = sl
 	return true
 }
-
-// seqWords recycles the seq words of splits longer than 64 batches.
-var seqWords freelist.List[[]uint64]
 
 // Next returns the next tensor batch. It returns ok=false only when the
 // session has no more data for this client: for a frozen worker set,

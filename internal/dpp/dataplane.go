@@ -62,7 +62,8 @@ import (
 // Every length on the stream is untrusted: the server clamps the
 // hello's window to maxCreditWindow and credits a grant only against
 // frames it actually sent, and the client refuses a frame longer than
-// maxFrameLen before allocating for it.
+// maxFrameLen before allocating for it, and a seq count past
+// maxSplitBatches before its dedup ledger records the seq.
 
 const (
 	// dataPlaneMagic opens both hellos of the framed protocol.
@@ -82,6 +83,11 @@ const (
 	// maxFrameLen bounds the payload length a client accepts from a
 	// frame header; a longer announcement is a corrupt or hostile stream.
 	maxFrameLen = 64 << 20
+	// maxSplitBatches bounds a tagged frame's seq count: a worker cuts
+	// no split into more batches (writeFrames), and a client refuses a
+	// frame announcing more, so one frame costs the dedup ledger at
+	// most maxSplitBatches bits however its tags were forged.
+	maxSplitBatches = 1 << 16
 
 	// clientHelloFixedLen is the hello up to and including the session
 	// length byte.
@@ -167,13 +173,17 @@ func (f *frame) decode() (*tensor.Batch, error) {
 // then one tensor frame filling the rest. A tagged frame (split != 0)
 // must name a seq in [1, seq count]: the client's dedup ledger counts
 // every admitted seq toward the split's completion, so one out of range
-// would later drop the split's real batches as duplicates.
+// would later drop the split's real batches as duplicates. The seq count
+// may not pass maxSplitBatches, which bounds the ledger's record.
 func decodeBatchFrame(payload []byte) (*tensor.Batch, error) {
 	split := int32(binary.LittleEndian.Uint32(payload[0:4]))
 	seq := int32(binary.LittleEndian.Uint32(payload[4:8]))
 	seqCount := int32(binary.LittleEndian.Uint32(payload[8:12]))
 	if split != 0 && (seq < 1 || seq > seqCount) {
 		return nil, fmt.Errorf("dpp: framed stream: split %d batch seq %d outside [1, %d]", split, seq, seqCount)
+	}
+	if split != 0 && seqCount > maxSplitBatches {
+		return nil, fmt.Errorf("dpp: framed stream: split %d announces %d batches (max %d)", split, seqCount, maxSplitBatches)
 	}
 	b, n, err := tensor.DecodeBinary(payload[batchTagLen:])
 	if err != nil {

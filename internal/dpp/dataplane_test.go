@@ -222,7 +222,7 @@ func TestFramedStreamRequeuesOnAbnormalDisconnect(t *testing.T) {
 	counts := func() (buffered, outstanding int) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		return len(w.buffer), w.outstanding
+		return w.buffer.Len(), w.outstanding
 	}
 	ln, stop, err := ServeWorker(w, "127.0.0.1:0")
 	if err != nil {
@@ -464,13 +464,56 @@ func TestStreamRejectsSeqOutsideSeqCount(t *testing.T) {
 	}
 }
 
+// TestClientRefusesForgedSeqCount: a tagged frame announcing more
+// batches than a split may hold is a stream error before the client's
+// dedup ledger sees it, so a forged seq near 2^31 cannot make the
+// ledger allocate a bit per announced batch. At the cap the frame is a
+// batch, and its record costs at most maxSplitBatches bits.
+func TestClientRefusesForgedSeqCount(t *testing.T) {
+	next := func(tags [3]int32) (ok bool, grew uint64, err error) {
+		t.Helper()
+		s, err := streamFromBytes(taggedExchange(tags[0], tags[1], tags[2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		c, err := NewClient([]WorkerAPI{s}, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, ok, err := c.Next()
+		runtime.ReadMemStats(&after)
+		if ok {
+			b.Release()
+		}
+		return ok, after.TotalAlloc - before.TotalAlloc, err
+	}
+	for _, tags := range [][3]int32{{1, math.MaxInt32, math.MaxInt32}, {1, 1, maxSplitBatches + 1}} {
+		ok, grew, err := next(tags)
+		if ok || err == nil || !strings.Contains(err.Error(), "announces") {
+			t.Fatalf("seq %d of %d: ok %v, err %v; want the stream refused", tags[1], tags[2], ok, err)
+		}
+		if grew > 1<<20 {
+			t.Fatalf("seq %d of %d made the client allocate %d bytes", tags[1], tags[2], grew)
+		}
+	}
+	ok, grew, err := next([3]int32{1, maxSplitBatches, maxSplitBatches})
+	if !ok || err != nil {
+		t.Fatalf("seq %d at the cap: ok %v, err %v; want the batch", maxSplitBatches, ok, err)
+	}
+	if grew > 1<<20 {
+		t.Fatalf("a batch at the cap made the client allocate %d bytes", grew)
+	}
+}
+
 // TestDedupLedgerBits drives the client's dedup ledger over a split of
 // 130 batches, whose seqs take three words — the inline one and two
-// recycled ones — admitted in a scrambled order beside a small split. A
-// seq offered again before the split completes is refused; so is every
-// seq of a whole re-delivery after it completed, when the record is the
-// complete marker alone. A long split reuses the words the last one gave
-// back, and an untagged batch is always admitted.
+// more — admitted in a scrambled order beside a small split. A seq
+// offered again before the split completes is refused; so is every seq
+// of a whole re-delivery after it completed, when the record is the
+// complete marker alone. An untagged batch is always admitted.
 func TestDedupLedgerBits(t *testing.T) {
 	c := &Client{}
 	admit := func(split, seq, count int32) bool {
@@ -510,19 +553,6 @@ func TestDedupLedgerBits(t *testing.T) {
 				t.Fatalf("split %d seq %d admitted again after its split completed", split, seq)
 			}
 		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		clear(c.seen) // keeps the map's storage
-		for seq := int32(1); seq <= n; seq++ {
-			if !admit(3, seq, n) {
-				t.Fatalf("split 3 seq %d refused", seq)
-			}
-		}
-	}); allocs != 0 {
-		t.Fatalf("a 130-batch split allocates %.0f times, want its words reused", allocs)
-	}
-	if admit(3, n, n) {
-		t.Fatal("the last seq admitted twice")
 	}
 	if !admit(0, 0, 0) || !admit(0, 0, 0) {
 		t.Fatal("untagged batches must always be admitted")
@@ -752,6 +782,8 @@ func FuzzStreamFrames(f *testing.F) {
 	f.Add(retired) // the retired v2 hello, before the same frames
 	badSeq := taggedExchange(1, 3, 2)
 	f.Add(badSeq) // a tagged frame whose seq passes its seq count
+	forged := taggedExchange(1, math.MaxInt32, math.MaxInt32)
+	f.Add(forged) // a seq count past maxSplitBatches
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -770,7 +802,7 @@ func FuzzStreamFrames(f *testing.F) {
 		if bytes.Equal(data, valid) && (batches != 2 || !done) {
 			t.Fatalf("the recorded exchange delivered %d batches, done %v, err %v", batches, done, err)
 		}
-		if bytes.Equal(data, badSeq) && (batches != 0 || err == nil) {
+		if (bytes.Equal(data, badSeq) || bytes.Equal(data, forged)) && (batches != 0 || err == nil) {
 			t.Fatalf("a seq past its seq count delivered %d batches, err %v; want a stream error", batches, err)
 		}
 		runtime.ReadMemStats(&after)

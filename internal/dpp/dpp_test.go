@@ -91,6 +91,7 @@ func TestSessionSpecValidate(t *testing.T) {
 		{Table: "t", BatchSize: 8},
 		{Table: "t", Features: []schema.FeatureID{1}},
 		{Table: "t", Features: []schema.FeatureID{1}, BatchSize: 8, DataPlane: "gob"},
+		{Table: "t", Features: []schema.FeatureID{1}, BatchSize: 8, BufferDepth: -1},
 	}
 	for i, s := range cases {
 		if err := s.Validate(); err == nil {
@@ -100,6 +101,65 @@ func TestSessionSpecValidate(t *testing.T) {
 	good := SessionSpec{Table: "t", Features: []schema.FeatureID{1}, BatchSize: 8}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameQueueOrderAllocs drives the worker's buffer ring through
+// growth, wrap-around and a requeue at its front: frames leave oldest
+// first, and once the ring has grown to its working size a full
+// queue's pop-then-push cycle allocates nothing.
+func TestFrameQueueOrderAllocs(t *testing.T) {
+	var q frameQueue
+	frames := make([]*frame, 64)
+	for i := range frames {
+		frames[i] = &frame{rows: i}
+	}
+	var want []int
+	in := 0
+	push := func() {
+		q.push(frames[in%len(frames)])
+		want = append(want, in%len(frames))
+		in++
+	}
+	pop := func() {
+		t.Helper()
+		if got := q.pop().rows; got != want[0] {
+			t.Fatalf("popped frame %d, want %d", got, want[0])
+		}
+		want = want[1:]
+	}
+	for range 8 {
+		push()
+	}
+	for range 200 { // a full queue: pop one, push one
+		pop()
+		push()
+	}
+	q.pushFront(frames[60:62])
+	want = append([]int{60, 61}, want...)
+	for q.Len() > 3 {
+		pop()
+	}
+	for range 5 {
+		push()
+	}
+	for q.Len() > 0 {
+		pop()
+	}
+	if len(want) != 0 {
+		t.Fatalf("queue empty with %d frames unaccounted for", len(want))
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under -race
+	}
+	for range 8 {
+		q.push(frames[0])
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		q.pop()
+		q.push(frames[1])
+	}); n != 0 {
+		t.Fatalf("a full queue's pop and push allocate %.1f times", n)
 	}
 }
 

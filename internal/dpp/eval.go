@@ -140,12 +140,20 @@ func (w *Worker) evalSplit(split warehouse.Split, splitID int) (ev evaluated, er
 }
 
 // frameWriters recycles frame writers across splits and evaluators, and
-// frameLists the lists of a split's frames, which deliverSplit gives
-// back once it has handed every frame on.
+// frameLists the lists that hold a split's frames from writeFrames until
+// handedOn gives them back.
 var (
 	frameWriters freelist.List[*tensor.FrameWriter]
 	frameLists   freelist.List[[]*frame]
 )
+
+// handedOn returns ev's frame list to frameLists once the deliver step
+// has passed every frame on to the buffer or the sink, or dropped it.
+// The frames are no longer ev's, and ev must not be used after.
+func (ev evaluated) handedOn() {
+	clear(ev.frames)
+	frameLists.Put(ev.frames[:0])
+}
 
 // writeFrames cuts a transformed split into its BatchSize-row batches,
 // each written once into a recycled stream frame under its provenance
@@ -161,6 +169,9 @@ func (w *Worker) writeFrames(batch *dwrf.Batch, splitID int) ([]*frame, error) {
 	defer frameWriters.Put(fw)
 	if err := fw.Reset(batch, w.spec.DenseOut, w.spec.SparseOut, w.spec.BatchSize); err != nil {
 		return nil, err
+	}
+	if fw.Len() > maxSplitBatches {
+		return nil, fmt.Errorf("dpp: split %d cuts into %d batches, more than a stream carries (%d); raise BatchSize", splitID, fw.Len(), maxSplitBatches)
 	}
 	frames, _ := frameLists.Get()
 	frames = slices.Grow(frames[:0], fw.Len())[:fw.Len()]

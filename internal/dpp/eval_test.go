@@ -21,13 +21,12 @@ var raceEnabled bool
 // 256-row RM1 split at BatchSize 128, answered from the fleet cache's
 // transformed ware, is written straight into its two tagged stream
 // frames. A frame and its buffer come from the pool (the step returns
-// them, as a grant does), so a batch may cost at most 2 allocations; the
-// split adds at most 4 more. The cache probe, its ware IDs and the frame
-// writer's column selection allocate nothing, and the frame list comes
-// from a free list that this test, unlike deliverSplit, does not refill,
-// so it is the one allocation a split shows. No tensor batch is
-// built on the way: the split allocates fewer bytes than the smallest of
-// its batches would hold as tensors. Materializing each batch and then
+// them, as a grant does, and the frame list, as deliverSplit does), so a
+// batch may cost at most 2 allocations; the split adds at most 4 more.
+// The cache probe, its ware IDs and the frame writer's column selection
+// allocate nothing. No tensor batch is built on the way: the split
+// allocates fewer bytes than the smallest of its batches would hold as
+// tensors. Materializing each batch and then
 // encoding it cost 6 + 2 per sparse output allocations a batch (65 a
 // split) and its tensors' bytes.
 func TestSplitMaterializesOnce(t *testing.T) {
@@ -66,6 +65,7 @@ func TestSplitMaterializesOnce(t *testing.T) {
 			}
 			f.free()
 		}
+		ev.handedOn()
 	}
 	step() // the miss that publishes the transformed ware
 	const perBatch = 2
@@ -270,6 +270,7 @@ func TestNextSessionReusesEvictedColumns(t *testing.T) {
 		for _, f := range ev.frames {
 			f.free()
 		}
+		ev.handedOn()
 	}
 	// pass evaluates every split once and returns the bytes it allocated
 	// per split.

@@ -7,7 +7,7 @@ package dpp
 func (w *Worker) Buffered() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.buffer)
+	return w.buffer.Len()
 }
 
 // Undelivered reports batches the worker is still responsible for:
@@ -15,7 +15,7 @@ func (w *Worker) Buffered() int {
 func (w *Worker) Undelivered() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.buffer) + w.outstanding
+	return w.buffer.Len() + w.outstanding
 }
 
 // Pipeline returns the hosted pipeline worker for one session (nil when

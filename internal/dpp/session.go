@@ -175,7 +175,8 @@ type SessionSpec struct {
 	BatchSize int
 	// Read configures the storage read path (coalescing).
 	Read dwrf.ReadOptions
-	// BufferDepth is the per-worker tensor buffer capacity in batches.
+	// BufferDepth is the per-worker tensor buffer capacity in batches
+	// (0 = 8; negative is invalid).
 	BufferDepth int
 	// Pipeline sizes the worker's evaluator pool; the zero value means
 	// default parallelism. Its Prefetchers and TransformParallelism are
@@ -276,6 +277,9 @@ func (s *SessionSpec) Validate() error {
 	}
 	if len(s.Features) == 0 {
 		return fmt.Errorf("dpp: session needs a feature projection")
+	}
+	if s.BufferDepth < 0 {
+		return fmt.Errorf("dpp: negative buffer depth %d", s.BufferDepth)
 	}
 	switch s.DataPlane {
 	case "", DataPlaneFramed:

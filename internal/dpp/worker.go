@@ -106,7 +106,7 @@ type Worker struct {
 	mu sync.Mutex
 	// buffer holds delivered batches as their stream frames; bufBytes is
 	// the frames' total length.
-	buffer   []*frame
+	buffer   frameQueue
 	bufBytes int64
 	// outstanding counts frames sent into framed stream windows but not
 	// yet granted by a client (see dataplane.go); Retire waits for it to
@@ -217,7 +217,6 @@ func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.
 		plan:           plan,
 		arena:          dwrf.NewArena(),
 		proj:           spec.Projection(),
-		buffer:         make([]*frame, 0, spec.BufferDepth),
 		splits:         make(map[int]splitAcct),
 		crashCh:        make(chan struct{}),
 		lastStatsAt:    time.Now(),
@@ -270,8 +269,7 @@ func (w *Worker) deliverSplit(ev evaluated, cancel <-chan struct{}) error {
 	}
 	w.stageDeliver.Add(time.Since(start))
 	w.finishSplit(ev.splitID, err == nil)
-	clear(ev.frames)
-	frameLists.Put(ev.frames[:0])
+	ev.handedOn()
 	return err
 }
 
@@ -456,10 +454,10 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 	maxBytes := w.spec.Pipeline.MaxBufferedBytes
 	for {
 		w.mu.Lock()
-		fits := len(w.buffer) < w.spec.BufferDepth &&
+		fits := w.buffer.Len() < w.spec.BufferDepth &&
 			(maxBytes <= 0 || w.bufBytes+size <= maxBytes)
-		if fits || len(w.buffer) == 0 {
-			w.buffer = append(w.buffer, f)
+		if fits || w.buffer.Len() == 0 {
+			w.buffer.push(f)
 			w.bufBytes += size
 			if w.bufBytes > w.report.ResidentPeak {
 				w.report.ResidentPeak = w.bufBytes
@@ -516,17 +514,11 @@ func (w *Worker) tryGetFrame() (f *frame, ok, done bool) {
 	if w.crashed {
 		return nil, false, false
 	}
-	if len(w.buffer) > 0 {
-		// Shift the queue down rather than reslicing past its head, so
-		// deliver's append keeps reusing the same array: the buffer holds
-		// at most BufferDepth frames, a few pointers to move.
-		f = w.buffer[0]
-		n := copy(w.buffer, w.buffer[1:])
-		w.buffer[n] = nil
-		w.buffer = w.buffer[:n]
+	if w.buffer.Len() > 0 {
+		f = w.buffer.pop()
 		w.bufBytes -= int64(len(f.buf))
-		if len(w.buffer) < w.minBuffered {
-			w.minBuffered = len(w.buffer)
+		if w.buffer.Len() < w.minBuffered {
+			w.minBuffered = w.buffer.Len()
 		}
 		wake(&w.notFull)
 		w.settleLocked()
@@ -547,9 +539,7 @@ func (w *Worker) ungetFrames(frames []*frame) {
 		return
 	}
 	w.mu.Lock()
-	buf := make([]*frame, 0, len(frames)+len(w.buffer))
-	buf = append(buf, frames...)
-	w.buffer = append(buf, w.buffer...)
+	w.buffer.pushFront(frames)
 	for _, f := range frames {
 		w.bufBytes += int64(len(f.buf))
 	}
@@ -558,6 +548,55 @@ func (w *Worker) ungetFrames(frames []*frame) {
 	}
 	wake(&w.notEmpty)
 	w.mu.Unlock()
+}
+
+// frameQueue is the worker's buffer: a ring of frames that grows, from
+// eight slots, to the buffer's working size and is reused from then on,
+// so a push or a pop moves no other frame.
+type frameQueue struct {
+	ring    []*frame // n frames from ring[head] on, wrapping, oldest first
+	head, n int
+}
+
+// Len reports the number of queued frames.
+func (q *frameQueue) Len() int { return q.n }
+
+// push queues f last.
+func (q *frameQueue) push(f *frame) {
+	q.grow(1)
+	q.ring[(q.head+q.n)%len(q.ring)] = f
+	q.n++
+}
+
+// pop dequeues the oldest frame; the queue must not be empty.
+func (q *frameQueue) pop() *frame {
+	f := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+	return f
+}
+
+// pushFront queues frames, in order, ahead of everything queued.
+func (q *frameQueue) pushFront(frames []*frame) {
+	q.grow(len(frames))
+	for i := len(frames) - 1; i >= 0; i-- {
+		q.head = (q.head + len(q.ring) - 1) % len(q.ring)
+		q.ring[q.head] = frames[i]
+		q.n++
+	}
+}
+
+// grow makes room for k more frames.
+func (q *frameQueue) grow(k int) {
+	if q.n+k <= len(q.ring) {
+		return
+	}
+	ring := make([]*frame, max(8, 2*(q.n+k)))
+	for i := range q.n {
+		ring[i] = q.ring[(q.head+i)%len(q.ring)]
+	}
+	q.ring, q.head = ring, 0
 }
 
 // addStreamOutstanding implements frameSource; Retire waits for the
@@ -658,7 +697,7 @@ func (w *Worker) sampleStats() WorkerStats {
 		st.BusyFrac = min(max(float64(busy-w.lastBusy)/(float64(wall)*parallel), 0), 1)
 	}
 	w.lastStatsAt, w.lastBusy = now, busy
-	w.minBuffered, w.minWindow = len(w.buffer), math.MaxInt
+	w.minBuffered, w.minWindow = w.buffer.Len(), math.MaxInt
 	return st
 }
 
@@ -775,7 +814,7 @@ drain:
 		// The counts and the wake-up are read under one lock hold, so
 		// whatever lowers them next closes this channel.
 		w.mu.Lock()
-		left := len(w.buffer) + w.outstanding + len(w.splits) + w.completing
+		left := w.buffer.Len() + w.outstanding + len(w.splits) + w.completing
 		if left > 0 && w.settled == nil {
 			w.settled = make(chan struct{})
 		}

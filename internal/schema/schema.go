@@ -133,8 +133,9 @@ func (t *TableSchema) IDsOfKind(kind FeatureKind) []FeatureID {
 // filter, §5.1). The zero value selects nothing.
 type Projection struct {
 	ids map[FeatureID]bool
-	// sorted holds the same IDs in ascending order, kept up to date by
-	// Add, so IDs costs nothing per call.
+	// sorted holds the same IDs in ascending order, so IDs costs nothing
+	// per call. Add replaces it rather than writing into it, so a slice
+	// IDs returned earlier never changes.
 	sorted []FeatureID
 }
 
@@ -142,8 +143,11 @@ type Projection struct {
 func NewProjection(ids ...FeatureID) *Projection {
 	p := &Projection{ids: make(map[FeatureID]bool, len(ids))}
 	for _, id := range ids {
-		p.Add(id)
+		p.ids[id] = true
 	}
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	p.sorted = slices.Clip(slices.Compact(sorted))
 	return p
 }
 
@@ -154,7 +158,7 @@ func (p *Projection) Add(id FeatureID) {
 	}
 	p.ids[id] = true
 	i, _ := slices.BinarySearch(p.sorted, id)
-	p.sorted = slices.Insert(p.sorted, i, id)
+	p.sorted = slices.Insert(slices.Clip(p.sorted), i, id)
 }
 
 // Contains reports whether id is selected.
@@ -165,7 +169,8 @@ func (p *Projection) Len() int { return len(p.ids) }
 
 // IDs returns the selected feature IDs in ascending order. The slice is
 // the projection's own, shared by every caller: read it, never write
-// it. Its capacity ends at its length, so an append copies it.
+// it. Its capacity ends at its length, so an append copies it, and a
+// later Add leaves it as it was.
 func (p *Projection) IDs() []FeatureID {
 	return slices.Clip(p.sorted)
 }

@@ -82,8 +82,8 @@ func TestProjection(t *testing.T) {
 }
 
 // TestProjectionIDsShared pins IDs as the projection's own sorted list:
-// a call allocates nothing, a duplicate Add changes nothing, and an
-// append to the returned slice copies it instead of writing into it.
+// a call allocates nothing, a duplicate Add changes nothing, and neither
+// an append to the returned slice nor a later Add writes into it.
 func TestProjectionIDsShared(t *testing.T) {
 	p := NewProjection(9, 3, 3, 7)
 	p.Add(7)
@@ -99,6 +99,15 @@ func TestProjectionIDsShared(t *testing.T) {
 	grown[0] = -1
 	if got := p.IDs(); !slices.Equal(got, want) {
 		t.Fatalf("append to IDs() wrote into the projection: %v", got)
+	}
+	held := p.IDs()
+	p.Add(5)
+	p.Add(0)
+	if !slices.Equal(held, want) {
+		t.Fatalf("Add rewrote a slice IDs returned before it: %v", held)
+	}
+	if got, grown := p.IDs(), []FeatureID{0, 1, 3, 5, 7, 9}; !slices.Equal(got, grown) {
+		t.Fatalf("IDs after Add = %v, want %v", got, grown)
 	}
 	if got := NewProjection().IDs(); len(got) != 0 {
 		t.Fatalf("empty projection IDs = %v", got)
