@@ -160,10 +160,10 @@ func TestFleetCacheGoldenParity(t *testing.T) {
 }
 
 // TestFleetCacheAbortWhileShared aborts a warm pipeline mid-run while
-// another holder retains references to the same cached batches: the
-// abort path's unconditional Release must only drop the pipeline's own
-// references. Run under -race this is the shared-batch lifecycle's
-// double-release check.
+// another holder keeps views of the same cached batches: the abort
+// path's unconditional Release must only drop the pipeline's own
+// references. Run under -race this is column ownership's double-release
+// check.
 func TestFleetCacheAbortWhileShared(t *testing.T) {
 	wh, spec := buildFixture(t, 128, 8) // 32 splits
 	spec.Pipeline = PipelineOptions{Prefetchers: 4, TransformParallelism: 4}
@@ -186,8 +186,8 @@ func TestFleetCacheAbortWhileShared(t *testing.T) {
 		}
 	}
 
-	// Hold: retain every resident batch, as a concurrent session's
-	// in-flight reads would.
+	// Hold: take a view of every resident batch, as a concurrent
+	// session's in-flight reads would.
 	var held []*dwrf.Batch
 	for _, id := range cache.Wares() {
 		if b := cache.Get(id, "holder"); b != nil {
@@ -199,7 +199,7 @@ func TestFleetCacheAbortWhileShared(t *testing.T) {
 	}
 
 	// Abort: a second warm pipeline stops mid-run with full buffers;
-	// its drain releases shared cache batches and Derive views.
+	// its drain releases its views of cached batches.
 	spec2 := spec
 	spec2.BufferDepth = 2
 	m, err := NewMaster(wh, spec2)

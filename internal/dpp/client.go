@@ -34,10 +34,14 @@ type WorkerAPI interface {
 // SessionWorkerDialer opens a framed stream to the worker's endpoint.
 type WorkerDialer func(ep WorkerEndpoint) (WorkerAPI, error)
 
-// workerConn is one live client→worker connection.
+// workerConn is one live client→worker connection. ended records that
+// its stream finished and drained: the worker behind it has no more
+// rows for this connection, though its ID may stay listed, or be listed
+// again for a pipeline that re-registered under it.
 type workerConn struct {
-	id  string
-	api WorkerAPI
+	id    string
+	api   WorkerAPI
+	ended bool
 }
 
 // Client runs on each training node and exposes the hook the training
@@ -229,15 +233,16 @@ func (c *Client) reapDetached(api WorkerAPI) {
 // Refresh re-resolves worker membership from the master and rebalances
 // connections: deregistered workers are dropped (safe — workers
 // deregister only after their buffer is fully consumed), new workers
-// are dialed, and the partitioned connection cap is re-applied over the
-// master's ID-sorted membership so sibling clients stay spread as the
-// pool resizes. Dialing happens outside the client lock (a slow or dead
-// endpoint must not block concurrent TryNext callers), and a failed
-// dial skips the worker until a later refresh: a dead worker is the
-// service's to reap and its leases' rows are requeued at the master,
-// so the client never turns one worker's death into session failure.
-// Only a failure to reach the master itself is returned.
-// Frozen-membership clients treat Refresh as a no-op.
+// and listed workers whose stream has ended are dialed, and the
+// partitioned connection cap is re-applied over the master's ID-sorted
+// membership so sibling clients stay spread as the pool resizes.
+// Dialing happens outside the client lock (a slow or dead endpoint must
+// not block concurrent TryNext callers), and a failed dial skips the
+// worker until a later refresh: a dead worker is the service's to reap
+// and its leases' rows are requeued at the master, so the client never
+// turns one worker's death into session failure. Only a failure to
+// reach the master itself is returned. Frozen-membership clients treat
+// Refresh as a no-op.
 func (c *Client) Refresh() error {
 	if c.master == nil {
 		return nil
@@ -261,7 +266,10 @@ func (c *Client) Refresh() error {
 	c.lastRefresh = time.Now()
 	have := make(map[string]bool, len(c.conns))
 	for _, conn := range append([]workerConn(nil), c.conns...) {
-		if !want[conn.id] {
+		if !want[conn.id] || conn.ended {
+			// Gone from the membership, or its stream ended while the ID
+			// stays listed: a pipeline re-registered under the same ID
+			// is only reached by dialing it again.
 			c.removeLocked(conn.id)
 			continue
 		}
@@ -351,7 +359,7 @@ func (c *Client) sweepLocked() (b *tensor.Batch, ok, allDone bool, err error) {
 	allDone = true
 	var broken []string
 	for i := 0; i < len(c.conns); i++ {
-		w := c.conns[(c.next+i)%len(c.conns)]
+		w := &c.conns[(c.next+i)%len(c.conns)]
 		for {
 			b, ok, wDone, err := w.api.FetchBatch()
 			if err != nil {
@@ -366,6 +374,7 @@ func (c *Client) sweepLocked() (b *tensor.Batch, ok, allDone bool, err error) {
 				if !wDone {
 					allDone = false
 				}
+				w.ended = wDone
 				break
 			}
 			if !c.admitLocked(b) {

@@ -41,9 +41,10 @@ type evaluated struct {
 	xform transforms.Stats
 }
 
-// lookup is the memo probe: the cached batch for id with one reference
-// retained for the caller; nil on a miss and for a worker without a
-// cache. The cache scores the outcome against this worker's tenant.
+// lookup is the memo probe: a view of the cached batch for id, the
+// caller's own header to release; nil on a miss and for a worker
+// without a cache. The cache scores the outcome against this worker's
+// tenant.
 func (w *Worker) lookup(id ware.WareID) *dwrf.Batch {
 	if w.cache == nil {
 		return nil
@@ -51,36 +52,33 @@ func (w *Worker) lookup(id ware.WareID) *dwrf.Batch {
 	return w.cache.Get(id, w.cacheTenant)
 }
 
-// publish is the memo store: it offers b under id and reports whether
-// the cache took it. Accepted or refused (duplicate, over-floor, no
-// cache), the caller still holds exactly one reference to the returned
-// batch; an accepted batch is shared from here on and must no longer be
-// mutated in place.
-func (w *Worker) publish(id ware.WareID, b *dwrf.Batch) (*dwrf.Batch, bool) {
+// publish is the memo store: it offers b under id and returns the batch
+// the caller goes on with — a view of b if the cache took it, b itself
+// if not (duplicate, over-floor, no cache). Either way the caller holds
+// one header to release.
+func (w *Worker) publish(id ware.WareID, b *dwrf.Batch) *dwrf.Batch {
 	if w.cache == nil {
-		return b, false
+		return b
 	}
-	return w.cache.Insert(id, b, w.cacheTenant)
+	b, _ = w.cache.Insert(id, b, w.cacheTenant)
+	return b
 }
 
 // stripeWare evaluates decode(fetch(split)) memoised under sid and
-// returns it as the plan's input. The plan mutates its input, so a
-// stripe ware the cache holds (a hit, or an accepted insert) is handed
-// out as a private Derive view — fresh maps over the shared columns —
-// and stays pristine; a refused one is still exclusively the caller's.
+// returns it as the plan's input. Whether it is a hit, an accepted
+// insert or a refused one, the batch is a header of the caller's own:
+// the plan replaces its map entries and never writes a column, so the
+// cached stripe ware stays pristine.
 func (w *Worker) stripeWare(split warehouse.Split, sid ware.WareID, ev *evaluated) (*dwrf.Batch, error) {
 	batch := w.lookup(sid)
-	if batch == nil {
-		var err error
-		if batch, ev.read, err = w.wh.ReadSplitBatchCachedArena(split, w.proj, w.spec.Read, w.arena); err != nil {
-			return nil, err
-		}
-		var shared bool
-		if batch, shared = w.publish(sid, batch); !shared {
-			return batch, nil
-		}
+	if batch != nil {
+		return batch, nil
 	}
-	return batch.Derive(w.arena), nil
+	var err error
+	if batch, ev.read, err = w.wh.ReadSplitBatchCachedArena(split, w.proj, w.spec.Read, w.arena); err != nil {
+		return nil, err
+	}
+	return w.publish(sid, batch), nil
 }
 
 // evalSplit turns one split into its delivered batches as stream frames
@@ -123,17 +121,15 @@ func (w *Worker) evalSplit(split warehouse.Split, splitID int) (ev evaluated, er
 		if ev.xform, err = w.plan.Run(batch, w.arena); err != nil {
 			return ev, err
 		}
-		// Post-transform nothing mutates the batch, so other pipelines
+		// Post-transform nothing replaces a column, so other pipelines
 		// may start reading it the moment the cache accepts it.
-		batch, _ = w.publish(xid, batch)
+		batch = w.publish(xid, batch)
 	}
 	// The frame writer copies every value straight into its
-	// BatchSize-row frame and never writes the columns, so a shared
-	// batch is safe to read. Release then drops this evaluation's
-	// reference: an exclusively owned batch returns its columns to the
-	// arena, a shared one (cached, or a view over a cached stripe) loses
-	// one reference and returns them when its last holder — an eviction,
-	// perhaps a later session's — lets go.
+	// BatchSize-row frame and never writes the columns, so shared ones
+	// are safe to read. Release then drops this evaluation's header: a
+	// column no one else holds goes back to the arena, a cached one when
+	// its last holder — an eviction, perhaps a later session's — lets go.
 	ev.frames, err = w.writeFrames(batch, splitID)
 	batch.Release()
 	return ev, err

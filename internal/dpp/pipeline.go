@@ -119,8 +119,8 @@ func (w *Worker) Run(stop <-chan struct{}) error {
 	// Release any evaluator still running and wait for the pool (evals
 	// closes after the last one exits), so the worker owns no
 	// concurrency after Run returns. Evaluated splits left in the
-	// channel hold plain frames — every refcounted batch was released
-	// inside evalSplit — so dropping them needs no cleanup (they are
+	// channel hold plain frames — every batch was released inside
+	// evalSplit — so dropping them needs no cleanup (they are
 	// not returned to the pool; the collector takes them).
 	abort.fail(nil) // no-op if a real error or stop already aborted
 	for range evals {

@@ -83,7 +83,8 @@
 //     plus the transform plan fingerprint — so overlapping sessions of
 //     any tenant reuse each other's decode and transform work.
 //     Eviction is weight-aware (per-tenant byte floors mirroring fair
-//     share) and entries are refcounted dwrf batches. The cache scores
+//     share), and a hit is a view over the entry's reference-counted
+//     columns (see dwrf.Arena). The cache scores
 //     each split's outcome once, per tenant (ware.Cache.TenantStats); a
 //     session is one tenant from the moment its pipeline starts until
 //     it retires, so no worker re-counts it.

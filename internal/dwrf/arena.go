@@ -1,7 +1,7 @@
 package dwrf
 
 import (
-	"maps"
+	"sync/atomic"
 
 	"dsi/internal/freelist"
 	"dsi/internal/schema"
@@ -19,44 +19,34 @@ import (
 // a column to the feature it held: one drawn for a longer feature than
 // its last grows.
 //
-// Ownership rules (refcounted since the fleet cache):
+// Ownership is per column, and one rule carries it: every map entry
+// that holds a column is one reference, and a column goes back to an
+// arena when its last reference is dropped.
 //
-//   - One arena per node, and the node's ware.Cache owns it
-//     (Cache.Arena): a cached batch's columns outlive the session that
-//     decoded them, and the last holder — often a later session's
-//     eviction — returns them to the batch's own arena, so the next
-//     session decodes into the columns the last one evicted. A worker
-//     with a cache decodes through the cache's arena; only a worker
-//     without one keeps a private arena.
-//   - A batch created by Arena.NewBatch (every batch decoded through a
-//     *Arena read path) starts EXCLUSIVELY owned: one owner, one
-//     Release, which hands every column back. The batch and its columns
-//     must not be used after the final Release — consumers that need
-//     data longer (frames) copy it out first.
-//   - Share transitions a batch to SHARED (counted) ownership with one
-//     reference. Call it before the batch becomes visible to other
-//     goroutines (the fleet cache does so under its own lock, before
-//     insert). From then on Retain adds an owner and each Release drops
-//     one; columns return to the arena only when the last owner
-//     releases. Release on an exclusive batch keeps its historical
-//     semantics, so single-owner paths (the sequential baseline, tests,
-//     struct literals) are unchanged.
-//   - Derive builds a cheap mutable view over a shared batch: recycled
-//     maps aliasing the parent's columns, consuming one reference on
-//     it. Transforms may replace the view's map entries freely; a view
-//     column is borrowed exactly when the parent holds the same pointer
-//     under the same feature ID (labels: the same backing array), and
-//     on the view's final Release only the columns that are not
-//     borrowed return to the arena — borrowed ones stay with the
-//     parent, which is released once. Mutating a shared column IN PLACE
-//     is never legal; row ops and plan kernels only read inputs and
-//     install freshly built outputs, which is why sharing is sound.
+//   - A column counts its owners beyond the first (owners), so a column
+//     just built — drawn here, made on the heap, a struct literal — has
+//     one owner and needs no set-up. A second entry for the same column
+//     takes a second reference (View takes one per column).
+//   - A batch header has exactly one owner. Release drops the header's
+//     reference on each of its columns. A column that loses its last
+//     reference goes back to the releasing batch's arena (to the
+//     collector for a batch without one); the header and its labels go
+//     back too, and none of them is used after.
+//   - View is the one way to share: a new header from an arena's batch
+//     list over another batch's columns, retaining each, with a copy of
+//     its labels. The fleet cache lends only views, never its own
+//     header, so every holder may replace its map entries freely.
+//   - A column another header may hold is never mutated in place.
+//     Replacing one goes through SetDense, SetSparse or SetScoreList,
+//     which release the old column; row ops and plan kernels only read
+//     their inputs and install freshly built outputs.
 //   - Ops and plans must not retain column slices across batches: a
 //     released column's backing arrays are reused for the next batch.
-//   - Columns placed into an arena batch must not alias each other:
-//     the final Release returns each map entry once, so an aliased
-//     column would be recycled twice and handed to two future callers.
-//     (A Derive view's borrowed columns are exempt; they are skipped.)
+//   - One arena per node, and the node's ware.Cache owns it
+//     (Cache.Arena). Every batch that can share a column draws from it,
+//     so whichever holder drops a column last — often a later session's
+//     eviction — returns it to the arena the next decode on the node
+//     draws from; only a worker without a cache keeps a private arena.
 //
 // All methods are safe for concurrent use (every pipeline on a node and
 // each one's evaluator pool share one arena) and tolerate a nil
@@ -157,31 +147,6 @@ func (a *Arena) Labels(n int) []float32 {
 	return s[:n]
 }
 
-// PutDense recycles a dense column no longer referenced anywhere.
-func (a *Arena) PutDense(c *DenseColumn) {
-	if a == nil || c == nil {
-		return
-	}
-	a.dense.Put(c)
-}
-
-// PutSparse recycles a sparse column no longer referenced anywhere.
-func (a *Arena) PutSparse(c *SparseColumn) {
-	if a == nil || c == nil {
-		return
-	}
-	a.sparse.Put(c)
-}
-
-// PutScoreList recycles a score-list column no longer referenced
-// anywhere.
-func (a *Arena) PutScoreList(c *ScoreListColumn) {
-	if a == nil || c == nil {
-		return
-	}
-	a.score.Put(c)
-}
-
 // putLabels recycles a label slice.
 func (a *Arena) putLabels(s []float32) {
 	if a == nil || s == nil {
@@ -190,131 +155,131 @@ func (a *Arena) putLabels(s []float32) {
 	a.labels.Put(s)
 }
 
-// Arena reports the arena that owns the batch's columns, nil for
-// ordinary batches. The transform plan uses it to decide whether a
-// column it replaces can be recycled immediately.
-func (b *Batch) Arena() *Arena { return b.arena }
+// owners is a column's reference count: the number of its owners beyond
+// the first, so the zero value is a singly owned column.
+type owners struct{ extra atomic.Int32 }
 
-// Share transitions the batch from exclusive to counted ownership,
-// holding one reference on behalf of the caller. It must happen before
-// the batch becomes visible to any other goroutine (the fleet cache
-// shares under its own lock, before insert); sharing an already-shared
-// batch is a bug and panics.
-func (b *Batch) Share() {
-	if !b.refs.CompareAndSwap(0, 1) {
-		panic("dwrf: Share on an already shared batch")
+// retain adds one owner.
+func (o *owners) retain() { o.extra.Add(1) }
+
+// release drops one owner and reports whether it was the last. A count
+// of zero needs no atomic write: the caller is then the only owner, and
+// nobody can retain what they do not hold.
+func (o *owners) release() bool {
+	if o.extra.Load() == 0 {
+		return true
+	}
+	if o.extra.Add(-1) >= 0 {
+		return false
+	}
+	o.extra.Store(0) // two owners released at once; this was the last
+	return true
+}
+
+// column is any of the three column kinds.
+type column interface {
+	*DenseColumn | *SparseColumn | *ScoreListColumn
+	retain()
+	release() bool
+}
+
+// drop releases one reference on c and, when it was the last, hands c to
+// a (the collector's when a is nil).
+func drop[C column](a *Arena, c C) {
+	if !c.release() || a == nil {
+		return
+	}
+	switch c := any(c).(type) {
+	case *DenseColumn:
+		a.dense.Put(c)
+	case *SparseColumn:
+		a.sparse.Put(c)
+	case *ScoreListColumn:
+		a.score.Put(c)
 	}
 }
 
-// Retain adds one owner to a shared batch. Retaining an exclusive
-// (unshared) batch is a bug — there is no count tracking its single
-// owner — and panics.
-func (b *Batch) Retain() {
-	if b.refs.Add(1) <= 1 {
-		panic("dwrf: Retain on an unshared batch")
+// set installs c under id in m, taking over the caller's reference on
+// it, and releases the column it replaces.
+func set[C column](b *Batch, m map[schema.FeatureID]C, id schema.FeatureID, c C) {
+	if old, ok := m[id]; ok && old != c {
+		drop(b.arena, old)
 	}
+	m[id] = c
 }
 
-// Shared reports whether the batch participates in shared ownership:
-// either reference-counted itself or a Derive view borrowing columns
-// from a parent. The transform plan checks it before recycling replaced
-// columns in place — a shared column may be visible to other consumers.
-func (b *Batch) Shared() bool {
-	return b != nil && (b.refs.Load() != 0 || b.parent != nil)
+// SetDense installs c as feature id, releasing the column it replaces.
+func (b *Batch) SetDense(id schema.FeatureID, c *DenseColumn) { set(b, b.Dense, id, c) }
+
+// SetSparse installs c as feature id, releasing the column it replaces.
+func (b *Batch) SetSparse(id schema.FeatureID, c *SparseColumn) { set(b, b.Sparse, id, c) }
+
+// SetScoreList installs c as feature id, releasing the column it
+// replaces.
+func (b *Batch) SetScoreList(id schema.FeatureID, c *ScoreListColumn) { set(b, b.ScoreList, id, c) }
+
+// View returns a new header from arena's batch list over b's columns,
+// retaining each, with a copy of b's labels (about 1 KB for a 256-row
+// split), so the view owns everything it will release. Its maps are the
+// caller's to change; its columns are shared and are replaced, never
+// written. Once the arena's lists are warm a view allocates nothing.
+func (b *Batch) View(arena *Arena) *Batch {
+	v := arena.NewBatch(b.Rows)
+	for id, c := range b.Dense {
+		c.retain()
+		v.Dense[id] = c
+	}
+	for id, c := range b.Sparse {
+		c.retain()
+		v.Sparse[id] = c
+	}
+	for id, c := range b.ScoreList {
+		c.retain()
+		v.ScoreList[id] = c
+	}
+	if b.Labels != nil {
+		v.Labels = arena.Labels(len(b.Labels))
+		copy(v.Labels, b.Labels)
+	}
+	return v
 }
 
-// Derive returns a mutable view over a shared batch: maps drawn from
-// arena's batch list aliasing b's columns and labels, with b's row
-// count. The view CONSUMES one reference on b — the caller's, taken via
-// Retain or handed out by the cache — and releases it on the view's own
-// final Release. Transforms may replace the view's map entries; a
-// column the parent still holds under the same ID is never returned to
-// any arena by the view. Once the arena's lists are warm a view
-// allocates nothing.
+// Derive is View followed by releasing b: it turns the caller's header
+// into one drawn from arena.
 func (b *Batch) Derive(arena *Arena) *Batch {
-	if b.refs.Load() == 0 {
-		panic("dwrf: Derive from an unshared batch")
-	}
-	d := arena.NewBatch(b.Rows)
-	maps.Copy(d.Dense, b.Dense)
-	maps.Copy(d.Sparse, b.Sparse)
-	maps.Copy(d.ScoreList, b.ScoreList)
-	d.Labels = b.Labels
-	d.parent = b
-	return d
+	v := b.View(arena)
+	b.Release()
+	return v
 }
 
-// Release drops one ownership reference. For an exclusive batch (never
-// Shared) it frees immediately, preserving the historical single-owner
-// contract: a no-op for batches not created by Arena.NewBatch
-// (BatchFromSamples, struct literals, gob), safe to call twice, and the
-// batch must not be used afterwards. For a shared batch it decrements
-// the count and frees only when the last owner releases — which makes
-// the worker's unconditional Release after writing its frames correct
-// even when the batch is simultaneously held by the fleet cache or by
-// another session's view.
+// Release drops the header's reference on each of its columns (each
+// goes back to the batch's arena if that was its last), recycles the
+// labels and the header, and empties it. The batch must not be used
+// afterwards; a second Release of a header no one drew again is a no-op.
 func (b *Batch) Release() {
 	if b == nil {
 		return
 	}
-	if b.refs.Load() != 0 {
-		if n := b.refs.Add(-1); n > 0 {
-			return
-		} else if n < 0 {
-			panic("dwrf: Release without matching Share/Retain")
-		}
-	}
-	b.free()
-}
-
-// free returns the batch's own columns to its arena (skipping those a
-// Derive view borrows from its parent), recycles the batch struct, and
-// releases the parent of a view. The parent is read here, before the
-// view's reference on it goes, so its maps are still intact. Idempotent
-// for already-freed and ordinary batches.
-func (b *Batch) free() {
-	a, p := b.arena, b.parent
-	if a == nil && p == nil {
-		return
-	}
-	b.arena, b.parent = nil, nil
-	for id, c := range b.Dense {
-		if p == nil || p.Dense[id] != c {
-			a.PutDense(c)
-		}
+	a := b.arena
+	for _, c := range b.Dense {
+		drop(a, c)
 	}
 	clear(b.Dense)
-	for id, c := range b.Sparse {
-		if p == nil || p.Sparse[id] != c {
-			a.PutSparse(c)
-		}
+	for _, c := range b.Sparse {
+		drop(a, c)
 	}
 	clear(b.Sparse)
-	for id, c := range b.ScoreList {
-		if p == nil || p.ScoreList[id] != c {
-			a.PutScoreList(c)
-		}
+	for _, c := range b.ScoreList {
+		drop(a, c)
 	}
 	clear(b.ScoreList)
-	if p == nil || !sameArray(p.Labels, b.Labels) {
-		a.putLabels(b.Labels)
-	}
+	a.putLabels(b.Labels)
 	b.Labels = nil
 	b.Rows = 0
 	if a != nil {
+		b.arena = nil
 		a.batches.Put(b)
 	}
-	if p != nil {
-		p.Release()
-	}
-}
-
-// sameArray reports whether two label slices start at the same element
-// of one backing array — a view's labels are borrowed exactly when they
-// are the parent's. Slices without capacity own no memory and never
-// match.
-func sameArray(x, y []float32) bool {
-	return cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0]
 }
 
 // resizeBools returns a zeroed bool slice of length n reusing s's

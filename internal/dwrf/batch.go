@@ -66,10 +66,9 @@ func batchFromSamples(rows []*schema.Sample, proj *schema.Projection) *Batch {
 }
 
 // MaterializeDicts replaces every dictionary-indexed sparse column with
-// a freshly allocated plain column holding the decoded values. The
-// replacements are heap-allocated and alias nothing (fresh Offsets too),
-// so the call is legal on exclusive batches and Derive views alike — it
-// swaps map entries, never mutates a column in place. Consumers that
+// a freshly allocated plain column holding the decoded values, through
+// SetSparse: the old column is released, never changed, so the call is
+// legal on any batch whatever else holds its columns. Consumers that
 // interpret column values directly without dictionary awareness (the
 // interpreted transform path) call it once up front.
 func (b *Batch) MaterializeDicts() {
@@ -84,11 +83,6 @@ func (b *Batch) MaterializeDicts() {
 		for i, idx := range c.Values {
 			nc.Values[i] = c.Dict[idx]
 		}
-		b.Sparse[id] = nc
-		// An exclusively-owned arena column just replaced can recycle
-		// immediately; shared or borrowed columns stay with their owners.
-		if b.arena != nil && !b.Shared() {
-			b.arena.PutSparse(c)
-		}
+		b.SetSparse(id, nc)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dsi/internal/freelist"
@@ -121,28 +120,18 @@ type Batch struct {
 	// ScoreList maps feature ID -> ragged scored values.
 	ScoreList map[schema.FeatureID]*ScoreListColumn
 
-	// arena, when non-nil, owns the batch's columns; Release returns
-	// them (see Arena). Unexported so struct literals and gob leave it
-	// nil and Release stays a no-op for ordinary batches.
+	// arena, when non-nil, is where the batch's header, its labels and
+	// every column it drops the last reference to go back (see Arena).
+	// Unexported so struct literals and gob leave it nil, and what such a
+	// batch releases goes to the collector.
 	arena *Arena
-
-	// refs is the shared-ownership reference count. Zero means the batch
-	// is exclusively owned (the pre-sharing lifecycle: one owner, one
-	// Release). Share transitions the batch to counted mode with one
-	// reference; Retain adds one; Release in counted mode decrements and
-	// frees only when the count hits zero. See Arena's ownership rules.
-	refs atomic.Int32
-	// parent, for a Derive view, is the shared batch whose columns this
-	// view borrows; freeing the view releases one reference on it. A
-	// view's column is borrowed when parent holds the same pointer under
-	// the same feature ID (see Arena).
-	parent *Batch
 }
 
 // DenseColumn is one dense feature across a batch's rows.
 type DenseColumn struct {
 	Present []bool
 	Values  []float32
+	owners
 }
 
 // SparseColumn is one sparse feature across a batch's rows.
@@ -159,6 +148,7 @@ type SparseColumn struct {
 	// materialize via MaterializedValues. An empty Dict means Values are
 	// the feature values themselves (the plain representation).
 	Dict []int64
+	owners
 }
 
 // IsDict reports whether the column is dictionary-indexed.
@@ -194,6 +184,7 @@ func (c *SparseColumn) MaterializedValues(dst []int64) []int64 {
 type ScoreListColumn struct {
 	Offsets []int32
 	Values  []schema.ScoredValue
+	owners
 }
 
 // RowValues returns row i's scored values (possibly empty).
@@ -203,8 +194,8 @@ func (c *ScoreListColumn) RowValues(i int) []schema.ScoredValue {
 
 // MemBytes estimates the batch's resident column bytes (labels, dense
 // bitmap+values, CSR offsets+values). The fleet cache weighs entries by
-// it; a Derive view reports the same size as its parent since it aliases
-// the same columns.
+// it; a view reports the same size as its source, whose columns it
+// holds and whose labels it copies.
 func (b *Batch) MemBytes() int64 {
 	total := int64(len(b.Labels)) * 4
 	for _, c := range b.Dense {

@@ -203,7 +203,7 @@ func applyDenseMap(b *dwrf.Batch, o denseMapper, out schema.FeatureID) (int64, e
 		col.Present[i] = true
 		col.Values[i] = o.mapValue(in.Values[i])
 	}
-	b.Dense[out] = col
+	b.SetDense(out, col)
 	return int64(b.Rows), nil
 }
 
@@ -362,7 +362,7 @@ func (o *Onehot) Apply(b *dwrf.Batch) (int64, error) {
 		}
 		return []int64{o.bucketIndex(in.Values[i])}
 	})
-	b.Sparse[o.Out] = col
+	b.SetSparse(o.Out, col)
 	return int64(b.Rows), nil
 }
 

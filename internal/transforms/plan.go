@@ -499,7 +499,7 @@ func (c *planCompiler) lower(op Op) error {
 			dst := e.newSparse()
 			// Truncation works the same in index space, so the loop is
 			// representation-agnostic; a dict input just carries its
-			// dictionary over (copied — arena columns must not alias).
+			// dictionary over (copied — a column owns its buffers).
 			// The kept lengths are summed first so Values grows once.
 			kept := 0
 			for i := 0; i < e.rows; i++ {
@@ -763,9 +763,8 @@ func (c *planCompiler) lowerDenseMap(o denseMapper) error {
 // rebuild the whole batch), then one map bind per raw input, the slot
 // kernels, and one map publish per output. Output columns come from
 // arena (nil degrades to plain allocation) and become part of the
-// batch: when the batch is arena-owned, Batch.Release recycles inputs
-// and outputs alike after tensors are materialized. Stats are
-// identical to Graph.Run's.
+// batch, so Batch.Release recycles inputs and outputs alike after
+// tensors are materialized. Stats are identical to Graph.Run's.
 //
 // Run is safe for concurrent use on distinct batches.
 func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
@@ -805,36 +804,18 @@ func (p *Plan) Run(b *dwrf.Batch, arena *dwrf.Arena) (Stats, error) {
 	}
 
 	// Publish outputs into the batch maps. A published feature is never
-	// raw-bound (its consumers resolve to the produced slot), so when
-	// the batch shares the run's arena the column being replaced — a
-	// previous run's output over the same batch — can be recycled
-	// immediately. Never for shared batches (refcounted cache entries or
-	// Derive views): a replaced column there may be borrowed from — and
-	// still visible through — another consumer's batch.
-	recycle := b.Arena() == arena && arena != nil && !b.Shared()
+	// raw-bound (its consumers resolve to the produced slot), so the
+	// column it replaces — a previous run's output over the same batch —
+	// is released: recycled if this batch held its last reference, left
+	// to its other holders if not.
 	for _, pb := range p.pubDense {
-		if recycle {
-			if old, ok := b.Dense[pb.id]; ok && old != e.dense[pb.slot] {
-				arena.PutDense(old)
-			}
-		}
-		b.Dense[pb.id] = e.dense[pb.slot]
+		b.SetDense(pb.id, e.dense[pb.slot])
 	}
 	for _, pb := range p.pubSparse {
-		if recycle {
-			if old, ok := b.Sparse[pb.id]; ok && old != e.sparse[pb.slot] {
-				arena.PutSparse(old)
-			}
-		}
-		b.Sparse[pb.id] = e.sparse[pb.slot]
+		b.SetSparse(pb.id, e.sparse[pb.slot])
 	}
 	for _, pb := range p.pubScore {
-		if recycle {
-			if old, ok := b.ScoreList[pb.id]; ok && old != e.score[pb.slot] {
-				arena.PutScoreList(old)
-			}
-		}
-		b.ScoreList[pb.id] = e.score[pb.slot]
+		b.SetScoreList(pb.id, e.score[pb.slot])
 	}
 
 	e.stats.RowsOut = b.Rows

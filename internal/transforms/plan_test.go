@@ -484,12 +484,12 @@ func TestPlanExecAcrossPlans(t *testing.T) {
 	}
 }
 
-// TestDeriveViewReleaseReturnsOnlyItsColumns runs ops over Derive views
-// of a shared batch and releases them: the arena gets back exactly the
-// columns each view built — every column, after Sampling rebuilt them
-// all; the one derived column, after a SigridHash that left the raw
-// columns borrowed — and never a column the parent holds, whose values
-// stay intact.
+// TestDeriveViewReleaseReturnsOnlyItsColumns runs ops over views of a
+// batch and releases them: the arena gets back exactly the columns each
+// view built — every column, after Sampling rebuilt them all; the one
+// derived column, after a SigridHash that left the raw columns shared —
+// and the view's own labels, and never a column the parent holds,
+// whose values stay intact.
 func TestDeriveViewReleaseReturnsOnlyItsColumns(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -512,8 +512,6 @@ func deriveViewReleaseCase(t *testing.T, op Op) {
 	parent := arena.NewBatch(src.Rows)
 	tmp := copyBatch(src)
 	parent.Labels, parent.Dense, parent.Sparse, parent.ScoreList = tmp.Labels, tmp.Dense, tmp.Sparse, tmp.ScoreList
-	parent.Share()
-	parent.Retain() // the reference the view consumes
 	want := copyBatch(parent)
 	parentCols := make(map[any]bool)
 	for _, c := range parent.Dense {
@@ -526,7 +524,7 @@ func deriveViewReleaseCase(t *testing.T, op Op) {
 		parentCols[c] = true
 	}
 
-	view := parent.Derive(arena)
+	view := parent.View(arena)
 	if _, err := op.Apply(view); err != nil {
 		t.Fatal(err)
 	}
@@ -584,8 +582,6 @@ func deriveViewReleaseCase(t *testing.T, op Op) {
 	switch {
 	case cap(l) > 0 && &l[:1][0] == &parent.Labels[:1][0]:
 		t.Fatal("the view's release handed the arena the parent's labels")
-	case &viewLabels[:1][0] == &parent.Labels[:1][0]:
-		// Borrowed labels stay with the parent; nothing to get back.
 	case cap(l) == 0 || &l[:1][0] != &viewLabels[:1][0]:
 		t.Fatal("the view's labels did not come back from the arena")
 	}

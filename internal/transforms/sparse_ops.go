@@ -148,7 +148,7 @@ func (o *SigridHash) Apply(b *dwrf.Batch) (int64, error) {
 	for i, v := range in.Values {
 		out.Values[i] = sigridBucket(v, o.Salt, o.MaxValue)
 	}
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return int64(len(in.Values)), nil
 }
 
@@ -189,7 +189,7 @@ func (o *FirstX) Apply(b *dwrf.Batch) (int64, error) {
 		}
 		return vals
 	})
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return int64(len(in.Values)), nil
 }
 
@@ -229,7 +229,7 @@ func (o *PositiveModulus) Apply(b *dwrf.Batch) (int64, error) {
 	for i, v := range in.Values {
 		out.Values[i] = positiveMod(v, o.M)
 	}
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return int64(len(in.Values)), nil
 }
 
@@ -267,7 +267,7 @@ func (o *Enumerate) Apply(b *dwrf.Batch) (int64, error) {
 		}
 		return vals
 	})
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return int64(len(in.Values)), nil
 }
 
@@ -310,7 +310,7 @@ func (o *MapId) Apply(b *dwrf.Batch) (int64, error) {
 			out.Values[i] = o.Default
 		}
 	}
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return int64(len(in.Values)), nil
 }
 
@@ -353,7 +353,7 @@ func (o *IdListTransform) Apply(b *dwrf.Batch) (int64, error) {
 		inter, scratch = intersectInto(nil, av, bv, scratch)
 		return inter
 	})
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return processed, nil
 }
 
@@ -394,7 +394,7 @@ func (o *Cartesian) Apply(b *dwrf.Batch) (int64, error) {
 		processed += int64(len(vals))
 		return vals
 	})
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return processed, nil
 }
 
@@ -434,7 +434,7 @@ func (o *NGram) Apply(b *dwrf.Batch) (int64, error) {
 		processed += int64(len(grams) * o.N)
 		return grams
 	})
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return processed, nil
 }
 
@@ -480,7 +480,7 @@ func (o *ComputeScore) Apply(b *dwrf.Batch) (int64, error) {
 	for i, v := range in.Values {
 		col.Values[i] = o.scored(v)
 	}
-	b.ScoreList[o.Out] = col
+	b.SetScoreList(o.Out, col)
 	return int64(len(in.Values)), nil
 }
 
@@ -547,7 +547,7 @@ func (o *Bucketize) Apply(b *dwrf.Batch) (int64, error) {
 		}
 		return []int64{o.bucketOf(in.Values[i])}
 	})
-	b.Sparse[o.Out] = out
+	b.SetSparse(o.Out, out)
 	return int64(b.Rows), nil
 }
 
@@ -600,17 +600,17 @@ func (o *Sampling) Apply(b *dwrf.Batch) (int64, error) {
 			nc.Present[ni] = col.Present[oi]
 			nc.Values[ni] = col.Values[oi]
 		}
-		b.Dense[id] = nc
+		b.SetDense(id, nc)
 	}
 	for id, col := range b.Sparse {
 		nc := buildSparse(len(keep), func(ni int) []int64 { return col.RowValues(keep[ni]) })
 		if col.IsDict() {
 			// RowValues of a dictionary-indexed column are indices; the
 			// rebuilt column keeps the representation, so carry the
-			// dictionary (copied — arena columns must not alias).
+			// dictionary (copied — a column owns its buffers).
 			nc.Dict = append([]int64(nil), col.Dict...)
 		}
-		b.Sparse[id] = nc
+		b.SetSparse(id, nc)
 	}
 	for id, col := range b.ScoreList {
 		nc := &dwrf.ScoreListColumn{Offsets: make([]int32, len(keep)+1)}
@@ -619,7 +619,7 @@ func (o *Sampling) Apply(b *dwrf.Batch) (int64, error) {
 			nc.Values = append(nc.Values, col.RowValues(oi)...)
 		}
 		nc.Offsets[len(keep)] = int32(len(nc.Values))
-		b.ScoreList[id] = nc
+		b.SetScoreList(id, nc)
 	}
 	b.Rows = len(keep)
 	b.Labels = newLabels

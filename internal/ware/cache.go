@@ -9,11 +9,12 @@ import (
 )
 
 // Cache is a byte-bounded, tenant-fair, content-addressed store of
-// shared batches: one per fleet node, shared by every pipeline the node
-// hosts. Entries are reference-counted dwrf batches (the cache holds
-// one reference; every Get hands out another), so an entry can be
-// evicted while consumers still read it — the columns return to the
-// arena only when the last holder releases.
+// decoded and transformed batches: one per fleet node, shared by every
+// pipeline the node hosts. The cache keeps one header per entry and
+// never lends it: Get and an accepted Insert hand out a View, a header
+// of the caller's own over the entry's columns, so an entry can be
+// evicted while consumers still read it — a column returns to the arena
+// when its last holder, cache or consumer, releases it.
 //
 // The cache owns the node's column arena (Arena): every pipeline that
 // uses the cache decodes and transforms through it, so the columns an
@@ -26,7 +27,7 @@ import (
 // tenant. A cold tenant churning through new data therefore steals only
 // the over-floor surplus of hot tenants (and its own entries), never a
 // hot tenant's fair share. An insert with no legal victim is refused —
-// the batch simply stays exclusively owned by the inserting pipeline.
+// the batch simply stays the inserting pipeline's.
 type Cache struct {
 	arena *dwrf.Arena
 
@@ -202,11 +203,10 @@ func (c *Cache) floorLocked(t *tenantState) int64 {
 	return int64(float64(c.capacity) * t.weight / total)
 }
 
-// Get looks up a ware and, on a hit, returns the cached batch with one
-// reference retained for the caller, who must Release it exactly once
-// (directly for read-only use, or by releasing a Derive view built on
-// it). Returns nil on a miss. The hit is attributed to tenant; misses
-// are NOT counted here — a full per-split miss is counted by the
+// Get looks up a ware and, on a hit, returns a view of it — a header of
+// the caller's own over the cached columns — which the caller releases
+// exactly once. Returns nil on a miss. The hit is attributed to tenant;
+// misses are NOT counted here — a full per-split miss is counted by the
 // stripe Insert that follows, so a missed xform probe that then hits
 // the stripe cache still scores as one hit.
 func (c *Cache) Get(id WareID, tenant string) *dwrf.Batch {
@@ -220,18 +220,15 @@ func (c *Cache) Get(id WareID, tenant string) *dwrf.Batch {
 	c.pushFrontLocked(e)
 	c.counters.hit(e.id.Pack, e.bytes)
 	c.tenant(tenant).counters.hit(e.id.Pack, e.bytes)
-	e.batch.Retain()
-	return e.batch
+	return e.batch.View(c.arena)
 }
 
 // Insert offers a batch for caching under id, charged to tenant. On
-// acceptance it transitions the batch to shared ownership (the cache
-// keeps one reference), retains one more for the caller, and returns
-// (b, true): the caller now holds a counted reference it must consume
-// via Derive or Release, and must no longer mutate the batch's columns
-// in place. On refusal — duplicate key, zero capacity, batch larger
-// than capacity, or no eviction victim above its owner's floor — it
-// returns (b, false) and the caller keeps plain exclusive ownership.
+// acceptance the cache keeps b as the entry's header and returns
+// (view, true): a view of b, as Get hands out, which the caller uses and
+// releases in b's place. On refusal — duplicate key, zero capacity,
+// batch larger than capacity, or no eviction victim above its owner's
+// floor — it returns (b, false) and b stays the caller's.
 //
 // A stripe-pack Insert also counts one per-split cache miss for the
 // tenant (accepted or not): every split lookup ends in exactly one of
@@ -253,8 +250,6 @@ func (c *Cache) Insert(id WareID, b *dwrf.Batch, tenant string) (*dwrf.Batch, bo
 		c.rejected++
 		return b, false
 	}
-	b.Share()  // cache's reference
-	b.Retain() // caller's reference
 	e, ok := freeEntries.Get()
 	if !ok {
 		e = new(entry)
@@ -265,7 +260,7 @@ func (c *Cache) Insert(id WareID, b *dwrf.Batch, tenant string) (*dwrf.Batch, bo
 	c.used += size
 	t.bytes += size
 	c.inserts++
-	return b, true
+	return b.View(c.arena), true
 }
 
 // evictForLocked frees room for need bytes on behalf of tenant,
@@ -300,8 +295,8 @@ func (c *Cache) victimLocked(tenant string) *entry {
 	return nil
 }
 
-// dropLocked removes an entry and releases the cache's reference on
-// its batch; outstanding consumer references keep the columns alive.
+// dropLocked removes an entry and releases the cache's header; the
+// views consumers still hold keep their columns alive.
 // The entry itself goes back to freeEntries. Callers hold c.mu.
 func (c *Cache) dropLocked(e *entry) {
 	e.unlink()

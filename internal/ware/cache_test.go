@@ -97,20 +97,20 @@ func TestCacheInsertGetLifecycle(t *testing.T) {
 	b := testBatch(arena, 16)
 	id := StripeID(1, "", 0, nil)
 	got, shared := c.Insert(id, b, "a")
-	if !shared || got != b {
-		t.Fatalf("Insert = (%p,%v), want (%p,true)", got, shared, b)
+	if !shared || got == b || got.Dense[1] != b.Dense[1] {
+		t.Fatalf("Insert = (%p,%v), want a new header over %p's columns, true", got, shared, b)
 	}
-	if !b.Shared() {
-		t.Fatal("inserted batch not shared")
+	// The caller releases the view it was handed; the cache keeps b.
+	got.Release()
+	if b.Dense[1] == nil || b.Rows != 16 {
+		t.Fatal("releasing the handed-out view emptied the cache's header")
 	}
-	// Caller's reference from Insert.
-	b.Release()
 
-	// Two concurrent readers each get their own reference.
+	// Two concurrent readers each get a header of their own.
 	r1 := c.Get(id, "a")
 	r2 := c.Get(id, "b")
-	if r1 != b || r2 != b {
-		t.Fatal("Get returned wrong batch")
+	if r1 == b || r2 == b || r1 == r2 || r1.Dense[1] != b.Dense[1] || r2.Dense[1] != b.Dense[1] {
+		t.Fatal("Get lent the cache's header or did not share its columns")
 	}
 	st := c.Stats()
 	if st.StripeHits != 2 || st.Misses != 1 || st.Inserts != 1 || st.Entries != 1 {
@@ -122,20 +122,17 @@ func TestCacheInsertGetLifecycle(t *testing.T) {
 	r1.Release()
 	r2.Release()
 
-	// Cache still holds its reference: the entry survives and hits again.
-	if c.Get(id, "a") == nil {
+	// Cache still holds its header: the entry survives and hits again.
+	if hit := c.Get(id, "a"); hit == nil {
 		t.Fatal("entry vanished while cached")
 	} else {
-		b.Release()
+		hit.Release()
 	}
 
-	// Duplicate insert is refused and the caller keeps ownership.
+	// Duplicate insert is refused and the caller keeps its batch.
 	dup := testBatch(arena, 16)
-	if _, ok := c.Insert(id, dup, "a"); ok {
+	if got, ok := c.Insert(id, dup, "a"); ok || got != dup {
 		t.Fatal("duplicate insert accepted")
-	}
-	if dup.Shared() {
-		t.Fatal("refused insert shared the batch")
 	}
 	dup.Release()
 
