@@ -94,7 +94,6 @@ func main() {
 	// each session's spec, pipeline sizing included, from its master at
 	// registration, so setting these on -role worker has no effect.
 	prefetchers := flag.Int("prefetchers", 0, "master/demo: split-evaluator goroutines per worker; the pool runs -prefetchers + -transform-parallelism of them (0 = default 2)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "master/demo: evaluated splits queued ahead of the deliver loop (0 = default)")
 	xformParallel := flag.Int("transform-parallelism", 0, "master/demo: split-evaluator goroutines per worker, added to -prefetchers (0 = default 2)")
 	bufferDepth := flag.Int("buffer", 0, "master/demo: delivered-tensor buffer capacity in batches (0 = default)")
 	bufferBytes := flag.Int64("buffer-bytes", 0, "master/demo: byte bound on the delivered-tensor buffer (0 = unbounded)")
@@ -119,7 +118,6 @@ func main() {
 
 	pipeline := dpp.PipelineOptions{
 		Prefetchers:          *prefetchers,
-		PrefetchDepth:        *prefetchDepth,
 		TransformParallelism: *xformParallel,
 		MaxBufferedBytes:     *bufferBytes,
 	}

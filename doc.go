@@ -12,14 +12,14 @@
 // content-addressed wares (decoded stripe, transformed stripe) and
 // evaluates plan(decode(fetch)) with the node's ware cache as the memo
 // table at both levels, through a per-warehouse reader cache and pooled
-// decode buffers. Worker.Run is one pool of goroutines calling that
-// step ahead of a single deliver loop whose bounded buffer applies
-// backpressure, so per-session memory stays finite;
-// Worker.ProcessOneSplit is the same step and the same deliver call on
-// the caller's goroutine, the reference loop experiments and parity
-// tests drive. The knobs live in dpp.SessionSpec.Pipeline (the pool
-// size is Prefetchers + TransformParallelism; prefetch depth,
-// buffered-byte bound) and surface as cmd/dppd flags. Worker.Report
+// decode buffers. Worker.Run is one pool of goroutines, each running
+// the step that evaluates a split and delivers it into one bounded
+// buffer, whose backpressure keeps per-session memory finite;
+// Worker.ProcessOneSplit is the same step on the caller's goroutine,
+// the reference loop experiments and parity tests drive. The knobs live
+// in dpp.SessionSpec.Pipeline (the pool size is Prefetchers +
+// TransformParallelism; the buffered-byte bound) and surface as
+// cmd/dppd flags. Worker.Report
 // (ResourceReport) is what the worker measured and nothing else: bytes
 // fetched, wanted, decoded and sent, rows, batches, the transform
 // plan's op-catalogue tallies, and busy time by phase (fetch / decode /

@@ -181,11 +181,10 @@ func (w *Worker) writeFrames(batch *dwrf.Batch, splitID int) ([]*frame, error) {
 	return frames, nil
 }
 
-// evalNext is the step both drivers of a worker share — Run's pool
-// calls it from every evaluator goroutine, ProcessOneSplit from the
-// caller's: lease one split and evaluate it. leased=false means the
-// master had nothing to hand out (session done, everything leased
-// elsewhere, or this worker marked draining — see Draining).
+// evalNext is the extract-and-transform half of the worker's step
+// (step, worker.go): lease one split and evaluate it. leased=false
+// means the master had nothing to hand out (session done, everything
+// leased elsewhere, or this worker marked draining — see Draining).
 //
 // Degraded mode: a retryable storage failure (node down, transient I/O,
 // unrecoverable-by-us corruption) releases the split back to the master

@@ -313,10 +313,7 @@ func (m *Master) WorkChanged() (session, table <-chan struct{}) {
 // that took the channel before asking cannot miss the change.
 func (m *Master) notifyLocked() {
 	m.wakes++
-	if m.changed != nil {
-		close(m.changed)
-		m.changed = nil
-	}
+	wake(&m.changed)
 }
 
 // workToken names the state WorkChanged's channels announce: it moves

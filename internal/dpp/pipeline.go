@@ -3,18 +3,16 @@ package dpp
 import "sync"
 
 // This file implements Worker.Run's loop. A worker does one thing per
-// split — extract, transform, load — and eval.go is that one thing up to
-// tensors (evalNext: lease → evalSplit → release on a retryable storage
-// error). Run is a pool of goroutines calling that step and one deliver
-// loop consuming what they produce:
+// split — extract, transform, load — and step is that one thing: lease
+// → evalSplit → deliver into the bounded buffer, or release the split
+// back on a retryable storage error. Run is that step, N times over:
 //
-//	evaluator pool (Prefetchers + TransformParallelism goroutines)
+//	evaluator pool (Prefetchers + TransformParallelism goroutines, each
+//	running step until the session is done or this worker drains)
 //	    master.NextSplit → evalSplit: cached reader → ware cache probe
 //	    → fetch + decode → plan → frames (one per BatchSize rows)
-//	        │  one channel, bounded by PrefetchDepth
-//	deliver loop (one goroutine: the Run caller)
-//	    resource accounting → bounded output buffer (BufferDepth
-//	    frames / MaxBufferedBytes of frame bytes)
+//	    → deliverSplit: resource accounting → bounded output buffer
+//	      (BufferDepth frames / MaxBufferedBytes of frame bytes)
 //
 // Beside them, heartbeatLoop reports to the session master on a ticker.
 //
@@ -35,12 +33,12 @@ import "sync"
 // One rule everywhere: take the channel before you ask, wait on it only
 // after the answer was "nothing" — an event between the answer and the
 // wait then finds the channel already closed. The only timer left on
-// the worker is the heartbeat. So the pool buys CPU parallelism only;
-// evaluating ahead of delivery is what keeps trainers fed while earlier
-// tensors drain (the paper's central DPP requirement). The channel and
-// the buffer are both bounded, so a slow trainer stalls the evaluators
-// instead of growing memory without limit. ProcessOneSplit is the same
-// step and the same deliver call on the caller's goroutine.
+// the worker is the heartbeat. The buffer is the one queue: evaluators
+// run ahead of the trainers until it fills, which is what keeps them fed
+// while earlier tensors drain (the paper's central DPP requirement), and
+// then each blocks in deliver with at most one evaluated split, so a
+// slow trainer stalls the evaluators instead of growing memory without
+// limit. ProcessOneSplit is the same step on the caller's goroutine.
 
 // pipelineAbort coordinates shutdown across the pool: the first failure
 // (or an external stop) closes the abort channel, and every goroutine
@@ -92,47 +90,27 @@ func (w *Worker) Run(stop <-chan struct{}) error {
 
 	// The plan is immutable after compilation and each split's batch is
 	// private to the goroutine evaluating it, so the evaluators share
-	// nothing but the column arena, the stopwatches and the cache.
-	// PrefetchDepth bounds how many evaluated splits wait for delivery.
-	evals := make(chan evaluated, pl.PrefetchDepth)
+	// nothing but the column arena, the stopwatches, the cache and the
+	// buffer. Waiting for the pool leaves the worker owning no
+	// concurrency after Run returns.
 	var pool sync.WaitGroup
-	for i := 0; i < pl.Prefetchers+pl.TransformParallelism; i++ {
+	for range pl.Prefetchers + pl.TransformParallelism {
 		pool.Add(1)
 		go func() {
 			defer pool.Done()
-			w.evalLoop(evals, abort)
+			w.evalLoop(abort)
 		}()
 	}
-	go func() {
-		pool.Wait()
-		close(evals)
-	}()
-
-	for ev := range evals {
-		if w.deliverSplit(ev, abort.ch) != nil {
-			// Delivery is canceled only by an abort already in flight
-			// (external stop, crash, or a failed split).
-			break
-		}
-	}
-
-	// Release any evaluator still running and wait for the pool (evals
-	// closes after the last one exits), so the worker owns no
-	// concurrency after Run returns. Evaluated splits left in the
-	// channel hold plain frames — every batch was released inside
-	// evalSplit — so dropping them needs no cleanup (they are
-	// not returned to the pool; the collector takes them).
+	pool.Wait()
 	abort.fail(nil) // no-op if a real error or stop already aborted
-	for range evals {
-	}
 	return abort.err
 }
 
 // evalLoop is one evaluator goroutine: it runs the step until the
-// session is done or this worker drains, sending each evaluated split
-// to the deliver loop. Told there is nothing to lease, it waits for an
-// event that can change that answer — never for a timer.
-func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
+// session is done or this worker drains. Told there is nothing to
+// lease, it waits for an event that can change that answer — never for
+// a timer.
+func (w *Worker) evalLoop(abort *pipelineAbort) {
 	for {
 		select {
 		case <-abort.ch:
@@ -140,31 +118,24 @@ func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
 		default:
 		}
 		// Take the wake-ups before asking, so nothing that happens between
-		// the master's answer and the wait below is missed. This worker's
-		// own acknowledgements are a count, whose channel is made only if
-		// the evaluator ends up waiting.
+		// the master's answer and the wait below is missed.
 		session, table := w.master.WorkChanged()
-		w.mu.Lock()
-		acked := w.report.SplitsDone
-		w.mu.Unlock()
-		ev, leased, err := w.evalNext()
+		leased, err := w.step(abort.ch)
+		if err == errCanceled {
+			// Delivery is canceled only by an abort already in flight
+			// (external stop, crash, or a failed split).
+			return
+		}
 		if err != nil {
 			abort.fail(err)
 			return
 		}
 		if leased {
-			if ev.frames != nil { // nil: released back; lease again
-				select {
-				case out <- ev:
-				case <-abort.ch:
-					return
-				}
-			}
 			continue
 		}
 		if w.Draining() {
-			// The master hands this worker no further leases; splits
-			// already evaluated are still delivered before Run returns.
+			// The master hands this worker no further leases; every split
+			// this evaluator took is already delivered.
 			return
 		}
 		done, err := w.master.Done()
@@ -175,18 +146,13 @@ func (w *Worker) evalLoop(out chan<- evaluated, abort *pipelineAbort) {
 		if done {
 			return
 		}
-		// The remaining splits are leased (to this worker's deliver loop
-		// or to other workers) or not sealed yet. Ask again when this
-		// worker acknowledges a split, when the master's answer may have
-		// changed, or when the table publishes.
-		completed, moved := w.splitDoneSince(acked)
-		if moved {
-			continue
-		}
+		// The remaining splits are leased (to this worker's buffer, to its
+		// other evaluators, or to other workers) or not sealed yet. Ask
+		// again when the master's answer may have changed — a lease
+		// requeued, the last split completed — or the table publishes.
 		select {
 		case <-abort.ch:
 			return
-		case <-completed:
 		case <-session:
 		case <-table:
 		}

@@ -306,7 +306,7 @@ func getBatch(w *Worker) (*tensor.Batch, bool) {
 // under -race this is the pipeline's data-race check.
 func TestPipelinedSessionConcurrentStats(t *testing.T) {
 	wh, spec := buildFixture(t, 96, 8) // 24 splits
-	spec.Pipeline = PipelineOptions{Prefetchers: 4, TransformParallelism: 4, PrefetchDepth: 6}
+	spec.Pipeline = PipelineOptions{Prefetchers: 4, TransformParallelism: 4}
 	spec.BufferDepth = 4
 	m, err := NewMaster(wh, spec)
 	if err != nil {
@@ -458,6 +458,57 @@ func TestPipelineBackpressureBoundsBufferedBytes(t *testing.T) {
 	// always admits a batch so delivery cannot deadlock).
 	if limit := spec.Pipeline.MaxBufferedBytes + maxBatch; peak > limit {
 		t.Fatalf("ResidentPeak %d exceeds bound %d (max batch %d)", peak, limit, maxBatch)
+	}
+}
+
+// leaseCounter is a MasterAPI wrapper counting the leases it grants.
+type leaseCounter struct {
+	MasterAPI
+	leases atomic.Int64
+}
+
+func (c *leaseCounter) NextSplit(workerID string) (warehouse.Split, int, bool, bool, error) {
+	split, splitID, ok, draining, err := c.MasterAPI.NextSplit(workerID)
+	if ok {
+		c.leases.Add(1)
+	}
+	return split, splitID, ok, draining, err
+}
+
+// TestReadAheadStopsAtTheBuffer: with no consumer, a worker reads ahead
+// only as far as its full buffer and one evaluated split per evaluator
+// blocked delivering into it, and then leases nothing while nothing is
+// consumed.
+func TestReadAheadStopsAtTheBuffer(t *testing.T) {
+	wh, spec := buildFixture(t, 64, 8) // 16 splits of 8 rows
+	spec.BatchSize = 4                 // two frames a split
+	spec.BufferDepth = 2               // the buffer holds one split
+	spec.Pipeline = PipelineOptions{Prefetchers: 1, TransformParallelism: 1}
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &leaseCounter{MasterAPI: m}
+	w, err := NewWorker("w", counted, wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(stop) }()
+
+	// Frames of two splits may share the buffer, so fewer leases can
+	// fill it; none may follow once it is full.
+	const evaluators, bufferedSplits = 2, 1
+	eventually(t, "a full buffer", func() bool { return w.Buffered() == spec.BufferDepth })
+	time.Sleep(idleWindow)
+	if n := counted.leases.Load(); n > evaluators+bufferedSplits {
+		t.Fatalf("worker leased %d splits with nothing consumed, want at most %d", n, evaluators+bufferedSplits)
+	}
+
+	close(stop)
+	if err := <-ran; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -349,10 +349,7 @@ func (r *RemoteMaster) WorkChanged() (session, table <-chan struct{}) {
 // wake closes the channel waiters hold, if any took one.
 func (r *RemoteMaster) wake() {
 	r.mu.Lock()
-	if r.changed != nil {
-		close(r.changed)
-		r.changed = nil
-	}
+	wake(&r.changed)
 	r.mu.Unlock()
 }
 

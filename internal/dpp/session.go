@@ -19,14 +19,13 @@
 //     and it writes the transformed split straight into its
 //     BatchSize-row batches as ready-to-send stream frames
 //     (tensor.FrameWriter) in one pass — no tensor batch is built on
-//     the worker; Run is one pool of goroutines calling it ahead of a
-//     single deliver loop whose bounded buffer of frames applies
-//     backpressure — sized by SessionSpec.Pipeline and observable by
-//     phase via Worker.Report — and ProcessOneSplit is the same step on
-//     the caller's goroutine. A
-//     drained worker finishes its in-flight splits, serves out its
-//     buffer (Retire), and deregisters, so shrinking the pool never
-//     loses rows.
+//     the worker; Run is one pool of goroutines each running the step
+//     that calls it and delivers into one bounded buffer of frames,
+//     which applies backpressure — sized by SessionSpec.Pipeline and
+//     observable by phase via Worker.Report — and ProcessOneSplit is
+//     the same step on the caller's goroutine. A drained worker
+//     finishes its in-flight splits, serves out its buffer (Retire),
+//     and deregisters, so shrinking the pool never loses rows.
 //   - Clients run on trainer nodes and fetch tensors from Workers with
 //     partitioned round-robin routing. A session client
 //     (NewSessionClient, NewTenantClient) resolves membership from the
@@ -204,11 +203,13 @@ type SessionSpec struct {
 
 // PipelineOptions sizes a worker's evaluator pool (pipeline.go): a
 // number of goroutines each turning one leased split at a time into
-// tensors, ahead of a single deliver loop, so tensors keep draining to
-// trainers while later splits are extracted and transformed — the
-// overlap the paper's DPP workers need to avoid the Table 7 data
-// stalls. The hand-off and the output buffer are bounded, keeping
-// per-session memory finite (§DPP: avoid OOM from unbounded buffering).
+// tensors and delivering them into the worker's output buffer, so
+// tensors keep draining to trainers while later splits are extracted
+// and transformed — the overlap the paper's DPP workers need to avoid
+// the Table 7 data stalls. The buffer is the one queue and it is
+// bounded: an evaluator that finds it full waits there holding one
+// evaluated split, keeping per-session memory finite (§DPP: avoid OOM
+// from unbounded buffering).
 //
 // Prefetchers and TransformParallelism are summed: the pool runs
 // Prefetchers + TransformParallelism identical evaluators, and neither
@@ -218,9 +219,6 @@ type SessionSpec struct {
 type PipelineOptions struct {
 	// Prefetchers is the first addend of the evaluator count. Default 2.
 	Prefetchers int
-	// PrefetchDepth is the maximum number of evaluated splits waiting
-	// for the deliver loop. Default Prefetchers.
-	PrefetchDepth int
 	// TransformParallelism is the second addend of the evaluator count.
 	// Default 2.
 	TransformParallelism int
@@ -241,17 +239,14 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 	if o.TransformParallelism <= 0 {
 		o.TransformParallelism = 2
 	}
-	if o.PrefetchDepth < o.Prefetchers {
-		o.PrefetchDepth = o.Prefetchers
-	}
 	return o
 }
 
-// planFor clamps the evaluator count — the sum — and the hand-off depth
-// to the session's actual split count; the Master applies this during
-// session planning so a tiny session doesn't spin up idle evaluators on
-// every worker. Each addend keeps at least 1 (zero means "default"), so
-// the floor of the sum is 2.
+// planFor clamps the evaluator count — the sum — to the session's
+// actual split count; the Master applies this during session planning
+// so a tiny session doesn't spin up idle evaluators on every worker.
+// Each addend keeps at least 1 (zero means "default"), so the floor of
+// the sum is 2.
 func (o PipelineOptions) planFor(splits int) PipelineOptions {
 	o = o.withDefaults()
 	if splits <= 0 {
@@ -261,9 +256,6 @@ func (o PipelineOptions) planFor(splits int) PipelineOptions {
 		cut := min(excess, o.TransformParallelism-1)
 		o.TransformParallelism -= cut
 		o.Prefetchers -= excess - cut
-	}
-	if o.PrefetchDepth > splits {
-		o.PrefetchDepth = splits
 	}
 	return o
 }

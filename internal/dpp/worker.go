@@ -137,9 +137,6 @@ type Worker struct {
 	// makes no channel.
 	notEmpty chan struct{}
 	notFull  chan struct{}
-	// splitDone is the idle evaluators' wake-up, closed by the next
-	// CompleteSplit (see splitDoneSince).
-	splitDone chan struct{}
 	// settled is closed when the ledger Retire waits out moves toward
 	// empty (a buffer pop, a stream window retired, a CompleteSplit ack
 	// landed); allocated only while Retire waits.
@@ -168,8 +165,10 @@ type Worker struct {
 	// Sink, when set, receives batches directly instead of the buffer
 	// (offline measurement mode): each frame decoded, as a client would
 	// decode it off the stream, and the sink's to Release. It is always
-	// invoked from a single goroutine at a time.
-	Sink func(*tensor.Batch)
+	// invoked from a single goroutine at a time: every evaluator
+	// delivers, and sinkMu serialises their calls.
+	Sink   func(*tensor.Batch)
+	sinkMu sync.Mutex
 
 	// heartbeatEvery is the session heartbeat period: a fleet worker's
 	// pipelines take its period, every other worker the default.
@@ -235,20 +234,29 @@ type splitAcct struct {
 	producing bool
 }
 
-// ProcessOneSplit runs the worker's step once on the calling goroutine:
-// lease one split, evaluate it (evalNext — the same step, fleet cache
-// included, that Run's evaluator pool calls) and deliver it. Offline
+// ProcessOneSplit runs the worker's step once on the calling goroutine
+// — the step each of Run's evaluators runs in a loop. Offline
 // measurement and tests drive it in a loop as the reference for Run. It
 // returns false when the master has no split to hand out (session done,
 // nothing pending, or this worker has been marked draining — see
 // Draining); a split released back after a retryable storage failure
 // still returns true, and the next call leases again.
 func (w *Worker) ProcessOneSplit() (bool, error) {
+	leased, err := w.step(nil)
+	return leased && err == nil, err
+}
+
+// step leases one split, evaluates it (evalNext, fleet cache included)
+// and delivers it (deliverSplit), blocking on the buffer's backpressure
+// until cancel closes. leased=false means the master had nothing to
+// hand out; leased=true with a nil error covers a split released back
+// to the master, which delivers nothing.
+func (w *Worker) step(cancel <-chan struct{}) (leased bool, err error) {
 	ev, leased, err := w.evalNext()
 	if err == nil && ev.frames != nil {
-		err = w.deliverSplit(ev, nil)
+		err = w.deliverSplit(ev, cancel)
 	}
-	return leased && err == nil, err
+	return leased, err
 }
 
 // deliverSplit is the load half of the step: fold the evaluation into
@@ -353,27 +361,8 @@ func (w *Worker) completeSplit(splitID int) {
 	w.mu.Lock()
 	w.completing--
 	w.report.SplitsDone++
-	wake(&w.splitDone) // wake evaluators waiting to re-check Done
 	w.settleLocked()
 	w.mu.Unlock()
-}
-
-// splitDoneSince returns the channel the next CompleteSplit closes, or
-// moved=true when the count of splits acknowledged to the master
-// (ResourceReport.SplitsDone) has moved past acked, so the wake-up the
-// caller would wait for already happened. The channel is made only for
-// a waiter, under the lock completeSplit closes it under: no
-// acknowledgement between the read of acked and the wait is missed.
-func (w *Worker) splitDoneSince(acked int64) (ch <-chan struct{}, moved bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.report.SplitsDone != acked {
-		return nil, true
-	}
-	if w.splitDone == nil {
-		w.splitDone = make(chan struct{})
-	}
-	return w.splitDone, false
 }
 
 // settleLocked wakes Retire. Callers hold w.mu and have just lowered
@@ -447,7 +436,9 @@ func (w *Worker) deliver(f *frame, cancel <-chan struct{}) error {
 		if err != nil {
 			return err
 		}
+		w.sinkMu.Lock()
 		w.Sink(b)
+		w.sinkMu.Unlock()
 		return nil
 	}
 	size := int64(len(f.buf))

@@ -87,8 +87,8 @@ func (a *Arena) Dense(rows int) *DenseColumn {
 	if c == nil {
 		c = &DenseColumn{}
 	}
-	c.Present = resizeBools(c.Present, rows)
-	c.Values = resizeF32(c.Values, rows)
+	c.Present = resize(c.Present, rows)
+	c.Values = resize(c.Values, rows)
 	return c
 }
 
@@ -103,7 +103,7 @@ func (a *Arena) Sparse(rows int) *SparseColumn {
 	if c == nil {
 		c = &SparseColumn{}
 	}
-	c.Offsets = resizeI32(c.Offsets, rows+1)
+	c.Offsets = resize(c.Offsets, rows+1)
 	if c.Values == nil {
 		c.Values = []int64{}
 	} else {
@@ -125,7 +125,7 @@ func (a *Arena) ScoreList(rows int) *ScoreListColumn {
 	if c == nil {
 		c = &ScoreListColumn{}
 	}
-	c.Offsets = resizeI32(c.Offsets, rows+1)
+	c.Offsets = resize(c.Offsets, rows+1)
 	if c.Values == nil {
 		c.Values = []schema.ScoredValue{}
 	} else {
@@ -282,33 +282,11 @@ func (b *Batch) Release() {
 	}
 }
 
-// resizeBools returns a zeroed bool slice of length n reusing s's
-// backing array when it fits.
-func resizeBools(s []bool, n int) []bool {
+// resize returns a zeroed slice of length n reusing s's backing array
+// when it fits.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// resizeF32 returns a zeroed float32 slice of length n reusing s's
-// backing array when it fits.
-func resizeF32(s []float32, n int) []float32 {
-	if cap(s) < n {
-		return make([]float32, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// resizeI32 returns a zeroed int32 slice of length n reusing s's
-// backing array when it fits.
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)

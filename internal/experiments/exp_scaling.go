@@ -154,7 +154,7 @@ func buildScalingFixture() (*warehouse.Warehouse, dpp.SessionSpec, int64, error)
 		// Lean per-worker pipelines: the experiment scales the pool, not
 		// the stages, so per-worker goroutine overhead stays flat as the
 		// pool grows.
-		Pipeline: dpp.PipelineOptions{Prefetchers: 1, TransformParallelism: 1, PrefetchDepth: 2},
+		Pipeline: dpp.PipelineOptions{Prefetchers: 1, TransformParallelism: 1},
 	}
 	return wh, spec, int64(scalingPartitions * rowsPerPart), nil
 }
