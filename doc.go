@@ -36,9 +36,10 @@
 //
 // The transform stage itself runs compiled: transforms.Graph lowers its
 // topo-sorted op DAG into a slot-indexed transforms.Plan
-// (Graph.CompilePlan) that resolves every feature ID to a dense/sparse
-// slot once per session, fuses chains of elementwise dense ops into
-// single passes, and draws output columns from a per-worker pooled
+// (transforms.CompilePlan) that resolves every feature ID to a
+// dense/sparse slot once per process per op list, fuses chains of
+// elementwise dense ops into single passes, and draws output columns
+// from a per-worker pooled
 // column arena (dwrf.Arena). Stripes decode straight into arena batches
 // through streaming column decoders, and the worker releases each batch
 // (dwrf.Batch.Release) once tensor.FrameWriter has written each row

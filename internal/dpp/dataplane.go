@@ -125,6 +125,16 @@ type frame struct {
 // freeFrames recycles frames with their buffers.
 var freeFrames freelist.List[*frame]
 
+// payloadBufs holds the payload buffers of ended client streams, so a
+// stream starts with one an earlier stream grew to its frames' size
+// (a session opens a stream per worker per epoch). A buffer grown past
+// maxListedPayload is dropped rather than listed: a frame that long is
+// rare or hostile (maxFrameLen allows 64 MiB), and every listed buffer
+// stays resident.
+var payloadBufs freelist.List[[]byte]
+
+const maxListedPayload = 1 << 20
+
 // newFrame draws a recycled frame and writes its batch header and tags;
 // the caller appends the tensor frame and seals it.
 func newFrame(split, seq, seqCount int32) *frame {
@@ -399,11 +409,18 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	// goroutine — the one that writes frames — returns frames to the
 	// free list, after its write of them has returned: a grant parks the
 	// frames it retires in spent until then.
+	//
+	// Credit plus the frames in unacked is always window, and the loop
+	// empties spent before each frame it sends, so none of unacked,
+	// spent and the retired and freed lists copied from them holds more
+	// than window+1 frames: all four are cut from one array made once.
+	n := window + 1
+	windows := make([]*frame, 4*n)
 	var (
 		creditMu sync.Mutex
 		credit   = window
-		unacked  []*frame
-		spent    []*frame
+		unacked  = windows[0:0:n]
+		spent    = windows[n : n : 2*n]
 		abnormal bool
 	)
 
@@ -412,7 +429,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	go func() {
 		defer close(connGone)
 		var buf [4]byte
-		var retired []*frame
+		retired := windows[2*n : 2*n : 3*n]
 		for {
 			if _, err := io.ReadFull(br, buf[:]); err != nil {
 				if !errors.Is(err, io.EOF) {
@@ -466,7 +483,7 @@ func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 		}
 	}
 	// freeSpent recycles the frames grants retired since the last call.
-	var freed []*frame
+	freed := windows[3*n : 3*n : 4*n]
 	freeSpent := func() {
 		creditMu.Lock()
 		freed = append(freed[:0], spent...)
@@ -706,8 +723,14 @@ func (s *StreamWorker) readLoop() {
 	r := bufio.NewReader(s.conn)
 	var hdr [frameHeaderLen]byte
 	// buf holds one frame payload at a time: the decode copies it out,
-	// so the stream reuses it for every frame.
-	var buf []byte
+	// so the stream reuses it for every frame, and the next stream reuses
+	// it after this one.
+	buf, _ := payloadBufs.Get()
+	defer func() {
+		if c := cap(buf); c > 0 && c <= maxListedPayload {
+			payloadBufs.Put(buf[:0])
+		}
+	}()
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// EOF before a done frame is an error unless we closed the

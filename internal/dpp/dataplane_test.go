@@ -862,3 +862,47 @@ func FuzzFramedHello(f *testing.F) {
 		}
 	})
 }
+
+// TestSecondStreamPayloadAllocs: a client stream reads every frame into
+// one payload buffer, which outlives the stream on a process-wide list,
+// so a second stream over frames of the same size allocates no payload
+// buffer: it allocates less than half of one payload in all, server and
+// connection included. A stream that grew its own buffer allocated at
+// least a whole payload.
+func TestSecondStreamPayloadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	batch := dataplaneTestBatch(4096, 3)
+	f := encodeFrame(batch)
+	payload := uint64(len(f.buf) - frameHeaderLen)
+	f.free()
+	stream := func() uint64 {
+		t.Helper()
+		const n = defaultCreditWindow / 2 // sent without waiting for a grant
+		ln, stop, err := ServeBatchSource(&countedSource{batch: batch, remaining: n}, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		api, err := DialWorkerFramed(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, done, err := streamResult(t, api.(*StreamWorker))
+		api.Close()
+		runtime.ReadMemStats(&after)
+		if got != n || !done || err != nil {
+			t.Fatalf("stream delivered %d of %d batches, done %v, err %v", got, n, done, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := stream()
+	second := stream()
+	t.Logf("payload %d B; first stream %d B, second %d B", payload, first, second)
+	if second >= payload/2 {
+		t.Fatalf("the second stream allocated %d bytes against a %d-byte payload", second, payload)
+	}
+}

@@ -1,6 +1,8 @@
 package dpp
 
 import (
+	"bytes"
+	"encoding/gob"
 	"runtime"
 	"testing"
 
@@ -341,4 +343,52 @@ func TestNextSessionReusesEvictedColumns(t *testing.T) {
 		}
 	}
 	t.Logf("%d bytes per missed split in the next session, %d in the first session's first pass (a split decodes %d bytes)", perSplit, firstPass, decoded)
+}
+
+// TestSecondSessionWorkerAllocs pins session start: a worker of a second
+// session whose spec came over the wire (equal ops, distinct values)
+// gets the plan the first session's worker compiled, so starting it
+// allocates only the worker itself, its registration and its
+// projection: 11 times, bound 16. When every worker compiled its own
+// plan and fingerprinted it through fmt, starting one took 277.
+func TestSecondSessionWorkerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	wh, _, spec := rm1Table(t, 256, 1, 128)
+	m1, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, err := NewWorker("w1", m1, wh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := gob.NewEncoder(&wire).Encode(spec); err != nil {
+		t.Fatal(err)
+	}
+	var spec2 SessionSpec
+	if err := gob.NewDecoder(&wire).Decode(&spec2); err != nil {
+		t.Fatal(err)
+	}
+	if spec2.Ops[0] == spec.Ops[0] {
+		t.Fatal("the decoded spec shares the first spec's ops")
+	}
+	m2, err := NewMaster(wh, spec2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		w2, err := NewWorker("w2", m2, wh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w2.plan != w1.plan {
+			t.Fatal("the second session compiled its equal ops again")
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("starting the second session's worker allocates %.1f times", allocs)
+	}
 }

@@ -180,30 +180,28 @@ type Worker struct {
 const defaultHeartbeatEvery = 500 * time.Millisecond
 
 // NewWorker registers with the master, pulls the session spec, and
-// compiles the transformation plan. The worker registers no data-plane
-// endpoint; use NewWorkerWithEndpoint when clients resolve workers
-// through the master.
+// takes the transformation plan, compiled once per process per op list.
+// The worker registers no data-plane endpoint; use NewWorkerWithEndpoint
+// when clients resolve workers through the master.
 func NewWorker(id string, master MasterAPI, wh *warehouse.Warehouse) (*Worker, error) {
 	return NewWorkerWithEndpoint(id, "", master, wh)
 }
 
 // NewWorkerWithEndpoint registers with the master, announcing the
 // data-plane address clients should fetch tensors from, pulls the
-// session spec, and compiles its op graph into the execution plan once
-// for the session. A graph that does not compile — an op configuration
-// Apply would reject per batch, or an op without a compiled kernel —
-// fails here.
+// session spec, and takes the execution plan of its ops from
+// transforms.CompilePlan, which compiles once per process per op list: a
+// worker of a later session over equal ops gets the plan an earlier one
+// compiled. Ops that do not compile — a dependency cycle, an op
+// configuration Apply would reject per batch, or an op without a
+// compiled kernel — fail here.
 func NewWorkerWithEndpoint(id, endpoint string, master MasterAPI, wh *warehouse.Warehouse) (*Worker, error) {
 	spec, err := master.RegisterWorker(id, endpoint)
 	if err != nil {
 		return nil, fmt.Errorf("dpp: worker %s register: %w", id, err)
 	}
 	spec = spec.withDefaults()
-	graph, err := spec.BuildGraph()
-	if err != nil {
-		return nil, fmt.Errorf("dpp: worker %s graph: %w", id, err)
-	}
-	plan, err := graph.CompilePlan()
+	plan, err := transforms.CompilePlan(spec.Ops)
 	if err != nil {
 		return nil, fmt.Errorf("dpp: worker %s plan: %w", id, err)
 	}

@@ -2,7 +2,6 @@ package transforms
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"dsi/internal/dwrf"
 	"dsi/internal/schema"
@@ -157,30 +156,6 @@ func (g *Graph) Run(b *dwrf.Batch) (Stats, error) {
 	}
 	stats.RowsOut = b.Rows
 	return stats, nil
-}
-
-// Fingerprint digests the graph's execution order and every op's full
-// configuration into a stable hex string: two graphs that perform the
-// same preprocessing fingerprint equally, across processes and runs.
-// Each op contributes its concrete type and its %+v rendering (fmt
-// prints map fields in sorted key order, so MapId and friends are
-// deterministic). The execution order is compiled first when needed; a
-// graph that fails to compile is digested in insertion order, which is
-// still stable for any graph that round-trips through a session spec.
-func (g *Graph) Fingerprint() string {
-	ops := g.sorted
-	if ops == nil {
-		if err := g.Compile(); err == nil {
-			ops = g.sorted
-		} else {
-			ops = g.ops
-		}
-	}
-	h := fnv.New64a()
-	for _, op := range ops {
-		fmt.Fprintf(h, "%T|%+v;", op, op)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // StandardGraph assembles a representative per-model transform DAG over

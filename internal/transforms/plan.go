@@ -15,8 +15,8 @@ import (
 // columns, so a steady-state DPP worker pays a map hash per op per
 // batch and an allocation storm per batch — on the layer where the
 // paper says the worker's cycles actually go (Figure 9: transformation
-// dominates DPP CPU). Graph.CompilePlan instead lowers the topo-sorted
-// ops once per session into a Plan:
+// dominates DPP CPU). CompilePlan instead lowers the topo-sorted ops
+// once per process per op list into a Plan (plantable.go):
 //
 //   - Every input and output FeatureID is resolved to a dense / sparse
 //     / score-list slot index at compile time. Per-batch execution
@@ -43,17 +43,18 @@ import (
 // does not recognize make CompilePlan fail, and a graph that does not
 // compile fails the DPP worker that would run it.
 
-// Plan is a compiled Graph. Compile once per session with
-// Graph.CompilePlan; a Plan is immutable once compiled, and Run is safe
-// for concurrent use (each call borrows an execution state from the
-// process-wide free list), which is how the worker's evaluator pool
-// shares one Plan.
+// Plan is a compiled Graph. It is compiled once per process per op list
+// by CompilePlan, which hands every later caller with an equal op list
+// the same Plan; a Plan is immutable once compiled, and Run is safe for
+// concurrent use (each call borrows an execution state from the
+// process-wide free list), which is how a worker's evaluator pool and
+// every session over the same ops share one Plan.
 type Plan struct {
 	rowOps []Op
 	steps  []planStep
 
-	// fingerprint is the stable digest of the compiled op sequence,
-	// computed once by CompilePlan (see Graph.Fingerprint).
+	// fingerprint is the stable digest of the compiled op list, set
+	// once by CompilePlan (see Fingerprint).
 	fingerprint string
 
 	// Raw features bound from the batch maps into slots once per run.
@@ -200,9 +201,9 @@ func (e *planExec) finish() Stats {
 }
 
 // planExecs holds the idle execution states of every plan in the
-// process: plans live for one session, their scratch should not, so the
-// first runs after a collection — or in a new session — do not regrow
-// it. It holds as many as a node's runs once borrowed at the same time.
+// process: scratch belongs to no plan, so the first runs after a
+// collection — or of a newly compiled plan — do not regrow it. It holds
+// as many as a node's runs once borrowed at the same time.
 var planExecs freelist.List[*planExec]
 
 // resizeSlots returns a zero-cleared slice of n entries (column
@@ -253,19 +254,14 @@ func (e *planExec) account(op Op, values int64) {
 // newSparse returns an arena-recycled output column.
 func (e *planExec) newSparse() *dwrf.SparseColumn { return e.arena.Sparse(e.rows) }
 
-// CompilePlan lowers the graph into a compiled Plan, compiling the
-// execution order first if needed. It fails for op configurations the
-// interpreter would reject at Apply time (surfaceing them per session
-// instead of per batch) and for Op implementations outside this
-// package, which have no compiled kernel; a DPP worker whose graph does
+// CompilePlan returns the graph's compiled Plan: CompilePlan(g.Ops()),
+// so a graph whose ops this process compiled before gets that Plan. It
+// fails for op configurations the interpreter would reject at Apply time
+// (surfacing them per session instead of per batch), for a graph that
+// does not compile (Compile's errors) and for Op implementations outside
+// this package, which have no compiled kernel; a DPP worker whose ops do
 // not compile fails.
-func (g *Graph) CompilePlan() (*Plan, error) {
-	c, err := g.lowerPlan()
-	if err != nil {
-		return nil, err
-	}
-	return c.p, nil
-}
+func (g *Graph) CompilePlan() (*Plan, error) { return CompilePlan(g.ops) }
 
 // TensorOutputs names the features a session delivers as tensors: the
 // dense and sparse outputs of the compiled plan that no op consumes, in
@@ -322,14 +318,14 @@ func (g *Graph) lowerPlan() (*planCompiler, error) {
 			return nil, err
 		}
 	}
-	p.fingerprint = g.Fingerprint()
 	return c, nil
 }
 
-// Fingerprint returns the plan's stable content digest: equal plans
-// (same op sequence, same configuration) fingerprint equally across
-// processes, so it can key content-addressed caches of transform
-// outputs (ware.WareID). Computed once at compile time.
+// Fingerprint returns the plan's stable content digest, the 16 hex
+// digits of the hash of its op list's canonical encoding (opKey): plans
+// of equal op lists (same op sequence, same configuration) fingerprint
+// equally across processes, so it can key content-addressed caches of
+// transform outputs (ware.WareID). Computed once at compile time.
 func (p *Plan) Fingerprint() string { return p.fingerprint }
 
 // planCompiler holds the feature→slot resolution state during lowering.

@@ -83,10 +83,9 @@ func StripeID(contentHash uint64, path string, stripe int, proj *schema.Projecti
 }
 
 // XformID names the batch produced by running a transform plan over a
-// stripe ware. planFingerprint is transforms.Plan.Fingerprint (or
-// Graph.Fingerprint for interpreted sessions): it digests the full op
-// configuration, so sessions only collide when they would genuinely
-// compute the same derived columns. The digest folds the stripe ware's
+// stripe ware. planFingerprint is transforms.Plan.Fingerprint: it
+// digests the full op configuration, so sessions only collide when they
+// would genuinely compute the same derived columns. The digest folds the stripe ware's
 // rendered hash, its 16 hex digits, so it names the same bytes it did
 // when a WareID held its hash as a string.
 func XformID(stripe WareID, planFingerprint string) WareID {
